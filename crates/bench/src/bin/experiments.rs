@@ -39,7 +39,6 @@ use ppds_smc::millionaires;
 use ppds_smc::multiplication::{mul_keyholder, mul_peer};
 use ppds_smc::{BackendKind, Party, ProtocolContext};
 use ppds_transport::{duplex, Channel, CostModel};
-use std::sync::Arc;
 use std::time::Instant;
 
 fn section(title: &str) {
@@ -869,13 +868,12 @@ fn traced_runs() -> Vec<(&'static str, SessionTrace)> {
     let mut out: Vec<(&'static str, SessionTrace)> = Vec::new();
 
     let mut two_party = |mode: &'static str, alice: PartyData, bob: PartyData| {
-        let recorder = SpanRecorder::new();
         let (a, _) = run_participants(
             Participant::new(cfg)
                 .role(Party::Alice)
                 .data(alice)
                 .rng(rng(81))
-                .trace(Arc::clone(&recorder)),
+                .trace(SpanRecorder::new()),
             Participant::new(cfg)
                 .role(Party::Bob)
                 .data(bob)
@@ -928,7 +926,6 @@ fn traced_mesh(cfg: &ProtocolConfig, all: &[Point], seed: u64) -> SessionTrace {
             channels[j].push((i, b));
         }
     }
-    let recorder = SpanRecorder::new();
     let mut trace = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -937,7 +934,7 @@ fn traced_mesh(cfg: &ProtocolConfig, all: &[Point], seed: u64) -> SessionTrace {
                 .data(PartyData::Multiparty(points.clone()))
                 .seed(seed.wrapping_add(my_id as u64));
             if my_id == 0 {
-                participant = participant.trace(Arc::clone(&recorder));
+                participant = participant.trace(SpanRecorder::new());
             }
             handles.push(scope.spawn(move || participant.run_mesh(&mut peers, my_id, k)));
         }

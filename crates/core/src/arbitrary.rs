@@ -16,12 +16,12 @@ use crate::adp::{adp_compare_set_alice, adp_compare_set_bob, PairView};
 use crate::config::ProtocolConfig;
 use crate::driver::PartyOutput;
 use crate::error::CoreError;
+use crate::prune::{BandCandidates, BandTable, PAIR_CHUNK};
 use crate::session::{
     run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
 };
 use crate::vertical::lockstep_dbscan;
 use ppds_dbscan::Clustering;
-use ppds_observe::trace;
 use ppds_smc::{Party, ProtocolContext};
 use ppds_transport::Channel;
 
@@ -93,46 +93,36 @@ impl ModeDriver for ArbitraryDriver<'_> {
         // With grid pruning, each party publishes coarse bands at the
         // attribute cells it owns (the rest stay sentinel-marked), the
         // tables are merged owner-wise, and both sides derive identical
-        // candidate sets over the merged band table.
-        let pruned = arbitrary_band_oracle(chan, cfg, mctx.role, values, &mut log.leakage)?;
-        let ledger = &mut log.ledger;
-        let sharing = &mut log.sharing;
-        // One context instance per region query (see the vertical driver).
-        let region_ctx = ctx.narrow("region");
-        let mut q = 0u64;
-        let dist_leq_set = |x: usize, ys: &[usize]| -> Result<Vec<bool>, CoreError> {
-            let qctx = region_ctx.at(q);
-            let span = trace::span_with(|| format!("region#{q}"), || chan.metrics());
-            q += 1;
-            let views: Vec<PairView<'_>> = ys
+        // candidate pairs over the merged band table.
+        let bands = arbitrary_band_oracle(chan, mctx, values, self.dim(), &mut log.leakage)?;
+        let (ledger, sharing) = (&mut log.ledger, &mut log.sharing);
+        // One context instance per chunk (see the vertical driver).
+        let resolve_ctx = ctx.narrow("resolve");
+        let positions: Vec<u64> = (0..PAIR_CHUNK as u64).collect();
+        let compare_chunk = |chan: &mut C, chunk: u64, pairs: &[(u32, u32)]| {
+            let views: Vec<PairView<'_>> = pairs
                 .iter()
-                .map(|&y| PairView {
-                    x: &values[x],
-                    y: &values[y],
+                .map(|&(x, y)| PairView {
+                    x: &values[x as usize],
+                    y: &values[y as usize],
                 })
                 .collect();
-            let records: Vec<u64> = ys.iter().map(|&y| y as u64).collect();
-            let result = match mctx.role {
+            let (records, cctx) = (&positions[..pairs.len()], resolve_ctx.at(chunk));
+            Ok(match mctx.role {
                 Party::Alice => adp_compare_set_alice(
-                    chan, cfg, &backend, &views, &records, &qctx, ledger, sharing,
+                    chan, cfg, &backend, &views, records, &cctx, ledger, sharing,
                 )?,
                 Party::Bob => adp_compare_set_bob(
-                    chan, cfg, &backend, &views, &records, &qctx, ledger, sharing,
+                    chan, cfg, &backend, &views, records, &cctx, ledger, sharing,
                 )?,
-            };
-            span.end(|| chan.metrics());
-            Ok(result)
-        };
-        let n = values.len();
-        let candidates_for = |x: usize| match &pruned {
-            Some(oracle) => oracle.candidates_of(x),
-            None => crate::prune::exhaustive_candidates(n, x),
+            })
         };
         lockstep_dbscan(
-            n,
+            chan,
+            values.len(),
             cfg.params,
-            candidates_for,
-            dist_leq_set,
+            bands,
+            compare_chunk,
             &mut log.leakage,
         )
     }
@@ -142,38 +132,46 @@ impl ModeDriver for ArbitraryDriver<'_> {
 /// session (`None` when the config is exhaustive). Each party quantizes
 /// the attribute cells it owns to coarse public bands and marks the rest
 /// with the [`crate::prune::BAND_UNOWNED`] sentinel; both tables are
-/// exchanged (the received table is ledgered as a `pruning_bands` leakage
-/// event) and merged owner-wise in the agreed (Alice, Bob) order, so both
-/// parties index the identical merged band table. A cell owned by neither
-/// party is a typed error, never a silent desync.
+/// exchanged (the received table is validated against the handshake and
+/// ledgered as a `pruning_bands` leakage event) and merged owner-wise in
+/// the agreed (Alice, Bob) order, so both parties index the identical
+/// merged band table. A cell owned by neither party is a typed error,
+/// never a silent desync.
 fn arbitrary_band_oracle<C: Channel>(
     chan: &mut C,
-    cfg: &ProtocolConfig,
-    role: Party,
+    mctx: &ModeContext<'_>,
     values: &[Vec<Option<i64>>],
+    dim: usize,
     leakage: &mut ppds_smc::LeakageLog,
-) -> Result<Option<crate::prune::BandCandidates>, CoreError> {
+) -> Result<Option<BandCandidates>, CoreError> {
+    let cfg = mctx.cfg;
     let ppds_dbscan::Pruning::Grid { coarseness } = cfg.pruning else {
         return Ok(None);
     };
     let width = ppds_dbscan::band_width(cfg.params.eps_sq, coarseness);
-    let mine: Vec<Vec<i64>> = values
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|cell| match cell {
-                    Some(v) => v.div_euclid(width),
-                    None => crate::prune::BAND_UNOWNED,
-                })
-                .collect()
-        })
-        .collect();
-    let theirs = crate::prune::exchange_band_tables(chan, &mine, width, leakage)?;
-    let merged = match role {
-        Party::Alice => crate::prune::merge_band_tables(&mine, &theirs)?,
-        Party::Bob => crate::prune::merge_band_tables(&theirs, &mine)?,
+    let mine = BandTable::collect(
+        dim,
+        values.iter().map(|row| {
+            row.iter().map(|cell| match cell {
+                Some(v) => v.div_euclid(width),
+                None => crate::prune::BAND_UNOWNED,
+            })
+        }),
+    );
+    let theirs = crate::prune::exchange_band_tables(
+        chan,
+        &mine,
+        dim,
+        true,
+        width,
+        cfg.coord_bound,
+        leakage,
+    )?;
+    let merged = match mctx.role {
+        Party::Alice => BandTable::merge(&mine, &theirs)?,
+        Party::Bob => BandTable::merge(&theirs, &mine)?,
     };
-    Ok(Some(crate::prune::BandCandidates::new(merged, width)))
+    Ok(Some(BandCandidates::new(merged, width)))
 }
 
 /// One party's full run over arbitrarily partitioned data. `my_values` is

@@ -1,7 +1,8 @@
 //! Candidate-pruning plumbing shared by the five mode drivers.
 //!
 //! This module is the **only** place the exhaustive all-pairs fallback is
-//! materialized; the drivers ask it for candidate sets and never enumerate
+//! enumerated; the drivers ask it for candidate sets (or, in the lockstep
+//! modes, for the stream of unordered candidate pairs) and never enumerate
 //! `0..n` themselves. Two disclosure shapes exist (see DESIGN.md §15):
 //!
 //! * **Per-query cell exchange** (horizontal / enhanced / multiparty): the
@@ -21,11 +22,11 @@
 
 use crate::error::CoreError;
 use ppds_dbscan::index::{GridIndex, LinearIndex, NeighborIndex};
-use ppds_dbscan::pruning::{coarse_cell, CoarseGrid, Pruning};
+use ppds_dbscan::pruning::{bands_intersect, coarse_cell, CandidateScratch, CoarseGrid, Pruning};
 use ppds_dbscan::Point;
 use ppds_smc::{LeakageEvent, LeakageLog};
+use ppds_transport::wire::{Reader, WireDecode, WireEncode};
 use ppds_transport::Channel;
-use std::collections::HashSet;
 
 /// The per-party local region-query index: an ε-grid when pruning is on
 /// (and the data admits one), the exhaustive linear scan otherwise. Local
@@ -47,10 +48,46 @@ pub(crate) fn all_candidates(n: usize) -> Vec<usize> {
     (0..n).collect()
 }
 
-/// Every index but `x`, ascending — the exhaustive fallback for the
-/// lockstep modes, whose oracle convention excludes the query record.
-pub(crate) fn exhaustive_candidates(n: usize, x: usize) -> Vec<usize> {
-    (0..n).filter(|&y| y != x).collect()
+/// Pairs per resolve exchange in the lockstep modes (vertical/arbitrary):
+/// large enough that per-frame cost and the small-batch penalty of the
+/// comparison backends vanish, small enough that one chunk's buffers stay
+/// in cache and a 10⁴-record session still reports progress ~25 times.
+pub(crate) const PAIR_CHUNK: usize = 1024;
+
+/// Streams every unordered candidate pair `(x, y)`, `x < y`, of an
+/// `n`-record lockstep session to `sink`, ascending in `(x, y)`, at most
+/// [`PAIR_CHUNK`] pairs at a time through one reused buffer — the full
+/// list (`n(n−1)/2` pairs when exhaustive) is never materialized.
+/// `bands = None` is the exhaustive generator. Both parties derive the
+/// identical stream because it is a function of agreed data only.
+pub(crate) fn for_each_pair_chunk<E>(
+    n: u32,
+    bands: Option<&BandCandidates>,
+    mut sink: impl FnMut(&[(u32, u32)]) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut chunk: Vec<(u32, u32)> = Vec::with_capacity(PAIR_CHUNK);
+    let mut scratch = CandidateScratch::default();
+    for x in 0..n {
+        let mut emit = |y: u32| -> Result<(), E> {
+            chunk.push((x, y));
+            if chunk.len() == PAIR_CHUNK {
+                sink(&chunk)?;
+                chunk.clear();
+            }
+            Ok(())
+        };
+        match bands {
+            Some(bands) => bands
+                .partners_above(x, &mut scratch)
+                .iter()
+                .try_for_each(|&y| emit(y as u32))?,
+            None => (x + 1..n).try_for_each(&mut emit)?,
+        }
+    }
+    if !chunk.is_empty() {
+        sink(&chunk)?;
+    }
+    Ok(())
 }
 
 /// Querier half of the per-query cell exchange: disclose the query's
@@ -90,22 +127,192 @@ pub(crate) fn respond_candidates<C: Channel>(
     Ok(candidates)
 }
 
+/// A per-record band table in one row-major buffer: record `x` has the
+/// bands `row(x)`, `dim` of them. On the wire it is the `Vec<Vec<i64>>` it
+/// replaces (a row count, then each row behind its own length), so a peer
+/// can still send a ragged one; in memory it is one allocation, not one
+/// per record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BandTable {
+    records: usize,
+    dim: usize,
+    bands: Vec<i64>,
+}
+
+impl BandTable {
+    /// Collects `rows`, each of which must yield exactly `dim` bands.
+    ///
+    /// # Panics
+    /// Panics on a row of another length (the drivers validate their
+    /// inputs' dimensions before they get here).
+    pub(crate) fn collect<R: IntoIterator<Item = i64>>(
+        dim: usize,
+        rows: impl ExactSizeIterator<Item = R>,
+    ) -> Self {
+        let records = rows.len();
+        let mut bands = Vec::with_capacity(records * dim);
+        for (x, row) in rows.enumerate() {
+            bands.extend(row);
+            assert_eq!(bands.len(), (x + 1) * dim, "band row {x} is not {dim} long");
+        }
+        BandTable {
+            records,
+            dim,
+            bands,
+        }
+    }
+
+    fn row(&self, x: usize) -> &[i64] {
+        &self.bands[x * self.dim..(x + 1) * self.dim]
+    }
+
+    fn rows(&self) -> impl ExactSizeIterator<Item = &[i64]> {
+        (0..self.records).map(|x| self.row(x))
+    }
+
+    /// The joined table of a vertical session: every record's bands over
+    /// Alice's attributes, then over Bob's.
+    pub(crate) fn join(alice: &BandTable, bob: &BandTable) -> Result<BandTable, CoreError> {
+        check_same_records(alice, bob)?;
+        Ok(BandTable::collect(
+            alice.dim + bob.dim,
+            alice
+                .rows()
+                .zip(bob.rows())
+                .map(|(a, b)| a.iter().chain(b).copied()),
+        ))
+    }
+
+    /// The merged table of an arbitrarily partitioned session, taking the
+    /// owner's value per cell. Expressed over (Alice's table, Bob's table)
+    /// — not (mine, theirs) — so both parties derive byte-identical merged
+    /// tables even on malformed ownership, and a cell neither party owns
+    /// is a typed error instead of a mid-protocol desync.
+    pub(crate) fn merge(alice: &BandTable, bob: &BandTable) -> Result<BandTable, CoreError> {
+        check_same_records(alice, bob)?;
+        if alice.dim != bob.dim {
+            return Err(CoreError::mismatch(format!(
+                "band tables disagree on dimension: {} vs {}",
+                alice.dim, bob.dim
+            )));
+        }
+        let mut bands = Vec::with_capacity(alice.bands.len());
+        for (at, (&a, &b)) in alice.bands.iter().zip(&bob.bands).enumerate() {
+            bands.push(match (a == BAND_UNOWNED, b == BAND_UNOWNED) {
+                (false, _) => a,
+                (true, false) => b,
+                (true, true) => {
+                    return Err(CoreError::mismatch(format!(
+                        "record {} has an attribute band owned by neither party",
+                        at / alice.dim
+                    )))
+                }
+            });
+        }
+        Ok(BandTable {
+            records: alice.records,
+            dim: alice.dim,
+            bands,
+        })
+    }
+
+    /// Number of distinct rows.
+    fn distinct_rows(&self) -> u64 {
+        let mut order: Vec<usize> = (0..self.records).collect();
+        order.sort_unstable_by(|&a, &b| self.row(a).cmp(self.row(b)));
+        order.dedup_by(|a, b| self.row(*a) == self.row(*b));
+        order.len() as u64
+    }
+}
+
+fn check_same_records(alice: &BandTable, bob: &BandTable) -> Result<(), CoreError> {
+    if alice.records == bob.records {
+        return Ok(());
+    }
+    Err(CoreError::mismatch(format!(
+        "band tables disagree on record count: {} vs {}",
+        alice.records, bob.records
+    )))
+}
+
+impl WireEncode for BandTable {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(4 + self.records * (4 + 8 * self.dim));
+        (self.records as u32).encode(out);
+        for row in self.rows() {
+            (self.dim as u32).encode(out);
+            row.iter().for_each(|band| band.encode(out));
+        }
+    }
+}
+
 /// Exchanges per-record band tables (both sides send before either
 /// receives, like the `Hello` frames) and ledgers the received table as
 /// one [`LeakageEvent::PruningBandsDisclosed`].
+///
+/// The received table is peer-controlled, so it is checked as it is
+/// decoded: one row per record, every row `peer_dim` bands long (the
+/// handshake's dimension), every band one a coordinate within
+/// `coord_bound` can quantize to — or [`BAND_UNOWNED`] when `allow_unowned`
+/// (the arbitrary partitioning). Downstream grid code may then index rows
+/// and step to adjacent bands without overflow.
 pub(crate) fn exchange_band_tables<C: Channel>(
     chan: &mut C,
-    mine: &[Vec<i64>],
+    mine: &BandTable,
+    peer_dim: usize,
+    allow_unowned: bool,
     width: i64,
+    coord_bound: i64,
     leakage: &mut LeakageLog,
-) -> Result<Vec<Vec<i64>>, CoreError> {
-    chan.send(&mine.to_vec())?;
-    let theirs: Vec<Vec<i64>> = chan.recv()?;
-    let distinct = theirs.iter().collect::<HashSet<_>>().len() as u64;
+) -> Result<BandTable, CoreError> {
+    chan.send(mine)?;
+    let payload = chan.recv_bytes()?;
+    let mut reader = Reader::new(&payload);
+    let records = u32::decode(&mut reader)? as usize;
+    if records != mine.records {
+        return Err(CoreError::mismatch(format!(
+            "peer band table covers {records} records, expected {}",
+            mine.records
+        )));
+    }
+    // floor(−coord_bound / width) can sit one band below −(coord_bound / width).
+    let max_band = (coord_bound / width + 1).unsigned_abs();
+    let legal = |b: i64| b.unsigned_abs() <= max_band || (allow_unowned && b == BAND_UNOWNED);
+    // Never more room than the bands that can have arrived, whatever
+    // dimension the peer's handshake announced.
+    let mut bands = Vec::with_capacity(records.saturating_mul(peer_dim).min(payload.len() / 8));
+    for x in 0..records {
+        let len = u32::decode(&mut reader)? as usize;
+        if len != peer_dim {
+            return Err(CoreError::mismatch(format!(
+                "peer band row {x} has {len} bands, handshake agreed {peer_dim}"
+            )));
+        }
+        for _ in 0..peer_dim {
+            let band = i64::decode(&mut reader)?;
+            if !legal(band) {
+                return Err(CoreError::mismatch(format!(
+                    "peer band {band} at record {x} lies outside the agreed coordinate bound"
+                )));
+            }
+            bands.push(band);
+        }
+    }
+    if !reader.is_empty() {
+        return Err(CoreError::mismatch(format!(
+            "peer band table carries {} trailing bytes",
+            reader.remaining()
+        )));
+    }
+    let theirs = BandTable {
+        records,
+        dim: peer_dim,
+        bands,
+    };
     leakage.record(LeakageEvent::PruningBandsDisclosed {
-        records: theirs.len() as u64,
+        records: records as u64,
         band_width: width,
-        distinct,
+        distinct: theirs.distinct_rows(),
     });
     Ok(theirs)
 }
@@ -116,71 +323,35 @@ pub(crate) fn exchange_band_tables<C: Channel>(
 /// admissible `coord_bound`.
 pub(crate) const BAND_UNOWNED: i64 = i64::MIN;
 
-/// Merges two complementary per-record band tables (arbitrary
-/// partitioning) into the full band table, taking the owner's value per
-/// cell. The merge is expressed over (Alice's table, Bob's table) — not
-/// (mine, theirs) — so both parties derive byte-identical merged tables
-/// even on malformed ownership, and a cell neither party owns is a typed
-/// error instead of a mid-protocol desync.
-pub(crate) fn merge_band_tables(
-    alice: &[Vec<i64>],
-    bob: &[Vec<i64>],
-) -> Result<Vec<Vec<i64>>, CoreError> {
-    if alice.len() != bob.len() {
-        return Err(CoreError::mismatch(format!(
-            "band tables disagree on record count: {} vs {}",
-            alice.len(),
-            bob.len()
-        )));
-    }
-    alice
-        .iter()
-        .zip(bob)
-        .enumerate()
-        .map(|(x, (a_row, b_row))| {
-            if a_row.len() != b_row.len() {
-                return Err(CoreError::mismatch(format!(
-                    "band tables disagree on dimension at record {x}"
-                )));
-            }
-            a_row
-                .iter()
-                .zip(b_row)
-                .map(|(&a, &b)| match (a == BAND_UNOWNED, b == BAND_UNOWNED) {
-                    (false, _) => Ok(a),
-                    (true, false) => Ok(b),
-                    (true, true) => Err(CoreError::mismatch(format!(
-                        "record {x} has an attribute band owned by neither party"
-                    ))),
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Per-record candidate oracle over a merged/concatenated band table: for
-/// record `x`, every *other* record whose band is adjacent-or-equal, in
-/// ascending order. This is what replaces the all-pairs loop in the
-/// lockstep modes.
+/// Candidate oracle over a merged/joined band table: for record `x`, every
+/// *later* record whose band is adjacent-or-equal, in ascending order. Band
+/// adjacency is symmetric and a record is never its own partner, so
+/// "later" enumerates each unordered candidate pair exactly once. This is
+/// what replaces the all-pairs loop in the lockstep modes.
 pub(crate) struct BandCandidates {
-    cells: Vec<Vec<i64>>,
+    table: BandTable,
     grid: CoarseGrid,
 }
 
 impl BandCandidates {
     /// Indexes the merged band table.
-    pub(crate) fn new(cells: Vec<Vec<i64>>, width: i64) -> Self {
-        let grid = CoarseGrid::from_cells(cells.clone(), width);
-        BandCandidates { cells, grid }
+    pub(crate) fn new(table: BandTable, width: i64) -> Self {
+        let grid = CoarseGrid::from_cells(&table.bands, table.dim, width);
+        BandCandidates { table, grid }
     }
 
-    /// Candidate partners of record `x`, ascending, excluding `x` itself.
-    pub(crate) fn candidates_of(&self, x: usize) -> Vec<usize> {
-        self.grid
-            .candidates(&self.cells[x])
-            .into_iter()
-            .filter(|&y| y != x)
-            .collect()
+    /// Candidate partners `y > x` of record `x`, ascending.
+    fn partners_above<'s>(&self, x: u32, scratch: &'s mut CandidateScratch) -> &'s [usize] {
+        let cell = self.table.row(x as usize);
+        let hits = self.grid.candidates_with(cell, scratch);
+        let above = &hits[hits.partition_point(|&y| y <= x as usize)..];
+        debug_assert!(
+            above
+                .iter()
+                .all(|&y| bands_intersect(self.table.row(y), cell)),
+            "band adjacency must be symmetric: the x < y filter relies on it"
+        );
+        above
     }
 }
 
@@ -210,26 +381,114 @@ mod tests {
         );
     }
 
-    #[test]
-    fn merge_takes_the_owner_side_and_rejects_orphans() {
-        let s = BAND_UNOWNED;
-        let alice = vec![vec![1, s], vec![s, 4]];
-        let bob = vec![vec![s, 2], vec![3, s]];
-        let merged = merge_band_tables(&alice, &bob).unwrap();
-        assert_eq!(merged, vec![vec![1, 2], vec![3, 4]]);
-        let orphaned = vec![vec![s, s], vec![s, 4]];
-        assert!(merge_band_tables(&orphaned, &bob).is_err());
-        assert!(merge_band_tables(&alice[..1], &bob).is_err());
+    fn table(dim: usize, rows: &[&[i64]]) -> BandTable {
+        BandTable::collect(dim, rows.iter().map(|row| row.iter().copied()))
     }
 
     #[test]
-    fn band_candidates_exclude_self_and_stay_sorted() {
+    fn merge_takes_the_owner_side_and_rejects_orphans() {
+        let s = BAND_UNOWNED;
+        let alice = table(2, &[&[1, s], &[s, 4]]);
+        let bob = table(2, &[&[s, 2], &[3, s]]);
+        let merged = BandTable::merge(&alice, &bob).unwrap();
+        assert_eq!(merged, table(2, &[&[1, 2], &[3, 4]]));
+        let orphaned = table(2, &[&[s, s], &[s, 4]]);
+        assert!(BandTable::merge(&orphaned, &bob).is_err());
+        assert!(BandTable::merge(&table(2, &[&[1, s]]), &bob).is_err());
+        assert!(BandTable::merge(&table(1, &[&[1], &[4]]), &bob).is_err());
+    }
+
+    #[test]
+    fn join_concatenates_alices_bands_then_bobs() {
+        let alice = table(1, &[&[1], &[2]]);
+        let bob = table(2, &[&[7, 8], &[9, 9]]);
+        let joined = BandTable::join(&alice, &bob).unwrap();
+        assert_eq!(joined, table(3, &[&[1, 7, 8], &[2, 9, 9]]));
+        assert_eq!(joined.distinct_rows(), 2);
+        assert_eq!(table(1, &[&[4], &[5], &[4]]).distinct_rows(), 2);
+        assert!(BandTable::join(&alice, &table(1, &[&[0]])).is_err());
+    }
+
+    #[test]
+    fn a_band_table_travels_as_the_nested_vector_it_replaces() {
+        let rows = vec![vec![3i64, -1], vec![0, i64::MIN]];
+        let flat = table(2, &[&rows[0], &rows[1]]);
+        assert_eq!(flat.encode_to_vec(), rows.encode_to_vec());
+        assert_eq!(
+            table(1, &[]).encode_to_vec(),
+            Vec::<Vec<i64>>::new().encode_to_vec()
+        );
+    }
+
+    fn pairs(n: u32, bands: Option<&BandCandidates>) -> Vec<Vec<(u32, u32)>> {
+        let mut chunks = Vec::new();
+        for_each_pair_chunk(n, bands, |chunk| {
+            chunks.push(chunk.to_vec());
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        chunks
+    }
+
+    #[test]
+    fn band_pairs_are_unordered_sorted_and_exclude_self() {
         let w = band_width(4, 1);
-        let cells = vec![vec![0], vec![0], vec![1], vec![9]];
-        let oracle = BandCandidates::new(cells, w);
-        assert_eq!(oracle.candidates_of(0), vec![1, 2]);
-        assert_eq!(oracle.candidates_of(2), vec![0, 1]);
-        assert_eq!(oracle.candidates_of(3), Vec::<usize>::new());
+        let oracle = BandCandidates::new(table(1, &[&[0], &[0], &[1], &[9]]), w);
+        assert_eq!(
+            pairs(4, Some(&oracle)),
+            vec![vec![(0, 1), (0, 2), (1, 2)]],
+            "record 3 is nobody's candidate"
+        );
+    }
+
+    #[test]
+    fn exhaustive_pairs_cover_the_triangle_in_full_chunks_plus_a_tail() {
+        for n in [0u32, 1, 2, 3, 46, 47] {
+            let chunks = pairs(n, None);
+            let total = (n as usize * n.saturating_sub(1) as usize) / 2;
+            assert_eq!(chunks.iter().map(Vec::len).sum::<usize>(), total, "n={n}");
+            assert_eq!(chunks.len(), total.div_ceil(PAIR_CHUNK), "n={n}");
+            assert!(chunks.iter().rev().skip(1).all(|c| c.len() == PAIR_CHUNK));
+            let flat: Vec<(u32, u32)> = chunks.concat();
+            assert!(flat.iter().all(|&(x, y)| x < y && y < n));
+            assert!(
+                flat.windows(2).all(|w| w[0] < w[1]),
+                "ascending, no repeats"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_band_tables_are_typed_errors() {
+        use ppds_transport::duplex;
+        let mine = table(1, &[&[0], &[1]]);
+        // (peer table, peer_dim, allow_unowned) — coord_bound 10, width 3.
+        let cases: Vec<(Vec<Vec<i64>>, usize, bool)> = vec![
+            (vec![vec![0]], 1, false),                     // short table
+            (vec![vec![0], vec![1], vec![2]], 1, false),   // long table
+            (vec![vec![0], vec![1, 2]], 1, false),         // ragged row
+            (vec![vec![0], vec![]], 1, false),             // empty row
+            (vec![vec![0], vec![i64::MAX]], 1, false),     // overflow bait
+            (vec![vec![0], vec![5]], 1, false),            // just out of range
+            (vec![vec![0], vec![BAND_UNOWNED]], 1, false), // sentinel where none is owed
+        ];
+        for (theirs, peer_dim, allow_unowned) in cases {
+            let (mut a, mut b) = duplex();
+            b.send(&theirs).unwrap();
+            let mut leakage = LeakageLog::new();
+            let err =
+                exchange_band_tables(&mut a, &mine, peer_dim, allow_unowned, 3, 10, &mut leakage)
+                    .unwrap_err();
+            assert!(matches!(err, CoreError::Mismatch(_)), "{theirs:?}: {err}");
+            assert!(leakage.is_empty(), "a rejected table is not ledgered");
+        }
+        // The extreme legal bands and the sentinel (when owed) pass.
+        let (mut a, mut b) = duplex();
+        b.send(&vec![vec![-4i64], vec![BAND_UNOWNED]]).unwrap();
+        let mut leakage = LeakageLog::new();
+        let theirs = exchange_band_tables(&mut a, &mine, 1, true, 3, 10, &mut leakage).unwrap();
+        assert_eq!(theirs, table(1, &[&[-4], &[BAND_UNOWNED]]));
+        assert_eq!(leakage.count_kind("pruning_bands"), 1);
     }
 
     #[test]

@@ -58,7 +58,8 @@ use crate::config::{ProtocolConfig, YaoLedger};
 use crate::driver::{run_pair, PartyOutput};
 use crate::error::CoreError;
 use ppds_dbscan::{Clustering, Point, Pruning};
-use ppds_observe::{trace, SessionTrace, SpanRecorder, TraceSink};
+use ppds_observe::trace::{self, Span};
+use ppds_observe::{SessionTrace, SpanRecorder, TraceSink};
 use ppds_paillier::{FillerHandle, Keypair, PublicKey, RandomizerPool};
 use ppds_smc::compare::Comparator;
 use ppds_smc::kth::SelectionMethod;
@@ -81,8 +82,12 @@ use std::sync::Arc;
 /// substrate) and, when sharing is negotiated, a dealer-seed contribution
 /// exchange immediately after the `Hello` frames; `5` adds the required
 /// `pruning` field (candidate-generation policy: exhaustive all-pairs vs
-/// grid-derived candidate sets).
-pub const WIRE_VERSION: u32 = 5;
+/// grid-derived candidate sets); `6` keeps the `Hello` layout but changes
+/// the execute-phase transcript of the vertical and arbitrary modes (one
+/// exchange per chunk of unordered candidate pairs instead of one per
+/// region query), so a v5 peer is refused here rather than desyncing
+/// mid-session.
+pub const WIRE_VERSION: u32 = 6;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -640,10 +645,16 @@ where
     C: Channel,
     D: ModeDriver,
 {
-    run_two_party_pooled(chan, cfg, driver, role, keypair, ctx, None)
+    run_two_party_pooled(chan, cfg, driver, role, keypair, ctx, None).map(|(outcome, assemble)| {
+        assemble.end(|| outcome.output.traffic);
+        outcome
+    })
 }
 
-/// [`run_two_party`] with optional randomizer-pool precomputation.
+/// [`run_two_party`] with optional randomizer-pool precomputation. The
+/// `assemble` span comes back open: a caller that owns the session's inputs
+/// releases them before closing it, so a traced session's top-level spans
+/// account for its teardown too.
 pub(crate) fn run_two_party_pooled<C, D>(
     chan: &mut C,
     cfg: &ProtocolConfig,
@@ -652,7 +663,7 @@ pub(crate) fn run_two_party_pooled<C, D>(
     keypair: Option<Keypair>,
     ctx: &ProtocolContext,
     pools: Option<PoolSetup>,
-) -> Result<SessionOutcome, CoreError>
+) -> Result<(SessionOutcome, Span), CoreError>
 where
     C: Channel,
     D: ModeDriver,
@@ -708,8 +719,7 @@ where
             }],
         },
     };
-    assemble_span.end(|| outcome.output.traffic);
-    Ok(outcome)
+    Ok((outcome, assemble_span))
 }
 
 /// One party's private view of the session data — the mode selector of the
@@ -1023,6 +1033,11 @@ impl Participant {
                 "multiparty data runs over a mesh: call .run_mesh(..) instead of .run(..)",
             )),
         };
+        let result = result.map(|(outcome, assemble)| {
+            drop(data);
+            assemble.end(|| outcome.output.traffic);
+            outcome
+        });
         drop(guard);
         let mut outcome = result?;
         if let Some(rec) = recorder {
@@ -1250,6 +1265,13 @@ mod tests {
             mine.negotiation_fingerprint(),
             pruned.negotiation_fingerprint(),
             "any agreement-relevant change re-negotiates"
+        );
+        assert_ne!(
+            mine.negotiation_fingerprint(),
+            mine.clone()
+                .with_wire_version(WIRE_VERSION - 1)
+                .negotiation_fingerprint(),
+            "a cached verdict for this build never answers an older peer"
         );
     }
 

@@ -3,11 +3,12 @@
 //! Both parties hold an attribute slice of *every* record, so they run one
 //! shared DBSCAN loop in lockstep over the common record index space; each
 //! `dist ≤ Eps` test is a single protocol-VDP comparison whose outcome both
-//! sides learn. Because the control flow is a deterministic function of
-//! those shared outcomes, the two parties compute byte-identical
-//! clusterings without exchanging any labels — and that clustering is
-//! *exactly* the single-party DBSCAN of the joined records (verified
-//! label-for-label by the integration tests).
+//! sides learn — resolved once per unordered candidate pair, in chunks,
+//! before the loop starts. Because the control flow is a deterministic
+//! function of those shared outcomes, the two parties compute
+//! byte-identical clusterings without exchanging any labels — and that
+//! clustering is *exactly* the single-party DBSCAN of the joined records
+//! (verified label-for-label by the integration tests).
 //!
 //! Runs through the shared [`crate::session`] dispatch; the
 //! [`crate::session::Participant`] builder is the supported entry point.
@@ -15,124 +16,88 @@
 use crate::config::ProtocolConfig;
 use crate::driver::PartyOutput;
 use crate::error::CoreError;
+use crate::prune::{for_each_pair_chunk, BandCandidates, BandTable, PAIR_CHUNK};
 use crate::session::{
     run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
 };
 use crate::vdp::{local_delta_sq, vdp_compare_set_alice, vdp_compare_set_bob};
-use ppds_dbscan::{Clustering, DbscanParams, Label, Point};
+use ppds_dbscan::{dbscan_over_graph, Clustering, DbscanParams, NeighborGraph, Point};
 use ppds_observe::trace;
 use ppds_smc::{LeakageEvent, LeakageLog, Party, ProtocolContext};
 use ppds_transport::Channel;
-use std::collections::VecDeque;
+use std::fmt::Write as _;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum State {
-    Unclassified,
-    Noise,
-    Cluster(usize),
-}
-
-/// The shared lockstep DBSCAN engine: Algorithm 5/6 where every region
-/// query hands its candidate set to one oracle call, which returns one
-/// joint `dist² ≤ Eps²` bit per candidate. A batching driver answers the
-/// whole set in O(1) wire rounds; an unbatched driver loops one comparison
-/// per candidate inside the oracle. `candidates_for` supplies each query's
-/// candidate partners in ascending order, excluding the query record
-/// itself — the exhaustive all-pairs set or a pruned (band-intersecting)
-/// subset; both parties must derive the identical sequence, which they do
-/// because the generator is a function of public/agreed data only.
-/// Also used by the arbitrary-partition driver.
-pub(crate) fn lockstep_dbscan<G, F>(
+/// The shared lockstep DBSCAN engine, in two phases.
+///
+/// **Resolve** is the only wire phase: every unordered candidate pair goes
+/// through `compare_chunk` — one joint `dist² ≤ Eps²` bit per pair,
+/// [`PAIR_CHUNK`] pairs per call, so a batching driver spends O(1) wire
+/// rounds per chunk and an unbatched one a comparison per round over the
+/// same stream (`bands = None` streams all `n(n−1)/2` pairs). DBSCAN
+/// region-queries every record and both parties learn every bit it asks
+/// for, so the disclosed set is exactly "one bit per candidate pair"
+/// whatever the visiting order: resolving it up front discloses nothing
+/// the per-query exchange of Algorithms 5/6 did not.
+///
+/// **Expand** is Algorithm 5/6 verbatim over the resolved graph — same
+/// visiting order, one `NeighborCount` disclosure per region query — and
+/// touches no wire. Also used by the arbitrary-partition driver.
+pub(crate) fn lockstep_dbscan<C, F>(
+    chan: &mut C,
     n: usize,
     params: DbscanParams,
-    mut candidates_for: G,
-    mut dist_leq_set: F,
+    bands: Option<BandCandidates>,
+    mut compare_chunk: F,
     leakage: &mut LeakageLog,
 ) -> Result<Clustering, CoreError>
 where
-    G: FnMut(usize) -> Vec<usize>,
-    F: FnMut(usize, &[usize]) -> Result<Vec<bool>, CoreError>,
+    C: Channel,
+    F: FnMut(&mut C, u64, &[(u32, u32)]) -> Result<Vec<bool>, CoreError>,
 {
-    let mut region_query = |x: usize, leakage: &mut LeakageLog| -> Result<Vec<usize>, CoreError> {
-        // Self-distance is zero by definition; excluding the point from the
-        // candidate set leaks nothing (both sides skip deterministically).
-        let candidates = candidates_for(x);
-        let within = dist_leq_set(x, &candidates)?;
-        if within.len() != candidates.len() {
+    let records = u32::try_from(n)
+        .map_err(|_| CoreError::config("lockstep modes index records with 32 bits"))?;
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut chunk = 0u64;
+    for_each_pair_chunk(records, bands.as_ref(), |pairs| {
+        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
+        let within = compare_chunk(chan, chunk, pairs)?;
+        if within.len() != pairs.len() {
             return Err(CoreError::mismatch(format!(
-                "region query arity: {} candidates vs {} answers",
-                candidates.len(),
+                "resolve chunk {chunk} arity: {} pairs vs {} answers",
+                pairs.len(),
                 within.len()
             )));
         }
-        let mut neighbors: Vec<usize> = candidates
-            .iter()
-            .zip(&within)
-            .filter(|(_, &w)| w)
-            .map(|(&y, _)| y)
-            .collect();
-        // The query point neighbors itself by definition; re-insert it in
-        // index order.
-        let pos = neighbors.partition_point(|&y| y < x);
-        neighbors.insert(pos, x);
+        edges.extend(
+            pairs
+                .iter()
+                .zip(&within)
+                .filter(|(_, &w)| w)
+                .map(|(&p, _)| p),
+        );
+        span.end(|| chan.metrics());
+        chunk += 1;
+        Ok(())
+    })?;
+    // Expand needs the graph alone: the band index and the edge list go
+    // before the ledger and the labels are allocated.
+    drop(bands);
+    let graph = NeighborGraph::from_edges(n, &edges);
+    drop(edges);
+    // One ledger entry per region query: every record once, and once more
+    // whenever a later cluster starts on a core point next to it. Room for
+    // two each holds the whole ledger in one block that never moves on
+    // ordinary data (the E13 inputs re-query 3-4 % of the records).
+    leakage.reserve(2 * n);
+    Ok(dbscan_over_graph(&graph, params, |x, count| {
+        let digits = x.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut query = String::with_capacity("record#".len() + digits);
+        write!(query, "record#{x}").expect("writing to a String cannot fail");
         leakage.record(LeakageEvent::NeighborCount {
-            query: format!("record#{x}"),
-            count: neighbors.len() as u64,
+            query,
+            count: count as u64,
         });
-        Ok(neighbors)
-    };
-
-    let mut states = vec![State::Unclassified; n];
-    let mut next_cluster = 0usize;
-    for i in 0..n {
-        if states[i] != State::Unclassified {
-            continue;
-        }
-        let seeds = region_query(i, leakage)?;
-        if seeds.len() < params.min_pts {
-            states[i] = State::Noise;
-            continue;
-        }
-        let cluster_id = next_cluster;
-        next_cluster += 1;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &s in &seeds {
-            states[s] = State::Cluster(cluster_id);
-            if s != i {
-                queue.push_back(s);
-            }
-        }
-        while let Some(current) = queue.pop_front() {
-            let result = region_query(current, leakage)?;
-            if result.len() >= params.min_pts {
-                for &neighbor in &result {
-                    match states[neighbor] {
-                        State::Unclassified => {
-                            queue.push_back(neighbor);
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Noise => {
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Cluster(_) => {}
-                    }
-                }
-            }
-        }
-    }
-
-    let labels = states
-        .into_iter()
-        .map(|s| match s {
-            State::Unclassified => unreachable!("all records classified"),
-            State::Noise => Label::Noise,
-            State::Cluster(id) => Label::Cluster(id),
-        })
-        .collect();
-    Ok(Clustering {
-        labels,
-        num_clusters: next_cluster,
-    })
+    }))
 }
 
 /// The vertical protocol as a [`ModeDriver`]. The parties own different
@@ -175,51 +140,42 @@ impl ModeDriver for VerticalDriver<'_> {
         ctx: &ProtocolContext,
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
-        let (cfg, session, attrs) = (mctx.cfg, mctx.session, self.attrs);
-        let my_dim = attrs.first().map_or(1, Point::dim);
-        let total_dim = my_dim + session.peer_dim;
+        let (cfg, attrs) = (mctx.cfg, self.attrs);
+        let total_dim = attrs.first().map_or(1, Point::dim) + mctx.session.peer_dim;
         let backend = mctx.backend(total_dim);
         // With grid pruning, both sides publish coarse bands over the
         // attributes they own (disclosure ledgered inside the oracle) and
-        // derive identical joined-band candidate sets.
-        let pruned = vertical_band_oracle(chan, cfg, mctx.role, attrs, &mut log.leakage)?;
-        let ledger = &mut log.ledger;
-        let sharing = &mut log.sharing;
-        // One context instance per region query; candidate `y` of query q
-        // draws from region.at(q).at(y) in both framings, so pruned
-        // (sparse) and exhaustive candidate sets key identically.
-        let region_ctx = ctx.narrow("region");
-        let mut q = 0u64;
-        let dist_leq_set = |x: usize, ys: &[usize]| -> Result<Vec<bool>, CoreError> {
-            let qctx = region_ctx.at(q);
-            let span = trace::span_with(|| format!("region#{q}"), || chan.metrics());
-            q += 1;
-            let locals: Vec<u64> = ys
-                .iter()
-                .map(|&y| local_delta_sq(&attrs[x], &attrs[y]))
-                .collect();
-            let records: Vec<u64> = ys.iter().map(|&y| y as u64).collect();
-            let result = match mctx.role {
+        // derive identical joined-band candidate pairs.
+        let bands = vertical_band_oracle(chan, mctx, attrs, &mut log.leakage)?;
+        let (ledger, sharing) = (&mut log.ledger, &mut log.sharing);
+        // One context instance per chunk; pair `i` of a chunk draws from
+        // resolve.at(chunk).at(i) in both framings.
+        let resolve_ctx = ctx.narrow("resolve");
+        let positions: Vec<u64> = (0..PAIR_CHUNK as u64).collect();
+        let mut locals: Vec<u64> = Vec::with_capacity(PAIR_CHUNK);
+        let compare_chunk = |chan: &mut C, chunk: u64, pairs: &[(u32, u32)]| {
+            locals.clear();
+            locals.extend(
+                pairs
+                    .iter()
+                    .map(|&(x, y)| local_delta_sq(&attrs[x as usize], &attrs[y as usize])),
+            );
+            let (records, cctx) = (&positions[..pairs.len()], resolve_ctx.at(chunk));
+            Ok(match mctx.role {
                 Party::Alice => vdp_compare_set_alice(
-                    chan, cfg, &backend, &locals, &records, total_dim, &qctx, ledger, sharing,
+                    chan, cfg, &backend, &locals, records, total_dim, &cctx, ledger, sharing,
                 )?,
                 Party::Bob => vdp_compare_set_bob(
-                    chan, cfg, &backend, &locals, &records, total_dim, &qctx, ledger, sharing,
+                    chan, cfg, &backend, &locals, records, total_dim, &cctx, ledger, sharing,
                 )?,
-            };
-            span.end(|| chan.metrics());
-            Ok(result)
-        };
-        let n = attrs.len();
-        let candidates_for = |x: usize| match &pruned {
-            Some(oracle) => oracle.candidates_of(x),
-            None => crate::prune::exhaustive_candidates(n, x),
+            })
         };
         lockstep_dbscan(
-            n,
+            chan,
+            attrs.len(),
             cfg.params,
-            candidates_for,
-            dist_leq_set,
+            bands,
+            compare_chunk,
             &mut log.leakage,
         )
     }
@@ -228,46 +184,41 @@ impl ModeDriver for VerticalDriver<'_> {
 /// Builds the joined-band candidate oracle for a grid-pruned vertical
 /// session (`None` when the config is exhaustive): each party quantizes
 /// the attribute slice it owns to coarse public bands, both tables are
-/// exchanged (the received table is ledgered as a
-/// `pruning_bands` leakage event), and the rows are concatenated in the
-/// agreed order — Alice's dimensions first — so both parties index the
-/// identical joined band table.
+/// exchanged (the received table is validated against the handshake and
+/// ledgered as a `pruning_bands` leakage event), and the rows are
+/// concatenated in the agreed order — Alice's dimensions first — so both
+/// parties index the identical joined band table.
 fn vertical_band_oracle<C: Channel>(
     chan: &mut C,
-    cfg: &ProtocolConfig,
-    role: Party,
+    mctx: &ModeContext<'_>,
     attrs: &[Point],
     leakage: &mut LeakageLog,
-) -> Result<Option<crate::prune::BandCandidates>, CoreError> {
+) -> Result<Option<BandCandidates>, CoreError> {
+    let cfg = mctx.cfg;
     let ppds_dbscan::Pruning::Grid { coarseness } = cfg.pruning else {
         return Ok(None);
     };
     let width = ppds_dbscan::band_width(cfg.params.eps_sq, coarseness);
-    let mine: Vec<Vec<i64>> = attrs
-        .iter()
-        .map(|p| ppds_dbscan::coarse_cell(p.coords(), width))
-        .collect();
-    let theirs = crate::prune::exchange_band_tables(chan, &mine, width, leakage)?;
-    if theirs.len() != mine.len() {
-        return Err(CoreError::mismatch(format!(
-            "peer band table covers {} records, expected {}",
-            theirs.len(),
-            mine.len()
-        )));
-    }
-    let joined: Vec<Vec<i64>> = match role {
-        Party::Alice => mine
+    let mine = BandTable::collect(
+        attrs.first().map_or(1, Point::dim),
+        attrs
             .iter()
-            .zip(&theirs)
-            .map(|(m, t)| [m.as_slice(), t.as_slice()].concat())
-            .collect(),
-        Party::Bob => theirs
-            .iter()
-            .zip(&mine)
-            .map(|(t, m)| [t.as_slice(), m.as_slice()].concat())
-            .collect(),
+            .map(|p| p.coords().iter().map(|&c| c.div_euclid(width))),
+    );
+    let theirs = crate::prune::exchange_band_tables(
+        chan,
+        &mine,
+        mctx.session.peer_dim,
+        false,
+        width,
+        cfg.coord_bound,
+        leakage,
+    )?;
+    let joined = match mctx.role {
+        Party::Alice => BandTable::join(&mine, &theirs)?,
+        Party::Bob => BandTable::join(&theirs, &mine)?,
     };
-    Ok(Some(crate::prune::BandCandidates::new(joined, width)))
+    Ok(Some(BandCandidates::new(joined, width)))
 }
 
 /// One party's full run of the vertical protocol. `my_attrs` holds this

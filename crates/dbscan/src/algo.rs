@@ -221,6 +221,122 @@ pub fn dbscan_precomputed(
     finish(states, next_cluster)
 }
 
+/// A symmetric Eps-neighbour graph over `n` points in CSR form:
+/// `neighbors(x)` are the points within `Eps` of `x`, ascending, *excluding*
+/// `x` itself (a point always neighbours itself; storing that would cost a
+/// slot per point to say nothing). Four bytes per directed edge.
+pub struct NeighborGraph {
+    offsets: Vec<usize>,
+    rows: Vec<u32>,
+}
+
+impl NeighborGraph {
+    /// Builds the adjacency from the undirected edges `(x, y)`, `x < y`,
+    /// given in ascending order — every row then comes out sorted without
+    /// a sort.
+    ///
+    /// # Panics
+    /// Panics if an endpoint is `≥ n`.
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        debug_assert!(
+            edges.windows(2).all(|w| w[0] < w[1]) && edges.iter().all(|&(x, y)| x < y),
+            "edges must be ascending pairs x < y"
+        );
+        let mut offsets = vec![0usize; n + 1];
+        for &(x, y) in edges {
+            offsets[x as usize + 1] += 1;
+            offsets[y as usize + 1] += 1;
+        }
+        for x in 0..n {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut cursor = offsets.clone();
+        let mut rows = vec![0u32; 2 * edges.len()];
+        for &(x, y) in edges {
+            rows[cursor[x as usize]] = y;
+            cursor[x as usize] += 1;
+            rows[cursor[y as usize]] = x;
+            cursor[y as usize] += 1;
+        }
+        NeighborGraph { offsets, rows }
+    }
+
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `true` if the graph has no points.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The points within `Eps` of `x`, ascending, excluding `x`.
+    pub fn neighbors(&self, x: usize) -> &[u32] {
+        &self.rows[self.offsets[x]..self.offsets[x + 1]]
+    }
+}
+
+/// Runs the Algorithm 5 & 6 expansion over a resolved [`NeighborGraph`]:
+/// the same visiting order and labels as [`dbscan_with_index`] over an
+/// index answering the same neighbourhoods. `on_region_query(x, count)` is
+/// called once per region query, in query order, with the neighbourhood
+/// size *including* `x` — the hook the lockstep protocols hang their
+/// per-query disclosure ledger on.
+pub fn dbscan_over_graph(
+    graph: &NeighborGraph,
+    params: DbscanParams,
+    mut on_region_query: impl FnMut(usize, usize),
+) -> Clustering {
+    // The neighbourhood of `x` is its row plus `x` itself, which every
+    // branch below already treats as classified — so only the count needs
+    // the `+ 1`.
+    let mut region_query = |x: usize| {
+        let row = graph.neighbors(x);
+        on_region_query(x, row.len() + 1);
+        row
+    };
+    let mut states = vec![State::Unclassified; graph.len()];
+    let mut next_cluster = 0usize;
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    for i in 0..graph.len() {
+        if states[i] != State::Unclassified {
+            continue;
+        }
+        let seeds = region_query(i);
+        if seeds.len() + 1 < params.min_pts {
+            states[i] = State::Noise;
+            continue;
+        }
+        let cluster_id = next_cluster;
+        next_cluster += 1;
+        states[i] = State::Cluster(cluster_id);
+        for &s in seeds {
+            states[s as usize] = State::Cluster(cluster_id);
+            queue.push_back(s as usize);
+        }
+        while let Some(current) = queue.pop_front() {
+            let result = region_query(current);
+            if result.len() + 1 >= params.min_pts {
+                for &neighbor in result {
+                    let neighbor = neighbor as usize;
+                    match states[neighbor] {
+                        State::Unclassified => {
+                            queue.push_back(neighbor);
+                            states[neighbor] = State::Cluster(cluster_id);
+                        }
+                        State::Noise => {
+                            states[neighbor] = State::Cluster(cluster_id);
+                        }
+                        State::Cluster(_) => {}
+                    }
+                }
+            }
+        }
+    }
+    finish(states, next_cluster)
+}
+
 /// The horizontal-partition reference semantics (Algorithms 3 & 4, one
 /// party's view): density counts include the `external` points, but cluster
 /// expansion traverses only `own` points — the querying party never learns
@@ -451,6 +567,59 @@ mod tests {
         let linear = LinearIndex::new(&points, p.eps_sq);
         let via_linear = dbscan_with_index(&points, p, &linear);
         assert_eq!(via_grid, via_linear);
+    }
+
+    #[test]
+    fn graph_expansion_matches_the_index_path_query_for_query() {
+        // Lattice, a ring around a blob, and degenerate sizes: the graph
+        // form must visit the same queries in the same order with the same
+        // neighbourhood sizes, and so produce the same labels.
+        let lattice: Vec<Point> = (0..100)
+            .map(|i| Point::new(vec![(i % 10) * 3, (i / 10) * 3]))
+            .collect();
+        let ring = pts(&[
+            &[0, 0],
+            &[1, 0],
+            &[0, 1],
+            &[9, 0],
+            &[0, 9],
+            &[-9, 0],
+            &[1, 1],
+        ]);
+        for (points, p) in [
+            (lattice, params(9, 4)),
+            (ring.clone(), params(2, 3)),
+            (ring, params(81, 1)),
+            (pts(&[&[5]]), params(4, 1)),
+            (Vec::new(), params(4, 2)),
+        ] {
+            let n = points.len();
+            let mut edges = Vec::new();
+            for x in 0..n {
+                for y in x + 1..n {
+                    if dist_sq(&points[x], &points[y]) <= p.eps_sq {
+                        edges.push((x as u32, y as u32));
+                    }
+                }
+            }
+            let graph = NeighborGraph::from_edges(n, &edges);
+            assert_eq!(graph.len(), n);
+            assert_eq!(graph.is_empty(), n == 0);
+            let index = LinearIndex::new(&points, p.eps_sq);
+            let mut queries = Vec::new();
+            let via_graph = dbscan_over_graph(&graph, p, |x, count| queries.push((x, count)));
+            assert_eq!(via_graph, dbscan_with_index(&points, p, &index));
+            for &(x, count) in &queries {
+                let want = index.region_query(&points[x]);
+                assert_eq!(count, want.len(), "query {x}");
+                let mut row: Vec<usize> = graph.neighbors(x).iter().map(|&y| y as usize).collect();
+                row.push(x);
+                row.sort_unstable();
+                assert_eq!(row, want, "row {x} is sorted and complete");
+                assert!(graph.neighbors(x).windows(2).all(|w| w[0] < w[1]));
+            }
+            assert!(queries.len() >= n, "every point is queried at least once");
+        }
     }
 
     #[test]

@@ -38,9 +38,13 @@ pub mod point;
 pub mod pruning;
 pub mod shard;
 
-pub use algo::{dbscan, dbscan_with_external_density, Clustering, DbscanParams, Label};
+pub use algo::{
+    dbscan, dbscan_over_graph, dbscan_with_external_density, Clustering, DbscanParams, Label,
+    NeighborGraph,
+};
 pub use point::{dist_sq, Point, Quantizer};
 pub use pruning::{
-    band_width, bands_intersect, coarse_cell, CoarseGrid, Pruning, PRUNING_DISCIPLINE,
+    band_width, bands_intersect, coarse_cell, CandidateScratch, CoarseGrid, Pruning,
+    PRUNING_DISCIPLINE,
 };
 pub use shard::{dbscan_parallel, ShardedGridIndex};

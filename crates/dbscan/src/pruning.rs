@@ -19,7 +19,6 @@
 //! typed `LeakageLog` events — this module is plaintext geometry only.
 
 use crate::point::{isqrt, Point};
-use std::collections::HashMap;
 
 /// Version stamp of the pruning discipline: the band-width formula, cell
 /// quantization, and candidate-set semantics above. Recorded in the bench
@@ -106,44 +105,74 @@ pub fn bands_intersect(a: &[i64], b: &[i64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| (x - y).abs() <= 1)
 }
 
-/// Hash-grid over coarse band cells: near-constant-time candidate lookup
-/// (union of the 3^d adjacent cells), the piece that makes candidate
-/// generation near-linear instead of an `O(n)` scan per query.
+/// Grid over coarse band cells: near-constant-time candidate lookup (union
+/// of the 3^d adjacent cells), the piece that makes candidate generation
+/// near-linear instead of an `O(n)` scan per query.
+///
+/// The occupied cells are kept sorted rather than hashed: three flat
+/// buffers however many cells there are, a lookup whose cost does not
+/// depend on a per-process hash seed, and — because cells that differ only
+/// in their last band sit next to each other — one binary search per row
+/// of three adjacent cells instead of one probe per cell.
 pub struct CoarseGrid {
     dim: usize,
     width: i64,
-    cells: HashMap<Vec<i64>, Vec<usize>>,
-    len: usize,
+    /// The distinct occupied cells, `dim` bands each, ascending.
+    cells: Vec<i64>,
+    /// Cell `c` holds `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// Record indices grouped by cell, ascending within a cell.
+    members: Vec<usize>,
+}
+
+/// Buffers a caller keeps across [`CoarseGrid::candidates_with`] calls, so
+/// a pass over every record allocates once instead of once per record.
+#[derive(Debug, Default)]
+pub struct CandidateScratch {
+    probe: Vec<i64>,
+    hits: Vec<usize>,
 }
 
 impl CoarseGrid {
     /// Indexes `points` by their coarse band cell of width `width`.
     pub fn from_points(points: &[Point], width: i64) -> Self {
-        Self::from_cells(
-            points
-                .iter()
-                .map(|p| coarse_cell(p.coords(), width))
-                .collect(),
-            width,
-        )
+        let dim = points.first().map_or(1, Point::dim);
+        let mut cells = Vec::with_capacity(points.len() * dim);
+        for p in points {
+            debug_assert_eq!(p.dim(), dim, "points must share a dimension");
+            cells.extend(p.coords().iter().map(|&c| c.div_euclid(width)));
+        }
+        Self::from_cells(&cells, dim, width)
     }
 
     /// Indexes pre-quantized band cells directly — the constructor the
     /// vertical/arbitrary modes use after merging both parties' disclosed
-    /// band tables. All cells must share one dimension.
-    pub fn from_cells(cells: Vec<Vec<i64>>, width: i64) -> Self {
-        let dim = cells.first().map_or(1, Vec::len);
-        let len = cells.len();
-        let mut map: HashMap<Vec<i64>, Vec<usize>> = HashMap::new();
-        for (i, cell) in cells.into_iter().enumerate() {
-            debug_assert_eq!(cell.len(), dim, "band cells must share a dimension");
-            map.entry(cell).or_default().push(i);
+    /// band tables. `cells` is row-major: record `i` sits in the cell
+    /// `cells[i * dim..(i + 1) * dim]`.
+    ///
+    /// # Panics
+    /// Panics if `dim` is zero or does not divide `cells.len()`.
+    pub fn from_cells(cells: &[i64], dim: usize, width: i64) -> Self {
+        assert!(dim >= 1, "band cells need at least one dimension");
+        assert_eq!(cells.len() % dim, 0, "band cells must share a dimension");
+        let cell_of = |i: usize| &cells[i * dim..(i + 1) * dim];
+        let mut members: Vec<usize> = (0..cells.len() / dim).collect();
+        members.sort_unstable_by(|&a, &b| cell_of(a).cmp(cell_of(b)).then(a.cmp(&b)));
+        let mut distinct = Vec::new();
+        let mut starts = Vec::new();
+        for (at, &i) in members.iter().enumerate() {
+            if at == 0 || cell_of(members[at - 1]) != cell_of(i) {
+                distinct.extend_from_slice(cell_of(i));
+                starts.push(at);
+            }
         }
+        starts.push(members.len());
         CoarseGrid {
             dim,
             width,
-            cells: map,
-            len,
+            cells: distinct,
+            starts,
+            members,
         }
     }
 
@@ -154,43 +183,76 @@ impl CoarseGrid {
 
     /// Number of indexed records.
     pub fn len(&self) -> usize {
-        self.len
+        self.members.len()
     }
 
     /// `true` if the grid indexes no records.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.members.is_empty()
     }
 
     /// Number of distinct occupied band cells.
     pub fn distinct_cells(&self) -> usize {
-        self.cells.len()
+        self.starts.len() - 1
+    }
+
+    fn cell(&self, c: usize) -> &[i64] {
+        &self.cells[c * self.dim..(c + 1) * self.dim]
     }
 
     /// All indexed records whose band is adjacent-or-equal to `cell`, in
     /// ascending index order (the deterministic order both parties need
     /// to stay in lockstep).
     pub fn candidates(&self, cell: &[i64]) -> Vec<usize> {
+        let mut scratch = CandidateScratch::default();
+        self.candidates_with(cell, &mut scratch);
+        scratch.hits
+    }
+
+    /// [`CoarseGrid::candidates`] into the caller's reused buffers.
+    pub fn candidates_with<'s>(
+        &self,
+        cell: &[i64],
+        scratch: &'s mut CandidateScratch,
+    ) -> &'s [usize] {
         assert_eq!(cell.len(), self.dim, "query band dimension mismatch");
-        let mut hits = Vec::new();
-        let mut offset = vec![-1i64; self.dim];
+        let CandidateScratch { probe, hits } = scratch;
+        hits.clear();
+        probe.clear();
+        probe.extend(cell.iter().map(|b| b - 1));
+        let last = self.dim - 1;
         loop {
-            let probe: Vec<i64> = cell.iter().zip(&offset).map(|(b, o)| b + o).collect();
-            if let Some(indices) = self.cells.get(&probe) {
-                hits.extend_from_slice(indices);
+            // `probe` is the lowest cell of a row of three that differ only
+            // in the last band; the occupied ones among them are adjacent.
+            let (mut lo, mut hi) = (0, self.distinct_cells());
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if self.cell(mid) < probe.as_slice() {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
             }
-            // Odometer increment over {-1, 0, 1}^dim.
+            while lo < self.distinct_cells() {
+                let found = self.cell(lo);
+                if found[..last] != probe[..last] || found[last] > cell[last] + 1 {
+                    break;
+                }
+                hits.extend_from_slice(&self.members[self.starts[lo]..self.starts[lo + 1]]);
+                lo += 1;
+            }
+            // Odometer increment over {-1, 0, 1} in the leading dimensions.
             let mut pos = 0;
             loop {
-                if pos == self.dim {
+                if pos == last {
                     hits.sort_unstable();
                     return hits;
                 }
-                offset[pos] += 1;
-                if offset[pos] <= 1 {
+                probe[pos] += 1;
+                if probe[pos] <= cell[pos] + 1 {
                     break;
                 }
-                offset[pos] = -1;
+                probe[pos] = cell[pos] - 1;
                 pos += 1;
             }
         }
@@ -286,6 +348,47 @@ mod tests {
     }
 
     #[test]
+    fn band_candidate_relation_is_symmetric_and_hits_self_once() {
+        // The lockstep resolve phase enumerates each unordered candidate
+        // pair once by keeping only `y > x` from `candidates(cell(x))`.
+        // That is complete only if the relation is symmetric, and drops
+        // nothing but mirrors and the self-pair only if every list is
+        // duplicate-free and contains its own record exactly once (so the
+        // partner relation — candidates minus self — is irreflexive).
+        let mut rng = StdRng::seed_from_u64(0x5e1f);
+        for _case in 0..80 {
+            let dim = rng.random_range(1..=3usize);
+            let n = rng.random_range(0..=40usize);
+            let span = rng.random_range(1..=30i64);
+            let w = band_width(rng.random_range(1..=50u64), rng.random_range(1..=3u32));
+            let points: Vec<Point> = (0..n)
+                .map(|_| Point::new((0..dim).map(|_| rng.random_range(-span..=span)).collect()))
+                .collect();
+            let grid = CoarseGrid::from_points(&points, w);
+            let candidates: Vec<Vec<usize>> = points
+                .iter()
+                .map(|p| grid.candidates(&coarse_cell(p.coords(), w)))
+                .collect();
+            for (x, list) in candidates.iter().enumerate() {
+                assert!(
+                    list.windows(2).all(|p| p[0] < p[1]),
+                    "ascending, no repeats"
+                );
+                assert!(
+                    list.binary_search(&x).is_ok(),
+                    "record {x} is its own candidate"
+                );
+                for &y in list {
+                    assert!(
+                        candidates[y].binary_search(&x).is_ok(),
+                        "{y} is a candidate of {x} but not the reverse (dim {dim}, w {w})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn from_cells_matches_from_points() {
         let points = vec![
             Point::from([-7i64, 3].as_slice()),
@@ -295,10 +398,16 @@ mod tests {
         let w = band_width(9, 2);
         let cells: Vec<Vec<i64>> = points.iter().map(|p| coarse_cell(p.coords(), w)).collect();
         let a = CoarseGrid::from_points(&points, w);
-        let b = CoarseGrid::from_cells(cells.clone(), w);
+        let b = CoarseGrid::from_cells(&cells.concat(), 2, w);
+        let mut scratch = CandidateScratch::default();
         for c in &cells {
             assert_eq!(a.candidates(c), b.candidates(c));
+            // The reused buffers carry nothing over from the last query.
+            assert_eq!(b.candidates_with(c, &mut scratch), a.candidates(c));
         }
+        assert_eq!((b.len(), b.distinct_cells()), (3, 3));
+        let none = CoarseGrid::from_cells(&[], 2, w);
+        assert!(none.is_empty() && none.candidates(&[0, 0]).is_empty());
     }
 
     #[test]

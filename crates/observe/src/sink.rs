@@ -76,6 +76,11 @@ pub(crate) fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
+/// Events per lazily allocated block of a [`SpanRecorder`].
+const BLOCK: usize = 1024;
+
+type Block = Box<[OnceLock<TraceEvent>]>;
+
 /// A lock-free, bounded event buffer: the [`TraceSink`] a traced session
 /// records into.
 ///
@@ -88,11 +93,18 @@ pub(crate) fn current_thread_id() -> u64 {
 /// events are claimed in program order, which is all the span-tree replay
 /// needs.
 ///
-/// One recorder traces one session: [`SpanRecorder::finish`] snapshots the
-/// buffer into a [`SessionTrace`] for export.
+/// Slots live in blocks of 1,024 events, each allocated by the first
+/// event that lands in it: a recorder sized for the worst case costs a
+/// session only the blocks it fills, on construction and on teardown alike
+/// (at 2¹⁷ slots the eager buffer was 13 MB to fault in and unmap around a
+/// 40 ms session that recorded 112 events).
+///
+/// One recorder traces one session: [`SpanRecorder::finish`] moves the
+/// buffer's events into a [`SessionTrace`] for export.
 pub struct SpanRecorder {
     epoch: Instant,
-    slots: Box<[OnceLock<TraceEvent>]>,
+    capacity: usize,
+    blocks: Box<[OnceLock<Block>]>,
     next: AtomicUsize,
     dropped: AtomicU64,
 }
@@ -112,7 +124,10 @@ impl SpanRecorder {
     pub fn with_capacity(capacity: usize) -> Arc<SpanRecorder> {
         Arc::new(SpanRecorder {
             epoch: Instant::now(),
-            slots: (0..capacity).map(|_| OnceLock::new()).collect(),
+            capacity,
+            blocks: (0..capacity.div_ceil(BLOCK))
+                .map(|_| OnceLock::new())
+                .collect(),
             next: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
         })
@@ -120,7 +135,7 @@ impl SpanRecorder {
 
     /// Events recorded so far (clamped to capacity).
     pub fn len(&self) -> usize {
-        self.next.load(Ordering::Acquire).min(self.slots.len())
+        self.next.load(Ordering::Acquire).min(self.capacity)
     }
 
     /// `true` if nothing has been recorded.
@@ -133,28 +148,46 @@ impl SpanRecorder {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Snapshots the recorded events into an exportable [`SessionTrace`].
-    /// Call after the traced session completes (concurrent recording is
-    /// safe but still-in-flight events may be missed).
-    pub fn finish(&self) -> SessionTrace {
-        let events = self.slots[..self.len()]
-            .iter()
-            .filter_map(|slot| slot.get().cloned())
-            .collect();
-        SessionTrace {
-            events,
-            dropped: self.dropped_events(),
-        }
+    /// Turns the recorded events into an exportable [`SessionTrace`].
+    /// Call after the traced session completes. The last handle to the
+    /// recorder — the usual case once the session's sink guard is dropped
+    /// — gives its events away; while other handles exist they are copied
+    /// instead (concurrent recording stays safe, but still-in-flight
+    /// events may be missed).
+    pub fn finish(self: Arc<Self>) -> SessionTrace {
+        let (len, dropped) = (self.len(), self.dropped_events());
+        let events = match Arc::try_unwrap(self) {
+            Ok(recorder) => recorder
+                .blocks
+                .into_vec()
+                .into_iter()
+                .filter_map(OnceLock::into_inner)
+                .flat_map(<[_]>::into_vec)
+                .take(len)
+                .filter_map(OnceLock::into_inner)
+                .collect(),
+            Err(shared) => shared
+                .blocks
+                .iter()
+                .filter_map(OnceLock::get)
+                .flat_map(|block| block.iter())
+                .take(len)
+                .filter_map(|slot| slot.get().cloned())
+                .collect(),
+        };
+        SessionTrace { events, dropped }
     }
 }
 
 impl TraceSink for SpanRecorder {
     fn record(&self, kind: SpanKind, label: &str, metrics: MetricsSnapshot) {
         let slot = self.next.fetch_add(1, Ordering::AcqRel);
-        let Some(cell) = self.slots.get(slot) else {
+        if slot >= self.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
-        };
+        }
+        let block =
+            self.blocks[slot / BLOCK].get_or_init(|| (0..BLOCK).map(|_| OnceLock::new()).collect());
         let event = TraceEvent {
             kind,
             label: label.to_owned(),
@@ -162,14 +195,16 @@ impl TraceSink for SpanRecorder {
             t_ns: self.epoch.elapsed().as_nanos() as u64,
             metrics,
         };
-        cell.set(event).expect("slot claimed exclusively");
+        block[slot % BLOCK]
+            .set(event)
+            .expect("slot claimed exclusively");
     }
 }
 
 impl std::fmt::Debug for SpanRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpanRecorder")
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity)
             .field("recorded", &self.len())
             .field("dropped", &self.dropped_events())
             .finish()
@@ -192,10 +227,34 @@ mod tests {
         }
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.dropped_events(), 2);
+        // A second handle forces the copying path; the last one moves.
+        let copied = Arc::clone(&rec).finish();
         let trace = rec.finish();
+        assert_eq!(copied.events, trace.events);
         let labels: Vec<&str> = trace.events.iter().map(|e| e.label.as_str()).collect();
         assert_eq!(labels, ["s0", "s1", "s2", "s3"]);
         assert_eq!(trace.dropped, 2);
+    }
+
+    #[test]
+    fn blocks_fill_on_demand_and_keep_global_order() {
+        let rec = SpanRecorder::with_capacity(2 * BLOCK + 1);
+        assert!(
+            rec.blocks.iter().all(|b| b.get().is_none()),
+            "nothing up front"
+        );
+        for i in 0..2 * BLOCK + 3 {
+            rec.record(SpanKind::Begin, &i.to_string(), MetricsSnapshot::default());
+        }
+        assert_eq!(rec.blocks.len(), 3);
+        assert_eq!((rec.len(), rec.dropped_events()), (2 * BLOCK + 1, 2));
+        let trace = rec.finish();
+        assert_eq!(trace.events.len(), 2 * BLOCK + 1);
+        assert!(trace
+            .events
+            .iter()
+            .enumerate()
+            .all(|(i, e)| e.label == i.to_string()));
     }
 
     #[test]

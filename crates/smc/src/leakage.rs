@@ -170,6 +170,12 @@ impl LeakageLog {
         Self::default()
     }
 
+    /// Makes room for `additional` more events, for a caller that knows
+    /// how many it is about to record.
+    pub fn reserve(&mut self, additional: usize) {
+        self.events.reserve(additional);
+    }
+
     /// Appends an event.
     pub fn record(&mut self, event: LeakageEvent) {
         self.events.push(event);

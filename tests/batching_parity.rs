@@ -2,7 +2,8 @@
 //! must produce **byte-identical clusterings and identical leakage logs**
 //! to the unbatched reference under the same seeds — batching changes the
 //! framing, never the protocol — while collapsing wire rounds from
-//! `O(candidates)` to `O(1)` per neighborhood query.
+//! `O(candidates)` to `O(1)` per neighborhood query (point-holding modes)
+//! or per chunk of candidate pairs (vertical, arbitrary).
 
 mod common;
 
@@ -59,6 +60,11 @@ fn assert_parity(
             "{name}/{side}: same comparisons, same modeled Yao cost"
         );
         let (ur, br) = (u.traffic.total_rounds(), b.traffic.total_rounds());
+        // `--nocapture` shows what the thresholds below were measured from.
+        println!(
+            "{name}/{side}: rounds {ur} -> {br} ({:.1}x)",
+            ur as f64 / br as f64
+        );
         assert!(
             ur as f64 >= min_round_factor * br as f64,
             "{name}/{side}: rounds {ur} unbatched vs {br} batched \
@@ -74,27 +80,23 @@ fn assert_parity(
     }
 }
 
-/// Acceptance criterion: a vertical run with n ≥ 64 must report ≥ 10×
-/// fewer wire rounds batched, with byte-identical labels and leakage.
+/// Acceptance criterion: a vertical run with n ≥ 64 must report two
+/// orders of magnitude fewer wire rounds batched, with byte-identical
+/// labels and leakage.
 #[test]
-fn vertical_n64_batched_cuts_rounds_10x_with_identical_output() {
+fn vertical_n64_batched_collapses_rounds_with_identical_output() {
     let records = blobs(66, 4242);
     assert!(records.len() >= 64, "need n >= 64, got {}", records.len());
     let partition = VerticalPartition::split(&records, 1);
     let cfg = base_cfg();
     let unbatched = run_vertical_pair(&cfg, &partition, rng(1), rng(2)).unwrap();
     let batched = run_vertical_pair(&cfg.with_batching(true), &partition, rng(1), rng(2)).unwrap();
-    assert_parity("vertical", &unbatched, &batched, 10.0);
+    // Measured: 6,439 -> 13 rounds (495x). 66 records are 2,145 unordered
+    // pairs; unbatched, each costs 3 Ideal rounds (6,435 + 4 of handshake),
+    // batched they ride 3 chunks of <= 1,024 pairs at 3 rounds a chunk.
+    assert_parity("vertical", &unbatched, &batched, 400.0);
     // And the clustering is still exactly the centralized reference.
     assert_eq!(batched.0.clustering, dbscan(&records, cfg.params));
-    // Concretely: one batched neighborhood query costs 3 Ideal rounds, an
-    // unbatched one 3·(n−1) — the per-query factor is (n−1), so even with
-    // handshake overhead amortized in, the run-level factor clears 10×.
-    let (ur, br) = (
-        unbatched.0.traffic.total_rounds(),
-        batched.0.traffic.total_rounds(),
-    );
-    println!("vertical n={}: rounds {ur} -> {br}", records.len());
 }
 
 #[test]
@@ -174,7 +176,9 @@ fn arbitrary_parity_across_seeds() {
             rng(seed + 50),
         )
         .unwrap();
-        assert_parity(&format!("arbitrary/seed{seed}"), &unbatched, &batched, 4.0);
+        // Measured: 459/483/487 -> 9 rounds (51-54x): 105 pairs in one
+        // chunk, 2 multiplication + 3 comparison rounds for all of them.
+        assert_parity(&format!("arbitrary/seed{seed}"), &unbatched, &batched, 40.0);
     }
 }
 
@@ -208,7 +212,7 @@ fn multiparty_parity() {
 #[test]
 fn dgk_backend_parity_on_vertical() {
     // The fully cryptographic comparator must survive batching too: same
-    // outcomes, same leakage, ciphertext batches in O(1) frames per query.
+    // outcomes, same leakage, ciphertext batches in O(1) frames per chunk.
     let records = blobs(9, 88);
     let partition = VerticalPartition::split(&records, 1);
     let mut cfg = ProtocolConfig::new(
@@ -222,7 +226,8 @@ fn dgk_backend_parity_on_vertical() {
     cfg.key_bits = 64; // Dgk decrypts per bit; keep the test quick
     let unbatched = run_vertical_pair(&cfg, &partition, rng(5), rng(6)).unwrap();
     let batched = run_vertical_pair(&cfg.with_batching(true), &partition, rng(5), rng(6)).unwrap();
-    assert_parity("vertical/dgk", &unbatched, &batched, 5.0);
+    // Measured: 112 -> 7 rounds (16x): 36 pairs, one chunk.
+    assert_parity("vertical/dgk", &unbatched, &batched, 12.0);
 }
 
 /// Historically the hardest parity case: DGK's mask scalars are

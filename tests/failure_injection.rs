@@ -3,16 +3,16 @@
 //! answers — because in deployment the peer is a different codebase.
 
 use ppdbscan::config::ProtocolConfig;
-use ppdbscan::session::{Participant, PartyData};
+use ppdbscan::session::{Hello, Mode, Participant, PartyData};
 use ppdbscan::CoreError;
 use ppds_bigint::BigUint;
-use ppds_dbscan::{DbscanParams, Point};
+use ppds_dbscan::{DbscanParams, Point, Pruning};
 use ppds_paillier::Keypair;
 use ppds_smc::compare::{compare_bob, CmpOp, Comparator, ComparisonDomain};
 use ppds_smc::millionaires::{yao_bob, YaoConfig};
 use ppds_smc::multiplication::mul_peer;
 use ppds_smc::{setup, Party, ProtocolContext, SmcError};
-use ppds_transport::{duplex, Channel};
+use ppds_transport::{duplex, Channel, MemoryChannel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -187,5 +187,134 @@ fn mode_mismatch_between_protocols_is_detected() {
     match result.unwrap_err() {
         CoreError::HandshakeMismatch { field, .. } => assert_eq!(field, "mode"),
         other => panic!("wanted HandshakeMismatch on mode, got {other:?}"),
+    }
+}
+
+/// A peer that handshakes honestly for a grid-pruned lockstep session in
+/// `role`, then publishes `table` as its band table. After that the honest
+/// side must have hung up: the next read is a disconnect, not a protocol
+/// message and not a hang.
+fn hostile_band_peer(
+    mut chan: MemoryChannel,
+    cfg: ProtocolConfig,
+    role: Party,
+    mode: Mode,
+    shape: (usize, usize),
+    table: Vec<Vec<i64>>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let kp = Keypair::generate(cfg.key_bits, &mut rng(99));
+        match role {
+            Party::Alice => setup::exchange_keys_alice(&mut chan, &kp),
+            Party::Bob => setup::exchange_keys_bob(&mut chan, &kp),
+        }
+        .unwrap();
+        chan.send(&Hello::for_session(&cfg, mode, shape.0, shape.1))
+            .unwrap();
+        let _theirs: Hello = chan.recv().unwrap();
+        chan.send(&table).unwrap();
+        let _honest_table: Vec<Vec<i64>> = chan.recv().unwrap();
+        assert!(
+            chan.recv_bytes().is_err(),
+            "the honest side must refuse the table, not carry on"
+        );
+    })
+}
+
+/// Band tables no honest peer can send: a short table, a ragged row (which
+/// used to reach `CoarseGrid::candidates`' dimension assert and panic the
+/// session thread), and a band near `i64::MAX` (which used to overflow the
+/// adjacent-cell odometer). `coord_bound = 10`, band width 3.
+fn hostile_tables(rows: usize, dim: usize) -> Vec<(&'static str, Vec<Vec<i64>>)> {
+    let honest = vec![vec![0i64; dim]; rows];
+    let mut short = honest.clone();
+    short.pop();
+    let mut ragged = honest.clone();
+    ragged[1].push(0);
+    let mut huge = honest.clone();
+    huge[1][0] = i64::MAX - 1;
+    let mut off_lattice = honest;
+    off_lattice[0][0] = -5;
+    vec![
+        ("short", short),
+        ("ragged", ragged),
+        ("huge", huge),
+        ("off-lattice", off_lattice),
+    ]
+}
+
+fn grid_cfg() -> ProtocolConfig {
+    ProtocolConfig::new(
+        DbscanParams {
+            eps_sq: 8,
+            min_pts: 2,
+        },
+        10,
+    )
+    .with_pruning(Pruning::Grid { coarseness: 1 })
+}
+
+fn expect_band_refusal(name: &str, participant: Participant, mut honest: MemoryChannel) {
+    match participant.run(&mut honest) {
+        Err(CoreError::Mismatch(msg)) => assert!(msg.contains("band"), "{name}: {msg}"),
+        other => panic!("{name}: wanted a typed band-table refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_band_table_is_refused_in_vertical_mode() {
+    let attrs = vec![
+        Point::new(vec![0]),
+        Point::new(vec![1]),
+        Point::new(vec![9]),
+    ];
+    for honest_role in [Party::Alice, Party::Bob] {
+        for (what, table) in hostile_tables(attrs.len(), 2) {
+            let (honest, fake) = duplex();
+            // The fake peer advertises a 2-attribute slice, so the joined
+            // dimension is 3 and every honest row would hold 2 bands.
+            let peer = hostile_band_peer(
+                fake,
+                grid_cfg(),
+                honest_role.peer(),
+                Mode::Vertical,
+                (attrs.len(), 2),
+                table,
+            );
+            let participant = Participant::new(grid_cfg())
+                .role(honest_role)
+                .data(PartyData::Vertical(attrs.clone()))
+                .seed(20);
+            expect_band_refusal(&format!("{honest_role}/{what}"), participant, honest);
+            peer.join().unwrap();
+        }
+    }
+}
+
+#[test]
+fn hostile_band_table_is_refused_in_arbitrary_mode() {
+    let values = vec![
+        vec![Some(0), None],
+        vec![None, Some(1)],
+        vec![Some(9), Some(-9)],
+    ];
+    for honest_role in [Party::Alice, Party::Bob] {
+        for (what, table) in hostile_tables(values.len(), 2) {
+            let (honest, fake) = duplex();
+            let peer = hostile_band_peer(
+                fake,
+                grid_cfg(),
+                honest_role.peer(),
+                Mode::Arbitrary,
+                (values.len(), 2),
+                table,
+            );
+            let participant = Participant::new(grid_cfg())
+                .role(honest_role)
+                .data(PartyData::Arbitrary(values.clone()))
+                .seed(21);
+            expect_band_refusal(&format!("{honest_role}/{what}"), participant, honest);
+            peer.join().unwrap();
+        }
     }
 }

@@ -125,35 +125,40 @@ fn comparator_mismatch_fails_on_both_sides_naming_the_field() {
 
 #[test]
 fn wire_version_mismatch_is_a_typed_error_not_a_hang_or_decode_failure() {
-    // A "future" (or past) peer: completes the key exchange honestly, then
-    // sends a Hello advertising a different wire version. The real
-    // participant must reject it by name — before any protocol message.
-    let (mut real_chan, mut fake_chan) = duplex();
-    let fake = std::thread::spawn(move || {
-        let mut rng = StdRng::seed_from_u64(99);
-        let kp = Keypair::generate(256, &mut rng);
-        setup::exchange_keys_bob(&mut fake_chan, &kp).unwrap();
-        let hello = Hello::for_session(&cfg(4), Mode::Horizontal, 2, 2).with_wire_version(7);
-        fake_chan.send(&hello).unwrap();
-        // Drain the real side's hello so its send doesn't block.
-        let _theirs: Hello = fake_chan.recv().unwrap();
-    });
-    let err = horizontal(cfg(4), 7)
-        .role(Party::Alice)
-        .run(&mut real_chan)
-        .unwrap_err();
-    fake.join().unwrap();
-    match err {
-        CoreError::HandshakeMismatch {
-            field,
-            ours,
-            theirs,
-        } => {
-            assert_eq!(field, "wire_version");
-            assert_eq!(ours, u64::from(WIRE_VERSION));
-            assert_eq!(theirs, 7);
+    // A past or "future" peer: completes the key exchange honestly, then
+    // sends a Hello advertising a different wire version — 5 is the build
+    // before the lockstep modes resolved pairs in chunks, whose execute
+    // transcript this build would desync against. The real participant
+    // must reject it by name — before any protocol message.
+    for peer_version in [5u32, 7] {
+        let (mut real_chan, mut fake_chan) = duplex();
+        let fake = std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(99);
+            let kp = Keypair::generate(256, &mut rng);
+            setup::exchange_keys_bob(&mut fake_chan, &kp).unwrap();
+            let hello =
+                Hello::for_session(&cfg(4), Mode::Horizontal, 2, 2).with_wire_version(peer_version);
+            fake_chan.send(&hello).unwrap();
+            // Drain the real side's hello so its send doesn't block.
+            let _theirs: Hello = fake_chan.recv().unwrap();
+        });
+        let err = horizontal(cfg(4), 7)
+            .role(Party::Alice)
+            .run(&mut real_chan)
+            .unwrap_err();
+        fake.join().unwrap();
+        match err {
+            CoreError::HandshakeMismatch {
+                field,
+                ours,
+                theirs,
+            } => {
+                assert_eq!(field, "wire_version");
+                assert_eq!(ours, u64::from(WIRE_VERSION));
+                assert_eq!(theirs, u64::from(peer_version));
+            }
+            other => panic!("wanted HandshakeMismatch on wire_version, got {other:?}"),
         }
-        other => panic!("wanted HandshakeMismatch on wire_version, got {other:?}"),
     }
 }
 

@@ -3,15 +3,17 @@
 //! drain, and handshake-timeout reaping.
 
 use ppdbscan::config::ProtocolConfig;
-use ppdbscan::session::{run_participants, Mode, Participant, PartyData};
+use ppdbscan::session::{run_participants, Hello, Mode, Participant, PartyData, WIRE_VERSION};
 use ppdbscan::VerticalPartition;
 use ppds_dbscan::datagen::{split_alternating, standard_blobs};
 use ppds_dbscan::{DbscanParams, Point, Quantizer};
 use ppds_server::{
     hosted, open_session, ops_get, run_session, session_seed, ClientError, Server, ServerConfig,
-    SessionState,
+    ServerReply, SessionState,
 };
 use ppds_smc::Party;
+use ppds_transport::tcp::TcpChannel;
+use ppds_transport::Channel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -492,10 +494,29 @@ fn negotiation_cache_skips_rechecks_for_reconnecting_clients() {
         .seed(714);
     run_session(&addr, batched, 0, TIMEOUT).expect("batched session completes");
 
+    // The fingerprint covers the wire version: the cached verdict for the
+    // first preamble never answers the same fields from a v5 build, whose
+    // vertical/arbitrary transcripts this build would desync against.
+    let old_build =
+        Hello::for_session(&base_cfg(), Mode::Horizontal, 6, 2).with_wire_version(WIRE_VERSION - 1);
+    let mut chan = TcpChannel::connect_timeout(&addr, TIMEOUT).unwrap();
+    chan.send(&old_build).unwrap();
+    match chan.recv::<ServerReply>().unwrap() {
+        ServerReply::Incompatible {
+            field,
+            ours,
+            theirs,
+        } => {
+            assert_eq!(field, "wire_version");
+            assert_eq!((ours, theirs), (6, 5));
+        }
+        other => panic!("expected Incompatible on wire_version, got {other:?}"),
+    }
+
     let metrics = server.metrics();
     assert_eq!(
         metrics.counter("server_negotiation_cache_misses").get(),
-        2,
+        3,
         "one check per distinct preamble"
     );
     assert_eq!(

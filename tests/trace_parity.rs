@@ -306,8 +306,23 @@ fn traced_vertical_chrome_export_is_loadable_and_accounts_exactly() {
     assert!(json.contains("\"traceEvents\""), "Chrome trace envelope");
     assert!(json.contains("\"ph\":\"B\"") && json.contains("\"ph\":\"E\""));
     assert!(
-        json.contains("\"execute\"") && json.contains("region#"),
+        json.contains("\"execute\"") && json.contains("\"resolve#0\""),
         "per-phase spans present in the export"
+    );
+    // 18 records are 153 unordered pairs: one resolve chunk, opened and
+    // closed once, with the comparison batch nested inside it.
+    let resolves = trace
+        .events
+        .iter()
+        .filter(|e| e.label.starts_with("resolve#"));
+    assert_eq!(resolves.count(), 2, "one resolve span per pair chunk");
+    assert!(
+        trace
+            .rollup()
+            .unwrap()
+            .iter()
+            .any(|row| row.path.ends_with("execute/resolve/cmp_batch")),
+        "cmp_batch keeps its label under the chunk span"
     );
     // Every begin has a matching end in the export (replayed, not counted:
     // validate() above already proved it; this pins the serialized form).
