@@ -729,7 +729,7 @@ fn e10(backend: BackendKind) -> Vec<BatchBenchRow> {
         );
     }
     println!("\nLabels and leakage logs are identical across framings (asserted);");
-    println!("rounds drop from O(candidates) to O(1) per neighborhood query, so");
+    println!("rounds drop from O(pairs) to O(1) per chunk of 1,024 candidate pairs, so");
     println!("the 20 ms-per-hop WAN model collapses by the same factor.");
     rows
 }

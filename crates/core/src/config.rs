@@ -30,11 +30,11 @@ pub struct ProtocolConfig {
     /// the share-comparison domain by the same factor (which the faithful
     /// Yao backend cannot afford — `validate` enforces the cap).
     pub mask_bits: u32,
-    /// Round batching: when `true`, every neighborhood query packs all of
-    /// its candidate comparisons (and their multiplication stages) into one
-    /// wire frame per protocol message instead of one round-trip per
-    /// comparison, collapsing wire rounds from `O(candidates)` to `O(1)`
-    /// per query. Outputs, leakage, and comparison counts are identical to
+    /// Round batching: when `true`, every chunk of up to 1,024 candidate
+    /// pairs packs all of its comparisons (and their multiplication stages)
+    /// into one wire frame per protocol message instead of one round-trip
+    /// per comparison, collapsing wire rounds from `O(pairs)` to `O(1)` per
+    /// chunk. Outputs, leakage, and comparison counts are identical to
     /// the unbatched run under the same seeds (pinned by the
     /// `batching_parity` integration tests); only the framing changes. See
     /// DESIGN.md §7.

@@ -31,6 +31,7 @@
 use crate::config::{ProtocolConfig, YaoLedger};
 use crate::domain::{dot_response_packing, enhanced_share_domain};
 use crate::error::CoreError;
+use crate::hdp::ServedSets;
 use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use ppds_dbscan::{Clustering, Point};
 use ppds_observe::trace;
@@ -235,8 +236,8 @@ pub fn enhanced_core_respond<C: Channel, B: SmcBackend>(
     Ok(())
 }
 
-/// The enhanced protocol as a [`ModeDriver`]: the horizontal expansion
-/// engine with the count-free core-point test above.
+/// The enhanced protocol as a [`ModeDriver`]: the horizontal resolve /
+/// expand split with the count-free core-point test above.
 pub(crate) struct EnhancedDriver<'a> {
     pub points: &'a [Point],
 }
@@ -261,20 +262,9 @@ impl ModeDriver for EnhancedDriver<'_> {
         ctx: &ProtocolContext,
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
-        let (cfg, points) = (mctx.cfg, self.points);
+        let (cfg, session, points) = (mctx.cfg, mctx.session, self.points);
         let dim = points.first().map_or(0, Point::dim);
         let backend = mctx.backend(dim);
-        // Grid pruning: identical per-query coarse-cell exchange as the
-        // basic horizontal driver, run *before* the (engage, k) message so
-        // the engage decision can use the candidate cardinality.
-        let index = crate::prune::local_index(points, cfg.params.eps_sq, cfg.pruning);
-        let width = match cfg.pruning {
-            ppds_dbscan::Pruning::Grid { coarseness } => {
-                Some(ppds_dbscan::band_width(cfg.params.eps_sq, coarseness))
-            }
-            ppds_dbscan::Pruning::Exhaustive => None,
-        };
-        let grid = width.map(|w| ppds_dbscan::CoarseGrid::from_points(points, w));
         // Direction-keyed paths, for the same reason as the horizontal
         // driver: both halves of one core test must share a context path
         // so the sharing backend's tape draws stay correlated.
@@ -284,58 +274,53 @@ impl ModeDriver for EnhancedDriver<'_> {
         };
         let query_ctx = ctx.narrow(my_queries);
         let serve_ctx = ctx.narrow(peer_queries);
-        let run_query_phase = |chan: &mut C, log: &mut SessionLog| {
-            let mut q = 0u64;
-            crate::horizontal::querier_phase(
+        // Resolve: one core test per own point, in index order, each still
+        // an exchange of its own. The grid-pruning cell exchange is the
+        // horizontal driver's, run *before* any (engage, k) message so the
+        // engage decisions can use the candidate cardinalities.
+        let resolve = |chan: &mut C, log: &mut SessionLog| {
+            let served = crate::prune::query_candidate_counts(
                 chan,
-                index.as_ref(),
+                cfg,
                 points,
-                |chan, idx, own_count| {
-                    let test_ctx = query_ctx.at(q);
-                    let span = trace::span_with(|| format!("query#{q}"), || chan.metrics());
-                    q += 1;
-                    let responder_count = match width {
-                        Some(w) => crate::prune::query_candidate_count(
-                            chan,
-                            &points[idx],
-                            w,
-                            &mut log.leakage,
-                            &format!("own#{idx}"),
-                        )?,
-                        None => mctx.session.peer_n,
-                    };
-                    let is_core = enhanced_core_test_querier(
-                        chan,
-                        cfg,
-                        &backend,
-                        &points[idx],
-                        own_count,
-                        responder_count,
-                        &test_ctx,
-                        &mut log.ledger,
-                        &mut log.sharing,
-                        &mut log.leakage,
-                    )?;
-                    span.end(|| chan.metrics());
-                    Ok(is_core)
-                },
-            )
+                session.peer_n,
+                &mut log.leakage,
+                |idx| format!("own#{idx}"),
+            )?;
+            let index = crate::prune::local_index(points, cfg.params.eps_sq, cfg.pruning);
+            log.leakage.reserve(points.len());
+            let mut core = Vec::with_capacity(points.len());
+            for (idx, point) in points.iter().enumerate() {
+                let span = trace::span_with(|| format!("resolve#{idx}"), || chan.metrics());
+                core.push(enhanced_core_test_querier(
+                    chan,
+                    cfg,
+                    &backend,
+                    point,
+                    index.region_query(point).len(),
+                    served[idx],
+                    &query_ctx.at(idx as u64),
+                    &mut log.ledger,
+                    &mut log.sharing,
+                    &mut log.leakage,
+                )?);
+                span.end(|| chan.metrics());
+            }
+            Ok(core)
         };
-        let run_respond_phase = |chan: &mut C, log: &mut SessionLog| {
-            let mut q = 0u64;
-            crate::horizontal::responder_phase(chan, |chan| {
-                let test_ctx = serve_ctx.at(q);
-                let span = trace::span_with(|| format!("serve#{q}"), || chan.metrics());
-                let candidates = match &grid {
-                    Some(g) => crate::prune::respond_candidates(
-                        chan,
-                        g,
-                        &mut log.leakage,
-                        &format!("serve#{q}"),
-                    )?,
-                    None => crate::prune::all_candidates(points.len()),
-                };
-                q += 1;
+        let serve = |chan: &mut C, log: &mut SessionLog| {
+            let mut served = crate::prune::serve_candidate_counts(
+                chan,
+                cfg,
+                points,
+                session.peer_n,
+                &mut log.leakage,
+            )?;
+            let mut candidates = Vec::new();
+            for q in 0..session.peer_n {
+                let span = trace::span_with(|| format!("resolve#{q}"), || chan.metrics());
+                candidates.clear();
+                served.extend(q, &mut candidates);
                 enhanced_core_respond(
                     chan,
                     cfg,
@@ -343,27 +328,21 @@ impl ModeDriver for EnhancedDriver<'_> {
                     points,
                     &candidates,
                     dim,
-                    &test_ctx,
+                    &serve_ctx.at(q as u64),
                     &mut log.ledger,
                     &mut log.sharing,
                     &mut log.leakage,
                 )?;
                 span.end(|| chan.metrics());
-                Ok(())
-            })
+            }
+            Ok(())
         };
-
-        match mctx.role {
-            Party::Alice => {
-                let clustering = run_query_phase(chan, log)?;
-                run_respond_phase(chan, log)?;
-                Ok(clustering)
-            }
-            Party::Bob => {
-                run_respond_phase(chan, log)?;
-                run_query_phase(chan, log)
-            }
-        }
+        let core = crate::horizontal::resolve_in_role_order(chan, mctx.role, log, resolve, serve)?;
+        Ok(crate::horizontal::expand_own_points(
+            cfg,
+            points,
+            |idx, _own_count| core[idx],
+        ))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Protocol HDP (§4.2): secure `dist²(a, b) ≤ Eps²` for horizontally
-//! partitioned records, batched into one *neighborhood query* — the
-//! querying party's point against every point of the responder, in a fresh
-//! random order chosen by the responder.
+//! partitioned records, run for a whole *set* of neighborhood queries —
+//! every point of the querying party against the responder points it is
+//! served, each query in a fresh random order chosen by the responder.
 //!
 //! Per pair the paper's recipe runs in two stages:
 //!
@@ -20,301 +20,260 @@
 //! sharing substrate replaces them with Beaver folds and masked opens over
 //! `Z_2^64` (same dataflow, 8-byte elements; see DESIGN.md §14).
 //!
-//! The querier ends with the *count* of matching responder points (the
-//! Theorem 9 leakage); because the responder permutes his points per query,
-//! the querier cannot link matches across queries, which defeats the
-//! Figure 1 intersection attack. The responder learns, for each of his own
-//! points, whether it matched *some* unidentified query point (and logs it
-//! as [`LeakageEvent::OwnPointMatched`]).
+//! The paper asks one query per core-point test. The answer is a function
+//! of the query point alone and DBSCAN tests every point, so the drivers
+//! ask all of them up front (*resolve*, DESIGN.md §7): whole queries, in
+//! index order, are packed into chunks of at most 1,024 (query, candidate)
+//! pairs, and a chunk is one exchange — one multiplication frame pair and
+//! one comparison run for all of its pairs when batching, one pair at a
+//! time over the same stream when not.
+//!
+//! The querier ends with the *count* of matching responder points per
+//! query (the Theorem 9 leakage); because the responder permutes his
+//! points per query, the querier cannot link matches across queries, which
+//! defeats the Figure 1 intersection attack. The responder learns, for
+//! each of his own points, whether it matched *some* unidentified query
+//! point (and logs it as [`LeakageEvent::OwnPointMatched`]).
 
 use crate::config::{ProtocolConfig, YaoLedger};
 use crate::domain::hdp_domain;
+use crate::error::CoreError;
+use crate::prune::query_chunk;
 use ppds_dbscan::Point;
-use ppds_smc::compare::CmpOp;
+use ppds_observe::trace;
+use ppds_smc::compare::{CmpOp, ComparisonDomain};
 use ppds_smc::ResponsePacking;
 use ppds_smc::{
-    LeakageEvent, LeakageLog, Party, ProtocolContext, SharingLedger, SmcBackend, SmcError,
+    LeakageEvent, LeakageLog, Party, ProtocolContext, RecordId, SharingLedger, SmcBackend, SmcError,
 };
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
+use std::ops::Range;
 
-/// Querier side of one neighborhood query: returns how many of the
-/// responder's `responder_count` points lie within `Eps` of `query`.
-/// `ctx` is this query instance's context (the driver narrows per query);
-/// responder point `i` draws its masks, multiplication nonces, and
-/// comparison randomness from substreams keyed by `i`, so the batched
-/// framing derives identical bytes.
+/// One chunk's exchange, for either role: the multiplication stage, then
+/// one `dist² ≤ Eps²` verdict per pair. `fold(positions)` runs stage 1 for
+/// the pairs at those flat positions and returns this party's stage-2
+/// inputs for them. Batching folds the whole chunk at once and compares it
+/// as one batch; the reference framing takes the same pairs one at a time,
+/// pair `i` drawing from the same `cmp_ctx.at(i)` either way.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_query_querier<C: Channel, B: SmcBackend>(
+fn chunk_verdicts<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
-    query: &Point,
-    responder_count: usize,
+    role: Party,
+    (chunk, pairs): (u64, usize),
+    domain: &ComparisonDomain,
+    cmp_ctx: &ProtocolContext,
+    ledger: &mut YaoLedger,
+    acct: &mut SharingLedger,
+    mut fold: impl FnMut(&mut C, &mut SharingLedger, Range<usize>) -> Result<Vec<i64>, SmcError>,
+) -> Result<Vec<bool>, CoreError> {
+    for _ in 0..pairs {
+        ledger.record(cfg.key_bits, domain.n0());
+    }
+    let within = if cfg.batching {
+        let values = fold(chan, acct, 0..pairs)?;
+        backend.compare_batch(chan, role, &values, CmpOp::Leq, domain, cmp_ctx, acct)?
+    } else {
+        let mut within = Vec::with_capacity(pairs);
+        for pos in 0..pairs {
+            let value = fold(chan, acct, pos..pos + 1)?[0];
+            let pair_ctx = cmp_ctx.at(pos as u64);
+            within.push(backend.compare(chan, role, value, CmpOp::Leq, domain, &pair_ctx, acct)?);
+        }
+        within
+    };
+    if within.len() != pairs {
+        return Err(CoreError::mismatch(format!(
+            "resolve chunk {chunk} arity: {pairs} pairs vs {} answers",
+            within.len()
+        )));
+    }
+    Ok(within)
+}
+
+/// Querier side of a set of neighborhood queries: returns, per query, how
+/// many of the `served(q)` responder points it is compared against lie
+/// within `Eps` of `queries[q]`.
+///
+/// `ctx` is this querying direction's context. Chunk `c` draws from
+/// `ctx.narrow("resolve").at(c)`, and its pair at flat position `i` keys
+/// masks, multiplication nonces and comparison randomness by `i` — so both
+/// framings derive identical bytes, and the responder (who walks the same
+/// path) stays correlated on the sharing backend's dealer tape. A chunk
+/// without pairs costs no frame and no chunk index on either side.
+#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
+pub fn hdp_resolve_querier<C: Channel, B: SmcBackend>(
+    chan: &mut C,
+    cfg: &ProtocolConfig,
+    backend: &B,
+    queries: &[Point],
+    served: impl Fn(usize) -> usize,
     ctx: &ProtocolContext,
     ledger: &mut YaoLedger,
     acct: &mut SharingLedger,
-) -> Result<usize, SmcError> {
-    let dim = query.dim();
-    let domain = hdp_domain(cfg, dim);
-    let i_val = i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice");
-    let ys_group = vec![query.coords().to_vec()];
-    let cmp_ctx = ctx.narrow("cmp");
-    let mut count = 0usize;
-    for pos in 0..responder_count {
-        // Stage 1: responder (keyholder) gets a_k·b_k + r_k per attribute.
-        backend.mul_fold_peer(chan, &ys_group, &[pos as u64], ctx, acct)?;
-        // Stage 2: one Yao comparison under the querier's key.
-        ledger.record(cfg.key_bits, domain.n0());
-        let within = backend.compare(
+) -> Result<Vec<usize>, CoreError> {
+    let domain = hdp_domain(cfg, queries.first().map_or(0, Point::dim));
+    let resolve_ctx = ctx.narrow("resolve");
+    let mut counts = vec![0usize; queries.len()];
+    let (mut groups, mut values) = (Vec::new(), Vec::new());
+    let (mut start, mut chunk) = (0, 0u64);
+    while start < queries.len() {
+        let (end, pairs) = query_chunk(start, queries.len(), &served);
+        let run = start..end;
+        start = end;
+        if pairs == 0 {
+            continue;
+        }
+        groups.clear();
+        values.clear();
+        for q in run.clone() {
+            let query = &queries[q];
+            let i_val =
+                i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice");
+            for _ in 0..served(q) {
+                // Every group of a query is the same vector, once per
+                // responder point.
+                groups.push(query.coords().to_vec());
+                values.push(i_val);
+            }
+        }
+        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
+        let cctx = resolve_ctx.at(chunk);
+        let records: Vec<RecordId> = (0..pairs as u64).collect();
+        let within = chunk_verdicts(
             chan,
+            cfg,
+            backend,
             Party::Alice,
-            i_val,
-            CmpOp::Leq,
+            (chunk, pairs),
             &domain,
-            &cmp_ctx.at(pos as u64),
+            &cctx.narrow("cmp"),
+            ledger,
             acct,
+            |chan, acct, at| {
+                backend.mul_fold_peer(
+                    chan,
+                    &groups[at.clone()],
+                    &records[at.clone()],
+                    &cctx,
+                    acct,
+                )?;
+                Ok(values[at].to_vec())
+            },
         )?;
-        count += within as usize;
+        let mut at = 0;
+        for q in run {
+            let segment = &within[at..at + served(q)];
+            counts[q] = segment.iter().filter(|&&w| w).count();
+            at += segment.len();
+        }
+        span.end(|| chan.metrics());
+        chunk += 1;
     }
-    Ok(count)
+    Ok(counts)
 }
 
-/// Responder side of one neighborhood query over `my_points`, restricted
-/// to the `candidates` indices (the full range when pruning is off — see
-/// the crate-internal `prune` module). Returns the number of served points
-/// that matched
-/// (the same bits the querier counted). The Figure-1-defense permutation
-/// draws from the query context's `"perm"` substream; the point at
-/// permuted position `i` keys its multiplication and comparison
-/// randomness by `i`.
+/// What a responder serves to each of the peer's queries, by query index.
+/// The drivers hand in the crate's candidate generator (every own point,
+/// or the band-adjacent ones of a grid-pruned session).
+pub trait ServedSets {
+    /// How many points `query` is served: the number its querier was told.
+    fn count(&self, query: usize) -> usize;
+
+    /// Appends the indices of the points served to `query`, ascending.
+    fn extend(&mut self, query: usize, out: &mut Vec<usize>);
+}
+
+/// Responder side of [`hdp_resolve_querier`]: serves `queries` peer
+/// queries the subsets of `my_points` that `served` lists for them.
+///
+/// Each query's served set is permuted afresh from
+/// `ctx.narrow("perm").at(q)` before it joins its chunk, so the querier
+/// sees every query's match bits in an order it cannot link to any other
+/// query (the Figure 1 defense), and matched own points are logged in that
+/// permuted order.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_respond<C: Channel, B: SmcBackend>(
+pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
     my_points: &[Point],
-    candidates: &[usize],
+    queries: usize,
+    served: &mut impl ServedSets,
     ctx: &ProtocolContext,
     ledger: &mut YaoLedger,
     acct: &mut SharingLedger,
     leakage: &mut LeakageLog,
-) -> Result<usize, SmcError> {
-    let dim = my_points.first().map_or(0, Point::dim);
-    let domain = hdp_domain(cfg, dim);
+) -> Result<(), CoreError> {
+    let Some(first) = my_points.first() else {
+        // Nothing to serve, however many queries the peer announced.
+        return Ok(());
+    };
+    let domain = hdp_domain(cfg, first.dim());
     let eps = cfg.params.eps_sq as i64;
-
-    // Fresh permutation per query: the querier sees match bits in an order
-    // it cannot link to any previous query (Figure 1 defense).
-    let mut order: Vec<usize> = candidates.to_vec();
-    order.shuffle(&mut ctx.narrow("perm").rng());
-    let cmp_ctx = ctx.narrow("cmp");
-
-    let mut count = 0usize;
-    for (pos, &idx) in order.iter().enumerate() {
-        let point = &my_points[idx];
-        let xs_group = vec![point.coords().to_vec()];
-        let inner_product =
-            backend.mul_fold_keyholder(chan, &xs_group, &[pos as u64], ctx, acct)?[0];
-        let j_val = eps - point.norm_sq() as i64 + 2 * inner_product;
-        ledger.record(cfg.key_bits, domain.n0());
-        let within = backend.compare(
+    let resolve_ctx = ctx.narrow("resolve");
+    let perm_ctx = ctx.narrow("perm");
+    let (mut order, mut groups) = (Vec::new(), Vec::new());
+    let (mut start, mut chunk) = (0, 0u64);
+    while start < queries {
+        let (end, pairs) = query_chunk(start, queries, |q| served.count(q));
+        let run = start..end;
+        start = end;
+        if pairs == 0 {
+            continue;
+        }
+        order.clear();
+        for q in run {
+            let from = order.len();
+            served.extend(q, &mut order);
+            assert_eq!(
+                order.len() - from,
+                served.count(q),
+                "query {q} is served the set it was counted for"
+            );
+            order[from..].shuffle(&mut perm_ctx.at(q as u64).rng());
+        }
+        groups.clear();
+        groups.extend(order.iter().map(|&idx| my_points[idx].coords().to_vec()));
+        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
+        let cctx = resolve_ctx.at(chunk);
+        let records: Vec<RecordId> = (0..pairs as u64).collect();
+        let within = chunk_verdicts(
             chan,
+            cfg,
+            backend,
             Party::Bob,
-            j_val,
-            CmpOp::Leq,
+            (chunk, pairs),
             &domain,
-            &cmp_ctx.at(pos as u64),
+            &cctx.narrow("cmp"),
+            ledger,
             acct,
+            |chan, acct, at| {
+                let inner_products = backend.mul_fold_keyholder(
+                    chan,
+                    &groups[at.clone()],
+                    &records[at.clone()],
+                    &cctx,
+                    acct,
+                )?;
+                Ok(order[at]
+                    .iter()
+                    .zip(inner_products)
+                    .map(|(&idx, inner)| eps - my_points[idx].norm_sq() as i64 + 2 * inner)
+                    .collect())
+            },
         )?;
-        if within {
-            count += 1;
+        for (&idx, _) in order.iter().zip(&within).filter(|(_, &matched)| matched) {
             leakage.record(LeakageEvent::OwnPointMatched {
                 point: format!("own#{idx}"),
             });
         }
+        span.end(|| chan.metrics());
+        chunk += 1;
     }
-    Ok(count)
-}
-
-/// One neighborhood query dispatched on `cfg.batching`:
-/// [`hdp_query_querier_batch`] when on, [`hdp_query_querier`] when off.
-/// The count returned is identical either way.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_query<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    query: &Point,
-    responder_count: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<usize, SmcError> {
-    if cfg.batching {
-        hdp_query_querier_batch(
-            chan,
-            cfg,
-            backend,
-            query,
-            responder_count,
-            ctx,
-            ledger,
-            acct,
-        )
-    } else {
-        hdp_query_querier(
-            chan,
-            cfg,
-            backend,
-            query,
-            responder_count,
-            ctx,
-            ledger,
-            acct,
-        )
-    }
-}
-
-/// Responder side of [`hdp_query`], dispatched the same way. `candidates`
-/// restricts the served set (pass the full range when pruning is off);
-/// its length must equal the `responder_count` the querier uses.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_serve<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    my_points: &[Point],
-    candidates: &[usize],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-    leakage: &mut LeakageLog,
-) -> Result<usize, SmcError> {
-    if cfg.batching {
-        hdp_respond_batch(
-            chan, cfg, backend, my_points, candidates, ctx, ledger, acct, leakage,
-        )
-    } else {
-        hdp_respond(
-            chan, cfg, backend, my_points, candidates, ctx, ledger, acct, leakage,
-        )
-    }
-}
-
-/// Round-batched querier side: the same neighborhood query as
-/// [`hdp_query_querier`], but the multiplication stage for **all**
-/// responder points rides one wire frame each direction and the final
-/// decisions run as one batched comparison — 5 rounds per query instead of
-/// 5 per responder point.
-///
-/// Point `i` of the batch draws its masks, nonces, and comparison
-/// randomness from the same keyed substreams the sequential
-/// [`hdp_query_querier`] loop derives for position `i`, so under the same
-/// session seed the count returned, the responder's permutation, and both
-/// leakage logs are identical to the unbatched run — and the per-point
-/// ciphertext work parallelizes (see [`ppds_smc::parallel`]).
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_query_querier_batch<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    query: &Point,
-    responder_count: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<usize, SmcError> {
-    if responder_count == 0 {
-        return Ok(0);
-    }
-    let dim = query.dim();
-    let domain = hdp_domain(cfg, dim);
-    let i_val = i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice");
-    let cmp_ctx = ctx.narrow("cmp");
-    // Stage 1: every responder point's masked products in one frame pair.
-    // Every group is the same query vector, once per responder point.
-    let ys_groups: Vec<Vec<i64>> = vec![query.coords().to_vec(); responder_count];
-    let records: Vec<u64> = (0..responder_count as u64).collect();
-    backend.mul_fold_peer(chan, &ys_groups, &records, ctx, acct)?;
-    // Stage 2: one batched comparison run for the whole candidate set.
-    let values = vec![i_val; responder_count];
-    for _ in 0..responder_count {
-        ledger.record(cfg.key_bits, domain.n0());
-    }
-    let within = backend.compare_batch(
-        chan,
-        Party::Alice,
-        &values,
-        CmpOp::Leq,
-        &domain,
-        &cmp_ctx,
-        acct,
-    )?;
-    Ok(within.into_iter().filter(|&b| b).count())
-}
-
-/// Round-batched responder side of [`hdp_query_querier_batch`]. The fresh
-/// per-query permutation (the Figure 1 defense) draws from the same
-/// `"perm"` substream as [`hdp_respond`], and matched own-point leakage
-/// events are recorded in the same permuted order. Because the point at
-/// permuted position `i` keys all its randomness by `i`, the DGK
-/// backend's value-dependent draws no longer shift any other point's
-/// stream — the divergence that used to be pinned red by
-/// `dgk_backend_parity_on_horizontal` is gone by construction.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn hdp_respond_batch<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    my_points: &[Point],
-    candidates: &[usize],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-    leakage: &mut LeakageLog,
-) -> Result<usize, SmcError> {
-    let dim = my_points.first().map_or(0, Point::dim);
-    let domain = hdp_domain(cfg, dim);
-    let eps = cfg.params.eps_sq as i64;
-
-    let mut order: Vec<usize> = candidates.to_vec();
-    order.shuffle(&mut ctx.narrow("perm").rng());
-    let cmp_ctx = ctx.narrow("cmp");
-    if order.is_empty() {
-        return Ok(0);
-    }
-
-    let xs_groups: Vec<Vec<i64>> = order
-        .iter()
-        .map(|&idx| my_points[idx].coords().to_vec())
-        .collect();
-    let records: Vec<u64> = (0..order.len() as u64).collect();
-    let inner_products = backend.mul_fold_keyholder(chan, &xs_groups, &records, ctx, acct)?;
-    let mut j_vals = Vec::with_capacity(order.len());
-    for (&idx, &inner_product) in order.iter().zip(&inner_products) {
-        ledger.record(cfg.key_bits, domain.n0());
-        j_vals.push(eps - my_points[idx].norm_sq() as i64 + 2 * inner_product);
-    }
-    let within = backend.compare_batch(
-        chan,
-        Party::Bob,
-        &j_vals,
-        CmpOp::Leq,
-        &domain,
-        &cmp_ctx,
-        acct,
-    )?;
-    let mut count = 0usize;
-    for (pos, &matched) in within.iter().enumerate() {
-        if matched {
-            count += 1;
-            leakage.record(LeakageEvent::OwnPointMatched {
-                point: format!("own#{}", order[pos]),
-            });
-        }
-    }
-    Ok(count)
+    Ok(())
 }
 
 /// The Multiplication Protocol response packing this config selects for
@@ -343,10 +302,12 @@ impl ProtocolConfig {
 mod tests {
     use super::*;
     use crate::backend::paillier_backend;
+    use crate::prune::PAIR_CHUNK;
     use crate::test_helpers::{ctx, rng};
     use ppds_dbscan::{dist_sq, DbscanParams};
     use ppds_paillier::Keypair;
-    use ppds_transport::duplex;
+    use ppds_smc::{AnyBackend, DealerTape, SharingBackend};
+    use ppds_transport::{duplex, MetricsSnapshot};
     use std::sync::OnceLock;
 
     fn querier_kp() -> &'static Keypair {
@@ -359,330 +320,303 @@ mod tests {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(22)))
     }
 
-    fn run_query(
+    fn cfg(eps_sq: u64, bound: i64) -> ProtocolConfig {
+        ProtocolConfig::new(DbscanParams { eps_sq, min_pts: 3 }, bound)
+    }
+
+    struct Listed<'a>(&'a [Vec<usize>]);
+
+    impl ServedSets for Listed<'_> {
+        fn count(&self, query: usize) -> usize {
+            self.0[query].len()
+        }
+
+        fn extend(&mut self, query: usize, out: &mut Vec<usize>) {
+            out.extend_from_slice(&self.0[query]);
+        }
+    }
+
+    /// What both sides of one resolve direction take away.
+    struct Resolved {
+        counts: Vec<usize>,
+        leakage: LeakageLog,
+        ledgers: (YaoLedger, YaoLedger),
+        sharing: SharingLedger,
+        traffic: MetricsSnapshot,
+    }
+
+    /// Runs every query against the responder points `served[q]` lists.
+    fn resolve(
         cfg: &ProtocolConfig,
-        query: Point,
-        responder_points: Vec<Point>,
-    ) -> (usize, usize, LeakageLog) {
+        sharing: bool,
+        queries: &[Point],
+        responder_points: &[Point],
+        served: &[Vec<usize>],
+    ) -> Resolved {
+        let backend_for = |mine: &'static Keypair, theirs: &'static Keypair| {
+            if sharing {
+                AnyBackend::Sharing(SharingBackend {
+                    tape: DealerTape::from_seed(4242),
+                    batching: cfg.batching,
+                    dot_mask_bound: 1 << 20,
+                })
+            } else {
+                AnyBackend::Paillier(paillier_backend(cfg, mine, &theirs.public, 2))
+            }
+        };
+        let sizes: Vec<usize> = served.iter().map(Vec::len).collect();
         let (mut qchan, mut rchan) = duplex();
-        let nb = responder_points.len();
-        let cfg_q = *cfg;
-        let q = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg_q, querier_kp(), &responder_kp().public, 2);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            hdp_query_querier(
-                &mut qchan,
-                &cfg_q,
-                &backend,
-                &query,
-                nb,
-                &ctx(100),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap()
-        });
-        let backend = paillier_backend(cfg, responder_kp(), &querier_kp().public, 2);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let mut leakage = LeakageLog::new();
-        let all: Vec<usize> = (0..responder_points.len()).collect();
-        let responder_count = hdp_respond(
-            &mut rchan,
-            cfg,
-            &backend,
-            &responder_points,
-            &all,
-            &ctx(200),
-            &mut ledger,
-            &mut acct,
-            &mut leakage,
-        )
-        .unwrap();
-        (q.join().unwrap(), responder_count, leakage)
-    }
-
-    #[test]
-    fn counts_match_plain_distance_computation() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 9,
-                min_pts: 3,
-            },
-            10,
-        );
-        let query = Point::new(vec![0, 0]);
-        let responder_points = vec![
-            Point::new(vec![1, 1]),   // dist² 2: in
-            Point::new(vec![3, 0]),   // dist² 9: in (boundary)
-            Point::new(vec![3, 1]),   // dist² 10: out
-            Point::new(vec![-2, -2]), // dist² 8: in
-            Point::new(vec![10, 10]), // out
-        ];
-        let expected = responder_points
-            .iter()
-            .filter(|p| dist_sq(p, &query) <= 9)
-            .count();
-        let (qc, rc, leakage) = run_query(&cfg, query, responder_points);
-        assert_eq!(qc, expected);
-        assert_eq!(rc, expected);
-        assert_eq!(leakage.count_kind("own_point_matched"), expected);
-    }
-
-    fn run_query_batch(
-        cfg: &ProtocolConfig,
-        query: Point,
-        responder_points: Vec<Point>,
-        seeds: (u64, u64),
-    ) -> (usize, usize, LeakageLog, ppds_transport::MetricsSnapshot) {
-        let (mut qchan, mut rchan) = duplex();
-        let nb = responder_points.len();
-        let cfg_q = *cfg;
-        let q = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg_q, querier_kp(), &responder_kp().public, 2);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let count = hdp_query_querier_batch(
-                &mut qchan,
-                &cfg_q,
-                &backend,
-                &query,
-                nb,
-                &ctx(seeds.0),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap();
-            (count, qchan.metrics())
-        });
-        let backend = paillier_backend(cfg, responder_kp(), &querier_kp().public, 2);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let mut leakage = LeakageLog::new();
-        let all: Vec<usize> = (0..responder_points.len()).collect();
-        let responder_count = hdp_respond_batch(
-            &mut rchan,
-            cfg,
-            &backend,
-            &responder_points,
-            &all,
-            &ctx(seeds.1),
-            &mut ledger,
-            &mut acct,
-            &mut leakage,
-        )
-        .unwrap();
-        let (querier_count, metrics) = q.join().unwrap();
-        (querier_count, responder_count, leakage, metrics)
-    }
-
-    #[test]
-    fn batched_query_matches_sequential_and_collapses_rounds() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 9,
-                min_pts: 3,
-            },
-            10,
-        );
-        let query = Point::new(vec![0, 0]);
-        let responder_points = vec![
-            Point::new(vec![1, 1]),
-            Point::new(vec![3, 0]),
-            Point::new(vec![3, 1]),
-            Point::new(vec![-2, -2]),
-            Point::new(vec![10, 10]),
-        ];
-        // Same seeds as the sequential run: count AND leakage must match
-        // (the responder's permutation is drawn at the same stream point).
-        let (seq_q, seq_r, seq_leak) = run_query(&cfg, query.clone(), responder_points.clone());
-        let batched = cfg.with_batching(true);
-        let (bat_q, bat_r, bat_leak, metrics) =
-            run_query_batch(&batched, query, responder_points, (100, 200));
-        assert_eq!(bat_q, seq_q);
-        assert_eq!(bat_r, seq_r);
-        assert_eq!(bat_leak, seq_leak, "identical permuted leakage order");
-        // 5 rounds per query (2 mul + 3 compare) instead of 5 per point.
-        assert_eq!(metrics.total_rounds(), 5);
-        assert!(metrics.total_messages() > metrics.total_rounds());
-    }
-
-    #[test]
-    fn sharing_backend_matches_paillier_counts() {
-        use ppds_smc::{DealerTape, SharingBackend};
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 9,
-                min_pts: 3,
-            },
-            10,
-        );
-        let query = Point::new(vec![0, 0]);
-        let responder_points = vec![
-            Point::new(vec![1, 1]),
-            Point::new(vec![3, 0]),
-            Point::new(vec![3, 1]),
-            Point::new(vec![-2, -2]),
-            Point::new(vec![10, 10]),
-        ];
-        let expected = responder_points
-            .iter()
-            .filter(|p| dist_sq(p, &query) <= 9)
-            .count();
-        for batching in [false, true] {
-            let run_cfg = cfg.with_batching(batching);
-            let mk = move || SharingBackend {
-                tape: DealerTape::from_seed(4242),
-                batching,
-                dot_mask_bound: 1 << 20,
-            };
-            let (mut qchan, mut rchan) = duplex();
-            let nb = responder_points.len();
-            let q_points = query.clone();
-            let q = std::thread::spawn(move || {
+        std::thread::scope(|scope| {
+            let q = scope.spawn(|| {
                 let mut ledger = YaoLedger::default();
                 let mut acct = SharingLedger::default();
-                let count = hdp_query(
+                let counts = hdp_resolve_querier(
                     &mut qchan,
-                    &run_cfg,
-                    &mk(),
-                    &q_points,
-                    nb,
+                    cfg,
+                    &backend_for(querier_kp(), responder_kp()),
+                    queries,
+                    |q| sizes[q],
                     &ctx(100),
                     &mut ledger,
                     &mut acct,
                 )
                 .unwrap();
-                (count, acct)
+                (counts, ledger, acct, qchan.metrics())
             });
+            // The responder's own seed differs: only the dealer tape (inside
+            // the sharing backend) is shared between the two sides.
             let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
             let mut leakage = LeakageLog::new();
-            let all: Vec<usize> = (0..responder_points.len()).collect();
-            let rc = hdp_serve(
+            hdp_resolve_responder(
                 &mut rchan,
-                &run_cfg,
-                &mk(),
-                &responder_points,
-                &all,
+                cfg,
+                &backend_for(responder_kp(), querier_kp()),
+                responder_points,
+                served.len(),
+                &mut Listed(served),
                 &ctx(200),
                 &mut ledger,
-                &mut acct,
+                &mut SharingLedger::default(),
                 &mut leakage,
             )
             .unwrap();
-            let (qc, q_acct) = q.join().unwrap();
-            assert_eq!(qc, expected, "batching={batching}");
-            assert_eq!(rc, expected, "batching={batching}");
-            assert_eq!(leakage.count_kind("own_point_matched"), expected);
-            assert_eq!(q_acct.compares, nb as u64);
-            assert!(q_acct.triples > 0, "folds consume Beaver triples");
+            let (counts, q_ledger, sharing, traffic) = q.join().unwrap();
+            Resolved {
+                counts,
+                leakage,
+                ledgers: (q_ledger, ledger),
+                sharing,
+                traffic,
+            }
+        })
+    }
+
+    fn pts(coords: &[[i64; 2]]) -> Vec<Point> {
+        coords.iter().map(|c| Point::new(c.to_vec())).collect()
+    }
+
+    fn everyone(queries: usize, responder_points: usize) -> Vec<Vec<usize>> {
+        vec![(0..responder_points).collect(); queries]
+    }
+
+    fn plain_counts(
+        queries: &[Point],
+        points: &[Point],
+        served: &[Vec<usize>],
+        eps_sq: u64,
+    ) -> Vec<usize> {
+        queries
+            .iter()
+            .zip(served)
+            .map(|(q, set)| {
+                set.iter()
+                    .filter(|&&idx| dist_sq(&points[idx], q) <= eps_sq)
+                    .count()
+            })
+            .collect()
+    }
+
+    fn fixture() -> (Vec<Point>, Vec<Point>) {
+        let queries = pts(&[[0, 0], [9, 9], [-2, 1]]);
+        let responder_points = pts(&[
+            [1, 1],   // dist² 2 from the origin: in
+            [3, 0],   // dist² 9: in (boundary)
+            [3, 1],   // dist² 10: out
+            [-2, -2], // dist² 8: in
+            [10, 10], // out; the only neighbour of (9, 9)
+        ]);
+        (queries, responder_points)
+    }
+
+    #[test]
+    fn counts_match_plain_distance_computation() {
+        let (queries, responder_points) = fixture();
+        let c = cfg(9, 10);
+        let served = everyone(3, 5);
+        let expected = plain_counts(&queries, &responder_points, &served, 9);
+        assert_eq!(expected, [3, 1, 2]);
+        let run = resolve(&c, false, &queries, &responder_points, &served);
+        assert_eq!(run.counts, expected);
+        assert_eq!(
+            run.leakage.count_kind("own_point_matched"),
+            expected.iter().sum::<usize>(),
+            "the responder sees the bits the querier counted"
+        );
+        assert_eq!(run.leakage.len(), 6, "and nothing else");
+    }
+
+    #[test]
+    fn batched_framing_matches_sequential_and_collapses_rounds() {
+        let (queries, responder_points) = fixture();
+        let c = cfg(9, 10);
+        let served = everyone(3, 5);
+        let seq = resolve(&c, false, &queries, &responder_points, &served);
+        let bat = resolve(
+            &c.with_batching(true),
+            false,
+            &queries,
+            &responder_points,
+            &served,
+        );
+        assert_eq!(bat.counts, seq.counts);
+        assert_eq!(bat.leakage, seq.leakage, "identical permuted leakage order");
+        // 15 pairs are one chunk: 5 rounds (2 mul + 3 compare) for all
+        // three queries, where the sequential framing pays 5 per pair.
+        assert_eq!(bat.traffic.total_rounds(), 5);
+        assert_eq!(seq.traffic.total_rounds(), 5 * 15);
+        assert_eq!(bat.traffic.total_messages(), seq.traffic.total_messages());
+    }
+
+    #[test]
+    fn each_query_is_served_in_an_order_of_its_own() {
+        // The Figure 1 defense: five points, all within Eps of both
+        // queries, are logged in two different orders.
+        let queries = pts(&[[0, 0], [0, 0]]);
+        let responder_points = pts(&[[0, 1], [1, 0], [1, 1], [0, -1], [-1, 0]]);
+        let run = resolve(
+            &cfg(4, 5).with_batching(true),
+            true,
+            &queries,
+            &responder_points,
+            &everyone(2, 5),
+        );
+        assert_eq!(run.counts, [5, 5]);
+        let events = run.leakage.events();
+        assert_eq!(events.len(), 10);
+        assert_ne!(events[..5], events[5..], "a fresh permutation per query");
+        let sorted = |half: &[LeakageEvent]| {
+            let mut seen: Vec<String> = half.iter().map(|e| format!("{e:?}")).collect();
+            seen.sort();
+            seen
+        };
+        assert_eq!(sorted(&events[..5]), sorted(&events[5..]));
+    }
+
+    #[test]
+    fn sharing_backend_matches_paillier_counts() {
+        let (queries, responder_points) = fixture();
+        let served = everyone(3, 5);
+        let expected = plain_counts(&queries, &responder_points, &served, 9);
+        for batching in [false, true] {
+            let c = cfg(9, 10).with_batching(batching);
+            let run = resolve(&c, true, &queries, &responder_points, &served);
+            assert_eq!(run.counts, expected, "batching={batching}");
+            assert_eq!(run.sharing.compares, 15);
+            assert!(run.sharing.triples > 0, "folds consume Beaver triples");
         }
     }
 
     #[test]
-    fn batched_empty_responder_set() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 4,
-                min_pts: 2,
-            },
-            5,
+    fn queries_pack_into_chunks_whole_and_an_empty_chunk_costs_nothing() {
+        // Served sizes 0, 600, 500, 0, 0, 1100: the second chunk starts at
+        // the 500 (600 + 500 > 1,024), the 1,100 exceeds a chunk by itself
+        // and still travels whole, and the zeros ride along for free.
+        let mut r = rng(5);
+        use rand::Rng;
+        let responder_points: Vec<Point> = (0..1100)
+            .map(|_| Point::new(vec![r.random_range(-9..=9), r.random_range(-9..=9)]))
+            .collect();
+        let queries = pts(&[[0, 0], [1, 1], [-3, 2], [5, 5], [9, -9], [2, -2]]);
+        let served: Vec<Vec<usize>> = [0usize, 600, 500, 0, 0, 1100]
+            .iter()
+            .map(|&size| (0..1100).step_by(1100 / size.max(1)).take(size).collect())
+            .collect();
+        assert!(served[1].len() + served[2].len() > PAIR_CHUNK);
+        let expected = plain_counts(&queries, &responder_points, &served, 16);
+        for batching in [true, false] {
+            let c = cfg(16, 10).with_batching(batching);
+            let run = resolve(&c, true, &queries, &responder_points, &served);
+            assert_eq!(run.counts, expected, "batching={batching}");
+            assert_eq!(run.ledgers.0.comparisons, 2200);
+            assert_eq!(run.ledgers.1.comparisons, 2200);
+            if batching {
+                assert_eq!(run.traffic.total_rounds(), 3 * 4, "three chunks");
+            }
+        }
+        // Nothing served at all: no frame either way.
+        let run = resolve(
+            &cfg(16, 10).with_batching(true),
+            true,
+            &queries,
+            &responder_points,
+            &vec![Vec::new(); 6],
         );
-        let (qc, rc, leakage, metrics) =
-            run_query_batch(&cfg, Point::new(vec![0, 0]), vec![], (100, 200));
-        assert_eq!(qc, 0);
-        assert_eq!(rc, 0);
-        assert!(leakage.is_empty());
-        assert_eq!(metrics.total_rounds(), 0);
+        assert_eq!(run.counts, [0; 6]);
+        assert_eq!(run.traffic.total_rounds(), 0);
+        assert!(run.leakage.is_empty());
+    }
+
+    #[test]
+    fn empty_sides_exchange_nothing() {
+        let (queries, responder_points) = fixture();
+        for batching in [false, true] {
+            let c = cfg(4, 10).with_batching(batching);
+            let run = resolve(&c, false, &queries, &[], &everyone(3, 0));
+            assert_eq!(run.counts, [0, 0, 0]);
+            assert!(run.leakage.is_empty());
+            assert_eq!(run.traffic.total_rounds(), 0);
+            let run = resolve(&c, false, &[], &responder_points, &[]);
+            assert!(run.counts.is_empty());
+            assert_eq!(run.traffic.total_rounds(), 0);
+        }
     }
 
     #[test]
     fn works_with_negative_coordinates_and_yao() {
-        let cfg = ProtocolConfig::new_with_yao(
+        let c = ProtocolConfig::new_with_yao(
             DbscanParams {
                 eps_sq: 4,
                 min_pts: 2,
             },
             3,
         );
-        let query = Point::new(vec![-2, 1]);
-        let pts = vec![Point::new(vec![-1, 1]), Point::new(vec![2, -2])];
-        let (qc, rc, _) = run_query(&cfg, query, pts);
-        assert_eq!(qc, 1);
-        assert_eq!(rc, 1);
-    }
-
-    #[test]
-    fn empty_responder_set() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 4,
-                min_pts: 2,
-            },
-            5,
+        let run = resolve(
+            &c,
+            false,
+            &pts(&[[-2, 1]]),
+            &pts(&[[-1, 1], [2, -2]]),
+            &everyone(1, 2),
         );
-        let (qc, rc, leakage) = run_query(&cfg, Point::new(vec![0, 0]), vec![]);
-        assert_eq!(qc, 0);
-        assert_eq!(rc, 0);
-        assert!(leakage.is_empty());
+        assert_eq!(run.counts, [1]);
+        assert_eq!(run.leakage.count_kind("own_point_matched"), 1);
     }
 
     #[test]
     fn ledger_counts_one_comparison_per_pair() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 4,
-                min_pts: 2,
-            },
-            5,
+        let c = cfg(4, 5);
+        let run = resolve(
+            &c,
+            false,
+            &pts(&[[0, 0], [4, 4]]),
+            &pts(&[[0, 1], [4, 4], [1, 0]]),
+            &[vec![0, 1, 2], vec![1]],
         );
-        let (mut qchan, mut rchan) = duplex();
-        let q = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, querier_kp(), &responder_kp().public, 2);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let c = hdp_query_querier(
-                &mut qchan,
-                &cfg,
-                &backend,
-                &Point::new(vec![0, 0]),
-                3,
-                &ctx(7),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap();
-            (c, ledger, acct)
-        });
-        let backend = paillier_backend(&cfg, responder_kp(), &querier_kp().public, 2);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let mut leakage = LeakageLog::new();
-        let pts = vec![
-            Point::new(vec![0, 1]),
-            Point::new(vec![4, 4]),
-            Point::new(vec![1, 0]),
-        ];
-        hdp_respond(
-            &mut rchan,
-            &cfg,
-            &backend,
-            &pts,
-            &[0, 1, 2],
-            &ctx(8),
-            &mut ledger,
-            &mut acct,
-            &mut leakage,
-        )
-        .unwrap();
-        let (_, q_ledger, q_acct) = q.join().unwrap();
-        assert_eq!(q_ledger.comparisons, 3);
-        assert_eq!(ledger.comparisons, 3);
-        assert!(q_ledger.modeled_bytes > 0);
+        assert_eq!(run.counts, [2, 1]);
+        assert_eq!(run.ledgers.0.comparisons, 4);
+        assert_eq!(run.ledgers.1.comparisons, 4);
+        assert!(run.ledgers.0.modeled_bytes > 0);
         assert_eq!(
-            q_acct,
+            run.sharing,
             SharingLedger::default(),
             "Paillier substrate leaves the sharing ledger untouched"
         );

@@ -2,9 +2,9 @@
 //! (Algorithms 3 & 4) and the enhanced protocol (Algorithms 7 & 8), which
 //! share one expansion engine and differ only in the core-point test.
 //!
-//! Per the paper, the run is *symmetric*: Alice clusters her own points
-//! while Bob answers her neighborhood queries, then the roles swap. Each
-//! party ends with labels for its own records only (§3.3); cluster ids are
+//! Per the paper, the run is *symmetric*: Alice resolves the peer density
+//! of her own points while Bob answers, then the roles swap. Each party
+//! ends with labels for its own records only (§3.3); cluster ids are
 //! party-local and intentionally not reconciled across parties.
 //!
 //! Connectivity semantics: the querying party learns only *how many* (or,
@@ -14,130 +14,139 @@
 //! [`ppds_dbscan::dbscan_with_external_density`], and the integration tests
 //! assert label-exact agreement with it.
 //!
+//! **Resolve, then expand** (DESIGN.md §7). The answer to a core-point test
+//! is a function of the point alone and DBSCAN tests every point at least
+//! once whatever its visiting order, so all of a party's questions are
+//! known before its loop starts: the wire phase asks them in ascending
+//! index order, each exactly once, and the expansion —
+//! [`ppds_dbscan::dbscan_with_core_test`], the loop the plaintext
+//! reference runs — answers every test, repeats included, from the
+//! resolved table without touching the channel.
+//!
 //! Both protocols run through the shared [`crate::session`] dispatch; the
 //! [`crate::session::Participant`] builder is the supported entry point.
 
 use crate::config::ProtocolConfig;
 use crate::driver::PartyOutput;
 use crate::error::CoreError;
-use crate::hdp::{hdp_query, hdp_serve};
+use crate::hdp::{hdp_resolve_querier, hdp_resolve_responder};
 use crate::session::{
     run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
 };
-use ppds_dbscan::index::NeighborIndex;
-use ppds_dbscan::{Clustering, Label, Point};
-use ppds_observe::trace;
+use ppds_dbscan::{dbscan_with_core_test, Clustering, Point};
 use ppds_smc::{LeakageEvent, Party, ProtocolContext};
 use ppds_transport::Channel;
-use std::collections::VecDeque;
 
-/// Control tags framing the querier's stream of neighborhood queries.
-const TAG_DONE: u8 = 0;
-const TAG_QUERY: u8 = 1;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum State {
-    Unclassified,
-    Noise,
-    Cluster(usize),
-}
-
-/// The querying party's DBSCAN loop (Algorithm 3 + the local half of
-/// Algorithm 4), generic over the core-point test so the basic and
-/// enhanced protocols share it.
-///
-/// `index` answers the party's *local* region queries (the ε-grid when
-/// pruning is on, the linear scan otherwise — see
-/// [`crate::prune::local_index`]; both return identical ascending index
-/// lists, so the swap cannot perturb labels). `core_test(chan, point_idx,
-/// own_neighbor_count)` runs one interactive core-point decision with the
-/// responder.
-pub(crate) fn querier_phase<C, F>(
+/// Runs a point-holding party's two wire phases in role order — Alice
+/// resolves her own points first while Bob serves, then the roles swap —
+/// and returns what `resolve` learned.
+pub(crate) fn resolve_in_role_order<C: Channel, T>(
     chan: &mut C,
-    index: &dyn NeighborIndex,
-    points: &[Point],
-    mut core_test: F,
-) -> Result<Clustering, CoreError>
-where
-    C: Channel,
-    F: FnMut(&mut C, usize, usize) -> Result<bool, CoreError>,
-{
-    let mut states = vec![State::Unclassified; points.len()];
-    let mut next_cluster = 0usize;
-
-    for i in 0..points.len() {
-        if states[i] != State::Unclassified {
-            continue;
+    role: Party,
+    log: &mut SessionLog,
+    resolve: impl FnOnce(&mut C, &mut SessionLog) -> Result<T, CoreError>,
+    serve: impl FnOnce(&mut C, &mut SessionLog) -> Result<(), CoreError>,
+) -> Result<T, CoreError> {
+    match role {
+        Party::Alice => {
+            let resolved = resolve(chan, log)?;
+            serve(chan, log)?;
+            Ok(resolved)
         }
-        let seeds = index.region_query(&points[i]);
-        chan.send(&TAG_QUERY)?;
-        if !core_test(chan, i, seeds.len())? {
-            states[i] = State::Noise;
-            continue;
-        }
-        let cluster_id = next_cluster;
-        next_cluster += 1;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &s in &seeds {
-            states[s] = State::Cluster(cluster_id);
-            if s != i {
-                queue.push_back(s);
-            }
-        }
-        while let Some(current) = queue.pop_front() {
-            let result = index.region_query(&points[current]);
-            chan.send(&TAG_QUERY)?;
-            if core_test(chan, current, result.len())? {
-                for &neighbor in &result {
-                    match states[neighbor] {
-                        State::Unclassified => {
-                            queue.push_back(neighbor);
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Noise => {
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Cluster(_) => {}
-                    }
-                }
-            }
+        Party::Bob => {
+            serve(chan, log)?;
+            resolve(chan, log)
         }
     }
-    chan.send(&TAG_DONE)?;
-
-    let labels = states
-        .into_iter()
-        .map(|s| match s {
-            State::Unclassified => unreachable!("all points classified"),
-            State::Noise => Label::Noise,
-            State::Cluster(id) => Label::Cluster(id),
-        })
-        .collect();
-    Ok(Clustering {
-        labels,
-        num_clusters: next_cluster,
-    })
 }
 
-/// The responding party's loop: serve queries until the querier signals
-/// completion.
-pub(crate) fn responder_phase<C, F>(chan: &mut C, mut respond: F) -> Result<(), CoreError>
-where
-    C: Channel,
-    F: FnMut(&mut C) -> Result<(), CoreError>,
-{
-    loop {
-        let tag: u8 = chan.recv()?;
-        match tag {
-            TAG_DONE => return Ok(()),
-            TAG_QUERY => respond(chan)?,
-            other => {
-                return Err(CoreError::Smc(ppds_smc::SmcError::protocol(format!(
-                    "unexpected control tag {other}"
-                ))))
-            }
-        }
+/// The channel-free half of a point-holding party's run: Algorithms 3 & 4
+/// over its own points, each core-point test answered by `is_core(point)`
+/// from what the resolve phase learned. Local region queries go through
+/// the ε-grid when pruning is on, the linear scan otherwise (see
+/// [`crate::prune::local_index`]; both return identical ascending index
+/// lists, so the swap cannot perturb labels).
+pub(crate) fn expand_own_points(
+    cfg: &ProtocolConfig,
+    points: &[Point],
+    is_core: impl FnMut(usize, usize) -> bool,
+) -> Clustering {
+    let index = crate::prune::local_index(points, cfg.params.eps_sq, cfg.pruning);
+    dbscan_with_core_test(points, index.as_ref(), is_core)
+}
+
+/// Querier half of one resolve direction of the basic protocol (two-party,
+/// or one pairwise channel of the mesh): learns, per own point, how many
+/// of the peer's points lie within `Eps`, and ledgers each count under
+/// `label(point)`. `ctx` is this direction's context; the responder walks
+/// the same path in [`serve_peer_density`].
+pub(crate) fn resolve_peer_density<C: Channel>(
+    chan: &mut C,
+    cfg: &ProtocolConfig,
+    session: &Session,
+    points: &[Point],
+    ctx: &ProtocolContext,
+    log: &mut SessionLog,
+    label: impl Fn(usize) -> String,
+) -> Result<Vec<usize>, CoreError> {
+    let backend = crate::backend::backend_for(cfg, session, points.first().map_or(0, Point::dim));
+    // When pruning, disclose every query's coarse cell and learn how many
+    // peer points survive each band filter; the secure phase then runs
+    // over those candidate sets only (see crate::prune for the exactness
+    // argument and leakage ledger).
+    let served = crate::prune::query_candidate_counts(
+        chan,
+        cfg,
+        points,
+        session.peer_n,
+        &mut log.leakage,
+        &label,
+    )?;
+    let counts = hdp_resolve_querier(
+        chan,
+        cfg,
+        &backend,
+        points,
+        |q| served[q],
+        ctx,
+        &mut log.ledger,
+        &mut log.sharing,
+    )?;
+    log.leakage.reserve(counts.len());
+    for (idx, &count) in counts.iter().enumerate() {
+        log.leakage.record(LeakageEvent::NeighborCount {
+            query: label(idx),
+            count: count as u64,
+        });
     }
+    Ok(counts)
+}
+
+/// Responder half of [`resolve_peer_density`]: serves every one of the
+/// peer's points its candidates among `points`.
+pub(crate) fn serve_peer_density<C: Channel>(
+    chan: &mut C,
+    cfg: &ProtocolConfig,
+    session: &Session,
+    points: &[Point],
+    ctx: &ProtocolContext,
+    log: &mut SessionLog,
+) -> Result<(), CoreError> {
+    let backend = crate::backend::backend_for(cfg, session, points.first().map_or(0, Point::dim));
+    let mut served =
+        crate::prune::serve_candidate_counts(chan, cfg, points, session.peer_n, &mut log.leakage)?;
+    hdp_resolve_responder(
+        chan,
+        cfg,
+        &backend,
+        points,
+        session.peer_n,
+        &mut served,
+        ctx,
+        &mut log.ledger,
+        &mut log.sharing,
+        &mut log.leakage,
+    )
 }
 
 /// Shared local validation for complete-record modes: every point within
@@ -189,113 +198,35 @@ impl ModeDriver for HorizontalDriver<'_> {
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
         let (cfg, session, points) = (mctx.cfg, mctx.session, self.points);
-        let backend = mctx.backend(points.first().map_or(0, Point::dim));
-        // Grid pruning: local queries go through the ε-grid, and each
-        // cross-party query is preceded by a coarse-cell exchange that
-        // narrows the served set to band-intersecting peer points (see
-        // crate::prune for the exactness argument and leakage ledger).
-        let index = crate::prune::local_index(points, cfg.params.eps_sq, cfg.pruning);
-        let width = match cfg.pruning {
-            ppds_dbscan::Pruning::Grid { coarseness } => {
-                Some(ppds_dbscan::band_width(cfg.params.eps_sq, coarseness))
-            }
-            ppds_dbscan::Pruning::Exhaustive => None,
-        };
-        let grid = width.map(|w| ppds_dbscan::CoarseGrid::from_points(points, w));
-        // One context instance per issued/served query, keyed by querying
-        // *direction* rather than local phase: the querier's q-th query and
-        // the responder's q-th serve are two halves of the same protocol
-        // instance and must walk identical context paths — the sharing
-        // backend re-keys this path onto the shared dealer seed, so a path
-        // mismatch would decorrelate the two sides' tape draws. The batched
-        // framing (same query sequence) derives identical streams too.
+        // Contexts are keyed by querying *direction* rather than local
+        // phase: the querier's chunk and the responder's serve of it are
+        // two halves of the same protocol instance and must walk identical
+        // context paths — the sharing backend re-keys this path onto the
+        // shared dealer seed, so a path mismatch would decorrelate the two
+        // sides' tape draws.
         let (my_queries, peer_queries) = match mctx.role {
             Party::Alice => ("hdp_a", "hdp_b"),
             Party::Bob => ("hdp_b", "hdp_a"),
         };
-        let query_ctx = ctx.narrow(my_queries);
-        let serve_ctx = ctx.narrow(peer_queries);
-        let run_query_phase = |chan: &mut C, log: &mut SessionLog| {
-            let mut q = 0u64;
-            querier_phase(chan, index.as_ref(), points, |chan, idx, own_count| {
-                // One HDP query per core test: batched mode ships the whole
-                // responder set in O(1) wire rounds.
-                let qctx = query_ctx.at(q);
-                let span = trace::span_with(|| format!("query#{q}"), || chan.metrics());
-                q += 1;
-                // When pruning, disclose the query's coarse cell and learn
-                // how many peer points survive the band filter; the secure
-                // phase then runs over that candidate set only.
-                let responder_count = match width {
-                    Some(w) => crate::prune::query_candidate_count(
-                        chan,
-                        &points[idx],
-                        w,
-                        &mut log.leakage,
-                        &format!("own#{idx}"),
-                    )?,
-                    None => session.peer_n,
-                };
-                let peer_count = hdp_query(
-                    chan,
-                    cfg,
-                    &backend,
-                    &points[idx],
-                    responder_count,
-                    &qctx,
-                    &mut log.ledger,
-                    &mut log.sharing,
-                )?;
-                span.end(|| chan.metrics());
-                log.leakage.record(LeakageEvent::NeighborCount {
-                    query: format!("own#{idx}"),
-                    count: peer_count as u64,
-                });
-                Ok(own_count + peer_count >= cfg.params.min_pts)
-            })
+        let resolve = |chan: &mut C, log: &mut SessionLog| {
+            let own = |idx: usize| format!("own#{idx}");
+            resolve_peer_density(
+                chan,
+                cfg,
+                session,
+                points,
+                &ctx.narrow(my_queries),
+                log,
+                own,
+            )
         };
-        let run_respond_phase = |chan: &mut C, log: &mut SessionLog| {
-            let mut q = 0u64;
-            responder_phase(chan, |chan| {
-                let qctx = serve_ctx.at(q);
-                let span = trace::span_with(|| format!("serve#{q}"), || chan.metrics());
-                let candidates = match &grid {
-                    Some(g) => crate::prune::respond_candidates(
-                        chan,
-                        g,
-                        &mut log.leakage,
-                        &format!("serve#{q}"),
-                    )?,
-                    None => crate::prune::all_candidates(points.len()),
-                };
-                q += 1;
-                hdp_serve(
-                    chan,
-                    cfg,
-                    &backend,
-                    points,
-                    &candidates,
-                    &qctx,
-                    &mut log.ledger,
-                    &mut log.sharing,
-                    &mut log.leakage,
-                )?;
-                span.end(|| chan.metrics());
-                Ok(())
-            })
+        let serve = |chan: &mut C, log: &mut SessionLog| {
+            serve_peer_density(chan, cfg, session, points, &ctx.narrow(peer_queries), log)
         };
-
-        match mctx.role {
-            Party::Alice => {
-                let clustering = run_query_phase(chan, log)?;
-                run_respond_phase(chan, log)?;
-                Ok(clustering)
-            }
-            Party::Bob => {
-                run_respond_phase(chan, log)?;
-                run_query_phase(chan, log)
-            }
-        }
+        let peer_counts = resolve_in_role_order(chan, mctx.role, log, resolve, serve)?;
+        Ok(expand_own_points(cfg, points, |idx, own_count| {
+            own_count + peer_counts[idx] >= cfg.params.min_pts
+        }))
     }
 }
 
@@ -443,14 +374,14 @@ mod tests {
         let bob = pts(&[&[0, 1], &[8, 9]]);
         let c = cfg(4, 2, 15);
         let (basic_a, _b) = horizontal(&c, &alice, &bob, 7, 8);
-        // Theorem 9: one neighbor count per query the party issued.
-        assert!(basic_a.leakage.count_kind("neighbor_count") > 0);
+        // Theorem 9: one neighbor count per own point.
+        assert_eq!(basic_a.leakage.count_kind("neighbor_count"), 3);
         assert_eq!(basic_a.leakage.count_kind("core_point_bit"), 0);
 
         let (enh_a, _b) = enhanced(&c, &alice, &bob, 9, 10);
         // Theorem 11: core-point bits only, never a count.
         assert_eq!(enh_a.leakage.count_kind("neighbor_count"), 0);
-        assert!(enh_a.leakage.count_kind("core_point_bit") > 0);
+        assert_eq!(enh_a.leakage.count_kind("core_point_bit"), 3);
     }
 
     #[test]

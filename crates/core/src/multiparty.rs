@@ -9,8 +9,9 @@
 //!   with each peer (full mesh; public-key exchange + versioned `Hello`
 //!   handshake per [`crate::session`]);
 //! * the run proceeds in `K` deterministic *phases*; in phase `p`, party
-//!   `p` is the querier and every other party answers its neighborhood
-//!   queries on their pairwise channel;
+//!   `p` is the querier: it resolves the density of all its points with
+//!   one peer after another, chunk by chunk as the two-party driver does
+//!   (DESIGN.md §7), each peer answering on their pairwise channel;
 //! * a core-point test for the querier's point sums its own neighbor count
 //!   with one HDP count per peer (each over a fresh per-query permutation,
 //!   preserving the Figure 1 defense against every peer independently);
@@ -20,7 +21,7 @@
 //!   external set: `dbscan_with_external_density(own, all_others)`.
 //!
 //! Leakage per party is the Theorem 9 profile against each peer
-//! separately: per issued query, one neighbor count *per peer* (strictly
+//! separately: per own point, one neighbor count *per peer* (strictly
 //! finer-grained than the union count — the price of the pairwise
 //! construction; a future aggregation layer could hide the split at the
 //! cost of a joint protocol among all K parties).
@@ -32,28 +33,18 @@
 use crate::config::ProtocolConfig;
 use crate::driver::PartyOutput;
 use crate::error::CoreError;
-use crate::hdp::{hdp_query, hdp_serve};
-use crate::horizontal::check_points;
+use crate::horizontal::{
+    check_points, expand_own_points, resolve_peer_density, serve_peer_density,
+};
 use crate::session::{
     establish, HandshakeProfile, Mode, PeerInfo, Session, SessionLog, SessionMeta, SessionOutcome,
     WIRE_VERSION,
 };
-use ppds_dbscan::{Clustering, Label, Point};
+use ppds_dbscan::{Clustering, Point};
 use ppds_observe::{trace, MetricsSnapshot};
 use ppds_paillier::Keypair;
-use ppds_smc::{LeakageEvent, Party, ProtocolContext};
+use ppds_smc::{Party, ProtocolContext};
 use ppds_transport::Channel;
-use std::collections::VecDeque;
-
-const TAG_DONE: u8 = 0;
-const TAG_QUERY: u8 = 1;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum State {
-    Unclassified,
-    Noise,
-    Cluster(usize),
-}
 
 /// One node's full run of the multi-party horizontal protocol: the shared
 /// implementation behind [`crate::session::Participant::run_mesh`] and the
@@ -155,8 +146,8 @@ pub(crate) fn run_mesh_node<C: Channel>(
                 .expect("phase party is a peer");
             let (_, session) = &sessions[idx];
             let (_, chan) = &mut peers[idx];
-            let pair_ctx = mesh_ctx.at(phase as u64).at(my_id as u64);
-            respond_phase(chan, session, cfg, my_points, &pair_ctx, &mut log)?;
+            let pair_ctx = mesh_ctx.at(phase as u64).at(my_id as u64).narrow("hdp");
+            serve_peer_density(chan, cfg, session, my_points, &pair_ctx, &mut log)?;
         }
     }
     execute_span.end(|| mesh_metrics(peers));
@@ -223,9 +214,9 @@ pub fn multiparty_horizontal_party<C: Channel>(
     run_mesh_node(peers, my_id, k_parties, cfg, my_points, None, &ctx).map(|outcome| outcome.output)
 }
 
-/// The querier's DBSCAN loop: like the two-party engine, but each core test
-/// fans out one HDP neighborhood query to every peer, each drawing from
-/// the ordered-pair context `querier_ctx.at(peer_id)`.
+/// The querier's phase: the two-party driver's resolve, once per peer on
+/// that peer's channel and under the ordered-pair context
+/// `querier_ctx.at(peer_id)`, then one expansion over the summed counts.
 fn query_phase<C: Channel>(
     peers: &mut [(usize, C)],
     sessions: &[(usize, Session)],
@@ -234,175 +225,26 @@ fn query_phase<C: Channel>(
     querier_ctx: &ProtocolContext,
     log: &mut SessionLog,
 ) -> Result<Clustering, CoreError> {
-    // The local index and the per-peer coarse-cell exchange follow the
-    // two-party horizontal driver (see crate::prune); each peer answers
-    // with its own band-filtered candidate cardinality.
-    let index = crate::prune::local_index(points, cfg.params.eps_sq, cfg.pruning);
-    let width = match cfg.pruning {
-        ppds_dbscan::Pruning::Grid { coarseness } => {
-            Some(ppds_dbscan::band_width(cfg.params.eps_sq, coarseness))
-        }
-        ppds_dbscan::Pruning::Exhaustive => None,
-    };
-    let mut states = vec![State::Unclassified; points.len()];
-    let mut next_cluster = 0usize;
-    let mut issued = 0u64;
-
-    let mut core_test = |peers: &mut [(usize, C)],
-                         log: &mut SessionLog,
-                         idx: usize,
-                         own_count: usize|
-     -> Result<bool, CoreError> {
-        let mut total = own_count;
-        let query_no = issued;
-        issued += 1;
-        let query_span = trace::span_with(|| format!("query#{query_no}"), || mesh_metrics(peers));
-        for (pos, (peer_id, chan)) in peers.iter_mut().enumerate() {
-            chan.send(&TAG_QUERY)?;
-            let session = &sessions[pos].1;
-            let backend =
-                crate::backend::backend_for(cfg, session, points.first().map_or(0, Point::dim));
-            let qctx = querier_ctx.at(*peer_id as u64).narrow("hdp").at(query_no);
-            let responder_count = match width {
-                Some(w) => crate::prune::query_candidate_count(
-                    chan,
-                    &points[idx],
-                    w,
-                    &mut log.leakage,
-                    &format!("own#{idx}/peer#{peer_id}"),
-                )?,
-                None => session.peer_n,
-            };
-            let count = hdp_query(
-                chan,
-                cfg,
-                &backend,
-                &points[idx],
-                responder_count,
-                &qctx,
-                &mut log.ledger,
-                &mut log.sharing,
-            )?;
-            log.leakage.record(LeakageEvent::NeighborCount {
-                query: format!("own#{idx}/peer#{peer_id}"),
-                count: count as u64,
-            });
-            total += count;
-        }
-        query_span.end(|| mesh_metrics(peers));
-        Ok(total >= cfg.params.min_pts)
-    };
-
-    for i in 0..points.len() {
-        if states[i] != State::Unclassified {
-            continue;
-        }
-        let seeds = index.region_query(&points[i]);
-        if !core_test(peers, log, i, seeds.len())? {
-            states[i] = State::Noise;
-            continue;
-        }
-        let cluster_id = next_cluster;
-        next_cluster += 1;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &s in &seeds {
-            states[s] = State::Cluster(cluster_id);
-            if s != i {
-                queue.push_back(s);
-            }
-        }
-        while let Some(current) = queue.pop_front() {
-            let result = index.region_query(&points[current]);
-            if core_test(peers, log, current, result.len())? {
-                for &neighbor in &result {
-                    match states[neighbor] {
-                        State::Unclassified => {
-                            queue.push_back(neighbor);
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Noise => {
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Cluster(_) => {}
-                    }
-                }
-            }
+    let mut peer_counts = vec![0usize; points.len()];
+    for ((peer_id, chan), (_, session)) in peers.iter_mut().zip(sessions) {
+        // Each peer answers with its own band-filtered candidate
+        // cardinalities and its own count.
+        let counts = resolve_peer_density(
+            chan,
+            cfg,
+            session,
+            points,
+            &querier_ctx.at(*peer_id as u64).narrow("hdp"),
+            log,
+            |idx| format!("own#{idx}/peer#{peer_id}"),
+        )?;
+        for (total, count) in peer_counts.iter_mut().zip(counts) {
+            *total += count;
         }
     }
-    for (_, chan) in peers.iter_mut() {
-        chan.send(&TAG_DONE)?;
-    }
-
-    let labels = states
-        .into_iter()
-        .map(|s| match s {
-            State::Unclassified => unreachable!("all points classified"),
-            State::Noise => Label::Noise,
-            State::Cluster(id) => Label::Cluster(id),
-        })
-        .collect();
-    Ok(Clustering {
-        labels,
-        num_clusters: next_cluster,
-    })
-}
-
-fn respond_phase<C: Channel>(
-    chan: &mut C,
-    session: &Session,
-    cfg: &ProtocolConfig,
-    my_points: &[Point],
-    pair_ctx: &ProtocolContext,
-    log: &mut SessionLog,
-) -> Result<(), CoreError> {
-    let serve_ctx = pair_ctx.narrow("hdp");
-    let backend =
-        crate::backend::backend_for(cfg, session, my_points.first().map_or(0, Point::dim));
-    let grid = match cfg.pruning {
-        ppds_dbscan::Pruning::Grid { coarseness } => {
-            let w = ppds_dbscan::band_width(cfg.params.eps_sq, coarseness);
-            Some(ppds_dbscan::CoarseGrid::from_points(my_points, w))
-        }
-        ppds_dbscan::Pruning::Exhaustive => None,
-    };
-    let mut served = 0u64;
-    loop {
-        let tag: u8 = chan.recv()?;
-        match tag {
-            TAG_DONE => return Ok(()),
-            TAG_QUERY => {
-                let qctx = serve_ctx.at(served);
-                let serve_span = trace::span_with(|| format!("serve#{served}"), || chan.metrics());
-                let candidates = match &grid {
-                    Some(g) => crate::prune::respond_candidates(
-                        chan,
-                        g,
-                        &mut log.leakage,
-                        &format!("serve#{served}"),
-                    )?,
-                    None => crate::prune::all_candidates(my_points.len()),
-                };
-                served += 1;
-                hdp_serve(
-                    chan,
-                    cfg,
-                    &backend,
-                    my_points,
-                    &candidates,
-                    &qctx,
-                    &mut log.ledger,
-                    &mut log.sharing,
-                    &mut log.leakage,
-                )?;
-                serve_span.end(|| chan.metrics());
-            }
-            other => {
-                return Err(CoreError::Smc(ppds_smc::SmcError::protocol(format!(
-                    "unexpected multiparty control tag {other}"
-                ))))
-            }
-        }
-    }
+    Ok(expand_own_points(cfg, points, |idx, own_count| {
+        own_count + peer_counts[idx] >= cfg.params.min_pts
+    }))
 }
 
 /// Runs all `K` parties of the multi-party horizontal protocol on threads
@@ -429,6 +271,7 @@ mod tests {
     use crate::session::run_mesh_local;
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan_with_external_density, DbscanParams};
+    use ppds_smc::LeakageEvent;
 
     fn cfg(eps_sq: u64, min_pts: usize, bound: i64) -> ProtocolConfig {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, bound)

@@ -86,8 +86,11 @@ use std::sync::Arc;
 /// the execute-phase transcript of the vertical and arbitrary modes (one
 /// exchange per chunk of unordered candidate pairs instead of one per
 /// region query), so a v5 peer is refused here rather than desyncing
-/// mid-session.
-pub const WIRE_VERSION: u32 = 6;
+/// mid-session; `7` does the same to the horizontal, enhanced and
+/// multiparty modes (every own point's core-point test resolved up front in
+/// index order — HDP pairs in chunks, grid cells and candidate counts a
+/// frame per 1,024 queries — with no query/done control tags).
+pub const WIRE_VERSION: u32 = 7;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -862,7 +865,7 @@ impl Participant {
     }
 
     /// Turns on the flight recorder for this session: every protocol phase
-    /// (handshake, per-query exchanges, the SMC primitives underneath)
+    /// (handshake, resolve exchanges, the SMC primitives underneath)
     /// records begin/end span edges into `recorder`, each stamped with a
     /// wall-clock time and a channel [`ppds_observe::MetricsSnapshot`]. The
     /// finished trace rides back on [`SessionOutcome::trace`], ready for

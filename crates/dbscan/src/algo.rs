@@ -103,61 +103,80 @@ pub fn dbscan_with_index(
     params: DbscanParams,
     index: &impl NeighborIndex,
 ) -> Clustering {
-    let mut states = vec![State::Unclassified; points.len()];
+    dbscan_with_core_test(points, index, |_, own_count| own_count >= params.min_pts)
+}
+
+/// Algorithms 3–6 with the core-point decision left to the caller: the
+/// expansion traverses `index`'s neighbourhoods of `points` exactly as
+/// [`dbscan_with_index`] does, but whether point `i` is a core point is
+/// whatever `is_core(i, own_count)` says, `own_count` being the size of
+/// `i`'s neighbourhood in `index` (itself included).
+///
+/// A point can be tested more than once (a noise point sitting in the seed
+/// set of a later cluster is), so `is_core` must answer the same for the
+/// same point — the point-holding protocol drivers resolve every answer
+/// with the peer first and pass a table lookup.
+pub fn dbscan_with_core_test<I: NeighborIndex + ?Sized>(
+    points: &[Point],
+    index: &I,
+    is_core: impl FnMut(usize, usize) -> bool,
+) -> Clustering {
+    expand(points.len(), |i| index.region_query(&points[i]), is_core)
+}
+
+/// The one expansion loop behind every index-shaped entry point:
+/// Algorithm 5's scan over unclassified points with Algorithm 6
+/// (`ExpandCluster`) inlined. `neighborhood(i)` yields the ascending
+/// indices within `Eps` of point `i`, itself included.
+fn expand<N: AsRef<[usize]>>(
+    n: usize,
+    mut neighborhood: impl FnMut(usize) -> N,
+    mut is_core: impl FnMut(usize, usize) -> bool,
+) -> Clustering {
+    let mut states = vec![State::Unclassified; n];
     let mut next_cluster = 0usize;
-    for i in 0..points.len() {
+    let mut queue: VecDeque<usize> = VecDeque::new();
+    for i in 0..n {
         if states[i] != State::Unclassified {
             continue;
         }
-        if expand_cluster(points, params, index, i, next_cluster, &mut states) {
-            next_cluster += 1;
+        let seeds = neighborhood(i);
+        let seeds = seeds.as_ref();
+        if !is_core(i, seeds.len()) {
+            // "no core point" — mark only the query point.
+            states[i] = State::Noise;
+            continue;
         }
-    }
-    finish(states, next_cluster)
-}
-
-/// Algorithm 6 (`ExpandCluster`). Returns whether a cluster was created.
-fn expand_cluster(
-    points: &[Point],
-    params: DbscanParams,
-    index: &impl NeighborIndex,
-    start: usize,
-    cluster_id: usize,
-    states: &mut [State],
-) -> bool {
-    let seeds = index.region_query(&points[start]);
-    if seeds.len() < params.min_pts {
-        // "no core point" — mark only the query point.
-        states[start] = State::Noise;
-        return false;
-    }
-    // changeClusterIds(seeds, ClusterId); seeds.delete(Point)
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for &s in &seeds {
-        states[s] = State::Cluster(cluster_id);
-        if s != start {
-            queue.push_back(s);
+        let cluster_id = next_cluster;
+        next_cluster += 1;
+        // changeClusterIds(seeds, ClusterId); seeds.delete(Point)
+        for &s in seeds {
+            states[s] = State::Cluster(cluster_id);
+            if s != i {
+                queue.push_back(s);
+            }
         }
-    }
-    while let Some(current) = queue.pop_front() {
-        let result = index.region_query(&points[current]);
-        if result.len() >= params.min_pts {
-            for &neighbor in &result {
-                match states[neighbor] {
-                    State::Unclassified => {
-                        queue.push_back(neighbor);
-                        states[neighbor] = State::Cluster(cluster_id);
+        while let Some(current) = queue.pop_front() {
+            let result = neighborhood(current);
+            let result = result.as_ref();
+            if is_core(current, result.len()) {
+                for &neighbor in result {
+                    match states[neighbor] {
+                        State::Unclassified => {
+                            queue.push_back(neighbor);
+                            states[neighbor] = State::Cluster(cluster_id);
+                        }
+                        State::Noise => {
+                            // Border point: claimed but not expanded through.
+                            states[neighbor] = State::Cluster(cluster_id);
+                        }
+                        State::Cluster(_) => {}
                     }
-                    State::Noise => {
-                        // Border point: claimed but not expanded through.
-                        states[neighbor] = State::Cluster(cluster_id);
-                    }
-                    State::Cluster(_) => {}
                 }
             }
         }
     }
-    true
+    finish(states, next_cluster)
 }
 
 /// Runs the Algorithm 5 & 6 expansion over *precomputed* neighborhoods:
@@ -180,45 +199,11 @@ pub fn dbscan_precomputed(
     neighborhoods: &[Vec<usize>],
 ) -> Clustering {
     assert_eq!(neighborhoods.len(), n, "one neighborhood per point");
-    let mut states = vec![State::Unclassified; n];
-    let mut next_cluster = 0usize;
-    for i in 0..n {
-        if states[i] != State::Unclassified {
-            continue;
-        }
-        let seeds = &neighborhoods[i];
-        if seeds.len() < params.min_pts {
-            states[i] = State::Noise;
-            continue;
-        }
-        let cluster_id = next_cluster;
-        next_cluster += 1;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &s in seeds {
-            states[s] = State::Cluster(cluster_id);
-            if s != i {
-                queue.push_back(s);
-            }
-        }
-        while let Some(current) = queue.pop_front() {
-            let result = &neighborhoods[current];
-            if result.len() >= params.min_pts {
-                for &neighbor in result {
-                    match states[neighbor] {
-                        State::Unclassified => {
-                            queue.push_back(neighbor);
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Noise => {
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Cluster(_) => {}
-                    }
-                }
-            }
-        }
-    }
-    finish(states, next_cluster)
+    expand(
+        n,
+        |i| &neighborhoods[i],
+        |_, own_count| own_count >= params.min_pts,
+    )
 }
 
 /// A symmetric Eps-neighbour graph over `n` points in CSR form:
@@ -351,53 +336,14 @@ pub fn dbscan_with_external_density(
     params: DbscanParams,
 ) -> Clustering {
     let index = LinearIndex::new(own, params.eps_sq);
-    let external_count = |q: &Point| {
-        external
+    // Algorithm 4: seedsA from own data, seedsB.size from the peer.
+    dbscan_with_core_test(own, &index, |i, own_count| {
+        let external_count = external
             .iter()
-            .filter(|p| dist_sq(p, q) <= params.eps_sq)
-            .count()
-    };
-
-    let mut states = vec![State::Unclassified; own.len()];
-    let mut next_cluster = 0usize;
-    for i in 0..own.len() {
-        if states[i] != State::Unclassified {
-            continue;
-        }
-        // Algorithm 4: seedsA from own data, seedsB.size from the peer.
-        let seeds = index.region_query(&own[i]);
-        if seeds.len() + external_count(&own[i]) < params.min_pts {
-            states[i] = State::Noise;
-            continue;
-        }
-        let cluster_id = next_cluster;
-        next_cluster += 1;
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &s in &seeds {
-            states[s] = State::Cluster(cluster_id);
-            if s != i {
-                queue.push_back(s);
-            }
-        }
-        while let Some(current) = queue.pop_front() {
-            let result = index.region_query(&own[current]);
-            if result.len() + external_count(&own[current]) >= params.min_pts {
-                for &neighbor in &result {
-                    match states[neighbor] {
-                        State::Unclassified => {
-                            queue.push_back(neighbor);
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Noise => {
-                            states[neighbor] = State::Cluster(cluster_id);
-                        }
-                        State::Cluster(_) => {}
-                    }
-                }
-            }
-        }
-    }
-    finish(states, next_cluster)
+            .filter(|p| dist_sq(p, &own[i]) <= params.eps_sq)
+            .count();
+        own_count + external_count >= params.min_pts
+    })
 }
 
 fn finish(states: Vec<State>, num_clusters: usize) -> Clustering {
@@ -649,6 +595,25 @@ mod tests {
         union.extend(bob);
         let centralized = dbscan(&union, p);
         assert_eq!(centralized.num_clusters, 1);
+    }
+
+    #[test]
+    fn core_test_is_asked_again_for_a_noise_point_a_later_cluster_seeds() {
+        // Point 0 fails its test first (noise); the cluster point 1 starts
+        // has it among its seeds, relabels it and tests it a second time.
+        // The protocol drivers rely on this being the *only* kind of repeat
+        // and answer it from their resolved table.
+        let points = pts(&[&[-2], &[0], &[1], &[2]]);
+        let p = params(4, 3);
+        let index = LinearIndex::new(&points, p.eps_sq);
+        let mut asked = Vec::new();
+        let c = dbscan_with_core_test(&points, &index, |i, own_count| {
+            asked.push(i);
+            own_count >= p.min_pts
+        });
+        assert_eq!(c, dbscan_with_index(&points, p, &index));
+        assert_eq!(c.labels[0], Label::Cluster(0), "noise became border");
+        assert_eq!(asked, [0, 1, 0, 2, 3]);
     }
 
     #[test]

@@ -39,8 +39,8 @@ pub mod pruning;
 pub mod shard;
 
 pub use algo::{
-    dbscan, dbscan_over_graph, dbscan_with_external_density, Clustering, DbscanParams, Label,
-    NeighborGraph,
+    dbscan, dbscan_over_graph, dbscan_with_core_test, dbscan_with_external_density, Clustering,
+    DbscanParams, Label, NeighborGraph,
 };
 pub use point::{dist_sq, Point, Quantizer};
 pub use pruning::{

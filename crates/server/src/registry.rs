@@ -22,6 +22,11 @@ pub enum SessionState {
 }
 
 impl SessionState {
+    /// Whether the session has ended (completed, failed or dropped).
+    fn is_terminal(self) -> bool {
+        !matches!(self, SessionState::Queued | SessionState::Running)
+    }
+
     /// Stable lowercase name for the operator endpoint.
     pub fn name(self) -> &'static str {
         match self {
@@ -56,15 +61,62 @@ struct Entry {
     trace: Option<SessionTrace>,
 }
 
+/// Ended sessions the registry keeps for the operator endpoint. A server
+/// that answers a few hundred sessions a second would otherwise grow by
+/// tens of megabytes an hour — the faster its sessions, the faster.
+pub const RETAINED_ENDED_SESSIONS: usize = 1024;
+
 struct Inner {
     next_id: u64,
     entries: BTreeMap<u64, Entry>,
+    /// Entries in a terminal state.
+    ended: usize,
+    /// The highest id ever evicted. Ids up to it are never granted again:
+    /// a session's server-side seed derives from its id, and a second
+    /// session under the same seed would repeat the first one's masks.
+    evicted_through: u64,
 }
 
-/// Threadsafe store of all sessions the server has admitted, keyed by
+impl Inner {
+    /// Books one more ended session and evicts the ended sessions with the
+    /// lowest ids beyond [`RETAINED_ENDED_SESSIONS`].
+    fn note_ended(&mut self) {
+        self.ended += 1;
+        while self.ended > RETAINED_ENDED_SESSIONS {
+            let oldest = self
+                .entries
+                .iter()
+                .find(|(_, entry)| entry.info.state.is_terminal())
+                .map(|(&id, _)| id)
+                .expect("`ended` counts the terminal entries");
+            self.entries.remove(&oldest);
+            self.evicted_through = self.evicted_through.max(oldest);
+            self.ended -= 1;
+        }
+    }
+
+    /// Moves session `id` to `state`, keeping the ended count in step.
+    fn transition(&mut self, id: u64, state: SessionState, trace: Option<SessionTrace>) {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return;
+        };
+        let had_ended = entry.info.state.is_terminal();
+        entry.info.state = state;
+        if trace.is_some() {
+            entry.trace = trace;
+        }
+        if state.is_terminal() && !had_ended {
+            self.note_ended();
+        }
+    }
+}
+
+/// Threadsafe store of the sessions the server has admitted — every live
+/// one and the last [`RETAINED_ENDED_SESSIONS`] that ended — keyed by
 /// session id. Ids are granted at admission: a client's proposed id is
-/// honored when free (so a test driving the server can predict the
-/// server-side seed), otherwise the next unused id is assigned.
+/// honored when it was never granted before (so a test driving the server
+/// can predict the server-side seed), otherwise the next unused id is
+/// assigned.
 pub struct SessionRegistry {
     inner: Mutex<Inner>,
 }
@@ -77,13 +129,15 @@ impl SessionRegistry {
             inner: Mutex::new(Inner {
                 next_id: 1,
                 entries: BTreeMap::new(),
+                ended: 0,
+                evicted_through: 0,
             }),
         }
     }
 
     /// Registers a new session in [`SessionState::Queued`] and returns the
-    /// granted id: `proposed` when nonzero and unused, the next free id
-    /// otherwise.
+    /// granted id: `proposed` when nonzero and never granted, the next free
+    /// id otherwise.
     pub fn admit(
         &self,
         proposed: u64,
@@ -93,9 +147,11 @@ impl SessionRegistry {
         packing: bool,
     ) -> u64 {
         let mut inner = self.inner.lock().unwrap();
-        let id = if proposed != 0 && !inner.entries.contains_key(&proposed) {
+        let unused = proposed > inner.evicted_through && !inner.entries.contains_key(&proposed);
+        let id = if proposed != 0 && unused {
             proposed
         } else {
+            inner.next_id = inner.next_id.max(inner.evicted_through + 1);
             while inner.entries.contains_key(&inner.next_id) {
                 inner.next_id += 1;
             }
@@ -121,18 +177,13 @@ impl SessionRegistry {
 
     /// Moves session `id` to `state` (no-op for unknown ids).
     pub fn set_state(&self, id: u64, state: SessionState) {
-        if let Some(entry) = self.inner.lock().unwrap().entries.get_mut(&id) {
-            entry.info.state = state;
-        }
+        self.inner.lock().unwrap().transition(id, state, None);
     }
 
     /// Terminal transition: sets the state and stores the session's trace
     /// when one was recorded.
     pub fn finish(&self, id: u64, state: SessionState, trace: Option<SessionTrace>) {
-        if let Some(entry) = self.inner.lock().unwrap().entries.get_mut(&id) {
-            entry.info.state = state;
-            entry.trace = trace;
-        }
+        self.inner.lock().unwrap().transition(id, state, trace);
     }
 
     /// The current row for session `id`, if admitted.
@@ -145,7 +196,7 @@ impl SessionRegistry {
             .map(|e| e.info.clone())
     }
 
-    /// All rows in id order.
+    /// All retained rows in id order.
     pub fn snapshot(&self) -> Vec<SessionInfo> {
         self.inner
             .lock()
@@ -204,6 +255,33 @@ mod tests {
         // 0 means "assign me one".
         assert_eq!(admit(&reg, 0), 9);
         assert_eq!(reg.snapshot().len(), 3);
+    }
+
+    #[test]
+    fn ended_sessions_are_retained_up_to_a_bound_and_their_ids_never_reused() {
+        let reg = SessionRegistry::new();
+        // One session that never ends, then more ended ones than are kept.
+        let live = admit(&reg, 0);
+        reg.set_state(live, SessionState::Running);
+        for _ in 0..RETAINED_ENDED_SESSIONS + 10 {
+            let id = admit(&reg, 0);
+            reg.finish(id, SessionState::Completed, None);
+        }
+        assert_eq!(reg.count(SessionState::Completed), RETAINED_ENDED_SESSIONS);
+        assert_eq!(reg.get(live).unwrap().state, SessionState::Running);
+        // The ten oldest ended sessions (ids 2..=11) are gone ...
+        assert!(reg.get(11).is_none() && reg.get(12).is_some());
+        // ... and proposing one of their ids does not bring its seed back.
+        let regranted = admit(&reg, 5);
+        assert_eq!(regranted, RETAINED_ENDED_SESSIONS as u64 + 12);
+        // Ending twice counts once.
+        reg.set_state(regranted, SessionState::Failed);
+        reg.finish(regranted, SessionState::Failed, None);
+        assert_eq!(
+            reg.snapshot().len(),
+            RETAINED_ENDED_SESSIONS + 1,
+            "the live session and the retained ended ones"
+        );
     }
 
     #[test]

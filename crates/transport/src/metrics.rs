@@ -15,7 +15,7 @@ use std::time::Duration;
 /// * **rounds** — wire frames, i.e. latency-paying network hops. A plain
 ///   send is one round; a batch frame of any size is one round. This is the
 ///   quantity the [`CostModel`] charges latency on, and the one round
-///   batching collapses from `O(candidates)` to `O(1)` per query.
+///   batching collapses from `O(pairs)` to `O(1)` per chunk of pairs.
 ///
 /// For unbatched traffic the two coincide (`messages == rounds`).
 #[derive(Debug, Default)]

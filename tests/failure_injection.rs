@@ -11,7 +11,7 @@ use ppds_paillier::Keypair;
 use ppds_smc::compare::{compare_bob, CmpOp, Comparator, ComparisonDomain};
 use ppds_smc::millionaires::{yao_bob, YaoConfig};
 use ppds_smc::multiplication::mul_peer;
-use ppds_smc::{setup, Party, ProtocolContext, SmcError};
+use ppds_smc::{setup, BackendKind, Party, ProtocolContext, SmcError};
 use ppds_transport::{duplex, Channel, MemoryChannel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -315,6 +315,210 @@ fn hostile_band_table_is_refused_in_arbitrary_mode() {
                 .seed(21);
             expect_band_refusal(&format!("{honest_role}/{what}"), participant, honest);
             peer.join().unwrap();
+        }
+    }
+}
+
+/// How a fake point-holding peer departs from the protocol.
+#[derive(Clone)]
+enum Attack {
+    /// Answers the honest side's query cells with these candidate counts.
+    Counts(Vec<u64>),
+    /// Discloses these as the coarse cells of its one query.
+    Cells(Vec<Vec<i64>>),
+    /// Opens (or answers) the first resolve chunk with a one-pair frame
+    /// where the chunk holds three.
+    Arity,
+}
+
+/// The three honest points every case below runs on, all in band (0, 0).
+fn honest_points() -> Vec<Point> {
+    vec![
+        Point::new(vec![0, 0]),
+        Point::new(vec![1, 1]),
+        Point::new(vec![2, 0]),
+    ]
+}
+
+/// A peer that handshakes honestly in `role` as the holder of one point,
+/// plays the protocol just far enough to reach its `attack`, and then must
+/// find the honest side gone: the next read is a disconnect, not a
+/// protocol message and not a hang.
+///
+/// Alice resolves first. A fake Bob therefore answers her query cells (with
+/// zeros, unless the counts are the attack: she then has nothing to
+/// compare) before it sends cells of its own; a fake Alice discloses a
+/// far-away cell, which costs an honest Bob a zero count and no comparison,
+/// before he sends his cells. The enhanced mode adds one `(engage, k)`
+/// frame per core-point test, none of which engages.
+fn hostile_point_peer(
+    mut chan: MemoryChannel,
+    cfg: ProtocolConfig,
+    role: Party,
+    mode: Mode,
+    attack: Attack,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let kp = Keypair::generate(cfg.key_bits, &mut rng(99));
+        match role {
+            Party::Alice => setup::exchange_keys_alice(&mut chan, &kp),
+            Party::Bob => setup::exchange_keys_bob(&mut chan, &kp),
+        }
+        .unwrap();
+        chan.send(&Hello::for_session(&cfg, mode, 1, 2)).unwrap();
+        let _theirs: Hello = chan.recv().unwrap();
+        if cfg.backend == BackendKind::Sharing {
+            chan.send(&7u64).unwrap();
+            let _contribution: u64 = chan.recv().unwrap();
+        }
+        let honest_n = honest_points().len();
+        let not_engaging = (false, 0u64);
+        match (role, attack) {
+            (Party::Bob, Attack::Counts(counts)) => {
+                let _cells: Vec<Vec<i64>> = chan.recv().unwrap();
+                chan.send(&counts).unwrap();
+            }
+            (Party::Bob, Attack::Cells(cells)) => {
+                let _cells: Vec<Vec<i64>> = chan.recv().unwrap();
+                chan.send(&vec![0u64; honest_n]).unwrap();
+                if mode == Mode::Enhanced {
+                    for _ in 0..honest_n {
+                        let _: (bool, u64) = chan.recv().unwrap();
+                    }
+                }
+                chan.send(&cells).unwrap();
+            }
+            (Party::Alice, Attack::Cells(cells)) => chan.send(&cells).unwrap(),
+            (Party::Alice, Attack::Counts(counts)) => {
+                chan.send(&vec![vec![3i64, 3]]).unwrap();
+                assert_eq!(chan.recv::<Vec<u64>>().unwrap(), [0]);
+                if mode == Mode::Enhanced {
+                    chan.send(&not_engaging).unwrap();
+                }
+                let _cells: Vec<Vec<i64>> = chan.recv().unwrap();
+                chan.send(&counts).unwrap();
+            }
+            // The responder opens a chunk with one masked vector per pair.
+            (Party::Bob, Attack::Arity) => chan.send_batch(&[vec![0u64, 0]]).unwrap(),
+            (Party::Alice, Attack::Arity) => {
+                let opened: Vec<Vec<u64>> = chan.recv_batch().unwrap();
+                assert_eq!(opened.len(), honest_n, "one pair per honest point");
+                chan.send_batch(&[(vec![0u64, 0], 0u64)]).unwrap();
+            }
+        }
+        assert!(
+            chan.recv_bytes().is_err(),
+            "the honest side must refuse the frame, not carry on"
+        );
+    })
+}
+
+/// Runs the honest half of `mode` in `honest_role` against a fake peer
+/// mounting `attack`, and returns the error the honest half must end in.
+fn refusal(cfg: ProtocolConfig, mode: Mode, honest_role: Party, attack: Attack) -> CoreError {
+    let (honest, fake) = duplex();
+    let peer = hostile_point_peer(fake, cfg, honest_role.peer(), mode, attack);
+    // A mesh of two: the lower id takes Alice's part.
+    let (my_id, peer_id) = match honest_role {
+        Party::Alice => (0, 1),
+        Party::Bob => (1, 0),
+    };
+    let mut mesh = [(peer_id, honest)];
+    let participant = Participant::new(cfg).role(honest_role).seed(30);
+    let result = match mode {
+        Mode::Horizontal => participant
+            .data(PartyData::Horizontal(honest_points()))
+            .run(&mut mesh[0].1),
+        Mode::Enhanced => participant
+            .data(PartyData::Enhanced(honest_points()))
+            .run(&mut mesh[0].1),
+        Mode::Multiparty => participant
+            .data(PartyData::Multiparty(honest_points()))
+            .run_mesh(&mut mesh, my_id, 2),
+        other => panic!("{other} holds no points"),
+    };
+    // Hanging up is how the fake peer learns it was refused.
+    drop(mesh);
+    peer.join().unwrap();
+    result.expect_err("the session must not survive the attack")
+}
+
+const POINT_HOLDING: [Mode; 3] = [Mode::Horizontal, Mode::Enhanced, Mode::Multiparty];
+
+/// Candidate counts are peer-controlled and size the comparison buffers: a
+/// frame must answer exactly the cells it follows, and no count may exceed
+/// the one record the peer's handshake announced.
+#[test]
+fn hostile_candidate_counts_are_refused_in_the_point_holding_modes() {
+    let attacks = [
+        ("short", vec![0, 0]),
+        ("long", vec![0, 0, 0, 0]),
+        ("over the handshake's count", vec![0, 2, 0]),
+        ("allocation bait", vec![u64::MAX, 0, 0]),
+    ];
+    for mode in POINT_HOLDING {
+        for honest_role in [Party::Alice, Party::Bob] {
+            for (what, counts) in &attacks {
+                let name = format!("{mode}/{honest_role}/{what}");
+                match refusal(
+                    grid_cfg(),
+                    mode,
+                    honest_role,
+                    Attack::Counts(counts.clone()),
+                ) {
+                    CoreError::Mismatch(msg) => assert!(msg.contains("candidate"), "{name}: {msg}"),
+                    other => panic!("{name}: wanted a typed refusal, got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// Query cells are peer-controlled and index the responder's coarse grid: a
+/// short cell used to reach `CoarseGrid::candidates_with`'s dimension
+/// assert and panic the session thread, and a band near `i64::MIN`/`MAX`
+/// to overflow its adjacent-band arithmetic. `coord_bound = 10`, band
+/// width 3: legal bands run −4..=4.
+#[test]
+fn hostile_query_cells_are_refused_in_the_point_holding_modes() {
+    let attacks = [
+        ("no cell", vec![]),
+        ("a cell too many", vec![vec![0, 0], vec![0, 0]]),
+        ("short cell", vec![vec![0]]),
+        ("long cell", vec![vec![0, 0, 0]]),
+        ("overflow bait, high", vec![vec![0, i64::MAX]]),
+        ("overflow bait, low", vec![vec![i64::MIN, 0]]),
+        ("off the lattice", vec![vec![0, -5]]),
+    ];
+    for mode in POINT_HOLDING {
+        for honest_role in [Party::Alice, Party::Bob] {
+            for (what, cells) in &attacks {
+                let name = format!("{mode}/{honest_role}/{what}");
+                match refusal(grid_cfg(), mode, honest_role, Attack::Cells(cells.clone())) {
+                    CoreError::Mismatch(msg) => assert!(msg.contains("band"), "{name}: {msg}"),
+                    other => panic!("{name}: wanted a typed refusal, got {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// A resolve chunk's frames carry one entry per pair; a peer that frames
+/// another number is refused by whichever side reads the frame. (The
+/// enhanced mode asks one test per exchange and has no chunks.)
+#[test]
+fn wrong_arity_resolve_chunk_is_refused_on_both_sides() {
+    let cfg = ProtocolConfig::new(grid_cfg().params, 10)
+        .with_backend(BackendKind::Sharing)
+        .with_batching(true);
+    for mode in [Mode::Horizontal, Mode::Multiparty] {
+        for honest_role in [Party::Alice, Party::Bob] {
+            match refusal(cfg, mode, honest_role, Attack::Arity) {
+                CoreError::Smc(SmcError::Protocol(msg)) => {
+                    assert!(msg.contains("expected 3"), "{mode}/{honest_role}: {msg}")
+                }
+                other => panic!("{mode}/{honest_role}: wanted a typed refusal, got {other:?}"),
+            }
         }
     }
 }

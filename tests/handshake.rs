@@ -126,11 +126,13 @@ fn comparator_mismatch_fails_on_both_sides_naming_the_field() {
 #[test]
 fn wire_version_mismatch_is_a_typed_error_not_a_hang_or_decode_failure() {
     // A past or "future" peer: completes the key exchange honestly, then
-    // sends a Hello advertising a different wire version — 5 is the build
-    // before the lockstep modes resolved pairs in chunks, whose execute
-    // transcript this build would desync against. The real participant
-    // must reject it by name — before any protocol message.
-    for peer_version in [5u32, 7] {
+    // sends a Hello advertising a different wire version — 6 is the build
+    // that still framed every horizontal core-point test with a control
+    // tag and asked it in visiting order, whose execute transcript this
+    // build would desync against. The real participant must reject it by
+    // name — before any protocol message.
+    assert_eq!(WIRE_VERSION, 7, "re-aim the past/future versions below");
+    for peer_version in [6u32, 8] {
         let (mut real_chan, mut fake_chan) = duplex();
         let fake = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(99);

@@ -40,10 +40,95 @@ fn theorem9_basic_horizontal_discloses_counts_only() {
                 other => panic!("Theorem 9 forbids event {other:?}"),
             }
         }
-        // Counts are per issued query; every processed own point issues at
-        // most one query, and each query logs exactly one count.
-        assert!(out.leakage.count_kind("neighbor_count") <= out.clustering.labels.len());
-        assert!(out.leakage.count_kind("neighbor_count") > 0);
+        // Every own point issues exactly one query, and each query logs
+        // exactly one count.
+        assert_eq!(
+            out.leakage.count_kind("neighbor_count"),
+            out.clustering.labels.len()
+        );
+    }
+}
+
+/// Alice's point 0 fails its core test first (noise) and is then a seed of
+/// the cluster point 1 starts, which relabels it and tests it again. The
+/// per-query protocol asked the peer a second time; the resolved one must
+/// not — on the wire, every own point is one query, whatever DBSCAN does
+/// with the answers afterwards.
+#[test]
+fn an_absorbed_noise_point_is_queried_once_and_retested_for_free() {
+    use ppds_dbscan::{dbscan_with_external_density, dist_sq, Label, Pruning};
+    let pts = |coords: &[[i64; 2]]| -> Vec<Point> {
+        coords.iter().map(|c| Point::new(c.to_vec())).collect()
+    };
+    let alice = pts(&[[-2, 0], [0, 0], [1, 0], [2, 0], [9, 9]]);
+    let bob = pts(&[[0, 1], [9, 8], [-9, -9]]);
+    // Same sizes, nobody near anybody: no cluster, so no re-test either.
+    let scattered = pts(&[[-9, 0], [-4, 0], [1, 0], [6, 0], [9, 9]]);
+    for pruning in [Pruning::Exhaustive, Pruning::Grid { coarseness: 1 }] {
+        let c = cfg(4, 4, 10).with_batching(true).with_pruning(pruning);
+        let (a, b) = run_horizontal_pair(&c, &alice, &bob, rng(40), rng(41)).unwrap();
+
+        // (a) Labels are the plaintext reference's, absorbed point included.
+        let reference = dbscan_with_external_density(&alice, &bob, c.params);
+        assert_eq!(a.clustering, reference);
+        assert_eq!(
+            reference.labels[0],
+            Label::Cluster(0),
+            "noise became border"
+        );
+        assert_eq!(reference.labels[4], Label::Noise);
+
+        // One count per own point, in index order.
+        let counts: Vec<(String, usize)> = a
+            .leakage
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                LeakageEvent::NeighborCount { query, count } => {
+                    Some((query.clone(), *count as usize))
+                }
+                _ => None,
+            })
+            .collect();
+        let queried: Vec<&str> = counts.iter().map(|(query, _)| query.as_str()).collect();
+        assert_eq!(queried, ["own#0", "own#1", "own#2", "own#3", "own#4"]);
+
+        // (b) The re-test cost no comparison and no frame: the exhaustive
+        // run pays exactly one comparison per cross pair per direction, and
+        // the same sizes cost the same frames when nothing is re-tested.
+        let (quiet, _) = run_horizontal_pair(&c, &scattered, &bob, rng(40), rng(41)).unwrap();
+        if pruning == Pruning::Exhaustive {
+            assert_eq!(a.yao.comparisons, 2 * 5 * 3);
+            assert_eq!(a.traffic.total_rounds(), quiet.traffic.total_rounds());
+        }
+        assert_eq!(
+            quiet.leakage.count_kind("neighbor_count"),
+            a.leakage.count_kind("neighbor_count")
+        );
+
+        // (c) Bob served each of Alice's points once. His match flags come
+        // in query order, so her counts cut them into per-serve groups —
+        // each the plaintext neighbours of that query, in some order.
+        if pruning.is_grid() {
+            assert_eq!(b.leakage.count_kind("pruning_cell"), alice.len());
+            assert_eq!(a.leakage.count_kind("pruning_candidates"), alice.len());
+        }
+        let mut matched = b.leakage.events().iter().filter_map(|e| match e {
+            LeakageEvent::OwnPointMatched { point } => Some(point.clone()),
+            _ => None,
+        });
+        for (query, (_, count)) in alice.iter().zip(&counts) {
+            let mut served: Vec<String> = matched.by_ref().take(*count).collect();
+            served.sort();
+            let geometry: Vec<String> = (0..bob.len())
+                .filter(|&j| dist_sq(&bob[j], query) <= c.params.eps_sq)
+                .map(|j| format!("own#{j}"))
+                .collect();
+            assert_eq!(served, geometry, "{pruning:?}: serve of {query:?}");
+        }
+        // Nothing is left over: the flags Bob's own queries raised sit in
+        // Alice's log.
+        assert_eq!(matched.next(), None);
     }
 }
 

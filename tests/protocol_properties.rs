@@ -7,9 +7,11 @@
 
 mod common;
 
-use common::{run_arbitrary_pair, run_enhanced_pair, run_horizontal_pair, run_vertical_pair};
+use common::{
+    run_arbitrary_pair, run_enhanced_pair, run_horizontal_pair, run_multiparty, run_vertical_pair,
+};
 use ppdbscan::config::ProtocolConfig;
-use ppdbscan::{ArbitraryPartition, VerticalPartition};
+use ppdbscan::{ArbitraryPartition, PartyOutput, VerticalPartition};
 use ppds_dbscan::pruning::{band_width, bands_intersect, coarse_cell};
 use ppds_dbscan::{dbscan, dbscan_with_external_density, DbscanParams, Point, Pruning};
 use ppds_smc::BackendKind;
@@ -27,8 +29,8 @@ fn small_cfg(eps_sq: u64, min_pts: usize) -> ProtocolConfig {
 }
 
 /// `{exhaustive, grid} × {unbatched, batched} × {paillier, sharing}` over
-/// `base` — every framing the lockstep modes (vertical, arbitrary) run in.
-fn lockstep_matrix(base: ProtocolConfig) -> Vec<(String, ProtocolConfig)> {
+/// `base` — every framing a mode's resolve phase runs in.
+fn knob_matrix(base: ProtocolConfig) -> Vec<(String, ProtocolConfig)> {
     let mut out = Vec::new();
     for pruning in [Pruning::Exhaustive, Pruning::Grid { coarseness: 1 }] {
         for batching in [false, true] {
@@ -68,6 +70,88 @@ fn candidate_pairs(records: &[Point], cfg: &ProtocolConfig) -> u64 {
     pairs
 }
 
+/// The (query, candidate) pairs `cfg`'s candidate generator admits between
+/// two point-holding parties, one direction: every cross pair when
+/// exhaustive, the band-adjacent ones under grid pruning (the relation is
+/// symmetric, so both directions compare the same number).
+fn cross_pairs(alice: &[Point], bob: &[Point], cfg: &ProtocolConfig) -> u64 {
+    let Pruning::Grid { coarseness } = cfg.pruning else {
+        return (alice.len() * bob.len()) as u64;
+    };
+    let width = band_width(cfg.params.eps_sq, coarseness);
+    let cells = |points: &[Point]| -> Vec<Vec<i64>> {
+        points
+            .iter()
+            .map(|p| coarse_cell(p.coords(), width))
+            .collect()
+    };
+    let (a_cells, b_cells) = (cells(alice), cells(bob));
+    a_cells
+        .iter()
+        .map(|a| b_cells.iter().filter(|b| bands_intersect(a, b)).count() as u64)
+        .sum()
+}
+
+/// One point-holding two-party run against the plaintext reference: both
+/// parties' labels, and the ledger — every admitted cross pair compared
+/// exactly once per direction, however often DBSCAN re-tests a point.
+fn assert_matches_external_density(
+    name: &str,
+    cfg: &ProtocolConfig,
+    alice: &[Point],
+    bob: &[Point],
+    (a, b): &(PartyOutput, PartyOutput),
+    ledger_is_pairs: bool,
+) {
+    assert_eq!(
+        a.clustering,
+        dbscan_with_external_density(alice, bob, cfg.params),
+        "{name}: alice"
+    );
+    assert_eq!(
+        b.clustering,
+        dbscan_with_external_density(bob, alice, cfg.params),
+        "{name}: bob"
+    );
+    assert_eq!(a.yao, b.yao, "{name}: both ledgers hold both directions");
+    if ledger_is_pairs {
+        assert_eq!(
+            a.yao.comparisons,
+            2 * cross_pairs(alice, bob, cfg),
+            "{name}: comparisons"
+        );
+    }
+}
+
+/// Every party of a mesh run against the plaintext reference with all the
+/// other parties' points as the external set, and one neighbour count per
+/// peer per own point in its log.
+fn assert_mesh_matches_external_density(
+    name: &str,
+    cfg: &ProtocolConfig,
+    parties: &[Vec<Point>],
+    outs: &[PartyOutput],
+) {
+    for (i, out) in outs.iter().enumerate() {
+        let others: Vec<Point> = parties
+            .iter()
+            .enumerate()
+            .filter(|(j, _)| *j != i)
+            .flat_map(|(_, points)| points.iter().cloned())
+            .collect();
+        assert_eq!(
+            out.clustering,
+            dbscan_with_external_density(&parties[i], &others, cfg.params),
+            "{name}: party {i}"
+        );
+        assert_eq!(
+            out.leakage.count_kind("neighbor_count"),
+            (parties.len() - 1) * parties[i].len(),
+            "{name}: party {i} asks each peer once per own point"
+        );
+    }
+}
+
 /// `VerticalPartition::split` at attribute 1, extended to zero records.
 fn vertical_split(records: &[Point]) -> VerticalPartition {
     if records.is_empty() {
@@ -94,56 +178,61 @@ proptest! {
 
     #[test]
     fn horizontal_always_matches_reference(
-        alice in points_strategy(1, 6),
-        bob in points_strategy(1, 6),
+        alice in points_strategy(0, 6),
+        bob in points_strategy(0, 6),
         eps_sq in 1u64..30,
         min_pts in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let cfg = small_cfg(eps_sq, min_pts);
-        let (a, b) = run_horizontal_pair(
-            &cfg,
-            &alice,
-            &bob,
-            StdRng::seed_from_u64(seed),
-            StdRng::seed_from_u64(seed.wrapping_add(1)),
-        )
-        .unwrap();
-        prop_assert_eq!(
-            a.clustering,
-            dbscan_with_external_density(&alice, &bob, cfg.params)
-        );
-        prop_assert_eq!(
-            b.clustering,
-            dbscan_with_external_density(&bob, &alice, cfg.params)
-        );
+        for (knobs, cfg) in knob_matrix(small_cfg(eps_sq, min_pts)) {
+            let outs = run_horizontal_pair(
+                &cfg,
+                &alice,
+                &bob,
+                StdRng::seed_from_u64(seed),
+                StdRng::seed_from_u64(seed.wrapping_add(1)),
+            )
+            .unwrap();
+            assert_matches_external_density(&knobs, &cfg, &alice, &bob, &outs, true);
+            prop_assert_eq!(outs.0.leakage.count_kind("neighbor_count"), alice.len());
+            prop_assert_eq!(outs.1.leakage.count_kind("neighbor_count"), bob.len());
+        }
     }
 
     #[test]
     fn enhanced_always_equals_basic(
-        alice in points_strategy(1, 5),
-        bob in points_strategy(1, 5),
+        alice in points_strategy(0, 5),
+        bob in points_strategy(0, 5),
         eps_sq in 1u64..30,
         min_pts in 1usize..5,
         seed in any::<u64>(),
     ) {
-        let cfg = small_cfg(eps_sq, min_pts);
-        let (enh_a, enh_b) = run_enhanced_pair(
-            &cfg,
-            &alice,
-            &bob,
-            StdRng::seed_from_u64(seed),
-            StdRng::seed_from_u64(seed.wrapping_add(1)),
-        )
-        .unwrap();
-        prop_assert_eq!(
-            enh_a.clustering,
-            dbscan_with_external_density(&alice, &bob, cfg.params)
-        );
-        prop_assert_eq!(
-            enh_b.clustering,
-            dbscan_with_external_density(&bob, &alice, cfg.params)
-        );
+        for (knobs, cfg) in knob_matrix(small_cfg(eps_sq, min_pts)) {
+            let outs = run_enhanced_pair(
+                &cfg,
+                &alice,
+                &bob,
+                StdRng::seed_from_u64(seed),
+                StdRng::seed_from_u64(seed.wrapping_add(1)),
+            )
+            .unwrap();
+            assert_matches_external_density(&knobs, &cfg, &alice, &bob, &outs, false);
+            prop_assert_eq!(outs.0.leakage.count_kind("core_point_bit"), alice.len());
+            prop_assert_eq!(outs.1.leakage.count_kind("core_point_bit"), bob.len());
+        }
+    }
+
+    #[test]
+    fn multiparty_always_matches_reference(
+        parties in proptest::collection::vec(points_strategy(0, 4), 3..=3),
+        eps_sq in 1u64..30,
+        min_pts in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        for (knobs, cfg) in knob_matrix(small_cfg(eps_sq, min_pts)) {
+            let outs = run_multiparty(&cfg, &parties, seed).unwrap();
+            assert_mesh_matches_external_density(&knobs, &cfg, &parties, &outs);
+        }
     }
 
     #[test]
@@ -154,7 +243,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let partition = vertical_split(&records);
-        for (knobs, cfg) in lockstep_matrix(small_cfg(eps_sq, min_pts)) {
+        for (knobs, cfg) in knob_matrix(small_cfg(eps_sq, min_pts)) {
             let (a, b) = run_vertical_pair(
                 &cfg,
                 &partition,
@@ -178,7 +267,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let partition = ArbitraryPartition::random(&mut StdRng::seed_from_u64(seed), &records);
-        for (knobs, cfg) in lockstep_matrix(small_cfg(eps_sq, min_pts)) {
+        for (knobs, cfg) in knob_matrix(small_cfg(eps_sq, min_pts)) {
             let (a, b) = run_arbitrary_pair(
                 &cfg,
                 &partition,
@@ -218,7 +307,7 @@ fn lockstep_modes_match_plaintext_at_degenerate_and_multi_chunk_sizes() {
         let records = &all[..n];
         let vertical = vertical_split(records);
         let arbitrary = ArbitraryPartition::random(&mut r, records);
-        for (knobs, cfg) in lockstep_matrix(small_cfg(8, 2)) {
+        for (knobs, cfg) in knob_matrix(small_cfg(8, 2)) {
             let reference = dbscan(records, cfg.params);
             let pairs = candidate_pairs(records, &cfg);
             assert!(
@@ -249,5 +338,86 @@ fn lockstep_modes_match_plaintext_at_degenerate_and_multi_chunk_sizes() {
                 assert_eq!(out.yao.comparisons, pairs, "{mode}/n={n}/{knobs}");
             }
         }
+    }
+}
+
+/// The point-holding modes pack whole queries into resolve chunks of at
+/// most 1,024 (query, candidate) pairs. These shapes sit on every edge of
+/// that rule: `n_a · n_b` one below, at and one above a chunk; a peer so
+/// large that a single query overflows a chunk by itself; parties so far
+/// apart that grid pruning leaves no candidate at all (the all-zero chunk
+/// neither side may spend a frame on); an empty peer; and 0 or 1 points.
+#[test]
+fn point_holding_modes_match_plaintext_at_chunk_edges() {
+    const PAIR_CHUNK: usize = 1024;
+    let mut r = StdRng::seed_from_u64(0x4D9);
+    let mut cloud = |n: usize, shift: i64| -> Vec<Point> {
+        (0..n)
+            .map(|_| {
+                Point::new(vec![
+                    r.random_range(-BOUND..=BOUND) + shift,
+                    r.random_range(-BOUND..=BOUND),
+                ])
+            })
+            .collect()
+    };
+    let shapes: Vec<(&str, Vec<Point>, Vec<Point>)> = vec![
+        ("31x33", cloud(31, 0), cloud(33, 0)),
+        ("32x32", cloud(32, 0), cloud(32, 0)),
+        ("25x41", cloud(25, 0), cloud(41, 0)),
+        ("2x1030", cloud(2, 0), cloud(1030, 0)),
+        ("far apart", cloud(5, -40), cloud(4, 40)),
+        ("empty peer", cloud(4, 0), Vec::new()),
+        ("0x0", Vec::new(), Vec::new()),
+        ("1x1", cloud(1, 0), cloud(1, 0)),
+        ("1x0", cloud(1, 0), Vec::new()),
+    ];
+    assert_eq!(shapes[0].1.len() * shapes[0].2.len(), PAIR_CHUNK - 1);
+    assert_eq!(shapes[1].1.len() * shapes[1].2.len(), PAIR_CHUNK);
+    assert_eq!(shapes[2].1.len() * shapes[2].2.len(), PAIR_CHUNK + 1);
+    assert!(shapes[3].2.len() > PAIR_CHUNK);
+    let mut base = small_cfg(8, 3);
+    base.coord_bound = 40 + BOUND;
+    let seeds = || (StdRng::seed_from_u64(7), StdRng::seed_from_u64(8));
+    for (shape, alice, bob) in &shapes {
+        for (knobs, cfg) in knob_matrix(base) {
+            let name = format!("{shape}/{knobs}");
+            // A thousand Paillier ping-pongs take seconds in a debug build,
+            // and how pairs fall into chunks does not depend on the backend:
+            // the sharing runs cover the unbatched framing of the big shapes.
+            let big = alice.len() * bob.len() >= PAIR_CHUNK - 1;
+            if big && cfg.backend == BackendKind::Paillier && !cfg.batching {
+                continue;
+            }
+            let (sa, sb) = seeds();
+            let outs = run_horizontal_pair(&cfg, alice, bob, sa, sb).unwrap();
+            assert_matches_external_density(&name, &cfg, alice, bob, &outs, true);
+            if *shape == "far apart" && cfg.pruning.is_grid() {
+                // A session of no points spends the handshake's frames only.
+                let (sa, sb) = seeds();
+                let (idle, _) = run_horizontal_pair(&cfg, &[], &[], sa, sb).unwrap();
+                assert_eq!(outs.0.yao.comparisons, 0, "{name}: nothing to compare");
+                assert_eq!(
+                    outs.0.traffic.total_rounds(),
+                    idle.traffic.total_rounds() + 4,
+                    "{name}: a cell frame and a count frame each way, no chunk"
+                );
+            }
+            // The enhanced mode shares the driver and the cell exchange but
+            // asks one test per exchange: the small shapes are its edges.
+            if alice.len() * bob.len() < PAIR_CHUNK {
+                let (sa, sb) = seeds();
+                let outs = run_enhanced_pair(&cfg, alice, bob, sa, sb).unwrap();
+                assert_matches_external_density(&name, &cfg, alice, bob, &outs, false);
+            }
+        }
+    }
+    // K = 3, every pairwise channel on an edge: 32 × 33 pairs are a full
+    // chunk and a tail when exhaustive and no candidate at all under the
+    // grid (the third party sits far away), and the second party is empty.
+    let parties = vec![cloud(32, 0), Vec::new(), cloud(33, 40)];
+    for (knobs, cfg) in knob_matrix(base) {
+        let outs = run_multiparty(&cfg, &parties, 11).unwrap();
+        assert_mesh_matches_external_density(&knobs, &cfg, &parties, &outs);
     }
 }

@@ -495,8 +495,8 @@ fn negotiation_cache_skips_rechecks_for_reconnecting_clients() {
     run_session(&addr, batched, 0, TIMEOUT).expect("batched session completes");
 
     // The fingerprint covers the wire version: the cached verdict for the
-    // first preamble never answers the same fields from a v5 build, whose
-    // vertical/arbitrary transcripts this build would desync against.
+    // first preamble never answers the same fields from a v6 build, whose
+    // per-query horizontal transcript this build would desync against.
     let old_build =
         Hello::for_session(&base_cfg(), Mode::Horizontal, 6, 2).with_wire_version(WIRE_VERSION - 1);
     let mut chan = TcpChannel::connect_timeout(&addr, TIMEOUT).unwrap();
@@ -508,7 +508,10 @@ fn negotiation_cache_skips_rechecks_for_reconnecting_clients() {
             theirs,
         } => {
             assert_eq!(field, "wire_version");
-            assert_eq!((ours, theirs), (6, 5));
+            assert_eq!(
+                (ours, theirs),
+                (u64::from(WIRE_VERSION), u64::from(WIRE_VERSION) - 1)
+            );
         }
         other => panic!("expected Incompatible on wire_version, got {other:?}"),
     }

@@ -159,21 +159,68 @@ fn batched_vertical_protocol_over_real_tcp_sockets() {
     );
 }
 
-/// §4.2.2: horizontal communication is O(c1·m·l(n−l) + c2·n0·l(n−l)).
-/// With every point queried once, the pair term l(n−l) appears exactly as
-/// (number of issued queries) × (peer size) comparisons.
+/// §4.2.2: horizontal communication is O(c1·m·l(n−l) + c2·n0·l(n−l)),
+/// "every point queried once". Resolving each own point's density exactly
+/// once makes that the exact count: l(n−l) comparisons per direction, and
+/// each party's ledger holds both directions (own queries and the serves
+/// of the peer's) — whatever the clustering does with the answers.
 #[test]
 fn horizontal_comparison_count_is_queries_times_peer_size() {
     let alice: Vec<Point> = (0..5).map(|i| Point::new(vec![i * 20, 0])).collect();
     let bob: Vec<Point> = (0..7).map(|i| Point::new(vec![i * 20, 50])).collect();
-    let c = cfg(4, 2, 200);
-    let (a_out, b_out) = run_horizontal_pair(&c, &alice, &bob, rng(5), rng(6)).unwrap();
-    let alice_queries = a_out.leakage.count_kind("neighbor_count") as u64;
-    let bob_queries = b_out.leakage.count_kind("neighbor_count") as u64;
-    // Ledger counts both phases (own queries and responses to the peer's).
-    let expected = alice_queries * bob.len() as u64 + bob_queries * alice.len() as u64;
-    assert_eq!(a_out.yao.comparisons, expected);
-    assert_eq!(b_out.yao.comparisons, expected);
+    // A second geometry of the same sizes in which clusters form (and a
+    // noise point is absorbed and re-tested): the count must not notice.
+    let huddled: Vec<Point> = (0..5).map(|i| Point::new(vec![i * 2 - 3, 0])).collect();
+    let c = cfg(4, 3, 200);
+    let (l, n) = (alice.len() as u64, (alice.len() + bob.len()) as u64);
+    for alice in [&alice, &huddled] {
+        let (a_out, b_out) = run_horizontal_pair(&c, alice, &bob, rng(5), rng(6)).unwrap();
+        assert_eq!(
+            a_out.clustering,
+            dbscan_with_external_density(alice, &bob, c.params)
+        );
+        assert_eq!(a_out.leakage.count_kind("neighbor_count") as u64, l);
+        assert_eq!(b_out.leakage.count_kind("neighbor_count") as u64, n - l);
+        assert_eq!(a_out.yao.comparisons, 2 * l * (n - l));
+        assert_eq!(b_out.yao.comparisons, 2 * l * (n - l));
+    }
+}
+
+/// The acceptance test of the resolve phase: a batched horizontal session
+/// spends wire rounds per *chunk of 1,024 pairs*, not per core-point test.
+/// 100 + 100 points are 10,000 cross pairs a direction — ten chunks of ten
+/// whole queries — so the sharing backend's four frames a chunk plus six of
+/// handshake make 86 frames, where one exchange per test made over 1,000.
+/// With grid pruning the same session needs a chunk or two a direction
+/// plus one cell frame and one count frame each way.
+#[test]
+fn horizontal_resolve_spends_rounds_per_chunk_not_per_query() {
+    use ppds_dbscan::datagen::{split_alternating, uniform_points};
+    use ppds_dbscan::Pruning;
+    use ppds_smc::BackendKind;
+    let points = uniform_points(&mut rng(0x86), 200, 2, 28);
+    let (alice, bob) = split_alternating(&points);
+    let c = cfg(9, 4, 28)
+        .with_backend(BackendKind::Sharing)
+        .with_batching(true);
+    let reference = dbscan_with_external_density(&alice, &bob, c.params);
+    assert!(reference.num_clusters > 0 && reference.noise_count() > 0);
+
+    let (a_out, b_out) = run_horizontal_pair(&c, &alice, &bob, rng(1), rng(2)).unwrap();
+    assert_eq!(a_out.clustering, reference);
+    assert_eq!(a_out.yao.comparisons, 20_000);
+    assert_eq!(b_out.yao.comparisons, 20_000);
+    let frames = a_out.traffic.total_rounds();
+    println!("exhaustive: {frames} frames");
+    assert!(frames <= 110, "exhaustive: {frames} frames, expected 86");
+
+    let pruned = c.with_pruning(Pruning::Grid { coarseness: 1 });
+    let (a_out, _) = run_horizontal_pair(&pruned, &alice, &bob, rng(1), rng(2)).unwrap();
+    assert_eq!(a_out.clustering, reference);
+    assert!(a_out.yao.comparisons < 4_000, "{}", a_out.yao.comparisons);
+    let frames = a_out.traffic.total_rounds();
+    println!("grid/1: {frames} frames");
+    assert!(frames <= 60, "grid/1: {frames} frames");
 }
 
 /// §4.3.2: vertical communication is O(c2·n0·n²). The paper's loop pays

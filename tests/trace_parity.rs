@@ -263,6 +263,24 @@ fn two_party_modes_are_byte_identical_traced_vs_untraced() {
             assert_eq!(u_hb, t_hb, "{name}: bob wire bytes must be identical");
             let trace = t_a.trace.as_ref().expect("alice opted in");
             assert_trace_accounts(&name, trace, t_a.output.traffic);
+            // Every mode's wire phase is a run of `resolve#<k>` spans right
+            // under `execute`, the smc spans nested inside them.
+            let rollup = trace.rollup().unwrap();
+            let under_execute: Vec<&str> = rollup
+                .iter()
+                .filter_map(|row| row.path.strip_prefix("execute/"))
+                .collect();
+            assert!(
+                under_execute.iter().all(|path| path.starts_with("resolve")),
+                "{name}: {under_execute:?}"
+            );
+            if *mode == "horizontal" && batching {
+                // 9 x 9 cross pairs are one chunk a direction.
+                let count_of = |path: &str| rollup.iter().find(|r| r.path == path).map(|r| r.count);
+                assert_eq!(count_of("execute/resolve"), Some(2), "{name}");
+                assert_eq!(count_of("execute/resolve/mul_batch"), Some(2), "{name}");
+                assert_eq!(count_of("execute/resolve/cmp_batch"), Some(2), "{name}");
+            }
         }
     }
 }
