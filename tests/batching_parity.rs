@@ -15,9 +15,10 @@ use ppds::ppdbscan::config::ProtocolConfig;
 use ppds::ppdbscan::session::{Participant, PartyData};
 use ppds::ppdbscan::{ArbitraryPartition, CoreError, PartyOutput, VerticalPartition};
 use ppds::ppds_dbscan::datagen::{split_alternating, standard_blobs};
-use ppds::ppds_dbscan::{dbscan, DbscanParams, Point, Quantizer};
+use ppds::ppds_dbscan::{dbscan, DbscanParams, Point, Pruning, Quantizer};
 use ppds::ppds_smc::compare::Comparator;
 use ppds::ppds_smc::kth::SelectionMethod;
+use ppds::ppds_smc::BackendKind;
 
 fn blobs(n: usize, seed: u64) -> Vec<Point> {
     let quantizer = Quantizer::new(1.0, 60);
@@ -299,4 +300,362 @@ fn batching_mismatch_is_rejected_at_handshake() {
         }
         other => panic!("one-sided batching must fail with a typed error, got {other:?}"),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Framing pins
+// ---------------------------------------------------------------------------
+
+/// One party's traffic: `[bytes_sent, bytes_received, messages_sent,
+/// messages_received, rounds_sent, rounds_received]`.
+type Pin = [u64; 6];
+
+fn pin_of(out: &PartyOutput) -> Pin {
+    let t = &out.traffic;
+    [
+        t.bytes_sent,
+        t.bytes_received,
+        t.messages_sent,
+        t.messages_received,
+        t.rounds_sent,
+        t.rounds_received,
+    ]
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Family {
+    Horizontal,
+    Enhanced,
+    Vertical,
+    Arbitrary,
+    Multiparty,
+}
+
+/// Every party's traffic for one run of `family` under `cfg`, on one fixed
+/// dataset and one fixed pair of seeds. Grid pruning keeps a blob's own
+/// points only, so those cells take twice the records to still engage.
+fn framing_run(family: Family, cfg: &ProtocolConfig) -> Vec<Pin> {
+    let n = if cfg.pruning == Pruning::Exhaustive {
+        12
+    } else {
+        24
+    };
+    let records = blobs(n, 1414);
+    let pair = |(a, b): (PartyOutput, PartyOutput)| vec![pin_of(&a), pin_of(&b)];
+    match family {
+        Family::Horizontal => {
+            let (alice, bob) = split_alternating(&records);
+            pair(run_horizontal_pair(cfg, &alice, &bob, rng(31), rng(32)).unwrap())
+        }
+        Family::Enhanced => {
+            let (alice, bob) = split_alternating(&records);
+            pair(run_enhanced_pair(cfg, &alice, &bob, rng(31), rng(32)).unwrap())
+        }
+        Family::Vertical => {
+            let partition = VerticalPartition::split(&records, 1);
+            pair(run_vertical_pair(cfg, &partition, rng(31), rng(32)).unwrap())
+        }
+        Family::Arbitrary => {
+            let partition = ArbitraryPartition::random(&mut rng(33), &records);
+            pair(run_arbitrary_pair(cfg, &partition, rng(31), rng(32)).unwrap())
+        }
+        Family::Multiparty => {
+            let parties: Vec<Vec<Point>> = (0..3)
+                .map(|p| records.iter().skip(p).step_by(3).cloned().collect())
+                .collect();
+            let outputs = run_multiparty(cfg, &parties, 31).unwrap();
+            outputs.iter().map(pin_of).collect()
+        }
+    }
+}
+
+const FAMILIES: [(&str, Family); 5] = [
+    ("horizontal", Family::Horizontal),
+    ("enhanced", Family::Enhanced),
+    ("vertical", Family::Vertical),
+    ("arbitrary", Family::Arbitrary),
+    ("multiparty", Family::Multiparty),
+];
+
+/// The pinned cells: name, family, configuration.
+fn framing_cells() -> Vec<(String, Family, ProtocolConfig)> {
+    let mut base = base_cfg();
+    base.key_bits = 128;
+    base.params.min_pts = 5; // the enhanced cells must engage their selection
+    let grid = Pruning::Grid { coarseness: 1 };
+    let mut cells = Vec::new();
+    for (name, family) in FAMILIES {
+        for backend in [BackendKind::Paillier, BackendKind::Sharing] {
+            for batching in [false, true] {
+                let framing = if batching { "batched" } else { "unbatched" };
+                cells.push((
+                    format!("{name}/{}/{framing}", backend.name()),
+                    family,
+                    base.with_backend(backend).with_batching(batching),
+                ));
+            }
+        }
+    }
+    let dgk = ProtocolConfig {
+        comparator: Comparator::Dgk,
+        ..base
+    };
+    for (name, family) in [
+        ("vertical", Family::Vertical),
+        ("horizontal", Family::Horizontal),
+    ] {
+        cells.push((format!("{name}/dgk/unbatched"), family, dgk));
+        cells.push((
+            format!("{name}/dgk+packing/unbatched"),
+            family,
+            dgk.with_packing(true),
+        ));
+    }
+    let quick = ProtocolConfig {
+        selection: SelectionMethod::QuickSelect,
+        ..base
+    };
+    for backend in [BackendKind::Paillier, BackendKind::Sharing] {
+        cells.push((
+            format!("enhanced/quickselect/{}/unbatched", backend.name()),
+            Family::Enhanced,
+            quick.with_backend(backend),
+        ));
+    }
+    // The shapes the benchmark's enhanced workload and the server
+    // workload's enhanced leg run.
+    cells.push((
+        "enhanced/dgk+packing+grid/batched".into(),
+        Family::Enhanced,
+        dgk.with_packing(true)
+            .with_pruning(grid)
+            .with_batching(true),
+    ));
+    cells.push((
+        "enhanced/sharing+grid/batched".into(),
+        Family::Enhanced,
+        base.with_backend(BackendKind::Sharing)
+            .with_pruning(grid)
+            .with_batching(true),
+    ));
+    cells
+}
+
+/// Traffic recorded at the parent of the commit that made the slice form
+/// the only form (wire v7, commit 285f80a): name, each party's [`Pin`], and
+/// how many of its `[sent, received]` frames were batch frames there. Wire
+/// v8 drops their 4-byte item count and nothing else, so `bytes == parent −
+/// 4 × batch frames` while rounds and messages do not move at all. On
+/// Paillier cells a ciphertext is a byte shorter about once in 256 draws,
+/// so equal bytes also say that no draw moved to another keyed stream. A
+/// two-party cell lists Alice; Bob's traffic is hers with the directions
+/// swapped.
+type FramingPin = (&'static str, &'static [Pin], &'static [[u64; 2]]);
+
+const FRAMING_PINS: &[FramingPin] = &[
+    (
+        "horizontal/paillier/unbatched",
+        &[[155_465, 155_465, 182, 182, 182, 182]],
+        &[],
+    ),
+    (
+        "horizontal/paillier/batched",
+        &[[154_785, 154_785, 182, 182, 7, 7]],
+        &[[5, 5]],
+    ),
+    (
+        "horizontal/sharing/unbatched",
+        &[[3054, 3054, 147, 147, 147, 147]],
+        &[],
+    ),
+    (
+        "horizontal/sharing/batched",
+        &[[2510, 2510, 147, 147, 7, 7]],
+        &[[4, 4]],
+    ),
+    (
+        "enhanced/paillier/unbatched",
+        &[[326_508, 326_508, 254, 254, 254, 254]],
+        &[],
+    ),
+    (
+        "enhanced/paillier/batched",
+        &[[326_508, 326_508, 254, 254, 254, 254]],
+        &[],
+    ),
+    (
+        "enhanced/sharing/unbatched",
+        &[[3996, 3996, 177, 177, 177, 177]],
+        &[],
+    ),
+    (
+        "enhanced/sharing/batched",
+        &[[3996, 3996, 177, 177, 177, 177]],
+        &[],
+    ),
+    (
+        "vertical/paillier/unbatched",
+        &[[271_092, 3396, 68, 134, 68, 134]],
+        &[],
+    ),
+    (
+        "vertical/paillier/batched",
+        &[[270_836, 2884, 68, 134, 3, 4]],
+        &[[1, 2]],
+    ),
+    (
+        "vertical/sharing/unbatched",
+        &[[966, 966, 69, 69, 69, 69]],
+        &[],
+    ),
+    (
+        "vertical/sharing/batched",
+        &[[710, 710, 69, 69, 4, 4]],
+        &[[1, 1]],
+    ),
+    (
+        "arbitrary/paillier/unbatched",
+        &[[274_098, 6404, 120, 186, 120, 186]],
+        &[],
+    ),
+    (
+        "arbitrary/paillier/batched",
+        &[[273_642, 5692, 120, 186, 4, 5]],
+        &[[2, 3]],
+    ),
+    (
+        "arbitrary/sharing/unbatched",
+        &[[2374, 1958, 121, 121, 121, 121]],
+        &[],
+    ),
+    (
+        "arbitrary/sharing/batched",
+        &[[1918, 1502, 121, 121, 5, 5]],
+        &[[2, 2]],
+    ),
+    (
+        "multiparty/paillier/unbatched",
+        &[
+            [138_371, 138_372, 164, 164, 164, 164],
+            [138_372, 138_372, 164, 164, 164, 164],
+            [138_372, 138_371, 164, 164, 164, 164],
+        ],
+        &[],
+    ),
+    (
+        "multiparty/paillier/batched",
+        &[
+            [137_811, 137_812, 164, 164, 14, 14],
+            [137_812, 137_812, 164, 164, 14, 14],
+            [137_812, 137_811, 164, 164, 14, 14],
+        ],
+        &[[10, 10], [10, 10], [10, 10]],
+    ),
+    (
+        "multiparty/sharing/unbatched",
+        &[
+            [2908, 2908, 134, 134, 134, 134],
+            [2908, 2908, 134, 134, 134, 134],
+            [2908, 2908, 134, 134, 134, 134],
+        ],
+        &[],
+    ),
+    (
+        "multiparty/sharing/batched",
+        &[
+            [2460, 2460, 134, 134, 14, 14],
+            [2460, 2460, 134, 134, 14, 14],
+            [2460, 2460, 134, 134, 14, 14],
+        ],
+        &[[8, 8], [8, 8], [8, 8]],
+    ),
+    (
+        "vertical/dgk/unbatched",
+        &[[39_030, 38_696, 134, 68, 134, 68]],
+        &[],
+    ),
+    (
+        "vertical/dgk+packing/unbatched",
+        &[[39_030, 10_193, 134, 68, 134, 68]],
+        &[],
+    ),
+    (
+        "horizontal/dgk/unbatched",
+        &[[48_140, 48_142, 182, 182, 182, 182]],
+        &[],
+    ),
+    (
+        "horizontal/dgk+packing/unbatched",
+        &[[31_296, 31_297, 182, 182, 182, 182]],
+        &[],
+    ),
+    (
+        "enhanced/quickselect/paillier/unbatched",
+        &[[243_673, 263_953, 204, 199, 204, 199]],
+        &[],
+    ),
+    (
+        "enhanced/quickselect/sharing/unbatched",
+        &[[3576, 3576, 142, 142, 142, 142]],
+        &[],
+    ),
+    (
+        "enhanced/dgk+packing+grid/batched",
+        &[[89_950, 94_153, 200, 204, 200, 204]],
+        &[],
+    ),
+    (
+        "enhanced/sharing+grid/batched",
+        &[[4666, 4666, 149, 149, 149, 149]],
+        &[],
+    ),
+];
+
+#[test]
+fn framing_reproduces_the_parent_commit_in_every_cell() {
+    let mut report = String::new();
+    let mut measured = Vec::new();
+    for (name, family, cfg) in framing_cells() {
+        let got = framing_run(family, &cfg);
+        let (_, parent, batch_frames) = FRAMING_PINS
+            .iter()
+            .find(|pin| pin.0 == name)
+            .unwrap_or_else(|| panic!("{name} is not pinned; measured {got:?}"));
+        let mut want: Vec<Pin> = parent.to_vec();
+        for (pin, frames) in want.iter_mut().zip(*batch_frames) {
+            pin[0] -= 4 * frames[0];
+            pin[1] -= 4 * frames[1];
+        }
+        if family != Family::Multiparty {
+            let a = want[0];
+            want.push([a[1], a[0], a[3], a[2], a[5], a[4]]);
+        }
+        if want != got {
+            report.push_str(&format!("{name}: wanted {want:?}, measured {got:?}\n"));
+        }
+        measured.push((name, family, cfg, got));
+    }
+    // A message is a batch of one: with the item count gone from the batch
+    // frame, the two framings of an unpacked cell carry the same payload
+    // (bytes less the 4-byte header of every frame), in each direction.
+    let payload = |p: &Pin| [p[0] - 4 * p[4], p[1] - 4 * p[5]];
+    for (name, _, _, batched) in &measured {
+        let Some(twin) = name.strip_suffix("/batched") else {
+            continue;
+        };
+        let twin = format!("{twin}/unbatched");
+        let Some((_, _, _, unbatched)) = measured.iter().find(|m| m.0 == twin) else {
+            continue;
+        };
+        for (party, (b, u)) in batched.iter().zip(unbatched).enumerate() {
+            if payload(b) != payload(u) {
+                report.push_str(&format!(
+                    "{name} party {party}: payload {:?}, {:?} unbatched\n",
+                    payload(b),
+                    payload(u)
+                ));
+            }
+        }
+    }
+    assert!(report.is_empty(), "framing pins do not hold:\n{report}");
 }
