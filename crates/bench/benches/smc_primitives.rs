@@ -1,15 +1,18 @@
-//! SMC primitive costs: the Multiplication Protocol (single and dot
-//! product), Yao's millionaires by domain size, the Ideal comparator, and
-//! k-th-smallest selection — each including its real two-thread channel
-//! round trips.
+//! SMC primitive costs: the Multiplication Protocol (one product and one
+//! dot product), Yao's millionaires by domain size, the Ideal comparator,
+//! and k-th-smallest selection — each including its real two-thread channel
+//! round trips. Every primitive takes a slice; the single-item rows pass a
+//! slice of one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::Keypair;
 use ppds_smc::compare::{compare_alice, compare_bob, CmpOp, Comparator, ComparisonDomain};
-use ppds_smc::kth::{kth_smallest_alice, kth_smallest_bob, SelectionMethod};
-use ppds_smc::multiplication::{dot_keyholder, dot_peer, mul_keyholder, mul_peer};
-use ppds_smc::ProtocolContext;
+use ppds_smc::kth::{kth_smallest_with, SelectionMethod};
+use ppds_smc::multiplication::{
+    dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, sample_mask,
+};
+use ppds_smc::{PaillierBackend, Party, ProtocolContext, SharingLedger, SmcBackend};
 use ppds_transport::duplex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,27 +27,41 @@ fn keypair() -> &'static Keypair {
     KP.get_or_init(|| Keypair::generate(256, &mut rng(0)))
 }
 
+/// The homomorphic backend over the one bench keypair (both roles), Ideal
+/// comparator, no packing.
+fn backend(batching: bool) -> PaillierBackend<'static> {
+    PaillierBackend {
+        my_keypair: keypair(),
+        peer_pk: &keypair().public,
+        comparator: Comparator::Ideal,
+        packed: false,
+        batching,
+        mul_packing: None,
+        dot_packing: None,
+        mul_mask_bound: BigUint::from_u64(1 << 20),
+        dot_mask_bound: BigUint::from_u64(1 << 30),
+    }
+}
+
 fn bench_multiplication(c: &mut Criterion) {
     let mut group = c.benchmark_group("mul_protocol_256");
     group.sample_size(20);
+    let mask_bound = BigUint::from_u64(1 << 30);
     group.bench_function("single", |b| {
         b.iter(|| {
             let (mut kchan, mut pchan) = duplex();
             let handle = std::thread::spawn(move || {
-                mul_keyholder(
-                    &mut kchan,
-                    keypair(),
-                    &BigInt::from_i64(37),
-                    &ProtocolContext::new(1),
-                )
-                .unwrap()
+                let (x, scope) = ([vec![BigInt::from_i64(37)]], |_| ProtocolContext::new(1));
+                mul_batches_keyholder(&mut kchan, keypair(), &x, scope, None).unwrap()
             });
-            mul_peer(
+            let pctx = ProtocolContext::new(2);
+            mul_batches_peer(
                 &mut pchan,
                 &keypair().public,
-                &BigInt::from_i64(53),
-                &BigUint::from_u64(1 << 30),
-                &ProtocolContext::new(2),
+                &[[BigInt::from_i64(53)]],
+                |_| vec![sample_mask(pctx.narrow("mask").rng(), &mask_bound)],
+                |_| pctx,
+                None,
             )
             .unwrap();
             handle.join().unwrap()
@@ -53,26 +70,42 @@ fn bench_multiplication(c: &mut Criterion) {
     for m in [2usize, 8] {
         group.bench_with_input(BenchmarkId::new("dot_product", m), &m, |b, &m| {
             let xs: Vec<BigInt> = (0..m as i64).map(BigInt::from_i64).collect();
-            let ys: Vec<BigInt> = (0..m as i64).map(|v| BigInt::from_i64(v * 3)).collect();
+            let ys = vec![(0..m as i64).map(|v| BigInt::from_i64(v * 3)).collect()];
             b.iter(|| {
                 let (mut kchan, mut pchan) = duplex();
                 let xs2 = xs.clone();
                 let handle = std::thread::spawn(move || {
-                    dot_keyholder(&mut kchan, keypair(), &xs2, &ProtocolContext::new(3)).unwrap()
+                    let ctx = ProtocolContext::new(3);
+                    dot_many_keyholder(&mut kchan, keypair(), &xs2, 1, None, &ctx).unwrap()
                 });
-                dot_peer(
-                    &mut pchan,
-                    &keypair().public,
-                    &ys,
-                    &BigUint::from_u64(1 << 30),
-                    &ProtocolContext::new(4),
-                )
-                .unwrap();
+                let (pk, ctx) = (&keypair().public, ProtocolContext::new(4));
+                dot_many_peer(&mut pchan, pk, &ys, &mask_bound, None, &ctx).unwrap();
                 handle.join().unwrap()
             });
         });
     }
     group.finish();
+}
+
+/// One comparison `a OP b` over `domain`: a slice of one on both sides.
+fn compare_once(comparator: Comparator, (a, b): (i64, i64), op: CmpOp, domain: ComparisonDomain) {
+    let (mut achan, mut bchan) = duplex();
+    let handle = std::thread::spawn(move || {
+        let scope = |_| ProtocolContext::new(5);
+        compare_alice(
+            comparator,
+            &mut achan,
+            keypair(),
+            &[a],
+            &domain,
+            false,
+            scope,
+        )
+        .unwrap()
+    });
+    let (pk, scope) = (&keypair().public, |_| ProtocolContext::new(6));
+    compare_bob(comparator, &mut bchan, pk, &[b], op, &domain, false, scope).unwrap();
+    handle.join().unwrap();
 }
 
 fn bench_yao(c: &mut Criterion) {
@@ -81,34 +114,7 @@ fn bench_yao(c: &mut Criterion) {
     for n0 in [16i64, 64, 256] {
         let domain = ComparisonDomain::new(1, n0 - 1);
         group.bench_with_input(BenchmarkId::from_parameter(n0), &n0, |b, _| {
-            b.iter(|| {
-                let (mut achan, mut bchan) = duplex();
-                let handle = std::thread::spawn(move || {
-                    compare_alice(
-                        Comparator::Yao,
-                        &mut achan,
-                        keypair(),
-                        2,
-                        CmpOp::Lt,
-                        &domain,
-                        false,
-                        &ProtocolContext::new(5),
-                    )
-                    .unwrap()
-                });
-                compare_bob(
-                    Comparator::Yao,
-                    &mut bchan,
-                    &keypair().public,
-                    5,
-                    CmpOp::Lt,
-                    &domain,
-                    false,
-                    &ProtocolContext::new(6),
-                )
-                .unwrap();
-                handle.join().unwrap()
-            });
+            b.iter(|| compare_once(Comparator::Yao, (2, 5), CmpOp::Lt, domain));
         });
     }
     group.finish();
@@ -117,34 +123,7 @@ fn bench_yao(c: &mut Criterion) {
 fn bench_ideal_compare(c: &mut Criterion) {
     let domain = ComparisonDomain::symmetric(1 << 30);
     c.bench_function("ideal_compare", |b| {
-        b.iter(|| {
-            let (mut achan, mut bchan) = duplex();
-            let handle = std::thread::spawn(move || {
-                compare_alice(
-                    Comparator::Ideal,
-                    &mut achan,
-                    keypair(),
-                    123,
-                    CmpOp::Leq,
-                    &domain,
-                    false,
-                    &ProtocolContext::new(7),
-                )
-                .unwrap()
-            });
-            compare_bob(
-                Comparator::Ideal,
-                &mut bchan,
-                &keypair().public,
-                456,
-                CmpOp::Leq,
-                &domain,
-                false,
-                &ProtocolContext::new(8),
-            )
-            .unwrap();
-            handle.join().unwrap()
-        });
+        b.iter(|| compare_once(Comparator::Ideal, (123, 456), CmpOp::Leq, domain));
     });
 }
 
@@ -157,6 +136,14 @@ fn bench_kth_selection(c: &mut Criterion) {
     let vs: Vec<i64> = (0..n).map(|_| r.random_range(-500..500)).collect();
     let us: Vec<i64> = dists.iter().zip(&vs).map(|(d, v)| d + v).collect();
     let domain = ComparisonDomain::symmetric(4000);
+    let select = |role, chan: &mut _, method, shares: &[i64], k, seed| {
+        let (backend, ctx) = (backend(false), ProtocolContext::new(seed));
+        let mut acct = SharingLedger::default();
+        kth_smallest_with(
+            method, &backend, chan, role, shares, k, &domain, false, &ctx, &mut acct,
+        )
+        .unwrap()
+    };
     for (label, method, k) in [
         ("repmin_k1", SelectionMethod::RepeatedMin, 1usize),
         ("repmin_k16", SelectionMethod::RepeatedMin, 16),
@@ -165,99 +152,46 @@ fn bench_kth_selection(c: &mut Criterion) {
         group.bench_function(label, |b| {
             b.iter(|| {
                 let (mut achan, mut bchan) = duplex();
-                let us2 = us.clone();
-                let handle = std::thread::spawn(move || {
-                    kth_smallest_alice(
-                        method,
-                        Comparator::Ideal,
-                        &mut achan,
-                        keypair(),
-                        &us2,
-                        k,
-                        &domain,
-                        false,
-                        &ProtocolContext::new(10),
-                    )
-                    .unwrap()
-                });
-                kth_smallest_bob(
-                    method,
-                    Comparator::Ideal,
-                    &mut bchan,
-                    &keypair().public,
-                    &vs,
-                    k,
-                    &domain,
-                    false,
-                    &ProtocolContext::new(11),
-                )
-                .unwrap();
-                handle.join().unwrap()
+                std::thread::scope(|scope| {
+                    scope.spawn(|| select(Party::Alice, &mut achan, method, &us, k, 10));
+                    select(Party::Bob, &mut bchan, method, &vs, k, 11)
+                })
             });
         });
     }
     group.finish();
 }
 
-/// Ablation (DESIGN.md): protocol HDP fuses its `m` Algorithm 2 runs into
-/// one message round trip. Same ciphertext count either way; the batched
-/// form saves `m - 1` round trips of framing and thread wakeups.
+/// Ablation (DESIGN.md §7): the same four Algorithm 2 runs — four
+/// one-element groups at the same scopes, so the same ciphertexts — shipped
+/// by the backend's two framings: a frame pair per run, or one frame pair
+/// for all four. The batched framing saves three round trips of framing
+/// and thread wakeups.
 fn bench_batching_ablation(c: &mut Criterion) {
-    use ppds_smc::multiplication::{mul_batch_keyholder, mul_batch_peer, zero_sum_masks};
-    let m = 4usize;
-    let xs: Vec<BigInt> = (0..m as i64).map(BigInt::from_i64).collect();
-    let ys: Vec<BigInt> = (0..m as i64).map(|v| BigInt::from_i64(v + 1)).collect();
+    let groups: Vec<Vec<i64>> = (0..4).map(|v| vec![v]).collect();
+    let records: Vec<u64> = (0..4).collect();
     let mut group = c.benchmark_group("mul_batching_m4");
     group.sample_size(10);
-    group.bench_function("four_singles", |b| {
-        let xs = xs.clone();
-        let ys = ys.clone();
-        b.iter(|| {
-            let (mut kchan, mut pchan) = duplex();
-            let xs2 = xs.clone();
-            let handle = std::thread::spawn(move || {
-                let kctx = ProtocolContext::new(20);
-                xs2.iter()
-                    .enumerate()
-                    .map(|(i, x)| {
-                        mul_keyholder(&mut kchan, keypair(), x, &kctx.at(i as u64)).unwrap()
-                    })
-                    .collect::<Vec<_>>()
+    for (label, batching) in [("four_frames", false), ("one_frame", true)] {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let (mut kchan, mut pchan) = duplex();
+                let (backend, mut acct) = (backend(batching), SharingLedger::default());
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        let (ctx, mut acct) = (ProtocolContext::new(20), SharingLedger::default());
+                        backend
+                            .mul_fold_keyholder(&mut kchan, &groups, &records, &ctx, &mut acct)
+                            .unwrap()
+                    });
+                    let ctx = ProtocolContext::new(21);
+                    backend
+                        .mul_fold_peer(&mut pchan, &groups, &records, &ctx, &mut acct)
+                        .unwrap();
+                })
             });
-            let pctx = ProtocolContext::new(21);
-            for (i, y) in ys.iter().enumerate() {
-                mul_peer(
-                    &mut pchan,
-                    &keypair().public,
-                    y,
-                    &BigUint::from_u64(1 << 20),
-                    &pctx.at(i as u64),
-                )
-                .unwrap();
-            }
-            handle.join().unwrap()
         });
-    });
-    group.bench_function("one_batch", |b| {
-        let xs = xs.clone();
-        let ys = ys.clone();
-        b.iter(|| {
-            let (mut kchan, mut pchan) = duplex();
-            let xs2 = xs.clone();
-            let handle = std::thread::spawn(move || {
-                mul_batch_keyholder(&mut kchan, keypair(), &xs2, None, &ProtocolContext::new(22))
-                    .unwrap()
-            });
-            let pctx = ProtocolContext::new(23);
-            let masks = zero_sum_masks(
-                pctx.narrow("mask").rng(),
-                ys.len(),
-                &BigUint::from_u64(1 << 20),
-            );
-            mul_batch_peer(&mut pchan, &keypair().public, &ys, &masks, None, &pctx).unwrap();
-            handle.join().unwrap()
-        });
-    });
+    }
     group.finish();
 }
 
@@ -299,7 +233,6 @@ fn bench_keyed_derivation(c: &mut Criterion) {
 /// on a multicore host the 4-worker row shows the speedup. Outputs are
 /// byte-identical either way (pinned by the smc parallel tests).
 fn bench_parallel_batch_encryption(c: &mut Criterion) {
-    use ppds_smc::multiplication::mul_batches_keyholder;
     use ppds_smc::parallel::force_workers;
     let groups: Vec<Vec<BigInt>> = (0..16)
         .map(|g| (0..4).map(|i| BigInt::from_i64(g * 4 + i)).collect())
@@ -344,45 +277,26 @@ fn bench_parallel_batch_encryption(c: &mut Criterion) {
 /// decrypts all 10; packed, the verdict vector rides one word and Alice
 /// decrypts once — the reply-leg cost drops by the layout capacity.
 fn bench_dgk_reply_packing(c: &mut Criterion) {
-    use ppds_smc::bitwise::{dgk_alice, dgk_bob, dgk_packed_alice, dgk_packed_bob};
+    use ppds_smc::bitwise::{dgk_alice, dgk_bob, dgk_pack_layout};
     let bound = 1023u64; // ℓ = 10
+    let layout = dgk_pack_layout(keypair().public.bits(), bound);
     let mut group = c.benchmark_group("dgk_compare_256bit_l10");
     group.sample_size(10);
-    group.bench_function("unpacked", |b| {
-        b.iter(|| {
-            let (mut achan, mut bchan) = duplex();
-            let handle = std::thread::spawn(move || {
-                dgk_alice(&mut achan, keypair(), 400, bound, &ProtocolContext::new(1)).unwrap()
+    for (label, layout) in [("unpacked", None), ("packed", layout.as_ref())] {
+        group.bench_function(label, |b| {
+            b.iter(|| {
+                let (mut achan, mut bchan) = duplex();
+                std::thread::scope(|scope| {
+                    scope.spawn(|| {
+                        let scope = |_| ProtocolContext::new(1);
+                        dgk_alice(&mut achan, keypair(), &[400], bound, layout, scope).unwrap()
+                    });
+                    let (pk, scope) = (&keypair().public, |_| ProtocolContext::new(2));
+                    dgk_bob(&mut bchan, pk, &[700], bound, layout, scope).unwrap()
+                })
             });
-            dgk_bob(
-                &mut bchan,
-                &keypair().public,
-                700,
-                bound,
-                &ProtocolContext::new(2),
-            )
-            .unwrap();
-            handle.join().unwrap()
         });
-    });
-    group.bench_function("packed", |b| {
-        b.iter(|| {
-            let (mut achan, mut bchan) = duplex();
-            let handle = std::thread::spawn(move || {
-                dgk_packed_alice(&mut achan, keypair(), 400, bound, &ProtocolContext::new(1))
-                    .unwrap()
-            });
-            dgk_packed_bob(
-                &mut bchan,
-                &keypair().public,
-                700,
-                bound,
-                &ProtocolContext::new(2),
-            )
-            .unwrap();
-            handle.join().unwrap()
-        });
-    });
+    }
     group.finish();
 }
 
@@ -393,7 +307,7 @@ fn bench_dgk_reply_packing(c: &mut Criterion) {
 /// and the decryption count drop by the packing factor.
 fn bench_dot_many_packing(c: &mut Criterion) {
     use ppds_paillier::SlotLayout;
-    use ppds_smc::multiplication::{dot_many_keyholder, dot_many_peer, ResponsePacking};
+    use ppds_smc::multiplication::ResponsePacking;
     let rows: Vec<Vec<BigInt>> = (0..24)
         .map(|j| {
             vec![
@@ -458,7 +372,6 @@ fn bench_dot_many_packing(c: &mut Criterion) {
 /// span edge). The delta is the tracing tax a production operator pays.
 fn bench_trace_overhead(c: &mut Criterion) {
     use ppds_observe::{trace, SpanRecorder, TraceSink};
-    use ppds_smc::multiplication::{dot_many_keyholder, dot_many_peer};
     use std::sync::Arc;
     let rows: Vec<Vec<BigInt>> = (0..24)
         .map(|j| {
@@ -624,13 +537,10 @@ fn bench_kernel_legs(c: &mut Criterion) {
 /// ciphertext legs plus encrypt/decrypt work.
 fn bench_backend_workhorses(c: &mut Criterion) {
     use ppds_paillier::SlotLayout;
-    use ppds_smc::multiplication::{
-        dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
-        ResponsePacking,
-    };
+    use ppds_smc::multiplication::{zero_sum_masks, ResponsePacking};
     use ppds_smc::sharing::{
-        sharing_dot_querier, sharing_dot_responder, sharing_fold_keyholder_batch,
-        sharing_fold_peer_batch, DealerTape, Fe, SharingLedger,
+        sharing_dot_querier, sharing_dot_responder, sharing_fold_keyholder, sharing_fold_peer,
+        DealerTape, Fe,
     };
 
     let packing = ResponsePacking {
@@ -762,17 +672,11 @@ fn bench_backend_workhorses(c: &mut Criterion) {
                 let g2 = groups_fe.clone();
                 let handle = std::thread::spawn(move || {
                     let mut acct = SharingLedger::default();
-                    sharing_fold_keyholder_batch(
-                        &tape,
-                        &mut kchan,
-                        &g2,
-                        |g| ctx.at(g as u64),
-                        &mut acct,
-                    )
-                    .unwrap()
+                    sharing_fold_keyholder(&tape, &mut kchan, &g2, |g| ctx.at(g as u64), &mut acct)
+                        .unwrap()
                 });
                 let mut acct = SharingLedger::default();
-                sharing_fold_peer_batch(
+                sharing_fold_peer(
                     &tape,
                     &mut pchan,
                     &groups_fe,

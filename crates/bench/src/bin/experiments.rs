@@ -34,10 +34,10 @@ use ppds_dbscan::{dbscan, dbscan_with_external_density, eval, DbscanParams, Poin
 use ppds_observe::{chrome_trace, SessionTrace, SpanRecorder};
 use ppds_paillier::Keypair;
 use ppds_smc::compare::{compare_alice, compare_bob, CmpOp, Comparator, ComparisonDomain};
-use ppds_smc::kth::{kth_smallest_alice, kth_smallest_bob, SelectionMethod};
+use ppds_smc::kth::{kth_smallest_with, SelectionMethod};
 use ppds_smc::millionaires;
-use ppds_smc::multiplication::{mul_keyholder, mul_peer};
-use ppds_smc::{BackendKind, Party, ProtocolContext};
+use ppds_smc::multiplication::{mul_batches_keyholder, mul_batches_peer, sample_mask};
+use ppds_smc::{BackendKind, PaillierBackend, Party, ProtocolContext, SharingLedger};
 use ppds_transport::{duplex, Channel, CostModel};
 use std::time::Instant;
 
@@ -367,25 +367,24 @@ fn e6() {
         let handle = std::thread::spawn(move || {
             let kctx = ProtocolContext::new(41);
             for i in 0..reps {
-                let _ = mul_keyholder(
-                    &mut kchan,
-                    &kp,
-                    &BigInt::from_i64(37 + i),
-                    &kctx.at(i as u64),
-                )
-                .unwrap();
+                let (x, scope) = ([vec![BigInt::from_i64(37 + i)]], |_| kctx.at(i as u64));
+                let _ = mul_batches_keyholder(&mut kchan, &kp, &x, scope, None).unwrap();
             }
             kchan.metrics()
         });
         let pctx = ProtocolContext::new(42);
         let t0 = Instant::now();
+        let mask_bound = BigUint::from_u64(1 << 30);
         for i in 0..reps {
-            mul_peer(
+            // One invocation of Algorithm 2: a slice of one one-element group.
+            let scope = pctx.at(i as u64);
+            mul_batches_peer(
                 &mut pchan,
                 &keypair.public,
-                &BigInt::from_i64(53 + i),
-                &BigUint::from_u64(1 << 30),
-                &pctx.at(i as u64),
+                &[[BigInt::from_i64(53 + i)]],
+                |_| vec![sample_mask(scope.narrow("mask").rng(), &mask_bound)],
+                |_| scope,
+                None,
             )
             .unwrap();
         }
@@ -420,15 +419,15 @@ fn e7() {
         let (mut achan, mut bchan) = duplex();
         let kp = keypair.clone();
         let handle = std::thread::spawn(move || {
+            let scope = |_| ProtocolContext::new(51);
             compare_alice(
                 Comparator::Yao,
                 &mut achan,
                 &kp,
-                2,
-                CmpOp::Lt,
+                &[2],
                 &domain,
                 false,
-                &ProtocolContext::new(51),
+                scope,
             )
             .unwrap();
             achan.metrics()
@@ -438,11 +437,11 @@ fn e7() {
             Comparator::Yao,
             &mut bchan,
             &keypair.public,
-            5.min(n0 as i64 - 2),
+            &[5.min(n0 as i64 - 2)],
             CmpOp::Lt,
             &domain,
             false,
-            &ProtocolContext::new(52),
+            |_| ProtocolContext::new(52),
         )
         .unwrap();
         let elapsed = t0.elapsed();
@@ -468,6 +467,30 @@ fn e7() {
 fn e8() {
     section("E8  k-th smallest selection: repeated-min vs quickselect (§5)");
     let keypair = Keypair::generate(64, &mut rng(60));
+    // Only the comparison methods are reached, and the Ideal comparator
+    // reads nothing of a key but its size.
+    let backend = PaillierBackend {
+        my_keypair: &keypair,
+        peer_pk: &keypair.public,
+        comparator: Comparator::Ideal,
+        packed: false,
+        batching: false,
+        mul_packing: None,
+        dot_packing: None,
+        mul_mask_bound: BigUint::zero(),
+        dot_mask_bound: BigUint::zero(),
+    };
+    let select = |role, chan: &mut _, method, shares: &[i64], k, seed| {
+        let (domain, ctx) = (
+            ComparisonDomain::symmetric(4000),
+            ProtocolContext::new(seed),
+        );
+        let mut acct = SharingLedger::default();
+        kth_smallest_with(
+            method, &backend, chan, role, shares, k, &domain, false, &ctx, &mut acct,
+        )
+        .unwrap()
+    };
     let widths = [5, 5, 15, 14];
     print_header(&widths, &["n", "k", "repeated-min", "quickselect"]);
     for n in [16usize, 32, 64] {
@@ -479,36 +502,11 @@ fn e8() {
                 let dists: Vec<i64> = (0..n).map(|_| r.random_range(0..1000)).collect();
                 let vs: Vec<i64> = (0..n).map(|_| r.random_range(-500..500)).collect();
                 let us: Vec<i64> = dists.iter().zip(&vs).map(|(d, v)| d + v).collect();
-                let domain = ComparisonDomain::symmetric(4000);
                 let (mut achan, mut bchan) = duplex();
-                let kp = keypair.clone();
-                let handle = std::thread::spawn(move || {
-                    kth_smallest_alice(
-                        method,
-                        Comparator::Ideal,
-                        &mut achan,
-                        &kp,
-                        &us,
-                        k,
-                        &domain,
-                        false,
-                        &ProtocolContext::new(62),
-                    )
-                    .unwrap()
+                let outcome = std::thread::scope(|scope| {
+                    scope.spawn(|| select(Party::Alice, &mut achan, method, &us, k, 62));
+                    select(Party::Bob, &mut bchan, method, &vs, k, 63)
                 });
-                let outcome = kth_smallest_bob(
-                    method,
-                    Comparator::Ideal,
-                    &mut bchan,
-                    &keypair.public,
-                    &vs,
-                    k,
-                    &domain,
-                    false,
-                    &ProtocolContext::new(63),
-                )
-                .unwrap();
-                let _ = handle.join().unwrap();
                 counts.push(outcome.comparisons);
             }
             print_row(

@@ -19,12 +19,13 @@
 //!
 //! Both the multiplication stage and the comparison dispatch through the
 //! session's [`SmcBackend`], so the same dataflow runs over Paillier
-//! ciphertexts or 8-byte ring shares (DESIGN.md §14).
+//! ciphertexts or 8-byte ring shares (DESIGN.md §14), a whole candidate set
+//! to a wire frame or the paper's one pair at a time (DESIGN.md §7).
 
 use crate::config::{ProtocolConfig, YaoLedger};
 use crate::domain::adp_domain;
 use ppds_smc::compare::CmpOp;
-use ppds_smc::{Party, ProtocolContext, SharingLedger, SmcBackend, SmcError};
+use ppds_smc::{Party, ProtocolContext, RecordId, SharingLedger, SmcBackend, SmcError};
 use ppds_transport::Channel;
 
 /// One party's view of a record pair: its own values (`Some`) per
@@ -41,288 +42,105 @@ pub struct PairView<'a> {
 /// its own view. Ownership is complementary, so the two parties' `split`
 /// endpoint lists align index-for-index.
 struct LocalParts {
-    /// Σ (x_k − y_k)² over attributes where this party owns both endpoints.
-    both_owned: i64,
+    /// Σ (x_k − y_k)² over attributes where this party owns both endpoints,
+    /// plus the square of its endpoint at every split attribute: all of
+    /// `dist²` this party can compute alone.
+    local: i64,
     /// This party's endpoint value per split attribute, ascending `k`.
     split_endpoints: Vec<i64>,
 }
 
 fn classify(view: &PairView<'_>) -> LocalParts {
     assert_eq!(view.x.len(), view.y.len(), "views must share the schema");
-    let mut both_owned = 0i64;
+    let mut local = 0i64;
     let mut split_endpoints = Vec::new();
     for (xk, yk) in view.x.iter().zip(view.y) {
         match (xk, yk) {
-            (Some(x), Some(y)) => {
-                let d = x - y;
-                both_owned += d * d;
+            (Some(x), Some(y)) => local += (x - y) * (x - y),
+            (Some(v), None) | (None, Some(v)) => {
+                local += v * v;
+                split_endpoints.push(*v);
             }
-            (Some(v), None) | (None, Some(v)) => split_endpoints.push(*v),
             (None, None) => {} // the peer owns both endpoints
         }
     }
     LocalParts {
-        both_owned,
+        local,
         split_endpoints,
     }
 }
 
-/// Alice's side of one arbitrary-partition comparison. `ctx` is this
-/// pair's record scope and `record` its index in the candidate set (the
-/// keys the batched form derives for the same pair). Returns
-/// `dist²(x, y) ≤ Eps²`.
+/// One party's side of a slice of arbitrary-partition comparisons: one
+/// `dist²(x, y) ≤ Eps²` decision per pair view of a whole candidate set
+/// (both sides pass the same pairs in the same order). The multiplication
+/// stages of every split pair come first (Bob keyholder), then one
+/// comparison per pair; the per-pair zero-sum masks cancel inside the fold.
+/// `ctx` is the step's context: pair `i` keys its masks, multiplication
+/// nonces and comparison randomness by `i`, its position in the slice. How
+/// either stage is framed — one wire frame per protocol message for all
+/// pairs, or one exchange per pair — is the backend's business; outcomes,
+/// ledgers and bytes are the same either way.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_alice<C: Channel, B: SmcBackend>(
+pub fn adp_compare<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
-    view: PairView<'_>,
-    ctx: &ProtocolContext,
-    record: u64,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    let total_dim = view.x.len();
-    let parts = classify(&view);
-    // Cross terms through the Multiplication Protocol (Bob keyholder).
-    if !parts.split_endpoints.is_empty() {
-        backend.mul_fold_peer(
-            chan,
-            std::slice::from_ref(&parts.split_endpoints),
-            &[record],
-            ctx,
-            acct,
-        )?;
-    }
-    let i_val = parts.both_owned + parts.split_endpoints.iter().map(|&v| v * v).sum::<i64>();
-    let domain = adp_domain(cfg, total_dim);
-    ledger.record(cfg.key_bits, domain.n0());
-    backend.compare(
-        chan,
-        Party::Alice,
-        i_val,
-        CmpOp::Leq,
-        &domain,
-        &ctx.narrow("cmp").at(record),
-        acct,
-    )
-}
-
-/// Bob's side of one arbitrary-partition comparison.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    view: PairView<'_>,
-    ctx: &ProtocolContext,
-    record: u64,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    let total_dim = view.x.len();
-    let parts = classify(&view);
-    let mut cross = 0i64;
-    if !parts.split_endpoints.is_empty() {
-        cross = backend.mul_fold_keyholder(
-            chan,
-            std::slice::from_ref(&parts.split_endpoints),
-            &[record],
-            ctx,
-            acct,
-        )?[0];
-    }
-    let squares: i64 = parts.split_endpoints.iter().map(|&v| v * v).sum();
-    let j_val = cfg.params.eps_sq as i64 - parts.both_owned - squares + 2 * cross;
-    let domain = adp_domain(cfg, total_dim);
-    ledger.record(cfg.key_bits, domain.n0());
-    backend.compare(
-        chan,
-        Party::Bob,
-        j_val,
-        CmpOp::Leq,
-        &domain,
-        &ctx.narrow("cmp").at(record),
-        acct,
-    )
-}
-
-/// One ADP decision per pair view of a whole candidate set, dispatched on
-/// `cfg.batching`: batched mode runs [`adp_compare_batch_alice`],
-/// reference mode one [`adp_compare_alice`] ping-pong per pair. Outcomes
-/// are identical either way. `records` carries one stable record id per
-/// view; randomness is keyed by id, not position, so pruned (sparse)
-/// candidate sets draw the same per-pair randomness as exhaustive ones.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_set_alice<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
+    role: Party,
     views: &[PairView<'_>],
-    records: &[u64],
     ctx: &ProtocolContext,
     ledger: &mut YaoLedger,
     acct: &mut SharingLedger,
 ) -> Result<Vec<bool>, SmcError> {
-    debug_assert_eq!(views.len(), records.len(), "one record id per view");
-    if cfg.batching {
-        return adp_compare_batch_alice(chan, cfg, backend, views, records, ctx, ledger, acct);
-    }
-    views
-        .iter()
-        .zip(records)
-        .map(|(&view, &record)| {
-            adp_compare_alice(chan, cfg, backend, view, ctx, record, ledger, acct)
-        })
-        .collect()
-}
-
-/// Bob's side of [`adp_compare_set_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_set_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    views: &[PairView<'_>],
-    records: &[u64],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    debug_assert_eq!(views.len(), records.len(), "one record id per view");
-    if cfg.batching {
-        return adp_compare_batch_bob(chan, cfg, backend, views, records, ctx, ledger, acct);
-    }
-    views
-        .iter()
-        .zip(records)
-        .map(|(&view, &record)| {
-            adp_compare_bob(chan, cfg, backend, view, ctx, record, ledger, acct)
-        })
-        .collect()
-}
-
-/// Round-batched Alice side: one ADP decision per pair view of a whole
-/// candidate set. The multiplication stages of every split pair ride one
-/// wire frame each direction (Bob keyholder), then one batched comparison
-/// decides all pairs — 5 rounds per neighborhood instead of 5 per pair.
-/// Outcome `r[i]` equals [`adp_compare_alice`] on `views[i]`; the per-pair
-/// zero-sum masks cancel exactly as in the sequential run.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_batch_alice<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    views: &[PairView<'_>],
-    records: &[u64],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    if views.is_empty() {
+    let Some(first) = views.first() else {
         return Ok(Vec::new());
-    }
-    let total_dim = views[0].x.len();
-    let parts: Vec<LocalParts> = views.iter().map(classify).collect();
-    // Cross terms for every split pair in one batched Multiplication
-    // Protocol run. Pairs without split attributes are excluded from the
-    // batch, exactly as the sequential protocol skips their exchange —
-    // ownership is complementary, so both parties filter identically and
-    // logical message counts match the unbatched run. Each group keys its
-    // randomness by the pair's *record id*, matching the sequential
-    // [`adp_compare_alice`] call for that pair.
-    let split_pairs: Vec<usize> = (0..parts.len())
-        .filter(|&i| !parts[i].split_endpoints.is_empty())
-        .collect();
-    if !split_pairs.is_empty() {
-        let ys_groups: Vec<Vec<i64>> = split_pairs
-            .iter()
-            .map(|&i| parts[i].split_endpoints.clone())
-            .collect();
-        let group_records: Vec<u64> = split_pairs.iter().map(|&i| records[i]).collect();
-        backend.mul_fold_peer(chan, &ys_groups, &group_records, ctx, acct)?;
-    }
-    let domain = adp_domain(cfg, total_dim);
-    let i_vals: Vec<i64> = parts
-        .iter()
-        .map(|p| {
-            ledger.record(cfg.key_bits, domain.n0());
-            p.both_owned + p.split_endpoints.iter().map(|&v| v * v).sum::<i64>()
-        })
-        .collect();
-    backend.compare_batch(
-        chan,
-        Party::Alice,
-        &i_vals,
-        CmpOp::Leq,
-        &domain,
-        &ctx.narrow("cmp"),
-        acct,
-    )
-}
-
-/// Round-batched Bob side of [`adp_compare_batch_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare_batch_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    views: &[PairView<'_>],
-    records: &[u64],
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    if views.is_empty() {
-        return Ok(Vec::new());
-    }
-    let total_dim = views[0].x.len();
-    let parts: Vec<LocalParts> = views.iter().map(classify).collect();
-    let mut crosses = vec![0i64; parts.len()];
-    let split_pairs: Vec<usize> = (0..parts.len())
-        .filter(|&i| !parts[i].split_endpoints.is_empty())
-        .collect();
-    if !split_pairs.is_empty() {
-        let xs_groups: Vec<Vec<i64>> = split_pairs
-            .iter()
-            .map(|&i| parts[i].split_endpoints.clone())
-            .collect();
-        let group_records: Vec<u64> = split_pairs.iter().map(|&i| records[i]).collect();
-        let folds = backend.mul_fold_keyholder(chan, &xs_groups, &group_records, ctx, acct)?;
-        for (&i, &fold) in split_pairs.iter().zip(&folds) {
-            crosses[i] = fold;
+    };
+    let domain = adp_domain(cfg, first.x.len());
+    let mut locals = Vec::with_capacity(views.len());
+    // Cross terms through the Multiplication Protocol. Pairs without split
+    // attributes have none to multiply and stay out of the stage —
+    // ownership is complementary, so both parties filter identically.
+    let (mut records, mut groups): (Vec<RecordId>, Vec<Vec<i64>>) = Default::default();
+    for (i, view) in views.iter().enumerate() {
+        let parts = classify(view);
+        locals.push(parts.local);
+        if !parts.split_endpoints.is_empty() {
+            records.push(i as RecordId);
+            groups.push(parts.split_endpoints);
         }
     }
-    let domain = adp_domain(cfg, total_dim);
-    let j_vals: Vec<i64> = parts
-        .iter()
-        .zip(&crosses)
-        .map(|(p, &cross)| {
-            ledger.record(cfg.key_bits, domain.n0());
-            let squares: i64 = p.split_endpoints.iter().map(|&v| v * v).sum();
-            cfg.params.eps_sq as i64 - p.both_owned - squares + 2 * cross
-        })
-        .collect();
-    backend.compare_batch(
-        chan,
-        Party::Bob,
-        &j_vals,
-        CmpOp::Leq,
-        &domain,
-        &ctx.narrow("cmp"),
-        acct,
-    )
+    ledger.record_many(cfg.key_bits, domain.n0(), views.len() as u64);
+    let values = match role {
+        // Alice: `V_A + Σ_H a_k²`.
+        Party::Alice => {
+            backend.mul_fold_peer(chan, &groups, &records, ctx, acct)?;
+            locals
+        }
+        // Bob: `Eps² − V_B − Σ_H b_k² + 2·Σ_H a_k·b_k`.
+        Party::Bob => {
+            let eps = cfg.params.eps_sq as i64;
+            let mut values: Vec<i64> = locals.iter().map(|local| eps - local).collect();
+            let crosses = backend.mul_fold_keyholder(chan, &groups, &records, ctx, acct)?;
+            for (&i, cross) in records.iter().zip(crosses) {
+                let value = &mut values[i as usize];
+                *value = crate::hdp::responder_operand(*value, cross, &domain)?;
+            }
+            values
+        }
+    };
+    let cmp_ctx = ctx.narrow("cmp");
+    backend.compare_batch(chan, role, &values, CmpOp::Leq, &domain, &cmp_ctx, acct)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::paillier_backend;
-    use crate::partition::ArbitraryPartition;
+    use crate::partition::{ArbitraryPartition, Owner};
     use crate::test_helpers::{ctx, rng};
     use ppds_dbscan::{dist_sq, DbscanParams, Point};
     use ppds_paillier::Keypair;
-    use ppds_transport::duplex;
+    use ppds_smc::{AnyBackend, DealerTape, SharingBackend};
+    use ppds_transport::{duplex, MetricsSnapshot};
     use std::sync::OnceLock;
 
     fn alice_kp() -> &'static Keypair {
@@ -335,255 +153,143 @@ mod tests {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(55)))
     }
 
-    /// Runs one comparison for records x_idx, y_idx of a partition.
-    fn run(cfg: ProtocolConfig, part: &ArbitraryPartition, x: usize, y: usize) -> bool {
-        let (mut achan, mut bchan) = duplex();
-        let ax = part.alice_values[x].clone();
-        let ay = part.alice_values[y].clone();
-        let dim = ax.len();
-        let a = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            adp_compare_alice(
-                &mut achan,
-                &cfg,
-                &backend,
-                PairView { x: &ax, y: &ay },
-                &ctx(600 + x as u64),
-                0,
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap()
-        });
-        let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let bob_view = adp_compare_bob(
-            &mut bchan,
-            &cfg,
-            &backend,
-            PairView {
-                x: &part.bob_values[x],
-                y: &part.bob_values[y],
-            },
-            &ctx(700 + y as u64),
-            0,
-            &mut ledger,
-            &mut acct,
-        )
-        .unwrap();
-        let alice_view = a.join().unwrap();
-        assert_eq!(alice_view, bob_view);
-        alice_view
-    }
-
-    #[test]
-    fn matches_plain_distance_on_random_partitions() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 20,
-                min_pts: 2,
-            },
-            4,
-        );
-        let records = vec![
-            Point::new(vec![1, -2, 3, 0]),
-            Point::new(vec![0, -2, 1, 2]),
-            Point::new(vec![4, 4, -4, -4]),
-        ];
-        let mut r = rng(9);
-        for trial in 0..5 {
-            let part = ArbitraryPartition::random(&mut r, &records);
-            for x in 0..records.len() {
-                for y in 0..records.len() {
-                    if x == y {
-                        continue;
-                    }
-                    let expect = dist_sq(&records[x], &records[y]) <= 20;
-                    assert_eq!(run(cfg, &part, x, y), expect, "trial {trial}, ({x},{y})");
-                }
+    /// Decides every record pair of `pairs` in one slice; returns the
+    /// verdicts both sides agree on and Alice's traffic.
+    fn run(
+        cfg: ProtocolConfig,
+        (sharing, batching): (bool, bool),
+        part: &ArbitraryPartition,
+        pairs: &[(usize, usize)],
+    ) -> (Vec<bool>, MetricsSnapshot) {
+        let cfg = cfg.with_batching(batching);
+        let dim = part.alice_values[0].len();
+        let backend_for = |mine: &'static Keypair, theirs: &'static Keypair| {
+            if sharing {
+                AnyBackend::Sharing(SharingBackend {
+                    tape: DealerTape::from_seed(909),
+                    batching,
+                    dot_mask_bound: 1 << 20,
+                })
+            } else {
+                AnyBackend::Paillier(paillier_backend(&cfg, mine, &theirs.public, dim))
             }
-        }
-    }
-
-    #[test]
-    fn batch_matches_plain_distance_in_five_rounds() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 20,
-                min_pts: 2,
-            },
-            4,
-        )
-        .with_batching(true);
-        let records = vec![
-            Point::new(vec![1, -2, 3, 0]),
-            Point::new(vec![0, -2, 1, 2]),
-            Point::new(vec![4, 4, -4, -4]),
-            Point::new(vec![0, 0, 0, 0]),
-        ];
-        let part = ArbitraryPartition::random(&mut rng(77), &records);
-        // One batch: record 0 against every other record.
-        let ys: Vec<usize> = vec![1, 2, 3];
-        let (mut achan, mut bchan) = duplex();
-        type OwnedView = (Vec<Option<i64>>, Vec<Option<i64>>);
-        let a_views: Vec<OwnedView> = ys
-            .iter()
-            .map(|&y| (part.alice_values[0].clone(), part.alice_values[y].clone()))
-            .collect();
-        let a = std::thread::spawn(move || {
-            let views: Vec<PairView<'_>> = a_views.iter().map(|(x, y)| PairView { x, y }).collect();
-            let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, 4);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let out = adp_compare_batch_alice(
-                &mut achan,
-                &cfg,
-                &backend,
-                &views,
-                &[1, 2, 3],
-                &ctx(800),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap();
-            (out, achan.metrics())
-        });
-        let b_views: Vec<PairView<'_>> = ys
-            .iter()
-            .map(|&y| PairView {
-                x: &part.bob_values[0],
-                y: &part.bob_values[y],
-            })
-            .collect();
-        let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, 4);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let bob = adp_compare_batch_bob(
-            &mut bchan,
-            &cfg,
-            &backend,
-            &b_views,
-            &[1, 2, 3],
-            &ctx(900),
-            &mut ledger,
-            &mut acct,
-        )
-        .unwrap();
-        let (alice, metrics) = a.join().unwrap();
-        assert_eq!(alice, bob);
-        for (pos, &y) in ys.iter().enumerate() {
-            let expect = dist_sq(&records[0], &records[y]) <= 20;
-            assert_eq!(alice[pos], expect, "pair (0,{y})");
-        }
-        // 2 rounds of multiplication + 3 of comparison for the whole batch.
-        assert!(
-            metrics.total_rounds() <= 5,
-            "rounds = {}",
-            metrics.total_rounds()
-        );
-    }
-
-    #[test]
-    fn sharing_backend_matches_plain_distance() {
-        use ppds_smc::{DealerTape, SharingBackend};
-        let records = vec![
-            Point::new(vec![1, -2, 3, 0]),
-            Point::new(vec![0, -2, 1, 2]),
-            Point::new(vec![4, 4, -4, -4]),
-            Point::new(vec![0, 0, 0, 0]),
-        ];
-        let part = ArbitraryPartition::random(&mut rng(78), &records);
-        let ys: Vec<usize> = vec![1, 2, 3];
-        let expect: Vec<bool> = ys
-            .iter()
-            .map(|&y| dist_sq(&records[0], &records[y]) <= 20)
-            .collect();
-        for batching in [false, true] {
-            let cfg = ProtocolConfig::new(
-                DbscanParams {
-                    eps_sq: 20,
-                    min_pts: 2,
-                },
-                4,
-            )
-            .with_batching(batching);
-            let mk = move || SharingBackend {
-                tape: DealerTape::from_seed(909),
-                batching,
-                dot_mask_bound: 1 << 20,
+        };
+        fn views_of<'a>(
+            values: &'a [Vec<Option<i64>>],
+            pairs: &[(usize, usize)],
+        ) -> Vec<PairView<'a>> {
+            let view = |&(x, y): &(usize, usize)| PairView {
+                x: &values[x],
+                y: &values[y],
             };
-            let (mut achan, mut bchan) = duplex();
-            type OwnedView = (Vec<Option<i64>>, Vec<Option<i64>>);
-            let a_views: Vec<OwnedView> = ys
-                .iter()
-                .map(|&y| (part.alice_values[0].clone(), part.alice_values[y].clone()))
-                .collect();
-            let a = std::thread::spawn(move || {
-                let views: Vec<PairView<'_>> =
-                    a_views.iter().map(|(x, y)| PairView { x, y }).collect();
-                let mut ledger = YaoLedger::default();
-                let mut acct = SharingLedger::default();
-                adp_compare_set_alice(
+            pairs.iter().map(view).collect()
+        }
+        let (mut achan, mut bchan) = duplex();
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                let backend = backend_for(alice_kp(), bob_kp());
+                let (views, role) = (views_of(&part.alice_values, pairs), Party::Alice);
+                let (mut ledger, mut acct) = Default::default();
+                let out = adp_compare(
                     &mut achan,
                     &cfg,
-                    &mk(),
+                    &backend,
+                    role,
                     &views,
-                    &[1, 2, 3],
                     &ctx(800),
                     &mut ledger,
                     &mut acct,
-                )
-                .unwrap()
+                );
+                (out.unwrap(), ledger, achan.metrics())
             });
-            let b_views: Vec<PairView<'_>> = ys
-                .iter()
-                .map(|&y| PairView {
-                    x: &part.bob_values[0],
-                    y: &part.bob_values[y],
-                })
-                .collect();
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let bob = adp_compare_set_bob(
+            let backend = backend_for(bob_kp(), alice_kp());
+            let (views, role) = (views_of(&part.bob_values, pairs), Party::Bob);
+            let (mut ledger, mut acct) = Default::default();
+            let bob = adp_compare(
                 &mut bchan,
                 &cfg,
-                &mk(),
-                &b_views,
-                &[1, 2, 3],
+                &backend,
+                role,
+                &views,
                 &ctx(900),
                 &mut ledger,
                 &mut acct,
             )
             .unwrap();
-            let alice = a.join().unwrap();
-            assert_eq!(alice, expect, "batching={batching}");
-            assert_eq!(bob, expect, "batching={batching}");
+            let (alice, a_ledger, metrics) = a.join().unwrap();
+            assert_eq!(alice, bob);
+            assert_eq!(a_ledger, ledger);
+            assert_eq!(ledger.comparisons, pairs.len() as u64);
+            (alice, metrics)
+        })
+    }
+
+    fn cfg(eps_sq: u64) -> ProtocolConfig {
+        ProtocolConfig::new(DbscanParams { eps_sq, min_pts: 2 }, 5)
+    }
+
+    fn records() -> Vec<Point> {
+        vec![
+            Point::new(vec![1, -2, 3, 0]),
+            Point::new(vec![0, -2, 1, 2]),
+            Point::new(vec![4, 4, -4, -4]),
+            Point::new(vec![0, 0, 0, 0]),
+        ]
+    }
+
+    #[test]
+    fn matches_plain_distance_on_random_partitions() {
+        let records = records();
+        let pairs: Vec<(usize, usize)> = (0..4)
+            .flat_map(|x| (0..4).filter(move |&y| y != x).map(move |y| (x, y)))
+            .collect();
+        let expect: Vec<bool> = pairs
+            .iter()
+            .map(|&(x, y)| dist_sq(&records[x], &records[y]) <= 20)
+            .collect();
+        let mut r = rng(9);
+        for trial in 0..3 {
+            let part = ArbitraryPartition::random(&mut r, &records);
+            for substrate in [(false, false), (false, true), (true, false), (true, true)] {
+                let (got, _) = run(cfg(20), substrate, &part, &pairs);
+                assert_eq!(
+                    got, expect,
+                    "trial {trial}, (sharing, batching) = {substrate:?}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_batched_slice_is_five_rounds() {
+        let part = ArbitraryPartition::random(&mut rng(77), &records());
+        // One slice: record 0 against every other record.
+        let (_, metrics) = run(cfg(20), (false, true), &part, &[(0, 1), (0, 2), (0, 3)]);
+        // 2 rounds of multiplication + 3 of comparison for the whole slice.
+        assert!(
+            metrics.total_rounds() <= 5,
+            "rounds = {}",
+            metrics.total_rounds()
+        );
+        let (none, metrics) = run(cfg(20), (false, true), &part, &[]);
+        assert!(none.is_empty());
+        assert_eq!(metrics.total_rounds(), 0);
     }
 
     #[test]
     fn pure_vertical_ownership_needs_no_multiplication() {
         // Constant per-column ownership => H is empty => ADP reduces to VDP.
-        use crate::partition::Owner;
         let records = vec![Point::new(vec![0, 0]), Point::new(vec![3, 4])];
         let ownership = vec![vec![Owner::Alice, Owner::Bob]; 2];
         let part = ArbitraryPartition::from_records(&records, ownership);
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 25,
-                min_pts: 2,
-            },
-            5,
-        );
-        assert!(run(cfg, &part, 0, 1)); // dist² = 25 ≤ 25 (boundary)
+        // dist² = 25 ≤ 25 (boundary), in the comparison's 3 rounds alone.
+        let (within, metrics) = run(cfg(25), (false, false), &part, &[(0, 1)]);
+        assert_eq!(within, [true]);
+        assert_eq!(metrics.total_rounds(), 3);
     }
 
     #[test]
     fn pure_horizontal_rows_exercise_full_multiplication() {
-        use crate::partition::Owner;
         // Record 0 fully Alice's, record 1 fully Bob's: every attribute is a
         // split pair, V_A = V_B = 0.
         let records = vec![Point::new(vec![1, 2]), Point::new(vec![2, 4])];
@@ -592,21 +298,8 @@ mod tests {
             vec![Owner::Bob, Owner::Bob],
         ];
         let part = ArbitraryPartition::from_records(&records, ownership);
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 5,
-                min_pts: 2,
-            },
-            4,
-        );
-        assert!(run(cfg, &part, 0, 1)); // dist² = 1 + 4 = 5 ≤ 5
-        let cfg_tight = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 4,
-                min_pts: 2,
-            },
-            4,
-        );
-        assert!(!run(cfg_tight, &part, 0, 1));
+        // dist² = 1 + 4 = 5.
+        assert_eq!(run(cfg(5), (false, false), &part, &[(0, 1)]).0, [true]);
+        assert_eq!(run(cfg(4), (false, false), &part, &[(0, 1)]).0, [false]);
     }
 }

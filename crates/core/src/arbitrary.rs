@@ -12,14 +12,11 @@
 //! Runs through the shared [`crate::session`] dispatch; the
 //! [`crate::session::Participant`] builder is the supported entry point.
 
-use crate::adp::{adp_compare_set_alice, adp_compare_set_bob, PairView};
+use crate::adp::{adp_compare, PairView};
 use crate::config::ProtocolConfig;
-use crate::driver::PartyOutput;
 use crate::error::CoreError;
-use crate::prune::{BandCandidates, BandTable, PAIR_CHUNK};
-use crate::session::{
-    run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
-};
+use crate::prune::{BandCandidates, BandTable};
+use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use crate::vertical::lockstep_dbscan;
 use ppds_dbscan::Clustering;
 use ppds_smc::{Party, ProtocolContext};
@@ -98,7 +95,6 @@ impl ModeDriver for ArbitraryDriver<'_> {
         let (ledger, sharing) = (&mut log.ledger, &mut log.sharing);
         // One context instance per chunk (see the vertical driver).
         let resolve_ctx = ctx.narrow("resolve");
-        let positions: Vec<u64> = (0..PAIR_CHUNK as u64).collect();
         let compare_chunk = |chan: &mut C, chunk: u64, pairs: &[(u32, u32)]| {
             let views: Vec<PairView<'_>> = pairs
                 .iter()
@@ -107,15 +103,10 @@ impl ModeDriver for ArbitraryDriver<'_> {
                     y: &values[y as usize],
                 })
                 .collect();
-            let (records, cctx) = (&positions[..pairs.len()], resolve_ctx.at(chunk));
-            Ok(match mctx.role {
-                Party::Alice => adp_compare_set_alice(
-                    chan, cfg, &backend, &views, records, &cctx, ledger, sharing,
-                )?,
-                Party::Bob => adp_compare_set_bob(
-                    chan, cfg, &backend, &views, records, &cctx, ledger, sharing,
-                )?,
-            })
+            let (role, cctx) = (mctx.role, resolve_ctx.at(chunk));
+            Ok(adp_compare(
+                chan, cfg, &backend, role, &views, &cctx, ledger, sharing,
+            )?)
         };
         lockstep_dbscan(
             chan,
@@ -174,38 +165,12 @@ fn arbitrary_band_oracle<C: Channel>(
     Ok(Some(BandCandidates::new(merged, width)))
 }
 
-/// One party's full run over arbitrarily partitioned data. `my_values` is
-/// this party's view: per record, `Some(value)` exactly at the attributes
-/// it owns (see [`crate::partition::ArbitraryPartition`]).
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant with PartyData::Arbitrary"
-)]
-pub fn arbitrary_party<C: Channel>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    my_values: &[Vec<Option<i64>>],
-    role: Party,
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    run_two_party(
-        chan,
-        cfg,
-        &ArbitraryDriver { values: my_values },
-        role,
-        None,
-        &ProtocolContext::from_rng(&mut rng),
-    )
-    .map(|outcome| outcome.output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::driver::run_arbitrary_pair;
+    use crate::driver::PartyOutput;
     use crate::partition::{ArbitraryPartition, Owner};
+    use crate::session::{run_data_pair, PartyData};
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan, DbscanParams, Point};
 
@@ -213,14 +178,15 @@ mod tests {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, bound)
     }
 
-    #[allow(deprecated)]
     fn arbitrary(
         c: &ProtocolConfig,
         part: &ArbitraryPartition,
         sa: u64,
         sb: u64,
     ) -> (PartyOutput, PartyOutput) {
-        run_arbitrary_pair(c, part, rng(sa), rng(sb)).unwrap()
+        let (alice, bob) = (part.alice_values.clone(), part.bob_values.clone());
+        let views = (PartyData::Arbitrary(alice), PartyData::Arbitrary(bob));
+        run_data_pair(c, views.0, views.1, rng(sa), rng(sb)).unwrap()
     }
 
     fn records() -> Vec<Point> {

@@ -232,10 +232,15 @@ pub struct YaoLedger {
 impl YaoLedger {
     /// Records one comparison over a domain of size `n0` under `key_bits`.
     pub fn record(&mut self, key_bits: usize, n0: u64) {
+        self.record_many(key_bits, n0, 1);
+    }
+
+    /// Records `count` comparisons over one domain: a whole slice at once.
+    pub fn record_many(&mut self, key_bits: usize, n0: u64, count: u64) {
         let (m1, m2, m3) = millionaires::modeled_message_sizes(key_bits, n0);
-        self.comparisons += 1;
-        self.modeled_bytes += m1 + m2 + m3 + 3 * ppds_transport::FRAME_OVERHEAD_BYTES;
-        self.modeled_decryptions += n0;
+        self.comparisons += count;
+        self.modeled_bytes += count * (m1 + m2 + m3 + 3 * ppds_transport::FRAME_OVERHEAD_BYTES);
+        self.modeled_decryptions += count * n0;
     }
 
     /// Merges another ledger into this one.
@@ -334,5 +339,10 @@ mod tests {
         other.record(256, 10);
         ledger.absorb(other);
         assert_eq!(ledger.comparisons, 3);
+        let mut many = YaoLedger::default();
+        many.record_many(256, 100, 2);
+        many.record_many(256, 10, 1);
+        many.record_many(256, 10, 0);
+        assert_eq!(many, ledger, "a slice is its comparisons, one by one");
     }
 }

@@ -4,9 +4,8 @@
 //! The protocol entry point is the [`crate::session`] module: a
 //! [`crate::session::Participant`] runs any mode over any
 //! [`ppds_transport::Channel`] (see `examples/hospitals_horizontal.rs` for
-//! a genuine two-process TCP deployment). The `run_*_pair` helpers kept
-//! here are deprecated thin wrappers that execute both halves on two
-//! threads over an in-memory channel pair.
+//! a genuine two-process TCP deployment); [`run_pair`] executes two halves
+//! on two threads over an in-memory channel pair.
 
 use crate::config::{ProtocolConfig, YaoLedger};
 use crate::error::CoreError;
@@ -184,86 +183,4 @@ where
         )
     });
     Ok((alice_result??, bob_result??))
-}
-
-/// Runs the basic horizontal protocol (Algorithms 3 & 4) end to end.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::run_participants with PartyData::Horizontal"
-)]
-pub fn run_horizontal_pair(
-    cfg: &ProtocolConfig,
-    alice_points: &[Point],
-    bob_points: &[Point],
-    rng_a: StdRng,
-    rng_b: StdRng,
-) -> Result<(PartyOutput, PartyOutput), CoreError> {
-    run_data_pair(
-        cfg,
-        PartyData::Horizontal(alice_points.to_vec()),
-        PartyData::Horizontal(bob_points.to_vec()),
-        rng_a,
-        rng_b,
-    )
-}
-
-/// Runs the enhanced horizontal protocol (Algorithms 7 & 8) end to end.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::run_participants with PartyData::Enhanced"
-)]
-pub fn run_enhanced_pair(
-    cfg: &ProtocolConfig,
-    alice_points: &[Point],
-    bob_points: &[Point],
-    rng_a: StdRng,
-    rng_b: StdRng,
-) -> Result<(PartyOutput, PartyOutput), CoreError> {
-    run_data_pair(
-        cfg,
-        PartyData::Enhanced(alice_points.to_vec()),
-        PartyData::Enhanced(bob_points.to_vec()),
-        rng_a,
-        rng_b,
-    )
-}
-
-/// Runs the vertical protocol (Algorithms 5 & 6) end to end.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::run_participants with PartyData::Vertical"
-)]
-pub fn run_vertical_pair(
-    cfg: &ProtocolConfig,
-    partition: &VerticalPartition,
-    rng_a: StdRng,
-    rng_b: StdRng,
-) -> Result<(PartyOutput, PartyOutput), CoreError> {
-    run_data_pair(
-        cfg,
-        PartyData::Vertical(partition.alice.clone()),
-        PartyData::Vertical(partition.bob.clone()),
-        rng_a,
-        rng_b,
-    )
-}
-
-/// Runs the arbitrary-partition protocol (§4.4) end to end.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::run_participants with PartyData::Arbitrary"
-)]
-pub fn run_arbitrary_pair(
-    cfg: &ProtocolConfig,
-    partition: &ArbitraryPartition,
-    rng_a: StdRng,
-    rng_b: StdRng,
-) -> Result<(PartyOutput, PartyOutput), CoreError> {
-    run_data_pair(
-        cfg,
-        PartyData::Arbitrary(partition.alice_values.clone()),
-        PartyData::Arbitrary(partition.bob_values.clone()),
-        rng_a,
-        rng_b,
-    )
 }

@@ -54,6 +54,10 @@ pub(crate) fn dot_packing(cfg: &ProtocolConfig, dim: usize) -> Option<ResponsePa
     }
 }
 
+/// What [`kth_smallest_with`]'s vestigial `batched` argument is given: it
+/// selects nothing, framing being the backend's alone.
+const BACKEND_FRAMES: bool = true;
+
 /// Querier side of one enhanced core-point test. `own_count` is the size of
 /// the querier's *local* Eps-neighborhood of `query` (including the point
 /// itself); `ctx` is this core test's context (the driver narrows per
@@ -96,9 +100,9 @@ pub fn enhanced_core_test_querier<C: Channel, B: SmcBackend>(
     let shares = backend.dot_many_querier(chan, &xs, responder_count, &ctx.narrow("dot"), acct)?;
     dot_span.end(|| chan.metrics());
 
-    // Phase 2: k-th smallest shared distance. Batching runs quickselect
-    // partitions as one comparison frame set per level (repeated-min is
-    // inherently sequential and executes identically either way).
+    // Phase 2: k-th smallest shared distance. The backend frames the
+    // comparisons: a quickselect partition level is one slice, a minimum
+    // scan is inherently sequential and hands over one pair at a time.
     let domain = enhanced_share_domain(cfg, dim);
     let sel_ctx = ctx.narrow("sel");
     let sel_span = trace::span("sel", || chan.metrics());
@@ -110,17 +114,14 @@ pub fn enhanced_core_test_querier<C: Channel, B: SmcBackend>(
         &shares,
         k_needed,
         &domain,
-        cfg.batching,
+        BACKEND_FRAMES,
         &sel_ctx,
         acct,
     )?;
     sel_span.end(|| chan.metrics());
-    for _ in 0..outcome.comparisons {
-        ledger.record(cfg.key_bits, domain.n0());
-    }
 
     // Phase 3: u_k ≤ Eps² + v_k.
-    ledger.record(cfg.key_bits, domain.n0());
+    ledger.record_many(cfg.key_bits, domain.n0(), outcome.comparisons as u64 + 1);
     let cmp_span = trace::span("cmp", || chan.metrics());
     let is_core = backend.compare(
         chan,
@@ -192,7 +193,7 @@ pub fn enhanced_core_respond<C: Channel, B: SmcBackend>(
     let shares = backend.dot_many_responder(chan, &rows, &ctx.narrow("dot"), acct)?;
     dot_span.end(|| chan.metrics());
 
-    // Phase 2: mirror the selection (batched partitions when enabled).
+    // Phase 2: mirror the selection.
     let domain = enhanced_share_domain(cfg, dim);
     let sel_ctx = ctx.narrow("sel");
     let sel_span = trace::span("sel", || chan.metrics());
@@ -204,17 +205,14 @@ pub fn enhanced_core_respond<C: Channel, B: SmcBackend>(
         &shares,
         k,
         &domain,
-        cfg.batching,
+        BACKEND_FRAMES,
         &sel_ctx,
         acct,
     )?;
     sel_span.end(|| chan.metrics());
-    for _ in 0..outcome.comparisons {
-        ledger.record(cfg.key_bits, domain.n0());
-    }
 
     // Phase 3: Eps² + v_k vs the querier's u_k.
-    ledger.record(cfg.key_bits, domain.n0());
+    ledger.record_many(cfg.key_bits, domain.n0(), outcome.comparisons as u64 + 1);
     let cmp_span = trace::span("cmp", || chan.metrics());
     let is_core = backend.compare(
         chan,

@@ -24,9 +24,10 @@
 //! of the query point alone and DBSCAN tests every point, so the drivers
 //! ask all of them up front (*resolve*, DESIGN.md §7): whole queries, in
 //! index order, are packed into chunks of at most 1,024 (query, candidate)
-//! pairs, and a chunk is one exchange — one multiplication frame pair and
-//! one comparison run for all of its pairs when batching, one pair at a
-//! time over the same stream when not.
+//! pairs, and a chunk is one exchange: its multiplications, then its
+//! comparisons. The backend frames each stage — one frame per protocol
+//! message for all of the chunk's pairs when it batches, one per pair over
+//! the same stream when it does not.
 //!
 //! The querier ends with the *count* of matching responder points per
 //! query (the Theorem 9 leakage); because the responder permutes his
@@ -48,14 +49,13 @@ use ppds_smc::{
 };
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
-use std::ops::Range;
 
 /// One chunk's exchange, for either role: the multiplication stage, then
-/// one `dist² ≤ Eps²` verdict per pair. `fold(positions)` runs stage 1 for
-/// the pairs at those flat positions and returns this party's stage-2
-/// inputs for them. Batching folds the whole chunk at once and compares it
-/// as one batch; the reference framing takes the same pairs one at a time,
-/// pair `i` drawing from the same `cmp_ctx.at(i)` either way.
+/// one `dist² ≤ Eps²` verdict per pair. `fold` runs stage 1 for the whole
+/// chunk and returns this party's stage-2 inputs, one per pair; pair `i`
+/// draws from `cmp_ctx.at(i)`. The backend frames both stages — the chunk's
+/// multiplications, then its comparisons, each a frame per protocol message
+/// when it batches and a frame per pair when it does not.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 fn chunk_verdicts<C: Channel, B: SmcBackend>(
     chan: &mut C,
@@ -67,23 +67,11 @@ fn chunk_verdicts<C: Channel, B: SmcBackend>(
     cmp_ctx: &ProtocolContext,
     ledger: &mut YaoLedger,
     acct: &mut SharingLedger,
-    mut fold: impl FnMut(&mut C, &mut SharingLedger, Range<usize>) -> Result<Vec<i64>, SmcError>,
+    fold: impl FnOnce(&mut C, &mut SharingLedger) -> Result<Vec<i64>, SmcError>,
 ) -> Result<Vec<bool>, CoreError> {
-    for _ in 0..pairs {
-        ledger.record(cfg.key_bits, domain.n0());
-    }
-    let within = if cfg.batching {
-        let values = fold(chan, acct, 0..pairs)?;
-        backend.compare_batch(chan, role, &values, CmpOp::Leq, domain, cmp_ctx, acct)?
-    } else {
-        let mut within = Vec::with_capacity(pairs);
-        for pos in 0..pairs {
-            let value = fold(chan, acct, pos..pos + 1)?[0];
-            let pair_ctx = cmp_ctx.at(pos as u64);
-            within.push(backend.compare(chan, role, value, CmpOp::Leq, domain, &pair_ctx, acct)?);
-        }
-        within
-    };
+    ledger.record_many(cfg.key_bits, domain.n0(), pairs as u64);
+    let values = fold(chan, acct)?;
+    let within = backend.compare_batch(chan, role, &values, CmpOp::Leq, domain, cmp_ctx, acct)?;
     if within.len() != pairs {
         return Err(CoreError::mismatch(format!(
             "resolve chunk {chunk} arity: {pairs} pairs vs {} answers",
@@ -91,6 +79,27 @@ fn chunk_verdicts<C: Channel, B: SmcBackend>(
         )));
     }
     Ok(within)
+}
+
+/// The responder's stage-2 operand `base + 2·inner`: `base` is local
+/// (`Eps²` less the responder's own squares), `inner` is whatever the
+/// peer's stage-1 frames decrypt — or open — to. An honest inner product
+/// keeps the sum inside `domain`; a hostile one must neither panic a debug
+/// build nor wrap back into range in a release build, so the arithmetic is
+/// checked and the frame refused.
+pub(crate) fn responder_operand(
+    base: i64,
+    inner: i64,
+    domain: &ComparisonDomain,
+) -> Result<i64, SmcError> {
+    inner
+        .checked_mul(2)
+        .and_then(|twice| base.checked_add(twice))
+        .ok_or(SmcError::DomainViolation {
+            value: inner,
+            lo: domain.lo,
+            hi: domain.hi,
+        })
 }
 
 /// Querier side of a set of neighborhood queries: returns, per query, how
@@ -152,15 +161,9 @@ pub fn hdp_resolve_querier<C: Channel, B: SmcBackend>(
             &cctx.narrow("cmp"),
             ledger,
             acct,
-            |chan, acct, at| {
-                backend.mul_fold_peer(
-                    chan,
-                    &groups[at.clone()],
-                    &records[at.clone()],
-                    &cctx,
-                    acct,
-                )?;
-                Ok(values[at].to_vec())
+            |chan, acct| {
+                backend.mul_fold_peer(chan, &groups, &records, &cctx, acct)?;
+                Ok(values.clone())
             },
         )?;
         let mut at = 0;
@@ -250,19 +253,17 @@ pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
             &cctx.narrow("cmp"),
             ledger,
             acct,
-            |chan, acct, at| {
-                let inner_products = backend.mul_fold_keyholder(
-                    chan,
-                    &groups[at.clone()],
-                    &records[at.clone()],
-                    &cctx,
-                    acct,
-                )?;
-                Ok(order[at]
+            |chan, acct| {
+                let inner_products =
+                    backend.mul_fold_keyholder(chan, &groups, &records, &cctx, acct)?;
+                order
                     .iter()
                     .zip(inner_products)
-                    .map(|(&idx, inner)| eps - my_points[idx].norm_sq() as i64 + 2 * inner)
-                    .collect())
+                    .map(|(&idx, inner)| {
+                        let own = my_points[idx].norm_sq() as i64;
+                        responder_operand(eps - own, inner, &domain)
+                    })
+                    .collect()
             },
         )?;
         for (&idx, _) in order.iter().zip(&within).filter(|(_, &matched)| matched) {
@@ -348,16 +349,17 @@ mod tests {
     /// Runs every query against the responder points `served[q]` lists.
     fn resolve(
         cfg: &ProtocolConfig,
-        sharing: bool,
+        (sharing, batching): (bool, bool),
         queries: &[Point],
         responder_points: &[Point],
         served: &[Vec<usize>],
     ) -> Resolved {
+        let cfg = &cfg.with_batching(batching);
         let backend_for = |mine: &'static Keypair, theirs: &'static Keypair| {
             if sharing {
                 AnyBackend::Sharing(SharingBackend {
                     tape: DealerTape::from_seed(4242),
-                    batching: cfg.batching,
+                    batching,
                     dot_mask_bound: 1 << 20,
                 })
             } else {
@@ -455,7 +457,7 @@ mod tests {
         let served = everyone(3, 5);
         let expected = plain_counts(&queries, &responder_points, &served, 9);
         assert_eq!(expected, [3, 1, 2]);
-        let run = resolve(&c, false, &queries, &responder_points, &served);
+        let run = resolve(&c, (false, false), &queries, &responder_points, &served);
         assert_eq!(run.counts, expected);
         assert_eq!(
             run.leakage.count_kind("own_point_matched"),
@@ -470,14 +472,8 @@ mod tests {
         let (queries, responder_points) = fixture();
         let c = cfg(9, 10);
         let served = everyone(3, 5);
-        let seq = resolve(&c, false, &queries, &responder_points, &served);
-        let bat = resolve(
-            &c.with_batching(true),
-            false,
-            &queries,
-            &responder_points,
-            &served,
-        );
+        let seq = resolve(&c, (false, false), &queries, &responder_points, &served);
+        let bat = resolve(&c, (false, true), &queries, &responder_points, &served);
         assert_eq!(bat.counts, seq.counts);
         assert_eq!(bat.leakage, seq.leakage, "identical permuted leakage order");
         // 15 pairs are one chunk: 5 rounds (2 mul + 3 compare) for all
@@ -494,8 +490,8 @@ mod tests {
         let queries = pts(&[[0, 0], [0, 0]]);
         let responder_points = pts(&[[0, 1], [1, 0], [1, 1], [0, -1], [-1, 0]]);
         let run = resolve(
-            &cfg(4, 5).with_batching(true),
-            true,
+            &cfg(4, 5),
+            (true, true),
             &queries,
             &responder_points,
             &everyone(2, 5),
@@ -518,8 +514,13 @@ mod tests {
         let served = everyone(3, 5);
         let expected = plain_counts(&queries, &responder_points, &served, 9);
         for batching in [false, true] {
-            let c = cfg(9, 10).with_batching(batching);
-            let run = resolve(&c, true, &queries, &responder_points, &served);
+            let run = resolve(
+                &cfg(9, 10),
+                (true, batching),
+                &queries,
+                &responder_points,
+                &served,
+            );
             assert_eq!(run.counts, expected, "batching={batching}");
             assert_eq!(run.sharing.compares, 15);
             assert!(run.sharing.triples > 0, "folds consume Beaver triples");
@@ -544,8 +545,13 @@ mod tests {
         assert!(served[1].len() + served[2].len() > PAIR_CHUNK);
         let expected = plain_counts(&queries, &responder_points, &served, 16);
         for batching in [true, false] {
-            let c = cfg(16, 10).with_batching(batching);
-            let run = resolve(&c, true, &queries, &responder_points, &served);
+            let run = resolve(
+                &cfg(16, 10),
+                (true, batching),
+                &queries,
+                &responder_points,
+                &served,
+            );
             assert_eq!(run.counts, expected, "batching={batching}");
             assert_eq!(run.ledgers.0.comparisons, 2200);
             assert_eq!(run.ledgers.1.comparisons, 2200);
@@ -555,8 +561,8 @@ mod tests {
         }
         // Nothing served at all: no frame either way.
         let run = resolve(
-            &cfg(16, 10).with_batching(true),
-            true,
+            &cfg(16, 10),
+            (true, true),
             &queries,
             &responder_points,
             &vec![Vec::new(); 6],
@@ -570,12 +576,12 @@ mod tests {
     fn empty_sides_exchange_nothing() {
         let (queries, responder_points) = fixture();
         for batching in [false, true] {
-            let c = cfg(4, 10).with_batching(batching);
-            let run = resolve(&c, false, &queries, &[], &everyone(3, 0));
+            let c = cfg(4, 10);
+            let run = resolve(&c, (false, batching), &queries, &[], &everyone(3, 0));
             assert_eq!(run.counts, [0, 0, 0]);
             assert!(run.leakage.is_empty());
             assert_eq!(run.traffic.total_rounds(), 0);
-            let run = resolve(&c, false, &[], &responder_points, &[]);
+            let run = resolve(&c, (false, batching), &[], &responder_points, &[]);
             assert!(run.counts.is_empty());
             assert_eq!(run.traffic.total_rounds(), 0);
         }
@@ -592,7 +598,7 @@ mod tests {
         );
         let run = resolve(
             &c,
-            false,
+            (false, false),
             &pts(&[[-2, 1]]),
             &pts(&[[-1, 1], [2, -2]]),
             &everyone(1, 2),
@@ -602,11 +608,26 @@ mod tests {
     }
 
     #[test]
+    fn a_hostile_inner_product_is_refused_not_wrapped() {
+        let domain = hdp_domain(&cfg(4, 5), 2);
+        assert_eq!(responder_operand(4 - 50, 25, &domain).unwrap(), 4);
+        for inner in [i64::MAX, i64::MIN, 1 << 62, i64::MAX / 2 + 1] {
+            let refused = responder_operand(4, inner, &domain);
+            assert!(
+                matches!(refused, Err(SmcError::DomainViolation { value, .. }) if value == inner),
+                "{inner}: {refused:?}"
+            );
+        }
+        // The doubling fits, the sum does not.
+        assert!(responder_operand(i64::MAX, 1, &domain).is_err());
+    }
+
+    #[test]
     fn ledger_counts_one_comparison_per_pair() {
         let c = cfg(4, 5);
         let run = resolve(
             &c,
-            false,
+            (false, false),
             &pts(&[[0, 0], [4, 4]]),
             &pts(&[[0, 1], [4, 4], [1, 0]]),
             &[vec![0, 1, 2], vec![1]],

@@ -27,12 +27,9 @@
 //! [`crate::session::Participant`] builder is the supported entry point.
 
 use crate::config::ProtocolConfig;
-use crate::driver::PartyOutput;
 use crate::error::CoreError;
 use crate::hdp::{hdp_resolve_querier, hdp_resolve_responder};
-use crate::session::{
-    run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
-};
+use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use ppds_dbscan::{dbscan_with_core_test, Clustering, Point};
 use ppds_smc::{LeakageEvent, Party, ProtocolContext};
 use ppds_transport::Channel;
@@ -230,57 +227,6 @@ impl ModeDriver for HorizontalDriver<'_> {
     }
 }
 
-/// One party's full run of the **basic** horizontal protocol.
-///
-/// Alice queries first while Bob responds, then the roles swap — both
-/// orderings driven by `role`. Returns this party's own clustering.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant with PartyData::Horizontal"
-)]
-pub fn horizontal_party<C: Channel>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    my_points: &[Point],
-    role: Party,
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    run_two_party(
-        chan,
-        cfg,
-        &HorizontalDriver { points: my_points },
-        role,
-        None,
-        &ProtocolContext::from_rng(&mut rng),
-    )
-    .map(|outcome| outcome.output)
-}
-
-/// One party's full run of the **enhanced** protocol (Section 5).
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant with PartyData::Enhanced"
-)]
-pub fn enhanced_party<C: Channel>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    my_points: &[Point],
-    role: Party,
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    run_two_party(
-        chan,
-        cfg,
-        &crate::enhanced::EnhancedDriver { points: my_points },
-        role,
-        None,
-        &ProtocolContext::from_rng(&mut rng),
-    )
-    .map(|outcome| outcome.output)
-}
-
 /// Validates that every local point respects the agreed lattice bound and
 /// shares one dimension.
 pub(crate) fn check_points(cfg: &ProtocolConfig, points: &[Point]) -> Result<(), CoreError> {
@@ -305,9 +251,8 @@ pub(crate) fn check_points(cfg: &ProtocolConfig, points: &[Point]) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::driver::{run_enhanced_pair, run_horizontal_pair};
-    use crate::session::{Participant, PartyData};
+    use crate::driver::PartyOutput;
+    use crate::session::{run_data_pair, Participant, PartyData};
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan_with_external_density, eval, DbscanParams};
 
@@ -319,9 +264,6 @@ mod tests {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, bound)
     }
 
-    // The deprecated pair helpers stay the most convenient harness for
-    // these unit tests and double as coverage that the wrappers still work.
-    #[allow(deprecated)]
     fn horizontal(
         c: &ProtocolConfig,
         alice: &[Point],
@@ -329,10 +271,14 @@ mod tests {
         sa: u64,
         sb: u64,
     ) -> (PartyOutput, PartyOutput) {
-        run_horizontal_pair(c, alice, bob, rng(sa), rng(sb)).unwrap()
+        let views = (alice.to_vec(), bob.to_vec());
+        let views = (
+            PartyData::Horizontal(views.0),
+            PartyData::Horizontal(views.1),
+        );
+        run_data_pair(c, views.0, views.1, rng(sa), rng(sb)).unwrap()
     }
 
-    #[allow(deprecated)]
     fn enhanced(
         c: &ProtocolConfig,
         alice: &[Point],
@@ -340,7 +286,9 @@ mod tests {
         sa: u64,
         sb: u64,
     ) -> (PartyOutput, PartyOutput) {
-        run_enhanced_pair(c, alice, bob, rng(sa), rng(sb)).unwrap()
+        let views = (alice.to_vec(), bob.to_vec());
+        let views = (PartyData::Enhanced(views.0), PartyData::Enhanced(views.1));
+        run_data_pair(c, views.0, views.1, rng(sa), rng(sb)).unwrap()
     }
 
     #[test]

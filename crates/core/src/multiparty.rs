@@ -46,9 +46,8 @@ use ppds_paillier::Keypair;
 use ppds_smc::{Party, ProtocolContext};
 use ppds_transport::Channel;
 
-/// One node's full run of the multi-party horizontal protocol: the shared
-/// implementation behind [`crate::session::Participant::run_mesh`] and the
-/// deprecated free function.
+/// One node's full run of the multi-party horizontal protocol: the
+/// implementation behind [`crate::session::Participant::run_mesh`].
 ///
 /// Randomness: each pairwise exchange draws from
 /// `ctx.narrow("mesh").at(querier_id).at(responder_id)` — keyed by the
@@ -192,28 +191,6 @@ fn mesh_metrics<C: Channel>(peers: &[(usize, C)]) -> MetricsSnapshot {
     peers.iter().map(|(_, chan)| chan.metrics()).sum()
 }
 
-/// One node's full run of the multi-party horizontal protocol.
-///
-/// `peers` holds one channel per other party, tagged with that party's
-/// global id; `my_id` is this node's id in `0..k_parties`. All parties must
-/// agree on ids and use the same `cfg`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant::run_mesh with PartyData::Multiparty"
-)]
-pub fn multiparty_horizontal_party<C: Channel>(
-    peers: &mut [(usize, C)],
-    my_id: usize,
-    k_parties: usize,
-    cfg: &ProtocolConfig,
-    my_points: &[Point],
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    let ctx = ProtocolContext::from_rng(&mut rng);
-    run_mesh_node(peers, my_id, k_parties, cfg, my_points, None, &ctx).map(|outcome| outcome.output)
-}
-
 /// The querier's phase: the two-party driver's resolve, once per peer on
 /// that peer's channel and under the ordered-pair context
 /// `querier_ctx.at(peer_id)`, then one expansion over the summed counts.
@@ -247,28 +224,10 @@ fn query_phase<C: Channel>(
     }))
 }
 
-/// Runs all `K` parties of the multi-party horizontal protocol on threads
-/// over an in-memory full mesh; returns one [`PartyOutput`] per party, in
-/// party-id order.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::run_mesh_local (or Participant::run_mesh per node)"
-)]
-pub fn run_multiparty_horizontal(
-    cfg: &ProtocolConfig,
-    party_points: &[Vec<Point>],
-    seed: u64,
-) -> Result<Vec<PartyOutput>, CoreError> {
-    Ok(crate::session::run_mesh_local(cfg, party_points, seed)?
-        .into_iter()
-        .map(|outcome| outcome.output)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::run_mesh_local;
+    use crate::session::{run_data_pair, run_mesh_local, PartyData};
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan_with_external_density, DbscanParams};
     use ppds_smc::LeakageEvent;
@@ -317,9 +276,12 @@ mod tests {
         let bob = pts(&[&[0, 1], &[19, 20]]);
         let c = cfg(4, 3, 30);
         let multi = mesh(&c, &[alice.clone(), bob.clone()], 5);
-        #[allow(deprecated)]
-        let (two_a, two_b) =
-            crate::driver::run_horizontal_pair(&c, &alice, &bob, rng(1), rng(2)).unwrap();
+        let views = (alice.clone(), bob.clone());
+        let views = (
+            PartyData::Horizontal(views.0),
+            PartyData::Horizontal(views.1),
+        );
+        let (two_a, two_b) = run_data_pair(&c, views.0, views.1, rng(1), rng(2)).unwrap();
         assert_eq!(multi[0].clustering, two_a.clustering);
         assert_eq!(multi[1].clustering, two_b.clustering);
     }

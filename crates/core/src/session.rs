@@ -23,10 +23,6 @@
 //!    routes through, so validation, handshake, and output assembly live in
 //!    one place instead of five driver modules.
 //!
-//! The legacy free functions still exist as thin `#[deprecated]` wrappers
-//! over this module and produce byte-identical outputs (labels, leakage,
-//! Yao ledger, traffic) — pinned by the `api_parity` integration tests.
-//!
 //! ```
 //! use ppdbscan::session::{Participant, PartyData};
 //! use ppdbscan::ProtocolConfig;
@@ -89,8 +85,11 @@ use std::sync::Arc;
 /// mid-session; `7` does the same to the horizontal, enhanced and
 /// multiparty modes (every own point's core-point test resolved up front in
 /// index order — HDP pairs in chunks, grid cells and candidate counts a
-/// frame per 1,024 queries — with no query/done control tags).
-pub const WIRE_VERSION: u32 = 7;
+/// frame per 1,024 queries — with no query/done control tags); `8` drops the
+/// `u32` item count from batch frames (a frame is its items back to back,
+/// so a message is a batch of one — a v7 peer would read the first item's
+/// bytes as a count).
+pub const WIRE_VERSION: u32 = 8;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -635,30 +634,12 @@ fn attach_pools(
 
 /// Runs one two-party mode end to end on this side of `chan`: validate,
 /// establish (generating a keypair from the context's `"keygen"` substream
-/// unless one is supplied), cross-check, execute, assemble the outcome.
+/// unless one is supplied), cross-check, execute, assemble the outcome —
+/// with optional randomizer-pool precomputation. The `assemble` span comes
+/// back open: a caller that owns the session's inputs releases them before
+/// closing it, so a traced session's top-level spans account for its
+/// teardown too.
 pub(crate) fn run_two_party<C, D>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    driver: &D,
-    role: Party,
-    keypair: Option<Keypair>,
-    ctx: &ProtocolContext,
-) -> Result<SessionOutcome, CoreError>
-where
-    C: Channel,
-    D: ModeDriver,
-{
-    run_two_party_pooled(chan, cfg, driver, role, keypair, ctx, None).map(|(outcome, assemble)| {
-        assemble.end(|| outcome.output.traffic);
-        outcome
-    })
-}
-
-/// [`run_two_party`] with optional randomizer-pool precomputation. The
-/// `assemble` span comes back open: a caller that owns the session's inputs
-/// releases them before closing it, so a traced session's top-level spans
-/// account for its teardown too.
-pub(crate) fn run_two_party_pooled<C, D>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     driver: &D,
@@ -727,7 +708,7 @@ where
 
 /// One party's private view of the session data — the mode selector of the
 /// [`Participant`] API. The variant picks the protocol family; the payload
-/// is exactly what that family's legacy driver took.
+/// is this party's private input to it.
 #[derive(Debug, Clone)]
 pub enum PartyData {
     /// Complete records, basic horizontal protocol (Algorithms 3 & 4).
@@ -809,7 +790,7 @@ pub struct SessionMeta {
 #[derive(Debug)]
 pub struct SessionOutcome {
     /// The clustering, leakage log, traffic, and Yao ledger this party
-    /// takes away — identical to what the legacy drivers returned.
+    /// takes away.
     pub output: PartyOutput,
     /// Negotiated session metadata.
     pub meta: SessionMeta,
@@ -953,11 +934,8 @@ impl Participant {
     }
 
     /// Supplies the session randomness as a generator: one `next_u64` draw
-    /// becomes the context root seed (see [`Participant::seed`]). Kept so
-    /// `StdRng`-valued call sites (the legacy drivers, the bench harness)
-    /// stay source-compatible; legacy and typed entry points derive the
-    /// same context from the same generator, so their outputs remain
-    /// byte-identical (pinned by `tests/api_parity.rs`).
+    /// becomes the context root seed (see [`Participant::seed`]), for
+    /// `StdRng`-valued call sites ([`run_data_pair`], the bench harness).
     pub fn rng(mut self, mut rng: StdRng) -> Self {
         self.ctx = Some(ProtocolContext::from_rng(&mut rng));
         self
@@ -996,7 +974,7 @@ impl Participant {
             .clone()
             .map(|rec| trace::install(rec as Arc<dyn TraceSink>));
         let result = match &data {
-            PartyData::Horizontal(points) => run_two_party_pooled(
+            PartyData::Horizontal(points) => run_two_party(
                 chan,
                 &cfg,
                 &crate::horizontal::HorizontalDriver { points },
@@ -1005,7 +983,7 @@ impl Participant {
                 &ctx,
                 self.pools,
             ),
-            PartyData::Enhanced(points) => run_two_party_pooled(
+            PartyData::Enhanced(points) => run_two_party(
                 chan,
                 &cfg,
                 &crate::enhanced::EnhancedDriver { points },
@@ -1014,7 +992,7 @@ impl Participant {
                 &ctx,
                 self.pools,
             ),
-            PartyData::Vertical(attrs) => run_two_party_pooled(
+            PartyData::Vertical(attrs) => run_two_party(
                 chan,
                 &cfg,
                 &crate::vertical::VerticalDriver { attrs },
@@ -1023,7 +1001,7 @@ impl Participant {
                 &ctx,
                 self.pools,
             ),
-            PartyData::Arbitrary(values) => run_two_party_pooled(
+            PartyData::Arbitrary(values) => run_two_party(
                 chan,
                 &cfg,
                 &crate::arbitrary::ArbitraryDriver { values },
@@ -1096,8 +1074,8 @@ impl Participant {
 ///
 /// The participants must be two halves of the same two-party session —
 /// complementary roles, compatible data. This is the in-process conductor
-/// the deprecated `run_*_pair` helpers and the engine's
-/// [`crate::driver::run_session`] are built on; for a real deployment, run
+/// [`run_data_pair`] and the engine's [`crate::driver::run_session`] are
+/// built on; for a real deployment, run
 /// each [`Participant`] in its own process over a
 /// [`ppds_transport::tcp::TcpChannel`].
 pub fn run_participants(
@@ -1111,9 +1089,9 @@ pub fn run_participants(
 }
 
 /// [`run_participants`] for the common case: Alice's and Bob's data views
-/// with explicit RNG streams, returning the bare [`PartyOutput`]s. This is
-/// the one shared implementation behind the deprecated `run_*_pair`
-/// wrappers, the bench harness, and the integration-test helpers.
+/// with explicit RNG streams, returning the bare [`PartyOutput`]s — what
+/// the bench harness, the in-crate tests and the integration-test helpers
+/// run.
 pub fn run_data_pair(
     cfg: &ProtocolConfig,
     alice: PartyData,
@@ -1134,7 +1112,7 @@ pub fn run_data_pair(
 /// Runs all `k` parties of a multiparty session on threads over an
 /// in-memory full mesh; returns one [`SessionOutcome`] per party in
 /// party-id order. Each node's RNG stream derives from
-/// `seed + party_id`, matching the legacy conductor seed-for-seed.
+/// `seed + party_id`.
 pub fn run_mesh_local(
     cfg: &ProtocolConfig,
     party_points: &[Vec<Point>],

@@ -10,7 +10,8 @@
 //! The comparison itself runs through the session's [`SmcBackend`], so a
 //! sharing-backend session replaces the garbled-circuit stand-in with a
 //! shared-bit `share_less_than` over `Z_2^64` without touching this module's
-//! dataflow.
+//! dataflow, and a session's framing — a whole candidate set per wire frame,
+//! or the paper's one comparison per round trip — is the backend's too.
 
 use crate::config::{ProtocolConfig, YaoLedger};
 use crate::domain::vdp_domain;
@@ -24,178 +25,41 @@ pub fn local_delta_sq(x: &ppds_dbscan::Point, y: &ppds_dbscan::Point) -> u64 {
     ppds_dbscan::dist_sq(x, y)
 }
 
-/// Alice's side of one VDP comparison. `alpha` is her local squared-delta
-/// sum; `total_dim` is the full record dimension `m` (needed to agree on
-/// the comparison domain); `ctx` is this comparison's record scope
-/// (`step_ctx.at(record)`). Returns `dist² ≤ Eps²`.
+/// One party's side of a slice of VDP comparisons: one `dist² ≤ Eps²`
+/// decision per entry of `locals`, this party's local squared-delta sums
+/// for a whole candidate set (Alice's `α`, Bob's `β`; both sides pass the
+/// same candidates in the same order). `total_dim` is the full record
+/// dimension `m` (needed to agree on the comparison domain); `ctx` is the
+/// step's context, and entry `i` draws from `ctx.at(i)` — its position in
+/// the slice. How the slice is framed — one wire frame per protocol message
+/// or one round trip per entry — is the backend's business; outcomes,
+/// ledgers and bytes are the same either way.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_alice<C: Channel, B: SmcBackend>(
+pub fn vdp_compare<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
-    alpha: u64,
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    let domain = vdp_domain(cfg, total_dim);
-    ledger.record(cfg.key_bits, domain.n0());
-    backend.compare(
-        chan,
-        Party::Alice,
-        i64::try_from(alpha).expect("α fits i64 on a validated lattice"),
-        CmpOp::Leq,
-        &domain,
-        ctx,
-        acct,
-    )
-}
-
-/// Bob's side: `beta` is his local squared-delta sum.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    beta: u64,
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    let domain = vdp_domain(cfg, total_dim);
-    ledger.record(cfg.key_bits, domain.n0());
-    let j_val = cfg.params.eps_sq as i64 - i64::try_from(beta).expect("β fits i64");
-    backend.compare(chan, Party::Bob, j_val, CmpOp::Leq, &domain, ctx, acct)
-}
-
-/// One VDP decision per entry of `alphas` (Alice's local squared-delta
-/// sums for a whole candidate set), dispatched on `cfg.batching`: batched
-/// mode packs the set into a constant number of wire rounds, reference
-/// mode runs one [`vdp_compare_alice`] ping-pong per entry. Outcomes are
-/// identical either way. `records` carries one stable record id per entry
-/// — the per-comparison context path is keyed by id, not position, so a
-/// pruned (sparse) candidate set draws the same randomness for record `y`
-/// as the exhaustive set does (both parties walk identical paths as long
-/// as they enumerate the same candidates in the same order).
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_set_alice<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    alphas: &[u64],
-    records: &[u64],
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    debug_assert_eq!(alphas.len(), records.len(), "one record id per entry");
-    if cfg.batching {
-        return vdp_compare_batch_alice(chan, cfg, backend, alphas, total_dim, ctx, ledger, acct);
-    }
-    alphas
-        .iter()
-        .zip(records)
-        .map(|(&alpha, &record)| {
-            vdp_compare_alice(
-                chan,
-                cfg,
-                backend,
-                alpha,
-                total_dim,
-                &ctx.at(record),
-                ledger,
-                acct,
-            )
-        })
-        .collect()
-}
-
-/// Bob's side of [`vdp_compare_set_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_set_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    betas: &[u64],
-    records: &[u64],
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    debug_assert_eq!(betas.len(), records.len(), "one record id per entry");
-    if cfg.batching {
-        return vdp_compare_batch_bob(chan, cfg, backend, betas, total_dim, ctx, ledger, acct);
-    }
-    betas
-        .iter()
-        .zip(records)
-        .map(|(&beta, &record)| {
-            vdp_compare_bob(
-                chan,
-                cfg,
-                backend,
-                beta,
-                total_dim,
-                &ctx.at(record),
-                ledger,
-                acct,
-            )
-        })
-        .collect()
-}
-
-/// Round-batched Alice side: one VDP decision per entry of `alphas` (her
-/// local squared-delta sums for a whole candidate set), all packed into a
-/// constant number of wire rounds. Outcome `r[i]` equals what
-/// [`vdp_compare_alice`] would return for `alphas[i]`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_batch_alice<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    alphas: &[u64],
+    role: Party,
+    locals: &[u64],
     total_dim: usize,
     ctx: &ProtocolContext,
     ledger: &mut YaoLedger,
     acct: &mut SharingLedger,
 ) -> Result<Vec<bool>, SmcError> {
     let domain = vdp_domain(cfg, total_dim);
-    let values: Vec<i64> = alphas
+    ledger.record_many(cfg.key_bits, domain.n0(), locals.len() as u64);
+    let eps = cfg.params.eps_sq as i64;
+    let values: Vec<i64> = locals
         .iter()
-        .map(|&alpha| {
-            ledger.record(cfg.key_bits, domain.n0());
-            i64::try_from(alpha).expect("α fits i64 on a validated lattice")
+        .map(|&local| {
+            let local = i64::try_from(local).expect("α, β fit i64 on a validated lattice");
+            match role {
+                Party::Alice => local,
+                Party::Bob => eps - local,
+            }
         })
         .collect();
-    backend.compare_batch(chan, Party::Alice, &values, CmpOp::Leq, &domain, ctx, acct)
-}
-
-/// Round-batched Bob side of [`vdp_compare_batch_alice`]; `betas` are his
-/// local squared-delta sums for the same candidate set, in the same order.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn vdp_compare_batch_bob<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    betas: &[u64],
-    total_dim: usize,
-    ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    let domain = vdp_domain(cfg, total_dim);
-    let values: Vec<i64> = betas
-        .iter()
-        .map(|&beta| {
-            ledger.record(cfg.key_bits, domain.n0());
-            cfg.params.eps_sq as i64 - i64::try_from(beta).expect("β fits i64")
-        })
-        .collect();
-    backend.compare_batch(chan, Party::Bob, &values, CmpOp::Leq, &domain, ctx, acct)
+    backend.compare_batch(chan, role, &values, CmpOp::Leq, &domain, ctx, acct)
 }
 
 #[cfg(test)]
@@ -206,7 +70,8 @@ mod tests {
     use ppds_dbscan::{dist_sq, DbscanParams, Point};
     use ppds_paillier::Keypair;
     use ppds_smc::compare::Comparator;
-    use ppds_transport::duplex;
+    use ppds_smc::{AnyBackend, DealerTape, SharingBackend};
+    use ppds_transport::{duplex, MetricsSnapshot};
     use std::sync::OnceLock;
 
     fn alice_kp() -> &'static Keypair {
@@ -219,120 +84,106 @@ mod tests {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(34)))
     }
 
-    fn run(cfg: ProtocolConfig, alpha: u64, beta: u64, dim: usize) -> bool {
+    /// What Alice takes away from one slice of comparisons.
+    struct Decided {
+        within: Vec<bool>,
+        ledger: YaoLedger,
+        sharing: SharingLedger,
+        traffic: MetricsSnapshot,
+    }
+
+    fn run(
+        cfg: ProtocolConfig,
+        (sharing, batching): (bool, bool),
+        alphas: &[u64],
+        betas: &[u64],
+        dim: usize,
+    ) -> Decided {
+        let cfg = cfg.with_batching(batching);
+        let backend_for = |mine: &'static Keypair, theirs: &'static Keypair| {
+            if sharing {
+                AnyBackend::Sharing(SharingBackend {
+                    tape: DealerTape::from_seed(77),
+                    batching,
+                    dot_mask_bound: 1 << 20,
+                })
+            } else {
+                AnyBackend::Paillier(paillier_backend(&cfg, mine, &theirs.public, dim))
+            }
+        };
         let (mut achan, mut bchan) = duplex();
-        let a = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, dim);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            vdp_compare_alice(
-                &mut achan,
+        std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                let backend = backend_for(alice_kp(), bob_kp());
+                let (mut ledger, mut sharing) = Default::default();
+                let role = Party::Alice;
+                let within = vdp_compare(
+                    &mut achan,
+                    &cfg,
+                    &backend,
+                    role,
+                    alphas,
+                    dim,
+                    &ctx(3),
+                    &mut ledger,
+                    &mut sharing,
+                )
+                .unwrap();
+                Decided {
+                    within,
+                    ledger,
+                    sharing,
+                    traffic: achan.metrics(),
+                }
+            });
+            let backend = backend_for(bob_kp(), alice_kp());
+            let (mut ledger, mut acct) = Default::default();
+            let role = Party::Bob;
+            let bob = vdp_compare(
+                &mut bchan,
                 &cfg,
                 &backend,
-                alpha,
+                role,
+                betas,
                 dim,
-                &ctx(1),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap()
-        });
-        let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, dim);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let bob = vdp_compare_bob(
-            &mut bchan,
-            &cfg,
-            &backend,
-            beta,
-            dim,
-            &ctx(2),
-            &mut ledger,
-            &mut acct,
-        )
-        .unwrap();
-        let alice = a.join().unwrap();
-        assert_eq!(alice, bob);
-        alice
-    }
-
-    #[test]
-    fn decides_exactly_alpha_plus_beta_vs_eps() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 10,
-                min_pts: 2,
-            },
-            3,
-        );
-        for (alpha, beta) in [
-            (0u64, 0u64),
-            (5, 5),
-            (5, 6),
-            (10, 0),
-            (0, 10),
-            (11, 0),
-            (3, 4),
-        ] {
-            let expect = alpha + beta <= 10;
-            assert_eq!(run(cfg, alpha, beta, 2), expect, "α={alpha} β={beta}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_singles_in_three_rounds() {
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 10,
-                min_pts: 2,
-            },
-            3,
-        );
-        let alphas: Vec<u64> = vec![0, 5, 5, 10, 0, 11, 3];
-        let betas: Vec<u64> = vec![0, 5, 6, 0, 10, 0, 4];
-        let expect: Vec<bool> = alphas
-            .iter()
-            .zip(&betas)
-            .map(|(&a, &b)| a + b <= 10)
-            .collect();
-        let (mut achan, mut bchan) = duplex();
-        let alphas2 = alphas.clone();
-        let a = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, alice_kp(), &bob_kp().public, 2);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let out = vdp_compare_batch_alice(
-                &mut achan,
-                &cfg,
-                &backend,
-                &alphas2,
-                2,
-                &ctx(3),
+                &ctx(4),
                 &mut ledger,
                 &mut acct,
             )
             .unwrap();
-            (out, ledger, achan.metrics())
-        });
-        let backend = paillier_backend(&cfg, bob_kp(), &alice_kp().public, 2);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let bob = vdp_compare_batch_bob(
-            &mut bchan,
-            &cfg,
-            &backend,
-            &betas,
-            2,
-            &ctx(4),
-            &mut ledger,
-            &mut acct,
-        )
-        .unwrap();
-        let (alice, a_ledger, metrics) = a.join().unwrap();
-        assert_eq!(alice, expect);
-        assert_eq!(bob, expect);
-        assert_eq!(a_ledger.comparisons, alphas.len() as u64);
-        assert_eq!(metrics.total_rounds(), 3, "one Ideal exchange for all 7");
+            let alice = a.join().unwrap();
+            assert_eq!(alice.within, bob);
+            assert_eq!(alice.ledger, ledger);
+            alice
+        })
+    }
+
+    fn cfg(eps_sq: u64) -> ProtocolConfig {
+        ProtocolConfig::new(DbscanParams { eps_sq, min_pts: 2 }, 3)
+    }
+
+    const ALPHAS: [u64; 7] = [0, 5, 5, 10, 0, 11, 3];
+    const BETAS: [u64; 7] = [0, 5, 6, 0, 10, 0, 4];
+
+    #[test]
+    fn decides_exactly_alpha_plus_beta_vs_eps_on_both_substrates() {
+        let expect: Vec<bool> = ALPHAS
+            .iter()
+            .zip(&BETAS)
+            .map(|(&a, &b)| a + b <= 10)
+            .collect();
+        for sharing in [false, true] {
+            for batching in [false, true] {
+                let out = run(cfg(10), (sharing, batching), &ALPHAS, &BETAS, 2);
+                assert_eq!(out.within, expect, "sharing={sharing} batching={batching}");
+                assert_eq!(out.ledger.comparisons, 7);
+                assert_eq!(out.sharing.compares, if sharing { 7 } else { 0 });
+                // One Ideal (or masked-open) exchange for all 7, or one each.
+                let exchange = if sharing { 2 } else { 3 };
+                let frames = if batching { 1 } else { 7 };
+                assert_eq!(out.traffic.total_rounds(), exchange * frames);
+            }
+        }
     }
 
     #[test]
@@ -356,77 +207,10 @@ mod tests {
             &Point::new(full_y.coords()[2..].to_vec()),
         );
         let expect = dist_sq(&full_x, &full_y) <= 9;
-        assert_eq!(run(cfg, alpha, beta, 4), expect);
-        assert!(matches!(cfg.comparator, Comparator::Yao));
-    }
-
-    #[test]
-    fn sharing_backend_matches_plain_comparisons() {
-        use ppds_smc::{DealerTape, SharingBackend};
-        let cfg = ProtocolConfig::new(
-            DbscanParams {
-                eps_sq: 10,
-                min_pts: 2,
-            },
-            3,
+        assert_eq!(
+            run(cfg, (false, false), &[alpha], &[beta], 4).within,
+            [expect]
         );
-        let alphas: Vec<u64> = vec![0, 5, 5, 10, 0, 11, 3];
-        let betas: Vec<u64> = vec![0, 5, 6, 0, 10, 0, 4];
-        let expect: Vec<bool> = alphas
-            .iter()
-            .zip(&betas)
-            .map(|(&a, &b)| a + b <= 10)
-            .collect();
-        let records: Vec<u64> = (0..alphas.len() as u64).collect();
-        for batching in [false, true] {
-            let run_cfg = cfg.with_batching(batching);
-            let mk = move || SharingBackend {
-                tape: DealerTape::from_seed(77),
-                batching,
-                dot_mask_bound: 1 << 20,
-            };
-            let (mut achan, mut bchan) = duplex();
-            let alphas2 = alphas.clone();
-            let records2 = records.clone();
-            let a = std::thread::spawn(move || {
-                let mut ledger = YaoLedger::default();
-                let mut acct = SharingLedger::default();
-                let out = vdp_compare_set_alice(
-                    &mut achan,
-                    &run_cfg,
-                    &mk(),
-                    &alphas2,
-                    &records2,
-                    2,
-                    &ctx(3),
-                    &mut ledger,
-                    &mut acct,
-                )
-                .unwrap();
-                (out, acct)
-            });
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let bob = vdp_compare_set_bob(
-                &mut bchan,
-                &run_cfg,
-                &mk(),
-                &betas,
-                &records,
-                2,
-                &ctx(4),
-                &mut ledger,
-                &mut acct,
-            )
-            .unwrap();
-            let (alice, a_acct) = a.join().unwrap();
-            assert_eq!(alice, expect, "batching={batching}");
-            assert_eq!(bob, expect, "batching={batching}");
-            assert_eq!(a_acct.compares, alphas.len() as u64);
-            assert!(
-                a_acct.bit_triples > 0,
-                "shared-bit compares consume triples"
-            );
-        }
+        assert!(matches!(cfg.comparator, Comparator::Yao));
     }
 }

@@ -14,13 +14,10 @@
 //! [`crate::session::Participant`] builder is the supported entry point.
 
 use crate::config::ProtocolConfig;
-use crate::driver::PartyOutput;
 use crate::error::CoreError;
 use crate::prune::{for_each_pair_chunk, BandCandidates, BandTable, PAIR_CHUNK};
-use crate::session::{
-    run_two_party, HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog,
-};
-use crate::vdp::{local_delta_sq, vdp_compare_set_alice, vdp_compare_set_bob};
+use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
+use crate::vdp::{local_delta_sq, vdp_compare};
 use ppds_dbscan::{dbscan_over_graph, Clustering, DbscanParams, NeighborGraph, Point};
 use ppds_observe::trace;
 use ppds_smc::{LeakageEvent, LeakageLog, Party, ProtocolContext};
@@ -31,9 +28,9 @@ use std::fmt::Write as _;
 ///
 /// **Resolve** is the only wire phase: every unordered candidate pair goes
 /// through `compare_chunk` — one joint `dist² ≤ Eps²` bit per pair,
-/// [`PAIR_CHUNK`] pairs per call, so a batching driver spends O(1) wire
-/// rounds per chunk and an unbatched one a comparison per round over the
-/// same stream (`bands = None` streams all `n(n−1)/2` pairs). DBSCAN
+/// [`PAIR_CHUNK`] pairs per call, so a batching backend spends O(1) wire
+/// rounds per chunk and the reference framing a comparison per round over
+/// the same stream (`bands = None` streams all `n(n−1)/2` pairs). DBSCAN
 /// region-queries every record and both parties learn every bit it asks
 /// for, so the disclosed set is exactly "one bit per candidate pair"
 /// whatever the visiting order: resolving it up front discloses nothing
@@ -149,9 +146,8 @@ impl ModeDriver for VerticalDriver<'_> {
         let bands = vertical_band_oracle(chan, mctx, attrs, &mut log.leakage)?;
         let (ledger, sharing) = (&mut log.ledger, &mut log.sharing);
         // One context instance per chunk; pair `i` of a chunk draws from
-        // resolve.at(chunk).at(i) in both framings.
+        // resolve.at(chunk).at(i) however the backend frames it.
         let resolve_ctx = ctx.narrow("resolve");
-        let positions: Vec<u64> = (0..PAIR_CHUNK as u64).collect();
         let mut locals: Vec<u64> = Vec::with_capacity(PAIR_CHUNK);
         let compare_chunk = |chan: &mut C, chunk: u64, pairs: &[(u32, u32)]| {
             locals.clear();
@@ -160,15 +156,10 @@ impl ModeDriver for VerticalDriver<'_> {
                     .iter()
                     .map(|&(x, y)| local_delta_sq(&attrs[x as usize], &attrs[y as usize])),
             );
-            let (records, cctx) = (&positions[..pairs.len()], resolve_ctx.at(chunk));
-            Ok(match mctx.role {
-                Party::Alice => vdp_compare_set_alice(
-                    chan, cfg, &backend, &locals, records, total_dim, &cctx, ledger, sharing,
-                )?,
-                Party::Bob => vdp_compare_set_bob(
-                    chan, cfg, &backend, &locals, records, total_dim, &cctx, ledger, sharing,
-                )?,
-            })
+            let (role, cctx) = (mctx.role, resolve_ctx.at(chunk));
+            Ok(vdp_compare(
+                chan, cfg, &backend, role, &locals, total_dim, &cctx, ledger, sharing,
+            )?)
         };
         lockstep_dbscan(
             chan,
@@ -221,39 +212,12 @@ fn vertical_band_oracle<C: Channel>(
     Ok(Some(BandCandidates::new(joined, width)))
 }
 
-/// One party's full run of the vertical protocol. `my_attrs` holds this
-/// party's attribute slice of each record (all records, same order on both
-/// sides). Returns the joint clustering of all records.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ppdbscan::session::Participant with PartyData::Vertical"
-)]
-pub fn vertical_party<C: Channel>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    my_attrs: &[Point],
-    role: Party,
-    rng: rand::rngs::StdRng,
-) -> Result<PartyOutput, CoreError> {
-    let mut rng = rng;
-    run_two_party(
-        chan,
-        cfg,
-        &VerticalDriver { attrs: my_attrs },
-        role,
-        None,
-        &ProtocolContext::from_rng(&mut rng),
-    )
-    .map(|outcome| outcome.output)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(deprecated)]
-    use crate::driver::run_vertical_pair;
+    use crate::driver::PartyOutput;
     use crate::partition::VerticalPartition;
-    use crate::session::{Participant, PartyData};
+    use crate::session::{run_data_pair, Participant, PartyData};
     use crate::test_helpers::rng;
     use ppds_dbscan::{dbscan, eval};
 
@@ -265,14 +229,15 @@ mod tests {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, bound)
     }
 
-    #[allow(deprecated)]
     fn vertical(
         c: &ProtocolConfig,
         part: &VerticalPartition,
         sa: u64,
         sb: u64,
     ) -> (PartyOutput, PartyOutput) {
-        run_vertical_pair(c, part, rng(sa), rng(sb)).unwrap()
+        let (alice, bob) = (part.alice.clone(), part.bob.clone());
+        let views = (PartyData::Vertical(alice), PartyData::Vertical(bob));
+        run_data_pair(c, views.0, views.1, rng(sa), rng(sb)).unwrap()
     }
 
     #[test]

@@ -6,44 +6,42 @@
 //! by `ProtocolConfig::backend` exactly like the Ideal/DGK/Yao comparator
 //! choice:
 //!
-//! * [`PaillierBackend`] delegates byte-for-byte to the existing
-//!   homomorphic implementations ([`crate::compare`],
-//!   [`crate::multiplication`]), preserving every scoping convention the
-//!   drivers used when they called those functions directly (masks from
-//!   `ctx.narrow("mask").rng_for(record)`, multiplication scopes at
-//!   `ctx.narrow("mul").at(record)`), so routing through the trait changes
-//!   nothing observable.
+//! * [`PaillierBackend`] delegates to the homomorphic implementations
+//!   ([`crate::compare`], [`crate::multiplication`]), preserving every
+//!   scoping convention the drivers used when they called those functions
+//!   directly (masks from `ctx.narrow("mask").rng_for(record)`,
+//!   multiplication scopes at `ctx.narrow("mul").at(record)`), so routing
+//!   through the trait changes nothing observable.
 //! * [`SharingBackend`] routes to [`crate::sharing`]: 8-byte ring elements
 //!   instead of 512–2048-bit ciphertexts, with correlated randomness from
 //!   the session's [`DealerTape`] and trust substitutions accounted in a
 //!   [`SharingLedger`].
 //!
-//! This module never touches a Paillier ciphertext itself — it only
-//! dispatches (a CI grep guard keeps it that way).
+//! Each primitive exists once, over a slice of items; this module is also
+//! the one reader of the framing policy (`framed`): `batching` ships a
+//! slice as one frame per protocol message, the reference framing ships the
+//! same items one frame each. It never touches a Paillier ciphertext itself
+//! — it only dispatches (a CI grep guard keeps it that way).
 
 use crate::compare::{
-    compare_alice, compare_batch_alice, compare_batch_bob, compare_bob, share_less_than_alice,
-    share_less_than_batch_alice, share_less_than_batch_bob, share_less_than_bob, CmpOp, Comparator,
+    compare_alice, compare_bob, share_less_than_alice, share_less_than_bob, CmpOp, Comparator,
     ComparisonDomain,
 };
 use crate::context::{ProtocolContext, RecordId};
 use crate::error::SmcError;
 use crate::leakage::Party;
 use crate::multiplication::{
-    dot_many_keyholder, dot_many_peer, mul_batch_keyholder, mul_batch_peer, mul_batches_keyholder,
-    mul_batches_peer, zero_sum_masks, ResponsePacking,
+    dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
+    ResponsePacking,
 };
 use crate::sharing::{
-    sample_mask_i64, sharing_compare_alice, sharing_compare_batch_alice, sharing_compare_batch_bob,
-    sharing_compare_bob, sharing_dot_querier, sharing_dot_responder, sharing_fold_keyholder_batch,
-    sharing_fold_keyholder_one, sharing_fold_peer_batch, sharing_fold_peer_one,
-    sharing_share_less_than_alice, sharing_share_less_than_batch_alice,
-    sharing_share_less_than_batch_bob, sharing_share_less_than_bob, DealerTape, Fe, SharingLedger,
-    MAX_SHARING_MASK,
+    sample_mask_i64, sharing_compare, sharing_dot_querier, sharing_dot_responder,
+    sharing_fold_keyholder, sharing_fold_peer, DealerTape, Fe, SharingLedger, MAX_SHARING_MASK,
 };
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::{Keypair, PublicKey};
 use ppds_transport::Channel;
+use std::ops::Range;
 
 /// Which cryptographic substrate a session's SMC workhorses run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,18 +80,58 @@ impl BackendKind {
     }
 }
 
-/// The backend dispatch surface. `role` on the comparison methods is the
-/// *comparison* role ([`Party::Alice`] holds the compare keypair on the
-/// Paillier path; sharing ignores keys but keeps the same send/recv
-/// ordering). The multiplication/dot methods encode their role in the
-/// method name. `acct` collects the sharing backend's trust-substitution
-/// ledger; the Paillier backend leaves it untouched, which is exactly the
-/// audit claim that no sharing substitution occurred.
+/// The backend dispatch surface. Every method takes a *slice* of items —
+/// comparisons, share pairs, multiplication groups — and each backend has
+/// one implementation of it per primitive; how the slice is cut into wire
+/// frames is the backend's `batching` policy and nobody else's (see
+/// `framed`), so callers hand over everything they have and never ask.
+///
+/// `role` on the comparison methods is the *comparison* role
+/// ([`Party::Alice`] holds the compare keypair on the Paillier path; sharing
+/// ignores keys but keeps the same send/recv ordering). The
+/// multiplication/dot methods encode their role in the method name. `acct`
+/// collects the sharing backend's trust-substitution ledger; the Paillier
+/// backend leaves it untouched, which is exactly the audit claim that no
+/// sharing substitution occurred.
 pub trait SmcBackend {
     /// Which substrate this backend runs on.
     fn kind(&self) -> BackendKind;
 
-    /// One secure comparison; returns `alice_value OP bob_value`.
+    /// Secure comparisons, one verdict `alice_values[i] OP bob_values[i]`
+    /// per element; comparison `i` draws from `scopes(i)` and from nothing
+    /// else.
+    #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
+    fn compare_scoped<C, S>(
+        &self,
+        chan: &mut C,
+        role: Party,
+        values: &[i64],
+        op: CmpOp,
+        domain: &ComparisonDomain,
+        scopes: S,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<bool>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext + Sync;
+
+    /// Share comparisons (§5): per pair, the party's
+    /// `(share_of_a, share_of_b)`; both sides learn `dist_a < dist_b`.
+    /// Scoped like [`SmcBackend::compare_scoped`].
+    fn share_less_than_scoped<C, S>(
+        &self,
+        chan: &mut C,
+        role: Party,
+        pairs: &[(i64, i64)],
+        domain: &ComparisonDomain,
+        scopes: S,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<bool>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext + Sync;
+
+    /// One secure comparison at its own scope `ctx`: the slice of one.
     #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
     fn compare<C: Channel>(
         &self,
@@ -104,9 +142,12 @@ pub trait SmcBackend {
         domain: &ComparisonDomain,
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError>;
+    ) -> Result<bool, SmcError> {
+        Ok(self.compare_scoped(chan, role, &[value], op, domain, |_| *ctx, acct)?[0])
+    }
 
-    /// Round-batched comparisons (one verdict per element).
+    /// The comparisons of one protocol step: element `i` is scoped
+    /// `ctx.at(i)` — its position in the slice.
     #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
     fn compare_batch<C: Channel>(
         &self,
@@ -117,32 +158,9 @@ pub trait SmcBackend {
         domain: &ComparisonDomain,
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<bool>, SmcError>;
-
-    /// Share comparison (§5): the party's `(share_of_a, share_of_b)` pair;
-    /// both sides learn `dist_a < dist_b`.
-    #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-    fn share_less_than<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pair: (i64, i64),
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError>;
-
-    /// Round-batched share comparisons.
-    #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-    fn share_less_than_batch<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pairs: &[(i64, i64)],
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<Vec<bool>, SmcError>;
+    ) -> Result<Vec<bool>, SmcError> {
+        self.compare_scoped(chan, role, values, op, domain, |i| ctx.at(i as u64), acct)
+    }
 
     /// Querier (key-holding) side of the one-exchange dot product: learns
     /// `u_j = ⟨xs, y_j⟩ + v_j` per responder row.
@@ -191,6 +209,27 @@ pub trait SmcBackend {
     ) -> Result<(), SmcError>;
 }
 
+/// The framing policy, read here and nowhere else: a primitive is handed
+/// all `items` at once when `batching` — one frame per protocol message for
+/// the lot — and one item at a time otherwise, the paper-literal reference
+/// framing: the same items at the same scopes, hence the same bytes, in
+/// `items` times the frames. `run` receives the index range to ship and
+/// returns one output per index (none, for a primitive without outputs).
+fn framed<T>(
+    batching: bool,
+    items: usize,
+    mut run: impl FnMut(Range<usize>) -> Result<Vec<T>, SmcError>,
+) -> Result<Vec<T>, SmcError> {
+    if batching || items <= 1 {
+        return run(0..items);
+    }
+    let mut out = Vec::with_capacity(items);
+    for i in 0..items {
+        out.extend(run(i..i + 1)?);
+    }
+    Ok(out)
+}
+
 fn bigints(values: &[i64]) -> Vec<BigInt> {
     values.iter().map(|&v| BigInt::from_i64(v)).collect()
 }
@@ -200,9 +239,10 @@ fn to_i64(v: &BigInt, what: &str) -> Result<i64, SmcError> {
         .ok_or_else(|| SmcError::protocol(format!("{what} overflows i64")))
 }
 
-/// The homomorphic substrate: every method delegates to the existing
-/// Paillier implementation with the scoping conventions the drivers used
-/// before the trait existed, so transcripts are byte-identical.
+/// The homomorphic substrate: every method delegates to the Paillier
+/// implementation with the scoping conventions the drivers used before the
+/// trait existed (masks from `ctx.narrow("mask").rng_for(record)`,
+/// multiplication scopes at `ctx.narrow("mul").at(record)`).
 pub struct PaillierBackend<'a> {
     /// This party's keypair (used when it plays the key-holding role).
     pub my_keypair: &'a Keypair,
@@ -212,7 +252,8 @@ pub struct PaillierBackend<'a> {
     pub comparator: Comparator,
     /// Plaintext-slot packing on comparison transcripts.
     pub packed: bool,
-    /// Round-batched framing inside the fold methods.
+    /// Round-batched framing: every slice one frame per protocol message;
+    /// off, every item a frame of its own (`framed`).
     pub batching: bool,
     /// Packing layout for multiplication responses (dimension-dependent).
     pub mul_packing: Option<ResponsePacking>,
@@ -229,136 +270,65 @@ impl SmcBackend for PaillierBackend<'_> {
         BackendKind::Paillier
     }
 
-    fn compare<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        value: i64,
-        op: CmpOp,
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        _acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        match role {
-            Party::Alice => compare_alice(
-                self.comparator,
-                chan,
-                self.my_keypair,
-                value,
-                op,
-                domain,
-                self.packed,
-                ctx,
-            ),
-            Party::Bob => compare_bob(
-                self.comparator,
-                chan,
-                self.peer_pk,
-                value,
-                op,
-                domain,
-                self.packed,
-                ctx,
-            ),
-        }
-    }
-
-    fn compare_batch<C: Channel>(
+    fn compare_scoped<C, S>(
         &self,
         chan: &mut C,
         role: Party,
         values: &[i64],
         op: CmpOp,
         domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
+        scopes: S,
         _acct: &mut SharingLedger,
-    ) -> Result<Vec<bool>, SmcError> {
-        match role {
-            Party::Alice => compare_batch_alice(
-                self.comparator,
-                chan,
-                self.my_keypair,
-                values,
-                op,
-                domain,
-                self.packed,
-                ctx,
-            ),
-            Party::Bob => compare_batch_bob(
-                self.comparator,
-                chan,
-                self.peer_pk,
-                values,
-                op,
-                domain,
-                self.packed,
-                ctx,
-            ),
-        }
+    ) -> Result<Vec<bool>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext + Sync,
+    {
+        let (comparator, packed) = (self.comparator, self.packed);
+        framed(self.batching, values.len(), |at| {
+            let (values, scopes) = (&values[at.clone()], |i| scopes(at.start + i));
+            match role {
+                Party::Alice => {
+                    let keypair = self.my_keypair;
+                    compare_alice(comparator, chan, keypair, values, domain, packed, scopes)
+                }
+                Party::Bob => {
+                    let alice_pk = self.peer_pk;
+                    compare_bob(
+                        comparator, chan, alice_pk, values, op, domain, packed, scopes,
+                    )
+                }
+            }
+        })
     }
 
-    fn share_less_than<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pair: (i64, i64),
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        _acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        match role {
-            Party::Alice => share_less_than_alice(
-                self.comparator,
-                chan,
-                self.my_keypair,
-                pair.0,
-                pair.1,
-                domain,
-                self.packed,
-                ctx,
-            ),
-            Party::Bob => share_less_than_bob(
-                self.comparator,
-                chan,
-                self.peer_pk,
-                pair.0,
-                pair.1,
-                domain,
-                self.packed,
-                ctx,
-            ),
-        }
-    }
-
-    fn share_less_than_batch<C: Channel>(
+    fn share_less_than_scoped<C, S>(
         &self,
         chan: &mut C,
         role: Party,
         pairs: &[(i64, i64)],
         domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
+        scopes: S,
         _acct: &mut SharingLedger,
-    ) -> Result<Vec<bool>, SmcError> {
-        match role {
-            Party::Alice => share_less_than_batch_alice(
-                self.comparator,
-                chan,
-                self.my_keypair,
-                pairs,
-                domain,
-                self.packed,
-                ctx,
-            ),
-            Party::Bob => share_less_than_batch_bob(
-                self.comparator,
-                chan,
-                self.peer_pk,
-                pairs,
-                domain,
-                self.packed,
-                ctx,
-            ),
-        }
+    ) -> Result<Vec<bool>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext + Sync,
+    {
+        let (comparator, packed) = (self.comparator, self.packed);
+        framed(self.batching, pairs.len(), |at| {
+            let (pairs, scopes) = (&pairs[at.clone()], |i| scopes(at.start + i));
+            match role {
+                Party::Alice => {
+                    let keypair = self.my_keypair;
+                    share_less_than_alice(comparator, chan, keypair, pairs, domain, packed, scopes)
+                }
+                Party::Bob => {
+                    let alice_pk = self.peer_pk;
+                    share_less_than_bob(comparator, chan, alice_pk, pairs, domain, packed, scopes)
+                }
+            }
+        })
     }
 
     fn dot_many_querier<C: Channel>(
@@ -409,34 +379,22 @@ impl SmcBackend for PaillierBackend<'_> {
     ) -> Result<Vec<i64>, SmcError> {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mul_ctx = ctx.narrow("mul");
-        let fold = |ws: &[BigInt]| -> Result<i64, SmcError> {
-            let sum = ws.iter().fold(BigInt::zero(), |acc, w| &acc + w);
-            to_i64(&sum, "folded product")
-        };
-        if self.batching {
-            let xs_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
+        let xs_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
+        framed(self.batching, groups.len(), |at| {
             let all = mul_batches_keyholder(
                 chan,
                 self.my_keypair,
-                &xs_groups,
-                |g| mul_ctx.at(records[g]),
+                &xs_groups[at.clone()],
+                |g| mul_ctx.at(records[at.start + g]),
                 self.mul_packing.as_ref(),
             )?;
-            all.iter().map(|ws| fold(ws)).collect()
-        } else {
-            let mut out = Vec::with_capacity(groups.len());
-            for (g, xs) in groups.iter().enumerate() {
-                let ws = mul_batch_keyholder(
-                    chan,
-                    self.my_keypair,
-                    &bigints(xs),
-                    self.mul_packing.as_ref(),
-                    &mul_ctx.at(records[g]),
-                )?;
-                out.push(fold(&ws)?);
-            }
-            Ok(out)
-        }
+            all.iter()
+                .map(|ws| {
+                    let sum = ws.iter().fold(BigInt::zero(), |acc, w| &acc + w);
+                    to_i64(&sum, "folded product")
+                })
+                .collect()
+        })
     }
 
     fn mul_fold_peer<C: Channel>(
@@ -450,37 +408,23 @@ impl SmcBackend for PaillierBackend<'_> {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mask_ctx = ctx.narrow("mask");
         let mul_ctx = ctx.narrow("mul");
-        if self.batching {
-            let ys_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
+        let ys_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
+        framed(self.batching, groups.len(), |at| {
+            let record = |g: usize| records[at.start + g];
+            let ys_groups = &ys_groups[at.clone()];
             mul_batches_peer(
                 chan,
                 self.peer_pk,
-                &ys_groups,
+                ys_groups,
                 |g| {
-                    zero_sum_masks(
-                        mask_ctx.rng_for(records[g]),
-                        groups[g].len(),
-                        &self.mul_mask_bound,
-                    )
+                    let masks = mask_ctx.rng_for(record(g));
+                    zero_sum_masks(masks, ys_groups[g].len(), &self.mul_mask_bound)
                 },
-                |g| mul_ctx.at(records[g]),
+                |g| mul_ctx.at(record(g)),
                 self.mul_packing.as_ref(),
-            )?;
-        } else {
-            for (g, ys) in groups.iter().enumerate() {
-                let masks =
-                    zero_sum_masks(mask_ctx.rng_for(records[g]), ys.len(), &self.mul_mask_bound);
-                mul_batch_peer(
-                    chan,
-                    self.peer_pk,
-                    &bigints(ys),
-                    &masks,
-                    self.mul_packing.as_ref(),
-                    &mul_ctx.at(records[g]),
-                )?;
-            }
-        }
-        Ok(())
+            )
+        })
+        .map(drop)
     }
 }
 
@@ -491,7 +435,8 @@ impl SmcBackend for PaillierBackend<'_> {
 pub struct SharingBackend {
     /// The session's shared dealer tape.
     pub tape: DealerTape,
-    /// Round-batched framing inside the fold methods.
+    /// Round-batched framing: every slice one frame per protocol message;
+    /// off, every item a frame of its own (`framed`).
     pub batching: bool,
     /// Mask bound for dot-product output masks (clamped to
     /// [`MAX_SHARING_MASK`] so driver-side `i64` sums stay exact).
@@ -502,83 +447,77 @@ fn fes(values: &[i64]) -> Vec<Fe> {
     values.iter().map(|&v| Fe::embed(v)).collect()
 }
 
+impl SharingBackend {
+    /// Both comparison methods: item `i` compares `operand(i)`, a ring
+    /// element computed as the item is shipped.
+    #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
+    fn compare_operands<C: Channel>(
+        &self,
+        chan: &mut C,
+        role: Party,
+        items: usize,
+        operand: impl Fn(usize) -> Fe,
+        op: CmpOp,
+        domain: &ComparisonDomain,
+        scopes: impl Fn(usize) -> ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<bool>, SmcError> {
+        framed(self.batching, items, |at| {
+            let (operands, scopes) = (at.clone().map(&operand), |i| scopes(at.start + i));
+            sharing_compare(&self.tape, chan, role, operands, op, domain, scopes, acct)
+        })
+    }
+}
+
 impl SmcBackend for SharingBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Sharing
     }
 
-    fn compare<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        value: i64,
-        op: CmpOp,
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        match role {
-            Party::Alice => sharing_compare_alice(&self.tape, chan, value, op, domain, ctx, acct),
-            Party::Bob => sharing_compare_bob(&self.tape, chan, value, op, domain, ctx, acct),
-        }
-    }
-
-    fn compare_batch<C: Channel>(
+    fn compare_scoped<C, S>(
         &self,
         chan: &mut C,
         role: Party,
         values: &[i64],
         op: CmpOp,
         domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
+        scopes: S,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<bool>, SmcError> {
-        match role {
-            Party::Alice => {
-                sharing_compare_batch_alice(&self.tape, chan, values, op, domain, ctx, acct)
-            }
-            Party::Bob => {
-                sharing_compare_batch_bob(&self.tape, chan, values, op, domain, ctx, acct)
-            }
-        }
+    ) -> Result<Vec<bool>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext + Sync,
+    {
+        let operand = |i: usize| Fe::embed(values[i]);
+        self.compare_operands(chan, role, values.len(), operand, op, domain, scopes, acct)
     }
 
-    fn share_less_than<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pair: (i64, i64),
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        match role {
-            Party::Alice => {
-                sharing_share_less_than_alice(&self.tape, chan, pair.0, pair.1, domain, ctx, acct)
-            }
-            Party::Bob => {
-                sharing_share_less_than_bob(&self.tape, chan, pair.0, pair.1, domain, ctx, acct)
-            }
-        }
-    }
-
-    fn share_less_than_batch<C: Channel>(
+    fn share_less_than_scoped<C, S>(
         &self,
         chan: &mut C,
         role: Party,
         pairs: &[(i64, i64)],
         domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
+        scopes: S,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<bool>, SmcError> {
-        match role {
-            Party::Alice => {
-                sharing_share_less_than_batch_alice(&self.tape, chan, pairs, domain, ctx, acct)
-            }
-            Party::Bob => {
-                sharing_share_less_than_batch_bob(&self.tape, chan, pairs, domain, ctx, acct)
-            }
-        }
+    ) -> Result<Vec<bool>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext + Sync,
+    {
+        // Share differences are taken in-field, so they never overflow
+        // whatever the mask width.
+        let diff = |i: usize| Fe::embed(pairs[i].0) - Fe::embed(pairs[i].1);
+        self.compare_operands(
+            chan,
+            role,
+            pairs.len(),
+            diff,
+            CmpOp::Lt,
+            domain,
+            scopes,
+            acct,
+        )
     }
 
     fn dot_many_querier<C: Channel>(
@@ -622,29 +561,13 @@ impl SmcBackend for SharingBackend {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mul_ctx = ctx.narrow("mul");
         let group_fes: Vec<Vec<Fe>> = groups.iter().map(|g| fes(g)).collect();
-        if self.batching {
-            let us = sharing_fold_keyholder_batch(
-                &self.tape,
-                chan,
-                &group_fes,
-                |g| mul_ctx.at(records[g]),
-                acct,
-            )?;
+        framed(self.batching, groups.len(), |at| {
+            let (groups, scopes) = (&group_fes[at.clone()], |g| {
+                mul_ctx.at(records[at.start + g])
+            });
+            let us = sharing_fold_keyholder(&self.tape, chan, groups, scopes, acct)?;
             Ok(us.into_iter().map(Fe::lift).collect())
-        } else {
-            let mut out = Vec::with_capacity(groups.len());
-            for (g, xs) in group_fes.iter().enumerate() {
-                let u = sharing_fold_keyholder_one(
-                    &self.tape,
-                    chan,
-                    xs,
-                    &mul_ctx.at(records[g]),
-                    acct,
-                )?;
-                out.push(u.lift());
-            }
-            Ok(out)
-        }
+        })
     }
 
     fn mul_fold_peer<C: Channel>(
@@ -658,20 +581,13 @@ impl SmcBackend for SharingBackend {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mul_ctx = ctx.narrow("mul");
         let group_fes: Vec<Vec<Fe>> = groups.iter().map(|g| fes(g)).collect();
-        if self.batching {
-            sharing_fold_peer_batch(
-                &self.tape,
-                chan,
-                &group_fes,
-                |g| mul_ctx.at(records[g]),
-                acct,
-            )
-        } else {
-            for (g, ys) in group_fes.iter().enumerate() {
-                sharing_fold_peer_one(&self.tape, chan, ys, &mul_ctx.at(records[g]), acct)?;
-            }
-            Ok(())
-        }
+        framed(self.batching, groups.len(), |at| {
+            let (groups, scopes) = (&group_fes[at.clone()], |g| {
+                mul_ctx.at(records[at.start + g])
+            });
+            sharing_fold_peer(&self.tape, chan, groups, scopes, acct).map(|()| Vec::<()>::new())
+        })
+        .map(drop)
     }
 }
 
@@ -699,54 +615,37 @@ impl SmcBackend for AnyBackend<'_> {
         dispatch!(self, b => b.kind())
     }
 
-    fn compare<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        value: i64,
-        op: CmpOp,
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        dispatch!(self, b => b.compare(chan, role, value, op, domain, ctx, acct))
-    }
-
-    fn compare_batch<C: Channel>(
+    fn compare_scoped<C, S>(
         &self,
         chan: &mut C,
         role: Party,
         values: &[i64],
         op: CmpOp,
         domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
+        scopes: S,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<bool>, SmcError> {
-        dispatch!(self, b => b.compare_batch(chan, role, values, op, domain, ctx, acct))
+    ) -> Result<Vec<bool>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext + Sync,
+    {
+        dispatch!(self, b => b.compare_scoped(chan, role, values, op, domain, scopes, acct))
     }
 
-    fn share_less_than<C: Channel>(
-        &self,
-        chan: &mut C,
-        role: Party,
-        pair: (i64, i64),
-        domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
-        acct: &mut SharingLedger,
-    ) -> Result<bool, SmcError> {
-        dispatch!(self, b => b.share_less_than(chan, role, pair, domain, ctx, acct))
-    }
-
-    fn share_less_than_batch<C: Channel>(
+    fn share_less_than_scoped<C, S>(
         &self,
         chan: &mut C,
         role: Party,
         pairs: &[(i64, i64)],
         domain: &ComparisonDomain,
-        ctx: &ProtocolContext,
+        scopes: S,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<bool>, SmcError> {
-        dispatch!(self, b => b.share_less_than_batch(chan, role, pairs, domain, ctx, acct))
+    ) -> Result<Vec<bool>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext + Sync,
+    {
+        dispatch!(self, b => b.share_less_than_scoped(chan, role, pairs, domain, scopes, acct))
     }
 
     fn dot_many_querier<C: Channel>(

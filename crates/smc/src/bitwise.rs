@@ -27,11 +27,10 @@
 //! permutation is value-dependent, so under the old threaded-`StdRng`
 //! discipline the *stream position* after a DGK call depended on the
 //! inputs — the root cause of the batched-HDP leakage-order divergence.
-//! Every entry point now takes a record-scoped [`ProtocolContext`]; batch
-//! forms key item `i` as `ctx.rng_for(i)`, which by construction equals
-//! the stream a sequential caller scoping with `ctx.at(i)` would draw, so
-//! the batched items are order-independent and evaluated on the
-//! [`crate::parallel`] worker pool.
+//! Each comparison of a slice now draws from its own record scope
+//! (`scopes(i)`, a [`ProtocolContext`]) and from nothing else, so the items
+//! are order-independent, evaluate on the [`crate::parallel`] worker pool,
+//! and read the same whether a caller ships them in one frame or one each.
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
@@ -55,8 +54,8 @@ pub const DGK_PACK_MASK_BITS: usize = 16;
 /// Packed-reply layout for a DGK comparison over `domain_bound`: slots hold
 /// `c·r` with `c ≤ 3ℓ+2` and `r < 2^16`, derived from public data only
 /// (Alice's key size and the agreed domain), so both parties compute it
-/// locally. `None` when the key is too small for even one slot — the
-/// packed entry points then degrade to the unpacked reply, symmetrically.
+/// locally. `None` when the key is too small for even one slot — a packed
+/// session then runs the unpacked reply, symmetrically.
 pub fn dgk_pack_layout(key_bits: usize, domain_bound: u64) -> Option<SlotLayout> {
     let ell = bit_width(domain_bound);
     let max_cell = 3 * ell as u64 + 2;
@@ -248,69 +247,44 @@ fn scan_packed(
     Ok(slots.iter().any(BigUint::is_zero))
 }
 
-/// Alice's side: inputs `x`, learns whether `x < y`. Both inputs must be
-/// `< 2^63` (they are domain-encoded comparison operands, far smaller).
-/// `ctx` is the record scope of this comparison.
-pub fn dgk_alice<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    x: u64,
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let ell = bit_width(domain_bound);
-    // Step 1: encrypted bits, MSB first.
-    chan.send(&encrypt_bits(keypair, x, ell, ctx.rng())?)?;
-    // Step 3: decrypt the masked, permuted c_i values.
-    let masked: Vec<BigUint> = chan.recv()?;
-    let x_lt_y = scan_masked(keypair, &masked, ell)?;
-    // Step 4: tell Bob, mirroring Algorithm 1's final message.
-    chan.send(&x_lt_y)?;
-    Ok(x_lt_y)
-}
-
-/// Bob's side: inputs `y`, learns whether `x < y`. `ctx` is the record
-/// scope of this comparison.
-pub fn dgk_bob<C: Channel>(
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    y: u64,
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let ell = bit_width(domain_bound);
-    let raw_bits: Vec<BigUint> = chan.recv()?;
-    let wire = masked_comparison_vector(alice_pk, &raw_bits, y, ell, ctx.rng())?;
-    chan.send(&wire)?;
-    Ok(chan.recv()?)
-}
-
-/// Round-batched Alice side: `k` comparisons against Bob's `k` inputs in
-/// **three wire rounds total** (one frame of `k·ℓ` encrypted bits out, one
-/// frame of masked vectors back, one frame of conclusions out), versus
-/// `3k` rounds for `k` sequential [`dgk_alice`] calls.
+/// Alice's side: inputs `xs`, learns whether `xs[i] < ys[i]` for each of
+/// Bob's equally many inputs, in **three wire rounds** for the whole slice
+/// (one frame of encrypted bits out, one frame of masked vectors back, one
+/// frame of conclusions out). All inputs must be `< 2^63` (they are
+/// domain-encoded comparison operands, far smaller).
 ///
-/// Comparison `i` draws from `ctx.rng_for(i)` — exactly the stream a
-/// sequential caller scoping [`dgk_alice`] with `ctx.at(i)` would use — so
-/// outcomes, ciphertexts, and the leakage profile are identical to the
-/// unbatched run regardless of evaluation order, and the `k·ℓ` ciphertext
-/// encryptions/decryptions run on the [`crate::parallel`] pool.
-pub fn dgk_batch_alice<C: Channel>(
+/// Comparison `i` draws from `scopes(i)` alone, so outcomes, ciphertexts and
+/// the leakage profile do not depend on how a caller cuts its comparisons
+/// into slices, and the per-comparison ciphertext work runs on the
+/// [`crate::parallel`] pool. A one-item slice is the paper's single
+/// comparison: its frames are the item's bytes and nothing else.
+///
+/// `layout` selects the packed reply ([`dgk_pack_layout`]; both sides derive
+/// it from public data): the masked verdict vector arrives as
+/// `⌈ℓ/capacity⌉` packed words instead of `ℓ` ciphertexts, so both the reply
+/// bytes and Alice's decryption count shrink by the packing factor.
+pub fn dgk_alice<C, S>(
     chan: &mut C,
     keypair: &Keypair,
     xs: &[u64],
     domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
+    layout: Option<&SlotLayout>,
+    scopes: S,
+) -> Result<Vec<bool>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext + Sync,
+{
     if xs.is_empty() {
         return Ok(Vec::new());
     }
     let ell = bit_width(domain_bound);
-    let bit_groups: Vec<Vec<BigUint>> = par_map(xs, |i, &x| {
-        encrypt_bits(keypair, x, ell, ctx.rng_for(i as u64))
-    })?;
+    // Step 1: encrypted bits, MSB first.
+    let bit_groups: Vec<Vec<BigUint>> =
+        par_map(xs, |i, &x| encrypt_bits(keypair, x, ell, scopes(i).rng()))?;
     chan.send_batch(&bit_groups)?;
 
+    // Step 3: decrypt the masked, permuted c_i values (or their words).
     let masked_groups: Vec<Vec<BigUint>> = chan.recv_batch()?;
     if masked_groups.len() != xs.len() {
         return Err(SmcError::protocol(format!(
@@ -319,25 +293,33 @@ pub fn dgk_batch_alice<C: Channel>(
             masked_groups.len()
         )));
     }
-    let results: Vec<bool> = par_map(&masked_groups, |_, masked| {
-        scan_masked(keypair, masked, ell)
+    let results: Vec<bool> = par_map(&masked_groups, |_, masked| match layout {
+        Some(layout) => scan_packed(keypair, masked, ell, layout),
+        None => scan_masked(keypair, masked, ell),
     })?;
+    // Step 4: tell Bob, mirroring Algorithm 1's final message.
     chan.send_batch(&results)?;
     Ok(results)
 }
 
-/// Round-batched Bob side of [`dgk_batch_alice`]: comparison `i` draws its
-/// mask scalars and permutation from `ctx.rng_for(i)`, so each masked
-/// vector is independent of every other item's value-dependent rejection
-/// sampling — the property that closes the old batched-HDP leakage-order
-/// gap and lets the vectors be computed in parallel.
-pub fn dgk_batch_bob<C: Channel>(
+/// Bob's side of [`dgk_alice`]: inputs `ys`, learns whether `xs[i] < ys[i]`.
+/// Comparison `i` draws its mask scalars and permutation from `scopes(i)`,
+/// so each masked vector is independent of every other item's
+/// value-dependent rejection sampling — the property that closed the old
+/// batched-HDP leakage-order gap and lets the vectors be computed in
+/// parallel.
+pub fn dgk_bob<C, S>(
     chan: &mut C,
     alice_pk: &PublicKey,
     ys: &[u64],
     domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
+    layout: Option<&SlotLayout>,
+    scopes: S,
+) -> Result<Vec<bool>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext + Sync,
+{
     if ys.is_empty() {
         return Ok(Vec::new());
     }
@@ -350,128 +332,9 @@ pub fn dgk_batch_bob<C: Channel>(
             bit_groups.len()
         )));
     }
-    let out_groups: Vec<Vec<BigUint>> = par_map(&bit_groups, |i, raw_bits| {
-        masked_comparison_vector(alice_pk, raw_bits, ys[i], ell, ctx.rng_for(i as u64))
-    })?;
-    chan.send_batch(&out_groups)?;
-
-    let results: Vec<bool> = chan.recv_batch()?;
-    if results.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} conclusions, got {}",
-            ys.len(),
-            results.len()
-        )));
-    }
-    Ok(results)
-}
-
-/// Packed-reply Alice side: identical to [`dgk_alice`] except step 3 — the
-/// masked verdict vector arrives as `⌈ℓ/capacity⌉` packed words instead of
-/// `ℓ` ciphertexts, so both the reply bytes and Alice's decryption count
-/// shrink by the packing factor. Falls back to the unpacked protocol
-/// (symmetrically — the layout is a function of public data) when the key
-/// cannot fit even one slot.
-pub fn dgk_packed_alice<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    x: u64,
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let Some(layout) = dgk_pack_layout(keypair.public.bits(), domain_bound) else {
-        return dgk_alice(chan, keypair, x, domain_bound, ctx);
-    };
-    let ell = bit_width(domain_bound);
-    chan.send(&encrypt_bits(keypair, x, ell, ctx.rng())?)?;
-    let words: Vec<BigUint> = chan.recv()?;
-    let x_lt_y = scan_packed(keypair, &words, ell, &layout)?;
-    chan.send(&x_lt_y)?;
-    Ok(x_lt_y)
-}
-
-/// Packed-reply Bob side of [`dgk_packed_alice`].
-pub fn dgk_packed_bob<C: Channel>(
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    y: u64,
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let Some(layout) = dgk_pack_layout(alice_pk.bits(), domain_bound) else {
-        return dgk_bob(chan, alice_pk, y, domain_bound, ctx);
-    };
-    let ell = bit_width(domain_bound);
-    let raw_bits: Vec<BigUint> = chan.recv()?;
-    let wire = masked_packed_vector(alice_pk, &raw_bits, y, ell, &layout, ctx)?;
-    chan.send(&wire)?;
-    Ok(chan.recv()?)
-}
-
-/// Round-batched, packed-reply Alice side: the wire shape of
-/// [`dgk_batch_alice`] with every reply group packed — `k·⌈ℓ/capacity⌉`
-/// reply ciphertexts (and decryptions) for `k` comparisons instead of
-/// `k·ℓ`. Comparison `i` scopes its packed reply under `ctx.at(i)`,
-/// matching a sequential [`dgk_packed_alice`] caller.
-pub fn dgk_batch_packed_alice<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    xs: &[u64],
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
-    let Some(layout) = dgk_pack_layout(keypair.public.bits(), domain_bound) else {
-        return dgk_batch_alice(chan, keypair, xs, domain_bound, ctx);
-    };
-    if xs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let ell = bit_width(domain_bound);
-    let bit_groups: Vec<Vec<BigUint>> = par_map(xs, |i, &x| {
-        encrypt_bits(keypair, x, ell, ctx.rng_for(i as u64))
-    })?;
-    chan.send_batch(&bit_groups)?;
-
-    let word_groups: Vec<Vec<BigUint>> = chan.recv_batch()?;
-    if word_groups.len() != xs.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} packed comparison groups, got {}",
-            xs.len(),
-            word_groups.len()
-        )));
-    }
-    let results: Vec<bool> = par_map(&word_groups, |_, words| {
-        scan_packed(keypair, words, ell, &layout)
-    })?;
-    chan.send_batch(&results)?;
-    Ok(results)
-}
-
-/// Round-batched, packed-reply Bob side of [`dgk_batch_packed_alice`].
-pub fn dgk_batch_packed_bob<C: Channel>(
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    ys: &[u64],
-    domain_bound: u64,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
-    let Some(layout) = dgk_pack_layout(alice_pk.bits(), domain_bound) else {
-        return dgk_batch_bob(chan, alice_pk, ys, domain_bound, ctx);
-    };
-    if ys.is_empty() {
-        return Ok(Vec::new());
-    }
-    let ell = bit_width(domain_bound);
-    let bit_groups: Vec<Vec<BigUint>> = chan.recv_batch()?;
-    if bit_groups.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} encrypted bit groups, got {}",
-            ys.len(),
-            bit_groups.len()
-        )));
-    }
-    let out_groups: Vec<Vec<BigUint>> = par_map(&bit_groups, |i, raw_bits| {
-        masked_packed_vector(alice_pk, raw_bits, ys[i], ell, &layout, &ctx.at(i as u64))
+    let out_groups: Vec<Vec<BigUint>> = par_map(&bit_groups, |i, raw_bits| match layout {
+        Some(layout) => masked_packed_vector(alice_pk, raw_bits, ys[i], ell, layout, &scopes(i)),
+        None => masked_comparison_vector(alice_pk, raw_bits, ys[i], ell, scopes(i).rng()),
     })?;
     chan.send_batch(&out_groups)?;
 
@@ -491,39 +354,57 @@ mod tests {
     use super::*;
     use crate::parallel::force_workers;
     use crate::test_helpers::{alice_keypair, ctx, rng};
-    use ppds_transport::duplex;
+    use ppds_transport::{duplex, MetricsSnapshot};
 
-    fn run(x: u64, y: u64, bound: u64, seed: u64) -> bool {
+    /// Runs one slice of comparisons, item `i` scoped `ctx(seed).at(i)` on
+    /// Alice's side and `ctx(seed + 1).at(i)` on Bob's; returns the verdicts
+    /// both sides agree on and Alice's traffic.
+    fn run(
+        xs: &[u64],
+        ys: &[u64],
+        bound: u64,
+        packed: bool,
+        seed: u64,
+    ) -> (Vec<bool>, MetricsSnapshot) {
+        let layout = if packed {
+            dgk_pack_layout(alice_keypair().public.bits(), bound)
+        } else {
+            None
+        };
         let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            dgk_alice(&mut achan, alice_keypair(), x, bound, &ctx(seed)).unwrap()
-        });
-        let bob_view = dgk_bob(
-            &mut bchan,
-            &alice_keypair().public,
-            y,
-            bound,
-            &ctx(seed + 1),
-        )
-        .unwrap();
-        let alice_view = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view, "views must agree");
-        alice_view
+        let (actx, bctx) = (ctx(seed), ctx(seed + 1));
+        std::thread::scope(|scope| {
+            let layout = layout.as_ref();
+            let alice = scope.spawn(move || {
+                let kp = alice_keypair();
+                let out = dgk_alice(&mut achan, kp, xs, bound, layout, |i| actx.at(i as u64));
+                (out.unwrap(), achan.metrics())
+            });
+            let pk = &alice_keypair().public;
+            let bob = dgk_bob(&mut bchan, pk, ys, bound, layout, |i| bctx.at(i as u64)).unwrap();
+            let (alice, metrics) = alice.join().unwrap();
+            assert_eq!(alice, bob, "views must agree");
+            (alice, metrics)
+        })
     }
 
     #[test]
     fn exhaustive_small_domain() {
-        for x in 0..8u64 {
-            for y in 0..8u64 {
-                assert_eq!(run(x, y, 7, 100 + x * 8 + y), x < y, "{x} < {y}");
+        for packed in [false, true] {
+            for x in 0..8u64 {
+                let ys: Vec<u64> = (0..8).collect();
+                let (got, _) = run(&[x; 8], &ys, 7, packed, 100 + x);
+                for (y, lt) in ys.iter().zip(got) {
+                    assert_eq!(lt, x < *y, "{x} < {y} (packed={packed})");
+                }
             }
         }
     }
 
     #[test]
-    fn wide_values() {
+    fn wide_and_equal_values() {
         let bound = (1 << 40) - 1;
-        for (x, y) in [
+        let (xs, ys): (Vec<u64>, Vec<u64>) = [
             (0u64, 1u64),
             (1, 0),
             (123_456_789, 123_456_790),
@@ -532,24 +413,20 @@ mod tests {
             (0, (1 << 40) - 1),
             ((1 << 40) - 1, 0),
             (1 << 39, (1 << 39) + 1),
-        ] {
-            assert_eq!(
-                run(x, y, bound, 7_000 + x % 97 + y % 89),
-                x < y,
-                "{x} < {y}"
-            );
+            (5, 5),
+        ]
+        .into_iter()
+        .unzip();
+        for packed in [false, true] {
+            let (got, _) = run(&xs, &ys, bound, packed, 7_000);
+            for ((x, y), lt) in xs.iter().zip(&ys).zip(got) {
+                assert_eq!(lt, x < y, "{x} < {y} (packed={packed})");
+            }
         }
     }
 
     #[test]
-    fn equal_values_are_not_less() {
-        for v in [0u64, 1, 5, 100] {
-            assert!(!run(v, v, 127, 9_000 + v));
-        }
-    }
-
-    #[test]
-    fn truncated_batches_are_protocol_errors() {
+    fn truncated_bit_vectors_are_protocol_errors() {
         let (mut achan, mut bchan) = duplex();
         // Fake Alice sends too few encrypted bits.
         let kp = alice_keypair();
@@ -561,192 +438,51 @@ mod tests {
             .as_biguint()
             .clone()];
         achan.send(&short).unwrap();
-        let err = dgk_bob(&mut bchan, &kp.public, 3, 7, &ctx(1)).unwrap_err();
+        let err = dgk_bob(&mut bchan, &kp.public, &[3], 7, None, |_| ctx(1)).unwrap_err();
         assert!(matches!(err, SmcError::Protocol(_)));
     }
 
-    fn run_batch(
-        xs: Vec<u64>,
-        ys: Vec<u64>,
-        bound: u64,
-        seeds: (u64, u64),
-    ) -> (Vec<bool>, ppds_transport::MetricsSnapshot) {
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            let out =
-                dgk_batch_alice(&mut achan, alice_keypair(), &xs, bound, &ctx(seeds.0)).unwrap();
-            (out, achan.metrics())
-        });
-        let bob_view = dgk_batch_bob(
-            &mut bchan,
-            &alice_keypair().public,
-            &ys,
-            bound,
-            &ctx(seeds.1),
-        )
-        .unwrap();
-        let (alice_view, metrics) = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view);
-        (alice_view, metrics)
-    }
-
     #[test]
-    fn batch_agrees_with_sequential_and_collapses_rounds() {
-        let bound = 1023u64;
+    fn a_slice_is_three_rounds_and_an_empty_one_none() {
         let xs: Vec<u64> = vec![0, 1, 400, 700, 1023, 512];
         let ys: Vec<u64> = vec![1, 0, 700, 700, 0, 513];
-        let (alice_view, metrics) = run_batch(xs.clone(), ys.clone(), bound, (40, 41));
-        for i in 0..xs.len() {
-            assert_eq!(alice_view[i], xs[i] < ys[i], "{} < {}", xs[i], ys[i]);
-        }
-        // 3 wire rounds total for 6 comparisons (2 sent by Alice, 1 received).
-        assert_eq!(metrics.rounds_sent, 2);
-        assert_eq!(metrics.rounds_received, 1);
-        assert!(metrics.total_messages() > metrics.total_rounds());
+        let (_, metrics) = run(&xs, &ys, 1023, false, 40);
+        assert_eq!((metrics.rounds_sent, metrics.rounds_received), (2, 1));
+        assert_eq!(metrics.total_messages(), 3 * xs.len() as u64);
+        let (none, metrics) = run(&[], &[], 7, false, 42);
+        assert!(none.is_empty());
+        assert_eq!(metrics.total_rounds(), 0);
     }
 
     #[test]
-    fn batch_items_equal_scoped_sequential_calls() {
-        // Keyed substreams: batch item i must produce exactly the bytes of
-        // a sequential dgk run scoped at(i) — the invariant that makes
-        // batched and unbatched protocol framings transcript-identical.
-        let bound = 255u64;
-        let xs: Vec<u64> = vec![3, 200, 77];
-        let ys: Vec<u64> = vec![4, 100, 77];
-        let (batch_view, _) = run_batch(xs.clone(), ys.clone(), bound, (50, 51));
-        for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                dgk_alice(&mut achan, alice_keypair(), x, bound, &ctx(50).at(i as u64)).unwrap()
-            });
-            let bob_view = dgk_bob(
-                &mut bchan,
-                &alice_keypair().public,
-                y,
-                bound,
-                &ctx(51).at(i as u64),
-            )
-            .unwrap();
-            assert_eq!(alice.join().unwrap(), batch_view[i]);
-            assert_eq!(bob_view, batch_view[i]);
-        }
-    }
-
-    #[test]
-    fn parallel_batch_is_byte_identical_to_sequential_batch() {
+    fn parallel_evaluation_is_byte_identical_to_sequential() {
         let bound = 1023u64;
         let xs: Vec<u64> = (0..12).map(|i| i * 85).collect();
         let ys: Vec<u64> = (0..12).map(|i| 1020 - i * 85).collect();
-        let run_with = |workers| {
-            let _guard = force_workers(workers);
-            let (mut achan, mut bchan) = duplex();
-            let xs = xs.clone();
-            let alice = std::thread::spawn(move || {
-                let out =
-                    dgk_batch_alice(&mut achan, alice_keypair(), &xs, bound, &ctx(60)).unwrap();
-                (out, achan.metrics())
-            });
-            let bob =
-                dgk_batch_bob(&mut bchan, &alice_keypair().public, &ys, bound, &ctx(61)).unwrap();
-            let (a, metrics) = alice.join().unwrap();
-            (a, bob, metrics.total_bytes())
-        };
-        let (a1, b1, bytes1) = run_with(1);
-        let (a4, b4, bytes4) = run_with(4);
-        assert_eq!(a1, a4);
-        assert_eq!(b1, b4);
-        assert_eq!(
-            bytes1, bytes4,
-            "every wire byte identical under parallelism"
-        );
-    }
-
-    #[test]
-    fn empty_batch_touches_no_wire() {
-        let (mut achan, mut bchan) = duplex();
-        let a = dgk_batch_alice(&mut achan, alice_keypair(), &[], 7, &ctx(42)).unwrap();
-        let b = dgk_batch_bob(&mut bchan, &alice_keypair().public, &[], 7, &ctx(42)).unwrap();
-        assert!(a.is_empty() && b.is_empty());
-        assert_eq!(achan.metrics().total_rounds(), 0);
-    }
-
-    fn run_packed(x: u64, y: u64, bound: u64, seed: u64) -> bool {
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            dgk_packed_alice(&mut achan, alice_keypair(), x, bound, &ctx(seed)).unwrap()
-        });
-        let bob_view = dgk_packed_bob(
-            &mut bchan,
-            &alice_keypair().public,
-            y,
-            bound,
-            &ctx(seed + 1),
-        )
-        .unwrap();
-        let alice_view = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view, "views must agree");
-        alice_view
-    }
-
-    #[test]
-    fn packed_exhaustive_small_domain() {
-        for x in 0..8u64 {
-            for y in 0..8u64 {
-                assert_eq!(run_packed(x, y, 7, 400 + x * 8 + y), x < y, "{x} < {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_wide_values() {
-        let bound = (1 << 40) - 1;
-        for (x, y) in [
-            (0u64, 1u64),
-            (1, 0),
-            (123_456_789, 123_456_790),
-            ((1 << 40) - 1, (1 << 40) - 1),
-            (0, (1 << 40) - 1),
-            (1 << 39, (1 << 39) + 1),
-        ] {
+        for packed in [false, true] {
+            let run_with = |workers| {
+                let _guard = force_workers(workers);
+                let (out, metrics) = run(&xs, &ys, bound, packed, 60);
+                (out, metrics.total_bytes())
+            };
             assert_eq!(
-                run_packed(x, y, bound, 17_000 + x % 97 + y % 89),
-                x < y,
-                "{x} < {y}"
+                run_with(1),
+                run_with(4),
+                "every wire byte identical under parallelism (packed={packed})"
             );
         }
     }
 
     #[test]
     fn packed_reply_ships_fewer_ciphertexts_and_decryptions() {
-        // The tentpole claim at this layer: the reply leg collapses from ℓ
+        // The packing claim at this layer: the reply leg collapses from ℓ
         // ciphertexts to ⌈ℓ/capacity⌉ words (with ℓ = 10 and 256-bit keys,
         // one word), so Alice's received bytes shrink accordingly.
         let bound = 1023u64; // ℓ = 10
         let layout = dgk_pack_layout(alice_keypair().public.bits(), bound).unwrap();
         assert!(layout.capacity() >= 10, "layout {layout:?}");
-        let measure = |packed: bool| {
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                let out = if packed {
-                    dgk_packed_alice(&mut achan, alice_keypair(), 400, bound, &ctx(2))
-                } else {
-                    dgk_alice(&mut achan, alice_keypair(), 400, bound, &ctx(2))
-                }
-                .unwrap();
-                (out, achan.metrics().bytes_received)
-            });
-            let bob = if packed {
-                dgk_packed_bob(&mut bchan, &alice_keypair().public, 700, bound, &ctx(3))
-            } else {
-                dgk_bob(&mut bchan, &alice_keypair().public, 700, bound, &ctx(3))
-            }
-            .unwrap();
-            let (a, reply_bytes) = alice.join().unwrap();
-            assert_eq!(a, bob);
-            reply_bytes
-        };
-        let unpacked = measure(false);
-        let packed = measure(true);
+        let reply_bytes = |packed| run(&[400], &[700], bound, packed, 2).1.bytes_received;
+        let (unpacked, packed) = (reply_bytes(false), reply_bytes(true));
         assert!(
             unpacked as f64 >= 5.0 * packed as f64,
             "reply bytes {unpacked} unpacked vs {packed} packed"
@@ -754,91 +490,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_batch_agrees_with_unpacked_batch() {
-        let bound = 1023u64;
-        let xs: Vec<u64> = vec![0, 1, 400, 700, 1023, 512, 88];
-        let ys: Vec<u64> = vec![1, 0, 700, 700, 0, 513, 88];
-        let (plain, _) = run_batch(xs.clone(), ys.clone(), bound, (40, 41));
-        let (mut achan, mut bchan) = duplex();
-        let xs2 = xs.clone();
-        let alice = std::thread::spawn(move || {
-            dgk_batch_packed_alice(&mut achan, alice_keypair(), &xs2, bound, &ctx(40)).unwrap()
-        });
-        let bob = dgk_batch_packed_bob(&mut bchan, &alice_keypair().public, &ys, bound, &ctx(41))
-            .unwrap();
-        let packed = alice.join().unwrap();
-        assert_eq!(packed, plain, "packed batch outcomes match unpacked");
-        assert_eq!(bob, plain);
-    }
-
-    #[test]
-    fn packed_batch_items_equal_scoped_sequential_packed_calls() {
-        let bound = 255u64;
-        let xs: Vec<u64> = vec![3, 200, 77];
-        let ys: Vec<u64> = vec![4, 100, 77];
-        let (mut achan, mut bchan) = duplex();
-        let xs2 = xs.clone();
-        let alice = std::thread::spawn(move || {
-            dgk_batch_packed_alice(&mut achan, alice_keypair(), &xs2, bound, &ctx(50)).unwrap()
-        });
-        let ys2 = ys.clone();
-        let batch_view =
-            dgk_batch_packed_bob(&mut bchan, &alice_keypair().public, &ys2, bound, &ctx(51))
-                .unwrap();
-        alice.join().unwrap();
-        for (i, (&x, &y)) in xs.iter().zip(&ys).enumerate() {
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                dgk_packed_alice(&mut achan, alice_keypair(), x, bound, &ctx(50).at(i as u64))
-                    .unwrap()
-            });
-            let bob_view = dgk_packed_bob(
-                &mut bchan,
-                &alice_keypair().public,
-                y,
-                bound,
-                &ctx(51).at(i as u64),
-            )
-            .unwrap();
-            assert_eq!(alice.join().unwrap(), batch_view[i]);
-            assert_eq!(bob_view, batch_view[i]);
-        }
-    }
-
-    #[test]
-    fn packed_parallel_batch_is_byte_identical_to_sequential_batch() {
-        let bound = 1023u64;
-        let xs: Vec<u64> = (0..12).map(|i| i * 85).collect();
-        let ys: Vec<u64> = (0..12).map(|i| 1020 - i * 85).collect();
-        let run_with = |workers| {
-            let _guard = force_workers(workers);
-            let (mut achan, mut bchan) = duplex();
-            let xs = xs.clone();
-            let alice = std::thread::spawn(move || {
-                let out = dgk_batch_packed_alice(&mut achan, alice_keypair(), &xs, bound, &ctx(60))
-                    .unwrap();
-                (out, achan.metrics())
-            });
-            let bob =
-                dgk_batch_packed_bob(&mut bchan, &alice_keypair().public, &ys, bound, &ctx(61))
-                    .unwrap();
-            let (a, metrics) = alice.join().unwrap();
-            (a, bob, metrics.total_bytes())
-        };
-        let (a1, b1, bytes1) = run_with(1);
-        let (a4, b4, bytes4) = run_with(4);
-        assert_eq!(a1, a4);
-        assert_eq!(b1, b4);
-        assert_eq!(
-            bytes1, bytes4,
-            "every wire byte identical under parallelism"
-        );
-    }
-
-    #[test]
-    fn tiny_keys_fall_back_to_unpacked_symmetrically() {
+    fn tiny_keys_have_no_packed_layout() {
         // ℓ = 40 needs 24-bit slots: a 16-bit key has no layout, so both
-        // sides degrade to the unpacked protocol and still agree.
+        // sides of a packed session run the unpacked reply and still agree.
         assert!(dgk_pack_layout(16, (1 << 40) - 1).is_none());
         assert!(dgk_pack_layout(256, (1 << 40) - 1).is_some());
     }
@@ -848,13 +502,7 @@ mod tests {
         // ℓ = 10 bits for n0 = 1023 → 20 ciphertexts total, versus the
         // faithful Yao protocol's 1023 residues (~16 KiB at 256-bit keys).
         let bound = 1023u64;
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            dgk_alice(&mut achan, alice_keypair(), 400, bound, &ctx(2)).unwrap();
-            achan.metrics().total_bytes()
-        });
-        dgk_bob(&mut bchan, &alice_keypair().public, 700, bound, &ctx(3)).unwrap();
-        let dgk_bytes = alice.join().unwrap();
+        let dgk_bytes = run(&[400], &[700], bound, false, 2).1.total_bytes();
         let (m1, m2, m3) = crate::millionaires::modeled_message_sizes(256, bound + 1);
         let yao_bytes = m1 + m2 + m3;
         assert!(

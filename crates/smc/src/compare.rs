@@ -22,7 +22,7 @@ use crate::context::ProtocolContext;
 use crate::error::SmcError;
 use crate::millionaires::{self, YaoConfig};
 use ppds_observe::trace;
-use ppds_paillier::{Keypair, PublicKey};
+use ppds_paillier::{Keypair, PublicKey, SlotLayout};
 use ppds_transport::Channel;
 
 /// Which secure-comparison backend to run.
@@ -105,10 +105,25 @@ impl ComparisonDomain {
     }
 }
 
-/// Alice's side of one secure comparison; returns `alice_value OP bob_value`.
-/// Alice must hold the Paillier keypair used by the Yao backend. `ctx` is
-/// the record scope of this comparison (`step_ctx.at(record)`); the batch
-/// entry points derive the same scopes per item, so framings agree.
+/// Alice's side of a slice of secure comparisons against Bob's equally long
+/// slice, all sharing one `domain` and one operator; returns
+/// `values[i] OP bob_values[i]` per element. The operator is Bob's to apply
+/// (`i ≤ j` runs as `i < j + 1` on his input), so only [`compare_bob`]
+/// takes it. Alice must hold the Paillier keypair used by the Yao and DGK
+/// backends.
+///
+/// Both parties must pass slices of the same length (the protocols guarantee
+/// this: both sides know the candidate set size). The Ideal and DGK backends
+/// ship the whole slice in a constant number of wire rounds — one batch
+/// frame per protocol message, one item per comparison — so a one-item
+/// slice *is* the paper's single comparison, byte for byte; the faithful
+/// Yao backend has no batched form (Algorithm 1's z-sequence is
+/// per-comparison interactive state) and runs the items one after another.
+/// An empty slice touches no wire.
+///
+/// Comparison `i` draws from `scopes(i)` — its record scope — and from
+/// nothing else, so the bytes of an item do not depend on which slice a
+/// caller ships it in.
 ///
 /// `packed` selects the plaintext-slot-packed transport
 /// (`ProtocolConfig::packing`): the DGK backend ships its masked verdict
@@ -116,85 +131,20 @@ impl ComparisonDomain {
 /// verdict-sized message to the packed transcript size (see
 /// [`IDEAL_PADDING_CAP`]). Outcomes are identical either way; the faithful
 /// Yao backend has no packed form (its message 2 is plaintext residues)
-/// and ignores the flag, exactly as it ignores batching.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn compare_alice<C: Channel>(
-    comparator: Comparator,
-    chan: &mut C,
-    keypair: &Keypair,
-    value: i64,
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let i = domain.encode(value)?;
-    match comparator {
-        Comparator::Yao => millionaires::yao_alice(chan, keypair, i, &domain.yao_config(), ctx),
-        Comparator::Ideal => ideal_alice(chan, keypair.public.bits(), i, op, domain, packed),
-        Comparator::Dgk if packed => {
-            crate::bitwise::dgk_packed_alice(chan, keypair, i, domain.n0(), ctx)
-        }
-        Comparator::Dgk => crate::bitwise::dgk_alice(chan, keypair, i, domain.n0(), ctx),
-    }
-}
-
-/// Bob's side of one secure comparison; returns `alice_value OP bob_value`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn compare_bob<C: Channel>(
-    comparator: Comparator,
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    value: i64,
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let j = domain.encode(value)?;
-    // `i ≤ j` is evaluated as `i < j + 1`; the domain reserves the headroom.
-    let j_eff = match op {
-        CmpOp::Lt => j,
-        CmpOp::Leq => j + 1,
-    };
-    match comparator {
-        Comparator::Yao => millionaires::yao_bob(chan, alice_pk, j_eff, &domain.yao_config(), ctx),
-        Comparator::Ideal => ideal_bob(chan, alice_pk.bits(), j_eff, domain, packed),
-        Comparator::Dgk if packed => {
-            crate::bitwise::dgk_packed_bob(chan, alice_pk, j_eff, domain.n0(), ctx)
-        }
-        Comparator::Dgk => crate::bitwise::dgk_bob(chan, alice_pk, j_eff, domain.n0(), ctx),
-    }
-}
-
-/// Round-batched Alice side: `values.len()` independent comparisons against
-/// Bob's equally long vector, all sharing one `op` and one `domain`, packed
-/// into a constant number of wire rounds instead of one round-trip each.
-///
-/// Both parties must call the batch entry points with vectors of the same
-/// length (the protocols guarantee this: both sides know the candidate set
-/// size). Per element, the outcome is exactly
-/// `compare_alice(values[i]) OP compare_bob(values[i])` — the Ideal and Dgk
-/// backends pack their per-comparison messages into shared [`Batch`]
-/// frames; the faithful Yao backend has no batched form (Algorithm 1's
-/// z-sequence is per-comparison interactive state), so it degrades to the
-/// sequential loop with identical results and no round win.
-///
-/// Comparison `i` of the batch draws from `ctx.rng_for(i)` — the stream a
-/// sequential caller would get from [`compare_alice`] scoped `ctx.at(i)`.
-///
-/// [`Batch`]: ppds_transport::Batch
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn compare_batch_alice<C: Channel>(
+/// and ignores the flag.
+pub fn compare_alice<C, S>(
     comparator: Comparator,
     chan: &mut C,
     keypair: &Keypair,
     values: &[i64],
-    op: CmpOp,
     domain: &ComparisonDomain,
     packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
+    scopes: S,
+) -> Result<Vec<bool>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext + Sync,
+{
     if values.is_empty() {
         return Ok(Vec::new());
     }
@@ -203,29 +153,28 @@ pub fn compare_batch_alice<C: Channel>(
         .iter()
         .map(|&v| domain.encode(v))
         .collect::<Result<_, _>>()?;
+    let key_bits = keypair.public.bits();
     let out = match comparator {
         Comparator::Yao => is
             .iter()
             .enumerate()
             .map(|(idx, &i)| {
-                millionaires::yao_alice(chan, keypair, i, &domain.yao_config(), &ctx.at(idx as u64))
+                millionaires::yao_alice(chan, keypair, i, &domain.yao_config(), &scopes(idx))
             })
             .collect(),
-        Comparator::Ideal => {
-            ideal_batch_alice(chan, keypair.public.bits(), &is, op, domain, packed)
+        Comparator::Ideal => ideal_alice(chan, key_bits, &is, domain, packed),
+        Comparator::Dgk => {
+            let layout = dgk_layout(key_bits, domain, packed);
+            crate::bitwise::dgk_alice(chan, keypair, &is, domain.n0(), layout.as_ref(), scopes)
         }
-        Comparator::Dgk if packed => {
-            crate::bitwise::dgk_batch_packed_alice(chan, keypair, &is, domain.n0(), ctx)
-        }
-        Comparator::Dgk => crate::bitwise::dgk_batch_alice(chan, keypair, &is, domain.n0(), ctx),
     }?;
     span.end(|| chan.metrics());
     Ok(out)
 }
 
-/// Round-batched Bob side of [`compare_batch_alice`].
+/// Bob's side of [`compare_alice`].
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn compare_batch_bob<C: Channel>(
+pub fn compare_bob<C, S>(
     comparator: Comparator,
     chan: &mut C,
     alice_pk: &PublicKey,
@@ -233,12 +182,17 @@ pub fn compare_batch_bob<C: Channel>(
     op: CmpOp,
     domain: &ComparisonDomain,
     packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
+    scopes: S,
+) -> Result<Vec<bool>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext + Sync,
+{
     if values.is_empty() {
         return Ok(Vec::new());
     }
     let span = trace::span("cmp_batch", || chan.metrics());
+    // `i ≤ j` is evaluated as `i < j + 1`; the domain reserves the headroom.
     let j_effs: Vec<u64> = values
         .iter()
         .map(|&v| {
@@ -248,82 +202,39 @@ pub fn compare_batch_bob<C: Channel>(
             })
         })
         .collect::<Result<_, _>>()?;
+    let key_bits = alice_pk.bits();
     let out = match comparator {
         Comparator::Yao => j_effs
             .iter()
             .enumerate()
             .map(|(idx, &j)| {
-                millionaires::yao_bob(chan, alice_pk, j, &domain.yao_config(), &ctx.at(idx as u64))
+                millionaires::yao_bob(chan, alice_pk, j, &domain.yao_config(), &scopes(idx))
             })
             .collect(),
-        Comparator::Ideal => ideal_batch_bob(chan, alice_pk.bits(), &j_effs, domain, packed),
-        Comparator::Dgk if packed => {
-            crate::bitwise::dgk_batch_packed_bob(chan, alice_pk, &j_effs, domain.n0(), ctx)
+        Comparator::Ideal => ideal_bob(chan, key_bits, &j_effs, domain),
+        Comparator::Dgk => {
+            let layout = dgk_layout(key_bits, domain, packed);
+            crate::bitwise::dgk_bob(
+                chan,
+                alice_pk,
+                &j_effs,
+                domain.n0(),
+                layout.as_ref(),
+                scopes,
+            )
         }
-        Comparator::Dgk => crate::bitwise::dgk_batch_bob(chan, alice_pk, &j_effs, domain.n0(), ctx),
     }?;
     span.end(|| chan.metrics());
     Ok(out)
 }
 
-/// Share comparison (§5): Alice holds `u_a, u_b`, Bob holds `v_a, v_b`,
-/// shares of `dist_a = u_a - v_a` and `dist_b = u_b - v_b`. Both learn
-/// whether `dist_a < dist_b`, via `u_a - u_b < v_a - v_b`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn share_less_than_alice<C: Channel>(
-    comparator: Comparator,
-    chan: &mut C,
-    keypair: &Keypair,
-    u_a: i64,
-    u_b: i64,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let diff = u_a.checked_sub(u_b).ok_or(SmcError::DomainViolation {
-        value: i64::MAX,
-        lo: domain.lo,
-        hi: domain.hi,
-    })?;
-    compare_alice(
-        comparator,
-        chan,
-        keypair,
-        diff,
-        CmpOp::Lt,
-        domain,
-        packed,
-        ctx,
-    )
-}
-
-/// Bob's half of [`share_less_than_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn share_less_than_bob<C: Channel>(
-    comparator: Comparator,
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    v_a: i64,
-    v_b: i64,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<bool, SmcError> {
-    let diff = v_a.checked_sub(v_b).ok_or(SmcError::DomainViolation {
-        value: i64::MAX,
-        lo: domain.lo,
-        hi: domain.hi,
-    })?;
-    compare_bob(
-        comparator,
-        chan,
-        alice_pk,
-        diff,
-        CmpOp::Lt,
-        domain,
-        packed,
-        ctx,
-    )
+/// The packed DGK reply layout for this key and domain when `packed`; a key
+/// too small for one slot has none and runs the unpacked reply on both
+/// sides alike.
+fn dgk_layout(key_bits: usize, domain: &ComparisonDomain, packed: bool) -> Option<SlotLayout> {
+    packed
+        .then(|| crate::bitwise::dgk_pack_layout(key_bits, domain.n0()))
+        .flatten()
 }
 
 fn share_diffs(pairs: &[(i64, i64)], domain: &ComparisonDomain) -> Result<Vec<i64>, SmcError> {
@@ -339,46 +250,45 @@ fn share_diffs(pairs: &[(i64, i64)], domain: &ComparisonDomain) -> Result<Vec<i6
         .collect()
 }
 
-/// Round-batched share comparisons: each pair `(u_a, u_b)` against Bob's
-/// `(v_a, v_b)` decides `dist_a < dist_b`, all in a constant number of wire
-/// rounds (see [`compare_batch_alice`]). Used by the enhanced protocol's
-/// batched quickselect partitions.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn share_less_than_batch_alice<C: Channel>(
+/// Share comparisons (§5): per pair, Alice holds `(u_a, u_b)` and Bob holds
+/// `(v_a, v_b)`, shares of `dist_a = u_a - v_a` and `dist_b = u_b - v_b`.
+/// Both learn whether `dist_a < dist_b`, via `u_a - u_b < v_a - v_b` — one
+/// [`compare_alice`] item per pair, scoped and framed the same way. The
+/// enhanced protocol's minimum scans pass one pair at a time, its
+/// quickselect partitions a whole level.
+pub fn share_less_than_alice<C, S>(
     comparator: Comparator,
     chan: &mut C,
     keypair: &Keypair,
     pairs: &[(i64, i64)],
     domain: &ComparisonDomain,
     packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
+    scopes: S,
+) -> Result<Vec<bool>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext + Sync,
+{
     let diffs = share_diffs(pairs, domain)?;
-    compare_batch_alice(
-        comparator,
-        chan,
-        keypair,
-        &diffs,
-        CmpOp::Lt,
-        domain,
-        packed,
-        ctx,
-    )
+    compare_alice(comparator, chan, keypair, &diffs, domain, packed, scopes)
 }
 
-/// Bob's half of [`share_less_than_batch_alice`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn share_less_than_batch_bob<C: Channel>(
+/// Bob's half of [`share_less_than_alice`].
+pub fn share_less_than_bob<C, S>(
     comparator: Comparator,
     chan: &mut C,
     alice_pk: &PublicKey,
     pairs: &[(i64, i64)],
     domain: &ComparisonDomain,
     packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<Vec<bool>, SmcError> {
+    scopes: S,
+) -> Result<Vec<bool>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext + Sync,
+{
     let diffs = share_diffs(pairs, domain)?;
-    compare_batch_bob(
+    compare_bob(
         comparator,
         chan,
         alice_pk,
@@ -386,7 +296,7 @@ pub fn share_less_than_batch_bob<C: Channel>(
         CmpOp::Lt,
         domain,
         packed,
-        ctx,
+        scopes,
     )
 }
 
@@ -433,68 +343,25 @@ fn verdict_padding(modeled: u64, used: u64, factor: u64) -> Vec<u8> {
     vec![0u8; (modeled.saturating_sub(used).min(IDEAL_PADDING_CAP) / factor.max(1)) as usize]
 }
 
+/// Ideal backend, Alice's side: the three messages of a YMPP execution
+/// become three batch frames carrying one item per comparison, each item
+/// padded as the faithful message it stands for — so modeled bytes stay
+/// per-comparison comparable whatever the slice length, and a slice of `k`
+/// costs 3 rounds.
 fn ideal_alice<C: Channel>(
     chan: &mut C,
     key_bits: usize,
-    i: u64,
-    _op: CmpOp,
-    domain: &ComparisonDomain,
-    packed: bool,
-) -> Result<bool, SmcError> {
-    let (m1, m2, m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
-    let factor = ideal_packing_factor(key_bits, domain, packed);
-    // Message 1 (Bob→Alice in YMPP): Bob's effective input.
-    let (j_eff, _pad): (u64, Vec<u8>) = chan.recv()?;
-    // Message 2 (Alice→Bob): the result, padded to the z-sequence size
-    // (packed: to its packed-word share).
-    let result = i < j_eff;
-    chan.send(&(result, verdict_padding(m2, 5, factor)))?;
-    // Message 3 (Bob→Alice): conclusion echo, as in Algorithm 1 step 7.
-    let (echoed, _pad): (bool, Vec<u8>) = chan.recv()?;
-    if echoed != result {
-        return Err(SmcError::protocol("ideal comparator echo mismatch"));
-    }
-    let _ = (m1, m3);
-    Ok(result)
-}
-
-fn ideal_bob<C: Channel>(
-    chan: &mut C,
-    key_bits: usize,
-    j_eff: u64,
-    domain: &ComparisonDomain,
-    packed: bool,
-) -> Result<bool, SmcError> {
-    let (m1, _m2, m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
-    let _ = packed; // Bob's messages model single values; nothing to pack.
-    chan.send(&(j_eff, padding(m1, 12)))?;
-    let (result, _pad): (bool, Vec<u8>) = chan.recv()?;
-    chan.send(&(result, padding(m3, 5)))?;
-    Ok(result)
-}
-
-/// Batched Ideal backend: the three per-comparison messages of
-/// [`ideal_alice`]/[`ideal_bob`] become three [`Batch`] frames carrying one
-/// item per comparison, each item padded exactly as its unbatched
-/// counterpart — so modeled bytes stay per-comparison comparable while the
-/// round count drops from `3k` to 3.
-///
-/// [`Batch`]: ppds_transport::Batch
-fn ideal_batch_alice<C: Channel>(
-    chan: &mut C,
-    key_bits: usize,
     is: &[u64],
-    _op: CmpOp,
     domain: &ComparisonDomain,
     packed: bool,
 ) -> Result<Vec<bool>, SmcError> {
-    let (m1, m2, m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
+    let (_m1, m2, _m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
     let factor = ideal_packing_factor(key_bits, domain, packed);
-    // Round 1 (Bob→Alice): Bob's effective inputs.
+    // Message 1 (Bob→Alice in YMPP): Bob's effective inputs.
     let incoming: Vec<(u64, Vec<u8>)> = chan.recv_batch()?;
     if incoming.len() != is.len() {
         return Err(SmcError::protocol(format!(
-            "ideal batch arity mismatch: {} inputs vs {} received",
+            "ideal comparator arity mismatch: {} inputs vs {} received",
             is.len(),
             incoming.len()
         )));
@@ -504,37 +371,36 @@ fn ideal_batch_alice<C: Channel>(
         .zip(&incoming)
         .map(|(&i, &(j_eff, _))| i < j_eff)
         .collect();
-    // Round 2 (Alice→Bob): the results, each padded to the z-sequence size
-    // (packed: to its packed-word share).
+    // Message 2 (Alice→Bob): the results, each padded to the z-sequence
+    // size (packed: to its packed-word share).
     let reply: Vec<(bool, Vec<u8>)> = results
         .iter()
         .map(|&r| (r, verdict_padding(m2, 5, factor)))
         .collect();
     chan.send_batch(&reply)?;
-    // Round 3 (Bob→Alice): conclusion echoes, as in Algorithm 1 step 7.
+    // Message 3 (Bob→Alice): conclusion echoes, as in Algorithm 1 step 7.
     let echoed: Vec<(bool, Vec<u8>)> = chan.recv_batch()?;
     if echoed.len() != results.len() || echoed.iter().zip(&results).any(|(e, &r)| e.0 != r) {
-        return Err(SmcError::protocol("ideal batch comparator echo mismatch"));
+        return Err(SmcError::protocol("ideal comparator echo mismatch"));
     }
-    let _ = (m1, m3);
     Ok(results)
 }
 
-fn ideal_batch_bob<C: Channel>(
+/// Bob's side of [`ideal_alice`]. His messages model single values, so
+/// packing has nothing to shrink on this side.
+fn ideal_bob<C: Channel>(
     chan: &mut C,
     key_bits: usize,
     j_effs: &[u64],
     domain: &ComparisonDomain,
-    packed: bool,
 ) -> Result<Vec<bool>, SmcError> {
     let (m1, _m2, m3) = millionaires::modeled_message_sizes(key_bits, domain.n0());
-    let _ = packed; // Bob's messages model single values; nothing to pack.
     let out: Vec<(u64, Vec<u8>)> = j_effs.iter().map(|&j| (j, padding(m1, 12))).collect();
     chan.send_batch(&out)?;
     let replies: Vec<(bool, Vec<u8>)> = chan.recv_batch()?;
     if replies.len() != j_effs.len() {
         return Err(SmcError::protocol(format!(
-            "ideal batch arity mismatch: {} inputs vs {} replies",
+            "ideal comparator arity mismatch: {} inputs vs {} replies",
             j_effs.len(),
             replies.len()
         )));
@@ -549,130 +415,119 @@ fn ideal_batch_bob<C: Channel>(
 mod tests {
     use super::*;
     use crate::test_helpers::{alice_keypair, ctx};
-    use ppds_transport::duplex;
+    use ppds_transport::{duplex, MetricsSnapshot};
 
-    fn run(comparator: Comparator, a: i64, b: i64, op: CmpOp, domain: ComparisonDomain) -> bool {
+    /// Runs one slice of comparisons `pairs[i].0 OP pairs[i].1`, item `i`
+    /// scoped `at(i)`; returns the verdicts both sides agree on and Alice's
+    /// traffic.
+    fn run(
+        comparator: Comparator,
+        pairs: &[(i64, i64)],
+        op: CmpOp,
+        domain: ComparisonDomain,
+    ) -> (Vec<bool>, MetricsSnapshot) {
         let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            compare_alice(
-                comparator,
-                &mut achan,
-                alice_keypair(),
-                a,
-                op,
-                &domain,
-                false,
-                &ctx(500),
+        let (a_vals, b_vals): (Vec<i64>, Vec<i64>) = pairs.iter().copied().unzip();
+        let kp = alice_keypair();
+        std::thread::scope(|scope| {
+            let alice = scope.spawn(move || {
+                let actx = ctx(600);
+                let scopes = |i| actx.at(i as u64);
+                let out =
+                    compare_alice(comparator, &mut achan, kp, &a_vals, &domain, false, scopes);
+                (out.unwrap(), achan.metrics())
+            });
+            let bctx = ctx(601);
+            let scopes = |i| bctx.at(i as u64);
+            let bob_view = compare_bob(
+                comparator, &mut bchan, &kp.public, &b_vals, op, &domain, false, scopes,
             )
-            .unwrap()
-        });
-        let bob_view = compare_bob(
-            comparator,
-            &mut bchan,
-            &alice_keypair().public,
-            b,
-            op,
-            &domain,
-            false,
-            &ctx(501),
-        )
-        .unwrap();
-        let alice_view = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view, "views must agree");
-        alice_view
+            .unwrap();
+            let (alice_view, metrics) = alice.join().unwrap();
+            assert_eq!(alice_view, bob_view, "views must agree");
+            (alice_view, metrics)
+        })
     }
 
     #[test]
-    fn both_backends_agree_with_native_comparison() {
+    fn all_backends_agree_with_native_comparison() {
         let domain = ComparisonDomain::symmetric(10);
+        let values = [-10i64, -3, 0, 1, 10];
+        let pairs: Vec<(i64, i64)> = values
+            .iter()
+            .flat_map(|&a| values.iter().map(move |&b| (a, b)))
+            .collect();
         for comparator in [Comparator::Yao, Comparator::Ideal, Comparator::Dgk] {
-            for a in [-10i64, -3, 0, 1, 10] {
-                for b in [-10i64, -1, 0, 1, 10] {
-                    assert_eq!(
-                        run(comparator, a, b, CmpOp::Lt, domain),
-                        a < b,
-                        "{comparator:?}: {a} < {b}"
-                    );
-                    assert_eq!(
-                        run(comparator, a, b, CmpOp::Leq, domain),
-                        a <= b,
-                        "{comparator:?}: {a} <= {b}"
-                    );
-                }
+            let (lt, _) = run(comparator, &pairs, CmpOp::Lt, domain);
+            let (leq, _) = run(comparator, &pairs, CmpOp::Leq, domain);
+            for (i, &(a, b)) in pairs.iter().enumerate() {
+                assert_eq!(lt[i], a < b, "{comparator:?}: {a} < {b}");
+                assert_eq!(leq[i], a <= b, "{comparator:?}: {a} <= {b}");
             }
         }
     }
 
     #[test]
-    fn asymmetric_domain() {
+    fn asymmetric_domain_and_its_upper_edge() {
         let domain = ComparisonDomain::new(5, 25);
-        assert!(run(Comparator::Yao, 5, 25, CmpOp::Lt, domain));
-        assert!(!run(Comparator::Yao, 25, 5, CmpOp::Lt, domain));
-        assert!(run(Comparator::Ideal, 25, 25, CmpOp::Leq, domain));
+        let yao = |pair, op| run(Comparator::Yao, &[pair], op, domain).0[0];
+        assert!(yao((5, 25), CmpOp::Lt));
+        assert!(!yao((25, 5), CmpOp::Lt));
+        // j = hi uses the reserved headroom slot; must not error.
+        assert!(yao((25, 25), CmpOp::Leq));
+        assert!(!yao((25, 25), CmpOp::Lt));
+        assert!(run(Comparator::Ideal, &[(25, 25)], CmpOp::Leq, domain).0[0]);
     }
 
     #[test]
     fn out_of_domain_is_error() {
         let domain = ComparisonDomain::symmetric(5);
         let (mut achan, _b) = duplex();
+        let kp = alice_keypair();
         assert!(matches!(
             compare_alice(
                 Comparator::Ideal,
                 &mut achan,
-                alice_keypair(),
-                6,
-                CmpOp::Lt,
+                kp,
+                &[6],
                 &domain,
                 false,
-                &ctx(1)
+                |_| ctx(1)
             ),
             Err(SmcError::DomainViolation { value: 6, .. })
         ));
     }
 
     #[test]
-    fn leq_at_domain_upper_edge_works() {
-        // j = hi uses the reserved headroom slot; must not error.
-        let domain = ComparisonDomain::symmetric(4);
-        assert!(run(Comparator::Yao, 4, 4, CmpOp::Leq, domain));
-        assert!(run(Comparator::Ideal, 4, 4, CmpOp::Leq, domain));
-        assert!(!run(Comparator::Yao, 4, 4, CmpOp::Lt, domain));
-    }
-
-    #[test]
     fn share_comparison_matches_plain() {
         let domain = ComparisonDomain::symmetric(100);
-        // dist_a = 7 (u=50, v=43), dist_b = 12 (u=20, v=8)
-        let (u_a, v_a) = (50i64, 43i64);
-        let (u_b, v_b) = (20i64, 8i64);
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            share_less_than_alice(
-                Comparator::Yao,
-                &mut achan,
-                alice_keypair(),
-                u_a,
-                u_b,
+        // dists: alice-held u, bob-held v; dist_i = u_i - v_i.
+        let us = [(50i64, 20i64), (10, 9), (7, 7)];
+        let vs = [(43i64, 8i64), (2, 0), (0, 1)];
+        for comparator in [Comparator::Yao, Comparator::Ideal] {
+            let (mut achan, mut bchan) = duplex();
+            let kp = alice_keypair();
+            let alice = std::thread::spawn(move || {
+                share_less_than_alice(comparator, &mut achan, kp, &us, &domain, false, |i| {
+                    ctx(2).at(i as u64)
+                })
+                .unwrap()
+            });
+            let bob_view = share_less_than_bob(
+                comparator,
+                &mut bchan,
+                &kp.public,
+                &vs,
                 &domain,
                 false,
-                &ctx(2),
+                |i| ctx(3).at(i as u64),
             )
-            .unwrap()
-        });
-        let bob_view = share_less_than_bob(
-            Comparator::Yao,
-            &mut bchan,
-            &alice_keypair().public,
-            v_a,
-            v_b,
-            &domain,
-            false,
-            &ctx(3),
-        )
-        .unwrap();
-        let alice_view = alice.join().unwrap();
-        assert!(alice_view, "7 < 12");
-        assert!(bob_view);
+            .unwrap();
+            let alice_view = alice.join().unwrap();
+            assert_eq!(alice_view, bob_view);
+            // dist_a=7 vs dist_b=12 → true; 8 vs 9 → true; 7 vs 6 → false.
+            assert_eq!(alice_view, vec![true, true, false], "{comparator:?}");
+        }
     }
 
     #[test]
@@ -680,165 +535,33 @@ mod tests {
         // The Ideal comparator must charge the transcript the same bytes the
         // faithful protocol produces (within BigUint minimal-length noise).
         let domain = ComparisonDomain::symmetric(16);
-        let mut totals = Vec::new();
-        for comparator in [Comparator::Yao, Comparator::Ideal] {
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                compare_alice(
-                    comparator,
-                    &mut achan,
-                    alice_keypair(),
-                    3,
-                    CmpOp::Lt,
-                    &domain,
-                    false,
-                    &ctx(7),
-                )
-                .unwrap();
-                achan.metrics().total_bytes()
-            });
-            compare_bob(
-                comparator,
-                &mut bchan,
-                &alice_keypair().public,
-                5,
-                CmpOp::Lt,
-                &domain,
-                false,
-                &ctx(8),
-            )
-            .unwrap();
-            totals.push(alice.join().unwrap() as f64);
-        }
-        let (yao, ideal) = (totals[0], totals[1]);
+        let bytes = |comparator| {
+            run(comparator, &[(3, 5)], CmpOp::Lt, domain)
+                .1
+                .total_bytes() as f64
+        };
+        let (yao, ideal) = (bytes(Comparator::Yao), bytes(Comparator::Ideal));
         let rel_err = (yao - ideal).abs() / yao;
         assert!(rel_err < 0.05, "yao = {yao}, ideal = {ideal}");
     }
 
-    fn run_batch(
-        comparator: Comparator,
-        pairs: &[(i64, i64)],
-        op: CmpOp,
-        domain: ComparisonDomain,
-    ) -> (Vec<bool>, ppds_transport::MetricsSnapshot) {
-        let (mut achan, mut bchan) = duplex();
-        let a_vals: Vec<i64> = pairs.iter().map(|p| p.0).collect();
-        let b_vals: Vec<i64> = pairs.iter().map(|p| p.1).collect();
-        let alice = std::thread::spawn(move || {
-            let out = compare_batch_alice(
-                comparator,
-                &mut achan,
-                alice_keypair(),
-                &a_vals,
-                op,
-                &domain,
-                false,
-                &ctx(600),
-            )
-            .unwrap();
-            (out, achan.metrics())
-        });
-        let bob_view = compare_batch_bob(
-            comparator,
-            &mut bchan,
-            &alice_keypair().public,
-            &b_vals,
-            op,
-            &domain,
-            false,
-            &ctx(601),
-        )
-        .unwrap();
-        let (alice_view, metrics) = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view, "views must agree");
-        (alice_view, metrics)
-    }
-
     #[test]
-    fn batch_matches_native_comparison_all_backends() {
-        let domain = ComparisonDomain::symmetric(10);
-        let pairs: Vec<(i64, i64)> = vec![(-10, 10), (0, 0), (3, -3), (10, 10), (-1, 0), (7, 6)];
-        for comparator in [Comparator::Yao, Comparator::Ideal, Comparator::Dgk] {
-            for op in [CmpOp::Lt, CmpOp::Leq] {
-                let (got, _) = run_batch(comparator, &pairs, op, domain);
-                for (i, &(a, b)) in pairs.iter().enumerate() {
-                    let expect = match op {
-                        CmpOp::Lt => a < b,
-                        CmpOp::Leq => a <= b,
-                    };
-                    assert_eq!(got[i], expect, "{comparator:?} {op:?}: {a} vs {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_collapses_rounds_for_ideal_and_dgk() {
+    fn a_slice_is_three_rounds_for_ideal_and_dgk() {
         let domain = ComparisonDomain::symmetric(16);
         let pairs: Vec<(i64, i64)> = (0..20).map(|i| (i % 7 - 3, (i % 5) - 2)).collect();
         for comparator in [Comparator::Ideal, Comparator::Dgk] {
-            let (_, m) = run_batch(comparator, &pairs, CmpOp::Lt, domain);
-            // 3 frames for 20 comparisons; unbatched would be 60 rounds.
+            let (_, m) = run(comparator, &pairs, CmpOp::Lt, domain);
+            // 3 frames for 20 comparisons; one at a time would be 60.
             assert_eq!(m.total_rounds(), 3, "{comparator:?}");
             assert_eq!(m.total_messages(), 3 * pairs.len() as u64, "{comparator:?}");
         }
         // The faithful Yao backend has no batched form: rounds stay 3/cmp.
-        let (_, m) = run_batch(Comparator::Yao, &pairs[..2], CmpOp::Lt, domain);
+        let (_, m) = run(Comparator::Yao, &pairs[..2], CmpOp::Lt, domain);
         assert_eq!(m.total_rounds(), 6);
-    }
-
-    #[test]
-    fn empty_batch_is_wire_silent() {
-        let (mut achan, _b) = duplex();
-        let domain = ComparisonDomain::symmetric(5);
-        let out = compare_batch_alice(
-            Comparator::Ideal,
-            &mut achan,
-            alice_keypair(),
-            &[],
-            CmpOp::Lt,
-            &domain,
-            false,
-            &ctx(1),
-        )
-        .unwrap();
-        assert!(out.is_empty());
-        assert_eq!(achan.metrics().total_rounds(), 0);
-    }
-
-    #[test]
-    fn batch_share_comparison_matches_plain() {
-        let domain = ComparisonDomain::symmetric(100);
-        // dists: alice-held u, bob-held v; dist_i = u_i - v_i.
-        let us = [(50i64, 20i64), (10, 9), (7, 7)];
-        let vs = [(43i64, 8i64), (2, 0), (0, 1)];
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            share_less_than_batch_alice(
-                Comparator::Ideal,
-                &mut achan,
-                alice_keypair(),
-                &us,
-                &domain,
-                false,
-                &ctx(2),
-            )
-            .unwrap()
-        });
-        let bob_view = share_less_than_batch_bob(
-            Comparator::Ideal,
-            &mut bchan,
-            &alice_keypair().public,
-            &vs,
-            &domain,
-            false,
-            &ctx(3),
-        )
-        .unwrap();
-        let alice_view = alice.join().unwrap();
-        assert_eq!(alice_view, bob_view);
-        // dist_a=7 vs dist_b=12 → true; 8 vs 9 → true; 7 vs 6 → false.
-        assert_eq!(alice_view, vec![true, true, false]);
+        // And no comparisons are no frames.
+        let (none, m) = run(Comparator::Ideal, &[], CmpOp::Lt, domain);
+        assert!(none.is_empty());
+        assert_eq!(m.total_rounds(), 0);
     }
 
     #[test]

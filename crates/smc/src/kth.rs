@@ -17,18 +17,16 @@
 //! Control flow is driven purely by comparison outcomes, which Algorithm 1
 //! reveals to both parties anyway, so both sides replay the identical
 //! decision sequence and stay in lockstep with zero additional messages.
+//! Comparisons reach the substrate through [`SmcBackend`], a slice of
+//! independent pairs at a time; how a slice is framed is the backend's.
 
 use crate::backend::SmcBackend;
-use crate::compare::{
-    share_less_than_alice, share_less_than_batch_alice, share_less_than_batch_bob,
-    share_less_than_bob, Comparator, ComparisonDomain,
-};
+use crate::compare::ComparisonDomain;
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
 use crate::leakage::Party;
 use crate::sharing::SharingLedger;
 use ppds_observe::trace;
-use ppds_paillier::{Keypair, PublicKey};
 use ppds_transport::Channel;
 
 /// Which of the paper's two k-th-smallest algorithms to run.
@@ -51,14 +49,24 @@ pub struct SelectionOutcome {
     pub comparisons: usize,
 }
 
-/// Backend-dispatched selection: the session path. Runs the same engine as
-/// the role-named entry points below but reaches every share comparison
-/// through [`SmcBackend`], so one call site serves both the Paillier and
-/// the sharing substrate. With a [`crate::backend::PaillierBackend`] the
-/// wire transcript is byte-identical to the matching
-/// [`kth_smallest_alice`] / [`kth_smallest_bob`] call. `role` is the
-/// comparison role ([`Party::Alice`] holds the compare keypair);
-/// `batched` selects the round-batched partition framing.
+/// Selects the k-th smallest (1-based) of the distances this party holds
+/// `shares` of — Alice's `u_i`, Bob's `v_i` — reaching every share
+/// comparison through `backend`, so one call site serves both the Paillier
+/// and the sharing substrate. `role` is the comparison role
+/// ([`Party::Alice`] holds the compare keypair); `ctx` is the selection
+/// step's context, and every comparison is scoped by its position in the
+/// algorithm (minimum scans by ordinal, quickselect by level and pair), so
+/// its bytes do not depend on how the backend frames it.
+///
+/// The comparisons of one quickselect partition level are independent and
+/// are handed to the backend as one slice (3 wire rounds per level when it
+/// batches); a minimum scan is inherently sequential — each comparison's
+/// operand depends on the previous outcome — and hands over slices of one.
+/// `_batched` selects nothing: framing is the backend's alone. The
+/// parameter keeps the call shape `perfbench/` was written against.
+///
+/// # Panics
+/// Panics if `shares` is empty or `k` is not in `1..=shares.len()`.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn kth_smallest_with<C: Channel, B: SmcBackend>(
     method: SelectionMethod,
@@ -68,228 +76,52 @@ pub fn kth_smallest_with<C: Channel, B: SmcBackend>(
     shares: &[i64],
     k: usize,
     domain: &ComparisonDomain,
-    batched: bool,
+    _batched: bool,
     ctx: &ProtocolContext,
     acct: &mut SharingLedger,
 ) -> Result<SelectionOutcome, SmcError> {
-    let span = trace::span("kth", || chan.metrics());
-    let mut less_many = |pairs: &[(usize, usize)], chan: &mut C, scope: &ProtocolContext| {
-        if let [(a, b)] = pairs {
-            // Single-pair calls keep the unbatched wire format byte-exact;
-            // `scope` is already record-scoped by the engine.
-            return backend
-                .share_less_than(chan, role, (shares[*a], shares[*b]), domain, scope, acct)
-                .map(|r| vec![r]);
-        }
-        let share_pairs: Vec<(i64, i64)> =
-            pairs.iter().map(|&(a, b)| (shares[a], shares[b])).collect();
-        backend.share_less_than_batch(chan, role, &share_pairs, domain, scope, acct)
-    };
-    let out = kth_engine(shares.len(), k, method, batched, chan, ctx, &mut less_many)?;
-    span.end(|| chan.metrics());
-    Ok(out)
-}
-
-/// Alice's side: her shares are `u_i`; returns the k-th smallest (1-based).
-/// `ctx` is the selection step's context; the engine scopes every
-/// comparison by its (level, pair) position, so batched and unbatched
-/// executions draw identical streams.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn kth_smallest_alice<C: Channel>(
-    method: SelectionMethod,
-    comparator: Comparator,
-    chan: &mut C,
-    keypair: &Keypair,
-    shares: &[i64],
-    k: usize,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<SelectionOutcome, SmcError> {
-    kth_alice_impl(
-        method, comparator, chan, keypair, shares, k, domain, packed, ctx, false,
-    )
-}
-
-/// [`kth_smallest_alice`] with round batching: quickselect partitions run
-/// all pivot comparisons as one [`crate::compare::compare_batch_alice`]
-/// call (3 wire rounds per partition level instead of 3 per comparison).
-/// Repeated-minimum scans are inherently sequential — each comparison's
-/// operand depends on the previous outcome — so they execute exactly as in
-/// the unbatched entry point. Outcomes (index and comparison count) are
-/// identical either way: the same comparisons run with the same operands,
-/// only the framing changes.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn kth_smallest_alice_batched<C: Channel>(
-    method: SelectionMethod,
-    comparator: Comparator,
-    chan: &mut C,
-    keypair: &Keypair,
-    shares: &[i64],
-    k: usize,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<SelectionOutcome, SmcError> {
-    kth_alice_impl(
-        method, comparator, chan, keypair, shares, k, domain, packed, ctx, true,
-    )
-}
-
-/// Bob's side: his shares are `v_i`.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn kth_smallest_bob<C: Channel>(
-    method: SelectionMethod,
-    comparator: Comparator,
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    shares: &[i64],
-    k: usize,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<SelectionOutcome, SmcError> {
-    kth_bob_impl(
-        method, comparator, chan, alice_pk, shares, k, domain, packed, ctx, false,
-    )
-}
-
-/// Round-batched Bob side; see [`kth_smallest_alice_batched`].
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn kth_smallest_bob_batched<C: Channel>(
-    method: SelectionMethod,
-    comparator: Comparator,
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    shares: &[i64],
-    k: usize,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-) -> Result<SelectionOutcome, SmcError> {
-    kth_bob_impl(
-        method, comparator, chan, alice_pk, shares, k, domain, packed, ctx, true,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn kth_alice_impl<C: Channel>(
-    method: SelectionMethod,
-    comparator: Comparator,
-    chan: &mut C,
-    keypair: &Keypair,
-    shares: &[i64],
-    k: usize,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-    batched: bool,
-) -> Result<SelectionOutcome, SmcError> {
-    let span = trace::span("kth", || chan.metrics());
-    let mut less_many = |pairs: &[(usize, usize)], chan: &mut C, scope: &ProtocolContext| {
-        if let [(a, b)] = pairs {
-            // Single-pair calls keep the unbatched wire format byte-exact;
-            // `scope` is already record-scoped by the engine.
-            return share_less_than_alice(
-                comparator, chan, keypair, shares[*a], shares[*b], domain, packed, scope,
-            )
-            .map(|r| vec![r]);
-        }
-        let share_pairs: Vec<(i64, i64)> =
-            pairs.iter().map(|&(a, b)| (shares[a], shares[b])).collect();
-        share_less_than_batch_alice(
-            comparator,
-            chan,
-            keypair,
-            &share_pairs,
-            domain,
-            packed,
-            scope,
-        )
-    };
-    let out = kth_engine(shares.len(), k, method, batched, chan, ctx, &mut less_many)?;
-    span.end(|| chan.metrics());
-    Ok(out)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn kth_bob_impl<C: Channel>(
-    method: SelectionMethod,
-    comparator: Comparator,
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    shares: &[i64],
-    k: usize,
-    domain: &ComparisonDomain,
-    packed: bool,
-    ctx: &ProtocolContext,
-    batched: bool,
-) -> Result<SelectionOutcome, SmcError> {
-    let span = trace::span("kth", || chan.metrics());
-    let mut less_many = |pairs: &[(usize, usize)], chan: &mut C, scope: &ProtocolContext| {
-        if let [(a, b)] = pairs {
-            return share_less_than_bob(
-                comparator, chan, alice_pk, shares[*a], shares[*b], domain, packed, scope,
-            )
-            .map(|r| vec![r]);
-        }
-        let share_pairs: Vec<(i64, i64)> =
-            pairs.iter().map(|&(a, b)| (shares[a], shares[b])).collect();
-        share_less_than_batch_bob(
-            comparator,
-            chan,
-            alice_pk,
-            &share_pairs,
-            domain,
-            packed,
-            scope,
-        )
-    };
-    let out = kth_engine(shares.len(), k, method, batched, chan, ctx, &mut less_many)?;
-    span.end(|| chan.metrics());
-    Ok(out)
-}
-
-/// Role-neutral engine: identical deterministic control flow on both sides,
-/// parameterized by the party-specific comparison call. `less_many` runs a
-/// slice of independent share comparisons and returns one outcome per pair;
-/// sequential call sites receive a record-scoped context per single pair,
-/// batch call sites the level context (items key themselves by index).
-fn kth_engine<C, F>(
-    n: usize,
-    k: usize,
-    method: SelectionMethod,
-    batched: bool,
-    chan: &mut C,
-    ctx: &ProtocolContext,
-    less_many: &mut F,
-) -> Result<SelectionOutcome, SmcError>
-where
-    C: Channel,
-    F: FnMut(&[(usize, usize)], &mut C, &ProtocolContext) -> Result<Vec<bool>, SmcError>,
-{
+    let n = shares.len();
     assert!(n > 0, "cannot select from an empty share vector");
     assert!(
         (1..=n).contains(&k),
         "k = {k} out of range for {n} elements"
     );
-    match method {
-        SelectionMethod::RepeatedMin => repeated_min(n, k, chan, ctx, less_many),
-        SelectionMethod::QuickSelect => quick_select(n, k, batched, chan, ctx, less_many),
-    }
+    let span = trace::span("kth", || chan.metrics());
+    // The comparison oracle both algorithms run over: whether
+    // `dist[a] < dist[b]` for each `(a, b)` of a slice of independent pairs,
+    // pair `i` scoped `base.at(first + i)`; the backend frames the slice.
+    let mut share_pairs: Vec<(i64, i64)> = Vec::new();
+    let mut less = |pairs: &[(usize, usize)], base: &ProtocolContext, first: u64| {
+        share_pairs.clear();
+        share_pairs.extend(pairs.iter().map(|&(a, b)| (shares[a], shares[b])));
+        let scopes = |i: usize| base.at(first + i as u64);
+        let outcomes =
+            backend.share_less_than_scoped(chan, role, &share_pairs, domain, scopes, acct)?;
+        if outcomes.len() != pairs.len() {
+            return Err(SmcError::protocol(
+                "share comparison outcome arity mismatch",
+            ));
+        }
+        Ok(outcomes)
+    };
+    let out = match method {
+        SelectionMethod::RepeatedMin => repeated_min(n, k, ctx, &mut less),
+        SelectionMethod::QuickSelect => quick_select(n, k, ctx, &mut less),
+    }?;
+    span.end(|| chan.metrics());
+    Ok(out)
 }
 
-fn repeated_min<C, F>(
+/// `less(pairs, base, first)`: see [`kth_smallest_with`].
+type Less<'a> =
+    dyn FnMut(&[(usize, usize)], &ProtocolContext, u64) -> Result<Vec<bool>, SmcError> + 'a;
+
+fn repeated_min(
     n: usize,
     k: usize,
-    chan: &mut C,
     ctx: &ProtocolContext,
-    less_many: &mut F,
-) -> Result<SelectionOutcome, SmcError>
-where
-    C: Channel,
-    F: FnMut(&[(usize, usize)], &mut C, &ProtocolContext) -> Result<Vec<bool>, SmcError>,
-{
+    less: &mut Less<'_>,
+) -> Result<SelectionOutcome, SmcError> {
     let mut active: Vec<usize> = (0..n).collect();
     let mut comparisons = 0;
     for round in 0..k {
@@ -297,11 +129,11 @@ where
         for pos in 1..active.len() {
             // Inherently sequential control flow, but each comparison's
             // randomness is keyed by its ordinal, not by stream position.
-            let scope = ctx.at(comparisons as u64);
-            comparisons += 1;
-            if less_many(&[(active[pos], active[min_pos])], chan, &scope)?[0] {
+            let pair = (active[pos], active[min_pos]);
+            if less(&[pair], ctx, comparisons as u64)?[0] {
                 min_pos = pos;
             }
+            comparisons += 1;
         }
         if round == k - 1 {
             return Ok(SelectionOutcome {
@@ -314,18 +146,12 @@ where
     unreachable!("loop returns on round k-1")
 }
 
-fn quick_select<C, F>(
+fn quick_select(
     n: usize,
     k: usize,
-    batched: bool,
-    chan: &mut C,
     ctx: &ProtocolContext,
-    less_many: &mut F,
-) -> Result<SelectionOutcome, SmcError>
-where
-    C: Channel,
-    F: FnMut(&[(usize, usize)], &mut C, &ProtocolContext) -> Result<Vec<bool>, SmcError>,
-{
+    less: &mut Less<'_>,
+) -> Result<SelectionOutcome, SmcError> {
     let mut items: Vec<usize> = (0..n).collect();
     let mut k = k; // 1-based rank within `items`
     let mut comparisons = 0;
@@ -340,29 +166,19 @@ where
         // Deterministic pivot: both parties pick the same position without
         // exchanging anything.
         let pivot = items[items.len() / 2];
-        let others: Vec<usize> = items.iter().copied().filter(|&i| i != pivot).collect();
-        // Every pivot comparison of one partition level is independent, so
-        // a batched run ships them as one frame set. Comparison `i` of
-        // level `ℓ` draws from `ctx.at(ℓ).at(i)` in both framings.
-        let level_ctx = ctx.at(level);
+        // Every pivot comparison of one partition level is independent:
+        // comparison `i` of level `ℓ` draws from `ctx.at(ℓ).at(i)`.
+        let pairs: Vec<(usize, usize)> = items
+            .iter()
+            .filter(|&&i| i != pivot)
+            .map(|&i| (i, pivot))
+            .collect();
+        let outcomes = less(&pairs, &ctx.at(level), 0)?;
         level += 1;
-        let outcomes: Vec<bool> = if batched && others.len() > 1 {
-            let pairs: Vec<(usize, usize)> = others.iter().map(|&i| (i, pivot)).collect();
-            less_many(&pairs, chan, &level_ctx)?
-        } else {
-            let mut out = Vec::with_capacity(others.len());
-            for (i, &idx) in others.iter().enumerate() {
-                out.push(less_many(&[(idx, pivot)], chan, &level_ctx.at(i as u64))?[0]);
-            }
-            out
-        };
-        if outcomes.len() != others.len() {
-            return Err(SmcError::protocol("partition outcome arity mismatch"));
-        }
-        comparisons += others.len();
+        comparisons += pairs.len();
         let mut smaller = Vec::new();
         let mut not_smaller = Vec::new();
-        for (&idx, &is_less) in others.iter().zip(&outcomes) {
+        for (&(idx, _), &is_less) in pairs.iter().zip(&outcomes) {
             if is_less {
                 smaller.push(idx);
             } else {
@@ -386,55 +202,67 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{PaillierBackend, SharingBackend};
+    use crate::compare::Comparator;
+    use crate::sharing::DealerTape;
     use crate::test_helpers::{alice_keypair, ctx, rng};
+    use ppds_bigint::BigUint;
     use ppds_transport::duplex;
     use rand::Rng;
 
+    fn paillier(comparator: Comparator, batching: bool) -> PaillierBackend<'static> {
+        PaillierBackend {
+            my_keypair: alice_keypair(),
+            peer_pk: &alice_keypair().public,
+            comparator,
+            packed: false,
+            batching,
+            mul_packing: None,
+            dot_packing: None,
+            mul_mask_bound: BigUint::from_u64(1 << 20),
+            dot_mask_bound: BigUint::from_u64(1 << 20),
+        }
+    }
+
     /// Splits `dists` into shares (u_i = d_i + v_i for random v_i), runs the
-    /// selection on two threads, and returns the outcome both sides agree on.
-    fn run(
+    /// selection on two threads, and returns the outcome both sides agree
+    /// on with Alice's ledger.
+    fn run_with<B: SmcBackend + Sync>(
+        backend: &B,
         dists: &[i64],
         k: usize,
         method: SelectionMethod,
-        comparator: Comparator,
         seed: u64,
-    ) -> SelectionOutcome {
+    ) -> (SelectionOutcome, SharingLedger) {
         let mut r = rng(seed);
         let vs: Vec<i64> = dists.iter().map(|_| r.random_range(-50..=50)).collect();
         let us: Vec<i64> = dists.iter().zip(&vs).map(|(d, v)| d + v).collect();
         let bound = 2 * (dists.iter().map(|d| d.abs()).max().unwrap_or(0) + 50);
         let domain = ComparisonDomain::symmetric(bound);
-
         let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            kth_smallest_alice(
-                method,
-                comparator,
-                &mut achan,
-                alice_keypair(),
-                &us,
-                k,
-                &domain,
-                false,
-                &ctx(seed + 1),
+        std::thread::scope(|s| {
+            let alice = s.spawn(|| {
+                let mut acct = SharingLedger::default();
+                let (role, actx) = (Party::Alice, ctx(seed + 1));
+                let out = kth_smallest_with(
+                    method, backend, &mut achan, role, &us, k, &domain, true, &actx, &mut acct,
+                );
+                (out.unwrap(), acct)
+            });
+            let mut acct = SharingLedger::default();
+            let (role, bctx) = (Party::Bob, ctx(seed + 2));
+            let bob = kth_smallest_with(
+                method, backend, &mut bchan, role, &vs, k, &domain, true, &bctx, &mut acct,
             )
-            .unwrap()
-        });
-        let bob = kth_smallest_bob(
-            method,
-            comparator,
-            &mut bchan,
-            &alice_keypair().public,
-            &vs,
-            k,
-            &domain,
-            false,
-            &ctx(seed + 2),
-        )
-        .unwrap();
-        let alice = alice.join().unwrap();
-        assert_eq!(alice, bob, "both parties must agree");
-        alice
+            .unwrap();
+            let (alice, acct) = alice.join().unwrap();
+            assert_eq!(alice, bob, "both parties must agree");
+            (alice, acct)
+        })
+    }
+
+    fn run(dists: &[i64], k: usize, method: SelectionMethod, seed: u64) -> SelectionOutcome {
+        run_with(&paillier(Comparator::Ideal, false), dists, k, method, seed).0
     }
 
     /// The set of indices whose value ties for the k-th smallest (selection
@@ -453,7 +281,7 @@ mod tests {
         let dists = [9i64, 2, 14, 5, 0, 7];
         for method in [SelectionMethod::RepeatedMin, SelectionMethod::QuickSelect] {
             for k in 1..=dists.len() {
-                let outcome = run(&dists, k, method, Comparator::Ideal, 100 + k as u64);
+                let outcome = run(&dists, k, method, 100 + k as u64);
                 let valid = kth_tie_set(&dists, k);
                 assert!(
                     valid.contains(&outcome.index),
@@ -468,9 +296,9 @@ mod tests {
     fn handles_ties() {
         let dists = [5i64, 5, 5, 1, 5];
         for method in [SelectionMethod::RepeatedMin, SelectionMethod::QuickSelect] {
-            let outcome = run(&dists, 1, method, Comparator::Ideal, 7);
+            let outcome = run(&dists, 1, method, 7);
             assert_eq!(outcome.index, 3, "{method:?}: unique minimum");
-            let outcome = run(&dists, 3, method, Comparator::Ideal, 8);
+            let outcome = run(&dists, 3, method, 8);
             assert!(dists[outcome.index] == 5, "{method:?}: tie rank");
         }
     }
@@ -478,7 +306,7 @@ mod tests {
     #[test]
     fn single_element() {
         for method in [SelectionMethod::RepeatedMin, SelectionMethod::QuickSelect] {
-            let outcome = run(&[42], 1, method, Comparator::Ideal, 9);
+            let outcome = run(&[42], 1, method, 9);
             assert_eq!(outcome.index, 0);
             assert_eq!(outcome.comparisons, 0, "{method:?}");
         }
@@ -490,13 +318,7 @@ mod tests {
         let dists = [3i64, 1, 4, 1, 5, 9, 2, 6];
         let n = dists.len();
         for k in 1..=4 {
-            let outcome = run(
-                &dists,
-                k,
-                SelectionMethod::RepeatedMin,
-                Comparator::Ideal,
-                20,
-            );
+            let outcome = run(&dists, k, SelectionMethod::RepeatedMin, 20);
             let expect: usize = (0..k).map(|t| n - t - 1).sum();
             assert_eq!(outcome.comparisons, expect, "k={k}");
         }
@@ -506,21 +328,8 @@ mod tests {
     fn quickselect_uses_fewer_comparisons_for_large_k() {
         let mut r = rng(33);
         let dists: Vec<i64> = (0..40).map(|_| r.random_range(0..1000)).collect();
-        let k = 20;
-        let rm = run(
-            &dists,
-            k,
-            SelectionMethod::RepeatedMin,
-            Comparator::Ideal,
-            40,
-        );
-        let qs = run(
-            &dists,
-            k,
-            SelectionMethod::QuickSelect,
-            Comparator::Ideal,
-            41,
-        );
+        let rm = run(&dists, 20, SelectionMethod::RepeatedMin, 40);
+        let qs = run(&dists, 20, SelectionMethod::QuickSelect, 41);
         assert!(
             qs.comparisons < rm.comparisons,
             "quickselect {} vs repeated-min {}",
@@ -529,202 +338,38 @@ mod tests {
         );
     }
 
-    /// Batched run returning the outcome and Alice's channel metrics.
-    fn run_batched(
-        dists: &[i64],
-        k: usize,
-        method: SelectionMethod,
-        seed: u64,
-    ) -> (SelectionOutcome, ppds_transport::MetricsSnapshot) {
-        let mut r = rng(seed);
-        let vs: Vec<i64> = dists.iter().map(|_| r.random_range(-50..=50)).collect();
-        let us: Vec<i64> = dists.iter().zip(&vs).map(|(d, v)| d + v).collect();
-        let bound = 2 * (dists.iter().map(|d| d.abs()).max().unwrap_or(0) + 50);
-        let domain = ComparisonDomain::symmetric(bound);
-
-        let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
-            let out = kth_smallest_alice_batched(
-                method,
-                Comparator::Ideal,
-                &mut achan,
-                alice_keypair(),
-                &us,
-                k,
-                &domain,
-                false,
-                &ctx(seed + 1),
-            )
-            .unwrap();
-            (out, achan.metrics())
-        });
-        let bob = kth_smallest_bob_batched(
-            method,
-            Comparator::Ideal,
-            &mut bchan,
-            &alice_keypair().public,
-            &vs,
-            k,
-            &domain,
-            false,
-            &ctx(seed + 2),
-        )
-        .unwrap();
-        let (alice, metrics) = alice.join().unwrap();
-        assert_eq!(alice, bob, "both parties must agree");
-        (alice, metrics)
-    }
-
-    #[test]
-    fn batched_selection_matches_sequential_outcome() {
-        let dists = [9i64, 2, 14, 5, 0, 7, 7, 3, 11, 1];
-        for method in [SelectionMethod::RepeatedMin, SelectionMethod::QuickSelect] {
-            for k in 1..=dists.len() {
-                let seq = run(&dists, k, method, Comparator::Ideal, 300 + k as u64);
-                let (bat, _) = run_batched(&dists, k, method, 300 + k as u64);
-                assert_eq!(seq, bat, "{method:?} k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_quickselect_collapses_partition_rounds() {
-        let mut r = rng(44);
-        let dists: Vec<i64> = (0..32).map(|_| r.random_range(0..1000)).collect();
-        let seq = run(
-            &dists,
-            16,
-            SelectionMethod::QuickSelect,
-            Comparator::Ideal,
-            45,
-        );
-        let (bat, metrics) = run_batched(&dists, 16, SelectionMethod::QuickSelect, 45);
-        assert_eq!(seq.index, bat.index);
-        assert_eq!(seq.comparisons, bat.comparisons);
-        // Every partition level is 3 rounds; the sequential run pays 3 per
-        // comparison. Expected levels ~log n, comparisons ~2n.
-        assert!(
-            metrics.total_rounds() < 3 * bat.comparisons as u64 / 2,
-            "rounds {} should be far below 3x{} comparisons",
-            metrics.total_rounds(),
-            bat.comparisons
-        );
-    }
-
     #[test]
     fn yao_backend_agrees_with_ideal_on_small_instance() {
         let dists = [4i64, 1, 3, 2];
+        let yao = paillier(Comparator::Yao, false);
         for k in 1..=4 {
-            let ideal = run(
-                &dists,
-                k,
-                SelectionMethod::RepeatedMin,
-                Comparator::Ideal,
-                60,
-            );
-            let yao = run(&dists, k, SelectionMethod::RepeatedMin, Comparator::Yao, 61);
+            let ideal = run(&dists, k, SelectionMethod::RepeatedMin, 60);
+            let (yao, _) = run_with(&yao, &dists, k, SelectionMethod::RepeatedMin, 61);
             assert_eq!(ideal.index, yao.index, "k={k}");
         }
     }
 
     #[test]
-    fn backend_dispatch_agrees_across_substrates() {
-        use crate::backend::{PaillierBackend, SharingBackend, SmcBackend};
-        use crate::leakage::Party;
-        use crate::sharing::{DealerTape, SharingLedger};
-        use ppds_bigint::BigUint;
-
-        fn run_with<B: SmcBackend + Send + Sync>(
-            alice_backend: &B,
-            bob_backend: &B,
-            dists: &[i64],
-            k: usize,
-            batched: bool,
-            seed: u64,
-        ) -> (SelectionOutcome, SharingLedger) {
-            let mut r = rng(seed);
-            let vs: Vec<i64> = dists.iter().map(|_| r.random_range(-50..=50)).collect();
-            let us: Vec<i64> = dists.iter().zip(&vs).map(|(d, v)| d + v).collect();
-            let bound = 2 * (dists.iter().map(|d| d.abs()).max().unwrap_or(0) + 50);
-            let domain = ComparisonDomain::symmetric(bound);
-            let (mut achan, mut bchan) = duplex();
-            let out = std::thread::scope(|s| {
-                let alice = s.spawn(|| {
-                    let mut acct = SharingLedger::default();
-                    let out = kth_smallest_with(
-                        SelectionMethod::QuickSelect,
-                        alice_backend,
-                        &mut achan,
-                        Party::Alice,
-                        &us,
-                        k,
-                        &domain,
-                        batched,
-                        &ctx(seed + 1),
-                        &mut acct,
-                    )
-                    .unwrap();
-                    (out, acct)
-                });
-                let mut acct = SharingLedger::default();
-                let bob = kth_smallest_with(
-                    SelectionMethod::QuickSelect,
-                    bob_backend,
-                    &mut bchan,
-                    Party::Bob,
-                    &vs,
-                    k,
-                    &domain,
-                    batched,
-                    &ctx(seed + 2),
-                    &mut acct,
-                )
-                .unwrap();
-                let (aout, aacct) = alice.join().unwrap();
-                assert_eq!(aout, bob);
-                (aout, aacct)
-            });
-            out
-        }
-
+    fn substrates_and_framings_agree() {
         let dists = [9i64, 2, 14, 5, 0, 7, 3, 11];
-        let tape = DealerTape::from_seed(77);
-        let mk_sharing = |batching| SharingBackend {
-            tape,
-            batching,
-            dot_mask_bound: 1 << 20,
-        };
-        let mk_paillier = |batching| PaillierBackend {
-            my_keypair: alice_keypair(),
-            peer_pk: &alice_keypair().public,
-            comparator: Comparator::Ideal,
-            packed: false,
-            batching,
-            mul_packing: None,
-            dot_packing: None,
-            mul_mask_bound: BigUint::from_u64(1 << 20),
-            dot_mask_bound: BigUint::from_u64(1 << 20),
-        };
+        let method = SelectionMethod::QuickSelect;
         for k in [1, 4, 8] {
-            for batched in [false, true] {
+            for batching in [false, true] {
+                let sharing = SharingBackend {
+                    tape: DealerTape::from_seed(77),
+                    batching,
+                    dot_mask_bound: 1 << 20,
+                };
+                let seed = 500 + k as u64;
                 let (p, pacct) = run_with(
-                    &mk_paillier(batched),
-                    &mk_paillier(batched),
+                    &paillier(Comparator::Ideal, batching),
                     &dists,
                     k,
-                    batched,
-                    500 + k as u64,
+                    method,
+                    seed,
                 );
-                let (sh, sacct) = run_with(
-                    &mk_sharing(batched),
-                    &mk_sharing(batched),
-                    &dists,
-                    k,
-                    batched,
-                    500 + k as u64,
-                );
-                assert_eq!(p.index, sh.index, "k={k} batched={batched}");
-                assert_eq!(p.comparisons, sh.comparisons);
+                let (sh, sacct) = run_with(&sharing, &dists, k, method, seed);
+                assert_eq!(p, sh, "k={k} batching={batching}");
                 // Paillier leaves the sharing ledger untouched; sharing
                 // accounts one substitution per comparison.
                 assert_eq!(pacct, SharingLedger::default());
@@ -736,24 +381,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn k_zero_panics() {
-        let _ = run(
-            &[1, 2],
-            0,
-            SelectionMethod::RepeatedMin,
-            Comparator::Ideal,
-            70,
-        );
+        let _ = run(&[1, 2], 0, SelectionMethod::RepeatedMin, 70);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn k_above_n_panics() {
-        let _ = run(
-            &[1, 2],
-            3,
-            SelectionMethod::QuickSelect,
-            Comparator::Ideal,
-            71,
-        );
+        let _ = run(&[1, 2], 3, SelectionMethod::QuickSelect, 71);
     }
 }

@@ -1,5 +1,5 @@
-//! The Multiplication Protocol (Algorithm 2, §4.1) and its batched
-//! dot-product extension (§5).
+//! The Multiplication Protocol (Algorithm 2, §4.1) over slices of element
+//! groups, and its one-query/many-rows dot-product extension (§5).
 //!
 //! Roles follow the key, not the paper's character names, because the
 //! DBSCAN protocols run it in both directions:
@@ -19,12 +19,11 @@
 //! which every caller in this workspace guarantees by construction (lattice
 //! coordinates and masks are tiny relative to ≥ 2^255).
 //!
-//! Randomness: every entry point takes a record-scoped
-//! [`ProtocolContext`] instead of a threaded generator. A single-group
-//! call draws from `ctx.rng()`; the `mul_batches_*` forms key each group
-//! through a caller-supplied scope (`scopes(g)`), so the batched run
-//! derives exactly the streams the per-group sequential calls would — and
-//! the per-group ciphertext work can run on the [`crate::parallel`] pool
+//! Randomness: every entry point takes record-scoped
+//! [`ProtocolContext`]s instead of a threaded generator. `mul_batches_*`
+//! key each group through a caller-supplied scope (`scopes(g)`), so a
+//! group's draws are the same whichever slice carries it — and the
+//! per-group ciphertext work can run on the [`crate::parallel`] pool
 //! without changing a byte.
 
 use crate::context::ProtocolContext;
@@ -138,157 +137,19 @@ pub fn sample_mask<R: Rng>(mut rng: R, bound: &BigUint) -> BigInt {
     &BigInt::from(raw) - &BigInt::from(bound.clone())
 }
 
-/// Keyholder side of Algorithm 2: inputs `x`, learns `u = x·y + v`.
-pub fn mul_keyholder<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    x: &BigInt,
-    ctx: &ProtocolContext,
-) -> Result<BigInt, SmcError> {
-    let mut rng = ctx.rng();
-    // Step 3: send E_A(x). (Fresh secret nonce; see crate docs of
-    // ppds-paillier for why the printed protocol's shared-r is not followed.)
-    let cx = keypair.public.encrypt_signed(x, &mut rng)?;
-    chan.send(cx.as_biguint())?;
-    // Step 6-7: receive u' and decrypt.
-    let u_prime = Ciphertext::from_biguint(chan.recv()?);
-    Ok(keypair.private.decrypt_signed(&u_prime)?)
-}
-
-/// Peer side of Algorithm 2: inputs `y`, draws `v` uniform in
-/// `[-mask_bound, mask_bound]`, returns the `v` it used.
-pub fn mul_peer<C: Channel>(
-    chan: &mut C,
-    keyholder_pk: &PublicKey,
-    y: &BigInt,
-    mask_bound: &BigUint,
-    ctx: &ProtocolContext,
-) -> Result<BigInt, SmcError> {
-    let mut rng = ctx.rng();
-    let cx = Ciphertext::from_biguint(chan.recv()?);
-    keyholder_pk.validate(&cx)?;
-    // Step 4-5: v random; u' = E(x)^y · E(v).
-    let v = sample_mask(&mut rng, mask_bound);
-    let xy = keyholder_pk.mul_plain_signed(&cx, y);
-    let u_prime = keyholder_pk.add(&xy, &keyholder_pk.encrypt_signed(&v, &mut rng)?);
-    chan.send(u_prime.as_biguint())?;
-    Ok(v)
-}
-
-/// Keyholder side of the batched per-element protocol: inputs
-/// `x_1, …, x_m`, learns `u_i = x_i·y_i + v_i` for each `i`.
+/// Keyholder side of Algorithm 2, for a slice of groups: group `g` holds the
+/// inputs `x_{g,1..m}` of one logical multiplication batch (protocol HDP's
+/// usage: one group per candidate pair, one element per attribute), and the
+/// keyholder learns `u_{g,i} = x_{g,i}·y_{g,i} + v_{g,i}` per group. All
+/// groups' ciphertexts ride **one** wire frame each direction; a slice of
+/// one group is the paper's single exchange, byte for byte, and an empty
+/// slice touches no wire.
 ///
-/// This is protocol HDP's usage: `m` runs of Algorithm 2 fused into one
-/// message round-trip (same ciphertext count, fewer frames). `ctx` is the
-/// record scope of this group — all `m` elements draw sequentially from
-/// its leaf stream.
-pub fn mul_batch_keyholder<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    xs: &[BigInt],
-    packing: Option<&ResponsePacking>,
-    ctx: &ProtocolContext,
-) -> Result<Vec<BigInt>, SmcError> {
-    let mut rng = ctx.rng();
-    let cts: Vec<BigUint> = xs
-        .iter()
-        .map(|x| {
-            keypair
-                .public
-                .encrypt_signed(x, &mut rng)
-                .map(|c| c.as_biguint().clone())
-        })
-        .collect::<Result<_, _>>()?;
-    chan.send(&cts)?;
-    let responses: Vec<BigUint> = chan.recv()?;
-    if let Some(packing) = packing {
-        // Packed reply: ⌈m/capacity⌉ words, one CRT decryption each.
-        return packing.unpack_signed(keypair, &responses, xs.len());
-    }
-    if responses.len() != xs.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} masked products, got {}",
-            xs.len(),
-            responses.len()
-        )));
-    }
-    responses
-        .into_iter()
-        .map(|c| {
-            Ok(keypair
-                .private
-                .decrypt_signed(&Ciphertext::from_biguint(c))?)
-        })
-        .collect()
-}
-
-/// Peer side of [`mul_batch_keyholder`]: inputs `y_i` and caller-chosen
-/// masks `v_i` (HDP passes blinding terms with `Σ v_i = 0`).
-pub fn mul_batch_peer<C: Channel>(
-    chan: &mut C,
-    keyholder_pk: &PublicKey,
-    ys: &[BigInt],
-    masks: &[BigInt],
-    packing: Option<&ResponsePacking>,
-    ctx: &ProtocolContext,
-) -> Result<(), SmcError> {
-    assert_eq!(ys.len(), masks.len(), "one mask per multiplicand");
-    let cts: Vec<BigUint> = chan.recv()?;
-    if cts.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "expected {} ciphertexts, got {}",
-            ys.len(),
-            cts.len()
-        )));
-    }
-    let cxs: Vec<Ciphertext> = cts.into_iter().map(Ciphertext::from_biguint).collect();
-    // Batch validation: one Montgomery batch inversion over the group
-    // instead of one GCD per ciphertext.
-    keyholder_pk.validate_many(&cxs)?;
-    if let Some(packing) = packing {
-        // Packed reply: the products E(x·y) ride shifted slots and the
-        // masks travel as the packed word's plaintext addends — one fresh
-        // nonce per word instead of one encryption per element.
-        let products: Vec<Ciphertext> = cxs
-            .iter()
-            .zip(ys)
-            .map(|(cx, y)| keyholder_pk.mul_plain_signed(cx, y))
-            .collect();
-        let plains: Vec<BigUint> = masks
-            .iter()
-            .map(|v| packing.slot_plain(v))
-            .collect::<Result<_, _>>()?;
-        let words = keyholder_pk.pack_ciphertexts(
-            &packing.layout,
-            &products,
-            &plains,
-            &mut ctx.narrow("pack").rng(),
-        )?;
-        let wire: Vec<BigUint> = words.iter().map(|c| c.as_biguint().clone()).collect();
-        chan.send(&wire)?;
-        return Ok(());
-    }
-    let mut rng = ctx.rng();
-    let mut responses = Vec::with_capacity(cxs.len());
-    for ((cx, y), v) in cxs.iter().zip(ys).zip(masks) {
-        let xy = keyholder_pk.mul_plain_signed(cx, y);
-        let masked = keyholder_pk.add(&xy, &keyholder_pk.encrypt_signed(v, &mut rng)?);
-        responses.push(masked.as_biguint().clone());
-    }
-    chan.send(&responses)?;
-    Ok(())
-}
-
-/// Round-batched keyholder side of many [`mul_batch_keyholder`] runs: one
-/// group of inputs per logical multiplication batch (e.g. one group per
-/// candidate pair of a neighborhood query), all groups' ciphertexts packed
-/// into **one** wire frame each direction instead of one frame pair per
-/// group. Returns `u_{g,i} = x_{g,i}·y_{g,i} + v_{g,i}` per group.
-///
-/// `scopes(g)` is the record scope of group `g` — the same context a
-/// sequential caller would hand the `g`-th [`mul_batch_keyholder`] call —
-/// so the batched run draws byte-identical randomness, and the per-group
-/// encryption/decryption work runs on the [`crate::parallel`] pool.
+/// `scopes(g)` is the record scope of group `g` — its elements draw
+/// sequentially from that scope's leaf stream and from nothing else — so a
+/// group's bytes do not depend on the slice it is shipped in, and the
+/// per-group encryption/decryption work runs on the [`crate::parallel`]
+/// pool.
 pub fn mul_batches_keyholder<C, S>(
     chan: &mut C,
     keypair: &Keypair,
@@ -364,14 +225,13 @@ where
     Ok(out)
 }
 
-/// Round-batched peer side of [`mul_batches_keyholder`]: one coefficient
-/// group per logical batch. `draw_masks(g)` produces group `g`'s masks
-/// from the caller's own keyed streams, and `scopes(g)` is the record
-/// scope whose leaf stream encrypts them — identical to what the
-/// sequential [`mul_batch_peer`] call for group `g` would use, so batched
-/// and unbatched transcripts match byte for byte while the homomorphic
-/// work fans out on the [`crate::parallel`] pool. Returns the masks drawn
-/// per group.
+/// Peer side of [`mul_batches_keyholder`]: one coefficient group `y_{g,·}`
+/// per logical batch. `draw_masks(g)` produces group `g`'s masks `v_{g,·}`
+/// from the caller's own keyed streams (HDP passes blinding terms with
+/// `Σ_i v_{g,i} = 0`), and `scopes(g)` is the record scope whose leaf
+/// stream encrypts them, so the homomorphic work fans out on the
+/// [`crate::parallel`] pool without changing a byte. Returns the masks
+/// drawn per group.
 ///
 /// Groups are any slice-like coefficient vectors, so a caller multiplying
 /// one vector against many peer groups (HDP's neighborhood query) can pass
@@ -479,65 +339,6 @@ where
     chan.send_batch(&responses)?;
     span.end(|| chan.metrics());
     Ok(all_masks)
-}
-
-/// Keyholder side of the dot-product protocol (§5): inputs the vector
-/// `x_1, …, x_m`, learns `u = Σ x_i·y_i + v`.
-///
-/// The enhanced protocol calls this with Alice's vector
-/// `(ΣA_k², -2A_1, …, -2A_m, 1)` so that `u = Dist²(A, B_i) + v_i`.
-pub fn dot_keyholder<C: Channel>(
-    chan: &mut C,
-    keypair: &Keypair,
-    xs: &[BigInt],
-    ctx: &ProtocolContext,
-) -> Result<BigInt, SmcError> {
-    let mut rng = ctx.rng();
-    let cts: Vec<BigUint> = xs
-        .iter()
-        .map(|x| {
-            keypair
-                .public
-                .encrypt_signed(x, &mut rng)
-                .map(|c| c.as_biguint().clone())
-        })
-        .collect::<Result<_, _>>()?;
-    chan.send(&cts)?;
-    let u_prime = Ciphertext::from_biguint(chan.recv()?);
-    Ok(keypair.private.decrypt_signed(&u_prime)?)
-}
-
-/// Peer side of [`dot_keyholder`]: inputs `y_1, …, y_m` and the mask bound;
-/// returns the `v` it drew.
-pub fn dot_peer<C: Channel>(
-    chan: &mut C,
-    keyholder_pk: &PublicKey,
-    ys: &[BigInt],
-    mask_bound: &BigUint,
-    ctx: &ProtocolContext,
-) -> Result<BigInt, SmcError> {
-    let mut rng = ctx.rng();
-    let cts: Vec<BigUint> = chan.recv()?;
-    if cts.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "dot product arity mismatch: {} ciphertexts vs {} coefficients",
-            cts.len(),
-            ys.len()
-        )));
-    }
-    let v = sample_mask(&mut rng, mask_bound);
-    // Accumulate Π E(x_i)^{y_i} · E(v) = E(Σ x_i y_i + v).
-    let mut acc = keyholder_pk.encrypt_signed(&v, &mut rng)?;
-    for (ct, y) in cts.into_iter().zip(ys) {
-        if y.is_zero() {
-            continue; // E(x)^0 contributes nothing
-        }
-        let cx = Ciphertext::from_biguint(ct);
-        keyholder_pk.validate(&cx)?;
-        acc = keyholder_pk.add(&acc, &keyholder_pk.mul_plain_signed(&cx, y));
-    }
-    chan.send(acc.as_biguint())?;
-    Ok(v)
 }
 
 /// Keyholder side of the one-query/many-responses dot product used by the
@@ -699,35 +500,52 @@ mod tests {
     use super::*;
     use crate::parallel::force_workers;
     use crate::test_helpers::{bob_keypair, ctx, rng};
-    use ppds_transport::duplex;
+    use ppds_transport::{duplex, MetricsSnapshot};
 
     fn bi(v: i64) -> BigInt {
         BigInt::from_i64(v)
     }
 
-    /// Runs keyholder in a thread, peer on the caller thread.
-    fn run_single(x: i64, y: i64, mask_bound: u64) -> (BigInt, BigInt) {
-        let (mut kchan, mut pchan) = duplex();
-        let keyholder = std::thread::spawn(move || {
-            mul_keyholder(&mut kchan, bob_keypair(), &bi(x), &ctx(1)).unwrap()
-        });
-        let v = mul_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &bi(y),
-            &BigUint::from_u64(mask_bound),
-            &ctx(2),
-        )
-        .unwrap();
-        (keyholder.join().unwrap(), v)
+    fn groups(values: &[&[i64]]) -> Vec<Vec<BigInt>> {
+        values
+            .iter()
+            .map(|g| g.iter().map(|&v| bi(v)).collect())
+            .collect()
     }
 
-    #[test]
-    fn algorithm2_identity_holds() {
-        for (x, y) in [(3i64, 4i64), (0, 9), (7, 0), (-5, 6), (5, -6), (-7, -8)] {
-            let (u, v) = run_single(x, y, 1000);
-            assert_eq!(&u - &v, bi(x * y), "x={x}, y={y}");
-        }
+    /// Runs one slice of groups (keyholder in a thread, zero-sum masks of
+    /// magnitude ≤ 1000 on the peer side); returns the masked products, the
+    /// masks and the keyholder's traffic.
+    fn run_groups(
+        xs_groups: &[Vec<BigInt>],
+        ys_groups: &[Vec<BigInt>],
+        packing: Option<&ResponsePacking>,
+        (seed_k, seed_p): (u64, u64),
+    ) -> (Vec<Vec<BigInt>>, Vec<Vec<BigInt>>, MetricsSnapshot) {
+        let (mut kchan, mut pchan) = duplex();
+        std::thread::scope(|scope| {
+            let keyholder = scope.spawn(move || {
+                let kctx = ctx(seed_k).narrow("mul");
+                let scopes = |g| kctx.at(g as u64);
+                let us =
+                    mul_batches_keyholder(&mut kchan, bob_keypair(), xs_groups, scopes, packing);
+                (us.unwrap(), kchan.metrics())
+            });
+            let pctx = ctx(seed_p);
+            let (mask_ctx, mul_ctx) = (pctx.narrow("mask"), pctx.narrow("mul"));
+            let bound = BigUint::from_u64(1000);
+            let masks = mul_batches_peer(
+                &mut pchan,
+                &bob_keypair().public,
+                ys_groups,
+                |g| zero_sum_masks(mask_ctx.rng_for(g as u64), ys_groups[g].len(), &bound),
+                |g| mul_ctx.at(g as u64),
+                packing,
+            )
+            .unwrap();
+            let (us, metrics) = keyholder.join().unwrap();
+            (us, masks, metrics)
+        })
     }
 
     #[test]
@@ -738,13 +556,7 @@ mod tests {
             let v = v.to_i64().unwrap();
             assert!((-5..=5).contains(&v), "v = {v}");
         }
-    }
-
-    #[test]
-    fn zero_mask_bound_means_no_mask() {
-        let (u, v) = run_single(6, 7, 0);
-        assert!(v.is_zero());
-        assert_eq!(u, bi(42));
+        assert!(sample_mask(rng(1), &BigUint::zero()).is_zero());
     }
 
     #[test]
@@ -763,86 +575,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_singles() {
-        let xs: Vec<BigInt> = [3i64, -1, 0, 12].iter().map(|&v| bi(v)).collect();
-        let ys: Vec<BigInt> = [5i64, 5, -9, 2].iter().map(|&v| bi(v)).collect();
-        let masks = vec![bi(10), bi(-4), bi(0), bi(-6)]; // Σ = 0
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs.clone();
-        let keyholder = std::thread::spawn(move || {
-            mul_batch_keyholder(&mut kchan, bob_keypair(), &xs2, None, &ctx(4)).unwrap()
-        });
-        mul_batch_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys,
-            &masks,
-            None,
-            &ctx(5),
-        )
-        .unwrap();
-        let us = keyholder.join().unwrap();
-        for i in 0..xs.len() {
-            let expect = &(&xs[i] * &ys[i]) + &masks[i];
-            assert_eq!(us[i], expect, "element {i}");
-        }
-        // Sum telescopes to the exact inner product (masks cancel) — the
-        // algebra HDP relies on.
-        let sum = us.iter().fold(BigInt::zero(), |acc, u| &acc + u);
-        assert_eq!(sum, bi(3 * 5 - 5 + 24));
-    }
-
-    fn run_batched_groups(
-        xs_groups: &[Vec<BigInt>],
-        ys_groups: &[Vec<BigInt>],
-        seed_k: u64,
-        seed_p: u64,
-    ) -> (
-        Vec<Vec<BigInt>>,
-        Vec<Vec<BigInt>>,
-        ppds_transport::MetricsSnapshot,
-    ) {
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs_groups.to_vec();
-        let keyholder = std::thread::spawn(move || {
-            let kctx = ctx(seed_k).narrow("mul");
-            let us =
-                mul_batches_keyholder(&mut kchan, bob_keypair(), &xs2, |g| kctx.at(g as u64), None)
-                    .unwrap();
-            (us, kchan.metrics())
-        });
-        let pctx = ctx(seed_p);
-        let mask_ctx = pctx.narrow("mask");
-        let mul_ctx = pctx.narrow("mul");
-        let sizes: Vec<usize> = ys_groups.iter().map(Vec::len).collect();
-        let masks = mul_batches_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            ys_groups,
-            |g| {
-                zero_sum_masks(
-                    mask_ctx.rng_for(g as u64),
-                    sizes[g],
-                    &BigUint::from_u64(1000),
-                )
-            },
-            |g| mul_ctx.at(g as u64),
-            None,
-        )
-        .unwrap();
-        let (us, metrics) = keyholder.join().unwrap();
-        (us, masks, metrics)
-    }
-
-    #[test]
-    fn batched_groups_match_singles_in_two_rounds() {
-        // Three logical multiplication batches of different sizes, one wire
-        // frame each way.
-        let xs_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(3), bi(-1)], vec![], vec![bi(12), bi(0), bi(-7)]];
-        let ys_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(5), bi(5)], vec![], vec![bi(2), bi(-9), bi(4)]];
-        let (us, masks, metrics) = run_batched_groups(&xs_groups, &ys_groups, 20, 21);
+    fn algorithm2_identity_holds_per_element_in_two_rounds() {
+        // Three logical multiplication batches of different sizes and all
+        // sign combinations, one wire frame each way.
+        let xs_groups = groups(&[&[3, -1, 0, 7], &[], &[12, 0, -7], &[-5, 5]]);
+        let ys_groups = groups(&[&[5, 5, -9, 0], &[], &[2, -9, 4], &[6, -6]]);
+        let (us, masks, metrics) = run_groups(&xs_groups, &ys_groups, None, (20, 21));
         assert_eq!(metrics.total_rounds(), 2, "one frame each direction");
         for g in 0..xs_groups.len() {
             assert_eq!(us[g].len(), xs_groups[g].len());
@@ -850,7 +588,8 @@ mod tests {
                 let expect = &(&xs_groups[g][i] * &ys_groups[g][i]) + &masks[g][i];
                 assert_eq!(us[g][i], expect, "group {g} element {i}");
             }
-            // Zero-sum masks cancel per group: Σu = the exact inner product.
+            // Zero-sum masks cancel per group: Σu telescopes to the exact
+            // inner product — the algebra HDP relies on.
             let sum = us[g].iter().fold(BigInt::zero(), |acc, u| &acc + u);
             let ip = xs_groups[g]
                 .iter()
@@ -861,75 +600,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_groups_equal_sequential_group_calls_byte_for_byte() {
-        // The keyed-substream discipline's core promise at this layer: the
-        // batched run and per-group sequential calls with the same scopes
-        // produce identical ciphertext streams — masks and all.
-        let xs_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(3), bi(-1)], vec![bi(7)], vec![bi(0), bi(2)]];
-        let ys_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(5), bi(5)], vec![bi(-2)], vec![bi(1), bi(4)]];
-        let (us_b, masks_b, _) = run_batched_groups(&xs_groups, &ys_groups, 30, 31);
-
-        // Sequential: one mul_batch_* exchange per group, scoped at(g).
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs_groups.clone();
-        let keyholder = std::thread::spawn(move || {
-            let kctx = ctx(30).narrow("mul");
-            xs2.iter()
-                .enumerate()
-                .map(|(g, xs)| {
-                    mul_batch_keyholder(&mut kchan, bob_keypair(), xs, None, &kctx.at(g as u64))
-                        .unwrap()
-                })
-                .collect::<Vec<_>>()
-        });
-        let pctx = ctx(31);
-        let mask_ctx = pctx.narrow("mask");
-        let mul_ctx = pctx.narrow("mul");
-        let mut masks_s = Vec::new();
-        for (g, ys) in ys_groups.iter().enumerate() {
-            let masks = zero_sum_masks(
-                mask_ctx.rng_for(g as u64),
-                ys.len(),
-                &BigUint::from_u64(1000),
-            );
-            mul_batch_peer(
-                &mut pchan,
-                &bob_keypair().public,
-                ys,
-                &masks,
-                None,
-                &mul_ctx.at(g as u64),
-            )
-            .unwrap();
-            masks_s.push(masks);
-        }
-        let us_s = keyholder.join().unwrap();
-        assert_eq!(us_b, us_s, "masked products identical across framings");
-        assert_eq!(masks_b, masks_s, "mask draws identical across framings");
-    }
-
-    #[test]
     fn parallel_batches_are_byte_identical() {
-        // Same batched exchange with 1 worker and with 4: every wire byte
-        // (and thus every mask and nonce) must match.
+        // Same exchange with 1 worker and with 4: every wire byte (and thus
+        // every mask and nonce) must match.
         let xs_groups: Vec<Vec<BigInt>> = (0..6).map(|g| vec![bi(g), bi(-g), bi(2 * g)]).collect();
         let ys_groups: Vec<Vec<BigInt>> = (0..6).map(|g| vec![bi(1), bi(g), bi(-3)]).collect();
-        let (us_1, masks_1, _) = {
-            let _guard = force_workers(1);
-            run_batched_groups(&xs_groups, &ys_groups, 40, 41)
+        let run_with = |workers| {
+            let _guard = force_workers(workers);
+            let (us, masks, metrics) = run_groups(&xs_groups, &ys_groups, None, (40, 41));
+            (us, masks, metrics.total_bytes())
         };
-        let (us_4, masks_4, _) = {
-            let _guard = force_workers(4);
-            run_batched_groups(&xs_groups, &ys_groups, 40, 41)
-        };
-        assert_eq!(us_1, us_4);
-        assert_eq!(masks_1, masks_4);
+        assert_eq!(run_with(1), run_with(4));
     }
 
     #[test]
-    fn batched_group_arity_mismatch_is_protocol_error() {
+    fn group_arity_mismatch_is_protocol_error() {
         let (mut kchan, mut pchan) = duplex();
         let keyholder = std::thread::spawn(move || {
             let kctx = ctx(22);
@@ -962,85 +647,72 @@ mod tests {
         let _ = keyholder.join();
     }
 
-    #[test]
-    fn dot_product_identity() {
-        let xs: Vec<BigInt> = [2i64, -3, 4].iter().map(|&v| bi(v)).collect();
-        let ys: Vec<BigInt> = [10i64, 1, -2].iter().map(|&v| bi(v)).collect();
+    /// The §5 usage: Alice's vector (ΣA², -2A_1, -2A_2, 1) against Bob's
+    /// rows (1, B_1, B_2, ΣB²) yields dist²(A, B_j) + v_j.
+    fn distance_rows(a: [i64; 2], bobs: &[[i64; 2]]) -> (Vec<BigInt>, Vec<Vec<BigInt>>) {
+        let norm = |p: &[i64; 2]| p.iter().map(|x| x * x).sum::<i64>();
+        let xs = groups(&[&[norm(&a), -2 * a[0], -2 * a[1], 1]]).remove(0);
+        let ys_rows = bobs
+            .iter()
+            .map(|b| groups(&[&[1, b[0], b[1], norm(b)]]).remove(0))
+            .collect();
+        (xs, ys_rows)
+    }
+
+    /// Runs one dot_many exchange; returns the querier's shares, the
+    /// responder's masks and the reply bytes the querier received.
+    fn run_dot_many(
+        xs: &[BigInt],
+        ys_rows: &[Vec<BigInt>],
+        mask_bound: u64,
+        packing: Option<&ResponsePacking>,
+    ) -> (Vec<BigInt>, Vec<BigInt>, u64) {
         let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs.clone();
-        let keyholder = std::thread::spawn(move || {
-            dot_keyholder(&mut kchan, bob_keypair(), &xs2, &ctx(6)).unwrap()
-        });
-        let v = dot_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys,
-            &BigUint::from_u64(1 << 20),
-            &ctx(7),
-        )
-        .unwrap();
-        let u = keyholder.join().unwrap();
-        assert_eq!(&u - &v, bi(20 - 3 - 8));
+        std::thread::scope(|scope| {
+            let rows = ys_rows.len();
+            let keyholder = scope.spawn(move || {
+                let kp = bob_keypair();
+                let out = dot_many_keyholder(&mut kchan, kp, xs, rows, packing, &ctx(12)).unwrap();
+                (out, kchan.metrics().bytes_received)
+            });
+            let bound = BigUint::from_u64(mask_bound);
+            let pk = &bob_keypair().public;
+            let masks = dot_many_peer(&mut pchan, pk, ys_rows, &bound, packing, &ctx(13)).unwrap();
+            let (us, reply_bytes) = keyholder.join().unwrap();
+            (us, masks, reply_bytes)
+        })
     }
 
     #[test]
-    fn dot_arity_mismatch_is_protocol_error() {
+    fn dot_many_computes_all_squared_distances() {
+        let (xs, ys_rows) = distance_rows([3, 4], &[[0, 0], [3, 0], [6, 8]]);
+        let (us, masks, _) = run_dot_many(&xs, &ys_rows, 1 << 16, None);
+        let expect = [25i64, 16, 25]; // dist²((3,4), ·)
+        for j in 0..3 {
+            assert_eq!(&us[j] - &masks[j], bi(expect[j]), "point {j}");
+        }
+    }
+
+    #[test]
+    fn dot_many_arity_mismatch_is_protocol_error() {
         let (mut kchan, mut pchan) = duplex();
         let keyholder = std::thread::spawn(move || {
-            // Keyholder sends 2 ciphertexts; peer expects 3.
-            let _ = dot_keyholder(&mut kchan, bob_keypair(), &[bi(1), bi(2)], &ctx(8));
+            // Keyholder sends 2 ciphertexts; the peer's rows hold 3.
+            let xs = [bi(1), bi(2)];
+            let _ = dot_many_keyholder(&mut kchan, bob_keypair(), &xs, 1, None, &ctx(8));
         });
-        let err = dot_peer(
+        let err = dot_many_peer(
             &mut pchan,
             &bob_keypair().public,
-            &[bi(1), bi(2), bi(3)],
+            &[vec![bi(1), bi(2), bi(3)]],
             &BigUint::from_u64(10),
+            None,
             &ctx(9),
         )
         .unwrap_err();
         assert!(matches!(err, SmcError::Protocol(_)));
         drop(pchan);
         let _ = keyholder.join();
-    }
-
-    #[test]
-    fn dot_many_computes_all_squared_distances() {
-        // The §5 usage: Alice's vector (ΣA², -2A_1, -2A_2, 1) against Bob's
-        // rows (1, B_1, B_2, ΣB²) yields dist²(A, B_j) + v_j.
-        let a = [3i64, 4i64];
-        let bobs = [[0i64, 0i64], [3, 0], [6, 8]];
-        let a_norm = a.iter().map(|x| x * x).sum::<i64>();
-        let xs: Vec<BigInt> = [a_norm, -2 * a[0], -2 * a[1], 1]
-            .iter()
-            .map(|&v| bi(v))
-            .collect();
-        let ys_rows: Vec<Vec<BigInt>> = bobs
-            .iter()
-            .map(|b| {
-                let b_norm = b.iter().map(|x| x * x).sum::<i64>();
-                vec![bi(1), bi(b[0]), bi(b[1]), bi(b_norm)]
-            })
-            .collect();
-
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs.clone();
-        let keyholder = std::thread::spawn(move || {
-            dot_many_keyholder(&mut kchan, bob_keypair(), &xs2, 3, None, &ctx(12)).unwrap()
-        });
-        let masks = dot_many_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys_rows,
-            &BigUint::from_u64(1 << 16),
-            None,
-            &ctx(13),
-        )
-        .unwrap();
-        let us = keyholder.join().unwrap();
-        let expect = [25i64, 16, 25]; // dist²((3,4), ·)
-        for j in 0..3 {
-            assert_eq!(&us[j] - &masks[j], bi(expect[j]), "point {j}");
-        }
     }
 
     fn test_packing(offset: u64) -> ResponsePacking {
@@ -1053,135 +725,33 @@ mod tests {
     }
 
     #[test]
-    fn packed_batch_matches_unpacked_values_with_fewer_ciphertexts() {
-        let xs: Vec<BigInt> = [3i64, -1, 0, 12, 7, -9].iter().map(|&v| bi(v)).collect();
-        let ys: Vec<BigInt> = [5i64, 5, -9, 2, -2, 4].iter().map(|&v| bi(v)).collect();
-        let masks = vec![bi(10), bi(-4), bi(0), bi(-6), bi(3), bi(-3)]; // Σ = 0
+    fn packed_groups_match_unpacked_groups_with_fewer_ciphertexts() {
+        let xs_groups = groups(&[&[3, -1], &[7], &[0, 2, 5]]);
+        let ys_groups = groups(&[&[5, 5], &[-2], &[1, 4, -6]]);
+        let (us_plain, masks_plain, plain) = run_groups(&xs_groups, &ys_groups, None, (30, 31));
         let packing = test_packing(1 << 12);
-        assert!(
-            packing.layout.capacity() >= xs.len(),
-            "{:?}",
-            packing.layout
-        );
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs.clone();
-        let p2 = packing.clone();
-        let keyholder = std::thread::spawn(move || {
-            let out =
-                mul_batch_keyholder(&mut kchan, bob_keypair(), &xs2, Some(&p2), &ctx(4)).unwrap();
-            (out, kchan.metrics().messages_received)
-        });
-        mul_batch_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys,
-            &masks,
-            Some(&packing),
-            &ctx(5),
-        )
-        .unwrap();
-        let (us, replies) = keyholder.join().unwrap();
-        for i in 0..xs.len() {
-            let expect = &(&xs[i] * &ys[i]) + &masks[i];
-            assert_eq!(us[i], expect, "element {i}");
-        }
-        // All six masked products rode one packed word.
-        assert_eq!(replies, 1, "one reply message carrying one word");
-    }
-
-    #[test]
-    fn packed_batched_groups_match_unpacked_groups() {
-        let xs_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(3), bi(-1)], vec![bi(7)], vec![bi(0), bi(2), bi(5)]];
-        let ys_groups: Vec<Vec<BigInt>> =
-            vec![vec![bi(5), bi(5)], vec![bi(-2)], vec![bi(1), bi(4), bi(-6)]];
-        let (us_plain, masks_plain, _) = run_batched_groups(&xs_groups, &ys_groups, 30, 31);
-
-        let packing = test_packing(1 << 12);
-        let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs_groups.clone();
-        let p2 = packing.clone();
-        let keyholder = std::thread::spawn(move || {
-            let kctx = ctx(30).narrow("mul");
-            mul_batches_keyholder(
-                &mut kchan,
-                bob_keypair(),
-                &xs2,
-                |g| kctx.at(g as u64),
-                Some(&p2),
-            )
-            .unwrap()
-        });
-        let pctx = ctx(31);
-        let mask_ctx = pctx.narrow("mask");
-        let mul_ctx = pctx.narrow("mul");
-        let sizes: Vec<usize> = ys_groups.iter().map(Vec::len).collect();
-        let masks = mul_batches_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &ys_groups,
-            |g| {
-                zero_sum_masks(
-                    mask_ctx.rng_for(g as u64),
-                    sizes[g],
-                    &BigUint::from_u64(1000),
-                )
-            },
-            |g| mul_ctx.at(g as u64),
-            Some(&packing),
-        )
-        .unwrap();
-        let us = keyholder.join().unwrap();
+        assert!(packing.layout.capacity() >= 6, "{:?}", packing.layout);
+        let (us, masks, packed) = run_groups(&xs_groups, &ys_groups, Some(&packing), (30, 31));
         // Identical mask draws (same keyed streams) and identical masked
-        // products — only the transport changed.
+        // products — only the transport changed: all six products of the
+        // three groups rode one packed word.
         assert_eq!(masks, masks_plain);
         assert_eq!(us, us_plain);
+        assert_eq!(
+            packed.messages_received, 1,
+            "one reply message carrying one word"
+        );
+        assert!(packed.bytes_received * 4 < plain.bytes_received);
     }
 
     #[test]
     fn packed_dot_many_matches_unpacked_shares() {
-        let a = [3i64, 4i64];
-        let bobs = [[0i64, 0i64], [3, 0], [6, 8], [1, 2], [5, 5]];
-        let a_norm = a.iter().map(|x| x * x).sum::<i64>();
-        let xs: Vec<BigInt> = [a_norm, -2 * a[0], -2 * a[1], 1]
-            .iter()
-            .map(|&v| bi(v))
-            .collect();
-        let ys_rows: Vec<Vec<BigInt>> = bobs
-            .iter()
-            .map(|b| {
-                let b_norm = b.iter().map(|x| x * x).sum::<i64>();
-                vec![bi(1), bi(b[0]), bi(b[1]), bi(b_norm)]
-            })
-            .collect();
-        let mask_bound = BigUint::from_u64(1 << 16);
+        let (xs, ys_rows) = distance_rows([3, 4], &[[0, 0], [3, 0], [6, 8], [1, 2], [5, 5]]);
         // Offset must cover dist² + mask: dist² ≤ 200 here, mask ≤ 2^16.
         let packing = test_packing((1 << 16) + 200);
-
-        let run = |packing: Option<ResponsePacking>| {
-            let (mut kchan, mut pchan) = duplex();
-            let xs2 = xs.clone();
-            let p2 = packing.clone();
-            let keyholder = std::thread::spawn(move || {
-                let out =
-                    dot_many_keyholder(&mut kchan, bob_keypair(), &xs2, 5, p2.as_ref(), &ctx(12))
-                        .unwrap();
-                (out, kchan.metrics().bytes_received)
-            });
-            let masks = dot_many_peer(
-                &mut pchan,
-                &bob_keypair().public,
-                &ys_rows,
-                &mask_bound,
-                packing.as_ref(),
-                &ctx(13),
-            )
-            .unwrap();
-            let (us, reply_bytes) = keyholder.join().unwrap();
-            (us, masks, reply_bytes)
-        };
-        let (us_plain, masks_plain, bytes_plain) = run(None);
-        let (us_packed, masks_packed, bytes_packed) = run(Some(packing));
+        let (us_plain, masks_plain, bytes_plain) = run_dot_many(&xs, &ys_rows, 1 << 16, None);
+        let (us_packed, masks_packed, bytes_packed) =
+            run_dot_many(&xs, &ys_rows, 1 << 16, Some(&packing));
         // Same keyed mask streams → identical shares on both sides.
         assert_eq!(masks_packed, masks_plain);
         assert_eq!(us_packed, us_plain);
@@ -1195,6 +765,25 @@ mod tests {
         );
     }
 
+    /// A peer serving one single-element group to a hand-fed frame.
+    fn peer_of_one(
+        pchan: &mut impl Channel,
+        mask: BigInt,
+        packing: Option<&ResponsePacking>,
+    ) -> SmcError {
+        let pk = &bob_keypair().public;
+        let scopes = |_| ctx(9);
+        mul_batches_peer(
+            pchan,
+            pk,
+            &[[bi(1)]],
+            |_| vec![mask.clone()],
+            scopes,
+            packing,
+        )
+        .unwrap_err()
+    }
+
     #[test]
     fn packed_mask_below_offset_is_protocol_error() {
         // offset 4 cannot absorb a mask of magnitude up to 1000.
@@ -1203,25 +792,22 @@ mod tests {
             offset: BigUint::from_u64(4),
         };
         let (mut kchan, mut pchan) = duplex();
-        let keyholder = std::thread::spawn(move || {
-            let _ = kchan.send(&vec![bob_keypair()
-                .public
-                .encrypt_signed(&bi(1), &mut crate::test_helpers::rng(7))
-                .unwrap()
-                .as_biguint()
-                .clone()]);
-        });
-        let err = mul_batch_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &[bi(1)],
-            &[bi(-1000)],
-            Some(&packing),
-            &ctx(9),
-        )
-        .unwrap_err();
+        let ct = bob_keypair()
+            .public
+            .encrypt_signed(&bi(1), &mut rng(7))
+            .unwrap();
+        kchan.send(&vec![ct.as_biguint().clone()]).unwrap();
+        let err = peer_of_one(&mut pchan, bi(-1000), Some(&packing));
         assert!(matches!(err, SmcError::Protocol(_)));
-        keyholder.join().unwrap();
+    }
+
+    #[test]
+    fn peer_rejects_invalid_ciphertext() {
+        let (mut kchan, mut pchan) = duplex();
+        // Hand-inject an invalid "ciphertext" (zero).
+        kchan.send(&vec![BigUint::zero()]).unwrap();
+        let err = peer_of_one(&mut pchan, bi(0), None);
+        assert!(matches!(err, SmcError::Crypto(_)));
     }
 
     #[test]
@@ -1241,21 +827,5 @@ mod tests {
         let bound = dot_product_bound(3, 100, 50, &BigUint::from_u64(7));
         // 3 * 100*50 + 7
         assert_eq!(bound, BigUint::from_u64(15_007));
-    }
-
-    #[test]
-    fn peer_rejects_invalid_ciphertext() {
-        let (mut kchan, mut pchan) = duplex();
-        // Hand-inject an invalid "ciphertext" (zero).
-        kchan.send(&BigUint::zero()).unwrap();
-        let err = mul_peer(
-            &mut pchan,
-            &bob_keypair().public,
-            &bi(1),
-            &BigUint::from_u64(10),
-            &ctx(11),
-        )
-        .unwrap_err();
-        assert!(matches!(err, SmcError::Crypto(_)));
     }
 }

@@ -5,8 +5,8 @@
 //! implements the three SMC workhorses over additive shares in the ring
 //! `Z_2^64` (wrapping `u64` arithmetic):
 //!
-//! * [`sharing_fold_keyholder_one`] / batch — Beaver-triple inner-product
-//!   folds (the `mul_batches` substitute): the keyholder holds `x`, the
+//! * [`sharing_fold_keyholder`] / [`sharing_fold_peer`] — Beaver-triple
+//!   inner-product folds (the `mul_batches` substitute): the keyholder holds `x`, the
 //!   peer holds `y`, the keyholder learns `⟨x, y⟩` at the cost of **one
 //!   element exchange per group** instead of one ciphertext per element,
 //! * [`sharing_dot_querier`] / [`sharing_dot_responder`] — the one-round
@@ -14,8 +14,8 @@
 //!   SNIPPETS.md): one masked query vector `D = x − α` amortizes over
 //!   every responder row, so a whole neighborhood's squared distances
 //!   cost one exchange,
-//! * [`sharing_compare_alice`] / bob and the share-compare variants —
-//!   comparison by masked opening of the share difference, with the real
+//! * [`sharing_compare`] — comparison (and share comparison) by masked
+//!   opening of the share difference, with the real
 //!   shared-bit-decomposition cost modeled in the [`SharingLedger`].
 //!
 //! # Field choice
@@ -38,8 +38,8 @@
 //! shipped — `ctx.rekey(tape_seed)` re-bases the caller's keyed-randomness
 //! path ([`crate::context::ProtocolContext`], PR 4) onto the shared seed,
 //! so both parties at the same protocol position derive identical
-//! correlations in any execution order, and batched/unbatched framings
-//! consume identical tape values per record.
+//! correlations in any execution order, and a record consumes the same
+//! tape values whichever slice it is shipped in.
 //!
 //! This is the *fake-offline* benchmarking idiom (MP-SPDZ's insecure
 //! preprocessing): the online transcript — every byte, message, and round
@@ -58,6 +58,7 @@
 use crate::compare::{CmpOp, ComparisonDomain};
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
+use crate::leakage::Party;
 use ppds_observe::trace;
 use ppds_transport::{Channel, Reader, TransportError, WireDecode, WireEncode};
 use rand::{Rng, RngCore};
@@ -309,256 +310,96 @@ fn open_mask(tape: &DealerTape, ctx: &ProtocolContext) -> Fe {
     Fe::random(&mut tape.scope(ctx).narrow("open").rng())
 }
 
-/// Opens `value_a + value_b` where Alice holds `value` and Bob holds the
-/// other addend: each side ships its share under a tape-derived zero-share
-/// (`+ρ` here, `−ρ` on Bob's side). Alice sends first.
-fn masked_open_alice<C: Channel>(
+/// Opens `alice[i] − bob[i]` for a run of values each party holds one
+/// operand of. Every share travels under a tape-derived zero-share (Alice
+/// ships `a_i + ρ_i`, Bob `−b_i − ρ_i`, `ρ_i` from `scopes(i)`), one frame
+/// each way for the whole run; Alice sends first.
+fn open_differences<C, S>(
     tape: &DealerTape,
     chan: &mut C,
-    value: Fe,
-    ctx: &ProtocolContext,
-) -> Result<Fe, SmcError> {
-    let rho = open_mask(tape, ctx);
-    chan.send(&(value + rho))?;
-    let theirs: Fe = chan.recv()?;
-    Ok(value + rho + theirs)
-}
-
-/// Bob's half of [`masked_open_alice`]: receives first, sends second.
-fn masked_open_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    value: Fe,
-    ctx: &ProtocolContext,
-) -> Result<Fe, SmcError> {
-    let rho = open_mask(tape, ctx);
-    let theirs: Fe = chan.recv()?;
-    chan.send(&(value - rho))?;
-    Ok(value - rho + theirs)
-}
-
-fn masked_open_batch_alice<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    values: &[Fe],
-    ctx: &ProtocolContext,
-) -> Result<Vec<Fe>, SmcError> {
-    let scope = tape.scope(ctx).narrow("open");
-    let mine: Vec<Fe> = values
-        .iter()
+    role: Party,
+    values: impl Iterator<Item = Fe>,
+    scopes: S,
+) -> Result<Vec<Fe>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext,
+{
+    let mut opened: Vec<Fe> = values
         .enumerate()
-        .map(|(i, &v)| v + Fe::random(&mut scope.rng_for(i as u64)))
+        .map(|(i, value)| {
+            let rho = open_mask(tape, &scopes(i));
+            match role {
+                Party::Alice => value + rho,
+                Party::Bob => -value - rho,
+            }
+        })
         .collect();
-    chan.send_batch(&mine)?;
+    if role == Party::Alice {
+        chan.send_batch(&opened)?;
+    }
     let theirs: Vec<Fe> = chan.recv_batch()?;
-    if theirs.len() != values.len() {
+    if theirs.len() != opened.len() {
         return Err(SmcError::protocol(format!(
             "masked open: expected {} shares, got {}",
-            values.len(),
+            opened.len(),
             theirs.len()
         )));
     }
-    Ok(mine.iter().zip(&theirs).map(|(&a, &b)| a + b).collect())
-}
-
-fn masked_open_batch_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    values: &[Fe],
-    ctx: &ProtocolContext,
-) -> Result<Vec<Fe>, SmcError> {
-    let scope = tape.scope(ctx).narrow("open");
-    let mine: Vec<Fe> = values
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v - Fe::random(&mut scope.rng_for(i as u64)))
-        .collect();
-    let theirs: Vec<Fe> = chan.recv_batch()?;
-    if theirs.len() != values.len() {
-        return Err(SmcError::protocol(format!(
-            "masked open: expected {} shares, got {}",
-            values.len(),
-            theirs.len()
-        )));
+    if role == Party::Bob {
+        chan.send_batch(&opened)?;
     }
-    chan.send_batch(&mine)?;
-    Ok(mine.iter().zip(&theirs).map(|(&a, &b)| a + b).collect())
+    for (mine, theirs) in opened.iter_mut().zip(theirs) {
+        *mine += theirs;
+    }
+    Ok(opened)
 }
 
 // ---------------------------------------------------------------------------
 // Comparison
 // ---------------------------------------------------------------------------
 
-fn verdict(v: Fe, op: CmpOp) -> bool {
-    match op {
-        CmpOp::Lt => v.lift() < 0,
-        CmpOp::Leq => v.lift() <= 0,
-    }
-}
-
-/// Alice's side of one sharing-backend comparison; returns
-/// `alice_value OP bob_value`. Works over the full 64-bit ring — `domain`
-/// only sizes the modeled bit-decomposition cost in the ledger, unlike the
-/// Paillier path which must encode into `[1, n0]`.
-pub fn sharing_compare_alice<C: Channel>(
+/// One side of a slice of sharing-backend comparisons; returns
+/// `alice_operands[i] OP bob_operands[i]` per item, by masked opening of
+/// their difference — one frame each way for the whole slice, an empty
+/// slice none. A plain comparison passes its embedded value, a share
+/// comparison (§5) its *in-field* share difference `u_a − u_b` (Bob:
+/// `v_a − v_b`), which never overflows whatever the mask width; operands
+/// arrive as an iterator so that neither needs a vector of its own. Works
+/// over the full 64-bit ring — `domain` only sizes the modeled
+/// bit-decomposition cost in the ledger, unlike the Paillier path which
+/// must encode into `[1, n0]`. Item `i` consumes the tape at `scopes(i)`.
+#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
+pub fn sharing_compare<C, S>(
     tape: &DealerTape,
     chan: &mut C,
-    value: i64,
+    role: Party,
+    operands: impl ExactSizeIterator<Item = Fe>,
     op: CmpOp,
     domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
+    scopes: S,
     acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    acct.record_compare(domain);
-    let v = masked_open_alice(tape, chan, Fe::embed(value), ctx)?;
-    Ok(verdict(v, op))
-}
-
-/// Bob's side of [`sharing_compare_alice`].
-pub fn sharing_compare_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    value: i64,
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    acct.record_compare(domain);
-    let v = masked_open_bob(tape, chan, -Fe::embed(value), ctx)?;
-    Ok(verdict(v, op))
-}
-
-/// Round-batched Alice comparisons (one frame each way for the whole set).
-/// Item `i` consumes the tape at `ctx`-index `i`.
-pub fn sharing_compare_batch_alice<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    values: &[i64],
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    if values.is_empty() {
+) -> Result<Vec<bool>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext,
+{
+    if operands.len() == 0 {
         return Ok(Vec::new());
     }
     let span = trace::span("cmp_batch", || chan.metrics());
-    for _ in values {
+    for _ in 0..operands.len() {
         acct.record_compare(domain);
     }
-    let fes: Vec<Fe> = values.iter().map(|&v| Fe::embed(v)).collect();
-    let opened = masked_open_batch_alice(tape, chan, &fes, ctx)?;
+    let opened = open_differences(tape, chan, role, operands, scopes)?;
     span.end(|| chan.metrics());
-    Ok(opened.into_iter().map(|v| verdict(v, op)).collect())
-}
-
-/// Bob's half of [`sharing_compare_batch_alice`].
-pub fn sharing_compare_batch_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    values: &[i64],
-    op: CmpOp,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    if values.is_empty() {
-        return Ok(Vec::new());
-    }
-    let span = trace::span("cmp_batch", || chan.metrics());
-    for _ in values {
-        acct.record_compare(domain);
-    }
-    let fes: Vec<Fe> = values.iter().map(|&v| -Fe::embed(v)).collect();
-    let opened = masked_open_batch_bob(tape, chan, &fes, ctx)?;
-    span.end(|| chan.metrics());
-    Ok(opened.into_iter().map(|v| verdict(v, op)).collect())
-}
-
-/// Share comparison, sharing backend: Alice holds `(u_a, u_b)`, Bob holds
-/// `(v_a, v_b)`, shares of `dist_a = u_a − v_a` and `dist_b = u_b − v_b`;
-/// both learn `dist_a < dist_b`. The share differences are taken
-/// *in-field*, so they never overflow regardless of mask width.
-pub fn sharing_share_less_than_alice<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    u_a: i64,
-    u_b: i64,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    acct.record_compare(domain);
-    let value = Fe::embed(u_a) - Fe::embed(u_b);
-    let v = masked_open_alice(tape, chan, value, ctx)?;
-    Ok(verdict(v, CmpOp::Lt))
-}
-
-/// Bob's half of [`sharing_share_less_than_alice`].
-pub fn sharing_share_less_than_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    v_a: i64,
-    v_b: i64,
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<bool, SmcError> {
-    acct.record_compare(domain);
-    let value = Fe::embed(v_b) - Fe::embed(v_a);
-    let v = masked_open_bob(tape, chan, value, ctx)?;
-    Ok(verdict(v, CmpOp::Lt))
-}
-
-/// Round-batched share comparisons (Alice side).
-pub fn sharing_share_less_than_batch_alice<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    pairs: &[(i64, i64)],
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    if pairs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let span = trace::span("cmp_batch", || chan.metrics());
-    for _ in pairs {
-        acct.record_compare(domain);
-    }
-    let fes: Vec<Fe> = pairs
-        .iter()
-        .map(|&(a, b)| Fe::embed(a) - Fe::embed(b))
-        .collect();
-    let opened = masked_open_batch_alice(tape, chan, &fes, ctx)?;
-    span.end(|| chan.metrics());
-    Ok(opened.into_iter().map(|v| verdict(v, CmpOp::Lt)).collect())
-}
-
-/// Bob's half of [`sharing_share_less_than_batch_alice`].
-pub fn sharing_share_less_than_batch_bob<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    pairs: &[(i64, i64)],
-    domain: &ComparisonDomain,
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<Vec<bool>, SmcError> {
-    if pairs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let span = trace::span("cmp_batch", || chan.metrics());
-    for _ in pairs {
-        acct.record_compare(domain);
-    }
-    let fes: Vec<Fe> = pairs
-        .iter()
-        .map(|&(a, b)| Fe::embed(b) - Fe::embed(a))
-        .collect();
-    let opened = masked_open_batch_bob(tape, chan, &fes, ctx)?;
-    span.end(|| chan.metrics());
-    Ok(opened.into_iter().map(|v| verdict(v, CmpOp::Lt)).collect())
+    Ok(opened
+        .into_iter()
+        .map(|v| match op {
+            CmpOp::Lt => v.lift() < 0,
+            CmpOp::Leq => v.lift() <= 0,
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -586,66 +427,15 @@ fn fold_triple(tape: &DealerTape, ctx: &ProtocolContext, m: usize) -> FoldTriple
     }
 }
 
-/// Keyholder side of one Beaver inner-product fold: holds `xs`, learns
-/// `⟨xs, ys⟩` exactly (the Paillier path's per-element masks are zero-sum,
-/// so its folded result is the same exact inner product — this leaks
-/// nothing the paper's Multiplication Protocol composition doesn't).
-pub fn sharing_fold_keyholder_one<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    xs: &[Fe],
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<Fe, SmcError> {
-    let span = trace::span("mul_batch", || chan.metrics());
-    let trip = fold_triple(tape, ctx, xs.len());
-    let d: Vec<Fe> = xs.iter().zip(&trip.alpha).map(|(&x, &a)| x - a).collect();
-    chan.send(&d)?;
-    let (e, s): (Vec<Fe>, Fe) = chan.recv()?;
-    if e.len() != xs.len() {
-        return Err(SmcError::protocol(format!(
-            "fold: expected {} reply elements, got {}",
-            xs.len(),
-            e.len()
-        )));
-    }
-    acct.record_fold(xs.len());
-    span.end(|| chan.metrics());
-    Ok(fe_dot(xs, &e) + trip.c1 + s)
-}
-
-/// Peer side of [`sharing_fold_keyholder_one`]: holds `ys`, contributes no
-/// net mask (the fold's masks cancel by construction on both backends).
-pub fn sharing_fold_peer_one<C: Channel>(
-    tape: &DealerTape,
-    chan: &mut C,
-    ys: &[Fe],
-    ctx: &ProtocolContext,
-    acct: &mut SharingLedger,
-) -> Result<(), SmcError> {
-    let span = trace::span("mul_batch", || chan.metrics());
-    let trip = fold_triple(tape, ctx, ys.len());
-    let d: Vec<Fe> = chan.recv()?;
-    if d.len() != ys.len() {
-        return Err(SmcError::protocol(format!(
-            "fold: expected {} query elements, got {}",
-            ys.len(),
-            d.len()
-        )));
-    }
-    let e: Vec<Fe> = ys.iter().zip(&trip.beta).map(|(&y, &b)| y - b).collect();
-    let s = fe_dot(&d, &trip.beta) + trip.c2;
-    chan.send(&(e, s))?;
-    acct.record_fold(ys.len());
-    span.end(|| chan.metrics());
-    Ok(())
-}
-
-/// Round-batched keyholder folds: all groups' `D` vectors ship as one
-/// frame, all replies return as one. Group `g` consumes the tape at
-/// `scopes(g)` — the same scope the unbatched caller would pass — so both
-/// framings consume identical correlations.
-pub fn sharing_fold_keyholder_batch<C: Channel, S: Fn(usize) -> ProtocolContext>(
+/// Keyholder side of a slice of Beaver inner-product folds: holds one `xs`
+/// per group, learns `⟨xs, ys⟩` exactly (the Paillier path's per-element
+/// masks are zero-sum, so its folded result is the same exact inner product
+/// — this leaks nothing the paper's Multiplication Protocol composition
+/// doesn't). All groups' `D` vectors ship as one frame, all replies return
+/// as one; a slice of one group is one element exchange. Group `g` consumes
+/// the tape at `scopes(g)` and nowhere else, so the correlations a group
+/// uses do not depend on the slice it is shipped in.
+pub fn sharing_fold_keyholder<C: Channel, S: Fn(usize) -> ProtocolContext>(
     tape: &DealerTape,
     chan: &mut C,
     groups: &[Vec<Fe>],
@@ -670,7 +460,7 @@ pub fn sharing_fold_keyholder_batch<C: Channel, S: Fn(usize) -> ProtocolContext>
     let replies: Vec<(Vec<Fe>, Fe)> = chan.recv_batch()?;
     if replies.len() != groups.len() {
         return Err(SmcError::protocol(format!(
-            "fold batch: expected {} replies, got {}",
+            "fold: expected {} replies, got {}",
             groups.len(),
             replies.len()
         )));
@@ -679,7 +469,7 @@ pub fn sharing_fold_keyholder_batch<C: Channel, S: Fn(usize) -> ProtocolContext>
     for ((xs, trip), (e, s)) in groups.iter().zip(&trips).zip(&replies) {
         if e.len() != xs.len() {
             return Err(SmcError::protocol(format!(
-                "fold batch: expected {} reply elements, got {}",
+                "fold: expected {} reply elements, got {}",
                 xs.len(),
                 e.len()
             )));
@@ -691,8 +481,10 @@ pub fn sharing_fold_keyholder_batch<C: Channel, S: Fn(usize) -> ProtocolContext>
     Ok(out)
 }
 
-/// Peer half of [`sharing_fold_keyholder_batch`].
-pub fn sharing_fold_peer_batch<C: Channel, S: Fn(usize) -> ProtocolContext>(
+/// Peer half of [`sharing_fold_keyholder`]: holds one `ys` per group and
+/// contributes no net mask (the fold's masks cancel by construction on both
+/// backends).
+pub fn sharing_fold_peer<C: Channel, S: Fn(usize) -> ProtocolContext>(
     tape: &DealerTape,
     chan: &mut C,
     groups: &[Vec<Fe>],
@@ -711,7 +503,7 @@ pub fn sharing_fold_peer_batch<C: Channel, S: Fn(usize) -> ProtocolContext>(
     let ds: Vec<Vec<Fe>> = chan.recv_batch()?;
     if ds.len() != groups.len() {
         return Err(SmcError::protocol(format!(
-            "fold batch: expected {} queries, got {}",
+            "fold: expected {} queries, got {}",
             groups.len(),
             ds.len()
         )));
@@ -720,7 +512,7 @@ pub fn sharing_fold_peer_batch<C: Channel, S: Fn(usize) -> ProtocolContext>(
     for ((ys, trip), d) in groups.iter().zip(&trips).zip(&ds) {
         if d.len() != ys.len() {
             return Err(SmcError::protocol(format!(
-                "fold batch: expected {} query elements, got {}",
+                "fold: expected {} query elements, got {}",
                 ys.len(),
                 d.len()
             )));
@@ -889,75 +681,49 @@ mod tests {
         assert!(wide.unsigned_abs() <= MAX_SHARING_MASK);
     }
 
-    fn compare_both(a: i64, b: i64, op: CmpOp) -> (bool, bool) {
+    /// Runs one slice of comparisons on both sides over `tape`; returns the
+    /// verdicts both sides agree on and Bob's ledger.
+    fn compare_both(alice: Vec<Fe>, bob: Vec<Fe>, op: CmpOp) -> (Vec<bool>, SharingLedger) {
         let tape = DealerTape::from_seed(42);
         let domain = ComparisonDomain::symmetric(1 << 20);
         let (mut achan, mut bchan) = duplex();
-        let alice = std::thread::spawn(move || {
+        let a = std::thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            sharing_compare_alice(&tape, &mut achan, a, op, &domain, &ctx(1).at(0), &mut acct)
-                .unwrap()
-        });
-        let mut acct = SharingLedger::default();
-        let bv = sharing_compare_bob(&tape, &mut bchan, b, op, &domain, &ctx(2).at(0), &mut acct)
-            .unwrap();
-        assert_eq!(acct.compares, 1);
-        assert!(acct.bit_triples > 0);
-        (alice.join().unwrap(), bv)
-    }
-
-    #[test]
-    fn compare_matches_plaintext() {
-        for (a, b) in [(3i64, 4i64), (4, 3), (5, 5), (-9, 2), (2, -9), (-4, -4)] {
-            let (av, bv) = compare_both(a, b, CmpOp::Lt);
-            assert_eq!(av, a < b, "{a} < {b}");
-            assert_eq!(bv, a < b);
-            let (av, bv) = compare_both(a, b, CmpOp::Leq);
-            assert_eq!(av, a <= b, "{a} <= {b}");
-            assert_eq!(bv, a <= b);
-        }
-    }
-
-    #[test]
-    fn batch_compare_matches_singles() {
-        let tape = DealerTape::from_seed(7);
-        let domain = ComparisonDomain::symmetric(1000);
-        let avals = vec![1i64, -5, 7, 0, 3];
-        let bvals = vec![2i64, -5, -7, 1, 3];
-        let (mut achan, mut bchan) = duplex();
-        let av2 = avals.clone();
-        let alice = std::thread::spawn(move || {
-            let mut acct = SharingLedger::default();
-            sharing_compare_batch_alice(
-                &tape,
-                &mut achan,
-                &av2,
-                CmpOp::Leq,
-                &domain,
-                &ctx(1),
-                &mut acct,
+            let scopes = |i| ctx(1).at(i as u64);
+            let role = Party::Alice;
+            let alice = alice.into_iter();
+            sharing_compare(
+                &tape, &mut achan, role, alice, op, &domain, scopes, &mut acct,
             )
             .unwrap()
         });
         let mut acct = SharingLedger::default();
-        let bv = sharing_compare_batch_bob(
-            &tape,
-            &mut bchan,
-            &bvals,
-            CmpOp::Leq,
-            &domain,
-            &ctx(2),
-            &mut acct,
-        )
-        .unwrap();
-        let expect: Vec<bool> = avals.iter().zip(&bvals).map(|(&a, &b)| a <= b).collect();
-        assert_eq!(alice.join().unwrap(), expect);
-        assert_eq!(bv, expect);
-        assert_eq!(acct.compares, 5);
+        let scopes = |i| ctx(2).at(i as u64);
+        let role = Party::Bob;
+        let bob = bob.into_iter();
+        let bv =
+            sharing_compare(&tape, &mut bchan, role, bob, op, &domain, scopes, &mut acct).unwrap();
+        assert_eq!(a.join().unwrap(), bv, "views must agree");
+        (bv, acct)
     }
 
     #[test]
-    fn share_less_than_matches_plaintext() {
+    fn compare_matches_plaintext() {
+        let pairs = [(3i64, 4i64), (4, 3), (5, 5), (-9, 2), (2, -9), (-4, -4)];
+        let side =
+            |pick: fn(&(i64, i64)) -> i64| pairs.iter().map(|p| Fe::embed(pick(p))).collect();
+        let (lt, acct) = compare_both(side(|p| p.0), side(|p| p.1), CmpOp::Lt);
+        let (leq, _) = compare_both(side(|p| p.0), side(|p| p.1), CmpOp::Leq);
+        for (i, (a, b)) in pairs.into_iter().enumerate() {
+            assert_eq!(lt[i], a < b, "{a} < {b}");
+            assert_eq!(leq[i], a <= b, "{a} <= {b}");
+        }
+        assert_eq!(acct.compares, pairs.len() as u64);
+        assert!(acct.bit_triples > 0);
+    }
+
+    #[test]
+    fn share_differences_compare_in_field() {
         // dist_a = u_a − v_a, dist_b = u_b − v_b; shares picked so the
         // i64 share differences would be large but in-field stays exact.
         let cases = [
@@ -965,99 +731,50 @@ mod tests {
             ((1, 9), (5, 2)),                       // -4 vs 7 → true
             ((i64::MAX - 2, 5), (i64::MAX - 4, 1)), // 2 vs 4 (mod shares) → true
         ];
-        for ((u_a, v_a), (u_b, v_b)) in cases {
-            let tape = DealerTape::from_seed(99);
-            let domain = ComparisonDomain::symmetric(1 << 30);
-            let (mut achan, mut bchan) = duplex();
-            let alice = std::thread::spawn(move || {
-                let mut acct = SharingLedger::default();
-                sharing_share_less_than_alice(
-                    &tape,
-                    &mut achan,
-                    u_a,
-                    u_b,
-                    &domain,
-                    &ctx(3).at(0),
-                    &mut acct,
-                )
-                .unwrap()
-            });
-            let mut acct = SharingLedger::default();
-            let bv = sharing_share_less_than_bob(
-                &tape,
-                &mut bchan,
-                v_a,
-                v_b,
-                &domain,
-                &ctx(4).at(0),
-                &mut acct,
-            )
-            .unwrap();
-            let dist_a = Fe::embed(u_a) - Fe::embed(v_a);
-            let dist_b = Fe::embed(u_b) - Fe::embed(v_b);
-            let expect = (dist_a - dist_b).lift() < 0;
-            assert_eq!(alice.join().unwrap(), expect);
-            assert_eq!(bv, expect);
+        let diff = |a: i64, b: i64| Fe::embed(a) - Fe::embed(b);
+        let alice = cases
+            .iter()
+            .map(|&((u_a, _), (u_b, _))| diff(u_a, u_b))
+            .collect();
+        let bob = cases
+            .iter()
+            .map(|&((_, v_a), (_, v_b))| diff(v_a, v_b))
+            .collect();
+        let (got, _) = compare_both(alice, bob, CmpOp::Lt);
+        for (((u_a, v_a), (u_b, v_b)), got) in cases.into_iter().zip(got) {
+            let expect = (diff(u_a, v_a) - diff(u_b, v_b)).lift() < 0;
+            assert_eq!(got, expect);
         }
     }
 
     #[test]
-    fn fold_computes_exact_inner_product() {
-        let xs: Vec<i64> = vec![3, -1, 0, 12, 7];
-        let ys: Vec<i64> = vec![5, 5, -9, 2, -3];
-        let expect: i64 = xs.iter().zip(&ys).map(|(&x, &y)| x * y).sum();
-        let tape = DealerTape::from_seed(11);
-        let (mut kchan, mut pchan) = duplex();
-        let xfes: Vec<Fe> = xs.iter().map(|&v| Fe::embed(v)).collect();
-        let key = std::thread::spawn(move || {
-            let mut acct = SharingLedger::default();
-            let u = sharing_fold_keyholder_one(&tape, &mut kchan, &xfes, &ctx(5).at(2), &mut acct)
-                .unwrap();
-            (u, acct)
-        });
-        let yfes: Vec<Fe> = ys.iter().map(|&v| Fe::embed(v)).collect();
-        let mut acct = SharingLedger::default();
-        sharing_fold_peer_one(&tape, &mut pchan, &yfes, &ctx(6).at(2), &mut acct).unwrap();
-        let (u, kacct) = key.join().unwrap();
-        assert_eq!(u.lift(), expect);
-        assert_eq!(kacct.triples, 5);
-        assert_eq!(acct.opened_elements, 11);
-    }
-
-    #[test]
-    fn fold_batch_matches_singles_and_tape_scopes_agree() {
-        let groups_x = vec![vec![1i64, 2], vec![-3, 4, 5], vec![7]];
-        let groups_y = vec![vec![9i64, -2], vec![1, 1, 1], vec![-6]];
+    fn folds_compute_exact_inner_products() {
+        let groups_x = vec![vec![3i64, -1, 0, 12, 7], vec![-3, 4, 5], vec![7]];
+        let groups_y = vec![vec![5i64, 5, -9, 2, -3], vec![1, 1, 1], vec![-6]];
         let tape = DealerTape::from_seed(21);
-        let base = ctx(8).narrow("mul");
-        let gx: Vec<Vec<Fe>> = groups_x
-            .iter()
-            .map(|g| g.iter().map(|&v| Fe::embed(v)).collect())
-            .collect();
-        let gy: Vec<Vec<Fe>> = groups_y
-            .iter()
-            .map(|g| g.iter().map(|&v| Fe::embed(v)).collect())
-            .collect();
+        let fes = |groups: &[Vec<i64>]| -> Vec<Vec<Fe>> {
+            let group = |g: &Vec<i64>| g.iter().map(|&v| Fe::embed(v)).collect();
+            groups.iter().map(group).collect()
+        };
+        let (gx, gy) = (fes(&groups_x), fes(&groups_y));
         let (mut kchan, mut pchan) = duplex();
-        let gx2 = gx.clone();
         let key = std::thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            sharing_fold_keyholder_batch(
-                &tape,
-                &mut kchan,
-                &gx2,
-                |g| ctx(8).narrow("mul").at(g as u64),
-                &mut acct,
-            )
-            .unwrap()
+            let scopes = |g| ctx(8).narrow("mul").at(g as u64);
+            let us = sharing_fold_keyholder(&tape, &mut kchan, &gx, scopes, &mut acct).unwrap();
+            (us, acct)
         });
+        // The peer's own seed differs: only the tape is shared.
+        let base = ctx(9).narrow("mul");
         let mut acct = SharingLedger::default();
-        sharing_fold_peer_batch(&tape, &mut pchan, &gy, |g| base.at(g as u64), &mut acct).unwrap();
-        let us = key.join().unwrap();
+        sharing_fold_peer(&tape, &mut pchan, &gy, |g| base.at(g as u64), &mut acct).unwrap();
+        let (us, kacct) = key.join().unwrap();
         for ((u, xs), ys) in us.iter().zip(&groups_x).zip(&groups_y) {
             let expect: i64 = xs.iter().zip(ys).map(|(&x, &y)| x * y).sum();
             assert_eq!(u.lift(), expect);
         }
+        assert_eq!(kacct.triples, 9);
+        assert_eq!(acct.opened_elements, 11 + 7 + 3);
     }
 
     #[test]

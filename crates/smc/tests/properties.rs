@@ -1,17 +1,23 @@
-//! Property-based tests for the SMC primitives: the faithful Yao protocol
-//! and both comparison backends must implement exact integer comparison for
+//! Property-based tests for the SMC primitives — the faithful Yao protocol
+//! and the comparison backends must implement exact integer comparison for
 //! arbitrary in-domain inputs, and the multiplication protocols must
-//! satisfy their masking identities.
+//! satisfy their masking identities — and the framing table: every
+//! primitive exists once, over a slice, so the two framings a backend can
+//! give it must agree in everything but the number of frames.
 
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::Keypair;
 use ppds_smc::compare::{compare_alice, compare_bob, CmpOp, Comparator, ComparisonDomain};
+use ppds_smc::kth::{kth_smallest_with, SelectionMethod};
 use ppds_smc::millionaires::{yao_alice, yao_bob, YaoConfig};
 use ppds_smc::multiplication::{
-    dot_keyholder, dot_peer, mul_batch_keyholder, mul_batch_peer, zero_sum_masks,
+    dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
 };
-use ppds_smc::ProtocolContext;
-use ppds_transport::duplex;
+use ppds_smc::{
+    AnyBackend, DealerTape, PaillierBackend, Party, ProtocolContext, SharingBackend, SharingLedger,
+    SmcBackend, SmcError,
+};
+use ppds_transport::{duplex, Channel, MemoryChannel, MetricsSnapshot};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,6 +26,10 @@ use std::sync::OnceLock;
 fn keypair() -> &'static Keypair {
     static KP: OnceLock<Keypair> = OnceLock::new();
     KP.get_or_init(|| Keypair::generate(128, &mut StdRng::seed_from_u64(7)))
+}
+
+fn bigints(values: &[i64]) -> Vec<BigInt> {
+    values.iter().map(|&v| BigInt::from_i64(v)).collect()
 }
 
 proptest! {
@@ -56,44 +66,36 @@ proptest! {
     fn comparators_agree_on_signed_domains(
         lo in -60i64..0,
         span in 1i64..60,
-        a_off in 0i64..60,
-        b_off in 0i64..60,
+        offsets in proptest::collection::vec((0i64..60, 0i64..60), 1..4),
         leq in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let hi = lo + span;
-        let domain = ComparisonDomain::new(lo, hi);
-        let a = lo + a_off % (span + 1);
-        let b = lo + b_off % (span + 1);
+        let domain = ComparisonDomain::new(lo, lo + span);
+        let within = |off: i64| lo + off % (span + 1);
+        let (a, b): (Vec<i64>, Vec<i64>) =
+            offsets.iter().map(|&(x, y)| (within(x), within(y))).unzip();
         let op = if leq { CmpOp::Leq } else { CmpOp::Lt };
-        let expect = if leq { a <= b } else { a < b };
-        for comparator in [Comparator::Yao, Comparator::Ideal] {
+        let expect: Vec<bool> =
+            a.iter().zip(&b).map(|(a, b)| if leq { a <= b } else { a < b }).collect();
+        for comparator in [Comparator::Yao, Comparator::Ideal, Comparator::Dgk] {
             let (mut achan, mut bchan) = duplex();
+            let a = a.clone();
             let alice = std::thread::spawn(move || {
-                let actx = ProtocolContext::new(seed);
-                compare_alice(comparator, &mut achan, keypair(), a, op, &domain, false, &actx)
+                let scopes = |i| ProtocolContext::new(seed).at(i as u64);
+                compare_alice(comparator, &mut achan, keypair(), &a, &domain, false, scopes)
                     .unwrap()
             });
-            let bctx = ProtocolContext::new(seed.wrapping_add(1));
-            let bob_view = compare_bob(
-                comparator,
-                &mut bchan,
-                &keypair().public,
-                b,
-                op,
-                &domain,
-                false,
-                &bctx,
-            )
-            .unwrap();
-            let alice_view = alice.join().unwrap();
-            prop_assert_eq!(alice_view, expect, "{:?} {} vs {}", comparator, a, b);
-            prop_assert_eq!(bob_view, expect);
+            let scopes = |i| ProtocolContext::new(seed.wrapping_add(1)).at(i as u64);
+            let pk = &keypair().public;
+            let bob_view =
+                compare_bob(comparator, &mut bchan, pk, &b, op, &domain, false, scopes).unwrap();
+            prop_assert_eq!(&alice.join().unwrap(), &expect, "{:?}", comparator);
+            prop_assert_eq!(&bob_view, &expect);
         }
     }
 
     #[test]
-    fn batched_multiplication_masks_cancel(
+    fn multiplication_masks_cancel_per_group(
         xs in proptest::collection::vec(-100i64..100, 1..6),
         ys_seed in any::<u64>(),
         seed in any::<u64>(),
@@ -101,21 +103,22 @@ proptest! {
         let mut r = StdRng::seed_from_u64(ys_seed);
         use rand::Rng as _;
         let ys: Vec<i64> = xs.iter().map(|_| r.random_range(-100..100)).collect();
-        let xs_big: Vec<BigInt> = xs.iter().map(|&v| BigInt::from_i64(v)).collect();
-        let ys_big: Vec<BigInt> = ys.iter().map(|&v| BigInt::from_i64(v)).collect();
-
-        let mut mask_rng = StdRng::seed_from_u64(seed);
-        let masks = zero_sum_masks(&mut mask_rng, xs.len(), &BigUint::from_u64(1 << 20));
+        let masks = zero_sum_masks(
+            StdRng::seed_from_u64(seed),
+            xs.len(),
+            &BigUint::from_u64(1 << 20),
+        );
 
         let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs_big.clone();
+        let xs_big = [bigints(&xs)];
         let keyholder = std::thread::spawn(move || {
-            let kctx = ProtocolContext::new(seed.wrapping_add(1));
-            mul_batch_keyholder(&mut kchan, keypair(), &xs2, None, &kctx).unwrap()
+            let scopes = |_| ProtocolContext::new(seed.wrapping_add(1));
+            mul_batches_keyholder(&mut kchan, keypair(), &xs_big, scopes, None).unwrap()
         });
-        let pctx = ProtocolContext::new(seed.wrapping_add(2));
-        mul_batch_peer(&mut pchan, &keypair().public, &ys_big, &masks, None, &pctx).unwrap();
-        let ws = keyholder.join().unwrap();
+        let scopes = |_| ProtocolContext::new(seed.wrapping_add(2));
+        let (pk, ys_big) = (&keypair().public, [bigints(&ys)]);
+        mul_batches_peer(&mut pchan, pk, &ys_big, |_| masks.clone(), scopes, None).unwrap();
+        let ws = keyholder.join().unwrap().remove(0);
 
         // Σ w_i = Σ x_i·y_i exactly (zero-sum masks cancel).
         let sum = ws.iter().fold(BigInt::zero(), |acc, w| &acc + w);
@@ -132,24 +135,383 @@ proptest! {
         let mut r = StdRng::seed_from_u64(ys_seed);
         use rand::Rng as _;
         let ys: Vec<i64> = xs.iter().map(|_| r.random_range(-50..50)).collect();
-        let xs_big: Vec<BigInt> = xs.iter().map(|&v| BigInt::from_i64(v)).collect();
-        let ys_big: Vec<BigInt> = ys.iter().map(|&v| BigInt::from_i64(v)).collect();
 
         let (mut kchan, mut pchan) = duplex();
-        let xs2 = xs_big.clone();
+        let xs_big = bigints(&xs);
         let keyholder = std::thread::spawn(move || {
-            dot_keyholder(&mut kchan, keypair(), &xs2, &ProtocolContext::new(seed)).unwrap()
+            let ctx = ProtocolContext::new(seed);
+            dot_many_keyholder(&mut kchan, keypair(), &xs_big, 1, None, &ctx).unwrap()
         });
-        let v = dot_peer(
-            &mut pchan,
-            &keypair().public,
-            &ys_big,
-            &BigUint::from_u64(1 << 24),
-            &ProtocolContext::new(seed.wrapping_add(1)),
-        )
-        .unwrap();
+        let (pk, bound) = (&keypair().public, BigUint::from_u64(1 << 24));
+        let ctx = ProtocolContext::new(seed.wrapping_add(1));
+        let v = dot_many_peer(&mut pchan, pk, &[bigints(&ys)], &bound, None, &ctx).unwrap();
         let u = keyholder.join().unwrap();
         let expect: i64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
-        prop_assert_eq!(&u - &v, BigInt::from_i64(expect));
+        prop_assert_eq!(&u[0] - &v[0], BigInt::from_i64(expect));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The framing table
+// ---------------------------------------------------------------------------
+
+/// What a row's primitive runs on.
+#[derive(Debug, Clone, Copy)]
+enum Substrate {
+    Paillier {
+        comparator: Comparator,
+        packed: bool,
+    },
+    Sharing,
+}
+
+const SUBSTRATES: [Substrate; 5] = [
+    Substrate::Paillier {
+        comparator: Comparator::Ideal,
+        packed: false,
+    },
+    Substrate::Paillier {
+        comparator: Comparator::Dgk,
+        packed: false,
+    },
+    Substrate::Paillier {
+        comparator: Comparator::Dgk,
+        packed: true,
+    },
+    Substrate::Paillier {
+        comparator: Comparator::Yao,
+        packed: false,
+    },
+    Substrate::Sharing,
+];
+
+impl Substrate {
+    /// One key serves both roles: whoever holds it in a primitive, the
+    /// other side needs only its public half.
+    fn backend(self, batching: bool) -> AnyBackend<'static> {
+        match self {
+            Substrate::Paillier { comparator, packed } => AnyBackend::Paillier(PaillierBackend {
+                my_keypair: keypair(),
+                peer_pk: &keypair().public,
+                comparator,
+                packed,
+                batching,
+                mul_packing: None,
+                dot_packing: None,
+                mul_mask_bound: BigUint::from_u64(1 << 20),
+                dot_mask_bound: BigUint::from_u64(1 << 20),
+            }),
+            Substrate::Sharing => AnyBackend::Sharing(SharingBackend {
+                tape: DealerTape::from_seed(0x7A9E),
+                batching,
+                dot_mask_bound: 1 << 20,
+            }),
+        }
+    }
+
+    /// Wire frames one comparison exchange costs, and whether a slice of
+    /// them shares those frames when the backend batches (Algorithm 1's
+    /// z-sequence is per-comparison interactive state: Yao never does).
+    fn comparison_frames(self) -> (u64, bool) {
+        match self {
+            Substrate::Paillier { comparator, .. } => (3, comparator != Comparator::Yao),
+            Substrate::Sharing => (2, true),
+        }
+    }
+}
+
+/// One side of a primitive: everything it needs besides its backend, its
+/// channel end and its ledger; outputs flattened to integers.
+type Side<'a> = &'a (dyn Fn(
+    &AnyBackend<'_>,
+    &mut MemoryChannel,
+    Party,
+    &mut SharingLedger,
+) -> Result<Vec<i64>, SmcError>
+         + Sync);
+
+/// What both parties take away from one run of a primitive.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outputs: [Vec<i64>; 2],
+    ledgers: [SharingLedger; 2],
+    /// Alice's counters (Bob's are their mirror image).
+    traffic: MetricsSnapshot,
+}
+
+/// Runs `side` for both roles over a fresh channel pair; `Err` carries both
+/// results when either side failed.
+#[allow(clippy::type_complexity)]
+fn run(
+    substrate: Substrate,
+    batching: bool,
+    side: Side<'_>,
+) -> Result<Observed, [Result<Vec<i64>, SmcError>; 2]> {
+    let (mut achan, mut bchan) = duplex();
+    let (alice, bob, traffic) = std::thread::scope(|scope| {
+        let alice = scope.spawn(move || {
+            let mut acct = SharingLedger::default();
+            let backend = substrate.backend(batching);
+            let out = side(&backend, &mut achan, Party::Alice, &mut acct);
+            // Hanging up is how a failed side releases the other.
+            (out, acct, achan.metrics())
+        });
+        let mut acct = SharingLedger::default();
+        let out = side(
+            &substrate.backend(batching),
+            &mut bchan,
+            Party::Bob,
+            &mut acct,
+        );
+        drop(bchan);
+        let (alice_out, alice_acct, traffic) = alice.join().unwrap();
+        ((alice_out, alice_acct), (out, acct), traffic)
+    });
+    match (alice.0, bob.0) {
+        (Ok(a), Ok(b)) => Ok(Observed {
+            outputs: [a, b],
+            ledgers: [alice.1, bob.1],
+            traffic,
+        }),
+        (a, b) => Err([a, b]),
+    }
+}
+
+fn payload(t: &MetricsSnapshot) -> [u64; 2] {
+    [
+        t.bytes_sent - 4 * t.rounds_sent,
+        t.bytes_received - 4 * t.rounds_received,
+    ]
+}
+
+/// Runs `side` at both framings and holds the pair to the framing
+/// contract: equal outputs on both sides, equal ledgers, equal logical
+/// messages, equal payload bytes, and `frames` = (reference, batched) wire
+/// rounds exactly. Returns the outputs.
+fn assert_framings_agree(
+    name: &str,
+    substrate: Substrate,
+    side: Side<'_>,
+    frames: (u64, u64),
+) -> Vec<i64> {
+    let name = format!("{name} on {substrate:?}");
+    let reference = run(substrate, false, side).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    let batched = run(substrate, true, side).unwrap_or_else(|e| panic!("{name}: {e:?}"));
+    assert_eq!(reference.outputs, batched.outputs, "{name}: outputs");
+    assert_eq!(reference.ledgers, batched.ledgers, "{name}: ledgers");
+    let (r, b) = (&reference.traffic, &batched.traffic);
+    assert_eq!(r.total_messages(), b.total_messages(), "{name}: messages");
+    assert_eq!(payload(r), payload(b), "{name}: payload bytes");
+    assert_eq!(
+        (r.total_rounds(), b.total_rounds()),
+        frames,
+        "{name}: wire rounds (reference, batched)"
+    );
+    let [alice, _] = reference.outputs;
+    alice
+}
+
+const DOMAIN: ComparisonDomain = ComparisonDomain { lo: -40, hi: 40 };
+const ALICE: [i64; 5] = [-7, 0, 12, 12, 31];
+const BOB: [i64; 5] = [3, 0, 11, 13, -31];
+
+fn mine<'a, T>(role: Party, alice: &'a [T], bob: &'a [T]) -> &'a [T] {
+    match role {
+        Party::Alice => alice,
+        Party::Bob => bob,
+    }
+}
+
+fn flags(verdicts: Vec<bool>) -> Vec<i64> {
+    verdicts.into_iter().map(i64::from).collect()
+}
+
+#[test]
+fn comparison_framings_agree_on_every_substrate() {
+    let k = ALICE.len() as u64;
+    for substrate in SUBSTRATES {
+        let (per_exchange, shares_frames) = substrate.comparison_frames();
+        let batched = if shares_frames { 1 } else { k };
+        let frames = (k * per_exchange, batched * per_exchange);
+
+        let compare: Side<'_> = &|backend, chan, role, acct| {
+            let (values, ctx) = (mine(role, &ALICE, &BOB), ProtocolContext::new(11));
+            let op = CmpOp::Leq;
+            Ok(flags(backend.compare_batch(
+                chan, role, values, op, &DOMAIN, &ctx, acct,
+            )?))
+        };
+        let got = assert_framings_agree("compare", substrate, compare, frames);
+        let expect: Vec<i64> = ALICE
+            .iter()
+            .zip(&BOB)
+            .map(|(a, b)| (a <= b) as i64)
+            .collect();
+        assert_eq!(got, expect, "{substrate:?}");
+
+        // Share comparison: dist_a < dist_b with dist = u − v per operand.
+        let alice_pairs: Vec<(i64, i64)> = ALICE.iter().map(|&u| (u, 5)).collect();
+        let bob_pairs: Vec<(i64, i64)> = BOB.iter().map(|&v| (v, -5)).collect();
+        let share_less_than: Side<'_> = &|backend, chan, role, acct| {
+            let (pairs, ctx) = (
+                mine(role, &alice_pairs, &bob_pairs),
+                ProtocolContext::new(12),
+            );
+            let scopes = |i| ctx.at(i as u64);
+            Ok(flags(backend.share_less_than_scoped(
+                chan, role, pairs, &DOMAIN, scopes, acct,
+            )?))
+        };
+        let got = assert_framings_agree("share_less_than", substrate, share_less_than, frames);
+        let expect: Vec<i64> = ALICE
+            .iter()
+            .zip(&BOB)
+            .map(|(u, v)| (u - v < 5 - -5) as i64)
+            .collect();
+        assert_eq!(got, expect, "{substrate:?}");
+    }
+}
+
+#[test]
+fn multiplication_fold_framings_agree_on_both_substrates() {
+    let xs = [vec![3, -1, 0], vec![7], vec![], vec![-9, 9]];
+    let ys = [vec![5, 5, -9], vec![-2], vec![], vec![4, 6]];
+    // Sparse record ids: a group is keyed by its record, not its position.
+    let records = [0, 5, 6, 9];
+    for substrate in [SUBSTRATES[0], Substrate::Sharing] {
+        let fold: Side<'_> = &|backend, chan, role, acct| {
+            let ctx = ProtocolContext::new(13);
+            match role {
+                Party::Alice => backend.mul_fold_keyholder(chan, &xs, &records, &ctx, acct),
+                Party::Bob => backend
+                    .mul_fold_peer(chan, &ys, &records, &ctx, acct)
+                    .map(|()| Vec::new()),
+            }
+        };
+        let got = assert_framings_agree("mul_fold", substrate, fold, (2 * 4, 2));
+        assert_eq!(got, [15 - 5, -14, 0, -36 + 54], "{substrate:?}");
+    }
+}
+
+#[test]
+fn selection_framings_agree_on_every_substrate() {
+    let dists = [9i64, 2, 14, 5, 0, 7, 3, 11];
+    let masks = [4i64, -3, 0, 8, -8, 1, 2, -5];
+    let shares: Vec<i64> = dists.iter().zip(&masks).map(|(d, v)| d + v).collect();
+    for substrate in SUBSTRATES {
+        let (per_exchange, shares_frames) = substrate.comparison_frames();
+        for (method, k, comparisons, levels) in [
+            (SelectionMethod::RepeatedMin, 3, 7 + 6 + 5, None),
+            (SelectionMethod::QuickSelect, 3, 7 + 6 + 1, Some(3)),
+        ] {
+            let select: Side<'_> = &|backend, chan, role, acct| {
+                let (shares, ctx) = (mine(role, &shares, &masks), ProtocolContext::new(14));
+                let out = kth_smallest_with(
+                    method, backend, chan, role, shares, k, &DOMAIN, false, &ctx, acct,
+                )?;
+                Ok(vec![out.index as i64, out.comparisons as i64])
+            };
+            // A minimum scan's comparisons depend on one another; a
+            // quickselect level's do not, and share frames when batched.
+            let batched = match levels {
+                Some(levels) if shares_frames => levels,
+                _ => comparisons,
+            };
+            let frames = (comparisons * per_exchange, batched * per_exchange);
+            let got = assert_framings_agree(&format!("{method:?}"), substrate, select, frames);
+            assert_eq!(
+                got,
+                [6, comparisons as i64],
+                "{substrate:?}: third smallest is 3"
+            );
+        }
+    }
+}
+
+/// A slice whose length the two sides disagree on: whichever side reads the
+/// mismatched frame refuses it by name, the other is released by the
+/// hang-up, and neither hangs or panics. (One item at a time there is no
+/// frame to disagree about: the shorter side simply finishes.)
+#[test]
+fn arity_mismatches_are_typed_errors_on_every_substrate() {
+    let records = [0, 1, 2];
+    for substrate in SUBSTRATES {
+        let compare: Side<'_> = &|backend, chan, role, acct| {
+            let values = mine(role, &ALICE[..2], &BOB[..3]);
+            let (op, ctx) = (CmpOp::Lt, ProtocolContext::new(15));
+            Ok(flags(backend.compare_batch(
+                chan, role, values, op, &DOMAIN, &ctx, acct,
+            )?))
+        };
+        let fold: Side<'_> = &|backend, chan, role, acct| {
+            let ctx = ProtocolContext::new(16);
+            let groups = vec![vec![1, 2]; 3];
+            match role {
+                Party::Alice => {
+                    backend.mul_fold_keyholder(chan, &groups[..2], &records[..2], &ctx, acct)
+                }
+                Party::Bob => backend
+                    .mul_fold_peer(chan, &groups, &records, &ctx, acct)
+                    .map(|()| Vec::new()),
+            }
+        };
+        let compare_shares_frames = substrate.comparison_frames().1;
+        let rows = [
+            ("compare", compare, compare_shares_frames),
+            ("mul_fold", fold, true),
+        ];
+        for (name, side, shares_frames) in rows {
+            for batching in [false, true] {
+                let name = format!("{name} on {substrate:?}, batching={batching}");
+                let results = run(substrate, batching, side).expect_err(&name);
+                let refused = |r: &Result<Vec<i64>, SmcError>| match r {
+                    Err(SmcError::Protocol(msg)) => {
+                        msg.contains("expected") || msg.contains("arity")
+                    }
+                    _ => false,
+                };
+                let refusals = results.iter().any(refused);
+                assert_eq!(refusals, batching && shares_frames, "{name}: {results:?}");
+                let typed = |r: &Result<Vec<i64>, SmcError>| {
+                    matches!(
+                        r,
+                        Ok(_) | Err(SmcError::Protocol(_) | SmcError::Transport(_))
+                    )
+                };
+                assert!(results.iter().all(typed), "{name}: {results:?}");
+            }
+        }
+    }
+}
+
+/// An empty slice is no exchange: no frame, no ledger entry, in either
+/// framing, with nobody on the other end.
+#[test]
+fn empty_slices_touch_no_wire_on_any_substrate() {
+    for substrate in SUBSTRATES {
+        for batching in [false, true] {
+            let backend = substrate.backend(batching);
+            let (mut chan, _peer) = duplex();
+            let (mut acct, ctx) = (SharingLedger::default(), ProtocolContext::new(17));
+            for role in [Party::Alice, Party::Bob] {
+                let none = backend
+                    .compare_batch(&mut chan, role, &[], CmpOp::Lt, &DOMAIN, &ctx, &mut acct)
+                    .unwrap();
+                assert!(none.is_empty());
+                let none = backend
+                    .share_less_than_scoped(&mut chan, role, &[], &DOMAIN, |_| ctx, &mut acct)
+                    .unwrap();
+                assert!(none.is_empty());
+            }
+            let none = backend
+                .mul_fold_keyholder(&mut chan, &[], &[], &ctx, &mut acct)
+                .unwrap();
+            assert!(none.is_empty());
+            backend
+                .mul_fold_peer(&mut chan, &[], &[], &ctx, &mut acct)
+                .unwrap();
+            assert_eq!(chan.metrics(), MetricsSnapshot::default(), "{substrate:?}");
+            assert_eq!(acct, SharingLedger::default(), "{substrate:?}");
+        }
     }
 }

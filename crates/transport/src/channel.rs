@@ -2,7 +2,7 @@
 
 use crate::error::TransportError;
 use crate::metrics::MetricsSnapshot;
-use crate::wire::{self, Batch, WireDecode, WireEncode};
+use crate::wire::{self, WireDecode, WireEncode};
 
 /// A reliable, ordered, bidirectional message channel to the peer party.
 ///
@@ -37,8 +37,11 @@ pub trait Channel {
         T::decode_exact(&payload)
     }
 
-    /// Sends `items` as one [`Batch`] wire frame: a single round on the
-    /// link, charged as `items.len()` logical messages in the metrics.
+    /// Sends `items` as one batch frame — the items back to back, delimited
+    /// by the frame itself: a single round on the link, charged as
+    /// `items.len()` logical messages in the metrics. A batch of one puts
+    /// the same bytes on the wire, and the same counts in the metrics, as
+    /// [`Channel::send`] of the item.
     ///
     /// This is the round-batching primitive: a neighborhood query packs all
     /// of its candidate payloads into one frame instead of paying one
@@ -54,16 +57,16 @@ pub trait Channel {
         Ok(())
     }
 
-    /// Receives one [`Batch`] frame; the payload must be exactly one batch
-    /// of `T`s. Charged as one round and `len` logical messages.
+    /// Receives one batch frame; the payload must be exactly a run of whole
+    /// `T`s. Charged as one round and `len` logical messages.
     fn recv_batch<T: WireDecode>(&mut self) -> Result<Vec<T>, TransportError>
     where
         Self: Sized,
     {
         let payload = self.recv_bytes()?;
-        let batch = Batch::<T>::decode_exact(&payload)?;
-        self.note_batch_received(batch.len() as u64);
-        Ok(batch.into_inner())
+        let items = wire::decode_batch_items::<T>(&payload)?;
+        self.note_batch_received(items.len() as u64);
+        Ok(items)
     }
 
     /// Metrics hook: reclassifies the most recent send as a batch of

@@ -10,7 +10,8 @@
 //!   written against, with typed helpers built on the [`wire`] codec and
 //!   round-batching primitives ([`Channel::send_batch`] /
 //!   [`Channel::recv_batch`]) that ship many logical messages as one
-//!   latency-paying wire frame ([`Batch`]),
+//!   latency-paying wire frame — the items back to back, so that a message
+//!   is a batch of one,
 //! * [`memory::duplex`] — an in-process channel pair (crossbeam-backed) used
 //!   to run Alice and Bob on two threads,
 //! * [`tcp`] — the same framing over real sockets, for running the two
@@ -38,7 +39,7 @@ pub use channel::Channel;
 pub use error::TransportError;
 pub use memory::{duplex, MemoryChannel};
 pub use metrics::{ChannelMetrics, CostModel, MetricsSnapshot};
-pub use wire::{Batch, Reader, WireDecode, WireEncode};
+pub use wire::{Reader, WireDecode, WireEncode};
 
 /// Bytes charged per message for framing (u32 length prefix).
 pub const FRAME_OVERHEAD_BYTES: u64 = 4;

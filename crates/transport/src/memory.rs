@@ -183,8 +183,8 @@ mod tests {
         assert_eq!(mb.messages_received, 50);
         assert_eq!(mb.rounds_received, 1);
         assert_eq!(ma.bytes_sent, mb.bytes_received);
-        // The batch payload equals the Vec encoding: 4-byte count + items.
-        assert_eq!(ma.bytes_sent, 4 + 50 * 8 + FRAME_OVERHEAD_BYTES);
+        // The batch payload is the items and nothing else.
+        assert_eq!(ma.bytes_sent, 50 * 8 + FRAME_OVERHEAD_BYTES);
     }
 
     #[test]

@@ -318,7 +318,7 @@ mod tests {
         assert_eq!(s.messages_received, 64);
         assert_eq!(s.rounds_received, 1);
         // An empty batch still occupies one frame and one logical message.
-        m.record_send(4);
+        m.record_send(0);
         m.note_batch_send(0);
         assert_eq!(m.snapshot().messages_sent, 65);
         assert_eq!(m.snapshot().rounds_sent, 2);

@@ -253,60 +253,41 @@ impl WireDecode for BigInt {
     }
 }
 
-/// A round-batched wire frame: a length-prefixed vector of payloads shipped
-/// as **one** framed message.
-///
-/// The encoding is identical to `Vec<T>` (`u32` item count followed by the
-/// items), so the batch adds only the 4-byte count on top of the payloads it
-/// carries. What distinguishes a `Batch` is the accounting contract:
-/// [`crate::Channel::send_batch`]/[`crate::Channel::recv_batch`] charge it as
-/// `items.len()` logical messages but a **single wire round**, which is how
-/// the protocol stack turns `O(candidates)` ping-pong round-trips per
-/// neighborhood query into `O(1)`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Batch<T>(pub Vec<T>);
-
-impl<T> Batch<T> {
-    /// Number of payloads in the batch.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// `true` when the batch carries no payloads.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Consumes the batch, yielding its payloads.
-    pub fn into_inner(self) -> Vec<T> {
-        self.0
-    }
-}
-
-impl<T> From<Vec<T>> for Batch<T> {
-    fn from(items: Vec<T>) -> Self {
-        Batch(items)
-    }
-}
-
-impl<T: WireEncode> WireEncode for Batch<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_batch_items(&self.0, out);
-    }
-}
-
-impl<T: WireDecode> WireDecode for Batch<T> {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, TransportError> {
-        Ok(Batch(Vec::<T>::decode(reader)?))
-    }
-}
-
-/// Encodes a slice in the `Batch`/`Vec` wire format (`u32` count + items).
+/// Encodes a slice as a batch payload: the items back to back and nothing
+/// else. The frame that carries the payload delimits it, so a count would
+/// be redundant — and a batch of one is byte for byte the item on its own:
+/// a message is a batch of one.
 pub(crate) fn encode_batch_items<T: WireEncode>(items: &[T], out: &mut Vec<u8>) {
-    (items.len() as u32).encode(out);
     for item in items {
         item.encode(out);
     }
+}
+
+/// Decodes a whole batch payload: items until the bytes run out. A last
+/// item cut short (or trailing bytes that are no item) fails in `T`'s own
+/// decoder, and an item type that consumes no bytes could never end the
+/// loop, so it is refused instead.
+pub(crate) fn decode_batch_items<T: WireDecode>(payload: &[u8]) -> Result<Vec<T>, TransportError> {
+    let mut reader = Reader::new(payload);
+    let mut items = Vec::with_capacity(bounded_capacity::<T>(usize::MAX, &reader));
+    while !reader.is_empty() {
+        let before = reader.remaining();
+        items.push(T::decode(&mut reader)?);
+        if reader.remaining() == before {
+            return Err(TransportError::decode(
+                std::any::type_name::<T>(),
+                "zero-width batch item",
+            ));
+        }
+    }
+    Ok(items)
+}
+
+/// How many `T`s to reserve room for ahead of decoding `announced` of them:
+/// never more memory than the bytes still unread, whatever the peer
+/// announced — a vector grows from there as items actually decode.
+fn bounded_capacity<T>(announced: usize, reader: &Reader<'_>) -> usize {
+    announced.min(reader.remaining() / std::mem::size_of::<T>().max(1))
 }
 
 impl<T: WireEncode> WireEncode for Vec<T> {
@@ -331,7 +312,7 @@ impl<T: WireDecode> WireDecode for Vec<T> {
                 ),
             ));
         }
-        let mut items = Vec::with_capacity(len);
+        let mut items = Vec::with_capacity(bounded_capacity::<T>(len, reader));
         for _ in 0..len {
             items.push(T::decode(reader)?);
         }
@@ -428,18 +409,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_roundtrips_and_matches_vec_encoding() {
-        roundtrip(Batch(vec![1u64, 2, 3]));
-        roundtrip(Batch::<u64>(Vec::new()));
-        roundtrip(Batch(vec![vec![BigUint::from_u64(7); 3]; 2]));
-        // A batch frame is byte-identical to the equivalent Vec payload, so
-        // the codec adds zero overhead beyond the 4-byte count.
+    fn a_batch_is_its_items_back_to_back() {
         let items = vec![(true, 9u64), (false, 0)];
-        assert_eq!(Batch(items.clone()).encode_to_vec(), items.encode_to_vec());
-        let batch = Batch::from(items);
-        assert_eq!(batch.len(), 2);
-        assert!(!batch.is_empty());
-        assert_eq!(batch.into_inner().len(), 2);
+        let mut payload = Vec::new();
+        encode_batch_items(&items, &mut payload);
+        assert_eq!(payload.len(), 2 * 9, "no count, no padding");
+        assert_eq!(decode_batch_items::<(bool, u64)>(&payload).unwrap(), items);
+        // A batch of one is the item on its own; an empty one is no bytes.
+        let mut one = Vec::new();
+        encode_batch_items(&items[..1], &mut one);
+        assert_eq!(one, items[0].encode_to_vec());
+        assert!(decode_batch_items::<u64>(&[]).unwrap().is_empty());
     }
 
     #[test]

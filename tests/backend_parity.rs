@@ -26,11 +26,10 @@ use ppds::ppdbscan::config::ProtocolConfig;
 use ppds::ppdbscan::{ArbitraryPartition, PartyOutput, VerticalPartition};
 use ppds::ppds_dbscan::{DbscanParams, Point};
 use ppds::ppds_smc::compare::ComparisonDomain;
-use ppds::ppds_smc::sharing::{
-    fe_dot, sharing_fold_keyholder_one, sharing_fold_peer_one, sharing_share_less_than_alice,
-    sharing_share_less_than_bob, Fe,
+use ppds::ppds_smc::sharing::{fe_dot, sharing_fold_keyholder, sharing_fold_peer, Fe};
+use ppds::ppds_smc::{
+    BackendKind, DealerTape, Party, ProtocolContext, SharingBackend, SharingLedger, SmcBackend,
 };
-use ppds::ppds_smc::{BackendKind, DealerTape, ProtocolContext, SharingLedger};
 use ppds::ppds_transport::duplex;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -236,14 +235,14 @@ proptest! {
         let peer_ctx = ctx;
         let peer = thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            sharing_fold_peer_one(&tape, &mut b_chan, &ys_fe, &peer_ctx, &mut acct).unwrap();
+            sharing_fold_peer(&tape, &mut b_chan, &[ys_fe], |_| peer_ctx, &mut acct).unwrap();
             acct
         });
         let mut acct = SharingLedger::default();
-        let got = sharing_fold_keyholder_one(&tape, &mut a_chan, &xs_fe, &ctx, &mut acct)
+        let got = sharing_fold_keyholder(&tape, &mut a_chan, &[xs_fe], |_| ctx, &mut acct)
             .unwrap();
         let peer_acct = peer.join().unwrap();
-        prop_assert_eq!(got.lift(), expected);
+        prop_assert_eq!(got[0].lift(), expected);
         prop_assert_eq!(acct.triples, xs.len() as u64);
         prop_assert_eq!(acct, peer_acct, "both sides account the same fold");
     }
@@ -265,23 +264,25 @@ proptest! {
         let v_a = mask_a;
         let u_b = (Fe::embed(dist_b) + Fe::embed(mask_b)).lift();
         let v_b = mask_b;
-        let tape = DealerTape::from_seed(seed);
+        let backend = SharingBackend {
+            tape: DealerTape::from_seed(seed),
+            batching: false,
+            dot_mask_bound: 0,
+        };
         let ctx = ProtocolContext::new(seed ^ 0x17);
         let domain = ComparisonDomain::symmetric(200_000);
         let (mut a_chan, mut b_chan) = duplex();
-        let (bob_ctx, bob_domain) = (ctx, domain);
         let bob = thread::spawn(move || {
-            let mut acct = SharingLedger::default();
-            sharing_share_less_than_bob(
-                &tape, &mut b_chan, v_a, v_b, &bob_domain, &bob_ctx, &mut acct,
-            )
-            .unwrap()
+            let (mut acct, pairs) = (SharingLedger::default(), [(v_a, v_b)]);
+            let scopes = |_| ctx;
+            backend
+                .share_less_than_scoped(&mut b_chan, Party::Bob, &pairs, &domain, scopes, &mut acct)
+                .unwrap()[0]
         });
-        let mut acct = SharingLedger::default();
-        let got = sharing_share_less_than_alice(
-            &tape, &mut a_chan, u_a, u_b, &domain, &ctx, &mut acct,
-        )
-        .unwrap();
+        let (mut acct, pairs) = (SharingLedger::default(), [(u_a, u_b)]);
+        let got = backend
+            .share_less_than_scoped(&mut a_chan, Party::Alice, &pairs, &domain, |_| ctx, &mut acct)
+            .unwrap()[0];
         let bob_got = bob.join().unwrap();
         prop_assert_eq!(got, dist_a < dist_b, "alice verdict");
         prop_assert_eq!(bob_got, got, "both parties learn the same bit");

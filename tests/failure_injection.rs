@@ -8,10 +8,14 @@ use ppdbscan::CoreError;
 use ppds_bigint::BigUint;
 use ppds_dbscan::{DbscanParams, Point, Pruning};
 use ppds_paillier::Keypair;
+use ppds_smc::backend::clamp_sharing_bound;
 use ppds_smc::compare::{compare_bob, CmpOp, Comparator, ComparisonDomain};
 use ppds_smc::millionaires::{yao_bob, YaoConfig};
-use ppds_smc::multiplication::mul_peer;
-use ppds_smc::{setup, BackendKind, Party, ProtocolContext, SmcError};
+use ppds_smc::multiplication::mul_batches_peer;
+use ppds_smc::{
+    setup, AnyBackend, BackendKind, DealerTape, PaillierBackend, Party, ProtocolContext,
+    SharingBackend, SharingLedger, SmcBackend, SmcError,
+};
 use ppds_transport::{duplex, Channel, MemoryChannel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,19 +36,26 @@ fn garbage_public_key_is_rejected_not_panicking() {
     assert!(matches!(err, SmcError::Crypto(_)));
 }
 
-#[test]
-fn zero_ciphertext_in_multiplication_is_crypto_error() {
+/// The multiplication peer of one single-element group, fed `frame` by hand.
+fn multiplication_peer_fed(frame: &impl ppds_transport::WireEncode, seed: u64) -> SmcError {
     let kp = test_keypair();
     let (mut a, mut b) = duplex();
-    a.send(&BigUint::zero()).unwrap();
-    let err = mul_peer(
+    a.send(frame).unwrap();
+    let one = ppds_bigint::BigInt::from_i64(1);
+    mul_batches_peer(
         &mut b,
         &kp.public,
-        &ppds_bigint::BigInt::from_i64(1),
-        &BigUint::from_u64(8),
-        &ProtocolContext::new(1),
+        &[[one.clone()]],
+        |_| vec![one.clone()],
+        |_| ProtocolContext::new(seed),
+        None,
     )
-    .unwrap_err();
+    .unwrap_err()
+}
+
+#[test]
+fn zero_ciphertext_in_multiplication_is_crypto_error() {
+    let err = multiplication_peer_fed(&vec![BigUint::zero()], 1);
     assert!(matches!(err, SmcError::Crypto(_)));
 }
 
@@ -106,11 +117,11 @@ fn peer_disconnect_mid_protocol_is_transport_error() {
         Comparator::Ideal,
         &mut bob_side,
         &kp.public,
-        3,
+        &[3],
         CmpOp::Lt,
         &domain,
         false,
-        &ProtocolContext::new(4),
+        |_| ProtocolContext::new(4),
     )
     .unwrap_err();
     assert!(matches!(err, SmcError::Transport(_)));
@@ -118,18 +129,8 @@ fn peer_disconnect_mid_protocol_is_transport_error() {
 
 #[test]
 fn wrong_typed_message_is_decode_error_not_panic() {
-    let kp = test_keypair();
-    let (mut a, mut b) = duplex();
-    // The responder expects a ciphertext (BigUint); send a bool payload.
-    a.send(&true).unwrap();
-    let err = mul_peer(
-        &mut b,
-        &kp.public,
-        &ppds_bigint::BigInt::from_i64(1),
-        &BigUint::from_u64(8),
-        &ProtocolContext::new(5),
-    )
-    .unwrap_err();
+    // The peer expects groups of ciphertexts; send a bool payload.
+    let err = multiplication_peer_fed(&true, 5);
     assert!(matches!(err, SmcError::Transport(_)));
 }
 
@@ -518,6 +519,110 @@ fn wrong_arity_resolve_chunk_is_refused_on_both_sides() {
                     assert!(msg.contains("expected 3"), "{mode}/{honest_role}: {msg}")
                 }
                 other => panic!("{mode}/{honest_role}: wanted a typed refusal, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// A fake Alice that handshakes honestly for `mode` as the holder of
+/// `shape = (records, dim)`, then plays the multiplication stage of the
+/// first resolve chunk by the book — `pairs` groups under the context path
+/// an honest Alice would walk — with attribute values no lattice holds:
+/// `2^61` each, so that every inner product with a point off the origin
+/// reaches `2^62` and doubling it leaves `i64`. After that the honest Bob
+/// must be gone: the next read is a disconnect.
+fn hostile_inner_product_alice(
+    mut chan: MemoryChannel,
+    cfg: ProtocolConfig,
+    mode: Mode,
+    shape: (usize, usize),
+    path: ProtocolContext,
+    pairs: usize,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let kp = Keypair::generate(cfg.key_bits, &mut rng(99));
+        let bob_pk = setup::exchange_keys_alice(&mut chan, &kp).unwrap();
+        chan.send(&Hello::for_session(&cfg, mode, shape.0, shape.1))
+            .unwrap();
+        let _theirs: Hello = chan.recv().unwrap();
+        let backend = if cfg.backend == BackendKind::Sharing {
+            chan.send(&7u64).unwrap();
+            AnyBackend::Sharing(SharingBackend {
+                tape: DealerTape::from_contributions(7, chan.recv().unwrap()),
+                batching: cfg.batching,
+                dot_mask_bound: clamp_sharing_bound(&BigUint::from_u64(1 << 20)),
+            })
+        } else {
+            AnyBackend::Paillier(PaillierBackend {
+                my_keypair: &kp,
+                peer_pk: &bob_pk,
+                comparator: cfg.comparator,
+                packed: false,
+                batching: cfg.batching,
+                mul_packing: None,
+                dot_packing: None,
+                mul_mask_bound: cfg.mul_mask_bound(),
+                dot_mask_bound: BigUint::from_u64(1 << 20),
+            })
+        };
+        let groups = vec![vec![1i64 << 61; 2]; pairs];
+        let records: Vec<u64> = (0..pairs as u64).collect();
+        let mut acct = SharingLedger::default();
+        // Batched, the honest side answers the whole stage before it looks
+        // at a product; one pair at a time it hangs up after the first.
+        let _ = backend.mul_fold_peer(&mut chan, &groups, &records, &path, &mut acct);
+        assert!(
+            chan.recv_bytes().is_err(),
+            "the honest side must refuse the products, not compare them"
+        );
+    })
+}
+
+/// The keyholder's stage-2 operand adds twice whatever the peer's
+/// multiplication frames decrypt (or open) to: unchecked, one frame used to
+/// panic a debug build and wrap a release build's operand back into range.
+#[test]
+fn hostile_inner_products_are_domain_violations_on_both_backends() {
+    let base = ProtocolConfig::new(grid_cfg().params, 10);
+    let arbitrary_bob = vec![vec![None, None], vec![Some(1), Some(1)]];
+    for backend in [BackendKind::Paillier, BackendKind::Sharing] {
+        for batching in [false, true] {
+            let mut cfg = base.with_backend(backend).with_batching(batching);
+            cfg.key_bits = 128;
+            let root = ProtocolContext::new(0);
+            let cases = [
+                (
+                    Mode::Horizontal,
+                    (1, 2),
+                    root.narrow("hdp_a").narrow("resolve").at(0),
+                    honest_points().len(),
+                    PartyData::Horizontal(honest_points()),
+                ),
+                (
+                    Mode::Arbitrary,
+                    (2, 2),
+                    root.narrow("resolve").at(0),
+                    1,
+                    PartyData::Arbitrary(arbitrary_bob.clone()),
+                ),
+            ];
+            for (mode, shape, path, pairs, data) in cases {
+                let name = format!("{mode}/{}/batching={batching}", backend.name());
+                let (mut honest, fake) = duplex();
+                let peer = hostile_inner_product_alice(fake, cfg, mode, shape, path, pairs);
+                let result = Participant::new(cfg)
+                    .role(Party::Bob)
+                    .data(data)
+                    .seed(30)
+                    .run(&mut honest);
+                drop(honest);
+                peer.join().unwrap();
+                match result {
+                    Err(CoreError::Smc(SmcError::DomainViolation { value, .. })) => {
+                        assert_eq!(value, 1 << 62, "{name}: the refused inner product")
+                    }
+                    other => panic!("{name}: wanted a domain violation, got {other:?}"),
+                }
             }
         }
     }

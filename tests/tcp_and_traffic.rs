@@ -5,9 +5,12 @@ mod common;
 
 use common::{rng, run_horizontal_pair, run_vertical_pair};
 use ppdbscan::config::ProtocolConfig;
-use ppdbscan::session::{Participant, PartyData, SessionOutcome, WIRE_VERSION};
-use ppdbscan::VerticalPartition;
-use ppds_dbscan::{dbscan, dbscan_with_external_density, DbscanParams, Point};
+use ppdbscan::session::{
+    run_mesh_local, run_participants, Participant, PartyData, SessionOutcome, WIRE_VERSION,
+};
+use ppdbscan::{ArbitraryPartition, PartyOutput, VerticalPartition};
+use ppds_dbscan::datagen::{split_alternating, standard_blobs};
+use ppds_dbscan::{dbscan, dbscan_with_external_density, DbscanParams, Point, Quantizer};
 use ppds_smc::Party;
 use ppds_transport::tcp::TcpChannel;
 use std::net::TcpListener;
@@ -157,6 +160,113 @@ fn batched_vertical_protocol_over_real_tcp_sockets() {
         a_out.traffic.total_messages(),
         a_out.traffic.total_rounds()
     );
+}
+
+/// Nine blob points and the 128-bit-key configuration the whole-matrix TCP
+/// tests below run on (four modes and a mesh, two transports each: quick).
+fn tcp_matrix_fixture(seed: u64) -> (Vec<Point>, ProtocolConfig) {
+    let (records, _) = standard_blobs(&mut rng(seed), 3, 3, 2, Quantizer::new(1.0, 60));
+    let mut c = cfg(81, 3, 60);
+    c.key_bits = 128;
+    (records, c)
+}
+
+/// Everything a party takes away: labels, leakage, Yao ledger, and the
+/// complete traffic snapshot.
+fn assert_same_output(name: &str, want: &PartyOutput, got: &PartyOutput) {
+    assert_eq!(want.clustering, got.clustering, "{name}: labels");
+    assert_eq!(want.leakage, got.leakage, "{name}: LeakageLog");
+    assert_eq!(want.yao, got.yao, "{name}: YaoLedger");
+    assert_eq!(want.traffic, got.traffic, "{name}: MetricsSnapshot");
+}
+
+#[test]
+fn every_two_party_mode_runs_over_tcp_with_identical_outputs() {
+    let (records, c) = tcp_matrix_fixture(404);
+    let (first, second) = split_alternating(&records);
+    let vertical = VerticalPartition::split(&records, 1);
+    let arbitrary = ArbitraryPartition::random(&mut rng(31 ^ 0xA5A5), &records);
+    let views = [
+        (
+            PartyData::Horizontal(first.clone()),
+            PartyData::Horizontal(second.clone()),
+        ),
+        (PartyData::Enhanced(first), PartyData::Enhanced(second)),
+        (
+            PartyData::Vertical(vertical.alice),
+            PartyData::Vertical(vertical.bob),
+        ),
+        (
+            PartyData::Arbitrary(arbitrary.alice_values),
+            PartyData::Arbitrary(arbitrary.bob_values),
+        ),
+    ];
+    for (data_a, data_b) in views {
+        let mode = data_a.mode();
+        let alice = || {
+            Participant::new(c)
+                .role(Party::Alice)
+                .data(data_a.clone())
+                .seed(31)
+        };
+        let bob = || {
+            Participant::new(c)
+                .role(Party::Bob)
+                .data(data_b.clone())
+                .seed(32)
+        };
+        let (mem_a, mem_b) = run_participants(alice(), bob()).unwrap();
+        let (alice, bob) = (alice(), bob());
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let alice_thread = std::thread::spawn(move || over_tcp(Some(listener), addr, alice));
+        let tcp_b = over_tcp(None, addr, bob);
+        let tcp_a = alice_thread.join().unwrap();
+        assert_same_output(&format!("{mode}/tcp/alice"), &mem_a.output, &tcp_a.output);
+        assert_same_output(&format!("{mode}/tcp/bob"), &mem_b.output, &tcp_b.output);
+        assert_eq!(tcp_a.meta, mem_a.meta, "{mode}: negotiated metadata");
+    }
+}
+
+#[test]
+fn multiparty_runs_over_tcp_mesh_with_identical_outputs() {
+    let (all, c) = tcp_matrix_fixture(606);
+    let parties: Vec<Vec<Point>> = (0..3)
+        .map(|p| all.iter().skip(p).step_by(3).cloned().collect())
+        .collect();
+    let seed = 13u64;
+    let reference = run_mesh_local(&c, &parties, seed).unwrap();
+
+    // Build a real TCP full mesh: one socket pair per party pair, the
+    // lower id accepting.
+    let k = parties.len();
+    let mut mesh: Vec<Vec<(usize, TcpChannel)>> = (0..k).map(|_| Vec::new()).collect();
+    for i in 0..k {
+        for j in i + 1..k {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let accept = std::thread::spawn(move || TcpChannel::accept(&listener).unwrap());
+            let connect = TcpChannel::connect(addr).unwrap();
+            mesh[i].push((j, accept.join().unwrap()));
+            mesh[j].push((i, connect));
+        }
+    }
+
+    let mut handles = Vec::new();
+    for (my_id, (mut peers, points)) in mesh.drain(..).zip(parties.iter()).enumerate() {
+        let participant = Participant::new(c)
+            .data(PartyData::Multiparty(points.clone()))
+            .seed(seed.wrapping_add(my_id as u64));
+        handles.push(std::thread::spawn(move || {
+            participant.run_mesh(&mut peers, my_id, 3).unwrap()
+        }));
+    }
+    for (i, handle) in handles.into_iter().enumerate() {
+        let outcome = handle.join().unwrap();
+        let name = format!("multiparty/tcp/party{i}");
+        assert_same_output(&name, &reference[i].output, &outcome.output);
+    }
 }
 
 /// §4.2.2: horizontal communication is O(c1·m·l(n−l) + c2·n0·l(n−l)),
