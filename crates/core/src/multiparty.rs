@@ -41,7 +41,7 @@ use crate::session::{
     WIRE_VERSION,
 };
 use ppds_dbscan::{Clustering, Point};
-use ppds_observe::{trace, MetricsSnapshot};
+use ppds_observe::{trace, MetricsSnapshot, Span};
 use ppds_paillier::Keypair;
 use ppds_smc::{Party, ProtocolContext};
 use ppds_transport::Channel;
@@ -65,7 +65,10 @@ pub(crate) fn run_mesh_node<C: Channel>(
     my_points: &[Point],
     keypair: Option<Keypair>,
     ctx: &ProtocolContext,
-) -> Result<SessionOutcome, CoreError> {
+) -> Result<(SessionOutcome, Span), CoreError> {
+    // The top-level spans tile the node's run, as in `run_two_party`: the
+    // first opens before the argument checks, the last comes back open.
+    let keygen_span = trace::span("keygen", MetricsSnapshot::default);
     if k_parties < 2 {
         return Err(CoreError::config("need at least two parties"));
     }
@@ -89,7 +92,6 @@ pub(crate) fn run_mesh_node<C: Channel>(
 
     // One keypair per node, one pairwise session per peer. The lower id
     // plays the Alice role of the key exchange ordering.
-    let keygen_span = trace::span("keygen", MetricsSnapshot::default);
     let keypair = match keypair {
         Some(kp) => kp,
         None => Keypair::generate(cfg.key_bits, &mut ctx.narrow("keygen").rng()),
@@ -180,8 +182,7 @@ pub(crate) fn run_mesh_node<C: Channel>(
             peers: peer_meta,
         },
     };
-    assemble_span.end(|| outcome.output.traffic);
-    Ok(outcome)
+    Ok((outcome, assemble_span))
 }
 
 /// Summed traffic across every pairwise channel — the snapshot a mesh-level

@@ -635,10 +635,11 @@ fn attach_pools(
 /// Runs one two-party mode end to end on this side of `chan`: validate,
 /// establish (generating a keypair from the context's `"keygen"` substream
 /// unless one is supplied), cross-check, execute, assemble the outcome —
-/// with optional randomizer-pool precomputation. The `assemble` span comes
-/// back open: a caller that owns the session's inputs releases them before
-/// closing it, so a traced session's top-level spans account for its
-/// teardown too.
+/// with optional randomizer-pool precomputation. A traced session's four
+/// top-level spans tile the run: `keygen` opens before anything else
+/// happens here, and the `assemble` span comes back open, so the caller
+/// that owns the session's inputs and its recorder releases both before
+/// the span's end edge is stamped.
 pub(crate) fn run_two_party<C, D>(
     chan: &mut C,
     cfg: &ProtocolConfig,
@@ -652,8 +653,8 @@ where
     C: Channel,
     D: ModeDriver,
 {
-    driver.validate(cfg)?;
     let keygen_span = trace::span("keygen", || chan.metrics());
+    driver.validate(cfg)?;
     let keypair = match keypair {
         Some(kp) => kp,
         None => Keypair::generate(cfg.key_bits, &mut ctx.narrow("keygen").rng()),
@@ -1014,17 +1015,11 @@ impl Participant {
                 "multiparty data runs over a mesh: call .run_mesh(..) instead of .run(..)",
             )),
         };
-        let result = result.map(|(outcome, assemble)| {
-            drop(data);
-            assemble.end(|| outcome.output.traffic);
-            outcome
-        });
+        // On `Err` the guard drops here, after every span has closed.
+        let (outcome, assemble) = result?;
+        drop(data);
         drop(guard);
-        let mut outcome = result?;
-        if let Some(rec) = recorder {
-            outcome.trace = Some(rec.finish());
-        }
-        Ok(outcome)
+        Ok(close_session(outcome, assemble, recorder))
     }
 
     /// Runs this participant as node `my_id` of a `k_parties`-node mesh.
@@ -1060,13 +1055,30 @@ impl Participant {
             self.keypair,
             &ctx,
         );
+        let (outcome, assemble) = result?;
+        drop(points);
         drop(guard);
-        let mut outcome = result?;
-        if let Some(rec) = recorder {
-            outcome.trace = Some(rec.finish());
-        }
-        Ok(outcome)
+        Ok(close_session(outcome, assemble, recorder))
     }
+}
+
+/// Closes the still-open `assemble` span of a finished session. A traced
+/// session hands it to its recorder, which stamps the end edge after the
+/// events have moved into the trace — so nothing the session does, its own
+/// trace assembly included, lies outside its top-level spans. Call with the
+/// recorder's sink guard already dropped: the last handle moves its events,
+/// any other copies them.
+fn close_session(
+    mut outcome: SessionOutcome,
+    assemble: Span,
+    recorder: Option<Arc<SpanRecorder>>,
+) -> SessionOutcome {
+    let traffic = outcome.output.traffic;
+    match recorder {
+        Some(rec) => outcome.trace = Some(rec.finish(Some((assemble, traffic)))),
+        None => assemble.end(|| traffic),
+    }
+    outcome
 }
 
 /// Runs two participants against each other over an in-memory duplex pair

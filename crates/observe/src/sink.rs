@@ -1,6 +1,7 @@
 //! Trace events, the sink trait, and the lock-free [`SpanRecorder`].
 
 use crate::export::SessionTrace;
+use crate::trace::Span;
 use ppds_transport::MetricsSnapshot;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -76,8 +77,11 @@ pub(crate) fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
-/// Events per lazily allocated block of a [`SpanRecorder`].
-const BLOCK: usize = 1024;
+/// Events per lazily allocated block of a [`SpanRecorder`]: 13 KB, which a
+/// sub-millisecond session that records twenty edges can afford to build,
+/// walk and free (at 1,024 slots that was 106 KB and ≈ 12 µs of a 700 µs
+/// session; a session that fills 41,000 slots does not notice either way).
+const BLOCK: usize = 128;
 
 type Block = Box<[OnceLock<TraceEvent>]>;
 
@@ -93,7 +97,7 @@ type Block = Box<[OnceLock<TraceEvent>]>;
 /// events are claimed in program order, which is all the span-tree replay
 /// needs.
 ///
-/// Slots live in blocks of 1,024 events, each allocated by the first
+/// Slots live in blocks of 128 events, each allocated by the first
 /// event that lands in it: a recorder sized for the worst case costs a
 /// session only the blocks it fills, on construction and on teardown alike
 /// (at 2¹⁷ slots the eager buffer was 13 MB to fault in and unmap around a
@@ -154,33 +158,69 @@ impl SpanRecorder {
     /// — gives its events away; while other handles exist they are copied
     /// instead (concurrent recording stays safe, but still-in-flight
     /// events may be missed).
-    pub fn finish(self: Arc<Self>) -> SessionTrace {
-        let (len, dropped) = (self.len(), self.dropped_events());
-        let events = match Arc::try_unwrap(self) {
-            Ok(recorder) => recorder
-                .blocks
-                .into_vec()
-                .into_iter()
-                .filter_map(OnceLock::into_inner)
-                .flat_map(<[_]>::into_vec)
-                .take(len)
-                .filter_map(OnceLock::into_inner)
-                .collect(),
-            Err(shared) => shared
-                .blocks
-                .iter()
-                .filter_map(OnceLock::get)
-                .flat_map(|block| block.iter())
-                .take(len)
-                .filter_map(|slot| slot.get().cloned())
-                .collect(),
-        };
-        SessionTrace { events, dropped }
+    ///
+    /// `closing` is the session's last span, still open, with the snapshot
+    /// for its end edge. That edge is stamped here, on the calling thread,
+    /// *after* the events have moved out and the slot blocks are freed, so
+    /// the recorder's own teardown lies inside the session's last top-level
+    /// span rather than behind it. (While other handles exist the edge goes
+    /// into the shared buffer first, so every handle sees the span closed.)
+    pub fn finish(self: Arc<Self>, closing: Option<(Span, MetricsSnapshot)>) -> SessionTrace {
+        let closing =
+            closing.and_then(|(span, metrics)| span.release().map(|label| (label, metrics)));
+        match Arc::try_unwrap(self) {
+            Ok(recorder) => {
+                let (len, mut dropped) = (recorder.len(), recorder.dropped_events());
+                let mut events = Vec::with_capacity(len + 1);
+                events.extend(
+                    recorder
+                        .blocks
+                        .into_vec()
+                        .into_iter()
+                        .filter_map(OnceLock::into_inner)
+                        .flat_map(<[_]>::into_vec)
+                        .take(len)
+                        .filter_map(OnceLock::into_inner),
+                );
+                match closing {
+                    Some((label, metrics)) if len < recorder.capacity => events.push(TraceEvent {
+                        kind: SpanKind::End,
+                        label,
+                        thread: current_thread_id(),
+                        t_ns: recorder.epoch.elapsed().as_nanos() as u64,
+                        metrics,
+                    }),
+                    Some(_) => dropped += 1,
+                    None => {}
+                }
+                SessionTrace { events, dropped }
+            }
+            Err(shared) => {
+                if let Some((label, metrics)) = closing {
+                    shared.record(SpanKind::End, &label, metrics);
+                }
+                let events = shared
+                    .blocks
+                    .iter()
+                    .filter_map(OnceLock::get)
+                    .flat_map(|block| block.iter())
+                    .take(shared.len())
+                    .filter_map(|slot| slot.get().cloned())
+                    .collect();
+                SessionTrace {
+                    events,
+                    dropped: shared.dropped_events(),
+                }
+            }
+        }
     }
 }
 
 impl TraceSink for SpanRecorder {
     fn record(&self, kind: SpanKind, label: &str, metrics: MetricsSnapshot) {
+        // The clock comes first: claiming a slot can mean building a block,
+        // and an edge must not be stamped later than the work it opens.
+        let t_ns = self.epoch.elapsed().as_nanos() as u64;
         let slot = self.next.fetch_add(1, Ordering::AcqRel);
         if slot >= self.capacity {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -192,7 +232,7 @@ impl TraceSink for SpanRecorder {
             kind,
             label: label.to_owned(),
             thread: current_thread_id(),
-            t_ns: self.epoch.elapsed().as_nanos() as u64,
+            t_ns,
             metrics,
         };
         block[slot % BLOCK]
@@ -228,8 +268,8 @@ mod tests {
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.dropped_events(), 2);
         // A second handle forces the copying path; the last one moves.
-        let copied = Arc::clone(&rec).finish();
-        let trace = rec.finish();
+        let copied = Arc::clone(&rec).finish(None);
+        let trace = rec.finish(None);
         assert_eq!(copied.events, trace.events);
         let labels: Vec<&str> = trace.events.iter().map(|e| e.label.as_str()).collect();
         assert_eq!(labels, ["s0", "s1", "s2", "s3"]);
@@ -248,7 +288,7 @@ mod tests {
         }
         assert_eq!(rec.blocks.len(), 3);
         assert_eq!((rec.len(), rec.dropped_events()), (2 * BLOCK + 1, 2));
-        let trace = rec.finish();
+        let trace = rec.finish(None);
         assert_eq!(trace.events.len(), 2 * BLOCK + 1);
         assert!(trace
             .events
@@ -279,7 +319,7 @@ mod tests {
                 });
             }
         });
-        let trace = rec.finish();
+        let trace = rec.finish(None);
         assert_eq!(trace.events.len(), 800);
         assert_eq!(trace.dropped, 0);
         // Each thread's own events stay in program order.
@@ -299,11 +339,57 @@ mod tests {
     }
 
     #[test]
+    fn finish_stamps_the_closing_edge_last_on_both_arms() {
+        use crate::trace::{install, span};
+        let snap = |bytes_sent| MetricsSnapshot {
+            bytes_sent,
+            ..Default::default()
+        };
+        for keep_second_handle in [false, true] {
+            let rec = SpanRecorder::with_capacity(BLOCK + 8);
+            let guard = install(rec.clone());
+            span("first", || snap(0)).end(|| snap(1));
+            let last = span("last", || snap(1));
+            span("inner", || snap(1)).end(|| snap(2));
+            drop(guard);
+            let second = keep_second_handle.then(|| rec.clone());
+            let trace = rec.finish(Some((last, snap(7))));
+            trace.validate().expect("closed by finish");
+            let closing = trace.events.last().unwrap();
+            assert_eq!(
+                (closing.kind, closing.label.as_str(), closing.metrics),
+                (SpanKind::End, "last", snap(7)),
+                "end snapshot, not the begin one"
+            );
+            assert_eq!(closing.thread, trace.events[0].thread);
+            assert!(trace.events.iter().all(|e| e.t_ns <= closing.t_ns));
+            assert_eq!(trace.events.len(), 6);
+            // Released, not dropped: exactly one end edge for `last`.
+            let ends = trace.events.iter().filter(|e| e.label == "last").count();
+            assert_eq!(ends, 2);
+            if let Some(second) = second {
+                assert_eq!(second.finish(None), trace, "every handle sees it closed");
+            }
+        }
+        // A full buffer drops the closing edge like any other.
+        let rec = SpanRecorder::with_capacity(1);
+        let guard = install(rec.clone());
+        let only = span("only", MetricsSnapshot::default);
+        drop(guard);
+        let trace = rec.finish(Some((only, MetricsSnapshot::default())));
+        assert_eq!((trace.events.len(), trace.dropped), (1, 1));
+        // An inert span (no sink when it opened) closes nothing.
+        let inert = span("never", MetricsSnapshot::default);
+        let trace = SpanRecorder::new().finish(Some((inert, MetricsSnapshot::default())));
+        assert!(trace.is_empty());
+    }
+
+    #[test]
     fn timestamps_are_monotonic_per_thread() {
         let rec = SpanRecorder::new();
         rec.record(SpanKind::Begin, "a", MetricsSnapshot::default());
         rec.record(SpanKind::End, "a", MetricsSnapshot::default());
-        let trace = rec.finish();
+        let trace = rec.finish(None);
         assert!(trace.events[0].t_ns <= trace.events[1].t_ns);
         assert_eq!(trace.events[0].thread, trace.events[1].thread);
     }

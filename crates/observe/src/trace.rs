@@ -82,6 +82,13 @@ impl Span {
             record(SpanKind::End, &label, metrics());
         }
     }
+
+    /// Gives up the open span's label without recording its end edge —
+    /// for [`crate::SpanRecorder::finish`] alone, which stamps that edge
+    /// itself once the recorder has been taken apart.
+    pub(crate) fn release(mut self) -> Option<String> {
+        self.open.take().map(|(label, _)| label)
+    }
 }
 
 impl Drop for Span {
@@ -163,10 +170,18 @@ mod tests {
             span("outer", MetricsSnapshot::default).end(MetricsSnapshot::default);
         }
         assert!(!enabled());
-        let inner_labels: Vec<String> =
-            inner.finish().events.into_iter().map(|e| e.label).collect();
-        let outer_labels: Vec<String> =
-            outer.finish().events.into_iter().map(|e| e.label).collect();
+        let inner_labels: Vec<String> = inner
+            .finish(None)
+            .events
+            .into_iter()
+            .map(|e| e.label)
+            .collect();
+        let outer_labels: Vec<String> = outer
+            .finish(None)
+            .events
+            .into_iter()
+            .map(|e| e.label)
+            .collect();
         assert_eq!(inner_labels, ["inner", "inner"]);
         assert_eq!(outer_labels, ["outer", "outer"]);
     }
@@ -181,7 +196,7 @@ mod tests {
             let errored = span("err", || snap(25));
             drop(errored); // simulates a `?`-unwind through the phase
         }
-        let events: Vec<TraceEvent> = rec.finish().events;
+        let events: Vec<TraceEvent> = rec.finish(None).events;
         assert_eq!(events.len(), 4);
         assert_eq!(events[1].metrics, snap(25));
         assert_eq!(events[2].metrics, snap(25));

@@ -13,7 +13,7 @@ use ppdbscan::session::{Participant, PartyData, SessionOutcome};
 use ppdbscan::{ArbitraryPartition, VerticalPartition};
 use ppds_dbscan::datagen::{split_alternating, standard_blobs};
 use ppds_dbscan::{DbscanParams, Point, Quantizer};
-use ppds_observe::{SessionTrace, SpanRecorder};
+use ppds_observe::{SessionTrace, SpanKind, SpanRecorder};
 use ppds_smc::Party;
 use ppds_transport::{duplex, Channel, MetricsSnapshot, TransportError};
 
@@ -218,6 +218,49 @@ fn assert_trace_accounts(name: &str, trace: &SessionTrace, total: MetricsSnapsho
         top, total,
         "{name}: top-level phase deltas must sum to the session total"
     );
+    assert_tiles(name, trace);
+}
+
+/// The top-level spans tile the session: the trace opens with the begin of
+/// `keygen` and closes with the end of `assemble`, stamped on the session
+/// thread no earlier than any other edge — so whatever the session did,
+/// taking its recorder apart included, happened inside a top-level span.
+fn assert_tiles(name: &str, trace: &SessionTrace) {
+    let (first, last) = (&trace.events[0], trace.events.last().unwrap());
+    assert_eq!(
+        (first.kind, first.label.as_str()),
+        (SpanKind::Begin, "keygen"),
+        "{name}: a session opens with its first top-level span"
+    );
+    assert_eq!(
+        (last.kind, last.label.as_str(), last.thread),
+        (SpanKind::End, "assemble", first.thread),
+        "{name}: a session closes with the end of `assemble` on its own thread"
+    );
+    assert!(
+        trace.events.iter().all(|e| e.t_ns <= last.t_ns),
+        "{name}: no edge is stamped after the closing one"
+    );
+    // On the session thread the depth-0 spans are those four, in order
+    // (`par_map` workers open their own roots on their own threads).
+    let mut depth = 0usize;
+    let mut top = Vec::new();
+    for event in trace.events.iter().filter(|e| e.thread == first.thread) {
+        match event.kind {
+            SpanKind::Begin => {
+                if depth == 0 {
+                    top.push(event.label.as_str());
+                }
+                depth += 1;
+            }
+            SpanKind::End => depth -= 1,
+        }
+    }
+    assert_eq!(
+        top,
+        ["keygen", "establish", "execute", "assemble"],
+        "{name}: four top-level spans, no fifth"
+    );
 }
 
 /// (batching, packing) framings under test; packing requires batching.
@@ -345,4 +388,54 @@ fn traced_vertical_chrome_export_is_loadable_and_accounts_exactly() {
     // Every begin has a matching end in the export (replayed, not counted:
     // validate() above already proved it; this pins the serialized form).
     assert_eq!(json.matches("\"ph\":\"B\"").count(), trace.len() / 2);
+}
+
+#[test]
+fn a_recorder_with_a_second_handle_and_a_failed_session_both_close_well_formed() {
+    let all = blobs(18, 9_500);
+    let (alice_pts, bob_pts) = split_alternating(&all);
+    let run = |alice_cfg: ProtocolConfig, bob_cfg: ProtocolConfig| {
+        let recorder = SpanRecorder::new();
+        let (mut ca, mut cb) = duplex();
+        let pa = Participant::new(alice_cfg)
+            .role(Party::Alice)
+            .data(PartyData::Horizontal(alice_pts.clone()))
+            .rng(rng(11))
+            .trace(recorder.clone());
+        let pb = Participant::new(bob_cfg)
+            .role(Party::Bob)
+            .data(PartyData::Horizontal(bob_pts.clone()))
+            .rng(rng(12));
+        let result = std::thread::scope(|scope| {
+            let ha = scope.spawn(move || pa.run(&mut ca));
+            let hb = scope.spawn(move || pb.run(&mut cb));
+            let _ = hb.join().unwrap();
+            ha.join().unwrap()
+        });
+        (result, recorder)
+    };
+
+    // The test's handle keeps `finish` on its copying arm: the closing edge
+    // goes into the shared buffer, so both views of the session are closed.
+    let (outcome, recorder) = run(base_cfg(), base_cfg());
+    let outcome = outcome.unwrap();
+    let trace = outcome.trace.as_ref().expect("traced run");
+    assert_trace_accounts("second handle", trace, outcome.output.traffic);
+    assert_eq!(recorder.finish(None), *trace);
+
+    // A handshake the peer refuses: `run` returns the typed error, and what
+    // the recorder saw up to then still replays (the open spans closed as
+    // the error unwound through them, before the sink was uninstalled).
+    let (outcome, recorder) = run(base_cfg().with_batching(true), base_cfg());
+    assert!(outcome.is_err(), "framing mismatch is refused at handshake");
+    let trace = recorder.finish(None);
+    trace.validate().expect("an Err session's trace replays");
+    let first = &trace.events[0];
+    assert_eq!(
+        (first.kind, first.label.as_str()),
+        (SpanKind::Begin, "keygen")
+    );
+    let rollup = trace.rollup().unwrap();
+    assert!(rollup.iter().any(|row| row.path == "establish"));
+    assert!(rollup.iter().all(|row| row.path != "execute"));
 }
