@@ -11,7 +11,7 @@
 //! are tiny compared to a ≥ 2^16 modulus).
 
 use crate::error::PaillierError;
-use crate::keys::{Ciphertext, PrivateKey, PublicKey};
+use crate::keys::{Ciphertext, Keypair, PrivateKey, PublicKey};
 use ppds_bigint::{BigInt, BigUint, Sign};
 use rand::Rng;
 
@@ -50,6 +50,19 @@ impl PublicKey {
         rng: &mut R,
     ) -> Result<Ciphertext, PaillierError> {
         self.encrypt_signed(&BigInt::from_i64(value), rng)
+    }
+}
+
+impl Keypair {
+    /// Keyholder-side [`PublicKey::encrypt_signed`]: the same ciphertext
+    /// with the nonce power taken by CRT (see [`Keypair::encrypt_many`]).
+    pub fn encrypt_signed<R: Rng + ?Sized>(
+        &self,
+        value: &BigInt,
+        rng: &mut R,
+    ) -> Result<Ciphertext, PaillierError> {
+        let encoded = self.public.encode_signed(value)?;
+        self.encrypt(&encoded, rng)
     }
 }
 

@@ -107,6 +107,12 @@ struct CrtContext {
     hq: BigUint,
     /// `p^{-1} mod q` for Garner recombination.
     p_inv_q: BigUint,
+    /// `n mod p(p−1)` and `n mod q(q−1)`: the nonce exponent reduced by the
+    /// orders of `Z*_{p²}` and `Z*_{q²}` (see [`PrivateKey::nonce_power`]).
+    n_mod_pp_order: BigUint,
+    n_mod_qq_order: BigUint,
+    /// `(p²)^{-1} mod q²` for Garner recombination modulo `n²`.
+    pp_inv_qq: BigUint,
 }
 
 impl std::fmt::Debug for PublicKey {
@@ -176,6 +182,33 @@ impl Keypair {
         }
     }
 
+    /// Keyholder-side [`PublicKey::encrypt_many`]: the same ciphertexts,
+    /// byte for byte, from the same `rng` draws and the same pool hits
+    /// (the pool attached to `self.public`, if any), with every fresh
+    /// nonce power taken by CRT under the factorization only this side
+    /// holds ([`PrivateKey::nonce_power`]). The factors never enter the
+    /// [`PublicKey`], which is what a peer rebuilds from the wire.
+    pub fn encrypt_many<R: Rng + ?Sized>(
+        &self,
+        ms: &[BigUint],
+        rng: &mut R,
+    ) -> Result<Vec<Ciphertext>, PaillierError> {
+        debug_assert_eq!(self.public.n, self.private.public.n, "halves of one key");
+        self.public.encrypt_many_by(ms, rng, |nonces| {
+            nonces.iter().map(|r| self.private.nonce_power(r)).collect()
+        })
+    }
+
+    /// Keyholder-side [`PublicKey::encrypt`] (see [`Keypair::encrypt_many`]).
+    pub fn encrypt<R: Rng + ?Sized>(
+        &self,
+        m: &BigUint,
+        rng: &mut R,
+    ) -> Result<Ciphertext, PaillierError> {
+        let mut cts = self.encrypt_many(std::slice::from_ref(m), rng)?;
+        Ok(cts.pop().expect("one ciphertext per message"))
+    }
+
     fn assemble(n: BigUint, p: BigUint, q: BigUint, lambda: BigUint) -> Option<Keypair> {
         let n_squared = n.square();
         let g = &n + 1u64;
@@ -237,6 +270,9 @@ impl CrtContext {
         let lq = l_function_over(&gq, q)?;
         let hq = modular::mod_inverse(&lq, q)?;
         let p_inv_q = modular::mod_inverse(p, q)?;
+        let n_mod_pp_order = &public.n % &(p * &(p - &one));
+        let n_mod_qq_order = &public.n % &(q * &(q - &one));
+        let pp_inv_qq = modular::mod_inverse(&p_squared, &q_squared)?;
 
         Some(CrtContext {
             p: p.clone(),
@@ -248,6 +284,9 @@ impl CrtContext {
             hp,
             hq,
             p_inv_q,
+            n_mod_pp_order,
+            n_mod_qq_order,
+            pp_inv_qq,
         })
     }
 }
@@ -415,13 +454,8 @@ impl PublicKey {
         m: &BigUint,
         rng: &mut R,
     ) -> Result<Ciphertext, PaillierError> {
-        if let Some(pool) = &self.pool {
-            if let Some(randomizer) = pool.take() {
-                return self.encrypt_with_randomizer(m, randomizer);
-            }
-        }
-        let r = self.sample_nonce(rng);
-        self.encrypt_with_nonce(m, &r)
+        let mut cts = self.encrypt_many(std::slice::from_ref(m), rng)?;
+        Ok(cts.pop().expect("one ciphertext per message"))
     }
 
     /// Encrypts a batch of plaintexts, amortizing the `r^n` exponentiations
@@ -437,28 +471,39 @@ impl PublicKey {
         ms: &[BigUint],
         rng: &mut R,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
+        self.encrypt_many_by(ms, rng, |nonces| self.mont_nn.pow_many(nonces, &self.n))
+    }
+
+    /// The one encryption body: pool hits first, fresh nonces otherwise,
+    /// in message order. `nonce_powers` maps the fresh nonces to their
+    /// `r^n mod n²` — the only step that differs between a party that knows
+    /// `n` alone (the ladder above) and the keyholder
+    /// ([`Keypair::encrypt_many`]).
+    pub(crate) fn encrypt_many_by<R: Rng + ?Sized>(
+        &self,
+        ms: &[BigUint],
+        rng: &mut R,
+        nonce_powers: impl FnOnce(&[BigUint]) -> Vec<BigUint>,
+    ) -> Result<Vec<Ciphertext>, PaillierError> {
         let mut out: Vec<Option<Ciphertext>> = vec![None; ms.len()];
-        // (index, message, freshly sampled nonce) for elements the pool
-        // could not serve; their r^n values are batched below.
-        let mut deferred: Vec<(usize, &BigUint, BigUint)> = Vec::with_capacity(ms.len());
+        // Messages the pool could not serve, and their freshly sampled
+        // nonces; the r^n values are computed together below.
+        let mut deferred: Vec<usize> = Vec::with_capacity(ms.len());
+        let mut nonces: Vec<BigUint> = Vec::with_capacity(ms.len());
         for (i, m) in ms.iter().enumerate() {
-            if let Some(pool) = &self.pool {
-                if let Some(randomizer) = pool.take() {
-                    out[i] = Some(self.encrypt_with_randomizer(m, randomizer)?);
-                    continue;
-                }
+            if let Some(randomizer) = self.pool.as_ref().and_then(|pool| pool.take()) {
+                out[i] = Some(self.encrypt_with_randomizer(m, randomizer)?);
+                continue;
             }
-            let r = self.sample_nonce(rng);
+            nonces.push(self.sample_nonce(rng));
             if m >= &self.n {
                 return Err(PaillierError::MessageOutOfRange);
             }
-            deferred.push((i, m, r));
+            deferred.push(i);
         }
         if !deferred.is_empty() {
-            let nonces: Vec<BigUint> = deferred.iter().map(|(_, _, r)| r.clone()).collect();
-            let powers = self.mont_nn.pow_many(&nonces, &self.n);
-            for ((i, m, _), r_to_n) in deferred.into_iter().zip(powers) {
-                let g_to_m = self.g_pow(m);
+            for (i, r_to_n) in deferred.into_iter().zip(nonce_powers(&nonces)) {
+                let g_to_m = self.g_pow(&ms[i]);
                 out[i] = Some(Ciphertext(self.mul_mod_nn(&g_to_m, &r_to_n)));
             }
         }
@@ -595,6 +640,29 @@ impl PrivateKey {
         let diff = mq.sub_mod(&(&mp % &crt.q), &crt.q);
         let t = modular::mod_mul(&diff, &crt.p_inv_q, &crt.q);
         Ok(&mp + &(&crt.p * &t))
+    }
+
+    /// `r^n mod n²` by Chinese remaindering — the keyholder's form of the
+    /// nonce power. The residues `(r mod p²)^{n mod p(p−1)} mod p²` and
+    /// its `q` twin (the exponent reduced by the order of each unit group)
+    /// are Garner-recombined, so the result is the *same* canonical residue
+    /// the `n²`-ladder returns for two half-width ladders, about half the
+    /// limb products. `r` must be a unit mod `n`, which
+    /// [`PublicKey::sample_nonce`] guarantees.
+    pub(crate) fn nonce_power(&self, r: &BigUint) -> BigUint {
+        let crt = &self.crt;
+        let xp = crt
+            .mont_pp
+            .pow_mod(&(r % &crt.p_squared), &crt.n_mod_pp_order);
+        let xq = crt
+            .mont_qq
+            .pow_mod(&(r % &crt.q_squared), &crt.n_mod_qq_order);
+        // Garner: x = xp + p²·((xq − xp)·(p²)^{-1} mod q²)
+        let diff = xq.sub_mod(&(&xp % &crt.q_squared), &crt.q_squared);
+        let t = modular::mod_mul(&diff, &crt.pp_inv_qq, &crt.q_squared);
+        let power = &xp + &(&crt.p_squared * &t);
+        debug_assert_eq!(power, self.public.pow_mod_nn(r, &self.public.n));
+        power
     }
 
     /// The secret exponent `λ`.
@@ -835,6 +903,82 @@ mod tests {
         assert_eq!(
             random::gen_biguint_bits(&mut seq_rng, 64),
             random::gen_biguint_bits(&mut batch_rng, 64)
+        );
+    }
+
+    /// The CRT nonce power is the ladder's residue, not merely congruent
+    /// to it: every key size the suites use, both orders of the factors
+    /// (Garner is not symmetric in them), the edge units and random ones.
+    #[test]
+    fn crt_nonce_power_equals_the_ladder() {
+        for (i, bits) in [64usize, 128, 512, 1024].into_iter().enumerate() {
+            let mut r = rng(500 + i as u64);
+            let kp = Keypair::generate(bits, &mut r);
+            let crt = &kp.private.crt;
+            let swapped = Keypair::assemble(
+                kp.public.n.clone(),
+                crt.q.clone(),
+                crt.p.clone(),
+                kp.private.lambda.clone(),
+            )
+            .expect("the same key with its factors exchanged");
+            let n = kp.public.n();
+            let mut nonces = vec![BigUint::one(), BigUint::from_u64(2), n - &BigUint::one()];
+            nonces.extend((0..4).map(|_| kp.public.sample_nonce(&mut r)));
+            for nonce in &nonces {
+                let ladder = kp.public.pow_mod_nn(nonce, n);
+                assert_eq!(kp.private.nonce_power(nonce), ladder, "{bits} bits");
+                assert_eq!(
+                    swapped.private.nonce_power(nonce),
+                    ladder,
+                    "{bits} bits, factors exchanged"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn keyholder_encryption_is_byte_equal_to_public_encryption() {
+        let kp = shared_keypair();
+        let n = kp.public.n().clone();
+        let ms: Vec<BigUint> = (0..7u64)
+            .map(|i| random::gen_biguint_below(&mut rng(400 + i), &n))
+            .collect();
+        // Without a pool, and with one that serves the first three
+        // messages and runs dry: hits and fresh nonces in one batch.
+        for pooled in [false, true] {
+            let attach = |pk: &PublicKey| {
+                if !pooled {
+                    return pk.clone();
+                }
+                let pool = RandomizerPool::new(pk.clone(), 8);
+                pool.prefill(3, &mut rng(55));
+                pk.clone().with_randomizer_pool(pool).unwrap()
+            };
+            let public = attach(&kp.public);
+            let keyholder = Keypair {
+                public: attach(&kp.public),
+                private: kp.private.clone(),
+            };
+            let (mut pub_rng, mut key_rng) = (rng(78), rng(78));
+            let want = public.encrypt_many(&ms, &mut pub_rng).unwrap();
+            let got = keyholder.encrypt_many(&ms, &mut key_rng).unwrap();
+            assert_eq!(got, want, "pooled = {pooled}");
+            // One at a time from the same stream position, too.
+            let m = BigUint::from_u64(9);
+            assert_eq!(
+                keyholder.encrypt(&m, &mut key_rng).unwrap(),
+                public.encrypt(&m, &mut pub_rng).unwrap(),
+                "pooled = {pooled}"
+            );
+            assert_eq!(
+                random::gen_biguint_bits(&mut key_rng, 64),
+                random::gen_biguint_bits(&mut pub_rng, 64)
+            );
+        }
+        assert_eq!(
+            kp.encrypt(&n, &mut rng(1)).unwrap_err(),
+            PaillierError::MessageOutOfRange
         );
     }
 

@@ -78,10 +78,10 @@ fn encrypt_bits<R: Rng>(
         .rev()
         .map(|i| BigUint::from_u64((x >> i) & 1))
         .collect();
-    // One shared-exponent kernel pass over all ℓ nonce exponentiations;
-    // byte-identical to the former per-bit `encrypt` loop (same rng draws,
-    // same pool interaction, same ladder values).
-    let cts = keypair.public.encrypt_many(&bits, &mut rng)?;
+    // Alice encrypts under her own key, so every nonce power is taken by
+    // CRT; byte-identical to `keypair.public.encrypt_many` (same rng draws,
+    // same pool interaction, same residues).
+    let cts = keypair.encrypt_many(&bits, &mut rng)?;
     Ok(cts.into_iter().map(|c| c.as_biguint().clone()).collect())
 }
 

@@ -170,7 +170,6 @@ where
         xs.iter()
             .map(|x| {
                 keypair
-                    .public
                     .encrypt_signed(x, &mut rng)
                     .map(|c| c.as_biguint().clone())
             })
@@ -359,7 +358,6 @@ pub fn dot_many_keyholder<C: Channel>(
         .iter()
         .map(|x| {
             keypair
-                .public
                 .encrypt_signed(x, &mut rng)
                 .map(|c| c.as_biguint().clone())
         })
