@@ -166,9 +166,14 @@ impl MontgomeryCtx {
         digits
     }
 
-    /// Square-and-multiply over precomputed 4-bit window digits; the
-    /// shared inner loop of [`Self::pow_mod`] and [`Self::pow_many`].
-    fn pow_windows(&self, table: &[BigUint], digits: &[u8]) -> BigUint {
+    /// Square-and-multiply over 4-bit window digits (MSB first, at least
+    /// one); the shared body of [`Self::pow_mod`] and [`Self::pow_many`].
+    /// The table holds `base^0 ..= base^d` for the largest digit `d` the
+    /// exponent uses and no more: a `×3` scaling or a 16-bit mask is a
+    /// ladder of a few products and must not pay fourteen for its table.
+    fn pow_windows(&self, base: &BigUint, digits: &[u8]) -> BigUint {
+        let max_digit = digits.iter().copied().max().unwrap_or(0) as usize;
+        let table = self.window_table(&self.to_mont(&self.reduce(base)), max_digit);
         let mut acc = self.one_mont.clone();
         for (i, &d) in digits.iter().enumerate() {
             if i > 0 {
@@ -190,9 +195,7 @@ impl MontgomeryCtx {
         if exp.is_zero() {
             return &BigUint::one() % &self.modulus;
         }
-        let base_mont = self.to_mont(&self.reduce(base));
-        let table = self.window_table(&base_mont, 15);
-        self.pow_windows(&table, &Self::exp_windows4(exp))
+        self.pow_windows(base, &Self::exp_windows4(exp))
     }
 
     /// Raises many bases to one shared exponent: `[b^exp mod m; bases]`.
@@ -210,11 +213,7 @@ impl MontgomeryCtx {
         let digits = Self::exp_windows4(exp);
         bases
             .iter()
-            .map(|base| {
-                let base_mont = self.to_mont(&self.reduce(base));
-                let table = self.window_table(&base_mont, 15);
-                self.pow_windows(&table, &digits)
-            })
+            .map(|base| self.pow_windows(base, &digits))
             .collect()
     }
 }
@@ -345,6 +344,52 @@ mod tests {
             ctx.pow_many(&bases, &BigUint::zero()),
             vec![BigUint::one(); 5]
         );
+    }
+
+    /// Naive square-and-multiply with a division per step: no window, no
+    /// table, no Montgomery form.
+    fn naive_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut acc = &BigUint::one() % m;
+        for i in (0..exp.bit_length()).rev() {
+            acc = &acc.square() % m;
+            if exp.bit(i) {
+                acc = &(&acc * base) % m;
+            }
+        }
+        acc
+    }
+
+    #[test]
+    fn window_table_sized_to_the_exponent_changes_no_value() {
+        let mut r = rng(79);
+        for bits in [64usize, 320, 1024] {
+            let mut m = gen_biguint_bits(&mut r, bits);
+            m.set_bit(0, true);
+            m.set_bit(bits - 1, true);
+            let ctx = MontgomeryCtx::new(&m).unwrap();
+            let base = gen_biguint_below(&mut r, &m);
+            let mut exps: Vec<BigUint> = [0u128, 1, 2, 3, 15, 16, (1 << 16) - 1, 1 << 16]
+                .into_iter()
+                .map(b)
+                .collect();
+            exps.extend((0..3).map(|_| gen_biguint_bits(&mut r, bits)));
+            for exp in &exps {
+                let want = naive_pow(&base, exp, &m);
+                assert_eq!(ctx.pow_mod(&base, exp), want, "{bits} bits, exp {exp:?}");
+                // The full 16-entry table, as `pow_mod` built it for every
+                // exponent before: same residue.
+                let table = ctx.window_table(&ctx.to_mont(&base), 15);
+                let mut acc = ctx.one_mont().clone();
+                for d in MontgomeryCtx::exp_windows4(exp) {
+                    for _ in 0..4 {
+                        acc = ctx.mont_mul(&acc, &acc);
+                    }
+                    acc = ctx.mont_mul(&acc, &table[d as usize]);
+                }
+                assert_eq!(ctx.from_mont(&acc), want, "{bits} bits, full table");
+                assert_eq!(ctx.pow_many(std::slice::from_ref(&base), exp), vec![want]);
+            }
+        }
     }
 
     #[test]
