@@ -6,8 +6,9 @@
 //! * addition:        `D(E(m1) · E(m2) mod n²) = m1 + m2 mod n`
 //! * plaintext mul:   `D(E(m1)^m2  mod n²) = m1 · m2 mod n`
 
+use crate::error::PaillierError;
 use crate::keys::{Ciphertext, PublicKey};
-use ppds_bigint::{BigInt, BigUint, FixedBaseTable};
+use ppds_bigint::{modular, BigInt, BigUint, FixedBaseTable};
 use rand::Rng;
 
 /// Fixed-base comb tables for a set of ciphertexts that are each raised to
@@ -114,17 +115,43 @@ impl PublicKey {
         Ciphertext(self.pow_mod_nn(&c.0, &k))
     }
 
-    /// `E(m · k)` for a signed scalar `k` (negative scalars exponentiate by
-    /// `k mod n`, i.e. `n - |k|`).
+    /// `E(m · k)` for a signed scalar `k`. A negative scalar is an
+    /// inverse: `(c⁻¹)^{|k|}`, one modular inversion and a ladder as long
+    /// as `|k|`, where the exponent `k mod n = n − |k|` would be a
+    /// full-width ladder whatever the size of `k`. Same plaintext, a
+    /// different (equally valid) group element — callers mask and
+    /// re-randomize before anything ships.
+    ///
+    /// Infallible like the rest of this scalar family: a non-unit `c`
+    /// (no key produces one, and every wire ciphertext is validated on
+    /// receipt) has no inverse and falls back to that `n − |k|` exponent.
+    /// The batch form [`PublicKey::negate_many`] reports it instead.
     pub fn mul_plain_signed(&self, c: &Ciphertext, k: &BigInt) -> Ciphertext {
-        let k_reduced = k.rem_euclid(self.n());
-        self.mul_plain(c, &k_reduced)
+        if k.is_negative() {
+            if let Some(inverse) = modular::mod_inverse(&c.0, self.n_squared()) {
+                return self.mul_plain(&Ciphertext(inverse), k.magnitude());
+            }
+        }
+        self.mul_plain(c, &k.rem_euclid(self.n()))
     }
 
-    /// `E(-m)` from `E(m)`: exponent `n - 1 ≡ -1 (mod n)`.
+    /// `E(-m)` from `E(m)`: the inverse `c⁻¹ mod n²`.
     pub fn negate(&self, c: &Ciphertext) -> Ciphertext {
-        let minus_one = self.n() - &BigUint::one();
-        self.mul_plain(c, &minus_one)
+        self.mul_plain_signed(c, &BigInt::from_i64(-1))
+    }
+
+    /// [`PublicKey::negate`] over a batch, by one Montgomery batch
+    /// inversion modulo `n²` (one extended GCD and three products per
+    /// element) — the same group elements `negate` returns.
+    ///
+    /// # Errors
+    /// [`PaillierError::InvalidCiphertext`] if any element is not a unit
+    /// modulo `n²`, which [`PublicKey::validate_many`] rules out.
+    pub fn negate_many(&self, cts: &[Ciphertext]) -> Result<Vec<Ciphertext>, PaillierError> {
+        let values: Vec<BigUint> = cts.iter().map(|c| c.0.clone()).collect();
+        let inverses = modular::batch_mod_inverse_with(self.mont_nn(), &values)
+            .ok_or(PaillierError::InvalidCiphertext)?;
+        Ok(inverses.into_iter().map(Ciphertext).collect())
     }
 
     /// `E(m1 - m2)` from `E(m1)` and `E(m2)`.
@@ -267,6 +294,72 @@ mod tests {
         }
     }
 
+    /// The signed scalars the protocols and the encoding can produce, from
+    /// the most negative encodable value to `2⁶³`.
+    fn signed_scalars(pk: &PublicKey) -> Vec<BigInt> {
+        let two_63 = BigInt::from(BigUint::from_u64(1 << 63));
+        vec![
+            -&BigInt::from(pk.half_n().clone()),
+            -&two_63,
+            BigInt::from_i64(-3),
+            BigInt::from_i64(-1),
+            BigInt::zero(),
+            BigInt::from_i64(1),
+            two_63,
+        ]
+    }
+
+    #[test]
+    fn signed_scalars_and_negation_decrypt_to_the_signed_product() {
+        let kp = shared_keypair();
+        let n = kp.public.n();
+        let mut r = rng(22);
+        for _ in 0..3 {
+            let m = gen_biguint_below(&mut r, n);
+            let c = kp.public.encrypt(&m, &mut r).unwrap();
+            for k in signed_scalars(&kp.public) {
+                let want = &(&k.rem_euclid(n) * &m) % n;
+                let got = kp.public.mul_plain_signed(&c, &k);
+                assert_eq!(kp.private.decrypt_crt(&got).unwrap(), want, "k = {k:?}");
+            }
+            let minus_m = BigInt::from_biguint(ppds_bigint::Sign::Negative, m).rem_euclid(n);
+            let neg = kp.public.negate(&c);
+            assert_eq!(kp.private.decrypt_crt(&neg).unwrap(), minus_m);
+            assert_eq!(kp.public.negate(&neg), c, "an inverse, so an involution");
+        }
+    }
+
+    #[test]
+    fn negate_many_matches_negate_and_types_a_non_unit() {
+        let kp = shared_keypair();
+        let mut r = rng(23);
+        let cts: Vec<Ciphertext> = (0..9u64)
+            .map(|m| kp.public.encrypt(&b(m), &mut r).unwrap())
+            .collect();
+        let singly: Vec<Ciphertext> = cts.iter().map(|c| kp.public.negate(c)).collect();
+        assert_eq!(kp.public.negate_many(&cts).unwrap(), singly);
+        assert_eq!(kp.public.negate_many(&[]).unwrap(), Vec::new());
+
+        // A multiple of a factor of n has no inverse: the batch form says
+        // so, the infallible forms fall back to the `k mod n` exponent.
+        for raw in [kp.public.n().clone(), BigUint::zero()] {
+            let bad = Ciphertext::from_biguint(raw);
+            let mut batch = cts.clone();
+            batch[4] = bad.clone();
+            assert_eq!(
+                kp.public.negate_many(&batch).unwrap_err(),
+                PaillierError::InvalidCiphertext
+            );
+            let minus_three = BigInt::from_i64(-3);
+            assert_eq!(
+                kp.public.mul_plain_signed(&bad, &minus_three),
+                kp.public
+                    .mul_plain(&bad, &minus_three.rem_euclid(kp.public.n()))
+            );
+            let _ = kp.public.negate(&bad);
+        }
+    }
+
     #[test]
     fn scaled_bases_match_mul_plain_signed_fold() {
         let kp = shared_keypair();
@@ -298,7 +391,15 @@ mod tests {
                 .public
                 .scaled_bases(&cts)
                 .combine_signed(&kp.public, &acc, &coeffs);
-            assert_eq!(kernel, naive, "trial {trial}: bytes must be identical");
+            // The comb still writes a negative scalar as `k mod n` while
+            // the scalar path inverts: one plaintext, two group elements,
+            // until the comb is replaced by a fold that shares the sign
+            // handling.
+            assert_eq!(
+                kp.private.decrypt_crt(&kernel).unwrap(),
+                kp.private.decrypt_crt(&naive).unwrap(),
+                "trial {trial}"
+            );
         }
     }
 

@@ -133,6 +133,10 @@ fn comparison_cells(
     // Batch membership check: one Montgomery batch inversion mod n in place
     // of ℓ binary GCDs, accepting/rejecting exactly as the per-bit loop did.
     alice_pk.validate_many(&x_bits)?;
+    // `1 − x_j` is `E(1)·x_j⁻¹`: one batch inversion per comparison serves
+    // every set bit of `y` (validated units, so it cannot fail; a failure
+    // would still surface as `InvalidCiphertext`).
+    let inv_bits = alice_pk.negate_many(&x_bits)?;
 
     let one = BigUint::one();
     let enc_one = alice_pk.encrypt_with_nonce(&one, &one).expect("1 < n"); // deterministic E(1); masked before sending
@@ -143,7 +147,7 @@ fn comparison_cells(
         .encrypt_with_nonce(&BigUint::zero(), &one)
         .expect("0 < n");
     let mut cells = Vec::with_capacity(ell);
-    for (pos, enc_x) in x_bits.iter().enumerate() {
+    for (pos, (enc_x, inv_x)) in x_bits.iter().zip(&inv_bits).enumerate() {
         let y_bit = (y >> (ell - 1 - pos)) & 1;
         // c = x − y + 1 + 3·prefix  (all arithmetic under Alice's key)
         let mut c = alice_pk.add(enc_x, &alice_pk.mul_plain(&prefix_xor, &three));
@@ -159,7 +163,7 @@ fn comparison_cells(
         let xor = if y_bit == 0 {
             enc_x.clone()
         } else {
-            alice_pk.sub(&enc_one, enc_x)
+            alice_pk.add(&enc_one, inv_x)
         };
         prefix_xor = alice_pk.add(&prefix_xor, &xor);
     }

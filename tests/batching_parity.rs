@@ -455,12 +455,12 @@ type FramingPin = (&'static str, &'static [Pin], &'static [[u64; 2]]);
 const FRAMING_PINS: &[FramingPin] = &[
     (
         "horizontal/paillier/unbatched",
-        &[[155_465, 155_465, 182, 182, 182, 182]],
+        &[[155_466, 155_464, 182, 182, 182, 182]],
         &[],
     ),
     (
         "horizontal/paillier/batched",
-        &[[154_785, 154_785, 182, 182, 7, 7]],
+        &[[154_786, 154_784, 182, 182, 7, 7]],
         &[[5, 5]],
     ),
     (
@@ -515,12 +515,12 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "arbitrary/paillier/unbatched",
-        &[[274_098, 6404, 120, 186, 120, 186]],
+        &[[274_097, 6404, 120, 186, 120, 186]],
         &[],
     ),
     (
         "arbitrary/paillier/batched",
-        &[[273_642, 5692, 120, 186, 4, 5]],
+        &[[273_641, 5692, 120, 186, 4, 5]],
         &[[2, 3]],
     ),
     (
@@ -571,22 +571,22 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "vertical/dgk/unbatched",
-        &[[39_030, 38_696, 134, 68, 134, 68]],
+        &[[39_030, 38_699, 134, 68, 134, 68]],
         &[],
     ),
     (
         "vertical/dgk+packing/unbatched",
-        &[[39_030, 10_193, 134, 68, 134, 68]],
+        &[[39_030, 10_190, 134, 68, 134, 68]],
         &[],
     ),
     (
         "horizontal/dgk/unbatched",
-        &[[48_140, 48_142, 182, 182, 182, 182]],
+        &[[48_142, 48_140, 182, 182, 182, 182]],
         &[],
     ),
     (
         "horizontal/dgk+packing/unbatched",
-        &[[31_296, 31_297, 182, 182, 182, 182]],
+        &[[31_298, 31_296, 182, 182, 182, 182]],
         &[],
     ),
     (
@@ -601,7 +601,7 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "enhanced/dgk+packing+grid/batched",
-        &[[89_950, 94_153, 200, 204, 200, 204]],
+        &[[89_954, 94_153, 200, 204, 200, 204]],
         &[],
     ),
     (
