@@ -27,6 +27,12 @@ fn keypair() -> &'static Keypair {
     KP.get_or_init(|| Keypair::generate(256, &mut rng(0)))
 }
 
+/// The benchmark workload's key size (`enhanced_paillier_dgk_12`).
+fn keypair_1024() -> &'static Keypair {
+    static KP: OnceLock<Keypair> = OnceLock::new();
+    KP.get_or_init(|| Keypair::generate(1024, &mut rng(1024)))
+}
+
 /// The homomorphic backend over the one bench keypair (both roles), Ideal
 /// comparator, no packing.
 fn backend(batching: bool) -> PaillierBackend<'static> {
@@ -300,6 +306,57 @@ fn bench_dgk_reply_packing(c: &mut Criterion) {
     group.finish();
 }
 
+/// One packed DGK comparison at the benchmark's shape — 1024-bit keys, a
+/// 33-bit share domain — timed per role. A real exchange is recorded once
+/// (Alice's bit frame, Bob's packed reply, the conclusion); each role then
+/// runs alone against its peer's recorded frames, so a row is that role's
+/// compute and nothing else.
+fn bench_dgk_roles(c: &mut Criterion) {
+    use ppds_smc::bitwise::{dgk_alice, dgk_bob, dgk_pack_layout};
+    use ppds_transport::Channel;
+    let kp = keypair_1024();
+    let bound = (1u64 << 33) - 1;
+    let layout = dgk_pack_layout(kp.public.bits(), bound);
+    let layout = layout.as_ref();
+    let (x, y) = (0x1_2345_6789u64, 0x1_2345_6798u64);
+    let alice_scope = |_| ProtocolContext::new(1);
+    let bob_scope = |_| ProtocolContext::new(2);
+
+    let (bits, reply, verdicts) = std::thread::scope(|scope| {
+        let (mut a1, mut b1) = duplex();
+        let (mut a2, mut b2) = duplex();
+        scope.spawn(move || dgk_alice(&mut a1, kp, &[x], bound, layout, alice_scope).unwrap());
+        scope.spawn(move || dgk_bob(&mut b2, &kp.public, &[y], bound, layout, bob_scope).unwrap());
+        let bits: Vec<Vec<BigUint>> = b1.recv_batch().unwrap();
+        a2.send_batch(&bits).unwrap();
+        let reply: Vec<Vec<BigUint>> = a2.recv_batch().unwrap();
+        b1.send_batch(&reply).unwrap();
+        let verdicts: Vec<bool> = b1.recv_batch().unwrap();
+        a2.send_batch(&verdicts).unwrap();
+        (bits, reply, verdicts)
+    });
+    assert_eq!(verdicts, [true]);
+
+    let mut group = c.benchmark_group("dgk_compare_33bit_packed");
+    group.sample_size(10);
+    group.bench_function("alice", |b| {
+        b.iter(|| {
+            let (mut achan, mut bchan) = duplex();
+            bchan.send_batch(&reply).unwrap();
+            dgk_alice(&mut achan, kp, &[x], bound, layout, alice_scope).unwrap()
+        });
+    });
+    group.bench_function("bob", |b| {
+        b.iter(|| {
+            let (mut achan, mut bchan) = duplex();
+            achan.send_batch(&bits).unwrap();
+            achan.send_batch(&verdicts).unwrap();
+            dgk_bob(&mut bchan, &kp.public, &[y], bound, layout, bob_scope).unwrap()
+        });
+    });
+    group.finish();
+}
+
 /// Packed vs unpacked dot-many response: one enhanced-protocol
 /// neighborhood answer (24 masked distances) at 256-bit keys. Unpacked:
 /// 24 response ciphertexts, 24 keyholder decryptions. Packed: the
@@ -434,7 +491,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 /// The two multi-exp response legs against the per-operand loops they
 /// replaced (kernel on vs off, same inputs, same output bytes):
 /// slot aggregation in `pack_ciphertexts` and the `dot_many` response
-/// row fold via precomputed scaled bases.
+/// rows.
 fn bench_kernel_legs(c: &mut Criterion) {
     use ppds_paillier::SlotLayout;
     let kp = keypair();
@@ -487,7 +544,13 @@ fn bench_kernel_legs(c: &mut Criterion) {
         });
     });
 
-    // dot_many response fold: 24 rows × 4 shared ciphertext bases.
+    group.finish();
+
+    // dot_many response rows at the benchmark's key size: 4 shared
+    // ciphertext bases under ≤ 64-bit signed coefficients. One batch
+    // inversion per query and one multi-exponentiation per row, against
+    // the scalar fold it is byte-equal to.
+    let kp = keypair_1024();
     let cts: Vec<_> = (0..4u64)
         .map(|i| {
             kp.public
@@ -495,7 +558,7 @@ fn bench_kernel_legs(c: &mut Criterion) {
                 .unwrap()
         })
         .collect();
-    let rows: Vec<Vec<BigInt>> = (0..24)
+    let rows: Vec<Vec<BigInt>> = (0..16)
         .map(|j: i64| {
             vec![
                 BigInt::from_i64(j - 11),
@@ -506,15 +569,23 @@ fn bench_kernel_legs(c: &mut Criterion) {
         })
         .collect();
     let acc = kp.public.encrypt(&BigUint::from_u64(99), &mut r).unwrap();
-    group.bench_function("dot_response_scaled_bases", |b| {
-        b.iter(|| {
-            let bases = kp.public.scaled_bases(&cts);
-            rows.iter()
-                .map(|ys| bases.combine_signed(&kp.public, &acc, ys))
-                .collect::<Vec<_>>()
+    let mut group = c.benchmark_group("kernel_legs_1024bit");
+    group.sample_size(10);
+    for count in [1usize, 2, 16] {
+        group.bench_function(format!("dot_response_rows{count}"), |b| {
+            b.iter(|| {
+                let inverses = kp.public.negate_many(&cts).unwrap();
+                rows[..count]
+                    .iter()
+                    .map(|ys| {
+                        let row = kp.public.dot_plain_signed(&cts, &inverses, ys);
+                        kp.public.add(&acc, &row)
+                    })
+                    .collect::<Vec<_>>()
+            });
         });
-    });
-    group.bench_function("dot_response_per_operand", |b| {
+    }
+    group.bench_function("dot_response_per_operand_rows16", |b| {
         b.iter(|| {
             rows.iter()
                 .map(|ys| {
@@ -701,6 +772,7 @@ criterion_group!(
     bench_keyed_derivation,
     bench_parallel_batch_encryption,
     bench_dgk_reply_packing,
+    bench_dgk_roles,
     bench_dot_many_packing,
     bench_kernel_legs,
     bench_trace_overhead,

@@ -8,87 +8,8 @@
 
 use crate::error::PaillierError;
 use crate::keys::{Ciphertext, PublicKey};
-use ppds_bigint::{modular, BigInt, BigUint, FixedBaseTable};
+use ppds_bigint::{modular, multi_exp, BigInt, BigUint};
 use rand::Rng;
-
-/// Fixed-base comb tables for a set of ciphertexts that are each raised to
-/// many (or large) scalars — the `Π cᵢ^{yᵢ}` response legs of the
-/// multiplication and dot-product protocols.
-///
-/// Built once per request via [`PublicKey::scaled_bases`], then consumed by
-/// [`ScaledBases::combine_signed`], which accumulates the whole product in
-/// the Montgomery domain: each `cᵢ^{kᵢ}` costs table lookups and
-/// multiplications only (combs spend **zero** squarings at evaluation
-/// time), versus a full square-and-multiply ladder per ciphertext.
-///
-/// Value-equality: every exponent is reduced `k mod n` exactly as
-/// [`PublicKey::mul_plain_signed`] reduces it, each comb evaluation returns
-/// the canonical residue the plain ladder returns, and the product mod `n²`
-/// is the same group element in any association order — so protocol bytes
-/// are unchanged.
-pub struct ScaledBases {
-    tables: Vec<FixedBaseTable>,
-}
-
-impl ScaledBases {
-    /// Number of base ciphertexts.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Whether the base set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
-    /// `acc · Π cᵢ^{coeffs[i] mod n} mod n²`, equal byte-for-byte to
-    /// folding [`PublicKey::mul_plain_signed`] + [`PublicKey::add`] over
-    /// the same pairs. Zero coefficients contribute the identity and are
-    /// skipped.
-    ///
-    /// # Panics
-    /// Panics if `coeffs.len()` differs from the number of bases.
-    pub fn combine_signed(
-        &self,
-        pk: &PublicKey,
-        acc: &Ciphertext,
-        coeffs: &[BigInt],
-    ) -> Ciphertext {
-        assert_eq!(
-            coeffs.len(),
-            self.tables.len(),
-            "one coefficient per scaled base"
-        );
-        let mont = pk.mont_nn();
-        let mut product = mont.to_mont(&acc.0);
-        for (table, k) in self.tables.iter().zip(coeffs) {
-            let k_reduced = k.rem_euclid(pk.n());
-            if k_reduced.is_zero() {
-                continue;
-            }
-            let factor = table
-                .pow_mont(&k_reduced)
-                .expect("exponent reduced mod n always fits the comb");
-            product = mont.mont_mul(&product, &factor);
-        }
-        Ciphertext(mont.from_mont(&product))
-    }
-}
-
-impl PublicKey {
-    /// Builds fixed-base comb tables over `cts` for repeated/large-scalar
-    /// use (see [`ScaledBases`]). Worth it whenever each ciphertext is
-    /// raised to a full-width scalar — the comb trades the ladder's
-    /// `bits` squarings for a one-time table build of comparable cost that
-    /// is then amortized across the whole product.
-    pub fn scaled_bases(&self, cts: &[Ciphertext]) -> ScaledBases {
-        let tables = cts
-            .iter()
-            .map(|c| FixedBaseTable::new(self.mont_nn(), &c.0, 4, self.bits()))
-            .collect();
-        ScaledBases { tables }
-    }
-}
 
 impl PublicKey {
     /// `E(m1 + m2)` from `E(m1)` and `E(m2)`: ciphertext product mod `n²`.
@@ -152,6 +73,38 @@ impl PublicKey {
         let inverses = modular::batch_mod_inverse_with(self.mont_nn(), &values)
             .ok_or(PaillierError::InvalidCiphertext)?;
         Ok(inverses.into_iter().map(Ciphertext).collect())
+    }
+
+    /// `Π cᵢ^{kᵢ} mod n²`, i.e. `E(Σ kᵢ·mᵢ)`: one row of the dot-product
+    /// response legs as a single [`multi_exp`] — one squaring chain as
+    /// long as the widest `|kᵢ|`, shared by every base. The sign is folded
+    /// into the base exactly as [`PublicKey::mul_plain_signed`] folds it
+    /// (`inverses[i]` = `cts[i]⁻¹`, from one [`PublicKey::negate_many`] per
+    /// query), so the result is byte-equal to folding `mul_plain_signed`
+    /// and [`PublicKey::add`] over the same pairs.
+    ///
+    /// # Panics
+    /// Panics unless there is one inverse and one coefficient per ciphertext.
+    pub fn dot_plain_signed(
+        &self,
+        cts: &[Ciphertext],
+        inverses: &[Ciphertext],
+        coeffs: &[BigInt],
+    ) -> Ciphertext {
+        assert_eq!(inverses.len(), cts.len(), "one inverse per ciphertext");
+        assert_eq!(coeffs.len(), cts.len(), "one coefficient per ciphertext");
+        let exps: Vec<BigUint> = coeffs.iter().map(|k| k.magnitude() % self.n()).collect();
+        let pairs: Vec<(&BigUint, &BigUint)> = (0..cts.len())
+            .map(|i| {
+                let base = if coeffs[i].is_negative() {
+                    &inverses[i]
+                } else {
+                    &cts[i]
+                };
+                (&base.0, &exps[i])
+            })
+            .collect();
+        Ciphertext(multi_exp(self.mont_nn(), &pairs))
     }
 
     /// `E(m1 - m2)` from `E(m1)` and `E(m2)`.
@@ -361,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn scaled_bases_match_mul_plain_signed_fold() {
+    fn multi_exp_fold_matches_mul_plain_signed_fold_byte_for_byte() {
         let kp = shared_keypair();
         let mut r = rng(21);
         for trial in 0..4u64 {
@@ -387,20 +340,30 @@ mod tests {
             let naive = cts.iter().zip(&coeffs).fold(acc.clone(), |acc, (c, k)| {
                 kp.public.add(&acc, &kp.public.mul_plain_signed(c, k))
             });
-            let kernel = kp
-                .public
-                .scaled_bases(&cts)
-                .combine_signed(&kp.public, &acc, &coeffs);
-            // The comb still writes a negative scalar as `k mod n` while
-            // the scalar path inverts: one plaintext, two group elements,
-            // until the comb is replaced by a fold that shares the sign
-            // handling.
+            let inverses = kp.public.negate_many(&cts).unwrap();
+            let row = kp.public.dot_plain_signed(&cts, &inverses, &coeffs);
             assert_eq!(
-                kp.private.decrypt_crt(&kernel).unwrap(),
-                kp.private.decrypt_crt(&naive).unwrap(),
-                "trial {trial}"
+                kp.public.add(&acc, &row),
+                naive,
+                "trial {trial}: bytes must be identical"
             );
         }
+        // Every scalar the encoding admits, each sign, one base.
+        let c = kp.public.encrypt(&b(77), &mut r).unwrap();
+        let inverse = kp.public.negate_many(std::slice::from_ref(&c)).unwrap();
+        for k in signed_scalars(&kp.public) {
+            let row = kp.public.dot_plain_signed(
+                std::slice::from_ref(&c),
+                &inverse,
+                std::slice::from_ref(&k),
+            );
+            assert_eq!(row, kp.public.mul_plain_signed(&c, &k), "k = {k:?}");
+        }
+        // No bases: the neutral element, a valid E(0).
+        assert_eq!(
+            kp.public.dot_plain_signed(&[], &[], &[]),
+            Ciphertext(BigUint::one())
+        );
     }
 
     #[test]

@@ -32,11 +32,16 @@
 //!   modular multiplications. The `ppds-engine` crate shares one pool
 //!   across all concurrent sessions encrypting under a key,
 //! * exponentiation kernels ([`PublicKey::with_exp_kernels`],
-//!   [`ScaledBases`], [`PublicKey::validate_many`]): windowed fixed-base
-//!   combs for general-generator keys, multi-exponentiation for packed-slot
-//!   aggregation, and Montgomery batch inversion for batch ciphertext
-//!   validation — all value-equal to the ladders they replace, so every
-//!   ciphertext byte and protocol transcript is unchanged.
+//!   [`PublicKey::dot_plain_signed`], [`PublicKey::validate_many`],
+//!   [`PublicKey::negate_many`]): windowed fixed-base combs for
+//!   general-generator keys, multi-exponentiation for packed-slot
+//!   aggregation and dot-product rows, and Montgomery batch inversion for
+//!   batch ciphertext validation and negation — all value-equal to the
+//!   scalar forms they replace, so every ciphertext byte and protocol
+//!   transcript is unchanged,
+//! * keyholder encryption ([`Keypair::encrypt_many`]): the party that owns
+//!   the key takes the nonce power `r^n mod n²` by CRT over `p²` and `q²` —
+//!   the identical residue for about half the limb products.
 //!
 //! ## Deviation from the paper's Algorithm 2 narration
 //!
@@ -56,7 +61,6 @@ mod packing;
 mod precompute;
 
 pub use error::PaillierError;
-pub use homomorphic::ScaledBases;
 pub use keys::{Ciphertext, ExpKernels, Keypair, PrivateKey, PublicKey, MIN_KEY_BITS};
 pub use packing::{SlotLayout, PACKING_DISCIPLINE};
 pub use precompute::{FillerHandle, PoolStats, Randomizer, RandomizerPool};

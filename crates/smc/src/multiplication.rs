@@ -408,11 +408,12 @@ pub fn dot_many_peer<C: Channel>(
     // Batch validation: one Montgomery batch inversion instead of one GCD
     // per ciphertext, with the same accept set and error.
     keyholder_pk.validate_many(&cts)?;
-    // Every row raises the same few ciphertexts to full-width scalars, so
-    // build one fixed-base comb per ciphertext and share it across all
-    // rows — evaluation then spends zero squarings per row, and the bytes
-    // match the per-row mul_plain_signed/add fold exactly.
-    let bases = keyholder_pk.scaled_bases(&cts);
+    // A row is one multi-exponentiation over sign-folded bases — the
+    // ciphertext, or its inverse for a negative coefficient — so its ladder
+    // is as long as its coefficients (≤ 64 bits), whatever the key size.
+    // One batch inversion serves every row; the bytes match the per-row
+    // mul_plain_signed/add fold exactly.
+    let inverses = keyholder_pk.negate_many(&cts)?;
     if let Some(packing) = packing {
         // Packed reply: row j's homomorphic dot product rides slot j; its
         // mask v_j (drawn from the same keyed stream as the unpacked form,
@@ -428,10 +429,10 @@ pub fn dot_many_peer<C: Channel>(
                 )));
             }
             let v = sample_mask(ctx.rng_for(j as u64), mask_bound);
-            // Neutral E(0) with nonce 1; the word's packed-nonce encryption
+            // Unmasked and unrandomized here: the mask is the slot's
+            // plaintext addend and the word's packed-nonce encryption
             // re-randomizes the whole slot vector before it ships.
-            let acc = Ciphertext::from_biguint(BigUint::one());
-            Ok((bases.combine_signed(keyholder_pk, &acc, ys), v))
+            Ok((keyholder_pk.dot_plain_signed(&cts, &inverses, ys), v))
         })?;
         let (products, masks): (Vec<Ciphertext>, Vec<BigInt>) = per_row.into_iter().unzip();
         let plains: Vec<BigUint> = masks
@@ -459,9 +460,11 @@ pub fn dot_many_peer<C: Channel>(
         }
         let mut rng = ctx.rng_for(j as u64);
         let v = sample_mask(&mut rng, mask_bound);
-        let acc = keyholder_pk.encrypt_signed(&v, &mut rng)?;
-        let acc = bases.combine_signed(keyholder_pk, &acc, ys);
-        Ok((acc.as_biguint().clone(), v))
+        let masked = keyholder_pk.add(
+            &keyholder_pk.encrypt_signed(&v, &mut rng)?,
+            &keyholder_pk.dot_plain_signed(&cts, &inverses, ys),
+        );
+        Ok((masked.as_biguint().clone(), v))
     })?;
     let (responses, masks): (Vec<BigUint>, Vec<BigInt>) = per_row.into_iter().unzip();
     chan.send(&responses)?;
@@ -761,6 +764,35 @@ mod tests {
             bytes_plain as f64 >= 4.0 * bytes_packed as f64,
             "reply bytes {bytes_plain} unpacked vs {bytes_packed} packed"
         );
+    }
+
+    #[test]
+    fn dot_rows_with_negative_and_zero_coefficients_on_both_arms() {
+        // The responder's coefficients carry the sign here (a lattice
+        // coordinate below zero), an all-zero row, and a 62-bit magnitude.
+        let xs = groups(&[&[7, -3, 0, 11]]).remove(0);
+        let ys_rows = groups(&[
+            &[-2, 5, 9, 0],
+            &[0, 0, 0, 0],
+            &[-1, -1, -1, -1],
+            &[4, 0, -6, 1],
+            &[-(1 << 62), 1 << 62, 5, -(1 << 62)],
+        ]);
+        let dot = |ys: &[BigInt]| {
+            xs.iter()
+                .zip(ys)
+                .fold(BigInt::zero(), |acc, (x, y)| &acc + &(x * y))
+        };
+        let (us, masks, _) = run_dot_many(&xs, &ys_rows, 1 << 16, None);
+        for (j, ys) in ys_rows.iter().enumerate() {
+            assert_eq!(&us[j] - &masks[j], dot(ys), "unpacked row {j}");
+        }
+        // Packed slots bound |value| + |mask|: the rows that fit.
+        let packing = test_packing((1 << 16) + 200);
+        let (us, masks, _) = run_dot_many(&xs, &ys_rows[..4], 1 << 16, Some(&packing));
+        for (j, ys) in ys_rows[..4].iter().enumerate() {
+            assert_eq!(&us[j] - &masks[j], dot(ys), "packed row {j}");
+        }
     }
 
     /// A peer serving one single-element group to a hand-fed frame.

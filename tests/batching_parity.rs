@@ -601,7 +601,7 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "enhanced/dgk+packing+grid/batched",
-        &[[89_954, 94_153, 200, 204, 200, 204]],
+        &[[89_954, 94_154, 200, 204, 200, 204]],
         &[],
     ),
     (
