@@ -43,6 +43,40 @@ fn bench_mod_pow(c: &mut Criterion) {
     group.finish();
 }
 
+/// One Montgomery product and one dedicated squaring at the `n²` width of a
+/// 1024-bit key, and the ladder at the three exponent shapes the protocols
+/// raise ciphertexts to: DGK's `×3`, a 16-bit slot mask, a key-width nonce
+/// power.
+fn bench_montgomery(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bigint_montgomery");
+    let mut r = rng(11);
+    let mut modulus = random::gen_biguint_exact_bits(&mut r, 2048);
+    modulus.set_bit(0, true);
+    let ctx = MontgomeryCtx::new(&modulus).unwrap();
+    let base = random::gen_biguint_below(&mut r, &modulus);
+    let a = ctx.to_mont(&base);
+    let b = ctx.to_mont(&random::gen_biguint_below(&mut r, &modulus));
+    group.bench_function("mont_mul_2048", |bench| {
+        bench.iter(|| ctx.mont_mul(black_box(&a), black_box(&b)));
+    });
+    group.bench_function("mont_sqr_2048", |bench| {
+        bench.iter(|| ctx.mont_sqr(black_box(&a)));
+    });
+    for (label, exp) in [
+        ("pow_mod_2048/exp_3", BigUint::from_u64(3)),
+        ("pow_mod_2048/exp_16bit", BigUint::from_u64(0xFFFF)),
+        (
+            "pow_mod_2048/exp_1024bit",
+            random::gen_biguint_exact_bits(&mut r, 1024),
+        ),
+    ] {
+        group.bench_function(label, |bench| {
+            bench.iter(|| ctx.pow_mod(black_box(&base), black_box(&exp)));
+        });
+    }
+    group.finish();
+}
+
 /// Straus/Pippenger multi-exponentiation against the per-operand ladder it
 /// replaces on the packed-aggregation and dot-product response legs. The
 /// k sweep crosses the Straus→Pippenger cutoff (32).
@@ -188,6 +222,7 @@ criterion_group!(
     benches,
     bench_mul,
     bench_mod_pow,
+    bench_montgomery,
     bench_multi_exp,
     bench_fixed_base,
     bench_batch_inverse,

@@ -226,22 +226,29 @@ pub fn batch_mod_inverse_with(ctx: &MontgomeryCtx, values: &[BigUint]) -> Option
         return Some(Vec::new());
     }
     // Montgomery chain: to_mont each value once, multiply in-domain.
-    let vals: Vec<BigUint> = values.iter().map(|v| ctx.to_mont(&(v % modulus))).collect();
+    let mut scratch = ctx.scratch();
+    let vals: Vec<Vec<u64>> = values
+        .iter()
+        .map(|v| ctx.to_mont_limbs(v, &mut scratch))
+        .collect();
     let mut prefix = Vec::with_capacity(vals.len());
     prefix.push(vals[0].clone());
     for v in &vals[1..] {
-        let next = ctx.mont_mul(prefix.last().expect("nonempty"), v);
+        let mut next: Vec<u64> = prefix.last().expect("nonempty").clone();
+        ctx.mul_assign(&mut next, v, &mut scratch);
         prefix.push(next);
     }
-    let total = ctx.from_mont(prefix.last().expect("nonempty"));
+    let total = ctx.out_of_mont(prefix.last().expect("nonempty"), &mut scratch);
     let inv_total = mod_inverse(&total, modulus)?;
-    let mut inv_running = ctx.to_mont(&inv_total);
+    let mut inv_running = ctx.to_mont_limbs(&inv_total, &mut scratch);
     let mut out = vec![BigUint::zero(); vals.len()];
     for i in (1..vals.len()).rev() {
-        out[i] = ctx.from_mont(&ctx.mont_mul(&inv_running, &prefix[i - 1]));
-        inv_running = ctx.mont_mul(&inv_running, &vals[i]);
+        // prefix[i-1] has no later reader: it becomes v_i^{-1} in place.
+        ctx.mul_assign(&mut prefix[i - 1], &inv_running, &mut scratch);
+        out[i] = ctx.out_of_mont(&prefix[i - 1], &mut scratch);
+        ctx.mul_assign(&mut inv_running, &vals[i], &mut scratch);
     }
-    out[0] = ctx.from_mont(&inv_running);
+    out[0] = ctx.out_of_mont(&inv_running, &mut scratch);
     Some(out)
 }
 

@@ -16,7 +16,7 @@
 //!   square-and-multiply ladder per operand.
 
 use crate::biguint::BigUint;
-use crate::montgomery::MontgomeryCtx;
+use crate::montgomery::{MontgomeryCtx, Scratch};
 
 /// Version stamp for the exponentiation-kernel layer, carried into bench
 /// trajectory JSON so regressions to naive ladders are visible in data.
@@ -60,10 +60,11 @@ pub struct FixedBaseTable {
     ctx: MontgomeryCtx,
     window: usize,
     max_exp_bits: usize,
-    /// Reduced base, kept for the wide-exponent fallback path.
+    /// The base, kept for the wide-exponent fallback path.
     base: BigUint,
-    /// `levels[i][j] = base^(j · 2^{window·i})` in Montgomery form.
-    levels: Vec<Vec<BigUint>>,
+    /// `levels[i]` holds `base^(j · 2^{window·i})` for `j ∈ 0..2^window`
+    /// as consecutive Montgomery rows.
+    levels: Vec<Vec<u64>>,
 }
 
 impl FixedBaseTable {
@@ -78,26 +79,27 @@ impl FixedBaseTable {
             (1..=8).contains(&window),
             "comb window must be in 1..=8, got {window}"
         );
-        let base = ctx.reduce(base);
-        let base_mont = ctx.to_mont(&base);
+        let k = ctx.width();
+        let mut scratch = ctx.scratch();
         let levels_len = max_exp_bits.div_ceil(window).max(1);
         let mut levels = Vec::with_capacity(levels_len);
-        // Level 0: base^0 ..= base^(2^w - 1).
-        levels.push(ctx.window_table(&base_mont, (1 << window) - 1));
-        for i in 1..levels_len {
-            // The next level's unit step is the previous step raised to
-            // 2^w: square the previous level's j = 1 entry w times.
-            let mut step = levels[i - 1][1].clone();
-            for _ in 0..window {
-                step = ctx.mont_mul(&step, &step);
+        // Level 0: base^0 ..= base^(2^w - 1). Each further level's unit
+        // step is the previous step raised to 2^w: w squarings.
+        let mut step = ctx.to_mont_limbs(base, &mut scratch);
+        for i in 0..levels_len {
+            if i > 0 {
+                for _ in 0..window {
+                    ctx.sqr_assign(&mut step, &mut scratch);
+                }
             }
-            levels.push(ctx.window_table(&step, (1 << window) - 1));
+            levels.push(ctx.window_table(&step, (1 << window) - 1, &mut scratch));
         }
+        debug_assert!(levels.iter().all(|level| level.len() == k << window));
         FixedBaseTable {
             ctx: ctx.clone(),
             window,
             max_exp_bits,
-            base,
+            base: base.clone(),
             levels,
         }
     }
@@ -112,41 +114,28 @@ impl FixedBaseTable {
         self.max_exp_bits
     }
 
-    /// `base^exp` in Montgomery form, or `None` when `exp` is wider than
-    /// the precomputed levels (callers then take the `pow_mod` fallback).
-    ///
-    /// Exposed so product accumulators (dot-product response legs) can
-    /// stay in the Montgomery domain across many factors and convert out
-    /// once.
-    pub fn pow_mont(&self, exp: &BigUint) -> Option<BigUint> {
+    /// `base^exp mod m` — limb-identical to
+    /// `MontgomeryCtx::pow_mod(base, exp)` for every exponent (comb scan
+    /// when the levels cover it, transparent ladder fallback when not).
+    pub fn pow(&self, exp: &BigUint) -> BigUint {
         let bits = exp.bit_length();
         if bits > self.max_exp_bits {
-            return None;
+            return self.ctx.pow_mod(&self.base, exp);
         }
-        let mut acc = self.ctx.one_mont().clone();
+        let k = self.ctx.width();
+        let mut scratch = self.ctx.scratch();
+        let mut acc = self.ctx.one_limbs();
         for (i, level) in self.levels.iter().enumerate() {
             if i * self.window >= bits {
                 break;
             }
             let d = window_digit(exp, bits, self.window, i);
             if d != 0 {
-                acc = self.ctx.mont_mul(&acc, &level[d]);
+                self.ctx
+                    .mul_assign(&mut acc, &level[d * k..(d + 1) * k], &mut scratch);
             }
         }
-        Some(acc)
-    }
-
-    /// `base^exp mod m` — limb-identical to
-    /// `MontgomeryCtx::pow_mod(base, exp)` for every exponent (comb scan
-    /// when the levels cover it, transparent ladder fallback when not).
-    pub fn pow(&self, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return &BigUint::one() % self.ctx.modulus();
-        }
-        match self.pow_mont(exp) {
-            Some(acc) => self.ctx.from_mont(&acc),
-            None => self.ctx.pow_mod(&self.base, exp),
-        }
+        self.ctx.out_of_mont(&acc, &mut scratch)
     }
 }
 
@@ -170,6 +159,8 @@ pub fn multi_exp(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> BigUint
 /// power-of-two exponent (packing slot shifts) costs a 2-entry table and
 /// a single multiply, not a 16-entry table.
 pub fn multi_exp_straus(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
+    let k = ctx.width();
+    let mut scratch = ctx.scratch();
     // Per base: its digit sequence (MSB-first) and a table up to the
     // largest digit used.
     let mut prepped = Vec::with_capacity(pairs.len());
@@ -180,17 +171,17 @@ pub fn multi_exp_straus(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> 
         if max_digit == 0 {
             continue; // exp = 0 contributes a factor of 1
         }
-        let base_mont = ctx.to_mont(&ctx.reduce(base));
-        let table = ctx.window_table(&base_mont, max_digit);
+        let base_mont = ctx.to_mont_limbs(base, &mut scratch);
+        let table = ctx.window_table(&base_mont, max_digit, &mut scratch);
         windows = windows.max(digits.len());
         prepped.push((table, digits));
     }
 
-    let mut acc = ctx.one_mont().clone();
+    let mut acc = ctx.one_limbs();
     for pos in 0..windows {
         if pos > 0 {
             for _ in 0..4 {
-                acc = ctx.mont_mul(&acc, &acc);
+                ctx.sqr_assign(&mut acc, &mut scratch);
             }
         }
         for (table, digits) in &prepped {
@@ -202,11 +193,24 @@ pub fn multi_exp_straus(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> 
             }
             let d = digits[pos - skip] as usize;
             if d != 0 {
-                acc = ctx.mont_mul(&acc, &table[d]);
+                ctx.mul_assign(&mut acc, &table[d * k..(d + 1) * k], &mut scratch);
             }
         }
     }
-    ctx.from_mont(&acc)
+    ctx.out_of_mont(&acc, &mut scratch)
+}
+
+/// `acc ← acc·factor`, where an absent `acc` stands for the unit.
+fn mul_into(
+    ctx: &MontgomeryCtx,
+    acc: &mut Option<Vec<u64>>,
+    factor: &[u64],
+    scratch: &mut Scratch,
+) {
+    match acc {
+        Some(acc) => ctx.mul_assign(acc, factor, scratch),
+        None => *acc = Some(factor.to_vec()),
+    }
 }
 
 /// Pippenger's bucket multi-exponentiation.
@@ -222,61 +226,53 @@ pub fn multi_exp_pippenger(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) 
         64..=255 => 5,
         _ => 6,
     };
+    let mut scratch = ctx.scratch();
     let mut max_bits = 0usize;
-    let prepped: Vec<(BigUint, &BigUint)> = pairs
+    let prepped: Vec<(Vec<u64>, &BigUint)> = pairs
         .iter()
         .filter(|(_, exp)| !exp.is_zero())
         .map(|(base, exp)| {
             max_bits = max_bits.max(exp.bit_length());
-            (ctx.to_mont(&ctx.reduce(base)), *exp)
+            (ctx.to_mont_limbs(base, &mut scratch), *exp)
         })
         .collect();
 
     let nwin = max_bits.div_ceil(w);
-    let mut acc = ctx.one_mont().clone();
+    let mut acc = ctx.one_limbs();
     let mut first = true;
     for win in (0..nwin).rev() {
         if !first {
             for _ in 0..w {
-                acc = ctx.mont_mul(&acc, &acc);
+                ctx.sqr_assign(&mut acc, &mut scratch);
             }
         }
-        let mut buckets: Vec<Option<BigUint>> = vec![None; 1 << w];
+        let mut buckets: Vec<Option<Vec<u64>>> = vec![None; 1 << w];
         for (base_mont, exp) in &prepped {
             let d = window_digit(exp, exp.bit_length(), w, win);
             if d != 0 {
-                buckets[d] = Some(match buckets[d].take() {
-                    Some(cur) => ctx.mont_mul(&cur, base_mont),
-                    None => base_mont.clone(),
-                });
+                mul_into(ctx, &mut buckets[d], base_mont, &mut scratch);
             }
         }
         // Fold Π_d bucket[d]^d: running suffix product enters `total`
         // once per digit value, contributing bucket[d] exactly d times.
-        let mut running: Option<BigUint> = None;
-        let mut total: Option<BigUint> = None;
+        let mut running: Option<Vec<u64>> = None;
+        let mut total: Option<Vec<u64>> = None;
         for bucket in buckets.iter().skip(1).rev() {
             if let Some(b) = bucket {
-                running = Some(match running.take() {
-                    Some(r) => ctx.mont_mul(&r, b),
-                    None => b.clone(),
-                });
+                mul_into(ctx, &mut running, b, &mut scratch);
             }
             if let Some(r) = &running {
-                total = Some(match total.take() {
-                    Some(t) => ctx.mont_mul(&t, r),
-                    None => r.clone(),
-                });
+                mul_into(ctx, &mut total, r, &mut scratch);
             }
         }
         // An all-zero window after a contributing one needs no multiply:
         // the squarings at the top of the loop already advanced `acc`.
         if let Some(t) = total {
-            acc = ctx.mont_mul(&acc, &t);
+            ctx.mul_assign(&mut acc, &t, &mut scratch);
             first = false;
         }
     }
-    ctx.from_mont(&acc)
+    ctx.out_of_mont(&acc, &mut scratch)
 }
 
 #[cfg(test)]
