@@ -38,6 +38,20 @@ fn bench_encrypt_decrypt(c: &mut Criterion) {
             let mut r = rng(4);
             b.iter(|| keypair.public.encrypt(black_box(&m), &mut r).unwrap());
         });
+        // The same ciphertexts from the side that owns the key: the nonce
+        // power by CRT over p², q² (DESIGN.md §12).
+        group.bench_function("keyholder_encrypt", |b| {
+            let mut r = rng(4);
+            b.iter(|| keypair.encrypt(black_box(&m), &mut r).unwrap());
+        });
+        if bits == 1024 {
+            // One DGK bit frame at the benchmark's share domain (ℓ = 33).
+            let bit_frame = vec![BigUint::one(); 33];
+            group.bench_function("keyholder_encrypt_many33", |b| {
+                let mut r = rng(4);
+                b.iter(|| keypair.encrypt_many(black_box(&bit_frame), &mut r).unwrap());
+            });
+        }
         group.bench_function("decrypt_standard", |b| {
             b.iter(|| keypair.private.decrypt(black_box(&ct)).unwrap());
         });
@@ -68,8 +82,14 @@ fn bench_homomorphic_ops(c: &mut Criterion) {
     group.bench_function("mul_plain", |b| {
         b.iter(|| keypair.public.mul_plain(black_box(&c1), black_box(&scalar)))
     });
+    // Negation is a modular inverse: one extended GCD alone, one per batch
+    // plus three products per element together.
     group.bench_function("negate", |b| {
         b.iter(|| keypair.public.negate(black_box(&c1)))
+    });
+    let batch = vec![c1.clone(); 33];
+    group.bench_function("negate_many33", |b| {
+        b.iter(|| keypair.public.negate_many(black_box(&batch)).unwrap())
     });
     group.bench_function("rerandomize", |b| {
         let mut r = rng(7);

@@ -366,58 +366,6 @@ impl MontgomeryCtx {
             .map(|base| self.pow_windows(base, &digits, &mut scratch))
             .collect()
     }
-
-    /// The allocating word-level CIOS product the in-place kernels
-    /// replaced, kept as the reference they are compared against.
-    #[cfg(test)]
-    #[allow(clippy::needless_range_loop)] // index form mirrors the CIOS recurrence
-    pub(crate) fn mont_mul_reference(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let k = self.k;
-        let m = self.modulus.limbs();
-        let a_limbs = a.limbs();
-        let b_limbs = b.limbs();
-
-        // t holds k+1 limbs plus a one-bit overflow in t[k+1].
-        let mut t = vec![0u64; k + 2];
-        for i in 0..k {
-            let ai = a_limbs.get(i).copied().unwrap_or(0);
-
-            // t += ai * b
-            let mut carry = 0u64;
-            for j in 0..k {
-                let bj = b_limbs.get(j).copied().unwrap_or(0);
-                let sum = t[j] as u128 + ai as u128 * bj as u128 + carry as u128;
-                t[j] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let sum = t[k] as u128 + carry as u128;
-            t[k] = sum as u64;
-            t[k + 1] += (sum >> 64) as u64; // ≤ 1
-
-            // u = t[0] * (-m^{-1}) mod 2^64; t += u*m; t >>= 64
-            let u = t[0].wrapping_mul(self.n0_inv);
-            let first = t[0] as u128 + u as u128 * m[0] as u128;
-            debug_assert_eq!(first as u64, 0);
-            let mut carry = (first >> 64) as u64;
-            for j in 1..k {
-                let sum = t[j] as u128 + u as u128 * m[j] as u128 + carry as u128;
-                t[j - 1] = sum as u64;
-                carry = (sum >> 64) as u64;
-            }
-            let sum = t[k] as u128 + carry as u128;
-            t[k - 1] = sum as u64;
-            let c2 = (sum >> 64) as u64;
-            t[k] = t[k + 1] + c2; // both ≤ 1, no overflow
-            t[k + 1] = 0;
-        }
-
-        let mut result = BigUint::from_limbs(t[..=k].to_vec());
-        if result >= self.modulus {
-            result = result.checked_sub(&self.modulus).expect("CIOS result < 2m");
-        }
-        debug_assert!(result < self.modulus);
-        result
-    }
 }
 
 /// `-m0^{-1} mod 2^64` for odd `m0`, by Newton–Hensel lifting
@@ -440,6 +388,57 @@ mod tests {
 
     fn b(v: u128) -> BigUint {
         BigUint::from_u128(v)
+    }
+
+    /// The allocating word-level CIOS product the in-place kernels
+    /// replaced, kept as the reference they are compared against.
+    #[allow(clippy::needless_range_loop)] // index form mirrors the CIOS recurrence
+    fn mont_mul_reference(ctx: &MontgomeryCtx, a: &BigUint, b: &BigUint) -> BigUint {
+        let k = ctx.k;
+        let m = ctx.modulus.limbs();
+        let a_limbs = a.limbs();
+        let b_limbs = b.limbs();
+
+        // t holds k+1 limbs plus a one-bit overflow in t[k+1].
+        let mut t = vec![0u64; k + 2];
+        for i in 0..k {
+            let ai = a_limbs.get(i).copied().unwrap_or(0);
+
+            // t += ai * b
+            let mut carry = 0u64;
+            for j in 0..k {
+                let bj = b_limbs.get(j).copied().unwrap_or(0);
+                let sum = t[j] as u128 + ai as u128 * bj as u128 + carry as u128;
+                t[j] = sum as u64;
+                carry = (sum >> 64) as u64;
+            }
+            let sum = t[k] as u128 + carry as u128;
+            t[k] = sum as u64;
+            t[k + 1] += (sum >> 64) as u64; // ≤ 1
+
+            // u = t[0] * (-m^{-1}) mod 2^64; t += u*m; t >>= 64
+            let u = t[0].wrapping_mul(ctx.n0_inv);
+            let first = t[0] as u128 + u as u128 * m[0] as u128;
+            debug_assert_eq!(first as u64, 0);
+            let mut carry = (first >> 64) as u64;
+            for j in 1..k {
+                let sum = t[j] as u128 + u as u128 * m[j] as u128 + carry as u128;
+                t[j - 1] = sum as u64;
+                carry = (sum >> 64) as u64;
+            }
+            let sum = t[k] as u128 + carry as u128;
+            t[k - 1] = sum as u64;
+            let c2 = (sum >> 64) as u64;
+            t[k] = t[k + 1] + c2; // both ≤ 1, no overflow
+            t[k + 1] = 0;
+        }
+
+        let mut result = BigUint::from_limbs(t[..=k].to_vec());
+        if result >= ctx.modulus {
+            result = result.checked_sub(&ctx.modulus).expect("CIOS result < 2m");
+        }
+        debug_assert!(result < ctx.modulus);
+        result
     }
 
     #[test]
@@ -535,7 +534,7 @@ mod tests {
                 for a in &ops {
                     for b in &ops {
                         let want = &(&(&(a * b) % &m) * &r_inv) % &m;
-                        assert_eq!(ctx.mont_mul_reference(a, b), want, "{limbs} limbs");
+                        assert_eq!(mont_mul_reference(&ctx, a, b), want, "{limbs} limbs");
                         assert_eq!(ctx.mont_mul(a, b), want, "{limbs} limbs");
                         let mut row = ctx.widen(a);
                         ctx.mul_assign(&mut row, &ctx.widen(b), &mut scratch);
@@ -544,14 +543,17 @@ mod tests {
                     // The dedicated squaring is the product with itself.
                     assert_eq!(
                         ctx.mont_sqr(a),
-                        ctx.mont_mul_reference(a, a),
+                        mont_mul_reference(&ctx, a, a),
                         "{limbs} limbs, squaring"
                     );
                     // Conversions: to_mont is a product with R², from_mont
                     // a reduction pass — against the reference for both.
                     let r2 = BigUint::from_limbs(ctx.r2.clone());
-                    assert_eq!(ctx.to_mont(a), ctx.mont_mul_reference(a, &r2));
-                    assert_eq!(ctx.from_mont(a), ctx.mont_mul_reference(a, &BigUint::one()));
+                    assert_eq!(ctx.to_mont(a), mont_mul_reference(&ctx, a, &r2));
+                    assert_eq!(
+                        ctx.from_mont(a),
+                        mont_mul_reference(&ctx, a, &BigUint::one())
+                    );
                 }
             }
         }
@@ -570,11 +572,11 @@ mod tests {
                 let before = BigUint::from_limbs(acc.clone());
                 let want = if step % 3 == 0 {
                     ctx.sqr_assign(&mut acc, &mut shared);
-                    ctx.mont_mul_reference(&before, &before)
+                    mont_mul_reference(&ctx, &before, &before)
                 } else {
                     let b = gen_biguint_below(&mut r, &m);
                     ctx.mul_assign(&mut acc, &ctx.widen(&b), &mut shared);
-                    ctx.mont_mul_reference(&before, &b)
+                    mont_mul_reference(&ctx, &before, &b)
                 };
                 assert_eq!(BigUint::from_limbs(acc.clone()), want, "step {step}");
             }

@@ -79,7 +79,6 @@ impl FixedBaseTable {
             (1..=8).contains(&window),
             "comb window must be in 1..=8, got {window}"
         );
-        let k = ctx.width();
         let mut scratch = ctx.scratch();
         let levels_len = max_exp_bits.div_ceil(window).max(1);
         let mut levels = Vec::with_capacity(levels_len);
@@ -94,7 +93,6 @@ impl FixedBaseTable {
             }
             levels.push(ctx.window_table(&step, (1 << window) - 1, &mut scratch));
         }
-        debug_assert!(levels.iter().all(|level| level.len() == k << window));
         FixedBaseTable {
             ctx: ctx.clone(),
             window,

@@ -148,7 +148,7 @@ mod tests {
     fn homomorphic_addition_wraps_mod_n() {
         let kp = shared_keypair();
         let mut r = rng(11);
-        let n_minus_1 = kp.public.n() - &BigUint::one();
+        let n_minus_1 = kp.public.n() - &b(1);
         let c1 = kp.public.encrypt(&n_minus_1, &mut r).unwrap();
         let c2 = kp.public.encrypt(&b(5), &mut r).unwrap();
         let sum = kp.public.add(&c1, &c2);

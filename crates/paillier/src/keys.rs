@@ -186,7 +186,7 @@ impl Keypair {
     /// byte for byte, from the same `rng` draws and the same pool hits
     /// (the pool attached to `self.public`, if any), with every fresh
     /// nonce power taken by CRT under the factorization only this side
-    /// holds ([`PrivateKey::nonce_power`]). The factors never enter the
+    /// holds (`PrivateKey::nonce_power`). The factors never enter the
     /// [`PublicKey`], which is what a peer rebuilds from the wire.
     pub fn encrypt_many<R: Rng + ?Sized>(
         &self,

@@ -450,6 +450,14 @@ fn framing_cells() -> Vec<(String, Family, ProtocolConfig)> {
 /// so equal bytes also say that no draw moved to another keyed stream. A
 /// two-party cell lists Alice; Bob's traffic is hers with the directions
 /// swapped.
+///
+/// Nine Paillier cells were re-recorded, by 1–4 bytes in the peer→keyholder
+/// direction only, when a negative scalar became an inverse (`(c⁻¹)^|k|` in
+/// place of `c^(n−|k|)`): the same plaintext rides a different group
+/// element in DGK replies and in HDP / ADP / dot responses to a negative
+/// coordinate, and an element's minimal encoding is a byte shorter once in
+/// 256. Rounds, messages, the keyholder→peer direction and every sharing
+/// cell did not move (CHANGES.md, PR 16, lists each old → new value).
 type FramingPin = (&'static str, &'static [Pin], &'static [[u64; 2]]);
 
 const FRAMING_PINS: &[FramingPin] = &[

@@ -7,7 +7,7 @@ use ppdbscan::session::{Hello, Mode, Participant, PartyData};
 use ppdbscan::CoreError;
 use ppds_bigint::BigUint;
 use ppds_dbscan::{DbscanParams, Point, Pruning};
-use ppds_paillier::Keypair;
+use ppds_paillier::{Keypair, PaillierError};
 use ppds_smc::backend::clamp_sharing_bound;
 use ppds_smc::compare::{compare_bob, CmpOp, Comparator, ComparisonDomain};
 use ppds_smc::millionaires::{yao_bob, YaoConfig};
@@ -57,6 +57,98 @@ fn multiplication_peer_fed(frame: &impl ppds_transport::WireEncode, seed: u64) -
 fn zero_ciphertext_in_multiplication_is_crypto_error() {
     let err = multiplication_peer_fed(&vec![BigUint::zero()], 1);
     assert!(matches!(err, SmcError::Crypto(_)));
+}
+
+/// Negation and negative scalars are modular inversions, so a ciphertext
+/// that is no unit must be turned away before it reaches one — as the same
+/// typed error the membership check always gave, on both framings, never a
+/// panic. A fake Alice plants `0`, `n` and `n²` in a DGK bit frame; a fake
+/// keyholder plants `n` in a dot-product and in a multiplication frame whose
+/// honest multipliers are negative.
+#[test]
+fn non_unit_ciphertexts_are_typed_errors_before_any_inversion() {
+    let kp = test_keypair();
+    let (n, nn) = (kp.public.n().clone(), kp.public.n_squared().clone());
+    let good = |m: u64| {
+        let ct = kp.public.encrypt(&BigUint::from_u64(m), &mut rng(m));
+        ct.unwrap().as_biguint().clone()
+    };
+    let refused = |what: &str, err: SmcError| {
+        assert!(
+            matches!(err, SmcError::Crypto(PaillierError::InvalidCiphertext)),
+            "{what}: wanted an invalid-ciphertext error, got {err:?}"
+        );
+    };
+    let ctx = ProtocolContext::new(8);
+    let mut acct = SharingLedger::default();
+    for batching in [false, true] {
+        for packed in [false, true] {
+            let backend = backend_of(&kp, batching, packed);
+            // ℓ = 3 bits: n0 = 7. Two comparisons: one frame of two bit
+            // groups batched, the first group alone otherwise.
+            let domain = ComparisonDomain::new(0, 5);
+            for bad in [BigUint::zero(), n.clone(), nn.clone()] {
+                let groups = [vec![good(1), bad, good(0)], vec![good(0); 3]];
+                let (mut fake, mut honest) = duplex();
+                let sent = if batching { &groups[..] } else { &groups[..1] };
+                fake.send_batch(sent).unwrap();
+                let err = backend
+                    .compare_batch(
+                        &mut honest,
+                        Party::Bob,
+                        &[5, 2],
+                        CmpOp::Lt,
+                        &domain,
+                        &ctx,
+                        &mut acct,
+                    )
+                    .unwrap_err();
+                refused(
+                    &format!("dgk bits, batching={batching}, packed={packed}"),
+                    err,
+                );
+            }
+        }
+
+        let (mut fake, mut honest) = duplex();
+        fake.send(&vec![good(3), n.clone(), good(4)]).unwrap();
+        let rows = [vec![-1, -2, -3], vec![4, -5, 6]];
+        let err = backend_of(&kp, batching, false)
+            .dot_many_responder(&mut honest, &rows, &ctx, &mut acct)
+            .unwrap_err();
+        refused(&format!("dot frame, batching={batching}"), err);
+
+        let (mut fake, mut honest) = duplex();
+        let groups = [vec![good(3), n.clone()], vec![good(4), good(5)]];
+        let sent = if batching { &groups[..] } else { &groups[..1] };
+        fake.send_batch(sent).unwrap();
+        let err = backend_of(&kp, batching, false)
+            .mul_fold_peer(
+                &mut honest,
+                &[vec![-4, -5], vec![-6, 7]],
+                &[0, 1],
+                &ctx,
+                &mut acct,
+            )
+            .unwrap_err();
+        refused(&format!("multiplication frame, batching={batching}"), err);
+    }
+}
+
+/// A DGK Paillier backend over one keypair in both roles; `packed` packs
+/// the DGK reply only.
+fn backend_of(kp: &Keypair, batching: bool, packed: bool) -> PaillierBackend<'_> {
+    PaillierBackend {
+        my_keypair: kp,
+        peer_pk: &kp.public,
+        comparator: Comparator::Dgk,
+        packed,
+        batching,
+        mul_packing: None,
+        dot_packing: None,
+        mul_mask_bound: BigUint::from_u64(1 << 10),
+        dot_mask_bound: BigUint::from_u64(1 << 10),
+    }
 }
 
 #[test]
