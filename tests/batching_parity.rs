@@ -457,7 +457,7 @@ fn framing_cells() -> Vec<(String, Family, ProtocolConfig)> {
 /// element in DGK replies and in HDP / ADP / dot responses to a negative
 /// coordinate, and an element's minimal encoding is a byte shorter once in
 /// 256. Rounds, messages, the keyholder→peer direction and every sharing
-/// cell did not move (CHANGES.md, PR 16, lists each old → new value).
+/// cell did not move (CHANGES.md, PR 17, lists each old → new value).
 type FramingPin = (&'static str, &'static [Pin], &'static [[u64; 2]]);
 
 const FRAMING_PINS: &[FramingPin] = &[
