@@ -233,51 +233,6 @@ fn bench_keyed_derivation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Order-independent draws unlock parallel batch evaluation: the DGK batch
-/// encryption path (Bob's masked comparison vectors are the analogous hot
-/// loop) run on 1 worker vs 4. On a single-CPU host both rows are flat;
-/// on a multicore host the 4-worker row shows the speedup. Outputs are
-/// byte-identical either way (pinned by the smc parallel tests).
-fn bench_parallel_batch_encryption(c: &mut Criterion) {
-    use ppds_smc::parallel::force_workers;
-    let groups: Vec<Vec<BigInt>> = (0..16)
-        .map(|g| (0..4).map(|i| BigInt::from_i64(g * 4 + i)).collect())
-        .collect();
-    let mut group = c.benchmark_group("batch_encryption_16x4_256bit");
-    group.sample_size(10);
-    for workers in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| {
-                    let _guard = force_workers(workers);
-                    let (mut kchan, mut pchan) = duplex();
-                    let groups2 = groups.clone();
-                    let handle = std::thread::spawn(move || {
-                        let kctx = ProtocolContext::new(30).narrow("mul");
-                        mul_batches_keyholder(
-                            &mut kchan,
-                            keypair(),
-                            &groups2,
-                            |g| kctx.at(g as u64),
-                            None,
-                        )
-                        .unwrap()
-                    });
-                    // Absorb and answer with the ciphertexts unchanged so the
-                    // bench isolates the keyholder's encrypt+decrypt work.
-                    use ppds_transport::Channel;
-                    let cts: Vec<Vec<ppds_bigint::BigUint>> = pchan.recv_batch().unwrap();
-                    pchan.send_batch(&cts).unwrap();
-                    handle.join().unwrap()
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Packed vs unpacked DGK reply: one comparison over a 10-bit domain at
 /// 256-bit keys. Unpacked, Bob ships ℓ = 10 masked ciphertexts and Alice
 /// decrypts all 10; packed, the verdict vector rides one word and Alice
@@ -770,7 +725,6 @@ criterion_group!(
     bench_kth_selection,
     bench_batching_ablation,
     bench_keyed_derivation,
-    bench_parallel_batch_encryption,
     bench_dgk_reply_packing,
     bench_dgk_roles,
     bench_dot_many_packing,

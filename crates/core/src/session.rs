@@ -56,14 +56,14 @@ use crate::error::CoreError;
 use ppds_dbscan::{Clustering, Point, Pruning};
 use ppds_observe::trace::{self, Span};
 use ppds_observe::{SessionTrace, SpanRecorder, TraceSink};
-use ppds_paillier::{FillerHandle, Keypair, PublicKey, RandomizerPool};
+use ppds_paillier::{Keypair, PublicKey};
 use ppds_smc::compare::Comparator;
 use ppds_smc::kth::SelectionMethod;
 use ppds_smc::{setup, BackendKind, DealerTape, LeakageLog, Party, ProtocolContext, SharingLedger};
 use ppds_transport::wire::{Reader, WireDecode, WireEncode};
 use ppds_transport::{duplex, Channel, MemoryChannel, TransportError};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Version of the session handshake wire format. Bumped whenever the
@@ -586,60 +586,13 @@ pub(crate) trait ModeDriver {
     ) -> Result<Clustering, CoreError>;
 }
 
-/// Opt-in randomizer precomputation for a session: after the handshake,
-/// both session keys (own and peer) get a [`RandomizerPool`] of `capacity`
-/// randomizers — prefilled synchronously, then topped up by `fillers`
-/// background threads (0 = prefill only) for the lifetime of the protocol
-/// body. Every hot-path encryption under either key (protocol `encrypt`
-/// calls, DGK re-randomization, packed-word nonces) then consumes pooled
-/// `r^n` factors instead of exponentiating inline.
-///
-/// Trade-off: pooled nonces come from the pool's own streams, so wire
-/// *bytes* are no longer reproducible from the session seed (outputs,
-/// leakage, and ledgers still are — pinned by the `pooled_sessions_*`
-/// integration test). Use for throughput; leave off where transcript
-/// reproducibility matters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolSetup {
-    /// Randomizers buffered per key.
-    pub capacity: usize,
-    /// Background filler threads per key (0 = synchronous prefill only).
-    pub fillers: usize,
-}
-
-/// Attaches fresh randomizer pools to both session keys (see
-/// [`PoolSetup`]); returns the filler guards that keep the background
-/// threads alive for the protocol body.
-fn attach_pools(
-    session: &mut Session,
-    setup: PoolSetup,
-    ctx: &ProtocolContext,
-) -> Vec<FillerHandle> {
-    let mut seeds = ctx.narrow("pool").rng();
-    let mut guards = Vec::new();
-    let mut pooled = |pk: PublicKey| {
-        let pool = RandomizerPool::new(pk.clone(), setup.capacity.max(1));
-        let mut prefill_rng = StdRng::seed_from_u64(seeds.next_u64());
-        pool.prefill(setup.capacity, &mut prefill_rng);
-        if setup.fillers > 0 {
-            guards.push(pool.spawn_fillers(setup.fillers, seeds.next_u64()));
-        }
-        pk.with_randomizer_pool(pool)
-            .expect("pool was built for this key")
-    };
-    session.my_keypair.public = pooled(session.my_keypair.public.clone());
-    session.peer_pk = pooled(session.peer_pk.clone());
-    guards
-}
-
 /// Runs one two-party mode end to end on this side of `chan`: validate,
 /// establish (generating a keypair from the context's `"keygen"` substream
-/// unless one is supplied), cross-check, execute, assemble the outcome —
-/// with optional randomizer-pool precomputation. A traced session's four
-/// top-level spans tile the run: `keygen` opens before anything else
-/// happens here, and the `assemble` span comes back open, so the caller
-/// that owns the session's inputs and its recorder releases both before
-/// the span's end edge is stamped.
+/// unless one is supplied), cross-check, execute, assemble the outcome. A
+/// traced session's four top-level spans tile the run: `keygen` opens
+/// before anything else happens here, and the `assemble` span comes back
+/// open, so the caller that owns the session's inputs and its recorder
+/// releases both before the span's end edge is stamped.
 pub(crate) fn run_two_party<C, D>(
     chan: &mut C,
     cfg: &ProtocolConfig,
@@ -647,7 +600,6 @@ pub(crate) fn run_two_party<C, D>(
     role: Party,
     keypair: Option<Keypair>,
     ctx: &ProtocolContext,
-    pools: Option<PoolSetup>,
 ) -> Result<(SessionOutcome, Span), CoreError>
 where
     C: Channel,
@@ -662,10 +614,9 @@ where
     keygen_span.end(|| chan.metrics());
     let profile = driver.profile();
     let establish_span = trace::span("establish", || chan.metrics());
-    let mut session = establish(chan, cfg, keypair, role, &profile, ctx)?;
+    let session = establish(chan, cfg, keypair, role, &profile, ctx)?;
     driver.check_session(cfg, &session)?;
     establish_span.end(|| chan.metrics());
-    let _filler_guards = pools.map(|setup| attach_pools(&mut session, setup, ctx));
 
     let mut log = SessionLog::new();
     let mctx = ModeContext {
@@ -828,7 +779,6 @@ pub struct Participant {
     data: Option<PartyData>,
     keypair: Option<Keypair>,
     ctx: Option<ProtocolContext>,
-    pools: Option<PoolSetup>,
     recorder: Option<Arc<SpanRecorder>>,
 }
 
@@ -841,7 +791,6 @@ impl Participant {
             data: None,
             keypair: None,
             ctx: None,
-            pools: None,
             recorder: None,
         }
     }
@@ -859,19 +808,6 @@ impl Participant {
     /// Untraced sessions pay one thread-local read per would-be span.
     pub fn trace(mut self, recorder: Arc<SpanRecorder>) -> Self {
         self.recorder = Some(recorder);
-        self
-    }
-
-    /// Enables randomizer precomputation for this session (see
-    /// [`PoolSetup`]): both session keys get a prefilled
-    /// [`ppds_paillier::RandomizerPool`], optionally topped up by
-    /// background filler threads, so hot-path encryptions collapse to two
-    /// modular multiplications when the pool has stock. Protocol outputs,
-    /// leakage, and ledgers are unchanged; wire bytes stop being a pure
-    /// function of the seed. Two-party sessions only (a mesh node runs
-    /// many pairwise sessions and manages its own keys).
-    pub fn pooled_randomizers(mut self, capacity: usize, fillers: usize) -> Self {
-        self.pools = Some(PoolSetup { capacity, fillers });
         self
     }
 
@@ -982,7 +918,6 @@ impl Participant {
                 role,
                 self.keypair,
                 &ctx,
-                self.pools,
             ),
             PartyData::Enhanced(points) => run_two_party(
                 chan,
@@ -991,7 +926,6 @@ impl Participant {
                 role,
                 self.keypair,
                 &ctx,
-                self.pools,
             ),
             PartyData::Vertical(attrs) => run_two_party(
                 chan,
@@ -1000,7 +934,6 @@ impl Participant {
                 role,
                 self.keypair,
                 &ctx,
-                self.pools,
             ),
             PartyData::Arbitrary(values) => run_two_party(
                 chan,
@@ -1009,7 +942,6 @@ impl Participant {
                 role,
                 self.keypair,
                 &ctx,
-                self.pools,
             ),
             PartyData::Multiparty(_) => Err(CoreError::config(
                 "multiparty data runs over a mesh: call .run_mesh(..) instead of .run(..)",

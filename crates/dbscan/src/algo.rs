@@ -179,33 +179,6 @@ fn expand<N: AsRef<[usize]>>(
     finish(states, next_cluster)
 }
 
-/// Runs the Algorithm 5 & 6 expansion over *precomputed* neighborhoods:
-/// `neighborhoods[i]` must hold the ascending indices of every point within
-/// `Eps` of point `i` (including `i` itself), exactly as
-/// [`NeighborIndex::region_query`] reports them.
-///
-/// Because expansion consumes the same neighborhood answers in the same
-/// order, the labels are identical to [`dbscan_with_index`] over the index
-/// that produced the neighborhoods — this is what lets
-/// [`crate::shard::dbscan_parallel`] compute all neighborhoods on worker
-/// threads first and keep the result bit-for-bit deterministic.
-///
-/// # Panics
-/// Panics if `neighborhoods.len() != n` or any neighbor index is out of
-/// range.
-pub fn dbscan_precomputed(
-    n: usize,
-    params: DbscanParams,
-    neighborhoods: &[Vec<usize>],
-) -> Clustering {
-    assert_eq!(neighborhoods.len(), n, "one neighborhood per point");
-    expand(
-        n,
-        |i| &neighborhoods[i],
-        |_, own_count| own_count >= params.min_pts,
-    )
-}
-
 /// A symmetric Eps-neighbour graph over `n` points in CSR form:
 /// `neighbors(x)` are the points within `Eps` of `x`, ascending, *excluding*
 /// `x` itself (a point always neighbours itself; storing that would cost a

@@ -7,12 +7,12 @@
 //! in-memory channel pair, blocking until the protocol completes. That is
 //! the right shape for studying a protocol and the wrong shape for serving
 //! many tenants. This crate turns those one-shot drivers into a concurrent
-//! job runtime built from three layers:
+//! job runtime: a scheduler.
 //!
-//! ## 1. The job scheduler ([`scheduler`])
+//! ## The job scheduler ([`scheduler`])
 //!
-//! [`Engine`] owns a pool of worker threads fed from one multi-consumer
-//! queue. Callers [`Engine::submit`] [`ClusteringJob`] descriptors — a
+//! [`Engine`] owns a pool of worker threads fed from one shared queue.
+//! Callers [`Engine::submit`] [`ClusteringJob`] descriptors — a
 //! protocol mode ([`ppdbscan::SessionRequest`]: horizontal, vertical,
 //! arbitrary, enhanced, or multiparty), a dataset, a
 //! [`ppdbscan::ProtocolConfig`], and a seed — and get back a [`JobId`]
@@ -30,36 +30,14 @@
 //! seed, a job's clustering output is bit-for-bit identical to running the
 //! same request through two [`ppdbscan::session::Participant`]s directly —
 //! concurrency changes throughput, never answers. The
-//! `engine_matches_direct_drivers` integration test pins this.
-//!
-//! ## 2. The Paillier precomputation pool ([`ppds_paillier::RandomizerPool`])
-//!
-//! Almost all of a Paillier encryption is the message-independent factor
-//! `r^n mod n²`. The engine can host one background-filled
-//! [`ppds_paillier::RandomizerPool`] (see [`PrecomputeConfig`]), shared by
-//! every concurrent session encrypting under the engine's service key:
-//! filler threads burn idle cores keeping the buffer full, and a hot-path
-//! encryption ([`ppds_paillier::RandomizerPool::encrypt`]) collapses to two
-//! modular multiplications. The `paillier_precompute` entries in the
-//! `engine_throughput` bench quantify the gap against baseline
-//! `PublicKey::encrypt` on the same keypair.
-//!
-//! ## 3. Grid-sharded intra-job parallelism ([`ppds_dbscan::shard`])
-//!
-//! Within a single job, neighborhood computation fans out too:
-//! [`ppds_dbscan::ShardedGridIndex`] partitions the query space into
-//! disjoint cell shards by a stable hash, and
-//! [`ppds_dbscan::dbscan_parallel`] answers all `n` region queries on
-//! worker threads before running the standard expansion on the precomputed
-//! answers. Shard assignment and merged, sorted query answers are pure
-//! functions of the input, so intra-job parallelism is exactly as
-//! deterministic as the sequential path — the property the two-party
-//! protocols need to stay in lockstep.
+//! `engine_matches_direct_drivers` integration test pins this. A job or
+//! task that panics is a failed job: the worker that ran it takes the next
+//! message.
 //!
 //! ## Leakage guarantees under concurrency
 //!
 //! Running sessions concurrently does not weaken the paper's per-session
-//! guarantees, for three structural reasons:
+//! guarantees, for two structural reasons:
 //!
 //! * **Isolation** — each session gets a dedicated channel pair and
 //!   per-session keypairs generated from its own seeded RNG stream;
@@ -68,10 +46,6 @@
 //!   single-session theorems (9/10/11) permit, which the
 //!   `leakage_profile_preserved_per_concurrent_session` test asserts
 //!   per-job under a fully loaded engine.
-//! * **One-shot randomizers** — the shared [`ppds_paillier::RandomizerPool`]
-//!   hands each precomputed `r^n` to at most one encryption (`take` pops;
-//!   [`ppds_paillier::Randomizer`] is not `Clone`), so pooling never reuses
-//!   a nonce across sessions. The pool stores only `r^n`, never `r`.
 //! * **Aggregation only widens, never leaks** — the engine's rollups sum
 //!   byte/message counters and modeled Yao costs across sessions; they
 //!   contain no plaintexts, shares, or neighborhoods. What a tenant learns
@@ -82,4 +56,4 @@ pub mod job;
 pub mod scheduler;
 
 pub use job::{ClusteringJob, JobId, JobResult};
-pub use scheduler::{Engine, EngineConfig, EngineError, EngineReport, PrecomputeConfig, TaskFn};
+pub use scheduler::{Engine, EngineConfig, EngineError, EngineReport, TaskFn};

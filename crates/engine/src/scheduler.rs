@@ -1,30 +1,25 @@
 //! The worker-pool scheduler: submission queue, results store, rollups.
 
 use crate::job::{ClusteringJob, JobId, JobResult};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use ppdbscan::config::YaoLedger;
-use ppdbscan::run_session;
+use ppdbscan::{run_session, CoreError};
 use ppds_observe::MetricsRegistry;
-use ppds_paillier::{FillerHandle, Keypair, PoolStats, RandomizerPool};
 use ppds_transport::MetricsSnapshot;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How many workers and whether to host a shared precomputation pool.
+/// How many workers, and whether the queue is bounded.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads pulling jobs from the queue. Each session additionally
     /// spawns its per-party threads, so the sweet spot is roughly
     /// `cores / 2` for two-party workloads.
     pub workers: usize,
-    /// Optional shared Paillier randomizer pool (layer 2); `None` runs the
-    /// scheduler without a precomputation service.
-    pub precompute: Option<PrecomputeConfig>,
     /// Bounded-queue mode: when `Some(cap)`, a submission that would leave
     /// more than `cap` jobs waiting (not yet picked up by a worker) is
     /// refused with [`EngineError::QueueFull`] instead of growing the queue
@@ -41,14 +36,13 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().div_ceil(2))
                 .unwrap_or(4),
-            precompute: None,
             queue_cap: None,
         }
     }
 }
 
 impl EngineConfig {
-    /// A config with exactly `workers` workers and no precompute pool.
+    /// A config with exactly `workers` workers and an unbounded queue.
     pub fn with_workers(workers: usize) -> Self {
         EngineConfig {
             workers,
@@ -92,7 +86,8 @@ impl std::fmt::Display for EngineError {
 impl std::error::Error for EngineError {}
 
 /// A generic unit of work for [`Engine::try_submit_task`]: runs on a worker
-/// thread, reports success or a failure description. Unlike a
+/// thread, reports success or a failure description (a task that panics
+/// counts as failed). Unlike a
 /// [`ClusteringJob`] it deposits nothing in the results store — completion
 /// is visible through the report counters and whatever state the closure
 /// updates itself (a server's session registry, for instance).
@@ -106,30 +101,6 @@ enum Work {
     Task(JobId, &'static str, TaskFn),
 }
 
-/// Parameters of the engine-hosted [`RandomizerPool`].
-#[derive(Debug, Clone)]
-pub struct PrecomputeConfig {
-    /// Key size for the engine's service keypair.
-    pub key_bits: usize,
-    /// Randomizers buffered at most.
-    pub capacity: usize,
-    /// Background filler threads.
-    pub fillers: usize,
-    /// Seed for keypair generation and the filler RNG streams.
-    pub seed: u64,
-}
-
-impl Default for PrecomputeConfig {
-    fn default() -> Self {
-        PrecomputeConfig {
-            key_bits: 512,
-            capacity: 1024,
-            fillers: 1,
-            seed: 0x0E46_14E0,
-        }
-    }
-}
-
 /// Aggregated view over everything the engine has executed so far.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineReport {
@@ -137,7 +108,7 @@ pub struct EngineReport {
     pub submitted: u64,
     /// Jobs that finished successfully.
     pub completed: u64,
-    /// Jobs whose session returned an error.
+    /// Jobs whose session returned an error or panicked.
     pub failed: u64,
     /// Componentwise sum of every finished job's party traffic.
     pub traffic: MetricsSnapshot,
@@ -146,8 +117,6 @@ pub struct EngineReport {
     /// Sum of per-job wall times (exceeds real elapsed time when jobs ran
     /// in parallel; the ratio is the scheduler's effective concurrency).
     pub busy_time: Duration,
-    /// Stats of the shared randomizer pool, when one is hosted.
-    pub pool: Option<PoolStats>,
 }
 
 /// Shared mutable state between the engine handle and its workers.
@@ -184,19 +153,19 @@ pub struct Engine {
     shared: Arc<EngineShared>,
     next_id: AtomicU64,
     queue_cap: Option<usize>,
-    pool: Option<Arc<RandomizerPool>>,
-    fillers: Option<FillerHandle>,
-    service_keypair: Option<Keypair>,
 }
 
 impl Engine {
-    /// Starts the worker pool (and the precompute pool, if configured).
+    /// Starts the worker pool.
     ///
     /// # Panics
     /// Panics if `config.workers` is zero.
     pub fn start(config: EngineConfig) -> Engine {
         assert!(config.workers > 0, "engine needs at least one worker");
-        let (sender, receiver): (Sender<Work>, Receiver<_>) = unbounded();
+        let (sender, receiver) = channel::<Work>();
+        // One queue shared by every worker: a worker holds the lock to
+        // receive a message, never while it runs one.
+        let queue = Arc::new(Mutex::new(receiver));
         let shared = Arc::new(EngineShared {
             results: Mutex::new(HashMap::new()),
             job_done: Condvar::new(),
@@ -210,25 +179,14 @@ impl Engine {
 
         let workers = (0..config.workers)
             .map(|i| {
-                let rx = receiver.clone();
+                let queue = Arc::clone(&queue);
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ppds-engine-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared))
+                    .spawn(move || worker_loop(&queue, &shared))
                     .expect("spawn engine worker")
             })
             .collect();
-
-        let (pool, fillers, service_keypair) = match config.precompute {
-            None => (None, None, None),
-            Some(pc) => {
-                let mut rng = StdRng::seed_from_u64(pc.seed);
-                let keypair = Keypair::generate(pc.key_bits, &mut rng);
-                let pool = RandomizerPool::new(keypair.public.clone(), pc.capacity);
-                let fillers = pool.spawn_fillers(pc.fillers.max(1), pc.seed ^ 0xF111);
-                (Some(pool), Some(fillers), Some(keypair))
-            }
-        };
 
         Engine {
             sender: Some(sender),
@@ -236,9 +194,6 @@ impl Engine {
             shared,
             next_id: AtomicU64::new(0),
             queue_cap: config.queue_cap,
-            pool,
-            fillers,
-            service_keypair,
         }
     }
 
@@ -266,7 +221,7 @@ impl Engine {
             .as_ref()
             .expect("engine not shut down")
             .send(work(id))
-            .expect("workers alive while engine handle exists");
+            .expect("workers outlive the handle: they survive a panicking job");
         Ok(id)
     }
 
@@ -374,17 +329,6 @@ impl Engine {
         }
     }
 
-    /// The shared randomizer pool, when [`PrecomputeConfig`] enabled one.
-    pub fn randomizer_pool(&self) -> Option<&Arc<RandomizerPool>> {
-        self.pool.as_ref()
-    }
-
-    /// The engine's service keypair (the private half matching the shared
-    /// pool's public key), when precompute is enabled.
-    pub fn service_keypair(&self) -> Option<&Keypair> {
-        self.service_keypair.as_ref()
-    }
-
     /// The operator metrics registry: scheduler gauges
     /// (`engine_queue_depth`, `engine_in_flight`), job counters
     /// (`engine_jobs_submitted` / `_completed` / `_failed`), and per-mode
@@ -405,7 +349,6 @@ impl Engine {
             traffic: rollup.traffic,
             yao: rollup.yao,
             busy_time: rollup.busy,
-            pool: self.pool.as_ref().map(|p| p.stats()),
         }
     }
 
@@ -422,9 +365,6 @@ impl Engine {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(fillers) = self.fillers.take() {
-            fillers.stop();
-        }
     }
 }
 
@@ -434,12 +374,23 @@ impl Drop for Engine {
     }
 }
 
-fn worker_loop(rx: &Receiver<Work>, shared: &EngineShared) {
+fn worker_loop(queue: &Mutex<Receiver<Work>>, shared: &EngineShared) {
     let queue_depth = shared.registry.gauge("engine_queue_depth");
     let in_flight = shared.registry.gauge("engine_in_flight");
     let jobs_completed = shared.registry.counter("engine_jobs_completed");
     let jobs_failed = shared.registry.counter("engine_jobs_failed");
-    while let Ok(work) = rx.recv() {
+    loop {
+        // The guard is a temporary of this statement alone. In a `while let`
+        // scrutinee it would live through the job and the pool would run one
+        // job at a time.
+        let received = queue
+            .lock()
+            .expect("the queue lock is held only across recv, which does not panic")
+            .recv();
+        let Ok(work) = received else {
+            // Queue closed and drained.
+            return;
+        };
         let (id, job) = match work {
             Work::Clustering(id, job) => (id, job),
             Work::Task(_id, _label, task) => {
@@ -447,7 +398,10 @@ fn worker_loop(rx: &Receiver<Work>, shared: &EngineShared) {
                 queue_depth.dec();
                 in_flight.inc();
                 let start = Instant::now();
-                let outcome = task();
+                // A panic is a failed task, accounted like any other: the
+                // worker and the counters a drain waits on both survive it.
+                let outcome = catch_unwind(AssertUnwindSafe(task))
+                    .unwrap_or_else(|_| Err("task panicked".to_owned()));
                 let wall_time = start.elapsed();
                 shared.rollup.lock().unwrap().busy += wall_time;
                 let succeeded = outcome.is_ok();
@@ -473,7 +427,10 @@ fn worker_loop(rx: &Receiver<Work>, shared: &EngineShared) {
         in_flight.inc();
         let mode = job.request.mode_name();
         let start = Instant::now();
-        let outcome = run_session(&job.cfg, &job.request, job.seed);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_session(&job.cfg, &job.request, job.seed)
+        }))
+        .unwrap_or(Err(CoreError::PartyPanicked("engine job")));
         let wall_time = start.elapsed();
 
         let (traffic, yao) = match &outcome {

@@ -4,9 +4,8 @@
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{run_participants, Participant, PartyData};
 use ppdbscan::{ArbitraryPartition, PartyOutput, SessionRequest, VerticalPartition};
-use ppds_bigint::BigUint;
 use ppds_dbscan::{DbscanParams, Point};
-use ppds_engine::{ClusteringJob, Engine, EngineConfig, PrecomputeConfig};
+use ppds_engine::{ClusteringJob, Engine, EngineConfig};
 use ppds_smc::LeakageEvent;
 use ppds_smc::Party;
 use ppds_transport::MetricsSnapshot;
@@ -373,46 +372,6 @@ fn leakage_profile_preserved_per_concurrent_session() {
 }
 
 #[test]
-fn shared_randomizer_pool_serves_concurrent_encryptors() {
-    let engine = Engine::start(EngineConfig {
-        workers: 2,
-        precompute: Some(PrecomputeConfig {
-            key_bits: 128,
-            capacity: 64,
-            fillers: 2,
-            seed: 5,
-        }),
-        queue_cap: None,
-    });
-    let pool = engine.randomizer_pool().expect("pool configured").clone();
-    let keypair = engine.service_keypair().expect("service keypair").clone();
-
-    // Several "sessions" encrypt concurrently from the one shared pool.
-    let mut handles = Vec::new();
-    for t in 0..4u64 {
-        let pool = pool.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(t);
-            (0..25)
-                .map(|i| {
-                    let m = BigUint::from_u64(t * 1000 + i);
-                    (m.clone(), pool.encrypt(&m, &mut rng).unwrap())
-                })
-                .collect::<Vec<_>>()
-        }));
-    }
-    for handle in handles {
-        for (m, c) in handle.join().unwrap() {
-            assert_eq!(keypair.private.decrypt_crt(&c).unwrap(), m);
-        }
-    }
-    let report = engine.shutdown();
-    let stats = report.pool.expect("pool stats in report");
-    assert_eq!(stats.hits + stats.misses, 100);
-    assert!(stats.hits > 0, "background fillers never served a hit");
-}
-
-#[test]
 fn bounded_queue_sheds_load_with_typed_error() {
     use ppds_engine::EngineError;
     use std::sync::mpsc;
@@ -492,4 +451,64 @@ fn tasks_share_queue_accounting_with_jobs() {
     assert_eq!(report.submitted, 6);
     assert_eq!(report.completed, 5);
     assert_eq!(report.failed, 1, "task failure counted, not lost");
+}
+
+#[test]
+fn a_panicking_task_is_a_failed_job_and_its_worker_takes_the_next() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let engine = Engine::start(EngineConfig::with_workers(1));
+    engine
+        .try_submit_task(
+            "panics",
+            Box::new(|| -> Result<(), String> { panic!("intentional") }),
+        )
+        .expect("unbounded");
+    let (tx, rx) = mpsc::channel::<()>();
+    engine
+        .try_submit_task(
+            "sends",
+            Box::new(move || tx.send(()).map_err(|e| e.to_string())),
+        )
+        .expect("the only worker is still there to receive");
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("the only worker outlived the panicking task");
+    engine.wait_all();
+    let report = engine.report();
+    assert_eq!((report.failed, report.completed), (1, 1));
+    let registry = engine.registry();
+    assert_eq!(registry.gauge("engine_queue_depth").get(), 0);
+    assert_eq!(registry.gauge("engine_in_flight").get(), 0);
+    assert_eq!(registry.counter("engine_jobs_failed").get(), 1);
+}
+
+#[test]
+fn a_worker_holds_the_queue_only_to_receive() {
+    use std::sync::{mpsc, Arc, Barrier};
+    use std::time::Duration;
+
+    let engine = Engine::start(EngineConfig::with_workers(2));
+    let barrier = Arc::new(Barrier::new(2));
+    let (tx, rx) = mpsc::channel::<()>();
+    for _ in 0..2 {
+        let (barrier, tx) = (Arc::clone(&barrier), tx.clone());
+        engine
+            .try_submit_task(
+                "meets",
+                Box::new(move || {
+                    barrier.wait();
+                    tx.send(()).map_err(|e| e.to_string())
+                }),
+            )
+            .expect("unbounded");
+    }
+    let both_ran = (0..2).all(|_| rx.recv_timeout(Duration::from_secs(5)).is_ok());
+    if !both_ran {
+        // A worker is parked on the barrier for good; joining it on drop
+        // would hang the suite instead of failing it.
+        std::mem::forget(engine);
+        panic!("the second task never started: the queue lock was held across the first");
+    }
+    assert_eq!(engine.shutdown().completed, 2);
 }

@@ -25,7 +25,7 @@
 //! 2. **Lock-free on the hot path.** [`SpanRecorder`] appends events into
 //!    a pre-allocated slot buffer with one `fetch_add` — no mutex, no
 //!    allocation after construction (beyond the label string), no
-//!    contention between the session thread and `par_map` workers.
+//!    contention between threads that share a recorder.
 //! 3. **One vocabulary.** Span labels reuse the `narrow` step names, so a
 //!    trace, a leakage log, and a randomness-derivation path all speak the
 //!    same language.

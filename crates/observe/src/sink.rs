@@ -33,15 +33,15 @@ pub struct TraceEvent {
     pub thread: u64,
     /// Nanoseconds since the recorder's epoch.
     pub t_ns: u64,
-    /// Channel traffic counters at this edge. Spans opened off the session
-    /// thread (e.g. `par_map` workers) have no channel and carry the
-    /// default (all-zero) snapshot on both edges — a zero delta.
+    /// Channel traffic counters at this edge. A span with no channel in
+    /// scope (the CPU-only `unpack`) carries the default (all-zero)
+    /// snapshot on both edges — a zero delta.
     pub metrics: MetricsSnapshot,
 }
 
 /// Where span edges go. Implementations must be cheap and non-blocking:
 /// the sink is called from the protocol hot path (albeit per *phase*, not
-/// per record) and from `par_map` worker threads concurrently.
+/// per record), and from any thread that installed it.
 ///
 /// The sink is an observer, never a participant: implementations must not
 /// touch the channel, the randomness tree, or any protocol state. The
@@ -89,8 +89,8 @@ type Block = Box<[OnceLock<TraceEvent>]>;
 /// records into.
 ///
 /// Appending claims a slot with one `fetch_add` and publishes the event
-/// through a [`OnceLock`] — no mutex anywhere on the record path, so the
-/// session thread and any `par_map` workers never contend. The buffer is
+/// through a [`OnceLock`] — no mutex anywhere on the record path, so
+/// threads sharing a recorder never contend. The buffer is
 /// bounded (capacity fixed at construction); events past the end are
 /// counted in [`SpanRecorder::dropped_events`] rather than blocking or
 /// reallocating. Slot order is the global event order; each thread's own

@@ -1,12 +1,10 @@
 //! The thread-local tracer: sink installation and the [`Span`] guard.
 //!
 //! Tracing is scoped per thread: a session installs its sink with
-//! [`install`] for the duration of the run, protocol code opens spans with
-//! [`span`]/[`span_with`], and fan-out layers (the `par_map` pool)
-//! propagate the sink to their workers via [`current`] + [`install`]. With
-//! no sink installed, every entry point here is a thread-local read and a
-//! branch — labels are not formatted, metrics closures are not called,
-//! nothing allocates.
+//! [`install`] for the duration of the run and protocol code opens spans
+//! with [`span`]/[`span_with`]. With no sink installed, every entry point
+//! here is a thread-local read and a branch — labels are not formatted,
+//! metrics closures are not called, nothing allocates.
 
 use crate::sink::{SpanKind, TraceSink};
 use ppds_transport::MetricsSnapshot;
@@ -42,11 +40,6 @@ impl std::fmt::Debug for SinkGuard {
 pub fn install(sink: Arc<dyn TraceSink>) -> SinkGuard {
     let previous = CURRENT.with(|current| current.borrow_mut().replace(sink));
     SinkGuard { previous }
-}
-
-/// This thread's installed sink, for propagation into spawned workers.
-pub fn current() -> Option<Arc<dyn TraceSink>> {
-    CURRENT.with(|current| current.borrow().clone())
 }
 
 /// `true` if a sink is installed on this thread.

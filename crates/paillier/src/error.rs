@@ -18,13 +18,6 @@ pub enum PaillierError {
         /// The enforced floor, [`crate::MIN_KEY_BITS`].
         minimum: usize,
     },
-    /// A precomputed randomizer was offered to a key other than the one it
-    /// was computed under (the ciphertext would silently decrypt to
-    /// garbage).
-    RandomizerKeyMismatch,
-    /// A custom generator `g` is not usable: zero, not below `n²`, or not
-    /// invertible modulo `n`.
-    InvalidGenerator,
     /// A packed-slot value needs more bits than the slot layout provides
     /// (it would bleed into the neighboring slot).
     SlotOverflow {
@@ -59,12 +52,6 @@ impl fmt::Display for PaillierError {
                     f,
                     "key size {requested} bits is below the minimum {minimum}"
                 )
-            }
-            PaillierError::RandomizerKeyMismatch => {
-                write!(f, "randomizer was precomputed under a different key")
-            }
-            PaillierError::InvalidGenerator => {
-                write!(f, "generator is not an invertible element of Z*_{{n²}}")
             }
             PaillierError::SlotOverflow {
                 slot_bits,

@@ -24,21 +24,12 @@
 //!   many small protocol values ride one ciphertext, cutting the
 //!   ciphertext-heavy response legs (DGK verdict vectors, masked-distance
 //!   replies) and the keyholder's decryption count by the packing factor,
-//! * randomizer precomputation ([`RandomizerPool`],
-//!   [`PublicKey::precompute_randomizer`],
-//!   [`PublicKey::encrypt_with_randomizer`]): the message-independent
-//!   `r^n mod n²` factor is computed ahead of time (optionally by
-//!   background threads), so a hot-path encryption collapses to two
-//!   modular multiplications. The `ppds-engine` crate shares one pool
-//!   across all concurrent sessions encrypting under a key,
-//! * exponentiation kernels ([`PublicKey::with_exp_kernels`],
-//!   [`PublicKey::dot_plain_signed`], [`PublicKey::validate_many`],
-//!   [`PublicKey::negate_many`]): windowed fixed-base combs for
-//!   general-generator keys, multi-exponentiation for packed-slot
-//!   aggregation and dot-product rows, and Montgomery batch inversion for
-//!   batch ciphertext validation and negation — all value-equal to the
-//!   scalar forms they replace, so every ciphertext byte and protocol
-//!   transcript is unchanged,
+//! * exponentiation kernels ([`PublicKey::dot_plain_signed`],
+//!   [`PublicKey::validate_many`], [`PublicKey::negate_many`]):
+//!   multi-exponentiation for packed-slot aggregation and dot-product rows,
+//!   and Montgomery batch inversion for batch ciphertext validation and
+//!   negation — all value-equal to the scalar forms they replace, so every
+//!   ciphertext byte and protocol transcript is unchanged,
 //! * keyholder encryption ([`Keypair::encrypt_many`]): the party that owns
 //!   the key takes the nonce power `r^n mod n²` by CRT over `p²` and `q²` —
 //!   the identical residue for about half the limb products.
@@ -58,12 +49,10 @@ mod error;
 mod homomorphic;
 mod keys;
 mod packing;
-mod precompute;
 
 pub use error::PaillierError;
-pub use keys::{Ciphertext, ExpKernels, Keypair, PrivateKey, PublicKey, MIN_KEY_BITS};
+pub use keys::{Ciphertext, Keypair, PrivateKey, PublicKey, MIN_KEY_BITS};
 pub use packing::{SlotLayout, PACKING_DISCIPLINE};
-pub use precompute::{FillerHandle, PoolStats, Randomizer, RandomizerPool};
 
 #[cfg(test)]
 pub(crate) mod test_helpers {

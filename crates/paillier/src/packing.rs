@@ -18,9 +18,8 @@
 //! Three operations cover every use:
 //!
 //! * [`PublicKey::pack_encrypt`] — encrypt plaintext slots directly: one
-//!   `g^word` shortcut and **one** nonce (pooled when the key carries a
-//!   [`crate::RandomizerPool`]) per word, instead of one exponentiation
-//!   pair per slot.
+//!   `g^word` shortcut and **one** nonce per word, instead of one
+//!   exponentiation pair per slot.
 //! * [`PublicKey::pack_ciphertexts`] — build packed words from *per-slot
 //!   ciphertext contributions*: slot `i` of a word is
 //!   `E(m_i)^{2^{i·slot_bits}}`, so a responder holding one small
@@ -176,9 +175,8 @@ impl SlotLayout {
 impl PublicKey {
     /// Encrypts `slots` as packed words: `⌈slots.len()/capacity⌉`
     /// ciphertexts, each costing one `g^word` shortcut multiplication and
-    /// **one** nonce exponentiation (served from the key's
-    /// [`crate::RandomizerPool`] when one is attached) — versus one full
-    /// encryption per slot unpacked.
+    /// **one** nonce exponentiation — versus one full encryption per slot
+    /// unpacked.
     ///
     /// # Errors
     /// [`PaillierError::SlotOverflow`] if a slot value exceeds the layout's
@@ -257,8 +255,8 @@ impl PublicKey {
 
 impl PrivateKey {
     /// Decrypts packed words and splits them into `count` slot values:
-    /// **one** CRT decryption per word. The sequential convenience form —
-    /// protocol layers decrypt the words on a worker pool and call
+    /// **one** CRT decryption per word. The convenience form — protocol
+    /// layers validate the words as one batch first and call
     /// [`SlotLayout::split_word`] per word instead.
     ///
     /// # Errors

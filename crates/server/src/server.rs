@@ -555,11 +555,7 @@ fn hot_keypair(shared: &Shared, key_bits: usize) -> Keypair {
         shared.cfg.base_seed ^ 0x4B45_5947_454E_2121, // "KEYGEN!!"
         key_bits as u64,
     ));
-    let mut keypair = Keypair::generate(key_bits, &mut rng);
-    // No-op for standard-generator keys (the `(1+n)^m` shortcut wins), but
-    // general-generator deployments get their comb tables warmed once here
-    // instead of per session.
-    keypair.public = keypair.public.clone().with_exp_kernels();
+    let keypair = Keypair::generate(key_bits, &mut rng);
     cache.insert(key_bits, keypair.clone());
     keypair
 }

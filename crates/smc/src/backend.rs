@@ -113,7 +113,7 @@ pub trait SmcBackend {
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
-        S: Fn(usize) -> ProtocolContext + Sync;
+        S: Fn(usize) -> ProtocolContext;
 
     /// Share comparisons (§5): per pair, the party's
     /// `(share_of_a, share_of_b)`; both sides learn `dist_a < dist_b`.
@@ -129,7 +129,7 @@ pub trait SmcBackend {
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
-        S: Fn(usize) -> ProtocolContext + Sync;
+        S: Fn(usize) -> ProtocolContext;
 
     /// One secure comparison at its own scope `ctx`: the slice of one.
     #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
@@ -282,7 +282,7 @@ impl SmcBackend for PaillierBackend<'_> {
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
-        S: Fn(usize) -> ProtocolContext + Sync,
+        S: Fn(usize) -> ProtocolContext,
     {
         let (comparator, packed) = (self.comparator, self.packed);
         framed(self.batching, values.len(), |at| {
@@ -313,7 +313,7 @@ impl SmcBackend for PaillierBackend<'_> {
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
-        S: Fn(usize) -> ProtocolContext + Sync,
+        S: Fn(usize) -> ProtocolContext,
     {
         let (comparator, packed) = (self.comparator, self.packed);
         framed(self.batching, pairs.len(), |at| {
@@ -486,7 +486,7 @@ impl SmcBackend for SharingBackend {
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
-        S: Fn(usize) -> ProtocolContext + Sync,
+        S: Fn(usize) -> ProtocolContext,
     {
         let operand = |i: usize| Fe::embed(values[i]);
         self.compare_operands(chan, role, values.len(), operand, op, domain, scopes, acct)
@@ -503,7 +503,7 @@ impl SmcBackend for SharingBackend {
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
-        S: Fn(usize) -> ProtocolContext + Sync,
+        S: Fn(usize) -> ProtocolContext,
     {
         // Share differences are taken in-field, so they never overflow
         // whatever the mask width.
@@ -627,7 +627,7 @@ impl SmcBackend for AnyBackend<'_> {
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
-        S: Fn(usize) -> ProtocolContext + Sync,
+        S: Fn(usize) -> ProtocolContext,
     {
         dispatch!(self, b => b.compare_scoped(chan, role, values, op, domain, scopes, acct))
     }
@@ -643,7 +643,7 @@ impl SmcBackend for AnyBackend<'_> {
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
-        S: Fn(usize) -> ProtocolContext + Sync,
+        S: Fn(usize) -> ProtocolContext,
     {
         dispatch!(self, b => b.share_less_than_scoped(chan, role, pairs, domain, scopes, acct))
     }

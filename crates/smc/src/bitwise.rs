@@ -29,12 +29,11 @@
 //! inputs — the root cause of the batched-HDP leakage-order divergence.
 //! Each comparison of a slice now draws from its own record scope
 //! (`scopes(i)`, a [`ProtocolContext`]) and from nothing else, so the items
-//! are order-independent, evaluate on the [`crate::parallel`] worker pool,
-//! and read the same whether a caller ships them in one frame or one each.
+//! are order-independent and read the same whether a caller ships them in
+//! one frame or one each.
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
-use crate::parallel::par_map;
 use ppds_bigint::{random, BigUint};
 use ppds_paillier::{Ciphertext, Keypair, PublicKey, SlotLayout};
 use ppds_transport::Channel;
@@ -80,7 +79,7 @@ fn encrypt_bits<R: Rng>(
         .collect();
     // Alice encrypts under her own key, so every nonce power is taken by
     // CRT; byte-identical to `keypair.public.encrypt_many` (same rng draws,
-    // same pool interaction, same residues).
+    // same residues).
     let cts = keypair.encrypt_many(&bits, &mut rng)?;
     Ok(cts.into_iter().map(|c| c.as_biguint().clone()).collect())
 }
@@ -237,8 +236,7 @@ fn masked_packed_vector(
 }
 
 /// Step 3 worker, packed form: one CRT decryption per word, then a bit
-/// split — `⌈ℓ/capacity⌉` decryptions instead of `ℓ`. Words are decrypted
-/// on the [`crate::parallel`] pool via the shared
+/// split — `⌈ℓ/capacity⌉` decryptions instead of `ℓ`, through the shared
 /// [`crate::multiplication::unpack_words`].
 fn scan_packed(
     keypair: &Keypair,
@@ -259,9 +257,8 @@ fn scan_packed(
 ///
 /// Comparison `i` draws from `scopes(i)` alone, so outcomes, ciphertexts and
 /// the leakage profile do not depend on how a caller cuts its comparisons
-/// into slices, and the per-comparison ciphertext work runs on the
-/// [`crate::parallel`] pool. A one-item slice is the paper's single
-/// comparison: its frames are the item's bytes and nothing else.
+/// into slices. A one-item slice is the paper's single comparison: its
+/// frames are the item's bytes and nothing else.
 ///
 /// `layout` selects the packed reply ([`dgk_pack_layout`]; both sides derive
 /// it from public data): the masked verdict vector arrives as
@@ -277,15 +274,18 @@ pub fn dgk_alice<C, S>(
 ) -> Result<Vec<bool>, SmcError>
 where
     C: Channel,
-    S: Fn(usize) -> ProtocolContext + Sync,
+    S: Fn(usize) -> ProtocolContext,
 {
     if xs.is_empty() {
         return Ok(Vec::new());
     }
     let ell = bit_width(domain_bound);
     // Step 1: encrypted bits, MSB first.
-    let bit_groups: Vec<Vec<BigUint>> =
-        par_map(xs, |i, &x| encrypt_bits(keypair, x, ell, scopes(i).rng()))?;
+    let bit_groups: Vec<Vec<BigUint>> = xs
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| encrypt_bits(keypair, x, ell, scopes(i).rng()))
+        .collect::<Result<_, _>>()?;
     chan.send_batch(&bit_groups)?;
 
     // Step 3: decrypt the masked, permuted c_i values (or their words).
@@ -297,10 +297,13 @@ where
             masked_groups.len()
         )));
     }
-    let results: Vec<bool> = par_map(&masked_groups, |_, masked| match layout {
-        Some(layout) => scan_packed(keypair, masked, ell, layout),
-        None => scan_masked(keypair, masked, ell),
-    })?;
+    let results: Vec<bool> = masked_groups
+        .iter()
+        .map(|masked| match layout {
+            Some(layout) => scan_packed(keypair, masked, ell, layout),
+            None => scan_masked(keypair, masked, ell),
+        })
+        .collect::<Result<_, _>>()?;
     // Step 4: tell Bob, mirroring Algorithm 1's final message.
     chan.send_batch(&results)?;
     Ok(results)
@@ -310,8 +313,7 @@ where
 /// Comparison `i` draws its mask scalars and permutation from `scopes(i)`,
 /// so each masked vector is independent of every other item's
 /// value-dependent rejection sampling — the property that closed the old
-/// batched-HDP leakage-order gap and lets the vectors be computed in
-/// parallel.
+/// batched-HDP leakage-order gap.
 pub fn dgk_bob<C, S>(
     chan: &mut C,
     alice_pk: &PublicKey,
@@ -322,7 +324,7 @@ pub fn dgk_bob<C, S>(
 ) -> Result<Vec<bool>, SmcError>
 where
     C: Channel,
-    S: Fn(usize) -> ProtocolContext + Sync,
+    S: Fn(usize) -> ProtocolContext,
 {
     if ys.is_empty() {
         return Ok(Vec::new());
@@ -336,10 +338,16 @@ where
             bit_groups.len()
         )));
     }
-    let out_groups: Vec<Vec<BigUint>> = par_map(&bit_groups, |i, raw_bits| match layout {
-        Some(layout) => masked_packed_vector(alice_pk, raw_bits, ys[i], ell, layout, &scopes(i)),
-        None => masked_comparison_vector(alice_pk, raw_bits, ys[i], ell, scopes(i).rng()),
-    })?;
+    let out_groups: Vec<Vec<BigUint>> = bit_groups
+        .iter()
+        .enumerate()
+        .map(|(i, raw_bits)| match layout {
+            Some(layout) => {
+                masked_packed_vector(alice_pk, raw_bits, ys[i], ell, layout, &scopes(i))
+            }
+            None => masked_comparison_vector(alice_pk, raw_bits, ys[i], ell, scopes(i).rng()),
+        })
+        .collect::<Result<_, _>>()?;
     chan.send_batch(&out_groups)?;
 
     let results: Vec<bool> = chan.recv_batch()?;
@@ -356,7 +364,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::force_workers;
     use crate::test_helpers::{alice_keypair, ctx, rng};
     use ppds_transport::{duplex, MetricsSnapshot};
 
@@ -456,25 +463,6 @@ mod tests {
         let (none, metrics) = run(&[], &[], 7, false, 42);
         assert!(none.is_empty());
         assert_eq!(metrics.total_rounds(), 0);
-    }
-
-    #[test]
-    fn parallel_evaluation_is_byte_identical_to_sequential() {
-        let bound = 1023u64;
-        let xs: Vec<u64> = (0..12).map(|i| i * 85).collect();
-        let ys: Vec<u64> = (0..12).map(|i| 1020 - i * 85).collect();
-        for packed in [false, true] {
-            let run_with = |workers| {
-                let _guard = force_workers(workers);
-                let (out, metrics) = run(&xs, &ys, bound, packed, 60);
-                (out, metrics.total_bytes())
-            };
-            assert_eq!(
-                run_with(1),
-                run_with(4),
-                "every wire byte identical under parallelism (packed={packed})"
-            );
-        }
     }
 
     #[test]

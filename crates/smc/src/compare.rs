@@ -143,7 +143,7 @@ pub fn compare_alice<C, S>(
 ) -> Result<Vec<bool>, SmcError>
 where
     C: Channel,
-    S: Fn(usize) -> ProtocolContext + Sync,
+    S: Fn(usize) -> ProtocolContext,
 {
     if values.is_empty() {
         return Ok(Vec::new());
@@ -186,7 +186,7 @@ pub fn compare_bob<C, S>(
 ) -> Result<Vec<bool>, SmcError>
 where
     C: Channel,
-    S: Fn(usize) -> ProtocolContext + Sync,
+    S: Fn(usize) -> ProtocolContext,
 {
     if values.is_empty() {
         return Ok(Vec::new());
@@ -267,7 +267,7 @@ pub fn share_less_than_alice<C, S>(
 ) -> Result<Vec<bool>, SmcError>
 where
     C: Channel,
-    S: Fn(usize) -> ProtocolContext + Sync,
+    S: Fn(usize) -> ProtocolContext,
 {
     let diffs = share_diffs(pairs, domain)?;
     compare_alice(comparator, chan, keypair, &diffs, domain, packed, scopes)
@@ -285,7 +285,7 @@ pub fn share_less_than_bob<C, S>(
 ) -> Result<Vec<bool>, SmcError>
 where
     C: Channel,
-    S: Fn(usize) -> ProtocolContext + Sync,
+    S: Fn(usize) -> ProtocolContext,
 {
     let diffs = share_diffs(pairs, domain)?;
     compare_bob(

@@ -24,10 +24,9 @@
 //! 3. a **record index** ([`ProtocolContext::rng_for`]).
 //!
 //! `ctx.narrow("hdp.mul").rng_for(record)` therefore yields the same
-//! stream no matter when, in what order, or on which thread it is drawn.
-//! Batched and unbatched executions produce byte-identical randomness *by
-//! construction*, and independent records can be evaluated out of order or
-//! in parallel (see [`crate::parallel`]).
+//! stream no matter when or in what order it is drawn. Batched and
+//! unbatched executions produce byte-identical randomness *by
+//! construction*, and independent records can be evaluated in any order.
 //!
 //! Derivation is a SplitMix64-style hash chain over the existing RNG
 //! machinery — no new dependencies, and the leaf generator is still the

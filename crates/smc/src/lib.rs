@@ -38,9 +38,7 @@
 //! entry point takes a record-scoped context and derives keyed substreams
 //! (session seed → step → instance → record) instead of threading one
 //! sequential generator, so draws are independent of execution order —
-//! batched and unbatched framings produce byte-identical transcripts, and
-//! batch items evaluate in parallel on the [`parallel`] worker pool
-//! without changing a single output byte.
+//! batched and unbatched framings produce byte-identical transcripts.
 
 pub mod backend;
 pub mod bitwise;
@@ -51,7 +49,6 @@ pub mod kth;
 pub mod leakage;
 pub mod millionaires;
 pub mod multiplication;
-pub mod parallel;
 pub mod setup;
 pub mod sharing;
 

@@ -22,13 +22,10 @@
 //! Randomness: every entry point takes record-scoped
 //! [`ProtocolContext`]s instead of a threaded generator. `mul_batches_*`
 //! key each group through a caller-supplied scope (`scopes(g)`), so a
-//! group's draws are the same whichever slice carries it — and the
-//! per-group ciphertext work can run on the [`crate::parallel`] pool
-//! without changing a byte.
+//! group's draws are the same whichever slice carries it.
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
-use crate::parallel::par_map;
 use ppds_bigint::{random, BigInt, BigUint};
 use ppds_observe::{trace, MetricsSnapshot};
 use ppds_paillier::{Ciphertext, Keypair, PublicKey, SlotLayout};
@@ -72,8 +69,8 @@ impl ResponsePacking {
         &BigInt::from(slot.clone()) - &BigInt::from(self.offset.clone())
     }
 
-    /// Decrypts packed response words on the [`crate::parallel`] pool and
-    /// recovers the `count` signed slot values.
+    /// Decrypts packed response words and recovers the `count` signed slot
+    /// values.
     fn unpack_signed(
         &self,
         keypair: &Keypair,
@@ -85,10 +82,9 @@ impl ResponsePacking {
     }
 }
 
-/// Decrypts packed wire words — one CRT decryption each, fanned out on the
-/// [`crate::parallel`] pool — and splits them into `count` raw slot
-/// values. Shared by the signed response unpack above and the DGK verdict
-/// scan in [`crate::bitwise`].
+/// Decrypts packed wire words — one CRT decryption each — and splits them
+/// into `count` raw slot values. Shared by the signed response unpack above
+/// and the DGK verdict scan in [`crate::bitwise`].
 pub(crate) fn unpack_words(
     keypair: &Keypair,
     layout: &SlotLayout,
@@ -107,15 +103,16 @@ pub(crate) fn unpack_words(
     let span = trace::span("unpack", MetricsSnapshot::default);
     // One Montgomery batch inversion validates the whole word vector up
     // front (same accept set and error as per-word validation), so each
-    // parallel decryption skips its per-ciphertext GCD.
+    // decryption skips its per-ciphertext GCD.
     let cts: Vec<Ciphertext> = words
         .iter()
         .map(|raw| Ciphertext::from_biguint(raw.clone()))
         .collect();
     keypair.public.validate_many(&cts)?;
-    let plains: Vec<BigUint> = par_map(&cts, |_, ct| {
-        Ok::<_, SmcError>(keypair.private.decrypt_crt_prevalidated(ct)?)
-    })?;
+    let plains: Vec<BigUint> = cts
+        .iter()
+        .map(|ct| keypair.private.decrypt_crt_prevalidated(ct))
+        .collect::<Result<_, _>>()?;
     let mut out = Vec::with_capacity(count);
     for (w, plain) in plains.iter().enumerate() {
         let remaining = count - w * layout.capacity();
@@ -147,9 +144,7 @@ pub fn sample_mask<R: Rng>(mut rng: R, bound: &BigUint) -> BigInt {
 ///
 /// `scopes(g)` is the record scope of group `g` — its elements draw
 /// sequentially from that scope's leaf stream and from nothing else — so a
-/// group's bytes do not depend on the slice it is shipped in, and the
-/// per-group encryption/decryption work runs on the [`crate::parallel`]
-/// pool.
+/// group's bytes do not depend on the slice it is shipped in.
 pub fn mul_batches_keyholder<C, S>(
     chan: &mut C,
     keypair: &Keypair,
@@ -159,22 +154,26 @@ pub fn mul_batches_keyholder<C, S>(
 ) -> Result<Vec<Vec<BigInt>>, SmcError>
 where
     C: Channel,
-    S: Fn(usize) -> ProtocolContext + Sync,
+    S: Fn(usize) -> ProtocolContext,
 {
     if xs_groups.is_empty() {
         return Ok(Vec::new());
     }
     let span = trace::span("mul_batch", || chan.metrics());
-    let cts_groups: Vec<Vec<BigUint>> = par_map(xs_groups, |g, xs| {
-        let mut rng = scopes(g).rng();
-        xs.iter()
-            .map(|x| {
-                keypair
-                    .encrypt_signed(x, &mut rng)
-                    .map(|c| c.as_biguint().clone())
-            })
-            .collect::<Result<Vec<_>, _>>()
-    })?;
+    let cts_groups: Vec<Vec<BigUint>> = xs_groups
+        .iter()
+        .enumerate()
+        .map(|(g, xs)| {
+            let mut rng = scopes(g).rng();
+            xs.iter()
+                .map(|x| {
+                    keypair
+                        .encrypt_signed(x, &mut rng)
+                        .map(|c| c.as_biguint().clone())
+                })
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .collect::<Result<_, _>>()?;
     chan.send_batch(&cts_groups)?;
     if let Some(packing) = packing {
         // Packed reply: all groups' responses ride one flat word vector
@@ -214,12 +213,15 @@ where
         .into_iter()
         .map(|group| group.into_iter().map(Ciphertext::from_biguint).collect())
         .collect();
-    let out: Vec<Vec<BigInt>> = par_map(&response_groups, |_, group| {
-        group
-            .iter()
-            .map(|c| Ok::<_, SmcError>(keypair.private.decrypt_signed(c)?))
-            .collect()
-    })?;
+    let out: Vec<Vec<BigInt>> = response_groups
+        .iter()
+        .map(|group| {
+            group
+                .iter()
+                .map(|c| keypair.private.decrypt_signed(c))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .collect::<Result<_, _>>()?;
     span.end(|| chan.metrics());
     Ok(out)
 }
@@ -228,9 +230,7 @@ where
 /// per logical batch. `draw_masks(g)` produces group `g`'s masks `v_{g,·}`
 /// from the caller's own keyed streams (HDP passes blinding terms with
 /// `Σ_i v_{g,i} = 0`), and `scopes(g)` is the record scope whose leaf
-/// stream encrypts them, so the homomorphic work fans out on the
-/// [`crate::parallel`] pool without changing a byte. Returns the masks
-/// drawn per group.
+/// stream encrypts them. Returns the masks drawn per group.
 ///
 /// Groups are any slice-like coefficient vectors, so a caller multiplying
 /// one vector against many peer groups (HDP's neighborhood query) can pass
@@ -246,8 +246,8 @@ pub fn mul_batches_peer<C, F, G, S>(
 where
     C: Channel,
     F: FnMut(usize) -> Vec<BigInt>,
-    G: AsRef<[BigInt]> + Sync,
-    S: Fn(usize) -> ProtocolContext + Sync,
+    G: AsRef<[BigInt]>,
+    S: Fn(usize) -> ProtocolContext,
 {
     if ys_groups.is_empty() {
         return Ok(Vec::new());
@@ -286,21 +286,24 @@ where
         // flat word vector; masks ride as plaintext addends and each word
         // is re-randomized by its single packed-nonce encryption (group 0's
         // scope hosts the word-nonce substream).
-        let product_groups: Vec<Vec<Ciphertext>> = par_map(&cts_groups, |g, cts| {
-            let ys = ys_groups[g].as_ref();
-            let cxs: Vec<Ciphertext> = cts
-                .iter()
-                .map(|ct| Ciphertext::from_biguint(ct.clone()))
-                .collect();
-            // One batch inversion validates the whole group.
-            keyholder_pk.validate_many(&cxs)?;
-            Ok::<_, SmcError>(
-                cxs.iter()
-                    .zip(ys)
-                    .map(|(cx, y)| keyholder_pk.mul_plain_signed(cx, y))
-                    .collect(),
-            )
-        })?;
+        let product_groups: Vec<Vec<Ciphertext>> = cts_groups
+            .iter()
+            .zip(ys_groups)
+            .map(|(cts, ys)| {
+                let cxs: Vec<Ciphertext> = cts
+                    .iter()
+                    .map(|ct| Ciphertext::from_biguint(ct.clone()))
+                    .collect();
+                // One batch inversion validates the whole group.
+                keyholder_pk.validate_many(&cxs)?;
+                Ok::<_, SmcError>(
+                    cxs.iter()
+                        .zip(ys.as_ref())
+                        .map(|(cx, y)| keyholder_pk.mul_plain_signed(cx, y))
+                        .collect(),
+                )
+            })
+            .collect::<Result<_, _>>()?;
         let products: Vec<Ciphertext> = product_groups.into_iter().flatten().collect();
         let plains: Vec<BigUint> = all_masks
             .iter()
@@ -318,23 +321,27 @@ where
         span.end(|| chan.metrics());
         return Ok(all_masks);
     }
-    let responses: Vec<Vec<BigUint>> = par_map(&cts_groups, |g, cts| {
-        let mut rng = scopes(g).rng();
-        let ys = ys_groups[g].as_ref();
-        let cxs: Vec<Ciphertext> = cts
-            .iter()
-            .map(|ct| Ciphertext::from_biguint(ct.clone()))
-            .collect();
-        // One batch inversion validates the whole group.
-        keyholder_pk.validate_many(&cxs)?;
-        let mut group_out = Vec::with_capacity(cxs.len());
-        for ((cx, y), v) in cxs.iter().zip(ys).zip(&all_masks[g]) {
-            let xy = keyholder_pk.mul_plain_signed(cx, y);
-            let masked = keyholder_pk.add(&xy, &keyholder_pk.encrypt_signed(v, &mut rng)?);
-            group_out.push(masked.as_biguint().clone());
-        }
-        Ok::<_, SmcError>(group_out)
-    })?;
+    let responses: Vec<Vec<BigUint>> = cts_groups
+        .iter()
+        .enumerate()
+        .map(|(g, cts)| {
+            let mut rng = scopes(g).rng();
+            let ys = ys_groups[g].as_ref();
+            let cxs: Vec<Ciphertext> = cts
+                .iter()
+                .map(|ct| Ciphertext::from_biguint(ct.clone()))
+                .collect();
+            // One batch inversion validates the whole group.
+            keyholder_pk.validate_many(&cxs)?;
+            let mut group_out = Vec::with_capacity(cxs.len());
+            for ((cx, y), v) in cxs.iter().zip(ys).zip(&all_masks[g]) {
+                let xy = keyholder_pk.mul_plain_signed(cx, y);
+                let masked = keyholder_pk.add(&xy, &keyholder_pk.encrypt_signed(v, &mut rng)?);
+                group_out.push(masked.as_biguint().clone());
+            }
+            Ok::<_, SmcError>(group_out)
+        })
+        .collect::<Result<_, _>>()?;
     chan.send_batch(&responses)?;
     span.end(|| chan.metrics());
     Ok(all_masks)
@@ -392,8 +399,8 @@ pub fn dot_many_keyholder<C: Channel>(
 /// Peer side of [`dot_many_keyholder`]: one coefficient row per response,
 /// each dotted against the keyholder's single encrypted vector. Returns the
 /// masks `v_j` drawn (uniform in `[-mask_bound, mask_bound]`); row `j`
-/// draws from `ctx.rng_for(j)`, so rows are order-independent and the
-/// homomorphic accumulation fans out on the [`crate::parallel`] pool.
+/// draws from `ctx.rng_for(j)`, so a row's bytes do not depend on the rows
+/// around it.
 pub fn dot_many_peer<C: Channel>(
     chan: &mut C,
     keyholder_pk: &PublicKey,
@@ -420,20 +427,24 @@ pub fn dot_many_peer<C: Channel>(
         // so shares agree across transports) travels as the word's
         // plaintext addend, and one packed-nonce encryption re-randomizes
         // each word.
-        let per_row: Vec<(Ciphertext, BigInt)> = par_map(ys_rows, |j, ys| {
-            if cts.len() != ys.len() {
-                return Err(SmcError::protocol(format!(
-                    "dot product arity mismatch: {} ciphertexts vs {} coefficients",
-                    cts.len(),
-                    ys.len()
-                )));
-            }
-            let v = sample_mask(ctx.rng_for(j as u64), mask_bound);
-            // Unmasked and unrandomized here: the mask is the slot's
-            // plaintext addend and the word's packed-nonce encryption
-            // re-randomizes the whole slot vector before it ships.
-            Ok((keyholder_pk.dot_plain_signed(&cts, &inverses, ys), v))
-        })?;
+        let per_row: Vec<(Ciphertext, BigInt)> = ys_rows
+            .iter()
+            .enumerate()
+            .map(|(j, ys)| {
+                if cts.len() != ys.len() {
+                    return Err(SmcError::protocol(format!(
+                        "dot product arity mismatch: {} ciphertexts vs {} coefficients",
+                        cts.len(),
+                        ys.len()
+                    )));
+                }
+                let v = sample_mask(ctx.rng_for(j as u64), mask_bound);
+                // Unmasked and unrandomized here: the mask is the slot's
+                // plaintext addend and the word's packed-nonce encryption
+                // re-randomizes the whole slot vector before it ships.
+                Ok((keyholder_pk.dot_plain_signed(&cts, &inverses, ys), v))
+            })
+            .collect::<Result<_, _>>()?;
         let (products, masks): (Vec<Ciphertext>, Vec<BigInt>) = per_row.into_iter().unzip();
         let plains: Vec<BigUint> = masks
             .iter()
@@ -450,22 +461,26 @@ pub fn dot_many_peer<C: Channel>(
         span.end(|| chan.metrics());
         return Ok(masks);
     }
-    let per_row: Vec<(BigUint, BigInt)> = par_map(ys_rows, |j, ys| {
-        if cts.len() != ys.len() {
-            return Err(SmcError::protocol(format!(
-                "dot product arity mismatch: {} ciphertexts vs {} coefficients",
-                cts.len(),
-                ys.len()
-            )));
-        }
-        let mut rng = ctx.rng_for(j as u64);
-        let v = sample_mask(&mut rng, mask_bound);
-        let masked = keyholder_pk.add(
-            &keyholder_pk.encrypt_signed(&v, &mut rng)?,
-            &keyholder_pk.dot_plain_signed(&cts, &inverses, ys),
-        );
-        Ok((masked.as_biguint().clone(), v))
-    })?;
+    let per_row: Vec<(BigUint, BigInt)> = ys_rows
+        .iter()
+        .enumerate()
+        .map(|(j, ys)| {
+            if cts.len() != ys.len() {
+                return Err(SmcError::protocol(format!(
+                    "dot product arity mismatch: {} ciphertexts vs {} coefficients",
+                    cts.len(),
+                    ys.len()
+                )));
+            }
+            let mut rng = ctx.rng_for(j as u64);
+            let v = sample_mask(&mut rng, mask_bound);
+            let masked = keyholder_pk.add(
+                &keyholder_pk.encrypt_signed(&v, &mut rng)?,
+                &keyholder_pk.dot_plain_signed(&cts, &inverses, ys),
+            );
+            Ok((masked.as_biguint().clone(), v))
+        })
+        .collect::<Result<_, _>>()?;
     let (responses, masks): (Vec<BigUint>, Vec<BigInt>) = per_row.into_iter().unzip();
     chan.send(&responses)?;
     span.end(|| chan.metrics());
@@ -499,7 +514,6 @@ pub fn dot_product_bound(len: usize, x_bound: u64, y_bound: u64, mask_bound: &Bi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::force_workers;
     use crate::test_helpers::{bob_keypair, ctx, rng};
     use ppds_transport::{duplex, MetricsSnapshot};
 
@@ -598,20 +612,6 @@ mod tests {
                 .fold(BigInt::zero(), |acc, (x, y)| &acc + &(x * y));
             assert_eq!(sum, ip, "group {g}");
         }
-    }
-
-    #[test]
-    fn parallel_batches_are_byte_identical() {
-        // Same exchange with 1 worker and with 4: every wire byte (and thus
-        // every mask and nonce) must match.
-        let xs_groups: Vec<Vec<BigInt>> = (0..6).map(|g| vec![bi(g), bi(-g), bi(2 * g)]).collect();
-        let ys_groups: Vec<Vec<BigInt>> = (0..6).map(|g| vec![bi(1), bi(g), bi(-3)]).collect();
-        let run_with = |workers| {
-            let _guard = force_workers(workers);
-            let (us, masks, metrics) = run_groups(&xs_groups, &ys_groups, None, (40, 41));
-            (us, masks, metrics.total_bytes())
-        };
-        assert_eq!(run_with(1), run_with(4));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   [`Channel::recv_batch`]) that ship many logical messages as one
 //!   latency-paying wire frame — the items back to back, so that a message
 //!   is a batch of one,
-//! * [`memory::duplex`] — an in-process channel pair (crossbeam-backed) used
-//!   to run Alice and Bob on two threads,
+//! * [`memory::duplex`] — an in-process channel pair used to run Alice and
+//!   Bob on two threads,
 //! * [`tcp`] — the same framing over real sockets, for running the two
 //!   parties as separate processes,
 //! * [`ChannelMetrics`] — lock-free per-direction byte, message, and

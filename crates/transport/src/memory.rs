@@ -1,4 +1,4 @@
-//! In-process channel pair backed by crossbeam MPSC queues.
+//! In-process channel pair backed by two `std::sync::mpsc` queues.
 //!
 //! This is the default substrate for running the two protocol parties on two
 //! threads of one process: same framing and byte accounting as TCP, zero
@@ -9,7 +9,7 @@
 use crate::channel::{Channel, MAX_FRAME_BYTES};
 use crate::error::TransportError;
 use crate::metrics::{ChannelMetrics, MetricsSnapshot};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// One endpoint of an in-memory duplex channel.
@@ -33,8 +33,8 @@ impl MemoryChannel {
 /// endpoint has independent metrics; by symmetry
 /// `a.bytes_sent == b.bytes_received` at every quiescent point.
 pub fn duplex() -> (MemoryChannel, MemoryChannel) {
-    let (a_to_b_tx, a_to_b_rx) = unbounded();
-    let (b_to_a_tx, b_to_a_rx) = unbounded();
+    let (a_to_b_tx, a_to_b_rx) = channel();
+    let (b_to_a_tx, b_to_a_rx) = channel();
     let a = MemoryChannel {
         tx: a_to_b_tx,
         rx: b_to_a_rx,

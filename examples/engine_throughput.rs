@@ -1,13 +1,11 @@
-//! Multi-tenant engine demo: many clustering jobs through one worker pool,
-//! with a shared Paillier randomizer pool doing the encryption legwork in
-//! the background.
+//! Multi-tenant engine demo: many clustering jobs through one worker pool.
 //!
 //! Run with `cargo run --release --example engine_throughput`.
 
 use ppds::ppdbscan::{ProtocolConfig, SessionRequest};
 use ppds::ppds_dbscan::datagen::{split_alternating, standard_blobs};
-use ppds::ppds_dbscan::{dbscan_parallel, dbscan_with_external_density, DbscanParams, Quantizer};
-use ppds::ppds_engine::{ClusteringJob, Engine, EngineConfig, PrecomputeConfig};
+use ppds::ppds_dbscan::{dbscan_with_external_density, DbscanParams, Quantizer};
+use ppds::ppds_engine::{ClusteringJob, Engine, EngineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -29,16 +27,7 @@ fn main() {
         ClusteringJob::new(cfg, SessionRequest::Horizontal { alice, bob }, seed)
     };
 
-    let engine = Engine::start(EngineConfig {
-        workers: 4,
-        precompute: Some(PrecomputeConfig {
-            key_bits: 256,
-            capacity: 256,
-            fillers: 1,
-            seed: 42,
-        }),
-        queue_cap: None,
-    });
+    let engine = Engine::start(EngineConfig::with_workers(4));
 
     println!("submitting 12 horizontal clustering jobs to a 4-worker engine...");
     let t0 = Instant::now();
@@ -57,34 +46,13 @@ fn main() {
         );
     }
 
-    // Spot-check one job against the single-session reference semantics,
-    // with the plaintext baseline computed by the grid-sharded parallel
-    // DBSCAN (layer 3) for good measure.
+    // Spot-check one job against the single-session reference semantics.
     let job = make_job(0);
     if let SessionRequest::Horizontal { alice, bob } = &job.request {
         let reference = dbscan_with_external_density(alice, bob, job.cfg.params);
         assert_eq!(results[0].outputs()[0].clustering, reference);
-        let _union_baseline =
-            dbscan_parallel(&[alice.clone(), bob.clone()].concat(), job.cfg.params, 4);
         println!("job-0 output matches the single-session reference semantics ✓");
     }
-
-    // Meanwhile the fillers have been precomputing randomizers under the
-    // engine's service key; encrypting through the pool now skips the
-    // r^n exponentiation entirely (a hit per encryption).
-    let pool = engine.randomizer_pool().expect("precompute configured");
-    let service_key = engine.service_keypair().expect("service keypair").clone();
-    let mut enc_rng = StdRng::seed_from_u64(7);
-    let t_enc = Instant::now();
-    for i in 0..64u64 {
-        let m = ppds::ppds_bigint::BigUint::from_u64(i);
-        let c = pool.encrypt(&m, &mut enc_rng).unwrap();
-        assert_eq!(service_key.private.decrypt_crt(&c).unwrap(), m);
-    }
-    println!(
-        "64 pooled encryptions (+ decrypt checks) in {:.1?} on the shared 256-bit service key",
-        t_enc.elapsed()
-    );
 
     let report = engine.shutdown();
     println!(
@@ -99,10 +67,4 @@ fn main() {
         report.traffic.total_messages(),
         report.yao.comparisons,
     );
-    if let Some(pool) = report.pool {
-        println!(
-            "randomizer pool: {} produced, {} hits, {} misses",
-            pool.produced, pool.hits, pool.misses
-        );
-    }
 }

@@ -243,43 +243,6 @@ fn dgk_backend_packing_parity_on_vertical() {
     }
 }
 
-/// Randomizer-pool opt-in: a pooled session consumes precomputed `r^n`
-/// factors, which changes ciphertext bytes but never outcomes — labels,
-/// leakage, and ledgers match the unpooled run exactly.
-#[test]
-fn pooled_sessions_match_unpooled_outputs() {
-    let (alice_pts, bob_pts) = split_alternating(&blobs(12, 311));
-    let cfg = base_cfg().with_batching(true).with_packing(true);
-    let run = |pooled: bool| {
-        let participant = |role, pts: &[Point], seed| {
-            let p = Participant::new(cfg)
-                .role(role)
-                .data(PartyData::Horizontal(pts.to_vec()))
-                .seed(seed);
-            if pooled {
-                p.pooled_randomizers(64, 2)
-            } else {
-                p
-            }
-        };
-        let (a, b) = ppds::ppdbscan::session::run_participants(
-            participant(Party::Alice, &alice_pts, 40),
-            participant(Party::Bob, &bob_pts, 41),
-        )
-        .unwrap();
-        (a, b)
-    };
-    let (plain_a, plain_b) = run(false);
-    let (pooled_a, pooled_b) = run(true);
-    assert_eq!(plain_a.output.clustering, pooled_a.output.clustering);
-    assert_eq!(plain_b.output.clustering, pooled_b.output.clustering);
-    assert_eq!(plain_a.output.leakage, pooled_a.output.leakage);
-    assert_eq!(plain_b.output.leakage, pooled_b.output.leakage);
-    assert_eq!(plain_a.output.yao, pooled_a.output.yao);
-    assert_eq!(plain_b.output.yao, pooled_b.output.yao);
-    assert!(pooled_a.meta.packing, "meta records the knob");
-}
-
 #[test]
 fn session_meta_reports_packing() {
     let records = blobs(6, 91);

@@ -241,8 +241,7 @@ fn assert_tiles(name: &str, trace: &SessionTrace) {
         trace.events.iter().all(|e| e.t_ns <= last.t_ns),
         "{name}: no edge is stamped after the closing one"
     );
-    // On the session thread the depth-0 spans are those four, in order
-    // (`par_map` workers open their own roots on their own threads).
+    // On the session thread the depth-0 spans are those four, in order.
     let mut depth = 0usize;
     let mut top = Vec::new();
     for event in trace.events.iter().filter(|e| e.thread == first.thread) {
