@@ -1,6 +1,7 @@
 //! End-to-end protocol benchmarks: one neighborhood query of each distance
 //! protocol, and complete small clustering runs for all four protocol
-//! families (the numbers behind EXPERIMENTS.md's cost discussion).
+//! families (wall-clock companions to the counts the `experiments` binary
+//! prints).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppdbscan::config::ProtocolConfig;

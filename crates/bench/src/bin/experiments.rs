@@ -1,5 +1,5 @@
-//! Experiment regenerator: one sub-command per experiment in EXPERIMENTS.md
-//! (which records a full run of `all`). The paper has no empirical tables —
+//! Experiment regenerator: one sub-command per experiment (`all` runs every
+//! one and prints its table). The paper has no empirical tables —
 //! its evaluation is the communication-complexity analyses of §4.2.2,
 //! §4.3.2, §5.1, the privacy theorems and the Figure 1 attack — so every
 //! experiment here measures one of those analytical claims.

@@ -4,8 +4,8 @@
 //! canonical workloads, table formatting, and small measurement helpers.
 //!
 //! The experiment binary (`cargo run -p ppds-bench --bin experiments --release`)
-//! regenerates every table and figure of EXPERIMENTS.md; the Criterion
-//! benches (`cargo bench`) cover the primitive costs.
+//! prints every experiment table; the Criterion benches (`cargo bench`)
+//! cover the primitive costs.
 
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{run_data_pair, PartyData};

@@ -53,9 +53,7 @@
 //! the negotiated [`session::SessionMeta`].
 //!
 //! [`session::run_data_pair`] and [`session::run_mesh_local`] run all
-//! parties of a session on threads over in-memory channels; the
-//! engine-facing batch surface is
-//! [`driver::SessionRequest`]/[`driver::run_session`].
+//! parties of a session on threads over in-memory channels.
 //!
 //! ```
 //! use ppdbscan::session::{run_participants, Participant, PartyData};
@@ -101,7 +99,7 @@ pub mod vdp;
 pub mod vertical;
 
 pub use config::ProtocolConfig;
-pub use driver::{run_session, PartyOutput, SessionRequest};
+pub use driver::PartyOutput;
 pub use error::CoreError;
 pub use partition::{ArbitraryPartition, VerticalPartition};
 pub use ppds_smc::{ProtocolContext, RecordId};

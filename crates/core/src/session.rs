@@ -1018,9 +1018,8 @@ fn close_session(
 ///
 /// The participants must be two halves of the same two-party session —
 /// complementary roles, compatible data. This is the in-process conductor
-/// [`run_data_pair`] and the engine's [`crate::driver::run_session`] are
-/// built on; for a real deployment, run
-/// each [`Participant`] in its own process over a
+/// [`run_data_pair`] is built on; for a real deployment, run each
+/// [`Participant`] in its own process over a
 /// [`ppds_transport::tcp::TcpChannel`].
 pub fn run_participants(
     first: Participant,

@@ -1,59 +1,45 @@
 #![warn(missing_docs)]
 
-//! **ppds-engine** — a parallel protocol-execution engine for the
-//! privacy-preserving DBSCAN suite.
-//!
-//! The `ppdbscan` drivers run one session at a time: two threads, one
-//! in-memory channel pair, blocking until the protocol completes. That is
-//! the right shape for studying a protocol and the wrong shape for serving
-//! many tenants. This crate turns those one-shot drivers into a concurrent
-//! job runtime: a scheduler.
-//!
-//! ## The job scheduler ([`scheduler`])
+//! **ppds-engine** — a worker pool of tasks with bounded admission.
 //!
 //! [`Engine`] owns a pool of worker threads fed from one shared queue.
-//! Callers [`Engine::submit`] [`ClusteringJob`] descriptors — a
-//! protocol mode ([`ppdbscan::SessionRequest`]: horizontal, vertical,
-//! arbitrary, enhanced, or multiparty), a dataset, a
-//! [`ppdbscan::ProtocolConfig`], and a seed — and get back a [`JobId`]
-//! immediately. Each worker executes whole sessions via
-//! [`ppdbscan::run_session`] — built on the typed
-//! [`ppdbscan::session::Participant`] API, spawning the per-party threads
-//! over an in-memory duplex pair — records a [`JobResult`] in the results
-//! store,
-//! and rolls the session's traffic ([`ppds_transport::MetricsSnapshot`])
-//! and modeled Yao cost ([`ppdbscan::config::YaoLedger`]) into the
-//! engine-wide [`EngineReport`]. Results are retrieved per job
-//! ([`Engine::wait`]) or in bulk ([`Engine::wait_all`]).
+//! Callers hand it closures ([`Engine::try_submit_task`], a [`TaskFn`]);
+//! each worker takes one, runs it, and counts it completed or failed. A
+//! task that panics is a failed task: the worker that ran it takes the next
+//! message. That is the engine's only kind of work, and the pool does not
+//! know what a protocol is — this crate depends on `ppds-observe` for its
+//! gauges and on nothing else.
 //!
-//! Because workers run the *unmodified* session drivers with the job's
-//! seed, a job's clustering output is bit-for-bit identical to running the
-//! same request through two [`ppdbscan::session::Participant`]s directly —
-//! concurrency changes throughput, never answers. The
-//! `engine_matches_direct_drivers` integration test pins this. A job or
-//! task that panics is a failed job: the worker that ran it takes the next
-//! message.
+//! The hosted server (`ppds-server`) runs one party of one session per
+//! task and keeps what the session produced in its own registry. A caller
+//! that wants many *in-process* sessions on the pool does the same thing
+//! with less: it submits closures that call `ppdbscan::session`'s
+//! `run_data_pair` / `run_mesh_local` and sends each output back over an
+//! `mpsc` channel it owns (`examples/engine_throughput.rs`; this crate's
+//! integration test runs all five modes that way). Because such a closure
+//! runs the *unmodified* session driver with its own seed, its output is
+//! bit-for-bit what the same call returns outside the pool — concurrency
+//! changes throughput, never answers.
 //!
-//! ## Leakage guarantees under concurrency
+//! ## What the engine reports
+//!
+//! [`EngineReport`] is four numbers: tasks submitted, completed and failed,
+//! and the summed busy time. [`Engine::registry`] exposes the same counts
+//! plus two gauges (`engine_queue_depth`, `engine_in_flight`) for a metrics
+//! scrape. A reader that sees `completed + failed == submitted` also sees
+//! both gauges at zero: a worker moves its finished counter last, with
+//! release ordering, and [`Engine::report`] acquires it — an order, not a
+//! lock.
+//!
+//! ## Leakage under concurrency
 //!
 //! Running sessions concurrently does not weaken the paper's per-session
-//! guarantees, for two structural reasons:
-//!
-//! * **Isolation** — each session gets a dedicated channel pair and
-//!   per-session keypairs generated from its own seeded RNG stream;
-//!   no ciphertext, nonce, or comparison transcript crosses sessions. Each
-//!   party's [`ppds_smc::LeakageLog`] therefore contains exactly what the
-//!   single-session theorems (9/10/11) permit, which the
-//!   `leakage_profile_preserved_per_concurrent_session` test asserts
-//!   per-job under a fully loaded engine.
-//! * **Aggregation only widens, never leaks** — the engine's rollups sum
-//!   byte/message counters and modeled Yao costs across sessions; they
-//!   contain no plaintexts, shares, or neighborhoods. What a tenant learns
-//!   from its own session is unchanged; what the operator learns is traffic
-//!   accounting it could already observe on the wire.
+//! guarantees, because nothing crosses sessions: each gets its own channel
+//! pair and keys from its own seeded stream, so each party's leakage log
+//! holds exactly what the single-session theorems (9/10/11) permit. The
+//! engine itself holds counts and durations — no plaintext, share,
+//! neighborhood or byte of traffic.
 
-pub mod job;
 pub mod scheduler;
 
-pub use job::{ClusteringJob, JobId, JobResult};
 pub use scheduler::{Engine, EngineConfig, EngineError, EngineReport, TaskFn};

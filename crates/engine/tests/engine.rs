@@ -1,16 +1,17 @@
-//! Engine integration tests: concurrency, determinism, rollups, and
-//! per-session leakage under load.
+//! Engine integration tests: tasks under concurrency — accounting, the
+//! drain property, load shedding, and in-process sessions whose outputs and
+//! per-session leakage are what the same call returns outside the pool.
 
 use ppdbscan::config::ProtocolConfig;
-use ppdbscan::session::{run_participants, Participant, PartyData};
-use ppdbscan::{ArbitraryPartition, PartyOutput, SessionRequest, VerticalPartition};
+use ppdbscan::session::{run_data_pair, run_mesh_local, PartyData};
+use ppdbscan::{ArbitraryPartition, CoreError, PartyOutput, VerticalPartition};
 use ppds_dbscan::{DbscanParams, Point};
-use ppds_engine::{ClusteringJob, Engine, EngineConfig};
+use ppds_engine::{Engine, EngineConfig, EngineError, EngineReport};
 use ppds_smc::LeakageEvent;
-use ppds_smc::Party;
-use ppds_transport::MetricsSnapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 
 fn cfg(eps_sq: u64, min_pts: usize, bound: i64) -> ProtocolConfig {
     let mut c = ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, bound);
@@ -31,280 +32,168 @@ fn random_points(n: usize, bound: i64, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-fn horizontal_job(seed: u64) -> ClusteringJob {
-    ClusteringJob::new(
-        cfg(8, 3, 10),
-        SessionRequest::Horizontal {
-            alice: random_points(7, 10, seed * 31 + 1),
-            bob: random_points(6, 10, seed * 31 + 2),
-        },
-        seed,
-    )
+/// One whole in-process session, callable any number of times: directly,
+/// or from inside a task.
+type Session = Arc<dyn Fn() -> Result<Vec<PartyOutput>, CoreError> + Send + Sync>;
+
+fn two_party(c: ProtocolConfig, alice: PartyData, bob: PartyData, seed: u64) -> Session {
+    Arc::new(move || {
+        let (a, b) = run_data_pair(
+            &c,
+            alice.clone(),
+            bob.clone(),
+            StdRng::seed_from_u64(seed),
+            StdRng::seed_from_u64(seed + 1),
+        )?;
+        Ok(vec![a, b])
+    })
+}
+
+fn mesh(c: ProtocolConfig, parties: Vec<Vec<Point>>, seed: u64) -> Session {
+    Arc::new(move || {
+        let outcomes = run_mesh_local(&c, &parties, seed)?;
+        Ok(outcomes.into_iter().map(|o| o.output).collect())
+    })
+}
+
+/// Spins until every submitted task is accounted for. `report` is the read
+/// the drain property is stated over: whatever the caller checks next is
+/// in its drained state.
+fn drained(engine: &Engine) -> EngineReport {
+    loop {
+        let report = engine.report();
+        if report.completed + report.failed == report.submitted {
+            return report;
+        }
+        std::thread::yield_now();
+    }
 }
 
 #[test]
-fn runs_eight_plus_concurrent_jobs_across_all_modes() {
-    let engine = Engine::start(EngineConfig::with_workers(8));
-    let mut jobs = Vec::new();
+fn concurrent_sessions_across_all_modes_match_direct_runs() {
+    // (mode, session) for four seeds of each of the five modes.
+    let mut sessions: Vec<(&str, Session)> = Vec::new();
     for seed in 0..4u64 {
-        jobs.push(horizontal_job(seed));
-        jobs.push(ClusteringJob::new(
-            cfg(8, 3, 10),
-            SessionRequest::Enhanced {
-                alice: random_points(5, 10, seed * 37 + 3),
-                bob: random_points(5, 10, seed * 37 + 4),
-            },
-            seed + 100,
+        let horizontal = |s| PartyData::Horizontal(random_points(7, 10, seed * 31 + s));
+        sessions.push((
+            "horizontal",
+            two_party(cfg(8, 3, 10), horizontal(1), horizontal(2), seed),
         ));
-        jobs.push(ClusteringJob::new(
-            cfg(8, 2, 10),
-            SessionRequest::Vertical(VerticalPartition::split(
-                &random_points(6, 10, seed * 41 + 5),
-                1,
-            )),
-            seed + 200,
+        let enhanced = |s| PartyData::Enhanced(random_points(5, 10, seed * 37 + s));
+        sessions.push((
+            "enhanced",
+            two_party(cfg(8, 3, 10), enhanced(3), enhanced(4), seed + 100),
         ));
-        jobs.push(ClusteringJob::new(
-            cfg(8, 2, 10),
-            SessionRequest::Arbitrary(ArbitraryPartition::random(
-                &mut StdRng::seed_from_u64(seed),
-                &random_points(5, 10, seed * 47 + 6),
-            )),
-            seed + 300,
+        let vertical = VerticalPartition::split(&random_points(6, 10, seed * 41 + 5), 1);
+        sessions.push((
+            "vertical",
+            two_party(
+                cfg(8, 2, 10),
+                PartyData::Vertical(vertical.alice),
+                PartyData::Vertical(vertical.bob),
+                seed + 200,
+            ),
         ));
-        jobs.push(ClusteringJob::new(
-            cfg(8, 2, 10),
-            SessionRequest::Multiparty {
-                parties: (0..3)
-                    .map(|p| random_points(4, 10, seed * 43 + p))
-                    .collect(),
-            },
-            seed + 400,
-        ));
-    }
-    assert!(jobs.len() >= 8, "acceptance: at least 8 concurrent jobs");
-    let expected_modes: Vec<&str> = jobs.iter().map(|j| j.request.mode_name()).collect();
-
-    let ids = engine.submit_all(jobs);
-    let results = engine.wait_all();
-    assert_eq!(results.len(), ids.len());
-    for (result, expected_mode) in results.iter().zip(&expected_modes) {
-        assert!(result.is_ok(), "{} ({}) failed", result.id, result.mode);
-        assert_eq!(&result.mode, expected_mode);
-        assert_eq!(
-            result.outputs().len(),
-            if result.mode == "multiparty" { 3 } else { 2 }
+        let arbitrary = ArbitraryPartition::random(
+            &mut StdRng::seed_from_u64(seed),
+            &random_points(5, 10, seed * 47 + 6),
         );
-        assert!(result.traffic.total_bytes() > 0);
+        sessions.push((
+            "arbitrary",
+            two_party(
+                cfg(8, 2, 10),
+                PartyData::Arbitrary(arbitrary.alice_values),
+                PartyData::Arbitrary(arbitrary.bob_values),
+                seed + 300,
+            ),
+        ));
+        let parties = (0..3)
+            .map(|p| random_points(4, 10, seed * 43 + p))
+            .collect();
+        sessions.push(("multiparty", mesh(cfg(8, 2, 10), parties, seed + 400)));
+    }
+
+    let engine = Engine::start(EngineConfig::with_workers(8));
+    let (tx, rx) = mpsc::channel();
+    for (index, (_, session)) in sessions.iter().enumerate() {
+        let (session, tx) = (Arc::clone(session), tx.clone());
+        let task = move || {
+            let outputs = session().map_err(|e| e.to_string())?;
+            tx.send((index, outputs)).map_err(|e| e.to_string())
+        };
+        engine
+            .try_submit_task("session", Box::new(task))
+            .expect("unbounded");
+    }
+    drop(tx);
+    let mut pooled: Vec<(usize, Vec<PartyOutput>)> = rx.iter().collect();
+    pooled.sort_by_key(|(index, _)| *index);
+    assert_eq!(pooled.len(), sessions.len(), "a session failed on the pool");
+
+    for ((mode, session), (_, on_pool)) in sessions.iter().zip(&pooled) {
+        // The same call outside the pool: concurrency changes throughput,
+        // never answers (and a second run of a seed reproduces the first).
+        let direct = session().expect("direct run");
+        assert_eq!(on_pool.len(), if *mode == "multiparty" { 3 } else { 2 });
+        assert_eq!(on_pool.len(), direct.len());
+        for (p, d) in on_pool.iter().zip(&direct) {
+            assert_eq!(p.clustering, d.clustering, "{mode}");
+            assert_eq!(p.leakage, d.leakage, "{mode}");
+            assert_eq!(p.traffic, d.traffic, "{mode}");
+            assert_eq!(p.yao, d.yao, "{mode}");
+            assert!(p.traffic.total_bytes() > 0);
+            if *mode == "horizontal" {
+                // Theorem 9's per-session profile holds under a loaded
+                // pool: concurrency adds no leakage events.
+                for event in p.leakage.events() {
+                    assert!(
+                        matches!(
+                            event,
+                            LeakageEvent::NeighborCount { .. }
+                                | LeakageEvent::OwnPointMatched { .. }
+                        ),
+                        "Theorem 9 forbids event {event:?}"
+                    );
+                }
+                assert!(p.leakage.count_kind("neighbor_count") > 0);
+            }
+        }
     }
 
     let report = engine.shutdown();
-    assert_eq!(report.submitted, 20);
-    assert_eq!(report.completed, 20);
-    assert_eq!(report.failed, 0);
-}
-
-#[test]
-fn engine_matches_direct_drivers() {
-    // Acceptance: per-job clustering output is byte-identical to the
-    // single-session drivers given the same descriptor.
-    let c = cfg(8, 3, 10);
-    let alice = random_points(7, 10, 1001);
-    let bob = random_points(7, 10, 1002);
-    let records = random_points(7, 10, 1003);
-    let vertical = VerticalPartition::split(&records, 1);
-
-    let engine = Engine::start(EngineConfig::with_workers(4));
-    let h = engine.submit(ClusteringJob::new(
-        c,
-        SessionRequest::Horizontal {
-            alice: alice.clone(),
-            bob: bob.clone(),
-        },
-        7,
-    ));
-    let e = engine.submit(ClusteringJob::new(
-        c,
-        SessionRequest::Enhanced {
-            alice: alice.clone(),
-            bob: bob.clone(),
-        },
-        8,
-    ));
-    let v = engine.submit(ClusteringJob::new(
-        c,
-        SessionRequest::Vertical(vertical.clone()),
-        9,
-    ));
-
-    // The direct reference path: two Participants over a duplex pair with
-    // the seeds the engine derives from the job seed.
-    let direct = |data_a: PartyData, data_b: PartyData, seed: u64| -> (PartyOutput, PartyOutput) {
-        let (a, b) = run_participants(
-            Participant::new(c)
-                .role(Party::Alice)
-                .data(data_a)
-                .seed(seed),
-            Participant::new(c)
-                .role(Party::Bob)
-                .data(data_b)
-                .seed(seed + 1),
-        )
-        .unwrap();
-        (a.output, b.output)
-    };
-
-    let (da, db) = direct(
-        PartyData::Horizontal(alice.clone()),
-        PartyData::Horizontal(bob.clone()),
-        7,
-    );
-    let engine_h = engine.wait(h);
-    assert_eq!(engine_h.outputs()[0].clustering, da.clustering);
-    assert_eq!(engine_h.outputs()[1].clustering, db.clustering);
-    assert_eq!(engine_h.outputs()[0].traffic, da.traffic);
-    assert_eq!(engine_h.outputs()[1].traffic, db.traffic);
-    assert_eq!(engine_h.outputs()[0].yao, da.yao);
-
-    let (ea, eb) = direct(
-        PartyData::Enhanced(alice.clone()),
-        PartyData::Enhanced(bob.clone()),
-        8,
-    );
-    let engine_e = engine.wait(e);
-    assert_eq!(engine_e.outputs()[0].clustering, ea.clustering);
-    assert_eq!(engine_e.outputs()[1].clustering, eb.clustering);
-    assert_eq!(engine_e.outputs()[0].traffic, ea.traffic);
-
-    let (va, vb) = direct(
-        PartyData::Vertical(vertical.alice.clone()),
-        PartyData::Vertical(vertical.bob.clone()),
-        9,
-    );
-    let engine_v = engine.wait(v);
-    assert_eq!(engine_v.outputs()[0].clustering, va.clustering);
-    assert_eq!(engine_v.outputs()[1].clustering, vb.clustering);
-    assert_eq!(engine_v.outputs()[1].traffic, vb.traffic);
-}
-
-#[test]
-fn batched_jobs_match_unbatched_with_fewer_rounds() {
-    // The engine-facing batching knob: same descriptor, same seed, one job
-    // batched — labels and leakage identical, wire rounds collapse.
-    let engine = Engine::start(EngineConfig::with_workers(2));
-    let make = || {
-        ClusteringJob::new(
-            cfg(8, 2, 10),
-            SessionRequest::Vertical(VerticalPartition::split(&random_points(10, 10, 555), 1)),
-            42,
-        )
-    };
-    let plain = engine.wait(engine.submit(make()));
-    let batched = engine.wait(engine.submit(make().with_batching(true)));
-    for (p, b) in plain.outputs().iter().zip(batched.outputs()) {
-        assert_eq!(p.clustering, b.clustering);
-        assert_eq!(p.leakage, b.leakage);
-        assert_eq!(p.yao, b.yao);
-        assert!(
-            p.traffic.total_rounds() as f64 >= 5.0 * b.traffic.total_rounds() as f64,
-            "rounds {} vs {}",
-            p.traffic.total_rounds(),
-            b.traffic.total_rounds()
-        );
-    }
-    // Rollups aggregate rounds like every other counter.
-    let report = engine.shutdown();
     assert_eq!(
-        report.traffic.total_rounds(),
-        plain.traffic.total_rounds() + batched.traffic.total_rounds()
+        (report.submitted, report.completed, report.failed),
+        (20, 20, 0)
     );
-}
-
-#[test]
-fn packed_jobs_match_unpacked_with_fewer_bytes() {
-    // The engine-facing packing knob: same descriptor, same seed, one job
-    // packed — labels, leakage, and ledger identical, response bytes drop
-    // by the packing factor (the Ideal comparator's verdict padding packs).
-    let engine = Engine::start(EngineConfig::with_workers(2));
-    let make = || {
-        ClusteringJob::new(
-            cfg(8, 2, 10),
-            SessionRequest::Vertical(VerticalPartition::split(&random_points(10, 10, 556), 1)),
-            43,
-        )
-        .with_batching(true)
-    };
-    let plain = engine.wait(engine.submit(make()));
-    let packed = engine.wait(engine.submit(make().with_packing(true)));
-    for (p, q) in plain.outputs().iter().zip(packed.outputs()) {
-        assert_eq!(p.clustering, q.clustering);
-        assert_eq!(p.leakage, q.leakage);
-        assert_eq!(p.yao, q.yao);
-        // 64-bit test keys only fit 2 verdict slots per word; production
-        // key sizes reach ~10-20x (see tests/packing_parity.rs at 256 bits).
-        assert!(
-            p.traffic.total_bytes() as f64 >= 1.8 * q.traffic.total_bytes() as f64,
-            "bytes {} vs {}",
-            p.traffic.total_bytes(),
-            q.traffic.total_bytes()
-        );
-    }
-    engine.shutdown();
-}
-
-#[test]
-fn resubmitted_job_reproduces_identical_results() {
-    let engine = Engine::start(EngineConfig::with_workers(4));
-    let job = horizontal_job(99);
-    let first = engine.wait(engine.submit(job.clone()));
-    let second = engine.wait(engine.submit(job));
-    assert_eq!(
-        first.outputs()[0].clustering,
-        second.outputs()[0].clustering
-    );
-    assert_eq!(
-        first.outputs()[1].clustering,
-        second.outputs()[1].clustering
-    );
-    assert_eq!(first.traffic, second.traffic);
-    assert_eq!(first.yao, second.yao);
-}
-
-#[test]
-fn report_rolls_up_exactly_the_sum_of_job_results() {
-    let engine = Engine::start(EngineConfig::with_workers(3));
-    let ids = engine.submit_all((0..6).map(horizontal_job));
-    let results = engine.wait_all();
-    assert_eq!(ids.len(), results.len());
-
-    let expected_traffic: MetricsSnapshot = results.iter().map(|r| r.traffic).sum();
-    let expected_comparisons: u64 = results.iter().map(|r| r.yao.comparisons).sum();
-    let report = engine.report();
-    assert_eq!(report.traffic, expected_traffic);
-    assert_eq!(report.yao.comparisons, expected_comparisons);
-    assert_eq!(report.completed, 6);
     assert!(report.busy_time.as_nanos() > 0);
-    // Sanity: sessions are symmetric, so sent == received in aggregate.
-    assert_eq!(report.traffic.bytes_sent, report.traffic.bytes_received);
 }
 
 #[test]
 fn registry_gauges_converge_to_zero_at_drain() {
     let engine = Engine::start(EngineConfig::with_workers(3));
     let registry = engine.registry();
-    engine.submit_all((0..6).map(horizontal_job));
+    let hits = Arc::new(AtomicU64::new(0));
+    for _ in 0..6 {
+        let hits = Arc::clone(&hits);
+        let task = move || {
+            std::thread::yield_now();
+            hits.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        };
+        engine
+            .try_submit_task("bump", Box::new(task))
+            .expect("unbounded");
+    }
     assert_eq!(registry.counter("engine_jobs_submitted").get(), 6);
-    let results = engine.wait_all();
-    assert_eq!(results.len(), 6);
-    // Drained: every queued job was picked up and every picked-up job
-    // finished, so both scheduler gauges are back at zero.
+    let report = drained(&engine);
+    // Drained, as read through `report` alone (no lock, no join): every
+    // queued task was picked up and every picked-up task finished, so both
+    // scheduler gauges are back at zero and the finished counters are in.
     assert_eq!(registry.gauge("engine_queue_depth").get(), 0);
     assert_eq!(registry.gauge("engine_in_flight").get(), 0);
     assert_eq!(registry.counter("engine_jobs_completed").get(), 6);
     assert_eq!(registry.counter("engine_jobs_failed").get(), 0);
-    // Per-mode traffic rollup matches the per-job sum the report carries.
-    let expected: MetricsSnapshot = results.iter().map(|r| r.traffic).sum();
-    assert_eq!(registry.traffic("horizontal"), Some(expected));
+    assert_eq!((report.completed, hits.load(Ordering::Relaxed)), (6, 6));
     let text = registry.render_text();
     assert!(text.contains("engine_jobs_completed 6"), "{text}");
     // The registry outlives the engine handle: scraping after shutdown
@@ -314,68 +203,7 @@ fn registry_gauges_converge_to_zero_at_drain() {
 }
 
 #[test]
-fn take_removes_results_but_keeps_rollups() {
-    let engine = Engine::start(EngineConfig::with_workers(2));
-    let ids = engine.submit_all((0..3).map(horizontal_job));
-    let taken = engine.take(ids[0]);
-    assert!(taken.is_ok());
-    assert!(engine.try_result(ids[0]).is_none(), "take must evict");
-    // wait_all still terminates (it counts finished jobs, not stored
-    // results) and returns only what was not taken.
-    let rest = engine.wait_all();
-    assert_eq!(rest.len(), 2);
-    let report = engine.shutdown();
-    assert_eq!(report.completed, 3, "rollups unaffected by take");
-}
-
-#[test]
-fn failed_jobs_are_reported_not_lost() {
-    let engine = Engine::start(EngineConfig::with_workers(2));
-    // Eps² beyond the lattice: config validation must fail inside the
-    // session and surface as a failed job.
-    let bad = ClusteringJob::new(
-        cfg(1_000_000, 3, 5),
-        SessionRequest::Horizontal {
-            alice: random_points(4, 5, 1),
-            bob: random_points(4, 5, 2),
-        },
-        1,
-    );
-    let good = horizontal_job(3);
-    let bad_id = engine.submit(bad);
-    let good_id = engine.submit(good);
-    assert!(engine.wait(bad_id).outcome.is_err());
-    assert!(engine.wait(good_id).is_ok());
-    let report = engine.shutdown();
-    assert_eq!(report.completed, 1);
-    assert_eq!(report.failed, 1);
-}
-
-#[test]
-fn leakage_profile_preserved_per_concurrent_session() {
-    // Theorem 9's per-session profile must hold for every job of a fully
-    // loaded engine: concurrency adds no leakage events.
-    let engine = Engine::start(EngineConfig::with_workers(8));
-    let ids = engine.submit_all((0..8).map(horizontal_job));
-    for id in ids {
-        let result = engine.wait(id);
-        for out in result.outputs() {
-            for event in out.leakage.events() {
-                match event {
-                    LeakageEvent::NeighborCount { .. } | LeakageEvent::OwnPointMatched { .. } => {}
-                    other => panic!("Theorem 9 forbids event {other:?} (job {})", result.id),
-                }
-            }
-            assert!(out.leakage.count_kind("neighbor_count") > 0);
-        }
-    }
-}
-
-#[test]
 fn bounded_queue_sheds_load_with_typed_error() {
-    use ppds_engine::EngineError;
-    use std::sync::mpsc;
-
     let engine = Engine::start(EngineConfig::with_workers(1).with_queue_cap(1));
 
     // Occupy the single worker with a task that blocks until released, so
@@ -396,12 +224,14 @@ fn bounded_queue_sheds_load_with_typed_error() {
         std::thread::yield_now();
     }
 
-    // One slot: first queued job admitted, second refused by name.
+    // One slot: first queued task admitted, second refused by name.
     engine
-        .try_submit(horizontal_job(1))
+        .try_submit_task("queued", Box::new(|| Ok(())))
         .expect("one slot available");
     assert_eq!(engine.queue_depth(), 1);
-    let err = engine.try_submit(horizontal_job(2)).unwrap_err();
+    let err = engine
+        .try_submit_task("refused", Box::new(|| Ok(())))
+        .unwrap_err();
     assert_eq!(err, EngineError::QueueFull { depth: 1, cap: 1 });
     assert!(err.to_string().contains("queue full"), "{err}");
 
@@ -412,29 +242,27 @@ fn bounded_queue_sheds_load_with_typed_error() {
 
     // Release the worker: the queue drains and capacity returns.
     release_tx.send(()).expect("worker waiting");
-    let results = engine.wait_all();
-    assert_eq!(results.len(), 1, "one clustering job ran");
-    assert!(results[0].is_ok());
+    assert_eq!(drained(&engine).completed, 2);
     engine
-        .try_submit(horizontal_job(3))
+        .try_submit_task("after-drain", Box::new(|| Ok(())))
         .expect("capacity returned after drain");
     let report = engine.shutdown();
-    // blocker task + two admitted clustering jobs; the refused one is gone.
+    // blocker + two admitted tasks; the refused one is gone.
     assert_eq!(report.submitted, 3);
     assert_eq!(report.completed, 3);
 }
 
 #[test]
-fn tasks_share_queue_accounting_with_jobs() {
+fn tasks_are_counted_completed_or_failed_never_lost() {
     let engine = Engine::start(EngineConfig::with_workers(2));
-    let hits = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let hits = Arc::new(AtomicU64::new(0));
     for _ in 0..4 {
-        let hits = std::sync::Arc::clone(&hits);
+        let hits = Arc::clone(&hits);
         engine
             .try_submit_task(
                 "bump",
                 Box::new(move || {
-                    hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    hits.fetch_add(1, Ordering::Relaxed);
                     Ok(())
                 }),
             )
@@ -443,14 +271,25 @@ fn tasks_share_queue_accounting_with_jobs() {
     engine
         .try_submit_task("fails", Box::new(|| Err("intentional".into())))
         .expect("unbounded");
-    let _ = engine.try_submit(horizontal_job(9));
-    let results = engine.wait_all();
-    assert_eq!(results.len(), 1, "only clustering jobs deposit results");
+    // Eps² beyond the lattice: config validation fails inside the session,
+    // and the task that ran it is a failed task.
+    let bad = two_party(
+        cfg(1_000_000, 3, 5),
+        PartyData::Horizontal(random_points(4, 5, 1)),
+        PartyData::Horizontal(random_points(4, 5, 2)),
+        1,
+    );
+    engine
+        .try_submit_task(
+            "bad-session",
+            Box::new(move || bad().map(drop).map_err(|e| e.to_string())),
+        )
+        .expect("unbounded");
     let report = engine.shutdown();
-    assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 4);
+    assert_eq!(hits.load(Ordering::Relaxed), 4);
     assert_eq!(report.submitted, 6);
-    assert_eq!(report.completed, 5);
-    assert_eq!(report.failed, 1, "task failure counted, not lost");
+    assert_eq!(report.completed, 4);
+    assert_eq!(report.failed, 2, "task failures counted, not lost");
 }
 
 #[test]
@@ -474,8 +313,7 @@ fn a_panicking_task_is_a_failed_job_and_its_worker_takes_the_next() {
         .expect("the only worker is still there to receive");
     rx.recv_timeout(Duration::from_secs(5))
         .expect("the only worker outlived the panicking task");
-    engine.wait_all();
-    let report = engine.report();
+    let report = drained(&engine);
     assert_eq!((report.failed, report.completed), (1, 1));
     let registry = engine.registry();
     assert_eq!(registry.gauge("engine_queue_depth").get(), 0);

@@ -1,6 +1,6 @@
 //! The operator metrics registry: named counters, gauges, and per-label
-//! traffic rollups for long-running components (the engine scheduler, a
-//! future server front-end).
+//! traffic rollups for long-running components (the engine's worker pool,
+//! the server hosted on it).
 //!
 //! Unlike the [`crate::SpanRecorder`] — which captures one session and is
 //! then read once — the registry lives as long as the process and is read
@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A monotonically increasing named count (jobs completed, errors seen).
+/// A monotonically increasing named count (tasks completed, errors seen).
 #[derive(Debug, Clone)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -35,7 +35,7 @@ impl Counter {
     }
 }
 
-/// A named level that moves both ways (queue depth, jobs in flight).
+/// A named level that moves both ways (queue depth, tasks in flight).
 #[derive(Debug, Clone)]
 pub struct Gauge(Arc<AtomicI64>);
 

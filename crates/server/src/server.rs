@@ -54,7 +54,7 @@ pub struct DrainReport {
     pub dropped: u64,
     /// Connections refused with `Draining` during the shutdown window.
     pub rejected_draining: u64,
-    /// The engine's final rollup (traffic, Yao ledger, busy time).
+    /// The engine's final task counts and busy time.
     pub engine: EngineReport,
 }
 
@@ -83,9 +83,18 @@ pub(crate) struct Shared {
     /// preamble content is unchanged skips knob adoption and the
     /// compatibility cross-check entirely. Only *successful* negotiations
     /// are cached — refusals stay cheap and a changed preamble always
-    /// re-negotiates (different fingerprint, different entry).
+    /// re-negotiates (different fingerprint, different entry). Holds at
+    /// most [`NEGOTIATION_CACHE_ENTRIES`].
     negotiated: Mutex<HashMap<u64, ProtocolConfig>>,
 }
+
+/// Bound on the negotiation cache. The fingerprint covers everything the
+/// client sent but its session id — its record count, any field id this
+/// build does not know — so the peer chooses how many distinct keys there
+/// are. A full cache is cleared rather than evicted one entry at a time: a
+/// miss costs twelve field comparisons, not a handshake, and a deployment's
+/// real clients send a handful of distinct preambles.
+pub(crate) const NEGOTIATION_CACHE_ENTRIES: usize = 256;
 
 /// A running protocol service. Construct with [`Server::start`]; tear down
 /// with [`Server::shutdown`] (dropping without it leaves the accept thread
@@ -420,7 +429,11 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
             refuse(&mut chan, reply, "server_sessions_rejected_incompatible");
             return;
         }
-        shared.negotiated.lock().unwrap().insert(fingerprint, scfg);
+        let mut negotiated = shared.negotiated.lock().unwrap();
+        if negotiated.len() >= NEGOTIATION_CACHE_ENTRIES {
+            negotiated.clear();
+        }
+        negotiated.insert(fingerprint, scfg);
         scfg
     };
 
@@ -564,4 +577,81 @@ fn hot_keypair(shared: &Shared, key_bits: usize) -> Keypair {
 /// `data` as `role` under `cfg`.
 pub fn hosted(cfg: ProtocolConfig, role: Party, data: PartyData) -> HostedMode {
     HostedMode { cfg, role, data }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppds_dbscan::{DbscanParams, Point};
+    use ppds_transport::WireEncode;
+
+    /// A current-version preamble plus one field id no build knows, which
+    /// `check_against` ignores and the fingerprint hashes.
+    struct WithUnknownField(Hello, u64);
+
+    impl WireEncode for WithUnknownField {
+        fn encode(&self, out: &mut Vec<u8>) {
+            let start = out.len();
+            self.0.encode(out);
+            // Layout: u32 version, u32 field count, then (u8 id, u64 value)*.
+            let count = &mut out[start + 4..start + 8];
+            let bumped = u32::from_le_bytes(count.try_into().unwrap()) + 1;
+            count.copy_from_slice(&bumped.to_le_bytes());
+            0xEEu8.encode(out);
+            self.1.encode(out);
+        }
+    }
+
+    #[test]
+    fn negotiation_cache_is_bounded_on_peer_chosen_fingerprints() {
+        let mut cfg = ProtocolConfig::new(
+            DbscanParams {
+                eps_sq: 8,
+                min_pts: 2,
+            },
+            10,
+        );
+        cfg.key_bits = 64;
+        let points = vec![Point::new(vec![0, 0]), Point::new(vec![1, 1])];
+        let server = Server::start(ServerConfig::new(vec![hosted(
+            cfg,
+            Party::Bob,
+            PartyData::Horizontal(points),
+        )]))
+        .expect("server starts");
+        let addr = server.local_addr();
+        let timeout = Duration::from_secs(5);
+
+        // Negotiates one preamble and hangs up; the admitted session fails
+        // on the closed socket, which is not what is under test.
+        let negotiate = |unknown: u64| {
+            let hello = Hello::for_session(&cfg, Mode::Horizontal, 2, 2);
+            let mut chan = TcpChannel::connect_timeout(&addr, timeout).unwrap();
+            chan.set_read_timeout(Some(timeout)).unwrap();
+            chan.send(&WithUnknownField(hello, unknown)).unwrap();
+            match chan.recv::<ServerReply>().unwrap() {
+                ServerReply::Accept { .. } | ServerReply::Busy { .. } => {}
+                other => panic!("the preamble is compatible, got {other:?}"),
+            }
+        };
+        let cached = || server.shared.negotiated.lock().unwrap().len();
+
+        let distinct = NEGOTIATION_CACHE_ENTRIES as u64 + 40;
+        for unknown in 0..distinct {
+            negotiate(unknown);
+            assert!(
+                cached() <= NEGOTIATION_CACHE_ENTRIES,
+                "{} entries",
+                cached()
+            );
+        }
+        let metrics = server.metrics();
+        let misses = metrics.counter("server_negotiation_cache_misses");
+        let hits = metrics.counter("server_negotiation_cache_hits");
+        assert_eq!((misses.get(), hits.get()), (distinct, 0));
+        // Clearing did not break the cache: the last preamble still hits.
+        negotiate(distinct - 1);
+        assert_eq!((misses.get(), hits.get()), (distinct, 1));
+        server.shutdown(timeout);
+    }
 }

@@ -24,8 +24,7 @@
 //! — it only dispatches (a CI grep guard keeps it that way).
 
 use crate::compare::{
-    compare_alice, compare_bob, share_less_than_alice, share_less_than_bob, CmpOp, Comparator,
-    ComparisonDomain,
+    compare_alice, compare_bob, share_diffs, CmpOp, Comparator, ComparisonDomain,
 };
 use crate::context::{ProtocolContext, RecordId};
 use crate::error::SmcError;
@@ -309,26 +308,16 @@ impl SmcBackend for PaillierBackend<'_> {
         pairs: &[(i64, i64)],
         domain: &ComparisonDomain,
         scopes: S,
-        _acct: &mut SharingLedger,
+        acct: &mut SharingLedger,
     ) -> Result<Vec<bool>, SmcError>
     where
         C: Channel,
         S: Fn(usize) -> ProtocolContext,
     {
-        let (comparator, packed) = (self.comparator, self.packed);
-        framed(self.batching, pairs.len(), |at| {
-            let (pairs, scopes) = (&pairs[at.clone()], |i| scopes(at.start + i));
-            match role {
-                Party::Alice => {
-                    let keypair = self.my_keypair;
-                    share_less_than_alice(comparator, chan, keypair, pairs, domain, packed, scopes)
-                }
-                Party::Bob => {
-                    let alice_pk = self.peer_pk;
-                    share_less_than_bob(comparator, chan, alice_pk, pairs, domain, packed, scopes)
-                }
-            }
-        })
+        // §5: `dist_a < dist_b` is `u_a − u_b < v_a − v_b`, one ordinary
+        // comparison per pair over each party's local difference.
+        let diffs = share_diffs(pairs, domain)?;
+        self.compare_scoped(chan, role, &diffs, CmpOp::Lt, domain, scopes, acct)
     }
 
     fn dot_many_querier<C: Channel>(

@@ -237,7 +237,14 @@ fn dgk_layout(key_bits: usize, domain: &ComparisonDomain, packed: bool) -> Optio
         .flatten()
 }
 
-fn share_diffs(pairs: &[(i64, i64)], domain: &ComparisonDomain) -> Result<Vec<i64>, SmcError> {
+/// Share comparisons (§5): per pair, Alice holds `(u_a, u_b)` and Bob holds
+/// `(v_a, v_b)`, shares of `dist_a = u_a - v_a` and `dist_b = u_b - v_b`.
+/// `dist_a < dist_b` is `u_a - u_b < v_a - v_b`: each party compares its
+/// local differences, which this returns.
+pub(crate) fn share_diffs(
+    pairs: &[(i64, i64)],
+    domain: &ComparisonDomain,
+) -> Result<Vec<i64>, SmcError> {
     pairs
         .iter()
         .map(|&(a, b)| {
@@ -248,56 +255,6 @@ fn share_diffs(pairs: &[(i64, i64)], domain: &ComparisonDomain) -> Result<Vec<i6
             })
         })
         .collect()
-}
-
-/// Share comparisons (§5): per pair, Alice holds `(u_a, u_b)` and Bob holds
-/// `(v_a, v_b)`, shares of `dist_a = u_a - v_a` and `dist_b = u_b - v_b`.
-/// Both learn whether `dist_a < dist_b`, via `u_a - u_b < v_a - v_b` — one
-/// [`compare_alice`] item per pair, scoped and framed the same way. The
-/// enhanced protocol's minimum scans pass one pair at a time, its
-/// quickselect partitions a whole level.
-pub fn share_less_than_alice<C, S>(
-    comparator: Comparator,
-    chan: &mut C,
-    keypair: &Keypair,
-    pairs: &[(i64, i64)],
-    domain: &ComparisonDomain,
-    packed: bool,
-    scopes: S,
-) -> Result<Vec<bool>, SmcError>
-where
-    C: Channel,
-    S: Fn(usize) -> ProtocolContext,
-{
-    let diffs = share_diffs(pairs, domain)?;
-    compare_alice(comparator, chan, keypair, &diffs, domain, packed, scopes)
-}
-
-/// Bob's half of [`share_less_than_alice`].
-pub fn share_less_than_bob<C, S>(
-    comparator: Comparator,
-    chan: &mut C,
-    alice_pk: &PublicKey,
-    pairs: &[(i64, i64)],
-    domain: &ComparisonDomain,
-    packed: bool,
-    scopes: S,
-) -> Result<Vec<bool>, SmcError>
-where
-    C: Channel,
-    S: Fn(usize) -> ProtocolContext,
-{
-    let diffs = share_diffs(pairs, domain)?;
-    compare_bob(
-        comparator,
-        chan,
-        alice_pk,
-        &diffs,
-        CmpOp::Lt,
-        domain,
-        packed,
-        scopes,
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -500,30 +457,29 @@ mod tests {
 
     #[test]
     fn share_comparison_matches_plain() {
+        use crate::backend::SmcBackend;
+        use crate::leakage::Party;
+        use crate::test_helpers::paillier_backend;
+
         let domain = ComparisonDomain::symmetric(100);
         // dists: alice-held u, bob-held v; dist_i = u_i - v_i.
         let us = [(50i64, 20i64), (10, 9), (7, 7)];
         let vs = [(43i64, 8i64), (2, 0), (0, 1)];
         for comparator in [Comparator::Yao, Comparator::Ideal] {
+            let backend = paillier_backend(comparator, true);
             let (mut achan, mut bchan) = duplex();
-            let kp = alice_keypair();
-            let alice = std::thread::spawn(move || {
-                share_less_than_alice(comparator, &mut achan, kp, &us, &domain, false, |i| {
-                    ctx(2).at(i as u64)
-                })
-                .unwrap()
+            let run = |chan: &mut _, role, pairs: &[(i64, i64)], seed| {
+                let scopes = |i| ctx(seed).at(i as u64);
+                let mut acct = Default::default();
+                backend
+                    .share_less_than_scoped(chan, role, pairs, &domain, scopes, &mut acct)
+                    .unwrap()
+            };
+            let (alice_view, bob_view) = std::thread::scope(|scope| {
+                let alice = scope.spawn(|| run(&mut achan, Party::Alice, &us, 2));
+                let bob_view = run(&mut bchan, Party::Bob, &vs, 3);
+                (alice.join().unwrap(), bob_view)
             });
-            let bob_view = share_less_than_bob(
-                comparator,
-                &mut bchan,
-                &kp.public,
-                &vs,
-                &domain,
-                false,
-                |i| ctx(3).at(i as u64),
-            )
-            .unwrap();
-            let alice_view = alice.join().unwrap();
             assert_eq!(alice_view, bob_view);
             // dist_a=7 vs dist_b=12 → true; 8 vs 9 → true; 7 vs 6 → false.
             assert_eq!(alice_view, vec![true, true, false], "{comparator:?}");

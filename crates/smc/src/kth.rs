@@ -202,27 +202,12 @@ fn quick_select(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{PaillierBackend, SharingBackend};
+    use crate::backend::SharingBackend;
     use crate::compare::Comparator;
     use crate::sharing::DealerTape;
-    use crate::test_helpers::{alice_keypair, ctx, rng};
-    use ppds_bigint::BigUint;
+    use crate::test_helpers::{ctx, paillier_backend as paillier, rng};
     use ppds_transport::duplex;
     use rand::Rng;
-
-    fn paillier(comparator: Comparator, batching: bool) -> PaillierBackend<'static> {
-        PaillierBackend {
-            my_keypair: alice_keypair(),
-            peer_pk: &alice_keypair().public,
-            comparator,
-            packed: false,
-            batching,
-            mul_packing: None,
-            dot_packing: None,
-            mul_mask_bound: BigUint::from_u64(1 << 20),
-            dot_mask_bound: BigUint::from_u64(1 << 20),
-        }
-    }
 
     /// Splits `dists` into shares (u_i = d_i + v_i for random v_i), runs the
     /// selection on two threads, and returns the outcome both sides agree

@@ -80,6 +80,25 @@ pub(crate) mod test_helpers {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(0xA11CE)))
     }
 
+    /// A Paillier backend whose both roles use Alice's test key, no packing.
+    pub fn paillier_backend(
+        comparator: crate::compare::Comparator,
+        batching: bool,
+    ) -> crate::backend::PaillierBackend<'static> {
+        let mask_bound = ppds_bigint::BigUint::from_u64(1 << 20);
+        crate::backend::PaillierBackend {
+            my_keypair: alice_keypair(),
+            peer_pk: &alice_keypair().public,
+            comparator,
+            packed: false,
+            batching,
+            mul_packing: None,
+            dot_packing: None,
+            mul_mask_bound: mask_bound.clone(),
+            dot_mask_bound: mask_bound,
+        }
+    }
+
     pub fn bob_keypair() -> &'static Keypair {
         static KP: OnceLock<Keypair> = OnceLock::new();
         KP.get_or_init(|| Keypair::generate(256, &mut rng(0xB0B)))

@@ -157,9 +157,9 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Componentwise sum with another snapshot: the aggregation the engine
-    /// uses to roll one job's (or one fleet's) sessions into a single
-    /// traffic figure.
+    /// Componentwise sum with another snapshot: the aggregation that rolls
+    /// one session's parties (or a server's sessions per mode) into a
+    /// single traffic figure.
     pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
             bytes_sent: self.bytes_sent + other.bytes_sent,

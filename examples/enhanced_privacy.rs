@@ -108,7 +108,7 @@ fn main() {
     println!(
         "\nThe enhanced protocol's comparisons run on secret-shared distances with \
          2^{} statistical masking, so its modeled Yao domain is far larger — the \
-         trade-off quantified in EXPERIMENTS.md (E3).",
+         trade-off the `experiments` binary quantifies (`-- e3`).",
         cfg.mask_bits
     );
 }

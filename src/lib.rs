@@ -15,8 +15,8 @@
 //!   The versioned [`ppdbscan::session::Hello`] handshake rejects any
 //!   parameter disagreement with a typed
 //!   [`ppdbscan::CoreError::HandshakeMismatch`] naming the field,
-//! * [`ppds_engine`] — the parallel protocol-execution engine: worker-pool
-//!   job scheduler and rollup reports,
+//! * [`ppds_engine`] — a worker pool of tasks with bounded admission; a
+//!   panicking task is a failed task,
 //! * [`ppds_server`] — the long-running protocol service: Hello-preamble
 //!   session admission, session registry with per-session seed isolation,
 //!   bounded-queue load shedding, graceful drain, and the operator HTTP
