@@ -82,10 +82,10 @@ fn bench_multiplication(c: &mut Criterion) {
                 let xs2 = xs.clone();
                 let handle = std::thread::spawn(move || {
                     let ctx = ProtocolContext::new(3);
-                    dot_many_keyholder(&mut kchan, keypair(), &xs2, 1, None, &ctx).unwrap()
+                    dot_many_keyholder(&mut kchan, keypair(), &[xs2], &[1], None, |_| ctx).unwrap()
                 });
                 let (pk, ctx) = (&keypair().public, ProtocolContext::new(4));
-                dot_many_peer(&mut pchan, pk, &ys, &mask_bound, None, &ctx).unwrap();
+                dot_many_peer(&mut pchan, pk, &ys, &[1], &mask_bound, None, |_| ctx).unwrap();
                 handle.join().unwrap()
             });
         });
@@ -352,23 +352,19 @@ fn bench_dot_many_packing(c: &mut Criterion) {
                 let xs2 = xs.clone();
                 let p2 = packing.clone();
                 let handle = std::thread::spawn(move || {
-                    dot_many_keyholder(
-                        &mut kchan,
-                        keypair(),
-                        &xs2,
-                        24,
-                        p2.as_ref(),
-                        &ProtocolContext::new(3),
-                    )
+                    dot_many_keyholder(&mut kchan, keypair(), &[xs2], &[24], p2.as_ref(), |_| {
+                        ProtocolContext::new(3)
+                    })
                     .unwrap()
                 });
                 dot_many_peer(
                     &mut pchan,
                     &keypair().public,
                     &rows,
+                    &[24],
                     &mask_bound,
                     packing.as_ref(),
-                    &ProtocolContext::new(4),
+                    |_| ProtocolContext::new(4),
                 )
                 .unwrap();
                 handle.join().unwrap()
@@ -417,23 +413,19 @@ fn bench_trace_overhead(c: &mut Criterion) {
                 let rec2 = recorder.clone();
                 let handle = std::thread::spawn(move || {
                     let _guard = rec2.map(|r| trace::install(r as Arc<dyn TraceSink>));
-                    dot_many_keyholder(
-                        &mut kchan,
-                        keypair(),
-                        &xs2,
-                        24,
-                        None,
-                        &ProtocolContext::new(3),
-                    )
+                    dot_many_keyholder(&mut kchan, keypair(), &[xs2], &[24], None, |_| {
+                        ProtocolContext::new(3)
+                    })
                     .unwrap()
                 });
                 dot_many_peer(
                     &mut pchan,
                     &keypair().public,
                     &rows,
+                    &[24],
                     &mask_bound,
                     None,
-                    &ProtocolContext::new(4),
+                    |_| ProtocolContext::new(4),
                 )
                 .unwrap();
                 handle.join().unwrap()
@@ -596,23 +588,19 @@ fn bench_backend_workhorses(c: &mut Criterion) {
                 let xs2: Vec<BigInt> = xs.iter().map(|&v| BigInt::from_i64(v)).collect();
                 let p2 = packing.clone();
                 let handle = std::thread::spawn(move || {
-                    dot_many_keyholder(
-                        &mut kchan,
-                        keypair(),
-                        &xs2,
-                        k,
-                        Some(&p2),
-                        &ProtocolContext::new(3),
-                    )
+                    dot_many_keyholder(&mut kchan, keypair(), &[xs2], &[k], Some(&p2), |_| {
+                        ProtocolContext::new(3)
+                    })
                     .unwrap()
                 });
                 dot_many_peer(
                     &mut pchan,
                     &keypair().public,
                     &rows_big,
+                    &[k],
                     &mask_bound,
                     Some(&packing),
-                    &ProtocolContext::new(4),
+                    |_| ProtocolContext::new(4),
                 )
                 .unwrap();
                 handle.join().unwrap()
@@ -628,12 +616,14 @@ fn bench_backend_workhorses(c: &mut Criterion) {
                 let xs2: Vec<Fe> = xs.iter().map(|&v| Fe::embed(v)).collect();
                 let handle = std::thread::spawn(move || {
                     let mut acct = SharingLedger::default();
-                    sharing_dot_querier(&tape, &mut qchan, &xs2, k, &ctx, &mut acct).unwrap()
+                    sharing_dot_querier(&tape, &mut qchan, &[xs2], &[k], |_| ctx, &mut acct)
+                        .unwrap()
                 });
                 let mut masks_rng = ctx.narrow("bench_mask").rng();
                 let masks: Vec<Fe> = (0..k).map(|_| Fe::random(&mut masks_rng)).collect();
                 let mut acct = SharingLedger::default();
-                sharing_dot_responder(&tape, &mut rchan, &rows_fe, &masks, &ctx, &mut acct)
+                let scopes = |_| ctx;
+                sharing_dot_responder(&tape, &mut rchan, &rows_fe, &masks, &[k], scopes, &mut acct)
                     .unwrap();
                 handle.join().unwrap()
             });

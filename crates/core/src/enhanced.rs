@@ -23,219 +23,314 @@
 //! decided locally, and the responder only sees a one-bit "not engaging"
 //! flag (strictly less than it learns from a full selection).
 //!
-//! All three phases dispatch through the session's [`SmcBackend`]: the
-//! Paillier substrate reproduces the homomorphic dot products and Yao
-//! comparisons byte-for-byte; the sharing substrate answers with one
-//! masked-share exchange per phase over `Z_2^64` (DESIGN.md §14).
+//! The paper writes this as one conversation per query point. Every test is
+//! known before the first runs, so a querying direction is *resolved* like
+//! the other point-holding modes (DESIGN.md §7): all `(engage, k)` flags
+//! travel ahead, 1,024 to a frame; the engaged tests are packed whole, in
+//! index order, into chunks of at most 1,024 served rows that both sides cut
+//! alike; and a chunk is one exchange per step — its dot legs together, its
+//! selections in lockstep ([`select_in_lockstep`]), its threshold tests as
+//! one slice. Test `idx` keeps its own keys (`ctx.at(idx)` with `"dot"`,
+//! `"sel"`, `"cmp"`, `"perm"` beneath it), so only the frame a message rides
+//! changes, never a byte of it, and the responder still permutes each
+//! query's served set on its own.
+//!
+//! All three phases dispatch through the session's [`SmcBackend`], which
+//! also frames them: the Paillier substrate reproduces the homomorphic dot
+//! products and Yao comparisons byte-for-byte; the sharing substrate answers
+//! with one masked-share exchange per phase over `Z_2^64` (DESIGN.md §14).
 
-use crate::config::{ProtocolConfig, YaoLedger};
+use crate::config::ProtocolConfig;
 use crate::domain::{dot_response_packing, enhanced_share_domain};
 use crate::error::CoreError;
 use crate::hdp::ServedSets;
+use crate::prune::{
+    local_index, query_candidate_counts, query_chunk, serve_candidate_counts, PAIR_CHUNK,
+};
 use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use ppds_dbscan::{Clustering, Point};
 use ppds_observe::trace;
 use ppds_smc::compare::CmpOp;
-use ppds_smc::kth::kth_smallest_with;
+use ppds_smc::kth::{select_in_lockstep, Selection};
 use ppds_smc::ResponsePacking;
-use ppds_smc::{
-    LeakageEvent, LeakageLog, Party, ProtocolContext, SharingLedger, SmcBackend, SmcError,
-};
+use ppds_smc::{LeakageEvent, Party, ProtocolContext, SmcBackend, SmcError};
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
+use std::ops::Range;
 
 /// The masked-distance response packing this config selects: `Some` when
 /// `cfg.packing` is on (validated configs always have a layout).
 pub(crate) fn dot_packing(cfg: &ProtocolConfig, dim: usize) -> Option<ResponsePacking> {
-    if cfg.packing {
-        dot_response_packing(cfg, dim)
-    } else {
-        None
-    }
+    cfg.packing
+        .then(|| dot_response_packing(cfg, dim))
+        .flatten()
 }
 
-/// What [`kth_smallest_with`]'s vestigial `batched` argument is given: it
-/// selects nothing, framing being the backend's alone.
-const BACKEND_FRAMES: bool = true;
+/// One engaged core-point test of a chunk: test `idx` of its direction asks
+/// for the `k`-th smallest of the distances at `rows` of the chunk's rows.
+struct Engaged {
+    idx: usize,
+    k: usize,
+    rows: Range<usize>,
+}
 
-/// Querier side of one enhanced core-point test. `own_count` is the size of
-/// the querier's *local* Eps-neighborhood of `query` (including the point
-/// itself); `ctx` is this core test's context (the driver narrows per
-/// query). Returns whether `query` is a core point of the joint data.
+/// The chunks of one resolve direction: the engaged tests (`ranks[q] > 0`,
+/// the rank test `q` asks for), whole and in index order, while their
+/// `served` rows fit [`PAIR_CHUNK`]. Both sides cut from the flags and the
+/// served counts, which both hold, so nothing is said about the cut; a run
+/// with nothing engaged is no chunk and takes no chunk index.
+fn engaged_chunks<'a>(
+    ranks: &'a [usize],
+    served: &'a [usize],
+) -> impl Iterator<Item = Vec<Engaged>> + 'a {
+    let rows = move |q: usize| if ranks[q] > 0 { served[q] } else { 0 };
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        while start < ranks.len() {
+            let (end, pairs) = query_chunk(start, ranks.len(), rows);
+            let run = std::mem::replace(&mut start, end)..end;
+            if pairs > 0 {
+                let mut first = 0;
+                let engaged = run.filter(|&q| ranks[q] > 0).map(|idx| {
+                    let rows = first..first + served[idx];
+                    first = rows.end;
+                    let k = ranks[idx];
+                    Engaged { idx, k, rows }
+                });
+                return Some(engaged.collect());
+            }
+        }
+        None
+    })
+}
+
+/// Phases 2 and 3 of a chunk, the same steps in either role over this
+/// party's `shares` of the chunk's distances: the selections advance in
+/// lockstep, then the threshold tests `u_k ≤ Eps² + v_k` ride one slice.
+/// Returns, per test, which of its rows ranked k-th and the verdict.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn enhanced_core_test_querier<C: Channel, B: SmcBackend>(
+fn rank_and_decide<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
-    query: &Point,
-    own_count: usize,
-    responder_count: usize,
+    role: Party,
+    tests: &[Engaged],
+    shares: &[i64],
+    dim: usize,
     ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-    leakage: &mut LeakageLog,
-) -> Result<bool, SmcError> {
-    let k_needed = cfg.params.min_pts.saturating_sub(own_count);
-    let engage = k_needed >= 1 && k_needed <= responder_count;
-    chan.send(&(engage, k_needed as u64))?;
-    if !engage {
-        // Decided locally: core iff the local neighborhood alone suffices.
-        let is_core = k_needed == 0;
-        leakage.record(LeakageEvent::CorePointBit {
-            query: "local".into(),
-            is_core,
-        });
-        return Ok(is_core);
+    log: &mut SessionLog,
+) -> Result<Vec<(usize, bool)>, SmcError> {
+    if tests.last().map(|t| t.rows.end) != Some(shares.len()) {
+        return Err(SmcError::protocol("dot exchange of another row count"));
     }
-
-    // Phase 1: shares u_j = Dist²(A, B_j) + v_j.
-    let dim = query.dim();
-    let mut xs: Vec<i64> = Vec::with_capacity(dim + 2);
-    xs.push(i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice"));
-    for &a in query.coords() {
-        xs.push(-2 * a);
-    }
-    xs.push(1);
-    let dot_span = trace::span("dot", || chan.metrics());
-    let shares = backend.dot_many_querier(chan, &xs, responder_count, &ctx.narrow("dot"), acct)?;
-    dot_span.end(|| chan.metrics());
-
-    // Phase 2: k-th smallest shared distance. The backend frames the
-    // comparisons: a quickselect partition level is one slice, a minimum
-    // scan is inherently sequential and hands over one pair at a time.
     let domain = enhanced_share_domain(cfg, dim);
-    let sel_ctx = ctx.narrow("sel");
     let sel_span = trace::span("sel", || chan.metrics());
-    let outcome = kth_smallest_with(
-        cfg.selection,
-        backend,
-        chan,
-        Party::Alice,
-        &shares,
-        k_needed,
-        &domain,
-        BACKEND_FRAMES,
-        &sel_ctx,
-        acct,
-    )?;
+    let mut selections = tests
+        .iter()
+        .map(|t| {
+            let sel_ctx = ctx.at(t.idx as u64).narrow("sel");
+            Selection::new(cfg.selection, &shares[t.rows.clone()], t.k, sel_ctx)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let acct = &mut log.sharing;
+    let outcomes = select_in_lockstep(backend, chan, role, &mut selections, &domain, acct)?;
     sel_span.end(|| chan.metrics());
 
-    // Phase 3: u_k ≤ Eps² + v_k.
-    ledger.record_many(cfg.key_bits, domain.n0(), outcome.comparisons as u64 + 1);
+    let comparisons: usize = outcomes.iter().map(|o| o.comparisons + 1).sum();
+    log.ledger
+        .record_many(cfg.key_bits, domain.n0(), comparisons as u64);
+    let threshold = match role {
+        Party::Alice => 0,
+        Party::Bob => cfg.params.eps_sq as i64,
+    };
+    let kth = |(t, o): (&Engaged, _)| threshold + shares[t.rows.start + o];
+    let ranked = outcomes.iter().map(|o| o.index);
+    let values: Vec<i64> = tests.iter().zip(ranked.clone()).map(kth).collect();
     let cmp_span = trace::span("cmp", || chan.metrics());
-    let is_core = backend.compare(
-        chan,
-        Party::Alice,
-        shares[outcome.index],
-        CmpOp::Leq,
-        &domain,
-        &ctx.narrow("cmp"),
-        acct,
-    )?;
+    let scopes = |i: usize| ctx.at(tests[i].idx as u64).narrow("cmp");
+    let op = CmpOp::Leq;
+    let is_core = backend.compare_scoped(chan, role, &values, op, &domain, scopes, acct)?;
     cmp_span.end(|| chan.metrics());
-    leakage.record(LeakageEvent::CorePointBit {
-        query: "joint".into(),
-        is_core,
-    });
-    Ok(is_core)
+    if is_core.len() != tests.len() {
+        return Err(SmcError::protocol("threshold verdict arity mismatch"));
+    }
+    Ok(ranked.zip(is_core).collect())
 }
 
-/// Responder side of one enhanced core-point test over `my_points`,
-/// restricted to the `candidates` indices (the full range when pruning is
-/// off — see the crate-internal `prune` module).
+/// Querier side of one resolve direction: whether each query is a core point
+/// of the joint data. `own_counts[q]` is the size of query `q`'s *local*
+/// Eps-neighborhood (itself included), `served[q]` how many responder points
+/// it is served; test `q` draws from `ctx.at(q)`. Logs one
+/// [`LeakageEvent::CorePointBit`] per query, in index order.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn enhanced_core_respond<C: Channel, B: SmcBackend>(
+pub(crate) fn resolve_querier<C: Channel, B: SmcBackend>(
+    chan: &mut C,
+    cfg: &ProtocolConfig,
+    backend: &B,
+    queries: &[Point],
+    own_counts: &[usize],
+    served: &[usize],
+    ctx: &ProtocolContext,
+    log: &mut SessionLog,
+) -> Result<Vec<bool>, SmcError> {
+    let needed = |q: usize| cfg.params.min_pts.saturating_sub(own_counts[q]);
+    let engaged = |q: usize| (1..=served[q]).contains(&needed(q));
+    let flags: Vec<(bool, u64)> = (0..queries.len())
+        .map(|q| (engaged(q), needed(q) as u64))
+        .collect();
+    for block in flags.chunks(PAIR_CHUNK) {
+        backend.send_framed(chan, block)?;
+    }
+    // Decided locally unless engaged: core iff the local neighborhood suffices.
+    let mut core: Vec<bool> = (0..queries.len()).map(|q| needed(q) == 0).collect();
+    let ranks: Vec<usize> = (0..queries.len())
+        .map(|q| if engaged(q) { needed(q) } else { 0 })
+        .collect();
+    let dim = queries.first().map_or(0, Point::dim);
+    for (chunk, tests) in engaged_chunks(&ranks, served).enumerate() {
+        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
+        // Phase 1: shares u_j = Dist²(A, B_j) + v_j.
+        let xs: Vec<Vec<i64>> = tests
+            .iter()
+            .map(|t| {
+                let query = &queries[t.idx];
+                let norm = query.norm_sq();
+                let mut xs = Vec::with_capacity(dim + 2);
+                xs.push(i64::try_from(norm).expect("ΣA² fits i64 on a validated lattice"));
+                xs.extend(query.coords().iter().map(|&a| -2 * a));
+                xs.push(1);
+                xs
+            })
+            .collect();
+        let rows: Vec<usize> = tests.iter().map(|t| t.rows.len()).collect();
+        let dot_span = trace::span("dot", || chan.metrics());
+        let scopes = |i: usize| ctx.at(tests[i].idx as u64).narrow("dot");
+        let shares = backend.dot_queries_querier(chan, &xs, &rows, scopes, &mut log.sharing)?;
+        dot_span.end(|| chan.metrics());
+        let role = Party::Alice;
+        let decided = rank_and_decide(chan, cfg, backend, role, &tests, &shares, dim, ctx, log)?;
+        for (test, (_, is_core)) in tests.iter().zip(decided) {
+            core[test.idx] = is_core;
+        }
+        span.end(|| chan.metrics());
+    }
+    for (q, &is_core) in core.iter().enumerate() {
+        let query = if engaged(q) { "joint" } else { "local" }.into();
+        log.leakage
+            .record(LeakageEvent::CorePointBit { query, is_core });
+    }
+    Ok(core)
+}
+
+/// The peer's `(engage, k)` flags, one per query, as the rank each test asks
+/// for (0: not engaged) beside its served count. The flags are
+/// peer-controlled and later size the selections, so they are held to the
+/// handshake as they arrive: at most [`PAIR_CHUNK`] a frame, `queries` in
+/// all, and an engaged `k` within `1..=served(q)` — which no test served
+/// nothing can meet.
+fn recv_flags<C: Channel>(
+    chan: &mut C,
+    queries: usize,
+    served: &impl ServedSets,
+) -> Result<(Vec<usize>, Vec<usize>), SmcError> {
+    let (mut ranks, mut counts) = (Vec::new(), Vec::new());
+    while ranks.len() < queries {
+        let frame: Vec<(bool, u64)> = chan.recv_batch()?;
+        let due = PAIR_CHUNK.min(queries - ranks.len());
+        if frame.is_empty() || frame.len() > due {
+            return Err(SmcError::protocol(format!(
+                "flags frame of {} tests with {due} due",
+                frame.len()
+            )));
+        }
+        for (engage, k) in frame {
+            let count = served.count(ranks.len());
+            if engage && !(1..=count as u64).contains(&k) {
+                return Err(SmcError::protocol(format!(
+                    "querier engaged with invalid k = {k} for {count} served points"
+                )));
+            }
+            ranks.push(if engage { k as usize } else { 0 });
+            counts.push(count);
+        }
+    }
+    Ok((ranks, counts))
+}
+
+/// Responder side of [`resolve_querier`]: serves `queries` peer
+/// queries the subsets of `my_points` that `served` lists for them. Band
+/// pruning is exact, so every within-Eps point is a candidate and the k-th
+/// smallest served distance decides core-ness just like the k-th smallest
+/// overall. Each engaged query's served set is permuted afresh from
+/// `ctx.at(q).narrow("perm")` (the Figure 1 defense); the rank it asked for
+/// and, when it is core, the own point that ranked k-th are logged.
+#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
+pub(crate) fn resolve_responder<C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
     my_points: &[Point],
-    candidates: &[usize],
-    dim: usize,
+    queries: usize,
+    served: &mut impl ServedSets,
     ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-    leakage: &mut LeakageLog,
+    log: &mut SessionLog,
 ) -> Result<(), SmcError> {
-    let (engage, k): (bool, u64) = chan.recv()?;
-    if !engage {
-        return Ok(());
-    }
-    let k = k as usize;
-    if k == 0 || k > candidates.len() {
-        return Err(SmcError::protocol(format!(
-            "querier engaged with invalid k = {k} for {} served points",
-            candidates.len()
-        )));
-    }
-    leakage.record(LeakageEvent::ThresholdRank {
-        query: "peer-query".into(),
-        k: k as u64,
-    });
-
-    // Phase 1: masked dot products over a fresh permutation of the served
-    // set. Band pruning is exact, so every within-Eps point is a candidate
-    // and the k-th smallest served distance decides core-ness just like
-    // the k-th smallest overall.
-    let mut order: Vec<usize> = candidates.to_vec();
-    order.shuffle(&mut ctx.narrow("perm").rng());
-    let rows: Vec<Vec<i64>> = order
-        .iter()
-        .map(|&idx| {
-            let p = &my_points[idx];
-            let mut row: Vec<i64> = Vec::with_capacity(p.dim() + 2);
-            row.push(1);
-            row.extend_from_slice(p.coords());
-            row.push(i64::try_from(p.norm_sq()).expect("ΣB² fits i64 on a validated lattice"));
-            row
-        })
-        .collect();
-    let dot_span = trace::span("dot", || chan.metrics());
-    let shares = backend.dot_many_responder(chan, &rows, &ctx.narrow("dot"), acct)?;
-    dot_span.end(|| chan.metrics());
-
-    // Phase 2: mirror the selection.
-    let domain = enhanced_share_domain(cfg, dim);
-    let sel_ctx = ctx.narrow("sel");
-    let sel_span = trace::span("sel", || chan.metrics());
-    let outcome = kth_smallest_with(
-        cfg.selection,
-        backend,
-        chan,
-        Party::Bob,
-        &shares,
-        k,
-        &domain,
-        BACKEND_FRAMES,
-        &sel_ctx,
-        acct,
-    )?;
-    sel_span.end(|| chan.metrics());
-
-    // Phase 3: Eps² + v_k vs the querier's u_k.
-    ledger.record_many(cfg.key_bits, domain.n0(), outcome.comparisons as u64 + 1);
-    let cmp_span = trace::span("cmp", || chan.metrics());
-    let is_core = backend.compare(
-        chan,
-        Party::Bob,
-        cfg.params.eps_sq as i64 + shares[outcome.index],
-        CmpOp::Leq,
-        &domain,
-        &ctx.narrow("cmp"),
-        acct,
-    )?;
-    cmp_span.end(|| chan.metrics());
-    if is_core {
-        // The responder knows which of *his own* points ranked k-th and
-        // that it sits within Eps of some unidentifiable query point.
-        leakage.record(LeakageEvent::OwnPointMatched {
-            point: format!("own#{}", order[outcome.index]),
-        });
+    let (ranks, counts) = recv_flags(chan, queries, served)?;
+    let dim = my_points.first().map_or(0, Point::dim);
+    for (chunk, tests) in engaged_chunks(&ranks, &counts).enumerate() {
+        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
+        // Phase 1: masked dot products over a fresh permutation of each
+        // query's served set.
+        let mut order = Vec::new();
+        for test in &tests {
+            served.extend(test.idx, &mut order);
+            assert_eq!(
+                order.len(),
+                test.rows.end,
+                "a query is served what it was counted"
+            );
+            order[test.rows.clone()].shuffle(&mut ctx.at(test.idx as u64).narrow("perm").rng());
+        }
+        let rows: Vec<Vec<i64>> = order
+            .iter()
+            .map(|&own| {
+                let p = &my_points[own];
+                let mut row = Vec::with_capacity(dim + 2);
+                row.push(1);
+                row.extend_from_slice(p.coords());
+                row.push(i64::try_from(p.norm_sq()).expect("ΣB² fits i64 on a validated lattice"));
+                row
+            })
+            .collect();
+        let per_query: Vec<usize> = tests.iter().map(|t| t.rows.len()).collect();
+        let dot_span = trace::span("dot", || chan.metrics());
+        let scopes = |i: usize| ctx.at(tests[i].idx as u64).narrow("dot");
+        let acct = &mut log.sharing;
+        let shares = backend.dot_queries_responder(chan, &rows, &per_query, scopes, acct)?;
+        dot_span.end(|| chan.metrics());
+        let role = Party::Bob;
+        let decided = rank_and_decide(chan, cfg, backend, role, &tests, &shares, dim, ctx, log)?;
+        for (test, (ranked, is_core)) in tests.iter().zip(decided) {
+            log.leakage.record(LeakageEvent::ThresholdRank {
+                query: "peer-query".into(),
+                k: test.k as u64,
+            });
+            if is_core {
+                // The responder knows which of *his own* points ranked k-th
+                // and that it sits within Eps of some unidentifiable query
+                // point.
+                log.leakage.record(LeakageEvent::OwnPointMatched {
+                    point: format!("own#{}", order[test.rows.start + ranked]),
+                });
+            }
+        }
+        span.end(|| chan.metrics());
     }
     Ok(())
 }
 
 /// The enhanced protocol as a [`ModeDriver`]: the horizontal resolve /
-/// expand split with the count-free core-point test above.
+/// expand split with the count-free core-point tests above.
 pub(crate) struct EnhancedDriver<'a> {
     pub points: &'a [Point],
 }
@@ -272,68 +367,29 @@ impl ModeDriver for EnhancedDriver<'_> {
         };
         let query_ctx = ctx.narrow(my_queries);
         let serve_ctx = ctx.narrow(peer_queries);
-        // Resolve: one core test per own point, in index order, each still
-        // an exchange of its own. The grid-pruning cell exchange is the
-        // horizontal driver's, run *before* any (engage, k) message so the
-        // engage decisions can use the candidate cardinalities.
+        // Resolve: every own point's core test, in index order. The
+        // grid-pruning cell exchange is the horizontal driver's, run *before*
+        // the `(engage, k)` flags so the engage decisions can use the
+        // candidate cardinalities.
+        let peer_n = session.peer_n;
         let resolve = |chan: &mut C, log: &mut SessionLog| {
-            let served = crate::prune::query_candidate_counts(
-                chan,
-                cfg,
-                points,
-                session.peer_n,
-                &mut log.leakage,
-                |idx| format!("own#{idx}"),
-            )?;
-            let index = crate::prune::local_index(points, cfg.params.eps_sq, cfg.pruning);
+            let own = |idx: usize| format!("own#{idx}");
+            let served = query_candidate_counts(chan, cfg, points, peer_n, &mut log.leakage, own)?;
+            let index = local_index(points, cfg.params.eps_sq, cfg.pruning);
+            let own: Vec<usize> = points
+                .iter()
+                .map(|point| index.region_query(point).len())
+                .collect();
             log.leakage.reserve(points.len());
-            let mut core = Vec::with_capacity(points.len());
-            for (idx, point) in points.iter().enumerate() {
-                let span = trace::span_with(|| format!("resolve#{idx}"), || chan.metrics());
-                core.push(enhanced_core_test_querier(
-                    chan,
-                    cfg,
-                    &backend,
-                    point,
-                    index.region_query(point).len(),
-                    served[idx],
-                    &query_ctx.at(idx as u64),
-                    &mut log.ledger,
-                    &mut log.sharing,
-                    &mut log.leakage,
-                )?);
-                span.end(|| chan.metrics());
-            }
-            Ok(core)
+            Ok(resolve_querier(
+                chan, cfg, &backend, points, &own, &served, &query_ctx, log,
+            )?)
         };
         let serve = |chan: &mut C, log: &mut SessionLog| {
-            let mut served = crate::prune::serve_candidate_counts(
-                chan,
-                cfg,
-                points,
-                session.peer_n,
-                &mut log.leakage,
-            )?;
-            let mut candidates = Vec::new();
-            for q in 0..session.peer_n {
-                let span = trace::span_with(|| format!("resolve#{q}"), || chan.metrics());
-                candidates.clear();
-                served.extend(q, &mut candidates);
-                enhanced_core_respond(
-                    chan,
-                    cfg,
-                    &backend,
-                    points,
-                    &candidates,
-                    dim,
-                    &serve_ctx.at(q as u64),
-                    &mut log.ledger,
-                    &mut log.sharing,
-                    &mut log.leakage,
-                )?;
-                span.end(|| chan.metrics());
-            }
-            Ok(())
+            let served = &mut serve_candidate_counts(chan, cfg, points, peer_n, &mut log.leakage)?;
+            Ok(resolve_responder(
+                chan, cfg, &backend, points, peer_n, served, &serve_ctx, log,
+            )?)
         };
         let core = crate::horizontal::resolve_in_role_order(chan, mctx.role, log, resolve, serve)?;
         Ok(crate::horizontal::expand_own_points(
@@ -347,10 +403,12 @@ impl ModeDriver for EnhancedDriver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::paillier_backend;
+    use crate::backend::{paillier_backend, sharing_backend};
+    use crate::prune::CandidateSets;
     use crate::test_helpers::{ctx, rng};
     use ppds_dbscan::{dist_sq, DbscanParams};
     use ppds_paillier::Keypair;
+    use ppds_smc::{AnyBackend, DealerTape, LeakageLog};
     use ppds_transport::duplex;
     use std::sync::OnceLock;
 
@@ -364,157 +422,94 @@ mod tests {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(67)))
     }
 
+    /// Both sides of a resolve direction of one query, each with its own
+    /// backend of `cfg`'s kind and its own seed; returns the verdict and
+    /// both parties' logs.
     fn run_test(
         cfg: ProtocolConfig,
         query: Point,
         own_count: usize,
         responder_points: Vec<Point>,
         seed: u64,
-    ) -> (bool, LeakageLog, LeakageLog) {
-        let dim = query.dim();
-        let nb = responder_points.len();
+    ) -> (bool, SessionLog, SessionLog) {
+        let (dim, nb) = (query.dim(), responder_points.len());
+        let backend = |mine: &'static Keypair, theirs: &'static Keypair| match cfg.backend {
+            ppds_smc::BackendKind::Paillier => {
+                AnyBackend::Paillier(paillier_backend(&cfg, mine, &theirs.public, dim))
+            }
+            ppds_smc::BackendKind::Sharing => {
+                AnyBackend::Sharing(sharing_backend(&cfg, DealerTape::from_seed(3131), dim))
+            }
+        };
         let (mut qchan, mut rchan) = duplex();
-        let q = std::thread::spawn(move || {
-            let backend = paillier_backend(&cfg, querier_kp(), &responder_kp().public, dim);
-            let mut ledger = YaoLedger::default();
-            let mut acct = SharingLedger::default();
-            let mut leakage = LeakageLog::new();
-            let is_core = enhanced_core_test_querier(
-                &mut qchan,
-                &cfg,
-                &backend,
-                &query,
-                own_count,
-                nb,
-                &ctx(seed),
-                &mut ledger,
-                &mut acct,
-                &mut leakage,
+        std::thread::scope(|scope| {
+            let q = scope.spawn(|| {
+                let (mut log, backend) = (SessionLog::new(), backend(querier_kp(), responder_kp()));
+                let (own, served) = (&[own_count], &[nb]);
+                let chan = &mut qchan;
+                let core = resolve_querier(
+                    chan,
+                    &cfg,
+                    &backend,
+                    &[query],
+                    own,
+                    served,
+                    &ctx(seed),
+                    &mut log,
+                );
+                (core.unwrap()[0], log)
+            });
+            let (mut r_log, backend) = (SessionLog::new(), backend(responder_kp(), querier_kp()));
+            let (points, served, ctx) = (
+                &responder_points,
+                &mut CandidateSets::All(nb),
+                ctx(seed + 1),
+            );
+            resolve_responder(
+                &mut rchan, &cfg, &backend, points, 1, served, &ctx, &mut r_log,
             )
             .unwrap();
-            (is_core, leakage)
-        });
-        let backend = paillier_backend(&cfg, responder_kp(), &querier_kp().public, dim);
-        let mut ledger = YaoLedger::default();
-        let mut acct = SharingLedger::default();
-        let mut r_leakage = LeakageLog::new();
-        let all: Vec<usize> = (0..responder_points.len()).collect();
-        enhanced_core_respond(
-            &mut rchan,
-            &cfg,
-            &backend,
-            &responder_points,
-            &all,
-            dim,
-            &ctx(seed + 1),
-            &mut ledger,
-            &mut acct,
-            &mut r_leakage,
-        )
-        .unwrap();
-        let (is_core, q_leakage) = q.join().unwrap();
-        (is_core, q_leakage, r_leakage)
+            let (is_core, q_log) = q.join().unwrap();
+            (is_core, q_log, r_log)
+        })
     }
 
     fn cfg(eps_sq: u64, min_pts: usize) -> ProtocolConfig {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts }, 10)
     }
 
-    #[test]
-    fn core_decision_matches_plain_count() {
-        let responder_points = vec![
-            Point::new(vec![1, 0]),
-            Point::new(vec![0, 2]),
-            Point::new(vec![5, 5]),
-            Point::new(vec![-1, -1]),
-        ];
-        let query = Point::new(vec![0, 0]);
-        for min_pts in 1..=6 {
-            for own_count in 0..=3 {
-                let c = cfg(4, min_pts);
-                let peer_in = responder_points
-                    .iter()
-                    .filter(|p| dist_sq(p, &query) <= 4)
-                    .count();
-                let expect = own_count + peer_in >= min_pts;
-                let (got, _, _) = run_test(
-                    c,
-                    query.clone(),
-                    own_count,
-                    responder_points.clone(),
-                    1000 + (min_pts * 10 + own_count) as u64,
-                );
-                assert_eq!(got, expect, "min_pts={min_pts} own={own_count}");
-            }
-        }
+    fn four_points() -> Vec<Point> {
+        [[1, 0], [0, 2], [5, 5], [-1, -1]]
+            .map(|c| Point::new(c.to_vec()))
+            .to_vec()
     }
 
     #[test]
-    fn sharing_backend_core_decision_matches() {
-        use ppds_smc::{DealerTape, SharingBackend};
-        let responder_points = vec![
-            Point::new(vec![1, 0]),
-            Point::new(vec![0, 2]),
-            Point::new(vec![5, 5]),
-            Point::new(vec![-1, -1]),
-        ];
+    fn core_decision_matches_plain_count_on_both_substrates() {
         let query = Point::new(vec![0, 0]);
-        let peer_in = responder_points
-            .iter()
-            .filter(|p| dist_sq(p, &query) <= 4)
-            .count();
-        for batching in [false, true] {
-            for own_count in [0usize, 1, 2] {
-                let run_cfg = cfg(4, 3).with_batching(batching);
-                let expect = own_count + peer_in >= 3;
-                let mk = move || SharingBackend {
-                    tape: DealerTape::from_seed(3131),
-                    batching,
-                    dot_mask_bound: 1 << 20,
-                };
-                let nb = responder_points.len();
-                let (mut qchan, mut rchan) = duplex();
-                let q_query = query.clone();
-                let q = std::thread::spawn(move || {
-                    let mut ledger = YaoLedger::default();
-                    let mut acct = SharingLedger::default();
-                    let mut leakage = LeakageLog::new();
-                    let is_core = enhanced_core_test_querier(
-                        &mut qchan,
-                        &run_cfg,
-                        &mk(),
-                        &q_query,
-                        own_count,
-                        nb,
-                        &ctx(2000 + own_count as u64),
-                        &mut ledger,
-                        &mut acct,
-                        &mut leakage,
-                    )
-                    .unwrap();
-                    (is_core, acct)
-                });
-                let mut ledger = YaoLedger::default();
-                let mut acct = SharingLedger::default();
-                let mut r_leakage = LeakageLog::new();
-                enhanced_core_respond(
-                    &mut rchan,
-                    &run_cfg,
-                    &mk(),
-                    &responder_points,
-                    &[0, 1, 2, 3],
-                    2,
-                    &ctx(2001 + own_count as u64),
-                    &mut ledger,
-                    &mut acct,
-                    &mut r_leakage,
-                )
-                .unwrap();
-                let (is_core, q_acct) = q.join().unwrap();
-                assert_eq!(is_core, expect, "batching={batching} own={own_count}");
-                assert!(
-                    q_acct.opened_elements > 0,
-                    "dot product opens masked elements"
+        let served = four_points();
+        let peer_in = served.iter().filter(|p| dist_sq(p, &query) <= 4).count();
+        let sharing = |batching| {
+            let base = cfg(4, 1).with_backend(ppds_smc::BackendKind::Sharing);
+            base.with_batching(batching)
+        };
+        for (b, mut c) in [cfg(4, 1), sharing(false), sharing(true)]
+            .into_iter()
+            .enumerate()
+        {
+            for (min_pts, own_count) in (1..=6).flat_map(|m| (0..=3).map(move |o| (m, o))) {
+                c.params.min_pts = min_pts;
+                let seed = 1000 + (min_pts * 10 + own_count) as u64;
+                let (got, q_log, _) = run_test(c, query.clone(), own_count, served.clone(), seed);
+                let name = format!("backend {b} min_pts={min_pts} own={own_count}");
+                assert_eq!(got, own_count + peer_in >= min_pts, "{name}");
+                // An engaged test opens masked elements on the sharing
+                // substrate and books nothing on the Paillier one.
+                let engaged = (1..=served.len()).contains(&min_pts.saturating_sub(own_count));
+                assert_eq!(
+                    q_log.sharing.opened_elements > 0,
+                    b > 0 && engaged,
+                    "{name}"
                 );
             }
         }
@@ -522,87 +517,57 @@ mod tests {
 
     #[test]
     fn leakage_is_core_bit_only_for_querier() {
-        let (is_core, q_leakage, r_leakage) = run_test(
-            cfg(4, 2),
-            Point::new(vec![0, 0]),
-            1,
-            vec![Point::new(vec![1, 1]), Point::new(vec![8, 8])],
-            50,
-        );
+        let responder_points = vec![Point::new(vec![1, 1]), Point::new(vec![8, 8])];
+        let (is_core, q, r) = run_test(cfg(4, 2), Point::new(vec![0, 0]), 1, responder_points, 50);
         assert!(is_core);
         // Querier's deliberate disclosures: exactly one core-point bit.
-        assert_eq!(q_leakage.count_kind("core_point_bit"), 1);
-        assert_eq!(q_leakage.count_kind("neighbor_count"), 0);
+        assert_eq!(q.leakage.count_kind("core_point_bit"), 1);
+        assert_eq!(q.leakage.count_kind("neighbor_count"), 0);
         // Responder: learned the rank k and that his nearest point matched.
-        assert_eq!(r_leakage.count_kind("threshold_rank"), 1);
-        assert_eq!(r_leakage.count_kind("own_point_matched"), 1);
+        assert_eq!(r.leakage.count_kind("threshold_rank"), 1);
+        assert_eq!(r.leakage.count_kind("own_point_matched"), 1);
     }
 
     #[test]
-    fn locally_decided_core() {
-        // own_count ≥ MinPts: no engagement, responder learns one flag bit.
-        let (is_core, _, r_leakage) = run_test(
-            cfg(4, 2),
-            Point::new(vec![0, 0]),
-            5,
-            vec![Point::new(vec![9, 9])],
-            60,
-        );
+    fn locally_decided_tests_engage_nobody() {
+        // own_count ≥ MinPts: core, and the responder learns one flag bit.
+        let far = vec![Point::new(vec![9, 9])];
+        let (is_core, _, r) = run_test(cfg(4, 2), Point::new(vec![0, 0]), 5, far, 60);
         assert!(is_core);
-        assert!(r_leakage.is_empty());
-    }
-
-    #[test]
-    fn locally_decided_not_core() {
+        assert_eq!(r.leakage, LeakageLog::new());
         // k > responder point count: impossible to reach MinPts.
-        let (is_core, _, _) = run_test(
-            cfg(4, 5),
-            Point::new(vec![0, 0]),
-            1,
-            vec![Point::new(vec![0, 1])],
-            70,
-        );
+        let near = vec![Point::new(vec![0, 1])];
+        let (is_core, _, r) = run_test(cfg(4, 5), Point::new(vec![0, 0]), 1, near, 70);
         assert!(!is_core);
+        assert_eq!(r.leakage, LeakageLog::new());
     }
 
     #[test]
     fn quickselect_variant_agrees() {
-        let mut c = cfg(9, 4);
-        c.selection = ppds_smc::kth::SelectionMethod::QuickSelect;
-        let responder_points = vec![
-            Point::new(vec![3, 0]),
-            Point::new(vec![0, 3]),
-            Point::new(vec![2, 2]),
-            Point::new(vec![10, 0]),
-            Point::new(vec![0, 10]),
-        ];
+        let responder_points: Vec<Point> = [[3, 0], [0, 3], [2, 2], [10, 0], [0, 10]]
+            .map(|c| Point::new(c.to_vec()))
+            .to_vec();
         // own_count 1 → k = 3; 3rd nearest responder distance: 9 ≤ 9 ✓.
-        let (is_core, _, _) = run_test(c, Point::new(vec![0, 0]), 1, responder_points.clone(), 80);
-        assert!(is_core);
         // min_pts 5 → k = 4; 4th nearest is dist² 100 > 9.
-        let mut c5 = cfg(9, 5);
-        c5.selection = ppds_smc::kth::SelectionMethod::QuickSelect;
-        let (is_core, _, _) = run_test(c5, Point::new(vec![0, 0]), 1, responder_points, 81);
-        assert!(!is_core);
+        for (min_pts, expect, seed) in [(4, true, 80), (5, false, 81)] {
+            let mut c = cfg(9, min_pts);
+            c.selection = ppds_smc::kth::SelectionMethod::QuickSelect;
+            let (is_core, _, _) =
+                run_test(c, Point::new(vec![0, 0]), 1, responder_points.clone(), seed);
+            assert_eq!(is_core, expect, "min_pts={min_pts}");
+        }
     }
 
     #[test]
     fn yao_backend_small_domain() {
-        let mut c = ProtocolConfig::new_with_yao(
-            DbscanParams {
-                eps_sq: 2,
-                min_pts: 2,
-            },
-            2,
-        );
+        let params = DbscanParams {
+            eps_sq: 2,
+            min_pts: 2,
+        };
+        let mut c = ProtocolConfig::new_with_yao(params, 2);
         c.mask_bits = 1;
-        let (is_core, _, _) = run_test(
-            c,
-            Point::new(vec![0, 0]),
-            1,
-            vec![Point::new(vec![1, 1]), Point::new(vec![2, 2])],
-            90,
-        );
+        let responder_points = vec![Point::new(vec![1, 1]), Point::new(vec![2, 2])];
+        let (is_core, _, _) = run_test(c, Point::new(vec![0, 0]), 1, responder_points, 90);
         assert!(is_core); // nearest responder dist² = 2 ≤ 2
     }
 }

@@ -88,8 +88,12 @@ use std::sync::Arc;
 /// frame per 1,024 queries — with no query/done control tags); `8` drops the
 /// `u32` item count from batch frames (a frame is its items back to back,
 /// so a message is a batch of one — a v7 peer would read the first item's
-/// bytes as a count).
-pub const WIRE_VERSION: u32 = 8;
+/// bytes as a count); `9` changes the enhanced mode's execute-phase
+/// transcript alone (every `(engage, k)` flag ahead, 1,024 to a frame, then
+/// one exchange per step of a chunk of engaged tests instead of one
+/// conversation per test — the same messages, regrouped), so a v8 peer is
+/// refused here rather than reading a flags frame as a dot-product reply.
+pub const WIRE_VERSION: u32 = 9;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

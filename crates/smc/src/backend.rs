@@ -39,6 +39,7 @@ use crate::sharing::{
 };
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::{Keypair, PublicKey};
+use ppds_transport::wire::WireEncode;
 use ppds_transport::Channel;
 use std::ops::Range;
 
@@ -161,8 +162,41 @@ pub trait SmcBackend {
         self.compare_scoped(chan, role, values, op, domain, |i| ctx.at(i as u64), acct)
     }
 
-    /// Querier (key-holding) side of the one-exchange dot product: learns
-    /// `u_j = ⟨xs, y_j⟩ + v_j` per responder row.
+    /// Querier (key-holding) side of the one-exchange dot products of a
+    /// slice of queries: query `q` holds the vector `xs[q]`, is scoped
+    /// `scopes(q)`, and learns `u_j = ⟨xs[q], y_j⟩ + v_j` for each of the
+    /// `expected_rows[q]` rows the responder serves it. Returns every query's
+    /// shares, concatenated in query order.
+    fn dot_queries_querier<C, X, S>(
+        &self,
+        chan: &mut C,
+        xs: &[X],
+        expected_rows: &[usize],
+        scopes: S,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError>
+    where
+        C: Channel,
+        X: AsRef<[i64]>,
+        S: Fn(usize) -> ProtocolContext;
+
+    /// Responder side of [`SmcBackend::dot_queries_querier`]: supplies every
+    /// query's rows back to back, `rows_per_query[q]` of them for query `q`,
+    /// draws the masks `v_j` (its output shares) from
+    /// `scopes(q).rng_for(j)`, and returns them in row order.
+    fn dot_queries_responder<C, S>(
+        &self,
+        chan: &mut C,
+        rows: &[Vec<i64>],
+        rows_per_query: &[usize],
+        scopes: S,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext;
+
+    /// One query's dot products at its own scope `ctx`: the slice of one.
     fn dot_many_querier<C: Channel>(
         &self,
         chan: &mut C,
@@ -170,18 +204,30 @@ pub trait SmcBackend {
         expected_rows: usize,
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError>;
+    ) -> Result<Vec<i64>, SmcError> {
+        self.dot_queries_querier(chan, &[xs], &[expected_rows], |_| *ctx, acct)
+    }
 
-    /// Responder side of [`SmcBackend::dot_many_querier`]: supplies the
-    /// rows, draws the masks `v_j` (its output shares) from
-    /// `ctx.rng_for(j)`, and returns them.
+    /// Responder side of [`SmcBackend::dot_many_querier`].
     fn dot_many_responder<C: Channel>(
         &self,
         chan: &mut C,
         rows: &[Vec<i64>],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError>;
+    ) -> Result<Vec<i64>, SmcError> {
+        self.dot_queries_responder(chan, rows, &[rows.len()], |_| *ctx, acct)
+    }
+
+    /// Ships a run of public protocol messages under this backend's framing:
+    /// one batch frame for the run when it batches, a frame a message when
+    /// it does not. The receiver needs no policy — it reads batch frames
+    /// until it holds as many messages as the protocol says are due.
+    fn send_framed<C: Channel, T: WireEncode>(
+        &self,
+        chan: &mut C,
+        messages: &[T],
+    ) -> Result<(), SmcError>;
 
     /// Key-holding side of the multiplication fold: for each group `g`
     /// (scoped by `records[g]` under `ctx`), learns the exact inner
@@ -213,7 +259,7 @@ pub trait SmcBackend {
 /// the lot — and one item at a time otherwise, the paper-literal reference
 /// framing: the same items at the same scopes, hence the same bytes, in
 /// `items` times the frames. `run` receives the index range to ship and
-/// returns one output per index (none, for a primitive without outputs).
+/// returns that range's outputs, which are concatenated in index order.
 fn framed<T>(
     batching: bool,
     items: usize,
@@ -227,6 +273,34 @@ fn framed<T>(
         out.extend(run(i..i + 1)?);
     }
     Ok(out)
+}
+
+/// [`SmcBackend::send_framed`] for a backend whose policy is `batching`.
+fn send_framed<C: Channel, T: WireEncode>(
+    batching: bool,
+    chan: &mut C,
+    messages: &[T],
+) -> Result<(), SmcError> {
+    if messages.is_empty() {
+        return Ok(());
+    }
+    framed(batching, messages.len(), |at| {
+        chan.send_batch(&messages[at])?;
+        Ok(Vec::<()>::new())
+    })
+    .map(drop)
+}
+
+/// Where each query's rows start in the flat row vector of a dot exchange,
+/// with the total as a last entry.
+fn row_starts(rows_per_query: &[usize], rows: usize) -> Vec<usize> {
+    let mut starts = vec![0];
+    starts.extend(rows_per_query.iter().scan(0, |at, &count| {
+        *at += count;
+        Some(*at)
+    }));
+    assert_eq!(starts.last(), Some(&rows), "every row belongs to one query");
+    starts
 }
 
 fn bigints(values: &[i64]) -> Vec<BigInt> {
@@ -320,42 +394,67 @@ impl SmcBackend for PaillierBackend<'_> {
         self.compare_scoped(chan, role, &diffs, CmpOp::Lt, domain, scopes, acct)
     }
 
-    fn dot_many_querier<C: Channel>(
+    fn dot_queries_querier<C, X, S>(
         &self,
         chan: &mut C,
-        xs: &[i64],
-        expected_rows: usize,
-        ctx: &ProtocolContext,
+        xs: &[X],
+        expected_rows: &[usize],
+        scopes: S,
         _acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError> {
-        let raw = dot_many_keyholder(
-            chan,
-            self.my_keypair,
-            &bigints(xs),
-            expected_rows,
-            self.dot_packing.as_ref(),
-            ctx,
-        )?;
-        raw.iter().map(|v| to_i64(v, "distance share")).collect()
+    ) -> Result<Vec<i64>, SmcError>
+    where
+        C: Channel,
+        X: AsRef<[i64]>,
+        S: Fn(usize) -> ProtocolContext,
+    {
+        let queries: Vec<Vec<BigInt>> = xs.iter().map(|x| bigints(x.as_ref())).collect();
+        framed(self.batching, queries.len(), |at| {
+            let raw = dot_many_keyholder(
+                chan,
+                self.my_keypair,
+                &queries[at.clone()],
+                &expected_rows[at.clone()],
+                self.dot_packing.as_ref(),
+                |q| scopes(at.start + q),
+            )?;
+            raw.iter().map(|v| to_i64(v, "distance share")).collect()
+        })
     }
 
-    fn dot_many_responder<C: Channel>(
+    fn dot_queries_responder<C, S>(
         &self,
         chan: &mut C,
         rows: &[Vec<i64>],
-        ctx: &ProtocolContext,
+        rows_per_query: &[usize],
+        scopes: S,
         _acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError> {
+    ) -> Result<Vec<i64>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext,
+    {
+        let starts = row_starts(rows_per_query, rows.len());
         let rows_big: Vec<Vec<BigInt>> = rows.iter().map(|r| bigints(r)).collect();
-        let masks = dot_many_peer(
-            chan,
-            self.peer_pk,
-            &rows_big,
-            &self.dot_mask_bound,
-            self.dot_packing.as_ref(),
-            ctx,
-        )?;
-        masks.iter().map(|v| to_i64(v, "distance share")).collect()
+        framed(self.batching, rows_per_query.len(), |at| {
+            let masks = dot_many_peer(
+                chan,
+                self.peer_pk,
+                &rows_big[starts[at.start]..starts[at.end]],
+                &rows_per_query[at.clone()],
+                &self.dot_mask_bound,
+                self.dot_packing.as_ref(),
+                |q| scopes(at.start + q),
+            )?;
+            masks.iter().map(|v| to_i64(v, "distance share")).collect()
+        })
+    }
+
+    fn send_framed<C: Channel, T: WireEncode>(
+        &self,
+        chan: &mut C,
+        messages: &[T],
+    ) -> Result<(), SmcError> {
+        send_framed(self.batching, chan, messages)
     }
 
     fn mul_fold_keyholder<C: Channel>(
@@ -509,34 +608,74 @@ impl SmcBackend for SharingBackend {
         )
     }
 
-    fn dot_many_querier<C: Channel>(
+    fn dot_queries_querier<C, X, S>(
         &self,
         chan: &mut C,
-        xs: &[i64],
-        expected_rows: usize,
-        ctx: &ProtocolContext,
+        xs: &[X],
+        expected_rows: &[usize],
+        scopes: S,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError> {
-        let us = sharing_dot_querier(&self.tape, chan, &fes(xs), expected_rows, ctx, acct)?;
-        Ok(us.into_iter().map(Fe::lift).collect())
+    ) -> Result<Vec<i64>, SmcError>
+    where
+        C: Channel,
+        X: AsRef<[i64]>,
+        S: Fn(usize) -> ProtocolContext,
+    {
+        let queries: Vec<Vec<Fe>> = xs.iter().map(|x| fes(x.as_ref())).collect();
+        framed(self.batching, queries.len(), |at| {
+            let (queries, rows) = (&queries[at.clone()], &expected_rows[at.clone()]);
+            let scopes = |q| scopes(at.start + q);
+            let us = sharing_dot_querier(&self.tape, chan, queries, rows, scopes, acct)?;
+            Ok(us.into_iter().map(Fe::lift).collect())
+        })
     }
 
-    fn dot_many_responder<C: Channel>(
+    fn dot_queries_responder<C, S>(
         &self,
         chan: &mut C,
         rows: &[Vec<i64>],
-        ctx: &ProtocolContext,
+        rows_per_query: &[usize],
+        scopes: S,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError> {
+    ) -> Result<Vec<i64>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext,
+    {
+        let starts = row_starts(rows_per_query, rows.len());
         // Masks are this party's private output shares: drawn from its own
         // session randomness at the same per-row scope the Paillier path
-        // uses (`ctx.rng_for(j)`), never from the shared tape.
-        let masks: Vec<i64> = (0..rows.len())
-            .map(|j| sample_mask_i64(ctx.rng_for(j as u64), self.dot_mask_bound))
-            .collect();
+        // uses (`scopes(q).rng_for(j)`), never from the shared tape.
+        let mut masks = Vec::with_capacity(rows.len());
+        for (q, &count) in rows_per_query.iter().enumerate() {
+            let ctx = scopes(q);
+            let draw = |j| sample_mask_i64(ctx.rng_for(j as u64), self.dot_mask_bound);
+            masks.extend((0..count).map(draw));
+        }
         let row_fes: Vec<Vec<Fe>> = rows.iter().map(|r| fes(r)).collect();
-        sharing_dot_responder(&self.tape, chan, &row_fes, &fes(&masks), ctx, acct)?;
+        let mask_fes = fes(&masks);
+        framed(self.batching, rows_per_query.len(), |at| {
+            let mine = starts[at.start]..starts[at.end];
+            sharing_dot_responder(
+                &self.tape,
+                chan,
+                &row_fes[mine.clone()],
+                &mask_fes[mine],
+                &rows_per_query[at.clone()],
+                |q| scopes(at.start + q),
+                acct,
+            )
+            .map(|()| Vec::<()>::new())
+        })?;
         Ok(masks)
+    }
+
+    fn send_framed<C: Channel, T: WireEncode>(
+        &self,
+        chan: &mut C,
+        messages: &[T],
+    ) -> Result<(), SmcError> {
+        send_framed(self.batching, chan, messages)
     }
 
     fn mul_fold_keyholder<C: Channel>(
@@ -637,25 +776,43 @@ impl SmcBackend for AnyBackend<'_> {
         dispatch!(self, b => b.share_less_than_scoped(chan, role, pairs, domain, scopes, acct))
     }
 
-    fn dot_many_querier<C: Channel>(
+    fn dot_queries_querier<C, X, S>(
         &self,
         chan: &mut C,
-        xs: &[i64],
-        expected_rows: usize,
-        ctx: &ProtocolContext,
+        xs: &[X],
+        expected_rows: &[usize],
+        scopes: S,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError> {
-        dispatch!(self, b => b.dot_many_querier(chan, xs, expected_rows, ctx, acct))
+    ) -> Result<Vec<i64>, SmcError>
+    where
+        C: Channel,
+        X: AsRef<[i64]>,
+        S: Fn(usize) -> ProtocolContext,
+    {
+        dispatch!(self, b => b.dot_queries_querier(chan, xs, expected_rows, scopes, acct))
     }
 
-    fn dot_many_responder<C: Channel>(
+    fn dot_queries_responder<C, S>(
         &self,
         chan: &mut C,
         rows: &[Vec<i64>],
-        ctx: &ProtocolContext,
+        rows_per_query: &[usize],
+        scopes: S,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError> {
-        dispatch!(self, b => b.dot_many_responder(chan, rows, ctx, acct))
+    ) -> Result<Vec<i64>, SmcError>
+    where
+        C: Channel,
+        S: Fn(usize) -> ProtocolContext,
+    {
+        dispatch!(self, b => b.dot_queries_responder(chan, rows, rows_per_query, scopes, acct))
+    }
+
+    fn send_framed<C: Channel, T: WireEncode>(
+        &self,
+        chan: &mut C,
+        messages: &[T],
+    ) -> Result<(), SmcError> {
+        dispatch!(self, b => b.send_framed(chan, messages))
     }
 
     fn mul_fold_keyholder<C: Channel>(

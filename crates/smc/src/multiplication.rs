@@ -348,105 +348,179 @@ where
 }
 
 /// Keyholder side of the one-query/many-responses dot product used by the
-/// enhanced protocol (§5): Alice's coefficient vector
-/// `(ΣA², -2A_1, …, -2A_m, 1)` is encrypted **once**, and the peer answers
-/// with one masked dot product per point of his: `u_j = Dist²(A, B_j) + v_j`.
-pub fn dot_many_keyholder<C: Channel>(
+/// enhanced protocol (§5), for a slice of queries: query `q`'s coefficient
+/// vector `(ΣA², -2A_1, …, -2A_m, 1)` is encrypted **once** under `scopes(q)`,
+/// and the peer answers it with one masked dot product per point he serves
+/// it: `u_j = Dist²(A, B_j) + v_j`, `expected_rows[q]` of them. All queries'
+/// vectors ride one frame and all replies one; a slice of one query is the
+/// paper's single exchange, byte for byte, and an empty slice touches no
+/// wire. Returns every query's shares, concatenated in query order.
+pub fn dot_many_keyholder<C, X, S>(
     chan: &mut C,
     keypair: &Keypair,
-    xs: &[BigInt],
-    expected_responses: usize,
+    queries: &[X],
+    expected_rows: &[usize],
     packing: Option<&ResponsePacking>,
-    ctx: &ProtocolContext,
-) -> Result<Vec<BigInt>, SmcError> {
+    scopes: S,
+) -> Result<Vec<BigInt>, SmcError>
+where
+    C: Channel,
+    X: AsRef<[BigInt]>,
+    S: Fn(usize) -> ProtocolContext,
+{
+    assert_eq!(
+        queries.len(),
+        expected_rows.len(),
+        "one row count per query"
+    );
+    if queries.is_empty() {
+        return Ok(Vec::new());
+    }
     let span = trace::span("dot_many", || chan.metrics());
-    let mut rng = ctx.rng();
-    let cts: Vec<BigUint> = xs
+    let cts: Vec<Vec<BigUint>> = queries
         .iter()
-        .map(|x| {
-            keypair
-                .encrypt_signed(x, &mut rng)
-                .map(|c| c.as_biguint().clone())
+        .enumerate()
+        .map(|(q, xs)| {
+            let mut rng = scopes(q).rng();
+            xs.as_ref()
+                .iter()
+                .map(|x| {
+                    keypair
+                        .encrypt_signed(x, &mut rng)
+                        .map(|c| c.as_biguint().clone())
+                })
+                .collect::<Result<_, _>>()
         })
         .collect::<Result<_, _>>()?;
-    chan.send(&cts)?;
-    let responses: Vec<BigUint> = chan.recv()?;
-    if let Some(packing) = packing {
-        // Packed reply: ⌈count/capacity⌉ words — the querier's decryption
-        // bill scales with neighborhoods, not with candidate points.
-        let out = packing.unpack_signed(keypair, &responses, expected_responses)?;
-        span.end(|| chan.metrics());
-        return Ok(out);
-    }
-    if responses.len() != expected_responses {
+    chan.send_batch(&cts)?;
+    let replies: Vec<Vec<BigUint>> = chan.recv_batch()?;
+    if replies.len() != queries.len() {
         return Err(SmcError::protocol(format!(
-            "expected {expected_responses} dot products, got {}",
-            responses.len()
+            "expected dot replies to {} queries, got {}",
+            queries.len(),
+            replies.len()
         )));
     }
-    let out = responses
-        .into_iter()
-        .map(|c| {
-            Ok(keypair
+    // The counts were agreed before this exchange; the replies must fit them.
+    let mut out = Vec::new();
+    for (reply, &rows) in replies.into_iter().zip(expected_rows) {
+        if let Some(packing) = packing {
+            // Packed reply: ⌈rows/capacity⌉ words — the querier's decryption
+            // bill scales with neighborhoods, not with candidate points.
+            out.extend(packing.unpack_signed(keypair, &reply, rows)?);
+            continue;
+        }
+        if reply.len() != rows {
+            return Err(SmcError::protocol(format!(
+                "expected {rows} dot products, got {}",
+                reply.len()
+            )));
+        }
+        for c in reply {
+            let share = keypair
                 .private
-                .decrypt_signed(&Ciphertext::from_biguint(c))?)
-        })
-        .collect::<Result<Vec<_>, SmcError>>()?;
+                .decrypt_signed(&Ciphertext::from_biguint(c))?;
+            out.push(share);
+        }
+    }
     span.end(|| chan.metrics());
     Ok(out)
 }
 
-/// Peer side of [`dot_many_keyholder`]: one coefficient row per response,
-/// each dotted against the keyholder's single encrypted vector. Returns the
-/// masks `v_j` drawn (uniform in `[-mask_bound, mask_bound]`); row `j`
-/// draws from `ctx.rng_for(j)`, so a row's bytes do not depend on the rows
-/// around it.
-pub fn dot_many_peer<C: Channel>(
+/// Peer side of [`dot_many_keyholder`]: `ys_rows` holds every query's
+/// coefficient rows back to back, `rows_per_query[q]` of them for query `q`,
+/// each dotted against that query's encrypted vector. Returns the masks
+/// `v_j` drawn (uniform in `[-mask_bound, mask_bound]`), in row order; row
+/// `j` of query `q` draws from `scopes(q).rng_for(j)`, so a row's bytes
+/// depend neither on the rows nor on the queries around it.
+pub fn dot_many_peer<C, S>(
     chan: &mut C,
     keyholder_pk: &PublicKey,
+    ys_rows: &[Vec<BigInt>],
+    rows_per_query: &[usize],
+    mask_bound: &BigUint,
+    packing: Option<&ResponsePacking>,
+    scopes: S,
+) -> Result<Vec<BigInt>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext,
+{
+    let total: usize = rows_per_query.iter().sum();
+    assert_eq!(total, ys_rows.len(), "every row belongs to one query");
+    if rows_per_query.is_empty() {
+        return Ok(Vec::new());
+    }
+    let span = trace::span("dot_many", || chan.metrics());
+    let queries: Vec<Vec<BigUint>> = chan.recv_batch()?;
+    if queries.len() != rows_per_query.len() {
+        return Err(SmcError::protocol(format!(
+            "expected {} dot queries, got {}",
+            rows_per_query.len(),
+            queries.len()
+        )));
+    }
+    let (mut replies, mut masks) = (Vec::with_capacity(queries.len()), Vec::new());
+    let mut rest = ys_rows;
+    for (q, (cts, &rows)) in queries.into_iter().zip(rows_per_query).enumerate() {
+        let (mine, others) = rest.split_at(rows);
+        rest = others;
+        let cts: Vec<Ciphertext> = cts.into_iter().map(Ciphertext::from_biguint).collect();
+        replies.push(dot_reply(
+            keyholder_pk,
+            &cts,
+            mine,
+            mask_bound,
+            packing,
+            &scopes(q),
+            &mut masks,
+        )?);
+    }
+    chan.send_batch(&replies)?;
+    span.end(|| chan.metrics());
+    Ok(masks)
+}
+
+/// The peer's reply to one query's encrypted vector `cts` over that query's
+/// rows; the masks drawn are appended to `masks`.
+fn dot_reply(
+    keyholder_pk: &PublicKey,
+    cts: &[Ciphertext],
     ys_rows: &[Vec<BigInt>],
     mask_bound: &BigUint,
     packing: Option<&ResponsePacking>,
     ctx: &ProtocolContext,
-) -> Result<Vec<BigInt>, SmcError> {
-    let span = trace::span("dot_many", || chan.metrics());
-    let cts_raw: Vec<BigUint> = chan.recv()?;
-    let cts: Vec<Ciphertext> = cts_raw.into_iter().map(Ciphertext::from_biguint).collect();
+    masks: &mut Vec<BigInt>,
+) -> Result<Vec<BigUint>, SmcError> {
     // Batch validation: one Montgomery batch inversion instead of one GCD
     // per ciphertext, with the same accept set and error.
-    keyholder_pk.validate_many(&cts)?;
+    keyholder_pk.validate_many(cts)?;
     // A row is one multi-exponentiation over sign-folded bases — the
     // ciphertext, or its inverse for a negative coefficient — so its ladder
     // is as long as its coefficients (≤ 64 bits), whatever the key size.
     // One batch inversion serves every row; the bytes match the per-row
     // mul_plain_signed/add fold exactly.
-    let inverses = keyholder_pk.negate_many(&cts)?;
+    let inverses = keyholder_pk.negate_many(cts)?;
+    if let Some(ys) = ys_rows.iter().find(|ys| ys.len() != cts.len()) {
+        return Err(SmcError::protocol(format!(
+            "dot product arity mismatch: {} ciphertexts vs {} coefficients",
+            cts.len(),
+            ys.len()
+        )));
+    }
+    let first = masks.len();
     if let Some(packing) = packing {
         // Packed reply: row j's homomorphic dot product rides slot j; its
         // mask v_j (drawn from the same keyed stream as the unpacked form,
         // so shares agree across transports) travels as the word's
         // plaintext addend, and one packed-nonce encryption re-randomizes
-        // each word.
-        let per_row: Vec<(Ciphertext, BigInt)> = ys_rows
+        // each word — so the products go in unmasked and unrandomized.
+        let products: Vec<Ciphertext> = ys_rows
             .iter()
-            .enumerate()
-            .map(|(j, ys)| {
-                if cts.len() != ys.len() {
-                    return Err(SmcError::protocol(format!(
-                        "dot product arity mismatch: {} ciphertexts vs {} coefficients",
-                        cts.len(),
-                        ys.len()
-                    )));
-                }
-                let v = sample_mask(ctx.rng_for(j as u64), mask_bound);
-                // Unmasked and unrandomized here: the mask is the slot's
-                // plaintext addend and the word's packed-nonce encryption
-                // re-randomizes the whole slot vector before it ships.
-                Ok((keyholder_pk.dot_plain_signed(&cts, &inverses, ys), v))
-            })
-            .collect::<Result<_, _>>()?;
-        let (products, masks): (Vec<Ciphertext>, Vec<BigInt>) = per_row.into_iter().unzip();
-        let plains: Vec<BigUint> = masks
+            .map(|ys| keyholder_pk.dot_plain_signed(cts, &inverses, ys))
+            .collect();
+        masks.extend((0..ys_rows.len()).map(|j| sample_mask(ctx.rng_for(j as u64), mask_bound)));
+        let plains: Vec<BigUint> = masks[first..]
             .iter()
             .map(|v| packing.slot_plain(v))
             .collect::<Result<_, _>>()?;
@@ -456,35 +530,22 @@ pub fn dot_many_peer<C: Channel>(
             &plains,
             &mut ctx.narrow("pack").rng(),
         )?;
-        let wire: Vec<BigUint> = words.iter().map(|c| c.as_biguint().clone()).collect();
-        chan.send(&wire)?;
-        span.end(|| chan.metrics());
-        return Ok(masks);
+        return Ok(words.iter().map(|c| c.as_biguint().clone()).collect());
     }
-    let per_row: Vec<(BigUint, BigInt)> = ys_rows
+    ys_rows
         .iter()
         .enumerate()
         .map(|(j, ys)| {
-            if cts.len() != ys.len() {
-                return Err(SmcError::protocol(format!(
-                    "dot product arity mismatch: {} ciphertexts vs {} coefficients",
-                    cts.len(),
-                    ys.len()
-                )));
-            }
             let mut rng = ctx.rng_for(j as u64);
             let v = sample_mask(&mut rng, mask_bound);
             let masked = keyholder_pk.add(
                 &keyholder_pk.encrypt_signed(&v, &mut rng)?,
-                &keyholder_pk.dot_plain_signed(&cts, &inverses, ys),
+                &keyholder_pk.dot_plain_signed(cts, &inverses, ys),
             );
-            Ok((masked.as_biguint().clone(), v))
+            masks.push(v);
+            Ok(masked.as_biguint().clone())
         })
-        .collect::<Result<_, _>>()?;
-    let (responses, masks): (Vec<BigUint>, Vec<BigInt>) = per_row.into_iter().unzip();
-    chan.send(&responses)?;
-    span.end(|| chan.metrics());
-    Ok(masks)
+        .collect()
 }
 
 /// Generates `count` blinding terms that sum to zero, each component
@@ -673,12 +734,14 @@ mod tests {
             let rows = ys_rows.len();
             let keyholder = scope.spawn(move || {
                 let kp = bob_keypair();
-                let out = dot_many_keyholder(&mut kchan, kp, xs, rows, packing, &ctx(12)).unwrap();
-                (out, kchan.metrics().bytes_received)
+                let out = dot_many_keyholder(&mut kchan, kp, &[xs], &[rows], packing, |_| ctx(12));
+                (out.unwrap(), kchan.metrics().bytes_received)
             });
             let bound = BigUint::from_u64(mask_bound);
             let pk = &bob_keypair().public;
-            let masks = dot_many_peer(&mut pchan, pk, ys_rows, &bound, packing, &ctx(13)).unwrap();
+            let scopes = |_| ctx(13);
+            let masks =
+                dot_many_peer(&mut pchan, pk, ys_rows, &[rows], &bound, packing, scopes).unwrap();
             let (us, reply_bytes) = keyholder.join().unwrap();
             (us, masks, reply_bytes)
         })
@@ -700,15 +763,16 @@ mod tests {
         let keyholder = std::thread::spawn(move || {
             // Keyholder sends 2 ciphertexts; the peer's rows hold 3.
             let xs = [bi(1), bi(2)];
-            let _ = dot_many_keyholder(&mut kchan, bob_keypair(), &xs, 1, None, &ctx(8));
+            let _ = dot_many_keyholder(&mut kchan, bob_keypair(), &[xs], &[1], None, |_| ctx(8));
         });
         let err = dot_many_peer(
             &mut pchan,
             &bob_keypair().public,
             &[vec![bi(1), bi(2), bi(3)]],
+            &[1],
             &BigUint::from_u64(10),
             None,
-            &ctx(9),
+            |_| ctx(9),
         )
         .unwrap_err();
         assert!(matches!(err, SmcError::Protocol(_)));

@@ -543,80 +543,142 @@ fn dot_c1(tape: &DealerTape, ctx: &ProtocolContext, j: u64) -> Fe {
     Fe::random(&mut tape.scope(ctx).narrow("dot").narrow("c").rng_for(j))
 }
 
-/// Querier side of the one-round matrix-triple dot product: holds the
-/// query vector `xs`, learns `u_j = ⟨xs, y_j⟩ + v_j` for every responder
-/// row `y_j` (mask `v_j` is the responder's share). One masked query
-/// `D = x − α` amortizes over all rows — two messages total, every element
-/// 8 bytes.
-pub fn sharing_dot_querier<C: Channel>(
+/// Querier side of the one-round matrix-triple dot products of a slice of
+/// queries: holds one vector per query and learns `u_j = ⟨xs, y_j⟩ + v_j`
+/// for every row `y_j` the responder serves that query, `expected_rows[q]`
+/// of them (mask `v_j` is the responder's share). A query's one masked
+/// vector `D = x − α` amortizes over all its rows, and all queries' vectors
+/// ride one frame, all replies one — two messages a query, every element
+/// 8 bytes; an empty slice touches no wire. Query `q` consumes the tape at
+/// `scopes(q)` and nowhere else. Returns every query's shares, concatenated
+/// in query order.
+pub fn sharing_dot_querier<C, X, S>(
     tape: &DealerTape,
     chan: &mut C,
-    xs: &[Fe],
-    expected_rows: usize,
-    ctx: &ProtocolContext,
+    queries: &[X],
+    expected_rows: &[usize],
+    scopes: S,
     acct: &mut SharingLedger,
-) -> Result<Vec<Fe>, SmcError> {
+) -> Result<Vec<Fe>, SmcError>
+where
+    C: Channel,
+    X: AsRef<[Fe]>,
+    S: Fn(usize) -> ProtocolContext,
+{
+    assert_eq!(
+        queries.len(),
+        expected_rows.len(),
+        "one row count per query"
+    );
+    if queries.is_empty() {
+        return Ok(Vec::new());
+    }
     let span = trace::span("dot_many", || chan.metrics());
-    let m = xs.len();
-    let alpha = dot_alpha(tape, ctx, m);
-    let d: Vec<Fe> = xs.iter().zip(&alpha).map(|(&x, &a)| x - a).collect();
-    chan.send(&d)?;
-    let replies: Vec<(Vec<Fe>, Fe)> = chan.recv()?;
-    if replies.len() != expected_rows {
+    let ds: Vec<Vec<Fe>> = queries
+        .iter()
+        .enumerate()
+        .map(|(q, xs)| {
+            let alpha = dot_alpha(tape, &scopes(q), xs.as_ref().len());
+            xs.as_ref()
+                .iter()
+                .zip(&alpha)
+                .map(|(&x, &a)| x - a)
+                .collect()
+        })
+        .collect();
+    chan.send_batch(&ds)?;
+    let replies: Vec<Vec<(Vec<Fe>, Fe)>> = chan.recv_batch()?;
+    if replies.len() != queries.len() {
         return Err(SmcError::protocol(format!(
-            "dot: expected {expected_rows} rows, got {}",
+            "dot: expected replies to {} queries, got {}",
+            queries.len(),
             replies.len()
         )));
     }
-    let mut out = Vec::with_capacity(replies.len());
-    for (j, (e, s)) in replies.iter().enumerate() {
-        if e.len() != m {
+    let mut out = Vec::new();
+    for (q, (rows, &expected)) in replies.iter().zip(expected_rows).enumerate() {
+        let (xs, ctx) = (queries[q].as_ref(), scopes(q));
+        if rows.len() != expected {
             return Err(SmcError::protocol(format!(
-                "dot: row {j} has {} elements, expected {m}",
-                e.len()
+                "dot: expected {expected} rows, got {}",
+                rows.len()
             )));
         }
-        out.push(fe_dot(xs, e) + dot_c1(tape, ctx, j as u64) + *s);
+        for (j, (e, s)) in rows.iter().enumerate() {
+            if e.len() != xs.len() {
+                return Err(SmcError::protocol(format!(
+                    "dot: row {j} has {} elements, expected {}",
+                    e.len(),
+                    xs.len()
+                )));
+            }
+            out.push(fe_dot(xs, e) + dot_c1(tape, &ctx, j as u64) + *s);
+        }
+        acct.record_dot(xs.len(), rows.len());
     }
-    acct.record_dot(m, replies.len());
     span.end(|| chan.metrics());
     Ok(out)
 }
 
-/// Responder side of [`sharing_dot_querier`]: holds the rows `y_j` and the
-/// masks `v_j` (its output shares; the caller draws them from its private
-/// session randomness).
-pub fn sharing_dot_responder<C: Channel>(
+/// Responder side of [`sharing_dot_querier`]: holds every query's rows
+/// `y_j` back to back, `rows_per_query[q]` of them for query `q`, and one
+/// mask `v_j` a row (its output shares; the caller draws them from its
+/// private session randomness).
+pub fn sharing_dot_responder<C, S>(
     tape: &DealerTape,
     chan: &mut C,
     rows: &[Vec<Fe>],
     masks: &[Fe],
-    ctx: &ProtocolContext,
+    rows_per_query: &[usize],
+    scopes: S,
     acct: &mut SharingLedger,
-) -> Result<(), SmcError> {
-    if rows.len() != masks.len() {
-        return Err(SmcError::protocol("dot: rows/masks length mismatch"));
+) -> Result<(), SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext,
+{
+    let total: usize = rows_per_query.iter().sum();
+    if rows.len() != masks.len() || rows.len() != total {
+        return Err(SmcError::protocol(
+            "dot: rows/masks/queries length mismatch",
+        ));
+    }
+    if rows_per_query.is_empty() {
+        return Ok(());
     }
     let span = trace::span("dot_many", || chan.metrics());
-    let d: Vec<Fe> = chan.recv()?;
-    let m = d.len();
-    let alpha = dot_alpha(tape, ctx, m);
-    let mut replies = Vec::with_capacity(rows.len());
-    for (j, (row, &mask)) in rows.iter().zip(masks).enumerate() {
-        if row.len() != m {
-            return Err(SmcError::protocol(format!(
-                "dot: row {j} has {} elements, query has {m}",
-                row.len()
-            )));
-        }
-        let b = dot_row(tape, ctx, j as u64, m);
-        let e: Vec<Fe> = row.iter().zip(&b).map(|(&y, &bb)| y - bb).collect();
-        let c2 = fe_dot(&alpha, &b) - dot_c1(tape, ctx, j as u64);
-        let s = fe_dot(&d, &b) + c2 + mask;
-        replies.push((e, s));
+    let ds: Vec<Vec<Fe>> = chan.recv_batch()?;
+    if ds.len() != rows_per_query.len() {
+        return Err(SmcError::protocol(format!(
+            "dot: expected {} queries, got {}",
+            rows_per_query.len(),
+            ds.len()
+        )));
     }
-    chan.send(&replies)?;
-    acct.record_dot(m, rows.len());
+    let mut replies = Vec::with_capacity(ds.len());
+    let mut first = 0;
+    for (q, (d, &count)) in ds.iter().zip(rows_per_query).enumerate() {
+        let (m, ctx) = (d.len(), scopes(q));
+        let alpha = dot_alpha(tape, &ctx, m);
+        let mut reply = Vec::with_capacity(count);
+        let mine = rows[first..first + count].iter().zip(&masks[first..]);
+        for (j, (row, &mask)) in mine.enumerate() {
+            if row.len() != m {
+                return Err(SmcError::protocol(format!(
+                    "dot: row {j} has {} elements, query has {m}",
+                    row.len()
+                )));
+            }
+            let b = dot_row(tape, &ctx, j as u64, m);
+            let e: Vec<Fe> = row.iter().zip(&b).map(|(&y, &bb)| y - bb).collect();
+            let c2 = fe_dot(&alpha, &b) - dot_c1(tape, &ctx, j as u64);
+            reply.push((e, fe_dot(d, &b) + c2 + mask));
+        }
+        replies.push(reply);
+        acct.record_dot(m, count);
+        first += count;
+    }
+    chan.send_batch(&replies)?;
     span.end(|| chan.metrics());
     Ok(())
 }
@@ -779,49 +841,44 @@ mod tests {
 
     #[test]
     fn dot_shares_reconstruct_inner_products() {
-        let xs = [4i64, -2, 1, 0];
+        // Two queries in one exchange: the first is served two rows, the
+        // second one.
+        let queries = [[4i64, -2, 1, 0], [0, 3, -3, 5]];
         let rows = vec![vec![1i64, 2, 3, 4], vec![-5, 0, 0, 9], vec![7, 7, 7, 7]];
-        let masks = vec![100i64, -40, 3];
+        let (masks, per_query) = (vec![100i64, -40, 3], [2, 1]);
         let tape = DealerTape::from_seed(31);
-        let xfes: Vec<Fe> = xs.iter().map(|&v| Fe::embed(v)).collect();
+        let embed = |vs: &[i64]| vs.iter().map(|&v| Fe::embed(v)).collect::<Vec<Fe>>();
+        let qfes = queries.map(|xs| embed(&xs));
         let (mut qchan, mut rchan) = duplex();
-        let n = rows.len();
         let querier = std::thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            let us = sharing_dot_querier(
-                &tape,
-                &mut qchan,
-                &xfes,
-                n,
-                &ctx(9).narrow("dot"),
-                &mut acct,
-            )
-            .unwrap();
-            (us, acct)
+            let scopes = |q| ctx(9).at(q as u64).narrow("dot");
+            let us = sharing_dot_querier(&tape, &mut qchan, &qfes, &per_query, scopes, &mut acct);
+            (us.unwrap(), acct, qchan.metrics().total_rounds())
         });
-        let rowfes: Vec<Vec<Fe>> = rows
-            .iter()
-            .map(|r| r.iter().map(|&v| Fe::embed(v)).collect())
-            .collect();
-        let maskfes: Vec<Fe> = masks.iter().map(|&v| Fe::embed(v)).collect();
+        let rowfes: Vec<Vec<Fe>> = rows.iter().map(|r| embed(r)).collect();
         let mut acct = SharingLedger::default();
+        let scopes = |q| ctx(10).at(q as u64).narrow("dot");
         sharing_dot_responder(
             &tape,
             &mut rchan,
             &rowfes,
-            &maskfes,
-            &ctx(10).narrow("dot"),
+            &embed(&masks),
+            &per_query,
+            scopes,
             &mut acct,
         )
         .unwrap();
-        let (us, qacct) = querier.join().unwrap();
-        for ((u, row), &mask) in us.iter().zip(&rows).zip(&masks) {
+        let (us, qacct, rounds) = querier.join().unwrap();
+        assert_eq!(rounds, 2, "one frame each way for both queries");
+        let asked = [queries[0], queries[0], queries[1]];
+        for (((u, xs), row), &mask) in us.iter().zip(asked).zip(&rows).zip(&masks) {
             let ip: i64 = xs.iter().zip(row).map(|(&x, &y)| x * y).sum();
             // u − v = ⟨x, y⟩: the two sides hold additive shares.
             assert_eq!((*u - Fe::embed(mask)).lift(), ip);
         }
-        assert_eq!(qacct.triples, (xs.len() * rows.len()) as u64);
-        assert!(qacct.modeled_offline_bytes > 0);
+        assert_eq!(qacct.triples, (4 * rows.len()) as u64);
+        assert_eq!(qacct, acct, "both sides book the same correlations");
     }
 
     #[test]

@@ -8,19 +8,21 @@
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::Keypair;
 use ppds_smc::compare::{compare_alice, compare_bob, CmpOp, Comparator, ComparisonDomain};
-use ppds_smc::kth::{kth_smallest_with, SelectionMethod};
+use ppds_smc::kth::{kth_smallest_with, select_in_lockstep, Selection, SelectionMethod};
 use ppds_smc::millionaires::{yao_alice, yao_bob, YaoConfig};
 use ppds_smc::multiplication::{
     dot_many_keyholder, dot_many_peer, mul_batches_keyholder, mul_batches_peer, zero_sum_masks,
 };
 use ppds_smc::{
-    AnyBackend, DealerTape, PaillierBackend, Party, ProtocolContext, SharingBackend, SharingLedger,
-    SmcBackend, SmcError,
+    AnyBackend, BackendKind, DealerTape, PaillierBackend, Party, ProtocolContext, RecordId,
+    SharingBackend, SharingLedger, SmcBackend, SmcError,
 };
+use ppds_transport::wire::WireEncode;
 use ppds_transport::{duplex, Channel, MemoryChannel, MetricsSnapshot};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 fn keypair() -> &'static Keypair {
@@ -140,11 +142,11 @@ proptest! {
         let xs_big = bigints(&xs);
         let keyholder = std::thread::spawn(move || {
             let ctx = ProtocolContext::new(seed);
-            dot_many_keyholder(&mut kchan, keypair(), &xs_big, 1, None, &ctx).unwrap()
+            dot_many_keyholder(&mut kchan, keypair(), &[xs_big], &[1], None, |_| ctx).unwrap()
         });
         let (pk, bound) = (&keypair().public, BigUint::from_u64(1 << 24));
         let ctx = ProtocolContext::new(seed.wrapping_add(1));
-        let v = dot_many_peer(&mut pchan, pk, &[bigints(&ys)], &bound, None, &ctx).unwrap();
+        let v = dot_many_peer(&mut pchan, pk, &[bigints(&ys)], &[1], &bound, None, |_| ctx).unwrap();
         let u = keyholder.join().unwrap();
         let expect: i64 = xs.iter().zip(&ys).map(|(x, y)| x * y).sum();
         prop_assert_eq!(&u[0] - &v[0], BigInt::from_i64(expect));
@@ -424,6 +426,258 @@ fn selection_framings_agree_on_every_substrate() {
                 [6, comparisons as i64],
                 "{substrate:?}: third smallest is 3"
             );
+        }
+    }
+}
+
+/// A backend that writes down the operands of every slice of share
+/// comparisons a selection hands it, then passes the slice on; a selection
+/// asks for nothing else.
+struct Recording<'a, 'k> {
+    inner: &'a AnyBackend<'k>,
+    calls: RefCell<Vec<Vec<(i64, i64)>>>,
+}
+
+impl SmcBackend for Recording<'_, '_> {
+    fn kind(&self) -> BackendKind {
+        self.inner.kind()
+    }
+
+    fn share_less_than_scoped<C: Channel, S: Fn(usize) -> ProtocolContext>(
+        &self,
+        chan: &mut C,
+        role: Party,
+        pairs: &[(i64, i64)],
+        domain: &ComparisonDomain,
+        scopes: S,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<bool>, SmcError> {
+        self.calls.borrow_mut().push(pairs.to_vec());
+        self.inner
+            .share_less_than_scoped(chan, role, pairs, domain, scopes, acct)
+    }
+
+    fn compare_scoped<C: Channel, S: Fn(usize) -> ProtocolContext>(
+        &self,
+        _: &mut C,
+        _: Party,
+        _: &[i64],
+        _: CmpOp,
+        _: &ComparisonDomain,
+        _: S,
+        _: &mut SharingLedger,
+    ) -> Result<Vec<bool>, SmcError> {
+        unimplemented!("a selection compares shares only")
+    }
+
+    fn dot_queries_querier<C: Channel, X: AsRef<[i64]>, S: Fn(usize) -> ProtocolContext>(
+        &self,
+        _: &mut C,
+        _: &[X],
+        _: &[usize],
+        _: S,
+        _: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError> {
+        unimplemented!("a selection asks no dot product")
+    }
+
+    fn dot_queries_responder<C: Channel, S: Fn(usize) -> ProtocolContext>(
+        &self,
+        _: &mut C,
+        _: &[Vec<i64>],
+        _: &[usize],
+        _: S,
+        _: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError> {
+        unimplemented!("a selection answers no dot product")
+    }
+
+    fn send_framed<C: Channel, T: WireEncode>(&self, _: &mut C, _: &[T]) -> Result<(), SmcError> {
+        unimplemented!("a selection sends no public message")
+    }
+
+    fn mul_fold_keyholder<C: Channel>(
+        &self,
+        _: &mut C,
+        _: &[Vec<i64>],
+        _: &[RecordId],
+        _: &ProtocolContext,
+        _: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError> {
+        unimplemented!("a selection multiplies nothing")
+    }
+
+    fn mul_fold_peer<C: Channel>(
+        &self,
+        _: &mut C,
+        _: &[Vec<i64>],
+        _: &[RecordId],
+        _: &ProtocolContext,
+        _: &mut SharingLedger,
+    ) -> Result<(), SmcError> {
+        unimplemented!("a selection multiplies nothing")
+    }
+}
+
+/// One generated core-point test's selection: the distances, the
+/// responder's masks `v` (the querier holds `u = d + v`) and the rank.
+struct Ranked {
+    dists: Vec<i64>,
+    masks: Vec<i64>,
+    k: usize,
+}
+
+impl Ranked {
+    fn shares(&self, role: Party) -> Vec<i64> {
+        match role {
+            Party::Alice => self
+                .dists
+                .iter()
+                .zip(&self.masks)
+                .map(|(d, v)| d + v)
+                .collect(),
+            Party::Bob => self.masks.clone(),
+        }
+    }
+
+    /// The selection replayed over the plain distances: the index pairs of
+    /// each step it asks, and where it ends.
+    fn replay(&self, method: SelectionMethod) -> (Vec<Vec<(usize, usize)>>, [i64; 2]) {
+        let mut selection =
+            Selection::new(method, &self.dists, self.k, ProtocolContext::new(0)).unwrap();
+        let mut steps = Vec::new();
+        while selection.outcome().is_none() {
+            let asked = selection.next_pairs().to_vec();
+            let verdicts: Vec<bool> = asked
+                .iter()
+                .map(|&(a, b)| self.dists[a] < self.dists[b])
+                .collect();
+            selection.absorb(&verdicts).unwrap();
+            steps.push(asked);
+        }
+        let outcome = selection.outcome().unwrap();
+        (steps, [outcome.index as i64, outcome.comparisons as i64])
+    }
+}
+
+/// `[index, comparisons]` per test, then every recorded call as its length
+/// and its operands: what [`run`] carries out of a party's thread.
+fn flatten(outcomes: &[[i64; 2]], calls: &[Vec<(i64, i64)>]) -> Vec<i64> {
+    let mut flat = outcomes.concat();
+    for call in calls {
+        flat.push(call.len() as i64);
+        flat.extend(call.iter().flat_map(|&(a, b)| [a, b]));
+    }
+    flat
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Selections advanced in lockstep are the same selections: per test
+    /// the outcome, the comparison count and the pairs asked in order are
+    /// those of one `kth_smallest_with` call after another (and of the
+    /// algorithm run over plain distances), the ledgers, logical messages
+    /// and payload bytes agree, and only the frames differ — a frame set per
+    /// step of the longest selection where the backend batches.
+    #[test]
+    fn lockstep_selections_are_the_sequential_ones_regrouped(seed in any::<u64>()) {
+        use rand::Rng as _;
+        let mut r = StdRng::seed_from_u64(seed);
+        let domain = ComparisonDomain::symmetric(400);
+        for tests in [1usize, 2, 7] {
+            // Unequal lengths and ranks, one-element vectors included.
+            let ranked: Vec<Ranked> = (0..tests)
+                .map(|t| {
+                    let len = 1 + (t * 3 + r.random_range(0..3usize)) % 9;
+                    Ranked {
+                        dists: (0..len).map(|_| r.random_range(0..200)).collect(),
+                        masks: (0..len).map(|_| r.random_range(-50..=50)).collect(),
+                        k: r.random_range(1..=len),
+                    }
+                })
+                .collect();
+            for method in [SelectionMethod::RepeatedMin, SelectionMethod::QuickSelect] {
+                let replays: Vec<_> = ranked.iter().map(|t| t.replay(method)).collect();
+                let outcomes: Vec<[i64; 2]> = replays.iter().map(|(_, o)| *o).collect();
+                let steps: Vec<usize> = replays.iter().map(|(s, _)| s.len()).collect();
+                let comparisons: i64 = outcomes.iter().map(|o| o[1]).sum();
+                let longest = steps.iter().copied().max().unwrap_or(0);
+                // What each role's backend must see: a test's steps one after
+                // another, or step r of every test still running as one call.
+                let expected = |role: Party, lockstep: bool| {
+                    let shares: Vec<Vec<i64>> = ranked.iter().map(|t| t.shares(role)).collect();
+                    let step = |t: usize, r: usize| {
+                        let asked = replays[t].0.get(r).into_iter().flatten();
+                        asked.map(|&(a, b)| (shares[t][a], shares[t][b])).collect::<Vec<_>>()
+                    };
+                    let calls: Vec<Vec<(i64, i64)>> = if lockstep {
+                        (0..longest).map(|r| (0..tests).flat_map(|t| step(t, r)).collect()).collect()
+                    } else {
+                        (0..tests).flat_map(|t| (0..steps[t]).map(move |r| (t, r)))
+                            .map(|(t, r)| step(t, r)).collect()
+                    };
+                    flatten(&outcomes, &calls)
+                };
+                let ctx_of = |t: usize| ProtocolContext::new(14).at(t as u64).narrow("sel");
+                for substrate in [SUBSTRATES[0], Substrate::Sharing] {
+                    let (per_exchange, _) = substrate.comparison_frames();
+                    let run_as = |lockstep: bool, batching: bool| {
+                        let side: Side<'_> = &|backend, chan, role, acct| {
+                            let recording = Recording { inner: backend, calls: RefCell::default() };
+                            let shares: Vec<Vec<i64>> =
+                                ranked.iter().map(|t| t.shares(role)).collect();
+                            let outcomes = if lockstep {
+                                let mut selections = (0..tests)
+                                    .map(|t| Selection::new(method, &shares[t], ranked[t].k, ctx_of(t)))
+                                    .collect::<Result<Vec<_>, _>>()?;
+                                select_in_lockstep(
+                                    &recording, chan, role, &mut selections, &domain, acct,
+                                )?
+                            } else {
+                                (0..tests)
+                                    .map(|t| kth_smallest_with(
+                                        method, &recording, chan, role, &shares[t], ranked[t].k,
+                                        &domain, true, &ctx_of(t), acct,
+                                    ))
+                                    .collect::<Result<Vec<_>, _>>()?
+                            };
+                            let outcomes: Vec<[i64; 2]> = outcomes
+                                .iter()
+                                .map(|o| [o.index as i64, o.comparisons as i64])
+                                .collect();
+                            Ok(flatten(&outcomes, &recording.calls.take()))
+                        };
+                        run(substrate, batching, side).unwrap()
+                    };
+                    let name = format!("{tests} tests, {method:?} on {substrate:?}");
+                    let reference = run_as(false, false);
+                    for (lockstep, batching) in [(false, true), (true, false), (true, true)] {
+                        let got = run_as(lockstep, batching);
+                        let want = [expected(Party::Alice, lockstep), expected(Party::Bob, lockstep)];
+                        prop_assert_eq!(&got.outputs, &want, "{}: outcomes and pairs", &name);
+                        prop_assert_eq!(got.ledgers, reference.ledgers, "{}: ledgers", &name);
+                        let (g, r) = (&got.traffic, &reference.traffic);
+                        prop_assert_eq!(g.total_messages(), r.total_messages(), "{}", &name);
+                        prop_assert_eq!(payload(g), payload(r), "{}: payload bytes", &name);
+                        // Unbatched, a comparison is a frame set however it
+                        // is grouped; batched, a call is.
+                        let exchanges = match (batching, lockstep) {
+                            (false, _) => comparisons as u64,
+                            (true, false) => steps.iter().sum::<usize>() as u64,
+                            (true, true) => longest as u64,
+                        };
+                        prop_assert_eq!(g.total_rounds(), per_exchange * exchanges, "{}", &name);
+                    }
+                    let want = [expected(Party::Alice, false), expected(Party::Bob, false)];
+                    prop_assert_eq!(&reference.outputs, &want, "{}: sequential reference", &name);
+                    let booked = match substrate {
+                        Substrate::Sharing => comparisons as u64,
+                        Substrate::Paillier { .. } => 0,
+                    };
+                    prop_assert_eq!(reference.ledgers[0].compares, booked, "{}", &name);
+                }
+            }
         }
     }
 }

@@ -3,9 +3,12 @@
 //!
 //! The basic protocol tells the querying party *how many* peer points sit
 //! in each neighborhood; the enhanced protocol of Section 5 reveals only
-//! the core-point bit, at the price of extra Multiplication Protocol and
-//! selection rounds. This example runs both on identical data and prints
-//! the leakage ledgers and costs side by side.
+//! the core-point bit, at the price of a masked dot product and a
+//! k-th-smallest selection over shared distances per engaged test — extra
+//! comparisons, and extra rounds only for the steps of the longest
+//! selection in a chunk of tests, not per test (DESIGN.md §7). This example
+//! runs both on identical data and prints the leakage ledgers and costs
+//! side by side.
 //!
 //! Run with: `cargo run --release --example enhanced_privacy`
 

@@ -2,8 +2,8 @@
 //! must produce **byte-identical clusterings and identical leakage logs**
 //! to the unbatched reference under the same seeds — batching changes the
 //! framing, never the protocol — while collapsing wire rounds from
-//! `O(pairs)` to `O(1)` per chunk of 1,024 candidate pairs (per enhanced
-//! core-point test, which still is an exchange of its own).
+//! `O(pairs)` to `O(1)` per chunk of 1,024 candidate pairs (per step of a
+//! chunk's longest selection, in the enhanced mode).
 
 mod common;
 
@@ -148,26 +148,25 @@ fn enhanced_parity_both_selection_methods() {
                 rng(seed + 50),
             )
             .unwrap();
-            // The enhanced protocol is already phase-batched (one dot-product
-            // frame pair per query); batching additionally collapses
-            // quickselect partitions, so the round win depends on the
-            // selection method — parity of outputs is the invariant here.
+            // Measured: 1,096 -> 157 rounds (7.0x) under repeated-min, 964 /
+            // 910 -> 43 (21-22x) under quickselect. Batched, a direction is
+            // one chunk: a frame of flags, a dot exchange, and 3 Ideal rounds
+            // per step of its longest selection — a scan is one pair a
+            // step, a partition level a whole slice — plus the thresholds.
+            let min_round_factor = match selection {
+                SelectionMethod::RepeatedMin => 5.0,
+                SelectionMethod::QuickSelect => 15.0,
+            };
             assert_parity(
                 &format!("enhanced/{label}/seed{seed}"),
                 &unbatched,
                 &batched,
-                1.0,
+                min_round_factor,
             );
             let engaged = unbatched.0.leakage.count_kind("threshold_rank")
                 + unbatched.1.leakage.count_kind("threshold_rank")
                 > 0;
             assert!(engaged, "{label}/seed{seed}: test must exercise selection");
-            if selection == SelectionMethod::QuickSelect {
-                assert!(
-                    unbatched.0.traffic.total_rounds() > batched.0.traffic.total_rounds(),
-                    "{label}: batched quickselect must save rounds"
-                );
-            }
         }
     }
 }
@@ -619,6 +618,21 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
 ];
 
+/// Wire v9 regroups the enhanced mode's messages and changes none of them:
+/// where the backend batches, the flags ride ahead 1,024 to a frame and a
+/// chunk of engaged tests spends its frames per step, not per test. At v8
+/// every batched enhanced cell above still shipped a frame per message
+/// (`rounds == messages`: its pin *is* its unbatched twin's), so each cell
+/// is held to that pin by rule — the same messages, `[sent, received]`
+/// frames fewer as listed here, and 4 bytes of frame header fewer per frame
+/// saved. The unbatched enhanced cells hold unedited.
+const ENHANCED_FRAMES_SAVED: &[(&str, [u64; 2])] = &[
+    ("enhanced/paillier/batched", [210, 210]),
+    ("enhanced/sharing/batched", [145, 145]),
+    ("enhanced/dgk+packing+grid/batched", [175, 179]),
+    ("enhanced/sharing+grid/batched", [129, 129]),
+];
+
 #[test]
 fn framing_reproduces_the_parent_commit_in_every_cell() {
     let mut report = String::new();
@@ -633,6 +647,12 @@ fn framing_reproduces_the_parent_commit_in_every_cell() {
         for (pin, frames) in want.iter_mut().zip(*batch_frames) {
             pin[0] -= 4 * frames[0];
             pin[1] -= 4 * frames[1];
+        }
+        if let Some((_, saved)) = ENHANCED_FRAMES_SAVED.iter().find(|cell| cell.0 == name) {
+            for way in 0..2 {
+                want[0][way] -= 4 * saved[way];
+                want[0][4 + way] -= saved[way];
+            }
         }
         if family != Family::Multiparty {
             let a = want[0];

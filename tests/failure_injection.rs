@@ -422,6 +422,26 @@ enum Attack {
     /// Opens (or answers) the first resolve chunk with a one-pair frame
     /// where the chunk holds three.
     Arity,
+    /// As an enhanced querier that announced `.0` points: ships these frames
+    /// of `(engage, k)` flags.
+    Flags(usize, Vec<Vec<(bool, u64)>>),
+    /// As an enhanced responder of two points: answers the first chunk's dot
+    /// exchange with a row too many for its first query.
+    DotRows,
+    /// As an enhanced responder of two points: answers the dot exchange in
+    /// shape, then the first step of the chunk's selections a share short.
+    Verdicts,
+}
+
+impl Attack {
+    /// How many points the fake peer's handshake announces.
+    fn announced(&self) -> usize {
+        match self {
+            Attack::Flags(announced, _) => *announced,
+            Attack::DotRows | Attack::Verdicts => 2,
+            _ => 1,
+        }
+    }
 }
 
 /// The three honest points every case below runs on, all in band (0, 0).
@@ -442,8 +462,9 @@ fn honest_points() -> Vec<Point> {
 /// zeros, unless the counts are the attack: she then has nothing to
 /// compare) before it sends cells of its own; a fake Alice discloses a
 /// far-away cell, which costs an honest Bob a zero count and no comparison,
-/// before he sends his cells. The enhanced mode adds one `(engage, k)`
-/// frame per core-point test, none of which engages.
+/// before he sends his cells. The enhanced mode adds the `(engage, k)` flags
+/// — a frame each where the configuration does not batch — none of which
+/// engages unless the flags or what follows them are the attack.
 fn hostile_point_peer(
     mut chan: MemoryChannel,
     cfg: ProtocolConfig,
@@ -458,7 +479,8 @@ fn hostile_point_peer(
             Party::Bob => setup::exchange_keys_bob(&mut chan, &kp),
         }
         .unwrap();
-        chan.send(&Hello::for_session(&cfg, mode, 1, 2)).unwrap();
+        let hello = Hello::for_session(&cfg, mode, attack.announced(), 2);
+        chan.send(&hello).unwrap();
         let _theirs: Hello = chan.recv().unwrap();
         if cfg.backend == BackendKind::Sharing {
             chan.send(&7u64).unwrap();
@@ -497,6 +519,37 @@ fn hostile_point_peer(
                 let opened: Vec<Vec<u64>> = chan.recv_batch().unwrap();
                 assert_eq!(opened.len(), honest_n, "one pair per honest point");
                 chan.send_batch(&[(vec![0u64, 0], 0u64)]).unwrap();
+            }
+            (Party::Alice, Attack::Flags(_, frames)) => {
+                if cfg.pruning != Pruning::Exhaustive {
+                    chan.send(&vec![vec![3i64, 3]]).unwrap();
+                    assert_eq!(chan.recv::<Vec<u64>>().unwrap(), [0]);
+                }
+                for frame in frames {
+                    chan.send_batch(&frame).unwrap();
+                }
+            }
+            // Every honest point engages with k = 1 of the two rows served.
+            (Party::Bob, reply @ (Attack::DotRows | Attack::Verdicts)) => {
+                let flags: Vec<(bool, u64)> = chan.recv_batch().unwrap();
+                assert_eq!(flags, vec![(true, 1); honest_n]);
+                let queries: Vec<Vec<u64>> = chan.recv_batch().unwrap();
+                assert_eq!(queries.len(), honest_n, "one masked vector per test");
+                let row = (vec![0u64; 4], 0u64);
+                let mut replies = vec![vec![row.clone(); 2]; honest_n];
+                if matches!(reply, Attack::DotRows) {
+                    replies[0].push(row);
+                }
+                chan.send_batch(&replies).unwrap();
+                if matches!(reply, Attack::Verdicts) {
+                    let opened: Vec<u64> = chan.recv_batch().unwrap();
+                    assert_eq!(opened.len(), honest_n, "step 0 of every scan");
+                    chan.send_batch(&opened[1..]).unwrap();
+                }
+            }
+            (Party::Bob, Attack::Flags(..))
+            | (Party::Alice, Attack::DotRows | Attack::Verdicts) => {
+                unreachable!("not an attack of that role")
             }
         }
         assert!(
@@ -598,7 +651,8 @@ fn hostile_query_cells_are_refused_in_the_point_holding_modes() {
 
 /// A resolve chunk's frames carry one entry per pair; a peer that frames
 /// another number is refused by whichever side reads the frame. (The
-/// enhanced mode asks one test per exchange and has no chunks.)
+/// enhanced mode's chunks are held to their arities in
+/// `hostile_enhanced_flags_and_replies_are_refused`.)
 #[test]
 fn wrong_arity_resolve_chunk_is_refused_on_both_sides() {
     let cfg = ProtocolConfig::new(grid_cfg().params, 10)
@@ -612,6 +666,93 @@ fn wrong_arity_resolve_chunk_is_refused_on_both_sides() {
                 }
                 other => panic!("{mode}/{honest_role}: wanted a typed refusal, got {other:?}"),
             }
+        }
+    }
+}
+
+/// Since wire v9 an enhanced direction opens with every `(engage, k)` flag
+/// and then spends frames per step of a chunk. The flags are peer-controlled
+/// and size the selections, so the responder holds them to the handshake —
+/// as many as announced, at most 1,024 a frame, an engaged rank within the
+/// rows the test is served — and the querier holds every reply slice to the
+/// arity both sides derived. Each violation is a typed error on the side
+/// that reads it and a disconnect on the other.
+#[test]
+fn hostile_enhanced_flags_and_replies_are_refused() {
+    let sharing = |cfg: ProtocolConfig| cfg.with_backend(BackendKind::Sharing).with_batching(true);
+    let exhaustive = sharing(ProtocolConfig::new(grid_cfg().params, 10));
+    let idle = (false, 0u64);
+    // An honest Bob serves all three of his points to every query when
+    // exhaustive, and none to the far-away cell when pruning.
+    let flags = [
+        (
+            "a flag too many",
+            exhaustive,
+            1,
+            vec![vec![idle; 2]],
+            "2 tests with 1 due",
+        ),
+        (
+            "an empty frame",
+            exhaustive,
+            1,
+            vec![vec![]],
+            "0 tests with 1 due",
+        ),
+        (
+            "a frame over 1,024",
+            exhaustive,
+            2000,
+            vec![vec![idle; 1025]],
+            "1025 tests with 1024 due",
+        ),
+        (
+            "rank zero",
+            exhaustive,
+            1,
+            vec![vec![(true, 0)]],
+            "k = 0 for 3 served",
+        ),
+        (
+            "rank over the served",
+            exhaustive,
+            1,
+            vec![vec![(true, 4)]],
+            "k = 4 for 3 served",
+        ),
+        (
+            "nothing served",
+            sharing(grid_cfg()),
+            1,
+            vec![vec![(true, 1)]],
+            "k = 1 for 0 served",
+        ),
+    ];
+    let mut engaging = exhaustive;
+    engaging.params.min_pts = 4; // three own neighbours: every honest test asks k = 1
+    let cases = flags
+        .into_iter()
+        .map(|(name, cfg, n, frames, want)| (name, cfg, Party::Bob, Attack::Flags(n, frames), want))
+        .chain([
+            (
+                "a dot row too many",
+                engaging,
+                Party::Alice,
+                Attack::DotRows,
+                "expected 2 rows, got 3",
+            ),
+            (
+                "a verdict share short",
+                engaging,
+                Party::Alice,
+                Attack::Verdicts,
+                "expected 3 shares, got 2",
+            ),
+        ]);
+    for (name, cfg, honest_role, attack, want) in cases {
+        match refusal(cfg, Mode::Enhanced, honest_role, attack) {
+            CoreError::Smc(SmcError::Protocol(msg)) => assert!(msg.contains(want), "{name}: {msg}"),
+            other => panic!("{name}: wanted a typed refusal, got {other:?}"),
         }
     }
 }

@@ -126,12 +126,12 @@ fn comparator_mismatch_fails_on_both_sides_naming_the_field() {
 #[test]
 fn wire_version_mismatch_is_a_typed_error_not_a_hang_or_decode_failure() {
     // A past or "future" peer: completes the key exchange honestly, then
-    // sends a Hello advertising a different wire version — 7 is the build
-    // whose batch frames still opened with a `u32` item count, which this
-    // build would read as the first four bytes of the first item. The real
-    // participant must reject it by name — before any protocol message.
-    assert_eq!(WIRE_VERSION, 8, "re-aim the past/future versions below");
-    for peer_version in [7u32, 9] {
+    // sends a Hello advertising a different wire version — 8 is the build
+    // that still held one conversation per enhanced core-point test, whose
+    // first dot-product frame this build would read as a frame of flags. The
+    // real participant must reject it by name — before any protocol message.
+    assert_eq!(WIRE_VERSION, 9, "re-aim the past/future versions below");
+    for peer_version in [8u32, 10] {
         let (mut real_chan, mut fake_chan) = duplex();
         let fake = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(99);

@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{rng, run_horizontal_pair, run_vertical_pair};
+use common::{rng, run_enhanced_pair, run_horizontal_pair, run_vertical_pair};
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{
     run_mesh_local, run_participants, Participant, PartyData, SessionOutcome, WIRE_VERSION,
@@ -331,6 +331,56 @@ fn horizontal_resolve_spends_rounds_per_chunk_not_per_query() {
     let frames = a_out.traffic.total_rounds();
     println!("grid/1: {frames} frames");
     assert!(frames <= 60, "grid/1: {frames} frames");
+}
+
+/// The acceptance test of the enhanced resolve phase: a batched session
+/// spends wire rounds per *step of a chunk* of engaged tests, not per test
+/// and per comparison inside it. With 100 + 100 points under grid pruning
+/// every test's served rows fit one chunk a direction, so a direction costs
+/// its cell and count frames, one flags frame, one dot exchange, and one
+/// comparison exchange per step of its longest selection plus one for the
+/// thresholds — where one conversation per test made ≈ 1,250 frames. The
+/// messages are the unbatched run's, regrouped: same labels, same
+/// comparisons, same leakage.
+#[test]
+fn enhanced_resolve_spends_rounds_per_chunk_not_per_test() {
+    use ppds_dbscan::datagen::{split_alternating, uniform_points};
+    use ppds_dbscan::Pruning;
+    use ppds_smc::BackendKind;
+    let points = uniform_points(&mut rng(0x86), 200, 2, 28);
+    let (alice, bob) = split_alternating(&points);
+    let grid = cfg(9, 4, 28).with_pruning(Pruning::Grid { coarseness: 1 });
+    let references = [
+        dbscan_with_external_density(&alice, &bob, grid.params),
+        dbscan_with_external_density(&bob, &alice, grid.params),
+    ];
+    assert!(references[0].num_clusters > 0 && references[0].noise_count() > 0);
+    for backend in [BackendKind::Sharing, BackendKind::Paillier] {
+        let c = grid.with_backend(backend);
+        let (a_ref, b_ref) = run_enhanced_pair(&c, &alice, &bob, rng(1), rng(2)).unwrap();
+        let batched = c.with_batching(true);
+        let (a_out, b_out) = run_enhanced_pair(&batched, &alice, &bob, rng(1), rng(2)).unwrap();
+        let name = backend.name();
+        let parties = [
+            (&a_out, &a_ref, &references[0]),
+            (&b_out, &b_ref, &references[1]),
+        ];
+        for (out, unbatched, reference) in parties {
+            assert_eq!(&out.clustering, reference, "{name}: labels");
+            assert_eq!(out.yao, unbatched.yao, "{name}: comparisons");
+            assert_eq!(out.leakage, unbatched.leakage, "{name}: leakage");
+            assert_eq!(out.sharing, unbatched.sharing, "{name}: sharing ledger");
+            let (b, u) = (&out.traffic, &unbatched.traffic);
+            assert_eq!(b.total_messages(), u.total_messages(), "{name}: messages");
+        }
+        assert!(
+            a_out.leakage.count_kind("threshold_rank") > 20,
+            "{name}: tests engage"
+        );
+        let (frames, before) = (a_out.traffic.total_rounds(), a_ref.traffic.total_rounds());
+        println!("{name}: {before} frames a message each, {frames} batched");
+        assert!(frames <= 200, "{name}: {frames} frames");
+    }
 }
 
 /// §4.3.2: vertical communication is O(c2·n0·n²). The paper's loop pays
