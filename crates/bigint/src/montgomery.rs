@@ -351,8 +351,7 @@ impl MontgomeryCtx {
     /// The exponent's window decomposition is computed once and the
     /// Montgomery context (R², one) and working space are shared, so a
     /// batch costs strictly less than independent [`Self::pow_mod`] calls
-    /// while producing limb-identical results. This is the batch-encryption
-    /// kernel: every `r^n mod n²` of a batch rides one decomposition of `n`.
+    /// while producing limb-identical results.
     pub fn pow_many(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
         if exp.is_zero() {
             let one = &BigUint::one() % &self.modulus;

@@ -17,13 +17,10 @@ impl PublicKey {
         Ciphertext(self.mul_mod_nn(&c1.0, &c2.0))
     }
 
-    /// `E(m + k)` from `E(m)` and plaintext `k`: multiply by `g^k`.
+    /// `E(m + k)` from `E(m)` and plaintext `k`: multiply by `g^k` (the
+    /// encryption of `k` with nonce 1).
     pub fn add_plain(&self, c: &Ciphertext, k: &BigUint) -> Ciphertext {
-        let k = k % self.n();
-        let g_to_k = self
-            .encrypt_with_nonce(&k, &BigUint::one())
-            .expect("k reduced mod n");
-        self.add(c, &g_to_k)
+        self.add(c, &Ciphertext(self.g_pow(&(k % self.n()))))
     }
 
     /// `E(m · k)` from `E(m)` and plaintext `k`: ciphertext power mod `n²`.
@@ -117,10 +114,8 @@ impl PublicKey {
     /// independent of the input. The DBSCAN drivers use this before echoing
     /// any ciphertext back to its producer.
     pub fn rerandomize<R: Rng + ?Sized>(&self, c: &Ciphertext, rng: &mut R) -> Ciphertext {
-        let zero_enc = self
-            .encrypt(&BigUint::zero(), rng)
-            .expect("0 is always in range");
-        self.add(c, &zero_enc)
+        // `E(0) = g^0 · r^n = r^n`: the encryption step's nonce power alone.
+        self.add(c, &Ciphertext(self.draw_nonce_power(rng)))
     }
 }
 

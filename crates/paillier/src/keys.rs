@@ -58,13 +58,16 @@ pub struct PrivateKey {
     crt: CrtContext,
 }
 
-/// Precomputed state for Paillier decryption by Chinese remaindering.
+/// Precomputed state for Paillier decryption by Chinese remaindering, and
+/// for the keyholder's nonce powers (see [`PrivateKey::nonce_power`]).
 #[derive(Clone)]
 struct CrtContext {
     p: BigUint,
     q: BigUint,
     p_squared: BigUint,
     q_squared: BigUint,
+    mont_p: MontgomeryCtx,
+    mont_q: MontgomeryCtx,
     mont_pp: MontgomeryCtx,
     mont_qq: MontgomeryCtx,
     /// `L_p(g^{p-1} mod p²)^{-1} mod p`.
@@ -73,10 +76,10 @@ struct CrtContext {
     hq: BigUint,
     /// `p^{-1} mod q` for Garner recombination.
     p_inv_q: BigUint,
-    /// `n mod p(p−1)` and `n mod q(q−1)`: the nonce exponent reduced by the
-    /// orders of `Z*_{p²}` and `Z*_{q²}` (see [`PrivateKey::nonce_power`]).
-    n_mod_pp_order: BigUint,
-    n_mod_qq_order: BigUint,
+    /// `q mod (p−1)` and `p mod (q−1)`: the exponent of `r^q mod p` and of
+    /// `r^p mod q` reduced by the orders of `Z*_p` and `Z*_q`.
+    q_mod_p_minus_1: BigUint,
+    p_mod_q_minus_1: BigUint,
     /// `(p²)^{-1} mod q²` for Garner recombination modulo `n²`.
     pp_inv_qq: BigUint,
 }
@@ -149,9 +152,11 @@ impl Keypair {
     }
 
     /// Keyholder-side [`PublicKey::encrypt_many`]: the same ciphertexts,
-    /// byte for byte, from the same `rng` draws, with every nonce power
-    /// taken by CRT under the factorization only this side holds
-    /// (`PrivateKey::nonce_power`). The factors never enter the
+    /// byte for byte, from the same `rng` draws, under the factorization
+    /// only this side holds. Each nonce is accepted by `r mod p ≠ 0 ∧
+    /// r mod q ≠ 0` — the same set the public `gcd(r, n) = 1` test accepts —
+    /// and its power goes through the `p`-th-power map from those two
+    /// residues (`PrivateKey::nonce_power`). The factors never enter the
     /// [`PublicKey`], which is what a peer rebuilds from the wire.
     pub fn encrypt_many<R: Rng + ?Sized>(
         &self,
@@ -159,9 +164,8 @@ impl Keypair {
         rng: &mut R,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
         debug_assert_eq!(self.public.n, self.private.public.n, "halves of one key");
-        self.public.encrypt_many_by(ms, rng, |nonces| {
-            nonces.iter().map(|r| self.private.nonce_power(r)).collect()
-        })
+        self.public
+            .encrypt_many_by(ms, rng, |rng| self.private.draw_nonce_power(rng))
     }
 
     /// Keyholder-side [`PublicKey::encrypt`] (see [`Keypair::encrypt_many`]).
@@ -170,15 +174,18 @@ impl Keypair {
         m: &BigUint,
         rng: &mut R,
     ) -> Result<Ciphertext, PaillierError> {
-        let mut cts = self.encrypt_many(std::slice::from_ref(m), rng)?;
-        Ok(cts.pop().expect("one ciphertext per message"))
+        // One message in, one ciphertext out: `pop` is never `None`.
+        self.encrypt_many(std::slice::from_ref(m), rng)?
+            .pop()
+            .ok_or(PaillierError::MessageOutOfRange)
     }
 
     fn assemble(n: BigUint, p: BigUint, q: BigUint, lambda: BigUint) -> Option<Keypair> {
         let n_squared = n.square();
         let g = &n + 1u64;
-        let mont_nn = MontgomeryCtx::new(&n_squared).expect("n² is odd > 1");
-        let mont_n = MontgomeryCtx::new(&n).expect("n is odd > 1");
+        let mont_nn = MontgomeryCtx::new(&n_squared)
+            .expect("n² is odd and > 1: n is a product of odd primes");
+        let mont_n = MontgomeryCtx::new(&n).expect("n is odd and > 1: a product of odd primes");
 
         // μ = (L(g^λ mod n²))^{-1} mod n. For g = n+1 this equals λ^{-1},
         // but compute it generically so the math matches the paper line by
@@ -220,6 +227,8 @@ impl CrtContext {
         let one = BigUint::one();
         let p_squared = p.square();
         let q_squared = q.square();
+        let mont_p = MontgomeryCtx::new(p)?;
+        let mont_q = MontgomeryCtx::new(q)?;
         let mont_pp = MontgomeryCtx::new(&p_squared)?;
         let mont_qq = MontgomeryCtx::new(&q_squared)?;
         let g = &public.g;
@@ -232,8 +241,8 @@ impl CrtContext {
         let lq = l_function_over(&gq, q)?;
         let hq = modular::mod_inverse(&lq, q)?;
         let p_inv_q = modular::mod_inverse(p, q)?;
-        let n_mod_pp_order = &public.n % &(p * &(p - &one));
-        let n_mod_qq_order = &public.n % &(q * &(q - &one));
+        let q_mod_p_minus_1 = q % &(p - &one);
+        let p_mod_q_minus_1 = p % &(q - &one);
         let pp_inv_qq = modular::mod_inverse(&p_squared, &q_squared)?;
 
         Some(CrtContext {
@@ -241,15 +250,27 @@ impl CrtContext {
             q: q.clone(),
             p_squared,
             q_squared,
+            mont_p,
+            mont_q,
             mont_pp,
             mont_qq,
             hp,
             hq,
             p_inv_q,
-            n_mod_pp_order,
-            n_mod_qq_order,
+            q_mod_p_minus_1,
+            p_mod_q_minus_1,
             pp_inv_qq,
         })
+    }
+
+    /// `(r mod p, r mod q)` when neither is zero, else `None`: the factor
+    /// form of the unit test. Below `n` it accepts exactly what
+    /// `r ≠ 0 ∧ gcd(r, n) = 1` accepts — `r` shares a factor with `n = pq`
+    /// iff `p` or `q` divides it, and `r = 0` fails both.
+    fn unit_residues(&self, r: &BigUint) -> Option<(BigUint, BigUint)> {
+        let rp = r % &self.p;
+        let rq = r % &self.q;
+        (!rp.is_zero() && !rq.is_zero()).then_some((rp, rq))
     }
 }
 
@@ -272,8 +293,9 @@ impl PublicKey {
             });
         }
         let n_squared = n.square();
-        let mont_nn = MontgomeryCtx::new(&n_squared).expect("n² odd > 1");
-        let mont_n = MontgomeryCtx::new(&n).expect("n odd > 1");
+        let mont_nn = MontgomeryCtx::new(&n_squared)
+            .expect("n² is odd and > 1: n was just checked odd and ≥ 2^15");
+        let mont_n = MontgomeryCtx::new(&n).expect("n is odd and > 1: just checked odd and ≥ 2^15");
         Ok(PublicKey {
             half_n: &(&n - &BigUint::one()) >> 1usize,
             g: &n + 1u64,
@@ -311,12 +333,31 @@ impl PublicKey {
 
     /// Samples a uniform nonce from `Z*_n`.
     pub fn sample_nonce<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+        self.sample_nonce_by(rng, |r| {
+            (!r.is_zero() && modular::gcd(&r, &self.n).is_one()).then_some(r)
+        })
+    }
+
+    /// The one nonce sampling loop: uniform draws below `n` until `unit`
+    /// accepts one, returning what `unit` made of it. Both encryption
+    /// sides draw through it with tests that accept the same set, so they
+    /// consume the same stream positions.
+    pub(crate) fn sample_nonce_by<R: Rng + ?Sized, T>(
+        &self,
+        rng: &mut R,
+        mut unit: impl FnMut(BigUint) -> Option<T>,
+    ) -> T {
         loop {
-            let r = random::gen_biguint_below(rng, &self.n);
-            if !r.is_zero() && modular::gcd(&r, &self.n).is_one() {
-                return r;
+            if let Some(nonce) = unit(random::gen_biguint_below(rng, &self.n)) {
+                return nonce;
             }
         }
+    }
+
+    /// The public side's per-message step: a fresh nonce `r` and its power
+    /// `r^n mod n²` by the ladder mod `n²` — which is also `E(0)`.
+    pub(crate) fn draw_nonce_power<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+        self.mont_nn.pow_mod(&self.sample_nonce(rng), &self.n)
     }
 
     /// Encrypts `m ∈ Z_n` with a fresh nonce: `c = g^m · r^n mod n²`.
@@ -325,48 +366,49 @@ impl PublicKey {
         m: &BigUint,
         rng: &mut R,
     ) -> Result<Ciphertext, PaillierError> {
-        let mut cts = self.encrypt_many(std::slice::from_ref(m), rng)?;
-        Ok(cts.pop().expect("one ciphertext per message"))
+        // One message in, one ciphertext out: `pop` is never `None`.
+        self.encrypt_many(std::slice::from_ref(m), rng)?
+            .pop()
+            .ok_or(PaillierError::MessageOutOfRange)
     }
 
-    /// Encrypts a batch of plaintexts, amortizing the `r^n` exponentiations
-    /// through one shared-exponent kernel pass ([`MontgomeryCtx::pow_many`]).
+    /// Encrypts a batch of plaintexts.
     ///
     /// Byte-identical to calling [`PublicKey::encrypt`] once per element
     /// with the same `rng`: nonces are rejection-sampled from the identical
-    /// stream positions, and `pow_many` shares only the exponent recoding —
-    /// every `r^n` value matches the one-at-a-time ladder bit for bit.
+    /// stream positions, one message after the other.
     pub fn encrypt_many<R: Rng + ?Sized>(
         &self,
         ms: &[BigUint],
         rng: &mut R,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
-        self.encrypt_many_by(ms, rng, |nonces| self.mont_nn.pow_many(nonces, &self.n))
+        self.encrypt_many_by(ms, rng, |rng| self.draw_nonce_power(rng))
     }
 
-    /// The one encryption body: a fresh nonce per message, drawn in message
-    /// order. `nonce_powers` maps the nonces to their `r^n mod n²` — the
-    /// only step that differs between a party that knows `n` alone (the
-    /// ladder above) and the keyholder ([`Keypair::encrypt_many`]).
+    /// The one encryption body: every message is checked against `Z_n`
+    /// before anything is drawn, then each is sealed as `g^m · r^n mod n²`
+    /// with its own `nonce_power(rng)`, in message order. That step —
+    /// draw a nonce, return `r^n mod n²` — is the only thing that differs
+    /// between a party that knows `n` alone
+    /// ([`PublicKey::draw_nonce_power`]) and the keyholder
+    /// ([`PrivateKey::draw_nonce_power`]).
     pub(crate) fn encrypt_many_by<R: Rng + ?Sized>(
         &self,
         ms: &[BigUint],
         rng: &mut R,
-        nonce_powers: impl FnOnce(&[BigUint]) -> Vec<BigUint>,
+        mut nonce_power: impl FnMut(&mut R) -> BigUint,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
         if ms.iter().any(|m| m >= &self.n) {
             return Err(PaillierError::MessageOutOfRange);
         }
-        let nonces: Vec<BigUint> = ms.iter().map(|_| self.sample_nonce(rng)).collect();
         Ok(ms
             .iter()
-            .zip(nonce_powers(&nonces))
-            .map(|(m, r_to_n)| Ciphertext(self.mul_mod_nn(&self.g_pow(m), &r_to_n)))
+            .map(|m| Ciphertext(self.mul_mod_nn(&self.g_pow(m), &nonce_power(rng))))
             .collect())
     }
 
     /// Encrypts with a caller-chosen nonce (deterministic; used by tests and
-    /// by re-randomization).
+    /// for the nonce-1 constants of DGK's comparison cells).
     pub fn encrypt_with_nonce(
         &self,
         m: &BigUint,
@@ -485,27 +527,38 @@ impl PrivateKey {
         Ok(&mp + &(&crt.p * &t))
     }
 
-    /// `r^n mod n²` by Chinese remaindering — the keyholder's form of the
-    /// nonce power. The residues `(r mod p²)^{n mod p(p−1)} mod p²` and
-    /// its `q` twin (the exponent reduced by the order of each unit group)
-    /// are Garner-recombined, so the result is the *same* canonical residue
-    /// the `n²`-ladder returns for two half-width ladders, about half the
-    /// limb products. `r` must be a unit mod `n`, which
-    /// [`PublicKey::sample_nonce`] guarantees.
-    pub(crate) fn nonce_power(&self, r: &BigUint) -> BigUint {
+    /// The keyholder's per-message step: a nonce drawn through
+    /// [`PublicKey::sample_nonce`]'s loop, accepted by the factors
+    /// (`r mod p ≠ 0 ∧ r mod q ≠ 0`, the set `gcd(r, n) = 1` accepts, so
+    /// the draws and the stream position after them are the public
+    /// side's), and its power `r^n mod n²` from those two residues.
+    pub(crate) fn draw_nonce_power<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+        let (r, rp, rq) = self.public.sample_nonce_by(rng, |r| {
+            let (rp, rq) = self.crt.unit_residues(&r)?;
+            Some((r, rp, rq))
+        });
+        let power = self.nonce_power(&rp, &rq);
+        debug_assert_eq!(power, self.public.pow_mod_nn(&r, &self.public.n));
+        power
+    }
+
+    /// `r^n mod n²` from `r_p = r mod p` and `r_q = r mod q` (both nonzero)
+    /// through the `p`-th-power map. Modulo `p²`, `r^n = (r^q)^p`, and
+    /// `u ↦ u^p mod p²` depends only on `u mod p` (`(u + kp)^p ≡ u^p`), so
+    /// `r^n mod p² = s_p^p mod p²` with `s_p = r_p^{q mod (p−1)} mod p`
+    /// (Fermat): a ladder mod `p` and a `p`-exponent ladder mod `p²`, both
+    /// half-width exponents. The `q` twin likewise; Garner recombines the
+    /// two into the *same* canonical residue the `n²` ladder returns.
+    pub(crate) fn nonce_power(&self, rp: &BigUint, rq: &BigUint) -> BigUint {
         let crt = &self.crt;
-        let xp = crt
-            .mont_pp
-            .pow_mod(&(r % &crt.p_squared), &crt.n_mod_pp_order);
-        let xq = crt
-            .mont_qq
-            .pow_mod(&(r % &crt.q_squared), &crt.n_mod_qq_order);
+        let sp = crt.mont_p.pow_mod(rp, &crt.q_mod_p_minus_1);
+        let xp = crt.mont_pp.pow_mod(&sp, &crt.p);
+        let sq = crt.mont_q.pow_mod(rq, &crt.p_mod_q_minus_1);
+        let xq = crt.mont_qq.pow_mod(&sq, &crt.q);
         // Garner: x = xp + p²·((xq − xp)·(p²)^{-1} mod q²)
         let diff = xq.sub_mod(&(&xp % &crt.q_squared), &crt.q_squared);
         let t = modular::mod_mul(&diff, &crt.pp_inv_qq, &crt.q_squared);
-        let power = &xp + &(&crt.p_squared * &t);
-        debug_assert_eq!(power, self.public.pow_mod_nn(r, &self.public.n));
-        power
+        &xp + &(&crt.p_squared * &t)
     }
 
     /// The secret exponent `λ`.
@@ -680,12 +733,14 @@ mod tests {
         );
     }
 
-    /// The CRT nonce power is the ladder's residue, not merely congruent
-    /// to it: every key size the suites use, both orders of the factors
-    /// (Garner is not symmetric in them), the edge units and random ones.
+    /// The keyholder's nonce power is the ladder's residue, not merely
+    /// congruent to it: every key size the suites use and the smallest,
+    /// both orders of the factors (Garner is not symmetric in them), the
+    /// edge units, `p + 1` and `q + 1` (≡ 1 modulo one factor only), and
+    /// random units.
     #[test]
     fn crt_nonce_power_equals_the_ladder() {
-        for (i, bits) in [64usize, 128, 512, 1024].into_iter().enumerate() {
+        for (i, bits) in [16usize, 32, 64, 128, 512, 1024].into_iter().enumerate() {
             let mut r = rng(500 + i as u64);
             let kp = Keypair::generate(bits, &mut r);
             let crt = &kp.private.crt;
@@ -697,18 +752,83 @@ mod tests {
             )
             .expect("the same key with its factors exchanged");
             let n = kp.public.n();
-            let mut nonces = vec![BigUint::one(), BigUint::from_u64(2), n - &BigUint::one()];
+            let mut nonces = vec![
+                BigUint::one(),
+                BigUint::from_u64(2),
+                n - &BigUint::one(),
+                &crt.p + 1u64,
+                &crt.q + 1u64,
+            ];
             nonces.extend((0..4).map(|_| kp.public.sample_nonce(&mut r)));
             for nonce in &nonces {
                 let ladder = kp.public.pow_mod_nn(nonce, n);
-                assert_eq!(kp.private.nonce_power(nonce), ladder, "{bits} bits");
-                assert_eq!(
-                    swapped.private.nonce_power(nonce),
-                    ladder,
-                    "{bits} bits, factors exchanged"
-                );
+                for (key, order) in [(&kp, "p, q"), (&swapped, "q, p")] {
+                    let (rp, rq) = key.private.crt.unit_residues(nonce).expect("a unit");
+                    assert_eq!(
+                        key.private.nonce_power(&rp, &rq),
+                        ladder,
+                        "{bits} bits, factors {order}, nonce {nonce:?}"
+                    );
+                }
             }
         }
+    }
+
+    /// The factor test accepts exactly the public nonce set, checked on
+    /// every `r < n` — every multiple of `p` and of `q` included.
+    #[test]
+    fn factor_unit_test_accepts_exactly_where_gcd_is_one() {
+        for (seed, bits) in [(600u64, 16usize), (601, 20)] {
+            let kp = Keypair::generate(bits, &mut rng(seed));
+            let n = kp.public.n();
+            let (mut r, mut rejected) = (BigUint::zero(), 0usize);
+            while &r < n {
+                let public = !r.is_zero() && modular::gcd(&r, n).is_one();
+                let factors = kp.private.crt.unit_residues(&r).is_some();
+                assert_eq!(factors, public, "{bits} bits, r = {r:?}");
+                rejected += usize::from(!public);
+                r = &r + 1u64;
+            }
+            // 0, then the p − 1 nonzero multiples of q and q − 1 of p.
+            let crt = &kp.private.crt;
+            let want = (&crt.p + &crt.q).to_u64().map(|s| s as usize - 1);
+            assert_eq!(Some(rejected), want, "{bits} bits");
+        }
+    }
+
+    /// At keys small enough that a few draws in a hundred are rejected,
+    /// the keyholder consumes the public side's stream exactly: same
+    /// ciphertexts, same position after them.
+    #[test]
+    fn keyholder_rejects_the_draws_the_public_side_rejects() {
+        let mut rejected = 0;
+        for (i, bits) in [16usize, 18, 20, 22, 24].into_iter().enumerate() {
+            let kp = Keypair::generate(bits, &mut rng(700 + i as u64));
+            let n = kp.public.n().clone();
+            let mut msg_rng = rng(710 + i as u64);
+            let ms: Vec<BigUint> = (0..500)
+                .map(|_| random::gen_biguint_below(&mut msg_rng, &n))
+                .collect();
+            let (mut pub_rng, mut key_rng) = (rng(720 + i as u64), rng(720 + i as u64));
+            // Count what the public loop rejects on a copy of the stream.
+            let mut count_rng = rng(720 + i as u64);
+            for _ in 0..ms.len() {
+                kp.public.sample_nonce_by(&mut count_rng, |r| {
+                    let unit = !r.is_zero() && modular::gcd(&r, &n).is_one();
+                    rejected += usize::from(!unit);
+                    unit.then_some(())
+                });
+            }
+            assert_eq!(
+                kp.encrypt_many(&ms, &mut key_rng).unwrap(),
+                kp.public.encrypt_many(&ms, &mut pub_rng).unwrap(),
+                "{bits} bits"
+            );
+            let next = random::gen_biguint_bits(&mut pub_rng, 64);
+            assert_eq!(random::gen_biguint_bits(&mut key_rng, 64), next);
+            assert_eq!(random::gen_biguint_bits(&mut count_rng, 64), next);
+        }
+        assert!(rejected >= 5, "only {rejected} draws rejected in all");
     }
 
     #[test]

@@ -31,8 +31,10 @@
 //!   negation — all value-equal to the scalar forms they replace, so every
 //!   ciphertext byte and protocol transcript is unchanged,
 //! * keyholder encryption ([`Keypair::encrypt_many`]): the party that owns
-//!   the key takes the nonce power `r^n mod n²` by CRT over `p²` and `q²` —
-//!   the identical residue for about half the limb products.
+//!   the key accepts each nonce by `r mod p ≠ 0 ∧ r mod q ≠ 0` (the set
+//!   `gcd(r, n) = 1` accepts) and takes its power `r^n mod n²` through the
+//!   `p`-th-power map — `(r^q mod p)^p mod p²` and its `q` twin, recombined
+//!   by CRT — the identical residue for about a third of the `n²` ladder.
 //!
 //! ## Deviation from the paper's Algorithm 2 narration
 //!
