@@ -27,7 +27,10 @@
 //! pairs, and a chunk is one exchange: its multiplications, then its
 //! comparisons. The backend frames each stage — one frame per protocol
 //! message for all of the chunk's pairs when it batches, one per pair over
-//! the same stream when it does not.
+//! the same stream when it does not. No chunk reads another's verdicts, so
+//! where the backend can ship a chunk's opening messages ahead
+//! ([`SmcBackend::split_exchange_bytes`]) a window of chunks is in flight at
+//! once, within `prune::WINDOW_BYTES` of the chunk being settled.
 //!
 //! The querier ends with the *count* of matching responder points per
 //! query (the Theorem 9 leakage); because the responder permutes his
@@ -39,7 +42,7 @@
 use crate::config::{ProtocolConfig, YaoLedger};
 use crate::domain::hdp_domain;
 use crate::error::CoreError;
-use crate::prune::query_chunk;
+use crate::prune::{query_chunk, WINDOW_BYTES};
 use ppds_dbscan::Point;
 use ppds_observe::trace;
 use ppds_smc::compare::{CmpOp, ComparisonDomain};
@@ -49,36 +52,78 @@ use ppds_smc::{
 };
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
+use std::ops::Range;
 
-/// One chunk's exchange, for either role: the multiplication stage, then
-/// one `dist² ≤ Eps²` verdict per pair. `fold` runs stage 1 for the whole
-/// chunk and returns this party's stage-2 inputs, one per pair; pair `i`
-/// draws from `cmp_ctx.at(i)`. The backend frames both stages — the chunk's
-/// multiplications, then its comparisons, each a frame per protocol message
-/// when it batches and a frame per pair when it does not.
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-fn chunk_verdicts<C: Channel, B: SmcBackend>(
-    chan: &mut C,
-    cfg: &ProtocolConfig,
-    backend: &B,
-    role: Party,
-    (chunk, pairs): (u64, usize),
-    domain: &ComparisonDomain,
-    cmp_ctx: &ProtocolContext,
-    ledger: &mut YaoLedger,
-    acct: &mut SharingLedger,
-    fold: impl FnOnce(&mut C, &mut SharingLedger) -> Result<Vec<i64>, SmcError>,
-) -> Result<Vec<bool>, CoreError> {
-    ledger.record_many(cfg.key_bits, domain.n0(), pairs as u64);
-    let values = fold(chan, acct)?;
-    let within = backend.compare_batch(chan, role, &values, CmpOp::Leq, domain, cmp_ctx, acct)?;
+/// One resolve direction's chunks and how many of them are in flight at
+/// once. Both sides derive it from data they agree on before the first
+/// chunk — the backend, the served counts and the dimension — and must: a
+/// querier that expected fewer chunks ahead would read a fold request where
+/// it wants an open.
+struct Schedule {
+    /// Every run of whole queries [`query_chunk`] cuts, in order, with its
+    /// pair count. A run without pairs costs no frame and no chunk index on
+    /// either side, so it is left out.
+    chunks: Vec<(Range<usize>, usize)>,
+    /// Chunks in flight at once: the largest `W` for which `W − 1` times
+    /// the heavier direction's bytes of the largest chunk stay within
+    /// [`WINDOW_BYTES`] — or 1, one chunk at a time in the unsplit calls'
+    /// frame order, when the backend posts nothing ahead. Never more than
+    /// there are chunks, so chunk `c` may keep its state in slot
+    /// `c % window` of a vector of `window`: the chunk `window` places
+    /// before it has settled by the time it is posted.
+    window: usize,
+    /// Pair `i` of a chunk keys its randomness by `records[i]`.
+    records: Vec<RecordId>,
+}
+
+impl Schedule {
+    fn new<B: SmcBackend>(
+        backend: &B,
+        queries: usize,
+        served: impl Fn(usize) -> usize,
+        dim: usize,
+    ) -> Schedule {
+        let mut chunks = Vec::new();
+        let mut start = 0;
+        while start < queries {
+            let (end, pairs) = query_chunk(start, queries, &served);
+            if pairs > 0 {
+                chunks.push((start..end, pairs));
+            }
+            start = end;
+        }
+        let largest = chunks.iter().map(|&(_, pairs)| pairs).max().unwrap_or(0);
+        let window = backend
+            .split_exchange_bytes(largest, dim)
+            .map_or(1, |bytes| 1 + WINDOW_BYTES / bytes.max(1))
+            .clamp(1, chunks.len().max(1));
+        Schedule {
+            chunks,
+            window,
+            records: (0..largest as u64).collect(),
+        }
+    }
+
+    /// How many chunks are posted once chunk `chunk` settles next.
+    fn posted_by(&self, chunk: usize) -> usize {
+        self.chunks.len().min(chunk + self.window)
+    }
+
+    /// Where chunk `chunk` keeps its state from posted to settled.
+    fn slot(&self, chunk: usize) -> usize {
+        chunk % self.window
+    }
+}
+
+/// A chunk's comparisons must answer every one of its pairs.
+fn check_arity(chunk: usize, pairs: usize, within: &[bool]) -> Result<(), CoreError> {
     if within.len() != pairs {
         return Err(CoreError::mismatch(format!(
             "resolve chunk {chunk} arity: {pairs} pairs vs {} answers",
             within.len()
         )));
     }
-    Ok(within)
+    Ok(())
 }
 
 /// The responder's stage-2 operand `base + 2·inner`: `base` is local
@@ -112,6 +157,11 @@ pub(crate) fn responder_operand(
 /// framings derive identical bytes, and the responder (who walks the same
 /// path) stays correlated on the sharing backend's dealer tape. A chunk
 /// without pairs costs no frame and no chunk index on either side.
+///
+/// Chunks run in a window (DESIGN.md §7, *Pipelined resolve*): the querier
+/// answers each fold request as soon as the window admits it, with its half
+/// of the chunk's comparisons, and defers the one receive that settles a
+/// chunk until the window is full.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn hdp_resolve_querier<C: Channel, B: SmcBackend>(
     chan: &mut C,
@@ -123,57 +173,51 @@ pub fn hdp_resolve_querier<C: Channel, B: SmcBackend>(
     ledger: &mut YaoLedger,
     acct: &mut SharingLedger,
 ) -> Result<Vec<usize>, CoreError> {
-    let domain = hdp_domain(cfg, queries.first().map_or(0, Point::dim));
+    let dim = queries.first().map_or(0, Point::dim);
+    let domain = hdp_domain(cfg, dim);
     let resolve_ctx = ctx.narrow("resolve");
+    let schedule = Schedule::new(backend, queries.len(), &served, dim);
     let mut counts = vec![0usize; queries.len()];
-    let (mut groups, mut values) = (Vec::new(), Vec::new());
-    let (mut start, mut chunk) = (0, 0u64);
-    while start < queries.len() {
-        let (end, pairs) = query_chunk(start, queries.len(), &served);
-        let run = start..end;
-        start = end;
-        if pairs == 0 {
-            continue;
-        }
-        groups.clear();
-        values.clear();
-        for q in run.clone() {
-            let query = &queries[q];
-            let i_val =
-                i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice");
-            for _ in 0..served(q) {
-                // Every group of a query is the same vector, once per
-                // responder point.
-                groups.push(query.coords().to_vec());
-                values.push(i_val);
-            }
-        }
+    // The stage-2 inputs of every chunk answered and not yet settled.
+    let mut unsettled: Vec<Vec<i64>> = vec![Vec::new(); schedule.window];
+    let mut groups = Vec::new();
+    let mut answered = 0;
+    for (chunk, (run, pairs)) in schedule.chunks.iter().enumerate() {
         let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
-        let cctx = resolve_ctx.at(chunk);
-        let records: Vec<RecordId> = (0..pairs as u64).collect();
-        let within = chunk_verdicts(
-            chan,
-            cfg,
-            backend,
-            Party::Alice,
-            (chunk, pairs),
-            &domain,
-            &cctx.narrow("cmp"),
-            ledger,
-            acct,
-            |chan, acct| {
-                backend.mul_fold_peer(chan, &groups, &records, &cctx, acct)?;
-                Ok(values.clone())
-            },
-        )?;
+        while answered < schedule.posted_by(chunk) {
+            let (run, pairs) = &schedule.chunks[answered];
+            let cctx = resolve_ctx.at(answered as u64);
+            let values = &mut unsettled[schedule.slot(answered)];
+            groups.clear();
+            for q in run.clone() {
+                let query = &queries[q];
+                let i_val =
+                    i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice");
+                for _ in 0..served(q) {
+                    // Every group of a query is the same vector, once per
+                    // responder point.
+                    groups.push(query.coords().to_vec());
+                    values.push(i_val);
+                }
+            }
+            let records = &schedule.records[..*pairs];
+            backend.mul_fold_peer(chan, &groups, records, &cctx, acct)?;
+            backend.compare_batch_post(chan, values, &cctx.narrow("cmp"))?;
+            answered += 1;
+        }
+        let values = std::mem::take(&mut unsettled[schedule.slot(chunk)]);
+        ledger.record_many(cfg.key_bits, domain.n0(), *pairs as u64);
+        let cmp_ctx = resolve_ctx.at(chunk as u64).narrow("cmp");
+        let within =
+            backend.compare_batch_finish(chan, &values, CmpOp::Leq, &domain, &cmp_ctx, acct)?;
+        check_arity(chunk, *pairs, &within)?;
         let mut at = 0;
-        for q in run {
+        for q in run.clone() {
             let segment = &within[at..at + served(q)];
             counts[q] = segment.iter().filter(|&&w| w).count();
             at += segment.len();
         }
         span.end(|| chan.metrics());
-        chunk += 1;
     }
     Ok(counts)
 }
@@ -197,6 +241,11 @@ pub trait ServedSets {
 /// sees every query's match bits in an order it cannot link to any other
 /// query (the Figure 1 defense), and matched own points are logged in that
 /// permuted order.
+///
+/// Chunks run in a window (DESIGN.md §7, *Pipelined resolve*): the
+/// responder posts chunk `i + W`'s fold request as soon as chunk `i`
+/// settles. A chunk's permuted points are built when it is posted and
+/// dropped when it settles, so only the window is ever held.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
     chan: &mut C,
@@ -214,65 +263,70 @@ pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
         // Nothing to serve, however many queries the peer announced.
         return Ok(());
     };
-    let domain = hdp_domain(cfg, first.dim());
+    let dim = first.dim();
+    let domain = hdp_domain(cfg, dim);
     let eps = cfg.params.eps_sq as i64;
     let resolve_ctx = ctx.narrow("resolve");
     let perm_ctx = ctx.narrow("perm");
-    let (mut order, mut groups) = (Vec::new(), Vec::new());
-    let (mut start, mut chunk) = (0, 0u64);
-    while start < queries {
-        let (end, pairs) = query_chunk(start, queries, |q| served.count(q));
-        let run = start..end;
-        start = end;
-        if pairs == 0 {
-            continue;
-        }
-        order.clear();
-        for q in run {
-            let from = order.len();
-            served.extend(q, &mut order);
-            assert_eq!(
-                order.len() - from,
-                served.count(q),
-                "query {q} is served the set it was counted for"
-            );
-            order[from..].shuffle(&mut perm_ctx.at(q as u64).rng());
-        }
-        groups.clear();
-        groups.extend(order.iter().map(|&idx| my_points[idx].coords().to_vec()));
+    let schedule = Schedule::new(backend, queries, |q| served.count(q), dim);
+    // Every posted chunk not yet settled: its served points in permuted
+    // order, and their coordinates.
+    let mut unsettled: Vec<(Vec<usize>, Vec<Vec<i64>>)> = vec![Default::default(); schedule.window];
+    let mut posted = 0;
+    for (chunk, &(_, pairs)) in schedule.chunks.iter().enumerate() {
         let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
-        let cctx = resolve_ctx.at(chunk);
-        let records: Vec<RecordId> = (0..pairs as u64).collect();
-        let within = chunk_verdicts(
+        while posted < schedule.posted_by(chunk) {
+            let (run, pairs) = &schedule.chunks[posted];
+            let mut order = Vec::with_capacity(*pairs);
+            for q in run.clone() {
+                let from = order.len();
+                served.extend(q, &mut order);
+                assert_eq!(
+                    order.len() - from,
+                    served.count(q),
+                    "query {q} is served the set it was counted for"
+                );
+                order[from..].shuffle(&mut perm_ctx.at(q as u64).rng());
+            }
+            let groups: Vec<Vec<i64>> = order
+                .iter()
+                .map(|&idx| my_points[idx].coords().to_vec())
+                .collect();
+            let (records, cctx) = (&schedule.records[..*pairs], resolve_ctx.at(posted as u64));
+            backend.mul_fold_keyholder_post(chan, &groups, records, &cctx)?;
+            unsettled[schedule.slot(posted)] = (order, groups);
+            posted += 1;
+        }
+        let (order, groups) = std::mem::take(&mut unsettled[schedule.slot(chunk)]);
+        ledger.record_many(cfg.key_bits, domain.n0(), pairs as u64);
+        let (records, cctx) = (&schedule.records[..pairs], resolve_ctx.at(chunk as u64));
+        let inner_products =
+            backend.mul_fold_keyholder_finish(chan, &groups, records, &cctx, acct)?;
+        let values = order
+            .iter()
+            .zip(inner_products)
+            .map(|(&idx, inner)| {
+                let own = my_points[idx].norm_sq() as i64;
+                responder_operand(eps - own, inner, &domain)
+            })
+            .collect::<Result<Vec<i64>, SmcError>>()?;
+        let cmp_ctx = cctx.narrow("cmp");
+        let within = backend.compare_batch(
             chan,
-            cfg,
-            backend,
             Party::Bob,
-            (chunk, pairs),
+            &values,
+            CmpOp::Leq,
             &domain,
-            &cctx.narrow("cmp"),
-            ledger,
+            &cmp_ctx,
             acct,
-            |chan, acct| {
-                let inner_products =
-                    backend.mul_fold_keyholder(chan, &groups, &records, &cctx, acct)?;
-                order
-                    .iter()
-                    .zip(inner_products)
-                    .map(|(&idx, inner)| {
-                        let own = my_points[idx].norm_sq() as i64;
-                        responder_operand(eps - own, inner, &domain)
-                    })
-                    .collect()
-            },
         )?;
+        check_arity(chunk, pairs, &within)?;
         for (&idx, _) in order.iter().zip(&within).filter(|(_, &matched)| matched) {
             leakage.record(LeakageEvent::OwnPointMatched {
                 point: format!("own#{idx}"),
             });
         }
         span.end(|| chan.metrics());
-        chunk += 1;
     }
     Ok(())
 }

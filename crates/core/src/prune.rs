@@ -53,6 +53,13 @@ pub(crate) fn local_index<'a>(
 /// lockstep session still reports progress ~25 times.
 pub(crate) const PAIR_CHUNK: usize = 1024;
 
+/// Bytes a horizontal resolve direction may have posted ahead of the chunk
+/// in exchange, in either direction (DESIGN.md §7, *Pipelined resolve*):
+/// enough to keep a link busy while a chunk's replies travel, and below
+/// what default TCP buffering holds, so that a single-threaded party never
+/// waits in `send` on a peer that is itself waiting in `send`.
+pub(crate) const WINDOW_BYTES: usize = 64 << 10;
+
 /// Streams every unordered candidate pair `(x, y)`, `x < y`, of an
 /// `n`-record lockstep session to `sink`, ascending in `(x, y)`, at most
 /// [`PAIR_CHUNK`] pairs at a time through one reused buffer — the full

@@ -92,8 +92,13 @@ use std::sync::Arc;
 /// transcript alone (every `(engage, k)` flag ahead, 1,024 to a frame, then
 /// one exchange per step of a chunk of engaged tests instead of one
 /// conversation per test — the same messages, regrouped), so a v8 peer is
-/// refused here rather than reading a flags frame as a dot-product reply.
-pub const WIRE_VERSION: u32 = 9;
+/// refused here rather than reading a flags frame as a dot-product reply;
+/// `10` changes the order of the horizontal and multiparty resolve frames
+/// across chunks alone (a window of chunks in flight, the responder posting
+/// chunk `i + W`'s fold request as soon as chunk `i` settles — the same
+/// frames), so a v9 peer is refused here rather than reading a fold request
+/// where it expects an open.
+pub const WIRE_VERSION: u32 = 10;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -131,12 +131,12 @@ pub fn open_session(
         Hello::for_session(participant.config(), data.mode(), n, dim).with_session_id(session_id);
 
     let mut chan = TcpChannel::connect_timeout(addr, timeout)?;
-    chan.set_read_timeout(Some(timeout))?;
+    chan.set_timeout(Some(timeout))?;
     chan.send(&hello)?;
     let reply: ServerReply = chan.recv()?;
     match reply {
         ServerReply::Accept { session_id } => {
-            chan.set_read_timeout(None)?;
+            chan.set_timeout(None)?;
             Ok(ServerSession { chan, session_id })
         }
         ServerReply::Busy { depth, cap } => Err(ClientError::Busy { depth, cap }),

@@ -42,9 +42,10 @@ pub struct ServerConfig {
     /// preamble `Hello` before it is reaped (counted in
     /// `server_handshake_timeouts`).
     pub handshake_timeout: Duration,
-    /// Read deadline applied to admitted sessions; bounds how long a dead
-    /// client can pin a worker. `None` = block forever (trusted clients).
-    pub session_read_timeout: Option<Duration>,
+    /// Read and write deadline applied to admitted sessions; bounds how
+    /// long a dead client, or one that stops reading, can pin a worker.
+    /// `None` = block forever (trusted clients).
+    pub session_timeout: Option<Duration>,
     /// Root of the per-session seed derivation (see [`session_seed`]).
     pub base_seed: u64,
     /// Record a flight-recorder trace per session, retrievable from the
@@ -63,7 +64,7 @@ impl ServerConfig {
             workers: 4,
             queue_cap: 16,
             handshake_timeout: Duration::from_secs(2),
-            session_read_timeout: Some(Duration::from_secs(30)),
+            session_timeout: Some(Duration::from_secs(30)),
             base_seed: 0x5E55_10D5,
             record_traces: true,
         }
@@ -99,9 +100,9 @@ impl ServerConfig {
         self
     }
 
-    /// Sets (or clears) the in-session read deadline.
-    pub fn with_session_read_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.session_read_timeout = timeout;
+    /// Sets (or clears) the in-session read and write deadline.
+    pub fn with_session_timeout(mut self, timeout: Option<Duration>) -> Self {
+        self.session_timeout = timeout;
         self
     }
 

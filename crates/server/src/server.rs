@@ -226,9 +226,9 @@ impl Server {
     /// deadline, then join every thread and return what happened.
     ///
     /// Sessions already *running* past the deadline cannot be preempted;
-    /// they finish or hit their read timeout — which is why
-    /// [`ServerConfig::session_read_timeout`] bounds how long this call
-    /// can block past the deadline.
+    /// they finish or hit their session timeout — which is why
+    /// [`ServerConfig::session_timeout`] bounds how long this call can
+    /// block past the deadline.
     pub fn shutdown(mut self, drain: Duration) -> DrainReport {
         let deadline = Instant::now() + drain;
         *self.shared.drain_deadline.lock().unwrap() = Some(deadline);
@@ -352,7 +352,7 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
         return;
     }
     if chan
-        .set_read_timeout(Some(shared.cfg.handshake_timeout))
+        .set_timeout(Some(shared.cfg.handshake_timeout))
         .is_err()
     {
         return;
@@ -469,7 +469,7 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
         shared.metrics.gauge("server_active_sessions").dec();
         return;
     }
-    let _ = chan.set_read_timeout(shared.cfg.session_read_timeout);
+    let _ = chan.set_timeout(shared.cfg.session_timeout);
 
     let task_shared = Arc::clone(shared);
     let role = host.role;
@@ -627,7 +627,7 @@ mod tests {
         let negotiate = |unknown: u64| {
             let hello = Hello::for_session(&cfg, Mode::Horizontal, 2, 2);
             let mut chan = TcpChannel::connect_timeout(&addr, timeout).unwrap();
-            chan.set_read_timeout(Some(timeout)).unwrap();
+            chan.set_timeout(Some(timeout)).unwrap();
             chan.send(&WithUnknownField(hello, unknown)).unwrap();
             match chan.recv::<ServerReply>().unwrap() {
                 ServerReply::Accept { .. } | ServerReply::Busy { .. } => {}

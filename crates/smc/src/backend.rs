@@ -34,13 +34,15 @@ use crate::multiplication::{
     ResponsePacking,
 };
 use crate::sharing::{
-    sample_mask_i64, sharing_compare, sharing_dot_querier, sharing_dot_responder,
-    sharing_fold_keyholder, sharing_fold_peer, DealerTape, Fe, SharingLedger, MAX_SHARING_MASK,
+    sample_mask_i64, sharing_compare, sharing_compare_finish, sharing_compare_post,
+    sharing_dot_querier, sharing_dot_responder, sharing_fold_keyholder,
+    sharing_fold_keyholder_finish, sharing_fold_keyholder_post, sharing_fold_peer, DealerTape, Fe,
+    SharingLedger, MAX_SHARING_MASK,
 };
 use ppds_bigint::{BigInt, BigUint};
 use ppds_paillier::{Keypair, PublicKey};
 use ppds_transport::wire::WireEncode;
-use ppds_transport::Channel;
+use ppds_transport::{Channel, FRAME_OVERHEAD_BYTES};
 use std::ops::Range;
 
 /// Which cryptographic substrate a session's SMC workhorses run on.
@@ -252,6 +254,77 @@ pub trait SmcBackend {
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
     ) -> Result<(), SmcError>;
+
+    // Split exchanges. A fold-then-compare exchange (one HDP resolve chunk)
+    // opens with the keyholder's fold messages and, once the peer has
+    // answered them, Alice's half of the comparison: both need nothing from
+    // the other side. A backend that ships them in the `*_post` halves lets
+    // the caller keep several exchanges in flight, each closed later by its
+    // `*_finish` half. The provided halves post nothing and run the whole
+    // call in `finish`, so a caller that keeps one exchange in flight —
+    // which is what `None` from `split_exchange_bytes` asks for — puts the
+    // unsplit call's frames on the wire in the unsplit call's order.
+
+    /// Wire bytes, in its heavier direction, of one exchange of `groups`
+    /// keyholder folds of `len` elements each followed by one comparison a
+    /// group (the keyholder comparing as [`Party::Bob`]) — when this
+    /// backend's `*_post` halves ship ahead. `None` (the default) when they
+    /// post nothing.
+    fn split_exchange_bytes(&self, _groups: usize, _len: usize) -> Option<usize> {
+        None
+    }
+
+    /// The part of [`SmcBackend::mul_fold_keyholder`] that needs nothing
+    /// from the peer; [`SmcBackend::mul_fold_keyholder_finish`] with the
+    /// same arguments completes it.
+    fn mul_fold_keyholder_post<C: Channel>(
+        &self,
+        _chan: &mut C,
+        _groups: &[Vec<i64>],
+        _records: &[RecordId],
+        _ctx: &ProtocolContext,
+    ) -> Result<(), SmcError> {
+        Ok(())
+    }
+
+    /// The rest of [`SmcBackend::mul_fold_keyholder`] after
+    /// [`SmcBackend::mul_fold_keyholder_post`].
+    fn mul_fold_keyholder_finish<C: Channel>(
+        &self,
+        chan: &mut C,
+        groups: &[Vec<i64>],
+        records: &[RecordId],
+        ctx: &ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError> {
+        self.mul_fold_keyholder(chan, groups, records, ctx, acct)
+    }
+
+    /// The part of [`Party::Alice`]'s [`SmcBackend::compare_batch`] that
+    /// needs nothing from Bob; [`SmcBackend::compare_batch_finish`] with the
+    /// same `values` and `ctx` completes it.
+    fn compare_batch_post<C: Channel>(
+        &self,
+        _chan: &mut C,
+        _values: &[i64],
+        _ctx: &ProtocolContext,
+    ) -> Result<(), SmcError> {
+        Ok(())
+    }
+
+    /// The rest of Alice's [`SmcBackend::compare_batch`] after
+    /// [`SmcBackend::compare_batch_post`].
+    fn compare_batch_finish<C: Channel>(
+        &self,
+        chan: &mut C,
+        values: &[i64],
+        op: CmpOp,
+        domain: &ComparisonDomain,
+        ctx: &ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<bool>, SmcError> {
+        self.compare_batch(chan, Party::Alice, values, op, domain, ctx, acct)
+    }
 }
 
 /// The framing policy, read here and nowhere else: a primitive is handed
@@ -535,6 +608,10 @@ fn fes(values: &[i64]) -> Vec<Fe> {
     values.iter().map(|&v| Fe::embed(v)).collect()
 }
 
+fn fe_groups(groups: &[Vec<i64>]) -> Vec<Vec<Fe>> {
+    groups.iter().map(|g| fes(g)).collect()
+}
+
 impl SharingBackend {
     /// Both comparison methods: item `i` compares `operand(i)`, a ring
     /// element computed as the item is shipped.
@@ -688,7 +765,7 @@ impl SmcBackend for SharingBackend {
     ) -> Result<Vec<i64>, SmcError> {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mul_ctx = ctx.narrow("mul");
-        let group_fes: Vec<Vec<Fe>> = groups.iter().map(|g| fes(g)).collect();
+        let group_fes = fe_groups(groups);
         framed(self.batching, groups.len(), |at| {
             let (groups, scopes) = (&group_fes[at.clone()], |g| {
                 mul_ctx.at(records[at.start + g])
@@ -708,7 +785,7 @@ impl SmcBackend for SharingBackend {
     ) -> Result<(), SmcError> {
         assert_eq!(groups.len(), records.len(), "one record scope per group");
         let mul_ctx = ctx.narrow("mul");
-        let group_fes: Vec<Vec<Fe>> = groups.iter().map(|g| fes(g)).collect();
+        let group_fes = fe_groups(groups);
         framed(self.batching, groups.len(), |at| {
             let (groups, scopes) = (&group_fes[at.clone()], |g| {
                 mul_ctx.at(records[at.start + g])
@@ -716,6 +793,84 @@ impl SmcBackend for SharingBackend {
             sharing_fold_peer(&self.tape, chan, groups, scopes, acct).map(|()| Vec::<()>::new())
         })
         .map(drop)
+    }
+
+    // Batched, a fold ships all of its `D` vectors as one frame and a
+    // comparison slice all of Alice's shares as one, so both split at their
+    // one receive. The reference framing interleaves an item's send and
+    // receive, so it keeps the unsplit calls.
+
+    fn split_exchange_bytes(&self, groups: usize, len: usize) -> Option<usize> {
+        // Peer to keyholder, per group: a fold reply `(E, s)` — a `u32`
+        // count and `len + 1` elements — and Alice's share of the open; the
+        // other way carries one element a group less.
+        let frames = 2 * FRAME_OVERHEAD_BYTES as usize;
+        self.batching
+            .then_some(frames + groups * (4 + 8 * (len + 1) + 8))
+    }
+
+    fn mul_fold_keyholder_post<C: Channel>(
+        &self,
+        chan: &mut C,
+        groups: &[Vec<i64>],
+        records: &[RecordId],
+        ctx: &ProtocolContext,
+    ) -> Result<(), SmcError> {
+        if !self.batching {
+            return Ok(());
+        }
+        assert_eq!(groups.len(), records.len(), "one record scope per group");
+        let mul_ctx = ctx.narrow("mul");
+        let scopes = |g: usize| mul_ctx.at(records[g]);
+        sharing_fold_keyholder_post(&self.tape, chan, &fe_groups(groups), scopes)
+    }
+
+    fn mul_fold_keyholder_finish<C: Channel>(
+        &self,
+        chan: &mut C,
+        groups: &[Vec<i64>],
+        records: &[RecordId],
+        ctx: &ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError> {
+        if !self.batching {
+            return self.mul_fold_keyholder(chan, groups, records, ctx, acct);
+        }
+        assert_eq!(groups.len(), records.len(), "one record scope per group");
+        let mul_ctx = ctx.narrow("mul");
+        let scopes = |g: usize| mul_ctx.at(records[g]);
+        let us = sharing_fold_keyholder_finish(&self.tape, chan, &fe_groups(groups), scopes, acct)?;
+        Ok(us.into_iter().map(Fe::lift).collect())
+    }
+
+    fn compare_batch_post<C: Channel>(
+        &self,
+        chan: &mut C,
+        values: &[i64],
+        ctx: &ProtocolContext,
+    ) -> Result<(), SmcError> {
+        if !self.batching {
+            return Ok(());
+        }
+        let operands = values.iter().map(|&v| Fe::embed(v));
+        sharing_compare_post(&self.tape, chan, operands, |i| ctx.at(i as u64))
+    }
+
+    fn compare_batch_finish<C: Channel>(
+        &self,
+        chan: &mut C,
+        values: &[i64],
+        op: CmpOp,
+        domain: &ComparisonDomain,
+        ctx: &ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<bool>, SmcError> {
+        if !self.batching {
+            return self.compare_batch(chan, Party::Alice, values, op, domain, ctx, acct);
+        }
+        let operands = values.iter().map(|&v| Fe::embed(v));
+        let scopes = |i: usize| ctx.at(i as u64);
+        sharing_compare_finish(&self.tape, chan, operands, op, domain, scopes, acct)
     }
 }
 
@@ -835,6 +990,52 @@ impl SmcBackend for AnyBackend<'_> {
         acct: &mut SharingLedger,
     ) -> Result<(), SmcError> {
         dispatch!(self, b => b.mul_fold_peer(chan, groups, records, ctx, acct))
+    }
+
+    fn split_exchange_bytes(&self, groups: usize, len: usize) -> Option<usize> {
+        dispatch!(self, b => b.split_exchange_bytes(groups, len))
+    }
+
+    fn mul_fold_keyholder_post<C: Channel>(
+        &self,
+        chan: &mut C,
+        groups: &[Vec<i64>],
+        records: &[RecordId],
+        ctx: &ProtocolContext,
+    ) -> Result<(), SmcError> {
+        dispatch!(self, b => b.mul_fold_keyholder_post(chan, groups, records, ctx))
+    }
+
+    fn mul_fold_keyholder_finish<C: Channel>(
+        &self,
+        chan: &mut C,
+        groups: &[Vec<i64>],
+        records: &[RecordId],
+        ctx: &ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError> {
+        dispatch!(self, b => b.mul_fold_keyholder_finish(chan, groups, records, ctx, acct))
+    }
+
+    fn compare_batch_post<C: Channel>(
+        &self,
+        chan: &mut C,
+        values: &[i64],
+        ctx: &ProtocolContext,
+    ) -> Result<(), SmcError> {
+        dispatch!(self, b => b.compare_batch_post(chan, values, ctx))
+    }
+
+    fn compare_batch_finish<C: Channel>(
+        &self,
+        chan: &mut C,
+        values: &[i64],
+        op: CmpOp,
+        domain: &ComparisonDomain,
+        ctx: &ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<bool>, SmcError> {
+        dispatch!(self, b => b.compare_batch_finish(chan, values, op, domain, ctx, acct))
     }
 }
 

@@ -310,10 +310,70 @@ fn open_mask(tape: &DealerTape, ctx: &ProtocolContext) -> Fe {
     Fe::random(&mut tape.scope(ctx).narrow("open").rng())
 }
 
+/// Runs `run` inside a span named `label`.
+fn in_span<C: Channel, T>(
+    label: &str,
+    chan: &mut C,
+    run: impl FnOnce(&mut C) -> Result<T, SmcError>,
+) -> Result<T, SmcError> {
+    let span = trace::span(label, || chan.metrics());
+    let out = run(chan)?;
+    span.end(|| chan.metrics());
+    Ok(out)
+}
+
+/// This party's half of a masked open of `alice[i] − bob[i]`: every share
+/// travels under a tape-derived zero-share — Alice ships `a_i + ρ_i`, Bob
+/// `−b_i − ρ_i`, `ρ_i` from `scopes(i)`.
+fn open_shares<S>(
+    tape: &DealerTape,
+    role: Party,
+    values: impl Iterator<Item = Fe>,
+    scopes: S,
+) -> Vec<Fe>
+where
+    S: Fn(usize) -> ProtocolContext,
+{
+    values
+        .enumerate()
+        .map(|(i, value)| {
+            let rho = open_mask(tape, &scopes(i));
+            match role {
+                Party::Alice => value + rho,
+                Party::Bob => -value - rho,
+            }
+        })
+        .collect()
+}
+
+/// The one receive of a masked open: takes the peer's half, held to the
+/// arity of `mine`, ships Bob's half after it, and returns the opened
+/// differences.
+fn close_open<C: Channel>(
+    chan: &mut C,
+    role: Party,
+    mut mine: Vec<Fe>,
+) -> Result<Vec<Fe>, SmcError> {
+    let theirs: Vec<Fe> = chan.recv_batch()?;
+    if theirs.len() != mine.len() {
+        return Err(SmcError::protocol(format!(
+            "masked open: expected {} shares, got {}",
+            mine.len(),
+            theirs.len()
+        )));
+    }
+    if role == Party::Bob {
+        chan.send_batch(&mine)?;
+    }
+    for (mine, theirs) in mine.iter_mut().zip(theirs) {
+        *mine += theirs;
+    }
+    Ok(mine)
+}
+
 /// Opens `alice[i] − bob[i]` for a run of values each party holds one
-/// operand of. Every share travels under a tape-derived zero-share (Alice
-/// ships `a_i + ρ_i`, Bob `−b_i − ρ_i`, `ρ_i` from `scopes(i)`), one frame
-/// each way for the whole run; Alice sends first.
+/// operand of ([`open_shares`]), one frame each way for the whole run;
+/// Alice sends first.
 fn open_differences<C, S>(
     tape: &DealerTape,
     chan: &mut C,
@@ -325,34 +385,11 @@ where
     C: Channel,
     S: Fn(usize) -> ProtocolContext,
 {
-    let mut opened: Vec<Fe> = values
-        .enumerate()
-        .map(|(i, value)| {
-            let rho = open_mask(tape, &scopes(i));
-            match role {
-                Party::Alice => value + rho,
-                Party::Bob => -value - rho,
-            }
-        })
-        .collect();
+    let mine = open_shares(tape, role, values, scopes);
     if role == Party::Alice {
-        chan.send_batch(&opened)?;
+        chan.send_batch(&mine)?;
     }
-    let theirs: Vec<Fe> = chan.recv_batch()?;
-    if theirs.len() != opened.len() {
-        return Err(SmcError::protocol(format!(
-            "masked open: expected {} shares, got {}",
-            opened.len(),
-            theirs.len()
-        )));
-    }
-    if role == Party::Bob {
-        chan.send_batch(&opened)?;
-    }
-    for (mine, theirs) in opened.iter_mut().zip(theirs) {
-        *mine += theirs;
-    }
-    Ok(opened)
+    close_open(chan, role, mine)
 }
 
 // ---------------------------------------------------------------------------
@@ -387,44 +424,166 @@ where
     if operands.len() == 0 {
         return Ok(Vec::new());
     }
-    let span = trace::span("cmp_batch", || chan.metrics());
-    for _ in 0..operands.len() {
-        acct.record_compare(domain);
-    }
-    let opened = open_differences(tape, chan, role, operands, scopes)?;
-    span.end(|| chan.metrics());
-    Ok(opened
+    in_span("cmp_batch", chan, |chan| {
+        for _ in 0..operands.len() {
+            acct.record_compare(domain);
+        }
+        let opened = open_differences(tape, chan, role, operands, scopes)?;
+        Ok(verdicts(opened, op))
+    })
+}
+
+fn verdicts(opened: Vec<Fe>, op: CmpOp) -> Vec<bool> {
+    opened
         .into_iter()
         .map(|v| match op {
             CmpOp::Lt => v.lift() < 0,
             CmpOp::Leq => v.lift() <= 0,
         })
-        .collect())
+        .collect()
+}
+
+/// Alice's first half of [`sharing_compare`]: ships her masked operands,
+/// which need nothing from Bob, and returns without waiting for his. Her
+/// [`sharing_compare_finish`] over the same operands and scopes completes
+/// the slice; the caller may run other exchanges in between.
+pub(crate) fn sharing_compare_post<C, S>(
+    tape: &DealerTape,
+    chan: &mut C,
+    operands: impl ExactSizeIterator<Item = Fe>,
+    scopes: S,
+) -> Result<(), SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext,
+{
+    if operands.len() == 0 {
+        return Ok(());
+    }
+    in_span("cmp_batch", chan, |chan| {
+        let mine = open_shares(tape, Party::Alice, operands, scopes);
+        Ok(chan.send_batch(&mine)?)
+    })
+}
+
+/// Alice's second half of [`sharing_compare`]: reads Bob's shares and
+/// returns the verdicts. Her own shares are re-derived from the operands
+/// and the tape rather than kept since [`sharing_compare_post`].
+#[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
+pub(crate) fn sharing_compare_finish<C, S>(
+    tape: &DealerTape,
+    chan: &mut C,
+    operands: impl ExactSizeIterator<Item = Fe>,
+    op: CmpOp,
+    domain: &ComparisonDomain,
+    scopes: S,
+    acct: &mut SharingLedger,
+) -> Result<Vec<bool>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext,
+{
+    if operands.len() == 0 {
+        return Ok(Vec::new());
+    }
+    in_span("cmp_batch", chan, |chan| {
+        for _ in 0..operands.len() {
+            acct.record_compare(domain);
+        }
+        let mine = open_shares(tape, Party::Alice, operands, scopes);
+        Ok(verdicts(close_open(chan, Party::Alice, mine)?, op))
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Beaver inner-product folds (the mul_batches substitute)
 // ---------------------------------------------------------------------------
 
+/// A fold's triple `(α, β, c₁ + c₂ = ⟨α, β⟩)` lives at `scope.narrow("fold")`
+/// on the tape; each side draws its half where it is used.
+fn fold_tape(tape: &DealerTape, ctx: &ProtocolContext) -> ProtocolContext {
+    tape.scope(ctx).narrow("fold")
+}
+
+fn fold_alpha(t: &ProtocolContext, m: usize) -> Vec<Fe> {
+    draw_fes(&mut t.narrow("a").rng(), m)
+}
+
+fn fold_c1(t: &ProtocolContext) -> Fe {
+    Fe::random(&mut t.narrow("c").rng())
+}
+
+/// The peer's half of a fold's triple.
 struct FoldTriple {
-    alpha: Vec<Fe>,
     beta: Vec<Fe>,
-    c1: Fe,
     c2: Fe,
 }
 
 fn fold_triple(tape: &DealerTape, ctx: &ProtocolContext, m: usize) -> FoldTriple {
-    let t = tape.scope(ctx).narrow("fold");
-    let alpha = draw_fes(&mut t.narrow("a").rng(), m);
+    let t = fold_tape(tape, ctx);
     let beta = draw_fes(&mut t.narrow("b").rng(), m);
-    let c1 = Fe::random(&mut t.narrow("c").rng());
-    let c2 = fe_dot(&alpha, &beta) - c1;
-    FoldTriple {
-        alpha,
-        beta,
-        c1,
-        c2,
+    let c2 = fe_dot(&fold_alpha(&t, m), &beta) - fold_c1(&t);
+    FoldTriple { beta, c2 }
+}
+
+/// The keyholder's masked vectors `D = x − α`, one per group, as one frame.
+fn send_fold_queries<C, S>(
+    tape: &DealerTape,
+    chan: &mut C,
+    groups: &[Vec<Fe>],
+    scopes: &S,
+) -> Result<(), SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext,
+{
+    let ds: Vec<Vec<Fe>> = groups
+        .iter()
+        .enumerate()
+        .map(|(g, xs)| {
+            let alpha = fold_alpha(&fold_tape(tape, &scopes(g)), xs.len());
+            xs.iter().zip(&alpha).map(|(&x, &a)| x - a).collect()
+        })
+        .collect();
+    Ok(chan.send_batch(&ds)?)
+}
+
+/// The keyholder's one receive: the peer's `(E, s)` per group, held to the
+/// groups' arities, folded into `c₁ + ⟨x, E⟩ + s = ⟨x, y⟩`.
+fn read_fold_replies<C, S>(
+    tape: &DealerTape,
+    chan: &mut C,
+    groups: &[Vec<Fe>],
+    scopes: &S,
+    acct: &mut SharingLedger,
+) -> Result<Vec<Fe>, SmcError>
+where
+    C: Channel,
+    S: Fn(usize) -> ProtocolContext,
+{
+    let mut out: Vec<Fe> = (0..groups.len())
+        .map(|g| fold_c1(&fold_tape(tape, &scopes(g))))
+        .collect();
+    let replies: Vec<(Vec<Fe>, Fe)> = chan.recv_batch()?;
+    if replies.len() != groups.len() {
+        return Err(SmcError::protocol(format!(
+            "fold: expected {} replies, got {}",
+            groups.len(),
+            replies.len()
+        )));
     }
+    for ((xs, (e, s)), folded) in groups.iter().zip(&replies).zip(&mut out) {
+        if e.len() != xs.len() {
+            return Err(SmcError::protocol(format!(
+                "fold: expected {} reply elements, got {}",
+                xs.len(),
+                e.len()
+            )));
+        }
+        acct.record_fold(xs.len());
+        *folded += fe_dot(xs, e) + *s;
+    }
+    Ok(out)
 }
 
 /// Keyholder side of a slice of Beaver inner-product folds: holds one `xs`
@@ -445,40 +604,46 @@ pub fn sharing_fold_keyholder<C: Channel, S: Fn(usize) -> ProtocolContext>(
     if groups.is_empty() {
         return Ok(Vec::new());
     }
-    let span = trace::span("mul_batch", || chan.metrics());
-    let trips: Vec<FoldTriple> = groups
-        .iter()
-        .enumerate()
-        .map(|(g, xs)| fold_triple(tape, &scopes(g), xs.len()))
-        .collect();
-    let ds: Vec<Vec<Fe>> = groups
-        .iter()
-        .zip(&trips)
-        .map(|(xs, t)| xs.iter().zip(&t.alpha).map(|(&x, &a)| x - a).collect())
-        .collect();
-    chan.send_batch(&ds)?;
-    let replies: Vec<(Vec<Fe>, Fe)> = chan.recv_batch()?;
-    if replies.len() != groups.len() {
-        return Err(SmcError::protocol(format!(
-            "fold: expected {} replies, got {}",
-            groups.len(),
-            replies.len()
-        )));
+    in_span("mul_batch", chan, |chan| {
+        send_fold_queries(tape, chan, groups, &scopes)?;
+        read_fold_replies(tape, chan, groups, &scopes, acct)
+    })
+}
+
+/// The keyholder's first half of [`sharing_fold_keyholder`]: ships the
+/// masked vectors, which need nothing from the peer, and returns without
+/// waiting for the replies. [`sharing_fold_keyholder_finish`] over the same
+/// groups and scopes completes the slice; the caller may run other
+/// exchanges in between.
+pub(crate) fn sharing_fold_keyholder_post<C: Channel, S: Fn(usize) -> ProtocolContext>(
+    tape: &DealerTape,
+    chan: &mut C,
+    groups: &[Vec<Fe>],
+    scopes: S,
+) -> Result<(), SmcError> {
+    if groups.is_empty() {
+        return Ok(());
     }
-    let mut out = Vec::with_capacity(groups.len());
-    for ((xs, trip), (e, s)) in groups.iter().zip(&trips).zip(&replies) {
-        if e.len() != xs.len() {
-            return Err(SmcError::protocol(format!(
-                "fold: expected {} reply elements, got {}",
-                xs.len(),
-                e.len()
-            )));
-        }
-        acct.record_fold(xs.len());
-        out.push(fe_dot(xs, e) + trip.c1 + *s);
+    in_span("mul_batch", chan, |chan| {
+        send_fold_queries(tape, chan, groups, &scopes)
+    })
+}
+
+/// The keyholder's second half of [`sharing_fold_keyholder`]: reads the
+/// replies and returns the inner products.
+pub(crate) fn sharing_fold_keyholder_finish<C: Channel, S: Fn(usize) -> ProtocolContext>(
+    tape: &DealerTape,
+    chan: &mut C,
+    groups: &[Vec<Fe>],
+    scopes: S,
+    acct: &mut SharingLedger,
+) -> Result<Vec<Fe>, SmcError> {
+    if groups.is_empty() {
+        return Ok(Vec::new());
     }
-    span.end(|| chan.metrics());
-    Ok(out)
+    in_span("mul_batch", chan, |chan| {
+        read_fold_replies(tape, chan, groups, &scopes, acct)
+    })
 }
 
 /// Peer half of [`sharing_fold_keyholder`]: holds one `ys` per group and
@@ -837,6 +1002,85 @@ mod tests {
         }
         assert_eq!(kacct.triples, 9);
         assert_eq!(acct.opened_elements, 11 + 7 + 3);
+    }
+
+    #[test]
+    fn split_halves_keep_two_exchanges_in_flight() {
+        // The keyholder posts two fold slices before settling either, and
+        // Alice posts two comparison slices before reading Bob's shares:
+        // the results are the unsplit calls'.
+        let tape = DealerTape::from_seed(77);
+        let embed = |vs: &[i64]| vs.iter().map(|&v| Fe::embed(v)).collect::<Vec<Fe>>();
+        let (xs, ys) = ([[3i64, -4], [5, 6]], [[2i64, 7], [-1, 1]]);
+        let (alice, bob) = ([4i64, 9, -2], [5i64, 9, -3]);
+        let slices = [ctx(5).narrow("first"), ctx(5).narrow("second")];
+        let (mut kchan, mut pchan) = duplex();
+        let keyholder = std::thread::spawn(move || {
+            let mut acct = SharingLedger::default();
+            let groups = xs.map(|x| vec![embed(&x)]);
+            for (slice, groups) in slices.iter().zip(&groups) {
+                let scopes = |g: usize| slice.at(g as u64);
+                sharing_fold_keyholder_post(&tape, &mut kchan, groups, scopes).unwrap();
+            }
+            let mut folded = Vec::new();
+            for (slice, groups) in slices.iter().zip(&groups) {
+                let scopes = |g: usize| slice.at(g as u64);
+                let us =
+                    sharing_fold_keyholder_finish(&tape, &mut kchan, groups, scopes, &mut acct);
+                folded.extend(us.unwrap().into_iter().map(Fe::lift));
+            }
+            // Then Bob's side of two comparison slices, one after the other.
+            let domain = ComparisonDomain::symmetric(100);
+            let mut verdicts = Vec::new();
+            for slice in &slices {
+                let bob = bob.iter().map(|&v| Fe::embed(v));
+                let scopes = |i: usize| slice.narrow("cmp").at(i as u64);
+                let role = Party::Bob;
+                verdicts.push(
+                    sharing_compare(
+                        &tape,
+                        &mut kchan,
+                        role,
+                        bob,
+                        CmpOp::Lt,
+                        &domain,
+                        scopes,
+                        &mut acct,
+                    )
+                    .unwrap(),
+                );
+            }
+            (folded, verdicts)
+        });
+        let mut acct = SharingLedger::default();
+        for (slice, y) in slices.iter().zip(ys) {
+            let scopes = |g: usize| slice.at(g as u64);
+            sharing_fold_peer(&tape, &mut pchan, &[embed(&y)], scopes, &mut acct).unwrap();
+        }
+        let domain = ComparisonDomain::symmetric(100);
+        let operands = || alice.iter().map(|&v| Fe::embed(v));
+        let cmp_scopes = |s: usize| move |i: usize| slices[s].narrow("cmp").at(i as u64);
+        for s in 0..2 {
+            sharing_compare_post(&tape, &mut pchan, operands(), cmp_scopes(s)).unwrap();
+        }
+        let mut verdicts = Vec::new();
+        for s in 0..2 {
+            let (op, scopes) = (CmpOp::Lt, cmp_scopes(s));
+            let got = sharing_compare_finish(
+                &tape,
+                &mut pchan,
+                operands(),
+                op,
+                &domain,
+                scopes,
+                &mut acct,
+            );
+            verdicts.push(got.unwrap());
+        }
+        let (folded, bob_verdicts) = keyholder.join().unwrap();
+        assert_eq!(folded, [3 * 2 - 4 * 7, -5 + 6]);
+        assert_eq!(verdicts, vec![vec![true, false, false]; 2]);
+        assert_eq!(bob_verdicts, verdicts, "both sides agree");
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub enum TransportError {
         /// The enforced cap.
         limit: u64,
     },
-    /// A blocking read or connect exceeded its configured deadline (see
-    /// [`crate::tcp::TcpChannel::set_read_timeout`]). Timeouts are
+    /// A blocking read, write or connect exceeded its configured deadline
+    /// (see [`crate::tcp::TcpChannel::set_timeout`]). Timeouts are
     /// connection-fatal: a deadline can fire mid-frame, leaving the stream
     /// desynchronized, so the only safe recovery is to drop the channel.
     Timeout,
@@ -52,7 +52,7 @@ impl fmt::Display for TransportError {
             TransportError::FrameTooLarge { announced, limit } => {
                 write!(f, "frame of {announced} bytes exceeds limit {limit}")
             }
-            TransportError::Timeout => write!(f, "peer did not answer within the read deadline"),
+            TransportError::Timeout => write!(f, "peer stalled past the deadline"),
         }
     }
 }

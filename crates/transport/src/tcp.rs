@@ -56,17 +56,23 @@ impl TcpChannel {
         })
     }
 
-    /// Bounds every subsequent blocking read: once no byte arrives for
-    /// `timeout`, [`Channel::recv_bytes`] returns
+    /// Bounds every subsequent blocking read and write on the socket: once
+    /// no byte arrives for `timeout`, [`Channel::recv_bytes`] returns
     /// [`TransportError::Timeout`] instead of hanging forever on a dead or
-    /// stalled peer. `None` restores unbounded blocking reads.
+    /// stalled peer, and once the peer takes no byte for `timeout` — its
+    /// receive window and this side's send buffer both full —
+    /// [`Channel::send_bytes`] does the same. `None` restores unbounded
+    /// blocking.
     ///
     /// A fired timeout is **connection-fatal** — it may strike mid-frame,
-    /// after part of a payload was consumed, so the stream position is no
-    /// longer trustworthy. Callers must drop the channel; the server's
-    /// handshake and session legs do exactly that.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        self.reader.get_ref().set_read_timeout(timeout)?;
+    /// after part of a payload was consumed or written, so the stream
+    /// position is no longer trustworthy. Callers must drop the channel; the
+    /// server's handshake and session legs do exactly that.
+    pub fn set_timeout(&self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        // The reader and the writer are two handles on one socket.
+        let socket = self.reader.get_ref();
+        socket.set_read_timeout(timeout)?;
+        socket.set_write_timeout(timeout)?;
         Ok(())
     }
 
@@ -81,8 +87,8 @@ impl TcpChannel {
     }
 }
 
-/// Maps the two io error kinds the platforms use for expired read/connect
-/// deadlines onto the typed [`TransportError::Timeout`].
+/// Maps the two io error kinds the platforms use for expired read, write
+/// and connect deadlines onto the typed [`TransportError::Timeout`].
 fn map_io_timeout(e: std::io::Error) -> TransportError {
     match e.kind() {
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => TransportError::Timeout,
@@ -99,9 +105,11 @@ impl Channel for TcpChannel {
             });
         }
         let len = payload.len() as u32;
-        self.writer.write_all(&len.to_le_bytes())?;
-        self.writer.write_all(payload)?;
-        self.writer.flush()?;
+        self.writer
+            .write_all(&len.to_le_bytes())
+            .and_then(|()| self.writer.write_all(payload))
+            .and_then(|()| self.writer.flush())
+            .map_err(map_io_timeout)?;
         self.metrics.record_send(payload.len() as u64);
         Ok(())
     }
@@ -215,13 +223,13 @@ mod tests {
     fn silent_peer_times_out_with_typed_error() {
         let (mut server, client) = loopback_pair();
         server
-            .set_read_timeout(Some(std::time::Duration::from_millis(60)))
+            .set_timeout(Some(std::time::Duration::from_millis(60)))
             .unwrap();
         let start = std::time::Instant::now();
         assert!(matches!(server.recv_bytes(), Err(TransportError::Timeout)));
         assert!(start.elapsed() < std::time::Duration::from_secs(5));
         // A live peer after clearing the deadline still gets through.
-        server.set_read_timeout(None).unwrap();
+        server.set_timeout(None).unwrap();
         let mut client = client;
         client.send(&7u64).unwrap();
         assert_eq!(server.recv::<u64>().unwrap(), 7);
@@ -231,13 +239,37 @@ mod tests {
     fn timeout_mid_frame_is_detected() {
         let (mut server, mut client) = loopback_pair();
         server
-            .set_read_timeout(Some(std::time::Duration::from_millis(60)))
+            .set_timeout(Some(std::time::Duration::from_millis(60)))
             .unwrap();
         // Send only the length header: the payload read must time out, not
         // hang and not report a clean disconnect.
         client.writer.write_all(&8u32.to_le_bytes()).unwrap();
         client.writer.flush().unwrap();
         assert!(matches!(server.recv_bytes(), Err(TransportError::Timeout)));
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_times_out_a_send() {
+        // 16 MiB is more than the peer's receive window and this side's
+        // send buffer hold together, so the write must stall — and the
+        // deadline must turn the stall into a typed error.
+        let (mut server, client) = loopback_pair();
+        server
+            .set_timeout(Some(std::time::Duration::from_millis(100)))
+            .unwrap();
+        // On its own thread, so that a send that never returns fails the
+        // test instead of hanging it.
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sent = server.send_bytes(&vec![0x5A; 16 << 20]);
+            let _ = done.send((sent, server.metrics().rounds_sent));
+        });
+        let (sent, rounds_sent) = outcome
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the send returns within 5 s");
+        assert!(matches!(sent, Err(TransportError::Timeout)), "{sent:?}");
+        assert_eq!(rounds_sent, 0, "no frame was completed");
+        drop(client);
     }
 
     #[test]

@@ -6,14 +6,14 @@ use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{run_participants, Hello, Mode, Participant, PartyData, WIRE_VERSION};
 use ppdbscan::VerticalPartition;
 use ppds_dbscan::datagen::{split_alternating, standard_blobs};
-use ppds_dbscan::{DbscanParams, Point, Quantizer};
+use ppds_dbscan::{dbscan_with_external_density, DbscanParams, Point, Quantizer};
 use ppds_server::{
     hosted, open_session, ops_get, run_session, session_seed, ClientError, Server, ServerConfig,
     ServerReply, SessionState,
 };
-use ppds_smc::Party;
+use ppds_smc::{BackendKind, Party};
 use ppds_transport::tcp::TcpChannel;
-use ppds_transport::Channel;
+use ppds_transport::{Channel, TransportError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -369,7 +369,7 @@ fn drain_deadline_sheds_queued_sessions() {
             .with_queue_cap(4)
             // The held-open in-flight session dies by read timeout, so the
             // drain (and the test) terminates without client cooperation.
-            .with_session_read_timeout(Some(Duration::from_millis(300))),
+            .with_session_timeout(Some(Duration::from_millis(300))),
     )
     .expect("server starts");
     let addr = server.local_addr();
@@ -398,6 +398,98 @@ fn drain_deadline_sheds_queued_sessions() {
     assert_eq!(report.failed, 1, "in-flight A hit its read deadline");
     assert_eq!(report.dropped, 1, "queued B shed past the drain deadline");
     assert_eq!(report.completed, 0);
+}
+
+/// A client end that reads the session handshake's `reads` frames and then
+/// stops reading; a message on `release` ends it with a disconnect.
+struct StopsReading {
+    inner: TcpChannel,
+    reads: usize,
+    release: std::sync::mpsc::Receiver<()>,
+}
+
+impl Channel for StopsReading {
+    fn send_bytes(&mut self, payload: &[u8]) -> Result<(), TransportError> {
+        self.inner.send_bytes(payload)
+    }
+
+    fn recv_bytes(&mut self) -> Result<Vec<u8>, TransportError> {
+        if self.reads == 0 {
+            let _ = self.release.recv();
+            return Err(TransportError::Disconnected);
+        }
+        self.reads -= 1;
+        self.inner.recv_bytes()
+    }
+
+    fn metrics(&self) -> ppds_transport::MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+#[test]
+fn a_client_that_stops_reading_fails_its_session_and_frees_the_slot() {
+    // 16 client and 64 server points of 1,024 attributes: the server's
+    // first resolve frame is one masked vector per pair of its one chunk,
+    // 8 MiB — more than loopback buffering holds unread — so the worker
+    // is stuck in `send` until the session timeout bounds writes too.
+    let wide = |n: usize, salt: usize| -> Vec<Point> {
+        let coord = |i: usize, k: usize| ((i * 7 + k * 3 + salt) % 21) as i64 - 10;
+        (0..n)
+            .map(|i| Point::new((0..1024).map(|k| coord(i, k)).collect()))
+            .collect()
+    };
+    let (alice, bob) = (wide(16, 1), wide(64, 2));
+    let cfg = base_cfg()
+        .with_backend(BackendKind::Sharing)
+        .with_batching(true);
+    let server = Server::start(
+        ServerConfig::new(vec![hosted(
+            cfg,
+            Party::Bob,
+            PartyData::Horizontal(bob.clone()),
+        )])
+        .with_workers(1)
+        .with_queue_cap(4)
+        .with_session_timeout(Some(Duration::from_millis(300))),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+    let participant = |seed: u64| {
+        Participant::new(cfg)
+            .role(Party::Alice)
+            .data(PartyData::Horizontal(alice.clone()))
+            .seed(seed)
+    };
+
+    // The session handshake is three frames from the server: its key, its
+    // Hello and its dealer-seed contribution. Then the client goes quiet.
+    let stalled = participant(801);
+    let session = open_session(&addr, &stalled, 0, TIMEOUT).expect("admitted");
+    let (release, released) = std::sync::mpsc::channel();
+    let mut chan = StopsReading {
+        inner: session.into_channel(),
+        reads: 3,
+        release: released,
+    };
+    let client = std::thread::spawn(move || stalled.run(&mut chan).map(drop));
+    wait_until("the stalled session fails", || {
+        server
+            .sessions()
+            .iter()
+            .any(|s| s.state == SessionState::Failed)
+    });
+    release.send(()).unwrap();
+    assert!(client.join().unwrap().is_err(), "the stalled client ends");
+
+    // The one worker is free again.
+    let (_, outcome) = run_session(&addr, participant(802), 0, TIMEOUT).expect("next completes");
+    assert_eq!(
+        outcome.output.clustering,
+        dbscan_with_external_density(&alice, &bob, cfg.params)
+    );
+    let report = server.shutdown(Duration::from_secs(5));
+    assert_eq!((report.completed, report.failed), (1, 1));
 }
 
 #[test]
@@ -495,8 +587,9 @@ fn negotiation_cache_skips_rechecks_for_reconnecting_clients() {
     run_session(&addr, batched, 0, TIMEOUT).expect("batched session completes");
 
     // The fingerprint covers the wire version: the cached verdict for the
-    // first preamble never answers the same fields from a v6 build, whose
-    // per-query horizontal transcript this build would desync against.
+    // first preamble never answers the same fields from a v9 build, whose
+    // one-chunk-at-a-time horizontal transcript this build would desync
+    // against.
     let old_build =
         Hello::for_session(&base_cfg(), Mode::Horizontal, 6, 2).with_wire_version(WIRE_VERSION - 1);
     let mut chan = TcpChannel::connect_timeout(&addr, TIMEOUT).unwrap();

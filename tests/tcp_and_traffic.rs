@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{rng, run_enhanced_pair, run_horizontal_pair, run_vertical_pair};
+use common::{rng, run_enhanced_pair, run_horizontal_pair, run_vertical_pair, HopClock};
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{
     run_mesh_local, run_participants, Participant, PartyData, SessionOutcome, WIRE_VERSION,
@@ -20,7 +20,9 @@ fn cfg(eps_sq: u64, min_pts: usize, bound: i64) -> ProtocolConfig {
 }
 
 /// Runs one participant over a real TCP socket: the accepting side listens
-/// on an ephemeral port, the connecting side dials it.
+/// on an ephemeral port, the connecting side dials it. Reads and writes
+/// time out after 10 s, so a session that deadlocks fails instead of
+/// hanging the suite.
 fn over_tcp(
     listener: Option<TcpListener>,
     addr: std::net::SocketAddr,
@@ -30,6 +32,8 @@ fn over_tcp(
         Some(listener) => TcpChannel::accept(&listener).unwrap(),
         None => TcpChannel::connect(addr).unwrap(),
     };
+    chan.set_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
     participant.run(&mut chan).unwrap()
 }
 
@@ -331,6 +335,137 @@ fn horizontal_resolve_spends_rounds_per_chunk_not_per_query() {
     let frames = a_out.traffic.total_rounds();
     println!("grid/1: {frames} frames");
     assert!(frames <= 60, "grid/1: {frames} frames");
+}
+
+/// One side of a horizontal session, seeded as `run_horizontal_pair` seeds
+/// it (Alice 1, Bob 2).
+fn horizontal_party(c: &ProtocolConfig, role: Party, points: &[Point]) -> Participant {
+    let seed = match role {
+        Party::Alice => 1,
+        Party::Bob => 2,
+    };
+    Participant::new(*c)
+        .role(role)
+        .data(PartyData::Horizontal(points.to_vec()))
+        .rng(rng(seed))
+}
+
+/// Runs one horizontal session in memory over a [`HopClock`] pair: Alice's
+/// and Bob's hops, and both outputs.
+fn clocked(
+    c: &ProtocolConfig,
+    alice: &[Point],
+    bob: &[Point],
+) -> ((u64, u64), PartyOutput, PartyOutput) {
+    let (a, b) = ppds_transport::duplex();
+    let (mut a, mut b) = HopClock::pair(a, b);
+    let alice = horizontal_party(c, Party::Alice, alice);
+    let bob = horizontal_party(c, Party::Bob, bob);
+    std::thread::scope(|scope| {
+        let bob = scope.spawn(move || bob.run(&mut b).map(|out| (out, b.hops())));
+        let (a_out, a_hops) = (alice.run(&mut a).unwrap(), a.hops());
+        let (b_out, b_hops) = bob.join().unwrap().unwrap();
+        ((a_hops, b_hops), a_out.output, b_out.output)
+    })
+}
+
+/// Pipelined resolve (wire v10), counted rather than timed. A link delay is
+/// paid once per frame on the longest chain of frames each sent after the
+/// one before it arrived, and [`HopClock`] counts that chain exactly: on
+/// the session of `horizontal_resolve_spends_rounds_per_chunk_not_per_query`
+/// (ten chunks a direction, exhaustive), Bob's clock must read `hops` and
+/// Alice's one less, over `frames` frames.
+fn assert_hops(
+    (backend, batching): (ppds_smc::BackendKind, bool),
+    dim: usize,
+    (hops, frames): (u64, u64),
+) {
+    use ppds_dbscan::datagen::{split_alternating, uniform_points};
+    let points = uniform_points(&mut rng(0x86), 200, dim, 28);
+    let (alice, bob) = split_alternating(&points);
+    let mut c = cfg(9, 4, 28).with_backend(backend).with_batching(batching);
+    // Hops and frames do not depend on the key size; a short key keeps the
+    // Paillier cell's 40,000 multiplications quick.
+    c.key_bits = 128;
+    let name = format!("{}/batching={batching}", backend.name());
+    let ((a_hops, b_hops), a_out, b_out) = clocked(&c, &alice, &bob);
+    let frames_seen = a_out.traffic.total_rounds();
+    println!("{name}: {b_hops} hops, {frames_seen} frames");
+    assert_eq!(
+        a_out.clustering,
+        dbscan_with_external_density(&alice, &bob, c.params),
+        "{name}"
+    );
+    assert_eq!(b_out.yao.comparisons, 20_000, "{name}");
+    assert_eq!((b_hops, a_hops + 1), (hops, hops), "{name}: hops");
+    assert_eq!(frames_seen, frames, "{name}: frames");
+}
+
+/// At dimension 2 a chunk is ≈ 36 KB in its heavier direction, so the
+/// sharing backend keeps two in flight: the responder posts chunk `i + 2`'s
+/// fold request as soon as chunk `i` settles, and the querier answers it at
+/// once. Same frames; 45 hops one chunk at a time, 25 now. At dimension 8
+/// a chunk is ≈ 84 KB, over the 64 KiB window, and one is in flight.
+#[test]
+fn pipelined_resolve_pays_link_delays_per_window_not_per_chunk() {
+    let sharing = (ppds_smc::BackendKind::Sharing, true);
+    assert_hops(sharing, 2, (25, 86));
+    assert_hops(sharing, 8, (45, 86));
+}
+
+/// The Paillier backend posts nothing ahead, so it keeps the
+/// one-chunk-at-a-time order, hop for hop.
+#[test]
+fn paillier_resolve_keeps_one_chunk_in_flight() {
+    assert_hops((ppds_smc::BackendKind::Paillier, true), 2, (85, 104));
+}
+
+/// So does the reference framing, a frame per pair and protocol message.
+#[test]
+fn unbatched_resolve_keeps_its_frame_order() {
+    let unbatched = (ppds_smc::BackendKind::Sharing, false);
+    assert_hops(unbatched, 2, (79_965, 80_006));
+}
+
+/// The window on its target deployment path: two blocking, single-threaded
+/// parties over loopback sockets. Each may be mid-`send` while the other
+/// is too, since a window stays within what TCP buffers hold; a deadlock
+/// would surface as a 10 s `Timeout` (see `over_tcp`), not a hang. Ten
+/// chunks a direction with two in flight, then one at a time at a dimension
+/// whose chunk outgrows the window: labels are the plaintext reference's,
+/// and the traffic is the in-memory run's, frame for frame.
+#[test]
+fn pipelined_resolve_over_real_sockets_neither_deadlocks_nor_moves_a_frame() {
+    use ppds_dbscan::datagen::uniform_points;
+    use ppds_smc::BackendKind;
+    let c = cfg(9, 4, 28)
+        .with_backend(BackendKind::Sharing)
+        .with_batching(true);
+    for dim in [2, 8] {
+        let points = uniform_points(&mut rng(0x86), 200, dim, 28);
+        let (alice, bob) = split_alternating(&points);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let alice_participant = horizontal_party(&c, Party::Alice, &alice);
+        let alice_thread =
+            std::thread::spawn(move || over_tcp(Some(listener), addr, alice_participant));
+        let tcp_b = over_tcp(None, addr, horizontal_party(&c, Party::Bob, &bob)).output;
+        let tcp_a = alice_thread.join().unwrap().output;
+        assert_eq!(
+            tcp_a.clustering,
+            dbscan_with_external_density(&alice, &bob, c.params),
+            "dim {dim}: alice labels"
+        );
+        assert_eq!(
+            tcp_b.clustering,
+            dbscan_with_external_density(&bob, &alice, c.params),
+            "dim {dim}: bob labels"
+        );
+        let (mem_a, mem_b) = run_horizontal_pair(&c, &alice, &bob, rng(1), rng(2)).unwrap();
+        assert_eq!(tcp_a.traffic, mem_a.traffic, "dim {dim}: alice traffic");
+        assert_eq!(tcp_b.traffic, mem_b.traffic, "dim {dim}: bob traffic");
+        assert_eq!(tcp_a.traffic.total_rounds(), 86, "dim {dim}: frames");
+    }
 }
 
 /// The acceptance test of the enhanced resolve phase: a batched session

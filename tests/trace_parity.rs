@@ -327,6 +327,73 @@ fn two_party_modes_are_byte_identical_traced_vs_untraced() {
     }
 }
 
+/// A pipelined resolve (wire v10) posts chunk `i + W`'s fold request while
+/// chunk `i` settles, so its spans are where a trace could stop nesting.
+/// 100 + 100 points on the sharing backend are ten chunks a direction, two
+/// in flight: the trace must replay, every `mul_batch` / `cmp_batch` span
+/// must sit inside a `resolve#` span, the top-level spans must tile the
+/// session, and tracing must not move a byte.
+#[test]
+fn pipelined_resolve_spans_nest_inside_their_chunks() {
+    use ppds_dbscan::datagen::uniform_points;
+    use ppds_smc::BackendKind;
+    let points = uniform_points(&mut rng(0x86), 200, 2, 28);
+    let (alice, bob) = split_alternating(&points);
+    let cfg = ProtocolConfig::new(
+        DbscanParams {
+            eps_sq: 9,
+            min_pts: 4,
+        },
+        28,
+    )
+    .with_backend(BackendKind::Sharing)
+    .with_batching(true);
+    let data = || {
+        (
+            PartyData::Horizontal(alice.clone()),
+            PartyData::Horizontal(bob.clone()),
+        )
+    };
+    let (a, b) = data();
+    let (u_a, u_b, u_ha, u_hb) = run_pair(&cfg, a, b, false);
+    let (a, b) = data();
+    let (t_a, t_b, t_ha, t_hb) = run_pair(&cfg, a, b, true);
+    assert_same_session("pipelined/alice", &u_a, &t_a);
+    assert_same_session("pipelined/bob", &u_b, &t_b);
+    assert_eq!((u_ha, u_hb), (t_ha, t_hb), "wire bytes must be identical");
+    let trace = t_a.trace.as_ref().expect("alice opted in");
+    assert_trace_accounts("pipelined", trace, t_a.output.traffic);
+
+    let mut open: Vec<&str> = Vec::new();
+    let (mut chunks, mut smc_spans) = (0, 0);
+    for event in &trace.events {
+        match event.kind {
+            SpanKind::Begin => {
+                let label = event.label.as_str();
+                if label.starts_with("resolve#") {
+                    chunks += 1;
+                }
+                if label == "mul_batch" || label == "cmp_batch" {
+                    smc_spans += 1;
+                    assert!(
+                        open.iter().any(|l| l.starts_with("resolve#")),
+                        "{label} outside every chunk, under {open:?}"
+                    );
+                }
+                open.push(label);
+            }
+            SpanKind::End => {
+                open.pop();
+            }
+        }
+    }
+    assert_eq!(chunks, 20, "ten chunks a direction");
+    // Per chunk Alice answers a fold and posts her half of the open as the
+    // querier, then settles it; as the responder she posts a fold request,
+    // settles it and compares — three and three spans.
+    assert_eq!(smc_spans, 10 * 3 + 10 * 3);
+}
+
 #[test]
 fn multiparty_mesh_is_byte_identical_traced_vs_untraced() {
     let all = blobs(18, 9_300);
