@@ -30,7 +30,8 @@
 //! the same stream when it does not. No chunk reads another's verdicts, so
 //! where the backend can ship a chunk's opening messages ahead
 //! ([`SmcBackend::split_exchange_bytes`]) a window of chunks is in flight at
-//! once, within `prune::WINDOW_BYTES` of the chunk being settled.
+//! once, as many as leave no state where both parties send with both unread
+//! backlogs above `prune::WINDOW_BYTES`.
 //!
 //! The querier ends with the *count* of matching responder points per
 //! query (the Theorem 9 leakage); because the responder permutes his
@@ -64,13 +65,13 @@ struct Schedule {
     /// pair count. A run without pairs costs no frame and no chunk index on
     /// either side, so it is left out.
     chunks: Vec<(Range<usize>, usize)>,
-    /// Chunks in flight at once: the largest `W` for which `W − 1` times
-    /// the heavier direction's bytes of the largest chunk stay within
-    /// [`WINDOW_BYTES`] — or 1, one chunk at a time in the unsplit calls'
-    /// frame order, when the backend posts nothing ahead. Never more than
-    /// there are chunks, so chunk `c` may keep its state in slot
-    /// `c % window` of a vector of `window`: the chunk `window` places
-    /// before it has settled by the time it is posted.
+    /// Chunks in flight at once: the largest `W` whose [`need`] for the
+    /// largest chunk's bytes each way stays within [`WINDOW_BYTES`] — or 1,
+    /// one chunk at a time in the unsplit calls' frame order, when the
+    /// backend posts nothing ahead. Never more than there are chunks, so
+    /// chunk `c` may keep its state in slot `c % window` of a vector of
+    /// `window`: the chunk `window` places before it has settled by the
+    /// time it is posted.
     window: usize,
     /// Pair `i` of a chunk keys its randomness by `records[i]`.
     records: Vec<RecordId>,
@@ -95,8 +96,13 @@ impl Schedule {
         let largest = chunks.iter().map(|&(_, pairs)| pairs).max().unwrap_or(0);
         let window = backend
             .split_exchange_bytes(largest, dim)
-            .map_or(1, |bytes| 1 + WINDOW_BYTES / bytes.max(1))
-            .clamp(1, chunks.len().max(1));
+            .map_or(1, |bytes| {
+                // `need` grows with the window, so the first misfit ends it.
+                (2..=chunks.len())
+                    .take_while(|&window| need(window, bytes) <= WINDOW_BYTES)
+                    .last()
+                    .unwrap_or(1)
+            });
         Schedule {
             chunks,
             window,
@@ -113,6 +119,25 @@ impl Schedule {
     fn slot(&self, chunk: usize) -> usize {
         chunk % self.window
     }
+}
+
+/// The most the smaller of the two unread backlogs can be at any state of a
+/// `window`-chunk resolve in which both parties are in `send`, when a chunk
+/// is `responder` bytes one way (fold requests and his half of the open)
+/// and `querier` bytes back (fold replies and her half). Two
+/// single-threaded parties deadlock only if both block in `send`, which
+/// needs both backlogs beyond what the sockets buffer, so a window is safe
+/// when this stays within that buffering (DESIGN.md §7, *Why 64 KiB*). With
+/// the responder `m` chunks posted past what the querier has read, the
+/// querier is at most `window − m` chunks past what he has read:
+/// `max over m in 1..window of min(m·responder, (window − m)·querier)`.
+/// The tests below replay both loops and find this exact once there are
+/// `2 · window` chunks, and an overestimate with fewer.
+fn need(window: usize, (responder, querier): (usize, usize)) -> usize {
+    (1..window)
+        .map(|m| (m * responder).min((window - m) * querier))
+        .max()
+        .unwrap_or(0)
 }
 
 /// A chunk's comparisons must answer every one of its pairs.
@@ -674,6 +699,127 @@ mod tests {
         }
         // The doubling fits, the sum does not.
         assert!(responder_operand(i64::MAX, 1, &domain).is_err());
+    }
+
+    /// One step of a side of a resolve direction, replayed without a wire.
+    #[derive(Clone, Copy)]
+    enum Op {
+        /// Ships a frame of this many bytes.
+        Send(usize),
+        /// Reads the peer's next frame.
+        Recv,
+    }
+
+    /// Both sides of `schedule`'s loops, in their order — the responder's
+    /// frames `(fold request, his half of the open)` a chunk, the querier's
+    /// `(fold reply, her half)` — as the responder's program and the
+    /// querier's.
+    fn programs(
+        schedule: &Schedule,
+        (request, bob): (usize, usize),
+        (reply, alice): (usize, usize),
+    ) -> (Vec<Op>, Vec<Op>) {
+        let (mut responder, mut querier) = (Vec::new(), Vec::new());
+        let mut posted = 0;
+        for chunk in 0..schedule.chunks.len() {
+            for _ in posted..schedule.posted_by(chunk) {
+                responder.push(Op::Send(request));
+                querier.extend([Op::Recv, Op::Send(reply), Op::Send(alice)]);
+            }
+            posted = schedule.posted_by(chunk);
+            responder.extend([Op::Recv, Op::Recv, Op::Send(bob)]);
+            querier.push(Op::Recv);
+        }
+        (responder, querier)
+    }
+
+    /// Per step of a program: frames sent and frames read before it; and
+    /// the bytes of its first `k` frames, by `k`.
+    fn replay(ops: &[Op]) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let (mut before, mut stream, mut read) = (Vec::new(), vec![0], 0);
+        for op in ops {
+            before.push((stream.len() - 1, read));
+            match *op {
+                Op::Send(bytes) => stream.push(stream[stream.len() - 1] + bytes),
+                Op::Recv => read += 1,
+            }
+        }
+        (before, stream)
+    }
+
+    /// By brute force: every pair of send steps the two programs can be at
+    /// together — each has read no frame the other has not sent — and at
+    /// each the smaller of the two unread backlogs, the frame in `send`
+    /// included. Returns the largest.
+    fn worst_both_sending(a: &[Op], b: &[Op]) -> usize {
+        let ((a_before, a_stream), (b_before, b_stream)) = (replay(a), replay(b));
+        let sends = |ops: &[Op]| -> Vec<usize> {
+            (0..ops.len())
+                .filter(|&i| matches!(ops[i], Op::Send(_)))
+                .collect()
+        };
+        let mut worst = 0;
+        for i in sends(a) {
+            for j in sends(b) {
+                let ((a_sent, a_read), (b_sent, b_read)) = (a_before[i], b_before[j]);
+                if a_read > b_sent || b_read > a_sent {
+                    continue;
+                }
+                let a_unread = a_stream[a_sent + 1] - a_stream[b_read];
+                let b_unread = b_stream[b_sent + 1] - b_stream[a_read];
+                worst = worst.max(a_unread.min(b_unread));
+            }
+        }
+        worst
+    }
+
+    /// [`need`] against the brute force over the windowed loops, for the
+    /// sharing backend's frames at every dimension up to 8: never below it,
+    /// and equal to it once there are chunks enough to fill the window both
+    /// ways (checked up to 12 chunks, so for windows up to 6).
+    #[test]
+    fn the_window_bound_is_the_worst_state_where_both_parties_send() {
+        const PAIRS: usize = 1000;
+        let backend = SharingBackend {
+            tape: DealerTape::from_seed(4242),
+            batching: true,
+            dot_mask_bound: 1 << 20,
+        };
+        // Each half of the open is one element a pair, in a frame.
+        let open = ppds_transport::FRAME_OVERHEAD_BYTES as usize + 8 * PAIRS;
+        for dim in 1..=8 {
+            let bytes = backend.split_exchange_bytes(PAIRS, dim).unwrap();
+            let frames = ((bytes.0 - open, open), (bytes.1 - open, open));
+            for window in 1..=8 {
+                for chunks in 1..=12 {
+                    let schedule = Schedule {
+                        chunks: vec![(0..1, PAIRS); chunks],
+                        window,
+                        records: Vec::new(),
+                    };
+                    let (responder, querier) = programs(&schedule, frames.0, frames.1);
+                    let worst = worst_both_sending(&responder, &querier);
+                    let bound = need(window, bytes);
+                    let case = format!("dim {dim}, window {window}, {chunks} chunks");
+                    assert!(bound >= worst, "{case}: need {bound} < {worst}");
+                    // Fewer chunks never fill the window both ways at once.
+                    if window > 1 && chunks >= 2 * window {
+                        assert_eq!(bound, worst, "{case}: the bound is exact");
+                    }
+                }
+            }
+        }
+        // DESIGN.md §7's table: dimension 2, `need` at windows 2 to 5.
+        let dim2 = backend.split_exchange_bytes(PAIRS, 2).unwrap();
+        assert_eq!(dim2, (28_008, 36_008));
+        let needs: Vec<usize> = (2..=5).map(|window| need(window, dim2)).collect();
+        assert_eq!(needs, [28_008, 36_008, 56_016, 72_016]);
+        // Ten 1,000-pair chunks: what the 100 + 100 sessions run.
+        for (dim, window) in [(2, 4), (6, 2), (8, 1)] {
+            let schedule = Schedule::new(&backend, 100, |_| 100, dim);
+            assert_eq!(schedule.chunks.len(), 10);
+            assert_eq!(schedule.window, window, "dim {dim}");
+        }
     }
 
     #[test]

@@ -53,11 +53,11 @@ pub(crate) fn local_index<'a>(
 /// lockstep session still reports progress ~25 times.
 pub(crate) const PAIR_CHUNK: usize = 1024;
 
-/// Bytes a horizontal resolve direction may have posted ahead of the chunk
-/// in exchange, in either direction (DESIGN.md §7, *Pipelined resolve*):
-/// enough to keep a link busy while a chunk's replies travel, and below
-/// what default TCP buffering holds, so that a single-threaded party never
-/// waits in `send` on a peer that is itself waiting in `send`.
+/// The most a horizontal resolve window may leave as the smaller unread
+/// backlog at any state where both parties send (DESIGN.md §7, *Why
+/// 64 KiB*): enough to keep a link busy while a chunk's replies travel, and
+/// below what default TCP buffering holds, so that a single-threaded party
+/// never waits in `send` on a peer that is itself waiting in `send`.
 pub(crate) const WINDOW_BYTES: usize = 64 << 10;
 
 /// Streams every unordered candidate pair `(x, y)`, `x < y`, of an

@@ -97,8 +97,14 @@ use std::sync::Arc;
 /// across chunks alone (a window of chunks in flight, the responder posting
 /// chunk `i + W`'s fold request as soon as chunk `i` settles — the same
 /// frames), so a v9 peer is refused here rather than reading a fold request
-/// where it expects an open.
-pub const WIRE_VERSION: u32 = 10;
+/// where it expects an open; `11` is skipped, because the legacy `Vec<u64>`
+/// metadata frame carries eleven values and its length prefix reads as
+/// version 11, so a build at 11 would take that frame for its own; `12`
+/// sizes that window by the both-blocked bound instead of each backlog (up
+/// to four chunks in flight where v10 kept two — the same frames), so a v10
+/// peer is refused here rather than reading a fold request where it expects
+/// an open.
+pub const WIRE_VERSION: u32 = 12;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

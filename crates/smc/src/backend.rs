@@ -265,12 +265,12 @@ pub trait SmcBackend {
     // which is what `None` from `split_exchange_bytes` asks for — puts the
     // unsplit call's frames on the wire in the unsplit call's order.
 
-    /// Wire bytes, in its heavier direction, of one exchange of `groups`
-    /// keyholder folds of `len` elements each followed by one comparison a
-    /// group (the keyholder comparing as [`Party::Bob`]) — when this
-    /// backend's `*_post` halves ship ahead. `None` (the default) when they
-    /// post nothing.
-    fn split_exchange_bytes(&self, _groups: usize, _len: usize) -> Option<usize> {
+    /// Wire bytes each way, `(keyholder → peer, peer → keyholder)`, of one
+    /// exchange of `groups` keyholder folds of `len` elements each followed
+    /// by one comparison a group (the keyholder comparing as [`Party::Bob`])
+    /// — when this backend's `*_post` halves ship ahead. `None` (the
+    /// default) when they post nothing.
+    fn split_exchange_bytes(&self, _groups: usize, _len: usize) -> Option<(usize, usize)> {
         None
     }
 
@@ -800,13 +800,14 @@ impl SmcBackend for SharingBackend {
     // one receive. The reference framing interleaves an item's send and
     // receive, so it keeps the unsplit calls.
 
-    fn split_exchange_bytes(&self, groups: usize, len: usize) -> Option<usize> {
-        // Peer to keyholder, per group: a fold reply `(E, s)` — a `u32`
-        // count and `len + 1` elements — and Alice's share of the open; the
-        // other way carries one element a group less.
+    fn split_exchange_bytes(&self, groups: usize, len: usize) -> Option<(usize, usize)> {
+        // Two frames each way. Keyholder to peer, per group: a masked vector
+        // `D` — a `u32` count and `len` elements — and Bob's share of the
+        // open; the other way a fold reply `(E, s)`, one element more, and
+        // Alice's share.
         let frames = 2 * FRAME_OVERHEAD_BYTES as usize;
-        self.batching
-            .then_some(frames + groups * (4 + 8 * (len + 1) + 8))
+        let keyholder = frames + groups * (4 + 8 * len + 8);
+        self.batching.then_some((keyholder, keyholder + 8 * groups))
     }
 
     fn mul_fold_keyholder_post<C: Channel>(
@@ -992,7 +993,7 @@ impl SmcBackend for AnyBackend<'_> {
         dispatch!(self, b => b.mul_fold_peer(chan, groups, records, ctx, acct))
     }
 
-    fn split_exchange_bytes(&self, groups: usize, len: usize) -> Option<usize> {
+    fn split_exchange_bytes(&self, groups: usize, len: usize) -> Option<(usize, usize)> {
         dispatch!(self, b => b.split_exchange_bytes(groups, len))
     }
 
@@ -1065,5 +1066,77 @@ mod tests {
         assert_eq!(clamp_sharing_bound(&BigUint::from_u64(100)), 100);
         let wide = BigUint::from_u64(u64::MAX);
         assert_eq!(clamp_sharing_bound(&(&wide * &wide)), MAX_SHARING_MASK);
+    }
+
+    /// The seam's figures are the bytes the wire carries: one real batched
+    /// exchange of 1,000 folds and their comparisons, through the split
+    /// halves a resolve window uses, against what each side's channel
+    /// counted as sent. A codec change that grew a frame would otherwise
+    /// leave the window sized for the old bytes.
+    #[test]
+    fn split_exchange_bytes_are_the_bytes_each_side_sends() {
+        use crate::test_helpers::ctx;
+        let backend = SharingBackend {
+            tape: DealerTape::from_seed(27),
+            batching: true,
+            dot_mask_bound: 1 << 20,
+        };
+        let domain = ComparisonDomain::symmetric(1 << 40);
+        let records: Vec<RecordId> = (0..1000).collect();
+        for len in [1, 2, 8] {
+            let groups: Vec<Vec<i64>> = (0..1000).map(|g| vec![g % 7 - 3; len]).collect();
+            let (mut kchan, mut pchan) = ppds_transport::duplex();
+            let sent = std::thread::scope(|scope| {
+                let peer = scope.spawn(|| {
+                    let (mut acct, cctx) = (SharingLedger::default(), ctx(2));
+                    let cmp_ctx = cctx.narrow("cmp");
+                    let values = vec![0; groups.len()];
+                    backend
+                        .mul_fold_peer(&mut pchan, &groups, &records, &cctx, &mut acct)
+                        .unwrap();
+                    backend
+                        .compare_batch_post(&mut pchan, &values, &cmp_ctx)
+                        .unwrap();
+                    backend
+                        .compare_batch_finish(
+                            &mut pchan,
+                            &values,
+                            CmpOp::Leq,
+                            &domain,
+                            &cmp_ctx,
+                            &mut acct,
+                        )
+                        .unwrap();
+                    pchan.metrics().bytes_sent
+                });
+                let (mut acct, cctx) = (SharingLedger::default(), ctx(1));
+                backend
+                    .mul_fold_keyholder_post(&mut kchan, &groups, &records, &cctx)
+                    .unwrap();
+                let inner = backend
+                    .mul_fold_keyholder_finish(&mut kchan, &groups, &records, &cctx, &mut acct)
+                    .unwrap();
+                let cmp_ctx = cctx.narrow("cmp");
+                backend
+                    .compare_batch(
+                        &mut kchan,
+                        Party::Bob,
+                        &inner,
+                        CmpOp::Leq,
+                        &domain,
+                        &cmp_ctx,
+                        &mut acct,
+                    )
+                    .unwrap();
+                (kchan.metrics().bytes_sent, peer.join().unwrap())
+            });
+            let (keyholder, peer) = backend.split_exchange_bytes(groups.len(), len).unwrap();
+            assert_eq!(sent, (keyholder as u64, peer as u64), "len {len}");
+        }
+        let unbatched = SharingBackend {
+            batching: false,
+            ..backend
+        };
+        assert_eq!(unbatched.split_exchange_bytes(1000, 2), None);
     }
 }

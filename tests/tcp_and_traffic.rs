@@ -401,15 +401,17 @@ fn assert_hops(
     assert_eq!(frames_seen, frames, "{name}: frames");
 }
 
-/// At dimension 2 a chunk is ≈ 36 KB in its heavier direction, so the
-/// sharing backend keeps two in flight: the responder posts chunk `i + 2`'s
+/// At dimension 2 a chunk is ≈ 28 KB one way and ≈ 36 KB back, so the
+/// sharing backend keeps four in flight: the responder posts chunk `i + 4`'s
 /// fold request as soon as chunk `i` settles, and the querier answers it at
-/// once. Same frames; 45 hops one chunk at a time, 25 now. At dimension 8
-/// a chunk is ≈ 84 KB, over the 64 KiB window, and one is in flight.
+/// once. Same frames; 45 hops one chunk at a time, 17 now. At dimension 6
+/// (≈ 60 and 68 KB) two are in flight; at dimension 8 a chunk is ≈ 76 KB
+/// one way, over the 64 KiB budget by itself, and one is.
 #[test]
 fn pipelined_resolve_pays_link_delays_per_window_not_per_chunk() {
     let sharing = (ppds_smc::BackendKind::Sharing, true);
-    assert_hops(sharing, 2, (25, 86));
+    assert_hops(sharing, 2, (17, 86));
+    assert_hops(sharing, 6, (25, 86));
     assert_hops(sharing, 8, (45, 86));
 }
 
@@ -431,9 +433,9 @@ fn unbatched_resolve_keeps_its_frame_order() {
 /// parties over loopback sockets. Each may be mid-`send` while the other
 /// is too, since a window stays within what TCP buffers hold; a deadlock
 /// would surface as a 10 s `Timeout` (see `over_tcp`), not a hang. Ten
-/// chunks a direction with two in flight, then one at a time at a dimension
-/// whose chunk outgrows the window: labels are the plaintext reference's,
-/// and the traffic is the in-memory run's, frame for frame.
+/// chunks a direction with four in flight, then two, then one at a time at
+/// a dimension whose chunk outgrows the budget: labels are the plaintext
+/// reference's, and the traffic is the in-memory run's, frame for frame.
 #[test]
 fn pipelined_resolve_over_real_sockets_neither_deadlocks_nor_moves_a_frame() {
     use ppds_dbscan::datagen::uniform_points;
@@ -441,7 +443,7 @@ fn pipelined_resolve_over_real_sockets_neither_deadlocks_nor_moves_a_frame() {
     let c = cfg(9, 4, 28)
         .with_backend(BackendKind::Sharing)
         .with_batching(true);
-    for dim in [2, 8] {
+    for dim in [2, 6, 8] {
         let points = uniform_points(&mut rng(0x86), 200, dim, 28);
         let (alice, bob) = split_alternating(&points);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -465,6 +467,50 @@ fn pipelined_resolve_over_real_sockets_neither_deadlocks_nor_moves_a_frame() {
         assert_eq!(tcp_a.traffic, mem_a.traffic, "dim {dim}: alice traffic");
         assert_eq!(tcp_b.traffic, mem_b.traffic, "dim {dim}: bob traffic");
         assert_eq!(tcp_a.traffic.total_rounds(), 86, "dim {dim}: frames");
+    }
+}
+
+/// The window's deadlock bound against a socket that buffers no more than
+/// the budget the window is sized by (`prune::WINDOW_BYTES`, 64 KiB) rather
+/// than loopback's larger buffers: each direction of a [`Buffered`] pair
+/// holds at most that many unread bytes and blocks its sender beyond them,
+/// and every read lags 300 µs, so senders run ahead until the buffers fill.
+/// Two parties both blocked in `send` would fail with a 10 s `Timeout`.
+/// Dimensions 1 to 8 take windows of six chunks down to one.
+#[test]
+fn pipelined_resolve_fits_a_socket_that_buffers_only_the_window_budget() {
+    use common::Buffered;
+    use ppds_dbscan::datagen::uniform_points;
+    use ppds_smc::BackendKind;
+    use std::time::Duration;
+    const WINDOW_BYTES: usize = 64 << 10;
+    let c = cfg(9, 4, 28)
+        .with_backend(BackendKind::Sharing)
+        .with_batching(true);
+    for dim in 1..=8 {
+        let points = uniform_points(&mut rng(0x86), 200, dim, 28);
+        let (alice, bob) = split_alternating(&points);
+        let (a, b) = ppds_transport::duplex();
+        let (lag, patience) = (Duration::from_micros(300), Duration::from_secs(10));
+        let (mut a, mut b) = Buffered::pair(a, b, WINDOW_BYTES, lag, patience);
+        let alice_party = horizontal_party(&c, Party::Alice, &alice);
+        let bob_party = horizontal_party(&c, Party::Bob, &bob);
+        let (a_out, b_out) = std::thread::scope(|scope| {
+            let bob_run = scope.spawn(move || bob_party.run(&mut b));
+            let a_out = alice_party.run(&mut a);
+            (a_out, bob_run.join().unwrap())
+        });
+        let (a_out, b_out) = (a_out.unwrap().output, b_out.unwrap().output);
+        assert_eq!(
+            a_out.clustering,
+            dbscan_with_external_density(&alice, &bob, c.params),
+            "dim {dim}: alice labels"
+        );
+        assert_eq!(
+            b_out.clustering,
+            dbscan_with_external_density(&bob, &alice, c.params),
+            "dim {dim}: bob labels"
+        );
     }
 }
 
