@@ -686,16 +686,27 @@ fn bench_backend_workhorses(c: &mut Criterion) {
             b.iter(|| {
                 let (mut kchan, mut pchan) = duplex();
                 let g2 = groups_fe.clone();
+                // Each group is its own query, one fold a group as on the
+                // Paillier leg.
                 let handle = std::thread::spawn(move || {
                     let mut acct = SharingLedger::default();
-                    sharing_fold_keyholder(&tape, &mut kchan, &g2, |g| ctx.at(g as u64), &mut acct)
-                        .unwrap()
+                    let scopes = |g| ctx.at(g as u64);
+                    sharing_fold_keyholder(
+                        &tape,
+                        &mut kchan,
+                        &g2,
+                        &[1; 256][..k],
+                        scopes,
+                        &mut acct,
+                    )
+                    .unwrap()
                 });
                 let mut acct = SharingLedger::default();
                 sharing_fold_peer(
                     &tape,
                     &mut pchan,
                     &groups_fe,
+                    &[1; 256][..k],
                     |g| ctx.at(g as u64),
                     &mut acct,
                 )

@@ -18,7 +18,10 @@
 //! Both stages run through the session's [`SmcBackend`] — the Paillier
 //! substrate reproduces the direct homomorphic calls byte-for-byte, the
 //! sharing substrate replaces them with Beaver folds and masked opens over
-//! `Z_2^64` (same dataflow, 8-byte elements; see DESIGN.md §14).
+//! `Z_2^64` (same dataflow, 8-byte elements). The drivers hand the fold
+//! each query's point once with the number of points it is served, so the
+//! sharing fold masks the querier's point once a query, not once a pair
+//! (DESIGN.md §14, *The query-shaped fold*).
 //!
 //! The paper asks one query per core-point test. The answer is a function
 //! of the query point alone and DBSCAN tests every point, so the drivers
@@ -66,12 +69,12 @@ struct Schedule {
     /// either side, so it is left out.
     chunks: Vec<(Range<usize>, usize)>,
     /// Chunks in flight at once: the largest `W` whose [`need`] for the
-    /// largest chunk's bytes each way stays within [`WINDOW_BYTES`] — or 1,
-    /// one chunk at a time in the unsplit calls' frame order, when the
-    /// backend posts nothing ahead. Never more than there are chunks, so
-    /// chunk `c` may keep its state in slot `c % window` of a vector of
-    /// `window`: the chunk `window` places before it has settled by the
-    /// time it is posted.
+    /// bytes each way of a chunk with the most pairs and the most queries
+    /// served anything stays within [`WINDOW_BYTES`] — or 1, one chunk at a
+    /// time in the unsplit calls' frame order, when the backend posts
+    /// nothing ahead. Never more than there are chunks, so chunk `c` may
+    /// keep its state in slot `c % window` of a vector of `window`: the
+    /// chunk `window` places before it has settled by the time it is posted.
     window: usize,
     /// Pair `i` of a chunk keys its randomness by `records[i]`.
     records: Vec<RecordId>,
@@ -84,18 +87,20 @@ impl Schedule {
         served: impl Fn(usize) -> usize,
         dim: usize,
     ) -> Schedule {
-        let mut chunks = Vec::new();
+        let (mut chunks, mut most_queries) = (Vec::new(), 0);
         let mut start = 0;
         while start < queries {
             let (end, pairs) = query_chunk(start, queries, &served);
             if pairs > 0 {
                 chunks.push((start..end, pairs));
+                let asked = (start..end).filter(|&q| served(q) > 0).count();
+                most_queries = most_queries.max(asked);
             }
             start = end;
         }
         let largest = chunks.iter().map(|&(_, pairs)| pairs).max().unwrap_or(0);
         let window = backend
-            .split_exchange_bytes(largest, dim)
+            .split_exchange_bytes(largest, most_queries, dim)
             .map_or(1, |bytes| {
                 // `need` grows with the window, so the first misfit ends it.
                 (2..=chunks.len())
@@ -205,7 +210,7 @@ pub fn hdp_resolve_querier<C: Channel, B: SmcBackend>(
     let mut counts = vec![0usize; queries.len()];
     // The stage-2 inputs of every chunk answered and not yet settled.
     let mut unsettled: Vec<Vec<i64>> = vec![Vec::new(); schedule.window];
-    let mut groups = Vec::new();
+    let (mut points, mut per_query) = (Vec::new(), Vec::new());
     let mut answered = 0;
     for (chunk, (run, pairs)) in schedule.chunks.iter().enumerate() {
         let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
@@ -213,20 +218,21 @@ pub fn hdp_resolve_querier<C: Channel, B: SmcBackend>(
             let (run, pairs) = &schedule.chunks[answered];
             let cctx = resolve_ctx.at(answered as u64);
             let values = &mut unsettled[schedule.slot(answered)];
-            groups.clear();
+            points.clear();
+            per_query.clear();
             for q in run.clone() {
                 let query = &queries[q];
                 let i_val =
                     i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice");
-                for _ in 0..served(q) {
-                    // Every group of a query is the same vector, once per
-                    // responder point.
-                    groups.push(query.coords().to_vec());
-                    values.push(i_val);
-                }
+                // A query's point is folded once against every responder
+                // point it is served.
+                let count = served(q);
+                points.push(query.coords());
+                per_query.push(count);
+                values.extend(std::iter::repeat_n(i_val, count));
             }
             let records = &schedule.records[..*pairs];
-            backend.mul_fold_peer(chan, &groups, records, &cctx, acct)?;
+            backend.mul_fold_queries_peer(chan, &points, &per_query, records, &cctx, acct)?;
             backend.compare_batch_post(chan, values, &cctx.narrow("cmp"))?;
             answered += 1;
         }
@@ -269,8 +275,8 @@ pub trait ServedSets {
 ///
 /// Chunks run in a window (DESIGN.md §7, *Pipelined resolve*): the
 /// responder posts chunk `i + W`'s fold request as soon as chunk `i`
-/// settles. A chunk's permuted points are built when it is posted and
-/// dropped when it settles, so only the window is ever held.
+/// settles. A chunk's permuted point indices are drawn when it is posted and
+/// dropped when it settles, so only the window's indices are ever held.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
     chan: &mut C,
@@ -295,14 +301,19 @@ pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
     let perm_ctx = ctx.narrow("perm");
     let schedule = Schedule::new(backend, queries, |q| served.count(q), dim);
     // Every posted chunk not yet settled: its served points in permuted
-    // order, and their coordinates.
-    let mut unsettled: Vec<(Vec<usize>, Vec<Vec<i64>>)> = vec![Default::default(); schedule.window];
+    // order and how many each query was served; the points' coordinates are
+    // read from `my_points` where the chunk is posted and where it settles.
+    let mut unsettled: Vec<(Vec<usize>, Vec<usize>)> = vec![Default::default(); schedule.window];
+    let coords = |order: &[usize]| -> Vec<&[i64]> {
+        order.iter().map(|&idx| my_points[idx].coords()).collect()
+    };
     let mut posted = 0;
     for (chunk, &(_, pairs)) in schedule.chunks.iter().enumerate() {
         let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
         while posted < schedule.posted_by(chunk) {
             let (run, pairs) = &schedule.chunks[posted];
             let mut order = Vec::with_capacity(*pairs);
+            let mut per_query = Vec::with_capacity(run.len());
             for q in run.clone() {
                 let from = order.len();
                 served.extend(q, &mut order);
@@ -312,21 +323,20 @@ pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
                     "query {q} is served the set it was counted for"
                 );
                 order[from..].shuffle(&mut perm_ctx.at(q as u64).rng());
+                per_query.push(order.len() - from);
             }
-            let groups: Vec<Vec<i64>> = order
-                .iter()
-                .map(|&idx| my_points[idx].coords().to_vec())
-                .collect();
             let (records, cctx) = (&schedule.records[..*pairs], resolve_ctx.at(posted as u64));
-            backend.mul_fold_keyholder_post(chan, &groups, records, &cctx)?;
-            unsettled[schedule.slot(posted)] = (order, groups);
+            let points = coords(&order);
+            backend.mul_fold_keyholder_post(chan, &points, &per_query, records, &cctx)?;
+            unsettled[schedule.slot(posted)] = (order, per_query);
             posted += 1;
         }
-        let (order, groups) = std::mem::take(&mut unsettled[schedule.slot(chunk)]);
+        let (order, per_query) = std::mem::take(&mut unsettled[schedule.slot(chunk)]);
         ledger.record_many(cfg.key_bits, domain.n0(), pairs as u64);
         let (records, cctx) = (&schedule.records[..pairs], resolve_ctx.at(chunk as u64));
+        let points = coords(&order);
         let inner_products =
-            backend.mul_fold_keyholder_finish(chan, &groups, records, &cctx, acct)?;
+            backend.mul_fold_keyholder_finish(chan, &points, &per_query, records, &cctx, acct)?;
         let values = order
             .iter()
             .zip(inner_products)
@@ -774,9 +784,10 @@ mod tests {
     }
 
     /// [`need`] against the brute force over the windowed loops, for the
-    /// sharing backend's frames at every dimension up to 8: never below it,
-    /// and equal to it once there are chunks enough to fill the window both
-    /// ways (checked up to 12 chunks, so for windows up to 6).
+    /// sharing backend's frames at every dimension up to 8 and chunks of one
+    /// query, ten and a thousand: never below it, and equal to it once there
+    /// are chunks enough to fill the window both ways (checked up to 20
+    /// chunks, so for every window a 100 + 100 session can take).
     #[test]
     fn the_window_bound_is_the_worst_state_where_both_parties_send() {
         const PAIRS: usize = 1000;
@@ -788,34 +799,43 @@ mod tests {
         // Each half of the open is one element a pair, in a frame.
         let open = ppds_transport::FRAME_OVERHEAD_BYTES as usize + 8 * PAIRS;
         for dim in 1..=8 {
-            let bytes = backend.split_exchange_bytes(PAIRS, dim).unwrap();
-            let frames = ((bytes.0 - open, open), (bytes.1 - open, open));
-            for window in 1..=8 {
-                for chunks in 1..=12 {
-                    let schedule = Schedule {
-                        chunks: vec![(0..1, PAIRS); chunks],
-                        window,
-                        records: Vec::new(),
-                    };
-                    let (responder, querier) = programs(&schedule, frames.0, frames.1);
-                    let worst = worst_both_sending(&responder, &querier);
-                    let bound = need(window, bytes);
-                    let case = format!("dim {dim}, window {window}, {chunks} chunks");
-                    assert!(bound >= worst, "{case}: need {bound} < {worst}");
-                    // Fewer chunks never fill the window both ways at once.
-                    if window > 1 && chunks >= 2 * window {
-                        assert_eq!(bound, worst, "{case}: the bound is exact");
+            for queries in [1, 10, PAIRS] {
+                let bytes = backend.split_exchange_bytes(PAIRS, queries, dim).unwrap();
+                let frames = ((bytes.0 - open, open), (bytes.1 - open, open));
+                for window in 1..=10 {
+                    for chunks in 1..=20 {
+                        let schedule = Schedule {
+                            chunks: vec![(0..1, PAIRS); chunks],
+                            window,
+                            records: Vec::new(),
+                        };
+                        let (responder, querier) = programs(&schedule, frames.0, frames.1);
+                        let worst = worst_both_sending(&responder, &querier);
+                        let bound = need(window, bytes);
+                        let case = format!(
+                            "dim {dim}, {queries} queries, window {window}, {chunks} chunks"
+                        );
+                        assert!(bound >= worst, "{case}: need {bound} < {worst}");
+                        // Fewer chunks never fill the window both ways at once.
+                        if window > 1 && chunks >= 2 * window {
+                            assert_eq!(bound, worst, "{case}: the bound is exact");
+                        }
                     }
                 }
             }
         }
-        // DESIGN.md §7's table: dimension 2, `need` at windows 2 to 5.
-        let dim2 = backend.split_exchange_bytes(PAIRS, 2).unwrap();
-        assert_eq!(dim2, (28_008, 36_008));
-        let needs: Vec<usize> = (2..=5).map(|window| need(window, dim2)).collect();
-        assert_eq!(needs, [28_008, 36_008, 56_016, 72_016]);
-        // Ten 1,000-pair chunks: what the 100 + 100 sessions run.
-        for (dim, window) in [(2, 4), (6, 2), (8, 1)] {
+        // DESIGN.md §7's table: dimension 2, ten queries a chunk, `need` at
+        // windows 2 to 8.
+        let dim2 = backend.split_exchange_bytes(PAIRS, 10, 2).unwrap();
+        assert_eq!(dim2, (24_008, 16_168));
+        let needs: Vec<usize> = (2..=8).map(|window| need(window, dim2)).collect();
+        assert_eq!(
+            needs,
+            [16_168, 24_008, 32_336, 48_016, 48_504, 64_672, 72_024]
+        );
+        // Ten 1,000-pair chunks of ten queries: what the 100 + 100 sessions
+        // run.
+        for (dim, window) in [(2, 7), (6, 5), (8, 4)] {
             let schedule = Schedule::new(&backend, 100, |_| 100, dim);
             assert_eq!(schedule.chunks.len(), 10);
             assert_eq!(schedule.window, window, "dim {dim}");

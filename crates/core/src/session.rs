@@ -103,8 +103,13 @@ use std::sync::Arc;
 /// sizes that window by the both-blocked bound instead of each backlog (up
 /// to four chunks in flight where v10 kept two — the same frames), so a v10
 /// peer is refused here rather than reading a fold request where it expects
-/// an open.
-pub const WIRE_VERSION: u32 = 12;
+/// an open; `13` makes the sharing backend's multiplication fold
+/// query-shaped (flat runs of ring elements, the querier's masked point once
+/// a query rather than once a pair), which changes those frames' lengths and
+/// the window both sides derive from them, so a v12 peer is refused here
+/// rather than reading a fold reply of the wrong length. (No legacy frame
+/// reads as 13: the `Vec<u64>` metadata frame always held eleven values.)
+pub const WIRE_VERSION: u32 = 13;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

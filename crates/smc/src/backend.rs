@@ -231,11 +231,37 @@ pub trait SmcBackend {
         messages: &[T],
     ) -> Result<(), SmcError>;
 
-    /// Key-holding side of the multiplication fold: for each group `g`
-    /// (scoped by `records[g]` under `ctx`), learns the exact inner
-    /// product `⟨groups[g], peer_group[g]⟩` (the per-element masks of the
-    /// Paillier path are zero-sum, so its folded sum is the same exact
-    /// value).
+    /// Key-holding side of the multiplication folds of a slice of queries:
+    /// holds one vector `groups[i]` per pair — the first `per_query[0]`
+    /// pairs query 0's, and so on — and learns, per pair, the exact inner
+    /// product with the peer's vector for its query (the per-element masks
+    /// of the Paillier path are zero-sum, so its folded sum is the same
+    /// exact value). Pair `i` is scoped by `records[i]` under `ctx`.
+    fn mul_fold_queries_keyholder<C: Channel, X: AsRef<[i64]>>(
+        &self,
+        chan: &mut C,
+        groups: &[X],
+        per_query: &[usize],
+        records: &[RecordId],
+        ctx: &ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<Vec<i64>, SmcError>;
+
+    /// Peer side of [`SmcBackend::mul_fold_queries_keyholder`]: one vector
+    /// `queries[q]` per query, served `per_query[q]` pairs.
+    fn mul_fold_queries_peer<C: Channel, Y: AsRef<[i64]>>(
+        &self,
+        chan: &mut C,
+        queries: &[Y],
+        per_query: &[usize],
+        records: &[RecordId],
+        ctx: &ProtocolContext,
+        acct: &mut SharingLedger,
+    ) -> Result<(), SmcError>;
+
+    /// Key-holding side of the multiplication fold, each group its own
+    /// query: for each group `g` (scoped by `records[g]` under `ctx`),
+    /// learns the exact inner product `⟨groups[g], peer_group[g]⟩`.
     fn mul_fold_keyholder<C: Channel>(
         &self,
         chan: &mut C,
@@ -243,7 +269,10 @@ pub trait SmcBackend {
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
-    ) -> Result<Vec<i64>, SmcError>;
+    ) -> Result<Vec<i64>, SmcError> {
+        let per_query = vec![1; groups.len()];
+        self.mul_fold_queries_keyholder(chan, groups, &per_query, records, ctx, acct)
+    }
 
     /// Peer side of [`SmcBackend::mul_fold_keyholder`].
     fn mul_fold_peer<C: Channel>(
@@ -253,7 +282,10 @@ pub trait SmcBackend {
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
-    ) -> Result<(), SmcError>;
+    ) -> Result<(), SmcError> {
+        let per_query = vec![1; groups.len()];
+        self.mul_fold_queries_peer(chan, groups, &per_query, records, ctx, acct)
+    }
 
     // Split exchanges. A fold-then-compare exchange (one HDP resolve chunk)
     // opens with the keyholder's fold messages and, once the peer has
@@ -266,38 +298,46 @@ pub trait SmcBackend {
     // unsplit call's frames on the wire in the unsplit call's order.
 
     /// Wire bytes each way, `(keyholder → peer, peer → keyholder)`, of one
-    /// exchange of `groups` keyholder folds of `len` elements each followed
-    /// by one comparison a group (the keyholder comparing as [`Party::Bob`])
-    /// — when this backend's `*_post` halves ship ahead. `None` (the
-    /// default) when they post nothing.
-    fn split_exchange_bytes(&self, _groups: usize, _len: usize) -> Option<(usize, usize)> {
+    /// exchange of `pairs` keyholder folds of `len` elements each, over
+    /// `queries` queries served at least one pair, followed by one
+    /// comparison a pair (the keyholder comparing as [`Party::Bob`]) — when
+    /// this backend's `*_post` halves ship ahead. `None` (the default) when
+    /// they post nothing.
+    fn split_exchange_bytes(
+        &self,
+        _pairs: usize,
+        _queries: usize,
+        _len: usize,
+    ) -> Option<(usize, usize)> {
         None
     }
 
-    /// The part of [`SmcBackend::mul_fold_keyholder`] that needs nothing
-    /// from the peer; [`SmcBackend::mul_fold_keyholder_finish`] with the
-    /// same arguments completes it.
-    fn mul_fold_keyholder_post<C: Channel>(
+    /// The part of [`SmcBackend::mul_fold_queries_keyholder`] that needs
+    /// nothing from the peer; [`SmcBackend::mul_fold_keyholder_finish`]
+    /// with the same arguments completes it.
+    fn mul_fold_keyholder_post<C: Channel, X: AsRef<[i64]>>(
         &self,
         _chan: &mut C,
-        _groups: &[Vec<i64>],
+        _groups: &[X],
+        _per_query: &[usize],
         _records: &[RecordId],
         _ctx: &ProtocolContext,
     ) -> Result<(), SmcError> {
         Ok(())
     }
 
-    /// The rest of [`SmcBackend::mul_fold_keyholder`] after
+    /// The rest of [`SmcBackend::mul_fold_queries_keyholder`] after
     /// [`SmcBackend::mul_fold_keyholder_post`].
-    fn mul_fold_keyholder_finish<C: Channel>(
+    fn mul_fold_keyholder_finish<C: Channel, X: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        groups: &[X],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
     ) -> Result<Vec<i64>, SmcError> {
-        self.mul_fold_keyholder(chan, groups, records, ctx, acct)
+        self.mul_fold_queries_keyholder(chan, groups, per_query, records, ctx, acct)
     }
 
     /// The part of [`Party::Alice`]'s [`SmcBackend::compare_batch`] that
@@ -530,17 +570,23 @@ impl SmcBackend for PaillierBackend<'_> {
         send_framed(self.batching, chan, messages)
     }
 
-    fn mul_fold_keyholder<C: Channel>(
+    // The paper's recipe, one Multiplication Protocol a pair: a query's
+    // vector is the peer's group for each of its pairs, and an item is a pair.
+
+    fn mul_fold_queries_keyholder<C: Channel, X: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        groups: &[X],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         _acct: &mut SharingLedger,
     ) -> Result<Vec<i64>, SmcError> {
-        assert_eq!(groups.len(), records.len(), "one record scope per group");
+        assert_eq!(groups.len(), records.len(), "one record scope per pair");
+        let pairs: usize = per_query.iter().sum();
+        assert_eq!(pairs, groups.len(), "every pair belongs to one query");
         let mul_ctx = ctx.narrow("mul");
-        let xs_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
+        let xs_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g.as_ref())).collect();
         framed(self.batching, groups.len(), |at| {
             let all = mul_batches_keyholder(
                 chan,
@@ -558,19 +604,26 @@ impl SmcBackend for PaillierBackend<'_> {
         })
     }
 
-    fn mul_fold_peer<C: Channel>(
+    fn mul_fold_queries_peer<C: Channel, Y: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        queries: &[Y],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         _acct: &mut SharingLedger,
     ) -> Result<(), SmcError> {
-        assert_eq!(groups.len(), records.len(), "one record scope per group");
+        assert_eq!(queries.len(), per_query.len(), "one vector per query");
+        let pairs: usize = per_query.iter().sum();
+        assert_eq!(pairs, records.len(), "one record scope per pair");
         let mask_ctx = ctx.narrow("mask");
         let mul_ctx = ctx.narrow("mul");
-        let ys_groups: Vec<Vec<BigInt>> = groups.iter().map(|g| bigints(g)).collect();
-        framed(self.batching, groups.len(), |at| {
+        let mut ys_groups: Vec<Vec<BigInt>> = Vec::with_capacity(records.len());
+        for (ys, &count) in queries.iter().zip(per_query) {
+            let ys = bigints(ys.as_ref());
+            ys_groups.extend(std::iter::repeat_n(ys, count));
+        }
+        framed(self.batching, records.len(), |at| {
             let record = |g: usize| records[at.start + g];
             let ys_groups = &ys_groups[at.clone()];
             mul_batches_peer(
@@ -606,10 +659,6 @@ pub struct SharingBackend {
 
 fn fes(values: &[i64]) -> Vec<Fe> {
     values.iter().map(|&v| Fe::embed(v)).collect()
-}
-
-fn fe_groups(groups: &[Vec<i64>]) -> Vec<Vec<Fe>> {
-    groups.iter().map(|g| fes(g)).collect()
 }
 
 impl SharingBackend {
@@ -755,92 +804,108 @@ impl SmcBackend for SharingBackend {
         send_framed(self.batching, chan, messages)
     }
 
-    fn mul_fold_keyholder<C: Channel>(
+    fn mul_fold_queries_keyholder<C: Channel, X: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        groups: &[X],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
     ) -> Result<Vec<i64>, SmcError> {
-        assert_eq!(groups.len(), records.len(), "one record scope per group");
+        assert_eq!(groups.len(), records.len(), "one record scope per pair");
+        let starts = row_starts(per_query, groups.len());
         let mul_ctx = ctx.narrow("mul");
-        let group_fes = fe_groups(groups);
-        framed(self.batching, groups.len(), |at| {
-            let (groups, scopes) = (&group_fes[at.clone()], |g| {
-                mul_ctx.at(records[at.start + g])
-            });
-            let us = sharing_fold_keyholder(&self.tape, chan, groups, scopes, acct)?;
+        framed(self.batching, per_query.len(), |at| {
+            let pairs = starts[at.start]..starts[at.end];
+            let scopes = |i| mul_ctx.at(records[pairs.start + i]);
+            let per_query = &per_query[at];
+            let us = sharing_fold_keyholder(
+                &self.tape,
+                chan,
+                &groups[pairs.clone()],
+                per_query,
+                scopes,
+                acct,
+            )?;
             Ok(us.into_iter().map(Fe::lift).collect())
         })
     }
 
-    fn mul_fold_peer<C: Channel>(
+    fn mul_fold_queries_peer<C: Channel, Y: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        queries: &[Y],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
     ) -> Result<(), SmcError> {
-        assert_eq!(groups.len(), records.len(), "one record scope per group");
+        let starts = row_starts(per_query, records.len());
         let mul_ctx = ctx.narrow("mul");
-        let group_fes = fe_groups(groups);
-        framed(self.batching, groups.len(), |at| {
-            let (groups, scopes) = (&group_fes[at.clone()], |g| {
-                mul_ctx.at(records[at.start + g])
-            });
-            sharing_fold_peer(&self.tape, chan, groups, scopes, acct).map(|()| Vec::<()>::new())
+        framed(self.batching, per_query.len(), |at| {
+            let first = starts[at.start];
+            let scopes = |i| mul_ctx.at(records[first + i]);
+            let (queries, per_query) = (&queries[at.clone()], &per_query[at]);
+            sharing_fold_peer(&self.tape, chan, queries, per_query, scopes, acct)
+                .map(|()| Vec::<()>::new())
         })
         .map(drop)
     }
 
-    // Batched, a fold ships all of its `D` vectors as one frame and a
-    // comparison slice all of Alice's shares as one, so both split at their
-    // one receive. The reference framing interleaves an item's send and
+    // Batched, a fold ships every pair's `D` as one frame and a comparison
+    // slice all of Alice's shares as one, so both split at their one
+    // receive. The reference framing interleaves an item's send and
     // receive, so it keeps the unsplit calls.
 
-    fn split_exchange_bytes(&self, groups: usize, len: usize) -> Option<(usize, usize)> {
-        // Two frames each way. Keyholder to peer, per group: a masked vector
-        // `D` — a `u32` count and `len` elements — and Bob's share of the
-        // open; the other way a fold reply `(E, s)`, one element more, and
-        // Alice's share.
+    fn split_exchange_bytes(
+        &self,
+        pairs: usize,
+        queries: usize,
+        len: usize,
+    ) -> Option<(usize, usize)> {
+        // Two frames each way, flat runs of elements. Keyholder to peer, per
+        // pair: a masked vector `D` and Bob's share of the open; the other
+        // way `E` once a query, and per pair one `s` and Alice's share.
         let frames = 2 * FRAME_OVERHEAD_BYTES as usize;
-        let keyholder = frames + groups * (4 + 8 * len + 8);
-        self.batching.then_some((keyholder, keyholder + 8 * groups))
+        let keyholder = frames + pairs * 8 * (len + 1);
+        let peer = frames + queries * 8 * len + pairs * 16;
+        self.batching.then_some((keyholder, peer))
     }
 
-    fn mul_fold_keyholder_post<C: Channel>(
+    fn mul_fold_keyholder_post<C: Channel, X: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        groups: &[X],
+        _per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
     ) -> Result<(), SmcError> {
         if !self.batching {
             return Ok(());
         }
-        assert_eq!(groups.len(), records.len(), "one record scope per group");
+        assert_eq!(groups.len(), records.len(), "one record scope per pair");
         let mul_ctx = ctx.narrow("mul");
-        let scopes = |g: usize| mul_ctx.at(records[g]);
-        sharing_fold_keyholder_post(&self.tape, chan, &fe_groups(groups), scopes)
+        let scopes = |i: usize| mul_ctx.at(records[i]);
+        sharing_fold_keyholder_post(&self.tape, chan, groups, scopes)
     }
 
-    fn mul_fold_keyholder_finish<C: Channel>(
+    fn mul_fold_keyholder_finish<C: Channel, X: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        groups: &[X],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
     ) -> Result<Vec<i64>, SmcError> {
         if !self.batching {
-            return self.mul_fold_keyholder(chan, groups, records, ctx, acct);
+            return self.mul_fold_queries_keyholder(chan, groups, per_query, records, ctx, acct);
         }
-        assert_eq!(groups.len(), records.len(), "one record scope per group");
+        assert_eq!(groups.len(), records.len(), "one record scope per pair");
         let mul_ctx = ctx.narrow("mul");
-        let scopes = |g: usize| mul_ctx.at(records[g]);
-        let us = sharing_fold_keyholder_finish(&self.tape, chan, &fe_groups(groups), scopes, acct)?;
+        let scopes = |i: usize| mul_ctx.at(records[i]);
+        let us = sharing_fold_keyholder_finish(&self.tape, chan, groups, per_query, scopes, acct)?;
         Ok(us.into_iter().map(Fe::lift).collect())
     }
 
@@ -971,51 +1036,60 @@ impl SmcBackend for AnyBackend<'_> {
         dispatch!(self, b => b.send_framed(chan, messages))
     }
 
-    fn mul_fold_keyholder<C: Channel>(
+    fn mul_fold_queries_keyholder<C: Channel, X: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        groups: &[X],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
     ) -> Result<Vec<i64>, SmcError> {
-        dispatch!(self, b => b.mul_fold_keyholder(chan, groups, records, ctx, acct))
+        dispatch!(self, b => b.mul_fold_queries_keyholder(chan, groups, per_query, records, ctx, acct))
     }
 
-    fn mul_fold_peer<C: Channel>(
+    fn mul_fold_queries_peer<C: Channel, Y: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        queries: &[Y],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
     ) -> Result<(), SmcError> {
-        dispatch!(self, b => b.mul_fold_peer(chan, groups, records, ctx, acct))
+        dispatch!(self, b => b.mul_fold_queries_peer(chan, queries, per_query, records, ctx, acct))
     }
 
-    fn split_exchange_bytes(&self, groups: usize, len: usize) -> Option<(usize, usize)> {
-        dispatch!(self, b => b.split_exchange_bytes(groups, len))
+    fn split_exchange_bytes(
+        &self,
+        pairs: usize,
+        queries: usize,
+        len: usize,
+    ) -> Option<(usize, usize)> {
+        dispatch!(self, b => b.split_exchange_bytes(pairs, queries, len))
     }
 
-    fn mul_fold_keyholder_post<C: Channel>(
+    fn mul_fold_keyholder_post<C: Channel, X: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        groups: &[X],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
     ) -> Result<(), SmcError> {
-        dispatch!(self, b => b.mul_fold_keyholder_post(chan, groups, records, ctx))
+        dispatch!(self, b => b.mul_fold_keyholder_post(chan, groups, per_query, records, ctx))
     }
 
-    fn mul_fold_keyholder_finish<C: Channel>(
+    fn mul_fold_keyholder_finish<C: Channel, X: AsRef<[i64]>>(
         &self,
         chan: &mut C,
-        groups: &[Vec<i64>],
+        groups: &[X],
+        per_query: &[usize],
         records: &[RecordId],
         ctx: &ProtocolContext,
         acct: &mut SharingLedger,
     ) -> Result<Vec<i64>, SmcError> {
-        dispatch!(self, b => b.mul_fold_keyholder_finish(chan, groups, records, ctx, acct))
+        dispatch!(self, b => b.mul_fold_keyholder_finish(chan, groups, per_query, records, ctx, acct))
     }
 
     fn compare_batch_post<C: Channel>(
@@ -1069,10 +1143,11 @@ mod tests {
     }
 
     /// The seam's figures are the bytes the wire carries: one real batched
-    /// exchange of 1,000 folds and their comparisons, through the split
-    /// halves a resolve window uses, against what each side's channel
-    /// counted as sent. A codec change that grew a frame would otherwise
-    /// leave the window sized for the old bytes.
+    /// exchange of 1,000 folds over five queries — one served nothing, one a
+    /// single pair — and their comparisons, through the split halves a
+    /// resolve window uses, against what each side's channel counted as
+    /// sent. A codec change that grew a frame would otherwise leave the
+    /// window sized for the old bytes.
     #[test]
     fn split_exchange_bytes_are_the_bytes_each_side_sends() {
         use crate::test_helpers::ctx;
@@ -1082,9 +1157,11 @@ mod tests {
             dot_mask_bound: 1 << 20,
         };
         let domain = ComparisonDomain::symmetric(1 << 40);
+        let per_query = [100, 0, 250, 1, 649];
         let records: Vec<RecordId> = (0..1000).collect();
         for len in [1, 2, 8] {
             let groups: Vec<Vec<i64>> = (0..1000).map(|g| vec![g % 7 - 3; len]).collect();
+            let queries: Vec<Vec<i64>> = (0..5).map(|q| vec![2 - q; len]).collect();
             let (mut kchan, mut pchan) = ppds_transport::duplex();
             let sent = std::thread::scope(|scope| {
                 let peer = scope.spawn(|| {
@@ -1092,7 +1169,9 @@ mod tests {
                     let cmp_ctx = cctx.narrow("cmp");
                     let values = vec![0; groups.len()];
                     backend
-                        .mul_fold_peer(&mut pchan, &groups, &records, &cctx, &mut acct)
+                        .mul_fold_queries_peer(
+                            &mut pchan, &queries, &per_query, &records, &cctx, &mut acct,
+                        )
                         .unwrap();
                     backend
                         .compare_batch_post(&mut pchan, &values, &cmp_ctx)
@@ -1111,10 +1190,12 @@ mod tests {
                 });
                 let (mut acct, cctx) = (SharingLedger::default(), ctx(1));
                 backend
-                    .mul_fold_keyholder_post(&mut kchan, &groups, &records, &cctx)
+                    .mul_fold_keyholder_post(&mut kchan, &groups, &per_query, &records, &cctx)
                     .unwrap();
                 let inner = backend
-                    .mul_fold_keyholder_finish(&mut kchan, &groups, &records, &cctx, &mut acct)
+                    .mul_fold_keyholder_finish(
+                        &mut kchan, &groups, &per_query, &records, &cctx, &mut acct,
+                    )
                     .unwrap();
                 let cmp_ctx = cctx.narrow("cmp");
                 backend
@@ -1130,13 +1211,13 @@ mod tests {
                     .unwrap();
                 (kchan.metrics().bytes_sent, peer.join().unwrap())
             });
-            let (keyholder, peer) = backend.split_exchange_bytes(groups.len(), len).unwrap();
+            let (keyholder, peer) = backend.split_exchange_bytes(1000, 4, len).unwrap();
             assert_eq!(sent, (keyholder as u64, peer as u64), "len {len}");
         }
         let unbatched = SharingBackend {
             batching: false,
             ..backend
         };
-        assert_eq!(unbatched.split_exchange_bytes(1000, 2), None);
+        assert_eq!(unbatched.split_exchange_bytes(1000, 4, 2), None);
     }
 }

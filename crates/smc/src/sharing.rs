@@ -5,10 +5,12 @@
 //! implements the three SMC workhorses over additive shares in the ring
 //! `Z_2^64` (wrapping `u64` arithmetic):
 //!
-//! * [`sharing_fold_keyholder`] / [`sharing_fold_peer`] — Beaver-triple
-//!   inner-product folds (the `mul_batches` substitute): the keyholder holds `x`, the
-//!   peer holds `y`, the keyholder learns `⟨x, y⟩` at the cost of **one
-//!   element exchange per group** instead of one ciphertext per element,
+//! * [`sharing_fold_keyholder`] / [`sharing_fold_peer`] — query-shaped
+//!   Beaver inner-product folds (the `mul_batches` substitute): the
+//!   keyholder holds one `x_i` per pair, the peer one `y_q` per query, and
+//!   the keyholder learns every `⟨x_i, y_q⟩` from one masked `x_i` a pair
+//!   and one masked `y_q` a query — a matrix triple per query, where the
+//!   paper's recipe runs one Multiplication Protocol per pair,
 //! * [`sharing_dot_querier`] / [`sharing_dot_responder`] — the one-round
 //!   matrix-triple dot product (cf. the CHIKP/SecureML exemplars in
 //!   SNIPPETS.md): one masked query vector `D = x − α` amortizes over
@@ -61,9 +63,10 @@ use crate::error::SmcError;
 use crate::leakage::Party;
 use ppds_observe::trace;
 use ppds_transport::{Channel, Reader, TransportError, WireDecode, WireEncode};
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use std::iter::Sum;
-use std::ops::{Add, AddAssign, Mul, Neg, Sub};
+use std::ops::{Add, AddAssign, Mul, Neg, Range, Sub};
 
 /// Version tag of the sharing-backend discipline, stamped into benchmark
 /// artifacts so a recorded run names the share representation it used.
@@ -106,6 +109,13 @@ impl Fe {
     #[inline]
     pub fn random<R: RngCore + ?Sized>(rng: &mut R) -> Fe {
         Fe(rng.next_u64())
+    }
+}
+
+impl From<i64> for Fe {
+    #[inline]
+    fn from(v: i64) -> Fe {
+        Fe::embed(v)
     }
 }
 
@@ -272,24 +282,18 @@ impl SharingLedger {
         self.modeled_offline_bytes += 16 + 16 * bits;
     }
 
-    /// Accounts one matrix-triple dot product: query length `m`, `rows`
-    /// responder rows. Dealer issues `α` (m), the `B_j` rows (`rows·m`),
-    /// and both halves of each `c_j` (`2·rows`); the online phase opens
-    /// `D` (m) plus one `(E_j, s_j)` pair per row.
-    pub fn record_dot(&mut self, m: usize, rows: usize) {
+    /// Accounts one matrix triple: one length-`m` vector masked once against
+    /// `rows` vectors masked a row each — a dot product's query and the rows
+    /// served it, or a fold query's peer vector and the keyholder vectors it
+    /// is served. The dealer issues the shared mask (m), a mask per row
+    /// (`rows·m`) and both halves of each row's `c` (`2·rows`); the online
+    /// phase opens the shared vector once (m) and, per row, its masked
+    /// vector and its `s` (`rows·(m + 1)`).
+    pub fn record_matrix_triple(&mut self, m: usize, rows: usize) {
         let (m, rows) = (m as u64, rows as u64);
         self.triples += m * rows;
         self.opened_elements += m + rows * (m + 1);
         self.modeled_offline_bytes += 8 * (m + rows * m + 2 * rows);
-    }
-
-    /// Accounts one Beaver inner-product fold of vector length `m`
-    /// (dealer: `α`, `β`, both `c` halves; online: `D`, `E`, `s`).
-    pub fn record_fold(&mut self, m: usize) {
-        let m = m as u64;
-        self.triples += m;
-        self.opened_elements += 2 * m + 1;
-        self.modeled_offline_bytes += 8 * (2 * m + 2);
     }
 
     /// Folds another ledger into this one (session aggregation).
@@ -496,198 +500,285 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// Beaver inner-product folds (the mul_batches substitute)
+// Query-shaped Beaver inner-product folds (the mul_batches substitute)
 // ---------------------------------------------------------------------------
+//
+// A slice of folds is a run of queries: query `q` is the peer's one vector
+// `y_q`, served `per_query[q]` keyholder vectors `x_i` (pairs in query
+// order). Pair `i` of query `q` consumes a matrix Beaver triple — `α_i` and
+// `c₁_i` at the pair's scope, `β_q` once a query at the scope of its first
+// pair, and `c₂_i = ⟨α_i, β_q⟩ − c₁_i` — so the querier's masked vector
+// `E_q = y_q − β_q` travels once a query, not once a pair (DESIGN.md §14).
 
-/// A fold's triple `(α, β, c₁ + c₂ = ⟨α, β⟩)` lives at `scope.narrow("fold")`
-/// on the tape; each side draws its half where it is used.
+/// A pair's triple lives at `scope.narrow("fold")` on the tape; each side
+/// draws its half where it is used.
 fn fold_tape(tape: &DealerTape, ctx: &ProtocolContext) -> ProtocolContext {
     tape.scope(ctx).narrow("fold")
 }
 
-fn fold_alpha(t: &ProtocolContext, m: usize) -> Vec<Fe> {
-    draw_fes(&mut t.narrow("a").rng(), m)
+/// The stream pair `t`'s `α` is drawn from, one element at a time.
+fn fold_alpha(t: &ProtocolContext) -> StdRng {
+    t.narrow("a").rng()
 }
 
 fn fold_c1(t: &ProtocolContext) -> Fe {
     Fe::random(&mut t.narrow("c").rng())
 }
 
-/// The peer's half of a fold's triple.
-struct FoldTriple {
-    beta: Vec<Fe>,
-    c2: Fe,
+/// `β_q` for the query whose first pair is scoped `first`.
+fn fold_beta(tape: &DealerTape, first: &ProtocolContext, m: usize) -> Vec<Fe> {
+    draw_fes(&mut fold_tape(tape, first).narrow("b").rng(), m)
 }
 
-fn fold_triple(tape: &DealerTape, ctx: &ProtocolContext, m: usize) -> FoldTriple {
-    let t = fold_tape(tape, ctx);
-    let beta = draw_fes(&mut t.narrow("b").rng(), m);
-    let c2 = fe_dot(&fold_alpha(&t, m), &beta) - fold_c1(&t);
-    FoldTriple { beta, c2 }
+/// Each query served at least one pair, with the range of its pairs; a
+/// query served nothing has no triple and costs no element.
+fn served_queries(per_query: &[usize]) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let mut first = 0;
+    per_query
+        .iter()
+        .enumerate()
+        .map(move |(q, &count)| {
+            first += count;
+            (q, first - count..first)
+        })
+        .filter(|(_, range)| !range.is_empty())
 }
 
-/// The keyholder's masked vectors `D = x − α`, one per group, as one frame.
-fn send_fold_queries<C, S>(
+fn embedded<T: Copy + Into<Fe>>(values: &[T]) -> impl Iterator<Item = Fe> + '_ {
+    values.iter().map(|&v| v.into())
+}
+
+/// Ships a flat run of ring elements as one frame. A fold frame is counted
+/// as one protocol message a pair, whatever elements its pairs and queries
+/// contribute, so that both framings count the same messages.
+fn send_run<C: Channel>(chan: &mut C, run: &[Fe], messages: usize) -> Result<(), SmcError> {
+    let mut payload = Vec::with_capacity(8 * run.len());
+    for fe in run {
+        fe.encode(&mut payload);
+    }
+    chan.send_bytes(&payload)?;
+    chan.note_batch_sent(messages as u64);
+    Ok(())
+}
+
+/// Reads a frame [`send_run`] shipped, counted as `messages` messages.
+fn recv_run<C: Channel>(chan: &mut C, messages: usize) -> Result<Vec<Fe>, SmcError> {
+    let payload = chan.recv_bytes()?;
+    chan.note_batch_received(messages as u64);
+    let mut reader = Reader::new(&payload);
+    let mut run = Vec::with_capacity(payload.len() / 8);
+    while !reader.is_empty() {
+        run.push(Fe::decode(&mut reader)?);
+    }
+    Ok(run)
+}
+
+/// The keyholder's masked vectors `D_i = x_i − α_i`, every pair's back to
+/// back, as one frame.
+fn send_fold_masked<C, X, T, S>(
     tape: &DealerTape,
     chan: &mut C,
-    groups: &[Vec<Fe>],
+    xs: &[X],
     scopes: &S,
 ) -> Result<(), SmcError>
 where
     C: Channel,
+    X: AsRef<[T]>,
+    T: Copy + Into<Fe>,
     S: Fn(usize) -> ProtocolContext,
 {
-    let ds: Vec<Vec<Fe>> = groups
-        .iter()
-        .enumerate()
-        .map(|(g, xs)| {
-            let alpha = fold_alpha(&fold_tape(tape, &scopes(g)), xs.len());
-            xs.iter().zip(&alpha).map(|(&x, &a)| x - a).collect()
-        })
-        .collect();
-    Ok(chan.send_batch(&ds)?)
+    let mut ds = Vec::with_capacity(xs.iter().map(|x| x.as_ref().len()).sum());
+    for (i, x) in xs.iter().enumerate() {
+        let mut alpha = fold_alpha(&fold_tape(tape, &scopes(i)));
+        ds.extend(embedded(x.as_ref()).map(|x| x - Fe::random(&mut alpha)));
+    }
+    send_run(chan, &ds, xs.len())
 }
 
-/// The keyholder's one receive: the peer's `(E, s)` per group, held to the
-/// groups' arities, folded into `c₁ + ⟨x, E⟩ + s = ⟨x, y⟩`.
-fn read_fold_replies<C, S>(
+/// The keyholder's one receive: per query `E_q` and then one `s_i` a pair,
+/// held to the length both sides derive, folded into
+/// `c₁_i + ⟨x_i, E_q⟩ + s_i = ⟨x_i, y_q⟩`.
+fn read_fold_replies<C, X, T, S>(
     tape: &DealerTape,
     chan: &mut C,
-    groups: &[Vec<Fe>],
+    xs: &[X],
+    per_query: &[usize],
     scopes: &S,
     acct: &mut SharingLedger,
 ) -> Result<Vec<Fe>, SmcError>
 where
     C: Channel,
+    X: AsRef<[T]>,
+    T: Copy + Into<Fe>,
     S: Fn(usize) -> ProtocolContext,
 {
-    let mut out: Vec<Fe> = (0..groups.len())
-        .map(|g| fold_c1(&fold_tape(tape, &scopes(g))))
-        .collect();
-    let replies: Vec<(Vec<Fe>, Fe)> = chan.recv_batch()?;
-    if replies.len() != groups.len() {
+    let pairs: usize = per_query.iter().sum();
+    assert_eq!(pairs, xs.len(), "every pair belongs to one query");
+    let dim = |range: &Range<usize>| xs[range.start].as_ref().len();
+    let (queries, widths) = served_queries(per_query).fold((0, 0), |(n, width), (_, range)| {
+        (n + 1, width + dim(&range))
+    });
+    let expected = widths + xs.len();
+    let reply = recv_run(chan, pairs)?;
+    if reply.len() != expected {
         return Err(SmcError::protocol(format!(
-            "fold: expected {} replies, got {}",
-            groups.len(),
-            replies.len()
+            "fold: expected {expected} reply elements for {queries} queries and {pairs} pairs, got {}",
+            reply.len()
         )));
     }
-    for ((xs, (e, s)), folded) in groups.iter().zip(&replies).zip(&mut out) {
-        if e.len() != xs.len() {
-            return Err(SmcError::protocol(format!(
-                "fold: expected {} reply elements, got {}",
-                xs.len(),
-                e.len()
-            )));
+    let mut out = Vec::with_capacity(xs.len());
+    let mut rest = &reply[..];
+    for (_, range) in served_queries(per_query) {
+        let (m, count) = (dim(&range), range.len());
+        let (e, tail) = rest.split_at(m);
+        let (s, tail) = tail.split_at(count);
+        rest = tail;
+        for (i, &s) in range.zip(s) {
+            let x = xs[i].as_ref();
+            debug_assert_eq!(x.len(), m, "a query's pairs share its length");
+            let folded: Fe = embedded(x).zip(e).map(|(x, &e)| x * e).sum();
+            out.push(fold_c1(&fold_tape(tape, &scopes(i))) + folded + s);
         }
-        acct.record_fold(xs.len());
-        *folded += fe_dot(xs, e) + *s;
+        acct.record_matrix_triple(m, count);
     }
     Ok(out)
 }
 
-/// Keyholder side of a slice of Beaver inner-product folds: holds one `xs`
-/// per group, learns `⟨xs, ys⟩` exactly (the Paillier path's per-element
+/// Keyholder side of a slice of query-shaped Beaver inner-product folds:
+/// holds one `xs[i]` per pair, the first `per_query[0]` pairs query 0's and
+/// so on, and learns `⟨xs[i], y_q⟩` exactly (the Paillier path's per-element
 /// masks are zero-sum, so its folded result is the same exact inner product
 /// — this leaks nothing the paper's Multiplication Protocol composition
-/// doesn't). All groups' `D` vectors ship as one frame, all replies return
-/// as one; a slice of one group is one element exchange. Group `g` consumes
-/// the tape at `scopes(g)` and nowhere else, so the correlations a group
-/// uses do not depend on the slice it is shipped in.
-pub fn sharing_fold_keyholder<C: Channel, S: Fn(usize) -> ProtocolContext>(
+/// doesn't). Every pair's `D` ships in one frame and every reply returns in
+/// one; an empty slice touches no wire. Pair `i` consumes the tape at
+/// `scopes(i)`, and a query's `β` at its first pair's scope, so the
+/// correlations a pair uses do not depend on the slice it is shipped in.
+pub fn sharing_fold_keyholder<C, X, T, S>(
     tape: &DealerTape,
     chan: &mut C,
-    groups: &[Vec<Fe>],
+    xs: &[X],
+    per_query: &[usize],
     scopes: S,
     acct: &mut SharingLedger,
-) -> Result<Vec<Fe>, SmcError> {
-    if groups.is_empty() {
+) -> Result<Vec<Fe>, SmcError>
+where
+    C: Channel,
+    X: AsRef<[T]>,
+    T: Copy + Into<Fe>,
+    S: Fn(usize) -> ProtocolContext,
+{
+    if xs.is_empty() {
         return Ok(Vec::new());
     }
     in_span("mul_batch", chan, |chan| {
-        send_fold_queries(tape, chan, groups, &scopes)?;
-        read_fold_replies(tape, chan, groups, &scopes, acct)
+        send_fold_masked(tape, chan, xs, &scopes)?;
+        read_fold_replies(tape, chan, xs, per_query, &scopes, acct)
     })
 }
 
 /// The keyholder's first half of [`sharing_fold_keyholder`]: ships the
 /// masked vectors, which need nothing from the peer, and returns without
 /// waiting for the replies. [`sharing_fold_keyholder_finish`] over the same
-/// groups and scopes completes the slice; the caller may run other
+/// pairs and scopes completes the slice; the caller may run other
 /// exchanges in between.
-pub(crate) fn sharing_fold_keyholder_post<C: Channel, S: Fn(usize) -> ProtocolContext>(
+pub(crate) fn sharing_fold_keyholder_post<C, X, T, S>(
     tape: &DealerTape,
     chan: &mut C,
-    groups: &[Vec<Fe>],
+    xs: &[X],
     scopes: S,
-) -> Result<(), SmcError> {
-    if groups.is_empty() {
+) -> Result<(), SmcError>
+where
+    C: Channel,
+    X: AsRef<[T]>,
+    T: Copy + Into<Fe>,
+    S: Fn(usize) -> ProtocolContext,
+{
+    if xs.is_empty() {
         return Ok(());
     }
     in_span("mul_batch", chan, |chan| {
-        send_fold_queries(tape, chan, groups, &scopes)
+        send_fold_masked(tape, chan, xs, &scopes)
     })
 }
 
 /// The keyholder's second half of [`sharing_fold_keyholder`]: reads the
 /// replies and returns the inner products.
-pub(crate) fn sharing_fold_keyholder_finish<C: Channel, S: Fn(usize) -> ProtocolContext>(
+pub(crate) fn sharing_fold_keyholder_finish<C, X, T, S>(
     tape: &DealerTape,
     chan: &mut C,
-    groups: &[Vec<Fe>],
+    xs: &[X],
+    per_query: &[usize],
     scopes: S,
     acct: &mut SharingLedger,
-) -> Result<Vec<Fe>, SmcError> {
-    if groups.is_empty() {
+) -> Result<Vec<Fe>, SmcError>
+where
+    C: Channel,
+    X: AsRef<[T]>,
+    T: Copy + Into<Fe>,
+    S: Fn(usize) -> ProtocolContext,
+{
+    if xs.is_empty() {
         return Ok(Vec::new());
     }
     in_span("mul_batch", chan, |chan| {
-        read_fold_replies(tape, chan, groups, &scopes, acct)
+        read_fold_replies(tape, chan, xs, per_query, &scopes, acct)
     })
 }
 
-/// Peer half of [`sharing_fold_keyholder`]: holds one `ys` per group and
-/// contributes no net mask (the fold's masks cancel by construction on both
-/// backends).
-pub fn sharing_fold_peer<C: Channel, S: Fn(usize) -> ProtocolContext>(
+/// Peer half of [`sharing_fold_keyholder`]: holds one `ys[q]` per query,
+/// served `per_query[q]` pairs, and contributes no net mask (the fold's
+/// masks cancel by construction on both backends). Reads every pair's `D`
+/// and answers, per query served anything, `E_q = y_q − β_q` and then
+/// `s_i = ⟨D_i, β_q⟩ + c₂_i` a pair.
+pub fn sharing_fold_peer<C, Y, T, S>(
     tape: &DealerTape,
     chan: &mut C,
-    groups: &[Vec<Fe>],
+    ys: &[Y],
+    per_query: &[usize],
     scopes: S,
     acct: &mut SharingLedger,
-) -> Result<(), SmcError> {
-    if groups.is_empty() {
+) -> Result<(), SmcError>
+where
+    C: Channel,
+    Y: AsRef<[T]>,
+    T: Copy + Into<Fe>,
+    S: Fn(usize) -> ProtocolContext,
+{
+    assert_eq!(ys.len(), per_query.len(), "one vector per query");
+    let pairs: usize = per_query.iter().sum();
+    if pairs == 0 {
         return Ok(());
     }
     let span = trace::span("mul_batch", || chan.metrics());
-    let trips: Vec<FoldTriple> = groups
-        .iter()
-        .enumerate()
-        .map(|(g, ys)| fold_triple(tape, &scopes(g), ys.len()))
-        .collect();
-    let ds: Vec<Vec<Fe>> = chan.recv_batch()?;
-    if ds.len() != groups.len() {
+    let dims = || ys.iter().map(|y| y.as_ref().len());
+    let expected: usize = dims().zip(per_query).map(|(m, &count)| m * count).sum();
+    let ds = recv_run(chan, pairs)?;
+    if ds.len() != expected {
         return Err(SmcError::protocol(format!(
-            "fold: expected {} queries, got {}",
-            groups.len(),
+            "fold: expected {expected} masked elements for {pairs} pairs, got {}",
             ds.len()
         )));
     }
-    let mut replies = Vec::with_capacity(groups.len());
-    for ((ys, trip), d) in groups.iter().zip(&trips).zip(&ds) {
-        if d.len() != ys.len() {
-            return Err(SmcError::protocol(format!(
-                "fold: expected {} query elements, got {}",
-                ys.len(),
-                d.len()
-            )));
+    let mut reply = Vec::with_capacity(dims().sum::<usize>() + pairs);
+    let mut ds = ds.into_iter();
+    for (q, range) in served_queries(per_query) {
+        let y = ys[q].as_ref();
+        let beta = fold_beta(tape, &scopes(range.start), y.len());
+        reply.extend(embedded(y).zip(&beta).map(|(y, &b)| y - b));
+        for i in range.clone() {
+            // `⟨D_i + α_i, β_q⟩ − c₁_i` is `⟨D_i, β_q⟩ + c₂_i`.
+            let t = fold_tape(tape, &scopes(i));
+            let mut alpha = fold_alpha(&t);
+            let d = ds.by_ref().take(y.len());
+            let s: Fe = d
+                .zip(&beta)
+                .map(|(d, &b)| (d + Fe::random(&mut alpha)) * b)
+                .sum();
+            reply.push(s - fold_c1(&t));
         }
-        let e: Vec<Fe> = ys.iter().zip(&trip.beta).map(|(&y, &b)| y - b).collect();
-        let s = fe_dot(d, &trip.beta) + trip.c2;
-        acct.record_fold(ys.len());
-        replies.push((e, s));
+        acct.record_matrix_triple(y.len(), range.len());
     }
-    chan.send_batch(&replies)?;
+    send_run(chan, &reply, pairs)?;
     span.end(|| chan.metrics());
     Ok(())
 }
@@ -779,7 +870,7 @@ where
             }
             out.push(fe_dot(xs, e) + dot_c1(tape, &ctx, j as u64) + *s);
         }
-        acct.record_dot(xs.len(), rows.len());
+        acct.record_matrix_triple(xs.len(), rows.len());
     }
     span.end(|| chan.metrics());
     Ok(out)
@@ -840,7 +931,7 @@ where
             reply.push((e, fe_dot(d, &b) + c2 + mask));
         }
         replies.push(reply);
-        acct.record_dot(m, count);
+        acct.record_matrix_triple(m, count);
         first += count;
     }
     chan.send_batch(&replies)?;
@@ -974,34 +1065,62 @@ mod tests {
         }
     }
 
+    /// Four queries of lengths 5, 3, 3 and 1, served two pairs, none, one
+    /// and three: every inner product is exact, both sides book the same
+    /// triples, and the ledger's opened elements are the ring elements the
+    /// two frames carried — `D` a pair, then `E` a query served anything
+    /// and `s` a pair.
     #[test]
     fn folds_compute_exact_inner_products() {
-        let groups_x = vec![vec![3i64, -1, 0, 12, 7], vec![-3, 4, 5], vec![7]];
-        let groups_y = vec![vec![5i64, 5, -9, 2, -3], vec![1, 1, 1], vec![-6]];
+        let ys = [
+            vec![5i64, 5, -9, 2, -3],
+            vec![9, 9, 9],
+            vec![1, 1, 1],
+            vec![-6],
+        ];
+        let per_query = [2, 0, 1, 3];
+        let xs = vec![
+            vec![3i64, -1, 0, 12, 7],
+            vec![-2, 0, 1, 1, 4],
+            vec![-3, 4, 5],
+            vec![7],
+            vec![2],
+            vec![-1],
+        ];
+        let queried = [0, 0, 2, 3, 3, 3];
         let tape = DealerTape::from_seed(21);
-        let fes = |groups: &[Vec<i64>]| -> Vec<Vec<Fe>> {
-            let group = |g: &Vec<i64>| g.iter().map(|&v| Fe::embed(v)).collect();
-            groups.iter().map(group).collect()
-        };
-        let (gx, gy) = (fes(&groups_x), fes(&groups_y));
         let (mut kchan, mut pchan) = duplex();
-        let key = std::thread::spawn(move || {
+        let (us, acct) = std::thread::scope(|scope| {
+            let key = scope.spawn(|| {
+                let mut acct = SharingLedger::default();
+                let scopes = |i| ctx(8).narrow("mul").at(i as u64);
+                let us =
+                    sharing_fold_keyholder(&tape, &mut kchan, &xs, &per_query, scopes, &mut acct);
+                (us.unwrap(), acct)
+            });
+            // The peer's own seed differs: only the tape is shared.
+            let base = ctx(9).narrow("mul");
             let mut acct = SharingLedger::default();
-            let scopes = |g| ctx(8).narrow("mul").at(g as u64);
-            let us = sharing_fold_keyholder(&tape, &mut kchan, &gx, scopes, &mut acct).unwrap();
+            let scopes = |i| base.at(i as u64);
+            sharing_fold_peer(&tape, &mut pchan, &ys, &per_query, scopes, &mut acct).unwrap();
+            let (us, kacct) = key.join().unwrap();
+            assert_eq!(kacct, acct, "both sides book the same triples");
             (us, acct)
         });
-        // The peer's own seed differs: only the tape is shared.
-        let base = ctx(9).narrow("mul");
-        let mut acct = SharingLedger::default();
-        sharing_fold_peer(&tape, &mut pchan, &gy, |g| base.at(g as u64), &mut acct).unwrap();
-        let (us, kacct) = key.join().unwrap();
-        for ((u, xs), ys) in us.iter().zip(&groups_x).zip(&groups_y) {
-            let expect: i64 = xs.iter().zip(ys).map(|(&x, &y)| x * y).sum();
+        for ((u, x), &q) in us.iter().zip(&xs).zip(&queried) {
+            let expect: i64 = x.iter().zip(&ys[q]).map(|(&x, &y)| x * y).sum();
             assert_eq!(u.lift(), expect);
         }
-        assert_eq!(kacct.triples, 9);
-        assert_eq!(acct.opened_elements, 11 + 7 + 3);
+        assert_eq!(acct.triples, 2 * 5 + 3 + 3);
+        assert_eq!(acct.opened_elements, (5 + 2 * 6) + (3 + 4) + (1 + 3 * 2));
+        let traffic = pchan.metrics();
+        assert_eq!(traffic.total_rounds(), 2, "one frame each way");
+        let payload = traffic.total_bytes() - 4 * traffic.total_rounds();
+        assert_eq!(
+            acct.opened_elements,
+            payload / 8,
+            "the elements on the wire"
+        );
     }
 
     #[test]
@@ -1025,8 +1144,14 @@ mod tests {
             let mut folded = Vec::new();
             for (slice, groups) in slices.iter().zip(&groups) {
                 let scopes = |g: usize| slice.at(g as u64);
-                let us =
-                    sharing_fold_keyholder_finish(&tape, &mut kchan, groups, scopes, &mut acct);
+                let us = sharing_fold_keyholder_finish(
+                    &tape,
+                    &mut kchan,
+                    groups,
+                    &[1],
+                    scopes,
+                    &mut acct,
+                );
                 folded.extend(us.unwrap().into_iter().map(Fe::lift));
             }
             // Then Bob's side of two comparison slices, one after the other.
@@ -1055,7 +1180,7 @@ mod tests {
         let mut acct = SharingLedger::default();
         for (slice, y) in slices.iter().zip(ys) {
             let scopes = |g: usize| slice.at(g as u64);
-            sharing_fold_peer(&tape, &mut pchan, &[embed(&y)], scopes, &mut acct).unwrap();
+            sharing_fold_peer(&tape, &mut pchan, &[embed(&y)], &[1], scopes, &mut acct).unwrap();
         }
         let domain = ComparisonDomain::symmetric(100);
         let operands = || alice.iter().map(|&v| Fe::embed(v));
@@ -1125,13 +1250,25 @@ mod tests {
         assert_eq!(qacct, acct, "both sides book the same correlations");
     }
 
+    /// What a dealer ships for one query of length 5 served three pairs:
+    /// `β` once, then `α` and both `c` halves a pair — 26 elements where a
+    /// triple a pair took 36.
+    #[test]
+    fn a_matrix_triple_books_the_shared_mask_once() {
+        let mut ledger = SharingLedger::default();
+        ledger.record_matrix_triple(5, 3);
+        assert_eq!(ledger.triples, 15);
+        assert_eq!(ledger.modeled_offline_bytes, 8 * (5 + 3 * (5 + 2)));
+        assert_eq!(ledger.opened_elements, 5 + 3 * (5 + 1));
+    }
+
     #[test]
     fn ledger_absorb_sums_fields() {
         let mut a = SharingLedger::default();
         a.record_compare(&ComparisonDomain::symmetric(100));
         let mut b = SharingLedger::default();
-        b.record_dot(3, 4);
-        b.record_fold(5);
+        b.record_matrix_triple(3, 4);
+        b.record_matrix_triple(5, 1);
         let mut total = a;
         total.absorb(b);
         assert_eq!(total.compares, 1);

@@ -395,6 +395,66 @@ fn multiplication_fold_framings_agree_on_both_substrates() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The query form of the fold: each query's one peer vector against the
+    /// keyholder vectors it is served — none, one or several — gives the
+    /// exact inner products on both substrates, under the framing contract.
+    /// The reference framing's item is a pair on Paillier (one
+    /// Multiplication Protocol a pair) and a query served anything on
+    /// sharing (one matrix triple a query).
+    #[test]
+    fn query_folds_are_exact_inner_products_under_both_framings(seed in any::<u64>()) {
+        use rand::Rng as _;
+        let mut r = StdRng::seed_from_u64(seed);
+        let dim = r.random_range(1..=4usize);
+        let per_query: Vec<usize> = (0..r.random_range(1..=6))
+            .map(|_| match r.random_range(0..3) {
+                0 => 0,
+                1 => 1,
+                _ => r.random_range(2..=5),
+            })
+            .collect();
+        let point = |r: &mut StdRng| -> Vec<i64> { (0..dim).map(|_| r.random_range(-60..=60)).collect() };
+        let ys: Vec<Vec<i64>> = per_query.iter().map(|_| point(&mut r)).collect();
+        let owner: Vec<usize> = per_query
+            .iter()
+            .enumerate()
+            .flat_map(|(q, &count)| std::iter::repeat_n(q, count))
+            .collect();
+        let xs: Vec<Vec<i64>> = owner.iter().map(|_| point(&mut r)).collect();
+        // Sparse record ids: a pair is keyed by its record, not its position.
+        let records: Vec<RecordId> = (0..xs.len() as u64).map(|i| 3 * i + 1).collect();
+        let expect: Vec<i64> = xs
+            .iter()
+            .zip(&owner)
+            .map(|(x, &q)| x.iter().zip(&ys[q]).map(|(a, b)| a * b).sum())
+            .collect();
+        let (pairs, served) = (xs.len() as u64, per_query.iter().filter(|&&n| n > 0).count() as u64);
+        for substrate in [SUBSTRATES[0], Substrate::Sharing] {
+            let fold: Side<'_> = &|backend, chan, role, acct| {
+                let ctx = ProtocolContext::new(seed);
+                match role {
+                    Party::Alice => {
+                        backend.mul_fold_queries_keyholder(chan, &xs, &per_query, &records, &ctx, acct)
+                    }
+                    Party::Bob => backend
+                        .mul_fold_queries_peer(chan, &ys, &per_query, &records, &ctx, acct)
+                        .map(|()| Vec::new()),
+                }
+            };
+            let items = match substrate {
+                Substrate::Sharing => served,
+                Substrate::Paillier { .. } => pairs,
+            };
+            let frames = (2 * items, 2 * u64::from(pairs > 0));
+            let got = assert_framings_agree("query fold", substrate, fold, frames);
+            prop_assert_eq!(&got, &expect, "{:?}, per query {:?}", substrate, &per_query);
+        }
+    }
+}
+
 #[test]
 fn selection_framings_agree_on_every_substrate() {
     let dists = [9i64, 2, 14, 5, 0, 7, 3, 11];
@@ -496,10 +556,11 @@ impl SmcBackend for Recording<'_, '_> {
         unimplemented!("a selection sends no public message")
     }
 
-    fn mul_fold_keyholder<C: Channel>(
+    fn mul_fold_queries_keyholder<C: Channel, X: AsRef<[i64]>>(
         &self,
         _: &mut C,
-        _: &[Vec<i64>],
+        _: &[X],
+        _: &[usize],
         _: &[RecordId],
         _: &ProtocolContext,
         _: &mut SharingLedger,
@@ -507,10 +568,11 @@ impl SmcBackend for Recording<'_, '_> {
         unimplemented!("a selection multiplies nothing")
     }
 
-    fn mul_fold_peer<C: Channel>(
+    fn mul_fold_queries_peer<C: Channel, Y: AsRef<[i64]>>(
         &self,
         _: &mut C,
-        _: &[Vec<i64>],
+        _: &[Y],
+        _: &[usize],
         _: &[RecordId],
         _: &ProtocolContext,
         _: &mut SharingLedger,

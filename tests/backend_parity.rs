@@ -235,11 +235,11 @@ proptest! {
         let peer_ctx = ctx;
         let peer = thread::spawn(move || {
             let mut acct = SharingLedger::default();
-            sharing_fold_peer(&tape, &mut b_chan, &[ys_fe], |_| peer_ctx, &mut acct).unwrap();
+            sharing_fold_peer(&tape, &mut b_chan, &[ys_fe], &[1], |_| peer_ctx, &mut acct).unwrap();
             acct
         });
         let mut acct = SharingLedger::default();
-        let got = sharing_fold_keyholder(&tape, &mut a_chan, &[xs_fe], |_| ctx, &mut acct)
+        let got = sharing_fold_keyholder(&tape, &mut a_chan, &[xs_fe], &[1], |_| ctx, &mut acct)
             .unwrap();
         let peer_acct = peer.join().unwrap();
         prop_assert_eq!(got[0].lift(), expected);

@@ -457,6 +457,16 @@ fn framing_cells() -> Vec<(String, Family, ProtocolConfig)> {
 /// coordinate, and an element's minimal encoding is a byte shorter once in
 /// 256. Rounds, messages, the keyholder→peer direction and every sharing
 /// cell did not move (CHANGES.md, PR 17, lists each old → new value).
+///
+/// Wire v13 re-recorded the six sharing cells that run a multiplication
+/// fold — horizontal, multiparty and arbitrary, both framings — as measured,
+/// with no batch-frame adjustment. The fold is query-shaped there: its runs
+/// are flat ring elements with no per-group length, and the querier's masked
+/// point travels once a query, not once a pair (horizontal batched: 2,494 →
+/// 1,726 bytes each way). The reference framing's item is a query, so its
+/// fold frames fell with it (147 → 87 frames each way); messages, still one
+/// a pair, did not move, and payload still equals the batched twin's.
+/// CHANGES.md lists each old → new value.
 type FramingPin = (&'static str, &'static [Pin], &'static [[u64; 2]]);
 
 const FRAMING_PINS: &[FramingPin] = &[
@@ -472,13 +482,13 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "horizontal/sharing/unbatched",
-        &[[3054, 3054, 147, 147, 147, 147]],
+        &[[2046, 2046, 147, 147, 87, 87]],
         &[],
     ),
     (
         "horizontal/sharing/batched",
-        &[[2510, 2510, 147, 147, 7, 7]],
-        &[[4, 4]],
+        &[[1726, 1726, 147, 147, 7, 7]],
+        &[],
     ),
     (
         "enhanced/paillier/unbatched",
@@ -532,13 +542,13 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "arbitrary/sharing/unbatched",
-        &[[2374, 1958, 121, 121, 121, 121]],
+        &[[2166, 1750, 121, 121, 121, 121]],
         &[],
     ),
     (
         "arbitrary/sharing/batched",
-        &[[1918, 1502, 121, 121, 5, 5]],
-        &[[2, 2]],
+        &[[1702, 1286, 121, 121, 5, 5]],
+        &[],
     ),
     (
         "multiparty/paillier/unbatched",
@@ -561,20 +571,20 @@ const FRAMING_PINS: &[FramingPin] = &[
     (
         "multiparty/sharing/unbatched",
         &[
-            [2908, 2908, 134, 134, 134, 134],
-            [2908, 2908, 134, 134, 134, 134],
-            [2908, 2908, 134, 134, 134, 134],
+            [2076, 2076, 134, 134, 86, 86],
+            [2076, 2076, 134, 134, 86, 86],
+            [2076, 2076, 134, 134, 86, 86],
         ],
         &[],
     ),
     (
         "multiparty/sharing/batched",
         &[
-            [2460, 2460, 134, 134, 14, 14],
-            [2460, 2460, 134, 134, 14, 14],
-            [2460, 2460, 134, 134, 14, 14],
+            [1788, 1788, 134, 134, 14, 14],
+            [1788, 1788, 134, 134, 14, 14],
+            [1788, 1788, 134, 134, 14, 14],
         ],
-        &[[8, 8], [8, 8], [8, 8]],
+        &[],
     ),
     (
         "vertical/dgk/unbatched",

@@ -419,9 +419,10 @@ enum Attack {
     Counts(Vec<u64>),
     /// Discloses these as the coarse cells of its one query.
     Cells(Vec<Vec<i64>>),
-    /// Opens (or answers) the first resolve chunk with a one-pair frame
-    /// where the chunk holds three.
-    Arity,
+    /// Ships this flat run of ring elements in place of its fold frame of
+    /// the first resolve chunk: the responder's masked points, or — after
+    /// reading those — the querier's reply.
+    Fold(Vec<u64>),
     /// As an enhanced querier that announced `.0` points: ships these frames
     /// of `(engage, k)` flags.
     Flags(usize, Vec<Vec<(bool, u64)>>),
@@ -513,12 +514,14 @@ fn hostile_point_peer(
                 let _cells: Vec<Vec<i64>> = chan.recv().unwrap();
                 chan.send(&counts).unwrap();
             }
-            // The responder opens a chunk with one masked vector per pair.
-            (Party::Bob, Attack::Arity) => chan.send_batch(&[vec![0u64, 0]]).unwrap(),
-            (Party::Alice, Attack::Arity) => {
-                let opened: Vec<Vec<u64>> = chan.recv_batch().unwrap();
-                assert_eq!(opened.len(), honest_n, "one pair per honest point");
-                chan.send_batch(&[(vec![0u64, 0], 0u64)]).unwrap();
+            // The responder opens a chunk with every pair's masked point,
+            // and the querier answers its one query's masked point and then
+            // one element a pair.
+            (Party::Bob, Attack::Fold(run)) => chan.send_batch(&run).unwrap(),
+            (Party::Alice, Attack::Fold(run)) => {
+                let opened: Vec<u64> = chan.recv_batch().unwrap();
+                assert_eq!(opened.len(), 2 * honest_n, "a 2-d point per honest point");
+                chan.send_batch(&run).unwrap();
             }
             (Party::Alice, Attack::Flags(_, frames)) => {
                 if cfg.pruning != Pruning::Exhaustive {
@@ -649,22 +652,47 @@ fn hostile_query_cells_are_refused_in_the_point_holding_modes() {
     }
 }
 
-/// A resolve chunk's frames carry one entry per pair; a peer that frames
-/// another number is refused by whichever side reads the frame. (The
-/// enhanced mode's chunks are held to their arities in
-/// `hostile_enhanced_flags_and_replies_are_refused`.)
+/// A resolve chunk's fold frames are flat runs whose lengths both sides
+/// derive: the responder's masked points, two elements for each of the three
+/// pairs of the querier's one query, and the querier's reply, her masked
+/// point once and then one element a pair. A peer that frames another
+/// length — a pair short, or the pairs or queries of served counts it made
+/// up — is refused by whichever side reads the frame.
 #[test]
 fn wrong_arity_resolve_chunk_is_refused_on_both_sides() {
     let cfg = ProtocolConfig::new(grid_cfg().params, 10)
         .with_backend(BackendKind::Sharing)
         .with_batching(true);
+    let cases = [
+        (
+            Party::Alice,
+            vec![0; 2],
+            "expected 6 masked elements for 3 pairs, got 2",
+        ),
+        (
+            Party::Alice,
+            vec![0; 4],
+            "expected 6 masked elements for 3 pairs, got 4",
+        ),
+        (
+            Party::Bob,
+            vec![0; 3],
+            "expected 5 reply elements for 1 queries and 3 pairs, got 3",
+        ),
+        (
+            Party::Bob,
+            vec![0; 7],
+            "expected 5 reply elements for 1 queries and 3 pairs, got 7",
+        ),
+    ];
     for mode in [Mode::Horizontal, Mode::Multiparty] {
-        for honest_role in [Party::Alice, Party::Bob] {
-            match refusal(cfg, mode, honest_role, Attack::Arity) {
+        for (honest_role, run, want) in &cases {
+            let name = format!("{mode}/{honest_role}/{} elements", run.len());
+            match refusal(cfg, mode, *honest_role, Attack::Fold(run.clone())) {
                 CoreError::Smc(SmcError::Protocol(msg)) => {
-                    assert!(msg.contains("expected 3"), "{mode}/{honest_role}: {msg}")
+                    assert!(msg.contains(want), "{name}: {msg}")
                 }
-                other => panic!("{mode}/{honest_role}: wanted a typed refusal, got {other:?}"),
+                other => panic!("{name}: wanted a typed refusal, got {other:?}"),
             }
         }
     }
@@ -759,11 +787,11 @@ fn hostile_enhanced_flags_and_replies_are_refused() {
 
 /// A fake Alice that handshakes honestly for `mode` as the holder of
 /// `shape = (records, dim)`, then plays the multiplication stage of the
-/// first resolve chunk by the book — `pairs` groups under the context path
-/// an honest Alice would walk — with attribute values no lattice holds:
-/// `2^61` each, so that every inner product with a point off the origin
-/// reaches `2^62` and doubling it leaves `i64`. After that the honest Bob
-/// must be gone: the next read is a disconnect.
+/// first resolve chunk by the book — her one query served `pairs` points,
+/// under the context path an honest Alice would walk — with attribute values
+/// no lattice holds: `2^61` each, so that every inner product with a point
+/// off the origin reaches `2^62` and doubling it leaves `i64`. After that
+/// the honest Bob must be gone: the next read is a disconnect.
 fn hostile_inner_product_alice(
     mut chan: MemoryChannel,
     cfg: ProtocolConfig,
@@ -798,12 +826,14 @@ fn hostile_inner_product_alice(
                 dot_mask_bound: BigUint::from_u64(1 << 20),
             })
         };
-        let groups = vec![vec![1i64 << 61; 2]; pairs];
+        // One query served every pair, as an honest querier holds it.
+        let query = [vec![1i64 << 61; 2]];
         let records: Vec<u64> = (0..pairs as u64).collect();
         let mut acct = SharingLedger::default();
         // Batched, the honest side answers the whole stage before it looks
         // at a product; one pair at a time it hangs up after the first.
-        let _ = backend.mul_fold_peer(&mut chan, &groups, &records, &path, &mut acct);
+        let _ =
+            backend.mul_fold_queries_peer(&mut chan, &query, &[pairs], &records, &path, &mut acct);
         assert!(
             chan.recv_bytes().is_err(),
             "the honest side must refuse the products, not compare them"

@@ -126,13 +126,12 @@ fn comparator_mismatch_fails_on_both_sides_naming_the_field() {
 #[test]
 fn wire_version_mismatch_is_a_typed_error_not_a_hang_or_decode_failure() {
     // A past or "future" peer: completes the key exchange honestly, then
-    // sends a Hello advertising a different wire version — 10 is the build
-    // that kept at most two horizontal resolve chunks in flight, whose
-    // querier this build's responder would hand a third fold request where
-    // it expects an open. The real participant must reject it by name —
-    // before any protocol message.
-    assert_eq!(WIRE_VERSION, 12, "re-aim the past/future versions below");
-    for peer_version in [10u32, 13] {
+    // sends a Hello advertising a different wire version — 12 is the build
+    // whose fold replied once a pair, whose responder this build's querier
+    // would hand a reply of the wrong length. The real participant must
+    // reject it by name — before any protocol message.
+    assert_eq!(WIRE_VERSION, 13, "re-aim the past/future versions below");
+    for peer_version in [12u32, 14] {
         let (mut real_chan, mut fake_chan) = duplex();
         let fake = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(99);

@@ -492,6 +492,84 @@ fn a_client_that_stops_reading_fails_its_session_and_frees_the_slot() {
     assert_eq!((report.completed, report.failed), (1, 1));
 }
 
+/// A client end that reads `reads` frames honestly and then cuts the next
+/// frame it sends one ring element short.
+struct CutsAReply {
+    inner: TcpChannel,
+    reads: usize,
+}
+
+impl Channel for CutsAReply {
+    fn send_bytes(&mut self, payload: &[u8]) -> Result<(), TransportError> {
+        if self.reads == 0 {
+            self.reads = usize::MAX;
+            return self.inner.send_bytes(&payload[..payload.len() - 8]);
+        }
+        self.inner.send_bytes(payload)
+    }
+
+    fn recv_bytes(&mut self) -> Result<Vec<u8>, TransportError> {
+        self.reads = self.reads.saturating_sub(1);
+        self.inner.recv_bytes()
+    }
+
+    fn metrics(&self) -> ppds_transport::MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+#[test]
+fn a_fold_reply_of_the_wrong_length_fails_its_session_and_frees_the_slot() {
+    // After the server's three handshake frames the client reads the first
+    // resolve chunk's masked points and answers them: that reply, an
+    // element short, is no `queries·dim + pairs` run, and the server must
+    // refuse it — not wait for the element or compare garbage.
+    let records = blobs(18, 777);
+    let (alice, bob) = split_alternating(&records);
+    let cfg = base_cfg()
+        .with_backend(BackendKind::Sharing)
+        .with_batching(true);
+    let server = Server::start(
+        ServerConfig::new(vec![hosted(
+            cfg,
+            Party::Bob,
+            PartyData::Horizontal(bob.clone()),
+        )])
+        .with_workers(1)
+        .with_queue_cap(4),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+    let participant = |seed: u64| {
+        Participant::new(cfg)
+            .role(Party::Alice)
+            .data(PartyData::Horizontal(alice.clone()))
+            .seed(seed)
+    };
+    let hostile = participant(811);
+    let session = open_session(&addr, &hostile, 0, TIMEOUT).expect("admitted");
+    let mut chan = CutsAReply {
+        inner: session.into_channel(),
+        reads: 4,
+    };
+    assert!(hostile.run(&mut chan).is_err(), "the cut client ends");
+    wait_until("the refused session fails", || {
+        server
+            .sessions()
+            .iter()
+            .any(|s| s.state == SessionState::Failed)
+    });
+
+    // The one worker is free again.
+    let (_, outcome) = run_session(&addr, participant(812), 0, TIMEOUT).expect("next completes");
+    assert_eq!(
+        outcome.output.clustering,
+        dbscan_with_external_density(&alice, &bob, cfg.params)
+    );
+    let report = server.shutdown(Duration::from_secs(5));
+    assert_eq!((report.completed, report.failed), (1, 1));
+}
+
 #[test]
 fn handshake_timeout_reaps_silent_connection_without_harming_neighbors() {
     let records = blobs(12, 59);

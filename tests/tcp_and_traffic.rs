@@ -401,18 +401,20 @@ fn assert_hops(
     assert_eq!(frames_seen, frames, "{name}: frames");
 }
 
-/// At dimension 2 a chunk is ≈ 28 KB one way and ≈ 36 KB back, so the
-/// sharing backend keeps four in flight: the responder posts chunk `i + 4`'s
-/// fold request as soon as chunk `i` settles, and the querier answers it at
-/// once. Same frames; 45 hops one chunk at a time, 17 now. At dimension 6
-/// (≈ 60 and 68 KB) two are in flight; at dimension 8 a chunk is ≈ 76 KB
-/// one way, over the 64 KiB budget by itself, and one is.
+/// At dimension 2 a chunk of ten queries is ≈ 24 KB one way and ≈ 16 KB
+/// back (the querier's masked point travels once a query, wire v13), so the
+/// sharing backend keeps seven in flight: the responder posts chunk
+/// `i + 7`'s fold request as soon as chunk `i` settles, and the querier
+/// answers it at once. Same frames; 45 hops one chunk at a time, 13 now. At
+/// dimension 6 (≈ 56 and 16 KB) five are in flight, and at dimension 8
+/// (≈ 72 KB one way, over the 64 KiB budget by itself, and ≈ 17 KB back)
+/// four are: one direction's backlog alone never blocks both parties.
 #[test]
 fn pipelined_resolve_pays_link_delays_per_window_not_per_chunk() {
     let sharing = (ppds_smc::BackendKind::Sharing, true);
-    assert_hops(sharing, 2, (17, 86));
-    assert_hops(sharing, 6, (25, 86));
-    assert_hops(sharing, 8, (45, 86));
+    assert_hops(sharing, 2, (13, 86));
+    assert_hops(sharing, 6, (13, 86));
+    assert_hops(sharing, 8, (17, 86));
 }
 
 /// The Paillier backend posts nothing ahead, so it keeps the
@@ -422,20 +424,22 @@ fn paillier_resolve_keeps_one_chunk_in_flight() {
     assert_hops((ppds_smc::BackendKind::Paillier, true), 2, (85, 104));
 }
 
-/// So does the reference framing, a frame per pair and protocol message.
+/// So does the reference framing: a frame per pair and comparison message,
+/// and since wire v13 a frame per query and fold message.
 #[test]
 fn unbatched_resolve_keeps_its_frame_order() {
     let unbatched = (ppds_smc::BackendKind::Sharing, false);
-    assert_hops(unbatched, 2, (79_965, 80_006));
+    assert_hops(unbatched, 2, (40_365, 40_406));
 }
 
 /// The window on its target deployment path: two blocking, single-threaded
 /// parties over loopback sockets. Each may be mid-`send` while the other
 /// is too, since a window stays within what TCP buffers hold; a deadlock
 /// would surface as a 10 s `Timeout` (see `over_tcp`), not a hang. Ten
-/// chunks a direction with four in flight, then two, then one at a time at
-/// a dimension whose chunk outgrows the budget: labels are the plaintext
-/// reference's, and the traffic is the in-memory run's, frame for frame.
+/// chunks a direction with seven in flight, then five, then four at a
+/// dimension whose chunk outgrows the budget one way: labels are the
+/// plaintext reference's, and the traffic is the in-memory run's, frame for
+/// frame.
 #[test]
 fn pipelined_resolve_over_real_sockets_neither_deadlocks_nor_moves_a_frame() {
     use ppds_dbscan::datagen::uniform_points;
@@ -476,7 +480,7 @@ fn pipelined_resolve_over_real_sockets_neither_deadlocks_nor_moves_a_frame() {
 /// holds at most that many unread bytes and blocks its sender beyond them,
 /// and every read lags 300 µs, so senders run ahead until the buffers fill.
 /// Two parties both blocked in `send` would fail with a 10 s `Timeout`.
-/// Dimensions 1 to 8 take windows of six chunks down to one.
+/// Dimensions 1 to 8 take windows of nine chunks down to four.
 #[test]
 fn pipelined_resolve_fits_a_socket_that_buffers_only_the_window_budget() {
     use common::Buffered;

@@ -329,7 +329,7 @@ fn two_party_modes_are_byte_identical_traced_vs_untraced() {
 
 /// A pipelined resolve (wire v10) posts chunk `i + W`'s fold request while
 /// chunk `i` settles, so its spans are where a trace could stop nesting.
-/// 100 + 100 points on the sharing backend are ten chunks a direction, two
+/// 100 + 100 points on the sharing backend are ten chunks a direction, seven
 /// in flight: the trace must replay, every `mul_batch` / `cmp_batch` span
 /// must sit inside a `resolve#` span, the top-level spans must tile the
 /// session, and tracing must not move a byte.
