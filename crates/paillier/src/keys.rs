@@ -407,8 +407,8 @@ impl PublicKey {
             .collect())
     }
 
-    /// Encrypts with a caller-chosen nonce (deterministic; used by tests and
-    /// for the nonce-1 constants of DGK's comparison cells).
+    /// Encrypts with a caller-chosen nonce (deterministic; tests only).
+    #[cfg(test)]
     pub fn encrypt_with_nonce(
         &self,
         m: &BigUint,

@@ -137,14 +137,15 @@ fn comparison_cells(
     // would still surface as `InvalidCiphertext`).
     let inv_bits = alice_pk.negate_many(&x_bits)?;
 
-    let one = BigUint::one();
-    let enc_one = alice_pk.encrypt_with_nonce(&one, &one).expect("1 < n"); // deterministic E(1); masked before sending
+    // The trivial ciphertexts: `1` is `E(0)` and `1 + n` is `E(1)`, each
+    // with nonce 1 — no ladder. Every cell is masked and re-randomized
+    // before it ships.
+    let trivial_zero = Ciphertext::from_biguint(BigUint::one());
+    let enc_one = alice_pk.add_plain(&trivial_zero, &BigUint::one());
     let three = BigUint::from_u64(3);
 
     // Running Σ (x_j ⊕ y_j) over the more-significant prefix, encrypted.
-    let mut prefix_xor = alice_pk
-        .encrypt_with_nonce(&BigUint::zero(), &one)
-        .expect("0 < n");
+    let mut prefix_xor = trivial_zero;
     let mut cells = Vec::with_capacity(ell);
     for (pos, (enc_x, inv_x)) in x_bits.iter().zip(&inv_bits).enumerate() {
         let y_bit = (y >> (ell - 1 - pos)) & 1;
