@@ -111,9 +111,9 @@ fn bench_multi_exp(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fixed-base comb (key-lifetime table, zero squarings at eval) against the
-/// plain windowed ladder, at the modulus sizes the general-`g` Paillier
-/// path actually exponentiates over.
+/// Lim–Lee fixed-base comb (key-lifetime table, `1/teeth` of the ladder's
+/// squarings) at 4 teeth and at the keyholder's 8, against the plain
+/// windowed ladder, with full-width exponents.
 fn bench_fixed_base(c: &mut Criterion) {
     let mut group = c.benchmark_group("bigint_fixed_base");
     group.sample_size(20);
@@ -124,10 +124,13 @@ fn bench_fixed_base(c: &mut Criterion) {
         let ctx = MontgomeryCtx::new(&modulus).unwrap();
         let base = random::gen_biguint_below(&mut r, &modulus);
         let exp = random::gen_biguint_exact_bits(&mut r, bits);
-        let table = FixedBaseTable::new(&ctx, &base, 4, bits);
-        group.bench_with_input(BenchmarkId::new("fixed_base", bits), &bits, |bench, _| {
-            bench.iter(|| table.pow(black_box(&exp)));
-        });
+        for teeth in [4usize, 8] {
+            let table = FixedBaseTable::new(&ctx, &base, teeth, bits);
+            let id = BenchmarkId::new(format!("comb{teeth}"), bits);
+            group.bench_with_input(id, &bits, |bench, _| {
+                bench.iter(|| table.pow(black_box(&exp)));
+            });
+        }
         group.bench_with_input(BenchmarkId::new("plain", bits), &bits, |bench, _| {
             bench.iter(|| modular::mod_pow(black_box(&base), black_box(&exp), &modulus));
         });

@@ -16,7 +16,7 @@ fn rng(seed: u64) -> StdRng {
 fn bench_keygen(c: &mut Criterion) {
     let mut group = c.benchmark_group("paillier_keygen");
     group.sample_size(10);
-    for bits in [256usize, 512, 1024] {
+    for bits in [256usize, 512, 1024, 2048] {
         group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |bench, &bits| {
             let mut r = rng(1);
             bench.iter(|| Keypair::generate(bits, &mut r));
@@ -26,7 +26,7 @@ fn bench_keygen(c: &mut Criterion) {
 }
 
 fn bench_encrypt_decrypt(c: &mut Criterion) {
-    for bits in [256usize, 512, 1024] {
+    for bits in [256usize, 512, 1024, 2048] {
         let keypair = Keypair::generate(bits, &mut rng(2));
         let mut r = rng(3);
         let m = random::gen_biguint_below(&mut r, keypair.public.n());
@@ -38,13 +38,13 @@ fn bench_encrypt_decrypt(c: &mut Criterion) {
             let mut r = rng(4);
             b.iter(|| keypair.public.encrypt(black_box(&m), &mut r).unwrap());
         });
-        // The same ciphertexts from the side that owns the key: the nonce
-        // power by CRT over p², q² (DESIGN.md §12).
+        // The side that owns the key: its randomizer h^s from the key's two
+        // Lim–Lee combs over p², q² (DESIGN.md §12).
         group.bench_function("keyholder_encrypt", |b| {
             let mut r = rng(4);
             b.iter(|| keypair.encrypt(black_box(&m), &mut r).unwrap());
         });
-        if bits == 1024 {
+        if bits >= 1024 {
             // One DGK bit frame at the benchmark's share domain (ℓ = 33).
             let bit_frame = vec![BigUint::one(); 33];
             group.bench_function("keyholder_encrypt_many33", |b| {

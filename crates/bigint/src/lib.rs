@@ -13,7 +13,7 @@
 //!   signed plaintext encodings, and the arithmetic inside Yao's protocol),
 //! * [`MontgomeryCtx`] — CIOS Montgomery multiplication and windowed modular
 //!   exponentiation for odd moduli (Paillier's `n` and `n²` are always odd),
-//! * [`multiexp`] — exponentiation kernels: [`FixedBaseTable`] windowed
+//! * [`multiexp`] — exponentiation kernels: [`FixedBaseTable`] Lim–Lee
 //!   fixed-base combs and Straus/Pippenger simultaneous [`multi_exp`],
 //!   all value-equal to the naive ladders they replace,
 //! * [`modular`] — GCD/LCM, modular inverse (single and

@@ -7,10 +7,10 @@
 //! swapping a kernel into a protocol hot path can never change a wire
 //! byte. The win is arithmetic shape, not semantics:
 //!
-//! * a comb table trades one-off precomputation for exponentiations with
-//!   **zero squarings** (one table multiply per window digit), which pays
-//!   off once a base is reused a handful of times (a Paillier generator, a
-//!   reused dot-product ciphertext);
+//! * a Lim–Lee comb trades one-off precomputation for exponentiations with
+//!   `1/k` of the ladder's squarings (`k` the tooth count) and one table
+//!   multiply per column, which pays off once a base is reused a handful of
+//!   times (the keyholder's secret randomizer base);
 //! * Straus/Pippenger share **one squaring pass** across all `k` operands
 //!   of a product of powers, where the naive loop pays a full
 //!   square-and-multiply ladder per operand.
@@ -41,98 +41,106 @@ fn window_digit(exp: &BigUint, bits: usize, w: usize, i: usize) -> usize {
     d
 }
 
-/// Windowed fixed-base exponentiation table (BGMW comb) over a Montgomery
-/// context, precomputed once per key lifetime.
+/// Lim–Lee fixed-base comb over a Montgomery context, precomputed once per
+/// base lifetime.
 ///
-/// Level `i` stores `base^(j · 2^{w·i})` for every digit value
-/// `j ∈ 0..2^w`, all in Montgomery form, so `base^e` is the product of one
-/// table entry per window digit of `e` — **no squarings at all**. Against
-/// [`MontgomeryCtx::pow_mod`]'s fixed 4-bit ladder (≈ `bits` squarings +
-/// `bits/4` multiplies) a `w = 4` comb does `bits/4` multiplies total,
-/// ≈ 5× fewer Montgomery products per call.
+/// With `k` teeth and spacing `d = ⌈max_exp_bits / k⌉`, an exponent is
+/// read as `k` strips of `d` bits: tooth `i` covers bits `i·d .. (i+1)·d`.
+/// Row `j ∈ 0..2^k` of the table holds `Π_{i ∈ bits of j} base^(2^{i·d})`
+/// in Montgomery form, so `base^e` is one column scan from `t = d − 1`
+/// down to 0 — square, then multiply by the row whose bit `i` is bit
+/// `i·d + t` of `e`: `d − 1` squarings and at most `d` products, where
+/// [`MontgomeryCtx::pow_mod`]'s 4-bit ladder pays `bits` squarings and
+/// `bits/4` products. At 8 teeth and a 512-bit exponent that is 63
+/// squarings and 64 products, from a table of 256 rows.
 ///
-/// Precomputation costs `levels · (w + 2^w − 2)` products for
-/// `levels = ⌈max_exp_bits / w⌉`; it amortizes after roughly 4 calls.
-/// Exponents wider than `max_exp_bits` fall back to `pow_mod`
+/// Precomputation costs `(k − 1)·d` squarings and `2^k − k − 1` products;
+/// the table is `2^k` rows, whatever the exponent width. Exponents wider
+/// than the `k·d` bits the strips cover fall back to `pow_mod`
 /// transparently (same canonical result, ladder cost).
 #[derive(Clone)]
 pub struct FixedBaseTable {
     ctx: MontgomeryCtx,
-    window: usize,
-    max_exp_bits: usize,
+    teeth: usize,
+    spacing: usize,
     /// The base, kept for the wide-exponent fallback path.
     base: BigUint,
-    /// `levels[i]` holds `base^(j · 2^{window·i})` for `j ∈ 0..2^window`
-    /// as consecutive Montgomery rows.
-    levels: Vec<Vec<u64>>,
+    /// `2^teeth` consecutive Montgomery rows; row `j` is the product of
+    /// `base^(2^{i·spacing})` over the set bits `i` of `j`.
+    rows: Vec<u64>,
 }
 
 impl FixedBaseTable {
     /// Builds the comb for `base` (reduced mod the context modulus) with
-    /// `window`-bit digits covering exponents up to `max_exp_bits` bits.
+    /// `teeth` strips covering exponents up to `max_exp_bits` bits.
     ///
     /// # Panics
-    /// Panics unless `1 ≤ window ≤ 8` (tables are `2^window` entries per
-    /// level; wider windows would be megabytes per level).
-    pub fn new(ctx: &MontgomeryCtx, base: &BigUint, window: usize, max_exp_bits: usize) -> Self {
+    /// Panics unless `1 ≤ teeth ≤ 8` (the table is `2^teeth` rows; wider
+    /// combs would be megabytes at key widths).
+    pub fn new(ctx: &MontgomeryCtx, base: &BigUint, teeth: usize, max_exp_bits: usize) -> Self {
         assert!(
-            (1..=8).contains(&window),
-            "comb window must be in 1..=8, got {window}"
+            (1..=8).contains(&teeth),
+            "comb teeth must be in 1..=8, got {teeth}"
         );
+        let k = ctx.width();
+        let spacing = max_exp_bits.div_ceil(teeth).max(1);
         let mut scratch = ctx.scratch();
-        let levels_len = max_exp_bits.div_ceil(window).max(1);
-        let mut levels = Vec::with_capacity(levels_len);
-        // Level 0: base^0 ..= base^(2^w - 1). Each further level's unit
-        // step is the previous step raised to 2^w: w squarings.
-        let mut step = ctx.to_mont_limbs(base, &mut scratch);
-        for i in 0..levels_len {
+        let mut rows = Vec::with_capacity(k << teeth);
+        rows.extend_from_slice(&ctx.one_limbs());
+        // Tooth `i` is base^(2^{i·d}): the previous tooth squared d times.
+        // Rows 2^i .. 2^{i+1} are the rows below it times that tooth.
+        let mut tooth = ctx.to_mont_limbs(base, &mut scratch);
+        for i in 0..teeth {
             if i > 0 {
-                for _ in 0..window {
-                    ctx.sqr_assign(&mut step, &mut scratch);
+                for _ in 0..spacing {
+                    ctx.sqr_assign(&mut tooth, &mut scratch);
                 }
             }
-            levels.push(ctx.window_table(&step, (1 << window) - 1, &mut scratch));
+            rows.extend_from_slice(&tooth);
+            for j in 1..1 << i {
+                rows.extend_from_within(j * k..(j + 1) * k);
+                let at = rows.len() - k;
+                ctx.mul_assign(&mut rows[at..], &tooth, &mut scratch);
+            }
         }
         FixedBaseTable {
             ctx: ctx.clone(),
-            window,
-            max_exp_bits,
+            teeth,
+            spacing,
             base: base.clone(),
-            levels,
+            rows,
         }
-    }
-
-    /// The digit width `w` this comb was built with.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Widest exponent (in bits) the precomputed levels cover.
-    pub fn max_exp_bits(&self) -> usize {
-        self.max_exp_bits
     }
 
     /// `base^exp mod m` — limb-identical to
     /// `MontgomeryCtx::pow_mod(base, exp)` for every exponent (comb scan
-    /// when the levels cover it, transparent ladder fallback when not).
+    /// when the strips cover it, transparent ladder fallback when not).
     pub fn pow(&self, exp: &BigUint) -> BigUint {
         let bits = exp.bit_length();
-        if bits > self.max_exp_bits {
+        if bits > self.teeth * self.spacing {
             return self.ctx.pow_mod(&self.base, exp);
         }
         let k = self.ctx.width();
         let mut scratch = self.ctx.scratch();
-        let mut acc = self.ctx.one_limbs();
-        for (i, level) in self.levels.iter().enumerate() {
-            if i * self.window >= bits {
-                break;
+        // Absent until the first nonzero column: no squarings of the unit.
+        let mut acc: Option<Vec<u64>> = None;
+        for t in (0..self.spacing.min(bits)).rev() {
+            if let Some(acc) = &mut acc {
+                self.ctx.sqr_assign(acc, &mut scratch);
             }
-            let d = window_digit(exp, bits, self.window, i);
-            if d != 0 {
-                self.ctx
-                    .mul_assign(&mut acc, &level[d * k..(d + 1) * k], &mut scratch);
+            let row = (0..self.teeth)
+                .filter(|&i| exp.bit(i * self.spacing + t))
+                .fold(0, |row, i| row | 1 << i);
+            if row != 0 {
+                mul_into(
+                    &self.ctx,
+                    &mut acc,
+                    &self.rows[row * k..(row + 1) * k],
+                    &mut scratch,
+                );
             }
         }
+        let acc = acc.unwrap_or_else(|| self.ctx.one_limbs());
         self.ctx.out_of_mont(&acc, &mut scratch)
     }
 }
@@ -327,15 +335,15 @@ mod tests {
             m.set_bit(0, true);
             m.set_bit(bits - 1, true);
             let ctx = MontgomeryCtx::new(&m).unwrap();
-            for window in [1usize, 2, 4, 5, 8] {
+            for teeth in 1usize..=8 {
                 let base = gen_biguint_below(&mut r, &m);
-                let table = FixedBaseTable::new(&ctx, &base, window, bits);
+                let table = FixedBaseTable::new(&ctx, &base, teeth, bits);
                 for _ in 0..4 {
                     let exp = gen_biguint_bits(&mut r, bits);
                     assert_eq!(
                         table.pow(&exp),
                         ctx.pow_mod(&base, &exp),
-                        "{bits} bits, w = {window}"
+                        "{bits} bits, {teeth} teeth"
                     );
                 }
             }

@@ -234,19 +234,19 @@ proptest! {
         prop_assert_eq!(got, naive);
     }
 
-    /// `FixedBaseTable::pow` ≡ `mod_pow` across every window size, for
+    /// `FixedBaseTable::pow` ≡ `mod_pow` across every tooth count, for
     /// exponents both inside the comb's width (table path) and beyond it
     /// (fallback path).
     #[test]
     fn fixed_base_table_matches_mod_pow(
         m in odd_modulus_strategy(24),
         base in biguint_strategy(24),
-        window in 1usize..=8,
+        teeth in 1usize..=8,
         max_exp_bits in 1usize..160,
         exp in biguint_strategy(24),
     ) {
         let ctx = MontgomeryCtx::new(&m).unwrap();
-        let table = FixedBaseTable::new(&ctx, &base, window, max_exp_bits);
+        let table = FixedBaseTable::new(&ctx, &base, teeth, max_exp_bits);
         prop_assert_eq!(table.pow(&exp), modular::mod_pow(&base, &exp, &m));
     }
 

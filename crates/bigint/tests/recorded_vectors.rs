@@ -96,13 +96,18 @@ fn fixed_base_pow_reproduces_recorded_outputs() {
         let (ctx, bases, mut r) = setup(0xF1B + i as u64, bits, 1);
         let exps = exponents(&mut r, bits);
         let mut out = Vec::new();
-        for window in [1usize, 4, 5] {
+        // Recorded with a BGMW comb at windows 1, 4 and 5; the Lim–Lee comb
+        // that replaced it is held to the same digest at those tooth
+        // counts, and to the ladder at every other.
+        for teeth in 1usize..=8 {
             // `bits + 7`-bit exponents overflow the comb and take the ladder.
-            let table = FixedBaseTable::new(&ctx, &bases[0], window, bits);
+            let table = FixedBaseTable::new(&ctx, &bases[0], teeth, bits);
             for e in &exps {
                 let got = table.pow(e);
-                assert_eq!(got, ctx.pow_mod(&bases[0], e), "{bits} bits, w = {window}");
-                out.push(got);
+                assert_eq!(got, ctx.pow_mod(&bases[0], e), "{bits} bits, {teeth} teeth");
+                if [1, 4, 5].contains(&teeth) {
+                    out.push(got);
+                }
             }
         }
         measured.push(digest(&out));

@@ -54,8 +54,9 @@ impl PublicKey {
 }
 
 impl Keypair {
-    /// Keyholder-side [`PublicKey::encrypt_signed`]: the same ciphertext
-    /// with the nonce power taken by CRT (see [`Keypair::encrypt_many`]).
+    /// Keyholder-side [`PublicKey::encrypt_signed`]: the same encoding,
+    /// sealed with the keyholder's randomizer `h^s` (see
+    /// [`Keypair::encrypt_many`]).
     pub fn encrypt_signed<R: Rng + ?Sized>(
         &self,
         value: &BigInt,

@@ -114,8 +114,8 @@ impl PublicKey {
     /// independent of the input. The DBSCAN drivers use this before echoing
     /// any ciphertext back to its producer.
     pub fn rerandomize<R: Rng + ?Sized>(&self, c: &Ciphertext, rng: &mut R) -> Ciphertext {
-        // `E(0) = g^0 · r^n = r^n`: the encryption step's nonce power alone.
-        self.add(c, &Ciphertext(self.draw_nonce_power(rng)))
+        // `E(0) = g^0 · r^n = r^n`: the encryption step's randomizer alone.
+        self.add(c, &Ciphertext(self.draw_randomizer(rng)))
     }
 }
 

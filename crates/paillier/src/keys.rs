@@ -1,8 +1,9 @@
 //! Key generation, encryption and decryption.
 
 use crate::error::PaillierError;
-use ppds_bigint::{modular, prime, random, BigUint, MontgomeryCtx};
+use ppds_bigint::{modular, prime, random, BigUint, FixedBaseTable, MontgomeryCtx};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Smallest accepted key size (bits of `n`). Far below cryptographic
 /// strength — the floor only guards against degenerate message spaces in
@@ -59,30 +60,38 @@ pub struct PrivateKey {
 }
 
 /// Precomputed state for Paillier decryption by Chinese remaindering, and
-/// for the keyholder's nonce powers (see [`PrivateKey::nonce_power`]).
+/// for the keyholder's randomizers `h^s` (see
+/// [`PrivateKey::draw_randomizer`]).
 #[derive(Clone)]
 struct CrtContext {
     p: BigUint,
     q: BigUint,
     p_squared: BigUint,
     q_squared: BigUint,
-    mont_p: MontgomeryCtx,
-    mont_q: MontgomeryCtx,
     mont_pp: MontgomeryCtx,
     mont_qq: MontgomeryCtx,
-    /// `L_p(g^{p-1} mod p²)^{-1} mod p`.
+    /// `L_p(g^{p-1} mod p²)^{-1} mod p` (decryption; unrelated to `h`).
     hp: BigUint,
-    /// `L_q(g^{q-1} mod q²)^{-1} mod q`.
+    /// `L_q(g^{q-1} mod q²)^{-1} mod q` (decryption; unrelated to `h`).
     hq: BigUint,
     /// `p^{-1} mod q` for Garner recombination.
     p_inv_q: BigUint,
-    /// `q mod (p−1)` and `p mod (q−1)`: the exponent of `r^q mod p` and of
-    /// `r^p mod q` reduced by the orders of `Z*_p` and `Z*_q`.
-    q_mod_p_minus_1: BigUint,
-    p_mod_q_minus_1: BigUint,
     /// `(p²)^{-1} mod q²` for Garner recombination modulo `n²`.
     pp_inv_qq: BigUint,
+    /// `p − 1` and `q − 1`: multiples of the orders of `h mod p²` and
+    /// `h mod q²`, by which a randomizer exponent is reduced per half.
+    p_minus_1: BigUint,
+    q_minus_1: BigUint,
+    /// The secret randomizer base `h = x^n mod n²`, an `n`-th residue.
+    h: BigUint,
+    /// Lim–Lee combs for `h mod p²` and `h mod q²`, shared by every clone
+    /// of the key (a session clones its keypair).
+    h_combs: Arc<[FixedBaseTable; 2]>,
 }
+
+/// Teeth of the keyholder's combs: `2^8` rows, 32 KiB a prime at 1024-bit
+/// keys, and 63 squarings + 64 products for a 512-bit exponent.
+const H_COMB_TEETH: usize = 8;
 
 impl std::fmt::Debug for PublicKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -122,6 +131,10 @@ impl Keypair {
     /// Generates a keypair with an `n` of exactly `bits` bits, following
     /// §3.7: draw `p, q` until `gcd(pq, (p-1)(q-1)) = 1`, set `n = pq`,
     /// `λ = lcm(p-1, q-1)`, `g = n + 1`, `μ = (L(g^λ mod n²))^{-1} mod n`.
+    /// Then, from the same `rng`, the keyholder's secret randomizer base
+    /// `h = x^n mod n²` for a uniform unit `x` with `x mod p ∉ {0, 1}` and
+    /// `x mod q ∉ {0, 1}` (so `h` is not 1 modulo `p²` nor `q²`). `x` is
+    /// drawn after the primes, so a seed's `n` does not depend on it.
     ///
     /// # Panics
     /// Panics if `bits < MIN_KEY_BITS` or `bits` is odd.
@@ -145,19 +158,25 @@ impl Keypair {
                 continue;
             }
             let lambda = modular::lcm(&p_minus_1, &q_minus_1);
-            if let Some(keypair) = Self::assemble(n, p, q, lambda) {
+            let x = loop {
+                let x = random::gen_biguint_below(rng, &n);
+                if &x % &p > one && &x % &q > one {
+                    break x;
+                }
+            };
+            if let Some(keypair) = Self::assemble(n, p, q, lambda, &x) {
                 return keypair;
             }
         }
     }
 
-    /// Keyholder-side [`PublicKey::encrypt_many`]: the same ciphertexts,
-    /// byte for byte, from the same `rng` draws, under the factorization
-    /// only this side holds. Each nonce is accepted by `r mod p ≠ 0 ∧
-    /// r mod q ≠ 0` — the same set the public `gcd(r, n) = 1` test accepts —
-    /// and its power goes through the `p`-th-power map from those two
-    /// residues (`PrivateKey::nonce_power`). The factors never enter the
-    /// [`PublicKey`], which is what a peer rebuilds from the wire.
+    /// Keyholder-side [`PublicKey::encrypt_many`]: `g^m · h^s mod n²` with
+    /// `s` uniform below `λ` and `h` the key's secret `n`-th residue, by the
+    /// factorization only this side holds (`PrivateKey::draw_randomizer`).
+    /// Decrypts, combines and packs exactly as a public encryption does;
+    /// DESIGN.md §2 gives the IND-CPA argument. Neither `h` nor the
+    /// factors enter the [`PublicKey`], which is what a peer rebuilds from
+    /// the wire.
     pub fn encrypt_many<R: Rng + ?Sized>(
         &self,
         ms: &[BigUint],
@@ -165,7 +184,7 @@ impl Keypair {
     ) -> Result<Vec<Ciphertext>, PaillierError> {
         debug_assert_eq!(self.public.n, self.private.public.n, "halves of one key");
         self.public
-            .encrypt_many_by(ms, rng, |rng| self.private.draw_nonce_power(rng))
+            .encrypt_many_by(ms, rng, |rng| self.private.draw_randomizer(rng))
     }
 
     /// Keyholder-side [`PublicKey::encrypt`] (see [`Keypair::encrypt_many`]).
@@ -180,7 +199,13 @@ impl Keypair {
             .ok_or(PaillierError::MessageOutOfRange)
     }
 
-    fn assemble(n: BigUint, p: BigUint, q: BigUint, lambda: BigUint) -> Option<Keypair> {
+    fn assemble(
+        n: BigUint,
+        p: BigUint,
+        q: BigUint,
+        lambda: BigUint,
+        x: &BigUint,
+    ) -> Option<Keypair> {
         let n_squared = n.square();
         let g = &n + 1u64;
         let mont_nn = MontgomeryCtx::new(&n_squared)
@@ -193,6 +218,7 @@ impl Keypair {
         let g_lambda = mont_nn.pow_mod(&g, &lambda);
         let ell = l_function(&g_lambda, &n)?;
         let mu = modular::mod_inverse(&ell, &n)?;
+        let h = mont_nn.pow_mod(x, &n);
 
         let public = PublicKey {
             half_n: &(&n - &BigUint::one()) >> 1usize,
@@ -202,7 +228,7 @@ impl Keypair {
             mont_nn,
             mont_n,
         };
-        let crt = CrtContext::new(&public, &p, &q)?;
+        let crt = CrtContext::new(&public, &p, &q, h)?;
         Some(Keypair {
             private: PrivateKey {
                 public: public.clone(),
@@ -223,54 +249,56 @@ fn l_function(u: &BigUint, n: &BigUint) -> Option<BigUint> {
 }
 
 impl CrtContext {
-    fn new(public: &PublicKey, p: &BigUint, q: &BigUint) -> Option<CrtContext> {
+    fn new(public: &PublicKey, p: &BigUint, q: &BigUint, h: BigUint) -> Option<CrtContext> {
         let one = BigUint::one();
         let p_squared = p.square();
         let q_squared = q.square();
-        let mont_p = MontgomeryCtx::new(p)?;
-        let mont_q = MontgomeryCtx::new(q)?;
         let mont_pp = MontgomeryCtx::new(&p_squared)?;
         let mont_qq = MontgomeryCtx::new(&q_squared)?;
         let g = &public.g;
+        let p_minus_1 = p - &one;
+        let q_minus_1 = q - &one;
 
         // hp = L_p(g^{p-1} mod p²)^{-1} mod p, with L_p(u) = (u-1)/p.
-        let gp = mont_pp.pow_mod(&(g % &p_squared), &(p - &one));
+        let gp = mont_pp.pow_mod(&(g % &p_squared), &p_minus_1);
         let lp = l_function_over(&gp, p)?;
         let hp = modular::mod_inverse(&lp, p)?;
-        let gq = mont_qq.pow_mod(&(g % &q_squared), &(q - &one));
+        let gq = mont_qq.pow_mod(&(g % &q_squared), &q_minus_1);
         let lq = l_function_over(&gq, q)?;
         let hq = modular::mod_inverse(&lq, q)?;
         let p_inv_q = modular::mod_inverse(p, q)?;
-        let q_mod_p_minus_1 = q % &(p - &one);
-        let p_mod_q_minus_1 = p % &(q - &one);
         let pp_inv_qq = modular::mod_inverse(&p_squared, &q_squared)?;
+        let h_combs = Arc::new([
+            FixedBaseTable::new(
+                &mont_pp,
+                &(&h % &p_squared),
+                H_COMB_TEETH,
+                p_minus_1.bit_length(),
+            ),
+            FixedBaseTable::new(
+                &mont_qq,
+                &(&h % &q_squared),
+                H_COMB_TEETH,
+                q_minus_1.bit_length(),
+            ),
+        ]);
 
         Some(CrtContext {
             p: p.clone(),
             q: q.clone(),
             p_squared,
             q_squared,
-            mont_p,
-            mont_q,
             mont_pp,
             mont_qq,
             hp,
             hq,
             p_inv_q,
-            q_mod_p_minus_1,
-            p_mod_q_minus_1,
             pp_inv_qq,
+            p_minus_1,
+            q_minus_1,
+            h,
+            h_combs,
         })
-    }
-
-    /// `(r mod p, r mod q)` when neither is zero, else `None`: the factor
-    /// form of the unit test. Below `n` it accepts exactly what
-    /// `r ≠ 0 ∧ gcd(r, n) = 1` accepts — `r` shares a factor with `n = pq`
-    /// iff `p` or `q` divides it, and `r = 0` fails both.
-    fn unit_residues(&self, r: &BigUint) -> Option<(BigUint, BigUint)> {
-        let rp = r % &self.p;
-        let rq = r % &self.q;
-        (!rp.is_zero() && !rq.is_zero()).then_some((rp, rq))
     }
 }
 
@@ -331,32 +359,21 @@ impl PublicKey {
         &self.half_n
     }
 
-    /// Samples a uniform nonce from `Z*_n`.
+    /// Samples a uniform nonce from `Z*_n`: uniform draws below `n` until
+    /// one is a unit.
     pub fn sample_nonce<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        self.sample_nonce_by(rng, |r| {
-            (!r.is_zero() && modular::gcd(&r, &self.n).is_one()).then_some(r)
-        })
-    }
-
-    /// The one nonce sampling loop: uniform draws below `n` until `unit`
-    /// accepts one, returning what `unit` made of it. Both encryption
-    /// sides draw through it with tests that accept the same set, so they
-    /// consume the same stream positions.
-    pub(crate) fn sample_nonce_by<R: Rng + ?Sized, T>(
-        &self,
-        rng: &mut R,
-        mut unit: impl FnMut(BigUint) -> Option<T>,
-    ) -> T {
         loop {
-            if let Some(nonce) = unit(random::gen_biguint_below(rng, &self.n)) {
-                return nonce;
+            let r = random::gen_biguint_below(rng, &self.n);
+            if !r.is_zero() && modular::gcd(&r, &self.n).is_one() {
+                return r;
             }
         }
     }
 
     /// The public side's per-message step: a fresh nonce `r` and its power
-    /// `r^n mod n²` by the ladder mod `n²` — which is also `E(0)`.
-    pub(crate) fn draw_nonce_power<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+    /// `r^n mod n²` by the ladder mod `n²` — a uniform `n`-th residue,
+    /// which is also `E(0)`.
+    pub(crate) fn draw_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
         self.mont_nn.pow_mod(&self.sample_nonce(rng), &self.n)
     }
 
@@ -382,44 +399,29 @@ impl PublicKey {
         ms: &[BigUint],
         rng: &mut R,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
-        self.encrypt_many_by(ms, rng, |rng| self.draw_nonce_power(rng))
+        self.encrypt_many_by(ms, rng, |rng| self.draw_randomizer(rng))
     }
 
     /// The one encryption body: every message is checked against `Z_n`
-    /// before anything is drawn, then each is sealed as `g^m · r^n mod n²`
-    /// with its own `nonce_power(rng)`, in message order. That step —
-    /// draw a nonce, return `r^n mod n²` — is the only thing that differs
-    /// between a party that knows `n` alone
-    /// ([`PublicKey::draw_nonce_power`]) and the keyholder
-    /// ([`PrivateKey::draw_nonce_power`]).
+    /// before anything is drawn, then each is sealed as `g^m · ρ mod n²`
+    /// with its own randomizer `ρ = randomizer(rng)`, in message order.
+    /// That step — draw an `n`-th residue — is the only thing that differs
+    /// between a party that knows `n` alone (`r^n`,
+    /// [`PublicKey::draw_randomizer`]) and the keyholder (`h^s`,
+    /// [`PrivateKey::draw_randomizer`]).
     pub(crate) fn encrypt_many_by<R: Rng + ?Sized>(
         &self,
         ms: &[BigUint],
         rng: &mut R,
-        mut nonce_power: impl FnMut(&mut R) -> BigUint,
+        mut randomizer: impl FnMut(&mut R) -> BigUint,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
         if ms.iter().any(|m| m >= &self.n) {
             return Err(PaillierError::MessageOutOfRange);
         }
         Ok(ms
             .iter()
-            .map(|m| Ciphertext(self.mul_mod_nn(&self.g_pow(m), &nonce_power(rng))))
+            .map(|m| Ciphertext(self.mul_mod_nn(&self.g_pow(m), &randomizer(rng))))
             .collect())
-    }
-
-    /// Encrypts with a caller-chosen nonce (deterministic; tests only).
-    #[cfg(test)]
-    pub fn encrypt_with_nonce(
-        &self,
-        m: &BigUint,
-        nonce: &BigUint,
-    ) -> Result<Ciphertext, PaillierError> {
-        if m >= &self.n {
-            return Err(PaillierError::MessageOutOfRange);
-        }
-        let g_to_m = self.g_pow(m);
-        let r_to_n = self.mont_nn.pow_mod(nonce, &self.n);
-        Ok(Ciphertext(self.mul_mod_nn(&g_to_m, &r_to_n)))
     }
 
     /// `g^m mod n²` for `g = n + 1`: `(1+n)^m = 1 + m·n (mod n²)`.
@@ -527,34 +529,27 @@ impl PrivateKey {
         Ok(&mp + &(&crt.p * &t))
     }
 
-    /// The keyholder's per-message step: a nonce drawn through
-    /// [`PublicKey::sample_nonce`]'s loop, accepted by the factors
-    /// (`r mod p ≠ 0 ∧ r mod q ≠ 0`, the set `gcd(r, n) = 1` accepts, so
-    /// the draws and the stream position after them are the public
-    /// side's), and its power `r^n mod n²` from those two residues.
-    pub(crate) fn draw_nonce_power<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        let (r, rp, rq) = self.public.sample_nonce_by(rng, |r| {
-            let (rp, rq) = self.crt.unit_residues(&r)?;
-            Some((r, rp, rq))
-        });
-        let power = self.nonce_power(&rp, &rq);
-        debug_assert_eq!(power, self.public.pow_mod_nn(&r, &self.public.n));
-        power
+    /// The keyholder's per-message step: `s` uniform below `λ` and the
+    /// randomizer `h^s mod n²` — uniform over `⟨h⟩`, since `ord(h)`
+    /// divides `λ` (DESIGN.md §2).
+    pub(crate) fn draw_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
+        let s = random::gen_biguint_below(rng, &self.lambda);
+        let rho = self.h_pow(&s);
+        debug_assert_eq!(rho, self.public.pow_mod_nn(&self.crt.h, &s));
+        rho
     }
 
-    /// `r^n mod n²` from `r_p = r mod p` and `r_q = r mod q` (both nonzero)
-    /// through the `p`-th-power map. Modulo `p²`, `r^n = (r^q)^p`, and
-    /// `u ↦ u^p mod p²` depends only on `u mod p` (`(u + kp)^p ≡ u^p`), so
-    /// `r^n mod p² = s_p^p mod p²` with `s_p = r_p^{q mod (p−1)} mod p`
-    /// (Fermat): a ladder mod `p` and a `p`-exponent ladder mod `p²`, both
-    /// half-width exponents. The `q` twin likewise; Garner recombines the
-    /// two into the *same* canonical residue the `n²` ladder returns.
-    pub(crate) fn nonce_power(&self, rp: &BigUint, rq: &BigUint) -> BigUint {
+    /// `h^s mod n²` from the two combs. `h mod p² = x^{pq} mod p²` has an
+    /// order dividing `p − 1` (the `p`-th power kills the order-`p` part of
+    /// `Z*_{p²}`), so its half is `h^{s mod (p−1)} mod p²` — one comb
+    /// scan over a half-width exponent. The `q` twin likewise; Garner
+    /// recombines the two into the canonical residue the `n²` ladder
+    /// returns.
+    fn h_pow(&self, s: &BigUint) -> BigUint {
         let crt = &self.crt;
-        let sp = crt.mont_p.pow_mod(rp, &crt.q_mod_p_minus_1);
-        let xp = crt.mont_pp.pow_mod(&sp, &crt.p);
-        let sq = crt.mont_q.pow_mod(rq, &crt.p_mod_q_minus_1);
-        let xq = crt.mont_qq.pow_mod(&sq, &crt.q);
+        let [comb_p, comb_q] = &*crt.h_combs;
+        let xp = comb_p.pow(&(s % &crt.p_minus_1));
+        let xq = comb_q.pow(&(s % &crt.q_minus_1));
         // Garner: x = xp + p²·((xq − xp)·(p²)^{-1} mod q²)
         let diff = xq.sub_mod(&(&xp % &crt.q_squared), &crt.q_squared);
         let t = modular::mod_mul(&diff, &crt.pp_inv_qq, &crt.q_squared);
@@ -571,6 +566,23 @@ impl PrivateKey {
 mod tests {
     use super::*;
     use crate::test_helpers::{rng, shared_keypair};
+    use crate::SlotLayout;
+    use std::collections::HashMap;
+
+    impl PublicKey {
+        /// Encrypts with a caller-chosen nonce (deterministic).
+        fn encrypt_with_nonce(
+            &self,
+            m: &BigUint,
+            nonce: &BigUint,
+        ) -> Result<Ciphertext, PaillierError> {
+            if m >= &self.n {
+                return Err(PaillierError::MessageOutOfRange);
+            }
+            let r_to_n = self.mont_nn.pow_mod(nonce, &self.n);
+            Ok(Ciphertext(self.mul_mod_nn(&self.g_pow(m), &r_to_n)))
+        }
+    }
 
     #[test]
     fn generated_key_has_requested_size() {
@@ -733,129 +745,180 @@ mod tests {
         );
     }
 
-    /// The keyholder's nonce power is the ladder's residue, not merely
+    /// `key` with its factors exchanged and the same `h`: Garner is not
+    /// symmetric in the factors, so both orders are checked.
+    fn swapped(key: &PrivateKey) -> PrivateKey {
+        let crt = &key.crt;
+        let mut swapped = key.clone();
+        swapped.crt = CrtContext::new(&key.public, &crt.q, &crt.p, crt.h.clone())
+            .expect("the same key with its factors exchanged");
+        swapped
+    }
+
+    /// The comb path is the `n²` ladder's residue on `h`, not merely
     /// congruent to it: every key size the suites use and the smallest,
-    /// both orders of the factors (Garner is not symmetric in them), the
-    /// edge units, `p + 1` and `q + 1` (≡ 1 modulo one factor only), and
-    /// random units.
+    /// both orders of the factors, the exponents at the edges of the
+    /// per-half reductions (`p − 1`, `q − 1`, `λ − 1`) and random ones.
     #[test]
-    fn crt_nonce_power_equals_the_ladder() {
+    fn comb_path_equals_the_ladder_on_h() {
         for (i, bits) in [16usize, 32, 64, 128, 512, 1024].into_iter().enumerate() {
             let mut r = rng(500 + i as u64);
             let kp = Keypair::generate(bits, &mut r);
-            let crt = &kp.private.crt;
-            let swapped = Keypair::assemble(
-                kp.public.n.clone(),
-                crt.q.clone(),
-                crt.p.clone(),
-                kp.private.lambda.clone(),
-            )
-            .expect("the same key with its factors exchanged");
-            let n = kp.public.n();
-            let mut nonces = vec![
-                BigUint::one(),
-                BigUint::from_u64(2),
-                n - &BigUint::one(),
-                &crt.p + 1u64,
-                &crt.q + 1u64,
+            let key = &kp.private;
+            let (crt, one) = (&key.crt, BigUint::one());
+            let mut exps = vec![
+                BigUint::zero(),
+                one.clone(),
+                crt.p_minus_1.clone(),
+                crt.q_minus_1.clone(),
+                &key.lambda - &one,
             ];
-            nonces.extend((0..4).map(|_| kp.public.sample_nonce(&mut r)));
-            for nonce in &nonces {
-                let ladder = kp.public.pow_mod_nn(nonce, n);
-                for (key, order) in [(&kp, "p, q"), (&swapped, "q, p")] {
-                    let (rp, rq) = key.private.crt.unit_residues(nonce).expect("a unit");
+            exps.extend((0..3).map(|_| random::gen_biguint_below(&mut r, &key.lambda)));
+            for s in &exps {
+                let ladder = kp.public.pow_mod_nn(&crt.h, s);
+                for (key, order) in [(key, "p, q"), (&swapped(key), "q, p")] {
                     assert_eq!(
-                        key.private.nonce_power(&rp, &rq),
+                        key.h_pow(s),
                         ladder,
-                        "{bits} bits, factors {order}, nonce {nonce:?}"
+                        "{bits} bits, factors {order}, s {s:?}"
                     );
                 }
             }
         }
     }
 
-    /// The factor test accepts exactly the public nonce set, checked on
-    /// every `r < n` — every multiple of `p` and of `q` included.
+    /// `ρ = h^s` with `s` uniform below `λ` is uniform over `⟨h⟩`: over
+    /// every `s < λ`, each element of the subgroup is hit exactly
+    /// `λ / |⟨h⟩|` times, and each is an `n`-th residue (`ρ^λ ≡ 1`).
     #[test]
-    fn factor_unit_test_accepts_exactly_where_gcd_is_one() {
+    fn randomizers_are_uniform_over_the_subgroup_of_h() {
         for (seed, bits) in [(600u64, 16usize), (601, 20)] {
             let kp = Keypair::generate(bits, &mut rng(seed));
-            let n = kp.public.n();
-            let (mut r, mut rejected) = (BigUint::zero(), 0usize);
-            while &r < n {
-                let public = !r.is_zero() && modular::gcd(&r, n).is_one();
-                let factors = kp.private.crt.unit_residues(&r).is_some();
-                assert_eq!(factors, public, "{bits} bits, r = {r:?}");
-                rejected += usize::from(!public);
-                r = &r + 1u64;
+            let key = &kp.private;
+            let (h, one) = (&key.crt.h, BigUint::one());
+            let mut hits: HashMap<BigUint, u64> = HashMap::new();
+            let mut element = one.clone();
+            loop {
+                hits.insert(element.clone(), 0);
+                element = kp.public.mul_mod_nn(&element, h);
+                if element == one {
+                    break;
+                }
             }
-            // 0, then the p − 1 nonzero multiples of q and q − 1 of p.
-            let crt = &kp.private.crt;
-            let want = (&crt.p + &crt.q).to_u64().map(|s| s as usize - 1);
-            assert_eq!(Some(rejected), want, "{bits} bits");
+            let (lambda, order) = (key.lambda.to_u64().unwrap(), hits.len() as u64);
+            assert_eq!(lambda % order, 0, "{bits} bits: ord(h) divides λ");
+            for s in 0..lambda {
+                let rho = key.h_pow(&BigUint::from_u64(s));
+                *hits.get_mut(&rho).expect("h^s lies in ⟨h⟩") += 1;
+            }
+            for (rho, count) in &hits {
+                assert_eq!(*count, lambda / order, "{bits} bits, ρ = {rho:?}");
+                assert!(kp.public.pow_mod_nn(rho, &key.lambda).is_one());
+            }
         }
     }
 
-    /// At keys small enough that a few draws in a hundred are rejected,
-    /// the keyholder consumes the public side's stream exactly: same
-    /// ciphertexts, same position after them.
+    /// Keyholder ciphertexts are ordinary ciphertexts: both decryption
+    /// paths, `add`, `mul_plain`, `rerandomize` and packing take them as
+    /// they take public ones. A batch is the sequence of single
+    /// encryptions from the same stream, and a message outside `Z_n` is
+    /// refused before anything is drawn.
     #[test]
-    fn keyholder_rejects_the_draws_the_public_side_rejects() {
-        let mut rejected = 0;
-        for (i, bits) in [16usize, 18, 20, 22, 24].into_iter().enumerate() {
-            let kp = Keypair::generate(bits, &mut rng(700 + i as u64));
-            let n = kp.public.n().clone();
-            let mut msg_rng = rng(710 + i as u64);
-            let ms: Vec<BigUint> = (0..500)
-                .map(|_| random::gen_biguint_below(&mut msg_rng, &n))
-                .collect();
-            let (mut pub_rng, mut key_rng) = (rng(720 + i as u64), rng(720 + i as u64));
-            // Count what the public loop rejects on a copy of the stream.
-            let mut count_rng = rng(720 + i as u64);
-            for _ in 0..ms.len() {
-                kp.public.sample_nonce_by(&mut count_rng, |r| {
-                    let unit = !r.is_zero() && modular::gcd(&r, &n).is_one();
-                    rejected += usize::from(!unit);
-                    unit.then_some(())
-                });
-            }
-            assert_eq!(
-                kp.encrypt_many(&ms, &mut key_rng).unwrap(),
-                kp.public.encrypt_many(&ms, &mut pub_rng).unwrap(),
-                "{bits} bits"
-            );
-            let next = random::gen_biguint_bits(&mut pub_rng, 64);
-            assert_eq!(random::gen_biguint_bits(&mut key_rng, 64), next);
-            assert_eq!(random::gen_biguint_bits(&mut count_rng, 64), next);
-        }
-        assert!(rejected >= 5, "only {rejected} draws rejected in all");
-    }
-
-    #[test]
-    fn keyholder_encryption_is_byte_equal_to_public_encryption() {
+    fn keyholder_ciphertexts_decrypt_and_compose_like_public_ones() {
         let kp = shared_keypair();
         let n = kp.public.n().clone();
-        let ms: Vec<BigUint> = (0..7u64)
-            .map(|i| random::gen_biguint_below(&mut rng(400 + i), &n))
+        let mut r = rng(78);
+        let ms: Vec<BigUint> = (0..7)
+            .map(|_| random::gen_biguint_below(&mut r, &n))
             .collect();
-        let (mut pub_rng, mut key_rng) = (rng(78), rng(78));
-        let want = kp.public.encrypt_many(&ms, &mut pub_rng).unwrap();
-        let got = kp.encrypt_many(&ms, &mut key_rng).unwrap();
-        assert_eq!(got, want);
-        // One at a time from the same stream position, too.
-        let m = BigUint::from_u64(9);
+        let (mut batch_rng, mut seq_rng) = (rng(79), rng(79));
+        let cts = kp.encrypt_many(&ms, &mut batch_rng).unwrap();
+        let seq: Vec<Ciphertext> = ms
+            .iter()
+            .map(|m| kp.encrypt(m, &mut seq_rng).unwrap())
+            .collect();
+        assert_eq!(cts, seq);
         assert_eq!(
-            kp.encrypt(&m, &mut key_rng).unwrap(),
-            kp.public.encrypt(&m, &mut pub_rng).unwrap(),
+            random::gen_biguint_bits(&mut batch_rng, 64),
+            random::gen_biguint_bits(&mut seq_rng, 64)
         );
+        for (c, m) in cts.iter().zip(&ms) {
+            assert_eq!(kp.private.decrypt(c).unwrap(), *m);
+            assert_eq!(kp.private.decrypt_crt(c).unwrap(), *m);
+            let fresh = kp.public.rerandomize(c, &mut r);
+            assert_ne!(&fresh, c);
+            assert_eq!(kp.private.decrypt_crt(&fresh).unwrap(), *m);
+        }
+        let public = kp.public.encrypt(&ms[1], &mut r).unwrap();
+        let sum = kp.public.add(&cts[0], &public);
         assert_eq!(
-            random::gen_biguint_bits(&mut key_rng, 64),
-            random::gen_biguint_bits(&mut pub_rng, 64)
+            kp.private.decrypt_crt(&sum).unwrap(),
+            ms[0].add_mod(&ms[1], &n)
         );
+        let k = BigUint::from_u64(1 << 40);
+        let scaled = kp.public.mul_plain(&cts[2], &k);
+        assert_eq!(
+            kp.private.decrypt_crt(&scaled).unwrap(),
+            &(&ms[2] * &k) % &n
+        );
+
+        let layout = SlotLayout::new(kp.public.bits(), 16).unwrap();
+        let slots: Vec<u64> = (0..2 * layout.capacity() as u64 + 3).collect();
+        let items = kp
+            .encrypt_many(
+                &slots
+                    .iter()
+                    .map(|&v| BigUint::from_u64(v))
+                    .collect::<Vec<_>>(),
+                &mut r,
+            )
+            .unwrap();
+        let plain: Vec<BigUint> = slots.iter().map(|&v| BigUint::from_u64(3 * v)).collect();
+        let words = kp
+            .public
+            .pack_ciphertexts(&layout, &items, &plain, &mut r)
+            .unwrap();
+        let unpacked = kp
+            .private
+            .unpack_decrypt(&layout, &words, slots.len())
+            .unwrap();
+        let want: Vec<BigUint> = slots.iter().map(|&v| BigUint::from_u64(4 * v)).collect();
+        assert_eq!(unpacked, want);
+
         assert_eq!(
             kp.encrypt(&n, &mut rng(1)).unwrap_err(),
             PaillierError::MessageOutOfRange
         );
+    }
+
+    /// `x` is drawn after the primes, so a seed's modulus is the one it
+    /// gave before keys carried `h`: a digest of `n` at eight sizes,
+    /// recorded at the commit before `h` existed. And `x ≢ 0, 1` modulo
+    /// either factor, so `h` is a unit and not 1 in either half — checked
+    /// on 300 16-bit keys, where `x ≡ 1 (mod p)` is a 1-in-200 draw — and
+    /// an `n`-th residue (`h^λ ≡ 1 mod n²`).
+    #[test]
+    fn a_seed_keeps_its_modulus_and_h_is_not_one_in_either_half() {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for (i, bits) in [16usize, 20, 32, 64, 128, 256, 512, 1024]
+            .into_iter()
+            .enumerate()
+        {
+            let kp = Keypair::generate(bits, &mut rng(800 + i as u64));
+            let bytes = kp.public.n().to_bytes_le();
+            for b in (bytes.len() as u32).to_le_bytes().into_iter().chain(bytes) {
+                digest ^= b as u64;
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, 0x93ca_e634_1302_ef38, "measured {digest:#x}");
+        for seed in 0..300 {
+            let kp = Keypair::generate(16, &mut rng(900 + seed));
+            let crt = &kp.private.crt;
+            assert!(!(&crt.h % &crt.p_squared).is_one(), "seed {seed}");
+            assert!(!(&crt.h % &crt.q_squared).is_one(), "seed {seed}");
+            assert!(kp.public.pow_mod_nn(&crt.h, &kp.private.lambda).is_one());
+        }
     }
 
     #[test]

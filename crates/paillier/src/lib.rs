@@ -31,10 +31,11 @@
 //!   negation — all value-equal to the scalar forms they replace, so every
 //!   ciphertext byte and protocol transcript is unchanged,
 //! * keyholder encryption ([`Keypair::encrypt_many`]): the party that owns
-//!   the key accepts each nonce by `r mod p ≠ 0 ∧ r mod q ≠ 0` (the set
-//!   `gcd(r, n) = 1` accepts) and takes its power `r^n mod n²` through the
-//!   `p`-th-power map — `(r^q mod p)^p mod p²` and its `q` twin, recombined
-//!   by CRT — the identical residue for about a third of the `n²` ladder.
+//!   the key seals with `h^s mod n²`, `h` a secret `n`-th residue fixed at
+//!   keygen and `s` uniform below `λ` — two Lim–Lee comb scans over
+//!   half-width exponents mod `p²` and `q²`, recombined by CRT, about a
+//!   sixth of the `n²` ladder's cost and IND-CPA under the same DCR
+//!   assumption (DESIGN.md §2).
 //!
 //! ## Deviation from the paper's Algorithm 2 narration
 //!

@@ -1,8 +1,11 @@
-//! Keyholder ciphertexts on fixed keys and seeds, recorded at commit d29e333
-//! (nonce power `(r mod p²)^{n mod p(p−1)}` by CRT, every nonce tested by
-//! `gcd(r, n)`), so that a rewrite of `Keypair::encrypt_many` is held to the
-//! same bytes against history, not only against the public path it must
-//! equal today.
+//! Keyholder ciphertexts on fixed keys and seeds, so that a rewrite of
+//! `Keypair::encrypt_many` is held to the same bytes against history.
+//!
+//! First recorded at commit d29e333, when the keyholder's randomizer was
+//! `r^n` of a public-style nonce. Re-recorded when it became `h^s` from the
+//! key's secret base (`s` uniform below `λ`, two Lim–Lee combs, DESIGN.md
+//! §2 and §12): the keys' moduli did not move, the ciphertexts' values did,
+//! and these are the digests of the comb path as it landed.
 //!
 //! Each case folds the ciphertexts and the rng's next draw after them into
 //! one FNV-1a digest over their little-endian bytes, length-prefixed so a
@@ -52,8 +55,8 @@ fn dgk_frame(x: u64) -> Vec<BigUint> {
 #[test]
 fn keyholder_encryption_reproduces_recorded_ciphertexts() {
     let recorded: [(u64, u64); 2] = [
-        (0xbbf2_e088_1447_0bc5, 0x02e7_1744_7119_f504),
-        (0x5428_76fc_ac71_1117, 0x4907_8004_1e67_1bf6),
+        (0x773a_9b86_37d9_d7bb, 0xaa1e_7dd4_7d4e_f6b5),
+        (0x60f7_dc5f_f22f_2019, 0x5033_b6dd_1a1f_3164),
     ];
     let mut measured = Vec::new();
     for (i, bits) in [512usize, 1024].into_iter().enumerate() {

@@ -77,9 +77,8 @@ fn encrypt_bits<R: Rng>(
         .rev()
         .map(|i| BigUint::from_u64((x >> i) & 1))
         .collect();
-    // Alice encrypts under her own key, so every nonce power is taken by
-    // CRT; byte-identical to `keypair.public.encrypt_many` (same rng draws,
-    // same residues).
+    // Alice encrypts under her own key, so every randomizer is `h^s` from
+    // her key's combs (DESIGN.md §2, §12) rather than an `r^n` ladder.
     let cts = keypair.encrypt_many(&bits, &mut rng)?;
     Ok(cts.into_iter().map(|c| c.as_biguint().clone()).collect())
 }
