@@ -33,9 +33,9 @@
 //! * keyholder encryption ([`Keypair::encrypt_many`]): the party that owns
 //!   the key seals with `h^s mod n²`, `h` a secret `n`-th residue fixed at
 //!   keygen and `s` uniform below `λ` — two Lim–Lee comb scans over
-//!   half-width exponents mod `p²` and `q²`, recombined by CRT, about a
-//!   sixth of the `n²` ladder's cost and IND-CPA under the same DCR
-//!   assumption (DESIGN.md §2).
+//!   half-width exponents mod `p²` and `q²`, recombined by CRT: about a
+//!   twentieth of the `n²` ladder's time at 1024-bit keys, and IND-CPA
+//!   under the same DCR assumption (DESIGN.md §2).
 //!
 //! ## Deviation from the paper's Algorithm 2 narration
 //!
