@@ -144,8 +144,9 @@ fn bench_fixed_base(c: &mut Criterion) {
 fn bench_batch_inverse(c: &mut Criterion) {
     let mut group = c.benchmark_group("bigint_batch_inverse");
     let mut r = rng(10);
-    let mut modulus = random::gen_biguint_exact_bits(&mut r, 512);
-    modulus.set_bit(0, true);
+    // A 512-bit RSA-shaped modulus, as a key's `n` is: a random odd one
+    // has small factors that some of the 64 values share.
+    let modulus = &prime::gen_prime(&mut r, 256) * &prime::gen_prime(&mut r, 256);
     let ctx = MontgomeryCtx::new(&modulus).unwrap();
     for k in [4usize, 16, 64] {
         let values: Vec<BigUint> = (0..k)
@@ -161,6 +162,22 @@ fn bench_batch_inverse(c: &mut Criterion) {
                     .map(|v| modular::mod_inverse(v, &modulus).unwrap())
                     .collect::<Vec<_>>()
             });
+        });
+    }
+    group.finish();
+}
+
+/// One modular inversion under a 1024-bit key's `n` and `n²`: the single
+/// inversion each Montgomery batch pays.
+fn bench_mod_inverse(c: &mut Criterion) {
+    let mut group = c.benchmark_group("mod_inverse");
+    let mut r = rng(12);
+    let n = &prime::gen_prime(&mut r, 512) * &prime::gen_prime(&mut r, 512);
+    let nn = n.square();
+    for (bits, modulus) in [(1024usize, n), (2048, nn)] {
+        let value = random::gen_biguint_below(&mut r, &modulus);
+        group.bench_with_input(BenchmarkId::from_parameter(bits), &bits, |bench, _| {
+            bench.iter(|| modular::mod_inverse(black_box(&value), &modulus).unwrap());
         });
     }
     group.finish();
@@ -229,6 +246,7 @@ criterion_group!(
     bench_multi_exp,
     bench_fixed_base,
     bench_batch_inverse,
+    bench_mod_inverse,
     bench_div_rem,
     bench_prime_gen,
     bench_miller_rabin,

@@ -93,8 +93,8 @@ fn bench_homomorphic_ops(c: &mut Criterion) {
     group.bench_function("mul_plain", |b| {
         b.iter(|| keypair.public.mul_plain(black_box(&c1), black_box(&scalar)))
     });
-    // Negation is a modular inverse: one extended GCD alone, one per batch
-    // plus three products per element together.
+    // Negation is a modular inverse: one binary-GCD inversion alone, one per
+    // batch plus three products per element together.
     group.bench_function("negate", |b| {
         b.iter(|| keypair.public.negate(black_box(&c1)))
     });

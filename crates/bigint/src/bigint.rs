@@ -1,8 +1,8 @@
 //! Signed big integers as sign–magnitude pairs.
 //!
-//! Needed for the extended GCD, for the signed plaintext encoding used by
-//! Paillier (`crates/paillier`), and for the share arithmetic inside the
-//! enhanced DBSCAN protocol where masked distances may go negative.
+//! Needed for the signed plaintext encoding used by Paillier
+//! (`crates/paillier`), and for the share arithmetic inside the enhanced
+//! DBSCAN protocol where masked distances may go negative.
 
 use crate::biguint::BigUint;
 use std::cmp::Ordering;

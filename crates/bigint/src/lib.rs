@@ -9,16 +9,16 @@
 //!
 //! * [`BigUint`] — unsigned magnitude on little-endian `u64` limbs with
 //!   schoolbook + Karatsuba multiplication and Knuth Algorithm D division,
-//! * [`BigInt`] — sign–magnitude signed integers (needed for extended GCD,
-//!   signed plaintext encodings, and the arithmetic inside Yao's protocol),
+//! * [`BigInt`] — sign–magnitude signed integers (needed for signed
+//!   plaintext encodings and the arithmetic inside Yao's protocol),
 //! * [`MontgomeryCtx`] — CIOS Montgomery multiplication and windowed modular
 //!   exponentiation for odd moduli (Paillier's `n` and `n²` are always odd),
 //! * [`multiexp`] — exponentiation kernels: [`FixedBaseTable`] Lim–Lee
 //!   fixed-base combs and Straus/Pippenger simultaneous [`multi_exp`],
 //!   all value-equal to the naive ladders they replace,
-//! * [`modular`] — GCD/LCM, modular inverse (single and
-//!   [`modular::batch_mod_inverse`] Montgomery-batched), and a `mod_pow`
-//!   entry point,
+//! * [`modular`] — GCD/LCM, modular inverse (single, by Pornin's optimized
+//!   binary GCD over limb rows, and [`modular::batch_mod_inverse`]
+//!   Montgomery-batched), and a `mod_pow` entry point,
 //! * [`prime`] — Miller–Rabin probable-prime testing and random prime
 //!   generation,
 //! * [`random`] — uniform sampling of big integers from any [`rand::Rng`].
@@ -29,6 +29,7 @@
 
 mod bigint;
 mod biguint;
+mod bingcd;
 mod div;
 mod fmt;
 pub mod modular;

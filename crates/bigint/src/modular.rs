@@ -1,7 +1,7 @@
 //! Modular arithmetic helpers: exponentiation, inverse, GCD and LCM.
 
-use crate::bigint::{BigInt, Sign};
 use crate::biguint::BigUint;
+use crate::bingcd;
 use crate::montgomery::MontgomeryCtx;
 
 /// `base^exp mod modulus`.
@@ -124,27 +124,16 @@ pub fn lcm(a: &BigUint, b: &BigUint) -> BigUint {
     &(a / &g) * b
 }
 
-/// Extended Euclid: returns `(g, x, y)` with `a·x + b·y = g = gcd(a, b)`.
-pub fn extended_gcd(a: &BigUint, b: &BigUint) -> (BigUint, BigInt, BigInt) {
-    let mut old_r = BigInt::from_biguint(Sign::Positive, a.clone());
-    let mut r = BigInt::from_biguint(Sign::Positive, b.clone());
-    let mut old_s = BigInt::one();
-    let mut s = BigInt::zero();
-    let mut old_t = BigInt::zero();
-    let mut t = BigInt::one();
-
-    while !r.is_zero() {
-        let (q, rem) = old_r.div_rem(&r);
-        old_r = std::mem::replace(&mut r, rem);
-        let new_s = &old_s - &(&q * &s);
-        old_s = std::mem::replace(&mut s, new_s);
-        let new_t = &old_t - &(&q * &t);
-        old_t = std::mem::replace(&mut t, new_t);
-    }
-    (old_r.into_magnitude(), old_s, old_t)
-}
-
 /// `a^{-1} mod modulus`, or `None` when `gcd(a, modulus) != 1`.
+///
+/// Every modulus the system inverts under is odd — a Paillier `n` or `n²`,
+/// the DGK `n`, the primes of a key, the Montgomery moduli — and those go
+/// straight to the binary-GCD kernel (Pornin's optimized binary GCD,
+/// DESIGN §12): `⌈(2·len(m) − 1)/31⌉` passes over fixed-width limb rows,
+/// with no division and no allocation beyond its four rows. An even
+/// modulus takes the swap identity `a⁻¹ ≡ −(m·(m⁻¹ mod a) − 1)/a (mod m)`,
+/// whose inversion is under the odd `a`; an even `a` shares the factor 2
+/// with it and has no inverse.
 ///
 /// # Panics
 /// Panics if `modulus` is zero.
@@ -154,14 +143,18 @@ pub fn mod_inverse(a: &BigUint, modulus: &BigUint) -> Option<BigUint> {
         return Some(BigUint::zero());
     }
     let a = a % modulus;
-    if a.is_zero() {
+    if modulus.is_odd() {
+        return bingcd::inverse_odd(&a, modulus);
+    }
+    if a.is_even() {
         return None;
     }
-    let (g, x, _) = extended_gcd(&a, modulus);
-    if !g.is_one() {
-        return None;
+    if a.is_one() {
+        return Some(a);
     }
-    Some(x.rem_euclid(modulus))
+    let m_inv = bingcd::inverse_odd(&(modulus % &a), &a)?;
+    let x = &(&(modulus * &m_inv) - &BigUint::one()) / &a;
+    Some(modulus - &x)
 }
 
 /// `(a * b) mod modulus` without intermediate growth beyond one product.
@@ -170,8 +163,8 @@ pub fn mod_mul(a: &BigUint, b: &BigUint, modulus: &BigUint) -> BigUint {
 }
 
 /// Montgomery's batch-inversion trick: inverts every element of `values`
-/// modulo `modulus` with **one** extended-GCD inversion plus `3(k−1)`
-/// modular multiplications, instead of `k` extended GCDs.
+/// modulo `modulus` with **one** [`mod_inverse`] plus `3(k−1)` modular
+/// multiplications, instead of `k` inversions.
 ///
 /// Prefix products `p_i = v_0·…·v_i` are built left to right, the single
 /// inverse `(p_{k-1})^{-1}` is computed, and each `v_i^{-1}` is recovered
@@ -199,14 +192,14 @@ pub fn batch_mod_inverse(values: &[BigUint], modulus: &BigUint) -> Option<Vec<Bi
     } else {
         // Even modulus: same chain with plain reductions.
         let vals: Vec<BigUint> = values.iter().map(|v| v % modulus).collect();
-        let mut prefix = Vec::with_capacity(vals.len());
-        prefix.push(vals[0].clone());
+        // prefix[i] = v_0·…·v_i below the last; `total` carries the last.
+        let mut total = vals[0].clone();
+        let mut prefix = Vec::with_capacity(vals.len() - 1);
         for v in &vals[1..] {
-            let next = mod_mul(prefix.last().expect("nonempty"), v, modulus);
-            prefix.push(next);
+            let next = mod_mul(&total, v, modulus);
+            prefix.push(std::mem::replace(&mut total, next));
         }
-        let inv_total = mod_inverse(prefix.last().expect("nonempty"), modulus)?;
-        let mut inv_running = inv_total;
+        let mut inv_running = mod_inverse(&total, modulus)?;
         let mut out = vec![BigUint::zero(); vals.len()];
         for i in (1..vals.len()).rev() {
             out[i] = mod_mul(&inv_running, &prefix[i - 1], modulus);
@@ -231,14 +224,14 @@ pub fn batch_mod_inverse_with(ctx: &MontgomeryCtx, values: &[BigUint]) -> Option
         .iter()
         .map(|v| ctx.to_mont_limbs(v, &mut scratch))
         .collect();
-    let mut prefix = Vec::with_capacity(vals.len());
-    prefix.push(vals[0].clone());
+    // prefix[i] = v_0·…·v_i below the last; `running` carries the last.
+    let mut running = vals[0].clone();
+    let mut prefix = Vec::with_capacity(vals.len() - 1);
     for v in &vals[1..] {
-        let mut next: Vec<u64> = prefix.last().expect("nonempty").clone();
-        ctx.mul_assign(&mut next, v, &mut scratch);
-        prefix.push(next);
+        prefix.push(running.clone());
+        ctx.mul_assign(&mut running, v, &mut scratch);
     }
-    let total = ctx.out_of_mont(prefix.last().expect("nonempty"), &mut scratch);
+    let total = ctx.out_of_mont(&running, &mut scratch);
     let inv_total = mod_inverse(&total, modulus)?;
     let mut inv_running = ctx.to_mont_limbs(&inv_total, &mut scratch);
     let mut out = vec![BigUint::zero(); vals.len()];
@@ -320,19 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn extended_gcd_bezout_identity() {
-        let mut r = rng(32);
-        for _ in 0..20 {
-            let a = gen_biguint_bits(&mut r, 192);
-            let bb = gen_biguint_bits(&mut r, 160);
-            let (g, x, y) = extended_gcd(&a, &bb);
-            let lhs = &(&BigInt::from_biguint(Sign::Positive, a.clone()) * &x)
-                + &(&BigInt::from_biguint(Sign::Positive, bb.clone()) * &y);
-            assert_eq!(lhs, BigInt::from_biguint(Sign::Positive, g));
-        }
-    }
-
-    #[test]
     fn mod_inverse_round_trips() {
         let m = b(1_000_000_007);
         for v in [1u128, 2, 3, 999, 1_000_000_006] {
@@ -351,6 +331,33 @@ mod tests {
     #[test]
     fn mod_inverse_modulus_one() {
         assert_eq!(mod_inverse(&b(5), &b(1)), Some(b(0)));
+        assert_eq!(mod_inverse(&b(0), &b(1)), Some(b(0)));
+    }
+
+    #[test]
+    fn mod_inverse_even_modulus_takes_the_swap_identity() {
+        assert_eq!(mod_inverse(&b(3), &b(8)), Some(b(3)));
+        assert_eq!(mod_inverse(&b(2), &b(8)), None);
+        assert_eq!(mod_inverse(&b(0), &b(8)), None);
+        assert_eq!(mod_inverse(&b(9), &b(8)), Some(b(1)));
+        assert_eq!(mod_inverse(&b(3), &b(6)), None);
+        assert_eq!(mod_inverse(&b(5), &b(6)), Some(b(5)));
+        let mut r = rng(38);
+        for bits in [2usize, 64, 65, 300] {
+            let mut m = gen_biguint_bits(&mut r, bits);
+            m.set_bit(bits - 1, true);
+            m.set_bit(0, false);
+            for _ in 0..10 {
+                let a = gen_biguint_bits(&mut r, bits + 5);
+                match mod_inverse(&a, &m) {
+                    Some(inv) => {
+                        assert!(inv < m);
+                        assert_eq!(mod_mul(&a, &inv, &m), BigUint::one(), "{bits} bits");
+                    }
+                    None => assert!(!gcd(&(&a % &m), &m).is_one()),
+                }
+            }
+        }
     }
 
     #[test]

@@ -379,7 +379,7 @@ impl MontgomeryCtx {
 
 /// `-m0^{-1} mod 2^64` for odd `m0`, by Newton–Hensel lifting
 /// (doubles correct bits each step: 5 iterations ≥ 64 bits).
-fn neg_inv_u64(m0: u64) -> u64 {
+pub(crate) fn neg_inv_u64(m0: u64) -> u64 {
     debug_assert!(m0 & 1 == 1);
     let mut inv = m0; // correct to 3 bits for odd m0 (x ≡ x^{-1} mod 8)
     for _ in 0..5 {

@@ -134,6 +134,53 @@ proptest! {
         }
     }
 
+    /// The binary-GCD kernel on odd moduli of 1–33 limbs: random, `3`,
+    /// saturated limbs (`2^{64L} − 1`), the smallest of a width
+    /// (`2^{64L−1} + 1`), `2^k + 1`, and a multiple of 3; operands at the
+    /// edges of the residue range, random, and sharing the factor 3.
+    #[test]
+    fn mod_inverse_over_odd_multi_limb_moduli(
+        limbs in 1usize..=33,
+        shape in 0usize..6,
+        operand in 0usize..8,
+        k in 2usize..2112,
+        bytes in proptest::collection::vec(any::<u8>(), 2 * 8 * 33),
+    ) {
+        let one = BigUint::one();
+        let width = 64 * limbs;
+        let mut random = BigUint::from_bytes_le(&bytes[..8 * limbs]);
+        random.set_bit(width - 1, true);
+        random.set_bit(0, true);
+        let m = match shape {
+            0 => random.clone(),
+            1 => BigUint::from_u64(3),
+            2 => &(&one << width) - &one,
+            3 => &(&one << (width - 1)) + &one,
+            4 => &(&one << (k % width).max(1)) + &one,
+            _ => &BigUint::from_u64(3) * &(&random >> 2usize),
+        };
+        prop_assume!(m.is_odd() && !m.is_one());
+        let other = BigUint::from_bytes_le(&bytes[8 * 33..]);
+        let a = match operand {
+            0 => BigUint::zero(),
+            1 => one.clone(),
+            2 => BigUint::from_u64(2),
+            3 => &m - &one,
+            4 => m.clone(),
+            5 => &m + &one,
+            6 => other,
+            _ => &BigUint::from_u64(3) * &other,
+        };
+        let reduced = &a % &m;
+        match modular::mod_inverse(&a, &m) {
+            Some(x) => {
+                prop_assert!(x < m);
+                prop_assert_eq!(modular::mod_mul(&reduced, &x, &m), one);
+            }
+            None => prop_assert!(!modular::gcd(&reduced, &m).is_one()),
+        }
+    }
+
     #[test]
     fn mod_pow_product_of_exponents(
         base in 2u64..1000,

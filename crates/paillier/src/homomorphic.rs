@@ -59,13 +59,25 @@ impl PublicKey {
     }
 
     /// [`PublicKey::negate`] over a batch, by one Montgomery batch
-    /// inversion modulo `n²` (one extended GCD and three products per
-    /// element) — the same group elements `negate` returns.
+    /// inversion modulo `n²` (one binary-GCD inversion and three products
+    /// per element) — the same group elements `negate` returns.
+    ///
+    /// It validates as it inverts: `c < n²` is a unit modulo `n²` exactly
+    /// when `gcd(c, n) = 1`, so the batch is accepted exactly when
+    /// [`PublicKey::validate_many`] would accept it, and a received vector
+    /// needs no second inversion modulo `n` first.
     ///
     /// # Errors
-    /// [`PaillierError::InvalidCiphertext`] if any element is not a unit
-    /// modulo `n²`, which [`PublicKey::validate_many`] rules out.
+    /// [`PaillierError::InvalidCiphertext`] — the error
+    /// [`PublicKey::validate`] gives — if any element is `0`, at least
+    /// `n²`, or not a unit modulo `n²`.
     pub fn negate_many(&self, cts: &[Ciphertext]) -> Result<Vec<Ciphertext>, PaillierError> {
+        if cts
+            .iter()
+            .any(|c| c.0.is_zero() || &c.0 >= self.n_squared())
+        {
+            return Err(PaillierError::InvalidCiphertext);
+        }
         let values: Vec<BigUint> = cts.iter().map(|c| c.0.clone()).collect();
         let inverses = modular::batch_mod_inverse_with(self.mont_nn(), &values)
             .ok_or(PaillierError::InvalidCiphertext)?;
@@ -305,6 +317,28 @@ mod tests {
                     .mul_plain(&bad, &minus_three.rem_euclid(kp.public.n()))
             );
             let _ = kp.public.negate(&bad);
+        }
+    }
+
+    #[test]
+    fn negate_many_refuses_what_validate_refuses() {
+        let kp = shared_keypair();
+        let pk = &kp.public;
+        let good = pk.encrypt(&b(5), &mut rng(24)).unwrap();
+        let nn = pk.n_squared().clone();
+        for raw in [
+            BigUint::zero(),
+            pk.n().clone(),
+            nn.clone(),
+            &nn + &BigUint::one(),
+        ] {
+            let bad = Ciphertext::from_biguint(raw);
+            let want = pk.validate(&bad).unwrap_err();
+            assert_eq!(want, PaillierError::InvalidCiphertext);
+            for batch in [vec![bad.clone()], vec![good.clone(), bad.clone()]] {
+                assert_eq!(pk.negate_many(&batch).unwrap_err(), want);
+                assert_eq!(pk.validate_many(&batch).unwrap_err(), want);
+            }
         }
     }
 

@@ -492,14 +492,12 @@ fn dot_reply(
     ctx: &ProtocolContext,
     masks: &mut Vec<BigInt>,
 ) -> Result<Vec<BigUint>, SmcError> {
-    // Batch validation: one Montgomery batch inversion instead of one GCD
-    // per ciphertext, with the same accept set and error.
-    keyholder_pk.validate_many(cts)?;
     // A row is one multi-exponentiation over sign-folded bases — the
     // ciphertext, or its inverse for a negative coefficient — so its ladder
     // is as long as its coefficients (≤ 64 bits), whatever the key size.
-    // One batch inversion serves every row; the bytes match the per-row
-    // mul_plain_signed/add fold exactly.
+    // One batch inversion mod n² serves every row and validates the query
+    // (same accept set and error as `validate_many`); the bytes match the
+    // per-row mul_plain_signed/add fold exactly.
     let inverses = keyholder_pk.negate_many(cts)?;
     if let Some(ys) = ys_rows.iter().find(|ys| ys.len() != cts.len()) {
         return Err(SmcError::protocol(format!(
