@@ -157,9 +157,13 @@ proptest! {
             2 => &(&one << width) - &one,
             3 => &(&one << (width - 1)) + &one,
             4 => &(&one << (k % width).max(1)) + &one,
-            _ => &BigUint::from_u64(3) * &(&random >> 2usize),
+            _ => {
+                let mut cofactor = &random >> 2usize;
+                cofactor.set_bit(0, true);
+                &BigUint::from_u64(3) * &cofactor
+            }
         };
-        prop_assume!(m.is_odd() && !m.is_one());
+        prop_assert!(m.is_odd() && !m.is_one());
         let other = BigUint::from_bytes_le(&bytes[8 * 33..]);
         let a = match operand {
             0 => BigUint::zero(),
