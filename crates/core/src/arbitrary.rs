@@ -93,9 +93,7 @@ impl ModeDriver for ArbitraryDriver<'_> {
         // candidate pairs over the merged band table.
         let bands = arbitrary_band_oracle(chan, mctx, values, self.dim(), &mut log.leakage)?;
         let (ledger, sharing) = (&mut log.ledger, &mut log.sharing);
-        // One context instance per chunk (see the vertical driver).
-        let resolve_ctx = ctx.narrow("resolve");
-        let compare_chunk = |chan: &mut C, chunk: u64, pairs: &[(u32, u32)]| {
+        let compare_chunk = |chan: &mut C, cctx: &ProtocolContext, pairs: &[(u32, u32)]| {
             let views: Vec<PairView<'_>> = pairs
                 .iter()
                 .map(|&(x, y)| PairView {
@@ -103,9 +101,9 @@ impl ModeDriver for ArbitraryDriver<'_> {
                     y: &values[y as usize],
                 })
                 .collect();
-            let (role, cctx) = (mctx.role, resolve_ctx.at(chunk));
+            let role = mctx.role;
             Ok(adp_compare(
-                chan, cfg, &backend, role, &views, &cctx, ledger, sharing,
+                chan, cfg, &backend, role, &views, cctx, ledger, sharing,
             )?)
         };
         lockstep_dbscan(
@@ -113,6 +111,7 @@ impl ModeDriver for ArbitraryDriver<'_> {
             values.len(),
             cfg.params,
             bands,
+            ctx,
             compare_chunk,
             &mut log.leakage,
         )

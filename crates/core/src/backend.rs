@@ -31,8 +31,8 @@ pub(crate) fn paillier_backend<'a>(
         comparator: cfg.comparator,
         packed: cfg.packing,
         batching: cfg.batching,
-        mul_packing: crate::hdp::mul_packing(cfg, dim),
-        dot_packing: crate::enhanced::dot_packing(cfg, dim),
+        mul_packing: crate::domain::mul_response_packing(cfg, dim).filter(|_| cfg.packing),
+        dot_packing: crate::domain::dot_response_packing(cfg, dim).filter(|_| cfg.packing),
         mul_mask_bound: cfg.mul_mask_bound(),
         dot_mask_bound: BigUint::from_u64(cfg.enhanced_mask_bound(dim)),
     }

@@ -8,6 +8,7 @@
 
 use crate::config::ProtocolConfig;
 use ppds_bigint::BigUint;
+use ppds_dbscan::Point;
 use ppds_paillier::SlotLayout;
 use ppds_smc::compare::ComparisonDomain;
 use ppds_smc::ResponsePacking;
@@ -15,6 +16,12 @@ use ppds_smc::ResponsePacking;
 fn mc2(dim: usize, coord_bound: i64) -> i64 {
     let c2 = (coord_bound as i128) * (coord_bound as i128);
     i64::try_from(dim as i128 * c2).expect("m·C² fits i64 for validated configs")
+}
+
+/// `Σx_k²` of a point on a validated lattice, as the point-holding drivers
+/// hand it to the backend.
+pub(crate) fn lattice_norm_sq(point: &Point) -> i64 {
+    i64::try_from(point.norm_sq()).expect("Σx² fits i64 on a validated lattice")
 }
 
 /// Domain for protocol HDP's final comparison (§4.2).

@@ -26,45 +26,34 @@
 //! The paper writes this as one conversation per query point. Every test is
 //! known before the first runs, so a querying direction is *resolved* like
 //! the other point-holding modes (DESIGN.md §7): all `(engage, k)` flags
-//! travel ahead, 1,024 to a frame; the engaged tests are packed whole, in
-//! index order, into chunks of at most 1,024 served rows that both sides cut
-//! alike; and a chunk is one exchange per step — its dot legs together, its
-//! selections in lockstep ([`select_in_lockstep`]), its threshold tests as
-//! one slice. Test `idx` keeps its own keys (`ctx.at(idx)` with `"dot"`,
-//! `"sel"`, `"cmp"`, `"perm"` beneath it), so only the frame a message rides
-//! changes, never a byte of it, and the responder still permutes each
-//! query's served set on its own.
+//! travel ahead, 1,024 to a frame; the engaged tests are cut into chunks of
+//! at most 1,024 served rows like horizontal queries, and a chunk is one
+//! exchange per step — its dot legs together, its selections in lockstep
+//! ([`select_in_lockstep`]), its threshold tests as one slice. Test `idx`
+//! keeps its own keys (`ctx.at(idx)` with `"dot"`, `"sel"`, `"cmp"`,
+//! `"perm"` beneath it), so only the frame a message rides changes.
 //!
 //! All three phases dispatch through the session's [`SmcBackend`], which
 //! also frames them: the Paillier substrate reproduces the homomorphic dot
 //! products and Yao comparisons byte-for-byte; the sharing substrate answers
 //! with one masked-share exchange per phase over `Z_2^64` (DESIGN.md §14).
 
-use crate::config::ProtocolConfig;
-use crate::domain::{dot_response_packing, enhanced_share_domain};
+use crate::config::{ProtocolConfig, YaoLedger};
+use crate::domain::{enhanced_share_domain, lattice_norm_sq};
 use crate::error::CoreError;
 use crate::hdp::ServedSets;
-use crate::prune::{
-    local_index, query_candidate_counts, query_chunk, serve_candidate_counts, PAIR_CHUNK,
-};
+use crate::prune::{local_index, query_candidate_counts, serve_candidate_counts, PAIR_CHUNK};
+use crate::resolve::{query_runs, resolve};
 use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use ppds_dbscan::{Clustering, Point};
 use ppds_observe::trace;
 use ppds_smc::compare::CmpOp;
 use ppds_smc::kth::{select_in_lockstep, Selection};
-use ppds_smc::ResponsePacking;
-use ppds_smc::{LeakageEvent, Party, ProtocolContext, SmcBackend, SmcError};
+use ppds_smc::{LeakageEvent, Party, ProtocolContext, SharingLedger, SmcBackend, SmcError};
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
+use std::iter::once;
 use std::ops::Range;
-
-/// The masked-distance response packing this config selects: `Some` when
-/// `cfg.packing` is on (validated configs always have a layout).
-pub(crate) fn dot_packing(cfg: &ProtocolConfig, dim: usize) -> Option<ResponsePacking> {
-    cfg.packing
-        .then(|| dot_response_packing(cfg, dim))
-        .flatten()
-}
 
 /// One engaged core-point test of a chunk: test `idx` of its direction asks
 /// for the `k`-th smallest of the distances at `rows` of the chunk's rows.
@@ -76,31 +65,22 @@ struct Engaged {
 
 /// The chunks of one resolve direction: the engaged tests (`ranks[q] > 0`,
 /// the rank test `q` asks for), whole and in index order, while their
-/// `served` rows fit [`PAIR_CHUNK`]. Both sides cut from the flags and the
-/// served counts, which both hold, so nothing is said about the cut; a run
-/// with nothing engaged is no chunk and takes no chunk index.
-fn engaged_chunks<'a>(
+/// `served` rows fit [`PAIR_CHUNK`] ([`query_runs`] over the engaged rows).
+/// Both sides cut from the flags and the served counts, which both hold.
+fn engaged_tests<'a>(
     ranks: &'a [usize],
     served: &'a [usize],
 ) -> impl Iterator<Item = Vec<Engaged>> + 'a {
-    let rows = move |q: usize| if ranks[q] > 0 { served[q] } else { 0 };
-    let mut start = 0;
-    std::iter::from_fn(move || {
-        while start < ranks.len() {
-            let (end, pairs) = query_chunk(start, ranks.len(), rows);
-            let run = std::mem::replace(&mut start, end)..end;
-            if pairs > 0 {
-                let mut first = 0;
-                let engaged = run.filter(|&q| ranks[q] > 0).map(|idx| {
-                    let rows = first..first + served[idx];
-                    first = rows.end;
-                    let k = ranks[idx];
-                    Engaged { idx, k, rows }
-                });
-                return Some(engaged.collect());
-            }
-        }
-        None
+    let rows = |q: usize| if ranks[q] > 0 { served[q] } else { 0 };
+    query_runs(ranks.len(), rows).map(move |(run, _)| {
+        let mut first = 0;
+        let engaged = run.filter(|&q| ranks[q] > 0).map(|idx| {
+            let rows = first..first + served[idx];
+            first = rows.end;
+            let k = ranks[idx];
+            Engaged { idx, k, rows }
+        });
+        engaged.collect()
     })
 }
 
@@ -118,10 +98,10 @@ fn rank_and_decide<C: Channel, B: SmcBackend>(
     shares: &[i64],
     dim: usize,
     ctx: &ProtocolContext,
-    log: &mut SessionLog,
-) -> Result<Vec<(usize, bool)>, SmcError> {
+    (ledger, acct): (&mut YaoLedger, &mut SharingLedger),
+) -> Result<Vec<(usize, bool)>, CoreError> {
     if tests.last().map(|t| t.rows.end) != Some(shares.len()) {
-        return Err(SmcError::protocol("dot exchange of another row count"));
+        return Err(SmcError::protocol("dot exchange of another row count").into());
     }
     let domain = enhanced_share_domain(cfg, dim);
     let sel_span = trace::span("sel", || chan.metrics());
@@ -132,29 +112,26 @@ fn rank_and_decide<C: Channel, B: SmcBackend>(
             Selection::new(cfg.selection, &shares[t.rows.clone()], t.k, sel_ctx)
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let acct = &mut log.sharing;
     let outcomes = select_in_lockstep(backend, chan, role, &mut selections, &domain, acct)?;
     sel_span.end(|| chan.metrics());
 
     let comparisons: usize = outcomes.iter().map(|o| o.comparisons + 1).sum();
-    log.ledger
-        .record_many(cfg.key_bits, domain.n0(), comparisons as u64);
+    ledger.record_many(cfg.key_bits, domain.n0(), comparisons as u64);
     let threshold = match role {
         Party::Alice => 0,
         Party::Bob => cfg.params.eps_sq as i64,
     };
     let kth = |(t, o): (&Engaged, _)| threshold + shares[t.rows.start + o];
-    let ranked = outcomes.iter().map(|o| o.index);
+    let mut ranked = outcomes.iter().map(|o| o.index);
     let values: Vec<i64> = tests.iter().zip(ranked.clone()).map(kth).collect();
     let cmp_span = trace::span("cmp", || chan.metrics());
     let scopes = |i: usize| ctx.at(tests[i].idx as u64).narrow("cmp");
     let op = CmpOp::Leq;
     let is_core = backend.compare_scoped(chan, role, &values, op, &domain, scopes, acct)?;
     cmp_span.end(|| chan.metrics());
-    if is_core.len() != tests.len() {
-        return Err(SmcError::protocol("threshold verdict arity mismatch"));
-    }
-    Ok(ranked.zip(is_core).collect())
+    // An answer a verdict, so that the resolve loop sees a short or a long reply.
+    let answer = |core| (ranked.next().unwrap_or(0), core);
+    Ok(is_core.into_iter().map(answer).collect())
 }
 
 /// Querier side of one resolve direction: whether each query is a core point
@@ -172,7 +149,7 @@ pub(crate) fn resolve_querier<C: Channel, B: SmcBackend>(
     served: &[usize],
     ctx: &ProtocolContext,
     log: &mut SessionLog,
-) -> Result<Vec<bool>, SmcError> {
+) -> Result<Vec<bool>, CoreError> {
     let needed = |q: usize| cfg.params.min_pts.saturating_sub(own_counts[q]);
     let engaged = |q: usize| (1..=served[q]).contains(&needed(q));
     let flags: Vec<(bool, u64)> = (0..queries.len())
@@ -187,33 +164,39 @@ pub(crate) fn resolve_querier<C: Channel, B: SmcBackend>(
         .map(|q| if engaged(q) { needed(q) } else { 0 })
         .collect();
     let dim = queries.first().map_or(0, Point::dim);
-    for (chunk, tests) in engaged_chunks(&ranks, served).enumerate() {
-        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
-        // Phase 1: shares u_j = Dist²(A, B_j) + v_j.
-        let xs: Vec<Vec<i64>> = tests
-            .iter()
-            .map(|t| {
-                let query = &queries[t.idx];
-                let norm = query.norm_sq();
-                let mut xs = Vec::with_capacity(dim + 2);
-                xs.push(i64::try_from(norm).expect("ΣA² fits i64 on a validated lattice"));
-                xs.extend(query.coords().iter().map(|&a| -2 * a));
-                xs.push(1);
-                xs
-            })
-            .collect();
-        let rows: Vec<usize> = tests.iter().map(|t| t.rows.len()).collect();
-        let dot_span = trace::span("dot", || chan.metrics());
-        let scopes = |i: usize| ctx.at(tests[i].idx as u64).narrow("dot");
-        let shares = backend.dot_queries_querier(chan, &xs, &rows, scopes, &mut log.sharing)?;
-        dot_span.end(|| chan.metrics());
-        let role = Party::Alice;
-        let decided = rank_and_decide(chan, cfg, backend, role, &tests, &shares, dim, ctx, log)?;
-        for (test, (_, is_core)) in tests.iter().zip(decided) {
-            core[test.idx] = is_core;
-        }
-        span.end(|| chan.metrics());
-    }
+    resolve(
+        chan,
+        1,
+        engaged_tests(&ranks, served),
+        |_, _, tests| Ok(tests),
+        |chan, _, tests| {
+            // Phase 1: shares u_j = Dist²(A, B_j) + v_j.
+            let xs: Vec<Vec<i64>> = tests
+                .iter()
+                .map(|t| {
+                    let query = &queries[t.idx];
+                    let minus_2a = query.coords().iter().map(|&a| -2 * a);
+                    once(lattice_norm_sq(query))
+                        .chain(minus_2a)
+                        .chain(once(1))
+                        .collect()
+                })
+                .collect();
+            let rows: Vec<usize> = tests.iter().map(|t| t.rows.len()).collect();
+            let dot_span = trace::span("dot", || chan.metrics());
+            let scopes = |i: usize| ctx.at(tests[i].idx as u64).narrow("dot");
+            let shares = backend.dot_queries_querier(chan, &xs, &rows, scopes, &mut log.sharing)?;
+            dot_span.end(|| chan.metrics());
+            let (role, ledgers) = (Party::Alice, (&mut log.ledger, &mut log.sharing));
+            rank_and_decide(chan, cfg, backend, role, tests, &shares, dim, ctx, ledgers)
+        },
+        Vec::len,
+        |tests, decided| {
+            for (test, (_, is_core)) in tests.iter().zip(decided) {
+                core[test.idx] = is_core;
+            }
+        },
+    )?;
     for (q, &is_core) in core.iter().enumerate() {
         let query = if engaged(q) { "joint" } else { "local" }.into();
         log.leakage
@@ -274,59 +257,66 @@ pub(crate) fn resolve_responder<C: Channel, B: SmcBackend>(
     served: &mut impl ServedSets,
     ctx: &ProtocolContext,
     log: &mut SessionLog,
-) -> Result<(), SmcError> {
+) -> Result<(), CoreError> {
     let (ranks, counts) = recv_flags(chan, queries, served)?;
     let dim = my_points.first().map_or(0, Point::dim);
-    for (chunk, tests) in engaged_chunks(&ranks, &counts).enumerate() {
-        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
-        // Phase 1: masked dot products over a fresh permutation of each
-        // query's served set.
-        let mut order = Vec::new();
-        for test in &tests {
-            served.extend(test.idx, &mut order);
-            assert_eq!(
-                order.len(),
-                test.rows.end,
-                "a query is served what it was counted"
-            );
-            order[test.rows.clone()].shuffle(&mut ctx.at(test.idx as u64).narrow("perm").rng());
-        }
-        let rows: Vec<Vec<i64>> = order
-            .iter()
-            .map(|&own| {
-                let p = &my_points[own];
-                let mut row = Vec::with_capacity(dim + 2);
-                row.push(1);
-                row.extend_from_slice(p.coords());
-                row.push(i64::try_from(p.norm_sq()).expect("ΣB² fits i64 on a validated lattice"));
-                row
-            })
-            .collect();
-        let per_query: Vec<usize> = tests.iter().map(|t| t.rows.len()).collect();
-        let dot_span = trace::span("dot", || chan.metrics());
-        let scopes = |i: usize| ctx.at(tests[i].idx as u64).narrow("dot");
-        let acct = &mut log.sharing;
-        let shares = backend.dot_queries_responder(chan, &rows, &per_query, scopes, acct)?;
-        dot_span.end(|| chan.metrics());
-        let role = Party::Bob;
-        let decided = rank_and_decide(chan, cfg, backend, role, &tests, &shares, dim, ctx, log)?;
-        for (test, (ranked, is_core)) in tests.iter().zip(decided) {
-            log.leakage.record(LeakageEvent::ThresholdRank {
-                query: "peer-query".into(),
-                k: test.k as u64,
-            });
-            if is_core {
-                // The responder knows which of *his own* points ranked k-th
-                // and that it sits within Eps of some unidentifiable query
-                // point.
-                log.leakage.record(LeakageEvent::OwnPointMatched {
-                    point: format!("own#{}", order[test.rows.start + ranked]),
-                });
+    resolve(
+        chan,
+        1,
+        engaged_tests(&ranks, &counts),
+        |_, _, tests| {
+            // Phase 1 serves each query's set in a fresh permutation.
+            let mut order = Vec::new();
+            for test in &tests {
+                served.extend(test.idx, &mut order);
+                assert_eq!(
+                    order.len(),
+                    test.rows.end,
+                    "a query is served what it was counted"
+                );
+                let perm = ctx.at(test.idx as u64).narrow("perm");
+                order[test.rows.clone()].shuffle(&mut perm.rng());
             }
-        }
-        span.end(|| chan.metrics());
-    }
-    Ok(())
+            Ok((tests, order))
+        },
+        |chan, _, (tests, order)| {
+            // Phase 1: masked dot products.
+            let rows: Vec<Vec<i64>> = order
+                .iter()
+                .map(|&own| {
+                    let p = &my_points[own];
+                    let b = p.coords().iter().copied();
+                    once(1).chain(b).chain(once(lattice_norm_sq(p))).collect()
+                })
+                .collect();
+            let per_query: Vec<usize> = tests.iter().map(|t| t.rows.len()).collect();
+            let dot_span = trace::span("dot", || chan.metrics());
+            let scopes = |i: usize| ctx.at(tests[i].idx as u64).narrow("dot");
+            let ledgers = (&mut log.ledger, &mut log.sharing);
+            let shares =
+                backend.dot_queries_responder(chan, &rows, &per_query, scopes, ledgers.1)?;
+            dot_span.end(|| chan.metrics());
+            let role = Party::Bob;
+            rank_and_decide(chan, cfg, backend, role, tests, &shares, dim, ctx, ledgers)
+        },
+        |(tests, _)| tests.len(),
+        |(tests, order), decided| {
+            for (test, (ranked, is_core)) in tests.iter().zip(decided) {
+                log.leakage.record(LeakageEvent::ThresholdRank {
+                    query: "peer-query".into(),
+                    k: test.k as u64,
+                });
+                if is_core {
+                    // The responder knows which of *his own* points ranked
+                    // k-th and that it sits within Eps of some
+                    // unidentifiable query point.
+                    log.leakage.record(LeakageEvent::OwnPointMatched {
+                        point: format!("own#{}", order[test.rows.start + ranked]),
+                    });
+                }
+            }
+        },
+    )
 }
 
 /// The enhanced protocol as a [`ModeDriver`]: the horizontal resolve /
@@ -381,15 +371,11 @@ impl ModeDriver for EnhancedDriver<'_> {
                 .map(|point| index.region_query(point).len())
                 .collect();
             log.leakage.reserve(points.len());
-            Ok(resolve_querier(
-                chan, cfg, &backend, points, &own, &served, &query_ctx, log,
-            )?)
+            resolve_querier(chan, cfg, &backend, points, &own, &served, &query_ctx, log)
         };
         let serve = |chan: &mut C, log: &mut SessionLog| {
             let served = &mut serve_candidate_counts(chan, cfg, points, peer_n, &mut log.leakage)?;
-            Ok(resolve_responder(
-                chan, cfg, &backend, points, peer_n, served, &serve_ctx, log,
-            )?)
+            resolve_responder(chan, cfg, &backend, points, peer_n, served, &serve_ctx, log)
         };
         let core = crate::horizontal::resolve_in_role_order(chan, mctx.role, log, resolve, serve)?;
         Ok(crate::horizontal::expand_own_points(

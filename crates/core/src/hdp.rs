@@ -27,14 +27,10 @@
 //! of the query point alone and DBSCAN tests every point, so the drivers
 //! ask all of them up front (*resolve*, DESIGN.md §7): whole queries, in
 //! index order, are packed into chunks of at most 1,024 (query, candidate)
-//! pairs, and a chunk is one exchange: its multiplications, then its
-//! comparisons. The backend frames each stage — one frame per protocol
-//! message for all of the chunk's pairs when it batches, one per pair over
-//! the same stream when it does not. No chunk reads another's verdicts, so
-//! where the backend can ship a chunk's opening messages ahead
-//! ([`SmcBackend::split_exchange_bytes`]) a window of chunks is in flight at
-//! once, as many as leave no state where both parties send with both unread
-//! backlogs above `prune::WINDOW_BYTES`.
+//! pairs, and a chunk is one exchange — its multiplications, then its
+//! comparisons, each framed by the backend. The crate's one resolve loop
+//! runs them, as many at once as [`SmcBackend::split_exchange_bytes`] lets
+//! two single-threaded parties send without both blocking.
 //!
 //! The querier ends with the *count* of matching responder points per
 //! query (the Theorem 9 leakage); because the responder permutes his
@@ -44,117 +40,17 @@
 //! point (and logs it as [`LeakageEvent::OwnPointMatched`]).
 
 use crate::config::{ProtocolConfig, YaoLedger};
-use crate::domain::hdp_domain;
+use crate::domain::{hdp_domain, lattice_norm_sq};
 use crate::error::CoreError;
-use crate::prune::{query_chunk, WINDOW_BYTES};
+use crate::resolve::{query_runs, resolve, window};
 use ppds_dbscan::Point;
-use ppds_observe::trace;
 use ppds_smc::compare::{CmpOp, ComparisonDomain};
-use ppds_smc::ResponsePacking;
 use ppds_smc::{
     LeakageEvent, LeakageLog, Party, ProtocolContext, RecordId, SharingLedger, SmcBackend, SmcError,
 };
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
-use std::ops::Range;
-
-/// One resolve direction's chunks and how many of them are in flight at
-/// once. Both sides derive it from data they agree on before the first
-/// chunk — the backend, the served counts and the dimension — and must: a
-/// querier that expected fewer chunks ahead would read a fold request where
-/// it wants an open.
-struct Schedule {
-    /// Every run of whole queries [`query_chunk`] cuts, in order, with its
-    /// pair count. A run without pairs costs no frame and no chunk index on
-    /// either side, so it is left out.
-    chunks: Vec<(Range<usize>, usize)>,
-    /// Chunks in flight at once: the largest `W` whose [`need`] for the
-    /// bytes each way of a chunk with the most pairs and the most queries
-    /// served anything stays within [`WINDOW_BYTES`] — or 1, one chunk at a
-    /// time in the unsplit calls' frame order, when the backend posts
-    /// nothing ahead. Never more than there are chunks, so chunk `c` may
-    /// keep its state in slot `c % window` of a vector of `window`: the
-    /// chunk `window` places before it has settled by the time it is posted.
-    window: usize,
-    /// Pair `i` of a chunk keys its randomness by `records[i]`.
-    records: Vec<RecordId>,
-}
-
-impl Schedule {
-    fn new<B: SmcBackend>(
-        backend: &B,
-        queries: usize,
-        served: impl Fn(usize) -> usize,
-        dim: usize,
-    ) -> Schedule {
-        let (mut chunks, mut most_queries) = (Vec::new(), 0);
-        let mut start = 0;
-        while start < queries {
-            let (end, pairs) = query_chunk(start, queries, &served);
-            if pairs > 0 {
-                chunks.push((start..end, pairs));
-                let asked = (start..end).filter(|&q| served(q) > 0).count();
-                most_queries = most_queries.max(asked);
-            }
-            start = end;
-        }
-        let largest = chunks.iter().map(|&(_, pairs)| pairs).max().unwrap_or(0);
-        let window = backend
-            .split_exchange_bytes(largest, most_queries, dim)
-            .map_or(1, |bytes| {
-                // `need` grows with the window, so the first misfit ends it.
-                (2..=chunks.len())
-                    .take_while(|&window| need(window, bytes) <= WINDOW_BYTES)
-                    .last()
-                    .unwrap_or(1)
-            });
-        Schedule {
-            chunks,
-            window,
-            records: (0..largest as u64).collect(),
-        }
-    }
-
-    /// How many chunks are posted once chunk `chunk` settles next.
-    fn posted_by(&self, chunk: usize) -> usize {
-        self.chunks.len().min(chunk + self.window)
-    }
-
-    /// Where chunk `chunk` keeps its state from posted to settled.
-    fn slot(&self, chunk: usize) -> usize {
-        chunk % self.window
-    }
-}
-
-/// The most the smaller of the two unread backlogs can be at any state of a
-/// `window`-chunk resolve in which both parties are in `send`, when a chunk
-/// is `responder` bytes one way (fold requests and his half of the open)
-/// and `querier` bytes back (fold replies and her half). Two
-/// single-threaded parties deadlock only if both block in `send`, which
-/// needs both backlogs beyond what the sockets buffer, so a window is safe
-/// when this stays within that buffering (DESIGN.md §7, *Why 64 KiB*). With
-/// the responder `m` chunks posted past what the querier has read, the
-/// querier is at most `window − m` chunks past what he has read:
-/// `max over m in 1..window of min(m·responder, (window − m)·querier)`.
-/// The tests below replay both loops and find this exact once there are
-/// `2 · window` chunks, and an overestimate with fewer.
-fn need(window: usize, (responder, querier): (usize, usize)) -> usize {
-    (1..window)
-        .map(|m| (m * responder).min((window - m) * querier))
-        .max()
-        .unwrap_or(0)
-}
-
-/// A chunk's comparisons must answer every one of its pairs.
-fn check_arity(chunk: usize, pairs: usize, within: &[bool]) -> Result<(), CoreError> {
-    if within.len() != pairs {
-        return Err(CoreError::mismatch(format!(
-            "resolve chunk {chunk} arity: {pairs} pairs vs {} answers",
-            within.len()
-        )));
-    }
-    Ok(())
-}
+use std::iter::repeat_n;
 
 /// The responder's stage-2 operand `base + 2·inner`: `base` is local
 /// (`Eps²` less the responder's own squares), `inner` is whatever the
@@ -185,13 +81,9 @@ pub(crate) fn responder_operand(
 /// `ctx.narrow("resolve").at(c)`, and its pair at flat position `i` keys
 /// masks, multiplication nonces and comparison randomness by `i` — so both
 /// framings derive identical bytes, and the responder (who walks the same
-/// path) stays correlated on the sharing backend's dealer tape. A chunk
-/// without pairs costs no frame and no chunk index on either side.
-///
-/// Chunks run in a window (DESIGN.md §7, *Pipelined resolve*): the querier
-/// answers each fold request as soon as the window admits it, with its half
-/// of the chunk's comparisons, and defers the one receive that settles a
-/// chunk until the window is full.
+/// path) stays correlated on the sharing backend's dealer tape. A chunk is
+/// posted with the fold replies and the querier's half of its comparisons,
+/// and settles on the responder's half (DESIGN.md §7, *Pipelined resolve*).
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn hdp_resolve_querier<C: Channel, B: SmcBackend>(
     chan: &mut C,
@@ -206,50 +98,43 @@ pub fn hdp_resolve_querier<C: Channel, B: SmcBackend>(
     let dim = queries.first().map_or(0, Point::dim);
     let domain = hdp_domain(cfg, dim);
     let resolve_ctx = ctx.narrow("resolve");
-    let schedule = Schedule::new(backend, queries.len(), &served, dim);
+    let runs: Vec<_> = query_runs(queries.len(), &served).collect();
+    let window = window(backend, &runs, &served, dim);
     let mut counts = vec![0usize; queries.len()];
-    // The stage-2 inputs of every chunk answered and not yet settled.
-    let mut unsettled: Vec<Vec<i64>> = vec![Vec::new(); schedule.window];
-    let (mut points, mut per_query) = (Vec::new(), Vec::new());
-    let mut answered = 0;
-    for (chunk, (run, pairs)) in schedule.chunks.iter().enumerate() {
-        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
-        while answered < schedule.posted_by(chunk) {
-            let (run, pairs) = &schedule.chunks[answered];
-            let cctx = resolve_ctx.at(answered as u64);
-            let values = &mut unsettled[schedule.slot(answered)];
-            points.clear();
-            per_query.clear();
-            for q in run.clone() {
-                let query = &queries[q];
-                let i_val =
-                    i64::try_from(query.norm_sq()).expect("ΣA² fits i64 on a validated lattice");
-                // A query's point is folded once against every responder
-                // point it is served.
-                let count = served(q);
-                points.push(query.coords());
-                per_query.push(count);
-                values.extend(std::iter::repeat_n(i_val, count));
+    resolve(
+        chan,
+        window,
+        runs,
+        |chan, chunk, (run, pairs)| {
+            // A query's point is folded once against every responder point
+            // it is served, and stands once for each in the comparisons.
+            let points: Vec<&[i64]> = run.clone().map(|q| queries[q].coords()).collect();
+            let per_query: Vec<usize> = run.clone().map(&served).collect();
+            let norm = |q| repeat_n(lattice_norm_sq(&queries[q]), served(q));
+            let values: Vec<i64> = run.clone().flat_map(norm).collect();
+            // The fold's sharing work is booked when the chunk settles.
+            let (cctx, mut fold) = (resolve_ctx.at(chunk), SharingLedger::default());
+            let ids: Vec<RecordId> = (0..pairs as u64).collect();
+            backend.mul_fold_queries_peer(chan, &points, &per_query, &ids, &cctx, &mut fold)?;
+            backend.compare_batch_post(chan, &values, &cctx.narrow("cmp"))?;
+            Ok((run, pairs, values, fold))
+        },
+        |chan, chunk, (_, pairs, values, fold)| {
+            acct.absorb(*fold);
+            ledger.record_many(cfg.key_bits, domain.n0(), *pairs as u64);
+            let (op, cmp_ctx) = (CmpOp::Leq, resolve_ctx.at(chunk).narrow("cmp"));
+            Ok(backend.compare_batch_finish(chan, values, op, &domain, &cmp_ctx, acct)?)
+        },
+        |&(_, pairs, ..)| pairs,
+        |(run, ..), within| {
+            let mut at = 0;
+            for q in run {
+                let segment = &within[at..at + served(q)];
+                counts[q] = segment.iter().filter(|&&w| w).count();
+                at += segment.len();
             }
-            let records = &schedule.records[..*pairs];
-            backend.mul_fold_queries_peer(chan, &points, &per_query, records, &cctx, acct)?;
-            backend.compare_batch_post(chan, values, &cctx.narrow("cmp"))?;
-            answered += 1;
-        }
-        let values = std::mem::take(&mut unsettled[schedule.slot(chunk)]);
-        ledger.record_many(cfg.key_bits, domain.n0(), *pairs as u64);
-        let cmp_ctx = resolve_ctx.at(chunk as u64).narrow("cmp");
-        let within =
-            backend.compare_batch_finish(chan, &values, CmpOp::Leq, &domain, &cmp_ctx, acct)?;
-        check_arity(chunk, *pairs, &within)?;
-        let mut at = 0;
-        for q in run.clone() {
-            let segment = &within[at..at + served(q)];
-            counts[q] = segment.iter().filter(|&&w| w).count();
-            at += segment.len();
-        }
-        span.end(|| chan.metrics());
-    }
+        },
+    )?;
     Ok(counts)
 }
 
@@ -273,10 +158,9 @@ pub trait ServedSets {
 /// query (the Figure 1 defense), and matched own points are logged in that
 /// permuted order.
 ///
-/// Chunks run in a window (DESIGN.md §7, *Pipelined resolve*): the
-/// responder posts chunk `i + W`'s fold request as soon as chunk `i`
-/// settles. A chunk's permuted point indices are drawn when it is posted and
-/// dropped when it settles, so only the window's indices are ever held.
+/// A chunk is posted with its fold requests and settles on the replies
+/// (DESIGN.md §7, *Pipelined resolve*); its permuted point indices live
+/// from one to the other, so only the window's are ever held.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
 pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
     chan: &mut C,
@@ -298,23 +182,19 @@ pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
     let domain = hdp_domain(cfg, dim);
     let eps = cfg.params.eps_sq as i64;
     let resolve_ctx = ctx.narrow("resolve");
-    let perm_ctx = ctx.narrow("perm");
-    let schedule = Schedule::new(backend, queries, |q| served.count(q), dim);
-    // Every posted chunk not yet settled: its served points in permuted
-    // order and how many each query was served; the points' coordinates are
-    // read from `my_points` where the chunk is posted and where it settles.
-    let mut unsettled: Vec<(Vec<usize>, Vec<usize>)> = vec![Default::default(); schedule.window];
+    let runs: Vec<_> = query_runs(queries, |q| served.count(q)).collect();
+    let window = window(backend, &runs, |q| served.count(q), dim);
     let coords = |order: &[usize]| -> Vec<&[i64]> {
         order.iter().map(|&idx| my_points[idx].coords()).collect()
     };
-    let mut posted = 0;
-    for (chunk, &(_, pairs)) in schedule.chunks.iter().enumerate() {
-        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
-        while posted < schedule.posted_by(chunk) {
-            let (run, pairs) = &schedule.chunks[posted];
-            let mut order = Vec::with_capacity(*pairs);
+    resolve(
+        chan,
+        window,
+        runs,
+        |chan, chunk, (run, pairs)| {
+            let mut order = Vec::with_capacity(pairs);
             let mut per_query = Vec::with_capacity(run.len());
-            for q in run.clone() {
+            for q in run {
                 let from = order.len();
                 served.extend(q, &mut order);
                 assert_eq!(
@@ -322,59 +202,35 @@ pub fn hdp_resolve_responder<C: Channel, B: SmcBackend>(
                     served.count(q),
                     "query {q} is served the set it was counted for"
                 );
-                order[from..].shuffle(&mut perm_ctx.at(q as u64).rng());
+                order[from..].shuffle(&mut ctx.narrow("perm").at(q as u64).rng());
                 per_query.push(order.len() - from);
             }
-            let (records, cctx) = (&schedule.records[..*pairs], resolve_ctx.at(posted as u64));
-            let points = coords(&order);
-            backend.mul_fold_keyholder_post(chan, &points, &per_query, records, &cctx)?;
-            unsettled[schedule.slot(posted)] = (order, per_query);
-            posted += 1;
-        }
-        let (order, per_query) = std::mem::take(&mut unsettled[schedule.slot(chunk)]);
-        ledger.record_many(cfg.key_bits, domain.n0(), pairs as u64);
-        let (records, cctx) = (&schedule.records[..pairs], resolve_ctx.at(chunk as u64));
-        let points = coords(&order);
-        let inner_products =
-            backend.mul_fold_keyholder_finish(chan, &points, &per_query, records, &cctx, acct)?;
-        let values = order
-            .iter()
-            .zip(inner_products)
-            .map(|(&idx, inner)| {
-                let own = my_points[idx].norm_sq() as i64;
-                responder_operand(eps - own, inner, &domain)
-            })
-            .collect::<Result<Vec<i64>, SmcError>>()?;
-        let cmp_ctx = cctx.narrow("cmp");
-        let within = backend.compare_batch(
-            chan,
-            Party::Bob,
-            &values,
-            CmpOp::Leq,
-            &domain,
-            &cmp_ctx,
-            acct,
-        )?;
-        check_arity(chunk, pairs, &within)?;
-        for (&idx, _) in order.iter().zip(&within).filter(|(_, &matched)| matched) {
-            leakage.record(LeakageEvent::OwnPointMatched {
-                point: format!("own#{idx}"),
-            });
-        }
-        span.end(|| chan.metrics());
-    }
-    Ok(())
-}
-
-/// The Multiplication Protocol response packing this config selects for
-/// `dim`-attribute groups: `Some` when `cfg.packing` is on (validated
-/// configs always have a layout), `None` otherwise.
-pub(crate) fn mul_packing(cfg: &ProtocolConfig, dim: usize) -> Option<ResponsePacking> {
-    if cfg.packing {
-        crate::domain::mul_response_packing(cfg, dim)
-    } else {
-        None
-    }
+            let records: Vec<RecordId> = (0..pairs as u64).collect();
+            let cctx = resolve_ctx.at(chunk);
+            backend.mul_fold_keyholder_post(chan, &coords(&order), &per_query, &records, &cctx)?;
+            Ok((order, per_query, records))
+        },
+        |chan, chunk, (order, per_query, records)| {
+            ledger.record_many(cfg.key_bits, domain.n0(), order.len() as u64);
+            let (points, cctx) = (coords(order), resolve_ctx.at(chunk));
+            let inner = backend
+                .mul_fold_keyholder_finish(chan, &points, per_query, records, &cctx, acct)?;
+            let operand = |(&idx, inner): (&usize, i64)| {
+                responder_operand(eps - my_points[idx].norm_sq() as i64, inner, &domain)
+            };
+            let values: Result<Vec<i64>, _> = order.iter().zip(inner).map(operand).collect();
+            let (role, op, cmp_ctx) = (Party::Bob, CmpOp::Leq, cctx.narrow("cmp"));
+            Ok(backend.compare_batch(chan, role, &values?, op, &domain, &cmp_ctx, acct)?)
+        },
+        |(order, ..)| order.len(),
+        |(order, ..), within| {
+            for (&idx, _) in order.iter().zip(&within).filter(|(_, &matched)| matched) {
+                leakage.record(LeakageEvent::OwnPointMatched {
+                    point: format!("own#{idx}"),
+                });
+            }
+        },
+    )
 }
 
 impl ProtocolConfig {
@@ -617,7 +473,7 @@ mod tests {
     }
 
     #[test]
-    fn queries_pack_into_chunks_whole_and_an_empty_chunk_costs_nothing() {
+    fn queries_pack_into_chunks_whole() {
         // Served sizes 0, 600, 500, 0, 0, 1100: the second chunk starts at
         // the 500 (600 + 500 > 1,024), the 1,100 exceeds a chunk by itself
         // and still travels whole, and the zeros ride along for free.
@@ -648,17 +504,6 @@ mod tests {
                 assert_eq!(run.traffic.total_rounds(), 3 * 4, "three chunks");
             }
         }
-        // Nothing served at all: no frame either way.
-        let run = resolve(
-            &cfg(16, 10),
-            (true, true),
-            &queries,
-            &responder_points,
-            &vec![Vec::new(); 6],
-        );
-        assert_eq!(run.counts, [0; 6]);
-        assert_eq!(run.traffic.total_rounds(), 0);
-        assert!(run.leakage.is_empty());
     }
 
     #[test]
@@ -709,137 +554,6 @@ mod tests {
         }
         // The doubling fits, the sum does not.
         assert!(responder_operand(i64::MAX, 1, &domain).is_err());
-    }
-
-    /// One step of a side of a resolve direction, replayed without a wire.
-    #[derive(Clone, Copy)]
-    enum Op {
-        /// Ships a frame of this many bytes.
-        Send(usize),
-        /// Reads the peer's next frame.
-        Recv,
-    }
-
-    /// Both sides of `schedule`'s loops, in their order — the responder's
-    /// frames `(fold request, his half of the open)` a chunk, the querier's
-    /// `(fold reply, her half)` — as the responder's program and the
-    /// querier's.
-    fn programs(
-        schedule: &Schedule,
-        (request, bob): (usize, usize),
-        (reply, alice): (usize, usize),
-    ) -> (Vec<Op>, Vec<Op>) {
-        let (mut responder, mut querier) = (Vec::new(), Vec::new());
-        let mut posted = 0;
-        for chunk in 0..schedule.chunks.len() {
-            for _ in posted..schedule.posted_by(chunk) {
-                responder.push(Op::Send(request));
-                querier.extend([Op::Recv, Op::Send(reply), Op::Send(alice)]);
-            }
-            posted = schedule.posted_by(chunk);
-            responder.extend([Op::Recv, Op::Recv, Op::Send(bob)]);
-            querier.push(Op::Recv);
-        }
-        (responder, querier)
-    }
-
-    /// Per step of a program: frames sent and frames read before it; and
-    /// the bytes of its first `k` frames, by `k`.
-    fn replay(ops: &[Op]) -> (Vec<(usize, usize)>, Vec<usize>) {
-        let (mut before, mut stream, mut read) = (Vec::new(), vec![0], 0);
-        for op in ops {
-            before.push((stream.len() - 1, read));
-            match *op {
-                Op::Send(bytes) => stream.push(stream[stream.len() - 1] + bytes),
-                Op::Recv => read += 1,
-            }
-        }
-        (before, stream)
-    }
-
-    /// By brute force: every pair of send steps the two programs can be at
-    /// together — each has read no frame the other has not sent — and at
-    /// each the smaller of the two unread backlogs, the frame in `send`
-    /// included. Returns the largest.
-    fn worst_both_sending(a: &[Op], b: &[Op]) -> usize {
-        let ((a_before, a_stream), (b_before, b_stream)) = (replay(a), replay(b));
-        let sends = |ops: &[Op]| -> Vec<usize> {
-            (0..ops.len())
-                .filter(|&i| matches!(ops[i], Op::Send(_)))
-                .collect()
-        };
-        let mut worst = 0;
-        for i in sends(a) {
-            for j in sends(b) {
-                let ((a_sent, a_read), (b_sent, b_read)) = (a_before[i], b_before[j]);
-                if a_read > b_sent || b_read > a_sent {
-                    continue;
-                }
-                let a_unread = a_stream[a_sent + 1] - a_stream[b_read];
-                let b_unread = b_stream[b_sent + 1] - b_stream[a_read];
-                worst = worst.max(a_unread.min(b_unread));
-            }
-        }
-        worst
-    }
-
-    /// [`need`] against the brute force over the windowed loops, for the
-    /// sharing backend's frames at every dimension up to 8 and chunks of one
-    /// query, ten and a thousand: never below it, and equal to it once there
-    /// are chunks enough to fill the window both ways (checked up to 20
-    /// chunks, so for every window a 100 + 100 session can take).
-    #[test]
-    fn the_window_bound_is_the_worst_state_where_both_parties_send() {
-        const PAIRS: usize = 1000;
-        let backend = SharingBackend {
-            tape: DealerTape::from_seed(4242),
-            batching: true,
-            dot_mask_bound: 1 << 20,
-        };
-        // Each half of the open is one element a pair, in a frame.
-        let open = ppds_transport::FRAME_OVERHEAD_BYTES as usize + 8 * PAIRS;
-        for dim in 1..=8 {
-            for queries in [1, 10, PAIRS] {
-                let bytes = backend.split_exchange_bytes(PAIRS, queries, dim).unwrap();
-                let frames = ((bytes.0 - open, open), (bytes.1 - open, open));
-                for window in 1..=10 {
-                    for chunks in 1..=20 {
-                        let schedule = Schedule {
-                            chunks: vec![(0..1, PAIRS); chunks],
-                            window,
-                            records: Vec::new(),
-                        };
-                        let (responder, querier) = programs(&schedule, frames.0, frames.1);
-                        let worst = worst_both_sending(&responder, &querier);
-                        let bound = need(window, bytes);
-                        let case = format!(
-                            "dim {dim}, {queries} queries, window {window}, {chunks} chunks"
-                        );
-                        assert!(bound >= worst, "{case}: need {bound} < {worst}");
-                        // Fewer chunks never fill the window both ways at once.
-                        if window > 1 && chunks >= 2 * window {
-                            assert_eq!(bound, worst, "{case}: the bound is exact");
-                        }
-                    }
-                }
-            }
-        }
-        // DESIGN.md §7's table: dimension 2, ten queries a chunk, `need` at
-        // windows 2 to 8.
-        let dim2 = backend.split_exchange_bytes(PAIRS, 10, 2).unwrap();
-        assert_eq!(dim2, (24_008, 16_168));
-        let needs: Vec<usize> = (2..=8).map(|window| need(window, dim2)).collect();
-        assert_eq!(
-            needs,
-            [16_168, 24_008, 32_336, 48_016, 48_504, 64_672, 72_024]
-        );
-        // Ten 1,000-pair chunks of ten queries: what the 100 + 100 sessions
-        // run.
-        for (dim, window) in [(2, 7), (6, 5), (8, 4)] {
-            let schedule = Schedule::new(&backend, 100, |_| 100, dim);
-            assert_eq!(schedule.chunks.len(), 10);
-            assert_eq!(schedule.window, window, "dim {dim}");
-        }
     }
 
     #[test]

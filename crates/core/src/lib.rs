@@ -94,6 +94,7 @@ pub mod kumar;
 pub mod multiparty;
 pub mod partition;
 pub(crate) mod prune;
+pub(crate) mod resolve;
 pub mod session;
 pub mod vdp;
 pub mod vertical;

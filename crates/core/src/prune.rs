@@ -53,72 +53,43 @@ pub(crate) fn local_index<'a>(
 /// lockstep session still reports progress ~25 times.
 pub(crate) const PAIR_CHUNK: usize = 1024;
 
-/// The most a horizontal resolve window may leave as the smaller unread
-/// backlog at any state where both parties send (DESIGN.md §7, *Why
-/// 64 KiB*): enough to keep a link busy while a chunk's replies travel, and
-/// below what default TCP buffering holds, so that a single-threaded party
-/// never waits in `send` on a peer that is itself waiting in `send`.
-pub(crate) const WINDOW_BYTES: usize = 64 << 10;
-
-/// Streams every unordered candidate pair `(x, y)`, `x < y`, of an
-/// `n`-record lockstep session to `sink`, ascending in `(x, y)`, at most
-/// [`PAIR_CHUNK`] pairs at a time through one reused buffer — the full
-/// list (`n(n−1)/2` pairs when exhaustive) is never materialized.
-/// `bands = None` is the exhaustive generator. Both parties derive the
-/// identical stream because it is a function of agreed data only.
-pub(crate) fn for_each_pair_chunk<E>(
+/// Every unordered candidate pair `(x, y)`, `x < y`, of an `n`-record
+/// lockstep session, ascending in `(x, y)`, in chunks of [`PAIR_CHUNK`]
+/// (the last one shorter), cut as they are pulled — the full list
+/// (`n(n−1)/2` pairs when exhaustive) is never materialized. `bands = None`
+/// is the exhaustive generator. Both parties derive the identical stream
+/// because it is a function of agreed data only.
+pub(crate) fn pair_chunks(
     n: u32,
     bands: Option<&BandCandidates>,
-    mut sink: impl FnMut(&[(u32, u32)]) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut chunk: Vec<(u32, u32)> = Vec::with_capacity(PAIR_CHUNK);
+) -> impl Iterator<Item = Vec<(u32, u32)>> + '_ {
     let mut scratch = CandidateScratch::default();
-    for x in 0..n {
-        let mut emit = |y: u32| -> Result<(), E> {
-            chunk.push((x, y));
-            if chunk.len() == PAIR_CHUNK {
-                sink(&chunk)?;
-                chunk.clear();
+    // Record `x`'s partners from its `skip`-th on are still to come.
+    let (mut x, mut skip) = (0u32, 0usize);
+    std::iter::from_fn(move || {
+        let mut chunk = Vec::with_capacity(PAIR_CHUNK);
+        while x < n && chunk.len() < PAIR_CHUNK {
+            let room = PAIR_CHUNK - chunk.len();
+            let left = match bands {
+                Some(bands) => {
+                    let above = &bands.partners_above(x, &mut scratch)[skip..];
+                    chunk.extend(above.iter().take(room).map(|&y| (x, y as u32)));
+                    above.len()
+                }
+                None => {
+                    let above = x + 1 + skip as u32..n;
+                    chunk.extend(above.clone().take(room).map(|y| (x, y)));
+                    above.len()
+                }
+            };
+            if left > room {
+                skip += room;
+            } else {
+                (x, skip) = (x + 1, 0);
             }
-            Ok(())
-        };
-        match bands {
-            Some(bands) => bands
-                .partners_above(x, &mut scratch)
-                .iter()
-                .try_for_each(|&y| emit(y as u32))?,
-            None => (x + 1..n).try_for_each(&mut emit)?,
         }
-    }
-    if !chunk.is_empty() {
-        sink(&chunk)?;
-    }
-    Ok(())
-}
-
-/// The run of whole queries, starting at query `start` of `queries`, whose
-/// (query, candidate) pairs one point-holding resolve exchange carries:
-/// returns `(end, pairs)` for the run `start..end`. Queries are packed
-/// greedily while the run stays within [`PAIR_CHUNK`] pairs; a query is
-/// never split, so one whose `served` count alone exceeds the chunk
-/// travels by itself. Querier and responder call this with the same counts
-/// and so cut the same chunks without exchanging a word about them.
-pub(crate) fn query_chunk(
-    start: usize,
-    queries: usize,
-    served: impl Fn(usize) -> usize,
-) -> (usize, usize) {
-    let mut end = start + 1;
-    let mut pairs = served(start);
-    while end < queries {
-        let with_next = pairs.saturating_add(served(end));
-        if with_next > PAIR_CHUNK {
-            break;
-        }
-        pairs = with_next;
-        end += 1;
-    }
-    (end, pairs)
+        (!chunk.is_empty()).then_some(chunk)
+    })
 }
 
 /// The band width of a grid-pruned point-holding exchange with a peer that
@@ -592,22 +563,12 @@ mod tests {
         );
     }
 
-    fn pairs(n: u32, bands: Option<&BandCandidates>) -> Vec<Vec<(u32, u32)>> {
-        let mut chunks = Vec::new();
-        for_each_pair_chunk(n, bands, |chunk| {
-            chunks.push(chunk.to_vec());
-            Ok::<(), ()>(())
-        })
-        .unwrap();
-        chunks
-    }
-
     #[test]
     fn band_pairs_are_unordered_sorted_and_exclude_self() {
         let w = band_width(4, 1);
         let oracle = BandCandidates::new(table(1, &[&[0], &[0], &[1], &[9]]), w);
         assert_eq!(
-            pairs(4, Some(&oracle)),
+            pair_chunks(4, Some(&oracle)).collect::<Vec<_>>(),
             vec![vec![(0, 1), (0, 2), (1, 2)]],
             "record 3 is nobody's candidate"
         );
@@ -616,7 +577,7 @@ mod tests {
     #[test]
     fn exhaustive_pairs_cover_the_triangle_in_full_chunks_plus_a_tail() {
         for n in [0u32, 1, 2, 3, 46, 47] {
-            let chunks = pairs(n, None);
+            let chunks: Vec<_> = pair_chunks(n, None).collect();
             let total = (n as usize * n.saturating_sub(1) as usize) / 2;
             assert_eq!(chunks.iter().map(Vec::len).sum::<usize>(), total, "n={n}");
             assert_eq!(chunks.len(), total.div_ceil(PAIR_CHUNK), "n={n}");
@@ -628,33 +589,6 @@ mod tests {
                 "ascending, no repeats"
             );
         }
-    }
-
-    #[test]
-    fn query_chunks_hold_whole_queries_within_the_pair_budget() {
-        // Where each chunk of the given served counts ends.
-        let chunk_ends = |served: &[usize]| {
-            let (mut ends, mut start) = (Vec::new(), 0);
-            while start < served.len() {
-                let (end, pairs) = query_chunk(start, served.len(), |q| served[q]);
-                assert_eq!(pairs, served[start..end].iter().sum::<usize>());
-                ends.push(end);
-                start = end;
-            }
-            ends
-        };
-        assert!(chunk_ends(&[]).is_empty());
-        assert_eq!(chunk_ends(&[0, 0, 0]), [3], "zeros never close a chunk");
-        assert_eq!(chunk_ends(&[1024]), [1]);
-        assert_eq!(chunk_ends(&[512, 512, 1]), [2, 3], "at the budget");
-        assert_eq!(chunk_ends(&[512, 513]), [1, 2], "one over");
-        assert_eq!(
-            chunk_ends(&[5000, 0, 1, 2000, 1024, 0]),
-            [1, 3, 4, 6],
-            "an oversize query travels alone and whole"
-        );
-        assert_eq!(chunk_ends(&[usize::MAX, usize::MAX]), [1, 2]);
-        assert_eq!(chunk_ends(&[100; 25]), [10, 20, 25]);
     }
 
     fn grid_cfg() -> ProtocolConfig {

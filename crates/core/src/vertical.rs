@@ -15,11 +15,11 @@
 
 use crate::config::ProtocolConfig;
 use crate::error::CoreError;
-use crate::prune::{for_each_pair_chunk, BandCandidates, BandTable, PAIR_CHUNK};
+use crate::prune::{pair_chunks, BandCandidates, BandTable, PAIR_CHUNK};
+use crate::resolve::resolve;
 use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
 use crate::vdp::{local_delta_sq, vdp_compare};
 use ppds_dbscan::{dbscan_over_graph, Clustering, DbscanParams, NeighborGraph, Point};
-use ppds_observe::trace;
 use ppds_smc::{LeakageEvent, LeakageLog, Party, ProtocolContext};
 use ppds_transport::Channel;
 use std::fmt::Write as _;
@@ -28,9 +28,9 @@ use std::fmt::Write as _;
 ///
 /// **Resolve** is the only wire phase: every unordered candidate pair goes
 /// through `compare_chunk` — one joint `dist² ≤ Eps²` bit per pair,
-/// [`PAIR_CHUNK`] pairs per call, so a batching backend spends O(1) wire
-/// rounds per chunk and the reference framing a comparison per round over
-/// the same stream (`bands = None` streams all `n(n−1)/2` pairs). DBSCAN
+/// [`PAIR_CHUNK`] pairs per call, one chunk at a time and chunk `c` keyed by
+/// `ctx.narrow("resolve").at(c)` (`bands = None` streams all `n(n−1)/2`
+/// pairs). A batching backend spends O(1) wire rounds per chunk. DBSCAN
 /// region-queries every record and both parties learn every bit it asks
 /// for, so the disclosed set is exactly "one bit per candidate pair"
 /// whatever the visiting order: resolving it up front discloses nothing
@@ -44,38 +44,29 @@ pub(crate) fn lockstep_dbscan<C, F>(
     n: usize,
     params: DbscanParams,
     bands: Option<BandCandidates>,
+    ctx: &ProtocolContext,
     mut compare_chunk: F,
     leakage: &mut LeakageLog,
 ) -> Result<Clustering, CoreError>
 where
     C: Channel,
-    F: FnMut(&mut C, u64, &[(u32, u32)]) -> Result<Vec<bool>, CoreError>,
+    F: FnMut(&mut C, &ProtocolContext, &[(u32, u32)]) -> Result<Vec<bool>, CoreError>,
 {
     let records = u32::try_from(n)
         .map_err(|_| CoreError::config("lockstep modes index records with 32 bits"))?;
     let mut edges: Vec<(u32, u32)> = Vec::new();
-    let mut chunk = 0u64;
-    for_each_pair_chunk(records, bands.as_ref(), |pairs| {
-        let span = trace::span_with(|| format!("resolve#{chunk}"), || chan.metrics());
-        let within = compare_chunk(chan, chunk, pairs)?;
-        if within.len() != pairs.len() {
-            return Err(CoreError::mismatch(format!(
-                "resolve chunk {chunk} arity: {} pairs vs {} answers",
-                pairs.len(),
-                within.len()
-            )));
-        }
-        edges.extend(
-            pairs
-                .iter()
-                .zip(&within)
-                .filter(|(_, &w)| w)
-                .map(|(&p, _)| p),
-        );
-        span.end(|| chan.metrics());
-        chunk += 1;
-        Ok(())
-    })?;
+    resolve(
+        chan,
+        1,
+        pair_chunks(records, bands.as_ref()),
+        |_, _, pairs| Ok(pairs),
+        |chan, chunk, pairs| compare_chunk(chan, &ctx.narrow("resolve").at(chunk), pairs),
+        Vec::len,
+        |pairs, within| {
+            let matched = pairs.iter().zip(&within).filter(|(_, &w)| w);
+            edges.extend(matched.map(|(&p, _)| p));
+        },
+    )?;
     // Expand needs the graph alone: the band index and the edge list go
     // before the ledger and the labels are allocated.
     drop(bands);
@@ -145,20 +136,15 @@ impl ModeDriver for VerticalDriver<'_> {
         // derive identical joined-band candidate pairs.
         let bands = vertical_band_oracle(chan, mctx, attrs, &mut log.leakage)?;
         let (ledger, sharing) = (&mut log.ledger, &mut log.sharing);
-        // One context instance per chunk; pair `i` of a chunk draws from
-        // resolve.at(chunk).at(i) however the backend frames it.
-        let resolve_ctx = ctx.narrow("resolve");
+        // Pair `i` of a chunk draws from `cctx.at(i)` in either framing.
         let mut locals: Vec<u64> = Vec::with_capacity(PAIR_CHUNK);
-        let compare_chunk = |chan: &mut C, chunk: u64, pairs: &[(u32, u32)]| {
+        let delta = |&(x, y): &(u32, u32)| local_delta_sq(&attrs[x as usize], &attrs[y as usize]);
+        let compare_chunk = |chan: &mut C, cctx: &ProtocolContext, pairs: &[(u32, u32)]| {
             locals.clear();
-            locals.extend(
-                pairs
-                    .iter()
-                    .map(|&(x, y)| local_delta_sq(&attrs[x as usize], &attrs[y as usize])),
-            );
-            let (role, cctx) = (mctx.role, resolve_ctx.at(chunk));
+            locals.extend(pairs.iter().map(delta));
+            let role = mctx.role;
             Ok(vdp_compare(
-                chan, cfg, &backend, role, &locals, total_dim, &cctx, ledger, sharing,
+                chan, cfg, &backend, role, &locals, total_dim, cctx, ledger, sharing,
             )?)
         };
         lockstep_dbscan(
@@ -166,6 +152,7 @@ impl ModeDriver for VerticalDriver<'_> {
             attrs.len(),
             cfg.params,
             bands,
+            ctx,
             compare_chunk,
             &mut log.leakage,
         )
