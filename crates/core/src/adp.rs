@@ -15,7 +15,9 @@
 //!
 //! One Yao comparison then decides
 //! `V_A + Σ_H a_k²  ≤  Eps² − V_B − Σ_H b_k² + 2·Σ_H a_k·b_k`,
-//! which is `dist²(x, y) ≤ Eps²`.
+//! which is `dist²(x, y) ≤ Eps²`. Vertical data is the case where every
+//! column has one owner: `H` is empty, nothing is multiplied, and the
+//! comparison is protocol VDP's `α ≤ Eps² − β` (§4.3).
 //!
 //! Both the multiplication stage and the comparison dispatch through the
 //! session's [`SmcBackend`], so the same dataflow runs over Paillier
@@ -23,8 +25,7 @@
 //! to a wire frame or the paper's one pair at a time (DESIGN.md §7).
 
 use crate::config::{ProtocolConfig, YaoLedger};
-use crate::domain::adp_domain;
-use ppds_smc::compare::CmpOp;
+use ppds_smc::compare::{CmpOp, ComparisonDomain};
 use ppds_smc::{Party, ProtocolContext, RecordId, SharingLedger, SmcBackend, SmcError};
 use ppds_transport::Channel;
 
@@ -50,7 +51,7 @@ struct LocalParts {
     split_endpoints: Vec<i64>,
 }
 
-fn classify(view: &PairView<'_>) -> LocalParts {
+fn classify(view: PairView<'_>) -> LocalParts {
     assert_eq!(view.x.len(), view.y.len(), "views must share the schema");
     let mut local = 0i64;
     let mut split_endpoints = Vec::new();
@@ -75,32 +76,34 @@ fn classify(view: &PairView<'_>) -> LocalParts {
 /// (both sides pass the same pairs in the same order). The multiplication
 /// stages of every split pair come first (Bob keyholder), then one
 /// comparison per pair; the per-pair zero-sum masks cancel inside the fold.
-/// `ctx` is the step's context: pair `i` keys its masks, multiplication
-/// nonces and comparison randomness by `i`, its position in the slice. How
-/// either stage is framed — one wire frame per protocol message for all
-/// pairs, or one exchange per pair — is the backend's business; outcomes,
-/// ledgers and bytes are the same either way.
+/// `domain` holds both operands of every pair (`domain::split_domain` over
+/// the session's split-attribute counts). `ctx` is the step's context:
+/// pair `i` keys its masks, multiplication nonces and comparison randomness
+/// by `i`, its position in the slice. The views are streamed, never
+/// collected: at a chunk of lockstep pairs a buffer of them costs more than
+/// the local sums it feeds. How either stage is framed — one wire frame per
+/// protocol message for all pairs, or one exchange per pair — is the
+/// backend's business; outcomes, ledgers and bytes are the same either way.
 #[allow(clippy::too_many_arguments)] // mirrors the protocol's parameter list
-pub fn adp_compare<C: Channel, B: SmcBackend>(
+pub fn adp_compare<'v, C: Channel, B: SmcBackend>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     backend: &B,
     role: Party,
-    views: &[PairView<'_>],
+    views: impl ExactSizeIterator<Item = PairView<'v>>,
+    domain: &ComparisonDomain,
     ctx: &ProtocolContext,
     ledger: &mut YaoLedger,
     acct: &mut SharingLedger,
 ) -> Result<Vec<bool>, SmcError> {
-    let Some(first) = views.first() else {
-        return Ok(Vec::new());
-    };
-    let domain = adp_domain(cfg, first.x.len());
-    let mut locals = Vec::with_capacity(views.len());
+    let pairs = views.len();
+    let mut locals = Vec::with_capacity(pairs);
     // Cross terms through the Multiplication Protocol. Pairs without split
     // attributes have none to multiply and stay out of the stage —
-    // ownership is complementary, so both parties filter identically.
+    // ownership is complementary, so both parties filter identically. A
+    // slice with none at all folds nothing and touches no wire.
     let (mut records, mut groups): (Vec<RecordId>, Vec<Vec<i64>>) = Default::default();
-    for (i, view) in views.iter().enumerate() {
+    for (i, view) in views.enumerate() {
         let parts = classify(view);
         locals.push(parts.local);
         if !parts.split_endpoints.is_empty() {
@@ -108,7 +111,7 @@ pub fn adp_compare<C: Channel, B: SmcBackend>(
             groups.push(parts.split_endpoints);
         }
     }
-    ledger.record_many(cfg.key_bits, domain.n0(), views.len() as u64);
+    ledger.record_many(cfg.key_bits, domain.n0(), pairs as u64);
     let values = match role {
         // Alice: `V_A + Σ_H a_k²`.
         Party::Alice => {
@@ -122,19 +125,19 @@ pub fn adp_compare<C: Channel, B: SmcBackend>(
             let crosses = backend.mul_fold_keyholder(chan, &groups, &records, ctx, acct)?;
             for (&i, cross) in records.iter().zip(crosses) {
                 let value = &mut values[i as usize];
-                *value = crate::hdp::responder_operand(*value, cross, &domain)?;
+                *value = crate::hdp::responder_operand(*value, cross, domain)?;
             }
             values
         }
     };
-    let cmp_ctx = ctx.narrow("cmp");
-    backend.compare_batch(chan, role, &values, CmpOp::Leq, &domain, &cmp_ctx, acct)
+    backend.compare_batch(chan, role, &values, CmpOp::Leq, domain, ctx, acct)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::paillier_backend;
+    use crate::domain::split_domain;
     use crate::partition::{ArbitraryPartition, Owner};
     use crate::test_helpers::{ctx, rng};
     use ppds_dbscan::{dist_sq, DbscanParams, Point};
@@ -153,16 +156,33 @@ mod tests {
         KP.get_or_init(|| Keypair::generate(256, &mut rng(55)))
     }
 
-    /// Decides every record pair of `pairs` in one slice; returns the
-    /// verdicts both sides agree on and Alice's traffic.
+    /// (sharing, batching): both substrates in both framings.
+    const SUBSTRATES: [(bool, bool); 4] =
+        [(false, false), (false, true), (true, false), (true, true)];
+
+    /// What Alice takes away from one slice of comparisons.
+    struct Decided {
+        within: Vec<bool>,
+        sharing: SharingLedger,
+        traffic: MetricsSnapshot,
+    }
+
+    /// Decides every record pair of `pairs` in one slice, over the domain
+    /// of the partition's split columns; both sides must agree on the
+    /// verdicts and the Yao ledger.
     fn run(
         cfg: ProtocolConfig,
         (sharing, batching): (bool, bool),
         part: &ArbitraryPartition,
         pairs: &[(usize, usize)],
-    ) -> (Vec<bool>, MetricsSnapshot) {
+    ) -> Decided {
         let cfg = cfg.with_batching(batching);
-        let dim = part.alice_values[0].len();
+        let dim = part.dim();
+        let owners = &part.ownership;
+        let split = (0..dim)
+            .filter(|&k| owners.iter().any(|row| row[k] != owners[0][k]))
+            .count();
+        let domain = split_domain(&cfg, dim, 0, split);
         let backend_for = |mine: &'static Keypair, theirs: &'static Keypair| {
             if sharing {
                 AnyBackend::Sharing(SharingBackend {
@@ -195,12 +215,19 @@ mod tests {
                     &cfg,
                     &backend,
                     role,
-                    &views,
+                    views.into_iter(),
+                    &domain,
                     &ctx(800),
                     &mut ledger,
                     &mut acct,
                 );
-                (out.unwrap(), ledger, achan.metrics())
+                let traffic = achan.metrics();
+                let decided = Decided {
+                    within: out.unwrap(),
+                    sharing: acct,
+                    traffic,
+                };
+                (decided, ledger)
             });
             let backend = backend_for(bob_kp(), alice_kp());
             let (views, role) = (views_of(&part.bob_values, pairs), Party::Bob);
@@ -210,17 +237,18 @@ mod tests {
                 &cfg,
                 &backend,
                 role,
-                &views,
+                views.into_iter(),
+                &domain,
                 &ctx(900),
                 &mut ledger,
                 &mut acct,
             )
             .unwrap();
-            let (alice, a_ledger, metrics) = a.join().unwrap();
-            assert_eq!(alice, bob);
+            let (alice, a_ledger) = a.join().unwrap();
+            assert_eq!(alice.within, bob);
             assert_eq!(a_ledger, ledger);
             assert_eq!(ledger.comparisons, pairs.len() as u64);
-            (alice, metrics)
+            alice
         })
     }
 
@@ -237,6 +265,12 @@ mod tests {
         ]
     }
 
+    /// Alice owns attributes `0..2` of every record, Bob `2..4`.
+    fn split_at_two(records: &[Point]) -> ArbitraryPartition {
+        let owners = vec![Owner::Alice, Owner::Alice, Owner::Bob, Owner::Bob];
+        ArbitraryPartition::from_records(records, vec![owners; records.len()])
+    }
+
     #[test]
     fn matches_plain_distance_on_random_partitions() {
         let records = records();
@@ -248,44 +282,73 @@ mod tests {
             .map(|&(x, y)| dist_sq(&records[x], &records[y]) <= 20)
             .collect();
         let mut r = rng(9);
-        for trial in 0..3 {
-            let part = ArbitraryPartition::random(&mut r, &records);
-            for substrate in [(false, false), (false, true), (true, false), (true, true)] {
-                let (got, _) = run(cfg(20), substrate, &part, &pairs);
-                assert_eq!(
-                    got, expect,
-                    "trial {trial}, (sharing, batching) = {substrate:?}"
-                );
+        let mut partitions: Vec<ArbitraryPartition> = (0..3)
+            .map(|_| ArbitraryPartition::random(&mut r, &records))
+            .collect();
+        partitions.push(split_at_two(&records));
+        for (trial, part) in partitions.iter().enumerate() {
+            for substrate in SUBSTRATES {
+                let got = run(cfg(20), substrate, part, &pairs).within;
+                assert_eq!(got, expect, "partition {trial}, {substrate:?}");
             }
         }
+        // The faithful Yao comparator decides a vertical split alike, here
+        // on the boundary: dist²(records 0, 1) = 9.
+        let yao = ProtocolConfig::new_with_yao(cfg(9).params, 5);
+        let vertical = split_at_two(&records);
+        assert_eq!(
+            run(yao, (false, false), &vertical, &[(0, 1)]).within,
+            [true]
+        );
     }
 
     #[test]
     fn a_batched_slice_is_five_rounds() {
         let part = ArbitraryPartition::random(&mut rng(77), &records());
         // One slice: record 0 against every other record.
-        let (_, metrics) = run(cfg(20), (false, true), &part, &[(0, 1), (0, 2), (0, 3)]);
+        let traffic = run(cfg(20), (false, true), &part, &[(0, 1), (0, 2), (0, 3)]).traffic;
         // 2 rounds of multiplication + 3 of comparison for the whole slice.
         assert!(
-            metrics.total_rounds() <= 5,
+            traffic.total_rounds() <= 5,
             "rounds = {}",
-            metrics.total_rounds()
+            traffic.total_rounds()
         );
-        let (none, metrics) = run(cfg(20), (false, true), &part, &[]);
-        assert!(none.is_empty());
-        assert_eq!(metrics.total_rounds(), 0);
+        let none = run(cfg(20), (false, true), &part, &[]);
+        assert!(none.within.is_empty());
+        assert_eq!(none.traffic.total_rounds(), 0);
     }
 
     #[test]
     fn pure_vertical_ownership_needs_no_multiplication() {
-        // Constant per-column ownership => H is empty => ADP reduces to VDP.
-        let records = vec![Point::new(vec![0, 0]), Point::new(vec![3, 4])];
-        let ownership = vec![vec![Owner::Alice, Owner::Bob]; 2];
-        let part = ArbitraryPartition::from_records(&records, ownership);
-        // dist² = 25 ≤ 25 (boundary), in the comparison's 3 rounds alone.
-        let (within, metrics) = run(cfg(25), (false, false), &part, &[(0, 1)]);
-        assert_eq!(within, [true]);
-        assert_eq!(metrics.total_rounds(), 3);
+        // Constant per-column ownership => H is empty => ADP is VDP: Alice's
+        // `α` against Bob's `Eps² − β`, in the comparison's rounds alone.
+        // Record 0 sits at the origin; (α, β) per partner below.
+        let records: Vec<Point> = [
+            [0, 0, 0, 0],
+            [1, 2, 1, 2], // (5, 5): 10, on the boundary
+            [1, 2, 2, 2], // (5, 8)
+            [1, 3, 0, 0], // (10, 0)
+            [0, 0, 1, 3], // (0, 10)
+            [0, 3, 1, 1], // (9, 2)
+            [0, 2, 1, 2], // (4, 5)
+            [3, 4, 0, 0], // (25, 0)
+        ]
+        .iter()
+        .map(|c| Point::new(c.to_vec()))
+        .collect();
+        let part = split_at_two(&records);
+        let pairs: Vec<(usize, usize)> = (1..8).map(|y| (0, y)).collect();
+        let expect = [true, false, true, true, false, true, false];
+        for substrate @ (sharing, batching) in SUBSTRATES {
+            let out = run(cfg(10), substrate, &part, &pairs);
+            assert_eq!(out.within, expect, "{substrate:?}");
+            assert_eq!(out.sharing.compares, if sharing { 7 } else { 0 });
+            assert_eq!(out.sharing.triples, 0, "nothing is multiplied");
+            // One Ideal (or masked-open) exchange for all 7, or one each.
+            let exchange = if sharing { 2 } else { 3 };
+            let frames = if batching { 1 } else { 7 };
+            assert_eq!(out.traffic.total_rounds(), exchange * frames);
+        }
     }
 
     #[test]
@@ -299,7 +362,10 @@ mod tests {
         ];
         let part = ArbitraryPartition::from_records(&records, ownership);
         // dist² = 1 + 4 = 5.
-        assert_eq!(run(cfg(5), (false, false), &part, &[(0, 1)]).0, [true]);
-        assert_eq!(run(cfg(4), (false, false), &part, &[(0, 1)]).0, [false]);
+        assert_eq!(run(cfg(5), (false, false), &part, &[(0, 1)]).within, [true]);
+        assert_eq!(
+            run(cfg(4), (false, false), &part, &[(0, 1)]).within,
+            [false]
+        );
     }
 }

@@ -13,9 +13,10 @@ use ppds_paillier::SlotLayout;
 use ppds_smc::compare::ComparisonDomain;
 use ppds_smc::ResponsePacking;
 
-fn mc2(dim: usize, coord_bound: i64) -> i64 {
+/// `k·C²`, for `k` up to four times a validated dimension.
+fn mc2(k: usize, coord_bound: i64) -> i64 {
     let c2 = (coord_bound as i128) * (coord_bound as i128);
-    i64::try_from(dim as i128 * c2).expect("m·C² fits i64 for validated configs")
+    i64::try_from(k as i128 * c2).expect("4m·C² fits i64 for validated configs")
 }
 
 /// `Σx_k²` of a point on a validated lattice, as the point-holding drivers
@@ -24,36 +25,40 @@ pub(crate) fn lattice_norm_sq(point: &Point) -> i64 {
     i64::try_from(point.norm_sq()).expect("Σx² fits i64 on a validated lattice")
 }
 
-/// Domain for protocol HDP's final comparison (§4.2).
+/// Domain for the comparison of an attribute-split pair (§4.2–§4.4) whose
+/// count `h` of split attributes — those whose two endpoints belong to
+/// different parties — lies in `h_min..=h_max`.
 ///
-/// Alice's operand is `i = ΣA_k² ∈ [0, mC²]`. Bob's operand is
-/// `j = Eps² − ΣB_k² + 2·⟨A, B⟩ ∈ [Eps² − 3mC², Eps² + 2mC²]`
-/// (the inner product of lattice points is bounded by `±mC²`).
+/// Alice's operand is `i = V_A + Σ_H a_k² ∈ [0, (4m − 3h)C²]` (a delta
+/// she owns both ends of spans `2C`, so its square is ≤ `4C²`); Bob's is
+/// `j = Eps² − V_B − Σ_H b_k² + 2·Σ_H a_k·b_k ∈ [Eps² − (4m − h)C²,
+/// Eps² + 2hC²]`. HDP is `h = m` throughout, VDP `h = 0`, and the
+/// arbitrary mode `0..=H` for its `H` columns whose owner is not the same
+/// in every record.
+pub(crate) fn split_domain(
+    cfg: &ProtocolConfig,
+    dim: usize,
+    h_min: usize,
+    h_max: usize,
+) -> ComparisonDomain {
+    let c = cfg.coord_bound;
+    let eps = cfg.params.eps_sq as i64;
+    ComparisonDomain::new(
+        (eps - mc2(4 * dim - h_min, c)).min(0),
+        (eps + mc2(2 * h_max, c)).max(mc2(4 * dim - 3 * h_min, c)),
+    )
+}
+
+/// Domain for protocol HDP's final comparison (§4.2): every attribute is
+/// split, so `i = ΣA_k² ∈ [0, mC²]` and `j ∈ [Eps² − 3mC², Eps² + 2mC²]`.
 pub fn hdp_domain(cfg: &ProtocolConfig, dim: usize) -> ComparisonDomain {
-    let m = mc2(dim, cfg.coord_bound);
-    let eps = cfg.params.eps_sq as i64;
-    ComparisonDomain::new((eps - 3 * m).min(0), (eps + 2 * m).max(m))
+    split_domain(cfg, dim, dim, dim)
 }
 
-/// Domain for protocol VDP's comparison (§4.3).
-///
-/// Alice's operand is her local squared-delta sum `α ∈ [0, mC²·4]`
-/// (per-attribute deltas span `2C`, so each squared term is ≤ `4C²`);
-/// Bob's is `Eps² − β` with `β` bounded the same way.
+/// Domain for protocol VDP's comparison (§4.3): no attribute is split, so
+/// `α ∈ [0, 4mC²]` and Bob's `Eps² − β` is bounded the same way.
 pub fn vdp_domain(cfg: &ProtocolConfig, dim: usize) -> ComparisonDomain {
-    let four_m = 4 * mc2(dim, cfg.coord_bound);
-    let eps = cfg.params.eps_sq as i64;
-    ComparisonDomain::new((eps - four_m).min(0), eps.max(four_m))
-}
-
-/// Domain for the arbitrary-partition comparison (§4.4).
-///
-/// Alice: `i = V_A + Σ_H x_k² ∈ [0, 4mC² + mC²]`.
-/// Bob: `j = Eps² − V_B − Σ_H y_k² + 2·cross ∈ [Eps² − 7mC², Eps² + 2mC²]`.
-pub fn adp_domain(cfg: &ProtocolConfig, dim: usize) -> ComparisonDomain {
-    let m = mc2(dim, cfg.coord_bound);
-    let eps = cfg.params.eps_sq as i64;
-    ComparisonDomain::new((eps - 7 * m).min(0), (eps + 2 * m).max(5 * m))
+    split_domain(cfg, dim, 0, 0)
 }
 
 /// Domain for the enhanced protocol's share comparisons (§5).
@@ -114,70 +119,45 @@ mod tests {
         ProtocolConfig::new(DbscanParams { eps_sq, min_pts: 3 }, coord_bound)
     }
 
-    /// Enumerates every lattice point pair in low dimension and checks the
-    /// protocol operands stay inside the advertised domains.
+    /// Every per-cell ownership of a record pair at `m = 2`, `C = 2`: both
+    /// operands lie in the domain of the pair's split count `h`, and
+    /// `i ≤ j` is exactly `dist² ≤ Eps²`. VDP is the `h = 0` patterns and
+    /// HDP the `h = m` ones; the arbitrary mode's `0..=m` covers them all.
     #[test]
-    fn hdp_operands_always_in_domain() {
-        let c = cfg(9, 3);
-        let domain = hdp_domain(&c, 2);
-        for ax in -3i64..=3 {
-            for ay in -3i64..=3 {
-                for bx in -3i64..=3 {
-                    for by in -3i64..=3 {
-                        let a = Point::new(vec![ax, ay]);
-                        let b = Point::new(vec![bx, by]);
-                        let i = a.norm_sq() as i64;
-                        let ip = ax * bx + ay * by;
-                        let j = 9i64 - b.norm_sq() as i64 + 2 * ip;
-                        assert!(i >= domain.lo && i <= domain.hi, "i = {i}");
-                        assert!(j >= domain.lo && j <= domain.hi, "j = {j}");
-                        // And the comparison is the right predicate:
-                        assert_eq!(i <= j, dist_sq(&a, &b) <= 9, "{a:?} {b:?}");
+    fn split_operands_always_in_domain() {
+        for eps in [0i64, 3, 8, 16, 32] {
+            let c = cfg(eps as u64, 2);
+            let old_vdp = ComparisonDomain::new((eps - 32).min(0), eps.max(32));
+            let old_hdp = ComparisonDomain::new((eps - 24).min(0), (eps + 16).max(8));
+            assert_eq!((vdp_domain(&c, 2), hdp_domain(&c, 2)), (old_vdp, old_hdp));
+            let widest = split_domain(&c, 2, 0, 2);
+            // Bit `2k` says Alice owns `x_k`, bit `2k + 1` that she owns `y_k`.
+            for pattern in 0u32..16 {
+                let alice = |cell: usize| pattern >> cell & 1 == 1;
+                let h = (0..2).filter(|&k| alice(2 * k) != alice(2 * k + 1)).count();
+                let domain = split_domain(&c, 2, h, h);
+                assert!(widest.lo <= domain.lo && domain.hi <= widest.hi);
+                for cells in 0..625 {
+                    let v = |at: u32| (cells / 5i64.pow(at)) % 5 - 2;
+                    let (x, y) = ([v(0), v(1)], [v(2), v(3)]);
+                    let (mut i, mut j) = (0, eps);
+                    for k in 0..2 {
+                        let d2 = (x[k] - y[k]).pow(2);
+                        match (alice(2 * k), alice(2 * k + 1)) {
+                            (true, true) => i += d2,
+                            (false, false) => j -= d2,
+                            (ax, _) => {
+                                let (a, b) = if ax { (x[k], y[k]) } else { (y[k], x[k]) };
+                                i += a * a;
+                                j += 2 * a * b - b * b;
+                            }
+                        }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn vdp_operands_always_in_domain() {
-        let c = cfg(4, 2);
-        let domain = vdp_domain(&c, 2);
-        // Vertical split of 2-D records: Alice owns attr 0, Bob attr 1.
-        for xa in -2i64..=2 {
-            for xb in -2i64..=2 {
-                for ya in -2i64..=2 {
-                    for yb in -2i64..=2 {
-                        let alpha = (xa - ya) * (xa - ya);
-                        let beta = (xb - yb) * (xb - yb);
-                        let j = 4 - beta;
-                        assert!(alpha >= domain.lo && alpha <= domain.hi);
-                        assert!(j >= domain.lo && j <= domain.hi);
-                        assert_eq!(
-                            alpha <= j,
-                            (alpha + beta) as u64 <= 4,
-                            "alpha={alpha} beta={beta}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adp_operands_always_in_domain() {
-        // 2 attributes, attr 0 split Alice(x)/Bob(y), attr 1 both Alice.
-        let c = cfg(4, 2);
-        let domain = adp_domain(&c, 2);
-        for x0a in -2i64..=2 {
-            for y0b in -2i64..=2 {
-                for va in 0i64..=16 {
-                    // va = Σ (x-y)² over Alice-only attrs, max (2C)² = 16
-                    let i = va + x0a * x0a;
-                    let cross = x0a * y0b;
-                    let j = 4 - y0b * y0b + 2 * cross; // V_B = 0 here
-                    assert!(i >= domain.lo && i <= domain.hi, "i = {i}");
-                    assert!(j >= domain.lo && j <= domain.hi, "j = {j}");
+                    let at = format!("eps {eps}, pattern {pattern:04b}, {x:?} {y:?}");
+                    assert!(domain.lo <= i && i <= domain.hi, "i = {i}: {at}");
+                    assert!(domain.lo <= j && j <= domain.hi, "j = {j}: {at}");
+                    let (px, py) = (Point::new(x.to_vec()), Point::new(y.to_vec()));
+                    assert_eq!(i <= j, dist_sq(&px, &py) <= eps as u64, "{at}");
                 }
             }
         }

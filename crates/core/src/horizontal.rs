@@ -165,7 +165,6 @@ pub(crate) fn complete_records_profile(mode: Mode, points: &[Point]) -> Handshak
         mode,
         n: points.len(),
         dim: points.first().map_or(0, Point::dim),
-        dim_must_match: true,
     }
 }
 

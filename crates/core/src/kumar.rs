@@ -175,7 +175,6 @@ pub fn kumar_party<C: Channel>(
             mode: Mode::KumarBaseline,
             n: my_points.len(),
             dim,
-            dim_must_match: true,
         },
         ctx,
     )?;

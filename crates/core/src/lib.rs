@@ -14,14 +14,15 @@
 //!   count via protocol HDP ([`hdp`]), with the peer's point order freshly
 //!   permuted per query so neighborhoods cannot be intersected (the
 //!   Figure 1 attack on Kumar et al.).
+//! * [`arbitrary`] — §4.4: per-record, per-attribute ownership. Both
+//!   parties run the identical DBSCAN loop in lockstep; each distance
+//!   decomposes into a vertical part (local) and a horizontal part
+//!   (Multiplication Protocol), combined in one comparison ([`adp`]), and
+//!   both end with the same clustering of all records.
 //! * [`vertical`] — Algorithms 5 & 6 over *vertically* partitioned data
-//!   (each party owns an attribute slice of every record). Both parties run
-//!   the identical DBSCAN loop in lockstep; each distance test is one
-//!   Yao comparison via protocol VDP ([`vdp`]), and both end with the same
-//!   clustering of all records.
-//! * [`arbitrary`] — §4.4: per-record, per-attribute ownership. Each
-//!   distance decomposes into a vertical part (local) and a horizontal part
-//!   (Multiplication Protocol), combined in one comparison ([`adp`]).
+//!   (each party owns an attribute slice of every record): the arbitrary
+//!   path over a column-ownership view, where no attribute is split and
+//!   each distance test is protocol VDP's one comparison.
 //! * [`enhanced`] — Section 5 (Algorithms 7 & 8): the horizontal protocol
 //!   with the neighbor-count leakage removed. Distances become additive
 //!   secret shares via a dot-product Multiplication Protocol; the k-th
@@ -96,7 +97,6 @@ pub mod partition;
 pub(crate) mod prune;
 pub(crate) mod resolve;
 pub mod session;
-pub mod vdp;
 pub mod vertical;
 
 pub use config::ProtocolConfig;

@@ -101,7 +101,6 @@ pub(crate) fn run_mesh_node<C: Channel>(
         mode: Mode::Multiparty,
         n: my_points.len(),
         dim,
-        dim_must_match: true,
     };
     let establish_span = trace::span("establish", || mesh_metrics(peers));
     let mut sessions: Vec<(usize, Session)> = Vec::with_capacity(peers.len());

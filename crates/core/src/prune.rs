@@ -13,10 +13,11 @@
 //!   per cell, querier one [`LeakageEvent::PruningCandidateCount`] per
 //!   count.
 //! * **Up-front band tables** (vertical / arbitrary): both parties publish
-//!   the coarse band coordinates of every record over the attributes they
-//!   own, merged deterministically (Alice's dimensions/values first) so
-//!   both sides derive identical candidate sets. Each side logs one
-//!   [`LeakageEvent::PruningBandsDisclosed`] for the table it received.
+//!   the coarse band of every cell they own, column by column over the
+//!   columns they own a cell of, merged owner-wise in the agreed (Alice,
+//!   Bob) order so both sides derive identical candidate sets. Each side
+//!   logs one [`LeakageEvent::PruningBandsDisclosed`] for the table it
+//!   received.
 //!
 //! Soundness of the band criterion (no true neighbor is ever pruned) is
 //! proved in [`ppds_dbscan::pruning`]; everything here is exact, so pruned
@@ -228,7 +229,7 @@ pub(crate) fn serve_candidate_counts<C: Channel>(
             chan,
             PAIR_CHUNK.min(queries - counts.len()),
             points[0].dim(),
-            false,
+            |_, _| false,
             width,
             cfg.coord_bound,
         )?;
@@ -295,48 +296,52 @@ impl BandTable {
         (0..self.records).map(|x| self.row(x))
     }
 
-    /// The joined table of a vertical session: every record's bands over
-    /// Alice's attributes, then over Bob's.
-    pub(crate) fn join(alice: &BandTable, bob: &BandTable) -> Result<BandTable, CoreError> {
-        check_same_records(alice, bob)?;
-        Ok(BandTable::collect(
-            alice.dim + bob.dim,
-            alice
-                .rows()
-                .zip(bob.rows())
-                .map(|(a, b)| a.iter().chain(b).copied()),
-        ))
-    }
-
-    /// The merged table of an arbitrarily partitioned session, taking the
-    /// owner's value per cell. Expressed over (Alice's table, Bob's table)
-    /// — not (mine, theirs) — so both parties derive byte-identical merged
-    /// tables even on malformed ownership, and a cell neither party owns
-    /// is a typed error instead of a mid-protocol desync.
-    pub(crate) fn merge(alice: &BandTable, bob: &BandTable) -> Result<BandTable, CoreError> {
-        check_same_records(alice, bob)?;
-        if alice.dim != bob.dim {
+    /// The merged table of an attribute-split session over `dim`
+    /// attributes, taking the owner's band in each cell. Each side's table
+    /// carries the bands of the columns it lists, with [`BAND_UNOWNED`] at
+    /// the cells of them it does not own. Expressed over (Alice's, Bob's) —
+    /// not (mine, theirs) — so both parties derive byte-identical merged
+    /// tables, and a cell both parties claim, or neither does, is a typed
+    /// error instead of a mid-protocol desync.
+    pub(crate) fn merge(
+        dim: usize,
+        alice: (&BandTable, &[usize]),
+        bob: (&BandTable, &[usize]),
+    ) -> Result<BandTable, CoreError> {
+        let records = alice.0.records;
+        let mut bands = vec![BAND_UNOWNED; records * dim];
+        for (table, columns) in [alice, bob] {
+            if (table.records, table.dim) != (records, columns.len()) {
+                return Err(CoreError::mismatch(format!(
+                    "band table of {} records × {} columns, expected {records} × {}",
+                    table.records,
+                    table.dim,
+                    columns.len()
+                )));
+            }
+            for (x, row) in table.rows().enumerate() {
+                for (&band, &k) in row.iter().zip(columns) {
+                    let cell = &mut bands[x * dim + k];
+                    if band != BAND_UNOWNED {
+                        if *cell != BAND_UNOWNED {
+                            return Err(CoreError::mismatch(format!(
+                                "record {x} has an attribute band both parties claim"
+                            )));
+                        }
+                        *cell = band;
+                    }
+                }
+            }
+        }
+        if let Some(at) = bands.iter().position(|&band| band == BAND_UNOWNED) {
             return Err(CoreError::mismatch(format!(
-                "band tables disagree on dimension: {} vs {}",
-                alice.dim, bob.dim
+                "record {} has an attribute band owned by neither party",
+                at / dim
             )));
         }
-        let mut bands = Vec::with_capacity(alice.bands.len());
-        for (at, (&a, &b)) in alice.bands.iter().zip(&bob.bands).enumerate() {
-            bands.push(match (a == BAND_UNOWNED, b == BAND_UNOWNED) {
-                (false, _) => a,
-                (true, false) => b,
-                (true, true) => {
-                    return Err(CoreError::mismatch(format!(
-                        "record {} has an attribute band owned by neither party",
-                        at / alice.dim
-                    )))
-                }
-            });
-        }
         Ok(BandTable {
-            records: alice.records,
-            dim: alice.dim,
+            records,
+            dim,
             bands,
         })
     }
@@ -348,16 +353,6 @@ impl BandTable {
         order.dedup_by(|a, b| self.row(*a) == self.row(*b));
         order.len() as u64
     }
-}
-
-fn check_same_records(alice: &BandTable, bob: &BandTable) -> Result<(), CoreError> {
-    if alice.records == bob.records {
-        return Ok(());
-    }
-    Err(CoreError::mismatch(format!(
-        "band tables disagree on record count: {} vs {}",
-        alice.records, bob.records
-    )))
 }
 
 impl WireEncode for BandTable {
@@ -373,25 +368,20 @@ impl WireEncode for BandTable {
 
 /// Exchanges per-record band tables (both sides send before either
 /// receives, like the `Hello` frames) and ledgers the received table as
-/// one [`LeakageEvent::PruningBandsDisclosed`].
+/// one [`LeakageEvent::PruningBandsDisclosed`]. The peer's table has
+/// `peer_dim` bands a row, and [`BAND_UNOWNED`] exactly where
+/// `unowned(record, band)` says the peer owns no cell.
 pub(crate) fn exchange_band_tables<C: Channel>(
     chan: &mut C,
     mine: &BandTable,
     peer_dim: usize,
-    allow_unowned: bool,
+    unowned: impl Fn(usize, usize) -> bool,
     width: i64,
     coord_bound: i64,
     leakage: &mut LeakageLog,
 ) -> Result<BandTable, CoreError> {
     chan.send(mine)?;
-    let theirs = recv_band_table(
-        chan,
-        mine.records,
-        peer_dim,
-        allow_unowned,
-        width,
-        coord_bound,
-    )?;
+    let theirs = recv_band_table(chan, mine.records, peer_dim, unowned, width, coord_bound)?;
     leakage.record(LeakageEvent::PruningBandsDisclosed {
         records: theirs.records as u64,
         band_width: width,
@@ -403,16 +393,15 @@ pub(crate) fn exchange_band_tables<C: Channel>(
 /// Receives one band table of exactly `records` rows.
 ///
 /// The table is peer-controlled, so it is checked as it is decoded: one
-/// row per record, every row `dim` bands long (the handshake's dimension),
-/// every band one a coordinate within `coord_bound` can quantize to — or
-/// [`BAND_UNOWNED`] when `allow_unowned` (the arbitrary partitioning).
-/// Downstream grid code may then index rows and step to adjacent bands
-/// without overflow.
+/// row per record, every row `dim` bands long (what the handshake agreed),
+/// [`BAND_UNOWNED`] exactly where `unowned(record, band)` and elsewhere a
+/// band a coordinate within `coord_bound` can quantize to. Downstream grid
+/// code may then index rows and step to adjacent bands without overflow.
 fn recv_band_table<C: Channel>(
     chan: &mut C,
     records: usize,
     dim: usize,
-    allow_unowned: bool,
+    unowned: impl Fn(usize, usize) -> bool,
     width: i64,
     coord_bound: i64,
 ) -> Result<BandTable, CoreError> {
@@ -426,7 +415,6 @@ fn recv_band_table<C: Channel>(
     }
     // floor(−coord_bound / width) can sit one band below −(coord_bound / width).
     let max_band = (coord_bound / width + 1).unsigned_abs();
-    let legal = |b: i64| b.unsigned_abs() <= max_band || (allow_unowned && b == BAND_UNOWNED);
     // Never more room than the bands that can have arrived, whatever
     // dimension the peer's handshake announced.
     let mut bands = Vec::with_capacity(records.saturating_mul(dim).min(payload.len() / 8));
@@ -437,9 +425,15 @@ fn recv_band_table<C: Channel>(
                 "peer band row {x} has {len} bands, handshake agreed {dim}"
             )));
         }
-        for _ in 0..dim {
+        for at in 0..dim {
             let band = i64::decode(&mut reader)?;
-            if !legal(band) {
+            if unowned(x, at) {
+                if band != BAND_UNOWNED {
+                    return Err(CoreError::mismatch(format!(
+                        "peer band {band} at record {x} claims a cell the peer does not own"
+                    )));
+                }
+            } else if band.unsigned_abs() > max_band {
                 return Err(CoreError::mismatch(format!(
                     "peer band {band} at record {x} lies outside the agreed coordinate bound"
                 )));
@@ -460,10 +454,10 @@ fn recv_band_table<C: Channel>(
     })
 }
 
-/// Sentinel band value for attribute cells a party does not own (the
-/// arbitrary partitioning). Real bands can never take this value: a
-/// coordinate would need to be below `-band_width · 2^62`, far outside any
-/// admissible `coord_bound`.
+/// Sentinel band value for the cells of a sent column that the sender does
+/// not own (the arbitrary partitioning). Real bands can never take this
+/// value: a coordinate would need to be below `-band_width · 2^62`, far
+/// outside any admissible `coord_bound`.
 pub(crate) const BAND_UNOWNED: i64 = i64::MIN;
 
 /// Candidate oracle over a merged/joined band table: for record `x`, every
@@ -531,25 +525,29 @@ mod tests {
     #[test]
     fn merge_takes_the_owner_side_and_rejects_orphans() {
         let s = BAND_UNOWNED;
-        let alice = table(2, &[&[1, s], &[s, 4]]);
-        let bob = table(2, &[&[s, 2], &[3, s]]);
-        let merged = BandTable::merge(&alice, &bob).unwrap();
-        assert_eq!(merged, table(2, &[&[1, 2], &[3, 4]]));
-        let orphaned = table(2, &[&[s, s], &[s, 4]]);
-        assert!(BandTable::merge(&orphaned, &bob).is_err());
-        assert!(BandTable::merge(&table(2, &[&[1, s]]), &bob).is_err());
-        assert!(BandTable::merge(&table(1, &[&[1], &[4]]), &bob).is_err());
-    }
-
-    #[test]
-    fn join_concatenates_alices_bands_then_bobs() {
-        let alice = table(1, &[&[1], &[2]]);
-        let bob = table(2, &[&[7, 8], &[9, 9]]);
-        let joined = BandTable::join(&alice, &bob).unwrap();
-        assert_eq!(joined, table(3, &[&[1, 7, 8], &[2, 9, 9]]));
-        assert_eq!(joined.distinct_rows(), 2);
+        // Alice owns column 0 and record 1's column 2; Bob the rest.
+        let alice = table(2, &[&[1, s], &[3, 6]]);
+        let bob = table(2, &[&[2, 5], &[4, s]]);
+        let merged = BandTable::merge(3, (&alice, &[0, 2]), (&bob, &[1, 2])).unwrap();
+        assert_eq!(merged, table(3, &[&[1, 2, 5], &[3, 4, 6]]));
+        assert_eq!(merged.distinct_rows(), 2);
         assert_eq!(table(1, &[&[4], &[5], &[4]]).distinct_rows(), 2);
-        assert!(BandTable::join(&alice, &table(1, &[&[0]])).is_err());
+        // Vertical: whole columns, Alice's first.
+        let (alice, bob) = (table(1, &[&[1], &[2]]), table(1, &[&[7], &[9]]));
+        let joined = BandTable::merge(2, (&alice, &[0]), (&bob, &[1])).unwrap();
+        assert_eq!(joined, table(2, &[&[1, 7], &[2, 9]]));
+        // A cell both claim, a cell neither claims, and tables of the
+        // wrong shape are typed errors.
+        let refused = [
+            BandTable::merge(2, (&alice, &[0]), (&bob, &[0])),
+            BandTable::merge(2, (&table(1, &[&[1], &[s]]), &[0]), (&bob, &[1])),
+            BandTable::merge(3, (&alice, &[0]), (&bob, &[1])),
+            BandTable::merge(2, (&table(1, &[&[1]]), &[0]), (&bob, &[1])),
+            BandTable::merge(2, (&alice, &[0, 1]), (&bob, &[1])),
+        ];
+        for merged in refused {
+            assert!(matches!(merged, Err(CoreError::Mismatch(_))), "{merged:?}");
+        }
     }
 
     #[test]
@@ -730,32 +728,35 @@ mod tests {
     fn hostile_band_tables_are_typed_errors() {
         use ppds_transport::duplex;
         let mine = table(1, &[&[0], &[1]]);
-        // (peer table, peer_dim, allow_unowned) — coord_bound 10, width 3.
-        let cases: Vec<(Vec<Vec<i64>>, usize, bool)> = vec![
-            (vec![vec![0]], 1, false),                     // short table
-            (vec![vec![0], vec![1], vec![2]], 1, false),   // long table
-            (vec![vec![0], vec![1, 2]], 1, false),         // ragged row
-            (vec![vec![0], vec![]], 1, false),             // empty row
-            (vec![vec![0], vec![i64::MAX]], 1, false),     // overflow bait
-            (vec![vec![0], vec![5]], 1, false),            // just out of range
-            (vec![vec![0], vec![BAND_UNOWNED]], 1, false), // sentinel where none is owed
+        // The peer owns no cell of record 1: its one band there is owed
+        // the sentinel. coord_bound 10, width 3.
+        let unowned = |x: usize, _: usize| x == 1;
+        let s = BAND_UNOWNED;
+        let cases: Vec<Vec<Vec<i64>>> = vec![
+            vec![vec![0]],                   // short table
+            vec![vec![0], vec![s], vec![2]], // long table
+            vec![vec![0], vec![s, 2]],       // ragged row
+            vec![vec![0], vec![]],           // empty row
+            vec![vec![i64::MAX], vec![s]],   // overflow bait
+            vec![vec![5], vec![s]],          // just out of range
+            vec![vec![s], vec![s]],          // sentinel where a band is owed
+            vec![vec![0], vec![1]],          // band where the sentinel is owed
         ];
-        for (theirs, peer_dim, allow_unowned) in cases {
+        for theirs in cases {
             let (mut a, mut b) = duplex();
             b.send(&theirs).unwrap();
             let mut leakage = LeakageLog::new();
             let err =
-                exchange_band_tables(&mut a, &mine, peer_dim, allow_unowned, 3, 10, &mut leakage)
-                    .unwrap_err();
+                exchange_band_tables(&mut a, &mine, 1, unowned, 3, 10, &mut leakage).unwrap_err();
             assert!(matches!(err, CoreError::Mismatch(_)), "{theirs:?}: {err}");
             assert!(leakage.is_empty(), "a rejected table is not ledgered");
         }
-        // The extreme legal bands and the sentinel (when owed) pass.
+        // The extreme legal band and the owed sentinel pass.
         let (mut a, mut b) = duplex();
-        b.send(&vec![vec![-4i64], vec![BAND_UNOWNED]]).unwrap();
+        b.send(&vec![vec![-4i64], vec![s]]).unwrap();
         let mut leakage = LeakageLog::new();
-        let theirs = exchange_band_tables(&mut a, &mine, 1, true, 3, 10, &mut leakage).unwrap();
-        assert_eq!(theirs, table(1, &[&[-4], &[BAND_UNOWNED]]));
+        let theirs = exchange_band_tables(&mut a, &mine, 1, unowned, 3, 10, &mut leakage).unwrap();
+        assert_eq!(theirs, table(1, &[&[-4], &[s]]));
         assert_eq!(leakage.count_kind("pruning_bands"), 1);
     }
 }

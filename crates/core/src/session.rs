@@ -383,20 +383,16 @@ impl Hello {
 
     /// Cross-checks a peer's `Hello` against ours: every agreed field must
     /// be byte-equal, and a version or field disagreement is reported as a
-    /// typed [`CoreError::HandshakeMismatch`] naming the field.
-    /// `dim_must_match` is false for vertical data (the parties own
-    /// different attribute slices); dimension 0 means "this side has no
-    /// points" and matches anything.
+    /// typed [`CoreError::HandshakeMismatch`] naming the field. The
+    /// dimensions must match too, except in the vertical mode, where the
+    /// parties own different attribute slices; dimension 0 means "this side
+    /// has no points" and matches anything.
     ///
     /// This is the check both halves of [`Participant::run`] apply after
     /// exchanging frames; a server front-end applies the same check to the
     /// connection preamble (with its negotiable knobs already adopted into
     /// `self`) so incompatibilities are rejected before a worker is tied up.
-    pub fn check_against(&self, theirs: &Hello, dim_must_match: bool) -> Result<(), CoreError> {
-        self.check_compatible(theirs, dim_must_match)
-    }
-
-    fn check_compatible(&self, theirs: &Hello, dim_must_match: bool) -> Result<(), CoreError> {
+    pub fn check_against(&self, theirs: &Hello) -> Result<(), CoreError> {
         if self.wire_version != theirs.wire_version {
             return Err(CoreError::HandshakeMismatch {
                 field: "wire_version",
@@ -431,7 +427,8 @@ impl Hello {
                 )));
             }
         }
-        if dim_must_match {
+        // The mode is an agreed field, so both sides take the same branch.
+        if self.mode() != Some(Mode::Vertical) {
             let (ours, peer) = (
                 self.field(F_DIM).expect("our hello carries dim"),
                 theirs.field(F_DIM).expect("presence checked above"),
@@ -506,7 +503,6 @@ pub(crate) struct HandshakeProfile {
     pub mode: Mode,
     pub n: usize,
     pub dim: usize,
-    pub dim_must_match: bool,
 }
 
 /// Exchanges public keys and `Hello` frames, cross-checking all public
@@ -536,7 +532,7 @@ pub(crate) fn establish<C: Channel>(
     let mine = Hello::for_session(cfg, profile.mode, profile.n, profile.dim);
     chan.send(&mine)?;
     let theirs: Hello = chan.recv()?;
-    mine.check_compatible(&theirs, profile.dim_must_match)?;
+    mine.check_against(&theirs)?;
     // Agreeing on DGK means the peer sent its DGK key with its modulus, at
     // the agreed key size.
     if dgk {
@@ -573,10 +569,10 @@ pub(crate) fn establish<C: Channel>(
         peer_pk,
         peer_n: theirs
             .field(F_RECORDS)
-            .expect("check_compatible requires the field") as usize,
+            .expect("check_against requires the field") as usize,
         peer_dim: theirs
             .field(F_DIM)
-            .expect("check_compatible requires the field") as usize,
+            .expect("check_against requires the field") as usize,
         tape,
     })
 }
@@ -1171,7 +1167,7 @@ mod tests {
         let bytes = mine.encode_to_vec();
         let back = Hello::decode_exact(&bytes).unwrap();
         assert_eq!(back, mine);
-        assert!(mine.check_compatible(&back, true).is_ok());
+        assert!(mine.check_against(&back).is_ok());
     }
 
     #[test]
@@ -1184,8 +1180,8 @@ mod tests {
         let retagged = tagged.clone().with_session_id(7);
         assert_eq!(retagged.session_id(), Some(7));
         // The id is not an agreed field: frames with and without it match.
-        assert!(mine.check_against(&tagged, false).is_ok());
-        assert!(tagged.check_against(&mine, false).is_ok());
+        assert!(mine.check_against(&tagged).is_ok());
+        assert!(tagged.check_against(&mine).is_ok());
         // And it survives the wire.
         let back = Hello::decode_exact(&tagged.encode_to_vec()).unwrap();
         assert_eq!(back.session_id(), Some(42));
@@ -1205,7 +1201,7 @@ mod tests {
         let back = Hello::decode_exact(&mine.encode_to_vec()).unwrap();
         assert_eq!(back.pruning(), Some(Pruning::Grid { coarseness: 2 }));
         let theirs = Hello::for_session(&cfg(), Mode::Horizontal, 3, 2);
-        match mine.check_compatible(&theirs, true).unwrap_err() {
+        match mine.check_against(&theirs).unwrap_err() {
             CoreError::HandshakeMismatch {
                 field,
                 ours,
@@ -1265,7 +1261,7 @@ mod tests {
     fn hello_rejects_foreign_wire_version_by_name() {
         let mine = Hello::for_session(&cfg(), Mode::Horizontal, 3, 2);
         let old = mine.clone().with_wire_version(1);
-        let err = mine.check_compatible(&old, true).unwrap_err();
+        let err = mine.check_against(&old).unwrap_err();
         match err {
             CoreError::HandshakeMismatch {
                 field,
@@ -1291,7 +1287,7 @@ mod tests {
         let decoded = Hello::decode_exact(&bytes).unwrap();
         assert_eq!(decoded.wire_version, 11);
         let mine = Hello::for_session(&cfg(), Mode::Horizontal, 3, 2);
-        match mine.check_compatible(&decoded, true).unwrap_err() {
+        match mine.check_against(&decoded).unwrap_err() {
             CoreError::HandshakeMismatch { field, theirs, .. } => {
                 assert_eq!(field, "wire_version");
                 assert_eq!(theirs, 11);
@@ -1306,7 +1302,7 @@ mod tests {
         let mut other_cfg = cfg();
         other_cfg.params.eps_sq = 9;
         let theirs = Hello::for_session(&other_cfg, Mode::Horizontal, 3, 2);
-        match mine.check_compatible(&theirs, true).unwrap_err() {
+        match mine.check_against(&theirs).unwrap_err() {
             CoreError::HandshakeMismatch {
                 field,
                 ours,
@@ -1319,7 +1315,7 @@ mod tests {
         }
 
         let theirs = Hello::for_session(&cfg().with_batching(true), Mode::Horizontal, 3, 2);
-        match mine.check_compatible(&theirs, true).unwrap_err() {
+        match mine.check_against(&theirs).unwrap_err() {
             CoreError::HandshakeMismatch { field, .. } => assert_eq!(field, "batching"),
             other => panic!("wanted HandshakeMismatch, got {other:?}"),
         }
@@ -1330,7 +1326,7 @@ mod tests {
             3,
             2,
         );
-        match mine.check_compatible(&theirs, true).unwrap_err() {
+        match mine.check_against(&theirs).unwrap_err() {
             CoreError::HandshakeMismatch {
                 field,
                 ours,
@@ -1347,10 +1343,12 @@ mod tests {
     fn dimension_zero_matches_anything() {
         let mine = Hello::for_session(&cfg(), Mode::Horizontal, 3, 2);
         let empty = Hello::for_session(&cfg(), Mode::Horizontal, 0, 0);
-        assert!(mine.check_compatible(&empty, true).is_ok());
+        assert!(mine.check_against(&empty).is_ok());
         let three_d = Hello::for_session(&cfg(), Mode::Horizontal, 3, 3);
-        assert!(mine.check_compatible(&three_d, true).is_err());
-        assert!(mine.check_compatible(&three_d, false).is_ok());
+        assert!(mine.check_against(&three_d).is_err());
+        // Vertical parties own different attribute slices.
+        let vertical = |dim| Hello::for_session(&cfg(), Mode::Vertical, 3, dim);
+        assert!(vertical(2).check_against(&vertical(3)).is_ok());
     }
 
     #[test]

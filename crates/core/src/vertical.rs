@@ -1,10 +1,13 @@
 //! The vertically partitioned DBSCAN driver (Algorithms 5 & 6).
 //!
-//! Both parties hold an attribute slice of *every* record, so they run one
-//! shared DBSCAN loop in lockstep over the common record index space; each
-//! `dist ≤ Eps` test is a single protocol-VDP comparison whose outcome both
-//! sides learn — resolved once per unordered candidate pair, in chunks,
-//! before the loop starts. Because the control flow is a deterministic
+//! Both parties hold an attribute slice of *every* record: Alice the first
+//! columns, Bob the rest. That is arbitrarily partitioned data whose every
+//! column has one owner, so after its own handshake a vertical party builds
+//! that column-ownership view and runs the arbitrary driver's path
+//! ([`crate::arbitrary`]): one shared DBSCAN loop in lockstep over the
+//! common record index space, each `dist ≤ Eps` test a single protocol-VDP
+//! comparison (no attribute is split, so nothing is multiplied) whose
+//! outcome both sides learn. Because the control flow is a deterministic
 //! function of those shared outcomes, the two parties compute
 //! byte-identical clusterings without exchanging any labels — and that
 //! clustering is *exactly* the single-party DBSCAN of the joined records
@@ -13,86 +16,25 @@
 //! Runs through the shared [`crate::session`] dispatch; the
 //! [`crate::session::Participant`] builder is the supported entry point.
 
+use crate::arbitrary::{execute_split, CellView};
 use crate::config::ProtocolConfig;
 use crate::error::CoreError;
-use crate::prune::{pair_chunks, BandCandidates, BandTable, PAIR_CHUNK};
-use crate::resolve::resolve;
 use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
-use crate::vdp::{local_delta_sq, vdp_compare};
-use ppds_dbscan::{dbscan_over_graph, Clustering, DbscanParams, NeighborGraph, Point};
-use ppds_smc::{LeakageEvent, LeakageLog, Party, ProtocolContext};
+use ppds_dbscan::{Clustering, Point};
+use ppds_smc::{Party, ProtocolContext};
 use ppds_transport::Channel;
-use std::fmt::Write as _;
-
-/// The shared lockstep DBSCAN engine, in two phases.
-///
-/// **Resolve** is the only wire phase: every unordered candidate pair goes
-/// through `compare_chunk` — one joint `dist² ≤ Eps²` bit per pair,
-/// [`PAIR_CHUNK`] pairs per call, one chunk at a time and chunk `c` keyed by
-/// `ctx.narrow("resolve").at(c)` (`bands = None` streams all `n(n−1)/2`
-/// pairs). A batching backend spends O(1) wire rounds per chunk. DBSCAN
-/// region-queries every record and both parties learn every bit it asks
-/// for, so the disclosed set is exactly "one bit per candidate pair"
-/// whatever the visiting order: resolving it up front discloses nothing
-/// the per-query exchange of Algorithms 5/6 did not.
-///
-/// **Expand** is Algorithm 5/6 verbatim over the resolved graph — same
-/// visiting order, one `NeighborCount` disclosure per region query — and
-/// touches no wire. Also used by the arbitrary-partition driver.
-pub(crate) fn lockstep_dbscan<C, F>(
-    chan: &mut C,
-    n: usize,
-    params: DbscanParams,
-    bands: Option<BandCandidates>,
-    ctx: &ProtocolContext,
-    mut compare_chunk: F,
-    leakage: &mut LeakageLog,
-) -> Result<Clustering, CoreError>
-where
-    C: Channel,
-    F: FnMut(&mut C, &ProtocolContext, &[(u32, u32)]) -> Result<Vec<bool>, CoreError>,
-{
-    let records = u32::try_from(n)
-        .map_err(|_| CoreError::config("lockstep modes index records with 32 bits"))?;
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    resolve(
-        chan,
-        1,
-        pair_chunks(records, bands.as_ref()),
-        |_, _, pairs| Ok(pairs),
-        |chan, chunk, pairs| compare_chunk(chan, &ctx.narrow("resolve").at(chunk), pairs),
-        Vec::len,
-        |pairs, within| {
-            let matched = pairs.iter().zip(&within).filter(|(_, &w)| w);
-            edges.extend(matched.map(|(&p, _)| p));
-        },
-    )?;
-    // Expand needs the graph alone: the band index and the edge list go
-    // before the ledger and the labels are allocated.
-    drop(bands);
-    let graph = NeighborGraph::from_edges(n, &edges);
-    drop(edges);
-    // One ledger entry per region query: every record once, and once more
-    // whenever a later cluster starts on a core point next to it. Room for
-    // two each holds the whole ledger in one block that never moves on
-    // ordinary data (the E13 inputs re-query 3-4 % of the records).
-    leakage.reserve(2 * n);
-    Ok(dbscan_over_graph(&graph, params, |x, count| {
-        let digits = x.checked_ilog10().map_or(1, |d| d as usize + 1);
-        let mut query = String::with_capacity("record#".len() + digits);
-        write!(query, "record#{x}").expect("writing to a String cannot fail");
-        leakage.record(LeakageEvent::NeighborCount {
-            query,
-            count: count as u64,
-        });
-    }))
-}
 
 /// The vertical protocol as a [`ModeDriver`]. The parties own different
 /// attribute slices, so their dimensions legitimately differ; the joined
 /// dimension is only known (and validated) after the handshake.
 pub(crate) struct VerticalDriver<'a> {
     pub attrs: &'a [Point],
+}
+
+impl VerticalDriver<'_> {
+    fn dim(&self) -> usize {
+        self.attrs.first().map_or(1, Point::dim)
+    }
 }
 
 impl ModeDriver for VerticalDriver<'_> {
@@ -104,8 +46,7 @@ impl ModeDriver for VerticalDriver<'_> {
         HandshakeProfile {
             mode: Mode::Vertical,
             n: self.attrs.len(),
-            dim: self.attrs.first().map_or(1, Point::dim),
-            dim_must_match: false,
+            dim: self.dim(),
         }
     }
 
@@ -117,8 +58,7 @@ impl ModeDriver for VerticalDriver<'_> {
                 theirs: session.peer_n as u64,
             });
         }
-        let my_dim = self.attrs.first().map_or(1, Point::dim);
-        cfg.validate(my_dim + session.peer_dim)
+        cfg.validate(self.dim() + session.peer_dim)
     }
 
     fn execute<C: Channel>(
@@ -128,75 +68,20 @@ impl ModeDriver for VerticalDriver<'_> {
         ctx: &ProtocolContext,
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
-        let (cfg, attrs) = (mctx.cfg, self.attrs);
-        let total_dim = attrs.first().map_or(1, Point::dim) + mctx.session.peer_dim;
-        let backend = mctx.backend(total_dim);
-        // With grid pruning, both sides publish coarse bands over the
-        // attributes they own (disclosure ledgered inside the oracle) and
-        // derive identical joined-band candidate pairs.
-        let bands = vertical_band_oracle(chan, mctx, attrs, &mut log.leakage)?;
-        let (ledger, sharing) = (&mut log.ledger, &mut log.sharing);
-        // Pair `i` of a chunk draws from `cctx.at(i)` in either framing.
-        let mut locals: Vec<u64> = Vec::with_capacity(PAIR_CHUNK);
-        let delta = |&(x, y): &(u32, u32)| local_delta_sq(&attrs[x as usize], &attrs[y as usize]);
-        let compare_chunk = |chan: &mut C, cctx: &ProtocolContext, pairs: &[(u32, u32)]| {
-            locals.clear();
-            locals.extend(pairs.iter().map(delta));
-            let role = mctx.role;
-            Ok(vdp_compare(
-                chan, cfg, &backend, role, &locals, total_dim, cctx, ledger, sharing,
-            )?)
-        };
-        lockstep_dbscan(
-            chan,
-            attrs.len(),
-            cfg.params,
-            bands,
-            ctx,
-            compare_chunk,
-            &mut log.leakage,
-        )
+        // Alice's columns first, then Bob's; the peer's cells are `None`.
+        let peer_dim = mctx.session.peer_dim;
+        let dim = self.dim() + peer_dim;
+        let mut cells = Vec::with_capacity(self.attrs.len() * dim);
+        for attrs in self.attrs {
+            let mine = attrs.coords().iter().map(|&v| Some(v));
+            let theirs = std::iter::repeat_n(None, peer_dim);
+            match mctx.role {
+                Party::Alice => cells.extend(mine.chain(theirs)),
+                Party::Bob => cells.extend(theirs.chain(mine)),
+            }
+        }
+        execute_split(chan, mctx, CellView::new(dim, cells), ctx, log)
     }
-}
-
-/// Builds the joined-band candidate oracle for a grid-pruned vertical
-/// session (`None` when the config is exhaustive): each party quantizes
-/// the attribute slice it owns to coarse public bands, both tables are
-/// exchanged (the received table is validated against the handshake and
-/// ledgered as a `pruning_bands` leakage event), and the rows are
-/// concatenated in the agreed order — Alice's dimensions first — so both
-/// parties index the identical joined band table.
-fn vertical_band_oracle<C: Channel>(
-    chan: &mut C,
-    mctx: &ModeContext<'_>,
-    attrs: &[Point],
-    leakage: &mut LeakageLog,
-) -> Result<Option<BandCandidates>, CoreError> {
-    let cfg = mctx.cfg;
-    let ppds_dbscan::Pruning::Grid { coarseness } = cfg.pruning else {
-        return Ok(None);
-    };
-    let width = ppds_dbscan::band_width(cfg.params.eps_sq, coarseness);
-    let mine = BandTable::collect(
-        attrs.first().map_or(1, Point::dim),
-        attrs
-            .iter()
-            .map(|p| p.coords().iter().map(|&c| c.div_euclid(width))),
-    );
-    let theirs = crate::prune::exchange_band_tables(
-        chan,
-        &mine,
-        mctx.session.peer_dim,
-        false,
-        width,
-        cfg.coord_bound,
-        leakage,
-    )?;
-    let joined = match mctx.role {
-        Party::Alice => BandTable::join(&mine, &theirs)?,
-        Party::Bob => BandTable::join(&theirs, &mine)?,
-    };
-    Ok(Some(BandCandidates::new(joined, width)))
 }
 
 #[cfg(test)]
@@ -206,7 +91,7 @@ mod tests {
     use crate::partition::VerticalPartition;
     use crate::session::{run_data_pair, Participant, PartyData};
     use crate::test_helpers::rng;
-    use ppds_dbscan::{dbscan, eval};
+    use ppds_dbscan::{dbscan, eval, DbscanParams};
 
     fn records(coords: &[&[i64]]) -> Vec<Point> {
         coords.iter().map(|c| Point::from(*c)).collect()

@@ -25,7 +25,7 @@
 use crate::config::{session_seed, HostedMode, ServerConfig};
 use crate::proto::ServerReply;
 use crate::registry::{SessionInfo, SessionRegistry, SessionState};
-use ppdbscan::session::{Hello, Mode, Participant, PartyData};
+use ppdbscan::session::{Hello, Participant, PartyData};
 use ppdbscan::CoreError;
 use ppdbscan::ProtocolConfig;
 use ppds_engine::{Engine, EngineConfig, EngineReport};
@@ -322,13 +322,6 @@ fn accept_loop(
     }
 }
 
-/// Whether `mode`'s in-session handshake requires equal dimensions — must
-/// agree with the mode drivers' `HandshakeProfile`s so the preamble rejects
-/// exactly what the session handshake would.
-fn dim_must_match(mode: Mode) -> bool {
-    mode != Mode::Vertical
-}
-
 /// One connection's preamble: classify, admit or refuse, hand off.
 fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
     let peer = stream
@@ -412,7 +405,7 @@ fn greet(stream: TcpStream, shared: &Arc<Shared>, engine: &Arc<Engine>) {
             .with_pruning(hello.pruning().unwrap_or(host.cfg.pruning));
         let (n, dim) = host.data.shape();
         let mine = Hello::for_session(&scfg, mode, n, dim);
-        if let Err(err) = mine.check_against(&hello, dim_must_match(mode)) {
+        if let Err(err) = mine.check_against(&hello) {
             let reply = match err {
                 CoreError::HandshakeMismatch {
                     field,
@@ -583,6 +576,7 @@ pub fn hosted(cfg: ProtocolConfig, role: Party, data: PartyData) -> HostedMode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppdbscan::session::Mode;
     use ppds_dbscan::{DbscanParams, Point};
     use ppds_transport::WireEncode;
 

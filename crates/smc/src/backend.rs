@@ -1218,4 +1218,44 @@ mod tests {
         };
         assert_eq!(unbatched.split_exchange_bytes(1000, 4, 2), None);
     }
+
+    /// A fold over zero groups — which every resolve chunk of a vertical
+    /// session asks for — is free on both substrates in both framings: no
+    /// frame, no ledger entry, no `mul_batch` span. The peer's end is gone,
+    /// so a call that touched the wire would fail rather than hang.
+    #[test]
+    fn a_fold_over_zero_groups_touches_no_wire_and_opens_no_span() {
+        use crate::test_helpers::{ctx, paillier_backend};
+        use ppds_observe::{trace, SpanRecorder, TraceSink};
+        use ppds_transport::MetricsSnapshot;
+        use std::sync::Arc;
+        for batching in [false, true] {
+            let sharing = SharingBackend {
+                tape: DealerTape::from_seed(5),
+                batching,
+                dot_mask_bound: 1 << 20,
+            };
+            let backends = [
+                AnyBackend::Paillier(paillier_backend(Comparator::Ideal, batching)),
+                AnyBackend::Sharing(sharing),
+            ];
+            for backend in backends {
+                let recorder = SpanRecorder::with_capacity(16);
+                let _guard = trace::install(recorder.clone() as Arc<dyn TraceSink>);
+                let (mut chan, peer) = ppds_transport::duplex();
+                drop(peer);
+                let mut acct = SharingLedger::default();
+                let products = backend
+                    .mul_fold_keyholder(&mut chan, &[], &[], &ctx(1), &mut acct)
+                    .unwrap();
+                assert!(products.is_empty());
+                backend
+                    .mul_fold_peer(&mut chan, &[], &[], &ctx(1), &mut acct)
+                    .unwrap();
+                assert_eq!(chan.metrics(), MetricsSnapshot::default());
+                assert_eq!(acct, SharingLedger::default());
+                assert!(recorder.is_empty(), "batching {batching}: a span opened");
+            }
+        }
+    }
 }
