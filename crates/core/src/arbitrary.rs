@@ -21,7 +21,7 @@ use crate::domain::split_domain;
 use crate::error::CoreError;
 use crate::prune::{pair_chunks, BandCandidates, BandTable, BAND_UNOWNED};
 use crate::resolve::resolve;
-use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
+use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Node, Session, SessionLog};
 use ppds_dbscan::{dbscan_over_graph, Clustering, NeighborGraph};
 use ppds_smc::{LeakageEvent, LeakageLog, Party, ProtocolContext};
 use ppds_transport::Channel;
@@ -259,13 +259,13 @@ impl ModeDriver for ArbitraryDriver<'_> {
 
     fn execute<C: Channel>(
         &self,
-        chan: &mut C,
-        mctx: &ModeContext<'_>,
+        node: &mut Node<'_, C>,
         ctx: &ProtocolContext,
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
+        let (chan, mctx) = node.pair()?;
         let view = CellView::new(self.dim(), self.values.concat());
-        execute_split(chan, mctx, view, ctx, log)
+        execute_split(chan, &mctx, view, ctx, log)
     }
 }
 

@@ -38,13 +38,14 @@
 //! products and Yao comparisons byte-for-byte; the sharing substrate answers
 //! with one masked-share exchange per phase over `Z_2^64` (DESIGN.md §14).
 
+use crate::backend::backend_for;
 use crate::config::{ProtocolConfig, YaoLedger};
 use crate::domain::{enhanced_share_domain, lattice_norm_sq};
 use crate::error::CoreError;
 use crate::hdp::ServedSets;
 use crate::prune::{local_index, query_candidate_counts, serve_candidate_counts, PAIR_CHUNK};
 use crate::resolve::{query_runs, resolve};
-use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
+use crate::session::{HandshakeProfile, Link, Mode, ModeDriver, Node, Session, SessionLog};
 use ppds_dbscan::{Clustering, Point};
 use ppds_observe::trace;
 use ppds_smc::compare::CmpOp;
@@ -340,29 +341,25 @@ impl ModeDriver for EnhancedDriver<'_> {
 
     fn execute<C: Channel>(
         &self,
-        chan: &mut C,
-        mctx: &ModeContext<'_>,
+        node: &mut Node<'_, C>,
         ctx: &ProtocolContext,
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
-        let (cfg, session, points) = (mctx.cfg, mctx.session, self.points);
+        let (cfg, points) = (node.cfg, self.points);
         let dim = points.first().map_or(0, Point::dim);
-        let backend = mctx.backend(dim);
-        // Direction-keyed paths, for the same reason as the horizontal
-        // driver: both halves of one core test must share a context path
-        // so the sharing backend's tape draws stay correlated.
-        let (my_queries, peer_queries) = match mctx.role {
-            Party::Alice => ("enh_a", "enh_b"),
-            Party::Bob => ("enh_b", "enh_a"),
+        // Direction-keyed paths, so both halves of one core test share a
+        // context path and the sharing backend's tape draws stay correlated.
+        let queries = |querier: Party| match querier {
+            Party::Alice => ctx.narrow("enh_a"),
+            Party::Bob => ctx.narrow("enh_b"),
         };
-        let query_ctx = ctx.narrow(my_queries);
-        let serve_ctx = ctx.narrow(peer_queries);
         // Resolve: every own point's core test, in index order. The
         // grid-pruning cell exchange is the horizontal driver's, run *before*
         // the `(engage, k)` flags so the engage decisions can use the
         // candidate cardinalities.
-        let peer_n = session.peer_n;
-        let resolve = |chan: &mut C, log: &mut SessionLog| {
+        let mut core = Vec::new();
+        let resolve = |link: &mut Link<'_, C>, log: &mut SessionLog| {
+            let (chan, peer_n) = (&mut *link.chan, link.session.peer_n);
             let own = |idx: usize| format!("own#{idx}");
             let served = query_candidate_counts(chan, cfg, points, peer_n, &mut log.leakage, own)?;
             let index = local_index(points, cfg.params.eps_sq, cfg.pruning);
@@ -371,13 +368,19 @@ impl ModeDriver for EnhancedDriver<'_> {
                 .map(|point| index.region_query(point).len())
                 .collect();
             log.leakage.reserve(points.len());
-            resolve_querier(chan, cfg, &backend, points, &own, &served, &query_ctx, log)
+            let backend = backend_for(cfg, &link.session, dim);
+            let query_ctx = queries(link.role);
+            core = resolve_querier(chan, cfg, &backend, points, &own, &served, &query_ctx, log)?;
+            Ok(())
         };
-        let serve = |chan: &mut C, log: &mut SessionLog| {
+        let serve = |link: &mut Link<'_, C>, log: &mut SessionLog| {
+            let (chan, peer_n) = (&mut *link.chan, link.session.peer_n);
             let served = &mut serve_candidate_counts(chan, cfg, points, peer_n, &mut log.leakage)?;
+            let backend = backend_for(cfg, &link.session, dim);
+            let serve_ctx = queries(link.role.peer());
             resolve_responder(chan, cfg, &backend, points, peer_n, served, &serve_ctx, log)
         };
-        let core = crate::horizontal::resolve_in_role_order(chan, mctx.role, log, resolve, serve)?;
+        crate::horizontal::run_phases(node, log, resolve, serve)?;
         Ok(crate::horizontal::expand_own_points(
             cfg,
             points,

@@ -1,18 +1,43 @@
-//! The horizontally partitioned DBSCAN drivers: the basic protocol
-//! (Algorithms 3 & 4) and the enhanced protocol (Algorithms 7 & 8), which
-//! share one expansion engine and differ only in the core-point test.
+//! The point-holding DBSCAN drivers over horizontally partitioned data:
+//! the basic protocol (Algorithms 3 & 4) for `K ≥ 2` parties, and the
+//! phase schedule the enhanced protocol (Algorithms 7 & 8) shares with it.
+//! The two protocols share one expansion engine and differ only in the
+//! core-point test.
 //!
-//! Per the paper, the run is *symmetric*: Alice resolves the peer density
-//! of her own points while Bob answers, then the roles swap. Each party
-//! ends with labels for its own records only (§3.3); cluster ids are
-//! party-local and intentionally not reconciled across parties.
+//! **K parties, K phases.** Every party owns complete records and runs one
+//! pairwise session with each peer (one keypair, a versioned `Hello` per
+//! peer; see [`crate::session`]). The run proceeds in `K` deterministic
+//! phases: in phase `p`, party `p` resolves the density of all its points
+//! against one peer after another, in id order, each peer answering on
+//! their pairwise channel. A core-point test sums the party's own
+//! neighbour count with one HDP count per peer, each over a fresh
+//! per-query permutation, so the Figure 1 defense holds against every peer
+//! independently. The two-party session of the paper is `K = 2`: Alice
+//! (id 0) resolves while Bob (id 1) serves, then the roles swap; the
+//! K-party mesh is the generalization its §1 and §6 point to ("the
+//! two-party algorithm can be extended to multi-party cases") but never
+//! spell out. Both run this one driver, under the `Horizontal` and
+//! `Multiparty` handshake tags.
 //!
-//! Connectivity semantics: the querying party learns only *how many* (or,
-//! enhanced, *whether enough*) peer points lie in a neighborhood — never
-//! which ones — so expansion can only traverse the party's own points. The
-//! plaintext reference of this behaviour is
-//! [`ppds_dbscan::dbscan_with_external_density`], and the integration tests
-//! assert label-exact agreement with it.
+//! Every pairwise exchange draws from
+//! `ctx.narrow("mesh").at(querier).at(responder).narrow("hdp")`, keyed by
+//! the ordered pair of ids rather than traffic order: both halves of an
+//! exchange walk the same path (which the sharing backend's dealer tape
+//! re-keys onto the pair's shared seed), and adding, removing or resizing
+//! one peer never shifts the streams this node uses with any other
+//! (`mesh_streams_are_keyed_per_peer`).
+//!
+//! Each party ends with labels for its own records only (§3.3); cluster
+//! ids are party-local and intentionally not reconciled across parties.
+//! The querying party learns only *how many* (or, enhanced, *whether
+//! enough*) peer points lie in a neighborhood — never which ones — so
+//! expansion can only traverse the party's own points, and its labels are
+//! [`ppds_dbscan::dbscan_with_external_density`] over its own points with
+//! the union of all peers as the external set; the integration tests
+//! assert label-exact agreement with it. Its leakage is the Theorem 9
+//! profile against each peer separately: one neighbor count per own point
+//! *per peer*, labelled `own#i/peer#j` — finer than the union count, the
+//! price of the pairwise construction.
 //!
 //! **Resolve, then expand** (DESIGN.md §7). The answer to a core-point test
 //! is a function of the point alone and DBSCAN tests every point at least
@@ -24,37 +49,40 @@
 //! resolved table without touching the channel.
 //!
 //! Both protocols run through the shared [`crate::session`] dispatch; the
-//! [`crate::session::Participant`] builder is the supported entry point.
+//! [`crate::session::Participant`] builder is the supported entry point
+//! ([`crate::session::Participant::run_mesh`] for one node of a mesh,
+//! [`crate::session::run_mesh_local`] for all nodes on threads).
 
 use crate::config::ProtocolConfig;
 use crate::error::CoreError;
 use crate::hdp::{hdp_resolve_querier, hdp_resolve_responder};
-use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
+use crate::session::{HandshakeProfile, Link, Mode, ModeDriver, Node, Session, SessionLog};
 use ppds_dbscan::{dbscan_with_core_test, Clustering, Point};
-use ppds_smc::{LeakageEvent, Party, ProtocolContext};
+use ppds_smc::{LeakageEvent, ProtocolContext};
 use ppds_transport::Channel;
 
-/// Runs a point-holding party's two wire phases in role order — Alice
-/// resolves her own points first while Bob serves, then the roles swap —
-/// and returns what `resolve` learned.
-pub(crate) fn resolve_in_role_order<C: Channel, T>(
-    chan: &mut C,
-    role: Party,
+/// The point-holding modes' `K` phases on this node: in phase `me` it
+/// resolves its own points against every peer in id order, and in every
+/// other phase `p` it serves peer `p`. Ids give every node the same
+/// schedule, so each exchange meets its other half; at `K = 2` this is
+/// role order, Alice resolving first.
+pub(crate) fn run_phases<C: Channel>(
+    node: &mut Node<'_, C>,
     log: &mut SessionLog,
-    resolve: impl FnOnce(&mut C, &mut SessionLog) -> Result<T, CoreError>,
-    serve: impl FnOnce(&mut C, &mut SessionLog) -> Result<(), CoreError>,
-) -> Result<T, CoreError> {
-    match role {
-        Party::Alice => {
-            let resolved = resolve(chan, log)?;
-            serve(chan, log)?;
-            Ok(resolved)
-        }
-        Party::Bob => {
-            serve(chan, log)?;
-            resolve(chan, log)
-        }
+    mut resolve: impl FnMut(&mut Link<'_, C>, &mut SessionLog) -> Result<(), CoreError>,
+    mut serve: impl FnMut(&mut Link<'_, C>, &mut SessionLog) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
+    let me = node.me;
+    for link in &mut node.links[..me] {
+        serve(link, log)?;
     }
+    for link in &mut node.links {
+        resolve(link, log)?;
+    }
+    for link in &mut node.links[me..] {
+        serve(link, log)?;
+    }
+    Ok(())
 }
 
 /// The channel-free half of a point-holding party's run: Algorithms 3 & 4
@@ -72,12 +100,12 @@ pub(crate) fn expand_own_points(
     dbscan_with_core_test(points, index.as_ref(), is_core)
 }
 
-/// Querier half of one resolve direction of the basic protocol (two-party,
-/// or one pairwise channel of the mesh): learns, per own point, how many
-/// of the peer's points lie within `Eps`, and ledgers each count under
-/// `label(point)`. `ctx` is this direction's context; the responder walks
-/// the same path in [`serve_peer_density`].
-pub(crate) fn resolve_peer_density<C: Channel>(
+/// Querier half of one resolve direction of the basic protocol, on one
+/// pairwise channel: learns, per own point, how many of the peer's points
+/// lie within `Eps`, and ledgers each count under `label(point)`. `ctx` is
+/// this direction's context; the responder walks the same path in
+/// [`serve_peer_density`].
+fn resolve_peer_density<C: Channel>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     session: &Session,
@@ -121,7 +149,7 @@ pub(crate) fn resolve_peer_density<C: Channel>(
 
 /// Responder half of [`resolve_peer_density`]: serves every one of the
 /// peer's points its candidates among `points`.
-pub(crate) fn serve_peer_density<C: Channel>(
+fn serve_peer_density<C: Channel>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     session: &Session,
@@ -168,9 +196,11 @@ pub(crate) fn complete_records_profile(mode: Mode, points: &[Point]) -> Handshak
     }
 }
 
-/// The basic horizontal protocol as a [`ModeDriver`].
+/// The basic protocol as a [`ModeDriver`], for the two-party session and
+/// the mesh alike; `mode` is the tag its handshake carries.
 pub(crate) struct HorizontalDriver<'a> {
     pub points: &'a [Point],
+    pub mode: Mode,
 }
 
 impl ModeDriver for HorizontalDriver<'_> {
@@ -179,7 +209,7 @@ impl ModeDriver for HorizontalDriver<'_> {
     }
 
     fn profile(&self) -> HandshakeProfile {
-        complete_records_profile(Mode::Horizontal, self.points)
+        complete_records_profile(self.mode, self.points)
     }
 
     fn check_session(&self, _cfg: &ProtocolConfig, _session: &Session) -> Result<(), CoreError> {
@@ -188,38 +218,34 @@ impl ModeDriver for HorizontalDriver<'_> {
 
     fn execute<C: Channel>(
         &self,
-        chan: &mut C,
-        mctx: &ModeContext<'_>,
+        node: &mut Node<'_, C>,
         ctx: &ProtocolContext,
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
-        let (cfg, session, points) = (mctx.cfg, mctx.session, self.points);
-        // Contexts are keyed by querying *direction* rather than local
-        // phase: the querier's chunk and the responder's serve of it are
-        // two halves of the same protocol instance and must walk identical
-        // context paths — the sharing backend re-keys this path onto the
-        // shared dealer seed, so a path mismatch would decorrelate the two
-        // sides' tape draws.
-        let (my_queries, peer_queries) = match mctx.role {
-            Party::Alice => ("hdp_a", "hdp_b"),
-            Party::Bob => ("hdp_b", "hdp_a"),
+        let (cfg, points, me) = (node.cfg, self.points, node.me);
+        // Keyed by the ordered pair: the querier's resolve and the
+        // responder's serve of it walk one path, so the sharing backend's
+        // tape draws stay correlated across the pair.
+        let pair = |querier: usize, responder: usize| {
+            let mesh = ctx.narrow("mesh");
+            mesh.at(querier as u64).at(responder as u64).narrow("hdp")
         };
-        let resolve = |chan: &mut C, log: &mut SessionLog| {
-            let own = |idx: usize| format!("own#{idx}");
-            resolve_peer_density(
-                chan,
-                cfg,
-                session,
-                points,
-                &ctx.narrow(my_queries),
-                log,
-                own,
-            )
+        let mut peer_counts = vec![0usize; points.len()];
+        let resolve = |link: &mut Link<'_, C>, log: &mut SessionLog| {
+            let (id, pair_ctx) = (link.id, pair(me, link.id));
+            let label = |idx: usize| format!("own#{idx}/peer#{id}");
+            let (chan, session) = (&mut *link.chan, &link.session);
+            let counts = resolve_peer_density(chan, cfg, session, points, &pair_ctx, log, label)?;
+            for (total, count) in peer_counts.iter_mut().zip(counts) {
+                *total += count;
+            }
+            Ok(())
         };
-        let serve = |chan: &mut C, log: &mut SessionLog| {
-            serve_peer_density(chan, cfg, session, points, &ctx.narrow(peer_queries), log)
+        let serve = |link: &mut Link<'_, C>, log: &mut SessionLog| {
+            let (chan, session) = (&mut *link.chan, &link.session);
+            serve_peer_density(chan, cfg, session, points, &pair(link.id, me), log)
         };
-        let peer_counts = resolve_in_role_order(chan, mctx.role, log, resolve, serve)?;
+        run_phases(node, log, resolve, serve)?;
         Ok(expand_own_points(cfg, points, |idx, own_count| {
             own_count + peer_counts[idx] >= cfg.params.min_pts
         }))
@@ -251,9 +277,13 @@ pub(crate) fn check_points(cfg: &ProtocolConfig, points: &[Point]) -> Result<(),
 mod tests {
     use super::*;
     use crate::driver::PartyOutput;
-    use crate::session::{run_data_pair, Participant, PartyData};
+    use crate::session::{
+        run_data_pair, run_mesh_local, run_participants, Participant, PartyData, SessionMeta,
+        WIRE_VERSION,
+    };
     use crate::test_helpers::rng;
-    use ppds_dbscan::{dbscan_with_external_density, eval, DbscanParams};
+    use ppds_dbscan::{dbscan_with_external_density, eval, DbscanParams, Pruning};
+    use ppds_smc::{BackendKind, Party};
 
     fn pts(coords: &[&[i64]]) -> Vec<Point> {
         coords.iter().map(|c| Point::from(*c)).collect()
@@ -413,5 +443,139 @@ mod tests {
             .run(&mut chan)
             .unwrap_err();
         assert!(matches!(err, CoreError::Config(_)));
+    }
+
+    #[test]
+    fn mesh_matches_external_density_reference() {
+        let cases = [
+            // Three parties.
+            (
+                77,
+                cfg(4, 3, 40),
+                vec![
+                    pts(&[&[0, 0], &[10, 10], &[30, -30]]),
+                    pts(&[&[1, 0], &[11, 10]]),
+                    pts(&[&[0, 1], &[10, 11], &[-30, 30]]),
+                ],
+            ),
+            // Each party alone sees nothing; four together make every
+            // point core.
+            (
+                9,
+                cfg(4, 4, 5),
+                vec![
+                    pts(&[&[0, 0]]),
+                    pts(&[&[1, 0]]),
+                    pts(&[&[0, 1]]),
+                    pts(&[&[1, 1]]),
+                ],
+            ),
+            // Uneven sizes, one party empty.
+            (
+                13,
+                cfg(4, 3, 12),
+                vec![
+                    pts(&[&[0, 0], &[1, 0], &[0, 1], &[9, 9]]),
+                    pts(&[&[1, 1]]),
+                    pts(&[]),
+                ],
+            ),
+        ];
+        for (seed, c, parties) in &cases {
+            let outcomes = run_mesh_local(c, parties, *seed).unwrap();
+            assert_eq!(outcomes.len(), parties.len());
+            for (i, outcome) in outcomes.iter().enumerate() {
+                let others: Vec<Point> = parties
+                    .iter()
+                    .enumerate()
+                    .filter(|(j, _)| *j != i)
+                    .flat_map(|(_, p)| p.iter().cloned())
+                    .collect();
+                let reference = dbscan_with_external_density(&parties[i], &others, c.params);
+                assert_eq!(
+                    outcome.output.clustering, reference,
+                    "seed {seed}, party {i}"
+                );
+                if parties.len() == 4 {
+                    assert_eq!((reference.num_clusters, reference.noise_count()), (1, 0));
+                }
+            }
+        }
+    }
+
+    /// `K = 2` is the two-party session: the horizontal mode run pairwise
+    /// and the mesh of two, from the same seeds, agree on everything — the
+    /// traffic each way included — but the mode tag.
+    #[test]
+    fn two_party_case_equals_bilateral_protocol() {
+        let alice = pts(&[&[0, 0], &[1, 1], &[20, 20]]);
+        let bob = pts(&[&[0, 1], &[19, 20]]);
+        for backend in [BackendKind::Paillier, BackendKind::Sharing] {
+            for pruning in [Pruning::Exhaustive, Pruning::Grid { coarseness: 1 }] {
+                let c = cfg(4, 3, 30).with_backend(backend).with_pruning(pruning);
+                for seed in [5, 6] {
+                    let party = |role, points: &[Point], seed| {
+                        let data = PartyData::Horizontal(points.to_vec());
+                        Participant::new(c).role(role).data(data).seed(seed)
+                    };
+                    let (a, b) = run_participants(
+                        party(Party::Alice, &alice, seed),
+                        party(Party::Bob, &bob, seed + 1),
+                    )
+                    .unwrap();
+                    let mesh = run_mesh_local(&c, &[alice.clone(), bob.clone()], seed).unwrap();
+                    for (two, mesh) in [a, b].iter().zip(&mesh) {
+                        let name = format!("{}/{pruning:?}/seed {seed}", backend.name());
+                        let (two_out, mesh_out) = (&two.output, &mesh.output);
+                        assert_eq!(two_out.clustering, mesh_out.clustering, "{name}");
+                        assert_eq!(two_out.leakage, mesh_out.leakage, "{name}");
+                        assert_eq!(two_out.yao, mesh_out.yao, "{name}");
+                        assert_eq!(two_out.sharing, mesh_out.sharing, "{name}");
+                        assert_eq!(two_out.traffic, mesh_out.traffic, "{name}");
+                        assert_eq!(mesh.meta.mode, Mode::Multiparty, "{name}");
+                        let mode = Mode::Horizontal;
+                        assert_eq!(
+                            two.meta,
+                            SessionMeta {
+                                mode,
+                                ..mesh.meta.clone()
+                            },
+                            "{name}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mesh_leakage_and_metadata_are_per_peer() {
+        let parties = vec![pts(&[&[0, 0], &[5, 5]]), pts(&[&[1, 0]]), pts(&[&[0, 1]])];
+        let outcomes = run_mesh_local(&cfg(4, 2, 10), &parties, 11).unwrap();
+        // Party 0 queried two peers: one count per own point and peer.
+        let queries: Vec<String> = outcomes[0]
+            .output
+            .leakage
+            .events()
+            .iter()
+            .filter_map(|event| match event {
+                LeakageEvent::NeighborCount { query, .. } => Some(query.clone()),
+                _ => None,
+            })
+            .collect();
+        let want = [
+            "own#0/peer#1",
+            "own#1/peer#1",
+            "own#0/peer#2",
+            "own#1/peer#2",
+        ];
+        assert_eq!(queries, want);
+        let meta = &outcomes[0].meta;
+        assert_eq!(
+            (meta.mode, meta.wire_version),
+            (Mode::Multiparty, WIRE_VERSION)
+        );
+        let peers: Vec<(usize, usize)> = meta.peers.iter().map(|p| (p.id, p.n)).collect();
+        assert_eq!(peers, [(1, 1), (2, 1)]);
     }
 }

@@ -13,7 +13,10 @@
 //!   points; neighborhood densities are augmented with the peer's matching
 //!   count via protocol HDP ([`hdp`]), with the peer's point order freshly
 //!   permuted per query so neighborhoods cannot be intersected (the
-//!   Figure 1 attack on Kumar et al.).
+//!   Figure 1 attack on Kumar et al.). One driver runs it for `K ≥ 2`
+//!   parties — pairwise sessions over a full mesh, `K` deterministic
+//!   querier phases — the generalization the paper's conclusion sketches;
+//!   the two-party session is `K = 2`.
 //! * [`arbitrary`] — §4.4: per-record, per-attribute ownership. Both
 //!   parties run the identical DBSCAN loop in lockstep; each distance
 //!   decomposes into a vertical part (local) and a horizontal part
@@ -30,12 +33,10 @@
 //!   with either of the paper's two algorithms and compared to Eps², so the
 //!   peer's neighbor count never surfaces — only the core-point bit.
 //!
-//! Beyond the paper's two-party scope, [`multiparty`] implements the
-//! K-party generalization its conclusion sketches as future work (pairwise
-//! sessions over a full mesh, K deterministic querier phases), and
-//! [`kumar`] implements the *insecure* Kumar et al. \[14\] baseline the paper
-//! argues against — with an executable Figure 1 intersection attack that
-//! demonstrates exactly why the permutation defense matters.
+//! Beyond the paper's scope, [`kumar`] implements the *insecure* Kumar et
+//! al. \[14\] baseline the paper argues against — with an executable
+//! Figure 1 intersection attack that demonstrates exactly why the
+//! permutation defense matters.
 //!
 //! # The session API
 //!
@@ -92,7 +93,6 @@ pub mod error;
 pub mod hdp;
 pub mod horizontal;
 pub mod kumar;
-pub mod multiparty;
 pub mod partition;
 pub(crate) mod prune;
 pub(crate) mod resolve;

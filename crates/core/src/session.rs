@@ -53,6 +53,7 @@
 use crate::config::{ProtocolConfig, YaoLedger};
 use crate::driver::{run_pair, PartyOutput};
 use crate::error::CoreError;
+use crate::horizontal::HorizontalDriver;
 use ppds_dbscan::{Clustering, Point, Pruning};
 use ppds_observe::trace::{self, Span};
 use ppds_observe::{SessionTrace, SpanRecorder, TraceSink};
@@ -61,7 +62,7 @@ use ppds_smc::compare::Comparator;
 use ppds_smc::kth::SelectionMethod;
 use ppds_smc::{setup, BackendKind, DealerTape, LeakageLog, Party, ProtocolContext, SharingLedger};
 use ppds_transport::wire::{Reader, WireDecode, WireEncode};
-use ppds_transport::{duplex, Channel, MemoryChannel, TransportError};
+use ppds_transport::{duplex, Channel, MemoryChannel, MetricsSnapshot, TransportError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -112,10 +113,18 @@ use std::sync::Arc;
 /// the key-exchange frame after the Paillier modulus when a Paillier
 /// session runs DGK, and comparison ciphertexts live mod the DGK `n` with
 /// no packed reply — so a v13 peer is refused here rather than reading
-/// `ℓ` DGK cells where it expects packed Paillier words. (No legacy frame
-/// reads as 13 or 14: the `Vec<u64>` metadata frame always held eleven
-/// values.)
-pub const WIRE_VERSION: u32 = 14;
+/// `ℓ` DGK cells where it expects packed Paillier words; `15` runs the
+/// two-party horizontal session as the mesh of two, so its exchanges draw
+/// under `"mesh"`·`at(querier)`·`at(responder)` where they drew under one
+/// label per direction — the same frames, but the sharing backend keys its
+/// dealer tape by that path, so a v14 peer would derive uncorrelated
+/// triples and open garbage without an error; it is refused here instead.
+/// The arbitrary mode's comparisons moved from a `"cmp"` label to the
+/// chunk context within v14 and carried the same mixed-build hazard
+/// without a bump of their own; v15 covers that change too. (No legacy
+/// frame reads as 13, 14 or 15: the `Vec<u64>` metadata frame always held
+/// eleven values.)
+pub const WIRE_VERSION: u32 = 15;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -595,16 +604,58 @@ impl SessionLog {
     }
 }
 
-/// Per-mode execution context handed to a [`ModeDriver`].
+/// Per-mode execution context of a pairwise driver: the config, this
+/// party's role towards its one peer and what their handshake negotiated.
 pub(crate) struct ModeContext<'a> {
     pub cfg: &'a ProtocolConfig,
     pub role: Party,
     pub session: &'a Session,
 }
 
+/// One of a node's pairwise sessions: the peer's id, this node's role
+/// towards it (the lower id plays Alice), the channel and what the
+/// handshake on it negotiated.
+pub(crate) struct Link<'a, C> {
+    pub id: usize,
+    pub role: Party,
+    pub chan: &'a mut C,
+    pub session: Session,
+}
+
+/// What a [`ModeDriver`] body runs over: the agreed config, this node's id
+/// `me` and one link per peer, in id order — the ids are exactly
+/// `{0..K} \ {me}`. A two-party session is the node of `K = 2` whose id is
+/// its role index (Alice 0, Bob 1).
+pub(crate) struct Node<'a, C> {
+    pub cfg: &'a ProtocolConfig,
+    pub me: usize,
+    pub links: Vec<Link<'a, C>>,
+}
+
+impl<C: Channel> Node<'_, C> {
+    /// The summed traffic of every link. A node-level span edge carries
+    /// it: componentwise sums of monotone counters stay monotone.
+    fn traffic(&self) -> MetricsSnapshot {
+        self.links.iter().map(|link| link.chan.metrics()).sum()
+    }
+
+    /// The one peer of a pairwise mode: its channel and session context.
+    pub(crate) fn pair(&mut self) -> Result<(&mut C, ModeContext<'_>), CoreError> {
+        let [link] = &mut self.links[..] else {
+            return Err(CoreError::config("this mode runs between two parties"));
+        };
+        let mctx = ModeContext {
+            cfg: self.cfg,
+            role: link.role,
+            session: &link.session,
+        };
+        Ok((&mut *link.chan, mctx))
+    }
+}
+
 /// The shared dispatch every protocol family implements: local validation,
 /// handshake profile, post-handshake cross-checks, and the protocol body.
-/// `run_two_party` sequences these so the config/batching plumbing lives in
+/// `run_node` sequences these so the config/batching plumbing lives in
 /// exactly one place.
 pub(crate) trait ModeDriver {
     /// Local-only validation before anything crosses the wire.
@@ -613,7 +664,7 @@ pub(crate) trait ModeDriver {
     /// This driver's handshake advertisement.
     fn profile(&self) -> HandshakeProfile;
 
-    /// Cross-checks after the handshake (e.g. equal record counts).
+    /// Cross-checks after each peer's handshake (e.g. equal record counts).
     fn check_session(&self, cfg: &ProtocolConfig, session: &Session) -> Result<(), CoreError>;
 
     /// The protocol body: returns this party's clustering. `ctx` is the
@@ -622,80 +673,96 @@ pub(crate) trait ModeDriver {
     /// substream independent of execution order.
     fn execute<C: Channel>(
         &self,
-        chan: &mut C,
-        mctx: &ModeContext<'_>,
+        node: &mut Node<'_, C>,
         ctx: &ProtocolContext,
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError>;
 }
 
-/// Runs one two-party mode end to end on this side of `chan`: validate,
-/// establish (generating a keypair from the context's `"keygen"` substream
-/// unless one is supplied), cross-check, execute, assemble the outcome. A
-/// traced session's four top-level spans tile the run: `keygen` opens
-/// before anything else happens here, and the `assemble` span comes back
-/// open, so the caller that owns the session's inputs and its recorder
-/// releases both before the span's end edge is stamped.
-pub(crate) fn run_two_party<C, D>(
-    chan: &mut C,
+fn traffic<C: Channel>(peers: &[(usize, &mut C)]) -> MetricsSnapshot {
+    peers.iter().map(|(_, chan)| chan.metrics()).sum()
+}
+
+/// Runs one node of a session end to end over its channels to the other
+/// parties, `peers` tagged with their ids: refuses a peer-id set other
+/// than `{0..K} \ {me}`, validates, generates a keypair from the context's
+/// `"keygen"` substream unless one is supplied, establishes and
+/// cross-checks one pairwise session per peer in id order (the one keypair
+/// serves them all), executes, and assembles the outcome. A traced
+/// session's four top-level spans tile the run: `keygen` opens before
+/// anything else happens here, and the `assemble` span comes back open, so
+/// the caller that owns the session's inputs and its recorder releases
+/// both before the span's end edge is stamped.
+pub(crate) fn run_node<C: Channel, D: ModeDriver>(
+    peers: &mut [(usize, &mut C)],
+    me: usize,
     cfg: &ProtocolConfig,
     driver: &D,
-    role: Party,
     keypair: Option<Keypair>,
     ctx: &ProtocolContext,
-) -> Result<(SessionOutcome, Span), CoreError>
-where
-    C: Channel,
-    D: ModeDriver,
-{
-    let keygen_span = trace::span("keygen", || chan.metrics());
+) -> Result<(SessionOutcome, Span), CoreError> {
+    let keygen_span = trace::span("keygen", || traffic(peers));
+    peers.sort_unstable_by_key(|&(id, _)| id);
+    let ids = || peers.iter().map(|&(id, _)| id);
+    if peers.is_empty() || !ids().eq((0..=peers.len()).filter(|&id| id != me)) {
+        let ids: Vec<usize> = ids().collect();
+        return Err(CoreError::config(format!(
+            "party {me} of {} needs one channel to each other party, got {ids:?}",
+            peers.len() + 1
+        )));
+    }
     driver.validate(cfg)?;
     let keypair = match keypair {
         Some(kp) => kp,
         None => Keypair::generate(cfg.key_bits, &mut ctx.narrow("keygen").rng()),
     };
-    keygen_span.end(|| chan.metrics());
+    keygen_span.end(|| traffic(peers));
     let profile = driver.profile();
-    let establish_span = trace::span("establish", || chan.metrics());
-    let session = establish(chan, cfg, keypair, role, &profile, ctx)?;
-    driver.check_session(cfg, &session)?;
-    establish_span.end(|| chan.metrics());
+    let establish_span = trace::span("establish", || traffic(peers));
+    let mut links = Vec::with_capacity(peers.len());
+    let keypairs = std::iter::repeat_n(keypair, peers.len());
+    for ((id, chan), keypair) in peers.iter_mut().zip(keypairs) {
+        let (id, chan) = (*id, &mut **chan);
+        let role = if me < id { Party::Alice } else { Party::Bob };
+        let session = establish(chan, cfg, keypair, role, &profile, ctx)?;
+        driver.check_session(cfg, &session)?;
+        links.push(Link {
+            id,
+            role,
+            chan,
+            session,
+        });
+    }
+    let mut node = Node { cfg, me, links };
+    establish_span.end(|| node.traffic());
 
     let mut log = SessionLog::new();
-    let mctx = ModeContext {
-        cfg,
-        role,
-        session: &session,
-    };
-    let execute_span = trace::span("execute", || chan.metrics());
-    let clustering = driver.execute(chan, &mctx, ctx, &mut log)?;
-    execute_span.end(|| chan.metrics());
-    let mode = profile.mode;
-    let assemble_span = trace::span("assemble", || chan.metrics());
+    let execute_span = trace::span("execute", || node.traffic());
+    let clustering = driver.execute(&mut node, ctx, &mut log)?;
+    execute_span.end(|| node.traffic());
+    let assemble_span = trace::span("assemble", || node.traffic());
+    let peers = node.links.iter().map(|link| PeerInfo {
+        id: link.id,
+        n: link.session.peer_n,
+        dim: link.session.peer_dim,
+    });
     let outcome = SessionOutcome {
         output: PartyOutput {
             clustering,
             leakage: log.leakage,
-            traffic: chan.metrics(),
+            traffic: node.traffic(),
             yao: log.ledger,
             sharing: log.sharing,
         },
         trace: None,
         meta: SessionMeta {
             wire_version: WIRE_VERSION,
-            mode,
+            mode: profile.mode,
             batching: cfg.batching,
             packing: cfg.packing,
             backend: cfg.backend,
             pruning: cfg.pruning,
-            peers: vec![PeerInfo {
-                id: match role {
-                    Party::Alice => 1,
-                    Party::Bob => 0,
-                },
-                n: session.peer_n,
-                dim: session.peer_dim,
-            }],
+            peers: peers.collect(),
         },
     };
     Ok((outcome, assemble_span))
@@ -953,39 +1020,31 @@ impl Participant {
         let guard = recorder
             .clone()
             .map(|rec| trace::install(rec as Arc<dyn TraceSink>));
+        // A two-party session is the mesh of two: the role index is the
+        // node id, and the lower id plays Alice.
+        let me = match role {
+            Party::Alice => 0,
+            Party::Bob => 1,
+        };
+        let (peers, keypair) = (&mut [(1 - me, chan)], self.keypair);
         let result = match &data {
-            PartyData::Horizontal(points) => run_two_party(
-                chan,
-                &cfg,
-                &crate::horizontal::HorizontalDriver { points },
-                role,
-                self.keypair,
-                &ctx,
-            ),
-            PartyData::Enhanced(points) => run_two_party(
-                chan,
-                &cfg,
-                &crate::enhanced::EnhancedDriver { points },
-                role,
-                self.keypair,
-                &ctx,
-            ),
-            PartyData::Vertical(attrs) => run_two_party(
-                chan,
-                &cfg,
-                &crate::vertical::VerticalDriver { attrs },
-                role,
-                self.keypair,
-                &ctx,
-            ),
-            PartyData::Arbitrary(values) => run_two_party(
-                chan,
-                &cfg,
-                &crate::arbitrary::ArbitraryDriver { values },
-                role,
-                self.keypair,
-                &ctx,
-            ),
+            PartyData::Horizontal(points) => {
+                let mode = Mode::Horizontal;
+                let driver = HorizontalDriver { points, mode };
+                run_node(peers, me, &cfg, &driver, keypair, &ctx)
+            }
+            PartyData::Enhanced(points) => {
+                let driver = crate::enhanced::EnhancedDriver { points };
+                run_node(peers, me, &cfg, &driver, keypair, &ctx)
+            }
+            PartyData::Vertical(attrs) => {
+                let driver = crate::vertical::VerticalDriver { attrs };
+                run_node(peers, me, &cfg, &driver, keypair, &ctx)
+            }
+            PartyData::Arbitrary(values) => {
+                let driver = crate::arbitrary::ArbitraryDriver { values };
+                run_node(peers, me, &cfg, &driver, keypair, &ctx)
+            }
             PartyData::Multiparty(_) => Err(CoreError::config(
                 "multiparty data runs over a mesh: call .run_mesh(..) instead of .run(..)",
             )),
@@ -1002,6 +1061,11 @@ impl Participant {
     /// global id. Requires [`PartyData::Multiparty`] data; the node's
     /// keypair (supplied or generated) is reused across all pairwise
     /// sessions.
+    ///
+    /// # Errors
+    /// [`CoreError::Config`], before a key is generated or a byte sent, if
+    /// the peer ids are not exactly the other `k_parties − 1` ids in
+    /// `0..k_parties`; otherwise as [`Participant::run`].
     pub fn run_mesh<C: Channel>(
         self,
         peers: &mut [(usize, C)],
@@ -1016,20 +1080,23 @@ impl Participant {
                 "run_mesh needs PartyData::Multiparty; two-party data runs via .run(..)",
             ));
         };
+        if peers.len() + 1 != k_parties {
+            return Err(CoreError::config(format!(
+                "one channel per peer: got {} for {k_parties} parties",
+                peers.len()
+            )));
+        }
         let ctx = Self::take_ctx(self.ctx)?;
         let recorder = self.recorder;
         let guard = recorder
             .clone()
             .map(|rec| trace::install(rec as Arc<dyn TraceSink>));
-        let result = crate::multiparty::run_mesh_node(
-            peers,
-            my_id,
-            k_parties,
-            &self.cfg,
-            &points,
-            self.keypair,
-            &ctx,
-        );
+        let mut peers: Vec<_> = peers.iter_mut().map(|(id, chan)| (*id, chan)).collect();
+        let driver = HorizontalDriver {
+            points: &points,
+            mode: Mode::Multiparty,
+        };
+        let result = run_node(&mut peers, my_id, &self.cfg, &driver, self.keypair, &ctx);
         let (outcome, assemble) = result?;
         drop(points);
         drop(guard);

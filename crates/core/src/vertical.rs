@@ -19,7 +19,7 @@
 use crate::arbitrary::{execute_split, CellView};
 use crate::config::ProtocolConfig;
 use crate::error::CoreError;
-use crate::session::{HandshakeProfile, Mode, ModeContext, ModeDriver, Session, SessionLog};
+use crate::session::{HandshakeProfile, Mode, ModeDriver, Node, Session, SessionLog};
 use ppds_dbscan::{Clustering, Point};
 use ppds_smc::{Party, ProtocolContext};
 use ppds_transport::Channel;
@@ -78,11 +78,11 @@ impl ModeDriver for VerticalDriver<'_> {
 
     fn execute<C: Channel>(
         &self,
-        chan: &mut C,
-        mctx: &ModeContext<'_>,
+        node: &mut Node<'_, C>,
         ctx: &ProtocolContext,
         log: &mut SessionLog,
     ) -> Result<Clustering, CoreError> {
+        let (chan, mctx) = node.pair()?;
         // Alice's columns first, then Bob's; the peer's cells are `None`.
         let peer_dim = mctx.session.peer_dim;
         let dim = self.dim() + peer_dim;
@@ -95,7 +95,7 @@ impl ModeDriver for VerticalDriver<'_> {
                 Party::Bob => cells.extend(theirs.chain(mine)),
             }
         }
-        execute_split(chan, mctx, CellView::new(dim, cells), ctx, log)
+        execute_split(chan, &mctx, CellView::new(dim, cells), ctx, log)
     }
 }
 

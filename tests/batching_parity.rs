@@ -484,17 +484,26 @@ fn framing_cells() -> Vec<(String, Family, ProtocolConfig)> {
 /// unpacked vertical cell now carry the same bytes. Rounds and messages did
 /// not move. No Paillier, Ideal, Yao or sharing cell moved (CHANGES.md lists
 /// each old → new value).
+///
+/// Wire v15 re-recorded the four horizontal Paillier and DGK cells' bytes,
+/// by 1–3 bytes, as measured, when the two-party horizontal session became
+/// the mesh of two: its exchanges draw under `"mesh"`·`at(querier)`·
+/// `at(responder)` instead of one label per direction, so every nonce and
+/// mask is a different draw, and a ciphertext's minimal encoding is a byte
+/// shorter once in 256. Rounds and messages did not move, nor did any
+/// sharing, enhanced, vertical, arbitrary or multiparty cell (CHANGES.md
+/// lists each old → new value).
 type FramingPin = (&'static str, &'static [Pin], &'static [[u64; 2]]);
 
 const FRAMING_PINS: &[FramingPin] = &[
     (
         "horizontal/paillier/unbatched",
-        &[[155_465, 155_463, 182, 182, 182, 182]],
+        &[[155_464, 155_466, 182, 182, 182, 182]],
         &[],
     ),
     (
         "horizontal/paillier/batched",
-        &[[154_785, 154_783, 182, 182, 7, 7]],
+        &[[154_784, 154_786, 182, 182, 7, 7]],
         &[[5, 5]],
     ),
     (
@@ -615,12 +624,12 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "horizontal/dgk/unbatched",
-        &[[29_786, 29_785, 182, 182, 182, 182]],
+        &[[29_785, 29_786, 182, 182, 182, 182]],
         &[],
     ),
     (
         "horizontal/dgk+packing/unbatched",
-        &[[28_490, 28_489, 182, 182, 182, 182]],
+        &[[28_490, 28_490, 182, 182, 182, 182]],
         &[],
     ),
     (

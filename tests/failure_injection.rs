@@ -660,6 +660,34 @@ fn refusal(cfg: ProtocolConfig, mode: Mode, honest_role: Party, attack: Attack) 
 
 const POINT_HOLDING: [Mode; 3] = [Mode::Horizontal, Mode::Enhanced, Mode::Multiparty];
 
+/// A mesh node's peer ids must be exactly the other parties' ids: a
+/// duplicated id, the node's own id or one out of range is refused as a
+/// typed config error before a key is generated or a byte sent (such a set
+/// used to reach a serve phase with no channel and panic the node).
+#[test]
+fn a_bad_peer_id_set_is_refused_before_keygen() {
+    let cfg = ProtocolConfig::new(grid_cfg().params, 10);
+    let sets = [
+        ("duplicated", [1, 1]),
+        ("own id", [0, 2]),
+        ("out of range", [1, 3]),
+    ];
+    for (what, ids) in sets {
+        // The far ends hang up at once, so a node past the check fails on
+        // its first exchange instead of waiting.
+        let mut peers: Vec<(usize, MemoryChannel)> = ids.map(|id| (id, duplex().0)).into();
+        let err = Participant::new(cfg)
+            .data(PartyData::Multiparty(honest_points()))
+            .seed(30)
+            .run_mesh(&mut peers, 0, 3)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Config(_)), "{what}: {err:?}");
+        for (id, chan) in &peers {
+            assert_eq!(chan.metrics(), Default::default(), "{what}: peer {id}");
+        }
+    }
+}
+
 /// Candidate counts are peer-controlled and size the comparison buffers: a
 /// frame must answer exactly the cells it follows, and no count may exceed
 /// the one record the peer's handshake announced.
@@ -923,7 +951,12 @@ fn hostile_inner_products_are_domain_violations_on_both_backends() {
                 (
                     Mode::Horizontal,
                     (1, 2),
-                    root.narrow("hdp_a").narrow("resolve").at(0),
+                    root.narrow("mesh")
+                        .at(0)
+                        .at(1)
+                        .narrow("hdp")
+                        .narrow("resolve")
+                        .at(0),
                     honest_points().len(),
                     PartyData::Horizontal(honest_points()),
                 ),

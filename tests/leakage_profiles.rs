@@ -91,7 +91,8 @@ fn an_absorbed_noise_point_is_queried_once_and_retested_for_free() {
             })
             .collect();
         let queried: Vec<&str> = counts.iter().map(|(query, _)| query.as_str()).collect();
-        assert_eq!(queried, ["own#0", "own#1", "own#2", "own#3", "own#4"]);
+        let own = ["own#0", "own#1", "own#2", "own#3", "own#4"];
+        assert_eq!(queried, own.map(|query| format!("{query}/peer#1")));
 
         // (b) The re-test cost no comparison and no frame: the exhaustive
         // run pays exactly one comparison per cross pair per direction, and

@@ -137,8 +137,9 @@ proptest! {
     }
 }
 
-/// Mesh sessions derive their randomness as `ctx.narrow("mesh").at(peer_id)`:
-/// keyed by the peer's global id, not by traffic order. Changing party 0's
+/// Mesh sessions derive each exchange's randomness as
+/// `ctx.narrow("mesh").at(querier).at(responder)`: keyed by the ordered
+/// pair of global ids, not by traffic order. Changing party 0's
 /// private data therefore cannot shift a single byte of the randomness the
 /// party-1 ↔ party-2 pair uses — in particular the DGK comparator's
 /// value-dependent rejection sampling while serving party 0 no longer
