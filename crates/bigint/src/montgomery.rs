@@ -137,7 +137,7 @@ impl MontgomeryCtx {
     }
 
     /// `x < m` as a zero-padded row of `k` limbs.
-    fn widen(&self, x: &BigUint) -> Vec<u64> {
+    pub(crate) fn widen(&self, x: &BigUint) -> Vec<u64> {
         let mut row = Vec::with_capacity(self.k);
         row.extend_from_slice(x.limbs());
         row.resize(self.k, 0);

@@ -41,32 +41,49 @@ fn window_digit(exp: &BigUint, bits: usize, w: usize, i: usize) -> usize {
     d
 }
 
+/// Blocks each tooth's strip is cut into (Lim–Lee's `v`): one table per
+/// block, so a scan makes `⌈d / COMB_BLOCKS⌉ − 1` squarings instead of
+/// `d − 1`, for the same `d` products. At 8 teeth and 1, 2 and 4 blocks a
+/// 400-bit exponent mod 1024 bits took 45.1, 32.1 and 27.4 µs, a 1024-bit
+/// one mod 2048 bits 400, 300 and 255 µs; each block is a table more, and
+/// four would cost the enhanced benchmark its memory bound (DESIGN.md §12).
+const COMB_BLOCKS: usize = 2;
+
 /// Lim–Lee fixed-base comb over a Montgomery context, precomputed once per
 /// base lifetime.
 ///
 /// With `k` teeth and spacing `d = ⌈max_exp_bits / k⌉`, an exponent is
 /// read as `k` strips of `d` bits: tooth `i` covers bits `i·d .. (i+1)·d`.
-/// Row `j ∈ 0..2^k` of the table holds `Π_{i ∈ bits of j} base^(2^{i·d})`
-/// in Montgomery form, so `base^e` is one column scan from `t = d − 1`
-/// down to 0 — square, then multiply by the row whose bit `i` is bit
-/// `i·d + t` of `e`: `d − 1` squarings and at most `d` products, where
+/// Each strip is cut into `COMB_BLOCKS` (two) blocks of `e = ⌈d / 2⌉` bits,
+/// and block `b` has its own table: row `j ∈ 0..2^k` holds
+/// `Π_{i ∈ bits of j} base^(2^{i·d + b·e})` in Montgomery form. `base^x`
+/// is one column scan from `t = e − 1` down to 0 — square, then multiply
+/// by block `b`'s row whose bit `i` is bit `i·d + b·e + t` of `x`, for
+/// each block: `e − 1` squarings and at most `d` products, where
 /// [`MontgomeryCtx::pow_mod`]'s 4-bit ladder pays `bits` squarings and
-/// `bits/4` products. At 8 teeth and a 512-bit exponent that is 63
-/// squarings and 64 products, from a table of 256 rows.
+/// `bits/4` products. At 8 teeth and a 400-bit exponent that is 24
+/// squarings and 50 products (one block would take 49 and 50), from two
+/// tables of 256 rows.
 ///
-/// Precomputation costs `(k − 1)·d` squarings and `2^k − k − 1` products;
-/// the table is `2^k` rows, whatever the exponent width. Exponents wider
-/// than the `k·d` bits the strips cover fall back to `pow_mod`
-/// transparently (same canonical result, ladder cost).
+/// The block tables' teeth are the powers the tooth chain squares through
+/// anyway, so precomputation costs `(k − 1)·d + e` squarings and
+/// `2·(2^k − k − 1)` products; the tables are `2·2^k` rows, whatever the
+/// exponent width. Exponents wider than the `k·d` bits the strips cover
+/// fall back to `pow_mod` transparently (same canonical result, ladder
+/// cost).
 #[derive(Clone)]
 pub struct FixedBaseTable {
     ctx: MontgomeryCtx,
     teeth: usize,
     spacing: usize,
+    /// Bits a block covers (`e`); the last block of a strip may cover
+    /// fewer.
+    block: usize,
     /// The base, kept for the wide-exponent fallback path.
     base: BigUint,
-    /// `2^teeth` consecutive Montgomery rows; row `j` is the product of
-    /// `base^(2^{i·spacing})` over the set bits `i` of `j`.
+    /// One table a block, `2^teeth` consecutive Montgomery rows each; row
+    /// `j` of block `b` is the product of `base^(2^{i·spacing + b·block})`
+    /// over the set bits `i` of `j`.
     rows: Vec<u64>,
 }
 
@@ -75,7 +92,7 @@ impl FixedBaseTable {
     /// `teeth` strips covering exponents up to `max_exp_bits` bits.
     ///
     /// # Panics
-    /// Panics unless `1 ≤ teeth ≤ 8` (the table is `2^teeth` rows; wider
+    /// Panics unless `1 ≤ teeth ≤ 8` (a table is `2^teeth` rows; wider
     /// combs would be megabytes at key widths).
     pub fn new(ctx: &MontgomeryCtx, base: &BigUint, teeth: usize, max_exp_bits: usize) -> Self {
         assert!(
@@ -84,29 +101,43 @@ impl FixedBaseTable {
         );
         let k = ctx.width();
         let spacing = max_exp_bits.div_ceil(teeth).max(1);
+        let block = spacing.div_ceil(COMB_BLOCKS);
+        let blocks = spacing.div_ceil(block);
         let mut scratch = ctx.scratch();
-        let mut rows = Vec::with_capacity(k << teeth);
-        rows.extend_from_slice(&ctx.one_limbs());
-        // Tooth `i` is base^(2^{i·d}): the previous tooth squared d times.
-        // Rows 2^i .. 2^{i+1} are the rows below it times that tooth.
-        let mut tooth = ctx.to_mont_limbs(base, &mut scratch);
+        // The teeth of block `b`, in tooth order: base^(2^{i·d + b·e}),
+        // snapshots of one squaring chain from the base up.
+        let mut teeth_of: Vec<Vec<Vec<u64>>> = vec![Vec::with_capacity(teeth); blocks];
+        let mut power = ctx.to_mont_limbs(base, &mut scratch);
+        let mut at = 0;
         for i in 0..teeth {
-            if i > 0 {
-                for _ in 0..spacing {
-                    ctx.sqr_assign(&mut tooth, &mut scratch);
+            for (b, block_teeth) in teeth_of.iter_mut().enumerate() {
+                for _ in at..i * spacing + b * block {
+                    ctx.sqr_assign(&mut power, &mut scratch);
                 }
+                at = i * spacing + b * block;
+                block_teeth.push(power.clone());
             }
-            rows.extend_from_slice(&tooth);
-            for j in 1..1 << i {
-                rows.extend_from_within(j * k..(j + 1) * k);
-                let at = rows.len() - k;
-                ctx.mul_assign(&mut rows[at..], &tooth, &mut scratch);
+        }
+        // Rows 2^i .. 2^{i+1} of a block's table are the rows below them
+        // times tooth i.
+        let mut rows = Vec::with_capacity((blocks * k) << teeth);
+        for block_teeth in &teeth_of {
+            let table = rows.len();
+            rows.extend_from_slice(&ctx.one_limbs());
+            for (i, tooth) in block_teeth.iter().enumerate() {
+                rows.extend_from_slice(tooth);
+                for j in 1..1 << i {
+                    rows.extend_from_within(table + j * k..table + (j + 1) * k);
+                    let at = rows.len() - k;
+                    ctx.mul_assign(&mut rows[at..], tooth, &mut scratch);
+                }
             }
         }
         FixedBaseTable {
             ctx: ctx.clone(),
             teeth,
             spacing,
+            block,
             base: base.clone(),
             rows,
         }
@@ -116,32 +147,68 @@ impl FixedBaseTable {
     /// `MontgomeryCtx::pow_mod(base, exp)` for every exponent (comb scan
     /// when the strips cover it, transparent ladder fallback when not).
     pub fn pow(&self, exp: &BigUint) -> BigUint {
+        self.scan(exp, None)
+    }
+
+    /// `base^exp · f^small mod m`, for `f` given in Montgomery form
+    /// (`factor_mont = f·R mod m`, as [`MontgomeryCtx::to_mont`] and
+    /// [`MontgomeryCtx::mont_mul`] leave it): one scan, `f` riding the
+    /// comb's last columns — a multiply at column `t` for each set bit `t`
+    /// of `small` — with plain ladder steps above them when `small` is
+    /// wider than a block. An exponent too wide for the comb takes the
+    /// ladder for both powers; the result is the canonical residue either
+    /// way.
+    pub fn pow_mul(&self, exp: &BigUint, factor_mont: &BigUint, small: u64) -> BigUint {
+        self.scan(exp, Some((factor_mont, small)))
+    }
+
+    fn scan(&self, exp: &BigUint, factor: Option<(&BigUint, u64)>) -> BigUint {
+        let ctx = &self.ctx;
         let bits = exp.bit_length();
         if bits > self.teeth * self.spacing {
-            return self.ctx.pow_mod(&self.base, exp);
+            let power = ctx.pow_mod(&self.base, exp);
+            return match factor {
+                None => power,
+                Some((f, small)) => ctx.mont_mul(
+                    &power,
+                    &ctx.to_mont(&ctx.pow_mod(&ctx.from_mont(f), &BigUint::from_u64(small))),
+                ),
+            };
         }
-        let k = self.ctx.width();
-        let mut scratch = self.ctx.scratch();
+        let k = ctx.width();
+        let mut scratch = ctx.scratch();
+        let (factor, small) = match factor {
+            Some((f, small)) => (ctx.widen(f), small),
+            None => (Vec::new(), 0),
+        };
+        let comb_columns = self.block.min(bits);
+        let columns = comb_columns.max(64 - small.leading_zeros() as usize);
         // Absent until the first nonzero column: no squarings of the unit.
         let mut acc: Option<Vec<u64>> = None;
-        for t in (0..self.spacing.min(bits)).rev() {
+        for t in (0..columns).rev() {
             if let Some(acc) = &mut acc {
-                self.ctx.sqr_assign(acc, &mut scratch);
+                ctx.sqr_assign(acc, &mut scratch);
             }
-            let row = (0..self.teeth)
-                .filter(|&i| exp.bit(i * self.spacing + t))
-                .fold(0, |row, i| row | 1 << i);
-            if row != 0 {
-                mul_into(
-                    &self.ctx,
-                    &mut acc,
-                    &self.rows[row * k..(row + 1) * k],
-                    &mut scratch,
-                );
+            if t < comb_columns {
+                for (b, table) in self.rows.chunks_exact(k << self.teeth).enumerate() {
+                    let offset = b * self.block + t;
+                    if offset >= self.spacing {
+                        break;
+                    }
+                    let row = (0..self.teeth)
+                        .filter(|&i| exp.bit(i * self.spacing + offset))
+                        .fold(0, |row, i| row | 1 << i);
+                    if row != 0 {
+                        mul_into(ctx, &mut acc, &table[row * k..(row + 1) * k], &mut scratch);
+                    }
+                }
+            }
+            if t < 64 && small >> t & 1 == 1 {
+                mul_into(ctx, &mut acc, &factor, &mut scratch);
             }
         }
-        let acc = acc.unwrap_or_else(|| self.ctx.one_limbs());
-        self.ctx.out_of_mont(&acc, &mut scratch)
+        let acc = acc.unwrap_or_else(|| ctx.one_limbs());
+        ctx.out_of_mont(&acc, &mut scratch)
     }
 }
 
@@ -286,6 +353,7 @@ mod tests {
     use super::*;
     use crate::random::{gen_biguint_below, gen_biguint_bits};
     use crate::test_helpers::rng;
+    use rand::Rng;
 
     fn b(v: u128) -> BigUint {
         BigUint::from_u128(v)
@@ -330,20 +398,31 @@ mod tests {
     #[test]
     fn fixed_base_random_windows_and_sizes() {
         let mut r = rng(91);
-        for bits in [64usize, 256, 512] {
+        for bits in [64usize, 256, 512, 1024, 64 * 33] {
             let mut m = gen_biguint_bits(&mut r, bits);
             m.set_bit(0, true);
             m.set_bit(bits - 1, true);
             let ctx = MontgomeryCtx::new(&m).unwrap();
             for teeth in 1usize..=8 {
                 let base = gen_biguint_below(&mut r, &m);
-                let table = FixedBaseTable::new(&ctx, &base, teeth, bits);
-                for _ in 0..4 {
-                    let exp = gen_biguint_bits(&mut r, bits);
+                let max_exp_bits = [bits, bits * 5 / 8, 7][teeth % 3];
+                let table = FixedBaseTable::new(&ctx, &base, teeth, max_exp_bits);
+                let spacing = max_exp_bits.div_ceil(teeth);
+                let block = spacing.div_ceil(COMB_BLOCKS);
+                let covered = teeth * spacing;
+                let factor = gen_biguint_below(&mut r, &m);
+                let factor_mont = ctx.to_mont(&factor);
+                for width in [1, block, block + 1, spacing, covered, covered + 1] {
+                    let mut exp = gen_biguint_bits(&mut r, width);
+                    exp.set_bit(width - 1, true);
+                    let want = ctx.pow_mod(&base, &exp);
+                    assert_eq!(table.pow(&exp), want, "{bits} bits, {teeth} teeth, {width}");
+                    let small = r.random::<u64>() >> (width % 64);
+                    let times = ctx.pow_mod(&factor, &BigUint::from_u64(small));
                     assert_eq!(
-                        table.pow(&exp),
-                        ctx.pow_mod(&base, &exp),
-                        "{bits} bits, {teeth} teeth"
+                        table.pow_mul(&exp, &factor_mont, small),
+                        ctx.mont_mul(&want, &ctx.to_mont(&times)),
+                        "{bits} bits, {teeth} teeth, {width}, small {small}"
                     );
                 }
             }

@@ -285,20 +285,62 @@ proptest! {
         prop_assert_eq!(got, naive);
     }
 
-    /// `FixedBaseTable::pow` ≡ `mod_pow` across every tooth count, for
-    /// exponents both inside the comb's width (table path) and beyond it
-    /// (fallback path).
+    /// `FixedBaseTable::pow` ≡ `mod_pow` across every tooth count and
+    /// moduli of 1–33 limbs, for exponents of width 0, 1, each side of a
+    /// block and a tooth boundary, exactly the comb's `teeth·spacing` bits
+    /// (the last scan column) and past it (the ladder fallback); and
+    /// `pow_mul` ≡ the product of the two ladders, for a small exponent
+    /// narrower and wider than a block.
     #[test]
     fn fixed_base_table_matches_mod_pow(
-        m in odd_modulus_strategy(24),
-        base in biguint_strategy(24),
+        m in odd_modulus_strategy(8 * 33),
+        base in biguint_strategy(8 * 33),
+        factor in biguint_strategy(8 * 33),
         teeth in 1usize..=8,
-        max_exp_bits in 1usize..160,
-        exp in biguint_strategy(24),
+        max_exp_bits in 1usize..600,
+        bytes in biguint_strategy(80),
+        small in any::<u64>(),
     ) {
         let ctx = MontgomeryCtx::new(&m).unwrap();
         let table = FixedBaseTable::new(&ctx, &base, teeth, max_exp_bits);
-        prop_assert_eq!(table.pow(&exp), modular::mod_pow(&base, &exp, &m));
+        let spacing = max_exp_bits.div_ceil(teeth);
+        let block = spacing.div_ceil(2);
+        let covered = teeth * spacing;
+        let widths = [
+            0,
+            1,
+            block - 1,
+            block,
+            block + 1,
+            spacing - 1,
+            spacing,
+            spacing + 1,
+            spacing + block,
+            covered - spacing + block,
+            covered - 1,
+            covered,
+            covered + 1,
+            covered + 70,
+        ];
+        let factor_mont = ctx.to_mont(&(&factor % &m));
+        for width in widths {
+            // `bytes` cut to `width` bits, its top bit set.
+            let mut exp = &bytes % &(&BigUint::one() << width);
+            if width > 0 {
+                exp.set_bit(width - 1, true);
+            }
+            prop_assert_eq!(exp.bit_length(), width);
+            let want = modular::mod_pow(&base, &exp, &m);
+            prop_assert_eq!(table.pow(&exp), want.clone(), "{} bits", width);
+            for small in [small >> (small % 64), small, 0] {
+                let times = modular::mod_pow(&factor, &BigUint::from_u64(small), &m);
+                prop_assert_eq!(
+                    table.pow_mul(&exp, &factor_mont, small),
+                    modular::mod_mul(&want, &times, &m),
+                    "{} bits, small {}", width, small
+                );
+            }
+        }
     }
 
     /// Batch inversion ≡ per-element `mod_inverse`: same inverses when all

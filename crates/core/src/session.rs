@@ -121,10 +121,13 @@ use std::sync::Arc;
 /// triples and open garbage without an error; it is refused here instead.
 /// The arbitrary mode's comparisons moved from a `"cmp"` label to the
 /// chunk context within v14 and carried the same mixed-build hazard
-/// without a bump of their own; v15 covers that change too. (No legacy
-/// frame reads as 13, 14 or 15: the `Vec<u64>` metadata frame always held
-/// eleven values.)
-pub const WIRE_VERSION: u32 = 15;
+/// without a bump of their own; v15 covers that change too. `16` answers a
+/// call of dot products with one flat run over every row of the call —
+/// `⌈Σ rows / capacity⌉` packed words, or `Σ rows` ciphertexts — where v15
+/// sent one word vector a query, so a v15 peer is refused here rather than
+/// reading a run of words as one query's reply. (No legacy frame reads as
+/// 13 to 16: the `Vec<u64>` metadata frame always held eleven values.)
+pub const WIRE_VERSION: u32 = 16;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

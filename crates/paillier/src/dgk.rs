@@ -38,7 +38,11 @@ pub const MIN_DGK_BITS: usize = 128;
 /// A DGK public key as it travels: `((n, g, h), (u, t))`.
 pub type DgkParts = ((BigUint, BigUint, BigUint), (u64, u64));
 
-/// Teeth of the comb over `h`: `2^8` rows, 32 KiB at a 1024-bit `n`.
+/// Teeth of the combs over `h`: two blocks of `2^8` rows each
+/// (`ppds_bigint::FixedBaseTable`), 64 KiB at a 1024-bit `n`. Over the
+/// public side's 400-bit exponent at 1024 bits (`t = 160`) a scan is 24
+/// squarings and at most 50 products; over the holder's 160-bit halves,
+/// 9 and 20.
 const H_COMB_TEETH: usize = 8;
 
 /// Bits of the subgroup primes `v_p`, `v_q` (DGK's `t`) for an `n` of
@@ -175,11 +179,6 @@ impl DgkPublicKey {
         self.u
     }
 
-    /// `E(0)` with no randomness: the identity, `1`.
-    pub fn trivial_zero(&self) -> BigUint {
-        BigUint::one()
-    }
-
     /// `g`, the ciphertext `E(1)` with no randomness.
     pub fn g(&self) -> &BigUint {
         &self.g
@@ -193,6 +192,26 @@ impl DgkPublicKey {
     /// `c^k mod n`: `E(k·m)` from `E(m)`.
     pub fn mul_plain(&self, c: &BigUint, k: u64) -> BigUint {
         self.mont_n.pow_mod(c, &BigUint::from_u64(k))
+    }
+
+    /// The Montgomery context mod `n`. Homomorphic steps over ciphertexts
+    /// held in its form — `E(a + b)` is `mont_mul(ā, b̄)`, with `one_mont`
+    /// for `E(0)` — cost one product each, where [`DgkPublicKey::add`]
+    /// converts an operand first; [`DgkPublicKey::mask`] takes its cell in
+    /// that form.
+    pub fn montgomery(&self) -> &MontgomeryCtx {
+        &self.mont_n
+    }
+
+    /// `E(r·m)`, freshly randomized, from `E(m)` given in Montgomery form:
+    /// `c^r · h^s mod n` with `r` uniform in `1..u`, then `s` of `2.5·t`
+    /// bits, drawn from `rng` in that order. One comb scan over `h` with
+    /// `c` riding its last columns, value-equal to
+    /// `add(mul_plain(c, r), h^s)`.
+    pub fn mask<R: Rng + ?Sized>(&self, cell_mont: &BigUint, rng: &mut R) -> BigUint {
+        let r = rng.random_range(1..self.u);
+        let s = random::gen_biguint_bits(rng, self.t * 5 / 2);
+        self.h_comb.pow_mul(&s, cell_mont, r)
     }
 
     /// The per-message randomizer `h^r`, `r` uniform of `2.5·t` bits: one
@@ -213,11 +232,6 @@ impl DgkPublicKey {
             0 => rho,
             _ => self.add(&self.mul_plain(&self.g, m), &rho),
         })
-    }
-
-    /// A fresh ciphertext of the same plaintext: `c · h^r mod n`.
-    pub fn rerandomize<R: Rng + ?Sized>(&self, c: &BigUint, rng: &mut R) -> BigUint {
-        self.add(c, &self.randomizer(rng))
     }
 
     /// Checks received ciphertexts and returns their inverses mod `n`
@@ -550,12 +564,32 @@ mod tests {
             assert_eq!(decrypt(key, &public.mul_plain(&ca, k)).unwrap(), a * k % u);
             let neg = public.negate_many(std::slice::from_ref(&ca)).unwrap();
             assert_eq!(decrypt(key, &neg[0]).unwrap(), (u - a) % u);
-            let fresh = public.rerandomize(&ca, &mut r);
-            assert_ne!(fresh, ca);
-            assert_eq!(decrypt(key, &fresh).unwrap(), a);
         }
-        assert_eq!(decrypt(key, &public.trivial_zero()).unwrap(), 0);
         assert_eq!(decrypt(key, public.g()).unwrap(), 1);
+    }
+
+    /// A masked cell is `c^r · h^s` for the `r`, then `s`, its stream
+    /// draws: the product and power it replaces, byte for byte, over every
+    /// plaintext and the empty prefix (`one_mont`, `E(0)`).
+    #[test]
+    fn a_masked_cell_is_the_scaled_rerandomized_ciphertext() {
+        let key = key();
+        let public = key.public();
+        let (mont, u, mut r) = (public.montgomery(), public.u(), rng(10));
+        for m in (0..u).step_by(16).chain([u - 1]) {
+            let c = public.encrypt(m, &mut r).unwrap();
+            for seed in 0..4 {
+                let got = public.mask(&mont.to_mont(&c), &mut rng(seed));
+                let mut draws = rng(seed);
+                let k = draws.random_range(1..u);
+                let s = random::gen_biguint_bits(&mut draws, public.t * 5 / 2);
+                let want = public.add(&public.mul_plain(&c, k), &mont.pow_mod(&public.h, &s));
+                assert_eq!(got, want, "m = {m}, seed {seed}");
+                assert_eq!(decrypt(key, &got).unwrap(), m * k % u);
+            }
+        }
+        let zero = public.mask(mont.one_mont(), &mut r);
+        assert_eq!(decrypt(key, &zero).unwrap(), 0);
     }
 
     /// Out-of-range values, non-units and non-members of the ciphertext

@@ -98,8 +98,8 @@ struct CrtContext {
     h_combs: Arc<[FixedBaseTable; 2]>,
 }
 
-/// Teeth of the keyholder's combs: `2^8` rows, 32 KiB a prime at 1024-bit
-/// keys, and 63 squarings + 64 products for a 512-bit exponent.
+/// Teeth of the keyholder's combs: two blocks of `2^8` rows, 64 KiB a prime
+/// at 1024-bit keys, and 31 squarings + 64 products for a 512-bit exponent.
 const H_COMB_TEETH: usize = 8;
 
 impl std::fmt::Debug for PublicKey {

@@ -83,8 +83,13 @@ fn scan_cells(key: &DgkPrivateKey, cells: &[BigUint], ell: usize) -> Result<bool
 
 /// Step 2 worker: Bob's masked, re-randomized, permuted cells for one
 /// input. Cell `j` is `c_j^{r_j} · h^{s_j}` with `r_j` uniform in
-/// `1..u` and `s_j` both drawn from `ctx.rng_for(j)`; the permutation
-/// draws from the `"perm"` substream.
+/// `1..u`, then `s_j`, drawn from `ctx.rng_for(j)`
+/// ([`DgkPublicKey::mask`]); the permutation draws from the `"perm"`
+/// substream.
+///
+/// The running sums stay in Montgomery form mod `n`: a homomorphic
+/// addition is one product, `3·(x ⊕ y)` a square and a product, and
+/// each cell leaves the form in the comb scan that masks it.
 fn masked_cells(
     alice: &DgkPublicKey,
     bits: &[BigUint],
@@ -101,25 +106,26 @@ fn masked_cells(
     // One batch inversion checks every bit is a unit of Z_n and yields the
     // `E(−x_j)` the XOR with a set bit of `y` needs.
     let inverses = alice.negate_many(bits)?;
+    let mont = alice.montgomery();
+    let g = mont.to_mont(alice.g());
     // Running 3·Σ (x_j ⊕ y_j) over the more-significant prefix, encrypted;
     // it starts as the trivial `E(0) = 1`.
-    let mut prefix = alice.trivial_zero();
+    let mut prefix = mont.one_mont().clone();
     let mut cells = Vec::with_capacity(ell);
     for (pos, (enc_x, inv_x)) in bits.iter().zip(&inverses).enumerate() {
         let y_bit = (y >> (ell - 1 - pos)) & 1;
+        let x = mont.to_mont(enc_x);
         // c = x − y + 1 + 3·Σ: `x + prefix`, plus 1 when y = 0.
-        let mut cell = alice.add(enc_x, &prefix);
+        let mut cell = mont.mont_mul(&x, &prefix);
         // x ⊕ y is x when y = 0, 1 − x when y = 1.
         let xor = if y_bit == 0 {
-            cell = alice.add(&cell, alice.g());
-            enc_x.clone()
+            cell = mont.mont_mul(&cell, &g);
+            x
         } else {
-            alice.add(inv_x, alice.g())
+            mont.mont_mul(&mont.to_mont(inv_x), &g)
         };
-        prefix = alice.add(&prefix, &alice.mul_plain(&xor, 3));
-        let mut rng = ctx.rng_for(pos as u64);
-        let r = rng.random_range(1..alice.u());
-        cells.push(alice.rerandomize(&alice.mul_plain(&cell, r), &mut rng));
+        prefix = mont.mont_mul(&prefix, &mont.mont_mul(&mont.mont_sqr(&xor), &xor));
+        cells.push(alice.mask(&cell, &mut ctx.rng_for(pos as u64)));
     }
     cells.shuffle(&mut ctx.narrow("perm").rng());
     Ok(cells)
@@ -224,7 +230,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_helpers::{alice_keypair, ctx, rng};
+    use crate::test_helpers::{alice_keypair, ctx, keypair_1024, rng};
     use ppds_paillier::Keypair;
     use ppds_transport::{duplex, MetricsSnapshot};
     use std::sync::OnceLock;
@@ -235,9 +241,7 @@ mod tests {
 
     /// The DGK half of a deployment-size (1024-bit) key: `t = 160`.
     fn dgk_key_1024() -> &'static DgkPrivateKey {
-        static KP: OnceLock<Keypair> = OnceLock::new();
-        let kp = KP.get_or_init(|| Keypair::generate(1024, &mut rng(0x1024)));
-        kp.private.dgk().unwrap()
+        keypair_1024().private.dgk().unwrap()
     }
 
     /// Runs one slice of comparisons under `key`, item `i` scoped
@@ -267,6 +271,76 @@ mod tests {
     /// [`run_under`] the 256-bit test key.
     fn run(xs: &[u64], ys: &[u64], bound: u64, seed: u64) -> (Vec<bool>, MetricsSnapshot) {
         run_under(dgk_key(), xs, ys, bound, seed)
+    }
+
+    /// Bob's cells as they were computed before the Montgomery-form scan:
+    /// `rerandomize(mul_plain(add(…), r))`, each step a separate product
+    /// or ladder mod `n`, with the same draws — `r`, then `s`, from
+    /// `rng_for(pos)` — and the same permutation.
+    fn reference_cells(
+        alice: &DgkPublicKey,
+        bits: &[BigUint],
+        y: u64,
+        ell: usize,
+        ctx: &ProtocolContext,
+    ) -> Vec<BigUint> {
+        let ((_, _, h), (_, t)) = alice.to_parts();
+        let inverses = alice.negate_many(bits).unwrap();
+        let mut prefix = BigUint::one();
+        let mut cells = Vec::new();
+        for (pos, (enc_x, inv_x)) in bits.iter().zip(&inverses).enumerate() {
+            let y_bit = (y >> (ell - 1 - pos)) & 1;
+            let mut cell = alice.add(enc_x, &prefix);
+            let xor = if y_bit == 0 {
+                cell = alice.add(&cell, alice.g());
+                enc_x.clone()
+            } else {
+                alice.add(inv_x, alice.g())
+            };
+            prefix = alice.add(&prefix, &alice.mul_plain(&xor, 3));
+            let mut rng = ctx.rng_for(pos as u64);
+            let r = rng.random_range(1..alice.u());
+            let s = ppds_bigint::random::gen_biguint_bits(&mut rng, t as usize * 5 / 2);
+            let rerandomized = alice.add(
+                &alice.mul_plain(&cell, r),
+                &alice.montgomery().pow_mod(&h, &s),
+            );
+            cells.push(rerandomized);
+        }
+        cells.shuffle(&mut ctx.narrow("perm").rng());
+        cells
+    }
+
+    /// The Montgomery-form cells are the reference chain's, byte for byte:
+    /// random `y` against random encrypted `x`, at `ℓ ∈ {1, 2, 33, 64}` and
+    /// 256-, 512- and 1024-bit keys. A changed draw order or residue moves
+    /// a cell.
+    #[test]
+    fn cells_equal_the_reference_chain() {
+        static KP512: OnceLock<Keypair> = OnceLock::new();
+        let key_512 = KP512
+            .get_or_init(|| Keypair::generate(512, &mut rng(0x512)))
+            .private
+            .dgk()
+            .unwrap();
+        let mut draws = rng(0xCE11);
+        for (key, bits) in [(dgk_key(), 256), (key_512, 512), (dgk_key_1024(), 1024)] {
+            let alice = key.public();
+            assert_eq!(alice.bits(), bits);
+            for ell in [1usize, 2, 33, 64] {
+                let top = if ell == 64 { u64::MAX } else { (1 << ell) - 1 };
+                for trial in 0..2u64 {
+                    let (x, y) = (draws.random::<u64>() & top, draws.random::<u64>() & top);
+                    let enc = encrypt_bits(key, x, ell, ctx(trial).rng()).unwrap();
+                    let scope = ctx(0xB0B).at(ell as u64 * 10 + trial);
+                    assert_eq!(
+                        masked_cells(alice, &enc, y, ell, &scope).unwrap(),
+                        reference_cells(alice, &enc, y, ell, &scope),
+                        "{bits}-bit key, ℓ = {ell}, x = {x}, y = {y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,6 +59,41 @@ pub use leakage::{LeakageEvent, LeakageLog, Party};
 pub use multiplication::ResponsePacking;
 pub use sharing::{DealerTape, SharingLedger, SHARING_DISCIPLINE};
 
+use ppds_transport::{Channel, Reader, WireDecode, WireEncode};
+
+/// Ships a flat run of items as one frame — the items back to back, as a
+/// batch frame carries them — counted as `messages` protocol messages
+/// whatever the run's length: a sharing fold frame is one message a pair,
+/// a dot reply one a query, so both framings count the same messages.
+pub(crate) fn send_run<C: Channel, T: WireEncode>(
+    chan: &mut C,
+    run: &[T],
+    messages: usize,
+) -> Result<(), SmcError> {
+    let mut payload = Vec::with_capacity(std::mem::size_of_val(run));
+    for item in run {
+        item.encode(&mut payload);
+    }
+    chan.send_bytes(&payload)?;
+    chan.note_batch_sent(messages as u64);
+    Ok(())
+}
+
+/// Reads a frame [`send_run`] shipped, counted as `messages` messages.
+pub(crate) fn recv_run<C: Channel, T: WireDecode>(
+    chan: &mut C,
+    messages: usize,
+) -> Result<Vec<T>, SmcError> {
+    let payload = chan.recv_bytes()?;
+    chan.note_batch_received(messages as u64);
+    let mut reader = Reader::new(&payload);
+    let mut run = Vec::with_capacity(payload.len() / std::mem::size_of::<T>().max(1));
+    while !reader.is_empty() {
+        run.push(T::decode(&mut reader)?);
+    }
+    Ok(run)
+}
+
 #[cfg(test)]
 pub(crate) mod test_helpers {
     use crate::context::ProtocolContext;
@@ -97,6 +132,13 @@ pub(crate) mod test_helpers {
             mul_mask_bound: mask_bound.clone(),
             dot_mask_bound: mask_bound,
         }
+    }
+
+    /// A deployment-size key: its DGK half has `t = 160`, and a packed word
+    /// holds 30 slots of 34 bits.
+    pub fn keypair_1024() -> &'static Keypair {
+        static KP: OnceLock<Keypair> = OnceLock::new();
+        KP.get_or_init(|| Keypair::generate(1024, &mut rng(0x1024)))
     }
 
     pub fn bob_keypair() -> &'static Keypair {

@@ -26,6 +26,7 @@
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
+use crate::{recv_run, send_run};
 use ppds_bigint::{random, BigInt, BigUint};
 use ppds_observe::{trace, MetricsSnapshot};
 use ppds_paillier::{Ciphertext, Keypair, PublicKey, SlotLayout};
@@ -352,9 +353,11 @@ where
 /// vector `(ΣA², -2A_1, …, -2A_m, 1)` is encrypted **once** under `scopes(q)`,
 /// and the peer answers it with one masked dot product per point he serves
 /// it: `u_j = Dist²(A, B_j) + v_j`, `expected_rows[q]` of them. All queries'
-/// vectors ride one frame and all replies one; a slice of one query is the
-/// paper's single exchange, byte for byte, and an empty slice touches no
-/// wire. Returns every query's shares, concatenated in query order.
+/// vectors ride one frame, and the reply is one flat run over every row of
+/// the call — `Σ rows` ciphertexts, or `⌈Σ rows / capacity⌉` packed words —
+/// counted as one message a query. A slice of one query is the paper's
+/// single exchange, and an empty slice touches no wire. Returns every
+/// query's shares, concatenated in query order.
 pub fn dot_many_keyholder<C, X, S>(
     chan: &mut C,
     keypair: &Keypair,
@@ -393,36 +396,25 @@ where
         })
         .collect::<Result<_, _>>()?;
     chan.send_batch(&cts)?;
-    let replies: Vec<Vec<BigUint>> = chan.recv_batch()?;
-    if replies.len() != queries.len() {
-        return Err(SmcError::protocol(format!(
-            "expected dot replies to {} queries, got {}",
-            queries.len(),
-            replies.len()
-        )));
-    }
-    // The counts were agreed before this exchange; the replies must fit them.
-    let mut out = Vec::new();
-    for (reply, &rows) in replies.into_iter().zip(expected_rows) {
-        if let Some(packing) = packing {
-            // Packed reply: ⌈rows/capacity⌉ words — the querier's decryption
-            // bill scales with neighborhoods, not with candidate points.
-            out.extend(packing.unpack_signed(keypair, &reply, rows)?);
-            continue;
-        }
-        if reply.len() != rows {
+    let reply: Vec<BigUint> = recv_run(chan, queries.len())?;
+    // The counts were agreed before this exchange; the run must fit them
+    // before anything in it is decrypted.
+    let rows: usize = expected_rows.iter().sum();
+    let out = match packing {
+        // ⌈rows/capacity⌉ words: the querier's decryption bill scales with
+        // the call, not with its queries or candidate points.
+        Some(packing) => packing.unpack_signed(keypair, &reply, rows)?,
+        None if reply.len() != rows => {
             return Err(SmcError::protocol(format!(
                 "expected {rows} dot products, got {}",
                 reply.len()
-            )));
+            )))
         }
-        for c in reply {
-            let share = keypair
-                .private
-                .decrypt_signed(&Ciphertext::from_biguint(c))?;
-            out.push(share);
-        }
-    }
+        None => reply
+            .into_iter()
+            .map(|c| keypair.private.decrypt_signed(&Ciphertext::from_biguint(c)))
+            .collect::<Result<_, _>>()?,
+    };
     span.end(|| chan.metrics());
     Ok(out)
 }
@@ -431,8 +423,11 @@ where
 /// coefficient rows back to back, `rows_per_query[q]` of them for query `q`,
 /// each dotted against that query's encrypted vector. Returns the masks
 /// `v_j` drawn (uniform in `[-mask_bound, mask_bound]`), in row order; row
-/// `j` of query `q` draws from `scopes(q).rng_for(j)`, so a row's bytes
-/// depend neither on the rows nor on the queries around it.
+/// `j` of query `q` draws from `scopes(q).rng_for(j)`, so a row's mask
+/// depends neither on the rows nor on the queries around it. Packed, every
+/// row of the call rides one word run, re-randomized by word nonces drawn
+/// from `scopes(0).narrow("pack")` — group 0 hosts the word nonce, as in
+/// [`mul_batches_peer`].
 pub fn dot_many_peer<C, S>(
     chan: &mut C,
     keyholder_pk: &PublicKey,
@@ -460,38 +455,63 @@ where
             queries.len()
         )));
     }
-    let (mut replies, mut masks) = (Vec::with_capacity(queries.len()), Vec::new());
+    let (mut rows, mut masks) = (Vec::with_capacity(total), Vec::with_capacity(total));
     let mut rest = ys_rows;
-    for (q, (cts, &rows)) in queries.into_iter().zip(rows_per_query).enumerate() {
-        let (mine, others) = rest.split_at(rows);
+    for (q, (cts, &count)) in queries.into_iter().zip(rows_per_query).enumerate() {
+        let (mine, others) = rest.split_at(count);
         rest = others;
         let cts: Vec<Ciphertext> = cts.into_iter().map(Ciphertext::from_biguint).collect();
-        replies.push(dot_reply(
+        let reply = dot_reply(
             keyholder_pk,
             &cts,
             mine,
             mask_bound,
-            packing,
+            packing.is_none(),
             &scopes(q),
-            &mut masks,
-        )?);
+        )?;
+        for (row, v) in reply {
+            rows.push(row);
+            masks.push(v);
+        }
     }
-    chan.send_batch(&replies)?;
+    let reply = match packing {
+        // Row j's homomorphic dot product rides slot j of the run; its mask
+        // v_j (drawn from the same keyed stream as the unpacked form, so
+        // shares agree across transports) travels as the word's plaintext
+        // addend, and one packed-nonce encryption re-randomizes each word.
+        Some(packing) => {
+            let plains: Vec<BigUint> = masks
+                .iter()
+                .map(|v| packing.slot_plain(v))
+                .collect::<Result<_, _>>()?;
+            keyholder_pk.pack_ciphertexts(
+                &packing.layout,
+                &rows,
+                &plains,
+                &mut scopes(0).narrow("pack").rng(),
+            )?
+        }
+        None => rows,
+    };
+    let reply: Vec<BigUint> = reply.iter().map(|c| c.as_biguint().clone()).collect();
+    send_run(chan, &reply, rows_per_query.len())?;
     span.end(|| chan.metrics());
     Ok(masks)
 }
 
-/// The peer's reply to one query's encrypted vector `cts` over that query's
-/// rows; the masks drawn are appended to `masks`.
+/// The peer's rows for one query's encrypted vector `cts`, each with the
+/// mask `v_j` drawn for it. A masked row is `E(⟨x, y_j⟩ + v_j)`, its nonce
+/// from the mask's stream; an unmasked one is the bare homomorphic
+/// product, for the packed run to carry `v_j` as a plaintext addend and
+/// re-randomize by its word nonce.
 fn dot_reply(
     keyholder_pk: &PublicKey,
     cts: &[Ciphertext],
     ys_rows: &[Vec<BigInt>],
     mask_bound: &BigUint,
-    packing: Option<&ResponsePacking>,
+    masked: bool,
     ctx: &ProtocolContext,
-    masks: &mut Vec<BigInt>,
-) -> Result<Vec<BigUint>, SmcError> {
+) -> Result<Vec<(Ciphertext, BigInt)>, SmcError> {
     // A row is one multi-exponentiation over sign-folded bases — the
     // ciphertext, or its inverse for a negative coefficient — so its ladder
     // is as long as its coefficients (≤ 64 bits), whatever the key size.
@@ -506,42 +526,19 @@ fn dot_reply(
             ys.len()
         )));
     }
-    let first = masks.len();
-    if let Some(packing) = packing {
-        // Packed reply: row j's homomorphic dot product rides slot j; its
-        // mask v_j (drawn from the same keyed stream as the unpacked form,
-        // so shares agree across transports) travels as the word's
-        // plaintext addend, and one packed-nonce encryption re-randomizes
-        // each word — so the products go in unmasked and unrandomized.
-        let products: Vec<Ciphertext> = ys_rows
-            .iter()
-            .map(|ys| keyholder_pk.dot_plain_signed(cts, &inverses, ys))
-            .collect();
-        masks.extend((0..ys_rows.len()).map(|j| sample_mask(ctx.rng_for(j as u64), mask_bound)));
-        let plains: Vec<BigUint> = masks[first..]
-            .iter()
-            .map(|v| packing.slot_plain(v))
-            .collect::<Result<_, _>>()?;
-        let words = keyholder_pk.pack_ciphertexts(
-            &packing.layout,
-            &products,
-            &plains,
-            &mut ctx.narrow("pack").rng(),
-        )?;
-        return Ok(words.iter().map(|c| c.as_biguint().clone()).collect());
-    }
     ys_rows
         .iter()
         .enumerate()
         .map(|(j, ys)| {
             let mut rng = ctx.rng_for(j as u64);
             let v = sample_mask(&mut rng, mask_bound);
-            let masked = keyholder_pk.add(
-                &keyholder_pk.encrypt_signed(&v, &mut rng)?,
-                &keyholder_pk.dot_plain_signed(cts, &inverses, ys),
-            );
-            masks.push(v);
-            Ok(masked.as_biguint().clone())
+            let product = keyholder_pk.dot_plain_signed(cts, &inverses, ys);
+            let row = if masked {
+                keyholder_pk.add(&keyholder_pk.encrypt_signed(&v, &mut rng)?, &product)
+            } else {
+                product
+            };
+            Ok((row, v))
         })
         .collect()
 }
@@ -573,7 +570,7 @@ pub fn dot_product_bound(len: usize, x_bound: u64, y_bound: u64, mask_bound: &Bi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_helpers::{bob_keypair, ctx, rng};
+    use crate::test_helpers::{bob_keypair, ctx, keypair_1024, rng};
     use ppds_transport::{duplex, MetricsSnapshot};
 
     fn bi(v: i64) -> BigInt {
@@ -776,6 +773,169 @@ mod tests {
         assert!(matches!(err, SmcError::Protocol(_)));
         drop(pchan);
         let _ = keyholder.join();
+    }
+
+    /// Query `q` is distance vector `q` of `points` against its own
+    /// `per_query[q]` rows; returns the vectors and every row, back to back.
+    fn distance_queries(
+        points: &[[i64; 2]],
+        per_query: &[usize],
+    ) -> (Vec<Vec<BigInt>>, Vec<Vec<BigInt>>) {
+        let (mut queries, mut rows) = (Vec::new(), Vec::new());
+        for (q, (a, &count)) in points.iter().zip(per_query).enumerate() {
+            let bobs: Vec<[i64; 2]> = (0..count as i64).map(|j| [j - q as i64, 2 * j]).collect();
+            let (xs, ys) = distance_rows(*a, &bobs);
+            queries.push(xs);
+            rows.extend(ys);
+        }
+        (queries, rows)
+    }
+
+    /// One call of several queries between the real keyholder and peer;
+    /// returns the shares, the masks and the peer's traffic.
+    fn run_dot_queries(
+        kp: &'static Keypair,
+        queries: &[Vec<BigInt>],
+        ys_rows: &[Vec<BigInt>],
+        per_query: &[usize],
+        packing: Option<&ResponsePacking>,
+    ) -> (Vec<BigInt>, Vec<BigInt>, MetricsSnapshot) {
+        let (mut kchan, mut pchan) = duplex();
+        std::thread::scope(|scope| {
+            let keyholder = scope.spawn(move || {
+                let scopes = |q| ctx(14).at(q as u64);
+                dot_many_keyholder(&mut kchan, kp, queries, per_query, packing, scopes).unwrap()
+            });
+            let bound = BigUint::from_u64(1 << 16);
+            let scopes = |q| ctx(15).at(q as u64);
+            let masks = dot_many_peer(
+                &mut pchan, &kp.public, ys_rows, per_query, &bound, packing, scopes,
+            )
+            .unwrap();
+            (keyholder.join().unwrap(), masks, pchan.metrics())
+        })
+    }
+
+    /// Every share less its mask is the squared distance it blinds.
+    fn assert_distances(
+        queries: &[Vec<BigInt>],
+        rows: &[Vec<BigInt>],
+        per_query: &[usize],
+        us: &[BigInt],
+        masks: &[BigInt],
+    ) {
+        let mut j = 0;
+        for (xs, &count) in queries.iter().zip(per_query) {
+            for ys in &rows[j..j + count] {
+                let dot = xs
+                    .iter()
+                    .zip(ys)
+                    .fold(BigInt::zero(), |acc, (x, y)| &acc + &(x * y));
+                assert_eq!(&us[j] - &masks[j], dot, "row {j}");
+                j += 1;
+            }
+        }
+        assert_eq!((us.len(), masks.len()), (j, j));
+    }
+
+    /// Five queries of three rows each at a 1024-bit key: the call's fifteen
+    /// rows ride one word, where a word a query took five. The reply is
+    /// one frame, counted as a message a query.
+    #[test]
+    fn a_call_of_five_queries_ships_one_word() {
+        let kp = keypair_1024();
+        let packing = ResponsePacking {
+            layout: SlotLayout::new(kp.public.bits(), 34).unwrap(),
+            offset: BigUint::from_u64((1 << 16) + 200),
+        };
+        assert_eq!(packing.layout.capacity(), 30);
+        let per_query = [3usize; 5];
+        let (queries, rows) =
+            distance_queries(&[[1, 2], [0, 0], [5, -3], [2, 2], [-4, 1]], &per_query);
+        assert_eq!(5 * packing.layout.words_for(3), 5, "a word a query before");
+
+        // The keyholder's side by hand, to count the words of the run.
+        let (mut kchan, mut pchan) = duplex();
+        let cts: Vec<Vec<BigUint>> = queries
+            .iter()
+            .enumerate()
+            .map(|(q, xs)| {
+                let mut rng = ctx(14).at(q as u64).rng();
+                xs.iter()
+                    .map(|x| kp.encrypt_signed(x, &mut rng).unwrap().as_biguint().clone())
+                    .collect()
+            })
+            .collect();
+        kchan.send_batch(&cts).unwrap();
+        let bound = BigUint::from_u64(1 << 16);
+        let scopes = |q| ctx(15).at(q as u64);
+        let masks = dot_many_peer(
+            &mut pchan,
+            &kp.public,
+            &rows,
+            &per_query,
+            &bound,
+            Some(&packing),
+            scopes,
+        )
+        .unwrap();
+        let run: Vec<BigUint> = kchan.recv_batch().unwrap();
+        assert_eq!(run.len(), 1, "one word for fifteen rows");
+        let sent = pchan.metrics();
+        assert_eq!((sent.rounds_sent, sent.messages_sent), (1, 5));
+        let us = packing.unpack_signed(kp, &run, 15).unwrap();
+        assert_distances(&queries, &rows, &per_query, &us, &masks);
+    }
+
+    /// `capacity + 1` rows over two queries, the boundary between them
+    /// inside the first word: two words, and every share reconstructs; the
+    /// unpacked run carries the same shares, one ciphertext a row.
+    #[test]
+    fn a_query_boundary_inside_a_word_reconstructs_every_share() {
+        let kp = bob_keypair();
+        let packing = test_packing((1 << 16) + 200);
+        let capacity = packing.layout.capacity();
+        let per_query = [5, capacity - 4];
+        let (queries, rows) = distance_queries(&[[3, 4], [-2, 7]], &per_query);
+        let (us, masks, sent) = run_dot_queries(kp, &queries, &rows, &per_query, Some(&packing));
+        assert_distances(&queries, &rows, &per_query, &us, &masks);
+        assert_eq!((sent.rounds_sent, sent.messages_sent), (1, 2));
+        let (plain, plain_masks, plain_sent) =
+            run_dot_queries(kp, &queries, &rows, &per_query, None);
+        assert_eq!((plain, plain_masks), (us, masks));
+        assert_eq!((plain_sent.rounds_sent, plain_sent.messages_sent), (1, 2));
+        assert!(plain_sent.bytes_sent > 4 * sent.bytes_sent);
+    }
+
+    /// A run one word (or one row) long or short is a protocol error at the
+    /// querier before anything in it is decrypted: the words here are
+    /// zeros, which decryption would refuse as a crypto error.
+    #[test]
+    fn a_run_of_the_wrong_length_is_refused_before_decryption() {
+        let packing = test_packing((1 << 16) + 200);
+        let capacity = packing.layout.capacity();
+        let per_query = [2, capacity];
+        let (queries, _) = distance_queries(&[[3, 4], [-2, 7]], &per_query);
+        for (packing, due) in [(Some(&packing), 2), (None, capacity + 2)] {
+            for sent in [due - 1, due + 1] {
+                let (mut kchan, mut pchan) = duplex();
+                pchan.send_batch(&vec![BigUint::zero(); sent]).unwrap();
+                let err = dot_many_keyholder(
+                    &mut kchan,
+                    bob_keypair(),
+                    &queries,
+                    &per_query,
+                    packing,
+                    |q| ctx(16).at(q as u64),
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(err, SmcError::Protocol(_)),
+                    "{sent} for {due}, packed {}: {err}",
+                    packing.is_some()
+                );
+            }
+        }
     }
 
     fn test_packing(offset: u64) -> ResponsePacking {

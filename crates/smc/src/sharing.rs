@@ -61,6 +61,7 @@ use crate::compare::{CmpOp, ComparisonDomain};
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
 use crate::leakage::Party;
+use crate::{recv_run, send_run};
 use ppds_observe::trace;
 use ppds_transport::{Channel, Reader, TransportError, WireDecode, WireEncode};
 use rand::rngs::StdRng;
@@ -548,31 +549,6 @@ fn embedded<T: Copy + Into<Fe>>(values: &[T]) -> impl Iterator<Item = Fe> + '_ {
     values.iter().map(|&v| v.into())
 }
 
-/// Ships a flat run of ring elements as one frame. A fold frame is counted
-/// as one protocol message a pair, whatever elements its pairs and queries
-/// contribute, so that both framings count the same messages.
-fn send_run<C: Channel>(chan: &mut C, run: &[Fe], messages: usize) -> Result<(), SmcError> {
-    let mut payload = Vec::with_capacity(8 * run.len());
-    for fe in run {
-        fe.encode(&mut payload);
-    }
-    chan.send_bytes(&payload)?;
-    chan.note_batch_sent(messages as u64);
-    Ok(())
-}
-
-/// Reads a frame [`send_run`] shipped, counted as `messages` messages.
-fn recv_run<C: Channel>(chan: &mut C, messages: usize) -> Result<Vec<Fe>, SmcError> {
-    let payload = chan.recv_bytes()?;
-    chan.note_batch_received(messages as u64);
-    let mut reader = Reader::new(&payload);
-    let mut run = Vec::with_capacity(payload.len() / 8);
-    while !reader.is_empty() {
-        run.push(Fe::decode(&mut reader)?);
-    }
-    Ok(run)
-}
-
 /// The keyholder's masked vectors `D_i = x_i − α_i`, every pair's back to
 /// back, as one frame.
 fn send_fold_masked<C, X, T, S>(
@@ -752,7 +728,7 @@ where
     let span = trace::span("mul_batch", || chan.metrics());
     let dims = || ys.iter().map(|y| y.as_ref().len());
     let expected: usize = dims().zip(per_query).map(|(m, &count)| m * count).sum();
-    let ds = recv_run(chan, pairs)?;
+    let ds: Vec<Fe> = recv_run(chan, pairs)?;
     if ds.len() != expected {
         return Err(SmcError::protocol(format!(
             "fold: expected {expected} masked elements for {pairs} pairs, got {}",

@@ -493,6 +493,14 @@ fn framing_cells() -> Vec<(String, Family, ProtocolConfig)> {
 /// shorter once in 256. Rounds and messages did not move, nor did any
 /// sharing, enhanced, vertical, arbitrary or multiparty cell (CHANGES.md
 /// lists each old → new value).
+///
+/// Wire v16 re-recorded the four enhanced Paillier cells' bytes, as
+/// measured, when a call of dot products began to answer with one flat run
+/// over every row of the call: the reply loses each query's 4-byte count,
+/// and packed, the rows of a call's queries share words (both parties, 24
+/// bytes fewer in the unpacked cells, 336 in the packed one). Rounds and
+/// messages did not move, nor did any DGK, sharing, vertical, arbitrary,
+/// horizontal or multiparty cell (CHANGES.md lists each old → new value).
 type FramingPin = (&'static str, &'static [Pin], &'static [[u64; 2]]);
 
 const FRAMING_PINS: &[FramingPin] = &[
@@ -518,12 +526,12 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "enhanced/paillier/unbatched",
-        &[[326_507, 326_508, 254, 254, 254, 254]],
+        &[[326_483, 326_484, 254, 254, 254, 254]],
         &[],
     ),
     (
         "enhanced/paillier/batched",
-        &[[326_507, 326_508, 254, 254, 254, 254]],
+        &[[326_483, 326_484, 254, 254, 254, 254]],
         &[],
     ),
     (
@@ -634,7 +642,7 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "enhanced/quickselect/paillier/unbatched",
-        &[[243_672, 263_953, 204, 199, 204, 199]],
+        &[[243_648, 263_929, 204, 199, 204, 199]],
         &[],
     ),
     (
@@ -644,7 +652,7 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "enhanced/dgk+packing+grid/batched",
-        &[[84_553, 84_573, 200, 204, 200, 204]],
+        &[[84_217, 84_237, 200, 204, 200, 204]],
         &[],
     ),
     (

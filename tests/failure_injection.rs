@@ -7,14 +7,14 @@ use ppdbscan::session::{Hello, Mode, Participant, PartyData};
 use ppdbscan::CoreError;
 use ppds_bigint::BigUint;
 use ppds_dbscan::{DbscanParams, Point, Pruning};
-use ppds_paillier::{Keypair, PaillierError};
+use ppds_paillier::{Keypair, PaillierError, SlotLayout};
 use ppds_smc::backend::clamp_sharing_bound;
 use ppds_smc::compare::{compare_bob, CmpOp, Comparator, ComparisonDomain};
 use ppds_smc::millionaires::{yao_bob, YaoConfig};
 use ppds_smc::multiplication::mul_batches_peer;
 use ppds_smc::{
     setup, AnyBackend, BackendKind, DealerTape, PaillierBackend, Party, ProtocolContext,
-    SharingBackend, SharingLedger, SmcBackend, SmcError,
+    ResponsePacking, SharingBackend, SharingLedger, SmcBackend, SmcError,
 };
 use ppds_transport::{duplex, Channel, MemoryChannel};
 use rand::rngs::StdRng;
@@ -135,6 +135,55 @@ fn non_unit_ciphertexts_are_typed_errors_before_any_inversion() {
             )
             .unwrap_err();
         refused(&format!("multiplication frame, batching={batching}"), err);
+    }
+}
+
+/// A dot call's reply is one run over every row of the call. A run one
+/// word (packed) or one ciphertext (unpacked) long or short is a protocol
+/// error at the querier, on both framings, before anything in it is
+/// decrypted: the planted items are zeros, which decryption would refuse
+/// as a crypto error.
+#[test]
+fn a_dot_run_a_word_long_or_short_is_refused_before_decryption() {
+    let kp = Keypair::generate(256, &mut rng(46));
+    let layout = SlotLayout::new(kp.public.bits(), 24).unwrap();
+    let packing = ResponsePacking {
+        layout,
+        offset: BigUint::from_u64(1 << 20),
+    };
+    let (queries, rows) = (
+        [vec![1, -2, 3], vec![4, 5, -6]],
+        [3usize, layout.capacity()],
+    );
+    let ctx = ProtocolContext::new(9);
+    let mut acct = SharingLedger::default();
+    for batching in [false, true] {
+        // Unbatched, the first query is a call of its own.
+        let due = if batching { 3 + layout.capacity() } else { 3 };
+        for (dot_packing, owed) in [(Some(packing.clone()), layout.words_for(due)), (None, due)] {
+            for sent in [owed - 1, owed + 1] {
+                let backend = PaillierBackend {
+                    dot_packing: dot_packing.clone(),
+                    ..backend_of(&kp, batching, dot_packing.is_some())
+                };
+                let (mut fake, mut honest) = duplex();
+                fake.send_batch(&vec![BigUint::zero(); sent]).unwrap();
+                let err = backend
+                    .dot_queries_querier(
+                        &mut honest,
+                        &queries,
+                        &rows,
+                        |q| ctx.at(q as u64),
+                        &mut acct,
+                    )
+                    .unwrap_err();
+                let what = format!(
+                    "{sent} items for {owed}, batching={batching}, packed={}",
+                    dot_packing.is_some()
+                );
+                assert!(matches!(err, SmcError::Protocol(_)), "{what}: {err:?}");
+            }
+        }
     }
 }
 

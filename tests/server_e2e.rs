@@ -5,15 +5,17 @@
 use ppdbscan::config::ProtocolConfig;
 use ppdbscan::session::{run_participants, Hello, Mode, Participant, PartyData, WIRE_VERSION};
 use ppdbscan::VerticalPartition;
+use ppds_bigint::BigUint;
 use ppds_dbscan::datagen::{split_alternating, standard_blobs};
 use ppds_dbscan::{dbscan_with_external_density, DbscanParams, Point, Quantizer};
 use ppds_server::{
     hosted, open_session, ops_get, run_session, session_seed, ClientError, Server, ServerConfig,
     ServerReply, SessionState,
 };
+use ppds_smc::compare::Comparator;
 use ppds_smc::{BackendKind, Party};
 use ppds_transport::tcp::TcpChannel;
-use ppds_transport::{Channel, TransportError};
+use ppds_transport::{Channel, Reader, TransportError, WireDecode, WireEncode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -568,6 +570,125 @@ fn a_fold_reply_of_the_wrong_length_fails_its_session_and_frees_the_slot() {
     );
     let report = server.shutdown(Duration::from_secs(5));
     assert_eq!((report.completed, report.failed), (1, 1));
+}
+
+/// A client end that sends its first dot-product reply — the first frame
+/// that is a run of ciphertexts mod `n²` and nothing else — one word short
+/// or one word long, and every other frame as it is.
+struct MangledDotReply {
+    inner: TcpChannel,
+    /// Bytes of a ciphertext mod `n²` (a word is a byte or two shorter once
+    /// in 256).
+    word_bytes: usize,
+    long: bool,
+    done: bool,
+}
+
+impl MangledDotReply {
+    /// The items of `payload` when it is a run of ciphertexts mod `n²`.
+    fn words(&self, payload: &[u8]) -> Option<Vec<BigUint>> {
+        let mut reader = Reader::new(payload);
+        let mut words = Vec::new();
+        while !reader.is_empty() {
+            let word = BigUint::decode(&mut reader).ok()?;
+            let len = word.to_bytes_le().len();
+            (self.word_bytes - 2..=self.word_bytes)
+                .contains(&len)
+                .then_some(())?;
+            words.push(word);
+        }
+        (!words.is_empty()).then_some(words)
+    }
+}
+
+impl Channel for MangledDotReply {
+    fn send_bytes(&mut self, payload: &[u8]) -> Result<(), TransportError> {
+        if let (false, Some(mut words)) = (self.done, self.words(payload)) {
+            self.done = true;
+            match self.long {
+                true => words.push(words[0].clone()),
+                false => drop(words.pop()),
+            }
+            let mut run = Vec::new();
+            words.iter().for_each(|w| w.encode(&mut run));
+            return self.inner.send_bytes(&run);
+        }
+        self.inner.send_bytes(payload)
+    }
+
+    fn recv_bytes(&mut self) -> Result<Vec<u8>, TransportError> {
+        self.inner.recv_bytes()
+    }
+
+    fn metrics(&self) -> ppds_transport::MetricsSnapshot {
+        self.inner.metrics()
+    }
+}
+
+#[test]
+fn a_dot_reply_a_word_long_or_short_fails_its_session_and_frees_the_slot() {
+    // The enhanced mode packs every row of a dot call into one run of
+    // words; the querier knows how many rows it is owed, so a run a word
+    // off is refused before anything in it is decrypted — not decrypted
+    // into shares that do not add up.
+    let records = blobs(18, 777);
+    let (alice, bob) = split_alternating(&records);
+    let mut cfg = ProtocolConfig {
+        comparator: Comparator::Dgk,
+        ..base_cfg()
+    }
+    .with_batching(true)
+    .with_packing(true);
+    cfg.params.min_pts = 5; // joint core tests engage, so dot calls run
+    let server = Server::start(
+        ServerConfig::new(vec![hosted(
+            cfg,
+            Party::Bob,
+            PartyData::Enhanced(bob.clone()),
+        )])
+        .with_workers(1)
+        .with_queue_cap(4),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+    let participant = |seed: u64| {
+        Participant::new(cfg)
+            .role(Party::Alice)
+            .data(PartyData::Enhanced(alice.clone()))
+            .seed(seed)
+    };
+    for (i, long) in [false, true].into_iter().enumerate() {
+        let hostile = participant(821 + i as u64);
+        let session = open_session(&addr, &hostile, 0, TIMEOUT).expect("admitted");
+        let mut chan = MangledDotReply {
+            inner: session.into_channel(),
+            word_bytes: 2 * cfg.key_bits / 8,
+            long,
+            done: false,
+        };
+        assert!(hostile.run(&mut chan).is_err(), "the mangling client ends");
+        assert!(chan.done, "a dot reply was sent");
+        wait_until("the refused session fails", || {
+            let sessions = server.sessions();
+            let failed = sessions.iter().filter(|s| s.state == SessionState::Failed);
+            failed.count() == i + 1
+        });
+    }
+
+    // The one worker is free again, and an honest session clusters as a
+    // direct run does (the labels are exact, whatever the seeds).
+    let (_, outcome) = run_session(&addr, participant(823), 0, TIMEOUT).expect("next completes");
+    let (direct, _) = run_participants(
+        participant(823),
+        Participant::new(cfg)
+            .role(Party::Bob)
+            .data(PartyData::Enhanced(bob.clone()))
+            .seed(1),
+    )
+    .expect("a direct run completes");
+    assert_eq!(outcome.output.clustering, direct.output.clustering);
+    let report = server.shutdown(Duration::from_secs(5));
+    assert_eq!((report.completed, report.failed), (1, 2));
 }
 
 #[test]
