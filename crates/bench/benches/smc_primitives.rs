@@ -234,10 +234,12 @@ fn bench_keyed_derivation(c: &mut Criterion) {
 }
 
 /// One DGK comparison at the benchmark's shape — a 33-bit share domain —
-/// timed per role at 1024- and 2048-bit keys. A real exchange is recorded
-/// once (Alice's bit frame, Bob's cells, the conclusion); each role then
-/// runs alone against its peer's recorded frames, so a row is that role's
-/// compute and nothing else.
+/// timed per role at 1024- and 2048-bit keys, in the full-domain shape
+/// (`ℓ = 33` cells) and under the enhanced workload's promised gap
+/// (`|x − y| ≤ 1,577`: 11 low bits and a mod-3 digit, 12 cells). A real
+/// exchange is recorded once (Alice's bit frame, Bob's cells, the
+/// conclusion); each role then runs alone against its peer's recorded
+/// frames, so a row is that role's compute and nothing else.
 fn bench_dgk_roles(c: &mut Criterion) {
     use ppds_smc::bitwise::{dgk_alice, dgk_bob};
     use ppds_transport::Channel;
@@ -248,39 +250,44 @@ fn bench_dgk_roles(c: &mut Criterion) {
     for bits in [1024usize, 2048] {
         let key = Keypair::generate(bits, &mut rng(bits as u64));
         let key = key.private.dgk().unwrap();
-        let (bits_frame, reply, verdicts) = std::thread::scope(|scope| {
-            let (mut a1, mut b1) = duplex();
-            let (mut a2, mut b2) = duplex();
-            scope.spawn(move || dgk_alice(&mut a1, key, &[x], bound, alice_scope).unwrap());
-            scope.spawn(move || dgk_bob(&mut b2, key.public(), &[y], bound, bob_scope).unwrap());
-            let bits: Vec<Vec<BigUint>> = b1.recv_batch().unwrap();
-            a2.send_batch(&bits).unwrap();
-            let reply: Vec<Vec<BigUint>> = a2.recv_batch().unwrap();
-            b1.send_batch(&reply).unwrap();
-            let verdicts: Vec<bool> = b1.recv_batch().unwrap();
-            a2.send_batch(&verdicts).unwrap();
-            (bits, reply, verdicts)
-        });
-        assert_eq!(verdicts, [true]);
+        for (shape, gap) in [("33bit", bound), ("33bit_gap11", 1577)] {
+            let (bits_frame, reply, verdicts) = std::thread::scope(|scope| {
+                let (mut a1, mut b1) = duplex();
+                let (mut a2, mut b2) = duplex();
+                scope
+                    .spawn(move || dgk_alice(&mut a1, key, &[x], bound, gap, alice_scope).unwrap());
+                scope.spawn(move || {
+                    dgk_bob(&mut b2, key.public(), &[y], bound, gap, bob_scope).unwrap()
+                });
+                let bits: Vec<Vec<BigUint>> = b1.recv_batch().unwrap();
+                a2.send_batch(&bits).unwrap();
+                let reply: Vec<Vec<BigUint>> = a2.recv_batch().unwrap();
+                b1.send_batch(&reply).unwrap();
+                let verdicts: Vec<bool> = b1.recv_batch().unwrap();
+                a2.send_batch(&verdicts).unwrap();
+                (bits, reply, verdicts)
+            });
+            assert_eq!(verdicts, [true]);
 
-        let mut group = c.benchmark_group(format!("dgk_compare_33bit_{bits}"));
-        group.sample_size(10);
-        group.bench_function("alice", |b| {
-            b.iter(|| {
-                let (mut achan, mut bchan) = duplex();
-                bchan.send_batch(&reply).unwrap();
-                dgk_alice(&mut achan, key, &[x], bound, alice_scope).unwrap()
+            let mut group = c.benchmark_group(format!("dgk_compare_{shape}_{bits}"));
+            group.sample_size(10);
+            group.bench_function("alice", |b| {
+                b.iter(|| {
+                    let (mut achan, mut bchan) = duplex();
+                    bchan.send_batch(&reply).unwrap();
+                    dgk_alice(&mut achan, key, &[x], bound, gap, alice_scope).unwrap()
+                });
             });
-        });
-        group.bench_function("bob", |b| {
-            b.iter(|| {
-                let (mut achan, mut bchan) = duplex();
-                achan.send_batch(&bits_frame).unwrap();
-                achan.send_batch(&verdicts).unwrap();
-                dgk_bob(&mut bchan, key.public(), &[y], bound, bob_scope).unwrap()
+            group.bench_function("bob", |b| {
+                b.iter(|| {
+                    let (mut achan, mut bchan) = duplex();
+                    achan.send_batch(&bits_frame).unwrap();
+                    achan.send_batch(&verdicts).unwrap();
+                    dgk_bob(&mut bchan, key.public(), &[y], bound, gap, bob_scope).unwrap()
+                });
             });
-        });
-        group.finish();
+            group.finish();
+        }
     }
 }
 

@@ -65,12 +65,15 @@ pub fn vdp_domain(cfg: &ProtocolConfig, dim: usize) -> ComparisonDomain {
 ///
 /// Share differences satisfy `|u_a − u_b| ≤ Dmax + 2V` and the threshold
 /// comparison operands satisfy `|·| ≤ Dmax + V + Eps²`; one symmetric
-/// domain covers both.
+/// domain covers both. The masks cancel between the two sides of every
+/// comparison, so the pair differs by at most `Dmax + Eps²` whatever `V`
+/// is: `(u_a − u_b) − (v_a − v_b) = Dist_a − Dist_b` and
+/// `u_k − (Eps² + v_k) = Dist_k − Eps²`. That is the domain's gap.
 pub fn enhanced_share_domain(cfg: &ProtocolConfig, dim: usize) -> ComparisonDomain {
     let d_max = cfg.max_dist_sq(dim) as i64;
     let v = cfg.enhanced_mask_bound(dim) as i64;
     let eps = cfg.params.eps_sq as i64;
-    ComparisonDomain::symmetric(d_max + 2 * v + eps + 1)
+    ComparisonDomain::symmetric(d_max + 2 * v + eps + 1).with_gap((d_max + eps) as u64)
 }
 
 /// Builds a [`ResponsePacking`] whose slots hold `value + offset` for
@@ -176,6 +179,37 @@ mod tests {
         assert!(-extreme >= domain.lo);
         // Threshold comparison operand: eps² + v.
         assert!(16 + v <= domain.hi);
+    }
+
+    /// Every pair the enhanced session compares differs by at most the
+    /// domain's gap, `Dmax + Eps²`, at the extreme distances and masks, for
+    /// any mask width; the split domains make no promise.
+    #[test]
+    fn enhanced_pairs_differ_by_at_most_the_gap() {
+        for (eps, mask_bits) in [(16i64, 0u32), (16, 30), (70, 40), (3, 12)] {
+            let mut c = cfg(eps as u64, 4);
+            c.mask_bits = mask_bits;
+            let domain = enhanced_share_domain(&c, 2);
+            let d_max = c.max_dist_sq(2) as i64;
+            let v = c.enhanced_mask_bound(2) as i64;
+            assert_eq!(domain.gap(), (d_max + eps) as u64);
+            let (dists, masks) = ([0, 1, d_max - 1, d_max], [-v, -1, 0, 1, v]);
+            for (&dist_a, &dist_b) in dists.iter().flat_map(|a| dists.iter().map(move |b| (a, b))) {
+                for (&v_a, &v_b) in masks.iter().flat_map(|a| masks.iter().map(move |b| (a, b))) {
+                    let (u_a, u_b) = (dist_a + v_a, dist_b + v_b);
+                    // The share comparison and the threshold test, each
+                    // party's operand inside the domain.
+                    for (alice, bob) in [(u_a - u_b, v_a - v_b), (u_a, eps + v_a)] {
+                        assert!(domain.lo <= alice.min(bob) && alice.max(bob) <= domain.hi);
+                        assert!(alice.abs_diff(bob) <= domain.gap(), "{alice} vs {bob}");
+                    }
+                }
+            }
+        }
+        let c = cfg(16, 4);
+        for split in [hdp_domain(&c, 2), vdp_domain(&c, 2)] {
+            assert_eq!(split.gap(), split.hi.abs_diff(split.lo));
+        }
     }
 
     #[test]

@@ -125,9 +125,13 @@ use std::sync::Arc;
 /// call of dot products with one flat run over every row of the call —
 /// `⌈Σ rows / capacity⌉` packed words, or `Σ rows` ciphertexts — where v15
 /// sent one word vector a query, so a v15 peer is refused here rather than
-/// reading a run of words as one query's reply. (No legacy frame reads as
-/// 13 to 16: the `Vec<u64>` metadata frame always held eleven values.)
-pub const WIRE_VERSION: u32 = 16;
+/// reading a run of words as one query's reply. `17` sizes an enhanced
+/// DGK comparison by the gap its operands are promised (`m + 3` bits out
+/// and `m + 1` cells back, where v16 sent `ℓ` each way), so a v16 peer is
+/// refused here rather than reading a bit vector of the other length as a
+/// hostile one. (No legacy frame reads as 13 to 17: the `Vec<u64>`
+/// metadata frame always held eleven values.)
+pub const WIRE_VERSION: u32 = 17;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -28,7 +28,9 @@ use std::sync::Arc;
 /// The plaintext prime `u` of every key: the smallest prime above
 /// `3·64 − 1 = 191`, the largest nonzero cell
 /// `x_i − y_i + 1 + 3·Σ_{j<i} (x_j ⊕ y_j)` of a comparison of up to 64-bit
-/// inputs (`ppds_smc::bitwise`), so no nonzero cell is `≡ 0 (mod u)`.
+/// inputs (`ppds_smc::bitwise`), so no nonzero cell is `≡ 0 (mod u)`. A
+/// comparison cut at `m ≤ 62` low bits seeds that sum at `3` or `0`, so
+/// its cells reach `3m + 2 ≤ 188`, below `u` too.
 pub const DGK_PLAINTEXT_PRIME: u64 = 193;
 
 /// Smallest DGK modulus. [`crate::Keypair::generate`] gives keys below it
@@ -64,6 +66,8 @@ pub(crate) fn subgroup_bits(bits: usize) -> usize {
 pub struct DgkPublicKey {
     n: BigUint,
     g: BigUint,
+    /// `g` in Montgomery form mod `n`: sealing a set bit is one product.
+    g_mont: BigUint,
     h: BigUint,
     u: u64,
     t: usize,
@@ -145,9 +149,11 @@ impl DgkPublicKey {
         }
         let mont_n = MontgomeryCtx::new(&n).ok_or(PaillierError::InvalidPublicKey("even n"))?;
         let h_comb = FixedBaseTable::new(&mont_n, &h, H_COMB_TEETH, t * 5 / 2);
+        let g_mont = mont_n.to_mont(&g);
         Ok(DgkPublicKey {
             n,
             g,
+            g_mont,
             h,
             u,
             t,
@@ -182,6 +188,12 @@ impl DgkPublicKey {
     /// `g`, the ciphertext `E(1)` with no randomness.
     pub fn g(&self) -> &BigUint {
         &self.g
+    }
+
+    /// `g` in the Montgomery form of [`DgkPublicKey::montgomery`]: `E(1)`
+    /// for the homomorphic steps held in that form.
+    pub fn g_mont(&self) -> &BigUint {
+        &self.g_mont
     }
 
     /// `a · b mod n`: `E(m_a + m_b)` from `E(m_a)` and `E(m_b)`.
@@ -227,11 +239,18 @@ impl DgkPublicKey {
         if m >= self.u {
             return Err(PaillierError::MessageOutOfRange);
         }
-        let rho = self.randomizer(rng);
-        Ok(match m {
+        Ok(self.seal(m, self.randomizer(rng)))
+    }
+
+    /// `g^m · ρ mod n` for a randomizer `ρ`: `ρ` itself for `m = 0`, one
+    /// Montgomery product with the precomputed `g` for `m = 1` — the bits
+    /// a comparison sends — and a ladder for the rest of `Z_u`.
+    fn seal(&self, m: u64, rho: BigUint) -> BigUint {
+        match m {
             0 => rho,
+            1 => self.mont_n.mont_mul(&self.g_mont, &rho),
             _ => self.add(&self.mul_plain(&self.g, m), &rho),
-        })
+        }
     }
 
     /// Checks received ciphertexts and returns their inverses mod `n`
@@ -344,10 +363,7 @@ impl DgkPrivateKey {
         // Garner: ρ = ρ_p + p·((ρ_q − ρ_p)·p^{-1} mod q).
         let diff = rho_q.sub_mod(&(&rho_p % &self.q), &self.q);
         let rho = &rho_p + &(&self.p * &modular::mod_mul(&diff, &self.p_inv_q, &self.q));
-        Ok(match m {
-            0 => rho,
-            _ => public.add(&public.mul_plain(&public.g, m), &rho),
-        })
+        Ok(public.seal(m, rho))
     }
 
     /// `c^{v_p} mod p`, after checking that `c` lies in `[1, n)`, is a unit
@@ -547,6 +563,31 @@ mod tests {
         assert!(seen
             .iter()
             .all(|rho| key.mont_p.pow_mod(rho, &key.v_p).is_one()));
+    }
+
+    /// Sealing by the precomputed `g` gives the ciphertexts of the old
+    /// chain `add(mul_plain(g, m), ρ)`, byte for byte, for every plaintext
+    /// and both encryptors: with the same draws, `ρ` is the encryption of 0.
+    #[test]
+    fn sealing_equals_the_ladder_chain() {
+        let key = key();
+        let public = key.public();
+        for m in 0..public.u() {
+            for seed in 0..3 {
+                let chain = |rho: BigUint| match m {
+                    0 => rho,
+                    _ => public.add(&public.mul_plain(public.g(), m), &rho),
+                };
+                let holder = key.encrypt(m, &mut rng(seed)).unwrap();
+                let rho = key.encrypt(0, &mut rng(seed)).unwrap();
+                assert_eq!(holder, chain(rho), "holder, m = {m}");
+                let open = public.encrypt(m, &mut rng(seed)).unwrap();
+                let rho = public.encrypt(0, &mut rng(seed)).unwrap();
+                assert_eq!(open, chain(rho), "public, m = {m}");
+            }
+        }
+        let mont = public.montgomery();
+        assert_eq!(public.g_mont(), &mont.to_mont(public.g()));
     }
 
     #[test]

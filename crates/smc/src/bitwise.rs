@@ -24,16 +24,32 @@
 //!    position).
 //! 4. Alice tells Bob the conclusion, mirroring Algorithm 1 step 7.
 //!
-//! Communication: `2ℓ` ciphertexts mod `n` + 1 bit, `ℓ = ⌈log₂ n0⌉` —
-//! versus Algorithm 1's `n0` residues and `n0` decryptions. Both parties
-//! learn exactly the comparison outcome, so the leakage profile (and
-//! therefore every theorem downstream) is unchanged.
+//! *Gap-bounded shape.* When both parties are promised `|x − y| < 2^m`
+//! with `m + 1 < ℓ` (the enhanced protocol's operands differ by a
+//! distance, however wide their masks), the high parts `X = x >> m` and
+//! `Y = y >> m` differ by −1, 0 or +1, and their residues mod 3 tell the
+//! three apart. Alice sends her `m` low bits and a one-hot encryption of
+//! `X mod 3` — `(m + 3)` ciphertexts; with `s = Y mod 3`, the entry `eq`
+//! at `s` is `[X = Y]` and `lt` at `(s + 2) mod 3` is `[X < Y]`. Bob
+//! returns `(m + 1)` cells: a top cell `E(1 − lt)` and the low cells above
+//! with the prefix seeded at `3·(1 − eq)` instead of `E(0)`, so a low cell
+//! can be zero only when the high parts agree. At most one cell is zero,
+//! exactly when `x < y`, and a cell is at most `3m + 2 ≤ 188 < u`, so
+//! steps 3 and 4 and what each party learns are as above. Without the
+//! promise, or when it saves nothing, the shape is the `ℓ`-bit one.
+//!
+//! Communication: `2ℓ` ciphertexts mod `n` + 1 bit, `ℓ = ⌈log₂ n0⌉`, or
+//! `2m + 4` under the promise — versus Algorithm 1's `n0` residues and
+//! `n0` decryptions. Both parties learn exactly the comparison outcome, so
+//! the leakage profile (and therefore every theorem downstream) is
+//! unchanged.
 //!
 //! Randomness: each comparison of a slice draws from its own record scope
 //! (`scopes(i)`, a [`ProtocolContext`]) and from nothing else — Bob's cell
-//! `j` from `scopes(i).rng_for(j)`, his permutation from the `"perm"`
-//! substream — so the items are order-independent and read the same
-//! whether a caller ships them in one frame or one each.
+//! `j` from `scopes(i).rng_for(j)` (the top cell is `j = m`), his
+//! permutation from the `"perm"` substream — so the items are
+//! order-independent and read the same whether a caller ships them in one
+//! frame or one each.
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
@@ -48,27 +64,80 @@ fn bit_width(value: u64) -> usize {
     (64 - value.leading_zeros() as usize).max(1)
 }
 
-/// Step 1 worker: Alice's `ell` encrypted input bits, MSB first, sealed
-/// by her factors ([`DgkPrivateKey::encrypt`]).
+/// How a comparison is cut: the low bits compared one by one, and whether
+/// the high parts above them travel as a one-hot digit mod 3. Both parties
+/// derive it from public bounds alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape {
+    /// Bits compared one by one, `m` (all `ℓ` of them without a digit).
+    low: usize,
+    /// Whether `x >> low` rides as a one-hot digit mod 3 and Bob adds a
+    /// top cell.
+    digit: bool,
+}
+
+impl Shape {
+    /// The shape for operands at most `domain_bound` that differ by at
+    /// most `gap`: `m = bit_width(gap)` low bits and the digit when that
+    /// is fewer cells (`m + 1 < ℓ`), all `ℓ` bits otherwise.
+    fn new(domain_bound: u64, gap: u64) -> Shape {
+        let (ell, m) = (bit_width(domain_bound), bit_width(gap));
+        if m + 1 < ell {
+            Shape {
+                low: m,
+                digit: true,
+            }
+        } else {
+            Shape {
+                low: ell,
+                digit: false,
+            }
+        }
+    }
+
+    /// Ciphertexts Alice sends: her low bits and the digit's three entries.
+    fn sent(self) -> usize {
+        self.low + 3 * usize::from(self.digit)
+    }
+
+    /// Cells Bob returns: one per low bit, and the top cell.
+    fn cells(self) -> usize {
+        self.low + usize::from(self.digit)
+    }
+
+    /// The high part's residue mod 3 (only read when the shape has a digit).
+    fn digit_of(self, value: u64) -> usize {
+        ((value >> self.low) % 3) as usize
+    }
+}
+
+/// Step 1 worker: Alice's encrypted low bits, MSB first, then the one-hot
+/// digit of her high part when the shape has one, sealed by her factors
+/// ([`DgkPrivateKey::encrypt`]).
 fn encrypt_bits<R: Rng>(
     key: &DgkPrivateKey,
     x: u64,
-    ell: usize,
+    shape: Shape,
     mut rng: R,
 ) -> Result<Vec<BigUint>, SmcError> {
-    (0..ell)
-        .rev()
-        .map(|i| Ok(key.encrypt((x >> i) & 1, &mut rng)?))
+    let low = (0..shape.low).rev().map(|i| (x >> i) & 1);
+    let digit = shape.digit.then(|| shape.digit_of(x));
+    let one_hot = digit
+        .into_iter()
+        .flat_map(|d| (0..3).map(move |k| u64::from(d == k)));
+    low.chain(one_hot)
+        .map(|bit| Ok(key.encrypt(bit, &mut rng)?))
         .collect()
 }
 
 /// Step 3 worker: the zero test on each of Bob's cells — whether a zero
 /// (the unique `x < y` witness) occurs. A cell outside the ciphertext
 /// group is a typed error.
-fn scan_cells(key: &DgkPrivateKey, cells: &[BigUint], ell: usize) -> Result<bool, SmcError> {
-    if cells.len() != ell {
+fn scan_cells(key: &DgkPrivateKey, cells: &[BigUint], shape: Shape) -> Result<bool, SmcError> {
+    if cells.len() != shape.cells() {
         return Err(SmcError::protocol(format!(
-            "expected {ell} comparison values, got {}",
+            "expected {} comparison values, got {}",
+            shape.cells(),
             cells.len()
         )));
     }
@@ -84,8 +153,8 @@ fn scan_cells(key: &DgkPrivateKey, cells: &[BigUint], ell: usize) -> Result<bool
 /// Step 2 worker: Bob's masked, re-randomized, permuted cells for one
 /// input. Cell `j` is `c_j^{r_j} · h^{s_j}` with `r_j` uniform in
 /// `1..u`, then `s_j`, drawn from `ctx.rng_for(j)`
-/// ([`DgkPublicKey::mask`]); the permutation draws from the `"perm"`
-/// substream.
+/// ([`DgkPublicKey::mask`]); the top cell is `j = m`, after the low ones;
+/// the permutation draws from the `"perm"` substream.
 ///
 /// The running sums stay in Montgomery form mod `n`: a homomorphic
 /// addition is one product, `3·(x ⊕ y)` a square and a product, and
@@ -94,38 +163,52 @@ fn masked_cells(
     alice: &DgkPublicKey,
     bits: &[BigUint],
     y: u64,
-    ell: usize,
+    shape: Shape,
     ctx: &ProtocolContext,
 ) -> Result<Vec<BigUint>, SmcError> {
-    if bits.len() != ell {
+    if bits.len() != shape.sent() {
         return Err(SmcError::protocol(format!(
-            "expected {ell} encrypted bits, got {}",
+            "expected {} encrypted bits, got {}",
+            shape.sent(),
             bits.len()
         )));
     }
-    // One batch inversion checks every bit is a unit of Z_n and yields the
-    // `E(−x_j)` the XOR with a set bit of `y` needs.
+    // One batch inversion checks every ciphertext is a unit of Z_n and
+    // yields the `E(−e)` that `1 − e` needs, for a bit or a digit entry.
     let inverses = alice.negate_many(bits)?;
     let mont = alice.montgomery();
-    let g = mont.to_mont(alice.g());
-    // Running 3·Σ (x_j ⊕ y_j) over the more-significant prefix, encrypted;
-    // it starts as the trivial `E(0) = 1`.
+    let g = alice.g_mont();
+    let not = |inv: &BigUint| mont.mont_mul(&mont.to_mont(inv), g);
+    let cube = |c: &BigUint| mont.mont_mul(&mont.mont_sqr(c), c);
+    // Running 3·Σ (x_j ⊕ y_j) over the more-significant prefix, encrypted.
+    // It starts as the trivial `E(0) = 1`, or at `3·(1 − eq)` under a
+    // digit, beside the top cell `1 − lt`.
     let mut prefix = mont.one_mont().clone();
-    let mut cells = Vec::with_capacity(ell);
-    for (pos, (enc_x, inv_x)) in bits.iter().zip(&inverses).enumerate() {
-        let y_bit = (y >> (ell - 1 - pos)) & 1;
+    let mut top = None;
+    if shape.digit {
+        let s = shape.digit_of(y);
+        let entry = |k: usize| &inverses[shape.low + k];
+        prefix = cube(&not(entry(s)));
+        top = Some(not(entry((s + 2) % 3)));
+    }
+    let mut cells = Vec::with_capacity(shape.cells());
+    for (pos, (enc_x, inv_x)) in bits.iter().zip(&inverses).take(shape.low).enumerate() {
+        let y_bit = (y >> (shape.low - 1 - pos)) & 1;
         let x = mont.to_mont(enc_x);
         // c = x − y + 1 + 3·Σ: `x + prefix`, plus 1 when y = 0.
         let mut cell = mont.mont_mul(&x, &prefix);
         // x ⊕ y is x when y = 0, 1 − x when y = 1.
         let xor = if y_bit == 0 {
-            cell = mont.mont_mul(&cell, &g);
+            cell = mont.mont_mul(&cell, g);
             x
         } else {
-            mont.mont_mul(&mont.to_mont(inv_x), &g)
+            not(inv_x)
         };
-        prefix = mont.mont_mul(&prefix, &mont.mont_mul(&mont.mont_sqr(&xor), &xor));
+        prefix = mont.mont_mul(&prefix, &cube(&xor));
         cells.push(alice.mask(&cell, &mut ctx.rng_for(pos as u64)));
+    }
+    if let Some(top) = top {
+        cells.push(alice.mask(&top, &mut ctx.rng_for(shape.low as u64)));
     }
     cells.shuffle(&mut ctx.narrow("perm").rng());
     Ok(cells)
@@ -134,8 +217,10 @@ fn masked_cells(
 /// Alice's side: inputs `xs`, learns whether `xs[i] < ys[i]` for each of
 /// Bob's equally many inputs, in **three wire rounds** for the whole slice
 /// (one frame of encrypted bits out, one frame of masked cells back, one
-/// frame of conclusions out). All inputs must be `< 2^63` (they are
-/// domain-encoded comparison operands, far smaller).
+/// frame of conclusions out). Every input is at most `domain_bound`, and
+/// both parties are promised `|xs[i] − ys[i]| ≤ gap` (`gap ≥ domain_bound`
+/// promises nothing; a broken promise can flip the verdict, as a dishonest
+/// input can).
 ///
 /// Comparison `i` draws from `scopes(i)` alone, so outcomes, ciphertexts and
 /// the leakage profile do not depend on how a caller cuts its comparisons
@@ -146,6 +231,7 @@ pub fn dgk_alice<C, S>(
     key: &DgkPrivateKey,
     xs: &[u64],
     domain_bound: u64,
+    gap: u64,
     scopes: S,
 ) -> Result<Vec<bool>, SmcError>
 where
@@ -155,12 +241,12 @@ where
     if xs.is_empty() {
         return Ok(Vec::new());
     }
-    let ell = bit_width(domain_bound);
+    let shape = Shape::new(domain_bound, gap);
     // Step 1: encrypted bits, MSB first.
     let bit_groups: Vec<Vec<BigUint>> = xs
         .iter()
         .enumerate()
-        .map(|(i, &x)| encrypt_bits(key, x, ell, scopes(i).rng()))
+        .map(|(i, &x)| encrypt_bits(key, x, shape, scopes(i).rng()))
         .collect::<Result<_, _>>()?;
     chan.send_batch(&bit_groups)?;
 
@@ -175,7 +261,7 @@ where
     }
     let results: Vec<bool> = cell_groups
         .iter()
-        .map(|cells| scan_cells(key, cells, ell))
+        .map(|cells| scan_cells(key, cells, shape))
         .collect::<Result<_, _>>()?;
     // Step 4: tell Bob, mirroring Algorithm 1's final message.
     chan.send_batch(&results)?;
@@ -183,14 +269,16 @@ where
 }
 
 /// Bob's side of [`dgk_alice`]: inputs `ys`, learns whether `xs[i] < ys[i]`
-/// under Alice's DGK public key `alice`. Comparison `i` draws its mask
-/// scalars, randomizers and permutation from `scopes(i)`, so each reply is
-/// independent of every other item's draws.
+/// under Alice's DGK public key `alice`, with the same `domain_bound` and
+/// `gap`. Comparison `i` draws its mask scalars, randomizers and
+/// permutation from `scopes(i)`, so each reply is independent of every
+/// other item's draws.
 pub fn dgk_bob<C, S>(
     chan: &mut C,
     alice: &DgkPublicKey,
     ys: &[u64],
     domain_bound: u64,
+    gap: u64,
     scopes: S,
 ) -> Result<Vec<bool>, SmcError>
 where
@@ -200,7 +288,7 @@ where
     if ys.is_empty() {
         return Ok(Vec::new());
     }
-    let ell = bit_width(domain_bound);
+    let shape = Shape::new(domain_bound, gap);
     let bit_groups: Vec<Vec<BigUint>> = chan.recv_batch()?;
     if bit_groups.len() != ys.len() {
         return Err(SmcError::protocol(format!(
@@ -212,7 +300,7 @@ where
     let cell_groups: Vec<Vec<BigUint>> = bit_groups
         .iter()
         .enumerate()
-        .map(|(i, bits)| masked_cells(alice, bits, ys[i], ell, &scopes(i)))
+        .map(|(i, bits)| masked_cells(alice, bits, ys[i], shape, &scopes(i)))
         .collect::<Result<_, _>>()?;
     chan.send_batch(&cell_groups)?;
 
@@ -251,45 +339,87 @@ mod tests {
         key: &'static DgkPrivateKey,
         xs: &[u64],
         ys: &[u64],
-        bound: u64,
+        (bound, gap): (u64, u64),
         seed: u64,
     ) -> (Vec<bool>, MetricsSnapshot) {
         let (mut achan, mut bchan) = duplex();
         let (actx, bctx) = (ctx(seed), ctx(seed + 1));
         std::thread::scope(|scope| {
             let alice = scope.spawn(move || {
-                let out = dgk_alice(&mut achan, key, xs, bound, |i| actx.at(i as u64));
+                let out = dgk_alice(&mut achan, key, xs, bound, gap, |i| actx.at(i as u64));
                 (out.unwrap(), achan.metrics())
             });
-            let bob = dgk_bob(&mut bchan, key.public(), ys, bound, |i| bctx.at(i as u64)).unwrap();
+            let bob_scopes = |i: usize| bctx.at(i as u64);
+            let bob = dgk_bob(&mut bchan, key.public(), ys, bound, gap, bob_scopes).unwrap();
             let (alice, metrics) = alice.join().unwrap();
             assert_eq!(alice, bob, "views must agree");
             (alice, metrics)
         })
     }
 
-    /// [`run_under`] the 256-bit test key.
+    /// [`run_under`] the 256-bit test key, with no promise on the gap.
     fn run(xs: &[u64], ys: &[u64], bound: u64, seed: u64) -> (Vec<bool>, MetricsSnapshot) {
-        run_under(dgk_key(), xs, ys, bound, seed)
+        run_under(dgk_key(), xs, ys, (bound, bound), seed)
+    }
+
+    /// One slice relayed frame by frame: Alice's bit groups, Bob's cell
+    /// groups and the verdicts, as they crossed the wire.
+    type Frames = (Vec<Vec<BigUint>>, Vec<Vec<BigUint>>, Vec<bool>);
+
+    fn relay(key: &'static DgkPrivateKey, xs: &[u64], ys: &[u64], bound: u64, gap: u64) -> Frames {
+        let (alice_scopes, bob_scopes) = (|i| ctx(5).at(i as u64), |i| ctx(6).at(i as u64));
+        std::thread::scope(|scope| {
+            let (mut a1, mut b1) = duplex();
+            let (mut a2, mut b2) = duplex();
+            let alice = scope.spawn(move || dgk_alice(&mut a1, key, xs, bound, gap, alice_scopes));
+            let bob =
+                scope.spawn(move || dgk_bob(&mut b2, key.public(), ys, bound, gap, bob_scopes));
+            let bits: Vec<Vec<BigUint>> = b1.recv_batch().unwrap();
+            a2.send_batch(&bits).unwrap();
+            let cells: Vec<Vec<BigUint>> = a2.recv_batch().unwrap();
+            b1.send_batch(&cells).unwrap();
+            let verdicts: Vec<bool> = b1.recv_batch().unwrap();
+            a2.send_batch(&verdicts).unwrap();
+            assert_eq!(alice.join().unwrap().unwrap(), verdicts);
+            assert_eq!(bob.join().unwrap().unwrap(), verdicts);
+            (bits, cells, verdicts)
+        })
     }
 
     /// Bob's cells as they were computed before the Montgomery-form scan:
     /// `rerandomize(mul_plain(add(…), r))`, each step a separate product
     /// or ladder mod `n`, with the same draws — `r`, then `s`, from
-    /// `rng_for(pos)` — and the same permutation.
+    /// `rng_for(pos)` — and the same permutation. Under a digit the prefix
+    /// starts at `3·(1 − eq)` and the top cell `1 − lt` draws at `m`.
     fn reference_cells(
         alice: &DgkPublicKey,
         bits: &[BigUint],
         y: u64,
-        ell: usize,
+        shape: Shape,
         ctx: &ProtocolContext,
     ) -> Vec<BigUint> {
         let ((_, _, h), (_, t)) = alice.to_parts();
         let inverses = alice.negate_many(bits).unwrap();
         let mut prefix = BigUint::one();
+        let mut top = None;
+        if shape.digit {
+            let s = ((y >> shape.low) % 3) as usize;
+            let not = |k: usize| alice.add(&inverses[shape.low + k], alice.g());
+            prefix = alice.mul_plain(&not(s), 3);
+            top = Some(not((s + 2) % 3));
+        }
+        let mask = |cell: &BigUint, pos: usize| {
+            let mut rng = ctx.rng_for(pos as u64);
+            let r = rng.random_range(1..alice.u());
+            let s = ppds_bigint::random::gen_biguint_bits(&mut rng, t as usize * 5 / 2);
+            alice.add(
+                &alice.mul_plain(cell, r),
+                &alice.montgomery().pow_mod(&h, &s),
+            )
+        };
         let mut cells = Vec::new();
-        for (pos, (enc_x, inv_x)) in bits.iter().zip(&inverses).enumerate() {
-            let y_bit = (y >> (ell - 1 - pos)) & 1;
+        for (pos, (enc_x, inv_x)) in bits.iter().zip(&inverses).take(shape.low).enumerate() {
+            let y_bit = (y >> (shape.low - 1 - pos)) & 1;
             let mut cell = alice.add(enc_x, &prefix);
             let xor = if y_bit == 0 {
                 cell = alice.add(&cell, alice.g());
@@ -298,23 +428,18 @@ mod tests {
                 alice.add(inv_x, alice.g())
             };
             prefix = alice.add(&prefix, &alice.mul_plain(&xor, 3));
-            let mut rng = ctx.rng_for(pos as u64);
-            let r = rng.random_range(1..alice.u());
-            let s = ppds_bigint::random::gen_biguint_bits(&mut rng, t as usize * 5 / 2);
-            let rerandomized = alice.add(
-                &alice.mul_plain(&cell, r),
-                &alice.montgomery().pow_mod(&h, &s),
-            );
-            cells.push(rerandomized);
+            cells.push(mask(&cell, pos));
         }
+        cells.extend(top.map(|top| mask(&top, shape.low)));
         cells.shuffle(&mut ctx.narrow("perm").rng());
         cells
     }
 
     /// The Montgomery-form cells are the reference chain's, byte for byte:
-    /// random `y` against random encrypted `x`, at `ℓ ∈ {1, 2, 33, 64}` and
-    /// 256-, 512- and 1024-bit keys. A changed draw order or residue moves
-    /// a cell.
+    /// random `y` against random encrypted `x`, at `ℓ ∈ {1, 2, 33, 64}`
+    /// and at the gap-bounded shapes of the enhanced workload's 33-bit
+    /// domain and of a 64-bit one, at 256-, 512- and 1024-bit keys. A
+    /// changed draw order or residue moves a cell.
     #[test]
     fn cells_equal_the_reference_chain() {
         static KP512: OnceLock<Keypair> = OnceLock::new();
@@ -324,23 +449,133 @@ mod tests {
             .dgk()
             .unwrap();
         let mut draws = rng(0xCE11);
+        let full = |ell: usize| Shape {
+            low: ell,
+            digit: false,
+        };
+        let shapes = [
+            full(1),
+            full(2),
+            full(33),
+            full(64),
+            Shape::new(6_576_671_828, 1577),
+            Shape::new(u64::MAX, 1),
+        ];
         for (key, bits) in [(dgk_key(), 256), (key_512, 512), (dgk_key_1024(), 1024)] {
             let alice = key.public();
             assert_eq!(alice.bits(), bits);
-            for ell in [1usize, 2, 33, 64] {
-                let top = if ell == 64 { u64::MAX } else { (1 << ell) - 1 };
+            for (at, shape) in shapes.into_iter().enumerate() {
+                let width = shape.low + if shape.digit { 4 } else { 0 };
+                let top = if width >= 64 {
+                    u64::MAX
+                } else {
+                    (1 << width) - 1
+                };
                 for trial in 0..2u64 {
                     let (x, y) = (draws.random::<u64>() & top, draws.random::<u64>() & top);
-                    let enc = encrypt_bits(key, x, ell, ctx(trial).rng()).unwrap();
-                    let scope = ctx(0xB0B).at(ell as u64 * 10 + trial);
+                    let enc = encrypt_bits(key, x, shape, ctx(trial).rng()).unwrap();
+                    let scope = ctx(0xB0B).at(at as u64 * 10 + trial);
                     assert_eq!(
-                        masked_cells(alice, &enc, y, ell, &scope).unwrap(),
-                        reference_cells(alice, &enc, y, ell, &scope),
-                        "{bits}-bit key, ℓ = {ell}, x = {x}, y = {y}"
+                        masked_cells(alice, &enc, y, shape, &scope).unwrap(),
+                        reference_cells(alice, &enc, y, shape, &scope),
+                        "{bits}-bit key, {shape:?}, x = {x}, y = {y}"
                     );
                 }
             }
         }
+    }
+
+    /// The shape both parties derive: the digit exactly when it saves a
+    /// cell, `m = bit_width(gap)` low bits, and the `ℓ`-bit shape otherwise.
+    #[test]
+    fn the_digit_is_used_only_when_it_saves_cells() {
+        let digit = |low| Shape { low, digit: true };
+        let full = |low| Shape { low, digit: false };
+        assert_eq!(Shape::new(6_576_671_828, 1577), digit(11));
+        assert_eq!(Shape::new(6_576_671_828, 3158), digit(12));
+        assert_eq!(Shape::new(1 << 53, 3158), digit(12));
+        assert_eq!(Shape::new(1 << 63, 1), digit(1));
+        assert_eq!(Shape::new(1023, 255), digit(8));
+        assert_eq!(Shape::new(1023, 256), full(10));
+        assert_eq!(Shape::new(1023, 1023), full(10));
+        assert_eq!(Shape::new(1023, u64::MAX), full(10));
+        assert_eq!(Shape::new(7, 1), digit(1));
+        assert_eq!(Shape::new(7, 2), full(3));
+        assert_eq!((digit(12).sent(), digit(12).cells()), (15, 13));
+        assert_eq!((full(33).sent(), full(33).cells()), (33, 33));
+    }
+
+    /// Pairs at the edges of the promise `|x − y| ≤ gap`, for each domain
+    /// bound up to `2^63` and each gap: high parts `x >> m` at every residue
+    /// mod 3 (near the bottom and the top of the domain), low parts at 0
+    /// and `2^m − 1`, and `x − y ∈ {0, ±1, ±(gap − 1), ±gap}` — every case
+    /// in which the high parts differ by −1, 0 or +1. Each verdict is
+    /// `x < y`, at 256- and 1024-bit keys.
+    #[test]
+    fn gap_bounded_comparisons_are_exact_at_the_edges_of_the_promise() {
+        for key in [dgk_key(), dgk_key_1024()] {
+            let bits = key.public().bits();
+            for bound in [6_576_671_828u64, 1 << 53, 1 << 63] {
+                for gap in [1u64, 2, 1577, 3157] {
+                    let shape = Shape::new(bound, gap);
+                    assert!(shape.digit, "{bound}, {gap}");
+                    let m = shape.low;
+                    let highs = (1..4).chain((bound >> m) - 4..(bound >> m) - 1);
+                    let lows = [0, (1 << m) - 1];
+                    let diffs = [0, 1, gap - 1, gap];
+                    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+                    for x in highs.flat_map(|high| lows.map(|low| (high << m) | low)) {
+                        for d in diffs {
+                            for y in [x.checked_sub(d), x.checked_add(d)].into_iter().flatten() {
+                                if y <= bound {
+                                    xs.push(x);
+                                    ys.push(y);
+                                }
+                            }
+                        }
+                    }
+                    let residues: std::collections::HashSet<_> =
+                        xs.iter().map(|&x| shape.digit_of(x)).collect();
+                    assert_eq!(residues.len(), 3);
+                    let (got, _) = run_under(key, &xs, &ys, (bound, gap), bound ^ gap);
+                    for ((x, y), lt) in xs.iter().zip(&ys).zip(got) {
+                        assert_eq!(
+                            lt,
+                            x < y,
+                            "{x} < {y}, bound {bound}, gap {gap}, {bits} bits"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The mask width no longer buys cells: at a fixed gap a comparison
+    /// sends `m + 3` bits and gets `m + 1` cells back whether the domain is
+    /// 33 or 53 bits wide (σ = 20 or 40 on the enhanced workload's
+    /// lattice), so its frames are as long; the `ℓ`-bit shape would grow
+    /// by 20 ciphertexts each way.
+    #[test]
+    fn sigma_buys_no_cells() {
+        let gap = 3158;
+        let widths = [1u64 << 33, 1 << 53].map(|bound| {
+            let (xs, ys) = (
+                [bound - 5000, bound / 2],
+                [bound - 5000 + gap, bound / 2 - 7],
+            );
+            let (bits, cells, verdicts) = relay(dgk_key(), &xs, &ys, bound, gap);
+            assert_eq!(verdicts, [true, false]);
+            let counts = |groups: &[Vec<BigUint>]| groups.iter().map(Vec::len).collect::<Vec<_>>();
+            (counts(&bits), counts(&cells))
+        });
+        assert_eq!(widths[0], (vec![15, 15], vec![13, 13]));
+        assert_eq!(widths[0], widths[1]);
+        let (_, wide) = run(&[1], &[2], 1 << 53, 9);
+        let (_, narrow) = run_under(dgk_key(), &[1], &[2], (1 << 53, gap), 9);
+        assert!(
+            narrow.bytes_sent * 3 < wide.bytes_sent,
+            "{narrow:?} vs {wide:?}"
+        );
     }
 
     #[test]
@@ -348,7 +583,7 @@ mod tests {
         for key in [dgk_key(), dgk_key_1024()] {
             for x in 0..8u64 {
                 let ys: Vec<u64> = (0..8).collect();
-                let (got, _) = run_under(key, &[x; 8], &ys, 7, 100 + x);
+                let (got, _) = run_under(key, &[x; 8], &ys, (7, 7), 100 + x);
                 for (y, lt) in ys.iter().zip(got) {
                     assert_eq!(lt, x < *y, "{x} < {y} at {} bits", key.public().bits());
                 }
@@ -374,14 +609,14 @@ mod tests {
         .unzip();
         for key in [dgk_key(), dgk_key_1024()] {
             let bits = key.public().bits();
-            let (got, _) = run_under(key, &xs, &ys, bound, 7_000);
+            let (got, _) = run_under(key, &xs, &ys, (bound, bound), 7_000);
             for ((x, y), lt) in xs.iter().zip(&ys).zip(got) {
                 assert_eq!(lt, x < y, "{x} < {y} at {bits} bits");
             }
             // The widest domain a u64 operand has: ℓ = 64, cells up to
             // 191 < u. Equal high halves put the witness at the last bit.
             let (xs, ys) = ([u64::MAX - 1, 3, 1 << 63], [u64::MAX, 3, (1 << 63) + 1]);
-            let (got, _) = run_under(key, &xs, &ys, u64::MAX, 7_100);
+            let (got, _) = run_under(key, &xs, &ys, (u64::MAX, u64::MAX), 7_100);
             assert_eq!(got, vec![true, false, true], "at {bits} bits");
         }
     }
@@ -392,8 +627,31 @@ mod tests {
         // Fake Alice sends too few encrypted bits.
         let short = vec![dgk_key().public().encrypt(0, &mut ctx(1).rng()).unwrap()];
         achan.send(&short).unwrap();
-        let err = dgk_bob(&mut bchan, dgk_key().public(), &[3], 7, |_| ctx(1)).unwrap_err();
+        let err = dgk_bob(&mut bchan, dgk_key().public(), &[3], 7, 7, |_| ctx(1)).unwrap_err();
         assert!(matches!(err, SmcError::Protocol(_)));
+    }
+
+    /// Under the gap-bounded shape (`m = 12` low bits of a 33-bit domain)
+    /// Bob takes exactly `m + 3` ciphertexts and Alice exactly `m + 1`
+    /// cells: one short, one long, or the `ℓ`-bit shape's count is a typed
+    /// protocol error on either side.
+    #[test]
+    fn a_wrong_length_vector_in_the_gap_shape_is_a_protocol_error() {
+        let (bound, gap) = (6_576_671_828u64, 3158);
+        let key = dgk_key();
+        let ct = |m: u64| key.public().encrypt(m, &mut ctx(m).rng()).unwrap();
+        for len in [14, 16, 33, 13] {
+            let (mut achan, mut bchan) = duplex();
+            achan.send_batch(&[vec![ct(1); len]]).unwrap();
+            let err = dgk_bob(&mut bchan, key.public(), &[9], bound, gap, |_| ctx(1)).unwrap_err();
+            assert!(matches!(err, SmcError::Protocol(_)), "{len} bits: {err}");
+        }
+        for len in [12, 14, 33, 15] {
+            let (mut achan, mut bchan) = duplex();
+            bchan.send_batch(&[vec![ct(1); len]]).unwrap();
+            let err = dgk_alice(&mut achan, key, &[9], bound, gap, |_| ctx(2)).unwrap_err();
+            assert!(matches!(err, SmcError::Protocol(_)), "{len} cells: {err}");
+        }
     }
 
     /// A cell that is no ciphertext of Alice's key — out of range, or off
@@ -409,7 +667,7 @@ mod tests {
             bchan
                 .send_batch(&[vec![good.clone(), bad.clone(), good.clone()]])
                 .unwrap();
-            let err = dgk_alice(&mut achan, key, &[1], 7, |_| ctx(3)).unwrap_err();
+            let err = dgk_alice(&mut achan, key, &[1], 7, 7, |_| ctx(3)).unwrap_err();
             assert!(matches!(err, SmcError::Crypto(_)), "{bad:?}: {err}");
         }
         for bad in [n, BigUint::zero()] {
@@ -417,7 +675,7 @@ mod tests {
             achan
                 .send_batch(&[vec![good.clone(), bad.clone(), good.clone()]])
                 .unwrap();
-            let err = dgk_bob(&mut bchan, key.public(), &[3], 7, |_| ctx(4)).unwrap_err();
+            let err = dgk_bob(&mut bchan, key.public(), &[3], 7, 7, |_| ctx(4)).unwrap_err();
             assert!(matches!(err, SmcError::Crypto(_)), "{bad:?}: {err}");
         }
     }

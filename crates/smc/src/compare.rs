@@ -35,8 +35,10 @@ pub enum Comparator {
     #[default]
     Ideal,
     /// The DGK comparison protocol over the DGK cryptosystem: `ℓ`
-    /// ciphertexts mod `n` each way per comparison, same one-bit output to
-    /// both parties (see [`crate::bitwise`]). The practical backend for the
+    /// ciphertexts mod `n` each way per comparison — or, under a promised
+    /// gap of `m` bits ([`ComparisonDomain::with_gap`]), `m + 3` out and
+    /// `m + 1` back — same one-bit output to both parties (see
+    /// [`crate::bitwise`]). The practical backend for the
     /// enhanced protocol's `2^σ`-wide share domains. Alice's key is the DGK
     /// key her keypair carries ([`ppds_paillier::PrivateKey::dgk`]); Bob
     /// reads it from her public key, which brings it in the key-exchange
@@ -55,32 +57,62 @@ pub enum CmpOp {
     Leq,
 }
 
-/// The signed interval both parties agree their inputs fall in.
+/// The signed interval both parties agree their inputs fall in, and how far
+/// apart two compared values can be.
 ///
 /// Yao inputs become `value - lo + 1 ∈ [1, n0]` with one extra slot of
 /// headroom so `≤` can be evaluated as `< (j + 1)`.
+///
+/// The gap is a promise both parties make from public bounds: every pair
+/// they compare differs by at most it. By default there is none, and the
+/// gap is the interval's whole span. The DGK backend sizes a comparison
+/// by it ([`crate::bitwise`]); the others read only the interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComparisonDomain {
     /// Smallest representable value.
     pub lo: i64,
     /// Largest representable value.
     pub hi: i64,
+    /// The promised bound on `|alice − bob|`, if any.
+    gap: Option<u64>,
 }
 
 impl ComparisonDomain {
-    /// Domain `[lo, hi]`.
+    /// Domain `[lo, hi]`, with no promise on the gap.
     ///
     /// # Panics
     /// Panics if `lo > hi`.
     pub fn new(lo: i64, hi: i64) -> Self {
         assert!(lo <= hi, "empty comparison domain [{lo}, {hi}]");
-        ComparisonDomain { lo, hi }
+        ComparisonDomain { lo, hi, gap: None }
     }
 
     /// Symmetric domain `[-bound, bound]`.
     pub fn symmetric(bound: i64) -> Self {
         assert!(bound >= 0, "negative bound {bound}");
         ComparisonDomain::new(-bound, bound)
+    }
+
+    /// The same interval, with both parties promising that every pair they
+    /// compare differs by at most `gap`.
+    pub fn with_gap(self, gap: u64) -> Self {
+        ComparisonDomain {
+            gap: Some(gap),
+            ..self
+        }
+    }
+
+    /// The bound on `|alice − bob|`: the promised gap, never more than the
+    /// span `hi − lo`.
+    pub fn gap(&self) -> u64 {
+        let span = self.hi.abs_diff(self.lo);
+        self.gap.map_or(span, |gap| gap.min(span))
+    }
+
+    /// The bound on `|i − j_eff|` between encoded inputs: the gap, plus one
+    /// for the `Leq` shift of Bob's input.
+    fn encoded_gap(&self) -> u64 {
+        self.gap().saturating_add(1)
     }
 
     /// The Yao domain size `n0` (one slot of headroom included for `Leq`).
@@ -166,7 +198,7 @@ where
             let key = keypair.private.dgk().ok_or_else(|| {
                 SmcError::protocol(format!("a {key_bits}-bit keypair has no DGK half"))
             })?;
-            crate::bitwise::dgk_alice(chan, key, &is, domain.n0(), scopes)
+            crate::bitwise::dgk_alice(chan, key, &is, domain.n0(), domain.encoded_gap(), scopes)
         }
     }?;
     span.end(|| chan.metrics());
@@ -217,7 +249,8 @@ where
             let alice = alice_pk.dgk().ok_or_else(|| {
                 SmcError::protocol("the peer's key carries no DGK comparison key")
             })?;
-            crate::bitwise::dgk_bob(chan, alice, &j_effs, domain.n0(), scopes)
+            let gap = domain.encoded_gap();
+            crate::bitwise::dgk_bob(chan, alice, &j_effs, domain.n0(), gap, scopes)
         }
     }?;
     span.end(|| chan.metrics());
@@ -523,5 +556,18 @@ mod tests {
     fn domain_n0_has_leq_headroom() {
         assert_eq!(ComparisonDomain::new(1, 1).n0(), 2);
         assert_eq!(ComparisonDomain::symmetric(5).n0(), 12);
+    }
+
+    /// No promise is the whole span; a promise never exceeds it and does
+    /// not move the interval, so `n0` and the Yao and Ideal transcripts
+    /// stay what they were.
+    #[test]
+    fn the_gap_defaults_to_the_span() {
+        let domain = ComparisonDomain::new(-3, 5);
+        assert_eq!(domain.gap(), 8);
+        assert_eq!(domain.with_gap(2).gap(), 2);
+        assert_eq!(domain.with_gap(100).gap(), 8);
+        assert_eq!(domain.with_gap(2).n0(), domain.n0());
+        assert_eq!(domain.with_gap(2).encoded_gap(), 3);
     }
 }

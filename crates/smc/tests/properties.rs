@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::{LazyLock, OnceLock};
 
 fn keypair() -> &'static Keypair {
     static KP: OnceLock<Keypair> = OnceLock::new();
@@ -94,6 +94,43 @@ proptest! {
             prop_assert_eq!(&alice.join().unwrap(), &expect, "{:?}", comparator);
             prop_assert_eq!(&bob_view, &expect);
         }
+    }
+
+    /// DGK under a promised gap: generated pairs within `gap` of each
+    /// other anywhere in a domain of up to 63 bits, both operators, decide
+    /// exactly what the plaintexts do.
+    #[test]
+    fn dgk_decides_exactly_under_a_promised_gap(
+        span_bits in 14u32..63,
+        gap in 1u64..4000,
+        pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..5),
+        leq in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let half = (1i64 << span_bits) / 2;
+        let domain = ComparisonDomain::symmetric(half).with_gap(gap);
+        let (a, b): (Vec<i64>, Vec<i64>) = pairs
+            .iter()
+            .map(|&(at, off)| {
+                let a = (at % (2 * half as u64 + 1)) as i64 - half;
+                let d = (off % (2 * gap + 1)) as i64 - gap as i64;
+                (a, (a + d).clamp(-half, half))
+            })
+            .unzip();
+        let op = if leq { CmpOp::Leq } else { CmpOp::Lt };
+        let expect: Vec<bool> =
+            a.iter().zip(&b).map(|(a, b)| if leq { a <= b } else { a < b }).collect();
+        let (mut achan, mut bchan) = duplex();
+        let alice = std::thread::spawn(move || {
+            let scopes = |i| ProtocolContext::new(seed).at(i as u64);
+            compare_alice(Comparator::Dgk, &mut achan, keypair(), &a, &domain, false, scopes)
+                .unwrap()
+        });
+        let scopes = |i| ProtocolContext::new(seed.wrapping_add(1)).at(i as u64);
+        let pk = &keypair().public;
+        let bob_view = compare_bob(Comparator::Dgk, &mut bchan, pk, &b, op, &domain, scopes).unwrap();
+        prop_assert_eq!(&alice.join().unwrap(), &expect);
+        prop_assert_eq!(&bob_view, &expect);
     }
 
     #[test]
@@ -313,7 +350,7 @@ fn assert_framings_agree(
     alice
 }
 
-const DOMAIN: ComparisonDomain = ComparisonDomain { lo: -40, hi: 40 };
+static DOMAIN: LazyLock<ComparisonDomain> = LazyLock::new(|| ComparisonDomain::symmetric(40));
 const ALICE: [i64; 5] = [-7, 0, 12, 12, 31];
 const BOB: [i64; 5] = [3, 0, 11, 13, -31];
 

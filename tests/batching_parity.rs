@@ -501,6 +501,13 @@ fn framing_cells() -> Vec<(String, Family, ProtocolConfig)> {
 /// bytes fewer in the unpacked cells, 336 in the packed one). Rounds and
 /// messages did not move, nor did any DGK, sharing, vertical, arbitrary,
 /// horizontal or multiparty cell (CHANGES.md lists each old → new value).
+///
+/// Wire v17 re-recorded the one enhanced DGK cell's bytes, as measured,
+/// when an enhanced comparison began to be sized by its operands' promised
+/// gap, `Dmax + Eps²`, instead of the masked domain: `m + 3` ciphertexts
+/// out and `m + 1` back where `ℓ` went each way (84,217 → 40,952 bytes
+/// sent, 84,237 → 41,129 received). Rounds and messages did not move, nor
+/// did any other cell (CHANGES.md).
 type FramingPin = (&'static str, &'static [Pin], &'static [[u64; 2]]);
 
 const FRAMING_PINS: &[FramingPin] = &[
@@ -652,7 +659,7 @@ const FRAMING_PINS: &[FramingPin] = &[
     ),
     (
         "enhanced/dgk+packing+grid/batched",
-        &[[84_217, 84_237, 200, 204, 200, 204]],
+        &[[40_952, 41_129, 200, 204, 200, 204]],
         &[],
     ),
     (

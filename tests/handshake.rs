@@ -126,12 +126,12 @@ fn comparator_mismatch_fails_on_both_sides_naming_the_field() {
 #[test]
 fn wire_version_mismatch_is_a_typed_error_not_a_hang_or_decode_failure() {
     // A past or "future" peer: completes the key exchange honestly, then
-    // sends a Hello advertising a different wire version — 15 is the build
-    // that answered a call of dot products with one word vector a query,
-    // whose reply this build would read as the whole call's run. The real
+    // sends a Hello advertising a different wire version — 16 is the build
+    // that sent an enhanced DGK comparison's `ℓ` bits where this one takes
+    // `m + 3`, and would refuse this build's bit vector as hostile. The real
     // participant must reject it by name — before any protocol message.
-    assert_eq!(WIRE_VERSION, 16, "re-aim the past/future versions below");
-    for peer_version in [15u32, 17] {
+    assert_eq!(WIRE_VERSION, 17, "re-aim the past/future versions below");
+    for peer_version in [16u32, 18] {
         let (mut real_chan, mut fake_chan) = duplex();
         let fake = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(99);
