@@ -43,8 +43,8 @@ fn bench_mod_pow(c: &mut Criterion) {
     group.finish();
 }
 
-/// One Montgomery product and one dedicated squaring at the `n²` width of a
-/// 1024-bit key, and the ladder at the three exponent shapes the protocols
+/// One Montgomery product and one squaring at the `n²` width of a 1024-bit
+/// key (on the IFMA kernel where the CPU has one), and the ladder at the three exponent shapes the protocols
 /// raise ciphertexts to: DGK's `×3`, a 16-bit slot mask, a key-width nonce
 /// power.
 fn bench_montgomery(c: &mut Criterion) {

@@ -1,0 +1,274 @@
+//! The radix-2^52 Montgomery kernel on AVX-512 IFMA: Gueron and Krasnov's
+//! "almost Montgomery" product (*Accelerating big integer arithmetic using
+//! Intel IFMA extensions*, ARITH 2016), which [`MontgomeryCtx`] takes for
+//! wide moduli on a CPU that has `avx512f` and `avx512ifma`.
+//!
+//! A row is `N = ⌈(bits + 2)/52⌉` digits of 52 bits in 64-bit words, and
+//! `R = 2^{52N}`, so `4m < R`. A product of two rows below `2m` is below
+//! `2m` again (`(a·b + q·m)/R < m·(4m/R + 1)`), so rows stay in `[0, 2m)`
+//! and only [`Ifma::residue`] — where a value leaves the row domain —
+//! subtracts `m`, by a masked select with no early exit.
+//!
+//! One product runs `N` rounds over eight-lane vectors of 64-bit
+//! accumulators: add the low halves of `aᵢ·b` and `u·m`, drop lane 0 (now
+//! ≡ 0 mod 2^52) by shifting every lane down one place, add the high halves.
+//! No lane is normalized inside the product; a lane gains below `4·2^52` a
+//! round, so after `N ≤ 80` rounds it is below `320·2^52 < 2^61`. Lane 0's
+//! value, which `u` is read from, is kept beside the vectors in a scalar
+//! (see [`amm`]); one scalar pass after the last round carries every lane
+//! back to 52 bits.
+//!
+//! This module holds the workspace's only `unsafe` code. An [`Ifma`] can be
+//! built only by [`Ifma::new`], after the CPU reports both features. The
+//! vector code loads a row's digits eight at a time, masking off the lanes
+//! past its end, after asserting the row's length; everything else it
+//! loads or stores is a whole `[u64; 8]`.
+//!
+//! [`MontgomeryCtx`]: crate::MontgomeryCtx
+
+#![deny(unsafe_op_in_unsafe_fn)]
+
+use std::arch::x86_64::{
+    _mm512_add_epi64, _mm512_alignr_epi64, _mm512_castsi512_si128, _mm512_loadu_si512,
+    _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_maskz_loadu_epi64, _mm512_set1_epi64,
+    _mm512_setzero_si512, _mm512_storeu_si512, _mm_extract_epi64,
+};
+
+use crate::biguint::BigUint;
+use crate::montgomery::neg_inv_u64;
+
+/// Bits a digit holds.
+const DIGIT: usize = 52;
+const MASK: u64 = (1 << DIGIT) - 1;
+/// 64-bit lanes a vector holds.
+const LANES: usize = 8;
+/// Most vectors a row may span: 80 digits, moduli up to 4,158 bits. Ten
+/// vectors each of the accumulator, `b` and `m` take 30 of the 32 registers.
+const MAX_VECTORS: usize = 10;
+
+/// The IFMA kernel's constants for one odd modulus.
+#[derive(Clone)]
+pub(crate) struct Ifma {
+    /// Digits a row holds (`N`).
+    digits: usize,
+    /// The modulus's digits, zero-padded to whole vectors.
+    m: Vec<[u64; LANES]>,
+    /// `−m⁻¹ mod 2^52`.
+    k0: u64,
+}
+
+/// Digits in whole vectors, zero-padded: the modulus, and a product's lanes.
+type Vectors<const L: usize> = [[u64; LANES]; L];
+
+impl Ifma {
+    /// The kernel for odd `modulus`, or `None` when the CPU lacks
+    /// `avx512f` or `avx512ifma` or the modulus is wider than
+    /// `MAX_VECTORS` vectors of digits.
+    pub(crate) fn new(modulus: &BigUint) -> Option<Self> {
+        if !(is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")) {
+            return None;
+        }
+        let digits = (modulus.bit_length() + 2).div_ceil(DIGIT);
+        let vectors = digits.div_ceil(LANES);
+        if vectors > MAX_VECTORS {
+            return None;
+        }
+        let padded = to_digits(modulus, vectors * LANES);
+        Some(Ifma {
+            digits,
+            m: padded
+                .chunks_exact(LANES)
+                .map(|c| std::array::from_fn(|i| c[i]))
+                .collect(),
+            k0: neg_inv_u64(modulus.limbs()[0]) & MASK,
+        })
+    }
+
+    /// Digits per row (`N`); `R = 2^{52N}`.
+    pub(crate) fn width(&self) -> usize {
+        self.digits
+    }
+
+    /// `x < 2^{52N}` as a row.
+    pub(crate) fn row(&self, x: &BigUint) -> Vec<u64> {
+        to_digits(x, self.digits)
+    }
+
+    /// The canonical residue of a row in `[0, 2m)`: `m` is subtracted and
+    /// the difference kept unless it borrowed, by mask, whichever it is.
+    pub(crate) fn residue(&self, row: &[u64]) -> BigUint {
+        let m = self.m.as_flattened();
+        let mut diff = vec![0; row.len()];
+        let mut borrow = 0;
+        for ((d, &v), &mj) in diff.iter_mut().zip(row).zip(m) {
+            let t = v.wrapping_sub(mj).wrapping_sub(borrow);
+            *d = t & MASK;
+            borrow = t >> 63;
+        }
+        // `borrow` is 1 exactly when the row is below m: keep the row.
+        let keep = borrow.wrapping_neg();
+        for (d, &v) in diff.iter_mut().zip(row) {
+            *d = (v & keep) | (*d & !keep);
+        }
+        from_digits(&diff)
+    }
+
+    /// The value a row holds, unreduced.
+    #[cfg(test)]
+    pub(crate) fn value(&self, row: &[u64]) -> BigUint {
+        from_digits(row)
+    }
+
+    /// `acc ← acc·b·R⁻¹`, squaring for no `b`, through the kernel as wide
+    /// as the row; both rows in `[0, 2m)`, the result too.
+    pub(crate) fn product(&self, acc: &mut [u64], b: Option<&[u64]>) {
+        assert!(
+            acc.len() == self.digits && b.is_none_or(|b| b.len() == self.digits),
+            "rows are N digits wide"
+        );
+        match self.m.len() {
+            1 => self.run::<1>(acc, b),
+            2 => self.run::<2>(acc, b),
+            3 => self.run::<3>(acc, b),
+            4 => self.run::<4>(acc, b),
+            5 => self.run::<5>(acc, b),
+            6 => self.run::<6>(acc, b),
+            7 => self.run::<7>(acc, b),
+            8 => self.run::<8>(acc, b),
+            9 => self.run::<9>(acc, b),
+            _ => self.run::<10>(acc, b),
+        }
+    }
+
+    /// [`amm`] at `L` vectors, then the lanes carried back to 52-bit
+    /// digits in `acc`.
+    fn run<const L: usize>(&self, acc: &mut [u64], b: Option<&[u64]>) {
+        let b = b.unwrap_or(acc);
+        debug_assert!(
+            acc.iter().chain(b).all(|&d| d <= MASK),
+            "digits hold 52 bits"
+        );
+        let Ok(m) = <&Vectors<L>>::try_from(&self.m[..]) else {
+            unreachable!("the modulus spans L vectors")
+        };
+        // SAFETY: an `Ifma` exists only when `new` saw the CPU report
+        // `avx512f` and `avx512ifma`.
+        let lanes = unsafe { amm(acc, b, m, self.k0) };
+        let lanes = lanes.as_flattened();
+        let mut carry = 0;
+        for (digit, &lane) in acc.iter_mut().zip(lanes) {
+            let v = lane + carry;
+            *digit = v & MASK;
+            carry = v >> DIGIT;
+        }
+        debug_assert_eq!(carry, 0, "the product is below 2m < R");
+        debug_assert!(lanes[acc.len()..].iter().all(|&l| l == 0));
+    }
+}
+
+/// The almost-Montgomery product of the digit rows `a` and `b` (digits
+/// below 2^52, values below `2m`) modulo `m`, whose `−m⁻¹ mod 2^52` is
+/// `k0`: `N = a.len()` rounds, each adding `aᵢ·b + u·m` and shifting the
+/// accumulator down one digit. Returns the unnormalized lanes, lane `j`
+/// weighing `2^{52j}`.
+///
+/// Lane 0, which `u` is read from, is kept in a scalar: its next value is
+/// lane 1 as the round found it plus this round's low halves at digit 1
+/// and high halves at digit 0, plus the carry the dropped lane owes. So
+/// the chain from one `u` to the next is a few scalar products, and the
+/// vectors, which only have to deliver lane 1 a round later, run behind
+/// it.
+///
+/// # Safety
+/// The CPU must support `avx512f` and `avx512ifma`.
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn amm<const L: usize>(a: &[u64], b: &[u64], m: &Vectors<L>, k0: u64) -> Vectors<L> {
+    // The loads below rely on this: vector j starts inside `b`.
+    assert!(
+        b.len() > LANES * (L - 1) && b.len() <= LANES * L,
+        "b spans L vectors"
+    );
+    let zero = _mm512_setzero_si512();
+    let (mut bv, mut mv) = ([zero; L], [zero; L]);
+    for j in 0..L {
+        let inside = (b.len() - LANES * j).min(LANES);
+        let mask = (0xFFu16 >> (LANES - inside)) as u8;
+        // SAFETY: `LANES·j < b.len()`, so the pointer stays inside `b`, and
+        // the load reads only the `inside` lanes the mask keeps, which are
+        // in `b`; masked-off lanes are not accessed. `m[j]` is 64 readable
+        // bytes. Neither load needs alignment.
+        unsafe {
+            bv[j] = _mm512_maskz_loadu_epi64(mask, b.as_ptr().add(LANES * j).cast());
+            mv[j] = _mm512_loadu_si512(m[j].as_ptr().cast());
+        }
+    }
+    let mut x = [zero; L];
+    let (b0, b1) = (b[0], b.get(1).copied().unwrap_or(0));
+    let (m0, m1) = (m[0][0], m[0][1]);
+    let mut lane0 = 0u64;
+    for &ai in a {
+        let lane1 = _mm_extract_epi64::<1>(_mm512_castsi512_si128(x[0])) as u64;
+        let ab0 = ai as u128 * b0 as u128;
+        let t = lane0 + (ab0 as u64 & MASK);
+        let u = t.wrapping_mul(k0) & MASK;
+        let um0 = u as u128 * m0 as u128;
+        lane0 = lane1
+            + (ai.wrapping_mul(b1) & MASK)
+            + (u.wrapping_mul(m1) & MASK)
+            + (ab0 >> DIGIT) as u64
+            + (um0 >> DIGIT) as u64
+            + ((t + (um0 as u64 & MASK)) >> DIGIT);
+        let (av, uv) = (_mm512_set1_epi64(ai as i64), _mm512_set1_epi64(u as i64));
+        // The high halves belong one digit up, which is where they land
+        // after the shift; they are summed apart from the accumulator.
+        let mut high = [zero; L];
+        for j in 0..L {
+            x[j] = _mm512_madd52lo_epu64(x[j], av, bv[j]);
+            x[j] = _mm512_madd52lo_epu64(x[j], uv, mv[j]);
+            high[j] = _mm512_madd52hi_epu64(zero, av, bv[j]);
+            high[j] = _mm512_madd52hi_epu64(high[j], uv, mv[j]);
+        }
+        for j in 0..L {
+            let above = if j + 1 < L { x[j + 1] } else { zero };
+            x[j] = _mm512_add_epi64(_mm512_alignr_epi64::<1>(above, x[j]), high[j]);
+        }
+    }
+    let mut out: Vectors<L> = [[0; LANES]; L];
+    for (o, v) in out.iter_mut().zip(x) {
+        // SAFETY: `o` is 64 writable bytes; `storeu` needs no alignment.
+        unsafe { _mm512_storeu_si512(o.as_mut_ptr().cast(), v) };
+    }
+    // The vector's lane 0 lacks the carries the scalar took in.
+    out[0][0] = lane0;
+    out
+}
+
+/// The low `n` 52-bit digits of `x`.
+fn to_digits(x: &BigUint, n: usize) -> Vec<u64> {
+    let limbs = x.limbs();
+    let limb = |i: usize| limbs.get(i).copied().unwrap_or(0);
+    (0..n)
+        .map(|j| {
+            let (word, shift) = (DIGIT * j / 64, DIGIT * j % 64);
+            let high = if shift > 64 - DIGIT {
+                limb(word + 1) << (64 - shift)
+            } else {
+                0
+            };
+            ((limb(word) >> shift) | high) & MASK
+        })
+        .collect()
+}
+
+/// The value of 52-bit digits.
+fn from_digits(digits: &[u64]) -> BigUint {
+    let mut limbs = vec![0; (DIGIT * digits.len()).div_ceil(64)];
+    for (j, &d) in digits.iter().enumerate() {
+        let (word, shift) = (DIGIT * j / 64, DIGIT * j % 64);
+        limbs[word] |= d << shift;
+        if shift > 64 - DIGIT {
+            limbs[word + 1] |= d >> (64 - shift);
+        }
+    }
+    BigUint::from_limbs(limbs)
+}

@@ -1,0 +1,234 @@
+//! The IFMA kernel against the scalar one: for one modulus on both, every
+//! entry point that hands a value out of the row domain gives the same
+//! canonical output, and each kernel's Montgomery product is `a·b·R⁻¹` for
+//! its own `R`. On a CPU without IFMA each test says so and checks nothing.
+
+use proptest::prelude::*;
+
+use crate::modular::{batch_mod_inverse_with, mod_inverse};
+use crate::multiexp::{multi_exp, PIPPENGER_CUTOFF};
+use crate::random::{gen_biguint_below, gen_biguint_bits};
+use crate::test_helpers::{hard_moduli, hard_operands, rng};
+use crate::{BigUint, FixedBaseTable, MontgomeryCtx};
+
+/// Every width the sessions and their neighbours run: each limb count
+/// 16–33, 48, and 64 (`n²` of a 2048-bit key).
+fn widths() -> impl Iterator<Item = usize> {
+    (16..=33).chain([48, 64])
+}
+
+/// The scalar and the IFMA context for `m`, or `None` without IFMA.
+fn both(m: &BigUint) -> Option<(MontgomeryCtx, MontgomeryCtx)> {
+    let ifma = MontgomeryCtx::on_kernel(m, true);
+    if ifma.is_none() {
+        eprintln!("no avx512ifma on this CPU: the IFMA kernel is not checked");
+    }
+    Some((MontgomeryCtx::on_kernel(m, false)?, ifma?))
+}
+
+/// For every width and hard modulus, `check(scalar, ifma, m, label)`.
+fn for_each_modulus(seed: u64, mut check: impl FnMut(&MontgomeryCtx, &MontgomeryCtx, &str)) {
+    let mut r = rng(seed);
+    for limbs in widths() {
+        for (i, m) in hard_moduli(&mut r, limbs).into_iter().enumerate() {
+            let Some((scalar, ifma)) = both(&m) else {
+                return;
+            };
+            assert!(ifma.is_ifma() && !scalar.is_ifma());
+            check(&scalar, &ifma, &format!("{limbs} limbs, modulus {i}"));
+        }
+    }
+}
+
+/// `a·b·R⁻¹ mod m` by division, for the context's own `R`.
+fn by_division(ctx: &MontgomeryCtx, a: &BigUint, b: &BigUint) -> BigUint {
+    let m = ctx.modulus();
+    let r_mod_m = &(&BigUint::one() << ctx.r_bits()) % m;
+    let Some(r_inv) = mod_inverse(&r_mod_m, m) else {
+        panic!("R is a unit mod an odd m")
+    };
+    &(&(&(a * b) % m) * &r_inv) % m
+}
+
+#[test]
+fn products_and_conversions_agree_across_kernels() {
+    let mut r = rng(90);
+    for_each_modulus(91, |scalar, ifma, label| {
+        let m = scalar.modulus();
+        let ops = hard_operands(&mut r, m);
+        for ctx in [scalar, ifma] {
+            for a in &ops {
+                assert_eq!(ctx.from_mont(&ctx.to_mont(a)), *a, "{label}: round trip");
+                assert_eq!(ctx.to_mont(&ctx.from_mont(a)), *a, "{label}: round trip");
+                for b in &ops {
+                    assert_eq!(ctx.mont_mul(a, b), by_division(ctx, a, b), "{label}");
+                }
+                assert_eq!(ctx.mont_sqr(a), by_division(ctx, a, a), "{label}: square");
+            }
+            assert_eq!(ctx.from_mont(ctx.one_mont()), BigUint::one(), "{label}");
+        }
+        // Out of Montgomery form, products are the same residues.
+        for a in &ops {
+            for b in &ops {
+                let product = |ctx: &MontgomeryCtx| {
+                    ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(a), &ctx.to_mont(b)))
+                };
+                assert_eq!(product(scalar), product(ifma), "{label}");
+                assert_eq!(product(ifma), &(a * b) % m, "{label}");
+            }
+        }
+    });
+}
+
+#[test]
+fn exponentiations_agree_across_kernels() {
+    let mut r = rng(92);
+    for_each_modulus(93, |scalar, ifma, label| {
+        let m = scalar.modulus();
+        let bits = m.bit_length();
+        let bases = hard_operands(&mut r, m);
+        let mut exps: Vec<BigUint> = [0u64, 1, 2, 3, 15, 16, 17, 0xFFFF, 1 << 16, u64::MAX]
+            .into_iter()
+            .map(BigUint::from_u64)
+            .collect();
+        exps.push(gen_biguint_bits(&mut r, bits));
+        // A base at or above m is reduced first.
+        let wide_base = m + &bases[7];
+        for exp in &exps {
+            let many = scalar.pow_many(&bases, exp);
+            assert_eq!(ifma.pow_many(&bases, exp), many, "{label}, exp {exp:?}");
+            assert_eq!(ifma.pow_mod(&bases[7], exp), many[7], "{label}");
+            assert_eq!(ifma.pow_mod(&wide_base, exp), many[7], "{label}");
+        }
+        // A key-width exponent once, against the ladder by division.
+        let exp = &exps[exps.len() - 1];
+        let want = crate::modular::mod_pow(&bases[6], exp, m);
+        assert_eq!(ifma.pow_mod(&bases[6], exp), want, "{label}");
+    });
+}
+
+#[test]
+fn fixed_base_combs_agree_across_kernels() {
+    let mut r = rng(94);
+    for_each_modulus(95, |scalar, ifma, label| {
+        let m = scalar.modulus();
+        let base = gen_biguint_below(&mut r, m);
+        let factor = gen_biguint_below(&mut r, m);
+        let max_exp_bits = 97;
+        let smalls = [0, 5, u64::MAX].map(|small| {
+            let times = scalar.pow_mod(&factor, &BigUint::from_u64(small));
+            (small, times)
+        });
+        for teeth in 1..=8 {
+            let combs =
+                [scalar, ifma].map(|ctx| FixedBaseTable::new(ctx, &base, teeth, max_exp_bits));
+            let factors = [scalar, ifma].map(|ctx| ctx.to_mont(&factor));
+            let spacing = max_exp_bits.div_ceil(teeth);
+            let block = spacing.div_ceil(2);
+            let covered = teeth * spacing;
+            // Each side of a block and a strip edge, the last scan column,
+            // and past it (the ladder fallback).
+            let widths = [
+                0,
+                1,
+                block.saturating_sub(1),
+                block,
+                block + 1,
+                spacing - 1,
+                spacing,
+                spacing + 1,
+                covered - 1,
+                covered,
+                covered + 1,
+                covered + 70,
+            ];
+            for width in widths {
+                let mut exp = &gen_biguint_bits(&mut r, width + 1) % &(&BigUint::one() << width);
+                if width > 0 {
+                    exp.set_bit(width - 1, true);
+                }
+                let want = scalar.pow_mod(&base, &exp);
+                for (comb, factor_mont) in combs.iter().zip(&factors) {
+                    assert_eq!(comb.pow(&exp), want, "{label}, {teeth} teeth, {width} bits");
+                    for (small, times) in &smalls {
+                        assert_eq!(
+                            comb.pow_mul(&exp, factor_mont, *small),
+                            &(&want * times) % m,
+                            "{label}, {teeth} teeth, {width} bits, small {small}"
+                        );
+                    }
+                }
+            }
+        }
+    });
+}
+
+#[test]
+fn multi_exponentiations_and_batch_inverses_agree_across_kernels() {
+    let mut r = rng(96);
+    for_each_modulus(97, |scalar, ifma, label| {
+        let m = scalar.modulus();
+        // Straus just below the cutoff, Pippenger at it; exponents from
+        // nothing to past the modulus.
+        for count in [PIPPENGER_CUTOFF - 1, PIPPENGER_CUTOFF] {
+            let bases: Vec<BigUint> = (0..count).map(|_| gen_biguint_below(&mut r, m)).collect();
+            let exps: Vec<BigUint> = (0..count)
+                .map(|i| match i {
+                    0 => BigUint::zero(),
+                    1 => m + &BigUint::one(),
+                    _ => gen_biguint_bits(&mut r, 8 * i),
+                })
+                .collect();
+            let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(&exps).collect();
+            assert_eq!(
+                multi_exp(ifma, &pairs),
+                multi_exp(scalar, &pairs),
+                "{label}, {count} pairs"
+            );
+        }
+        let mut values = hard_operands(&mut r, m);
+        values.retain(|v| !v.is_zero());
+        let inverses = batch_mod_inverse_with(scalar, &values);
+        let per_element: Option<Vec<BigUint>> = values.iter().map(|v| mod_inverse(v, m)).collect();
+        assert_eq!(inverses, per_element, "{label}");
+        assert_eq!(batch_mod_inverse_with(ifma, &values), inverses, "{label}");
+        values.push(BigUint::zero());
+        assert_eq!(batch_mod_inverse_with(ifma, &values), None, "{label}");
+    });
+}
+
+fn modulus_of(limbs: usize, bytes: &[u8]) -> BigUint {
+    let mut m = BigUint::from_bytes_le(&bytes[..8 * limbs]);
+    m.set_bit(0, true);
+    m.set_bit(64 * limbs - 1, true);
+    m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// At any width the IFMA kernel takes, products, squares and ladders
+    /// agree with the scalar kernel's, out of Montgomery form.
+    #[test]
+    fn the_kernels_agree_at_any_width(
+        limbs in 1usize..=64,
+        m_bytes in proptest::collection::vec(any::<u8>(), 512..=512),
+        a_bytes in proptest::collection::vec(any::<u8>(), 0..=520),
+        b_bytes in proptest::collection::vec(any::<u8>(), 0..=520),
+        exp_bytes in proptest::collection::vec(any::<u8>(), 0..=40),
+    ) {
+        let m = modulus_of(limbs, &m_bytes);
+        if let Some((scalar, ifma)) = both(&m) {
+            let a = &BigUint::from_bytes_le(&a_bytes) % &m;
+            let b = &BigUint::from_bytes_le(&b_bytes) % &m;
+            let exp = BigUint::from_bytes_le(&exp_bytes);
+            let product = |ctx: &MontgomeryCtx| {
+                ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&a), &ctx.to_mont(&b)))
+            };
+            prop_assert_eq!(product(&ifma), product(&scalar));
+            prop_assert_eq!(ifma.mont_mul(&a, &b), by_division(&ifma, &a, &b));
+            prop_assert_eq!(ifma.mont_sqr(&a), by_division(&ifma, &a, &a));
+            prop_assert_eq!(ifma.pow_mod(&a, &exp), scalar.pow_mod(&a, &exp));
+        }
+    }
+}

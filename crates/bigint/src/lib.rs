@@ -11,8 +11,11 @@
 //!   schoolbook + Karatsuba multiplication and Knuth Algorithm D division,
 //! * [`BigInt`] — sign–magnitude signed integers (needed for signed
 //!   plaintext encodings and the arithmetic inside Yao's protocol),
-//! * [`MontgomeryCtx`] — CIOS Montgomery multiplication and windowed modular
+//! * [`MontgomeryCtx`] — Montgomery multiplication and windowed modular
 //!   exponentiation for odd moduli (Paillier's `n` and `n²` are always odd),
+//!   on a scalar CIOS kernel or, for moduli of 512 bits and more on a CPU
+//!   with AVX-512 IFMA, a radix-2^52 vector kernel whose intrinsics are
+//!   confined to one module,
 //! * [`multiexp`] — exponentiation kernels: [`FixedBaseTable`] Lim–Lee
 //!   fixed-base combs and Straus/Pippenger simultaneous [`multi_exp`],
 //!   all value-equal to the naive ladders they replace,
@@ -32,6 +35,10 @@ mod biguint;
 mod bingcd;
 mod div;
 mod fmt;
+#[cfg(target_arch = "x86_64")]
+mod ifma;
+#[cfg(test)]
+mod kernel_equivalence;
 pub mod modular;
 mod montgomery;
 mod mul;
@@ -47,11 +54,45 @@ pub use multiexp::{multi_exp, FixedBaseTable, KERNEL_DISCIPLINE};
 
 #[cfg(test)]
 mod test_helpers {
+    use crate::random::{gen_biguint_below, gen_biguint_bits};
+    use crate::BigUint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Deterministic RNG for unit tests.
     pub fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    /// Operands that stress the carry chains: the edges of the residue
+    /// range, saturated limbs, a lone top bit, and random residues.
+    pub fn hard_operands(r: &mut StdRng, m: &BigUint) -> Vec<BigUint> {
+        let k = m.limbs().len();
+        let all_ones = &BigUint::from_limbs(vec![u64::MAX; k]) % m;
+        let top_bit = &(&BigUint::one() << (m.bit_length() - 1)) % m;
+        let mut ops = vec![
+            BigUint::zero(),
+            BigUint::one(),
+            m - &BigUint::one(),
+            all_ones,
+            top_bit,
+        ];
+        ops.extend((0..3).map(|_| gen_biguint_below(r, m)));
+        ops
+    }
+
+    /// Odd moduli of exactly `limbs` limbs: random, all limbs saturated
+    /// (the largest `u`·`m` products), and the smallest of that width.
+    pub fn hard_moduli(r: &mut StdRng, limbs: usize) -> Vec<BigUint> {
+        let mut random = gen_biguint_bits(r, 64 * limbs);
+        random.set_bit(0, true);
+        random.set_bit(64 * limbs - 1, true);
+        let saturated = BigUint::from_limbs(vec![u64::MAX; limbs]);
+        let smallest = &(&BigUint::one() << (64 * limbs - 1)) + 1u64;
+        let mut moduli = vec![random, saturated];
+        if limbs > 1 {
+            moduli.push(smallest);
+        }
+        moduli
     }
 }

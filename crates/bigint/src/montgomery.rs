@@ -2,27 +2,46 @@
 //!
 //! Paillier works modulo `n` and `n²`, both odd, so every hot modular
 //! exponentiation in the workspace goes through this context. Inside the
-//! kernels a residue is a fixed-width row of `k` limbs and every product is
-//! taken in place over caller-owned [`Scratch`] — one allocation per
-//! exponentiation, not two per product: a finely integrated operand
-//! scanning multiplier ([`MontgomeryCtx::mul_assign`]) and a dedicated
-//! squaring ([`MontgomeryCtx::sqr_assign`]: each cross product once, then
-//! one reduction pass). Exponentiation uses a fixed 4-bit window. The
-//! `BigUint` entry points ([`MontgomeryCtx::mont_mul`] and friends) are the
-//! same kernels behind a conversion.
+//! kernels a residue is a fixed-width row and every product is taken in
+//! place, with caller-owned [`Scratch`] where the kernel needs any — one
+//! allocation per exponentiation, not two per product. A context runs one of
+//! two kernels, chosen once in [`MontgomeryCtx::new`] from the CPU and the
+//! width of the modulus alone:
+//!
+//! * scalar: rows of `k` 64-bit limbs, `R = 2^{64k}`, a finely integrated
+//!   operand scanning product ([`MontgomeryCtx::mul_assign`]), every row
+//!   canonical;
+//! * IFMA, on a CPU with `avx512f` and `avx512ifma` and moduli of at least
+//!   [`IFMA_MIN_LIMBS`] limbs: rows of `N = ⌈(bits + 2)/52⌉` 52-bit digits,
+//!   `R = 2^{52N}`, Gueron–Krasnov's almost-Montgomery product over
+//!   eight-lane vectors (`crate::ifma`), rows in `[0, 2m)`.
+//!
+//! A square is the product of a row with itself on either kernel.
+//! Exponentiation uses a fixed 4-bit window. The `BigUint` entry points
+//! ([`MontgomeryCtx::mont_mul`] and friends) are the same kernels behind a
+//! conversion and return canonical residues on either kernel, so the values
+//! they hand out differ between kernels only by the `R` they are in
+//! Montgomery form for.
 
 use crate::biguint::BigUint;
+#[cfg(target_arch = "x86_64")]
+use crate::ifma::Ifma;
+
+/// Narrowest modulus, in 64-bit limbs, that takes the IFMA kernel
+/// (DESIGN.md §12). On a Xeon with `avx512ifma`, a 16-base `pow_many` at a
+/// 160-bit exponent took 0.68–0.78× the scalar kernel's time at 8 limbs,
+/// and the two were within the box's spread of each other at 4–7; a
+/// product in place took 0.3–0.4× at 16 limbs and 0.2–0.25× at 32.
+const IFMA_MIN_LIMBS: usize = 8;
 
 /// Precomputed state for repeated multiplication modulo a fixed odd modulus.
 #[derive(Clone)]
 pub struct MontgomeryCtx {
     /// The modulus `m` (odd, > 1).
     modulus: BigUint,
-    /// Limb count `k`; R = 2^(64k).
-    k: usize,
-    /// `-m^{-1} mod 2^64`.
-    n0_inv: u64,
-    /// `R² mod m` as `k` limbs, used to convert into Montgomery form.
+    /// The product kernel and the constants it reduces with.
+    kernel: Kernel,
+    /// `R² mod m` as a row, used to convert into Montgomery form.
     r2: Vec<u64>,
     /// `R mod m` — the unit element of the Montgomery domain
     /// (`to_mont(1 mod m)`), kept so every exponentiation and every
@@ -30,9 +49,22 @@ pub struct MontgomeryCtx {
     one_mont: BigUint,
 }
 
-/// Working space of the in-place kernels (`2k + 2` limbs): allocated once
-/// per exponentiation by [`MontgomeryCtx::scratch`] and lent to every
-/// product in it.
+/// The product a context runs, with its row format.
+#[derive(Clone)]
+enum Kernel {
+    /// Rows of `k` 64-bit limbs, `R = 2^{64k}`, canonical.
+    Scalar {
+        /// `−m⁻¹ mod 2^64`.
+        n0_inv: u64,
+    },
+    /// Rows of `N` 52-bit digits, `R = 2^{52N}`, in `[0, 2m)`.
+    #[cfg(target_arch = "x86_64")]
+    Ifma(Ifma),
+}
+
+/// Working space of the scalar kernel (`2k + 2` limbs; none for the IFMA
+/// kernel): allocated once per exponentiation by
+/// [`MontgomeryCtx::scratch`] and lent to every product in it.
 pub(crate) struct Scratch(Vec<u64>);
 
 /// `acc + a·b + carry` as `(low, high)`; cannot overflow 128 bits.
@@ -44,39 +76,64 @@ fn mac(acc: u64, a: u64, b: u64, carry: u64) -> (u64, u64) {
 
 impl MontgomeryCtx {
     /// Builds a context for odd `modulus > 1`; returns `None` otherwise.
+    /// The IFMA kernel serves it when the CPU has one and the modulus is
+    /// at least 8 limbs (512 bits) wide; the scalar kernel otherwise.
     pub fn new(modulus: &BigUint) -> Option<Self> {
         if modulus.is_even() || modulus.is_one() || modulus.is_zero() {
             return None;
         }
-        let k = modulus.limbs().len();
-        let n0_inv = neg_inv_u64(modulus.limbs()[0]);
-        let r_mod_m = &(&BigUint::one() << (64 * k)) % modulus;
+        let kernel = Some(modulus)
+            .filter(|m| m.limbs().len() >= IFMA_MIN_LIMBS)
+            .and_then(Self::ifma)
+            .unwrap_or_else(|| Self::scalar(modulus));
+        Some(Self::with_kernel(modulus, kernel))
+    }
+
+    fn scalar(modulus: &BigUint) -> Kernel {
+        Kernel::Scalar {
+            n0_inv: neg_inv_u64(modulus.limbs()[0]),
+        }
+    }
+
+    /// The IFMA kernel for `modulus`, where the CPU has one.
+    #[cfg(target_arch = "x86_64")]
+    fn ifma(modulus: &BigUint) -> Option<Kernel> {
+        Ifma::new(modulus).map(Kernel::Ifma)
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn ifma(_: &BigUint) -> Option<Kernel> {
+        None
+    }
+
+    /// The context for odd `modulus > 1` on `kernel`.
+    fn with_kernel(modulus: &BigUint, kernel: Kernel) -> Self {
         let mut ctx = MontgomeryCtx {
             modulus: modulus.clone(),
-            k,
-            n0_inv,
+            kernel,
             r2: Vec::new(),
-            one_mont: r_mod_m,
+            one_mont: BigUint::zero(),
         };
-        // R² mod m is 2^{64k}·R, the Montgomery form of R: from 2·R, a
+        let r_bits = ctx.r_bits();
+        ctx.one_mont = &(&BigUint::one() << r_bits) % modulus;
+        // R² mod m is 2^{r_bits}·R, the Montgomery form of R: from 2·R, a
         // Montgomery square takes 2^e·R to 2^{2e}·R and a doubling to
-        // 2^{e+1}·R, so the bits of 64k below its top one reach it in
-        // ⌊log₂ 64k⌋ squarings and at most as many doublings.
+        // 2^{e+1}·R, so the bits of r_bits below its top one reach it in
+        // ⌊log₂ r_bits⌋ squarings and at most as many doublings.
         let double = |row: &[u64]| {
-            let x = BigUint::from_limbs(row.to_vec());
+            let x = ctx.residue(row);
             ctx.widen(&x.add_mod(&x, modulus))
         };
-        let e = 64 * k;
         let mut scratch = ctx.scratch();
         let mut r2 = double(&ctx.one_limbs());
-        for bit in (0..e.ilog2()).rev() {
+        for bit in (0..r_bits.ilog2()).rev() {
             ctx.sqr_assign(&mut r2, &mut scratch);
-            if (e >> bit) & 1 == 1 {
+            if (r_bits >> bit) & 1 == 1 {
                 r2 = double(&r2);
             }
         }
         ctx.r2 = r2;
-        Some(ctx)
+        ctx
     }
 
     /// The modulus this context reduces by.
@@ -87,7 +144,7 @@ impl MontgomeryCtx {
     /// Converts `x < m` into Montgomery form `x·R mod m`.
     pub fn to_mont(&self, x: &BigUint) -> BigUint {
         debug_assert!(x < &self.modulus);
-        BigUint::from_limbs(self.to_mont_limbs(x, &mut self.scratch()))
+        self.residue(&self.to_mont_limbs(x, &mut self.scratch()))
     }
 
     /// Converts out of Montgomery form: `x̄ · R^{-1} mod m`.
@@ -100,22 +157,16 @@ impl MontgomeryCtx {
     pub fn mont_mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
         debug_assert!(a < &self.modulus && b < &self.modulus);
         let mut acc = self.widen(a);
-        let mut scratch = self.scratch();
-        if b.limbs().len() == self.k {
-            self.mul_assign(&mut acc, b.limbs(), &mut scratch);
-        } else {
-            self.mul_assign(&mut acc, &self.widen(b), &mut scratch);
-        }
-        BigUint::from_limbs(acc)
+        self.mul_assign(&mut acc, &self.widen(b), &mut self.scratch());
+        self.residue(&acc)
     }
 
-    /// Montgomery square `a²·R^{-1} mod m` — equal to `mont_mul(a, a)`,
-    /// through the dedicated squaring kernel the ladders use.
+    /// Montgomery square `a²·R^{-1} mod m` — equal to `mont_mul(a, a)`.
     pub fn mont_sqr(&self, a: &BigUint) -> BigUint {
         debug_assert!(a < &self.modulus);
         let mut acc = self.widen(a);
         self.sqr_assign(&mut acc, &mut self.scratch());
-        BigUint::from_limbs(acc)
+        self.residue(&acc)
     }
 
     /// `R mod m` — the multiplicative identity of the Montgomery domain.
@@ -126,22 +177,55 @@ impl MontgomeryCtx {
         &self.one_mont
     }
 
-    /// Limbs per residue row (`k`).
+    /// `R = 2^{r_bits}`: `64k` on the scalar kernel, `52N` on the IFMA one.
+    pub(crate) fn r_bits(&self) -> usize {
+        match &self.kernel {
+            Kernel::Scalar { .. } => 64 * self.width(),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => 52 * ifma.width(),
+        }
+    }
+
+    /// Words per residue row: `k` limbs, or `N` digits.
     pub(crate) fn width(&self) -> usize {
-        self.k
+        match &self.kernel {
+            Kernel::Scalar { .. } => self.modulus.limbs().len(),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => ifma.width(),
+        }
     }
 
     /// Fresh working space for this modulus.
     pub(crate) fn scratch(&self) -> Scratch {
-        Scratch(vec![0; 2 * self.k + 2])
+        match &self.kernel {
+            Kernel::Scalar { .. } => Scratch(vec![0; 2 * self.width() + 2]),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(_) => Scratch(Vec::new()),
+        }
     }
 
-    /// `x < m` as a zero-padded row of `k` limbs.
+    /// `x < m` as a row.
     pub(crate) fn widen(&self, x: &BigUint) -> Vec<u64> {
-        let mut row = Vec::with_capacity(self.k);
-        row.extend_from_slice(x.limbs());
-        row.resize(self.k, 0);
-        row
+        match &self.kernel {
+            Kernel::Scalar { .. } => {
+                let mut row = Vec::with_capacity(self.width());
+                row.extend_from_slice(x.limbs());
+                row.resize(self.width(), 0);
+                row
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => ifma.row(x),
+        }
+    }
+
+    /// The canonical residue of a row — itself on the scalar kernel, less
+    /// `m` when it is not below `m` on the IFMA kernel.
+    pub(crate) fn residue(&self, row: &[u64]) -> BigUint {
+        match &self.kernel {
+            Kernel::Scalar { .. } => BigUint::from_limbs(row.to_vec()),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => ifma.residue(row),
+        }
     }
 
     /// [`Self::one_mont`] as a row.
@@ -160,33 +244,70 @@ impl MontgomeryCtx {
         row
     }
 
-    /// The canonical residue a Montgomery row stands for: one reduction
-    /// pass over `x̄` itself, half the work of a product with 1.
+    /// The canonical residue a Montgomery row stands for: on the scalar
+    /// kernel one reduction pass over `x̄` itself, half the work of a
+    /// product with 1; on the IFMA kernel that product.
     pub(crate) fn out_of_mont(&self, x: &[u64], scratch: &mut Scratch) -> BigUint {
-        let k = self.k;
-        let t = &mut scratch.0[..];
-        t[..k].copy_from_slice(x);
-        t[k..].fill(0);
-        let mut out = vec![0; k];
-        self.redc(t, &mut out);
-        BigUint::from_limbs(out)
+        match &self.kernel {
+            Kernel::Scalar { n0_inv } => {
+                let k = self.width();
+                let t = &mut scratch.0[..];
+                t[..k].copy_from_slice(x);
+                t[k..].fill(0);
+                let mut out = vec![0; k];
+                self.redc(*n0_inv, t, &mut out);
+                BigUint::from_limbs(out)
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => {
+                let mut row = x.to_vec();
+                ifma.product(&mut row, Some(&ifma.row(&BigUint::one())));
+                ifma.residue(&row)
+            }
+        }
     }
 
-    /// `acc ← acc·b·R^{-1} mod m`: operand scanning with the reduction
-    /// folded into the same pass (two carry chains, one sweep of `t` per
-    /// limb of `acc`). Round `i` works on the window `t[i..i + k + 2]`, so
-    /// nothing is shifted and the result lands in `t[k..2k]`.
+    /// `acc ← acc·b·R^{-1} mod m`.
     pub(crate) fn mul_assign(&self, acc: &mut [u64], b: &[u64], scratch: &mut Scratch) {
-        let k = self.k;
+        self.product(acc, Some(b), scratch);
+    }
+
+    /// `acc ← acc²·R^{-1} mod m`: the product kernel with `acc` as both
+    /// operands. A squaring body that took each cross product once was
+    /// slower in place at 4 limbs and no faster at 8, the widths sessions
+    /// square at on this kernel where the CPU has IFMA (DESIGN.md §12).
+    pub(crate) fn sqr_assign(&self, acc: &mut [u64], scratch: &mut Scratch) {
+        self.product(acc, None, scratch);
+    }
+
+    /// `acc ← acc·b·R^{-1} mod m`, squaring for no `b`.
+    fn product(&self, acc: &mut [u64], b: Option<&[u64]>, scratch: &mut Scratch) {
+        match &self.kernel {
+            Kernel::Scalar { n0_inv } => {
+                let t = &mut scratch.0[..];
+                self.cios(*n0_inv, acc, b.unwrap_or(acc), t);
+                let k = self.width();
+                self.settle(&t[k..2 * k], t[2 * k], acc);
+            }
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => ifma.product(acc, b),
+        }
+    }
+
+    /// The scalar product `a·b·R^{-1}`, below `2m`, into `t[k..=2k]`:
+    /// operand scanning with the reduction folded into the same pass (two
+    /// carry chains, one sweep of `t` per limb of `a`). Round `i` works on
+    /// the window `t[i..i + k + 2]`, so nothing is shifted.
+    fn cios(&self, n0_inv: u64, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let k = self.width();
         let m = self.modulus.limbs();
-        assert!(acc.len() == k && b.len() == k, "rows are k limbs wide");
-        let t = &mut scratch.0[..];
+        assert!(a.len() == k && b.len() == k, "rows are k limbs wide");
         t.fill(0);
-        for (i, &ai) in acc.iter().enumerate() {
+        for (i, &ai) in a.iter().enumerate() {
             let w = &mut t[i..i + k + 2];
             let (low, mut c1) = mac(w[0], ai, b[0], 0);
             // u makes the window's lowest limb vanish: t += u·m.
-            let u = low.wrapping_mul(self.n0_inv);
+            let u = low.wrapping_mul(n0_inv);
             let (zero, mut c2) = mac(low, u, m[0], 0);
             debug_assert_eq!(zero, 0);
             for ((wj, &bj), &mj) in w[1..k].iter_mut().zip(&b[1..]).zip(&m[1..]) {
@@ -200,51 +321,16 @@ impl MontgomeryCtx {
             w[k] = top as u64;
             w[k + 1] = (top >> 64) as u64; // ≤ 1: the running value stays < 2m
         }
-        self.settle(&t[k..2 * k], t[2 * k], acc);
-    }
-
-    /// `acc ← acc²·R^{-1} mod m`: every cross product `aᵢ·aⱼ` once,
-    /// doubled, plus the diagonal — `k(k+1)/2` limb products where the
-    /// general multiplier spends `k²` — then one reduction pass.
-    pub(crate) fn sqr_assign(&self, acc: &mut [u64], scratch: &mut Scratch) {
-        let k = self.k;
-        assert_eq!(acc.len(), k, "rows are k limbs wide");
-        let t = &mut scratch.0[..];
-        t.fill(0);
-        for (i, &ai) in acc.iter().enumerate() {
-            let mut carry = 0;
-            for (tj, &aj) in t[2 * i + 1..i + k].iter_mut().zip(&acc[i + 1..]) {
-                (*tj, carry) = mac(*tj, ai, aj, carry);
-            }
-            t[i + k] = carry;
-        }
-        // t ← 2t + Σ aᵢ²·2^{128i}, two limbs at a time.
-        let (mut shifted_out, mut carry) = (0u64, 0u64);
-        for (pair, &ai) in t.chunks_exact_mut(2).zip(acc.iter()) {
-            let square = ai as u128 * ai as u128;
-            let doubled = [
-                (pair[0] << 1) | shifted_out,
-                (pair[1] << 1) | (pair[0] >> 63),
-            ];
-            shifted_out = pair[1] >> 63;
-            let low = doubled[0] as u128 + (square as u64) as u128 + carry as u128;
-            let high = doubled[1] as u128 + (square >> 64) + (low >> 64);
-            pair[0] = low as u64;
-            pair[1] = high as u64;
-            carry = (high >> 64) as u64;
-        }
-        debug_assert_eq!((shifted_out, carry), (0, 0), "a² fits 2k limbs");
-        self.redc(t, acc);
     }
 
     /// Montgomery reduction of the `2k`-limb value in `t` (below `m·R`;
     /// `t` has a spare limb above it): `out ← t·R^{-1} mod m`.
-    fn redc(&self, t: &mut [u64], out: &mut [u64]) {
-        let k = self.k;
+    fn redc(&self, n0_inv: u64, t: &mut [u64], out: &mut [u64]) {
+        let k = self.width();
         let m = self.modulus.limbs();
         let mut top = 0u64;
         for i in 0..k {
-            let u = t[i].wrapping_mul(self.n0_inv);
+            let u = t[i].wrapping_mul(n0_inv);
             let mut carry = 0;
             for (tj, &mj) in t[i..i + k].iter_mut().zip(m) {
                 (*tj, carry) = mac(*tj, u, mj, carry);
@@ -256,8 +342,8 @@ impl MontgomeryCtx {
         self.settle(&t[k..2 * k], top, out);
     }
 
-    /// The last step of every kernel: `value + overflow·R` is below `2m`;
-    /// write its canonical residue to `out`.
+    /// The last step of every scalar product: `value + overflow·R` is
+    /// below `2m`; write its canonical residue to `out`.
     fn settle(&self, value: &[u64], overflow: u64, out: &mut [u64]) {
         let m = self.modulus.limbs();
         let below = overflow == 0
@@ -290,7 +376,7 @@ impl MontgomeryCtx {
         max_index: usize,
         scratch: &mut Scratch,
     ) -> Vec<u64> {
-        let k = self.k;
+        let k = self.width();
         let mut table = Vec::with_capacity((max_index + 1) * k);
         table.extend_from_slice(&self.one_limbs());
         if max_index >= 1 {
@@ -328,7 +414,7 @@ impl MontgomeryCtx {
     /// exponent uses and no more: a `×3` scaling or a 16-bit mask is a
     /// ladder of a few products and must not pay fourteen for its table.
     fn pow_windows(&self, base: &BigUint, digits: &[u8], scratch: &mut Scratch) -> BigUint {
-        let k = self.k;
+        let k = self.width();
         let max_digit = digits.iter().copied().max().unwrap_or(0) as usize;
         let base_mont = self.to_mont_limbs(base, scratch);
         let table = self.window_table(&base_mont, max_digit, scratch);
@@ -377,6 +463,46 @@ impl MontgomeryCtx {
     }
 }
 
+/// Kernel choice for tests: a context on either kernel at any width.
+#[cfg(test)]
+impl MontgomeryCtx {
+    /// The context for odd `modulus > 1` on the scalar kernel, or on the
+    /// IFMA kernel at any width it supports (`None` on a CPU without one).
+    pub(crate) fn on_kernel(modulus: &BigUint, ifma: bool) -> Option<Self> {
+        if modulus.is_even() || modulus.is_one() || modulus.is_zero() {
+            return None;
+        }
+        let kernel = if ifma {
+            Self::ifma(modulus)?
+        } else {
+            Self::scalar(modulus)
+        };
+        Some(Self::with_kernel(modulus, kernel))
+    }
+
+    /// Every kernel this CPU runs `modulus` on: scalar, then IFMA.
+    pub(crate) fn on_each_kernel(modulus: &BigUint) -> Vec<Self> {
+        [false, true]
+            .into_iter()
+            .filter_map(|ifma| Self::on_kernel(modulus, ifma))
+            .collect()
+    }
+
+    pub(crate) fn is_ifma(&self) -> bool {
+        !matches!(self.kernel, Kernel::Scalar { .. })
+    }
+
+    /// The value a row holds, unreduced (an IFMA row may hold `m` more
+    /// than its residue).
+    pub(crate) fn row_value(&self, row: &[u64]) -> BigUint {
+        match &self.kernel {
+            Kernel::Scalar { .. } => BigUint::from_limbs(row.to_vec()),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => ifma.value(row),
+        }
+    }
+}
+
 /// `-m0^{-1} mod 2^64` for odd `m0`, by Newton–Hensel lifting
 /// (doubles correct bits each step: 5 iterations ≥ 64 bits).
 pub(crate) fn neg_inv_u64(m0: u64) -> u64 {
@@ -393,7 +519,7 @@ pub(crate) fn neg_inv_u64(m0: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::random::{gen_biguint_below, gen_biguint_bits};
-    use crate::test_helpers::rng;
+    use crate::test_helpers::{hard_moduli, hard_operands, rng};
 
     fn b(v: u128) -> BigUint {
         BigUint::from_u128(v)
@@ -403,8 +529,9 @@ mod tests {
     /// replaced, kept as the reference they are compared against.
     #[allow(clippy::needless_range_loop)] // index form mirrors the CIOS recurrence
     fn mont_mul_reference(ctx: &MontgomeryCtx, a: &BigUint, b: &BigUint) -> BigUint {
-        let k = ctx.k;
         let m = ctx.modulus.limbs();
+        let k = m.len();
+        let n0_inv = neg_inv_u64(m[0]);
         let a_limbs = a.limbs();
         let b_limbs = b.limbs();
 
@@ -426,7 +553,7 @@ mod tests {
             t[k + 1] += (sum >> 64) as u64; // ≤ 1
 
             // u = t[0] * (-m^{-1}) mod 2^64; t += u*m; t >>= 64
-            let u = t[0].wrapping_mul(ctx.n0_inv);
+            let u = t[0].wrapping_mul(n0_inv);
             let first = t[0] as u128 + u as u128 * m[0] as u128;
             debug_assert_eq!(first as u64, 0);
             let mut carry = (first >> 64) as u64;
@@ -496,75 +623,61 @@ mod tests {
         }
     }
 
-    /// Operands that stress the carry chains: the edges of the residue
-    /// range, saturated limbs, a lone top bit, and random residues.
-    fn hard_operands(r: &mut rand::rngs::StdRng, m: &BigUint) -> Vec<BigUint> {
-        let k = m.limbs().len();
-        let all_ones = &BigUint::from_limbs(vec![u64::MAX; k]) % m;
-        let top_bit = &(&BigUint::one() << (m.bit_length() - 1)) % m;
-        let mut ops = vec![
-            BigUint::zero(),
-            BigUint::one(),
-            m - &BigUint::one(),
-            all_ones,
-            top_bit,
-        ];
-        ops.extend((0..3).map(|_| gen_biguint_below(r, m)));
-        ops
-    }
-
-    /// Odd moduli of exactly `limbs` limbs: random, all limbs saturated
-    /// (the largest `u`·`m` products), and the smallest of that width.
-    fn hard_moduli(r: &mut rand::rngs::StdRng, limbs: usize) -> Vec<BigUint> {
-        let mut random = gen_biguint_bits(r, 64 * limbs);
-        random.set_bit(0, true);
-        random.set_bit(64 * limbs - 1, true);
-        let saturated = BigUint::from_limbs(vec![u64::MAX; limbs]);
-        let smallest = &(&BigUint::one() << (64 * limbs - 1)) + 1u64;
-        let mut moduli = vec![random, saturated];
-        if limbs > 1 {
-            moduli.push(smallest);
-        }
-        moduli
-    }
-
     #[test]
     fn in_place_kernels_match_the_reference_and_long_division() {
         let mut r = rng(80);
         for limbs in [1usize, 2, 3, 16, 17, 32, 33] {
             for m in hard_moduli(&mut r, limbs) {
-                let ctx = MontgomeryCtx::new(&m).unwrap();
-                assert_eq!(ctx.width(), limbs);
-                let r2_by_division = &(&BigUint::one() << (128 * limbs)) % &m;
-                assert_eq!(BigUint::from_limbs(ctx.r2.clone()), r2_by_division);
-                // R⁻¹ mod m, so (a·b·R⁻¹) % m can be taken by division.
-                let r_mod_m = &(&BigUint::one() << (64 * limbs)) % &m;
-                let r_inv = crate::modular::mod_inverse(&r_mod_m, &m).unwrap();
                 let ops = hard_operands(&mut r, &m);
-                let mut scratch = ctx.scratch();
-                for a in &ops {
-                    for b in &ops {
-                        let want = &(&(&(a * b) % &m) * &r_inv) % &m;
-                        assert_eq!(mont_mul_reference(&ctx, a, b), want, "{limbs} limbs");
-                        assert_eq!(ctx.mont_mul(a, b), want, "{limbs} limbs");
-                        let mut row = ctx.widen(a);
-                        ctx.mul_assign(&mut row, &ctx.widen(b), &mut scratch);
-                        assert_eq!(BigUint::from_limbs(row), want, "{limbs} limbs, in place");
+                for ctx in MontgomeryCtx::on_each_kernel(&m) {
+                    let kernel = if ctx.is_ifma() { "ifma" } else { "scalar" };
+                    let width = if ctx.is_ifma() {
+                        (m.bit_length() + 2).div_ceil(52)
+                    } else {
+                        limbs
+                    };
+                    assert_eq!(ctx.width(), width, "{limbs} limbs, {kernel}");
+                    // The context's own R: 2^{64k} or 2^{52N}.
+                    let r_bits = ctx.r_bits();
+                    let r2_by_division = &(&BigUint::one() << (2 * r_bits)) % &m;
+                    assert_eq!(ctx.residue(&ctx.r2), r2_by_division);
+                    // R⁻¹ mod m, so (a·b·R⁻¹) % m can be taken by division.
+                    let r_mod_m = &(&BigUint::one() << r_bits) % &m;
+                    assert_eq!(ctx.one_mont(), &r_mod_m);
+                    let r_inv = crate::modular::mod_inverse(&r_mod_m, &m).unwrap();
+                    let mut scratch = ctx.scratch();
+                    for a in &ops {
+                        for b in &ops {
+                            let want = &(&(&(a * b) % &m) * &r_inv) % &m;
+                            if !ctx.is_ifma() {
+                                assert_eq!(mont_mul_reference(&ctx, a, b), want, "{limbs} limbs");
+                            }
+                            assert_eq!(ctx.mont_mul(a, b), want, "{limbs} limbs, {kernel}");
+                            let mut row = ctx.widen(a);
+                            ctx.mul_assign(&mut row, &ctx.widen(b), &mut scratch);
+                            assert_eq!(
+                                ctx.residue(&row),
+                                want,
+                                "{limbs} limbs, {kernel}, in place"
+                            );
+                            // A scalar row is canonical; an IFMA row may
+                            // hold m more.
+                            let raw = ctx.row_value(&row);
+                            assert!(
+                                raw == want || (ctx.is_ifma() && raw == &want + &m),
+                                "{limbs} limbs, {kernel}, row in [0, 2m)"
+                            );
+                        }
+                        // A square is the product with itself.
+                        assert_eq!(
+                            ctx.mont_sqr(a),
+                            ctx.mont_mul(a, a),
+                            "{limbs} limbs, {kernel}, squaring"
+                        );
+                        // Conversions: to_mont is a·R, from_mont a·R⁻¹.
+                        assert_eq!(ctx.to_mont(a), &(a * &r_mod_m) % &m);
+                        assert_eq!(ctx.from_mont(a), &(a * &r_inv) % &m);
                     }
-                    // The dedicated squaring is the product with itself.
-                    assert_eq!(
-                        ctx.mont_sqr(a),
-                        mont_mul_reference(&ctx, a, a),
-                        "{limbs} limbs, squaring"
-                    );
-                    // Conversions: to_mont is a product with R², from_mont
-                    // a reduction pass — against the reference for both.
-                    let r2 = BigUint::from_limbs(ctx.r2.clone());
-                    assert_eq!(ctx.to_mont(a), mont_mul_reference(&ctx, a, &r2));
-                    assert_eq!(
-                        ctx.from_mont(a),
-                        mont_mul_reference(&ctx, a, &BigUint::one())
-                    );
                 }
             }
         }
@@ -573,23 +686,50 @@ mod tests {
     #[test]
     fn scratch_carries_nothing_from_one_product_to_the_next() {
         // One scratch through a long mixed chain equals fresh scratch (and
-        // the reference) at every step.
+        // the reference) at every step, on each kernel.
         let mut r = rng(81);
-        for m in hard_moduli(&mut r, 5) {
-            let ctx = MontgomeryCtx::new(&m).unwrap();
-            let mut shared = ctx.scratch();
-            let mut acc = ctx.widen(&gen_biguint_below(&mut r, &m));
-            for step in 0..200 {
-                let before = BigUint::from_limbs(acc.clone());
-                let want = if step % 3 == 0 {
-                    ctx.sqr_assign(&mut acc, &mut shared);
-                    mont_mul_reference(&ctx, &before, &before)
-                } else {
-                    let b = gen_biguint_below(&mut r, &m);
-                    ctx.mul_assign(&mut acc, &ctx.widen(&b), &mut shared);
-                    mont_mul_reference(&ctx, &before, &b)
-                };
-                assert_eq!(BigUint::from_limbs(acc.clone()), want, "step {step}");
+        for limbs in [5usize, 17] {
+            for m in hard_moduli(&mut r, limbs) {
+                for ctx in MontgomeryCtx::on_each_kernel(&m) {
+                    let mut shared = ctx.scratch();
+                    let mut acc = ctx.widen(&gen_biguint_below(&mut r, &m));
+                    for step in 0..200 {
+                        let before = ctx.residue(&acc);
+                        let want = if step % 3 == 0 {
+                            ctx.sqr_assign(&mut acc, &mut shared);
+                            ctx.mont_mul(&before, &before)
+                        } else {
+                            let b = gen_biguint_below(&mut r, &m);
+                            ctx.mul_assign(&mut acc, &ctx.widen(&b), &mut shared);
+                            if ctx.is_ifma() {
+                                ctx.mont_mul(&before, &b)
+                            } else {
+                                mont_mul_reference(&ctx, &before, &b)
+                            }
+                        };
+                        assert_eq!(ctx.residue(&acc), want, "step {step}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wide_moduli_take_the_ifma_kernel_where_the_cpu_has_one() {
+        #[cfg(target_arch = "x86_64")]
+        let has_ifma =
+            is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_ifma = false;
+        eprintln!("avx512ifma: {has_ifma}");
+        let mut r = rng(82);
+        for (limbs, ifma) in [(4, false), (7, false), (8, has_ifma), (16, has_ifma)] {
+            for m in hard_moduli(&mut r, limbs) {
+                assert_eq!(
+                    MontgomeryCtx::new(&m).unwrap().is_ifma(),
+                    ifma,
+                    "{limbs} limbs"
+                );
             }
         }
     }
