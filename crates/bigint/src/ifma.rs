@@ -18,6 +18,16 @@
 //! (see [`amm`]); one scalar pass after the last round carries every lane
 //! back to 52 bits.
 //!
+//! Beside it sits an eight-lane multi-buffer product (Gueron and Krasnov,
+//! *Software implementation of modular exponentiation, using advanced
+//! vector instructions architectures*, WAIFI 2012): eight independent
+//! rows under one modulus, one in each lane, digit `j` of lane `l` at
+//! `[j][l]` (a [`crate::montgomery::Octet`]). Each lane reads its own
+//! `u`, the modulus's digits are broadcast, and the shift is a renaming
+//! of vectors, not a lane permute; see [`amm8`]. Its `u` sequence is the
+//! single-row kernel's, so every lane ends as that kernel's row, digit
+//! for digit.
+//!
 //! This module holds the workspace's only `unsafe` code. An [`Ifma`] can be
 //! built only by [`Ifma::new`], after the CPU reports both features. The
 //! vector code loads a row's digits eight at a time, masking off the lanes
@@ -29,9 +39,10 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::arch::x86_64::{
-    _mm512_add_epi64, _mm512_alignr_epi64, _mm512_castsi512_si128, _mm512_loadu_si512,
-    _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_maskz_loadu_epi64, _mm512_set1_epi64,
-    _mm512_setzero_si512, _mm512_storeu_si512, _mm_extract_epi64,
+    __m512i, _mm512_add_epi64, _mm512_alignr_epi64, _mm512_and_si512, _mm512_castsi512_si128,
+    _mm512_loadu_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_maskz_loadu_epi64,
+    _mm512_set1_epi64, _mm512_setzero_si512, _mm512_srli_epi64, _mm512_storeu_si512,
+    _mm_extract_epi64,
 };
 
 use crate::biguint::BigUint;
@@ -45,6 +56,12 @@ const LANES: usize = 8;
 /// Most vectors a row may span: 80 digits, moduli up to 4,158 bits. Ten
 /// vectors each of the accumulator, `b` and `m` take 30 of the 32 registers.
 const MAX_VECTORS: usize = 10;
+/// Most digits the eight-lane product takes: 20, moduli up to 1,038 bits.
+/// Its accumulator, `b` and `m` take a vector a digit each, so past 10
+/// digits some of `b` and `m` are read from memory each round; at 40
+/// digits (2048 bits) the accumulator spills too, and a product took 0.89×
+/// eight single products' time, where 20 digits took 0.29–0.34×.
+const OCTET_MAX_DIGITS: usize = 20;
 
 /// The IFMA kernel's constants for one odd modulus.
 #[derive(Clone)]
@@ -53,6 +70,8 @@ pub(crate) struct Ifma {
     digits: usize,
     /// The modulus's digits, zero-padded to whole vectors.
     m: Vec<[u64; LANES]>,
+    /// `1` as a row: the factor that takes a row out of Montgomery form.
+    unit: Vec<u64>,
     /// `−m⁻¹ mod 2^52`.
     k0: u64,
 }
@@ -80,6 +99,7 @@ impl Ifma {
                 .chunks_exact(LANES)
                 .map(|c| std::array::from_fn(|i| c[i]))
                 .collect(),
+            unit: to_digits(&BigUint::one(), digits),
             k0: neg_inv_u64(modulus.limbs()[0]) & MASK,
         })
     }
@@ -92,6 +112,11 @@ impl Ifma {
     /// `x < 2^{52N}` as a row.
     pub(crate) fn row(&self, x: &BigUint) -> Vec<u64> {
         to_digits(x, self.digits)
+    }
+
+    /// `1` as a row: a product with it takes a row out of Montgomery form.
+    pub(crate) fn unit(&self) -> &[u64] {
+        &self.unit
     }
 
     /// The canonical residue of a row in `[0, 2m)`: `m` is subtracted and
@@ -163,6 +188,55 @@ impl Ifma {
         }
         debug_assert_eq!(carry, 0, "the product is below 2m < R");
         debug_assert!(lanes[acc.len()..].iter().all(|&l| l == 0));
+    }
+
+    /// Whether the eight-lane product takes rows of this width.
+    pub(crate) fn has_octet(&self) -> bool {
+        self.digits <= OCTET_MAX_DIGITS
+    }
+
+    /// `acc ← acc·b·R⁻¹` in each of the eight lanes, squaring for no `b`;
+    /// every lane's rows in `[0, 2m)`, its result too, and equal digit for
+    /// digit to [`Ifma::product`] on that lane's rows.
+    ///
+    /// # Panics
+    /// Unless [`Ifma::has_octet`], or unless the octets are `N` digits.
+    pub(crate) fn product8(&self, acc: &mut [[u64; LANES]], b: Option<&[[u64; LANES]]>) {
+        assert!(
+            acc.len() == self.digits && b.is_none_or(|b| b.len() == self.digits),
+            "octets are N digits wide"
+        );
+        macro_rules! at_width {
+            ($($n:literal)*) => {
+                match self.digits {
+                    $($n => self.run8::<$n>(acc, b),)*
+                    _ => panic!("the eight-lane product takes at most {OCTET_MAX_DIGITS} digits"),
+                }
+            };
+        }
+        at_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20)
+    }
+
+    /// [`amm8`] at `N` digits, written back to `acc`.
+    fn run8<const N: usize>(&self, acc: &mut [[u64; LANES]], b: Option<&[[u64; LANES]]>) {
+        let Ok(a) = <&[[u64; LANES]; N]>::try_from(&*acc) else {
+            unreachable!("acc is N digits")
+        };
+        let b = match b.map(<&[[u64; LANES]; N]>::try_from) {
+            None => a,
+            Some(Ok(b)) => b,
+            Some(Err(_)) => unreachable!("b is N digits"),
+        };
+        debug_assert!(
+            a.iter().chain(b).flatten().all(|&d| d <= MASK),
+            "digits hold 52 bits"
+        );
+        let m = &self.m.as_flattened()[..N];
+        // SAFETY: an `Ifma` exists only when `new` saw the CPU report
+        // `avx512f` and `avx512ifma`.
+        let (out, carry) = unsafe { amm8::<N>(a, b, m, self.k0) };
+        debug_assert_eq!(carry, [0; LANES], "every product is below 2m < R");
+        acc.copy_from_slice(&out);
     }
 }
 
@@ -241,6 +315,69 @@ unsafe fn amm<const L: usize>(a: &[u64], b: &[u64], m: &Vectors<L>, k0: u64) -> 
     // The vector's lane 0 lacks the carries the scalar took in.
     out[0][0] = lane0;
     out
+}
+
+/// The almost-Montgomery product of eight pairs of rows at once, lane `l`
+/// holding the rows `a[·][l]` and `b[·][l]` (digits below 2^52, values
+/// below `2m`) modulo the `m` all lanes share, whose `−m⁻¹ mod 2^52` is
+/// `k0`. Returns the eight results carried back to 52-bit digits, and the
+/// carry out of the top digit of each lane (zero, as every product is
+/// below `2m < R`).
+///
+/// Round `i` adds `a_i·b + u·m` in every lane, `u` read lane by lane from
+/// the low digit, then drops that digit, now `≡ 0 mod 2^52`, carrying
+/// its top bits into the next. The low halves of digit `j`'s products go
+/// to vector `j`, the high halves to vector `j + 1`; the drop renames the
+/// vectors, so no lane crosses another. A lane gains below `4·2^52` a
+/// round, so after `N ≤ 20` rounds it is below `80·2^52 < 2^59`.
+///
+/// # Safety
+/// The CPU must support `avx512f` and `avx512ifma`.
+#[target_feature(enable = "avx512f,avx512ifma")]
+unsafe fn amm8<const N: usize>(
+    a: &[[u64; LANES]; N],
+    b: &[[u64; LANES]; N],
+    m: &[u64],
+    k0: u64,
+) -> ([[u64; LANES]; N], [u64; LANES]) {
+    let zero = _mm512_setzero_si512();
+    // SAFETY: `v` is 64 readable bytes; `loadu` needs no alignment.
+    let load = |v: &[u64; LANES]| unsafe { _mm512_loadu_si512(v.as_ptr().cast()) };
+    let bv: [__m512i; N] = std::array::from_fn(|j| load(&b[j]));
+    let mv: [__m512i; N] = std::array::from_fn(|j| _mm512_set1_epi64(m[j] as i64));
+    let k0 = _mm512_set1_epi64(k0 as i64);
+    let mut x = [zero; N];
+    for ai in a {
+        let ai = load(ai);
+        let x0 = _mm512_madd52lo_epu64(x[0], ai, bv[0]);
+        let u = _mm512_madd52lo_epu64(zero, x0, k0);
+        let carry = _mm512_srli_epi64::<52>(_mm512_madd52lo_epu64(x0, u, mv[0]));
+        // Digit 0, now ≡ 0 mod 2^52, is dropped: the new digit j is the old
+        // digit j + 1 with its low halves, plus digit j's high halves.
+        x = std::array::from_fn(|j| {
+            let mut v = if j + 1 < N { x[j + 1] } else { zero };
+            v = _mm512_madd52hi_epu64(v, ai, bv[j]);
+            if j + 1 < N {
+                v = _mm512_madd52lo_epu64(v, ai, bv[j + 1]);
+                v = _mm512_madd52lo_epu64(v, u, mv[j + 1]);
+            }
+            _mm512_madd52hi_epu64(v, u, mv[j])
+        });
+        x[0] = _mm512_add_epi64(x[0], carry);
+    }
+    let mask = _mm512_set1_epi64(MASK as i64);
+    let mut out = [[0; LANES]; N];
+    let mut carry = zero;
+    for (o, &v) in out.iter_mut().zip(&x) {
+        let v = _mm512_add_epi64(v, carry);
+        // SAFETY: `o` is 64 writable bytes; `storeu` needs no alignment.
+        unsafe { _mm512_storeu_si512(o.as_mut_ptr().cast(), _mm512_and_si512(v, mask)) };
+        carry = _mm512_srli_epi64::<52>(v);
+    }
+    let mut top = [0; LANES];
+    // SAFETY: `top` is 64 writable bytes; `storeu` needs no alignment.
+    unsafe { _mm512_storeu_si512(top.as_mut_ptr().cast(), carry) };
+    (out, top)
 }
 
 /// The low `n` 52-bit digits of `x`.

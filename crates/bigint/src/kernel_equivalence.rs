@@ -1,11 +1,15 @@
 //! The IFMA kernel against the scalar one: for one modulus on both, every
 //! entry point that hands a value out of the row domain gives the same
 //! canonical output, and each kernel's Montgomery product is `a·b·R⁻¹` for
-//! its own `R`. On a CPU without IFMA each test says so and checks nothing.
+//! its own `R`. The eight-lane product against the single-row one: every
+//! lane's row is that kernel's, digit for digit, and the batch entry points
+//! built on it give their one-item forms' outputs at every batch size. On a
+//! CPU without IFMA each test says so and checks nothing.
 
 use proptest::prelude::*;
 
 use crate::modular::{batch_mod_inverse_with, mod_inverse};
+use crate::montgomery::{lane_row, put_lane, splat, OCTET};
 use crate::multiexp::{multi_exp, PIPPENGER_CUTOFF};
 use crate::random::{gen_biguint_below, gen_biguint_bits};
 use crate::test_helpers::{hard_moduli, hard_operands, rng};
@@ -197,6 +201,215 @@ fn multi_exponentiations_and_batch_inverses_agree_across_kernels() {
     });
 }
 
+/// Batch sizes around the eight lanes: none, one, partial, whole and
+/// whole-plus-partial groups.
+const BATCH_SIZES: [usize; 8] = [0, 1, 2, 7, 8, 9, 16, 17];
+
+/// Moduli at every width the eight-lane product takes: the hard moduli at
+/// 1–16 limbs, and for each digit count `N` in 1..=20 one of `52N − 2`
+/// bits, the widest of that many digits.
+fn octet_moduli(seed: u64) -> Vec<BigUint> {
+    let mut r = rng(seed);
+    let mut moduli: Vec<BigUint> = (1..=16)
+        .flat_map(|limbs| hard_moduli(&mut r, limbs))
+        .collect();
+    for digits in 1..=20 {
+        let bits = 52 * digits - 2;
+        let mut m = gen_biguint_bits(&mut r, bits);
+        m.set_bit(0, true);
+        m.set_bit(bits - 1, true);
+        moduli.push(m);
+    }
+    moduli
+}
+
+/// For every modulus of [`octet_moduli`], `check(scalar, ifma, m, label)`
+/// with the IFMA context at that width.
+fn for_each_octet_modulus(
+    seed: u64,
+    mut check: impl FnMut(&MontgomeryCtx, &MontgomeryCtx, &BigUint, &str),
+) {
+    for (i, m) in octet_moduli(seed).into_iter().enumerate() {
+        let Some((scalar, ifma)) = both(&m) else {
+            return;
+        };
+        let digits = (m.bit_length() + 2).div_ceil(52);
+        assert!(ifma.octet_serves(OCTET), "{digits} digits");
+        check(&scalar, &ifma, &m, &format!("modulus {i}, {digits} digits"));
+    }
+}
+
+/// `count` bases below `m`, cycling through the hard operands, with every
+/// seventh at or above `m` (reduced first).
+fn bases_for(r: &mut rand::rngs::StdRng, m: &BigUint, count: usize) -> Vec<BigUint> {
+    let ops = hard_operands(r, m);
+    (0..count)
+        .map(|i| match i % 7 {
+            6 => m + &ops[i % ops.len()],
+            _ if i < ops.len() => ops[i].clone(),
+            _ => gen_biguint_below(r, m),
+        })
+        .collect()
+}
+
+#[test]
+fn octet_lanes_equal_single_rows_digit_for_digit() {
+    let mut r = rng(100);
+    for_each_octet_modulus(101, |_, ifma, m, label| {
+        let k = ifma.width();
+        let ops = hard_operands(&mut r, m);
+        // Rows anywhere in [0, 2m): odd lanes hold their value plus m.
+        let row = |lane: usize, x: &BigUint| {
+            if lane % 2 == 1 {
+                ifma.widen(&(x + m))
+            } else {
+                ifma.widen(x)
+            }
+        };
+        let mut singles: Vec<Vec<u64>> = (0..OCTET).map(|l| row(l, &ops[l])).collect();
+        let mut acc = splat(&vec![0; k]);
+        for (lane, single) in singles.iter().enumerate() {
+            put_lane(&mut acc, lane, single);
+        }
+        let mut scratch = ifma.scratch();
+        for step in 0..200 {
+            if step % 3 == 0 {
+                ifma.octet_product(&mut acc, None);
+                for single in &mut singles {
+                    ifma.sqr_assign(single, &mut scratch);
+                }
+            } else {
+                let b: Vec<Vec<u64>> = (0..OCTET)
+                    .map(|l| row(l + step, &gen_biguint_below(&mut r, m)))
+                    .collect();
+                let mut octet = splat(&vec![0; k]);
+                for (lane, b) in b.iter().enumerate() {
+                    put_lane(&mut octet, lane, b);
+                }
+                ifma.octet_product(&mut acc, Some(&octet));
+                for (single, b) in singles.iter_mut().zip(&b) {
+                    ifma.mul_assign(single, b, &mut scratch);
+                }
+            }
+            for (lane, single) in singles.iter().enumerate() {
+                assert_eq!(
+                    &lane_row(&acc, lane),
+                    single,
+                    "{label}, step {step}, lane {lane}"
+                );
+            }
+        }
+        // Out of the form, lane by lane.
+        let want: Vec<BigUint> = singles
+            .iter()
+            .map(|single| ifma.out_of_mont(single, &mut scratch))
+            .collect();
+        assert_eq!(ifma.octet_out(acc, OCTET), want, "{label}");
+    });
+}
+
+#[test]
+fn pow_many_equals_pow_mod_at_every_batch_size() {
+    let mut r = rng(102);
+    for_each_octet_modulus(103, |scalar, ifma, m, label| {
+        let mut exps: Vec<BigUint> = [0u64, 1, 15, 16, 193]
+            .into_iter()
+            .map(BigUint::from_u64)
+            .collect();
+        exps.push(gen_biguint_bits(&mut r, 160));
+        let bases = bases_for(&mut r, m, 17);
+        for exp in &exps {
+            let want: Vec<BigUint> = bases.iter().map(|b| scalar.pow_mod(b, exp)).collect();
+            for size in BATCH_SIZES {
+                assert_eq!(
+                    ifma.pow_many(&bases[..size], exp),
+                    want[..size],
+                    "{label}, exp {exp:?}, {size} bases"
+                );
+            }
+            assert_eq!(
+                bases
+                    .iter()
+                    .map(|b| ifma.pow_mod(b, exp))
+                    .collect::<Vec<_>>(),
+                want,
+                "{label}"
+            );
+        }
+    });
+}
+
+#[test]
+fn batch_comb_scans_equal_one_item_scans() {
+    let mut r = rng(104);
+    for_each_octet_modulus(105, |scalar, ifma, m, label| {
+        let base = gen_biguint_below(&mut r, m);
+        let max_exp_bits: usize = 97;
+        for teeth in 1..=8 {
+            let spacing = max_exp_bits.div_ceil(teeth);
+            let block = spacing.div_ceil(2);
+            let covered = teeth * spacing;
+            // Zero rows in every column (0), nearly every column (1, a lone
+            // high bit), both sides of a block and the strip's end, and past
+            // it: the lane that takes the ladder.
+            let widths = [
+                0,
+                1,
+                block,
+                block + 1,
+                spacing,
+                covered,
+                covered + 1,
+                covered + 70,
+            ];
+            let exps: Vec<BigUint> = (0..17)
+                .map(|i| match i {
+                    0 => BigUint::zero(),
+                    1 => BigUint::one(),
+                    2 => &BigUint::one() << (covered - 1),
+                    _ => gen_biguint_bits(&mut r, widths[i % widths.len()]),
+                })
+                .collect();
+            // `small` of no bits, a few, and wider than a block.
+            let factors: Vec<(BigUint, u64)> = (0..17)
+                .map(|i| {
+                    let small = [0, 5, u64::MAX, 192][i % 4];
+                    (ifma.to_mont(&gen_biguint_below(&mut r, m)), small)
+                })
+                .collect();
+            let combs =
+                [scalar, ifma].map(|ctx| FixedBaseTable::new(ctx, &base, teeth, max_exp_bits));
+            let want: Vec<BigUint> = exps.iter().map(|e| combs[0].pow(e)).collect();
+            let want_mul: Vec<BigUint> = exps
+                .iter()
+                .zip(&factors)
+                .map(|(e, (f, small))| combs[1].pow_mul(e, f, *small))
+                .collect();
+            for (e, w) in exps.iter().zip(&want) {
+                assert_eq!(&combs[1].pow(e), w, "{label}, {teeth} teeth");
+            }
+            for size in BATCH_SIZES {
+                let label = format!("{label}, {teeth} teeth, {size} exponents");
+                assert_eq!(combs[1].pow_many(&exps[..size]), want[..size], "{label}");
+                let items: Vec<(&BigUint, &BigUint, u64)> = exps[..size]
+                    .iter()
+                    .zip(&factors)
+                    .map(|(e, (f, small))| (e, f, *small))
+                    .collect();
+                assert_eq!(combs[1].pow_mul_many(&items), want_mul[..size], "{label}");
+            }
+            // The factor's power is the one a ladder gives, on either kernel.
+            let (f, small) = &factors[2];
+            let times = scalar.pow_mod(&ifma.from_mont(f), &BigUint::from_u64(*small));
+            assert_eq!(
+                want_mul[2],
+                &(&want[2] * &times) % m,
+                "{label}, {teeth} teeth"
+            );
+        }
+    });
+}
+
 fn modulus_of(limbs: usize, bytes: &[u8]) -> BigUint {
     let mut m = BigUint::from_bytes_le(&bytes[..8 * limbs]);
     m.set_bit(0, true);
@@ -229,6 +442,47 @@ proptest! {
             prop_assert_eq!(ifma.mont_mul(&a, &b), by_division(&ifma, &a, &b));
             prop_assert_eq!(ifma.mont_sqr(&a), by_division(&ifma, &a, &a));
             prop_assert_eq!(ifma.pow_mod(&a, &exp), scalar.pow_mod(&a, &exp));
+        }
+    }
+
+    /// At any width the eight-lane product takes and any batch size, every
+    /// lane's product is the single-row kernel's, digit for digit, and
+    /// `pow_many` and the batch comb scan give their one-item outputs.
+    #[test]
+    fn octets_agree_with_single_rows_at_any_width_and_batch(
+        limbs in 1usize..=16,
+        size in 0usize..=17,
+        m_bytes in proptest::collection::vec(any::<u8>(), 128..=128),
+        op_bytes in proptest::collection::vec(any::<u8>(), 17 * 136..=17 * 136),
+        exp_bytes in proptest::collection::vec(any::<u8>(), 0..=24),
+    ) {
+        let m = modulus_of(limbs, &m_bytes);
+        if let Some((scalar, ifma)) = both(&m) {
+            let ops: Vec<BigUint> = op_bytes
+                .chunks(136)
+                .map(|bytes| &BigUint::from_bytes_le(bytes) % &m)
+                .collect();
+            let exp = BigUint::from_bytes_le(&exp_bytes);
+            let (a, b) = (&ops[..OCTET], &ops[OCTET..2 * OCTET]);
+            let (mut acc, mut by) = (splat(&vec![0; ifma.width()]), splat(&vec![0; ifma.width()]));
+            for lane in 0..OCTET {
+                put_lane(&mut acc, lane, &ifma.widen(&a[lane]));
+                put_lane(&mut by, lane, &ifma.widen(&b[lane]));
+            }
+            ifma.octet_product(&mut acc, Some(&by));
+            let mut scratch = ifma.scratch();
+            for lane in 0..OCTET {
+                let mut single = ifma.widen(&a[lane]);
+                ifma.mul_assign(&mut single, &ifma.widen(&b[lane]), &mut scratch);
+                prop_assert_eq!(lane_row(&acc, lane), single);
+            }
+            let bases = &ops[..size];
+            let want: Vec<BigUint> = bases.iter().map(|x| scalar.pow_mod(x, &exp)).collect();
+            prop_assert_eq!(ifma.pow_many(bases, &exp), want);
+            let comb = FixedBaseTable::new(&ifma, &ops[16], 5, 8 * exp_bytes.len().max(1));
+            let exps: Vec<BigUint> = bases.iter().map(|x| x >> (x.bit_length() / 2)).collect();
+            let want: Vec<BigUint> = exps.iter().map(|e| comb.pow(e)).collect();
+            prop_assert_eq!(comb.pow_many(&exps), want);
         }
     }
 }

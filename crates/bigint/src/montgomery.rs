@@ -16,6 +16,13 @@
 //!   `R = 2^{52N}`, Gueron–Krasnov's almost-Montgomery product over
 //!   eight-lane vectors (`crate::ifma`), rows in `[0, 2m)`.
 //!
+//! Up to 20 digits (1,038 bits) the IFMA kernel also has an eight-lane
+//! product: eight independent rows, one a lane of an [`Octet`], each
+//! ending as the single-row product would leave it.
+//! [`MontgomeryCtx::pow_many`] and `FixedBaseTable`'s batch scans run their
+//! items eight at a time on it where a group is large enough to pay
+//! ([`MontgomeryCtx::octet_serves`]), and one by one everywhere else.
+//!
 //! A square is the product of a row with itself on either kernel.
 //! Exponentiation uses a fixed 4-bit window. The `BigUint` entry points
 //! ([`MontgomeryCtx::mont_mul`] and friends) are the same kernels behind a
@@ -28,11 +35,53 @@ use crate::biguint::BigUint;
 use crate::ifma::Ifma;
 
 /// Narrowest modulus, in 64-bit limbs, that takes the IFMA kernel
-/// (DESIGN.md §12). On a Xeon with `avx512ifma`, a 16-base `pow_many` at a
-/// 160-bit exponent took 0.68–0.78× the scalar kernel's time at 8 limbs,
-/// and the two were within the box's spread of each other at 4–7; a
-/// product in place took 0.3–0.4× at 16 limbs and 0.2–0.25× at 32.
+/// (DESIGN.md §12). On a Xeon with `avx512ifma`, sixteen single-row
+/// ladders at a 160-bit exponent took 0.68–0.78× the scalar kernel's time
+/// at 8 limbs, and the two were within the box's spread of each other at
+/// 4–7; a product in place took 0.3–0.4× at 16 limbs and 0.2–0.25× at 32.
+/// A 16-base `pow_many`, which runs that shape on the eight-lane product,
+/// took 0.13× the scalar time at 8 limbs and 0.12× at 16.
 const IFMA_MIN_LIMBS: usize = 8;
+
+/// Rows an [`Octet`] holds side by side.
+pub(crate) const OCTET: usize = 8;
+
+/// Up to eight rows of one context side by side, word `j` of lane `l` at
+/// `[j][l]`: the operand of the eight-lane product.
+pub(crate) type Octet = Vec<[u64; OCTET]>;
+
+/// Fewest rows of `digits` digits that run faster on the eight-lane
+/// product, which costs the same for eight, than one by one (DESIGN.md
+/// §12). On a Xeon with `avx512ifma` an eight-lane product took 1.5–1.7
+/// single products' time at 9–10 digits, 1.9 at 12, 2.1–2.3 at 14–15 and
+/// 2.3–2.7 at 16–20; through a ladder or a comb scan, packing the lanes
+/// and taking them out adds to that, so a 160-bit ladder mod 512 bits ran
+/// 0.77× the single ladders' time at two lanes and a 400-bit comb scan mod
+/// 1024 bits 1.1–1.3× at three and 0.8–0.95× at four.
+fn octet_min_lanes(digits: usize) -> usize {
+    match digits {
+        0..=12 => 2,
+        13..=15 => 3,
+        _ => 4,
+    }
+}
+
+/// An octet holding `row` in every lane.
+pub(crate) fn splat(row: &[u64]) -> Octet {
+    row.iter().map(|&w| [w; OCTET]).collect()
+}
+
+/// Lane `lane` of `octet` ← `row`.
+pub(crate) fn put_lane(octet: &mut [[u64; OCTET]], lane: usize, row: &[u64]) {
+    for (words, &w) in octet.iter_mut().zip(row) {
+        words[lane] = w;
+    }
+}
+
+/// The row lane `lane` of `octet` holds.
+pub(crate) fn lane_row(octet: &[[u64; OCTET]], lane: usize) -> Vec<u64> {
+    octet.iter().map(|words| words[lane]).collect()
+}
 
 /// Precomputed state for repeated multiplication modulo a fixed odd modulus.
 #[derive(Clone)]
@@ -235,13 +284,18 @@ impl MontgomeryCtx {
 
     /// `x` (of any size; reduced first) in Montgomery form, as a row.
     pub(crate) fn to_mont_limbs(&self, x: &BigUint, scratch: &mut Scratch) -> Vec<u64> {
-        let mut row = if x >= &self.modulus {
+        let mut row = self.reduced_row(x);
+        self.mul_assign(&mut row, &self.r2, scratch);
+        row
+    }
+
+    /// `x mod m` as a row, `x` of any size.
+    fn reduced_row(&self, x: &BigUint) -> Vec<u64> {
+        if x >= &self.modulus {
             self.widen(&(x % &self.modulus))
         } else {
             self.widen(x)
-        };
-        self.mul_assign(&mut row, &self.r2, scratch);
-        row
+        }
     }
 
     /// The canonical residue a Montgomery row stands for: on the scalar
@@ -261,9 +315,48 @@ impl MontgomeryCtx {
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(ifma) => {
                 let mut row = x.to_vec();
-                ifma.product(&mut row, Some(&ifma.row(&BigUint::one())));
+                ifma.product(&mut row, Some(ifma.unit()));
                 ifma.residue(&row)
             }
+        }
+    }
+
+    /// Whether a group of `lanes` rows runs on the eight-lane product: the
+    /// IFMA kernel, rows of at most 20 digits, and enough lanes to pay for
+    /// the eight the product computes.
+    pub(crate) fn octet_serves(&self, lanes: usize) -> bool {
+        match &self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => ifma.has_octet() && lanes >= octet_min_lanes(ifma.width()),
+            _ => false,
+        }
+    }
+
+    /// `acc ← acc·b·R^{-1} mod m` in every lane, squaring for no `b`: each
+    /// lane ends as the row [`Self::mul_assign`] leaves for its own rows.
+    ///
+    /// # Panics
+    /// Unless the context serves octets ([`Self::octet_serves`]).
+    pub(crate) fn octet_product(&self, acc: &mut [[u64; OCTET]], b: Option<&[[u64; OCTET]]>) {
+        match &self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => ifma.product8(acc, b),
+            _ => unreachable!("octets run on the IFMA kernel alone"),
+        }
+    }
+
+    /// The canonical residues of the first `lanes` lanes of an octet of
+    /// Montgomery rows: [`Self::out_of_mont`] lane by lane.
+    pub(crate) fn octet_out(&self, mut acc: Octet, lanes: usize) -> Vec<BigUint> {
+        match &self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Ifma(ifma) => {
+                ifma.product8(&mut acc, Some(&splat(ifma.unit())));
+                (0..lanes)
+                    .map(|lane| ifma.residue(&lane_row(&acc, lane)))
+                    .collect()
+            }
+            _ => unreachable!("octets run on the IFMA kernel alone"),
         }
     }
 
@@ -443,12 +536,14 @@ impl MontgomeryCtx {
         self.pow_windows(base, &Self::exp_windows4(exp), &mut self.scratch())
     }
 
-    /// Raises many bases to one shared exponent: `[b^exp mod m; bases]`.
+    /// Raises many bases to one shared exponent: `[b^exp mod m; bases]`,
+    /// each equal to [`Self::pow_mod`]'s.
     ///
-    /// The exponent's window decomposition is computed once and the
-    /// Montgomery context (R², one) and working space are shared, so a
-    /// batch costs strictly less than independent [`Self::pow_mod`] calls
-    /// while producing limb-identical results.
+    /// The exponent's window decomposition is computed once. On the IFMA
+    /// kernel at up to 20 digits the bases run eight at a time, one a lane
+    /// of the eight-lane product, each through the products of its own
+    /// ladder; a group too small to pay for it (DESIGN.md §12), and every
+    /// group on the scalar kernel, runs base by base.
     pub fn pow_many(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
         if exp.is_zero() {
             let one = &BigUint::one() % &self.modulus;
@@ -456,10 +551,50 @@ impl MontgomeryCtx {
         }
         let digits = Self::exp_windows4(exp);
         let mut scratch = self.scratch();
-        bases
-            .iter()
-            .map(|base| self.pow_windows(base, &digits, &mut scratch))
-            .collect()
+        let mut out = Vec::with_capacity(bases.len());
+        for group in bases.chunks(OCTET) {
+            if self.octet_serves(group.len()) {
+                out.extend(self.pow_windows8(group, &digits));
+            } else {
+                out.extend(
+                    group
+                        .iter()
+                        .map(|base| self.pow_windows(base, &digits, &mut scratch)),
+                );
+            }
+        }
+        out
+    }
+
+    /// [`Self::pow_windows`] for up to eight bases, one a lane: every lane
+    /// runs the products of its base's own ladder, so it ends with the
+    /// same row. Lanes past the group hold zero.
+    fn pow_windows8(&self, bases: &[BigUint], digits: &[u8]) -> Vec<BigUint> {
+        let max_digit = digits.iter().copied().max().unwrap_or(0) as usize;
+        let mut base = splat(&vec![0; self.width()]);
+        for (lane, b) in bases.iter().enumerate() {
+            put_lane(&mut base, lane, &self.reduced_row(b));
+        }
+        self.octet_product(&mut base, Some(&splat(&self.r2)));
+        let one = splat(&self.one_limbs());
+        let mut table = vec![one.clone(), base];
+        for d in 2..=max_digit {
+            let mut next = table[d - 1].clone();
+            self.octet_product(&mut next, Some(&table[1]));
+            table.push(next);
+        }
+        let mut acc = one;
+        for (i, &d) in digits.iter().enumerate() {
+            if i > 0 {
+                for _ in 0..4 {
+                    self.octet_product(&mut acc, None);
+                }
+            }
+            if d != 0 {
+                self.octet_product(&mut acc, Some(&table[d as usize]));
+            }
+        }
+        self.octet_out(acc, bases.len())
     }
 }
 

@@ -16,7 +16,7 @@
 //!   square-and-multiply ladder per operand.
 
 use crate::biguint::BigUint;
-use crate::montgomery::{MontgomeryCtx, Scratch};
+use crate::montgomery::{put_lane, splat, MontgomeryCtx, Octet, Scratch, OCTET};
 
 /// Version stamp for the exponentiation-kernel layer, carried into bench
 /// trajectory JSON so regressions to naive ladders are visible in data.
@@ -162,10 +162,123 @@ impl FixedBaseTable {
         self.scan(exp, Some((factor_mont, small)))
     }
 
+    /// `[base^e mod m; exps]`, each equal to [`Self::pow`]'s: exponents
+    /// the strips cover scan eight at a time where the context runs the
+    /// eight-lane product (as [`MontgomeryCtx::pow_many`] does), each lane
+    /// reading its own comb rows; the rest one by one, as [`Self::pow`]
+    /// runs them.
+    pub fn pow_many(&self, exps: &[BigUint]) -> Vec<BigUint> {
+        let items: Vec<Item> = exps.iter().map(|exp| (exp, None)).collect();
+        self.scan_many(&items)
+    }
+
+    /// `[base^e · f^small mod m; items]` for items `(e, f·R mod m, small)`,
+    /// each equal to [`Self::pow_mul`]'s, batched as [`Self::pow_many`].
+    pub fn pow_mul_many(&self, items: &[(&BigUint, &BigUint, u64)]) -> Vec<BigUint> {
+        let items: Vec<Item> = items
+            .iter()
+            .map(|&(exp, factor, small)| (exp, Some((factor, small))))
+            .collect();
+        self.scan_many(&items)
+    }
+
+    /// Whether the strips cover `exp`: otherwise it takes the ladder.
+    fn covers(&self, exp: &BigUint) -> bool {
+        exp.bit_length() <= self.teeth * self.spacing
+    }
+
+    fn scan_many(&self, items: &[Item]) -> Vec<BigUint> {
+        let mut out: Vec<Option<BigUint>> = vec![None; items.len()];
+        let covered: Vec<usize> = (0..items.len())
+            .filter(|&i| self.covers(items[i].0))
+            .collect();
+        for group in covered.chunks(OCTET) {
+            if self.ctx.octet_serves(group.len()) {
+                let lanes: Vec<Item> = group.iter().map(|&i| items[i]).collect();
+                for (&i, value) in group.iter().zip(self.scan8(&lanes)) {
+                    out[i] = Some(value);
+                }
+            }
+        }
+        out.into_iter()
+            .zip(items)
+            .map(|(value, &(exp, factor))| value.unwrap_or_else(|| self.scan(exp, factor)))
+            .collect()
+    }
+
+    /// [`Self::scan`] for up to eight exponents the strips cover, one a
+    /// lane: the columns of the widest, each lane multiplying by its own
+    /// comb row — the unit row where its index is 0 — and by its factor
+    /// or the unit row at its `small`'s bits. A column no lane needs is
+    /// skipped. Each lane's products differ from its own scan's by unit
+    /// factors alone, so its residue is the same.
+    fn scan8(&self, lanes: &[Item]) -> Vec<BigUint> {
+        let ctx = &self.ctx;
+        let k = ctx.width();
+        let unit = ctx.one_limbs();
+        let bits = lanes.iter().map(|(exp, _)| exp.bit_length()).max();
+        let small_bits = lanes
+            .iter()
+            .map(|(_, factor)| factor.map_or(0, |(_, small)| 64 - small.leading_zeros() as usize))
+            .max();
+        let comb_columns = self.block.min(bits.unwrap_or(0));
+        let columns = comb_columns.max(small_bits.unwrap_or(0));
+        let factors: Vec<Option<(Vec<u64>, u64)>> = lanes
+            .iter()
+            .map(|(_, factor)| factor.map(|(f, small)| (ctx.widen(f), small)))
+            .collect();
+        let mut operand = splat(&vec![0; k]);
+        // Absent until the first column a lane multiplies in.
+        let mut acc: Option<Octet> = None;
+        for t in (0..columns).rev() {
+            if let Some(acc) = &mut acc {
+                ctx.octet_product(acc, None);
+            }
+            if t < comb_columns {
+                for (b, table) in self.rows.chunks_exact(k << self.teeth).enumerate() {
+                    let offset = b * self.block + t;
+                    if offset >= self.spacing {
+                        break;
+                    }
+                    let rows: Vec<usize> = lanes
+                        .iter()
+                        .map(|(exp, _)| {
+                            (0..self.teeth)
+                                .filter(|&i| exp.bit(i * self.spacing + offset))
+                                .fold(0, |row, i| row | 1 << i)
+                        })
+                        .collect();
+                    if rows.iter().all(|&row| row == 0) {
+                        continue;
+                    }
+                    for (lane, &row) in rows.iter().enumerate() {
+                        put_lane(&mut operand, lane, &table[row * k..(row + 1) * k]);
+                    }
+                    mul_into8(ctx, &mut acc, &operand);
+                }
+            }
+            let rows: Vec<Option<&[u64]>> = factors
+                .iter()
+                .map(|factor| match factor {
+                    Some((f, small)) if t < 64 && small >> t & 1 == 1 => Some(&f[..]),
+                    _ => None,
+                })
+                .collect();
+            if rows.iter().any(Option::is_some) {
+                for (lane, row) in rows.iter().enumerate() {
+                    put_lane(&mut operand, lane, row.unwrap_or(&unit));
+                }
+                mul_into8(ctx, &mut acc, &operand);
+            }
+        }
+        let acc = acc.unwrap_or_else(|| splat(&unit));
+        ctx.octet_out(acc, lanes.len())
+    }
+
     fn scan(&self, exp: &BigUint, factor: Option<(&BigUint, u64)>) -> BigUint {
         let ctx = &self.ctx;
         let bits = exp.bit_length();
-        if bits > self.teeth * self.spacing {
+        if !self.covers(exp) {
             let power = ctx.pow_mod(&self.base, exp);
             return match factor {
                 None => power,
@@ -271,6 +384,18 @@ pub fn multi_exp_straus(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> 
         }
     }
     ctx.out_of_mont(&acc, &mut scratch)
+}
+
+/// An exponent and, for [`FixedBaseTable::pow_mul`], its factor in
+/// Montgomery form and the factor's small exponent.
+type Item<'a> = (&'a BigUint, Option<(&'a BigUint, u64)>);
+
+/// [`mul_into`] for octets.
+fn mul_into8(ctx: &MontgomeryCtx, acc: &mut Option<Octet>, factor: &Octet) {
+    match acc {
+        Some(acc) => ctx.octet_product(acc, Some(factor)),
+        None => *acc = Some(factor.clone()),
+    }
 }
 
 /// `acc ← acc·factor`, where an absent `acc` stands for the unit.

@@ -219,11 +219,30 @@ impl DgkPublicKey {
     /// `c^r · h^s mod n` with `r` uniform in `1..u`, then `s` of `2.5·t`
     /// bits, drawn from `rng` in that order. One comb scan over `h` with
     /// `c` riding its last columns, value-equal to
-    /// `add(mul_plain(c, r), h^s)`.
+    /// `add(mul_plain(c, r), h^s)`; a one-cell [`DgkPublicKey::mask_many`].
     pub fn mask<R: Rng + ?Sized>(&self, cell_mont: &BigUint, rng: &mut R) -> BigUint {
-        let r = rng.random_range(1..self.u);
-        let s = random::gen_biguint_bits(rng, self.t * 5 / 2);
-        self.h_comb.pow_mul(&s, cell_mont, r)
+        self.mask_many([(cell_mont, rng)]).remove(0)
+    }
+
+    /// [`DgkPublicKey::mask`] for each cell, with the stream paired with
+    /// it: each draws its `r`, then its `s`, from its own stream, and the
+    /// scans run together, eight cells at a time where the comb's context
+    /// runs the eight-lane product (`ppds_bigint::FixedBaseTable::pow_mul_many`).
+    pub fn mask_many<'a, R: Rng>(
+        &self,
+        cells: impl IntoIterator<Item = (&'a BigUint, R)>,
+    ) -> Vec<BigUint> {
+        let draws: Vec<(&BigUint, BigUint, u64)> = cells
+            .into_iter()
+            .map(|(cell, mut rng)| {
+                let r = rng.random_range(1..self.u);
+                let s = random::gen_biguint_bits(&mut rng, self.t * 5 / 2);
+                (cell, s, r)
+            })
+            .collect();
+        let items: Vec<(&BigUint, &BigUint, u64)> =
+            draws.iter().map(|(cell, s, r)| (s, *cell, *r)).collect();
+        self.h_comb.pow_mul_many(&items)
     }
 
     /// The per-message randomizer `h^r`, `r` uniform of `2.5·t` bits: one
@@ -351,35 +370,72 @@ impl DgkPrivateKey {
     /// uniform below `v_p·v_q` — exactly uniform over `⟨h⟩`, where the
     /// public side's `2.5·t`-bit exponent is within `2^{-t/2}` of it — as
     /// `h^{s mod v_p} mod p` and `h^{s mod v_q} mod q` from two combs over
-    /// `t`-bit exponents, recombined by Garner.
+    /// `t`-bit exponents, recombined by Garner; a one-message
+    /// [`DgkPrivateKey::encrypt_many`].
     pub fn encrypt<R: Rng + ?Sized>(&self, m: u64, rng: &mut R) -> Result<BigUint, PaillierError> {
-        let public = &self.public;
-        if m >= public.u {
-            return Err(PaillierError::MessageOutOfRange);
-        }
-        let [comb_p, comb_q] = &*self.h_combs;
-        let rho_p = comb_p.pow(&random::gen_biguint_below(rng, &self.v_p));
-        let rho_q = comb_q.pow(&random::gen_biguint_below(rng, &self.v_q));
-        // Garner: ρ = ρ_p + p·((ρ_q − ρ_p)·p^{-1} mod q).
-        let diff = rho_q.sub_mod(&(&rho_p % &self.q), &self.q);
-        let rho = &rho_p + &(&self.p * &modular::mod_mul(&diff, &self.p_inv_q, &self.q));
-        Ok(public.seal(m, rho))
+        Ok(self
+            .encrypt_many([(std::slice::from_ref(&m), rng)])?
+            .remove(0)
+            .remove(0))
     }
 
-    /// `c^{v_p} mod p`, after checking that `c` lies in `[1, n)`, is a unit
-    /// (by its two residues: `c mod q ≠ 0` here, `c mod p ≠ 0` implied by
-    /// the next test), and has its residue mod `p` in the order-`u·v_p`
-    /// subgroup every ciphertext's lies in: `(c^{v_p})^u ≡ 1 (mod p)`.
-    fn project(&self, c: &BigUint) -> Result<BigUint, PaillierError> {
-        if c.is_zero() || c >= &self.public.n || (c % &self.q).is_zero() {
+    /// [`DgkPrivateKey::encrypt`] for groups of messages, each group with
+    /// its own stream: a group's messages draw their `s mod v_p`, then
+    /// their `s mod v_q`, one message after another, as they would one
+    /// call each, and the comb scans of every group run together, eight at
+    /// a time where the combs' contexts run the eight-lane product. A
+    /// message outside `Z_u` is [`PaillierError::MessageOutOfRange`], before
+    /// its group draws.
+    pub fn encrypt_many<'a, R: Rng>(
+        &self,
+        groups: impl IntoIterator<Item = (&'a [u64], R)>,
+    ) -> Result<Vec<Vec<BigUint>>, PaillierError> {
+        let public = &self.public;
+        let (mut messages, mut lens) = (Vec::new(), Vec::new());
+        let (mut s_p, mut s_q) = (Vec::new(), Vec::new());
+        for (group, mut rng) in groups {
+            if group.iter().any(|&m| m >= public.u) {
+                return Err(PaillierError::MessageOutOfRange);
+            }
+            for _ in group {
+                s_p.push(random::gen_biguint_below(&mut rng, &self.v_p));
+                s_q.push(random::gen_biguint_below(&mut rng, &self.v_q));
+            }
+            messages.extend_from_slice(group);
+            lens.push(group.len());
+        }
+        let [comb_p, comb_q] = &*self.h_combs;
+        let (rho_p, rho_q) = (comb_p.pow_many(&s_p), comb_q.pow_many(&s_q));
+        let mut cts = messages
+            .iter()
+            .zip(rho_p.iter().zip(&rho_q))
+            .map(|(&m, (rho_p, rho_q))| {
+                // Garner: ρ = ρ_p + p·((ρ_q − ρ_p)·p^{-1} mod q).
+                let diff = rho_q.sub_mod(&(rho_p % &self.q), &self.q);
+                let rho = rho_p + &(&self.p * &modular::mod_mul(&diff, &self.p_inv_q, &self.q));
+                public.seal(m, rho)
+            });
+        Ok(lens
+            .into_iter()
+            .map(|len| cts.by_ref().take(len).collect())
+            .collect())
+    }
+
+    /// `c^{v_p} mod p` for each cell, after checking that every cell lies
+    /// in `[1, n)`, is a unit (by its two residues: `c mod q ≠ 0` here,
+    /// `c mod p ≠ 0` implied by the next test), and has its residue mod `p`
+    /// in the order-`u·v_p` subgroup every ciphertext's lies in:
+    /// `(c^{v_p})^u ≡ 1 (mod p)`. Both powers share their exponent across
+    /// the cells (`MontgomeryCtx::pow_many`).
+    fn project_many(&self, cells: &[BigUint]) -> Result<Vec<BigUint>, PaillierError> {
+        let outside = |c: &BigUint| c.is_zero() || c >= &self.public.n || (c % &self.q).is_zero();
+        if cells.iter().any(outside) {
             return Err(PaillierError::InvalidCiphertext);
         }
-        let z = self.mont_p.pow_mod(&(c % &self.p), &self.v_p);
-        let member = self
-            .mont_p
-            .pow_mod(&z, &BigUint::from_u64(self.public.u))
-            .is_one();
-        if member {
+        let residues: Vec<BigUint> = cells.iter().map(|c| c % &self.p).collect();
+        let z = self.mont_p.pow_many(&residues, &self.v_p);
+        let u = BigUint::from_u64(self.public.u);
+        if self.mont_p.pow_many(&z, &u).iter().all(BigUint::is_one) {
             Ok(z)
         } else {
             Err(PaillierError::InvalidCiphertext)
@@ -388,9 +444,22 @@ impl DgkPrivateKey {
 
     /// Whether `c` encrypts 0: one `t`-bit exponent mod `p`. A ciphertext
     /// outside `Z*_n`, or outside the ciphertext subgroup mod `p`, is
-    /// [`PaillierError::InvalidCiphertext`].
+    /// [`PaillierError::InvalidCiphertext`]; a one-cell
+    /// [`DgkPrivateKey::is_zero_many`].
     pub fn is_zero(&self, c: &BigUint) -> Result<bool, PaillierError> {
-        Ok(self.project(c)?.is_one())
+        Ok(self.is_zero_many(std::slice::from_ref(c))?[0])
+    }
+
+    /// [`DgkPrivateKey::is_zero`] for each cell, every one tested whatever
+    /// the others hold, eight at a time where `p`'s context runs the
+    /// eight-lane product. One malformed cell makes the whole call
+    /// [`PaillierError::InvalidCiphertext`].
+    pub fn is_zero_many(&self, cells: &[BigUint]) -> Result<Vec<bool>, PaillierError> {
+        Ok(self
+            .project_many(cells)?
+            .iter()
+            .map(BigUint::is_one)
+            .collect())
     }
 }
 
@@ -450,7 +519,7 @@ mod tests {
     /// logarithm of `c^{v_p} mod p` to base `g^{v_p}`, by walking the `u`
     /// powers.
     fn decrypt(key: &DgkPrivateKey, c: &BigUint) -> Result<u64, PaillierError> {
-        let z = key.project(c)?;
+        let z = key.project_many(std::slice::from_ref(c))?.remove(0);
         let g_vp = key.mont_p.pow_mod(&(key.public.g() % &key.p), &key.v_p);
         let mut power = BigUint::one();
         for m in 0..key.public.u {
@@ -658,6 +727,183 @@ mod tests {
             .filter(|c| key.is_zero(c).is_err())
             .count();
         assert!(strays >= 19, "{strays} of 20 random residues refused");
+    }
+
+    /// Keys whose primes and modulus sit at the widths the session's keys
+    /// use: a 256-bit `n` (both halves on the scalar kernel), 512 bits
+    /// (`n` on the IFMA kernel where the CPU has one) and 1024 bits (`p`,
+    /// `q` and `n` on it).
+    fn keys_by_width() -> [&'static DgkPrivateKey; 3] {
+        static KEYS: OnceLock<[DgkPrivateKey; 3]> = OnceLock::new();
+        let keys = KEYS.get_or_init(|| {
+            [256, 512, 1024].map(|bits| DgkPrivateKey::generate(bits, &mut rng(bits as u64)))
+        });
+        [&keys[0], &keys[1], &keys[2]]
+    }
+
+    /// The zero test as one cell's chain: range, `q`, the `v_p` ladder and
+    /// the membership ladder, each a `pow_mod`.
+    fn zero_test_chain(key: &DgkPrivateKey, c: &BigUint) -> Result<bool, PaillierError> {
+        if c.is_zero() || c >= &key.public.n || (c % &key.q).is_zero() {
+            return Err(PaillierError::InvalidCiphertext);
+        }
+        let z = key.mont_p.pow_mod(&(c % &key.p), &key.v_p);
+        let u = BigUint::from_u64(key.public.u);
+        if key.mont_p.pow_mod(&z, &u).is_one() {
+            Ok(z.is_one())
+        } else {
+            Err(PaillierError::InvalidCiphertext)
+        }
+    }
+
+    /// The batch zero test, mask and holder encryption give the bytes and
+    /// verdicts of the one-item chains they replace — a `pow_mod` ladder
+    /// per cell, a single comb scan per mask, two single comb scans and
+    /// Garner per bit — from the same streams, at 256-, 512- and 1024-bit
+    /// keys and every batch size around the eight lanes.
+    #[test]
+    fn batches_equal_the_one_item_chains() {
+        for key in keys_by_width() {
+            let public = key.public();
+            let (mont, u, bits) = (public.montgomery(), public.u(), public.bits());
+            let mut r = rng(11);
+            // Cells of every kind: zero, one, the top of Z_u, and the rest.
+            let cells: Vec<BigUint> = (0..17u64)
+                .map(|i| {
+                    public
+                        .encrypt([0, 1, u - 1, i][i as usize % 4], &mut r)
+                        .unwrap()
+                })
+                .collect();
+            let verdicts: Vec<bool> = cells
+                .iter()
+                .map(|c| zero_test_chain(key, c).unwrap())
+                .collect();
+            assert!(verdicts.contains(&true) && verdicts.contains(&false));
+            let masks: Vec<BigUint> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    let mut draws = rng(100 + i as u64);
+                    let r = draws.random_range(1..u);
+                    let s = random::gen_biguint_bits(&mut draws, public.t * 5 / 2);
+                    public.h_comb.pow_mul(&s, &mont.to_mont(c), r)
+                })
+                .collect();
+            let cells_mont: Vec<BigUint> = cells.iter().map(|c| mont.to_mont(c)).collect();
+            for size in [0, 1, 2, 7, 8, 9, 16, 17] {
+                let label = format!("{bits}-bit key, {size} cells");
+                assert_eq!(
+                    key.is_zero_many(&cells[..size]).unwrap(),
+                    verdicts[..size],
+                    "{label}"
+                );
+                let streams = (0..size).map(|i| rng(100 + i as u64));
+                assert_eq!(
+                    public.mask_many(cells_mont[..size].iter().zip(streams)),
+                    masks[..size],
+                    "{label}"
+                );
+            }
+            for (c, zero) in cells.iter().zip(&verdicts) {
+                assert_eq!(key.is_zero(c), Ok(*zero), "{bits}-bit key");
+            }
+            // Three groups of bits, each from its own stream, against the
+            // chain a bit at a time: `s mod v_p`, then `s mod v_q`.
+            let groups: [&[u64]; 3] = [
+                &[1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1],
+                &[0; 9],
+                &[1, 192],
+            ];
+            let [comb_p, comb_q] = &*key.h_combs;
+            for sizes in [&groups[..], &groups[..1], &groups[2..]] {
+                let want: Vec<Vec<BigUint>> = sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(g, group)| {
+                        let mut draws = rng(200 + g as u64);
+                        group
+                            .iter()
+                            .map(|&m| {
+                                let rho_p =
+                                    comb_p.pow(&random::gen_biguint_below(&mut draws, &key.v_p));
+                                let rho_q =
+                                    comb_q.pow(&random::gen_biguint_below(&mut draws, &key.v_q));
+                                let diff = rho_q.sub_mod(&(&rho_p % &key.q), &key.q);
+                                let lift = modular::mod_mul(&diff, &key.p_inv_q, &key.q);
+                                let rho = &rho_p + &(&key.p * &lift);
+                                public.add(&public.mul_plain(public.g(), m), &rho)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let streams = (0..sizes.len()).map(|g| rng(200 + g as u64));
+                let got = key
+                    .encrypt_many(sizes.iter().copied().zip(streams))
+                    .unwrap();
+                assert_eq!(got, want, "{bits}-bit key, {} groups", sizes.len());
+            }
+            let one = key.encrypt(1, &mut rng(200)).unwrap();
+            assert_eq!(one, key.encrypt_many([(&[1][..], rng(200))]).unwrap()[0][0]);
+            assert_eq!(
+                key.encrypt_many([(&[0, 1][..], rng(1)), (&[193][..], rng(2))]),
+                Err(PaillierError::MessageOutOfRange)
+            );
+        }
+    }
+
+    /// A malformed cell at any position of a 17-cell batch makes the batch
+    /// zero test a typed error, never a panic: zero, `n` and above, a
+    /// residue `≡ 0 (mod q)`, and a unit outside the ciphertext subgroup
+    /// mod `p`, at a 128-bit key and at 1024 bits (where `p` runs on the
+    /// eight-lane product when the CPU has IFMA).
+    #[test]
+    fn a_malformed_cell_anywhere_in_a_batch_is_a_typed_error() {
+        for key in [self::key(), keys_by_width()[2]] {
+            let public = key.public();
+            let n = public.n().clone();
+            let mut r = rng(12);
+            let cells: Vec<BigUint> = (0..17)
+                .map(|m| public.encrypt(m, &mut r).unwrap())
+                .collect();
+            let a_p = &cells[5] % &key.p;
+            let lift = BigUint::zero().sub_mod(&(&a_p % &key.q), &key.q);
+            let zero_mod_q = &a_p + &(&key.p * &modular::mod_mul(&lift, &key.p_inv_q, &key.q));
+            let stray = (0..)
+                .map(|_| random::gen_biguint_range(&mut r, &BigUint::from_u64(2), &n))
+                .find(|c| modular::gcd(c, &n).is_one() && zero_test_chain(key, c).is_err())
+                .unwrap();
+            for bad in [
+                BigUint::zero(),
+                n.clone(),
+                &n + &BigUint::one(),
+                zero_mod_q,
+                stray,
+            ] {
+                assert_eq!(
+                    zero_test_chain(key, &bad),
+                    Err(PaillierError::InvalidCiphertext)
+                );
+                for at in 0..cells.len() {
+                    let mut batch = cells.clone();
+                    batch[at] = bad.clone();
+                    assert_eq!(
+                        key.is_zero_many(&batch),
+                        Err(PaillierError::InvalidCiphertext),
+                        "{} bits, bad cell at {at}",
+                        public.bits()
+                    );
+                }
+            }
+            assert_eq!(
+                key.is_zero_many(&cells)
+                    .unwrap()
+                    .iter()
+                    .filter(|&&z| z)
+                    .count(),
+                1
+            );
+        }
     }
 
     #[test]

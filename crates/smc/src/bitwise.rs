@@ -21,7 +21,9 @@
 //!    the zero test on each and learns whether a zero occurs — the
 //!    comparison bit and nothing else (a nonzero cell times a uniform unit
 //!    is uniform over `Z*_u`; the permutation hides the witnessing
-//!    position).
+//!    position). Bob masks, and Alice tests, the cells of every
+//!    comparison of a slice in one batch (*Batching* below), and every
+//!    cell is tested, whatever the others hold.
 //! 4. Alice tells Bob the conclusion, mirroring Algorithm 1 step 7.
 //!
 //! *Gap-bounded shape.* When both parties are promised `|x − y| < 2^m`
@@ -50,6 +52,16 @@
 //! permutation from the `"perm"` substream — so the items are
 //! order-independent and read the same whether a caller ships them in one
 //! frame or one each.
+//!
+//! Batching: every exponentiation of a step runs in one call over the whole
+//! slice, so that eight of them share each vector product of the IFMA
+//! kernel's eight-lane path (`ppds_bigint::MontgomeryCtx::pow_many`):
+//! Alice seals every bit of step 1 in one
+//! [`DgkPrivateKey::encrypt_many`], Bob masks every cell of step 3 in one
+//! [`DgkPublicKey::mask_many`], and Alice zero-tests every cell of step 3
+//! in one [`DgkPrivateKey::is_zero_many`]. Each item draws what it drew
+//! one call at a time, so no ciphertext or verdict depends on the
+//! batching.
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
@@ -111,60 +123,67 @@ impl Shape {
     }
 }
 
-/// Step 1 worker: Alice's encrypted low bits, MSB first, then the one-hot
-/// digit of her high part when the shape has one, sealed by her factors
-/// ([`DgkPrivateKey::encrypt`]).
-fn encrypt_bits<R: Rng>(
-    key: &DgkPrivateKey,
-    x: u64,
-    shape: Shape,
-    mut rng: R,
-) -> Result<Vec<BigUint>, SmcError> {
+/// Alice's plaintext bits for `x`: her low bits, MSB first, then the one-hot
+/// digit of her high part when the shape has one.
+fn plaintext_bits(x: u64, shape: Shape) -> Vec<u64> {
     let low = (0..shape.low).rev().map(|i| (x >> i) & 1);
     let digit = shape.digit.then(|| shape.digit_of(x));
     let one_hot = digit
         .into_iter()
         .flat_map(|d| (0..3).map(move |k| u64::from(d == k)));
-    low.chain(one_hot)
-        .map(|bit| Ok(key.encrypt(bit, &mut rng)?))
-        .collect()
+    low.chain(one_hot).collect()
 }
 
-/// Step 3 worker: the zero test on each of Bob's cells — whether a zero
-/// (the unique `x < y` witness) occurs. A cell outside the ciphertext
-/// group is a typed error.
-fn scan_cells(key: &DgkPrivateKey, cells: &[BigUint], shape: Shape) -> Result<bool, SmcError> {
-    if cells.len() != shape.cells() {
+/// Step 1 worker: Alice's encrypted bits ([`plaintext_bits`]) for every
+/// input of a slice, each input's sealed from its own stream, all of them
+/// in one [`DgkPrivateKey::encrypt_many`].
+fn encrypt_bit_groups<R: Rng>(
+    key: &DgkPrivateKey,
+    inputs: impl IntoIterator<Item = (u64, R)>,
+    shape: Shape,
+) -> Result<Vec<Vec<BigUint>>, SmcError> {
+    let (plain, rngs): (Vec<Vec<u64>>, Vec<R>) = inputs
+        .into_iter()
+        .map(|(x, rng)| (plaintext_bits(x, shape), rng))
+        .unzip();
+    Ok(key.encrypt_many(plain.iter().map(Vec::as_slice).zip(rngs))?)
+}
+
+/// Step 3 worker, Alice's half: the zero test on every cell of every
+/// comparison of a slice, in one [`DgkPrivateKey::is_zero_many`], and whether a zero (the
+/// unique `x < y` witness) occurs in each comparison. Every cell is tested,
+/// so the time taken does not tell where a witness sat; a cell outside the
+/// ciphertext group is a typed error.
+fn scan_cell_groups(
+    key: &DgkPrivateKey,
+    groups: &[Vec<BigUint>],
+    shape: Shape,
+) -> Result<Vec<bool>, SmcError> {
+    if let Some(cells) = groups.iter().find(|cells| cells.len() != shape.cells()) {
         return Err(SmcError::protocol(format!(
             "expected {} comparison values, got {}",
             shape.cells(),
             cells.len()
         )));
     }
-    let mut x_lt_y = false;
-    for cell in cells {
-        // Every cell is tested, so the time taken does not tell where the
-        // witness sat.
-        x_lt_y |= key.is_zero(cell)?;
-    }
-    Ok(x_lt_y)
+    let zeros = key.is_zero_many(&groups.concat())?;
+    Ok(zeros
+        .chunks(shape.cells().max(1))
+        .map(|cells| cells.contains(&true))
+        .collect())
 }
 
-/// Step 2 worker: Bob's masked, re-randomized, permuted cells for one
-/// input. Cell `j` is `c_j^{r_j} · h^{s_j}` with `r_j` uniform in
-/// `1..u`, then `s_j`, drawn from `ctx.rng_for(j)`
-/// ([`DgkPublicKey::mask`]); the top cell is `j = m`, after the low ones;
-/// the permutation draws from the `"perm"` substream.
+/// Step 2 worker: Bob's cells for one input, before masking, in Montgomery
+/// form mod `n`: the low cells MSB first, then the top cell under a digit.
 ///
-/// The running sums stay in Montgomery form mod `n`: a homomorphic
-/// addition is one product, `3·(x ⊕ y)` a square and a product, and
-/// each cell leaves the form in the comb scan that masks it.
-fn masked_cells(
+/// The running sums stay in that form: a homomorphic addition is one
+/// product, `3·(x ⊕ y)` a square and a product, and each cell leaves the
+/// form in the comb scan that masks it.
+fn prefix_cells(
     alice: &DgkPublicKey,
     bits: &[BigUint],
     y: u64,
     shape: Shape,
-    ctx: &ProtocolContext,
 ) -> Result<Vec<BigUint>, SmcError> {
     if bits.len() != shape.sent() {
         return Err(SmcError::protocol(format!(
@@ -205,13 +224,46 @@ fn masked_cells(
             not(inv_x)
         };
         prefix = mont.mont_mul(&prefix, &cube(&xor));
-        cells.push(alice.mask(&cell, &mut ctx.rng_for(pos as u64)));
+        cells.push(cell);
     }
-    if let Some(top) = top {
-        cells.push(alice.mask(&top, &mut ctx.rng_for(shape.low as u64)));
-    }
-    cells.shuffle(&mut ctx.narrow("perm").rng());
+    cells.extend(top);
     Ok(cells)
+}
+
+/// Step 3 worker, Bob's half: the masked, re-randomized, permuted cells for
+/// every input of a slice. Comparison `i`'s cell `j` ([`prefix_cells`]) becomes
+/// `c_j^{r_j} · h^{s_j}` with `r_j` uniform in `1..u`, then `s_j`, drawn
+/// from `scopes(i).rng_for(j)` (the top cell is `j = m`, after the low
+/// ones); every cell of the slice is masked in one
+/// [`DgkPublicKey::mask_many`]. Each comparison's cells are then permuted
+/// from its `"perm"` substream.
+fn masked_cell_groups(
+    alice: &DgkPublicKey,
+    bit_groups: &[Vec<BigUint>],
+    ys: &[u64],
+    shape: Shape,
+    scopes: impl Fn(usize) -> ProtocolContext,
+) -> Result<Vec<Vec<BigUint>>, SmcError> {
+    let cell_groups: Vec<Vec<BigUint>> = bit_groups
+        .iter()
+        .zip(ys)
+        .map(|(bits, &y)| prefix_cells(alice, bits, y, shape))
+        .collect::<Result<_, _>>()?;
+    let masked = alice.mask_many(cell_groups.iter().enumerate().flat_map(|(i, cells)| {
+        let scope = scopes(i);
+        cells
+            .iter()
+            .enumerate()
+            .map(move |(pos, cell)| (cell, scope.rng_for(pos as u64)))
+    }));
+    let mut masked = masked.into_iter();
+    Ok((0..cell_groups.len())
+        .map(|i| {
+            let mut cells: Vec<BigUint> = masked.by_ref().take(shape.cells()).collect();
+            cells.shuffle(&mut scopes(i).narrow("perm").rng());
+            cells
+        })
+        .collect())
 }
 
 /// Alice's side: inputs `xs`, learns whether `xs[i] < ys[i]` for each of
@@ -243,11 +295,8 @@ where
     }
     let shape = Shape::new(domain_bound, gap);
     // Step 1: encrypted bits, MSB first.
-    let bit_groups: Vec<Vec<BigUint>> = xs
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| encrypt_bits(key, x, shape, scopes(i).rng()))
-        .collect::<Result<_, _>>()?;
+    let inputs = xs.iter().enumerate().map(|(i, &x)| (x, scopes(i).rng()));
+    let bit_groups = encrypt_bit_groups(key, inputs, shape)?;
     chan.send_batch(&bit_groups)?;
 
     // Step 3: the zero test on the masked, permuted cells.
@@ -259,10 +308,7 @@ where
             cell_groups.len()
         )));
     }
-    let results: Vec<bool> = cell_groups
-        .iter()
-        .map(|cells| scan_cells(key, cells, shape))
-        .collect::<Result<_, _>>()?;
+    let results = scan_cell_groups(key, &cell_groups, shape)?;
     // Step 4: tell Bob, mirroring Algorithm 1's final message.
     chan.send_batch(&results)?;
     Ok(results)
@@ -297,11 +343,7 @@ where
             bit_groups.len()
         )));
     }
-    let cell_groups: Vec<Vec<BigUint>> = bit_groups
-        .iter()
-        .enumerate()
-        .map(|(i, bits)| masked_cells(alice, bits, ys[i], shape, &scopes(i)))
-        .collect::<Result<_, _>>()?;
+    let cell_groups = masked_cell_groups(alice, &bit_groups, ys, shape, scopes)?;
     chan.send_batch(&cell_groups)?;
 
     let results: Vec<bool> = chan.recv_batch()?;
@@ -355,6 +397,28 @@ mod tests {
             assert_eq!(alice, bob, "views must agree");
             (alice, metrics)
         })
+    }
+
+    /// One input's encrypted bits: [`encrypt_bit_groups`] for a slice of one.
+    fn encrypt_bits<R: Rng>(
+        key: &DgkPrivateKey,
+        x: u64,
+        shape: Shape,
+        rng: R,
+    ) -> Result<Vec<BigUint>, SmcError> {
+        Ok(encrypt_bit_groups(key, [(x, rng)], shape)?.remove(0))
+    }
+
+    /// One input's masked cells: [`masked_cell_groups`] for a slice of one.
+    fn masked_cells(
+        alice: &DgkPublicKey,
+        bits: &[BigUint],
+        y: u64,
+        shape: Shape,
+        ctx: &ProtocolContext,
+    ) -> Result<Vec<BigUint>, SmcError> {
+        let groups = masked_cell_groups(alice, &[bits.to_vec()], &[y], shape, |_| *ctx)?;
+        Ok(groups.into_iter().flatten().collect())
     }
 
     /// [`run_under`] the 256-bit test key, with no promise on the gap.
@@ -656,27 +720,44 @@ mod tests {
 
     /// A cell that is no ciphertext of Alice's key — out of range, or off
     /// the ciphertext subgroup mod `p` — is a typed error on her side, as is
-    /// a bit that is no unit of `Z_n` on Bob's.
+    /// a bit that is no unit of `Z_n` on Bob's: alone, and in the second
+    /// comparison of a three-comparison slice, whose cells are tested in
+    /// one batch.
     #[test]
     fn malformed_cells_and_bits_are_typed_errors() {
         let key = dgk_key();
         let n = key.public().n().clone();
         let good = key.public().encrypt(1, &mut ctx(2).rng()).unwrap();
+        let goods = vec![good.clone(); 3];
         for bad in [n.clone(), BigUint::zero(), BigUint::from_u64(2)] {
-            let (mut achan, mut bchan) = duplex();
-            bchan
-                .send_batch(&[vec![good.clone(), bad.clone(), good.clone()]])
-                .unwrap();
-            let err = dgk_alice(&mut achan, key, &[1], 7, 7, |_| ctx(3)).unwrap_err();
-            assert!(matches!(err, SmcError::Crypto(_)), "{bad:?}: {err}");
+            let with_bad = vec![good.clone(), bad.clone(), good.clone()];
+            for (xs, groups) in [
+                (&[1][..], vec![with_bad.clone()]),
+                (
+                    &[1, 4, 6][..],
+                    vec![goods.clone(), with_bad.clone(), goods.clone()],
+                ),
+            ] {
+                let (mut achan, mut bchan) = duplex();
+                bchan.send_batch(&groups).unwrap();
+                let err = dgk_alice(&mut achan, key, xs, 7, 7, |_| ctx(3)).unwrap_err();
+                assert!(matches!(err, SmcError::Crypto(_)), "{bad:?}, {xs:?}: {err}");
+            }
         }
         for bad in [n, BigUint::zero()] {
-            let (mut achan, mut bchan) = duplex();
-            achan
-                .send_batch(&[vec![good.clone(), bad.clone(), good.clone()]])
-                .unwrap();
-            let err = dgk_bob(&mut bchan, key.public(), &[3], 7, 7, |_| ctx(4)).unwrap_err();
-            assert!(matches!(err, SmcError::Crypto(_)), "{bad:?}: {err}");
+            let with_bad = vec![good.clone(), bad.clone(), good.clone()];
+            for (ys, groups) in [
+                (&[3][..], vec![with_bad.clone()]),
+                (
+                    &[3, 0, 7][..],
+                    vec![goods.clone(), with_bad.clone(), goods.clone()],
+                ),
+            ] {
+                let (mut achan, mut bchan) = duplex();
+                achan.send_batch(&groups).unwrap();
+                let err = dgk_bob(&mut bchan, key.public(), ys, 7, 7, |_| ctx(4)).unwrap_err();
+                assert!(matches!(err, SmcError::Crypto(_)), "{bad:?}, {ys:?}: {err}");
+            }
         }
     }
 
