@@ -77,9 +77,9 @@ fn bench_montgomery(c: &mut Criterion) {
     group.finish();
 }
 
-/// Straus/Pippenger multi-exponentiation against the per-operand ladder it
-/// replaces on the packed-aggregation and dot-product response legs. The
-/// k sweep crosses the Straus→Pippenger cutoff (32).
+/// Straus multi-exponentiation against the per-operand ladder it replaces
+/// on the packed-aggregation and dot-product response legs, from the few
+/// pairs a session passes to 256.
 fn bench_multi_exp(c: &mut Criterion) {
     let mut group = c.benchmark_group("bigint_multi_exp");
     group.sample_size(10);

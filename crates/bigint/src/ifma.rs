@@ -22,9 +22,9 @@
 //! *Software implementation of modular exponentiation, using advanced
 //! vector instructions architectures*, WAIFI 2012): eight independent
 //! rows under one modulus, one in each lane, digit `j` of lane `l` at
-//! `[j][l]` (a [`crate::montgomery::Octet`]). Each lane reads its own
-//! `u`, the modulus's digits are broadcast, and the shift is a renaming
-//! of vectors, not a lane permute; see [`amm8`]. Its `u` sequence is the
+//! `[j][l]` (`crate::montgomery`'s rows at `L = 8`). Each lane reads its
+//! own `u`, the modulus's digits are broadcast, and the shift is a
+//! renaming of vectors, not a lane permute; see [`amm8`]. Its `u` sequence is the
 //! single-row kernel's, so every lane ends as that kernel's row, digit
 //! for digit.
 //!

@@ -3,16 +3,17 @@
 //! canonical output, and each kernel's Montgomery product is `a·b·R⁻¹` for
 //! its own `R`. The eight-lane product against the single-row one: every
 //! lane's row is that kernel's, digit for digit, and the batch entry points
-//! built on it give their one-item forms' outputs at every batch size. On a
-//! CPU without IFMA each test says so and checks nothing.
+//! built on it give, at every batch size and on both kernels, the outputs of
+//! a square-and-multiply by long division. On a CPU without IFMA each test
+//! says so and checks nothing.
 
 use proptest::prelude::*;
 
 use crate::modular::{batch_mod_inverse_with, mod_inverse};
 use crate::montgomery::{lane_row, put_lane, splat, OCTET};
-use crate::multiexp::{multi_exp, PIPPENGER_CUTOFF};
+use crate::multiexp::multi_exp;
 use crate::random::{gen_biguint_below, gen_biguint_bits};
-use crate::test_helpers::{hard_moduli, hard_operands, rng};
+use crate::test_helpers::{hard_moduli, hard_operands, naive_pow, rng};
 use crate::{BigUint, FixedBaseTable, MontgomeryCtx};
 
 /// Every width the sessions and their neighbours run: each limb count
@@ -172,9 +173,8 @@ fn multi_exponentiations_and_batch_inverses_agree_across_kernels() {
     let mut r = rng(96);
     for_each_modulus(97, |scalar, ifma, label| {
         let m = scalar.modulus();
-        // Straus just below the cutoff, Pippenger at it; exponents from
-        // nothing to past the modulus.
-        for count in [PIPPENGER_CUTOFF - 1, PIPPENGER_CUTOFF] {
+        // Exponents from nothing to past the modulus.
+        for count in [31, 32] {
             let bases: Vec<BigUint> = (0..count).map(|_| gen_biguint_below(&mut r, m)).collect();
             let exps: Vec<BigUint> = (0..count)
                 .map(|i| match i {
@@ -267,14 +267,14 @@ fn octet_lanes_equal_single_rows_digit_for_digit() {
             }
         };
         let mut singles: Vec<Vec<u64>> = (0..OCTET).map(|l| row(l, &ops[l])).collect();
-        let mut acc = splat(&vec![0; k]);
+        let mut acc = splat::<OCTET>(&vec![0; k]).into_owned();
         for (lane, single) in singles.iter().enumerate() {
             put_lane(&mut acc, lane, single);
         }
         let mut scratch = ifma.scratch();
         for step in 0..200 {
             if step % 3 == 0 {
-                ifma.octet_product(&mut acc, None);
+                ifma.product_lanes(&mut acc, None, &mut scratch);
                 for single in &mut singles {
                     ifma.sqr_assign(single, &mut scratch);
                 }
@@ -282,11 +282,11 @@ fn octet_lanes_equal_single_rows_digit_for_digit() {
                 let b: Vec<Vec<u64>> = (0..OCTET)
                     .map(|l| row(l + step, &gen_biguint_below(&mut r, m)))
                     .collect();
-                let mut octet = splat(&vec![0; k]);
+                let mut octet = splat::<OCTET>(&vec![0; k]).into_owned();
                 for (lane, b) in b.iter().enumerate() {
                     put_lane(&mut octet, lane, b);
                 }
-                ifma.octet_product(&mut acc, Some(&octet));
+                ifma.product_lanes(&mut acc, Some(&octet), &mut scratch);
                 for (single, b) in singles.iter_mut().zip(&b) {
                     ifma.mul_assign(single, b, &mut scratch);
                 }
@@ -304,7 +304,11 @@ fn octet_lanes_equal_single_rows_digit_for_digit() {
             .iter()
             .map(|single| ifma.out_of_mont(single, &mut scratch))
             .collect();
-        assert_eq!(ifma.octet_out(acc, OCTET), want, "{label}");
+        assert_eq!(
+            ifma.out_of_mont_lanes(acc, OCTET, &mut scratch),
+            want,
+            "{label}"
+        );
     });
 }
 
@@ -319,22 +323,19 @@ fn pow_many_equals_pow_mod_at_every_batch_size() {
         exps.push(gen_biguint_bits(&mut r, 160));
         let bases = bases_for(&mut r, m, 17);
         for exp in &exps {
-            let want: Vec<BigUint> = bases.iter().map(|b| scalar.pow_mod(b, exp)).collect();
-            for size in BATCH_SIZES {
-                assert_eq!(
-                    ifma.pow_many(&bases[..size], exp),
-                    want[..size],
-                    "{label}, exp {exp:?}, {size} bases"
-                );
+            let want: Vec<BigUint> = bases.iter().map(|b| naive_pow(b, exp, m)).collect();
+            for ctx in [scalar, ifma] {
+                let kernel = if ctx.is_ifma() { "ifma" } else { "scalar" };
+                for size in BATCH_SIZES {
+                    assert_eq!(
+                        ctx.pow_many(&bases[..size], exp),
+                        want[..size],
+                        "{label}, {kernel}, exp {exp:?}, {size} bases"
+                    );
+                }
+                let one_by_one: Vec<BigUint> = bases.iter().map(|b| ctx.pow_mod(b, exp)).collect();
+                assert_eq!(one_by_one, want, "{label}, {kernel}");
             }
-            assert_eq!(
-                bases
-                    .iter()
-                    .map(|b| ifma.pow_mod(b, exp))
-                    .collect::<Vec<_>>(),
-                want,
-                "{label}"
-            );
         }
     });
 }
@@ -372,40 +373,37 @@ fn batch_comb_scans_equal_one_item_scans() {
                 .collect();
             // `small` of no bits, a few, and wider than a block.
             let factors: Vec<(BigUint, u64)> = (0..17)
-                .map(|i| {
-                    let small = [0, 5, u64::MAX, 192][i % 4];
-                    (ifma.to_mont(&gen_biguint_below(&mut r, m)), small)
-                })
+                .map(|i| (gen_biguint_below(&mut r, m), [0, 5, u64::MAX, 192][i % 4]))
                 .collect();
-            let combs =
-                [scalar, ifma].map(|ctx| FixedBaseTable::new(ctx, &base, teeth, max_exp_bits));
-            let want: Vec<BigUint> = exps.iter().map(|e| combs[0].pow(e)).collect();
-            let want_mul: Vec<BigUint> = exps
+            let want: Vec<BigUint> = exps.iter().map(|e| naive_pow(&base, e, m)).collect();
+            let want_mul: Vec<BigUint> = want
                 .iter()
                 .zip(&factors)
-                .map(|(e, (f, small))| combs[1].pow_mul(e, f, *small))
+                .map(|(w, (f, small))| &(w * &naive_pow(f, &BigUint::from_u64(*small), m)) % m)
                 .collect();
-            for (e, w) in exps.iter().zip(&want) {
-                assert_eq!(&combs[1].pow(e), w, "{label}, {teeth} teeth");
-            }
-            for size in BATCH_SIZES {
-                let label = format!("{label}, {teeth} teeth, {size} exponents");
-                assert_eq!(combs[1].pow_many(&exps[..size]), want[..size], "{label}");
-                let items: Vec<(&BigUint, &BigUint, u64)> = exps[..size]
+            for ctx in [scalar, ifma] {
+                let kernel = if ctx.is_ifma() { "ifma" } else { "scalar" };
+                let comb = FixedBaseTable::new(ctx, &base, teeth, max_exp_bits);
+                let factors: Vec<(BigUint, u64)> = factors
                     .iter()
-                    .zip(&factors)
-                    .map(|(e, (f, small))| (e, f, *small))
+                    .map(|(f, small)| (ctx.to_mont(f), *small))
                     .collect();
-                assert_eq!(combs[1].pow_mul_many(&items), want_mul[..size], "{label}");
+                for (i, e) in exps.iter().enumerate() {
+                    let (f, small) = &factors[i];
+                    assert_eq!(comb.pow(e), want[i], "{label}, {kernel}, {teeth} teeth");
+                    assert_eq!(comb.pow_mul(e, f, *small), want_mul[i], "{label}, {kernel}");
+                }
+                for size in BATCH_SIZES {
+                    let label = format!("{label}, {kernel}, {teeth} teeth, {size} exponents");
+                    assert_eq!(comb.pow_many(&exps[..size]), want[..size], "{label}");
+                    let items: Vec<(&BigUint, &BigUint, u64)> = exps[..size]
+                        .iter()
+                        .zip(&factors)
+                        .map(|(e, (f, small))| (e, f, *small))
+                        .collect();
+                    assert_eq!(comb.pow_mul_many(&items), want_mul[..size], "{label}");
+                }
             }
-            // The factor's power is the one a ladder gives, on either kernel.
-            let (f, small) = &factors[2];
-            let times = scalar.pow_mod(&ifma.from_mont(f), &BigUint::from_u64(*small));
-            assert_eq!(
-                want_mul[2],
-                &(&want[2] * &times) % m,
-                "{label}, {teeth} teeth"
-            );
         }
     });
 }
@@ -464,13 +462,14 @@ proptest! {
                 .collect();
             let exp = BigUint::from_bytes_le(&exp_bytes);
             let (a, b) = (&ops[..OCTET], &ops[OCTET..2 * OCTET]);
-            let (mut acc, mut by) = (splat(&vec![0; ifma.width()]), splat(&vec![0; ifma.width()]));
+            let zero = splat::<OCTET>(&vec![0; ifma.width()]).into_owned();
+            let (mut acc, mut by) = (zero.clone(), zero);
             for lane in 0..OCTET {
                 put_lane(&mut acc, lane, &ifma.widen(&a[lane]));
                 put_lane(&mut by, lane, &ifma.widen(&b[lane]));
             }
-            ifma.octet_product(&mut acc, Some(&by));
             let mut scratch = ifma.scratch();
+            ifma.product_lanes(&mut acc, Some(&by), &mut scratch);
             for lane in 0..OCTET {
                 let mut single = ifma.widen(&a[lane]);
                 ifma.mul_assign(&mut single, &ifma.widen(&b[lane]), &mut scratch);

@@ -17,8 +17,11 @@
 //!   with AVX-512 IFMA, a radix-2^52 vector kernel whose intrinsics are
 //!   confined to one module,
 //! * [`multiexp`] — exponentiation kernels: [`FixedBaseTable`] Lim–Lee
-//!   fixed-base combs and Straus/Pippenger simultaneous [`multi_exp`],
-//!   all value-equal to the naive ladders they replace,
+//!   fixed-base combs and Straus' simultaneous [`multi_exp`], all
+//!   value-equal to the naive ladders they replace. The windowed ladder
+//!   and the comb scan are one body each, run on one row or, on the IFMA
+//!   kernel, on eight rows side by side; the one-item forms are batches
+//!   of one,
 //! * [`modular`] — GCD/LCM, modular inverse (single, by Pornin's optimized
 //!   binary GCD over limb rows, and [`modular::batch_mod_inverse`]
 //!   Montgomery-batched), and a `mod_pow` entry point,
@@ -79,6 +82,20 @@ mod test_helpers {
         ];
         ops.extend((0..3).map(|_| gen_biguint_below(r, m)));
         ops
+    }
+
+    /// `base^exp mod m` by square-and-multiply with a long division per
+    /// step: no window, no table, no Montgomery form — the oracle the
+    /// exponentiation kernels are held to.
+    pub fn naive_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut acc = &BigUint::one() % m;
+        for i in (0..exp.bit_length()).rev() {
+            acc = &acc.square() % m;
+            if exp.bit(i) {
+                acc = &(&acc * base) % m;
+            }
+        }
+        acc
     }
 
     /// Odd moduli of exactly `limbs` limbs: random, all limbs saturated

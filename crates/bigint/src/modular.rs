@@ -162,6 +162,37 @@ pub fn mod_mul(a: &BigUint, b: &BigUint, modulus: &BigUint) -> BigUint {
     &(a * b) % modulus
 }
 
+/// Chinese remaindering for two coprime moduli by Garner's formula: the
+/// moduli and `m1⁻¹ mod m2`, precomputed once, so a pair of residues
+/// combines with one product mod `m2`.
+#[derive(Clone)]
+pub struct Crt {
+    m1: BigUint,
+    m2: BigUint,
+    m1_inv_m2: BigUint,
+}
+
+impl Crt {
+    /// The recombination for `m1` and `m2`, or `None` when `m1` has no
+    /// inverse mod `m2`.
+    pub fn new(m1: BigUint, m2: BigUint) -> Option<Crt> {
+        let m1_inv_m2 = mod_inverse(&m1, &m2)?;
+        Some(Crt { m1, m2, m1_inv_m2 })
+    }
+
+    /// `(m1, m2)`.
+    pub fn moduli(&self) -> (&BigUint, &BigUint) {
+        (&self.m1, &self.m2)
+    }
+
+    /// The `x < m1·m2` with `x ≡ a1 (mod m1)` and `x ≡ a2 (mod m2)`, for
+    /// `a1 < m1` and `a2 < m2`: `a1 + m1·((a2 − a1)·m1⁻¹ mod m2)`.
+    pub fn combine(&self, a1: &BigUint, a2: &BigUint) -> BigUint {
+        let diff = a2.sub_mod(&(a1 % &self.m2), &self.m2);
+        a1 + &(&self.m1 * &mod_mul(&diff, &self.m1_inv_m2, &self.m2))
+    }
+}
+
 /// Montgomery's batch-inversion trick: inverts every element of `values`
 /// modulo `modulus` with **one** [`mod_inverse`] plus `3(k−1)` modular
 /// multiplications, instead of `k` inversions.
@@ -253,6 +284,43 @@ mod tests {
 
     fn b(v: u128) -> BigUint {
         BigUint::from_u128(v)
+    }
+
+    #[test]
+    fn crt_combines_residues_back_into_the_value() {
+        let mut r = rng(31);
+        for bits in [1usize, 64, 65, 512, 1024] {
+            let (mut m1, mut m2) = (gen_biguint_bits(&mut r, bits), gen_biguint_bits(&mut r, 80));
+            m1.set_bit(0, true);
+            m2.set_bit(0, true);
+            m2.set_bit(79, true);
+            while !gcd(&m1, &m2).is_one() {
+                m2 = &m2 + 2u64;
+            }
+            let crt = Crt::new(m1.clone(), m2.clone()).unwrap();
+            assert_eq!(crt.moduli(), (&m1, &m2));
+            let m = &m1 * &m2;
+            let edges = [
+                BigUint::zero(),
+                BigUint::one(),
+                &m - &BigUint::one(),
+                m1.clone(),
+            ];
+            let randoms = (0..8).map(|_| gen_biguint_below(&mut r, &m));
+            for a in edges.into_iter().filter(|a| a < &m).chain(randoms) {
+                assert_eq!(crt.combine(&(&a % &m1), &(&a % &m2)), a, "{bits} bits");
+            }
+            // Residues first: the value is below m and reduces to both.
+            let (a1, a2) = (
+                gen_biguint_below(&mut r, &m1),
+                gen_biguint_below(&mut r, &m2),
+            );
+            let x = crt.combine(&a1, &a2);
+            assert!(x < m);
+            assert_eq!((&x % &m1, &x % &m2), (a1, a2), "{bits} bits");
+        }
+        assert!(Crt::new(b(6), b(9)).is_none());
+        assert_eq!(Crt::new(b(5), b(7)).unwrap().combine(&b(3), &b(4)), b(18));
     }
 
     #[test]

@@ -16,12 +16,15 @@
 //!   `R = 2^{52N}`, Gueron–Krasnov's almost-Montgomery product over
 //!   eight-lane vectors (`crate::ifma`), rows in `[0, 2m)`.
 //!
-//! Up to 20 digits (1,038 bits) the IFMA kernel also has an eight-lane
-//! product: eight independent rows, one a lane of an [`Octet`], each
-//! ending as the single-row product would leave it.
-//! [`MontgomeryCtx::pow_many`] and `FixedBaseTable`'s batch scans run their
-//! items eight at a time on it where a group is large enough to pay
-//! ([`MontgomeryCtx::octet_serves`]), and one by one everywhere else.
+//! Exponentiation runs on `L` rows side by side, `Vec<[u64; L]>` with word
+//! `j` of lane `l` at `[j][l]`: one row at `L = 1`, and at `L = 8` the
+//! IFMA kernel's eight-lane product (up to 20 digits, 1,038 bits), each lane
+//! ending as the single-row product would leave it. The lane count is a
+//! parameter of one body each — the ladder here, the comb scan in
+//! `multiexp` — and is chosen once per batch by
+//! [`MontgomeryCtx::lane_groups`]: eight items at a time where a group is
+//! large enough to pay ([`MontgomeryCtx::octet_serves`]), one by one
+//! everywhere else. The one-item forms are batches of one.
 //!
 //! A square is the product of a row with itself on either kernel.
 //! Exponentiation uses a fixed 4-bit window. The `BigUint` entry points
@@ -29,6 +32,8 @@
 //! conversion and return canonical residues on either kernel, so the values
 //! they hand out differ between kernels only by the `R` they are in
 //! Montgomery form for.
+
+use std::borrow::Cow;
 
 use crate::biguint::BigUint;
 #[cfg(target_arch = "x86_64")]
@@ -43,12 +48,8 @@ use crate::ifma::Ifma;
 /// took 0.13× the scalar time at 8 limbs and 0.12× at 16.
 const IFMA_MIN_LIMBS: usize = 8;
 
-/// Rows an [`Octet`] holds side by side.
+/// Lanes of the eight-lane product.
 pub(crate) const OCTET: usize = 8;
-
-/// Up to eight rows of one context side by side, word `j` of lane `l` at
-/// `[j][l]`: the operand of the eight-lane product.
-pub(crate) type Octet = Vec<[u64; OCTET]>;
 
 /// Fewest rows of `digits` digits that run faster on the eight-lane
 /// product, which costs the same for eight, than one by one (DESIGN.md
@@ -66,21 +67,40 @@ fn octet_min_lanes(digits: usize) -> usize {
     }
 }
 
-/// An octet holding `row` in every lane.
-pub(crate) fn splat(row: &[u64]) -> Octet {
-    row.iter().map(|&w| [w; OCTET]).collect()
+/// `row` in every lane: the row itself at `L = 1`, copies side by side
+/// above.
+pub(crate) fn splat<const L: usize>(row: &[u64]) -> Cow<'_, [[u64; L]]> {
+    match row.as_chunks::<L>() {
+        (rows, []) if L == 1 => Cow::Borrowed(rows),
+        _ => Cow::Owned(row.iter().map(|&w| [w; L]).collect()),
+    }
 }
 
-/// Lane `lane` of `octet` ← `row`.
-pub(crate) fn put_lane(octet: &mut [[u64; OCTET]], lane: usize, row: &[u64]) {
-    for (words, &w) in octet.iter_mut().zip(row) {
+/// Lane `lane` of `rows` ← `row`.
+pub(crate) fn put_lane<const L: usize>(rows: &mut [[u64; L]], lane: usize, row: &[u64]) {
+    for (words, &w) in rows.iter_mut().zip(row) {
         words[lane] = w;
     }
 }
 
-/// The row lane `lane` of `octet` holds.
-pub(crate) fn lane_row(octet: &[[u64; OCTET]], lane: usize) -> Vec<u64> {
-    octet.iter().map(|words| words[lane]).collect()
+/// The row lane `lane` of `rows` holds.
+pub(crate) fn lane_row<const L: usize>(rows: &[[u64; L]], lane: usize) -> Vec<u64> {
+    rows.iter().map(|words| words[lane]).collect()
+}
+
+/// The operand whose lane `l` holds `rows[l]`: the one row itself at
+/// `L = 1`, gathered into `buf` above.
+pub(crate) fn gather<'a, const L: usize>(
+    buf: &'a mut [[u64; L]],
+    rows: [&'a [u64]; L],
+) -> &'a [[u64; L]] {
+    if L == 1 {
+        return rows[0].as_chunks().0;
+    }
+    for (lane, row) in rows.into_iter().enumerate() {
+        put_lane(buf, lane, row);
+    }
+    buf
 }
 
 /// Precomputed state for repeated multiplication modulo a fixed odd modulus.
@@ -332,31 +352,68 @@ impl MontgomeryCtx {
         }
     }
 
-    /// `acc ← acc·b·R^{-1} mod m` in every lane, squaring for no `b`: each
-    /// lane ends as the row [`Self::mul_assign`] leaves for its own rows.
+    /// `items` cut into the groups a batch runs in, each with whether it
+    /// takes the eight-lane product: a chunk of up to eight items is one
+    /// group where [`Self::octet_serves`] its size, and an item a group
+    /// otherwise. The one place the lane count is chosen.
+    pub(crate) fn lane_groups<'a, T>(&self, items: &'a [T]) -> Vec<(&'a [T], bool)> {
+        let mut groups = Vec::new();
+        for group in items.chunks(OCTET) {
+            if self.octet_serves(group.len()) {
+                groups.push((group, true));
+            } else {
+                groups.extend(group.chunks(1).map(|item| (item, false)));
+            }
+        }
+        groups
+    }
+
+    /// `acc ← acc·b·R^{-1} mod m` in each of `L` lanes, squaring for no
+    /// `b`: the single-row product at `L = 1`, the eight-lane one at
+    /// `L = 8`, where each lane ends as the single-row product leaves its
+    /// own rows.
     ///
     /// # Panics
-    /// Unless the context serves octets ([`Self::octet_serves`]).
-    pub(crate) fn octet_product(&self, acc: &mut [[u64; OCTET]], b: Option<&[[u64; OCTET]]>) {
+    /// At `L = 8`, unless the context serves octets ([`Self::octet_serves`]).
+    pub(crate) fn product_lanes<const L: usize>(
+        &self,
+        acc: &mut [[u64; L]],
+        b: Option<&[[u64; L]]>,
+        scratch: &mut Scratch,
+    ) {
+        if L == 1 {
+            self.product(acc.as_flattened_mut(), b.map(<[_]>::as_flattened), scratch);
+            return;
+        }
         match &self.kernel {
             #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(ifma) => ifma.product8(acc, b),
-            _ => unreachable!("octets run on the IFMA kernel alone"),
+            Kernel::Ifma(ifma) if L == OCTET => ifma.product8(
+                acc.as_flattened_mut().as_chunks_mut().0,
+                b.map(|b| b.as_flattened().as_chunks().0),
+            ),
+            _ => unreachable!("eight lanes run on the IFMA kernel alone"),
         }
     }
 
-    /// The canonical residues of the first `lanes` lanes of an octet of
-    /// Montgomery rows: [`Self::out_of_mont`] lane by lane.
-    pub(crate) fn octet_out(&self, mut acc: Octet, lanes: usize) -> Vec<BigUint> {
+    /// The canonical residues of the first `lanes` lanes of Montgomery
+    /// rows: [`Self::out_of_mont`] lane by lane.
+    pub(crate) fn out_of_mont_lanes<const L: usize>(
+        &self,
+        mut acc: Vec<[u64; L]>,
+        lanes: usize,
+        scratch: &mut Scratch,
+    ) -> Vec<BigUint> {
         match &self.kernel {
+            Kernel::Scalar { .. } => (0..lanes)
+                .map(|lane| self.out_of_mont(&lane_row(&acc, lane), scratch))
+                .collect(),
             #[cfg(target_arch = "x86_64")]
             Kernel::Ifma(ifma) => {
-                ifma.product8(&mut acc, Some(&splat(ifma.unit())));
+                self.product_lanes(&mut acc, Some(&splat(ifma.unit())), scratch);
                 (0..lanes)
                     .map(|lane| ifma.residue(&lane_row(&acc, lane)))
                     .collect()
             }
-            _ => unreachable!("octets run on the IFMA kernel alone"),
         }
     }
 
@@ -460,24 +517,28 @@ impl MontgomeryCtx {
         debug_assert_eq!(borrow as u64, overflow, "value < 2m");
     }
 
-    /// Odd powers are not enough for interleaved window scans, so the
-    /// window tables hold every power `base^0 ..= base^max_index` in
-    /// Montgomery form, as consecutive rows (`base^j` at `[j·k, (j+1)·k)`).
-    pub(crate) fn window_table(
+    /// The powers `base^0 ..= base^max_digit` in Montgomery form of up to
+    /// `L` bases, one a lane (lanes past the bases hold zero), as
+    /// consecutive rows: `base^j` at `[j·w, (j+1)·w)` for `w` words a row.
+    /// Every power, not just the odd ones, as the interleaved window scans
+    /// of [`crate::multi_exp`] need; `max_digit ≥ 1`.
+    pub(crate) fn powers<const L: usize>(
         &self,
-        base_mont: &[u64],
-        max_index: usize,
+        bases: &[BigUint],
+        max_digit: usize,
         scratch: &mut Scratch,
-    ) -> Vec<u64> {
-        let k = self.width();
-        let mut table = Vec::with_capacity((max_index + 1) * k);
-        table.extend_from_slice(&self.one_limbs());
-        if max_index >= 1 {
-            table.extend_from_slice(base_mont);
+    ) -> Vec<[u64; L]> {
+        let w = self.width();
+        let mut table = splat(&self.one_limbs()).into_owned();
+        table.resize(2 * w, [0; L]);
+        for (lane, base) in bases.iter().enumerate() {
+            put_lane(&mut table[w..], lane, &self.reduced_row(base));
         }
-        for i in 2..=max_index {
-            table.extend_from_within((i - 1) * k..);
-            self.mul_assign(&mut table[i * k..], base_mont, scratch);
+        self.product_lanes(&mut table[w..], Some(&splat(&self.r2)), scratch);
+        for d in 2..=max_digit {
+            table.extend_from_within((d - 1) * w..d * w);
+            let (done, next) = table.split_at_mut(d * w);
+            self.product_lanes(next, Some(&done[w..2 * w]), scratch);
         }
         table
     }
@@ -502,42 +563,44 @@ impl MontgomeryCtx {
     }
 
     /// Square-and-multiply over 4-bit window digits (MSB first, at least
-    /// one); the shared body of [`Self::pow_mod`] and [`Self::pow_many`].
-    /// The table holds `base^0 ..= base^d` for the largest digit `d` the
-    /// exponent uses and no more: a `×3` scaling or a 16-bit mask is a
-    /// ladder of a few products and must not pay fourteen for its table.
-    fn pow_windows(&self, base: &BigUint, digits: &[u8], scratch: &mut Scratch) -> BigUint {
-        let k = self.width();
+    /// one) for up to `L` bases, one a lane: every lane runs the products
+    /// of its own base's ladder, so it ends with the same row. The table
+    /// holds `base^0 ..= base^d` for the largest digit `d` the exponent
+    /// uses and no more: a `×3` scaling or a 16-bit mask is a ladder of a
+    /// few products and must not pay fourteen for its table.
+    fn ladder<const L: usize>(
+        &self,
+        bases: &[BigUint],
+        digits: &[u8],
+        scratch: &mut Scratch,
+    ) -> Vec<BigUint> {
+        let w = self.width();
         let max_digit = digits.iter().copied().max().unwrap_or(0) as usize;
-        let base_mont = self.to_mont_limbs(base, scratch);
-        let table = self.window_table(&base_mont, max_digit, scratch);
-        let mut acc = self.one_limbs();
+        let table = self.powers::<L>(bases, max_digit, scratch);
+        let mut acc = table[..w].to_vec();
         for (i, &d) in digits.iter().enumerate() {
             if i > 0 {
                 for _ in 0..4 {
-                    self.sqr_assign(&mut acc, scratch);
+                    self.product_lanes(&mut acc, None, scratch);
                 }
             }
             if d != 0 {
                 let d = d as usize;
-                self.mul_assign(&mut acc, &table[d * k..(d + 1) * k], scratch);
+                self.product_lanes(&mut acc, Some(&table[d * w..(d + 1) * w]), scratch);
             }
         }
-        self.out_of_mont(&acc, scratch)
+        self.out_of_mont_lanes(acc, bases.len(), scratch)
     }
 
-    /// `base^exp mod m` using a 4-bit fixed window.
+    /// `base^exp mod m` using a 4-bit fixed window: a [`Self::pow_many`] of
+    /// one base.
     ///
     /// `base` may be ≥ m; it is reduced first.
     pub fn pow_mod(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        if exp.is_zero() {
-            return &BigUint::one() % &self.modulus;
-        }
-        self.pow_windows(base, &Self::exp_windows4(exp), &mut self.scratch())
+        self.pow_many(std::slice::from_ref(base), exp).remove(0)
     }
 
-    /// Raises many bases to one shared exponent: `[b^exp mod m; bases]`,
-    /// each equal to [`Self::pow_mod`]'s.
+    /// Raises many bases to one shared exponent: `[b^exp mod m; bases]`.
     ///
     /// The exponent's window decomposition is computed once. On the IFMA
     /// kernel at up to 20 digits the bases run eight at a time, one a lane
@@ -552,49 +615,14 @@ impl MontgomeryCtx {
         let digits = Self::exp_windows4(exp);
         let mut scratch = self.scratch();
         let mut out = Vec::with_capacity(bases.len());
-        for group in bases.chunks(OCTET) {
-            if self.octet_serves(group.len()) {
-                out.extend(self.pow_windows8(group, &digits));
+        for (group, eight) in self.lane_groups(bases) {
+            out.extend(if eight {
+                self.ladder::<OCTET>(group, &digits, &mut scratch)
             } else {
-                out.extend(
-                    group
-                        .iter()
-                        .map(|base| self.pow_windows(base, &digits, &mut scratch)),
-                );
-            }
+                self.ladder::<1>(group, &digits, &mut scratch)
+            });
         }
         out
-    }
-
-    /// [`Self::pow_windows`] for up to eight bases, one a lane: every lane
-    /// runs the products of its base's own ladder, so it ends with the
-    /// same row. Lanes past the group hold zero.
-    fn pow_windows8(&self, bases: &[BigUint], digits: &[u8]) -> Vec<BigUint> {
-        let max_digit = digits.iter().copied().max().unwrap_or(0) as usize;
-        let mut base = splat(&vec![0; self.width()]);
-        for (lane, b) in bases.iter().enumerate() {
-            put_lane(&mut base, lane, &self.reduced_row(b));
-        }
-        self.octet_product(&mut base, Some(&splat(&self.r2)));
-        let one = splat(&self.one_limbs());
-        let mut table = vec![one.clone(), base];
-        for d in 2..=max_digit {
-            let mut next = table[d - 1].clone();
-            self.octet_product(&mut next, Some(&table[1]));
-            table.push(next);
-        }
-        let mut acc = one;
-        for (i, &d) in digits.iter().enumerate() {
-            if i > 0 {
-                for _ in 0..4 {
-                    self.octet_product(&mut acc, None);
-                }
-            }
-            if d != 0 {
-                self.octet_product(&mut acc, Some(&table[d as usize]));
-            }
-        }
-        self.octet_out(acc, bases.len())
     }
 }
 
@@ -654,7 +682,7 @@ pub(crate) fn neg_inv_u64(m0: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::random::{gen_biguint_below, gen_biguint_bits};
-    use crate::test_helpers::{hard_moduli, hard_operands, rng};
+    use crate::test_helpers::{hard_moduli, hard_operands, naive_pow, rng};
 
     fn b(v: u128) -> BigUint {
         BigUint::from_u128(v)
@@ -897,15 +925,7 @@ mod tests {
         for _ in 0..4 {
             let base = gen_biguint_below(&mut r, &m);
             let exp = gen_biguint_bits(&mut r, 96);
-            // naive square-and-multiply with plain div_rem reduction
-            let mut acc = BigUint::one();
-            for i in (0..exp.bit_length()).rev() {
-                acc = &acc.square() % &m;
-                if exp.bit(i) {
-                    acc = &(&acc * &base) % &m;
-                }
-            }
-            assert_eq!(ctx.pow_mod(&base, &exp), acc);
+            assert_eq!(ctx.pow_mod(&base, &exp), naive_pow(&base, &exp, &m));
         }
     }
 
@@ -927,19 +947,6 @@ mod tests {
             ctx.pow_many(&bases, &BigUint::zero()),
             vec![BigUint::one(); 5]
         );
-    }
-
-    /// Naive square-and-multiply with a division per step: no window, no
-    /// table, no Montgomery form.
-    fn naive_pow(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
-        let mut acc = &BigUint::one() % m;
-        for i in (0..exp.bit_length()).rev() {
-            acc = &acc.square() % m;
-            if exp.bit(i) {
-                acc = &(&acc * base) % m;
-            }
-        }
-        acc
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Exponentiation kernels: fixed-base comb tables and simultaneous
-//! multi-exponentiation (Straus / Pippenger).
+//! Exponentiation kernels: fixed-base comb tables and Straus'
+//! simultaneous multi-exponentiation.
 //!
 //! Every kernel here is *value-equal* to the naive formulation it replaces
 //! — `FixedBaseTable::pow` returns exactly `MontgomeryCtx::pow_mod`'s
@@ -11,35 +11,16 @@
 //!   `1/k` of the ladder's squarings (`k` the tooth count) and one table
 //!   multiply per column, which pays off once a base is reused a handful of
 //!   times (the keyholder's secret randomizer base);
-//! * Straus/Pippenger share **one squaring pass** across all `k` operands
-//!   of a product of powers, where the naive loop pays a full
-//!   square-and-multiply ladder per operand.
+//! * Straus shares **one squaring pass** across all operands of a product
+//!   of powers, where the naive loop pays a full square-and-multiply ladder
+//!   per operand.
 
 use crate::biguint::BigUint;
-use crate::montgomery::{put_lane, splat, MontgomeryCtx, Octet, Scratch, OCTET};
+use crate::montgomery::{gather, splat, MontgomeryCtx, Scratch, OCTET};
 
 /// Version stamp for the exponentiation-kernel layer, carried into bench
 /// trajectory JSON so regressions to naive ladders are visible in data.
 pub const KERNEL_DISCIPLINE: &str = "expkernels-v1";
-
-/// Pair count at and above which [`multi_exp`] switches from Straus'
-/// interleaved scan to Pippenger's bucket method. Below the cutoff the
-/// per-base window tables amortize; above it bucket accumulation does
-/// (see `DESIGN.md` §12 for the cost model).
-pub const PIPPENGER_CUTOFF: usize = 32;
-
-/// Extracts window digit `i` (little-endian digit order, `w` bits wide)
-/// of `exp`.
-fn window_digit(exp: &BigUint, bits: usize, w: usize, i: usize) -> usize {
-    let mut d = 0usize;
-    for b in 0..w {
-        let pos = i * w + b;
-        if pos < bits && exp.bit(pos) {
-            d |= 1 << b;
-        }
-    }
-    d
-}
 
 /// Blocks each tooth's strip is cut into (Lim–Lee's `v`): one table per
 /// block, so a scan makes `⌈d / COMB_BLOCKS⌉ − 1` squarings instead of
@@ -145,9 +126,10 @@ impl FixedBaseTable {
 
     /// `base^exp mod m` — limb-identical to
     /// `MontgomeryCtx::pow_mod(base, exp)` for every exponent (comb scan
-    /// when the strips cover it, transparent ladder fallback when not).
+    /// when the strips cover it, transparent ladder fallback when not); a
+    /// [`Self::pow_many`] of one exponent.
     pub fn pow(&self, exp: &BigUint) -> BigUint {
-        self.scan(exp, None)
+        self.pow_many(std::slice::from_ref(exp)).remove(0)
     }
 
     /// `base^exp · f^small mod m`, for `f` given in Montgomery form
@@ -157,23 +139,22 @@ impl FixedBaseTable {
     /// of `small` — with plain ladder steps above them when `small` is
     /// wider than a block. An exponent too wide for the comb takes the
     /// ladder for both powers; the result is the canonical residue either
-    /// way.
+    /// way. A [`Self::pow_mul_many`] of one item.
     pub fn pow_mul(&self, exp: &BigUint, factor_mont: &BigUint, small: u64) -> BigUint {
-        self.scan(exp, Some((factor_mont, small)))
+        self.pow_mul_many(&[(exp, factor_mont, small)]).remove(0)
     }
 
-    /// `[base^e mod m; exps]`, each equal to [`Self::pow`]'s: exponents
-    /// the strips cover scan eight at a time where the context runs the
-    /// eight-lane product (as [`MontgomeryCtx::pow_many`] does), each lane
-    /// reading its own comb rows; the rest one by one, as [`Self::pow`]
-    /// runs them.
+    /// `[base^e mod m; exps]`: exponents the strips cover scan eight at a
+    /// time where the context runs the eight-lane product (as
+    /// [`MontgomeryCtx::pow_many`] does), each lane reading its own comb
+    /// rows, and one by one otherwise; the rest take the ladder.
     pub fn pow_many(&self, exps: &[BigUint]) -> Vec<BigUint> {
         let items: Vec<Item> = exps.iter().map(|exp| (exp, None)).collect();
         self.scan_many(&items)
     }
 
     /// `[base^e · f^small mod m; items]` for items `(e, f·R mod m, small)`,
-    /// each equal to [`Self::pow_mul`]'s, batched as [`Self::pow_many`].
+    /// each as [`Self::pow_mul`] defines it, batched as [`Self::pow_many`].
     pub fn pow_mul_many(&self, items: &[(&BigUint, &BigUint, u64)]) -> Vec<BigUint> {
         let items: Vec<Item> = items
             .iter()
@@ -187,120 +168,76 @@ impl FixedBaseTable {
         exp.bit_length() <= self.teeth * self.spacing
     }
 
+    /// The covered items scanned in the groups
+    /// [`MontgomeryCtx::lane_groups`] forms, the rest by the ladder, in
+    /// item order.
     fn scan_many(&self, items: &[Item]) -> Vec<BigUint> {
-        let mut out: Vec<Option<BigUint>> = vec![None; items.len()];
-        let covered: Vec<usize> = (0..items.len())
-            .filter(|&i| self.covers(items[i].0))
-            .collect();
-        for group in covered.chunks(OCTET) {
-            if self.ctx.octet_serves(group.len()) {
-                let lanes: Vec<Item> = group.iter().map(|&i| items[i]).collect();
-                for (&i, value) in group.iter().zip(self.scan8(&lanes)) {
-                    out[i] = Some(value);
-                }
-            }
-        }
-        out.into_iter()
-            .zip(items)
-            .map(|(value, &(exp, factor))| value.unwrap_or_else(|| self.scan(exp, factor)))
-            .collect()
-    }
-
-    /// [`Self::scan`] for up to eight exponents the strips cover, one a
-    /// lane: the columns of the widest, each lane multiplying by its own
-    /// comb row — the unit row where its index is 0 — and by its factor
-    /// or the unit row at its `small`'s bits. A column no lane needs is
-    /// skipped. Each lane's products differ from its own scan's by unit
-    /// factors alone, so its residue is the same.
-    fn scan8(&self, lanes: &[Item]) -> Vec<BigUint> {
         let ctx = &self.ctx;
-        let k = ctx.width();
-        let unit = ctx.one_limbs();
-        let bits = lanes.iter().map(|(exp, _)| exp.bit_length()).max();
-        let small_bits = lanes
-            .iter()
-            .map(|(_, factor)| factor.map_or(0, |(_, small)| 64 - small.leading_zeros() as usize))
-            .max();
-        let comb_columns = self.block.min(bits.unwrap_or(0));
-        let columns = comb_columns.max(small_bits.unwrap_or(0));
-        let factors: Vec<Option<(Vec<u64>, u64)>> = lanes
-            .iter()
-            .map(|(_, factor)| factor.map(|(f, small)| (ctx.widen(f), small)))
-            .collect();
-        let mut operand = splat(&vec![0; k]);
-        // Absent until the first column a lane multiplies in.
-        let mut acc: Option<Octet> = None;
-        for t in (0..columns).rev() {
-            if let Some(acc) = &mut acc {
-                ctx.octet_product(acc, None);
-            }
-            if t < comb_columns {
-                for (b, table) in self.rows.chunks_exact(k << self.teeth).enumerate() {
-                    let offset = b * self.block + t;
-                    if offset >= self.spacing {
-                        break;
-                    }
-                    let rows: Vec<usize> = lanes
-                        .iter()
-                        .map(|(exp, _)| {
-                            (0..self.teeth)
-                                .filter(|&i| exp.bit(i * self.spacing + offset))
-                                .fold(0, |row, i| row | 1 << i)
-                        })
-                        .collect();
-                    if rows.iter().all(|&row| row == 0) {
-                        continue;
-                    }
-                    for (lane, &row) in rows.iter().enumerate() {
-                        put_lane(&mut operand, lane, &table[row * k..(row + 1) * k]);
-                    }
-                    mul_into8(ctx, &mut acc, &operand);
-                }
-            }
-            let rows: Vec<Option<&[u64]>> = factors
-                .iter()
-                .map(|factor| match factor {
-                    Some((f, small)) if t < 64 && small >> t & 1 == 1 => Some(&f[..]),
-                    _ => None,
-                })
-                .collect();
-            if rows.iter().any(Option::is_some) {
-                for (lane, row) in rows.iter().enumerate() {
-                    put_lane(&mut operand, lane, row.unwrap_or(&unit));
-                }
-                mul_into8(ctx, &mut acc, &operand);
-            }
+        let covered: Vec<Item> = items.iter().copied().filter(|i| self.covers(i.0)).collect();
+        let mut scratch = ctx.scratch();
+        let mut scanned = Vec::with_capacity(covered.len());
+        for (group, eight) in ctx.lane_groups(&covered) {
+            scanned.extend(if eight {
+                self.scan::<OCTET>(group, &mut scratch)
+            } else {
+                self.scan::<1>(group, &mut scratch)
+            });
         }
-        let acc = acc.unwrap_or_else(|| splat(&unit));
-        ctx.octet_out(acc, lanes.len())
-    }
-
-    fn scan(&self, exp: &BigUint, factor: Option<(&BigUint, u64)>) -> BigUint {
-        let ctx = &self.ctx;
-        let bits = exp.bit_length();
-        if !self.covers(exp) {
+        let mut scanned = scanned.into_iter();
+        let ladder = |&(exp, factor): &Item| {
             let power = ctx.pow_mod(&self.base, exp);
-            return match factor {
+            match factor {
                 None => power,
                 Some((f, small)) => ctx.mont_mul(
                     &power,
                     &ctx.to_mont(&ctx.pow_mod(&ctx.from_mont(f), &BigUint::from_u64(small))),
                 ),
-            };
-        }
-        let k = ctx.width();
-        let mut scratch = ctx.scratch();
-        let (factor, small) = match factor {
-            Some((f, small)) => (ctx.widen(f), small),
-            None => (Vec::new(), 0),
+            }
         };
+        items
+            .iter()
+            .map(|item| {
+                let scan = self.covers(item.0).then(|| scanned.next()).flatten();
+                scan.unwrap_or_else(|| ladder(item))
+            })
+            .collect()
+    }
+
+    /// The comb row of block column `offset` for `exp`: bit `i` is bit
+    /// `i·spacing + offset` of `exp`.
+    fn row_index(&self, exp: &BigUint, offset: usize) -> usize {
+        (0..self.teeth)
+            .filter(|&i| exp.bit(i * self.spacing + offset))
+            .fold(0, |row, i| row | 1 << i)
+    }
+
+    /// The comb scan of up to `L` exponents the strips cover, one a lane:
+    /// the columns of the widest, each lane multiplying by its own comb
+    /// row — the unit row where its index is 0 — and by its factor or the
+    /// unit row at its `small`'s bits. A product no lane needs is skipped,
+    /// and the accumulator is the first factor until then, so no unit is
+    /// squared. Each lane's products differ from its own scan's by unit
+    /// factors alone, so its residue is the same.
+    fn scan<const L: usize>(&self, items: &[Item], scratch: &mut Scratch) -> Vec<BigUint> {
+        let ctx = &self.ctx;
+        let k = ctx.width();
+        let unit = ctx.one_limbs();
+        // Lanes past the items scan a zero exponent with no factor.
+        let zero = BigUint::zero();
+        let exps: [&BigUint; L] = std::array::from_fn(|l| items.get(l).map_or(&zero, |i| i.0));
+        let factors: [_; L] = std::array::from_fn(|l| items.get(l).and_then(|i| i.1));
+        let smalls = factors.map(|f| f.map_or(0, |(_, small)| small));
+        let factors = factors.map(|f| f.map_or_else(|| unit.clone(), |(f, _)| ctx.widen(f)));
+        let bits = exps.iter().map(|e| e.bit_length()).max().unwrap_or(0);
+        let small_bits = smalls.iter().map(|s| 64 - s.leading_zeros() as usize).max();
         let comb_columns = self.block.min(bits);
-        let columns = comb_columns.max(64 - small.leading_zeros() as usize);
-        // Absent until the first nonzero column: no squarings of the unit.
-        let mut acc: Option<Vec<u64>> = None;
+        let columns = comb_columns.max(small_bits.unwrap_or(0));
+        let mut buf = vec![[0; L]; if L == 1 { 0 } else { k }];
+        // Absent until the first product: no squarings of the unit.
+        let mut acc: Option<Vec<[u64; L]>> = None;
         for t in (0..columns).rev() {
             if let Some(acc) = &mut acc {
-                ctx.sqr_assign(acc, &mut scratch);
+                ctx.product_lanes(acc, None, scratch);
             }
             if t < comb_columns {
                 for (b, table) in self.rows.chunks_exact(k << self.teeth).enumerate() {
@@ -308,57 +245,48 @@ impl FixedBaseTable {
                     if offset >= self.spacing {
                         break;
                     }
-                    let row = (0..self.teeth)
-                        .filter(|&i| exp.bit(i * self.spacing + offset))
-                        .fold(0, |row, i| row | 1 << i);
-                    if row != 0 {
-                        mul_into(ctx, &mut acc, &table[row * k..(row + 1) * k], &mut scratch);
+                    let rows = exps.map(|e| self.row_index(e, offset));
+                    if rows != [0; L] {
+                        let rows = rows.map(|row| &table[row * k..(row + 1) * k]);
+                        mul_into(ctx, &mut acc, gather(&mut buf, rows), scratch);
                     }
                 }
             }
-            if t < 64 && small >> t & 1 == 1 {
-                mul_into(ctx, &mut acc, &factor, &mut scratch);
+            let set = smalls.map(|small| t < 64 && small >> t & 1 == 1);
+            if set.contains(&true) {
+                let rows =
+                    std::array::from_fn(|l| if set[l] { &factors[l][..] } else { &unit[..] });
+                mul_into(ctx, &mut acc, gather(&mut buf, rows), scratch);
             }
         }
-        let acc = acc.unwrap_or_else(|| ctx.one_limbs());
-        ctx.out_of_mont(&acc, &mut scratch)
+        let acc = acc.unwrap_or_else(|| splat(&unit).into_owned());
+        ctx.out_of_mont_lanes(acc, items.len(), scratch)
     }
 }
 
-/// `Π bases[i]^exps[i] mod m` by whichever simultaneous method fits the
-/// operand count: Straus below [`PIPPENGER_CUTOFF`], Pippenger at or
-/// above it. Both return the canonical residue, so the selection is
-/// invisible to callers.
-pub fn multi_exp(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-    if pairs.len() >= PIPPENGER_CUTOFF {
-        multi_exp_pippenger(ctx, pairs)
-    } else {
-        multi_exp_straus(ctx, pairs)
-    }
-}
-
-/// Straus' interleaved multi-exponentiation (4-bit windows).
+/// `Π bases[i]^exps[i] mod m` by Straus' interleaved multi-exponentiation
+/// (4-bit windows).
 ///
 /// One shared MSB-first squaring pass; at each window position every base
 /// contributes at most one table multiply. Per-base tables are sized to
 /// the **largest digit that base's exponent actually uses** — a
 /// power-of-two exponent (packing slot shifts) costs a 2-entry table and
-/// a single multiply, not a 16-entry table.
-pub fn multi_exp_straus(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
+/// a single multiply, not a 16-entry table. The sessions pass 3–6 pairs,
+/// where Pippenger's buckets measured slower (DESIGN.md §12).
+pub fn multi_exp(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
     let k = ctx.width();
     let mut scratch = ctx.scratch();
     // Per base: its digit sequence (MSB-first) and a table up to the
     // largest digit used.
     let mut prepped = Vec::with_capacity(pairs.len());
     let mut windows = 0usize;
-    for (base, exp) in pairs {
+    for &(base, exp) in pairs {
+        if exp.is_zero() {
+            continue; // a factor of 1
+        }
         let digits = MontgomeryCtx::exp_windows4(exp);
         let max_digit = digits.iter().copied().max().unwrap_or(0) as usize;
-        if max_digit == 0 {
-            continue; // exp = 0 contributes a factor of 1
-        }
-        let base_mont = ctx.to_mont_limbs(base, &mut scratch);
-        let table = ctx.window_table(&base_mont, max_digit, &mut scratch);
+        let table = ctx.powers::<1>(std::slice::from_ref(base), max_digit, &mut scratch);
         windows = windows.max(digits.len());
         prepped.push((table, digits));
     }
@@ -379,7 +307,8 @@ pub fn multi_exp_straus(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> 
             }
             let d = digits[pos - skip] as usize;
             if d != 0 {
-                ctx.mul_assign(&mut acc, &table[d * k..(d + 1) * k], &mut scratch);
+                let row = &table.as_flattened()[d * k..(d + 1) * k];
+                ctx.mul_assign(&mut acc, row, &mut scratch);
             }
         }
     }
@@ -390,94 +319,25 @@ pub fn multi_exp_straus(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> 
 /// Montgomery form and the factor's small exponent.
 type Item<'a> = (&'a BigUint, Option<(&'a BigUint, u64)>);
 
-/// [`mul_into`] for octets.
-fn mul_into8(ctx: &MontgomeryCtx, acc: &mut Option<Octet>, factor: &Octet) {
-    match acc {
-        Some(acc) => ctx.octet_product(acc, Some(factor)),
-        None => *acc = Some(factor.clone()),
-    }
-}
-
-/// `acc ← acc·factor`, where an absent `acc` stands for the unit.
-fn mul_into(
+/// `acc ← acc·factor` in every lane, where an absent `acc` stands for the
+/// unit.
+fn mul_into<const L: usize>(
     ctx: &MontgomeryCtx,
-    acc: &mut Option<Vec<u64>>,
-    factor: &[u64],
+    acc: &mut Option<Vec<[u64; L]>>,
+    factor: &[[u64; L]],
     scratch: &mut Scratch,
 ) {
     match acc {
-        Some(acc) => ctx.mul_assign(acc, factor, scratch),
+        Some(acc) => ctx.product_lanes(acc, Some(factor), scratch),
         None => *acc = Some(factor.to_vec()),
     }
-}
-
-/// Pippenger's bucket multi-exponentiation.
-///
-/// No per-base tables: at each window position every base is multiplied
-/// into the bucket of its digit value, and `Π_d bucket[d]^d` is folded
-/// with the suffix-product trick (≤ `2 · 2^w` multiplies per window,
-/// independent of `k`). The window widens with the operand count so
-/// bucket-fold overhead amortizes across more bases.
-pub fn multi_exp_pippenger(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> BigUint {
-    let w = match pairs.len() {
-        0..=63 => 4usize,
-        64..=255 => 5,
-        _ => 6,
-    };
-    let mut scratch = ctx.scratch();
-    let mut max_bits = 0usize;
-    let prepped: Vec<(Vec<u64>, &BigUint)> = pairs
-        .iter()
-        .filter(|(_, exp)| !exp.is_zero())
-        .map(|(base, exp)| {
-            max_bits = max_bits.max(exp.bit_length());
-            (ctx.to_mont_limbs(base, &mut scratch), *exp)
-        })
-        .collect();
-
-    let nwin = max_bits.div_ceil(w);
-    let mut acc = ctx.one_limbs();
-    let mut first = true;
-    for win in (0..nwin).rev() {
-        if !first {
-            for _ in 0..w {
-                ctx.sqr_assign(&mut acc, &mut scratch);
-            }
-        }
-        let mut buckets: Vec<Option<Vec<u64>>> = vec![None; 1 << w];
-        for (base_mont, exp) in &prepped {
-            let d = window_digit(exp, exp.bit_length(), w, win);
-            if d != 0 {
-                mul_into(ctx, &mut buckets[d], base_mont, &mut scratch);
-            }
-        }
-        // Fold Π_d bucket[d]^d: running suffix product enters `total`
-        // once per digit value, contributing bucket[d] exactly d times.
-        let mut running: Option<Vec<u64>> = None;
-        let mut total: Option<Vec<u64>> = None;
-        for bucket in buckets.iter().skip(1).rev() {
-            if let Some(b) = bucket {
-                mul_into(ctx, &mut running, b, &mut scratch);
-            }
-            if let Some(r) = &running {
-                mul_into(ctx, &mut total, r, &mut scratch);
-            }
-        }
-        // An all-zero window after a contributing one needs no multiply:
-        // the squarings at the top of the loop already advanced `acc`.
-        if let Some(t) = total {
-            ctx.mul_assign(&mut acc, &t, &mut scratch);
-            first = false;
-        }
-    }
-    ctx.out_of_mont(&acc, &mut scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::random::{gen_biguint_below, gen_biguint_bits};
-    use crate::test_helpers::rng;
+    use crate::test_helpers::{naive_pow, rng};
     use rand::Rng;
 
     fn b(v: u128) -> BigUint {
@@ -488,7 +348,7 @@ mod tests {
         let m = ctx.modulus();
         let mut acc = &BigUint::one() % m;
         for (base, exp) in pairs {
-            acc = &(&acc * &ctx.pow_mod(base, exp)) % m;
+            acc = &(&acc * &naive_pow(base, exp, m)) % m;
         }
         acc
     }
@@ -560,12 +420,11 @@ mod tests {
         let ctx = MontgomeryCtx::new(&m).unwrap();
         assert_eq!(multi_exp(&ctx, &[]), b(1));
         let (base, zero) = (b(5), b(0));
-        assert_eq!(multi_exp_straus(&ctx, &[(&base, &zero)]), b(1));
-        assert_eq!(multi_exp_pippenger(&ctx, &[(&base, &zero)]), b(1));
+        assert_eq!(multi_exp(&ctx, &[(&base, &zero)]), b(1));
     }
 
     #[test]
-    fn straus_and_pippenger_match_naive_random() {
+    fn multi_exp_matches_naive_random() {
         let mut r = rng(92);
         for bits in [64usize, 256] {
             let mut m = gen_biguint_bits(&mut r, bits);
@@ -577,9 +436,7 @@ mod tests {
                 let exps: Vec<BigUint> = (0..k).map(|_| gen_biguint_bits(&mut r, bits)).collect();
                 let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter()).collect();
                 let want = naive_multi_exp(&ctx, &pairs);
-                assert_eq!(multi_exp_straus(&ctx, &pairs), want, "straus k={k}");
-                assert_eq!(multi_exp_pippenger(&ctx, &pairs), want, "pippenger k={k}");
-                assert_eq!(multi_exp(&ctx, &pairs), want, "auto k={k}");
+                assert_eq!(multi_exp(&ctx, &pairs), want, "k={k}");
             }
         }
     }
@@ -596,7 +453,6 @@ mod tests {
         let exps: Vec<BigUint> = (0..10).map(|i| &BigUint::one() << (24 * i)).collect();
         let pairs: Vec<(&BigUint, &BigUint)> = bases.iter().zip(exps.iter()).collect();
         let want = naive_multi_exp(&ctx, &pairs);
-        assert_eq!(multi_exp_straus(&ctx, &pairs), want);
-        assert_eq!(multi_exp_pippenger(&ctx, &pairs), want);
+        assert_eq!(multi_exp(&ctx, &pairs), want);
     }
 }

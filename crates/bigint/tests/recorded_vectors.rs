@@ -8,7 +8,6 @@
 //! one FNV-1a digest over their little-endian bytes, length-prefixed so a
 //! shorter residue cannot alias a longer one.
 
-use ppds_bigint::multiexp::{multi_exp_pippenger, multi_exp_straus, PIPPENGER_CUTOFF};
 use ppds_bigint::{modular, multi_exp, random, BigUint, FixedBaseTable, MontgomeryCtx};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,7 +115,7 @@ fn fixed_base_pow_reproduces_recorded_outputs() {
 }
 
 #[test]
-fn multi_exp_reproduces_recorded_outputs_on_both_sides_of_the_cutoff() {
+fn multi_exp_reproduces_recorded_outputs() {
     let recorded: [u64; 5] = [
         0x4da5_2bb2_8d19_4caa,
         0x7220_bf18_1b9c_2543,
@@ -126,7 +125,7 @@ fn multi_exp_reproduces_recorded_outputs_on_both_sides_of_the_cutoff() {
     ];
     let mut measured = Vec::new();
     for (i, bits) in SIZES.into_iter().enumerate() {
-        let (ctx, bases, mut r) = setup(0x3E + i as u64, bits, PIPPENGER_CUTOFF + 8);
+        let (ctx, bases, mut r) = setup(0x3E + i as u64, bits, 40);
         // Mixed widths: zero, single bits (packing shifts), 64-bit
         // coefficients, and a few key-width scalars.
         let exps: Vec<BigUint> = (0..bases.len())
@@ -139,20 +138,10 @@ fn multi_exp_reproduces_recorded_outputs_on_both_sides_of_the_cutoff() {
             })
             .collect();
         let mut out = Vec::new();
-        for k in [
-            0,
-            1,
-            4,
-            PIPPENGER_CUTOFF - 1,
-            PIPPENGER_CUTOFF,
-            PIPPENGER_CUTOFF + 8,
-        ] {
+        for k in [0, 1, 4, 31, 32, 40] {
             let pairs: Vec<(&BigUint, &BigUint)> =
                 bases[..k].iter().zip(exps[..k].iter()).collect();
-            let auto = multi_exp(&ctx, &pairs);
-            assert_eq!(multi_exp_straus(&ctx, &pairs), auto, "straus k = {k}");
-            assert_eq!(multi_exp_pippenger(&ctx, &pairs), auto, "pippenger k = {k}");
-            out.push(auto);
+            out.push(multi_exp(&ctx, &pairs));
         }
         measured.push(digest(&out));
     }

@@ -21,7 +21,8 @@
 //! of `⟨g⟩·⟨h⟩`. Nothing else in the system relies on it.
 
 use crate::error::PaillierError;
-use ppds_bigint::{modular, prime, random, BigUint, FixedBaseTable, MontgomeryCtx};
+use ppds_bigint::modular::{self, Crt};
+use ppds_bigint::{prime, random, BigUint, FixedBaseTable, MontgomeryCtx};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -90,13 +91,11 @@ impl std::fmt::Debug for DgkPublicKey {
 #[derive(Clone)]
 pub struct DgkPrivateKey {
     public: Arc<DgkPublicKey>,
-    p: BigUint,
-    q: BigUint,
+    /// Garner recombination over the factors `p` and `q`.
+    crt: Crt,
     v_p: BigUint,
     v_q: BigUint,
     mont_p: MontgomeryCtx,
-    /// `p^{-1} mod q`, for Garner recombination.
-    p_inv_q: BigUint,
     /// Combs over `h mod p` (order `v_p`) and `h mod q` (order `v_q`),
     /// each for `t`-bit exponents.
     h_combs: Arc<[FixedBaseTable; 2]>,
@@ -309,10 +308,10 @@ impl DgkPrivateKey {
             if p == q {
                 continue;
             }
-            let (Some(mont_p), Some(mont_q), Some(p_inv_q)) = (
+            let (Some(mont_p), Some(mont_q), Some(crt)) = (
                 MontgomeryCtx::new(&p),
                 MontgomeryCtx::new(&q),
-                modular::mod_inverse(&p, &q),
+                Crt::new(p.clone(), q.clone()),
             ) else {
                 continue;
             };
@@ -333,13 +332,9 @@ impl DgkPrivateKey {
             if !orders_hold(&mont_p, &g_p, &h_p, &v_p) || !orders_hold(&mont_q, &g_q, &h_q, &v_q) {
                 continue;
             }
-            let crt = |a_p: &BigUint, a_q: &BigUint| {
-                let t = modular::mod_mul(&a_q.sub_mod(&(a_p % &q), &q), &p_inv_q, &q);
-                a_p + &(&p * &t)
-            };
             let n = &p * &q;
             debug_assert_eq!(n.bit_length(), bits);
-            let (g, h) = (crt(&g_p, &g_q), crt(&h_p, &h_q));
+            let (g, h) = (crt.combine(&g_p, &g_q), crt.combine(&h_p, &h_q));
             let Ok(public) = DgkPublicKey::from_parts(n, g, h, DGK_PLAINTEXT_PRIME, t as u64)
             else {
                 continue;
@@ -350,12 +345,10 @@ impl DgkPrivateKey {
             ]);
             return DgkPrivateKey {
                 public: Arc::new(public),
-                p,
-                q,
+                crt,
                 v_p,
                 v_q,
                 mont_p,
-                p_inv_q,
                 h_combs,
             };
         }
@@ -409,12 +402,7 @@ impl DgkPrivateKey {
         let mut cts = messages
             .iter()
             .zip(rho_p.iter().zip(&rho_q))
-            .map(|(&m, (rho_p, rho_q))| {
-                // Garner: ρ = ρ_p + p·((ρ_q − ρ_p)·p^{-1} mod q).
-                let diff = rho_q.sub_mod(&(rho_p % &self.q), &self.q);
-                let rho = rho_p + &(&self.p * &modular::mod_mul(&diff, &self.p_inv_q, &self.q));
-                public.seal(m, rho)
-            });
+            .map(|(&m, (rho_p, rho_q))| public.seal(m, self.crt.combine(rho_p, rho_q)));
         Ok(lens
             .into_iter()
             .map(|len| cts.by_ref().take(len).collect())
@@ -428,11 +416,12 @@ impl DgkPrivateKey {
     /// `(c^{v_p})^u ≡ 1 (mod p)`. Both powers share their exponent across
     /// the cells (`MontgomeryCtx::pow_many`).
     fn project_many(&self, cells: &[BigUint]) -> Result<Vec<BigUint>, PaillierError> {
-        let outside = |c: &BigUint| c.is_zero() || c >= &self.public.n || (c % &self.q).is_zero();
+        let (p, q) = self.crt.moduli();
+        let outside = |c: &BigUint| c.is_zero() || c >= &self.public.n || (c % q).is_zero();
         if cells.iter().any(outside) {
             return Err(PaillierError::InvalidCiphertext);
         }
-        let residues: Vec<BigUint> = cells.iter().map(|c| c % &self.p).collect();
+        let residues: Vec<BigUint> = cells.iter().map(|c| c % p).collect();
         let z = self.mont_p.pow_many(&residues, &self.v_p);
         let u = BigUint::from_u64(self.public.u);
         if self.mont_p.pow_many(&z, &u).iter().all(BigUint::is_one) {
@@ -515,18 +504,28 @@ mod tests {
     use crate::test_helpers::rng;
     use std::sync::OnceLock;
 
+    impl DgkPrivateKey {
+        fn p(&self) -> &BigUint {
+            self.crt.moduli().0
+        }
+
+        fn q(&self) -> &BigUint {
+            self.crt.moduli().1
+        }
+    }
+
     /// Full decryption into `Z_u`, the tests' oracle: the discrete
     /// logarithm of `c^{v_p} mod p` to base `g^{v_p}`, by walking the `u`
     /// powers.
     fn decrypt(key: &DgkPrivateKey, c: &BigUint) -> Result<u64, PaillierError> {
         let z = key.project_many(std::slice::from_ref(c))?.remove(0);
-        let g_vp = key.mont_p.pow_mod(&(key.public.g() % &key.p), &key.v_p);
+        let g_vp = key.mont_p.pow_mod(&(key.public.g() % key.p()), &key.v_p);
         let mut power = BigUint::one();
         for m in 0..key.public.u {
             if power == z {
                 return Ok(m);
             }
-            power = modular::mod_mul(&power, &g_vp, &key.p);
+            power = modular::mod_mul(&power, &g_vp, key.p());
         }
         Err(PaillierError::InvalidCiphertext)
     }
@@ -544,7 +543,7 @@ mod tests {
             assert_eq!(public.bits(), bits.max(MIN_DGK_BITS), "{bits} bits");
             assert_eq!((public.u(), public.t), (DGK_PLAINTEXT_PRIME, t));
             let u = BigUint::from_u64(public.u);
-            for (prime, v) in [(&key.p, &key.v_p), (&key.q, &key.v_q)] {
+            for (prime, v) in [(key.p(), &key.v_p), (key.q(), &key.v_q)] {
                 assert_eq!(v.bit_length(), t);
                 assert!((&(prime - &BigUint::one()) % &(v * &u)).is_zero());
                 // h dies under v mod its prime; g does not.
@@ -553,7 +552,7 @@ mod tests {
                 assert!(!mont.pow_mod(&(&public.g % prime), v).is_one());
             }
             // g^{v_p} has order exactly u mod p.
-            let g_vp = key.mont_p.pow_mod(&(&public.g % &key.p), &key.v_p);
+            let g_vp = key.mont_p.pow_mod(&(&public.g % key.p()), &key.v_p);
             assert!(!g_vp.is_one());
             assert!(key.mont_p.pow_mod(&g_vp, &u).is_one());
         }
@@ -712,15 +711,13 @@ mod tests {
         let n = public.n().clone();
         let valid = public.encrypt(5, &mut rng(3)).unwrap();
         // `valid` mod p, 0 mod q: no unit, though its p-half is a member.
-        let a_p = &valid % &key.p;
-        let lift = BigUint::zero().sub_mod(&(&a_p % &key.q), &key.q);
-        let zero_mod_q = &a_p + &(&key.p * &modular::mod_mul(&lift, &key.p_inv_q, &key.q));
-        assert!((&zero_mod_q % &key.q).is_zero());
+        let zero_mod_q = key.crt.combine(&(&valid % key.p()), &BigUint::zero());
+        assert!((&zero_mod_q % key.q()).is_zero());
         for bad in [BigUint::zero(), n.clone(), &n + &BigUint::one(), zero_mod_q] {
             assert_eq!(key.is_zero(&bad), Err(PaillierError::InvalidCiphertext));
             assert!(public.negate_many(&[valid.clone(), bad]).is_err());
         }
-        assert_eq!(key.is_zero(&key.p), Err(PaillierError::InvalidCiphertext));
+        assert_eq!(key.is_zero(key.p()), Err(PaillierError::InvalidCiphertext));
         let mut r = rng(7);
         let strays = (0..20)
             .map(|_| random::gen_biguint_range(&mut r, &BigUint::from_u64(2), &n))
@@ -744,10 +741,10 @@ mod tests {
     /// The zero test as one cell's chain: range, `q`, the `v_p` ladder and
     /// the membership ladder, each a `pow_mod`.
     fn zero_test_chain(key: &DgkPrivateKey, c: &BigUint) -> Result<bool, PaillierError> {
-        if c.is_zero() || c >= &key.public.n || (c % &key.q).is_zero() {
+        if c.is_zero() || c >= &key.public.n || (c % key.q()).is_zero() {
             return Err(PaillierError::InvalidCiphertext);
         }
-        let z = key.mont_p.pow_mod(&(c % &key.p), &key.v_p);
+        let z = key.mont_p.pow_mod(&(c % key.p()), &key.v_p);
         let u = BigUint::from_u64(key.public.u);
         if key.mont_p.pow_mod(&z, &u).is_one() {
             Ok(z.is_one())
@@ -829,9 +826,7 @@ mod tests {
                                     comb_p.pow(&random::gen_biguint_below(&mut draws, &key.v_p));
                                 let rho_q =
                                     comb_q.pow(&random::gen_biguint_below(&mut draws, &key.v_q));
-                                let diff = rho_q.sub_mod(&(&rho_p % &key.q), &key.q);
-                                let lift = modular::mod_mul(&diff, &key.p_inv_q, &key.q);
-                                let rho = &rho_p + &(&key.p * &lift);
+                                let rho = key.crt.combine(&rho_p, &rho_q);
                                 public.add(&public.mul_plain(public.g(), m), &rho)
                             })
                             .collect()
@@ -866,9 +861,7 @@ mod tests {
             let cells: Vec<BigUint> = (0..17)
                 .map(|m| public.encrypt(m, &mut r).unwrap())
                 .collect();
-            let a_p = &cells[5] % &key.p;
-            let lift = BigUint::zero().sub_mod(&(&a_p % &key.q), &key.q);
-            let zero_mod_q = &a_p + &(&key.p * &modular::mod_mul(&lift, &key.p_inv_q, &key.q));
+            let zero_mod_q = key.crt.combine(&(&cells[5] % key.p()), &BigUint::zero());
             let stray = (0..)
                 .map(|_| random::gen_biguint_range(&mut r, &BigUint::from_u64(2), &n))
                 .find(|c| modular::gcd(c, &n).is_one() && zero_test_chain(key, c).is_err())
@@ -928,6 +921,6 @@ mod tests {
         assert!(refused(n.clone(), BigUint::one(), h.clone(), u, t));
         assert!(refused(n.clone(), g.clone(), BigUint::zero(), u, t));
         assert!(refused(n.clone(), g.clone(), n.clone(), u, t));
-        assert!(refused(n.clone(), g, key().p.clone(), u, t)); // no unit
+        assert!(refused(n.clone(), g, key().p().clone(), u, t)); // no unit
     }
 }

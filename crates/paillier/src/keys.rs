@@ -2,7 +2,8 @@
 
 use crate::dgk::{DgkPrivateKey, DgkPublicKey, MIN_DGK_BITS};
 use crate::error::PaillierError;
-use ppds_bigint::{modular, prime, random, BigUint, FixedBaseTable, MontgomeryCtx};
+use ppds_bigint::modular::{self, Crt};
+use ppds_bigint::{prime, random, BigUint, FixedBaseTable, MontgomeryCtx};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -73,20 +74,16 @@ pub struct PrivateKey {
 /// [`PrivateKey::draw_randomizer`]).
 #[derive(Clone)]
 struct CrtContext {
-    p: BigUint,
-    q: BigUint,
-    p_squared: BigUint,
-    q_squared: BigUint,
+    /// Garner recombination mod `n`, over `p` and `q`.
+    mod_n: Crt,
+    /// Garner recombination mod `n²`, over `p²` and `q²`.
+    mod_nn: Crt,
     mont_pp: MontgomeryCtx,
     mont_qq: MontgomeryCtx,
     /// `L_p(g^{p-1} mod p²)^{-1} mod p` (decryption; unrelated to `h`).
     hp: BigUint,
     /// `L_q(g^{q-1} mod q²)^{-1} mod q` (decryption; unrelated to `h`).
     hq: BigUint,
-    /// `p^{-1} mod q` for Garner recombination.
-    p_inv_q: BigUint,
-    /// `(p²)^{-1} mod q²` for Garner recombination modulo `n²`.
-    pp_inv_qq: BigUint,
     /// `p − 1` and `q − 1`: multiples of the orders of `h mod p²` and
     /// `h mod q²`, by which a randomizer exponent is reduced per half.
     p_minus_1: BigUint,
@@ -285,49 +282,44 @@ fn l_function(u: &BigUint, n: &BigUint) -> Option<BigUint> {
 impl CrtContext {
     fn new(public: &PublicKey, p: &BigUint, q: &BigUint, h: BigUint) -> Option<CrtContext> {
         let one = BigUint::one();
-        let p_squared = p.square();
-        let q_squared = q.square();
-        let mont_pp = MontgomeryCtx::new(&p_squared)?;
-        let mont_qq = MontgomeryCtx::new(&q_squared)?;
+        let mod_n = Crt::new(p.clone(), q.clone())?;
+        let mod_nn = Crt::new(p.square(), q.square())?;
+        let (p_squared, q_squared) = mod_nn.moduli();
+        let mont_pp = MontgomeryCtx::new(p_squared)?;
+        let mont_qq = MontgomeryCtx::new(q_squared)?;
         let g = &public.g;
         let p_minus_1 = p - &one;
         let q_minus_1 = q - &one;
 
         // hp = L_p(g^{p-1} mod p²)^{-1} mod p, with L_p(u) = (u-1)/p.
-        let gp = mont_pp.pow_mod(&(g % &p_squared), &p_minus_1);
+        let gp = mont_pp.pow_mod(&(g % p_squared), &p_minus_1);
         let lp = l_function_over(&gp, p)?;
         let hp = modular::mod_inverse(&lp, p)?;
-        let gq = mont_qq.pow_mod(&(g % &q_squared), &q_minus_1);
+        let gq = mont_qq.pow_mod(&(g % q_squared), &q_minus_1);
         let lq = l_function_over(&gq, q)?;
         let hq = modular::mod_inverse(&lq, q)?;
-        let p_inv_q = modular::mod_inverse(p, q)?;
-        let pp_inv_qq = modular::mod_inverse(&p_squared, &q_squared)?;
         let h_combs = Arc::new([
             FixedBaseTable::new(
                 &mont_pp,
-                &(&h % &p_squared),
+                &(&h % p_squared),
                 H_COMB_TEETH,
                 p_minus_1.bit_length(),
             ),
             FixedBaseTable::new(
                 &mont_qq,
-                &(&h % &q_squared),
+                &(&h % q_squared),
                 H_COMB_TEETH,
                 q_minus_1.bit_length(),
             ),
         ]);
 
         Some(CrtContext {
-            p: p.clone(),
-            q: q.clone(),
-            p_squared,
-            q_squared,
+            mod_n,
+            mod_nn,
             mont_pp,
             mont_qq,
             hp,
             hq,
-            p_inv_q,
-            pp_inv_qq,
             p_minus_1,
             q_minus_1,
             h,
@@ -552,22 +544,17 @@ impl PrivateKey {
     /// guaranteed to match sequential decryption when validation ran first.
     pub fn decrypt_crt_prevalidated(&self, c: &Ciphertext) -> Result<BigUint, PaillierError> {
         let crt = &self.crt;
-        let one = BigUint::one();
+        let ((p, q), (p_squared, q_squared)) = (crt.mod_n.moduli(), crt.mod_nn.moduli());
 
-        let cp = &c.0 % &crt.p_squared;
-        let up = crt.mont_pp.pow_mod(&cp, &(&crt.p - &one));
-        let lp = l_function_over(&up, &crt.p).ok_or(PaillierError::InvalidCiphertext)?;
-        let mp = modular::mod_mul(&lp, &crt.hp, &crt.p);
+        let up = crt.mont_pp.pow_mod(&(&c.0 % p_squared), &crt.p_minus_1);
+        let lp = l_function_over(&up, p).ok_or(PaillierError::InvalidCiphertext)?;
+        let mp = modular::mod_mul(&lp, &crt.hp, p);
 
-        let cq = &c.0 % &crt.q_squared;
-        let uq = crt.mont_qq.pow_mod(&cq, &(&crt.q - &one));
-        let lq = l_function_over(&uq, &crt.q).ok_or(PaillierError::InvalidCiphertext)?;
-        let mq = modular::mod_mul(&lq, &crt.hq, &crt.q);
+        let uq = crt.mont_qq.pow_mod(&(&c.0 % q_squared), &crt.q_minus_1);
+        let lq = l_function_over(&uq, q).ok_or(PaillierError::InvalidCiphertext)?;
+        let mq = modular::mod_mul(&lq, &crt.hq, q);
 
-        // Garner: m = mp + p·((mq - mp)·p^{-1} mod q)
-        let diff = mq.sub_mod(&(&mp % &crt.q), &crt.q);
-        let t = modular::mod_mul(&diff, &crt.p_inv_q, &crt.q);
-        Ok(&mp + &(&crt.p * &t))
+        Ok(crt.mod_n.combine(&mp, &mq))
     }
 
     /// The keyholder's per-message step: `s` uniform below `λ` and the
@@ -591,10 +578,7 @@ impl PrivateKey {
         let [comb_p, comb_q] = &*crt.h_combs;
         let xp = comb_p.pow(&(s % &crt.p_minus_1));
         let xq = comb_q.pow(&(s % &crt.q_minus_1));
-        // Garner: x = xp + p²·((xq − xp)·(p²)^{-1} mod q²)
-        let diff = xq.sub_mod(&(&xp % &crt.q_squared), &crt.q_squared);
-        let t = modular::mod_mul(&diff, &crt.pp_inv_qq, &crt.q_squared);
-        &xp + &(&crt.p_squared * &t)
+        crt.mod_nn.combine(&xp, &xq)
     }
 
     /// The secret exponent `λ`.
@@ -797,7 +781,8 @@ mod tests {
     fn swapped(key: &PrivateKey) -> PrivateKey {
         let crt = &key.crt;
         let mut swapped = key.clone();
-        swapped.crt = CrtContext::new(&key.public, &crt.q, &crt.p, crt.h.clone())
+        let (p, q) = crt.mod_n.moduli();
+        swapped.crt = CrtContext::new(&key.public, q, p, crt.h.clone())
             .expect("the same key with its factors exchanged");
         swapped
     }
@@ -962,8 +947,9 @@ mod tests {
         for seed in 0..300 {
             let kp = Keypair::generate(16, &mut rng(900 + seed));
             let crt = &kp.private.crt;
-            assert!(!(&crt.h % &crt.p_squared).is_one(), "seed {seed}");
-            assert!(!(&crt.h % &crt.q_squared).is_one(), "seed {seed}");
+            let (p_squared, q_squared) = crt.mod_nn.moduli();
+            assert!(!(&crt.h % p_squared).is_one(), "seed {seed}");
+            assert!(!(&crt.h % q_squared).is_one(), "seed {seed}");
             assert!(kp.public.pow_mod_nn(&crt.h, &kp.private.lambda).is_one());
         }
     }
