@@ -119,23 +119,30 @@ impl Ifma {
         &self.unit
     }
 
-    /// The canonical residue of a row in `[0, 2m)`: `m` is subtracted and
-    /// the difference kept unless it borrowed, by mask, whichever it is.
+    /// The canonical residue of a row in `[0, 2m)`: [`Ifma::residue_in_place`]
+    /// on a copy.
     pub(crate) fn residue(&self, row: &[u64]) -> BigUint {
+        self.residue_in_place(&mut row.to_vec())
+    }
+
+    /// The canonical residue of a row in `[0, 2m)`, reducing the row: `m`
+    /// or 0 is subtracted, by mask, whichever it is — one pass finds
+    /// whether the row is below `m`, a second subtracts.
+    pub(crate) fn residue_in_place(&self, row: &mut [u64]) -> BigUint {
         let m = self.m.as_flattened();
-        let mut diff = vec![0; row.len()];
         let mut borrow = 0;
-        for ((d, &v), &mj) in diff.iter_mut().zip(row).zip(m) {
-            let t = v.wrapping_sub(mj).wrapping_sub(borrow);
-            *d = t & MASK;
+        for (&v, &mj) in row.iter().zip(m) {
+            borrow = v.wrapping_sub(mj).wrapping_sub(borrow) >> 63;
+        }
+        // `borrow` is 1 exactly when the row is below m: subtract nothing.
+        let keep = borrow.wrapping_neg();
+        let mut borrow = 0;
+        for (v, &mj) in row.iter_mut().zip(m) {
+            let t = v.wrapping_sub(mj & !keep).wrapping_sub(borrow);
+            *v = t & MASK;
             borrow = t >> 63;
         }
-        // `borrow` is 1 exactly when the row is below m: keep the row.
-        let keep = borrow.wrapping_neg();
-        for (d, &v) in diff.iter_mut().zip(row) {
-            *d = (v & keep) | (*d & !keep);
-        }
-        from_digits(&diff)
+        from_digits(row)
     }
 
     /// The value a row holds, unreduced.

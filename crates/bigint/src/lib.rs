@@ -52,8 +52,8 @@ pub mod random;
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
 pub use fmt::ParseBigIntError;
-pub use montgomery::MontgomeryCtx;
-pub use multiexp::{multi_exp, FixedBaseTable, KERNEL_DISCIPLINE};
+pub use montgomery::{MontValue, MontgomeryCtx};
+pub use multiexp::{multi_exp, FixedBaseTable, MontFactor, KERNEL_DISCIPLINE};
 
 #[cfg(test)]
 mod test_helpers {

@@ -34,6 +34,7 @@
 //! Montgomery form for.
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::biguint::BigUint;
 #[cfg(target_arch = "x86_64")]
@@ -84,12 +85,13 @@ pub(crate) fn put_lane<const L: usize>(rows: &mut [[u64; L]], lane: usize, row: 
 }
 
 /// The row lane `lane` of `rows` holds.
+#[cfg(test)]
 pub(crate) fn lane_row<const L: usize>(rows: &[[u64; L]], lane: usize) -> Vec<u64> {
     rows.iter().map(|words| words[lane]).collect()
 }
 
 /// The operand whose lane `l` holds `rows[l]`: the one row itself at
-/// `L = 1`, gathered into `buf` above.
+/// `L = 1`, gathered into `buf` above, a whole word of lanes at a time.
 pub(crate) fn gather<'a, const L: usize>(
     buf: &'a mut [[u64; L]],
     rows: [&'a [u64]; L],
@@ -97,8 +99,9 @@ pub(crate) fn gather<'a, const L: usize>(
     if L == 1 {
         return rows[0].as_chunks().0;
     }
-    for (lane, row) in rows.into_iter().enumerate() {
-        put_lane(buf, lane, row);
+    let rows = rows.map(|row| &row[..buf.len()]);
+    for (j, words) in buf.iter_mut().enumerate() {
+        *words = std::array::from_fn(|l| rows[l][j]);
     }
     buf
 }
@@ -116,7 +119,30 @@ pub struct MontgomeryCtx {
     /// (`to_mont(1 mod m)`), kept so every exponentiation and every
     /// multi-exponentiation kernel starts without a conversion multiply.
     one_mont: BigUint,
+    /// Which context this is, shared by its clones: a [`MontValue`] is
+    /// stamped with it and refused by every other context.
+    id: u64,
 }
+
+/// A residue in a context's Montgomery form, held in that context's row
+/// layout between products: `x·R mod m` as the kernel keeps it (a scalar
+/// row is canonical, an IFMA row may hold `m` more). A chain of products
+/// on values converts once on the way in ([`MontgomeryCtx::to_mont_value`])
+/// and once on the way out (a product with a plain residue,
+/// [`MontgomeryCtx::mul_out`], or a comb scan's factor,
+/// [`crate::FixedBaseTable::pow_mul_many`]), where the [`BigUint`] forms
+/// ([`MontgomeryCtx::mont_mul`] and friends) widen both operands and
+/// narrow the product at every call. A value belongs to the context that
+/// made it and to that context's clones; any other context panics on it.
+#[derive(Clone)]
+pub struct MontValue {
+    /// The id of the context the row belongs to.
+    ctx: u64,
+    row: Vec<u64>,
+}
+
+/// Source of context ids.
+static NEXT_CTX_ID: AtomicU64 = AtomicU64::new(0);
 
 /// The product a context runs, with its row format.
 #[derive(Clone)]
@@ -182,6 +208,7 @@ impl MontgomeryCtx {
             kernel,
             r2: Vec::new(),
             one_mont: BigUint::zero(),
+            id: NEXT_CTX_ID.fetch_add(1, Ordering::Relaxed),
         };
         let r_bits = ctx.r_bits();
         ctx.one_mont = &(&BigUint::one() << r_bits) % modulus;
@@ -396,25 +423,31 @@ impl MontgomeryCtx {
     }
 
     /// The canonical residues of the first `lanes` lanes of Montgomery
-    /// rows: [`Self::out_of_mont`] lane by lane.
+    /// rows: [`Self::out_of_mont`] lane by lane, each lane copied out into
+    /// one row buffer, so no lane allocates but its result.
     pub(crate) fn out_of_mont_lanes<const L: usize>(
         &self,
         mut acc: Vec<[u64; L]>,
         lanes: usize,
         scratch: &mut Scratch,
     ) -> Vec<BigUint> {
-        match &self.kernel {
-            Kernel::Scalar { .. } => (0..lanes)
-                .map(|lane| self.out_of_mont(&lane_row(&acc, lane), scratch))
-                .collect(),
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Ifma(ifma) => {
-                self.product_lanes(&mut acc, Some(&splat(ifma.unit())), scratch);
-                (0..lanes)
-                    .map(|lane| ifma.residue(&lane_row(&acc, lane)))
-                    .collect()
-            }
+        #[cfg(target_arch = "x86_64")]
+        if let Kernel::Ifma(ifma) = &self.kernel {
+            self.product_lanes(&mut acc, Some(&splat(ifma.unit())), scratch);
         }
+        let mut row = vec![0; self.width()];
+        (0..lanes)
+            .map(|lane| {
+                for (word, words) in row.iter_mut().zip(&acc) {
+                    *word = words[lane];
+                }
+                match &self.kernel {
+                    Kernel::Scalar { .. } => self.out_of_mont(&row, scratch),
+                    #[cfg(target_arch = "x86_64")]
+                    Kernel::Ifma(ifma) => ifma.residue_in_place(&mut row),
+                }
+            })
+            .collect()
     }
 
     /// `acc ← acc·b·R^{-1} mod m`.
@@ -592,6 +625,58 @@ impl MontgomeryCtx {
         self.out_of_mont_lanes(acc, bases.len(), scratch)
     }
 
+    /// `x` (of any size; reduced first) in this context's Montgomery form.
+    pub fn to_mont_value(&self, x: &BigUint) -> MontValue {
+        self.value(self.to_mont_limbs(x, &mut self.scratch()))
+    }
+
+    /// `R mod m` as a value: the Montgomery form of 1, the empty product.
+    pub fn one_value(&self) -> MontValue {
+        self.value(self.one_limbs())
+    }
+
+    /// `a ← a·b·R⁻¹ mod m`: the product of two values, in place.
+    ///
+    /// # Panics
+    /// If either value belongs to another context.
+    pub fn mul_value(&self, a: &mut MontValue, b: &MontValue) {
+        self.check(a);
+        self.check(b);
+        self.mul_assign(&mut a.row, &b.row, &mut self.scratch());
+    }
+
+    /// The canonical residue `ā·x·R⁻¹ mod m` for a value `ā` and `x < m`
+    /// out of the form: `a·x mod m` for `ā = a·R`, one product and no
+    /// conversion of `ā`.
+    ///
+    /// # Panics
+    /// If the value belongs to another context.
+    pub fn mul_out(&self, a: &MontValue, x: &BigUint) -> BigUint {
+        self.check(a);
+        debug_assert!(x < &self.modulus);
+        let mut row = self.widen(x);
+        self.mul_assign(&mut row, &a.row, &mut self.scratch());
+        self.residue(&row)
+    }
+
+    /// A row of this context as a value.
+    fn value(&self, row: Vec<u64>) -> MontValue {
+        MontValue { ctx: self.id, row }
+    }
+
+    /// The row of a value of this context.
+    ///
+    /// # Panics
+    /// If the value belongs to another context.
+    pub(crate) fn row_of<'a>(&self, a: &'a MontValue) -> &'a [u64] {
+        self.check(a);
+        &a.row
+    }
+
+    fn check(&self, a: &MontValue) {
+        assert_eq!(a.ctx, self.id, "a MontValue is used by its own context");
+    }
+
     /// `base^exp mod m` using a 4-bit fixed window: a [`Self::pow_many`] of
     /// one base.
     ///
@@ -629,6 +714,13 @@ impl MontgomeryCtx {
 /// Kernel choice for tests: a context on either kernel at any width.
 #[cfg(test)]
 impl MontgomeryCtx {
+    /// The canonical residue `x̄ mod m` of a value's Montgomery form — what
+    /// [`Self::to_mont`] and [`Self::mont_mul`] hand out for the same chain.
+    pub(crate) fn mont_form(&self, a: &MontValue) -> BigUint {
+        self.check(a);
+        self.residue(&a.row)
+    }
+
     /// The context for odd `modulus > 1` on the scalar kernel, or on the
     /// IFMA kernel at any width it supports (`None` on a CPU without one).
     pub(crate) fn on_kernel(modulus: &BigUint, ifma: bool) -> Option<Self> {
@@ -844,6 +936,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A [`MontValue`] chain is the `BigUint` API's chain: on each kernel,
+    /// a product, a square (a value times itself) and a long mixed chain of
+    /// values, read back in the form, equal what `mont_mul` / `mont_sqr`
+    /// give on the same operands; the unit value is `one_mont`, and
+    /// `mul_out` is the plain product, which takes a chain out of the form.
+    #[test]
+    fn values_agree_with_mont_mul_and_mont_sqr_on_both_kernels() {
+        let mut r = rng(83);
+        for limbs in [1usize, 3, 8, 16, 17, 32] {
+            for m in hard_moduli(&mut r, limbs) {
+                let ops = hard_operands(&mut r, &m);
+                for ctx in MontgomeryCtx::on_each_kernel(&m) {
+                    let kernel = if ctx.is_ifma() { "ifma" } else { "scalar" };
+                    let label = format!("{limbs} limbs, {kernel}");
+                    assert_eq!(&ctx.mont_form(&ctx.one_value()), ctx.one_mont(), "{label}");
+                    for a in &ops {
+                        let (a_mont, a_value) = (ctx.to_mont(a), ctx.to_mont_value(a));
+                        assert_eq!(ctx.mont_form(&a_value), a_mont, "{label}");
+                        let mut squared = a_value.clone();
+                        ctx.mul_value(&mut squared, &a_value);
+                        assert_eq!(ctx.mont_form(&squared), ctx.mont_sqr(&a_mont), "{label}");
+                        for b in &ops {
+                            let mut product = a_value.clone();
+                            ctx.mul_value(&mut product, &ctx.to_mont_value(b));
+                            let want = ctx.mont_mul(&a_mont, &ctx.to_mont(b));
+                            assert_eq!(ctx.mont_form(&product), want, "{label}");
+                            assert_eq!(ctx.mul_out(&a_value, b), &(a * b) % &m, "{label}");
+                        }
+                    }
+                    let (mut value, mut chain) = (ctx.one_value(), ctx.one_mont().clone());
+                    for step in 0..70 {
+                        if step % 3 == 0 {
+                            let factor = value.clone();
+                            ctx.mul_value(&mut value, &factor);
+                            chain = ctx.mont_sqr(&chain);
+                        } else {
+                            let b = gen_biguint_below(&mut r, &m);
+                            ctx.mul_value(&mut value, &ctx.to_mont_value(&b));
+                            chain = ctx.mont_mul(&chain, &ctx.to_mont(&b));
+                        }
+                    }
+                    assert_eq!(ctx.mont_form(&value), chain, "{label}: chain");
+                    let out = ctx.mul_out(&value, &BigUint::one());
+                    assert_eq!(out, ctx.from_mont(&chain), "{label}: out of the form");
+                }
+            }
+        }
+    }
+
+    /// A value is bound to the context that made it: a context over the
+    /// same modulus built apart refuses it; a clone takes it.
+    #[test]
+    #[should_panic(expected = "its own context")]
+    fn a_value_of_another_context_is_refused() {
+        let m = b(1_000_000_007);
+        let (ctx, other) = (
+            MontgomeryCtx::new(&m).unwrap(),
+            MontgomeryCtx::new(&m).unwrap(),
+        );
+        let mut x = ctx.to_mont_value(&b(5));
+        ctx.clone().mul_value(&mut x, &ctx.one_value());
+        other.mul_value(&mut x, &ctx.one_value());
     }
 
     #[test]

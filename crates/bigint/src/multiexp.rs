@@ -15,8 +15,10 @@
 //!   of powers, where the naive loop pays a full square-and-multiply ladder
 //!   per operand.
 
+use std::borrow::Cow;
+
 use crate::biguint::BigUint;
-use crate::montgomery::{gather, splat, MontgomeryCtx, Scratch, OCTET};
+use crate::montgomery::{gather, splat, MontValue, MontgomeryCtx, Scratch, OCTET};
 
 /// Version stamp for the exponentiation-kernel layer, carried into bench
 /// trajectory JSON so regressions to naive ladders are visible in data.
@@ -132,15 +134,15 @@ impl FixedBaseTable {
         self.pow_many(std::slice::from_ref(exp)).remove(0)
     }
 
-    /// `base^exp · f^small mod m`, for `f` given in Montgomery form
-    /// (`factor_mont = f·R mod m`, as [`MontgomeryCtx::to_mont`] and
-    /// [`MontgomeryCtx::mont_mul`] leave it): one scan, `f` riding the
-    /// comb's last columns — a multiply at column `t` for each set bit `t`
-    /// of `small` — with plain ladder steps above them when `small` is
-    /// wider than a block. An exponent too wide for the comb takes the
-    /// ladder for both powers; the result is the canonical residue either
-    /// way. A [`Self::pow_mul_many`] of one item.
-    pub fn pow_mul(&self, exp: &BigUint, factor_mont: &BigUint, small: u64) -> BigUint {
+    /// `base^exp · f^small mod m`, for `f` given in Montgomery form — a
+    /// [`MontValue`] of the table's context, or the canonical `f·R mod m`
+    /// that [`MontgomeryCtx::to_mont`] and [`MontgomeryCtx::mont_mul`]
+    /// leave: one scan, `f` riding the comb's last columns — a multiply at
+    /// column `t` for each set bit `t` of `small` — with plain ladder steps
+    /// above them when `small` is wider than a block. An exponent too wide
+    /// for the comb takes the ladder for both powers; the result is the
+    /// canonical residue either way. A [`Self::pow_mul_many`] of one item.
+    pub fn pow_mul<F: MontFactor>(&self, exp: &BigUint, factor_mont: F, small: u64) -> BigUint {
         self.pow_mul_many(&[(exp, factor_mont, small)]).remove(0)
     }
 
@@ -153,12 +155,14 @@ impl FixedBaseTable {
         self.scan_many(&items)
     }
 
-    /// `[base^e · f^small mod m; items]` for items `(e, f·R mod m, small)`,
-    /// each as [`Self::pow_mul`] defines it, batched as [`Self::pow_many`].
-    pub fn pow_mul_many(&self, items: &[(&BigUint, &BigUint, u64)]) -> Vec<BigUint> {
+    /// `[base^e · f^small mod m; items]` for items `(e, f in Montgomery
+    /// form, small)`, each as [`Self::pow_mul`] defines it, batched as
+    /// [`Self::pow_many`]. A [`MontValue`] factor enters its lane as it
+    /// is; a [`BigUint`] one is widened into a row first.
+    pub fn pow_mul_many<F: MontFactor>(&self, items: &[(&BigUint, F, u64)]) -> Vec<BigUint> {
         let items: Vec<Item> = items
             .iter()
-            .map(|&(exp, factor, small)| (exp, Some((factor, small))))
+            .map(|(exp, factor, small)| (*exp, Some((factor.row(&self.ctx), *small))))
             .collect();
         self.scan_many(&items)
     }
@@ -173,7 +177,7 @@ impl FixedBaseTable {
     /// item order.
     fn scan_many(&self, items: &[Item]) -> Vec<BigUint> {
         let ctx = &self.ctx;
-        let covered: Vec<Item> = items.iter().copied().filter(|i| self.covers(i.0)).collect();
+        let covered: Vec<&Item> = items.iter().filter(|i| self.covers(i.0)).collect();
         let mut scratch = ctx.scratch();
         let mut scanned = Vec::with_capacity(covered.len());
         for (group, eight) in ctx.lane_groups(&covered) {
@@ -184,14 +188,15 @@ impl FixedBaseTable {
             });
         }
         let mut scanned = scanned.into_iter();
-        let ladder = |&(exp, factor): &Item| {
+        let ladder = |(exp, factor): &Item| {
             let power = ctx.pow_mod(&self.base, exp);
             match factor {
                 None => power,
-                Some((f, small)) => ctx.mont_mul(
-                    &power,
-                    &ctx.to_mont(&ctx.pow_mod(&ctx.from_mont(f), &BigUint::from_u64(small))),
-                ),
+                Some((f, small)) => {
+                    let f = ctx.from_mont(&ctx.residue(f));
+                    let times = ctx.pow_mod(&f, &BigUint::from_u64(*small));
+                    ctx.mont_mul(&power, &ctx.to_mont(&times))
+                }
             }
         };
         items
@@ -203,14 +208,6 @@ impl FixedBaseTable {
             .collect()
     }
 
-    /// The comb row of block column `offset` for `exp`: bit `i` is bit
-    /// `i·spacing + offset` of `exp`.
-    fn row_index(&self, exp: &BigUint, offset: usize) -> usize {
-        (0..self.teeth)
-            .filter(|&i| exp.bit(i * self.spacing + offset))
-            .fold(0, |row, i| row | 1 << i)
-    }
-
     /// The comb scan of up to `L` exponents the strips cover, one a lane:
     /// the columns of the widest, each lane multiplying by its own comb
     /// row — the unit row where its index is 0 — and by its factor or the
@@ -218,20 +215,39 @@ impl FixedBaseTable {
     /// and the accumulator is the first factor until then, so no unit is
     /// squared. Each lane's products differ from its own scan's by unit
     /// factors alone, so its residue is the same.
-    fn scan<const L: usize>(&self, items: &[Item], scratch: &mut Scratch) -> Vec<BigUint> {
+    ///
+    /// Each lane's exponent is cut into its strip words once, before the
+    /// first column: the bits a block's tooth reads, column `t` at bit `t`.
+    /// A column's row index is then a bit of each of a lane's words.
+    fn scan<const L: usize>(&self, items: &[&Item], scratch: &mut Scratch) -> Vec<BigUint> {
         let ctx = &self.ctx;
-        let k = ctx.width();
+        let (k, teeth) = (ctx.width(), self.teeth);
         let unit = ctx.one_limbs();
-        // Lanes past the items scan a zero exponent with no factor.
-        let zero = BigUint::zero();
-        let exps: [&BigUint; L] = std::array::from_fn(|l| items.get(l).map_or(&zero, |i| i.0));
-        let factors: [_; L] = std::array::from_fn(|l| items.get(l).and_then(|i| i.1));
-        let smalls = factors.map(|f| f.map_or(0, |(_, small)| small));
-        let factors = factors.map(|f| f.map_or_else(|| unit.clone(), |(f, _)| ctx.widen(f)));
-        let bits = exps.iter().map(|e| e.bit_length()).max().unwrap_or(0);
+        let factor = |l: usize| items.get(l).and_then(|item| item.1.as_ref());
+        let smalls: [u64; L] = std::array::from_fn(|l| factor(l).map_or(0, |f| f.1));
+        let factors: [&[u64]; L] = std::array::from_fn(|l| factor(l).map_or(&unit[..], |f| &f.0));
+        let bits = items.iter().map(|i| i.0.bit_length()).max().unwrap_or(0);
         let small_bits = smalls.iter().map(|s| 64 - s.leading_zeros() as usize).max();
         let comb_columns = self.block.min(bits);
         let columns = comb_columns.max(small_bits.unwrap_or(0));
+        // Strip word `w` of tooth `i` in block `b`, lane by lane, at
+        // `(b·teeth + i)·words + w`: the block's bits of the tooth's strip
+        // from column `64·w` up, none past the strip's end.
+        let words = comb_columns.div_ceil(64).max(1);
+        let tables = self.rows.chunks_exact(k << teeth);
+        let mut strips = vec![[0u64; L]; tables.len() * teeth * words];
+        for (l, item) in items.iter().enumerate() {
+            let limbs = item.0.limbs();
+            for (b, block) in strips.chunks_exact_mut(teeth * words).enumerate() {
+                let width = self.block.min(self.spacing - b * self.block);
+                for (i, strip) in block.chunks_exact_mut(words).enumerate() {
+                    for (w, word) in strip.iter_mut().enumerate() {
+                        let start = i * self.spacing + b * self.block + 64 * w;
+                        word[l] = bits_at(limbs, start, width.saturating_sub(64 * w));
+                    }
+                }
+            }
+        }
         let mut buf = vec![[0; L]; if L == 1 { 0 } else { k }];
         // Absent until the first product: no squarings of the unit.
         let mut acc: Option<Vec<[u64; L]>> = None;
@@ -240,12 +256,14 @@ impl FixedBaseTable {
                 ctx.product_lanes(acc, None, scratch);
             }
             if t < comb_columns {
-                for (b, table) in self.rows.chunks_exact(k << self.teeth).enumerate() {
-                    let offset = b * self.block + t;
-                    if offset >= self.spacing {
-                        break;
+                let (w, bit) = (t / 64, t % 64);
+                for (table, block) in tables.clone().zip(strips.chunks_exact(teeth * words)) {
+                    let mut rows = [0; L];
+                    for (i, strip) in block.chunks_exact(words).enumerate() {
+                        for (row, word) in rows.iter_mut().zip(strip[w]) {
+                            *row |= ((word >> bit) as usize & 1) << i;
+                        }
                     }
-                    let rows = exps.map(|e| self.row_index(e, offset));
                     if rows != [0; L] {
                         let rows = rows.map(|row| &table[row * k..(row + 1) * k]);
                         mul_into(ctx, &mut acc, gather(&mut buf, rows), scratch);
@@ -254,13 +272,57 @@ impl FixedBaseTable {
             }
             let set = smalls.map(|small| t < 64 && small >> t & 1 == 1);
             if set.contains(&true) {
-                let rows =
-                    std::array::from_fn(|l| if set[l] { &factors[l][..] } else { &unit[..] });
+                let rows = std::array::from_fn(|l| if set[l] { factors[l] } else { &unit[..] });
                 mul_into(ctx, &mut acc, gather(&mut buf, rows), scratch);
             }
         }
         let acc = acc.unwrap_or_else(|| splat(&unit).into_owned());
         ctx.out_of_mont_lanes(acc, items.len(), scratch)
+    }
+}
+
+/// A factor in Montgomery form for [`FixedBaseTable::pow_mul_many`]: a
+/// [`MontValue`] of the table's context, taken as it is, or the canonical
+/// residue `f·R mod m` as a [`BigUint`], widened into a row.
+pub trait MontFactor: Copy + sealed::Factor {}
+
+impl MontFactor for &BigUint {}
+impl MontFactor for &MontValue {}
+
+mod sealed {
+    use super::*;
+
+    /// The row a factor enters a lane as.
+    pub trait Factor {
+        fn row(&self, ctx: &MontgomeryCtx) -> Cow<'_, [u64]>;
+    }
+
+    impl Factor for &BigUint {
+        fn row(&self, ctx: &MontgomeryCtx) -> Cow<'_, [u64]> {
+            Cow::Owned(ctx.widen(self))
+        }
+    }
+
+    impl Factor for &MontValue {
+        fn row(&self, ctx: &MontgomeryCtx) -> Cow<'_, [u64]> {
+            Cow::Borrowed(ctx.row_of(self))
+        }
+    }
+}
+
+/// The `len ≤ 64` bits of `limbs` from bit `start` up, as a word (zero
+/// past the top limb).
+fn bits_at(limbs: &[u64], start: usize, len: usize) -> u64 {
+    let limb = |i: usize| limbs.get(i).copied().unwrap_or(0);
+    let (word, shift) = (start / 64, start % 64);
+    let mut bits = limb(word) >> shift;
+    if shift > 0 {
+        bits |= limb(word + 1) << (64 - shift);
+    }
+    match len {
+        0 => 0,
+        1..64 => bits & ((1 << len) - 1),
+        _ => bits,
     }
 }
 
@@ -315,9 +377,9 @@ pub fn multi_exp(ctx: &MontgomeryCtx, pairs: &[(&BigUint, &BigUint)]) -> BigUint
     ctx.out_of_mont(&acc, &mut scratch)
 }
 
-/// An exponent and, for [`FixedBaseTable::pow_mul`], its factor in
-/// Montgomery form and the factor's small exponent.
-type Item<'a> = (&'a BigUint, Option<(&'a BigUint, u64)>);
+/// An exponent and, for [`FixedBaseTable::pow_mul`], its factor's
+/// Montgomery row and the factor's small exponent.
+type Item<'a> = (&'a BigUint, Option<(Cow<'a, [u64]>, u64)>);
 
 /// `acc ← acc·factor` in every lane, where an absent `acc` stands for the
 /// unit.

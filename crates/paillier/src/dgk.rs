@@ -22,7 +22,7 @@
 
 use crate::error::PaillierError;
 use ppds_bigint::modular::{self, Crt};
-use ppds_bigint::{prime, random, BigUint, FixedBaseTable, MontgomeryCtx};
+use ppds_bigint::{prime, random, BigUint, FixedBaseTable, MontFactor, MontValue, MontgomeryCtx};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -68,7 +68,7 @@ pub struct DgkPublicKey {
     n: BigUint,
     g: BigUint,
     /// `g` in Montgomery form mod `n`: sealing a set bit is one product.
-    g_mont: BigUint,
+    g_mont: MontValue,
     h: BigUint,
     u: u64,
     t: usize,
@@ -148,7 +148,7 @@ impl DgkPublicKey {
         }
         let mont_n = MontgomeryCtx::new(&n).ok_or(PaillierError::InvalidPublicKey("even n"))?;
         let h_comb = FixedBaseTable::new(&mont_n, &h, H_COMB_TEETH, t * 5 / 2);
-        let g_mont = mont_n.to_mont(&g);
+        let g_mont = mont_n.to_mont_value(&g);
         Ok(DgkPublicKey {
             n,
             g,
@@ -191,7 +191,7 @@ impl DgkPublicKey {
 
     /// `g` in the Montgomery form of [`DgkPublicKey::montgomery`]: `E(1)`
     /// for the homomorphic steps held in that form.
-    pub fn g_mont(&self) -> &BigUint {
+    pub fn g_mont(&self) -> &MontValue {
         &self.g_mont
     }
 
@@ -206,20 +206,21 @@ impl DgkPublicKey {
     }
 
     /// The Montgomery context mod `n`. Homomorphic steps over ciphertexts
-    /// held in its form — `E(a + b)` is `mont_mul(ā, b̄)`, with `one_mont`
-    /// for `E(0)` — cost one product each, where [`DgkPublicKey::add`]
-    /// converts an operand first; [`DgkPublicKey::mask`] takes its cell in
-    /// that form.
+    /// held in its form as [`MontValue`]s — `E(a + b)` is `mul_value(ā,
+    /// b̄)`, with `one_value` for `E(0)` — cost one product each and no
+    /// conversion, where [`DgkPublicKey::add`] converts an operand in and
+    /// the product out; [`DgkPublicKey::mask`] takes its cell in that form.
     pub fn montgomery(&self) -> &MontgomeryCtx {
         &self.mont_n
     }
 
-    /// `E(r·m)`, freshly randomized, from `E(m)` given in Montgomery form:
-    /// `c^r · h^s mod n` with `r` uniform in `1..u`, then `s` of `2.5·t`
-    /// bits, drawn from `rng` in that order. One comb scan over `h` with
-    /// `c` riding its last columns, value-equal to
+    /// `E(r·m)`, freshly randomized, from `E(m)` given in Montgomery form
+    /// (a [`MontValue`] of [`DgkPublicKey::montgomery`], or its canonical
+    /// residue): `c^r · h^s mod n` with `r` uniform in `1..u`, then `s` of
+    /// `2.5·t` bits, drawn from `rng` in that order. One comb scan over `h`
+    /// with `c` riding its last columns, value-equal to
     /// `add(mul_plain(c, r), h^s)`; a one-cell [`DgkPublicKey::mask_many`].
-    pub fn mask<R: Rng + ?Sized>(&self, cell_mont: &BigUint, rng: &mut R) -> BigUint {
+    pub fn mask<F: MontFactor, R: Rng + ?Sized>(&self, cell_mont: F, rng: &mut R) -> BigUint {
         self.mask_many([(cell_mont, rng)]).remove(0)
     }
 
@@ -227,11 +228,12 @@ impl DgkPublicKey {
     /// it: each draws its `r`, then its `s`, from its own stream, and the
     /// scans run together, eight cells at a time where the comb's context
     /// runs the eight-lane product (`ppds_bigint::FixedBaseTable::pow_mul_many`).
-    pub fn mask_many<'a, R: Rng>(
+    /// A [`MontValue`] cell enters its lane as it is.
+    pub fn mask_many<F: MontFactor, R: Rng>(
         &self,
-        cells: impl IntoIterator<Item = (&'a BigUint, R)>,
+        cells: impl IntoIterator<Item = (F, R)>,
     ) -> Vec<BigUint> {
-        let draws: Vec<(&BigUint, BigUint, u64)> = cells
+        let draws: Vec<(F, BigUint, u64)> = cells
             .into_iter()
             .map(|(cell, mut rng)| {
                 let r = rng.random_range(1..self.u);
@@ -239,7 +241,7 @@ impl DgkPublicKey {
                 (cell, s, r)
             })
             .collect();
-        let items: Vec<(&BigUint, &BigUint, u64)> =
+        let items: Vec<(&BigUint, F, u64)> =
             draws.iter().map(|(cell, s, r)| (s, *cell, *r)).collect();
         self.h_comb.pow_mul_many(&items)
     }
@@ -261,12 +263,12 @@ impl DgkPublicKey {
     }
 
     /// `g^m · ρ mod n` for a randomizer `ρ`: `ρ` itself for `m = 0`, one
-    /// Montgomery product with the precomputed `g` for `m = 1` — the bits
+    /// Montgomery product of `ρ` with the value `ḡ` for `m = 1` — the bits
     /// a comparison sends — and a ladder for the rest of `Z_u`.
     fn seal(&self, m: u64, rho: BigUint) -> BigUint {
         match m {
             0 => rho,
-            1 => self.mont_n.mont_mul(&self.g_mont, &rho),
+            1 => self.mont_n.mul_out(&self.g_mont, &rho),
             _ => self.add(&self.mul_plain(&self.g, m), &rho),
         }
     }
@@ -655,7 +657,7 @@ mod tests {
             }
         }
         let mont = public.montgomery();
-        assert_eq!(public.g_mont(), &mont.to_mont(public.g()));
+        assert_eq!(&mont.mul_out(public.g_mont(), &BigUint::one()), public.g());
     }
 
     #[test]
@@ -689,6 +691,8 @@ mod tests {
             let c = public.encrypt(m, &mut r).unwrap();
             for seed in 0..4 {
                 let got = public.mask(&mont.to_mont(&c), &mut rng(seed));
+                let value = public.mask(&mont.to_mont_value(&c), &mut rng(seed));
+                assert_eq!(value, got, "m = {m}, seed {seed}: a cell as a value");
                 let mut draws = rng(seed);
                 let k = draws.random_range(1..u);
                 let s = random::gen_biguint_bits(&mut draws, public.t * 5 / 2);

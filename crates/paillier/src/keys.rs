@@ -70,8 +70,7 @@ pub struct PrivateKey {
 }
 
 /// Precomputed state for Paillier decryption by Chinese remaindering, and
-/// for the keyholder's randomizers `h^s` (see
-/// [`PrivateKey::draw_randomizer`]).
+/// for the keyholder's randomizers `h^s` (see [`PrivateKey::h_pow_many`]).
 #[derive(Clone)]
 struct CrtContext {
     /// Garner recombination mod `n`, over `p` and `q`.
@@ -201,19 +200,54 @@ impl Keypair {
 
     /// Keyholder-side [`PublicKey::encrypt_many`]: `g^m · h^s mod n²` with
     /// `s` uniform below `λ` and `h` the key's secret `n`-th residue, by the
-    /// factorization only this side holds (`PrivateKey::draw_randomizer`).
+    /// factorization only this side holds (`PrivateKey::h_pow_many`).
     /// Decrypts, combines and packs exactly as a public encryption does;
     /// DESIGN.md §2 gives the IND-CPA argument. Neither `h` nor the
     /// factors enter the [`PublicKey`], which is what a peer rebuilds from
-    /// the wire.
+    /// the wire. A one-group [`Keypair::encrypt_groups`].
     pub fn encrypt_many<R: Rng + ?Sized>(
         &self,
         ms: &[BigUint],
         rng: &mut R,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
+        let mut groups = self.encrypt_groups([(ms, rng)])?;
+        groups.pop().ok_or(PaillierError::MessageOutOfRange)
+    }
+
+    /// [`Keypair::encrypt_many`] for groups of messages, each group with
+    /// its own stream: a group's messages draw their `s`, one message after
+    /// another, as they would one call each; then every message's two comb
+    /// scans run in one [`FixedBaseTable::pow_many`] per comb, eight at a
+    /// time where the combs' contexts run the eight-lane product, and a
+    /// Garner step a message recombines its halves. A message outside
+    /// `Z_n` is [`PaillierError::MessageOutOfRange`], before its group
+    /// draws.
+    pub fn encrypt_groups<'a, R: Rng>(
+        &self,
+        groups: impl IntoIterator<Item = (&'a [BigUint], R)>,
+    ) -> Result<Vec<Vec<Ciphertext>>, PaillierError> {
         debug_assert_eq!(self.public.n, self.private.public.n, "halves of one key");
-        self.public
-            .encrypt_many_by(ms, rng, |rng| self.private.draw_randomizer(rng))
+        let (mut messages, mut lens, mut exps) = (Vec::new(), Vec::new(), Vec::new());
+        for (group, mut rng) in groups {
+            self.public.check_messages(group)?;
+            let lambda = &self.private.lambda;
+            exps.extend(
+                group
+                    .iter()
+                    .map(|_| random::gen_biguint_below(&mut rng, lambda)),
+            );
+            messages.extend(group);
+            lens.push(group.len());
+        }
+        let rhos = self.private.h_pow_many(&exps);
+        let mut cts = messages
+            .into_iter()
+            .zip(&rhos)
+            .map(|(m, rho)| self.public.seal(m, rho));
+        Ok(lens
+            .into_iter()
+            .map(|len| cts.by_ref().take(len).collect())
+            .collect())
     }
 
     /// Keyholder-side [`PublicKey::encrypt`] (see [`Keypair::encrypt_many`]).
@@ -425,36 +459,34 @@ impl PublicKey {
     /// Encrypts a batch of plaintexts.
     ///
     /// Byte-identical to calling [`PublicKey::encrypt`] once per element
-    /// with the same `rng`: nonces are rejection-sampled from the identical
-    /// stream positions, one message after the other.
+    /// with the same `rng`: every message is checked against `Z_n` before
+    /// anything is drawn, then nonces are rejection-sampled from the
+    /// identical stream positions, one message after the other.
     pub fn encrypt_many<R: Rng + ?Sized>(
         &self,
         ms: &[BigUint],
         rng: &mut R,
     ) -> Result<Vec<Ciphertext>, PaillierError> {
-        self.encrypt_many_by(ms, rng, |rng| self.draw_randomizer(rng))
-    }
-
-    /// The one encryption body: every message is checked against `Z_n`
-    /// before anything is drawn, then each is sealed as `g^m · ρ mod n²`
-    /// with its own randomizer `ρ = randomizer(rng)`, in message order.
-    /// That step — draw an `n`-th residue — is the only thing that differs
-    /// between a party that knows `n` alone (`r^n`,
-    /// [`PublicKey::draw_randomizer`]) and the keyholder (`h^s`,
-    /// [`PrivateKey::draw_randomizer`]).
-    pub(crate) fn encrypt_many_by<R: Rng + ?Sized>(
-        &self,
-        ms: &[BigUint],
-        rng: &mut R,
-        mut randomizer: impl FnMut(&mut R) -> BigUint,
-    ) -> Result<Vec<Ciphertext>, PaillierError> {
-        if ms.iter().any(|m| m >= &self.n) {
-            return Err(PaillierError::MessageOutOfRange);
-        }
+        self.check_messages(ms)?;
         Ok(ms
             .iter()
-            .map(|m| Ciphertext(self.mul_mod_nn(&self.g_pow(m), &randomizer(rng))))
+            .map(|m| self.seal(m, &self.draw_randomizer(rng)))
             .collect())
+    }
+
+    /// Refuses a batch with a message outside `Z_n`.
+    pub(crate) fn check_messages(&self, ms: &[BigUint]) -> Result<(), PaillierError> {
+        match ms.iter().any(|m| m >= &self.n) {
+            true => Err(PaillierError::MessageOutOfRange),
+            false => Ok(()),
+        }
+    }
+
+    /// `g^m · ρ mod n²` for an `n`-th residue `ρ`: the one step a party
+    /// that knows `n` alone (`ρ = r^n`, [`PublicKey::draw_randomizer`])
+    /// and the keyholder (`ρ = h^s`, [`PrivateKey::h_pow_many`]) share.
+    pub(crate) fn seal(&self, m: &BigUint, rho: &BigUint) -> Ciphertext {
+        Ciphertext(self.mul_mod_nn(&self.g_pow(m), rho))
     }
 
     /// `g^m mod n²` for `g = n + 1`: `(1+n)^m = 1 + m·n (mod n²)`.
@@ -557,28 +589,36 @@ impl PrivateKey {
         Ok(crt.mod_n.combine(&mp, &mq))
     }
 
-    /// The keyholder's per-message step: `s` uniform below `λ` and the
-    /// randomizer `h^s mod n²` — uniform over `⟨h⟩`, since `ord(h)`
-    /// divides `λ` (DESIGN.md §2).
-    pub(crate) fn draw_randomizer<R: Rng + ?Sized>(&self, rng: &mut R) -> BigUint {
-        let s = random::gen_biguint_below(rng, &self.lambda);
-        let rho = self.h_pow(&s);
-        debug_assert_eq!(rho, self.public.pow_mod_nn(&self.crt.h, &s));
-        rho
-    }
-
-    /// `h^s mod n²` from the two combs. `h mod p² = x^{pq} mod p²` has an
-    /// order dividing `p − 1` (the `p`-th power kills the order-`p` part of
-    /// `Z*_{p²}`), so its half is `h^{s mod (p−1)} mod p²` — one comb
-    /// scan over a half-width exponent. The `q` twin likewise; Garner
-    /// recombines the two into the canonical residue the `n²` ladder
-    /// returns.
-    fn h_pow(&self, s: &BigUint) -> BigUint {
+    /// `h^s mod n²` for each `s`, from the two combs. `h mod p² = x^{pq}
+    /// mod p²` has an order dividing `p − 1` (the `p`-th power kills the
+    /// order-`p` part of `Z*_{p²}`), so its half is `h^{s mod (p−1)} mod
+    /// p²` — a comb scan over a half-width exponent, every `s` of the
+    /// batch in one [`FixedBaseTable::pow_many`]. The `q` twin likewise;
+    /// Garner recombines the two into the canonical residue the `n²`
+    /// ladder returns. With `s` uniform below `λ`, `h^s` is uniform over
+    /// `⟨h⟩`, since `ord(h)` divides `λ` (DESIGN.md §2).
+    pub(crate) fn h_pow_many(&self, exps: &[BigUint]) -> Vec<BigUint> {
         let crt = &self.crt;
         let [comb_p, comb_q] = &*crt.h_combs;
-        let xp = comb_p.pow(&(s % &crt.p_minus_1));
-        let xq = comb_q.pow(&(s % &crt.q_minus_1));
-        crt.mod_nn.combine(&xp, &xq)
+        let halves = |m: &BigUint| exps.iter().map(|s| s % m).collect::<Vec<_>>();
+        let xp = comb_p.pow_many(&halves(&crt.p_minus_1));
+        let xq = comb_q.pow_many(&halves(&crt.q_minus_1));
+        let rhos: Vec<BigUint> = xp
+            .iter()
+            .zip(&xq)
+            .map(|(xp, xq)| crt.mod_nn.combine(xp, xq))
+            .collect();
+        debug_assert!(exps
+            .iter()
+            .zip(&rhos)
+            .all(|(s, rho)| rho == &self.public.pow_mod_nn(&crt.h, s)));
+        rhos
+    }
+
+    /// [`PrivateKey::h_pow_many`] of one exponent.
+    #[cfg(test)]
+    fn h_pow(&self, s: &BigUint) -> BigUint {
+        self.h_pow_many(std::slice::from_ref(s)).remove(0)
     }
 
     /// The secret exponent `λ`.
@@ -774,6 +814,82 @@ mod tests {
             random::gen_biguint_bits(&mut seq_rng, 64),
             random::gen_biguint_bits(&mut batch_rng, 64)
         );
+    }
+
+    /// One grouped keyholder encryption is, byte for byte, the one-message
+    /// [`Keypair::encrypt`] calls on the same streams, and the ladder chain
+    /// `g^m · h^s mod n²` with `s` drawn from each: at 256-, 512- and
+    /// 1024-bit keys (the scalar kernel, and the eight-lane product at 10
+    /// and 20 digits), over batch sizes that fill a group of eight, fall
+    /// short of one or spill past it, each cut into uneven groups with
+    /// empty ones between; every stream is left where the one-message
+    /// calls leave it. A message outside `Z_n` refuses the call.
+    #[test]
+    fn grouped_encryption_equals_one_message_calls_on_the_same_streams() {
+        let keys = [
+            (shared_keypair(), 256),
+            (&Keypair::generate(512, &mut rng(0x512)), 512),
+            (&Keypair::generate(1024, &mut rng(0x1024)), 1024),
+        ];
+        for (kp, bits) in keys {
+            assert_eq!(kp.public.bits(), bits);
+            let n = kp.public.n();
+            let mut draws = rng(bits as u64);
+            for size in [0usize, 1, 2, 3, 4, 7, 8, 9, 17] {
+                let ms: Vec<BigUint> = (0..size)
+                    .map(|_| random::gen_biguint_below(&mut draws, n))
+                    .collect();
+                // One group of all, and uneven groups around empty ones.
+                let cut = [size / 3, size / 3, size / 2];
+                let pieces = [
+                    vec![&ms[..]],
+                    vec![
+                        &ms[..0],
+                        &ms[..cut[0]],
+                        &ms[cut[1]..cut[2]],
+                        &ms[..0],
+                        &ms[cut[2]..],
+                    ],
+                ];
+                for (cut, groups) in pieces.iter().enumerate() {
+                    let seed = |g: usize| 1000 * size as u64 + 10 * g as u64 + cut as u64;
+                    let mut streams: Vec<_> = (0..groups.len()).map(|g| rng(seed(g))).collect();
+                    let got = kp
+                        .encrypt_groups(groups.iter().copied().zip(streams.iter_mut()))
+                        .unwrap();
+                    assert_eq!(got.len(), groups.len());
+                    for (g, (group, cts)) in groups.iter().zip(&got).enumerate() {
+                        let label = format!("{bits} bits, {size} messages, cut {cut}, group {g}");
+                        let mut one = rng(seed(g));
+                        let singles: Vec<Ciphertext> = group
+                            .iter()
+                            .map(|m| kp.encrypt(m, &mut one).unwrap())
+                            .collect();
+                        assert_eq!(cts, &singles, "{label}");
+                        let mut chain = rng(seed(g));
+                        let ladder: Vec<Ciphertext> = group
+                            .iter()
+                            .map(|m| {
+                                let s = random::gen_biguint_below(&mut chain, &kp.private.lambda);
+                                let rho = kp.public.pow_mod_nn(&kp.private.crt.h, &s);
+                                Ciphertext(kp.public.mul_mod_nn(&kp.public.g_pow(m), &rho))
+                            })
+                            .collect();
+                        assert_eq!(cts, &ladder, "{label}: the ladder chain");
+                        assert_eq!(
+                            random::gen_biguint_bits(&mut streams[g], 64),
+                            random::gen_biguint_bits(&mut one, 64),
+                            "{label}: stream position"
+                        );
+                    }
+                }
+            }
+            let refused = kp.encrypt_groups([
+                (&[BigUint::one()][..], rng(1)),
+                (std::slice::from_ref(n), rng(2)),
+            ]);
+            assert_eq!(refused.unwrap_err(), PaillierError::MessageOutOfRange);
+        }
     }
 
     /// `key` with its factors exchanged and the same `h`: Garner is not

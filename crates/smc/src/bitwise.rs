@@ -65,7 +65,7 @@
 
 use crate::context::ProtocolContext;
 use crate::error::SmcError;
-use ppds_bigint::BigUint;
+use ppds_bigint::{BigUint, MontValue};
 use ppds_paillier::{DgkPrivateKey, DgkPublicKey};
 use ppds_transport::Channel;
 use rand::seq::SliceRandom;
@@ -173,65 +173,71 @@ fn scan_cell_groups(
         .collect())
 }
 
-/// Step 2 worker: Bob's cells for one input, before masking, in Montgomery
-/// form mod `n`: the low cells MSB first, then the top cell under a digit.
+/// Step 2 worker: Bob's cells for one input, before masking, as values in
+/// Alice's Montgomery form mod `n`: the low cells MSB first, then the top
+/// cell under a digit. `inverses` holds `E(−e)` for each of `bits`, from
+/// the slice's one batch inversion.
 ///
 /// The running sums stay in that form: a homomorphic addition is one
-/// product, `3·(x ⊕ y)` a square and a product, and each cell leaves the
-/// form in the comb scan that masks it.
+/// product, `3·(x ⊕ y)` three, and each cell leaves the form in the comb
+/// scan that masks it.
 fn prefix_cells(
     alice: &DgkPublicKey,
     bits: &[BigUint],
+    inverses: &[BigUint],
     y: u64,
     shape: Shape,
-) -> Result<Vec<BigUint>, SmcError> {
-    if bits.len() != shape.sent() {
-        return Err(SmcError::protocol(format!(
-            "expected {} encrypted bits, got {}",
-            shape.sent(),
-            bits.len()
-        )));
-    }
-    // One batch inversion checks every ciphertext is a unit of Z_n and
-    // yields the `E(−e)` that `1 − e` needs, for a bit or a digit entry.
-    let inverses = alice.negate_many(bits)?;
+) -> Vec<MontValue> {
     let mont = alice.montgomery();
     let g = alice.g_mont();
-    let not = |inv: &BigUint| mont.mont_mul(&mont.to_mont(inv), g);
-    let cube = |c: &BigUint| mont.mont_mul(&mont.mont_sqr(c), c);
+    let not = |inv: &BigUint| {
+        let mut not = mont.to_mont_value(inv);
+        mont.mul_value(&mut not, g);
+        not
+    };
+    let add_thrice = |sum: &mut MontValue, c: &MontValue| {
+        for _ in 0..3 {
+            mont.mul_value(sum, c);
+        }
+    };
     // Running 3·Σ (x_j ⊕ y_j) over the more-significant prefix, encrypted.
     // It starts as the trivial `E(0) = 1`, or at `3·(1 − eq)` under a
     // digit, beside the top cell `1 − lt`.
-    let mut prefix = mont.one_mont().clone();
+    let mut prefix = mont.one_value();
     let mut top = None;
     if shape.digit {
         let s = shape.digit_of(y);
         let entry = |k: usize| &inverses[shape.low + k];
-        prefix = cube(&not(entry(s)));
+        add_thrice(&mut prefix, &not(entry(s)));
         top = Some(not(entry((s + 2) % 3)));
     }
     let mut cells = Vec::with_capacity(shape.cells());
-    for (pos, (enc_x, inv_x)) in bits.iter().zip(&inverses).take(shape.low).enumerate() {
+    for (pos, (enc_x, inv_x)) in bits.iter().zip(inverses).take(shape.low).enumerate() {
         let y_bit = (y >> (shape.low - 1 - pos)) & 1;
-        let x = mont.to_mont(enc_x);
+        let x = mont.to_mont_value(enc_x);
         // c = x − y + 1 + 3·Σ: `x + prefix`, plus 1 when y = 0.
-        let mut cell = mont.mont_mul(&x, &prefix);
+        let mut cell = x.clone();
+        mont.mul_value(&mut cell, &prefix);
         // x ⊕ y is x when y = 0, 1 − x when y = 1.
         let xor = if y_bit == 0 {
-            cell = mont.mont_mul(&cell, g);
+            mont.mul_value(&mut cell, g);
             x
         } else {
             not(inv_x)
         };
-        prefix = mont.mont_mul(&prefix, &cube(&xor));
+        add_thrice(&mut prefix, &xor);
         cells.push(cell);
     }
     cells.extend(top);
-    Ok(cells)
+    cells
 }
 
 /// Step 3 worker, Bob's half: the masked, re-randomized, permuted cells for
-/// every input of a slice. Comparison `i`'s cell `j` ([`prefix_cells`]) becomes
+/// every input of a slice. One batch inversion checks that every bit of
+/// the slice is a unit of `Z_n` and yields the `E(−e)` that `1 − e` needs,
+/// for a bit or a digit entry; a vector of the wrong length is refused as
+/// the comparisons were one at a time, after the vectors before it are
+/// checked. Comparison `i`'s cell `j` ([`prefix_cells`]) becomes
 /// `c_j^{r_j} · h^{s_j}` with `r_j` uniform in `1..u`, then `s_j`, drawn
 /// from `scopes(i).rng_for(j)` (the top cell is `j = m`, after the low
 /// ones); every cell of the slice is masked in one
@@ -244,11 +250,23 @@ fn masked_cell_groups(
     shape: Shape,
     scopes: impl Fn(usize) -> ProtocolContext,
 ) -> Result<Vec<Vec<BigUint>>, SmcError> {
-    let cell_groups: Vec<Vec<BigUint>> = bit_groups
+    let short = bit_groups
         .iter()
+        .position(|bits| bits.len() != shape.sent());
+    let inverses = alice.negate_many(&bit_groups[..short.unwrap_or(bit_groups.len())].concat())?;
+    if let Some(i) = short {
+        return Err(SmcError::protocol(format!(
+            "expected {} encrypted bits, got {}",
+            shape.sent(),
+            bit_groups[i].len()
+        )));
+    }
+    let cell_groups: Vec<Vec<MontValue>> = bit_groups
+        .iter()
+        .zip(inverses.chunks(shape.sent().max(1)))
         .zip(ys)
-        .map(|(bits, &y)| prefix_cells(alice, bits, y, shape))
-        .collect::<Result<_, _>>()?;
+        .map(|((bits, inverses), &y)| prefix_cells(alice, bits, inverses, y, shape))
+        .collect();
     let masked = alice.mask_many(cell_groups.iter().enumerate().flat_map(|(i, cells)| {
         let scope = scopes(i);
         cells
@@ -758,6 +776,31 @@ mod tests {
                 let err = dgk_bob(&mut bchan, key.public(), ys, 7, 7, |_| ctx(4)).unwrap_err();
                 assert!(matches!(err, SmcError::Crypto(_)), "{bad:?}, {ys:?}: {err}");
             }
+        }
+    }
+
+    /// Bob checks a slice's bits with one batch inversion, and refuses a
+    /// slice as he did one comparison at a time: between a vector of the
+    /// wrong length and one holding a non-unit, the first in slice order
+    /// decides the error, and a wrong length is refused before its own
+    /// bits are looked at.
+    #[test]
+    fn the_first_bad_vector_of_a_slice_decides_the_error() {
+        let key = dgk_key();
+        let good = key.public().encrypt(1, &mut ctx(2).rng()).unwrap();
+        let full = vec![good.clone(); 3];
+        let bad = vec![good.clone(), BigUint::zero(), good.clone()];
+        let short = vec![BigUint::zero(); 2];
+        for (groups, crypto) in [
+            (vec![full.clone(), bad.clone(), short.clone()], true),
+            (vec![full.clone(), short.clone(), bad.clone()], false),
+            (vec![short, full.clone(), full], false),
+        ] {
+            let (mut achan, mut bchan) = duplex();
+            achan.send_batch(&groups).unwrap();
+            let err = dgk_bob(&mut bchan, key.public(), &[1, 2, 3], 7, 7, |_| ctx(4)).unwrap_err();
+            assert_eq!(matches!(err, SmcError::Crypto(_)), crypto, "{err}");
+            assert_eq!(bchan.metrics().bytes_sent, 0, "no reply");
         }
     }
 

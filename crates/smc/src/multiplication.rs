@@ -135,6 +135,36 @@ pub fn sample_mask<R: Rng>(mut rng: R, bound: &BigUint) -> BigInt {
     &BigInt::from(raw) - &BigInt::from(bound.clone())
 }
 
+/// The keyholder's ciphertexts of each group of signed inputs, group `g`
+/// sealed from `scopes(g)`'s stream as one `Keypair::encrypt_signed` call
+/// a message would seal it: every group of a call in one
+/// [`Keypair::encrypt_groups`], so that its comb scans share the
+/// eight-lane product.
+fn encrypt_signed_groups<X, S>(
+    keypair: &Keypair,
+    groups: &[X],
+    scopes: S,
+) -> Result<Vec<Vec<BigUint>>, SmcError>
+where
+    X: AsRef<[BigInt]>,
+    S: Fn(usize) -> ProtocolContext,
+{
+    let encoded: Vec<Vec<BigUint>> = groups
+        .iter()
+        .map(|xs| {
+            let xs = xs.as_ref().iter();
+            xs.map(|x| keypair.public.encode_signed(x))
+                .collect::<Result<_, _>>()
+        })
+        .collect::<Result<_, _>>()?;
+    let streams = (0..encoded.len()).map(|g| scopes(g).rng());
+    let cts = keypair.encrypt_groups(encoded.iter().map(Vec::as_slice).zip(streams))?;
+    Ok(cts
+        .iter()
+        .map(|group| group.iter().map(|c| c.as_biguint().clone()).collect())
+        .collect())
+}
+
 /// Keyholder side of Algorithm 2, for a slice of groups: group `g` holds the
 /// inputs `x_{g,1..m}` of one logical multiplication batch (protocol HDP's
 /// usage: one group per candidate pair, one element per attribute), and the
@@ -161,20 +191,7 @@ where
         return Ok(Vec::new());
     }
     let span = trace::span("mul_batch", || chan.metrics());
-    let cts_groups: Vec<Vec<BigUint>> = xs_groups
-        .iter()
-        .enumerate()
-        .map(|(g, xs)| {
-            let mut rng = scopes(g).rng();
-            xs.iter()
-                .map(|x| {
-                    keypair
-                        .encrypt_signed(x, &mut rng)
-                        .map(|c| c.as_biguint().clone())
-                })
-                .collect::<Result<Vec<_>, _>>()
-        })
-        .collect::<Result<_, _>>()?;
+    let cts_groups = encrypt_signed_groups(keypair, xs_groups, scopes)?;
     chan.send_batch(&cts_groups)?;
     if let Some(packing) = packing {
         // Packed reply: all groups' responses ride one flat word vector
@@ -380,21 +397,7 @@ where
         return Ok(Vec::new());
     }
     let span = trace::span("dot_many", || chan.metrics());
-    let cts: Vec<Vec<BigUint>> = queries
-        .iter()
-        .enumerate()
-        .map(|(q, xs)| {
-            let mut rng = scopes(q).rng();
-            xs.as_ref()
-                .iter()
-                .map(|x| {
-                    keypair
-                        .encrypt_signed(x, &mut rng)
-                        .map(|c| c.as_biguint().clone())
-                })
-                .collect::<Result<_, _>>()
-        })
-        .collect::<Result<_, _>>()?;
+    let cts = encrypt_signed_groups(keypair, queries, scopes)?;
     chan.send_batch(&cts)?;
     let reply: Vec<BigUint> = recv_run(chan, queries.len())?;
     // The counts were agreed before this exchange; the run must fit them
@@ -455,15 +458,48 @@ where
             queries.len()
         )));
     }
-    let (mut rows, mut masks) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    // Each query's rows, and the first query whose rows do not fit its
+    // vector: it and the queries before it are checked as ciphertexts
+    // first, as they were one query at a time.
     let mut rest = ys_rows;
-    for (q, (cts, &count)) in queries.into_iter().zip(rows_per_query).enumerate() {
-        let (mine, others) = rest.split_at(count);
-        rest = others;
-        let cts: Vec<Ciphertext> = cts.into_iter().map(Ciphertext::from_biguint).collect();
+    let row_groups: Vec<&[Vec<BigInt>]> = rows_per_query
+        .iter()
+        .map(|&count| {
+            let (mine, others) = rest.split_at(count);
+            rest = others;
+            mine
+        })
+        .collect();
+    let misfit = queries
+        .iter()
+        .zip(&row_groups)
+        .enumerate()
+        .find_map(|(q, (cts, ys))| {
+            let ys = ys.iter().find(|ys| ys.len() != cts.len())?;
+            Some((q, cts.len(), ys.len()))
+        });
+    let queries: Vec<Vec<Ciphertext>> = queries
+        .into_iter()
+        .map(|cts| cts.into_iter().map(Ciphertext::from_biguint).collect())
+        .collect();
+    // One batch inversion mod n² serves every row of the call and
+    // validates every query (same accept set and error as `validate_many`).
+    let checked = &queries[..misfit.map_or(queries.len(), |(q, ..)| q + 1)];
+    let inverses = keyholder_pk.negate_many(&checked.concat())?;
+    if let Some((_, cts, coefficients)) = misfit {
+        return Err(SmcError::protocol(format!(
+            "dot product arity mismatch: {cts} ciphertexts vs {coefficients} coefficients"
+        )));
+    }
+    let (mut rows, mut masks) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    let mut inverses = inverses.as_slice();
+    for (q, (cts, mine)) in queries.iter().zip(row_groups).enumerate() {
+        let (these, others) = inverses.split_at(cts.len());
+        inverses = others;
         let reply = dot_reply(
             keyholder_pk,
-            &cts,
+            cts,
+            these,
             mine,
             mask_bound,
             packing.is_none(),
@@ -499,14 +535,15 @@ where
     Ok(masks)
 }
 
-/// The peer's rows for one query's encrypted vector `cts`, each with the
-/// mask `v_j` drawn for it. A masked row is `E(⟨x, y_j⟩ + v_j)`, its nonce
-/// from the mask's stream; an unmasked one is the bare homomorphic
-/// product, for the packed run to carry `v_j` as a plaintext addend and
-/// re-randomize by its word nonce.
+/// The peer's rows for one query's encrypted vector `cts` (with their
+/// inverses, `E(−x_i)`), each with the mask `v_j` drawn for it. A masked
+/// row is `E(⟨x, y_j⟩ + v_j)`, its nonce from the mask's stream; an
+/// unmasked one is the bare homomorphic product, for the packed run to
+/// carry `v_j` as a plaintext addend and re-randomize by its word nonce.
 fn dot_reply(
     keyholder_pk: &PublicKey,
     cts: &[Ciphertext],
+    inverses: &[Ciphertext],
     ys_rows: &[Vec<BigInt>],
     mask_bound: &BigUint,
     masked: bool,
@@ -514,25 +551,15 @@ fn dot_reply(
 ) -> Result<Vec<(Ciphertext, BigInt)>, SmcError> {
     // A row is one multi-exponentiation over sign-folded bases — the
     // ciphertext, or its inverse for a negative coefficient — so its ladder
-    // is as long as its coefficients (≤ 64 bits), whatever the key size.
-    // One batch inversion mod n² serves every row and validates the query
-    // (same accept set and error as `validate_many`); the bytes match the
-    // per-row mul_plain_signed/add fold exactly.
-    let inverses = keyholder_pk.negate_many(cts)?;
-    if let Some(ys) = ys_rows.iter().find(|ys| ys.len() != cts.len()) {
-        return Err(SmcError::protocol(format!(
-            "dot product arity mismatch: {} ciphertexts vs {} coefficients",
-            cts.len(),
-            ys.len()
-        )));
-    }
+    // is as long as its coefficients (≤ 64 bits), whatever the key size;
+    // the bytes match the per-row mul_plain_signed/add fold exactly.
     ys_rows
         .iter()
         .enumerate()
         .map(|(j, ys)| {
             let mut rng = ctx.rng_for(j as u64);
             let v = sample_mask(&mut rng, mask_bound);
-            let product = keyholder_pk.dot_plain_signed(cts, &inverses, ys);
+            let product = keyholder_pk.dot_plain_signed(cts, inverses, ys);
             let row = if masked {
                 keyholder_pk.add(&keyholder_pk.encrypt_signed(&v, &mut rng)?, &product)
             } else {
@@ -773,6 +800,48 @@ mod tests {
         assert!(matches!(err, SmcError::Protocol(_)));
         drop(pchan);
         let _ = keyholder.join();
+    }
+
+    /// A call's queries are checked by one batch inversion, and refused
+    /// as they were one query at a time: a query that is no ciphertext
+    /// vector anywhere in the call is a crypto error before any reply, and
+    /// between a bad query and one whose rows do not fit it, the first in
+    /// query order decides the error.
+    #[test]
+    fn a_bad_query_anywhere_in_a_dot_call_is_refused_before_any_reply() {
+        let kp = bob_keypair();
+        let good = |x: i64| kp.encrypt_signed(&bi(x), &mut rng(x as u64)).unwrap();
+        let good = vec![good(1).as_biguint().clone(), good(2).as_biguint().clone()];
+        let bad = vec![good[0].clone(), BigUint::zero()];
+        let short = vec![good[0].clone()];
+        let rows = vec![vec![bi(1), bi(1)]; 3];
+        let cases = [
+            (vec![good.clone(), bad.clone(), good.clone()], "crypto"),
+            (vec![bad.clone(), short.clone(), good.clone()], "crypto"),
+            (vec![short.clone(), bad.clone(), good.clone()], "protocol"),
+            (vec![good.clone(), good.clone(), short], "protocol"),
+        ];
+        for (queries, want) in cases {
+            let (mut kchan, mut pchan) = duplex();
+            kchan.send_batch(&queries).unwrap();
+            let err = dot_many_peer(
+                &mut pchan,
+                &kp.public,
+                &rows,
+                &[1, 1, 1],
+                &BigUint::from_u64(10),
+                None,
+                |q| ctx(9).at(q as u64),
+            )
+            .unwrap_err();
+            let got = match err {
+                SmcError::Crypto(_) => "crypto",
+                SmcError::Protocol(_) => "protocol",
+                _ => "other",
+            };
+            assert_eq!(got, want, "{queries:?}: {err}");
+            assert_eq!(pchan.metrics().bytes_sent, 0, "no reply");
+        }
     }
 
     /// Query `q` is distance vector `q` of `points` against its own
