@@ -170,7 +170,6 @@ pub fn kumar_party<C: Channel>(
         chan,
         cfg,
         keypair,
-        role,
         &HandshakeProfile {
             mode: Mode::KumarBaseline,
             n: my_points.len(),

@@ -129,9 +129,14 @@ use std::sync::Arc;
 /// DGK comparison by the gap its operands are promised (`m + 3` bits out
 /// and `m + 1` cells back, where v16 sent `ℓ` each way), so a v16 peer is
 /// refused here rather than reading a bit vector of the other length as a
-/// hostile one. (No legacy frame reads as 13 to 17: the `Vec<u64>`
-/// metadata frame always held eleven values.)
-pub const WIRE_VERSION: u32 = 17;
+/// hostile one. `18` makes establish one flight: each side sends its key
+/// frame, its `Hello` and (sharing backend) its dealer-seed contribution
+/// before it reads anything, where a v17 Bob read Alice's key frame before
+/// sending his own — the same frames, in another order, so a v17 peer is
+/// refused here by name rather than left waiting on a frame that a v18
+/// side has already sent. (No legacy frame reads as 13 to 18: the
+/// `Vec<u64>` metadata frame always held eleven values.)
+pub const WIRE_VERSION: u32 = 18;
 
 /// Protocol family tag, negotiated during the handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -521,37 +526,76 @@ pub(crate) struct HandshakeProfile {
     pub dim: usize,
 }
 
-/// Exchanges public keys and `Hello` frames, cross-checking all public
-/// protocol metadata. Both sides send before either checks, so a mismatch
-/// is reported symmetrically (each half names the same offending field).
-/// A Paillier session running DGK comparisons sends its DGK key with its
-/// modulus, and one on the sharing backend exchanges dealer-seed
-/// contributions after the `Hello`.
+/// Exchanges public keys and `Hello` frames with one peer, cross-checking
+/// all public protocol metadata: [`send_flight`], then [`read_flight`].
 pub(crate) fn establish<C: Channel>(
     chan: &mut C,
     cfg: &ProtocolConfig,
     my_keypair: Keypair,
-    role: Party,
     profile: &HandshakeProfile,
     ctx: &ProtocolContext,
 ) -> Result<Session, CoreError> {
-    let keys_span = trace::span("keys", || chan.metrics());
-    // DGK comparisons run under the DGK key each keypair carries; the key
-    // rides the key-exchange frame.
-    let dgk = cfg.backend == BackendKind::Paillier && cfg.comparator == Comparator::Dgk;
-    let peer_pk = match role {
-        Party::Alice => setup::exchange_keys_alice(chan, &my_keypair, dgk)?,
-        Party::Bob => setup::exchange_keys_bob(chan, &my_keypair, dgk)?,
-    };
-    keys_span.end(|| chan.metrics());
-    let hello_span = trace::span("hello", || chan.metrics());
     let mine = Hello::for_session(cfg, profile.mode, profile.n, profile.dim);
-    chan.send(&mine)?;
+    let sent = send_flight(chan, cfg, &my_keypair, &mine, ctx);
+    let session = read_flight(chan, cfg, my_keypair, &mine, ctx)?;
+    sent.map(|()| session)
+}
+
+/// Whether this side's session runs DGK comparisons, so its key frame
+/// carries its DGK key.
+fn sends_dgk(cfg: &ProtocolConfig) -> bool {
+    cfg.backend == BackendKind::Paillier && cfg.comparator == Comparator::Dgk
+}
+
+/// This side's half of the one establish flight, sent before anything is
+/// read: the key frame (with the DGK key when the session runs DGK
+/// comparisons), the `Hello`, and, on the sharing backend, this side's
+/// dealer-seed contribution. Both sides send before either reads, so the
+/// flight costs one link delay, and a mismatch is reported symmetrically
+/// (each half names the same offending field). A peer that has already
+/// refused our flight may have hung up before its last frame went out, so
+/// callers read the peer's flight before they report a failed send: the
+/// peer's frames name the disagreement the hang-up only follows from.
+pub(crate) fn send_flight<C: Channel>(
+    chan: &mut C,
+    cfg: &ProtocolConfig,
+    my_keypair: &Keypair,
+    mine: &Hello,
+    ctx: &ProtocolContext,
+) -> Result<(), CoreError> {
+    let span = trace::span("flight", || chan.metrics());
+    setup::send_public_key(chan, my_keypair, sends_dgk(cfg))?;
+    chan.send(mine)?;
+    // The sharing backend needs one shared dealer seed; both sides
+    // contribute a keyed draw and XOR, so the tape is agreed without either
+    // party choosing it unilaterally.
+    if cfg.backend == BackendKind::Sharing {
+        chan.send(&DealerTape::contribution(ctx))?;
+    }
+    span.end(|| chan.metrics());
+    Ok(())
+}
+
+/// Reads and checks the peer's half of the flight, in the order the checks
+/// run: the key frame (a modulus or DGK key the peer could not have
+/// generated is refused before anything is built under it), the `Hello`
+/// against `mine`, then the DGK key size, and last the dealer-seed
+/// contribution. A check that fails ends the session before a protocol
+/// message is read.
+pub(crate) fn read_flight<C: Channel>(
+    chan: &mut C,
+    cfg: &ProtocolConfig,
+    my_keypair: Keypair,
+    mine: &Hello,
+    ctx: &ProtocolContext,
+) -> Result<Session, CoreError> {
+    let span = trace::span("hello", || chan.metrics());
+    let peer_pk = setup::recv_public_key(chan)?;
     let theirs: Hello = chan.recv()?;
     mine.check_against(&theirs)?;
     // Agreeing on DGK means the peer sent its DGK key with its modulus, at
     // the agreed key size.
-    if dgk {
+    if sends_dgk(cfg) {
         match peer_pk.dgk().map(|key| key.bits()) {
             None => return Err(CoreError::mismatch("peer key frame carries no DGK key")),
             Some(bits) if bits != cfg.key_bits => {
@@ -564,22 +608,16 @@ pub(crate) fn establish<C: Channel>(
             Some(_) => {}
         }
     }
-    // The sharing backend needs one shared dealer seed; both sides
-    // contribute a keyed draw and XOR, so the tape is agreed without either
-    // party choosing it unilaterally. Both send before either receives —
-    // the exchange cannot deadlock and adds exactly one frame each way.
     let tape = if cfg.backend == BackendKind::Sharing {
-        let my_contribution = DealerTape::contribution(ctx);
-        chan.send(&my_contribution)?;
         let their_contribution: u64 = chan.recv()?;
         Some(DealerTape::from_contributions(
-            my_contribution,
+            DealerTape::contribution(ctx),
             their_contribution,
         ))
     } else {
         None
     };
-    hello_span.end(|| chan.metrics());
+    span.end(|| chan.metrics());
     Ok(Session {
         my_keypair,
         peer_pk,
@@ -726,12 +764,19 @@ pub(crate) fn run_node<C: Channel, D: ModeDriver>(
     keygen_span.end(|| traffic(peers));
     let profile = driver.profile();
     let establish_span = trace::span("establish", || traffic(peers));
+    // One flight: this node sends to every peer before it reads from any.
+    let mine = Hello::for_session(cfg, profile.mode, profile.n, profile.dim);
+    let sent: Vec<_> = peers
+        .iter_mut()
+        .map(|(_, chan)| send_flight(&mut **chan, cfg, &keypair, &mine, ctx))
+        .collect();
     let mut links = Vec::with_capacity(peers.len());
     let keypairs = std::iter::repeat_n(keypair, peers.len());
-    for ((id, chan), keypair) in peers.iter_mut().zip(keypairs) {
+    for (((id, chan), keypair), sent) in peers.iter_mut().zip(keypairs).zip(sent) {
         let (id, chan) = (*id, &mut **chan);
         let role = if me < id { Party::Alice } else { Party::Bob };
-        let session = establish(chan, cfg, keypair, role, &profile, ctx)?;
+        let session = read_flight(chan, cfg, keypair, &mine, ctx)?;
+        sent?;
         driver.check_session(cfg, &session)?;
         links.push(Link {
             id,

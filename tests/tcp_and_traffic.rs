@@ -405,23 +405,24 @@ fn assert_hops(
 /// back (the querier's masked point travels once a query, wire v13), so the
 /// sharing backend keeps seven in flight: the responder posts chunk
 /// `i + 7`'s fold request as soon as chunk `i` settles, and the querier
-/// answers it at once. Same frames; 45 hops one chunk at a time, 13 now. At
+/// answers it at once. Same frames; 43 hops one chunk at a time, 11 now
+/// (wire v18's one establish flight costs one hop where three were). At
 /// dimension 6 (≈ 56 and 16 KB) five are in flight, and at dimension 8
 /// (≈ 72 KB one way, over the 64 KiB budget by itself, and ≈ 17 KB back)
 /// four are: one direction's backlog alone never blocks both parties.
 #[test]
 fn pipelined_resolve_pays_link_delays_per_window_not_per_chunk() {
     let sharing = (ppds_smc::BackendKind::Sharing, true);
-    assert_hops(sharing, 2, (13, 86));
-    assert_hops(sharing, 6, (13, 86));
-    assert_hops(sharing, 8, (17, 86));
+    assert_hops(sharing, 2, (11, 86));
+    assert_hops(sharing, 6, (11, 86));
+    assert_hops(sharing, 8, (15, 86));
 }
 
 /// The Paillier backend posts nothing ahead, so it keeps the
 /// one-chunk-at-a-time order, hop for hop.
 #[test]
 fn paillier_resolve_keeps_one_chunk_in_flight() {
-    assert_hops((ppds_smc::BackendKind::Paillier, true), 2, (85, 104));
+    assert_hops((ppds_smc::BackendKind::Paillier, true), 2, (83, 104));
 }
 
 /// So does the reference framing: a frame per pair and comparison message,
@@ -429,7 +430,7 @@ fn paillier_resolve_keeps_one_chunk_in_flight() {
 #[test]
 fn unbatched_resolve_keeps_its_frame_order() {
     let unbatched = (ppds_smc::BackendKind::Sharing, false);
-    assert_hops(unbatched, 2, (40_365, 40_406));
+    assert_hops(unbatched, 2, (40_363, 40_406));
 }
 
 /// The window on its target deployment path: two blocking, single-threaded
